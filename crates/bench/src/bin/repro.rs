@@ -972,7 +972,7 @@ fn recovery_smoke(seed: u64) -> i32 {
             println!(
                 "recovery-smoke: archive reopened ({} events restored, torn: {})",
                 recovery.restored_events,
-                recovery.yokan.torn || recovery.warabi.torn
+                recovery.yokan.torn || recovery.warabi.torn || recovery.topics.torn
             );
             let live_dir = base.join("export-live");
             let arch_dir = base.join("export-archived");
@@ -1011,9 +1011,9 @@ fn recovery_smoke(seed: u64) -> i32 {
         }
     };
     for i in 0..FAULTS {
-        // the extended fault space also damages cache artifacts (sparse
-        // indexes, snapshots) and leaves orphaned compaction staging
-        let fault = CrashFault::generate_extended(seed.wrapping_mul(FAULTS).wrapping_add(i));
+        // the fault space also damages cache artifacts (sparse indexes,
+        // snapshots) and leaves orphaned compaction staging
+        let fault = CrashFault::generate(seed.wrapping_mul(FAULTS).wrapping_add(i));
         let victim = base.join(format!("victim-{i}"));
         let outcome = copy_store(&store, &victim).and_then(|()| fault.apply(&victim)).and_then(
             |(file, at)| {

@@ -371,16 +371,14 @@ fn scale_from_env() -> f64 {
         .unwrap_or(1.0)
 }
 
-/// KV config for the scale stores: inline maintenance (deterministic),
-/// compaction disabled (isolates snapshot-bounded recovery), snapshots on
-/// the given cadence.
+/// KV config for the scale stores: compaction disabled (isolates
+/// snapshot-bounded recovery), snapshots on the given cadence.
 fn scale_kv_cfg(snapshot_every: u64) -> KvWalConfig {
     KvWalConfig {
         log: LogConfig { flush: FlushPolicy::Manual, sync_data: false, ..Default::default() },
         compact_min_records: u64::MAX,
         compact_ratio: 4,
         snapshot_every,
-        background: false,
     }
 }
 

@@ -5,10 +5,12 @@
 //! (truncated) tail, a tail written as zeros, or flipped bits. Faults are
 //! plain data generated from a seed, in the same tradition as the fault
 //! schedules: [`CrashFault::generate`] is deterministic, so a failing
-//! fault replays from its seed. Damage is confined to the **last segment
-//! past its header** — the committed-tail region a real crash races with;
-//! wholesale header destruction is exercised separately by dtf-store's
-//! own tests.
+//! fault replays from its seed. Tail damage is confined to the **last
+//! segment past its header** — the committed-tail region a real crash
+//! races with; wholesale header destruction is exercised separately by
+//! dtf-store's own tests. The remaining kinds damage cache artifacts
+//! (index sidecars, snapshots, compaction staging), which recovery must
+//! shrug off without losing anything.
 //!
 //! The oracle, [`recovery_oracle`], asserts the two recovery invariants
 //! end to end at the Mofka level: per topic and partition, the recovered
@@ -28,20 +30,26 @@ use dtf_core::rngx::RunRng;
 use dtf_mofka::MofkaService;
 use dtf_store::log::{segment_paths, HEADER_LEN};
 
-/// Which of a persisted service's two logs the fault hits.
+/// Which of a persisted service's three logs the fault hits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CrashTarget {
-    /// The metadata / topic-log WAL (`yokan/`).
+    /// The key-value metadata WAL (`yokan/`): topic configs, group cursors.
     YokanWal,
     /// The blob payload log (`warabi/`).
     WarabiLog,
+    /// The log behind every topic partition (`topics/`).
+    TopicLog,
 }
 
 impl CrashTarget {
+    pub const ALL: [CrashTarget; 3] =
+        [CrashTarget::YokanWal, CrashTarget::WarabiLog, CrashTarget::TopicLog];
+
     fn subdir(self) -> &'static str {
         match self {
             CrashTarget::YokanWal => "yokan",
             CrashTarget::WarabiLog => "warabi",
+            CrashTarget::TopicLog => "topics",
         }
     }
 }
@@ -75,6 +83,18 @@ pub enum CrashKind {
     OrphanStaging,
 }
 
+impl CrashKind {
+    pub const ALL: [CrashKind; 7] = [
+        CrashKind::TruncateTail,
+        CrashKind::ZeroTail,
+        CrashKind::BitFlip,
+        CrashKind::MaxLenFrame,
+        CrashKind::CorruptIndex,
+        CrashKind::CorruptSnapshot,
+        CrashKind::OrphanStaging,
+    ];
+}
+
 /// One seeded crash fault: plain, serializable data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CrashFault {
@@ -85,35 +105,12 @@ pub struct CrashFault {
 
 impl CrashFault {
     /// Deterministically derive a fault from a seed (same seed, same
-    /// fault — the replay contract).
+    /// fault — the replay contract), drawing uniformly over every target
+    /// and every kind.
     pub fn generate(seed: u64) -> Self {
         let mut rng = RunRng::new(seed, RunId(0)).stream("crash-fault");
-        let target = if rng.gen::<bool>() { CrashTarget::YokanWal } else { CrashTarget::WarabiLog };
-        let kind = match rng.gen_range(0..4u32) {
-            0 => CrashKind::TruncateTail,
-            1 => CrashKind::ZeroTail,
-            2 => CrashKind::BitFlip,
-            _ => CrashKind::MaxLenFrame,
-        };
-        Self { target, kind, seed }
-    }
-
-    /// Like [`CrashFault::generate`], but drawing from the full kind set
-    /// including cache damage (index sidecars, snapshots) and orphaned
-    /// compaction staging. A separate derivation so seeds recorded
-    /// against `generate` keep reproducing the same four-kind faults.
-    pub fn generate_extended(seed: u64) -> Self {
-        let mut rng = RunRng::new(seed, RunId(0)).stream("crash-fault-ext");
-        let target = if rng.gen::<bool>() { CrashTarget::YokanWal } else { CrashTarget::WarabiLog };
-        let kind = match rng.gen_range(0..7u32) {
-            0 => CrashKind::TruncateTail,
-            1 => CrashKind::ZeroTail,
-            2 => CrashKind::BitFlip,
-            3 => CrashKind::MaxLenFrame,
-            4 => CrashKind::CorruptIndex,
-            5 => CrashKind::CorruptSnapshot,
-            _ => CrashKind::OrphanStaging,
-        };
+        let target = CrashTarget::ALL[rng.gen_range(0..CrashTarget::ALL.len())];
+        let kind = CrashKind::ALL[rng.gen_range(0..CrashKind::ALL.len())];
         Self { target, kind, seed }
     }
 
@@ -341,99 +338,41 @@ mod tests {
     }
 
     #[test]
-    fn faults_are_deterministic_from_seed() {
+    fn faults_are_deterministic_and_reach_every_target_and_kind() {
         for seed in [1u64, 42, 999] {
             assert_eq!(CrashFault::generate(seed), CrashFault::generate(seed));
         }
-        // different seeds eventually produce different faults
-        let distinct: std::collections::HashSet<_> = (0..32u64)
-            .map(|s| {
-                let f = CrashFault::generate(s);
-                (f.target.subdir(), format!("{:?}", f.kind))
-            })
-            .collect();
-        assert!(distinct.len() > 1);
+        let faults: Vec<CrashFault> = (0..128u64).map(CrashFault::generate).collect();
+        for target in CrashTarget::ALL {
+            assert!(faults.iter().any(|f| f.target == target), "{target:?} never generated");
+        }
+        for kind in CrashKind::ALL {
+            assert!(faults.iter().any(|f| f.kind == kind), "{kind:?} never generated");
+        }
     }
 
     #[test]
-    fn every_fault_kind_recovers_a_prefix() {
+    fn every_kind_on_every_target_recovers_a_prefix() {
         let golden = tmp("golden");
         seeded_store(&golden, 200);
         let (original, _) = MofkaService::reopen(&golden).unwrap();
-        for seed in 0..12u64 {
-            let fault = CrashFault::generate(seed);
-            let victim = tmp(&format!("victim-{seed}"));
-            copy_store(&golden, &victim).unwrap();
-            fault.apply(&victim).unwrap();
-            let (recovered, _) = MofkaService::reopen(&victim).unwrap();
-            let violations = recovery_oracle(&original, &recovered);
-            assert!(
-                violations.is_empty(),
-                "seed {seed} fault {fault:?} violated recovery: {violations:?}"
-            );
-            fs::remove_dir_all(&victim).unwrap();
-        }
-        fs::remove_dir_all(&golden).unwrap();
-    }
-
-    #[test]
-    fn extended_faults_are_deterministic_and_reach_the_new_kinds() {
-        for seed in [1u64, 42, 999] {
-            assert_eq!(CrashFault::generate_extended(seed), CrashFault::generate_extended(seed));
-        }
-        let kinds: std::collections::HashSet<String> =
-            (0..64u64).map(|s| format!("{:?}", CrashFault::generate_extended(s).kind)).collect();
-        for want in ["CorruptIndex", "CorruptSnapshot", "OrphanStaging", "TruncateTail"] {
-            assert!(kinds.contains(want), "{want} never generated in 64 seeds");
-        }
-    }
-
-    #[test]
-    fn every_extended_fault_recovers_a_prefix() {
-        let golden = tmp("ext-golden");
-        seeded_store(&golden, 200);
-        let (original, _) = MofkaService::reopen(&golden).unwrap();
-        for seed in 0..14u64 {
-            let fault = CrashFault::generate_extended(seed);
-            let victim = tmp(&format!("ext-victim-{seed}"));
-            copy_store(&golden, &victim).unwrap();
-            fault.apply(&victim).unwrap();
-            let (recovered, _) = MofkaService::reopen(&victim).unwrap();
-            let violations = recovery_oracle(&original, &recovered);
-            assert!(
-                violations.is_empty(),
-                "seed {seed} fault {fault:?} violated recovery: {violations:?}"
-            );
-            if fault.is_cache_only() {
-                // caches are never truth: damaging them loses nothing
-                let orig = original.topic("t").unwrap();
-                let rec = recovered.topic("t").unwrap();
-                assert_eq!(rec.total_len(), orig.total_len(), "cache fault {fault:?} lost events");
-            }
-            fs::remove_dir_all(&victim).unwrap();
-        }
-        fs::remove_dir_all(&golden).unwrap();
-    }
-
-    #[test]
-    fn every_cache_kind_on_both_targets_recovers_exact_state() {
-        let golden = tmp("cache-golden");
-        seeded_store(&golden, 150);
-        let (original, _) = MofkaService::reopen(&golden).unwrap();
         let total = original.topic("t").unwrap().total_len();
-        let mut case = 0u32;
-        for kind in [CrashKind::CorruptIndex, CrashKind::CorruptSnapshot, CrashKind::OrphanStaging]
-        {
-            for target in [CrashTarget::YokanWal, CrashTarget::WarabiLog] {
-                let fault = CrashFault { target, kind, seed: 7 };
-                assert!(fault.is_cache_only());
-                let victim = tmp(&format!("cache-victim-{case}"));
+        let mut case = 0u64;
+        for kind in CrashKind::ALL {
+            for target in CrashTarget::ALL {
                 case += 1;
+                let fault = CrashFault { target, kind, seed: case };
+                let victim = tmp(&format!("victim-{case}"));
                 copy_store(&golden, &victim).unwrap();
                 fault.apply(&victim).unwrap();
                 let (recovered, _) = MofkaService::reopen(&victim).unwrap();
-                assert!(recovery_oracle(&original, &recovered).is_empty(), "{fault:?}");
-                assert_eq!(recovered.topic("t").unwrap().total_len(), total, "{fault:?}");
+                let violations = recovery_oracle(&original, &recovered);
+                assert!(violations.is_empty(), "{fault:?} violated recovery: {violations:?}");
+                if fault.is_cache_only() {
+                    // caches are never truth: damaging them loses nothing
+                    let rec = recovered.topic("t").unwrap();
+                    assert_eq!(rec.total_len(), total, "cache fault {fault:?} lost events");
+                }
                 fs::remove_dir_all(&victim).unwrap();
             }
         }

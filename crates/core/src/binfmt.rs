@@ -1,7 +1,7 @@
 //! The binary at-rest encoding of [`ProvRecord`]s.
 //!
 //! PR 5 persisted provenance records as compact JSON text inside the
-//! segmented log, so every replay — recovery, `Topic::restore`,
+//! segmented log, so every replay — recovery, topic restore,
 //! `RunData::open_archive` — re-parsed a JSON tree per record. This module
 //! is the compact alternative: a one-byte family tag followed by the
 //! record's fields in declaration order, integers as LEB128 varints,

@@ -52,13 +52,34 @@ fn claim_range(
     let avail = topic.partition_len(partition)?;
     let mut claimed = (0, 0);
     yokan.update(&format!("group/{}/{}/{}", topic.name(), group, partition), |old| {
-        let cur: u64 =
-            old.and_then(|b| std::str::from_utf8(b).ok()).and_then(|s| s.parse().ok()).unwrap_or(0);
+        let cur = old.and_then(|b| cursor_value(b)).unwrap_or(0);
         let end = avail.min(cur + n as u64).max(cur);
         claimed = (cur, end);
         Bytes::from(end.to_string())
     });
     Ok(claimed)
+}
+
+/// A stored group cursor: the next offset to claim, as decimal text.
+fn cursor_value(raw: &[u8]) -> Option<u64> {
+    std::str::from_utf8(raw).ok()?.parse().ok()
+}
+
+/// Pull every cursor of `topic` that points past its partition's end back
+/// to the end. Cursors live in Yokan and slots in the topic log, each
+/// committing on its own between syncs, so after a crash a cursor can
+/// outlive the events it counted; left alone it would skip that many
+/// offsets once the partition grows again. Run on a writable reopen —
+/// redelivery (at-least-once), never a silent skip.
+pub(crate) fn clamp_cursors(topic: &Topic, yokan: &Yokan) {
+    for (key, raw) in yokan.list_prefix(&format!("group/{}/", topic.name())) {
+        let len = key.rsplit_once('/').and_then(|(_, p)| topic.partition_len(p.parse().ok()?).ok());
+        if let (Some(len), Some(cursor)) = (len, cursor_value(&raw)) {
+            if cursor > len {
+                yokan.put(key, len.to_string());
+            }
+        }
+    }
 }
 
 /// Running count of claimed-but-undelivered events a consumer discarded

@@ -15,8 +15,9 @@
 //! Like Mofka, the service is assembled from reusable micro-services:
 //! [`yokan`] (key/value), [`warabi`] (blob store), [`bedrock`] (deployment
 //! and bootstrapping), and [`ssg`] (group membership and fault detection).
-//! The topic log is itself stored in a Warabi blob region with its metadata
-//! in Yokan, mirroring Mofka's composition.
+//! Event payloads live in a Warabi blob region and topic configs and group
+//! cursors in Yokan, mirroring Mofka's composition; a durable service
+//! persists the partitions themselves as one segmented log ([`topic`]).
 //!
 //! Two data planes serve producers ([`ServiceMode`]): the default
 //! *virtual-time* plane appends synchronously and deterministically (the

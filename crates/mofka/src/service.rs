@@ -1,11 +1,12 @@
 //! The assembled Mofka service: topics + micro-services, thread-safe.
 //!
 //! A service is in-memory by default; [`ServiceConfig::persist`] roots it
-//! in a store directory (`yokan/` for metadata + topic logs, `warabi/`
-//! for blob payloads, both dtf-store logs). [`MofkaService::reopen`]
-//! opens such a directory read-only — the archive path: recovery repairs
-//! any torn tail, topics are rebuilt to their committed prefixes, and the
-//! regular consumer API drains them exactly as an in-situ analysis would.
+//! in a store directory of three dtf-store logs: `yokan/` for key-value
+//! metadata (topic configs, group cursors), `warabi/` for blob payloads,
+//! `topics/` for the partition logs. [`MofkaService::reopen`] opens such a
+//! directory read-only — the archive path: recovery repairs any torn tail,
+//! topics are rebuilt to their committed prefixes, and the regular
+//! consumer API drains them exactly as an in-situ analysis would.
 //!
 //! [`ServiceConfig::mode`] selects the data plane. The default,
 //! [`ServiceMode::VirtualTime`], appends synchronously under the partition
@@ -16,6 +17,7 @@
 //! [`MofkaService::consumer_pipelined`]. The topic map itself is sharded
 //! in both modes (lookup-only — it cannot affect event order).
 
+use bytes::Bytes;
 use dtf_store::RecoveryReport;
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -24,11 +26,11 @@ use std::sync::Arc;
 
 use dtf_core::error::{DtfError, Result};
 
-use crate::consumer::{Consumer, ConsumerConfig};
+use crate::consumer::{clamp_cursors, Consumer, ConsumerConfig};
 use crate::feed::GroupFeed;
 use crate::producer::{Producer, ProducerConfig};
 use crate::shard::DataPlane;
-use crate::topic::{Topic, TopicConfig};
+use crate::topic::{self, Topic, TopicConfig, TopicLog};
 use crate::warabi::Warabi;
 use crate::yokan::Yokan;
 
@@ -66,6 +68,7 @@ pub struct ServiceConfig {
 pub struct ServiceRecovery {
     pub yokan: RecoveryReport,
     pub warabi: RecoveryReport,
+    pub topics: RecoveryReport,
     /// Events restored into topic partitions (committed prefixes).
     pub restored_events: u64,
 }
@@ -161,6 +164,9 @@ impl TopicMap {
 pub struct MofkaService {
     yokan: Arc<Yokan>,
     warabi: Arc<Warabi>,
+    /// The durable log behind every topic partition; `None` in memory and
+    /// for read-only archive reopens.
+    topic_log: Option<Arc<TopicLog>>,
     topics: TopicMap,
     /// The concurrent data plane; `None` in virtual-time mode (and for
     /// read-only archive reopens).
@@ -178,6 +184,7 @@ impl MofkaService {
         Self {
             yokan: Arc::new(Yokan::new()),
             warabi: Arc::new(Warabi::new()),
+            topic_log: None,
             topics: TopicMap::new(),
             plane: None,
         }
@@ -213,13 +220,15 @@ impl MofkaService {
             Some(dir) => {
                 let (yokan, _) = Yokan::durable(&dir.join("yokan"))?;
                 let (warabi, _) = Warabi::durable(&dir.join("warabi"))?;
+                let (log, records, _) = TopicLog::open(&dir.join("topics"))?;
                 let svc = Self {
                     yokan: Arc::new(yokan),
                     warabi: Arc::new(warabi),
+                    topic_log: Some(Arc::new(log)),
                     topics: TopicMap::new(),
                     plane,
                 };
-                svc.restore_topics()?;
+                svc.restore_topics(&records)?;
                 Ok(svc)
             }
         }
@@ -236,27 +245,42 @@ impl MofkaService {
     pub fn reopen(dir: &Path) -> Result<(Self, ServiceRecovery)> {
         let (yokan, yokan_report) = Yokan::replay(&dir.join("yokan"))?;
         let (warabi, warabi_report) = Warabi::replay(&dir.join("warabi"))?;
+        let (records, topics_report) = TopicLog::replay(&dir.join("topics"))?;
         let svc = Self {
             yokan: Arc::new(yokan),
             warabi: Arc::new(warabi),
+            topic_log: None,
             topics: TopicMap::new(),
             plane: None,
         };
-        let restored_events = svc.restore_topics()?;
-        Ok((svc, ServiceRecovery { yokan: yokan_report, warabi: warabi_report, restored_events }))
+        let restored_events = svc.restore_topics(&records)?;
+        let recovery = ServiceRecovery {
+            yokan: yokan_report,
+            warabi: warabi_report,
+            topics: topics_report,
+            restored_events,
+        };
+        Ok((svc, recovery))
     }
 
-    /// Rebuild every topic recorded under `topic-config/` from its
-    /// persisted slots (committed prefixes only; see `Topic::restore`).
-    fn restore_topics(&self) -> Result<u64> {
-        let persist = self.yokan.is_durable().then(|| self.yokan.clone());
-        let mut restored = 0u64;
+    /// Rebuild every topic recorded under `topic-config/` from the
+    /// recovered topic-log `records` (committed prefixes only; see
+    /// [`topic::restore`]). On a writable reopen the topics continue
+    /// appending to the log, and group cursors are clamped to them.
+    fn restore_topics(&self, records: &[Bytes]) -> Result<u64> {
+        let mut topics = Vec::new();
         for (key, raw) in self.yokan.list_prefix("topic-config/") {
-            let name = key["topic-config/".len()..].to_string();
             let cfg: TopicConfig = serde_json::from_slice(&raw)?;
-            let topic = Arc::new(Topic::new(&name, &cfg, self.warabi.clone(), persist.clone()));
-            restored += topic.restore(&self.yokan)?;
-            let _ = self.topics.try_insert(&name, || topic);
+            let name = &key["topic-config/".len()..];
+            topics.push(Topic::new(name, &cfg, self.warabi.clone(), None));
+        }
+        let restored = topic::restore(&mut topics, records, self.topic_log.as_ref())?;
+        for topic in topics {
+            if self.topic_log.is_some() {
+                clamp_cursors(&topic, &self.yokan);
+            }
+            let name = topic.name().to_string();
+            let _ = self.topics.try_insert(&name, || Arc::new(topic));
         }
         Ok(restored)
     }
@@ -264,14 +288,19 @@ impl MofkaService {
     /// Flush durable state (group commit). In real-time mode a plane
     /// barrier runs first, so every batch handed off before this call is
     /// appended — and therefore written through to the stores — before
-    /// they flush. The blob log flushes before the metadata log, so a
-    /// crash between the two leaves orphan blobs (harmless) rather than
-    /// metadata pointing at missing blobs.
+    /// they flush. The order is blobs, then the topic log, then Yokan, so
+    /// what a sync commits is closed under reference — a crash between
+    /// two of the flushes leaves orphan blobs (harmless) rather than slots
+    /// naming missing blobs, and group cursors behind the slots they
+    /// count rather than past them.
     pub fn sync(&self) -> Result<()> {
         if let Some(plane) = &self.plane {
             plane.barrier()?;
         }
         self.warabi.sync()?;
+        if let Some(log) = &self.topic_log {
+            log.sync()?;
+        }
         self.yokan.sync()
     }
 
@@ -288,7 +317,6 @@ impl MofkaService {
 
     /// Create a topic. Errors if it already exists.
     pub fn create_topic(&self, name: &str, cfg: TopicConfig) -> Result<()> {
-        let persist = self.yokan.is_durable().then(|| self.yokan.clone());
         self.topics
             .try_insert(name, || {
                 // record the topic config in Yokan, as Mofka does —
@@ -297,7 +325,7 @@ impl MofkaService {
                     format!("topic-config/{name}"),
                     serde_json::to_vec(&cfg).expect("topic config serializes"),
                 );
-                Arc::new(Topic::new(name, &cfg, self.warabi.clone(), persist))
+                Arc::new(Topic::new(name, &cfg, self.warabi.clone(), self.topic_log.clone()))
             })
             .map_err(|()| DtfError::IllegalState(format!("topic {name} already exists")))
     }

@@ -8,24 +8,39 @@
 //! what lets the same consumer API serve both in-situ and post-hoc analysis
 //! (paper §III-B).
 //!
-//! When the owning service is durable, every appended slot is also written
-//! through to Yokan under `topic-log/<topic>/<partition>/<offset>` (the
-//! payload stays in Warabi; the slot value carries the blob id), and
-//! [`Topic::restore`] rebuilds partition logs from those keys on reopen.
-//! Staged (stalled) slots are persisted at append time too — durability is
-//! decided at append, visibility at unstall — so a crash while stalled
-//! surfaces the staged events after recovery.
+//! A partition *is* a log, and a durable service persists it as one: every
+//! appended slot is also appended, under the partition lock, to the
+//! service's one [`TopicLog`] — a dtf-store [`SegmentedLog`] multiplexing
+//! all partitions of all topics (the payload stays in Warabi; the record
+//! carries the blob id). Two record shapes, little-endian:
+//!
+//! ```text
+//! declare  0x00 | topic id u32 | topic name (UTF-8, to the record's end)
+//! slot     0x01 | topic id u32 | partition u32 | offset u64 | blob id u64 (MAX = none) | kind u8 | metadata
+//! ```
+//!
+//! Metadata kind 1 is the `dtf_core::binfmt` encoding every typed
+//! provenance record is written in (restored straight to
+//! `Metadata::Typed`, no value tree); kind 0 is the JSON text of a generic
+//! `Metadata::Json` event. A topic id is declared in-log before its first
+//! slot. [`restore`] is one scan over the recovered records that routes
+//! slots to partitions; the log's torn-tail rule already made them a
+//! committed prefix. Staged (stalled) slots are persisted at append time
+//! too — durability is decided at append, visibility at unstall — so a
+//! crash while stalled surfaces the staged events after recovery.
 
 use bytes::Bytes;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
+use std::path::Path;
 use std::sync::Arc;
 
 use dtf_core::error::{DtfError, Result};
+use dtf_core::events::ProvRecord;
+use dtf_store::{FlushPolicy, LogConfig, RecoveryReport, SegmentedLog};
 
 use crate::event::{Event, EventId, Metadata, StoredEvent};
 use crate::warabi::{BlobId, Warabi};
-use crate::yokan::Yokan;
 
 /// Topic creation parameters.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -65,82 +80,262 @@ struct Partition {
     state: RwLock<PartitionState>,
 }
 
+const REC_DECLARE: u8 = 0;
+const REC_SLOT: u8 = 1;
+const META_JSON: u8 = 0;
+const META_BINARY: u8 = 1;
+const NO_BLOB: u64 = u64::MAX;
+/// Bytes of a slot record before its metadata.
+const SLOT_HEADER: usize = 26;
+
+/// How the topic log commits between explicit syncs. A slot record is
+/// ~50 bytes framed, so the store's defaults (group commit every 256
+/// records, 256 KiB segments) would wait on the device every 12 KiB and
+/// seal a segment every 5k events: ~1200 `fdatasync`s for a 300k-event
+/// run, half its wall and all of its run-to-run spread. Sized for small
+/// records instead: a group commit is ~400 KiB, a segment ~90k events.
+/// What a crash can lose is still bounded by the group, and
+/// [`TopicLog::sync`] is still the commit point.
+const LOG_CONFIG: LogConfig =
+    LogConfig { segment_bytes: 4 << 20, flush: FlushPolicy::EveryN(8192), sync_data: true };
+
+#[derive(Debug)]
+struct LogState {
+    log: SegmentedLog,
+    /// Topic ids declared so far; the next declaration takes this id.
+    declared: u32,
+    /// The first write error. It poisons the log: later appends are
+    /// dropped (a record after a lost one could only be a gap) and every
+    /// [`TopicLog::sync`] reports it.
+    error: Option<String>,
+    /// Record encode buffer, reused across appends.
+    buf: Vec<u8>,
+}
+
+impl LogState {
+    fn append_buf(&mut self) {
+        if self.error.is_none() {
+            if let Err(e) = self.log.append(&self.buf) {
+                self.error = Some(e.to_string());
+            }
+        }
+    }
+}
+
+/// The durable log behind every partition of one persisted service's
+/// topics (`<persist>/topics/`). See the module docs for the record layout.
+#[derive(Debug)]
+pub(crate) struct TopicLog {
+    state: Mutex<LogState>,
+}
+
+impl TopicLog {
+    /// Open (or create) the log at `dir` for appending. The recovered
+    /// records go to [`restore`].
+    pub(crate) fn open(dir: &Path) -> Result<(Self, Vec<Bytes>, RecoveryReport)> {
+        let (log, records, report) = SegmentedLog::open(dir, LOG_CONFIG)?;
+        let declared = records.iter().filter(|r| r.first() == Some(&REC_DECLARE)).count() as u32;
+        let state = LogState { log, declared, error: None, buf: Vec::new() };
+        Ok((Self { state: Mutex::new(state) }, records, report))
+    }
+
+    /// Recover the records at `dir` without keeping the log attached: reads
+    /// only (after recovery's torn-tail repair) — the archive-reader path.
+    pub(crate) fn replay(dir: &Path) -> Result<(Vec<Bytes>, RecoveryReport)> {
+        let (log, records, report) = SegmentedLog::open(dir, LOG_CONFIG)?;
+        drop(log);
+        Ok((records, report))
+    }
+
+    /// Declare `name` under the next topic id. Every declaration takes a
+    /// fresh id, so slots logged for an earlier topic of the same name can
+    /// never be mistaken for this one's.
+    fn declare(&self, name: &str) -> u32 {
+        let mut state = self.state.lock();
+        let id = state.declared;
+        state.declared += 1;
+        state.buf.clear();
+        state.buf.push(REC_DECLARE);
+        state.buf.extend_from_slice(&id.to_le_bytes());
+        state.buf.extend_from_slice(name.as_bytes());
+        state.append_buf();
+        id
+    }
+
+    /// Append `slots` as offsets `base..` of `partition` of topic `id`.
+    fn append_slots(&self, id: u32, partition: u32, base: u64, slots: &[Slot]) {
+        let mut state = self.state.lock();
+        for (i, slot) in slots.iter().enumerate() {
+            let buf = &mut state.buf;
+            buf.clear();
+            buf.push(REC_SLOT);
+            buf.extend_from_slice(&id.to_le_bytes());
+            buf.extend_from_slice(&partition.to_le_bytes());
+            buf.extend_from_slice(&(base + i as u64).to_le_bytes());
+            buf.extend_from_slice(&slot.payload.map_or(NO_BLOB, |b| b.0).to_le_bytes());
+            match &slot.metadata {
+                Metadata::Typed(rec) => {
+                    buf.push(META_BINARY);
+                    rec.encode_binary(buf);
+                }
+                Metadata::Json(value) => {
+                    buf.push(META_JSON);
+                    buf.extend(serde_json::to_vec(value).expect("value tree always renders"));
+                }
+            }
+            state.append_buf();
+        }
+    }
+
+    /// Flush the log (group commit), surfacing the error that poisoned it
+    /// if there is one.
+    pub(crate) fn sync(&self) -> Result<()> {
+        let mut state = self.state.lock();
+        if state.error.is_none() {
+            if let Err(e) = state.log.sync() {
+                state.error = Some(e.to_string());
+            }
+        }
+        state.error.clone().map_or(Ok(()), |e| Err(DtfError::Io(e)))
+    }
+}
+
+fn malformed() -> DtfError {
+    DtfError::Io("malformed topic log record".into())
+}
+
+fn u32_le(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes.try_into().expect("caller slices 4 bytes"))
+}
+
+fn u64_le(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("caller slices 8 bytes"))
+}
+
+/// Rebuild `topics` — freshly created from their persisted configs —
+/// from the records recovered from the topic log, and, when `log` is given
+/// (a writable reopen), bind them to it so appends continue where the
+/// restored prefixes end. Returns events restored.
+///
+/// Records arrive as a committed prefix of what was appended, so routing
+/// is all that is left to do — except for two checks on each slot: a
+/// partition stops at the first record whose stored offset is not its next
+/// offset, or whose blob id Warabi does not hold (blob logs are flushed
+/// before the topic log, so a recovered slot normally implies a recovered
+/// blob; a tear in the blob log stops the partition here instead). Slots
+/// of a topic with no persisted config are skipped.
+pub(crate) fn restore(
+    topics: &mut [Topic],
+    records: &[Bytes],
+    log: Option<&Arc<TopicLog>>,
+) -> Result<u64> {
+    // topic id -> the topic it names, while no later id names the same one
+    let mut ids: Vec<Option<usize>> = Vec::new();
+    let mut stopped: Vec<Vec<bool>> =
+        topics.iter().map(|t| vec![false; t.partitions.len()]).collect();
+    for rec in records {
+        match rec.first() {
+            Some(&REC_DECLARE) if rec.len() >= 5 => {
+                if u32_le(&rec[1..5]) as usize != ids.len() {
+                    return Err(malformed());
+                }
+                let name = std::str::from_utf8(&rec[5..]).map_err(|_| malformed())?;
+                let t = topics.iter().position(|t| t.name == name);
+                if let Some(t) = t {
+                    // a re-declaration supersedes all that the older id logged
+                    if let Some(old) = ids.iter_mut().find(|old| **old == Some(t)) {
+                        *old = None;
+                        stopped[t].fill(false);
+                        for part in &mut topics[t].partitions {
+                            part.state.get_mut().slots.clear();
+                        }
+                    }
+                }
+                ids.push(t);
+            }
+            Some(&REC_SLOT) if rec.len() >= SLOT_HEADER => {
+                let id = u32_le(&rec[1..5]) as usize;
+                let p = u32_le(&rec[5..9]) as usize;
+                let offset = u64_le(&rec[9..17]);
+                let blob = Some(u64_le(&rec[17..25])).filter(|b| *b != NO_BLOB).map(BlobId);
+                let Some(t) = *ids.get(id).ok_or_else(malformed)? else { continue };
+                let Some(stop) = stopped[t].get_mut(p).filter(|stop| !**stop) else { continue };
+                let topic = &mut topics[t];
+                let slots = &mut topic.partitions[p].state.get_mut().slots;
+                // the blob check asks only whether the id exists — on an
+                // archive that reads the segment map, not the payload, so
+                // restore stays metadata-bounded
+                if offset != slots.len() as u64 || blob.is_some_and(|b| !topic.warabi.contains(b)) {
+                    *stop = true;
+                    continue;
+                }
+                let meta = &rec[SLOT_HEADER..];
+                let metadata = match rec[SLOT_HEADER - 1] {
+                    META_BINARY => Metadata::Typed(Arc::new(ProvRecord::decode_binary(meta)?)),
+                    META_JSON => Metadata::Json(serde_json::from_slice(meta)?),
+                    _ => return Err(malformed()),
+                };
+                slots.push(Slot { metadata, payload: blob });
+            }
+            _ => return Err(malformed()),
+        }
+    }
+    if let Some(log) = log {
+        let mut superseded = false;
+        for (t, topic) in topics.iter_mut().enumerate() {
+            let id = match ids.iter().position(|named| *named == Some(t)) {
+                Some(id) if !stopped[t].contains(&true) => id as u32,
+                // Never declared, or a partition stopped short of records
+                // the log still holds under the old id: take a fresh id
+                // and log the surviving prefix under it.
+                _ => {
+                    let id = log.declare(&topic.name);
+                    for (p, part) in topic.partitions.iter_mut().enumerate() {
+                        log.append_slots(id, p as u32, 0, &part.state.get_mut().slots);
+                    }
+                    superseded = true;
+                    id
+                }
+            };
+            topic.persist = Some((log.clone(), id));
+        }
+        if superseded {
+            // Must be durable before any new blob is: Warabi flushes first
+            // and hands out again the ids of the blobs it lost, which the
+            // superseded slots still name.
+            log.sync()?;
+        }
+    }
+    Ok(topics.iter().map(Topic::total_len).sum())
+}
+
 /// A named, partitioned, persistent event log.
 #[derive(Debug)]
 pub struct Topic {
     name: String,
     partitions: Vec<Partition>,
     warabi: Arc<Warabi>,
-    /// When set, slots are written through to this Yokan under
-    /// `topic-log/<name>/<partition>/<offset>` as they are appended.
-    persist: Option<Arc<Yokan>>,
-}
-
-/// Yokan key of one persisted slot. Offsets are zero-padded so lexical
-/// key order is numeric offset order (what `restore` walks).
-fn slot_key(topic: &str, partition: u32, offset: u64) -> String {
-    format!("topic-log/{topic}/{partition}/{offset:020}")
-}
-
-/// Slot value: `tag:u8 | blob_id:u64le | metadata bytes`.
-///
-/// The tag is self-describing (KV compaction re-appends raw slot values,
-/// so the encoding cannot be inferred from the segment header): tags 0/1
-/// carry metadata as JSON text (no blob / blob), the format of JSON-era
-/// stores and of generic `Metadata::Json` events; tags 2/3 carry the
-/// `dtf_core::binfmt` binary record encoding, written for every typed
-/// provenance record. Decoding a binary slot yields `Metadata::Typed`
-/// directly — restore and `open_archive` never materialize a
-/// `serde_json::Value` for typed records.
-const SLOT_JSON: u8 = 0;
-const SLOT_JSON_BLOB: u8 = 1;
-const SLOT_BINARY: u8 = 2;
-const SLOT_BINARY_BLOB: u8 = 3;
-
-fn encode_slot(slot: &Slot) -> Vec<u8> {
-    let (meta, binary) = match slot.metadata.as_record() {
-        Some(rec) => (rec.to_binary_bytes(), true),
-        None => (
-            serde_json::to_vec(&slot.metadata.to_value()).expect("value tree always renders"),
-            false,
-        ),
-    };
-    let mut v = Vec::with_capacity(9 + meta.len());
-    v.push(match (binary, slot.payload.is_some()) {
-        (false, false) => SLOT_JSON,
-        (false, true) => SLOT_JSON_BLOB,
-        (true, false) => SLOT_BINARY,
-        (true, true) => SLOT_BINARY_BLOB,
-    });
-    v.extend_from_slice(&slot.payload.map_or(0u64, |b| b.0).to_le_bytes());
-    v.extend_from_slice(&meta);
-    v
-}
-
-fn decode_slot(value: &Bytes) -> Result<Slot> {
-    if value.len() < 9 || value[0] > SLOT_BINARY_BLOB {
-        return Err(DtfError::Io("malformed persisted slot".into()));
-    }
-    let has_blob = value[0] == SLOT_JSON_BLOB || value[0] == SLOT_BINARY_BLOB;
-    let payload = has_blob.then(|| BlobId(u64::from_le_bytes(value[1..9].try_into().unwrap())));
-    let metadata = if value[0] >= SLOT_BINARY {
-        Metadata::Typed(Arc::new(dtf_core::events::ProvRecord::decode_binary(&value[9..])?))
-    } else {
-        Metadata::Json(serde_json::from_slice(&value[9..])?)
-    };
-    Ok(Slot { metadata, payload })
+    /// When set, slots are written through to this log, under this topic
+    /// id, as they are appended.
+    persist: Option<(Arc<TopicLog>, u32)>,
 }
 
 impl Topic {
+    /// A new, empty topic; with `log`, declared in it and written through.
     pub(crate) fn new(
         name: impl Into<String>,
         cfg: &TopicConfig,
         warabi: Arc<Warabi>,
-        persist: Option<Arc<Yokan>>,
+        log: Option<Arc<TopicLog>>,
     ) -> Self {
         assert!(cfg.partitions >= 1, "a topic needs at least one partition");
+        let name = name.into();
+        let persist = log.map(|log| {
+            let id = log.declare(&name);
+            (log, id)
+        });
         Self {
-            name: name.into(),
+            name,
             partitions: (0..cfg.partitions).map(|_| Partition::default()).collect(),
             warabi,
             persist,
@@ -180,10 +375,8 @@ impl Topic {
         let n = slots.len();
         // write-through while holding the partition lock, so persisted
         // offsets can never interleave with a concurrent batch
-        if let Some(yokan) = &self.persist {
-            for (i, slot) in slots.iter().enumerate() {
-                yokan.put(slot_key(&self.name, p, base + i as u64), encode_slot(slot));
-            }
+        if let Some((log, id)) = &self.persist {
+            log.append_slots(*id, p, base, &slots);
         }
         if state.stalled {
             state.staged.extend(slots);
@@ -191,41 +384,6 @@ impl Topic {
             state.slots.extend(slots);
         }
         Ok((0..n).map(|i| EventId { partition: p, offset: base + i as u64 }).collect())
-    }
-
-    /// Rebuild partition logs from slots persisted in `yokan`. Each
-    /// partition is restored up to the first offset gap or the first slot
-    /// whose blob id is not in Warabi — the conservative committed prefix
-    /// (blob logs are flushed before metadata on sync, so a recovered
-    /// slot normally implies a recovered blob; a tear in the blob log
-    /// truncates here instead). Returns events restored.
-    pub(crate) fn restore(&self, yokan: &Yokan) -> Result<u64> {
-        let mut total = 0u64;
-        for p in 0..self.num_partitions() {
-            let prefix = format!("topic-log/{}/{p}/", self.name);
-            let entries = yokan.list_prefix(&prefix);
-            let mut state = self.partitions[p as usize].state.write();
-            for (i, (key, value)) in entries.iter().enumerate() {
-                let offset: u64 = key[prefix.len()..]
-                    .parse()
-                    .map_err(|_| DtfError::Io(format!("bad slot key {key}")))?;
-                if offset != i as u64 {
-                    break; // offset gap: the committed prefix ends here
-                }
-                let slot = decode_slot(value)?;
-                if let Some(b) = slot.payload {
-                    // existence check only — on an archive this reads the
-                    // segment map, not the payload, so restore stays
-                    // metadata-bounded and blob bytes load on demand
-                    if !self.warabi.contains(b) {
-                        break; // dangling blob: truncate at the tear
-                    }
-                }
-                state.slots.push(slot);
-                total += 1;
-            }
-        }
-        Ok(total)
     }
 
     /// Stall partition `p`: subsequent appends are staged, invisible to
@@ -398,46 +556,132 @@ mod tests {
         assert_eq!(t.total_len(), 4);
     }
 
+    fn tmpdir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("dtf-topic-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn open_log(dir: &Path) -> (Arc<TopicLog>, Vec<Bytes>) {
+        let (log, records, _) = TopicLog::open(dir).unwrap();
+        (Arc::new(log), records)
+    }
+
+    /// Read-only restore of one topic "t" from the log at `dir`.
+    fn replayed(dir: &Path, cfg: &TopicConfig, warabi: &Arc<Warabi>) -> (Topic, u64) {
+        let (records, _) = TopicLog::replay(dir).unwrap();
+        let mut topics = vec![Topic::new("t", cfg, warabi.clone(), None)];
+        let n = restore(&mut topics, &records, None).unwrap();
+        (topics.pop().unwrap(), n)
+    }
+
+    fn json_slot(v: serde_json::Value, payload: Option<BlobId>) -> Slot {
+        Slot { metadata: Metadata::Json(v), payload }
+    }
+
     #[test]
     fn slots_persist_and_restore_including_staged() {
-        let yokan = Arc::new(Yokan::new());
+        let dir = tmpdir("staged");
         let warabi = Arc::new(Warabi::new());
         let cfg = TopicConfig { partitions: 2 };
-        let t = Topic::new("t", &cfg, warabi.clone(), Some(yokan.clone()));
+        let (log, _) = open_log(&dir);
+        let t = Topic::new("t", &cfg, warabi.clone(), Some(log.clone()));
         t.append_batch(0, vec![Event::new(json!({"k": 0}), Bytes::from_static(b"blob"))]).unwrap();
         t.append_batch(1, vec![Event::meta_only(json!({"k": 1}))]).unwrap();
         t.stall(0).unwrap();
         t.append_batch(0, vec![Event::meta_only(json!({"k": 2}))]).unwrap();
+        log.sync().unwrap();
         // durability is decided at append: the staged slot is persisted
-        let t2 = Topic::new("t", &cfg, warabi.clone(), None);
-        assert_eq!(t2.restore(&yokan).unwrap(), 3);
+        let (t2, n) = replayed(&dir, &cfg, &warabi);
+        assert_eq!(n, 3);
         let p0 = t2.read(0, 0, 10).unwrap();
         assert_eq!(p0.len(), 2, "the staged event surfaces after restore");
         assert_eq!(p0[0].event.data.as_ref(), b"blob");
         assert_eq!(p0[0].event.metadata["k"], 0u64);
         assert_eq!(p0[1].event.metadata["k"], 2u64);
         assert_eq!(t2.read(1, 0, 10).unwrap()[0].event.metadata["k"], 1u64);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn restore_truncates_at_offset_gap_and_dangling_blob() {
-        let yokan = Arc::new(Yokan::new());
+    fn restore_stops_at_offset_gap_and_dangling_blob() {
+        let dir = tmpdir("gap");
+        let warabi = Arc::new(Warabi::new());
+        let cfg = TopicConfig { partitions: 2 };
+        let (log, _) = open_log(&dir);
+        let id = log.declare("t");
+        // partition 0: offset 2 is missing, so the prefix ends there
+        log.append_slots(id, 0, 0, &[json_slot(json!(0), None), json_slot(json!(1), None)]);
+        log.append_slots(id, 0, 3, &[json_slot(json!(3), None)]);
+        // partition 1: the second slot's blob never made it to warabi
+        let dangling = json_slot(json!(11), Some(BlobId(99)));
+        log.append_slots(id, 1, 0, &[json_slot(json!(10), None), dangling]);
+        log.append_slots(id, 1, 2, &[json_slot(json!(12), None)]);
+        log.sync().unwrap();
+        let (t, n) = replayed(&dir, &cfg, &warabi);
+        assert_eq!(n, 3);
+        assert_eq!(t.partition_len(0).unwrap(), 2);
+        assert_eq!(t.partition_len(1).unwrap(), 1, "nothing past the dangling blob surfaces");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn writable_restore_after_a_stop_keeps_later_appends() {
+        let dir = tmpdir("stop-append");
         let warabi = Arc::new(Warabi::new());
         let cfg = TopicConfig { partitions: 1 };
-        let t = Topic::new("t", &cfg, warabi.clone(), Some(yokan.clone()));
-        for i in 0..5 {
-            t.append_batch(0, vec![Event::meta_only(json!(i))]).unwrap();
+        {
+            let (log, _) = open_log(&dir);
+            let id = log.declare("t");
+            let dangling = json_slot(json!("lost"), Some(BlobId(0)));
+            log.append_slots(id, 0, 0, &[json_slot(json!("kept"), None), dangling]);
+            log.append_slots(id, 0, 2, &[json_slot(json!("behind the tear"), None)]);
+            log.sync().unwrap();
         }
-        // a gap at offset 2 ends the committed prefix there
-        yokan.delete(&slot_key("t", 0, 2));
-        let t2 = Topic::new("t", &cfg, warabi.clone(), None);
-        assert_eq!(t2.restore(&yokan).unwrap(), 2);
-        // a slot whose blob never made it to warabi truncates the prefix
-        let yokan2 = Arc::new(Yokan::new());
-        let dangling = Slot { metadata: Metadata::Json(json!(9)), payload: Some(BlobId(99)) };
-        yokan2.put(slot_key("t", 0, 0), encode_slot(&dangling));
-        let t3 = Topic::new("t", &cfg, Arc::new(Warabi::new()), None);
-        assert_eq!(t3.restore(&yokan2).unwrap(), 0);
+        {
+            let (log, records) = open_log(&dir);
+            let mut topics = vec![Topic::new("t", &cfg, warabi.clone(), None)];
+            assert_eq!(restore(&mut topics, &records, Some(&log)).unwrap(), 1);
+            // the blob store hands id 0 out again: the old slot naming it
+            // must not come back to life with this payload
+            topics[0]
+                .append_batch(0, vec![Event::new(json!("new"), Bytes::from_static(b"payload"))])
+                .unwrap();
+            log.sync().unwrap();
+        }
+        let (t, n) = replayed(&dir, &cfg, &warabi);
+        assert_eq!(n, 2);
+        let got = t.read(0, 0, 10).unwrap();
+        assert_eq!(got[0].event.metadata, json!("kept"));
+        assert_eq!(got[1].event.metadata, json!("new"));
+        assert_eq!(got[1].event.data.as_ref(), b"payload");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_recreated_topic_never_inherits_orphaned_slots() {
+        let dir = tmpdir("orphan");
+        let warabi = Arc::new(Warabi::new());
+        let cfg = TopicConfig { partitions: 1 };
+        {
+            let (log, _) = open_log(&dir);
+            let t = Topic::new("t", &cfg, warabi.clone(), Some(log.clone()));
+            t.append_batch(0, vec![Event::meta_only(json!("old")); 3]).unwrap();
+            log.sync().unwrap();
+        }
+        {
+            // the topic's config did not survive (Yokan flushes last), so
+            // no topic claims the slots — and a new "t" starts empty
+            let (log, records) = open_log(&dir);
+            assert_eq!(restore(&mut [], &records, Some(&log)).unwrap(), 0);
+            let t = Topic::new("t", &cfg, warabi.clone(), Some(log.clone()));
+            t.append_batch(0, vec![Event::meta_only(json!("new"))]).unwrap();
+            log.sync().unwrap();
+        }
+        let (t, n) = replayed(&dir, &cfg, &warabi);
+        assert_eq!(n, 1);
+        assert_eq!(t.read(0, 0, 10).unwrap()[0].event.metadata, json!("new"));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -458,10 +702,11 @@ mod tests {
     fn typed_slots_restore_typed_without_a_json_round_trip() {
         use dtf_core::events::{LogEntry, LogLevel, LogSource, ProvRecord};
         use dtf_core::time::Time;
-        let yokan = Arc::new(Yokan::new());
+        let dir = tmpdir("typed");
         let warabi = Arc::new(Warabi::new());
         let cfg = TopicConfig { partitions: 1 };
-        let t = Topic::new("t", &cfg, warabi.clone(), Some(yokan.clone()));
+        let (log, _) = open_log(&dir);
+        let t = Topic::new("t", &cfg, warabi.clone(), Some(log.clone()));
         let rec = ProvRecord::Log(LogEntry {
             time: Time(42),
             level: LogLevel::Info,
@@ -470,14 +715,16 @@ mod tests {
         });
         t.append_batch(0, vec![Event::typed(rec.clone())]).unwrap();
         t.append_batch(0, vec![Event::meta_only(json!({"generic": true}))]).unwrap();
+        log.sync().unwrap();
 
-        // on disk: the typed slot is binary-tagged, the generic one JSON
-        let raw = yokan.list_prefix("topic-log/t/0/");
-        assert_eq!(raw[0].1[0], SLOT_BINARY);
-        assert_eq!(raw[1].1[0], SLOT_JSON);
+        // on disk: the typed slot's metadata is binary, the generic one's JSON
+        let (raw, _) = TopicLog::replay(&dir).unwrap();
+        assert_eq!(raw[0][0], REC_DECLARE);
+        assert_eq!(raw[1][SLOT_HEADER - 1], META_BINARY);
+        assert_eq!(raw[2][SLOT_HEADER - 1], META_JSON);
 
-        let t2 = Topic::new("t", &cfg, warabi, None);
-        assert_eq!(t2.restore(&yokan).unwrap(), 2);
+        let (t2, n) = replayed(&dir, &cfg, &warabi);
+        assert_eq!(n, 2);
         let got = t2.read(0, 0, 10).unwrap();
         match &got[0].event.metadata {
             Metadata::Typed(back) => assert_eq!(**back, rec),
@@ -489,6 +736,7 @@ mod tests {
         }
         // the export boundary is unchanged either way
         assert_eq!(got[0].event.metadata.to_value(), rec.to_value());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

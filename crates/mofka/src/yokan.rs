@@ -2,7 +2,11 @@
 //!
 //! Mofka stores topic and consumer-group metadata in Yokan; so do we. The
 //! store is a sorted map guarded by an `RwLock`, supporting point ops and
-//! prefix listing (the operations Mofka's metadata layer uses).
+//! prefix listing (the operations Mofka's metadata layer uses). It holds
+//! only what is key-value — topic configs (`topic-config/`), consumer-group
+//! cursors (`group/`), the archived run's metadata — a few hundred records
+//! per run; the event stream itself is persisted as a log (see
+//! [`crate::topic`]).
 //!
 //! A Yokan can optionally be **durable**: [`Yokan::durable`] attaches a
 //! write-ahead log (dtf-store's [`KvWal`]) and every mutation is written
@@ -64,16 +68,9 @@ impl Yokan {
     /// attached: reads only (after recovery's torn-tail repair). The
     /// archive-reader path — reopening the same directory twice is safe.
     pub fn replay(dir: &Path) -> Result<(Self, RecoveryReport)> {
-        // no maintenance worker for a handle that is dropped immediately
-        let cfg = KvWalConfig { background: false, ..KvWalConfig::default() };
-        let (kv, map, report) = KvWal::open(dir, cfg)?;
+        let (kv, map, report) = KvWal::open(dir, KvWalConfig::default())?;
         drop(kv);
         Ok((Self { map: RwLock::new(map), wal: None }, report))
-    }
-
-    /// Whether mutations are written through to a WAL.
-    pub fn is_durable(&self) -> bool {
-        self.wal.is_some()
     }
 
     pub fn put(&self, key: impl Into<String>, value: impl Into<Bytes>) {
@@ -155,8 +152,8 @@ impl Yokan {
     }
 
     /// Drive WAL maintenance — periodic snapshots and threshold
-    /// compaction, background by default — after a mutation. Failures are
-    /// deferred to [`Yokan::sync`] like any other WAL error.
+    /// compaction — after a mutation. Failures are deferred to
+    /// [`Yokan::sync`] like any other WAL error.
     fn maybe_maintain(&self, map: &BTreeMap<String, Bytes>) {
         if let Some(wal) = &self.wal {
             let mut wal = wal.lock();
@@ -251,7 +248,6 @@ mod tests {
         let dir = tmpdir("durable");
         {
             let (kv, _) = Yokan::durable(&dir).unwrap();
-            assert!(kv.is_durable());
             kv.put("a", Bytes::from_static(b"1"));
             kv.update("a", |_| Bytes::from_static(b"2"));
             kv.put("gone", Bytes::from_static(b"x"));
@@ -266,7 +262,6 @@ mod tests {
         // replay twice: read-only opens never change what is recovered
         for _ in 0..2 {
             let (ro, _) = Yokan::replay(&dir).unwrap();
-            assert!(!ro.is_durable());
             assert_eq!(ro.get("a"), Some(Bytes::from_static(b"2")));
             assert!(ro.sync().is_ok(), "sync is a no-op without a wal");
         }

@@ -1,4 +1,4 @@
-//! `Topic::restore` versus the concurrent data plane: a persisted
+//! Topic restore versus the concurrent data plane: a persisted
 //! directory must reopen to a clean committed prefix no matter what the
 //! plane was doing — queued-unflushed batches are drained by `shutdown`
 //! (never dropped), and a reopen racing a live service sees only

@@ -1,0 +1,154 @@
+//! The topic log at the Mofka level: what `MofkaService` recovers when the
+//! log behind its partitions is torn, and what a writable reopen does
+//! about state in the *other* logs that the tear left ahead of it.
+
+use std::collections::BTreeMap;
+use std::fs;
+use std::path::{Path, PathBuf};
+
+use bytes::Bytes;
+use dtf_mofka::{
+    ConsumerConfig, Event, MofkaService, ProducerConfig, ServiceConfig, StoredEvent, TopicConfig,
+};
+use dtf_store::log::segment_paths;
+
+fn scratch(label: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("dtf-topic-log-{label}-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    dir
+}
+
+fn durable(dir: &Path) -> MofkaService {
+    MofkaService::with_config(&ServiceConfig {
+        persist: Some(dir.to_path_buf()),
+        ..Default::default()
+    })
+    .unwrap()
+}
+
+/// Every partition's visible stream, keyed by `(topic, partition)`.
+fn streams(svc: &MofkaService) -> BTreeMap<(String, u32), Vec<StoredEvent>> {
+    let mut out = BTreeMap::new();
+    for name in svc.topic_names() {
+        let topic = svc.topic(&name).unwrap();
+        for p in 0..topic.num_partitions() {
+            out.insert((name.clone(), p), topic.read(p, 0, usize::MAX >> 1).unwrap());
+        }
+    }
+    out
+}
+
+/// For every byte the last topic-log segment can be cut at, a reopen
+/// yields per-partition streams that are prefixes of the original with
+/// contiguous offsets, and a second reopen sees the identical streams.
+#[test]
+fn every_truncation_point_reopens_to_contiguous_prefixes() {
+    let store = scratch("cuts");
+    {
+        let svc = durable(&store);
+        svc.create_topic("a", TopicConfig { partitions: 2 }).unwrap();
+        svc.create_topic("b", TopicConfig { partitions: 3 }).unwrap();
+        let mut pa =
+            svc.producer("a", ProducerConfig { batch_size: 4, ..Default::default() }).unwrap();
+        let mut pb =
+            svc.producer("b", ProducerConfig { batch_size: 3, ..Default::default() }).unwrap();
+        for i in 0..24u64 {
+            // interleave topics, with and without blobs
+            let blob = if i % 3 == 0 { Bytes::from(vec![i as u8; 5]) } else { Bytes::new() };
+            pa.push(Event::new(serde_json::json!({ "a": i }), blob)).unwrap();
+            pb.push(Event::meta_only(serde_json::json!({ "b": i }))).unwrap();
+            if i == 12 {
+                pa.flush().unwrap();
+                pb.flush().unwrap();
+                // everything b/1 gets from here on is staged, never visible
+                svc.stall_partition("b", 1).unwrap();
+            }
+        }
+        pa.flush().unwrap();
+        pb.flush().unwrap();
+        assert!(svc.topic("b").unwrap().staged_len(1).unwrap() > 0);
+        svc.sync().unwrap();
+    }
+    let (original, clean) = MofkaService::reopen(&store).unwrap();
+    let original = streams(&original);
+    assert_eq!(clean.restored_events, 48, "staged events surface after a reopen");
+    assert_eq!(original.len(), 5);
+
+    let segment = segment_paths(&store.join("topics")).unwrap().pop().unwrap();
+    let whole_segment = fs::read(&segment).unwrap();
+    let mut restored_by_cut = Vec::new();
+    for cut in 0..whole_segment.len() {
+        fs::write(&segment, &whole_segment[..cut]).unwrap();
+        let (first, recovery) = MofkaService::reopen(&store).unwrap();
+        let first = streams(&first);
+        for (key, events) in &first {
+            let whole = &original[key];
+            assert!(events.len() <= whole.len(), "cut {cut}: {key:?} grew");
+            for (i, (got, want)) in events.iter().zip(whole).enumerate() {
+                assert_eq!(got.id.offset, i as u64, "cut {cut}: {key:?} offsets not contiguous");
+                assert_eq!(got, want, "cut {cut}: {key:?} diverges at {i}");
+            }
+        }
+        let total: usize = first.values().map(Vec::len).sum();
+        assert_eq!(total as u64, recovery.restored_events);
+        let (second, again) = MofkaService::reopen(&store).unwrap();
+        assert_eq!(again.restored_events, recovery.restored_events, "cut {cut}");
+        assert!(!again.topics.torn, "cut {cut}: the first reopen repaired the tear");
+        assert_eq!(streams(&second), first, "cut {cut}: second reopen differs");
+        restored_by_cut.push(recovery.restored_events);
+    }
+    assert!(restored_by_cut.windows(2).all(|w| w[0] <= w[1]), "a longer log never restores less");
+    assert_eq!(restored_by_cut[0], 0);
+    assert_eq!(*restored_by_cut.last().unwrap(), 47, "only the last record is lost at len-1");
+    fs::remove_dir_all(&store).unwrap();
+}
+
+/// Group cursors (Yokan) and slots (topic log) are separate logs. Tear the
+/// topic log behind a synced cursor: a writable reopen must pull the
+/// cursor back to the restored partition end, or the group would silently
+/// skip the next events appended there.
+#[test]
+fn cursor_ahead_of_a_torn_topic_log_is_clamped_on_writable_reopen() {
+    let dir = scratch("clamp");
+    let group = ConsumerConfig { group: "g".into(), prefetch: 64 };
+    {
+        let svc = durable(&dir);
+        svc.create_topic("t", TopicConfig { partitions: 1 }).unwrap();
+        let mut producer = svc.producer("t", ProducerConfig::default()).unwrap();
+        for i in 0..20u64 {
+            producer.push(Event::meta_only(serde_json::json!({ "i": i }))).unwrap();
+        }
+        producer.flush().unwrap();
+        let mut consumer = svc.consumer("t", group.clone()).unwrap();
+        assert_eq!(consumer.drain_all().unwrap().len(), 20);
+        svc.sync().unwrap(); // cursor = 20, durable
+    }
+    let segment = segment_paths(&dir.join("topics")).unwrap().pop().unwrap();
+    let len = fs::metadata(&segment).unwrap().len();
+    fs::OpenOptions::new().write(true).open(&segment).unwrap().set_len(len / 2).unwrap();
+
+    let svc = durable(&dir);
+    let restored = svc.topic("t").unwrap().partition_len(0).unwrap();
+    assert!(restored > 0 && restored < 20, "the tear lost a suffix ({restored} left)");
+    assert_eq!(svc.yokan().get("group/t/g/0").unwrap().as_ref(), restored.to_string().as_bytes());
+    let mut producer = svc.producer("t", ProducerConfig::default()).unwrap();
+    for i in 100..105u64 {
+        producer.push(Event::meta_only(serde_json::json!({ "i": i }))).unwrap();
+    }
+    producer.flush().unwrap();
+    let mut consumer = svc.consumer("t", group).unwrap();
+    let seen: Vec<u64> = consumer
+        .drain_all()
+        .unwrap()
+        .iter()
+        .map(|e| e.event.metadata["i"].as_u64().unwrap())
+        .collect();
+    assert_eq!(seen, (100..105).collect::<Vec<_>>(), "the group must see every new event");
+    // and the appends continued the restored log: a reopen sees both
+    svc.sync().unwrap();
+    drop((producer, consumer, svc));
+    let (archive, recovery) = MofkaService::reopen(&dir).unwrap();
+    assert_eq!(recovery.restored_events, restored + 5);
+    assert_eq!(archive.topic("t").unwrap().partition_len(0).unwrap(), restored + 5);
+    fs::remove_dir_all(&dir).unwrap();
+}

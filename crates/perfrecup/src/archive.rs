@@ -50,10 +50,9 @@ impl ArchivedRun {
     }
 
     /// Whether recovery had to repair anything on the way in (torn tails
-    /// or dropped segments in either store).
+    /// or dropped segments in any of the three logs).
     pub fn was_repaired(&self) -> bool {
-        let y = &self.recovery.yokan;
-        let w = &self.recovery.warabi;
-        y.torn || w.torn || y.dropped_segments > 0 || w.dropped_segments > 0
+        let r = &self.recovery;
+        [r.yokan, r.warabi, r.topics].iter().any(|log| log.torn || log.dropped_segments > 0)
     }
 }

@@ -297,21 +297,21 @@ impl LogReader {
     pub fn open(dir: &Path, opts: ReaderOptions) -> Result<(Self, RecoveryReport)> {
         let paths = segment_paths(dir)?;
         let mut report = RecoveryReport::default();
-        let mut survivors: Vec<(PathBuf, u64, u64, u64, u8)> = Vec::new(); // path, seqno, first, len, format
+        let mut survivors: Vec<(PathBuf, u64, u64, u64)> = Vec::new(); // path, seqno, first, len
         let mut prev: Option<(u64, u64)> = None; // seqno, first_record
         let mut drop_from = None;
         for (i, path) in paths.iter().enumerate() {
             let head = read_header(path);
-            let ok = head.is_some_and(|(seqno, first, _, _)| {
+            let ok = head.is_some_and(|(seqno, first, _)| {
                 seqno == parse_seqno(path)
                     && prev.map(|(ps, pf)| seqno == ps + 1 && first >= pf).unwrap_or(first == 0)
             });
-            let Some((seqno, first, len, format)) = head.filter(|_| ok) else {
+            let Some((seqno, first, len)) = head.filter(|_| ok) else {
                 drop_from = Some(i);
                 break;
             };
             prev = Some((seqno, first));
-            survivors.push((path.clone(), seqno, first, len, format));
+            survivors.push((path.clone(), seqno, first, len));
         }
         if let Some(i) = drop_from {
             report.dropped_segments += paths.len() - i;
@@ -325,9 +325,9 @@ impl LogReader {
         let want_keys = opts.key_fn.is_some();
         let mut idx = 0usize;
         while idx < survivors.len() {
-            let (path, first, format) = {
+            let (path, first) = {
                 let s = &survivors[idx];
-                (s.0.clone(), s.2, s.4)
+                (s.0.clone(), s.2)
             };
             let last = idx + 1 == survivors.len();
             let index = if last {
@@ -370,7 +370,6 @@ impl LogReader {
                 }
             };
             report.segments += 1;
-            report.format = report.format.max(format);
             segs.push(SegMeta { path, index });
             idx += 1;
         }
@@ -512,14 +511,14 @@ fn frame_len(data: &Bytes, off: usize) -> Option<usize> {
 }
 
 /// Header fields of a segment file read without its body:
-/// `(seqno, first_record, file_len, format)`. `None` when damaged.
-fn read_header(path: &Path) -> Option<(u64, u64, u64, u8)> {
+/// `(seqno, first_record, file_len)`. `None` when damaged.
+fn read_header(path: &Path) -> Option<(u64, u64, u64)> {
     let mut f = File::open(path).ok()?;
     let len = f.metadata().ok()?.len();
     let mut head = [0u8; HEADER_LEN];
     f.read_exact(&mut head).ok()?;
     let (seqno, first) = header_fields(&head)?;
-    Some((seqno, first, len, head[7]))
+    Some((seqno, first, len))
 }
 
 /// Recovery repair for a damaged segment body: rescan frame by frame,

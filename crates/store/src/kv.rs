@@ -1,5 +1,5 @@
 //! A write-ahead-logged key-value store on the segmented log, with
-//! snapshot-bounded recovery and background compaction.
+//! snapshot-bounded recovery and threshold compaction.
 //!
 //! Every mutation is one log record — `0x00 | klen:u32le | key | value`
 //! for a put, `0x01 | klen:u32le | key` for a delete. The live map is
@@ -11,38 +11,31 @@
 //! store falls back to full replay — recovered state is always
 //! byte-identical to a full replay of the same directory.
 //!
-//! Maintenance — periodic snapshots and threshold compaction — runs on a
-//! background worker thread by default ([`KvWalConfig::background`]), so
-//! the O(live-set) work stays off the put/delete hot path; the writer
-//! only stages jobs and applies completions. Compaction rewrites the map
-//! as a snapshot of puts into a sibling `<dir>.new` staging log, copies
-//! the bounded tail written since the trigger, and swaps with a
-//! rename-aside protocol: `dir` → `<dir>.old`, `<dir>.new` → `dir`,
-//! fsync parent, remove `<dir>.old`. An authoritative directory exists at
-//! every instant (the old remove-then-rename swap had a window where a
-//! crash mid-removal lost records); every crash state — stale staging
-//! left *before* any rename, the aside/staging pair between renames, a
-//! leftover aside after promotion — is repaired on open.
+//! Maintenance — periodic snapshots and threshold compaction — runs
+//! inline in [`KvWal::maybe_maintain`], on the writer's thread: the map
+//! this store backs is small (configs, cursors, run metadata), so the
+//! O(live-set) work is cheap and a persisted run stays single-threaded.
+//! Compaction rewrites the map as a snapshot of puts into a sibling
+//! `<dir>.new` staging log and swaps with a rename-aside protocol:
+//! `dir` → `<dir>.old`, `<dir>.new` → `dir`, fsync parent, remove
+//! `<dir>.old`. An authoritative directory exists at every instant (the
+//! old remove-then-rename swap had a window where a crash mid-removal
+//! lost records); every crash state — stale staging left *before* any
+//! rename, the aside/staging pair between renames, a leftover aside after
+//! promotion — is repaired on open.
 //!
 //! [`KvWal`] is the log half only — the caller owns the map, so e.g. the
 //! Yokan analog can keep its one `RwLock<BTreeMap>` and write through.
 //! [`WalKv`] bundles both for standalone use (tests, benches).
 
 use std::collections::BTreeMap;
-use std::fs::{self, OpenOptions};
-use std::io::Write;
+use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 
 use bytes::Bytes;
 use dtf_core::error::{DtfError, Result};
 
-use crate::log::{
-    fsync_dir, header_bytes, parse_seqno, segment_name, segment_paths, FlushPolicy, LogConfig,
-    RecoveryReport, SegmentedLog, HEADER_LEN,
-};
+use crate::log::{fsync_dir, FlushPolicy, LogConfig, RecoveryReport, SegmentedLog};
 use crate::snapshot;
 
 const TAG_PUT: u8 = 0;
@@ -60,10 +53,6 @@ pub struct KvWalConfig {
     /// Write a recovery snapshot every this many records (0 disables).
     /// Snapshots bound reopen cost; they are caches, never truth.
     pub snapshot_every: u64,
-    /// Run snapshots and compaction staging on a background worker
-    /// thread. Off, maintenance runs inline inside `maybe_maintain` —
-    /// deterministic, for tests and benches.
-    pub background: bool,
 }
 
 impl Default for KvWalConfig {
@@ -73,7 +62,6 @@ impl Default for KvWalConfig {
             compact_min_records: 8192,
             compact_ratio: 4,
             snapshot_every: 8192,
-            background: true,
         }
     }
 }
@@ -151,8 +139,8 @@ fn dir_err(path: &Path, e: std::io::Error) -> DtfError {
 ///   (staging only disappears by promotion), but the aside copy is a
 ///   complete store: restore it rather than lose it.
 /// - `<dir>` present — it is authoritative. A `<dir>.new` beside it is
-///   stale staging from a crash *before* any rename was attempted (or an
-///   abandoned background job) and is removed; a `<dir>.old` is the
+///   stale staging from a crash *before* any rename was attempted and is
+///   removed; a `<dir>.old` is the
 ///   already-replaced original from a crash after promotion and is
 ///   removed too.
 ///
@@ -191,12 +179,7 @@ fn repair_compaction(dir: &Path, sync: bool) -> Result<bool> {
 }
 
 /// Write `map` as a snapshot of puts into the staging log at `staging`.
-/// Returns `(segments, records)` of the staged log.
-fn stage_snapshot(
-    staging: &Path,
-    map: &BTreeMap<String, Bytes>,
-    cfg: LogConfig,
-) -> Result<(u64, u64)> {
+fn stage_snapshot(staging: &Path, map: &BTreeMap<String, Bytes>, cfg: LogConfig) -> Result<()> {
     if staging.exists() {
         fs::remove_dir_all(staging).map_err(|e| dir_err(staging, e))?;
     }
@@ -206,53 +189,11 @@ fn stage_snapshot(
         snap.append(&encode_put(k, v))?;
     }
     snap.sync()?;
-    let out = (snap.segments(), snap.records());
     drop(snap);
     if cfg.sync_data {
         // staging's directory entries must be durable before any rename
         // can make it authoritative
         fsync_dir(staging)?;
-    }
-    Ok(out)
-}
-
-/// Copy the tail segments (seqno ≥ `tail_seqno`, records ≥ `watermark`)
-/// into `staging`, renumbering headers so they chain after the staged
-/// snapshot (`staged_segments` segments, `staged_records` records). The
-/// tail is bounded by what was appended since the compaction trigger.
-fn copy_tail(
-    dir: &Path,
-    staging: &Path,
-    tail_seqno: u64,
-    watermark: u64,
-    staged_segments: u64,
-    staged_records: u64,
-    sync: bool,
-) -> Result<()> {
-    for path in segment_paths(dir)? {
-        let seqno = parse_seqno(&path);
-        if seqno < tail_seqno {
-            continue;
-        }
-        let data = fs::read(&path).map_err(|e| dir_err(&path, e))?;
-        if data.len() < HEADER_LEN {
-            continue;
-        }
-        let first = u64::from_le_bytes(data[16..24].try_into().unwrap());
-        let new_seqno = staged_segments + (seqno - tail_seqno);
-        let new_first = staged_records + (first - watermark);
-        let dst = staging.join(segment_name(new_seqno));
-        let mut f = OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .write(true)
-            .open(&dst)
-            .map_err(|e| dir_err(&dst, e))?;
-        f.write_all(&header_bytes(new_seqno, new_first, data[7])).map_err(|e| dir_err(&dst, e))?;
-        f.write_all(&data[HEADER_LEN..]).map_err(|e| dir_err(&dst, e))?;
-        if sync {
-            f.sync_data().map_err(|e| dir_err(&dst, e))?;
-        }
     }
     Ok(())
 }
@@ -264,101 +205,10 @@ fn copy_tail(
 pub enum CompactStep {
     /// Staging written: `<dir>.new` holds the snapshot, nothing renamed.
     Staged,
-    /// Tail segments copied into staging; still nothing renamed.
-    TailCopied,
     /// Original renamed aside: `<dir>.old` + `<dir>.new`, no `<dir>`.
     OldAside,
     /// Staging promoted to `<dir>`; `<dir>.old` not yet removed.
     Promoted,
-}
-
-/// Background maintenance jobs shipped to the worker thread. Maps are
-/// cloned at enqueue time — cheap for values ([`Bytes`] is refcounted),
-/// O(live keys) for the key strings, and off the hot path's I/O either
-/// way.
-enum Job {
-    Snapshot { dir: PathBuf, watermark: u64, map: BTreeMap<String, Bytes>, sync: bool },
-    Stage { staging: PathBuf, map: BTreeMap<String, Bytes>, cfg: LogConfig },
-}
-
-enum Done {
-    Snapshot,
-    /// Staging is written and durable; the writer finishes the swap.
-    Staged {
-        segments: u64,
-        records: u64,
-    },
-    Failed(String),
-}
-
-/// Worker-thread handle. Dropping it closes the job channel and joins —
-/// an in-flight job finishes (at worst leaving stale staging that the
-/// next open repairs).
-struct Worker {
-    tx: Option<Sender<Job>>,
-    done: Arc<Mutex<Option<Done>>>,
-    busy: bool,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for Worker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Worker").field("busy", &self.busy).finish()
-    }
-}
-
-impl Worker {
-    fn spawn() -> Self {
-        let (tx, rx): (Sender<Job>, Receiver<Job>) = channel();
-        let done: Arc<Mutex<Option<Done>>> = Arc::new(Mutex::new(None));
-        let slot = Arc::clone(&done);
-        let handle = std::thread::Builder::new()
-            .name("dtf-kv-maintenance".into())
-            .spawn(move || {
-                while let Ok(job) = rx.recv() {
-                    let outcome = match job {
-                        Job::Snapshot { dir, watermark, map, sync } => {
-                            match snapshot::write_snapshot(&dir, watermark, &map, sync) {
-                                Ok(_) => {
-                                    snapshot::prune(&dir, Some(watermark));
-                                    Done::Snapshot
-                                }
-                                Err(e) => Done::Failed(format!("snapshot: {e}")),
-                            }
-                        }
-                        Job::Stage { staging, map, cfg } => {
-                            match stage_snapshot(&staging, &map, cfg) {
-                                Ok((segments, records)) => Done::Staged { segments, records },
-                                Err(e) => Done::Failed(format!("compaction staging: {e}")),
-                            }
-                        }
-                    };
-                    *slot.lock().expect("worker done slot") = Some(outcome);
-                }
-            })
-            .expect("spawn kv maintenance worker");
-        Self { tx: Some(tx), done, busy: false, handle: Some(handle) }
-    }
-
-    fn submit(&mut self, job: Job) {
-        self.busy = true;
-        if let Some(tx) = &self.tx {
-            let _ = tx.send(job);
-        }
-    }
-
-    fn take_done(&mut self) -> Option<Done> {
-        self.done.lock().expect("worker done slot").take()
-    }
-}
-
-impl Drop for Worker {
-    fn drop(&mut self) {
-        drop(self.tx.take());
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
 }
 
 /// The WAL half of a durable KV: owns the log, not the map.
@@ -366,12 +216,8 @@ impl Drop for Worker {
 pub struct KvWal {
     log: SegmentedLog,
     cfg: KvWalConfig,
-    worker: Option<Worker>,
-    /// `(watermark, tail_seqno)` of a staged compaction awaiting its swap.
-    pending_swap: Option<(u64, u64)>,
     /// Records at the last snapshot (or compaction, which supersedes it).
     last_snapshot: u64,
-    last_error: Option<String>,
     crash_at: Option<CompactStep>,
 }
 
@@ -421,20 +267,7 @@ impl KvWal {
                 (log, map, report, 0)
             }
         };
-        let worker = cfg.background.then(Worker::spawn);
-        Ok((
-            Self {
-                log,
-                cfg,
-                worker,
-                pending_swap: None,
-                last_snapshot,
-                last_error: None,
-                crash_at: None,
-            },
-            map,
-            report,
-        ))
+        Ok((Self { log, cfg, last_snapshot, crash_at: None }, map, report))
     }
 
     /// Log a put. The caller applies the same mutation to its map.
@@ -463,19 +296,6 @@ impl KvWal {
         self.log.dir()
     }
 
-    /// Whether a background maintenance job is in flight.
-    pub fn maintenance_busy(&self) -> bool {
-        self.worker.as_ref().map(|w| w.busy).unwrap_or(false)
-    }
-
-    /// The last background maintenance failure, if any. Maintenance is
-    /// cache work — failures leave a bigger log or a missing snapshot,
-    /// never lost state — so they are surfaced here instead of failing
-    /// the write path.
-    pub fn last_maintenance_error(&self) -> Option<&str> {
-        self.last_error.as_deref()
-    }
-
     /// Test hook: make the compaction swap stop dead (directories left in
     /// exactly that state) when it reaches `step`. The store must be
     /// abandoned afterwards; reopening exercises crash repair.
@@ -490,109 +310,53 @@ impl KvWal {
         Ok(())
     }
 
-    /// Drive maintenance: apply any finished background work, then fire
-    /// whichever trigger is due — compaction (records ≥ min and ≥ ratio ×
-    /// live) or, failing that, a periodic snapshot. Returns whether the
-    /// visible log was compacted by this call. `map` must reflect every
-    /// record already appended (the caller's write-through copy).
+    /// Drive maintenance: fire whichever trigger is due — compaction
+    /// (records ≥ min and ≥ ratio × live) or, failing that, a periodic
+    /// snapshot. Returns whether the log was compacted by this call. `map`
+    /// must reflect every record already appended (the caller's
+    /// write-through copy).
     pub fn maybe_maintain(&mut self, map: &BTreeMap<String, Bytes>) -> Result<bool> {
-        let compacted = self.apply_done()?;
-        if self.maintenance_busy() || self.pending_swap.is_some() {
-            return Ok(compacted);
-        }
         let live = map.len() as u64;
         let records = self.log.records();
         if records >= self.cfg.compact_min_records
             && records >= self.cfg.compact_ratio * live.max(1)
         {
-            // roll so the tail past the watermark starts on a clean
-            // segment boundary — that's what the swap will copy
-            self.log.roll()?;
-            let watermark = self.log.records();
-            let tail_seqno = self.log.current_seqno();
-            self.pending_swap = Some((watermark, tail_seqno));
-            let staging = sibling_new(self.log.dir());
-            if let Some(worker) = &mut self.worker {
-                worker.submit(Job::Stage { staging, map: map.clone(), cfg: self.cfg.log });
-                return Ok(compacted);
-            }
-            let (segments, records) = stage_snapshot(&staging, map, self.cfg.log)?;
-            self.check_crash(CompactStep::Staged)?;
-            self.finish_swap(segments, records)?;
+            self.compact(map)?;
             return Ok(true);
         }
         if self.cfg.snapshot_every > 0 && records - self.last_snapshot >= self.cfg.snapshot_every {
             self.snapshot_now(map)?;
         }
-        Ok(compacted)
+        Ok(false)
     }
 
     /// Write a recovery snapshot of `map` now (at the current committed
-    /// watermark), regardless of cadence. Background mode stages it on
-    /// the worker; inline mode blocks until it is durable.
+    /// watermark), regardless of cadence; returns once it is durable.
     pub fn snapshot_now(&mut self, map: &BTreeMap<String, Bytes>) -> Result<()> {
         self.log.sync()?; // the watermark must cover exactly what's on disk
         let watermark = self.log.records();
-        let dir = self.log.dir().to_path_buf();
         self.last_snapshot = watermark;
-        if let Some(worker) = &mut self.worker {
-            worker.submit(Job::Snapshot {
-                dir,
-                watermark,
-                map: map.clone(),
-                sync: self.cfg.log.sync_data,
-            });
-            return Ok(());
-        }
-        snapshot::write_snapshot(&dir, watermark, map, self.cfg.log.sync_data)?;
-        snapshot::prune(&dir, Some(watermark));
+        snapshot::write_snapshot(self.log.dir(), watermark, map, self.cfg.log.sync_data)?;
+        snapshot::prune(self.log.dir(), Some(watermark));
         Ok(())
     }
 
-    /// Apply a finished background job: complete a staged compaction's
-    /// swap, or record a snapshot/failure. Returns whether a swap landed.
-    fn apply_done(&mut self) -> Result<bool> {
-        let Some(worker) = &mut self.worker else { return Ok(false) };
-        let Some(done) = worker.take_done() else { return Ok(false) };
-        worker.busy = false;
-        match done {
-            Done::Snapshot => Ok(false),
-            Done::Staged { segments, records } => {
-                self.check_crash(CompactStep::Staged)?;
-                self.finish_swap(segments, records)?;
-                Ok(true)
-            }
-            Done::Failed(msg) => {
-                self.pending_swap = None;
-                self.last_error = Some(msg);
-                Ok(false)
-            }
-        }
-    }
-
-    /// Complete a compaction whose snapshot is staged: copy the bounded
-    /// tail, then swap via rename-aside and reattach the log without a
-    /// replay. See the module docs for the crash-state matrix.
-    fn finish_swap(&mut self, staged_segments: u64, staged_records: u64) -> Result<()> {
-        let (watermark, tail_seqno) =
-            self.pending_swap.take().expect("finish_swap without a staged compaction");
-        self.log.sync()?; // tail records must be on disk before the copy
+    /// Compact: stage `map` as a log of puts, swap it in via rename-aside,
+    /// and reattach the log without a replay. See the module docs for the
+    /// crash-state matrix.
+    fn compact(&mut self, map: &BTreeMap<String, Bytes>) -> Result<()> {
         let dir = self.log.dir().to_path_buf();
         let staging = sibling_new(&dir);
         let aside = sibling_old(&dir);
-        let sync = self.cfg.log.sync_data;
-        copy_tail(&dir, &staging, tail_seqno, watermark, staged_segments, staged_records, sync)?;
-        if sync {
-            fsync_dir(&staging)?;
-        }
-        self.check_crash(CompactStep::TailCopied)?;
+        stage_snapshot(&staging, map, self.cfg.log)?;
+        self.check_crash(CompactStep::Staged)?;
         if aside.exists() {
             fs::remove_dir_all(&aside).map_err(|e| dir_err(&aside, e))?;
         }
         fs::rename(&dir, &aside).map_err(|e| dir_err(&dir, e))?;
         self.check_crash(CompactStep::OldAside)?;
         fs::rename(&staging, &dir).map_err(|e| dir_err(&staging, e))?;
-        if sync {
+        if self.cfg.log.sync_data {
             // the rename pair only survives power loss once the parent
             // directory is flushed
             if let Some(parent) = dir.parent() {
@@ -608,28 +372,9 @@ impl KvWal {
         Ok(())
     }
 
-    /// Block until in-flight background maintenance has completed *and*
-    /// its completion has been applied (swap finished, snapshot durable).
-    /// Deterministic-test and shutdown hook; a no-op inline.
-    pub fn maintenance_barrier(&mut self) -> Result<()> {
-        while self.maintenance_busy() {
-            if self.apply_done()? {
-                continue;
-            }
-            if self.maintenance_busy() {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-        }
-        Ok(())
-    }
-
     /// Crash simulation: discard buffered records (see
-    /// [`SegmentedLog::abandon`]). A background job still in flight runs
-    /// to completion and at worst leaves stale staging or an extra
-    /// snapshot — both repaired/ignored on reopen, exactly like a real
-    /// crash.
+    /// [`SegmentedLog::abandon`]).
     pub fn abandon(self) {
-        drop(self.worker);
         self.log.abandon();
     }
 }
@@ -697,6 +442,8 @@ impl WalKv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::segment_paths;
+    use std::fs::OpenOptions;
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("dtf-kv-{name}-{}", std::process::id()));
@@ -706,7 +453,7 @@ mod tests {
         dir
     }
 
-    /// Inline maintenance, no fsync: deterministic and fast for tests.
+    /// No fsync: fast for tests.
     fn fast() -> KvWalConfig {
         KvWalConfig {
             log: LogConfig {
@@ -714,7 +461,6 @@ mod tests {
                 sync_data: false,
                 ..LogConfig::default()
             },
-            background: false,
             ..KvWalConfig::default()
         }
     }
@@ -755,32 +501,6 @@ mod tests {
         let (kv, _) = WalKv::open(&dir, cfg).unwrap();
         assert_eq!(kv.len(), 10);
         for k in 0..10u32 {
-            assert_eq!(kv.get(&format!("key-{k}")).unwrap().as_ref(), b"v19");
-        }
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn background_compaction_lands_after_the_barrier() {
-        let dir = tmpdir("bg-compact");
-        let cfg =
-            KvWalConfig { compact_min_records: 64, compact_ratio: 4, background: true, ..fast() };
-        let (mut kv, _) = WalKv::open(&dir, cfg).unwrap();
-        for round in 0..20u32 {
-            for k in 0..10u32 {
-                kv.put(format!("key-{k}"), format!("v{round}").into_bytes()).unwrap();
-            }
-        }
-        kv.wal().maintenance_barrier().unwrap();
-        // one more write applies the staged swap if the barrier caught it mid-poll
-        kv.put("key-0", &b"v19"[..]).unwrap();
-        kv.wal().maintenance_barrier().unwrap();
-        assert!(kv.wal().last_maintenance_error().is_none());
-        assert!(kv.wal_records() < 64, "background compaction must have landed");
-        drop(kv);
-        let (kv, _) = WalKv::open(&dir, cfg).unwrap();
-        assert_eq!(kv.len(), 10);
-        for k in 1..10u32 {
             assert_eq!(kv.get(&format!("key-{k}")).unwrap().as_ref(), b"v19");
         }
         fs::remove_dir_all(&dir).unwrap();

@@ -24,8 +24,9 @@
 //!   [`snapshot`]s pin a replay watermark so reopen cost tracks the log
 //!   *tail*, and threshold compaction rewrites the live map into a
 //!   staging log swapped in by a rename-aside protocol (every crash state
-//!   repaired on open). Both run on a background worker by default,
-//!   keeping the O(live-set) work off the put/delete path.
+//!   repaired on open). Both run inline on the writer's thread: the maps
+//!   this backs hold what is key-value (topic configs, group cursors,
+//!   run metadata), never the event stream, so they stay small.
 //! * [`index`] — sparse per-segment index sidecars (`seg-*.dti`) and the
 //!   [`index::LogReader`] archive view: point/range reads seek to an
 //!   indexed block instead of scanning the log, served through the
@@ -50,6 +51,4 @@ pub mod snapshot;
 pub use cache::{BlockCache, CacheStats};
 pub use index::{LogReader, ReaderOptions, SegmentIndex};
 pub use kv::{CompactStep, KvWal, KvWalConfig, WalKv};
-pub use log::{
-    fsync_dir, FlushPolicy, LogConfig, RecoveryReport, SegmentedLog, FORMAT_BINARY, FORMAT_JSON,
-};
+pub use log::{fsync_dir, FlushPolicy, LogConfig, RecoveryReport, SegmentedLog, FORMAT_BINARY};

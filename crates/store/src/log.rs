@@ -9,14 +9,12 @@
 //! record even when the record alone exceeds the size cap (oversized
 //! records simply get a segment to themselves).
 //!
-//! The version byte declares how record payloads are encoded. JSON-era
-//! stores (written before the binary record format) carry
-//! [`FORMAT_JSON`] — which is the `\0` that used to terminate the magic,
-//! so their headers validate unchanged. New segments are stamped
-//! [`FORMAT_BINARY`]. The log itself treats payloads as opaque either
-//! way; the byte exists so a future reader can refuse formats it does
-//! not understand instead of misparsing them, and recovery reports the
-//! highest version it saw.
+//! The version byte declares how record payloads are encoded; every
+//! segment is stamped [`FORMAT_BINARY`], the one format this reader
+//! understands. The log itself treats payloads as opaque; the byte exists
+//! so a reader refuses a format it does not understand — the segment and
+//! its successors are dropped like any damaged header — instead of
+//! misparsing it.
 //!
 //! Appends accumulate in a memory buffer and reach the file as one write
 //! (group commit) according to the [`FlushPolicy`]; `sync_data` is called
@@ -44,15 +42,10 @@ use crate::crc32::crc32;
 use crate::index::{remove_sidecar, SegmentIndex, DEFAULT_STRIDE};
 
 const MAGIC_PREFIX: &[u8; 7] = b"DTFSEG1";
-/// Header byte 7: record payloads are compact JSON text (stores written
-/// before the binary format — the byte doubled as the magic terminator).
-pub const FORMAT_JSON: u8 = 0;
 /// Header byte 7: record payloads are binary-encoded (`dtf_core::binfmt`
-/// for provenance records; the KV layer's framing is unchanged).
-pub const FORMAT_BINARY: u8 = 1;
-/// Highest format this reader understands; headers beyond it are treated
+/// for provenance records). A header carrying any other value is treated
 /// as damaged and the segment (plus successors) is dropped.
-const FORMAT_MAX: u8 = FORMAT_BINARY;
+pub const FORMAT_BINARY: u8 = 1;
 /// Segment header length: magic(7) + format(1) + seqno(8) +
 /// first_record(8) + crc(4).
 pub const HEADER_LEN: usize = 28;
@@ -105,9 +98,6 @@ pub struct RecoveryReport {
     pub dropped_segments: usize,
     /// Whether a torn/corrupt tail was found and truncated.
     pub torn: bool,
-    /// Highest header format version among the surviving segments
-    /// ([`FORMAT_JSON`] for an empty or legacy-only store).
-    pub format: u8,
     /// Segments whose bodies were never read because tail-only recovery
     /// skipped them (their records are covered by a snapshot watermark).
     pub skipped_segments: usize,
@@ -157,7 +147,6 @@ struct ScanOutcome {
     seg_offsets: Vec<u32>,
     /// Segments that passed full header validation in this scan.
     segments: usize,
-    format: u8,
 }
 
 fn io_err(path: &Path, e: std::io::Error) -> DtfError {
@@ -176,10 +165,10 @@ fn clamp(cfg: LogConfig) -> LogConfig {
     }
 }
 
-pub(crate) fn header_bytes(seqno: u64, first_record: u64, format: u8) -> [u8; HEADER_LEN] {
+fn header_bytes(seqno: u64, first_record: u64) -> [u8; HEADER_LEN] {
     let mut h = [0u8; HEADER_LEN];
     h[..7].copy_from_slice(MAGIC_PREFIX);
-    h[7] = format;
+    h[7] = FORMAT_BINARY;
     h[8..16].copy_from_slice(&seqno.to_le_bytes());
     h[16..24].copy_from_slice(&first_record.to_le_bytes());
     let crc = crc32(&h[..24]);
@@ -194,7 +183,7 @@ pub(crate) fn header_bytes(seqno: u64, first_record: u64, format: u8) -> [u8; HE
 pub(crate) fn header_fields(data: &[u8]) -> Option<(u64, u64)> {
     if data.len() < HEADER_LEN
         || &data[..7] != MAGIC_PREFIX
-        || data[7] > FORMAT_MAX
+        || data[7] != FORMAT_BINARY
         || u32::from_le_bytes(data[24..28].try_into().unwrap()) != crc32(&data[..24])
     {
         return None;
@@ -206,12 +195,11 @@ pub(crate) fn header_fields(data: &[u8]) -> Option<(u64, u64)> {
 }
 
 /// Read and validate only a segment's 28-byte header:
-/// `(seqno, first_record, format)`. `None` when unreadable or damaged.
-fn read_header(path: &Path) -> Option<(u64, u64, u8)> {
+/// `(seqno, first_record)`. `None` when unreadable or damaged.
+fn read_header(path: &Path) -> Option<(u64, u64)> {
     let mut head = [0u8; HEADER_LEN];
     File::open(path).and_then(|mut f| f.read_exact(&mut head)).ok()?;
-    let (seqno, first) = header_fields(&head)?;
-    Some((seqno, first, head[7]))
+    header_fields(&head)
 }
 
 /// Fsync a directory, making renames/creations inside it power-loss
@@ -268,7 +256,6 @@ impl SegmentedLog {
             truncated_bytes: out.truncated_bytes,
             dropped_segments: out.dropped_segments,
             torn: out.torn,
-            format: out.format,
             ..Default::default()
         };
         let log = Self::position(dir, cfg, &out)?;
@@ -301,16 +288,14 @@ impl SegmentedLog {
         }
         let mut prev: Option<(u64, u64)> = None;
         let mut firsts = Vec::with_capacity(paths.len());
-        let mut head_format = FORMAT_JSON;
         for path in &paths {
-            let Some((seqno, first, format)) = read_header(path) else { return Ok(None) };
+            let Some((seqno, first)) = read_header(path) else { return Ok(None) };
             let chain_ok = seqno == parse_seqno(path)
                 && prev.map(|(ps, pf)| seqno == ps + 1 && first >= pf).unwrap_or(first == 0);
             if !chain_ok {
                 return Ok(None);
             }
             prev = Some((seqno, first));
-            head_format = head_format.max(format);
             firsts.push(first);
         }
         // last segment whose first record is at or below the watermark:
@@ -323,7 +308,6 @@ impl SegmentedLog {
             truncated_bytes: out.truncated_bytes,
             dropped_segments: out.dropped_segments,
             torn: out.torn,
-            format: head_format.max(out.format),
             skipped_segments: boundary,
             ..Default::default()
         };
@@ -371,7 +355,6 @@ impl SegmentedLog {
             }
             prev_seqno = Some(seqno);
             out.segments += 1;
-            out.format = out.format.max(data[7]);
             let seg_first = out.total;
             let mut seg_offsets: Vec<u32> = Vec::new();
             let mut off = HEADER_LEN;
@@ -463,8 +446,7 @@ impl SegmentedLog {
             .append(true)
             .open(&path)
             .map_err(|e| io_err(&path, e))?;
-        file.write_all(&header_bytes(seqno, first_record, FORMAT_BINARY))
-            .map_err(|e| io_err(&path, e))?;
+        file.write_all(&header_bytes(seqno, first_record)).map_err(|e| io_err(&path, e))?;
         Ok((file, seqno, HEADER_LEN as u64))
     }
 
@@ -524,7 +506,7 @@ impl SegmentedLog {
     /// can forget the file itself even though its writes were synced.
     /// Sealing a segment also writes its index sidecar from the offsets
     /// tracked during appends.
-    pub(crate) fn roll(&mut self) -> Result<()> {
+    fn roll(&mut self) -> Result<()> {
         self.sync()?;
         self.write_sidecar();
         let (file, seqno, len) = Self::create_segment(&self.dir, self.seg_seqno + 1, self.records)?;
@@ -570,11 +552,6 @@ impl SegmentedLog {
 
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// Sequence number of the segment currently accepting appends.
-    pub(crate) fn current_seqno(&self) -> u64 {
-        self.seg_seqno
     }
 
     /// Drop the log as a hard crash would: buffered (uncommitted) records
@@ -857,7 +834,7 @@ mod tests {
     }
 
     /// Rewrite a segment's header format byte, keeping the CRC valid —
-    /// what a store written by an older (or newer) reader looks like.
+    /// what a store written by some other reader version looks like.
     fn restamp_format(path: &Path, format: u8) {
         let mut data = fs::read(path).unwrap();
         data[7] = format;
@@ -867,66 +844,27 @@ mod tests {
     }
 
     #[test]
-    fn json_era_headers_still_replay() {
-        let dir = tmpdir("jsonera");
-        {
-            let (mut log, _, _) = SegmentedLog::open(&dir, cfg(160, FlushPolicy::Manual)).unwrap();
-            for i in 0..12u8 {
-                log.append(&[i; 40]).unwrap();
-            }
-            log.sync().unwrap();
-            assert!(log.segments() > 1);
-        }
-        for p in segment_paths(&dir).unwrap() {
-            restamp_format(&p, FORMAT_JSON);
-        }
-        let (_, recovered, report) =
-            SegmentedLog::open(&dir, cfg(160, FlushPolicy::Manual)).unwrap();
-        assert_eq!(recovered.len(), 12, "v0 segments replay unchanged");
-        assert!(!report.torn);
-        assert_eq!(report.format, FORMAT_JSON);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn mixed_format_store_reports_the_highest_version() {
-        let dir = tmpdir("mixedfmt");
-        {
-            let (mut log, _, _) = SegmentedLog::open(&dir, cfg(160, FlushPolicy::Manual)).unwrap();
-            for i in 0..12u8 {
-                log.append(&[i; 40]).unwrap();
-            }
-            log.sync().unwrap();
-            assert!(log.segments() > 1);
-        }
-        // only the first segment is JSON-era; later ones stay binary
-        let first = &segment_paths(&dir).unwrap()[0];
-        restamp_format(first, FORMAT_JSON);
-        let (_, recovered, report) =
-            SegmentedLog::open(&dir, cfg(160, FlushPolicy::Manual)).unwrap();
-        assert_eq!(recovered.len(), 12);
-        assert_eq!(report.format, FORMAT_BINARY);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn future_format_versions_are_dropped_not_misread() {
-        let dir = tmpdir("futurefmt");
-        {
-            let (mut log, _, _) = SegmentedLog::open(&dir, cfg(160, FlushPolicy::Manual)).unwrap();
-            for i in 0..12u8 {
-                log.append(&[i; 40]).unwrap();
+        // a later version, and byte 0 — the retired JSON-era stamp
+        for format in [FORMAT_BINARY + 1, 0] {
+            let dir = tmpdir("futurefmt");
+            {
+                let (mut log, _, _) =
+                    SegmentedLog::open(&dir, cfg(160, FlushPolicy::Manual)).unwrap();
+                for i in 0..12u8 {
+                    log.append(&[i; 40]).unwrap();
+                }
+                log.sync().unwrap();
+                assert!(log.segments() >= 3);
             }
-            log.sync().unwrap();
-            assert!(log.segments() >= 3);
+            let paths = segment_paths(&dir).unwrap();
+            restamp_format(&paths[1], format);
+            let (_, recovered, report) =
+                SegmentedLog::open(&dir, cfg(160, FlushPolicy::Manual)).unwrap();
+            assert!(recovered.len() < 12, "records past the unknown format are dropped");
+            assert_eq!(report.dropped_segments, paths.len() - 1);
+            fs::remove_dir_all(&dir).unwrap();
         }
-        let paths = segment_paths(&dir).unwrap();
-        restamp_format(&paths[1], FORMAT_BINARY + 1);
-        let (_, recovered, report) =
-            SegmentedLog::open(&dir, cfg(160, FlushPolicy::Manual)).unwrap();
-        assert!(recovered.len() < 12, "records past the unknown format are dropped");
-        assert_eq!(report.dropped_segments, paths.len() - 1);
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

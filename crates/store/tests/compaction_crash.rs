@@ -1,12 +1,12 @@
 //! Crash-point regression tests for the compaction swap.
 //!
-//! The rename-aside protocol (stage → copy tail → `dir`→`.old` →
-//! `.new`→`dir` → remove `.old`) must leave a recoverable store when
-//! interrupted at ANY step. [`CompactStep`] injection stops the swap dead
-//! with the directories in exactly that state; reopening must then
-//! repair and yield the exact map the writer held at the crash — every
-//! mutation was WAL-logged before the swap began, so nothing is ever
-//! lost, whichever side of a rename the crash landed on.
+//! The rename-aside protocol (stage → `dir`→`.old` → `.new`→`dir` →
+//! remove `.old`) must leave a recoverable store when interrupted at ANY
+//! step. [`CompactStep`] injection stops the swap dead with the
+//! directories in exactly that state; reopening must then repair and
+//! yield the exact map the writer held at the crash — every mutation was
+//! WAL-logged before the swap began, so nothing is ever lost, whichever
+//! side of a rename the crash landed on.
 //!
 //! Also pins the stale-staging repair: a `<dir>.new` left by a crash
 //! *before* any rename was attempted (including one holding arbitrary
@@ -41,13 +41,12 @@ fn sibling(dir: &Path, suffix: &str) -> PathBuf {
     dir.with_file_name(name)
 }
 
-fn cfg(background: bool) -> KvWalConfig {
+fn cfg() -> KvWalConfig {
     KvWalConfig {
         log: LogConfig { segment_bytes: 256, flush: FlushPolicy::EveryRecord, sync_data: false },
         compact_min_records: 48,
         compact_ratio: 2,
         snapshot_every: 0, // isolate compaction
-        background,
     }
 }
 
@@ -71,16 +70,14 @@ fn drive_until_crash(kv: &mut WalKv) -> BTreeMap<String, Bytes> {
 
 #[test]
 fn crash_at_every_swap_step_recovers_the_exact_map() {
-    for step in
-        [CompactStep::Staged, CompactStep::TailCopied, CompactStep::OldAside, CompactStep::Promoted]
-    {
+    for step in [CompactStep::Staged, CompactStep::OldAside, CompactStep::Promoted] {
         let dir = scratch("step");
-        let (mut kv, _) = WalKv::open(&dir, cfg(false)).unwrap();
+        let (mut kv, _) = WalKv::open(&dir, cfg()).unwrap();
         kv.wal().fail_compaction_at(Some(step));
         let expected = drive_until_crash(&mut kv);
         drop(kv); // process death with the swap frozen mid-protocol
 
-        let (kv, _) = WalKv::open(&dir, cfg(false)).unwrap();
+        let (kv, _) = WalKv::open(&dir, cfg()).unwrap();
         assert_eq!(kv.map(), &expected, "crash at {step:?} lost or resurrected state");
         assert!(!sibling(&dir, ".new").exists(), "staging swept after {step:?}");
         assert!(!sibling(&dir, ".old").exists(), "aside swept after {step:?}");
@@ -89,37 +86,10 @@ fn crash_at_every_swap_step_recovers_the_exact_map() {
 }
 
 #[test]
-fn background_staged_crash_recovers_too() {
-    let dir = scratch("bg");
-    let (mut kv, _) = WalKv::open(&dir, cfg(true)).unwrap();
-    kv.wal().fail_compaction_at(Some(CompactStep::Staged));
-    // drive writes until the worker's staged completion trips the
-    // injected crash inside a later put's maintenance poll
-    let mut expected = None;
-    for i in 0..100_000u32 {
-        match kv.put(format!("key-{}", i % 8), i.to_le_bytes().to_vec()) {
-            Ok(()) => {}
-            Err(e) => {
-                assert!(e.to_string().contains("injected compaction crash"), "{e}");
-                expected = Some(kv.map().clone());
-                break;
-            }
-        }
-    }
-    let expected = expected.expect("background staging never completed");
-    drop(kv);
-
-    let (kv, _) = WalKv::open(&dir, cfg(true)).unwrap();
-    assert_eq!(kv.map(), &expected);
-    assert!(!sibling(&dir, ".new").exists());
-    fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 fn stale_pre_rename_staging_is_swept_even_when_garbage() {
     let dir = scratch("garbage");
     {
-        let (mut kv, _) = WalKv::open(&dir, cfg(false)).unwrap();
+        let (mut kv, _) = WalKv::open(&dir, cfg()).unwrap();
         for i in 0..10u32 {
             kv.put(format!("k-{i}"), vec![i as u8]).unwrap();
         }
@@ -131,7 +101,7 @@ fn stale_pre_rename_staging_is_swept_even_when_garbage() {
     fs::write(staging.join("seg-0000000000000000.dtl"), b"not a segment").unwrap();
     fs::write(staging.join("nested/junk"), b"junk").unwrap();
 
-    let (kv, report) = WalKv::open(&dir, cfg(false)).unwrap();
+    let (kv, report) = WalKv::open(&dir, cfg()).unwrap();
     assert_eq!(report.records, 10);
     assert_eq!(kv.len(), 10);
     assert!(!staging.exists(), "pre-rename orphan staging must be removed");
@@ -144,16 +114,14 @@ fn repeated_crashes_across_generations_stay_consistent() {
     // sequence; state must track the writer map the whole way
     let dir = scratch("gens");
     let mut expected = BTreeMap::new();
-    for step in
-        [CompactStep::Promoted, CompactStep::OldAside, CompactStep::TailCopied, CompactStep::Staged]
-    {
-        let (mut kv, _) = WalKv::open(&dir, cfg(false)).unwrap();
+    for step in [CompactStep::Promoted, CompactStep::OldAside, CompactStep::Staged] {
+        let (mut kv, _) = WalKv::open(&dir, cfg()).unwrap();
         assert_eq!(kv.map(), &expected, "reopen diverged before {step:?}");
         kv.wal().fail_compaction_at(Some(step));
         expected = drive_until_crash(&mut kv);
         drop(kv);
     }
-    let (kv, _) = WalKv::open(&dir, cfg(false)).unwrap();
+    let (kv, _) = WalKv::open(&dir, cfg()).unwrap();
     assert_eq!(kv.map(), &expected);
     fs::remove_dir_all(&dir).unwrap();
 }

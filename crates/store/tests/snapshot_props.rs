@@ -83,7 +83,6 @@ fn small_cfg() -> KvWalConfig {
         compact_min_records: 40,
         compact_ratio: 2,
         snapshot_every: 16,
-        background: false,
     }
 }
 

@@ -48,10 +48,11 @@ fn main() {
     //    the committed prefix, rebuild the RunData from the event stream.
     let archived = ArchivedRun::open(&store).expect("archive opens");
     println!(
-        "reopened archive: {} events restored across {} yokan + {} warabi segments{}",
+        "reopened archive: {} events restored across {} yokan + {} warabi + {} topic-log segments{}",
         archived.recovery.restored_events,
         archived.recovery.yokan.segments,
         archived.recovery.warabi.segments,
+        archived.recovery.topics.segments,
         if archived.was_repaired() { " (repaired a torn tail)" } else { "" }
     );
     let data = &archived.data;

@@ -344,6 +344,9 @@ fn crash_faults_recover_committed_prefixes_deterministically() {
         (CrashTarget::WarabiLog, CrashKind::TruncateTail, 0xC0A4),
         (CrashTarget::WarabiLog, CrashKind::ZeroTail, 0xC0A5),
         (CrashTarget::WarabiLog, CrashKind::BitFlip, 0xC0A6),
+        (CrashTarget::TopicLog, CrashKind::TruncateTail, 0xC0A7),
+        (CrashTarget::TopicLog, CrashKind::ZeroTail, 0xC0A8),
+        (CrashTarget::TopicLog, CrashKind::BitFlip, 0xC0A9),
     ];
     for (target, kind, seed) in faults {
         let fault = CrashFault { target, kind, seed };

@@ -9,7 +9,7 @@
 //! 2. A fresh-process archive reopen ([`RunData::open_archive`]) must
 //!    reconstruct the event stream byte-identically: export bundles of
 //!    the live and the archived run are compared file-for-file.
-//! 3. After a fixed tail corruption of the metadata WAL, reopen recovers
+//! 3. After a fixed tail corruption of the topic log, reopen recovers
 //!    exactly the committed prefix: the recovery oracle passes and the
 //!    recovered stream's fingerprint is pinned (`store_recovery_fnv64.txt`).
 //!
@@ -77,7 +77,10 @@ fn scratch(label: &str) -> PathBuf {
 /// campaign seed 13, run 0, ImageProcessing, online Darshan — but with
 /// persistence pointed at `store`.
 fn persistent_fixed_seed_run(store: &Path) -> RunData {
-    let workload = Workload::ImageProcessing;
+    persistent_run(Workload::ImageProcessing, store)
+}
+
+fn persistent_run(workload: Workload, store: &Path) -> RunData {
     let mut cfg = SimConfig {
         campaign_seed: 13,
         run: RunId(0),
@@ -165,7 +168,7 @@ fn archive_reopen_reconstructs_the_export_byte_identically() {
     std::fs::remove_dir_all(&store).unwrap();
 }
 
-/// Gate 3: a fixed tail corruption of the metadata WAL recovers exactly
+/// Gate 3: a fixed tail corruption of the topic log recovers exactly
 /// the committed prefix — the oracle passes, the loss is visible in the
 /// recovery report, and the recovered stream is pinned by fingerprint.
 #[test]
@@ -173,19 +176,19 @@ fn corrupted_tail_recovers_committed_prefix_to_golden() {
     let store = scratch("corrupt");
     let _live = persistent_fixed_seed_run(&store);
     let (pristine, clean) = MofkaService::reopen(&store).unwrap();
-    assert!(!clean.yokan.torn && !clean.warabi.torn);
+    assert!(!clean.yokan.torn && !clean.warabi.torn && !clean.topics.torn);
 
     // Fixed fault, not seed-generated: the gate must always hit the
-    // metadata WAL's tail, whatever CrashFault::generate(seed) would pick.
+    // topic log's tail, whatever CrashFault::generate(seed) would pick.
     let fault =
-        CrashFault { target: CrashTarget::YokanWal, kind: CrashKind::TruncateTail, seed: 0xD7F5 };
+        CrashFault { target: CrashTarget::TopicLog, kind: CrashKind::TruncateTail, seed: 0xD7F5 };
     let victim = scratch("corrupt-victim");
     copy_store(&store, &victim).unwrap();
     let (_file, at) = fault.apply(&victim).unwrap();
     assert!(at > 0);
 
     let (recovered, recovery) = MofkaService::reopen(&victim).unwrap();
-    assert!(recovery.yokan.torn, "the tear must be detected and reported");
+    assert!(recovery.topics.torn, "the tear must be detected and reported");
     assert!(
         recovery.restored_events <= clean.restored_events,
         "recovery can only lose events past the cut, never invent them"
@@ -205,4 +208,18 @@ fn corrupted_tail_recovers_committed_prefix_to_golden() {
     std::fs::remove_dir_all(&victim).unwrap();
     std::fs::remove_dir_all(&store).unwrap();
     check_golden("store_recovery_fnv64.txt", &fingerprint);
+}
+
+/// Yokan holds what is key-value — topic configs, group cursors, run
+/// metadata — and stays small however long the run: the event stream is
+/// in the topic log, never under per-slot keys.
+#[test]
+fn persisted_run_keeps_the_event_stream_out_of_yokan() {
+    let store = scratch("kv-size");
+    let data = persistent_run(Workload::Xgboost, &store);
+    assert!(data.transitions.len() > 10_000, "a run big enough to tell a log from a map");
+    let (yokan, _) = dtf::mofka::yokan::Yokan::replay(&store.join("yokan")).unwrap();
+    assert!(yokan.len() < 200, "yokan holds {} keys", yokan.len());
+    assert!(yokan.list_prefix("topic-log/").is_empty());
+    std::fs::remove_dir_all(&store).unwrap();
 }
