@@ -99,7 +99,7 @@ fn bench_fig8(c: &mut Criterion) {
         .meta
         .iter()
         .find(|m| m.key.prefix == "getitem__get_categories")
-        .map(|m| m.key.clone())
+        .map(|m| m.key)
         .expect("key exists");
     let mut g = c.benchmark_group("fig8_lineage");
     g.sample_size(20);

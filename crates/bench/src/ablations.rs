@@ -36,7 +36,7 @@ fn skewed_workflow() -> dtf_wms::sim::SimWorkflow {
                 "analyze",
                 tok + 1 + root_idx,
                 c,
-                vec![root.clone()],
+                vec![root],
                 SimAction::compute_only(Dur::from_secs_f64(2.0), 1 << 20),
             );
         }

@@ -311,7 +311,7 @@ pub fn fig8(seed: u64) -> String {
         .meta
         .iter()
         .find(|m| m.key.prefix == "getitem__get_categories" && m.key.index == 63)
-        .map(|m| m.key.clone())
+        .map(|m| m.key)
         .expect("xgboost has getitem__get_categories tasks");
     let l = lineage::build(data, &key).expect("lineage builds");
     let mut out = String::new();

@@ -75,7 +75,7 @@ fn one_rep(tasks: u32) -> u64 {
         };
         let t0 = Time(i as u64 * 1_000);
         plugin.on_task_meta(&TaskMetaEvent {
-            key: key.clone(),
+            key,
             graph: GraphId(0),
             client: ClientId(0),
             deps,
@@ -88,7 +88,7 @@ fn one_rep(tasks: u32) -> u64 {
             (TaskState::Processing, TaskState::Memory, Stimulus::ComputeFinished, 110),
         ] {
             plugin.on_transition(&TransitionEvent {
-                key: key.clone(),
+                key,
                 graph: GraphId(0),
                 from,
                 to,
@@ -104,7 +104,7 @@ fn one_rep(tasks: u32) -> u64 {
             (WorkerTaskState::Executing, WorkerTaskState::Memory, 100),
         ] {
             plugin.on_worker_transition(&WorkerTransitionEvent {
-                key: key.clone(),
+                key,
                 graph: GraphId(0),
                 worker,
                 from,
@@ -114,7 +114,7 @@ fn one_rep(tasks: u32) -> u64 {
             events += 1;
         }
         plugin.on_task_done(&TaskDoneEvent {
-            key: key.clone(),
+            key,
             graph: GraphId(0),
             worker,
             thread: ThreadId(1 + (i % 4) as u64),
@@ -125,7 +125,7 @@ fn one_rep(tasks: u32) -> u64 {
         events += 1;
         if i % 2 == 0 {
             plugin.on_comm(&CommEvent {
-                key: key.clone(),
+                key,
                 from: worker,
                 to: WorkerId::new(NodeId((i + 1) % 2), i % 4),
                 nbytes: 4096,

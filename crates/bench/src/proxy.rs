@@ -84,7 +84,7 @@ fn data_heavy_workflow(layers: u32, width: u32, payload: u64) -> SimWorkflow {
     for layer in 1..=layers {
         prev = (0..width)
             .map(|i| {
-                let deps = vec![prev[i as usize].clone(), prev[((i + 1) % width) as usize].clone()];
+                let deps = vec![prev[i as usize], prev[((i + 1) % width) as usize]];
                 b.add_sim(
                     "transform",
                     tok + layer,

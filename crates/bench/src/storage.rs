@@ -266,14 +266,14 @@ fn replay_trial(dir: &Path, expect: u64) -> f64 {
     let t = svc.topic("events").expect("topic");
     let mut sink = 0u64;
     for stored in t.read(0, 0, usize::MAX >> 1).expect("read") {
-        let rec: ProvRecord = match stored.event.metadata {
-            Metadata::Typed(rec) => {
-                std::sync::Arc::try_unwrap(rec).unwrap_or_else(|a| (*a).clone())
-            }
+        let parsed;
+        let rec: &ProvRecord = match stored.event.metadata {
+            // the drain reads a typed record where the log holds it
+            Metadata::Typed(ref rec) => rec,
             Metadata::Json(v) => {
                 // the drain's fallback: one from_value parse per event.
                 // Values are untagged, so dispatch on a family-unique field.
-                if v.get("stimulus").is_some() {
+                parsed = if v.get("stimulus").is_some() {
                     TransitionEvent::into_record(
                         serde_json::from_value(v).expect("transition parses"),
                     )
@@ -281,7 +281,8 @@ fn replay_trial(dir: &Path, expect: u64) -> f64 {
                     TaskDoneEvent::into_record(serde_json::from_value(v).expect("task_done parses"))
                 } else {
                     LogEntry::into_record(serde_json::from_value(v).expect("log parses"))
-                }
+                };
+                &parsed
             }
         };
         if let Some(k) = rec.task_key() {

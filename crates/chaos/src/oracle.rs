@@ -380,7 +380,7 @@ mod tests {
         t: u64,
     ) -> TransitionEvent {
         TransitionEvent {
-            key: key.clone(),
+            key: *key,
             graph: GraphId(0),
             from,
             to,
@@ -392,7 +392,7 @@ mod tests {
 
     fn meta(key: &TaskKey, deps: Vec<TaskKey>) -> TaskMetaEvent {
         TaskMetaEvent {
-            key: key.clone(),
+            key: *key,
             graph: GraphId(0),
             client: ClientId(0),
             deps,
@@ -482,7 +482,7 @@ mod tests {
         let b = TaskKey::new("b", 0, 0);
         let ghost = TaskKey::new("ghost", 0, 0);
         let mut data = empty_run();
-        data.meta = vec![meta(&a, vec![b.clone(), ghost.clone()]), meta(&b, vec![a.clone()])];
+        data.meta = vec![meta(&a, vec![b, ghost]), meta(&b, vec![a])];
         let v = check_lineage(&data);
         assert!(v.iter().any(|m| m.contains("cycle")), "{v:?}");
         assert!(v.iter().any(|m| m.contains("ghost")), "{v:?}");
@@ -503,7 +503,7 @@ mod tests {
         let w = |n| dtf_core::ids::WorkerId::new(dtf_core::ids::NodeId(n), 0);
         let pe = |action, key: &TaskKey, generation, worker, t| ProxyEvent {
             action,
-            key: key.clone(),
+            key: *key,
             graph: GraphId(0),
             size: 1 << 20,
             owner: w(0),

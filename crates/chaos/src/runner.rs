@@ -96,7 +96,7 @@ pub fn chaos_workflow(seed: u64) -> SimWorkflow {
                 let n = rng.gen_range(1..=prev.len().min(3));
                 let mut deps = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let d = prev[rng.gen_range(0..prev.len())].clone();
+                    let d = prev[rng.gen_range(0..prev.len())];
                     if !deps.contains(&d) {
                         deps.push(d);
                     }

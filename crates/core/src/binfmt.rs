@@ -7,9 +7,10 @@
 //! record's fields in declaration order, integers as LEB128 varints,
 //! strings length-prefixed UTF-8. Decoding reads fields straight off the
 //! borrowed slice into the typed record — no intermediate value tree is
-//! ever built — and task prefixes are re-interned through the global
-//! [`TaskPrefix`] table, so a decoded record shares one prefix allocation
-//! with every other record of its family, exactly like a live one.
+//! ever built — and task prefixes are re-interned ([`TaskPrefix::intern`],
+//! whose per-thread cache answers a repeated spelling without the global
+//! table's lock), so a decoded key is the same `Copy` handle, address and
+//! all, as a live one.
 //!
 //! The encoding is **not** self-delimiting at the stream level (the
 //! segmented log's length frames provide that); [`ProvRecord::decode_binary`]

@@ -722,7 +722,9 @@ impl serde::Serialize for ProvRecord {
 /// family without a JSON round-trip.
 pub trait ProvEvent: Sized {
     fn into_record(self) -> ProvRecord;
-    fn from_record(rec: ProvRecord) -> Option<Self>;
+    /// The event inside a record, by reference: consumers read a record
+    /// where it is, because the partition log still shares it.
+    fn from_record_ref(rec: &ProvRecord) -> Option<&Self>;
 }
 
 macro_rules! impl_prov_event {
@@ -731,7 +733,7 @@ macro_rules! impl_prov_event {
             fn into_record(self) -> ProvRecord {
                 ProvRecord::$variant(self)
             }
-            fn from_record(rec: ProvRecord) -> Option<Self> {
+            fn from_record_ref(rec: &ProvRecord) -> Option<&Self> {
                 match rec {
                     ProvRecord::$variant(e) => Some(e),
                     _ => None,
@@ -1208,8 +1210,8 @@ mod tests {
         };
         let rec = e.clone().into_record();
         assert_eq!(rec.task_key(), Some(&e.key));
-        assert_eq!(TransitionEvent::from_record(rec.clone()), Some(e));
-        assert_eq!(TaskMetaEvent::from_record(rec), None);
+        assert_eq!(TransitionEvent::from_record_ref(&rec), Some(&e));
+        assert_eq!(TaskMetaEvent::from_record_ref(&rec), None);
     }
 
     #[test]

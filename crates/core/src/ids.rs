@@ -5,13 +5,20 @@
 //! keys, timestamps, the worker address, and POSIX thread ids; workers by
 //! IP/port and hostname; I/O operations by hostname, thread id, and
 //! timestamps. The types below are those identifiers.
+//!
+//! The task key is the hot one: the scheduler, every plugin, the producer
+//! and the drain copy, compare and hash a [`TaskKey`] per event. Its prefix
+//! is interned to a `&'static str` ([`TaskPrefix`]), which makes the key a
+//! 24-byte `Copy` value whose equality and hash read an address instead of
+//! a string; [`KeyMap`] / [`KeySet`] are the hash containers to key on it.
 
 use serde::{Deserialize, Serialize};
-use std::borrow::Borrow;
-use std::collections::HashSet;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Deref;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 /// Identifier of one end-to-end execution of a workflow (one "run" of a
 /// campaign). Runs of the same workflow differ only by seed / placement.
@@ -36,90 +43,120 @@ impl fmt::Display for GraphId {
     }
 }
 
-/// An interned task prefix: a shared, immutable `Arc<str>`.
+/// An interned task prefix: a `Copy` handle on the one immortal copy of
+/// its spelling.
 ///
 /// A workflow has tens of distinct prefixes but tens of thousands of tasks,
-/// and the scheduler's hot event loop clones [`TaskKey`]s on every
-/// transition, dispatch, and fetch. Interning turns every one of those
-/// clones from a heap-allocating `String` copy into a reference-count bump.
-/// Ordering, hashing, and equality all delegate to the underlying `str`, so
-/// `TaskPrefix` behaves exactly like the `String` it replaced in maps, sets,
-/// and sorted containers.
-#[derive(Debug, Clone)]
-pub struct TaskPrefix(Arc<str>);
+/// and every layer copies, compares and hashes [`TaskKey`]s per event.
+/// [`TaskPrefix::intern`] maps each spelling to one leaked allocation, so
+/// two prefixes are equal exactly when they point at the same bytes:
+/// equality and `Hash` use the address alone, and a copy is a pointer
+/// copy. `Ord` is still the order of the strings, which is what every
+/// sorted container and sorted output built on keys relies on — addresses
+/// differ from one process to the next, spellings do not.
+#[derive(Debug, Clone, Copy)]
+pub struct TaskPrefix(&'static str);
 
-/// The global prefix table. Append-only; a handful of entries per workload.
-fn interner() -> &'static Mutex<HashSet<Arc<str>>> {
-    static INTERNER: OnceLock<Mutex<HashSet<Arc<str>>>> = OnceLock::new();
+/// The global prefix table: append-only and never dropped, which is what
+/// makes handing out `&'static str` sound. A handful of entries per
+/// workload, each leaked once.
+fn interner() -> &'static Mutex<HashSet<&'static str>> {
+    static INTERNER: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
     INTERNER.get_or_init(|| Mutex::new(HashSet::new()))
 }
 
+/// Slots of the per-thread cache in front of the table.
+const RECENT: usize = 64;
+
+thread_local! {
+    /// Prefixes this thread interned recently, direct-mapped by
+    /// [`recent_slot`]. A hit costs one byte comparison and takes no lock;
+    /// the size is fixed, so it cannot grow with the run.
+    static RECENT_HITS: RefCell<[Option<TaskPrefix>; RECENT]> =
+        const { RefCell::new([None; RECENT]) };
+}
+
+/// Cache slot of a spelling: its length and three of its bytes, which the
+/// prefixes of one workflow rarely all share. A collision only costs a
+/// trip to the table.
+fn recent_slot(s: &str) -> usize {
+    let b = s.as_bytes();
+    let Some((&first, &last)) = b.first().zip(b.last()) else { return 0 };
+    let mid = b[b.len() / 2];
+    (b.len() ^ (first as usize) << 1 ^ (mid as usize) << 3 ^ (last as usize) << 5) % RECENT
+}
+
 impl TaskPrefix {
-    /// Intern `s`: return the canonical shared allocation for this spelling.
+    /// Intern `s`: return the canonical handle for this spelling.
     pub fn intern(s: &str) -> Self {
-        let mut table = interner().lock().expect("prefix interner poisoned");
-        if let Some(existing) = table.get(s) {
-            return Self(existing.clone());
+        let slot = recent_slot(s);
+        if let Some(hit) = RECENT_HITS.with(|r| r.borrow()[slot]).filter(|p| p.0 == s) {
+            return hit;
         }
-        let arc: Arc<str> = Arc::from(s);
-        table.insert(arc.clone());
-        Self(arc)
+        let prefix = {
+            let mut table = interner().lock().expect("prefix interner poisoned");
+            match table.get(s) {
+                Some(existing) => Self(existing),
+                None => {
+                    let leaked: &'static str = Box::leak(Box::from(s));
+                    table.insert(leaked);
+                    Self(leaked)
+                }
+            }
+        };
+        RECENT_HITS.with(|r| r.borrow_mut()[slot] = Some(prefix));
+        prefix
     }
 
-    pub fn as_str(&self) -> &str {
-        &self.0
+    pub fn as_str(&self) -> &'static str {
+        self.0
     }
 }
 
 impl Deref for TaskPrefix {
     type Target = str;
     fn deref(&self) -> &str {
-        &self.0
+        self.0
     }
 }
 
 impl AsRef<str> for TaskPrefix {
     fn as_ref(&self) -> &str {
-        &self.0
-    }
-}
-
-impl Borrow<str> for TaskPrefix {
-    fn borrow(&self) -> &str {
-        &self.0
+        self.0
     }
 }
 
 impl PartialEq for TaskPrefix {
     fn eq(&self, other: &Self) -> bool {
-        // interned: pointer equality short-circuits the common case
-        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+        // one allocation per spelling: same address <=> same string
+        std::ptr::eq(self.0.as_ptr(), other.0.as_ptr())
     }
 }
 impl Eq for TaskPrefix {}
 
 impl PartialEq<str> for TaskPrefix {
     fn eq(&self, other: &str) -> bool {
-        &*self.0 == other
+        self.0 == other
     }
 }
 
 impl PartialEq<&str> for TaskPrefix {
     fn eq(&self, other: &&str) -> bool {
-        &*self.0 == *other
+        self.0 == *other
     }
 }
 
 impl PartialEq<String> for TaskPrefix {
     fn eq(&self, other: &String) -> bool {
-        &*self.0 == other.as_str()
+        self.0 == other.as_str()
     }
 }
 
 impl std::hash::Hash for TaskPrefix {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        // must agree with str's Hash (Borrow<str> contract)
-        (*self.0).hash(state)
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // agrees with `eq`, not with `str`'s hash: a prefix cannot stand
+        // in for a borrowed string as a map key
+        state.write_usize(self.0.as_ptr() as usize)
     }
 }
 
@@ -131,13 +168,18 @@ impl PartialOrd for TaskPrefix {
 
 impl Ord for TaskPrefix {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.cmp(&other.0)
+        // string order; `Equal` only for the same spelling, i.e. the same
+        // address, so it agrees with `eq`
+        if self == other {
+            return std::cmp::Ordering::Equal;
+        }
+        self.0.cmp(other.0)
     }
 }
 
 impl fmt::Display for TaskPrefix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.0)
     }
 }
 
@@ -176,16 +218,59 @@ impl Deserialize for TaskPrefix {
 ///
 /// * `prefix` — the human-readable operation category (Dask calls the
 ///   deduplicated form "task prefix"; groups of tasks sharing a token form a
-///   "task group"). Interned: cloning a `TaskKey` bumps a reference count
-///   instead of copying the string.
+///   "task group"). Interned, so the whole key is a 24-byte `Copy` value.
 /// * `token` — a hash-like token distinguishing groups with the same prefix.
 /// * `index` — position within the group (chunk / partition number).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct TaskKey {
     pub prefix: TaskPrefix,
     pub token: u32,
     pub index: u32,
 }
+
+/// Hasher for maps keyed on [`TaskKey`]: one rotate, xor and multiply per
+/// word. A key is three words the program made itself (an address and two
+/// counters), so SipHash's protection against crafted collisions buys
+/// nothing here and costs most of a probe. Iteration order of such a map
+/// follows addresses, so — as with the default hasher — never let it reach
+/// output.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(n as u64);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // the multiply mixes upward; bring the well-mixed high bits down
+        // to where the table takes its bucket index from
+        self.0.rotate_left(26)
+    }
+}
+
+/// A `HashMap` keyed on task keys under [`KeyHasher`].
+pub type KeyMap<V> = HashMap<TaskKey, V, BuildHasherDefault<KeyHasher>>;
+/// A `HashSet` of task keys under [`KeyHasher`].
+pub type KeySet = HashSet<TaskKey, BuildHasherDefault<KeyHasher>>;
 
 impl TaskKey {
     pub fn new(prefix: impl Into<TaskPrefix>, token: u32, index: u32) -> Self {
@@ -198,14 +283,22 @@ impl TaskKey {
         format!("{}-{:06x}", self.prefix, self.token)
     }
 
-    /// Stream the compact JSON rendering of this key — exactly the bytes
+    /// Write the compact JSON rendering of this key — exactly the bytes
     /// `serde_json::to_string(self)` would allocate (object keys in sorted
-    /// order, prefix escaped) — into any `fmt::Write` sink. This is what
-    /// lets hash-partitioning hash a typed key without materializing it.
-    pub fn write_json<W: std::fmt::Write>(&self, out: &mut W) -> std::fmt::Result {
+    /// order, prefix escaped) — into any `fmt::Write` sink. Hash
+    /// partitioning renders every routed event's key with this.
+    pub fn write_json<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         write!(out, "{{\"index\":{}", self.index)?;
         out.write_str(",\"prefix\":")?;
-        serde::json_impl::write_str_to(self.prefix.as_str(), out)?;
+        let prefix = self.prefix.as_str();
+        if prefix.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+            serde::json_impl::write_str_to(prefix, out)?;
+        } else {
+            // nothing to escape: one write, not one per character
+            out.write_char('"')?;
+            out.write_str(prefix)?;
+            out.write_char('"')?;
+        }
         write!(out, ",\"token\":{}}}", self.token)
     }
 }
@@ -304,6 +397,9 @@ impl fmt::Display for FileId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::{CommEvent, ProvRecord};
+    use crate::time::Time;
+    use proptest::prelude::*;
 
     #[test]
     fn task_key_display_matches_dask_convention() {
@@ -317,15 +413,19 @@ mod tests {
         let a = TaskKey::new("getitem", 1, 0);
         let b = TaskKey::new("getitem", 2, 5);
         // one shared allocation per spelling
-        assert!(Arc::ptr_eq(&a.prefix.0, &b.prefix.0));
+        assert!(std::ptr::eq(a.prefix.as_str(), b.prefix.as_str()));
         assert_eq!(a.prefix, "getitem");
         assert_eq!(a.prefix.as_str(), "getitem");
         assert!(a.prefix == b.prefix);
         assert!(TaskPrefix::intern("a") < TaskPrefix::intern("b"));
-        // Hash agrees with str (Borrow<str> contract): usable as map key
+        // usable as a map key under either hasher
         let mut m = std::collections::HashMap::new();
-        m.insert(a.prefix.clone(), 1u32);
-        assert_eq!(m.get("getitem"), Some(&1));
+        m.insert(a.prefix, 1u32);
+        assert_eq!(m.get(&TaskPrefix::intern("getitem")), Some(&1));
+        let mut m = KeyMap::default();
+        m.insert(a, 1u32);
+        assert_eq!(m.get(&TaskKey::new("getitem", 1, 0)), Some(&1));
+        assert_eq!(m.get(&b), None);
     }
 
     #[test]
@@ -367,5 +467,102 @@ mod tests {
         let s = serde_json::to_string(&w).unwrap();
         let back: WorkerId = serde_json::from_str(&s).unwrap();
         assert_eq!(w, back);
+    }
+
+    #[test]
+    fn task_key_is_three_words() {
+        assert_eq!(std::mem::size_of::<TaskKey>(), 24);
+    }
+
+    fn hash_with<H: Hasher + Default>(key: &TaskKey) -> u64 {
+        use std::hash::Hash;
+        let mut h = H::default();
+        key.hash(&mut h);
+        h.finish()
+    }
+
+    /// Short spellings over a small alphabet, so equal pairs turn up often,
+    /// with everything JSON and UTF-8 can make awkward in it.
+    const SPELLING: &str = "[ab\"\\\n\u{1}é→ ]{0,3}";
+
+    proptest! {
+        /// One address per spelling, and nothing else decides equality,
+        /// hashing or (through the string) order.
+        #[test]
+        fn interning_is_the_identity_on_spellings(
+            a in SPELLING, b in SPELLING, token in any::<u32>(), index in any::<u32>(),
+        ) {
+            let (pa, pb) = (TaskPrefix::intern(&a), TaskPrefix::intern(&b));
+            prop_assert_eq!(pa.as_str(), a.as_str());
+            prop_assert_eq!(pa == pb, a == b);
+            prop_assert_eq!(std::ptr::eq(pa.as_str(), pb.as_str()), a == b);
+            prop_assert_eq!(pa.cmp(&pb), a.as_str().cmp(b.as_str()));
+            let (ka, kb) = (TaskKey::new(pa, token, index), TaskKey::new(pb, token, index));
+            if a == b {
+                prop_assert_eq!(hash_with::<KeyHasher>(&ka), hash_with::<KeyHasher>(&kb));
+                prop_assert_eq!(
+                    hash_with::<std::collections::hash_map::DefaultHasher>(&ka),
+                    hash_with::<std::collections::hash_map::DefaultHasher>(&kb)
+                );
+            }
+            prop_assert_eq!(ka.cmp(&kb), a.as_str().cmp(b.as_str()));
+
+            // the rendering hash partitioning hashes is serde's, byte for byte
+            let json = serde_json::to_string(&ka).unwrap();
+            let mut written = String::new();
+            ka.write_json(&mut written).unwrap();
+            prop_assert_eq!(&written, &json);
+
+            // decoding re-interns: both codecs come back to the same address
+            let from_json: TaskKey = serde_json::from_str(&json).unwrap();
+            prop_assert!(std::ptr::eq(from_json.prefix.as_str(), pa.as_str()));
+            let record = ProvRecord::Comm(CommEvent {
+                key: ka,
+                from: WorkerId::new(NodeId(0), 0),
+                to: WorkerId::new(NodeId(1), 0),
+                nbytes: 1,
+                start: Time(0),
+                stop: Time(1),
+            });
+            let mut bytes = Vec::new();
+            record.encode_binary(&mut bytes);
+            let decoded = ProvRecord::decode_binary(&bytes).unwrap();
+            let from_binary = decoded.task_key().unwrap();
+            prop_assert_eq!(from_binary, &ka);
+            prop_assert!(std::ptr::eq(from_binary.prefix.as_str(), pa.as_str()));
+        }
+    }
+
+    #[test]
+    fn concurrent_interning_of_new_spellings_agrees_on_one_address() {
+        const THREADS: usize = 8;
+        let spellings: Vec<String> = (0..64).map(|i| format!("raced-spelling-{i}")).collect();
+        let start = std::sync::Barrier::new(THREADS);
+        let per_thread: Vec<Vec<usize>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (spellings, start) = (&spellings, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        // each thread walks the spellings from its own offset,
+                        // so first insertions race across the whole set
+                        let mut seen = vec![0usize; spellings.len()];
+                        for i in 0..spellings.len() {
+                            let at = (i + t * 8) % spellings.len();
+                            let p = TaskPrefix::intern(&spellings[at]);
+                            assert_eq!(p.as_str(), spellings[at]);
+                            seen[at] = p.as_str().as_ptr() as usize;
+                        }
+                        seen
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("interning thread")).collect()
+        });
+        for other in &per_thread[1..] {
+            assert_eq!(other, &per_thread[0], "every thread got the same address per spelling");
+        }
+        let distinct: std::collections::HashSet<usize> = per_thread[0].iter().copied().collect();
+        assert_eq!(distinct.len(), spellings.len());
     }
 }

@@ -315,7 +315,10 @@ impl Consumer {
         claim_range(&self.topic, &self.yokan, &self.cfg.group, partition, n)
     }
 
-    fn refill(&mut self) -> Result<()> {
+    /// Claim and read the next nonempty range, trying each partition once
+    /// from where the last claim left off. `None`: every partition is
+    /// drained for this group.
+    fn claim_next(&mut self) -> Result<Option<Vec<StoredEvent>>> {
         let parts = self.topic.num_partitions();
         for _ in 0..parts {
             let p = self.next_partition;
@@ -324,11 +327,10 @@ impl Consumer {
             if end > start {
                 let events = self.topic.read(p, start, (end - start) as usize)?;
                 debug_assert_eq!(events.len() as u64, end - start);
-                self.buffer.extend(events);
-                return Ok(());
+                return Ok(Some(events));
             }
         }
-        Ok(())
+        Ok(None)
     }
 
     /// Receive one staged batch from the prefetch thread, waiting out an
@@ -392,7 +394,9 @@ impl Consumer {
             }
             self.pipelined_fill(max)?;
         } else if self.buffer.len() < max {
-            self.refill()?;
+            if let Some(events) = self.claim_next()? {
+                self.buffer.extend(events);
+            }
         }
         let take = max.min(self.buffer.len());
         Ok(self.buffer.drain(..take).collect())
@@ -415,17 +419,20 @@ impl Consumer {
         );
     }
 
-    /// Drain everything currently in the topic for this group.
+    /// Drain everything currently in the topic for this group. Delivery
+    /// order is that of repeated [`Self::pull`]s — what is buffered, then
+    /// claim after claim — but each claimed batch is appended whole
+    /// instead of passing through the buffer event by event.
     pub fn drain_all(&mut self) -> Result<Vec<StoredEvent>> {
-        let mut out = Vec::new();
+        let mut out = Vec::from(std::mem::take(&mut self.buffer));
         loop {
-            let batch = self.pull(4096)?;
-            if batch.is_empty() {
-                break;
+            let claimed =
+                if self.pipeline.is_some() { self.pipelined_recv()? } else { self.claim_next()? };
+            match claimed {
+                Some(mut batch) => out.append(&mut batch),
+                None => return Ok(out),
             }
-            out.extend(batch);
         }
-        Ok(out)
     }
 }
 

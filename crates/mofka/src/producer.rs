@@ -6,6 +6,13 @@
 //! metadata key field, which keeps all events of one task in one partition
 //! (preserving per-task ordering for consumers).
 //!
+//! The hash is SipHash over the key field's compact JSON text, for typed
+//! and generic events alike, so a record lands in the same partition in
+//! either form. `push` is the per-event hot path and does nothing else per
+//! event: the text is rendered into one buffer the producer reuses and
+//! hashed with a single `write`, nothing is sized or serialized, and a
+//! flush hands over each partition's batch while keeping the buffer.
+//!
 //! On a real-time service (see [`crate::shard`]) a producer's `flush`
 //! hands each partition batch to the owning shard's queue instead of
 //! appending under the partition lock itself — concurrent producers
@@ -17,7 +24,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
-use std::fmt;
 use std::hash::Hasher;
 use std::sync::Arc;
 
@@ -34,10 +40,8 @@ pub enum PartitionStrategy {
     RoundRobin,
     /// Hash the given metadata field's JSON rendering; events with equal
     /// key values land in the same partition, preserving their relative
-    /// order. The rendering is streamed straight into the hasher — no
-    /// string is materialized. Events *without* the field (e.g. warnings
-    /// and logs, which are not task-scoped) all go to
-    /// [`MISSING_KEY_PARTITION`].
+    /// order. Events *without* the field (e.g. warnings and logs, which
+    /// are not task-scoped) all go to [`MISSING_KEY_PARTITION`].
     HashKey(String),
 }
 
@@ -45,19 +49,6 @@ pub enum PartitionStrategy {
 /// fixed partition keeps all key-less events of a topic mutually ordered,
 /// which is all the routing contract promises for them.
 pub const MISSING_KEY_PARTITION: u32 = 0;
-
-/// Streams `fmt::Write` output into a `Hasher` without materializing a
-/// string. `DefaultHasher` buffers its input stream internally, so chunked
-/// writes hash identically to one contiguous `write` of the same bytes
-/// (pinned by `hash_key_matches_stringified_hash` below).
-struct HashWriter<'a, H: Hasher>(&'a mut H);
-
-impl<H: Hasher> fmt::Write for HashWriter<'_, H> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.0.write(s.as_bytes());
-        Ok(())
-    }
-}
 
 /// Producer tuning parameters.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -78,7 +69,6 @@ impl Default for ProducerConfig {
 pub struct ProducerStats {
     pub events: u64,
     pub batches: u64,
-    pub bytes: u64,
 }
 
 /// A producer handle bound to one topic. Not `Sync`: each producing thread
@@ -92,6 +82,8 @@ pub struct Producer {
     pending: Vec<Vec<Event>>,
     pending_count: usize,
     rr_next: u32,
+    /// JSON text of the key field of the event being routed (`HashKey`).
+    key_text: String,
     stats: ProducerStats,
     /// Concurrent data plane; `None` appends synchronously (virtual time).
     plane: Option<Arc<DataPlane>>,
@@ -117,6 +109,7 @@ impl Producer {
             pending: (0..parts).map(|_| Vec::new()).collect(),
             pending_count: 0,
             rr_next: 0,
+            key_text: String::new(),
             stats: ProducerStats::default(),
             plane,
         }
@@ -130,35 +123,26 @@ impl Producer {
                 p
             }
             PartitionStrategy::HashKey(field) => {
-                let mut h = DefaultHasher::new();
-                let hashed = {
-                    let mut w = HashWriter(&mut h);
-                    match &event.metadata {
-                        Metadata::Json(v) => match v.get(field) {
-                            Some(val) => {
-                                serde_json::write_value_to(val, &mut w)
-                                    .expect("hash sink is infallible");
-                                true
-                            }
-                            None => false,
-                        },
-                        // Typed provenance records route on their task key;
-                        // streaming its JSON form keeps the assignment
-                        // byte-compatible with hashing the rendered field.
-                        Metadata::Typed(rec) => match rec.task_key() {
-                            Some(key) => {
-                                key.write_json(&mut w).expect("hash sink is infallible");
-                                true
-                            }
-                            None => false,
-                        },
-                    }
-                };
-                if !hashed {
-                    return MISSING_KEY_PARTITION;
+                let text = &mut self.key_text;
+                text.clear();
+                match &event.metadata {
+                    Metadata::Json(v) => match v.get(field) {
+                        Some(val) => serde_json::write_value_to(val, text),
+                        None => return MISSING_KEY_PARTITION,
+                    },
+                    // Typed provenance records route on their task key,
+                    // rendered as the JSON form of the field would be.
+                    Metadata::Typed(rec) => match rec.task_key() {
+                        Some(key) => key.write_json(text),
+                        None => return MISSING_KEY_PARTITION,
+                    },
                 }
-                // `str::hash` terminator, kept for parity with the historic
-                // stringify-then-hash assignment (same hash, same partition)
+                .expect("a String sink is infallible");
+                // `str::hash`: the bytes, then a 0xff terminator — the
+                // historic stringify-then-hash assignment (same hash, same
+                // partition)
+                let mut h = DefaultHasher::new();
+                h.write(text.as_bytes());
                 h.write_u8(0xff);
                 (h.finish() % self.topic.num_partitions() as u64) as u32
             }
@@ -168,7 +152,6 @@ impl Producer {
     /// Buffer one event; flushes automatically when the batch fills.
     pub fn push(&mut self, event: Event) -> Result<()> {
         self.stats.events += 1;
-        self.stats.bytes += event.wire_size() as u64;
         let p = self.select_partition(&event);
         self.pending[p as usize].push(event);
         self.pending_count += 1;
@@ -188,11 +171,15 @@ impl Producer {
             if buf.is_empty() {
                 continue;
             }
-            let batch = std::mem::take(buf);
+            // either way `buf` keeps room for the next batch, instead of
+            // growing from empty after every flush
             match &self.plane {
-                Some(plane) => plane.enqueue_append(&self.topic, p as u32, batch)?,
+                Some(plane) => {
+                    let batch = std::mem::replace(buf, Vec::with_capacity(buf.len()));
+                    plane.enqueue_append(&self.topic, p as u32, batch)?
+                }
                 None => {
-                    self.topic.append_batch(p as u32, batch)?;
+                    self.topic.append_batch(p as u32, buf.drain(..))?;
                 }
             }
             self.stats.batches += 1;
@@ -368,7 +355,7 @@ mod tests {
         for token in 0..32u32 {
             let key = TaskKey::new("double", token, token * 3);
             let meta = TaskMetaEvent {
-                key: key.clone(),
+                key,
                 graph: GraphId(1),
                 client: ClientId(0),
                 deps: vec![],
@@ -389,6 +376,40 @@ mod tests {
                 p.select_partition(&Event::meta_only(serde_json::to_value(&meta).unwrap()));
             assert_eq!(typed_meta, typed_tr, "same key must co-locate across families");
             assert_eq!(typed_meta, json_meta, "typed and JSON forms must co-locate");
+        }
+    }
+
+    proptest::proptest! {
+        /// The typed fast path (key rendered into the reused buffer, one
+        /// hash `write`) assigns what stringify-then-hash assigned, for any
+        /// key and any partition count — escapes and non-ASCII included.
+        #[test]
+        fn typed_fast_path_matches_legacy_partition(
+            prefix in "[a-z_\"\\\n\t\u{1}\u{1f}é→🦀 ]{0,12}",
+            token in proptest::any::<u32>(),
+            index in proptest::any::<u32>(),
+            parts in 1u32..17,
+        ) {
+            use dtf_core::events::CommEvent;
+            use dtf_core::ids::{NodeId, TaskKey, WorkerId};
+            use dtf_core::time::Time;
+
+            let mut p = Producer::new(
+                topic(parts),
+                ProducerConfig { batch_size: 1, strategy: PartitionStrategy::HashKey("key".into()) },
+            );
+            let comm = CommEvent {
+                key: TaskKey::new(prefix, token, index),
+                from: WorkerId::new(NodeId(0), 0),
+                to: WorkerId::new(NodeId(1), 0),
+                nbytes: 8,
+                start: Time(1),
+                stop: Time(2),
+            };
+            let json = serde_json::to_value(&comm).unwrap();
+            let expected = legacy_partition(&json, "key", parts as u64);
+            proptest::prop_assert_eq!(p.select_partition(&Event::typed(comm)), expected);
+            proptest::prop_assert_eq!(p.select_partition(&Event::meta_only(json)), expected);
         }
     }
 
@@ -431,13 +452,5 @@ mod tests {
         p.sync().unwrap();
         assert_eq!(t.total_len(), 8, "barrier applied every handed-off batch");
         assert_eq!(p.stats().batches, 4, "two auto-flushes x two partitions");
-    }
-
-    #[test]
-    fn stats_count_bytes() {
-        let t = topic(1);
-        let mut p = Producer::new(t, ProducerConfig::default());
-        p.push(Event::meta_only(json!({ "k": "v" }))).unwrap();
-        assert!(p.stats().bytes >= 9);
     }
 }

@@ -356,11 +356,17 @@ impl Topic {
             .ok_or_else(|| DtfError::NotFound(format!("partition {p} of topic {}", self.name)))
     }
 
-    /// Append a batch of events to one partition; returns their ids.
-    /// One lock acquisition per batch — this is the amortization producers'
-    /// batching buys. A stalled partition stages the batch instead (ids are
-    /// still assigned, past the staged tail).
-    pub fn append_batch(&self, p: u32, events: Vec<Event>) -> Result<Vec<EventId>> {
+    /// Append a batch of events to one partition; returns the offset the
+    /// first one took and how many there were (event `i` of the batch is
+    /// `EventId { partition: p, offset: base + i }`). One lock acquisition
+    /// per batch — this is the amortization producers' batching buys. A
+    /// stalled partition stages the batch instead (offsets are still
+    /// assigned, past the staged tail).
+    pub fn append_batch(
+        &self,
+        p: u32,
+        events: impl IntoIterator<Item = Event>,
+    ) -> Result<(u64, usize)> {
         let part = self.partition(p)?;
         // store payloads outside the partition lock
         let slots: Vec<Slot> = events
@@ -383,7 +389,7 @@ impl Topic {
         } else {
             state.slots.extend(slots);
         }
-        Ok((0..n).map(|i| EventId { partition: p, offset: base + i as u64 }).collect())
+        Ok((base, n))
     }
 
     /// Stall partition `p`: subsequent appends are staged, invisible to
@@ -429,17 +435,29 @@ impl Topic {
     /// Read up to `max` events from partition `p` starting at `offset`.
     pub fn read(&self, p: u32, offset: u64, max: usize) -> Result<Vec<StoredEvent>> {
         let part = self.partition(p)?;
-        // Copy the slot range out under the lock, then resolve payloads and
-        // build the result unlocked: readers here can hold thousands of
-        // slots, and keeping blob lookups inside the critical section
-        // stalls appenders (and every reader queued behind them) for the
-        // whole construction.
+        let stored = |i: usize, metadata: &Metadata, data: Bytes| StoredEvent {
+            id: EventId { partition: p, offset: i as u64 },
+            event: Event { metadata: metadata.clone(), data },
+        };
+        // A range without payloads (every provenance topic) is built in one
+        // pass under the lock. Otherwise copy the slot range out and resolve
+        // payloads unlocked: readers here can hold thousands of slots, and
+        // keeping blob lookups inside the critical section stalls appenders
+        // (and every reader queued behind them) for the whole construction.
         let (start, slots) = {
             let state = part.state.read();
             let log = &state.slots;
             let start = (offset as usize).min(log.len());
             let end = start.saturating_add(max).min(log.len());
-            (start, log[start..end].to_vec())
+            let range = &log[start..end];
+            if range.iter().all(|slot| slot.payload.is_none()) {
+                return Ok(range
+                    .iter()
+                    .enumerate()
+                    .map(|(i, slot)| stored(start + i, &slot.metadata, Bytes::new()))
+                    .collect());
+            }
+            (start, range.to_vec())
         };
         let mut out = Vec::with_capacity(slots.len());
         for (i, slot) in slots.iter().enumerate() {
@@ -456,10 +474,7 @@ impl Topic {
                 })?,
                 None => Bytes::new(),
             };
-            out.push(StoredEvent {
-                id: EventId { partition: p, offset: (start + i) as u64 },
-                event: Event { metadata: slot.metadata.clone(), data },
-            });
+            out.push(stored(start + i, &slot.metadata, data));
         }
         Ok(out)
     }
@@ -477,15 +492,11 @@ mod tests {
     #[test]
     fn append_assigns_sequential_offsets() {
         let t = topic(2);
-        let ids = t
+        let range = t
             .append_batch(0, vec![Event::meta_only(json!(1)), Event::meta_only(json!(2))])
             .unwrap();
-        assert_eq!(
-            ids,
-            vec![EventId { partition: 0, offset: 0 }, EventId { partition: 0, offset: 1 }]
-        );
-        let ids2 = t.append_batch(0, vec![Event::meta_only(json!(3))]).unwrap();
-        assert_eq!(ids2[0].offset, 2);
+        assert_eq!(range, (0, 2));
+        assert_eq!(t.append_batch(0, vec![Event::meta_only(json!(3))]).unwrap(), (2, 1));
         assert_eq!(t.partition_len(0).unwrap(), 3);
         assert_eq!(t.partition_len(1).unwrap(), 0);
         assert_eq!(t.total_len(), 3);
@@ -517,6 +528,23 @@ mod tests {
     }
 
     #[test]
+    fn ranges_with_and_without_payloads_read_alike() {
+        let t = topic(1);
+        let payload = |i: u64| if i == 4 { Bytes::from_static(b"blob") } else { Bytes::new() };
+        t.append_batch(0, (0..8).map(|i| Event::new(json!({ "i": i }), payload(i)))).unwrap();
+        // [0, 4) holds no payload (built in one pass); [2, 8) holds one
+        for (offset, max) in [(0, 4), (2, 6)] {
+            let got = t.read(0, offset, max).unwrap();
+            assert_eq!(got.len(), max);
+            for (k, se) in got.iter().enumerate() {
+                let i = offset + k as u64;
+                assert_eq!(se.id, EventId { partition: 0, offset: i });
+                assert_eq!(se.event, Event::new(json!({ "i": i }), payload(i)));
+            }
+        }
+    }
+
+    #[test]
     fn unknown_partition_is_error() {
         let t = topic(2);
         assert!(t.append_batch(2, vec![]).is_err());
@@ -529,12 +557,11 @@ mod tests {
         let t = topic(2);
         t.append_batch(0, vec![Event::meta_only(json!(0))]).unwrap();
         t.stall(0).unwrap();
-        let ids = t
+        let range = t
             .append_batch(0, vec![Event::meta_only(json!(1)), Event::meta_only(json!(2))])
             .unwrap();
-        // ids assigned past the staged tail, but nothing visible yet
-        assert_eq!(ids[0].offset, 1);
-        assert_eq!(ids[1].offset, 2);
+        // offsets assigned past the staged tail, but nothing visible yet
+        assert_eq!(range, (1, 2));
         assert_eq!(t.partition_len(0).unwrap(), 1);
         assert_eq!(t.staged_len(0).unwrap(), 2);
         // other partitions unaffected

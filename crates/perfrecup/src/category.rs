@@ -10,6 +10,7 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
+use dtf_core::ids::TaskPrefix;
 use dtf_core::stats::{Summary, Welford};
 use dtf_wms::RunData;
 
@@ -42,9 +43,9 @@ pub fn per_category(data: &RunData) -> Vec<CategoryStats> {
         io_bytes: u64,
     }
     // keyed by the interned prefix: no per-task string allocation
-    let mut acc: HashMap<dtf_core::ids::TaskPrefix, Acc> = HashMap::new();
+    let mut acc: HashMap<TaskPrefix, Acc> = HashMap::new();
     for d in &data.task_done {
-        let a = acc.entry(d.key.prefix.clone()).or_insert_with(|| Acc {
+        let a = acc.entry(d.key.prefix).or_insert_with(|| Acc {
             duration: Welford::new(),
             nbytes: Welford::new(),
             threads: Default::default(),
@@ -65,7 +66,9 @@ pub fn per_category(data: &RunData) -> Vec<CategoryStats> {
         let ops = fused.col("op").expect("op col");
         for i in 0..fused.n_rows() {
             let Some(prefix) = prefixes[i].as_str() else { continue };
-            if let Some(a) = acc.get_mut(prefix) {
+            // the column was rendered from these same keys, so the intern
+            // is a lookup, never an insert
+            if let Some(a) = acc.get_mut(&TaskPrefix::intern(prefix)) {
                 if matches!(ops[i].as_str(), Some("read") | Some("write")) {
                     a.io_ops += 1;
                     a.io_bytes += sizes[i].as_u64().unwrap_or(0);

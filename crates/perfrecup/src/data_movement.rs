@@ -70,7 +70,7 @@ fn manifests(data: &RunData) -> BTreeMap<&TaskKey, ProxyRef> {
                 out.insert(
                     &ev.key,
                     ProxyRef {
-                        key: ev.key.clone(),
+                        key: ev.key,
                         graph: ev.graph,
                         size: ev.size,
                         owner: ev.owner,
@@ -103,7 +103,7 @@ pub fn rows(data: &RunData) -> Vec<MovementRow> {
                 None => (c.nbytes, 0),
             };
             MovementRow {
-                key: c.key.clone(),
+                key: c.key,
                 nbytes: c.nbytes,
                 in_band,
                 out_of_band,
@@ -185,7 +185,7 @@ mod tests {
     fn unproxied_run_is_all_in_band() {
         let mut data = crate::io_timeline::tests_support::empty_run();
         let k = TaskKey::new("t", 0, 0);
-        data.comms = vec![comm(k.clone(), 4096, 1.0), comm(k, 8192, 2.0)];
+        data.comms = vec![comm(k, 4096, 1.0), comm(k, 8192, 2.0)];
         let s = summary(&data);
         assert_eq!(s.total_bytes, 12_288);
         assert_eq!(s.in_band_bytes, 12_288);
@@ -200,8 +200,8 @@ mod tests {
         let mut data = crate::io_timeline::tests_support::empty_run();
         let big = TaskKey::new("t", 0, 0);
         let small = TaskKey::new("t", 0, 1);
-        data.comms = vec![comm(big.clone(), 64 << 20, 1.0), comm(small.clone(), 1024, 2.0)];
-        data.proxies = vec![published(big.clone(), 64 << 20, 0, 0.5)];
+        data.comms = vec![comm(big, 64 << 20, 1.0), comm(small, 1024, 2.0)];
+        data.proxies = vec![published(big, 64 << 20, 0, 0.5)];
         let rows = rows(&data);
         assert!(rows[0].proxied);
         assert_eq!(rows[0].out_of_band, 64 << 20);
@@ -219,9 +219,9 @@ mod tests {
     fn orphaned_manifest_reverts_to_in_band() {
         let mut data = crate::io_timeline::tests_support::empty_run();
         let k = TaskKey::new("t", 0, 0);
-        data.comms = vec![comm(k.clone(), 1 << 20, 5.0)];
-        let mut orphan = published(k.clone(), 1 << 20, 0, 0.5);
-        data.proxies = vec![published(k.clone(), 1 << 20, 0, 0.1), {
+        data.comms = vec![comm(k, 1 << 20, 5.0)];
+        let mut orphan = published(k, 1 << 20, 0, 0.5);
+        data.proxies = vec![published(k, 1 << 20, 0, 0.1), {
             orphan.action = ProxyAction::Orphaned;
             orphan.time = Time::from_secs_f64(1.0);
             orphan
@@ -235,7 +235,7 @@ mod tests {
     fn frame_has_expected_columns() {
         let mut data = crate::io_timeline::tests_support::empty_run();
         let k = TaskKey::new("t", 0, 0);
-        data.comms = vec![comm(k.clone(), 2048, 1.0)];
+        data.comms = vec![comm(k, 2048, 1.0)];
         data.proxies = vec![published(k, 2048, 0, 0.5)];
         let df = frame(&data);
         assert_eq!(df.n_rows(), 1);

@@ -27,7 +27,7 @@ pub fn build(data: &RunData, key: &TaskKey) -> Result<TaskLineage> {
     let mut dependents = Vec::new();
     for m in &data.meta {
         if m.deps.contains(key) {
-            dependents.push(m.key.clone());
+            dependents.push(m.key);
         }
     }
 
@@ -68,7 +68,7 @@ pub fn build(data: &RunData, key: &TaskKey) -> Result<TaskLineage> {
     }
 
     Ok(TaskLineage {
-        key: Some(key.clone()),
+        key: Some(*key),
         graph: Some(meta.graph),
         client: Some(meta.client),
         submitted: Some(meta.submitted),
@@ -89,7 +89,7 @@ pub fn build_all(data: &RunData) -> HashMap<TaskKey, TaskLineage> {
     let mut out = HashMap::new();
     for m in &data.meta {
         if let Ok(l) = build(data, &m.key) {
-            out.insert(m.key.clone(), l);
+            out.insert(m.key, l);
         }
     }
     out
@@ -123,7 +123,7 @@ mod tests {
             "consume",
             tok,
             0,
-            vec![root.clone()],
+            vec![root],
             SimAction::compute_only(Dur::from_millis_f64(20.0), 64),
         );
         let wf = SimWorkflow {
@@ -149,7 +149,7 @@ mod tests {
         assert_eq!(l.key.as_ref(), Some(&root));
         assert_eq!(l.graph, Some(GraphId(0)));
         assert!(l.dependencies.is_empty());
-        assert_eq!(l.dependents, vec![child.clone()]);
+        assert_eq!(l.dependents, vec![child]);
         assert!(l.is_consistent(), "state chain must be ordered and linked");
         // Released -> Waiting -> Processing -> Memory at minimum
         assert!(l.states.len() >= 3);

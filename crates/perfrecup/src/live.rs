@@ -49,6 +49,7 @@
 //! delta state for an active run and from [`crate::archive::ArchivedRun`]
 //! (or any drained [`RunData`]) for history.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -362,7 +363,7 @@ impl LiveViews {
         let batches = self.feed.poll(max_per_topic)?;
         let mut n = 0u64;
         for b in batches {
-            for stored in b.events {
+            for stored in &b.events {
                 self.apply(b.topic, stored)?;
                 n += 1;
             }
@@ -382,62 +383,62 @@ impl LiveViews {
         }
     }
 
-    fn apply(&mut self, topic: usize, stored: dtf_mofka::StoredEvent) -> dtf_core::Result<()> {
-        fn parse<T: ProvEvent + serde::Deserialize>(
-            stored: dtf_mofka::StoredEvent,
-        ) -> dtf_core::Result<(u32, u64, T)> {
-            let (p, o) = (stored.id.partition, stored.id.offset);
-            let ev = match stored.event.metadata {
+    fn apply(&mut self, topic: usize, stored: &dtf_mofka::StoredEvent) -> dtf_core::Result<()> {
+        /// The event a stored record carries: borrowed from a typed record
+        /// (which the partition log goes on holding), parsed from a
+        /// generic one.
+        fn event<T: ProvEvent + Clone + serde::Deserialize>(
+            stored: &dtf_mofka::StoredEvent,
+        ) -> dtf_core::Result<Cow<'_, T>> {
+            match &stored.event.metadata {
                 Metadata::Typed(rec) => {
-                    let rec = Arc::try_unwrap(rec).unwrap_or_else(|a| (*a).clone());
-                    T::from_record(rec).ok_or_else(|| {
+                    T::from_record_ref(rec).map(Cow::Borrowed).ok_or_else(|| {
                         DtfError::IllegalState("live topic carried a wrong-family record".into())
-                    })?
+                    })
                 }
-                Metadata::Json(v) => serde_json::from_value(v)?,
-            };
-            Ok((p, o, ev))
+                Metadata::Json(v) => Ok(Cow::Owned(T::from_content(v)?)),
+            }
         }
         match topic {
             0 => {
-                let (_, _, e): (_, _, TaskMetaEvent) = parse(stored)?;
+                let t = event::<TaskMetaEvent>(stored)?.submitted;
                 self.progress.meta += 1;
-                self.max_t = self.max_t.max(e.submitted);
+                self.max_t = self.max_t.max(t);
             }
             1 => {
-                let (_, _, e): (_, _, TransitionEvent) = parse(stored)?;
+                let t = event::<TransitionEvent>(stored)?.time;
                 self.progress.transitions += 1;
-                self.max_t = self.max_t.max(e.time);
+                self.max_t = self.max_t.max(t);
             }
             2 => {
-                let (_, _, e): (_, _, WorkerTransitionEvent) = parse(stored)?;
+                let t = event::<WorkerTransitionEvent>(stored)?.time;
                 self.progress.worker_transitions += 1;
-                self.max_t = self.max_t.max(e.time);
+                self.max_t = self.max_t.max(t);
             }
             3 => {
-                let (p, o, e): (_, _, TaskDoneEvent) = parse(stored)?;
-                self.ingest_task_done(p, o, e);
+                let e = event::<TaskDoneEvent>(stored)?;
+                self.ingest_task_done(stored.id.partition, stored.id.offset, &e);
             }
             4 => {
-                let (_, _, e): (_, _, CommEvent) = parse(stored)?;
+                let e = event::<CommEvent>(stored)?;
                 self.progress.comms += 1;
                 self.comm += e.duration();
                 self.max_t = self.max_t.max(e.stop);
             }
             5 => {
-                let (_, _, e): (_, _, WarningEvent) = parse(stored)?;
+                let t = event::<WarningEvent>(stored)?.time;
                 self.progress.warnings += 1;
-                self.max_t = self.max_t.max(e.time);
+                self.max_t = self.max_t.max(t);
             }
             6 => {
-                let (_, _, e): (_, _, LogEntry) = parse(stored)?;
+                let t = event::<LogEntry>(stored)?.time;
                 self.progress.logs += 1;
-                self.max_t = self.max_t.max(e.time);
+                self.max_t = self.max_t.max(t);
             }
             7 => {
-                let (_, _, e): (_, _, IoRecord) = parse(stored)?;
+                let t = event::<IoRecord>(stored)?.stop;
                 self.progress.io_records += 1;
-                self.max_t = self.max_t.max(e.stop);
+                self.max_t = self.max_t.max(t);
             }
             other => {
                 return Err(DtfError::IllegalState(format!("unknown live feed topic {other}")))
@@ -446,16 +447,16 @@ impl LiveViews {
         Ok(())
     }
 
-    fn ingest_task_done(&mut self, part: u32, off: u64, e: TaskDoneEvent) {
+    fn ingest_task_done(&mut self, part: u32, off: u64, e: &TaskDoneEvent) {
         self.progress.task_done += 1;
         self.max_t = self.max_t.max(e.stop);
         self.compute += e.duration();
         let key: OrdKey = (e.stop, e.start, part, off);
-        let cat = self.cats.entry(e.key.prefix.clone()).or_default();
+        let cat = self.cats.entry(e.key.prefix).or_default();
         cat.samples.insert(key, (e.duration().as_secs_f64(), e.nbytes as f64));
         cat.threads.insert(e.thread.0);
         cat.workers.insert(e.worker.address());
-        self.dirty_cats.insert(e.key.prefix.clone());
+        self.dirty_cats.insert(e.key.prefix);
         self.workers
             .entry(e.worker)
             .or_default()
@@ -487,7 +488,7 @@ impl LiveViews {
                     .range(..=(t, Time(u64::MAX), u32::MAX, u64::MAX))
                     .rev()
                     .find(|((_, stop, _, _), _)| *stop >= t)
-                    .map(|(_, prefix)| prefix.clone())
+                    .map(|(_, prefix)| *prefix)
             });
             if let Some(prefix) = found {
                 matched += 1;
@@ -590,7 +591,7 @@ impl LiveViews {
                 nbytes.push(*n);
             }
             self.cat_cache.insert(
-                prefix.clone(),
+                prefix,
                 CategoryStats {
                     category: prefix.as_str().to_string(),
                     tasks: st.samples.len(),
@@ -844,6 +845,111 @@ mod tests {
         ] {
             assert_eq!(live.query(&q), query_rundata(&oracle, &q), "{q:?}");
         }
+    }
+
+    /// The engine ingests records the partition logs still hold, by
+    /// reference: a mixed stream (typed records of four families and one
+    /// generic JSON event) produces exactly the state its fields spell
+    /// out, and the topics' records are the same afterwards.
+    #[test]
+    fn ingest_reads_shared_records_in_place() {
+        use dtf_core::ids::{ClientId, NodeId, TaskKey};
+        use dtf_core::stats::Summary;
+        use dtf_mofka::producer::PartitionStrategy;
+
+        let sec = |s: u64| Time(s * 1_000_000_000);
+        let worker = |slot: u32| WorkerId::new(NodeId(0), slot);
+        let done = |prefix: &str, index: u32, slot: u32, start: u64, stop: u64| TaskDoneEvent {
+            key: TaskKey::new(prefix, 1, index),
+            graph: GraphId(0),
+            worker: worker(slot),
+            thread: ThreadId(slot as u64),
+            start: sec(start),
+            stop: sec(stop),
+            nbytes: 8,
+        };
+        let svc = BedrockConfig::wms_default().bootstrap().unwrap();
+        let mut plugin = MofkaPlugin::new(&svc, ProducerConfig::default()).unwrap();
+        plugin.on_task_meta(&TaskMetaEvent {
+            key: TaskKey::new("fit", 1, 0),
+            graph: GraphId(0),
+            client: ClientId(0),
+            deps: vec![TaskKey::new("load", 1, 0)],
+            submitted: sec(0),
+        });
+        plugin.on_task_done(&done("load", 0, 0, 0, 2));
+        plugin.on_task_done(&done("fit", 0, 0, 2, 3));
+        plugin.on_comm(&CommEvent {
+            key: TaskKey::new("load", 1, 0),
+            from: worker(0),
+            to: worker(1),
+            nbytes: 8,
+            start: sec(2),
+            stop: sec(4),
+        });
+        plugin.on_log(&LogEntry {
+            time: sec(9),
+            level: dtf_core::events::LogLevel::Info,
+            source: dtf_core::events::LogSource::Scheduler,
+            message: "last event of the run".into(),
+        });
+        plugin.flush();
+        // the generic form of a record, routed as the plugin routes typed ones
+        let mut generic = svc
+            .producer(
+                "task-done",
+                ProducerConfig {
+                    strategy: PartitionStrategy::HashKey("key".into()),
+                    batch_size: 1,
+                },
+            )
+            .unwrap();
+        let json = serde_json::to_value(done("fit", 1, 1, 4, 7)).unwrap();
+        generic.push(Event::meta_only(json)).unwrap();
+
+        let records = |group: &str| -> Vec<Vec<dtf_mofka::StoredEvent>> {
+            LIVE_TOPICS
+                .iter()
+                .map(|t| {
+                    let cfg = ConsumerConfig { group: group.into(), prefetch: 3 };
+                    svc.consumer(t, cfg).unwrap().drain_all().unwrap()
+                })
+                .collect()
+        };
+        let before = records("before");
+        assert_eq!(before.iter().map(Vec::len).collect::<Vec<_>>(), [1, 0, 0, 3, 1, 0, 1, 0]);
+
+        let mut live = LiveViews::attach(&svc, LiveConfig::default()).unwrap();
+        assert_eq!(live.pump_all().unwrap(), 6);
+        let snap = live.publish();
+        let expected =
+            LiveProgress { meta: 1, task_done: 3, comms: 1, logs: 1, ..Default::default() };
+        assert_eq!(snap.progress, expected);
+        assert_eq!(
+            snap.phases,
+            PhaseSample { wall_s: 9.0, io_s: 0.0, comm_s: 2.0, compute_s: 6.0 }
+        );
+        let category = |name: &str, durations: &[f64], spread: usize| CategoryStats {
+            category: name.into(),
+            tasks: durations.len(),
+            duration: Summary::of(durations),
+            output_nbytes: Summary::of(&vec![8.0; durations.len()]),
+            threads: spread,
+            workers: spread,
+            io_ops: 0,
+            io_bytes: 0,
+        };
+        assert_eq!(
+            snap.categories,
+            vec![category("fit", &[1.0, 3.0], 2), category("load", &[2.0], 1)],
+            "same mean: name order"
+        );
+        assert_eq!(
+            snap.utilization.iter().map(|u| u.worker).collect::<Vec<_>>(),
+            [worker(0), worker(1)]
+        );
+
+        assert_eq!(records("after"), before, "ingesting left the topics' records as they were");
     }
 
     #[test]

@@ -234,7 +234,7 @@ impl ProxyPlane {
     ) -> ProxyEvent {
         ProxyEvent {
             action,
-            key: r.key.clone(),
+            key: r.key,
             graph: r.graph,
             size: r.size,
             owner: r.owner,
@@ -269,7 +269,7 @@ impl ProxyPlane {
             return (entry.r.clone(), ev);
         }
         let r = ProxyRef {
-            key: key.clone(),
+            key: *key,
             graph,
             size,
             owner,
@@ -277,7 +277,7 @@ impl ProxyPlane {
             generation: 0,
         };
         let blob = Self::write_manifest(&self.store, &r);
-        self.dir.insert(key.clone(), DirEntry { r: r.clone(), blob, replicas: BTreeSet::new() });
+        self.dir.insert(*key, DirEntry { r: r.clone(), blob, replicas: BTreeSet::new() });
         self.stats.published += 1;
         let ev = Self::event(&self.dir[key].r, ProxyAction::Published, None, now);
         (r, ev)
@@ -306,7 +306,7 @@ impl ProxyPlane {
         now: Time,
     ) -> Result<(ResolveOutcome, Vec<ProxyEvent>)> {
         self.resolve_seq += 1;
-        if self.resolved.contains(&(key.clone(), to)) {
+        if self.resolved.contains(&(*key, to)) {
             self.stats.deduped += 1;
             return Ok((ResolveOutcome::Deduped, Vec::new()));
         }
@@ -341,7 +341,7 @@ impl ProxyPlane {
         }
         entry.replicas.insert(to);
         let r = entry.r.clone();
-        self.resolved.insert((key.clone(), to));
+        self.resolved.insert((*key, to));
         self.stats.resolved += 1;
         self.stats.in_band_bytes += r.wire_size();
         self.stats.out_of_band_bytes += r.size;
@@ -350,7 +350,7 @@ impl ProxyPlane {
         self.lru_clock += 1;
         let clock = self.lru_clock;
         let cache = self.caches.entry(to).or_default();
-        cache.entries.insert(key.clone(), (r.size, clock));
+        cache.entries.insert(*key, (r.size, clock));
         cache.bytes += r.size;
         while cache.bytes > self.cfg.resolver_cache_bytes && cache.entries.len() > 1 {
             // least-recently-used victim, excluding the entry just admitted
@@ -359,7 +359,7 @@ impl ProxyPlane {
                 .iter()
                 .filter(|(k, _)| *k != key)
                 .min_by_key(|(_, (_, at))| *at)
-                .map(|(k, (sz, _))| (k.clone(), *sz))
+                .map(|(k, (sz, _))| (*k, *sz))
                 .expect("len > 1 guarantees a victim");
             cache.entries.remove(&victim.0);
             cache.bytes -= victim.1;

@@ -54,7 +54,7 @@ impl<'c> Delayed<'c> {
         }
         let graph = builder.build(&self.external)?;
         for t in &graph.tasks {
-            self.external.insert(t.key.clone());
+            self.external.insert(t.key);
         }
         self.cluster.submit(graph)
     }

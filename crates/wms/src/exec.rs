@@ -182,7 +182,7 @@ fn process_fetches(shared: &Shared, sched: &mut Scheduler, actions: Vec<Action>,
                 use crate::plugins::WmsPlugin;
                 let stop = shared.clock.now();
                 sched.plugins_mut().on_comm(&CommEvent {
-                    key: dep.clone(),
+                    key: dep,
                     from,
                     to,
                     nbytes,
@@ -248,7 +248,7 @@ fn worker_loop(shared: Arc<Shared>, wid: WorkerId, thread_ordinal: u32) {
 
         {
             let mut data = shared.data.lock();
-            data.insert(key.clone(), Arc::new(value));
+            data.insert(key, Arc::new(value));
         }
         {
             let mut sched = shared.scheduler.lock();
@@ -375,7 +375,7 @@ mod tests {
         let tok2 = b2.new_token();
         let double = b2.add(
             TaskKey::new("double", tok2, 0),
-            vec![base.clone()],
+            vec![base],
             real_fn(|deps| TaskValue::new(deps[0].downcast_ref::<i64>().unwrap() * 2, 8)),
         );
         let mut ext = HashSet::new();

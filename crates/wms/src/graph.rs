@@ -5,11 +5,12 @@
 //! reference tasks of *previously submitted* graphs whose outputs are still
 //! in distributed memory (XGBoost submits 74 such chained graphs).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 use dtf_core::error::{DtfError, Result};
-use dtf_core::ids::{FileId, GraphId, TaskKey};
+use dtf_core::ids::{FileId, GraphId, KeyMap, TaskKey};
 use dtf_core::time::Dur;
 
 /// One I/O call a simulated task performs, in order, during execution.
@@ -125,16 +126,18 @@ impl TaskGraph {
 
     /// Validate: unique keys, no dependency cycles, and every dependency
     /// either internal or in `external` (outputs of earlier graphs).
-    pub fn validate(&self, external: &HashSet<TaskKey>) -> Result<()> {
-        let mut keys = HashSet::with_capacity(self.tasks.len());
-        for t in &self.tasks {
-            if !keys.insert(&t.key) {
+    pub fn validate<S: BuildHasher>(&self, external: &HashSet<TaskKey, S>) -> Result<()> {
+        // key -> position; also what Kahn's algorithm below walks edges by
+        let mut index: KeyMap<usize> = KeyMap::default();
+        index.reserve(self.tasks.len());
+        for (i, t) in self.tasks.iter().enumerate() {
+            if index.insert(t.key, i).is_some() {
                 return Err(DtfError::InvalidGraph(format!("duplicate key {}", t.key)));
             }
         }
         for t in &self.tasks {
             for d in &t.deps {
-                if !keys.contains(d) && !external.contains(d) {
+                if !index.contains_key(d) && !external.contains(d) {
                     return Err(DtfError::InvalidGraph(format!(
                         "task {} depends on unknown {d}",
                         t.key
@@ -143,8 +146,6 @@ impl TaskGraph {
             }
         }
         // Kahn's algorithm over internal edges for cycle detection
-        let index: HashMap<&TaskKey, usize> =
-            self.tasks.iter().enumerate().map(|(i, t)| (&t.key, i)).collect();
         let mut indeg = vec![0usize; self.tasks.len()];
         let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); self.tasks.len()];
         for (i, t) in self.tasks.iter().enumerate() {
@@ -198,7 +199,7 @@ impl GraphBuilder {
     }
 
     pub fn add(&mut self, key: TaskKey, deps: Vec<TaskKey>, payload: Payload) -> TaskKey {
-        self.tasks.push(TaskSpec { key: key.clone(), deps, payload });
+        self.tasks.push(TaskSpec { key, deps, payload });
         key
     }
 
@@ -243,7 +244,7 @@ mod tests {
         let mut b = GraphBuilder::new(GraphId(0));
         let tok = b.new_token();
         let a = b.add_sim("load", tok, 0, vec![], SimAction::compute_only(Dur(1), 8));
-        let c = b.add_sim("transform", tok, 0, vec![a.clone()], SimAction::compute_only(Dur(1), 8));
+        let c = b.add_sim("transform", tok, 0, vec![a], SimAction::compute_only(Dur(1), 8));
         b.add_sim("predict", tok, 0, vec![c], SimAction::compute_only(Dur(1), 8));
         let g = b.build(&HashSet::new()).unwrap();
         assert_eq!(g.len(), 3);
@@ -268,7 +269,7 @@ mod tests {
     fn external_dependency_accepted() {
         let prev = TaskKey::new("prev", 9, 0);
         let mut external = HashSet::new();
-        external.insert(prev.clone());
+        external.insert(prev);
         let mut b = GraphBuilder::new(GraphId(1));
         b.add(TaskKey::new("x", 0, 0), vec![prev], sim());
         assert!(b.build(&external).is_ok());
@@ -281,7 +282,7 @@ mod tests {
         let g = TaskGraph {
             id: GraphId(0),
             tasks: vec![
-                TaskSpec { key: ka.clone(), deps: vec![kb.clone()], payload: sim() },
+                TaskSpec { key: ka, deps: vec![kb], payload: sim() },
                 TaskSpec { key: kb, deps: vec![ka], payload: sim() },
             ],
         };
@@ -294,7 +295,7 @@ mod tests {
         let k = TaskKey::new("a", 0, 0);
         let g = TaskGraph {
             id: GraphId(0),
-            tasks: vec![TaskSpec { key: k.clone(), deps: vec![k], payload: sim() }],
+            tasks: vec![TaskSpec { key: k, deps: vec![k], payload: sim() }],
         };
         assert!(g.validate(&HashSet::new()).is_err());
     }
@@ -311,7 +312,7 @@ mod tests {
         let mut b = GraphBuilder::new(GraphId(0));
         let t = b.new_token();
         let a = b.add_sim("src", t, 0, vec![], SimAction::compute_only(Dur(1), 8));
-        let l = b.add_sim("left", t, 0, vec![a.clone()], SimAction::compute_only(Dur(1), 8));
+        let l = b.add_sim("left", t, 0, vec![a], SimAction::compute_only(Dur(1), 8));
         let r = b.add_sim("right", t, 0, vec![a], SimAction::compute_only(Dur(1), 8));
         b.add_sim("join", t, 0, vec![l, r], SimAction::compute_only(Dur(1), 8));
         assert!(b.build(&HashSet::new()).is_ok());

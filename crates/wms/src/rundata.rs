@@ -6,6 +6,12 @@
 //! run — the post-processing consumer mode — and fuses them with the
 //! Darshan log set into one record the analysis engine consumes.
 //!
+//! The drain reads each record where the partition log holds it: topics
+//! are persistent, so the log shares every record's `Arc` for as long as
+//! the service lives, and the drain copies the one event it wants out by
+//! reference ([`ProvEvent::from_record_ref`]) into vectors sized from the
+//! partition lengths. It never tries to take a record out of its `Arc`.
+//!
 //! For persistent runs the same drain works post-hoc from disk:
 //! [`RunData::open_archive`] reopens a store directory read-only and
 //! replays the recovered topics through the identical consumer path
@@ -116,25 +122,25 @@ impl RunData {
         archive: ArchiveMeta,
     ) -> dtf_core::Result<Self> {
         let ArchiveMeta { run, workflow, chart, darshan, wall_time, start_order, steals } = archive;
-        fn drain<T: ProvEvent + serde::Deserialize>(
+        fn drain<T: ProvEvent + Clone + serde::Deserialize>(
             svc: &MofkaService,
             topic: &str,
             group: &str,
         ) -> dtf_core::Result<Vec<T>> {
             let mut consumer =
                 svc.consumer(topic, ConsumerConfig { group: group.to_string(), prefetch: 4096 })?;
-            let mut out = Vec::new();
+            let mut out = Vec::with_capacity(svc.topic(topic)?.total_len() as usize);
             for stored in consumer.drain_all()? {
                 match stored.event.metadata {
-                    // typed path: take the record out of its Arc (cloning
-                    // only if the log still shares it) — no JSON involved
+                    // typed path: copy the event out of the record, which
+                    // the partition log goes on holding — no JSON involved
                     Metadata::Typed(rec) => {
-                        let rec = std::sync::Arc::try_unwrap(rec).unwrap_or_else(|a| (*a).clone());
-                        out.push(T::from_record(rec).ok_or_else(|| {
+                        let event = T::from_record_ref(&rec).ok_or_else(|| {
                             DtfError::IllegalState(format!(
                                 "topic {topic} carried a record of the wrong family"
                             ))
-                        })?);
+                        })?;
+                        out.push(event.clone());
                     }
                     // Genuine fallback, not a detour for typed records:
                     // WMS plugins push typed and binary slots restore
@@ -162,15 +168,15 @@ impl RunData {
             Err(DtfError::NotFound(_)) => Vec::new(),
             Err(e) => return Err(e),
         };
-        meta.sort_by_key(|e| (e.submitted, e.key.clone()));
+        meta.sort_by_key(|e| (e.submitted, e.key));
         transitions.sort_by_key(|e| e.time);
-        worker_transitions.sort_by_key(|e| (e.time, e.key.clone()));
+        worker_transitions.sort_by_key(|e| (e.time, e.key));
         task_done.sort_by_key(|e| (e.stop, e.start));
         comms.sort_by_key(|e| e.start);
         warnings.sort_by_key(|e| e.time);
         logs.sort_by_key(|e| e.time);
         online_io.sort_by_key(|e| (e.start, e.thread));
-        proxies.sort_by_key(|e| (e.time, e.key.clone(), e.generation));
+        proxies.sort_by_key(|e| (e.time, e.key, e.generation));
         Ok(Self {
             run,
             workflow,
@@ -255,7 +261,7 @@ impl RunData {
                 }
                 (W::Ready, W::Executing) => {
                     if let Some(r) = ready_at.get(&t.key) {
-                        waits.push((t.key.clone(), t.time - *r));
+                        waits.push((t.key, t.time - *r));
                     }
                 }
                 _ => {}
@@ -384,6 +390,104 @@ mod tests {
         )
         .unwrap();
         assert_eq!(data.logs, vec![entry], "the JSON fallback must be parsed, not dropped");
+    }
+
+    /// Every record of `topic`, read through a fresh consumer group.
+    fn records_of(svc: &MofkaService, topic: &str, group: &str) -> Vec<dtf_mofka::StoredEvent> {
+        svc.consumer(topic, ConsumerConfig { group: group.into(), prefetch: 3 })
+            .unwrap()
+            .drain_all()
+            .unwrap()
+    }
+
+    /// The drain reads records the partition logs still hold, by
+    /// reference: a mixed stream (typed records of three families, deps
+    /// included, and one generic JSON event) comes out as exactly the
+    /// events that went in, in drain order, and the topics' records are
+    /// the same afterwards.
+    #[test]
+    fn drain_reads_shared_records_in_place() {
+        use crate::plugins::{MofkaPlugin, WmsPlugin};
+        use dtf_core::events::TaskMetaEvent;
+        use dtf_mofka::producer::PartitionStrategy;
+        use dtf_mofka::Event;
+
+        let key = |i: u32| TaskKey::new("stage", 7, i);
+        let meta = |i: u32, deps: Vec<TaskKey>, at: u64| TaskMetaEvent {
+            key: key(i),
+            graph: GraphId(0),
+            client: dtf_core::ids::ClientId(0),
+            deps,
+            submitted: Time(at),
+        };
+        let transition = |i: u32, at: u64| TransitionEvent {
+            key: key(i),
+            graph: GraphId(0),
+            from: TaskState::Released,
+            to: TaskState::Waiting,
+            stimulus: Stimulus::GraphSubmitted,
+            location: Location::Scheduler,
+            time: Time(at),
+        };
+        let done = |i: u32, start: u64, stop: u64| TaskDoneEvent {
+            key: key(i),
+            graph: GraphId(0),
+            worker: WorkerId::new(NodeId(0), 0),
+            thread: ThreadId(1),
+            start: Time(start),
+            stop: Time(stop),
+            nbytes: 4,
+        };
+
+        let svc = BedrockConfig::wms_default().bootstrap().unwrap();
+        let mut plugin = MofkaPlugin::new(&svc, ProducerConfig::default()).unwrap();
+        plugin.on_task_meta(&meta(1, vec![key(0)], 5));
+        plugin.on_task_meta(&meta(2, vec![key(0), key(1)], 5));
+        plugin.on_task_meta(&meta(0, vec![], 1));
+        plugin.on_transition(&transition(0, 9));
+        plugin.on_transition(&transition(1, 2));
+        plugin.on_task_done(&done(1, 4, 8));
+        plugin.on_task_done(&done(0, 1, 3));
+        plugin.flush();
+        // the generic form of a record, routed as the plugin routes typed ones
+        let mut generic = svc
+            .producer(
+                "task-transitions",
+                ProducerConfig {
+                    strategy: PartitionStrategy::HashKey("key".into()),
+                    batch_size: 1,
+                },
+            )
+            .unwrap();
+        generic.push(Event::meta_only(serde_json::to_value(transition(2, 6)).unwrap())).unwrap();
+
+        let topics = ["task-meta", "task-transitions", "task-done"];
+        let before: Vec<_> = topics.iter().map(|t| records_of(&svc, t, "before")).collect();
+        assert_eq!(before.iter().map(Vec::len).collect::<Vec<_>>(), [3, 3, 2]);
+        let json_forms =
+            before[1].iter().filter(|e| matches!(e.event.metadata, Metadata::Json(_))).count();
+        assert_eq!(json_forms, 1, "one generic event among the typed ones");
+
+        let data = RunData::drain_from_mofka(
+            &svc,
+            RunId(3),
+            "mixed".into(),
+            chart(),
+            LogSet::default(),
+            Dur::ZERO,
+            vec![],
+            0,
+        )
+        .unwrap();
+        assert_eq!(
+            data.meta,
+            vec![meta(0, vec![], 1), meta(1, vec![key(0)], 5), meta(2, vec![key(0), key(1)], 5)]
+        );
+        assert_eq!(data.transitions, vec![transition(1, 2), transition(2, 6), transition(0, 9)]);
+        assert_eq!(data.task_done, vec![done(0, 1, 3), done(1, 4, 8)]);
+
+        let after: Vec<_> = topics.iter().map(|t| records_of(&svc, t, "after")).collect();
+        assert_eq!(after, before, "draining left the topics' records as they were");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! returns. That separation is what lets both modes share one scheduling
 //! behaviour (and one instrumentation surface).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use serde::{Deserialize, Serialize};
 
@@ -18,7 +18,7 @@ use dtf_core::events::{
     Location, Stimulus, TaskDoneEvent, TaskMetaEvent, TaskState, TransitionEvent, WorkerTaskState,
     WorkerTransitionEvent,
 };
-use dtf_core::ids::{ClientId, GraphId, TaskKey, ThreadId, WorkerId};
+use dtf_core::ids::{ClientId, GraphId, KeyMap, KeySet, TaskKey, ThreadId, WorkerId};
 use dtf_core::time::Time;
 
 use crate::graph::{Payload, TaskGraph};
@@ -139,7 +139,7 @@ impl WorkerEntry {
 /// The scheduler state machine.
 pub struct Scheduler {
     cfg: SchedulerConfig,
-    tasks: HashMap<TaskKey, TaskRecord>,
+    tasks: KeyMap<TaskRecord>,
     workers: Vec<WorkerEntry>,
     /// Runnable tasks held on the scheduler (state `queued`), ordered by
     /// `(priority, key)`.
@@ -155,7 +155,7 @@ pub struct Scheduler {
     plugins: PluginSet,
     next_priority: u64,
     /// Keys of all tasks ever submitted, for cross-graph dependency checks.
-    known_keys: HashSet<TaskKey>,
+    known_keys: KeySet,
     /// Order in which tasks started executing (for schedule-order analysis).
     start_order: Vec<(TaskKey, Time)>,
     /// Runnable tasks parked because no live worker existed (`no-worker`).
@@ -168,14 +168,14 @@ impl Scheduler {
     pub fn new(cfg: SchedulerConfig, plugins: PluginSet) -> Self {
         Self {
             cfg,
-            tasks: HashMap::new(),
+            tasks: KeyMap::default(),
             workers: Vec::new(),
             queued: BTreeSet::new(),
             inflight: BTreeMap::new(),
             worker_index: HashMap::new(),
             plugins,
             next_priority: 0,
-            known_keys: HashSet::new(),
+            known_keys: KeySet::default(),
             start_order: Vec::new(),
             no_worker: Vec::new(),
             graphs_submitted: 0,
@@ -263,7 +263,7 @@ impl Scheduler {
         rec.state = to;
         let graph = rec.graph;
         self.plugins.on_transition(&TransitionEvent {
-            key: key.clone(),
+            key: *key,
             graph,
             from,
             to,
@@ -290,7 +290,7 @@ impl Scheduler {
         let graph = self.tasks[key].graph;
         let worker = self.workers[widx].id;
         self.plugins.on_worker_transition(&WorkerTransitionEvent {
-            key: key.clone(),
+            key: *key,
             graph,
             worker,
             from,
@@ -325,12 +325,12 @@ impl Scheduler {
                 .count();
             for d in &spec.deps {
                 if let Some(dep) = self.tasks.get_mut(d) {
-                    dep.dependents.push(spec.key.clone());
+                    dep.dependents.push(spec.key);
                 }
             }
-            self.known_keys.insert(spec.key.clone());
+            self.known_keys.insert(spec.key);
             self.tasks.insert(
-                spec.key.clone(),
+                spec.key,
                 TaskRecord {
                     graph: graph.id,
                     payload: spec.payload,
@@ -345,12 +345,12 @@ impl Scheduler {
                     who_has: BTreeSet::new(),
                 },
             );
-            new_keys.push(spec.key.clone());
+            new_keys.push(spec.key);
         }
         let mut actions = Vec::new();
         for key in new_keys {
             let meta = TaskMetaEvent {
-                key: key.clone(),
+                key,
                 graph: self.tasks[&key].graph,
                 client: ClientId(0),
                 deps: self.tasks[&key].deps.clone(),
@@ -432,7 +432,7 @@ impl Scheduler {
         if self.all_saturated() {
             self.emit_transition(key, TaskState::Queued, Stimulus::Queue, Location::Scheduler, now);
             let p = self.tasks[key].priority;
-            self.queued.insert((p, key.clone()));
+            self.queued.insert((p, *key));
             Vec::new()
         } else {
             self.dispatch(key, now)
@@ -449,7 +449,7 @@ impl Scheduler {
                 Location::Scheduler,
                 now,
             );
-            self.no_worker.push(key.clone());
+            self.no_worker.push(*key);
             return Vec::new();
         };
         self.emit_transition(
@@ -474,11 +474,11 @@ impl Scheduler {
             if self.workers[widx].has_data.contains_key(dep) {
                 continue;
             }
-            missing.insert(dep.clone());
-            match self.inflight.entry((widx, dep.clone())) {
+            missing.insert(*dep);
+            match self.inflight.entry((widx, *dep)) {
                 std::collections::btree_map::Entry::Occupied(mut e) => {
                     // already being transferred for another task: join it
-                    e.get_mut().waiters.insert(key.clone());
+                    e.get_mut().waiters.insert(*key);
                 }
                 std::collections::btree_map::Entry::Vacant(e) => {
                     let dep_rec = &self.tasks[dep];
@@ -489,12 +489,9 @@ impl Scheduler {
                         .copied()
                         .find(|&h| self.workers[h].alive)
                         .expect("runnable task has all inputs somewhere");
-                    e.insert(Inflight {
-                        from: holder,
-                        waiters: std::iter::once(key.clone()).collect(),
-                    });
+                    e.insert(Inflight { from: holder, waiters: std::iter::once(*key).collect() });
                     actions.push(Action::Fetch {
-                        dep: dep.clone(),
+                        dep: *dep,
                         from: self.workers[holder].id,
                         to,
                         nbytes: dep_rec.nbytes.unwrap_or(0),
@@ -510,7 +507,7 @@ impl Scheduler {
         }
         if !pending {
             let p = self.tasks[key].priority;
-            self.workers[widx].ready.insert((p, key.clone()));
+            self.workers[widx].ready.insert((p, *key));
             self.emit_worker_transition(
                 key,
                 widx,
@@ -519,7 +516,7 @@ impl Scheduler {
                 now,
             );
         } else {
-            self.workers[widx].fetching.insert(key.clone());
+            self.workers[widx].fetching.insert(*key);
             self.emit_worker_transition(
                 key,
                 widx,
@@ -551,10 +548,10 @@ impl Scheduler {
         let Some(widx) = self.worker_index(to) else { return };
         if self.workers[widx].alive {
             let nbytes = self.tasks[dep].nbytes.unwrap_or(0);
-            self.workers[widx].has_data.insert(dep.clone(), nbytes);
+            self.workers[widx].has_data.insert(*dep, nbytes);
             self.tasks.get_mut(dep).expect("dep known").who_has.insert(widx);
         }
-        let Some(flight) = self.inflight.remove(&(widx, dep.clone())) else { return };
+        let Some(flight) = self.inflight.remove(&(widx, *dep)) else { return };
         for key in flight.waiters {
             let Some(rec) = self.tasks.get_mut(&key) else { continue };
             // the waiter may have been re-planned elsewhere meanwhile
@@ -566,7 +563,7 @@ impl Scheduler {
                 let p = rec.priority;
                 let w = &mut self.workers[widx];
                 w.fetching.remove(&key);
-                w.ready.insert((p, key.clone()));
+                w.ready.insert((p, key));
                 self.emit_worker_transition(
                     &key,
                     widx,
@@ -587,8 +584,8 @@ impl Scheduler {
             return None;
         }
         let (_, key) = self.workers[widx].ready.pop_first()?;
-        self.workers[widx].executing.insert(key.clone());
-        self.start_order.push((key.clone(), now));
+        self.workers[widx].executing.insert(key);
+        self.start_order.push((key, now));
         self.emit_worker_transition(
             &key,
             widx,
@@ -600,7 +597,7 @@ impl Scheduler {
         let graph = self.tasks[&key].graph;
         let state = self.tasks[&key].state;
         self.plugins.on_transition(&TransitionEvent {
-            key: key.clone(),
+            key,
             graph,
             from: state,
             to: state,
@@ -626,7 +623,7 @@ impl Scheduler {
         let widx = self.worker_index(worker).expect("worker exists");
         let removed = self.workers[widx].executing.remove(key);
         debug_assert!(removed, "finished task {key} was not executing");
-        self.workers[widx].has_data.insert(key.clone(), nbytes);
+        self.workers[widx].has_data.insert(*key, nbytes);
         {
             let rec = self.tasks.get_mut(key).expect("known task");
             rec.nbytes = Some(nbytes);
@@ -649,7 +646,7 @@ impl Scheduler {
         );
         let graph = self.tasks[key].graph;
         self.plugins.on_task_done(&TaskDoneEvent {
-            key: key.clone(),
+            key: *key,
             graph,
             worker,
             thread,
@@ -813,7 +810,7 @@ impl Scheduler {
                     .iter()
                     .any(|d| !self.tasks[d].state.is_terminal() || needed_set.contains(d));
                 if needed {
-                    needed_set.insert(key.clone());
+                    needed_set.insert(*key);
                     changed = true;
                 }
             }
@@ -904,17 +901,16 @@ impl Scheduler {
         // because the re-planning above may have joined tasks onto these
         // very entries.
         let from_dead: Vec<(usize, TaskKey)> =
-            self.inflight.iter().filter(|(_, f)| f.from == widx).map(|(k, _)| k.clone()).collect();
+            self.inflight.iter().filter(|(_, f)| f.from == widx).map(|(k, _)| *k).collect();
         let mut orphans: BTreeSet<TaskKey> = BTreeSet::new();
         for (to_widx, dep) in from_dead {
             let new_holder =
                 self.tasks[&dep].who_has.iter().copied().find(|&h| self.workers[h].alive);
             if let Some(holder) = new_holder {
-                let flight =
-                    self.inflight.get_mut(&(to_widx, dep.clone())).expect("entry collected above");
+                let flight = self.inflight.get_mut(&(to_widx, dep)).expect("entry collected above");
                 flight.from = holder;
                 actions.push(Action::Fetch {
-                    dep: dep.clone(),
+                    dep,
                     from: self.workers[holder].id,
                     to: self.workers[to_widx].id,
                     nbytes: self.tasks[&dep].nbytes.unwrap_or(0),
@@ -1054,7 +1050,7 @@ impl Scheduler {
                     ));
                 }
                 for d in &rec.missing_deps {
-                    match self.inflight.get(&(widx, d.clone())) {
+                    match self.inflight.get(&(widx, *d)) {
                         None => v.push(format!(
                             "task {key} on {} waits for {d} with no transfer in flight",
                             w.id
@@ -1316,7 +1312,7 @@ mod tests {
         let big = 16u64 << 30;
         let root = b.add_sim("root", tok, 0, vec![], SimAction::compute_only(Dur(1), big));
         for i in 0..4 {
-            b.add_sim("child", tok, i, vec![root.clone()], SimAction::compute_only(Dur(1), 10));
+            b.add_sim("child", tok, i, vec![root], SimAction::compute_only(Dur(1), 10));
         }
         let _ = s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
         let w0 = s.worker_ids()[0];
@@ -1336,7 +1332,7 @@ mod tests {
         // waiting ~0.5 s behind the sibling on the same worker
         let root = b.add_sim("root", tok, 0, vec![], SimAction::compute_only(Dur(1), 1 << 20));
         for i in 0..4 {
-            b.add_sim("child", tok, i, vec![root.clone()], SimAction::compute_only(Dur(1), 10));
+            b.add_sim("child", tok, i, vec![root], SimAction::compute_only(Dur(1), 10));
         }
         let _ = s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
         let w0 = s.worker_ids()[0];
@@ -1393,7 +1389,7 @@ mod tests {
         let big = 32u64 << 30;
         let root = b.add_sim("root", tok, 0, vec![], SimAction::compute_only(Dur(1), big));
         for i in 0..12 {
-            b.add_sim("child", tok, i, vec![root.clone()], SimAction::compute_only(Dur(1), 10));
+            b.add_sim("child", tok, i, vec![root], SimAction::compute_only(Dur(1), 10));
         }
         let _ = s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
         let w0 = s.worker_ids()[0];
@@ -1426,7 +1422,7 @@ mod tests {
         let big = 32u64 << 30;
         let root = b.add_sim("root", tok, 0, vec![], SimAction::compute_only(Dur(1), big));
         for i in 0..12 {
-            b.add_sim("child", tok, i, vec![root.clone()], SimAction::compute_only(Dur(1), 10));
+            b.add_sim("child", tok, i, vec![root], SimAction::compute_only(Dur(1), 10));
         }
         let _ = s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
         let w0 = s.worker_ids()[0];
@@ -1445,7 +1441,7 @@ mod tests {
         let mut b = GraphBuilder::new(GraphId(0));
         let tok = b.new_token();
         let root = b.add_sim("root", tok, 0, vec![], SimAction::compute_only(Dur(1), 1 << 20));
-        b.add_sim("child", tok, 0, vec![root.clone()], SimAction::compute_only(Dur(1), 10));
+        b.add_sim("child", tok, 0, vec![root], SimAction::compute_only(Dur(1), 10));
         let _ = s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
         let w0 = s.worker_ids()[0];
         let k = s.try_start(w0, Time(0)).unwrap();
@@ -1509,14 +1505,8 @@ mod tests {
         let d = b.add_sim("d", tok, 0, vec![], SimAction::compute_only(Dur(1), 1 << 10));
         let g = b.add_sim("g", tok, 0, vec![], SimAction::compute_only(Dur(1), 1 << 10));
         let e = b.add_sim("e", tok, 0, vec![], SimAction::compute_only(Dur(1), 32 << 30));
-        b.add_sim("t1", tok, 0, vec![e.clone(), d.clone()], SimAction::compute_only(Dur(1), 10));
-        b.add_sim(
-            "t2",
-            tok,
-            0,
-            vec![e.clone(), d.clone(), g.clone()],
-            SimAction::compute_only(Dur(1), 10),
-        );
+        b.add_sim("t1", tok, 0, vec![e, d], SimAction::compute_only(Dur(1), 10));
+        b.add_sim("t2", tok, 0, vec![e, d, g], SimAction::compute_only(Dur(1), 10));
         let actions = s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
         assert!(actions.is_empty(), "producers have no deps");
         (s, collector, d, g, e)
@@ -1702,13 +1692,13 @@ mod tests {
     fn cross_graph_dependencies_resolve() {
         let (mut s, _c) = sched(2, 2, SchedulerConfig::default());
         let g0 = chain_graph(3);
-        let last = g0.tasks.last().unwrap().key.clone();
+        let last = g0.tasks.last().unwrap().key;
         let actions = s.submit_graph(g0, Time::ZERO).unwrap();
         drive(&mut s, actions);
         // second graph depends on first graph's last task
         let mut b = GraphBuilder::new(GraphId(1));
         let tok = b.new_token();
-        b.add_sim("follow", tok, 0, vec![last.clone()], SimAction::compute_only(Dur(1), 10));
+        b.add_sim("follow", tok, 0, vec![last], SimAction::compute_only(Dur(1), 10));
         let mut ext = Set::new();
         ext.insert(last);
         let actions = s.submit_graph(b.build(&ext).unwrap(), Time(100)).unwrap();

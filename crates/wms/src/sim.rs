@@ -23,7 +23,7 @@ use dtf_core::dist::{Exponential, Jitter, LogNormal, Sample};
 use dtf_core::error::{DtfError, Result};
 use dtf_core::events::{CommEvent, LogEntry, LogLevel, LogSource, WarningEvent, WarningKind};
 use dtf_core::fault::FaultSchedule;
-use dtf_core::ids::{ClientId, RunId, TaskKey, ThreadId, WorkerId};
+use dtf_core::ids::{ClientId, KeySet, RunId, TaskKey, ThreadId, WorkerId};
 use dtf_core::provenance::WmsConfig;
 use dtf_core::rngx::RunRng;
 use dtf_core::time::{Dur, Time};
@@ -494,7 +494,7 @@ impl SimCluster {
         // decrement `tasks_outstanding` again — the periodic loops
         // (heartbeats, fault checks, rebalance) key their liveness on it,
         // and an early zero would strand unrecovered work
-        let mut completed_once: std::collections::HashSet<TaskKey> = Default::default();
+        let mut completed_once = KeySet::default();
 
         while let Some(Reverse(q)) = self.queue.pop() {
             self.now = q.time;
@@ -529,7 +529,7 @@ impl SimCluster {
                         continue;
                     }
                     self.scheduler.plugins_mut().on_comm(&CommEvent {
-                        key: dep.clone(),
+                        key: dep,
                         from,
                         to,
                         nbytes,
@@ -584,7 +584,7 @@ impl SimCluster {
                     }
                     self.process_actions(actions);
                     self.last_done = self.now;
-                    if completed_once.insert(key.clone()) {
+                    if completed_once.insert(key) {
                         tasks_outstanding = tasks_outstanding.saturating_sub(1);
                         // sequential submission: next graph when this one
                         // drains (graph ids are dense 0..n in workflow graphs)
@@ -748,7 +748,7 @@ impl SimCluster {
                     }
                     let start = self.now;
                     let done = self.now + dur;
-                    self.push(done, Ev::FetchDone { dep: dep.clone(), from, to, nbytes, start });
+                    self.push(done, Ev::FetchDone { dep, from, to, nbytes, start });
                     if fault.map(|f| f.duplicate).unwrap_or(false) {
                         self.push(done, Ev::FetchDone { dep, from, to, nbytes, start });
                     }
@@ -790,7 +790,7 @@ impl SimCluster {
                     .iter()
                     .position(|s| s.is_none())
                     .expect("scheduler respects thread limit");
-                self.slots[widx][slot] = Some(key.clone());
+                self.slots[widx][slot] = Some(key);
                 self.execute(key, widx, slot);
             }
         }
@@ -974,7 +974,7 @@ mod tests {
                 "reduce",
                 tok + 1,
                 i as u32,
-                vec![r.clone()],
+                vec![*r],
                 SimAction::compute_only(Dur::from_millis_f64(20.0), 100),
             );
         }
@@ -1014,8 +1014,8 @@ mod tests {
         let b = SimCluster::new(cfg).unwrap().run(small_workflow(true)).unwrap();
         assert_eq!(a.wall_time, b.wall_time);
         assert_eq!(a.comms.len(), b.comms.len());
-        let oa: Vec<_> = a.start_order.iter().map(|(k, _)| k.clone()).collect();
-        let ob: Vec<_> = b.start_order.iter().map(|(k, _)| k.clone()).collect();
+        let oa: Vec<_> = a.start_order.iter().map(|(k, _)| *k).collect();
+        let ob: Vec<_> = b.start_order.iter().map(|(k, _)| *k).collect();
         assert_eq!(oa, ob, "identical schedule for identical seed");
     }
 
@@ -1041,7 +1041,7 @@ mod tests {
         // reduce-i must start after load-i finished
         let mut finish: std::collections::HashMap<TaskKey, Time> = Default::default();
         for d in &data.task_done {
-            finish.insert(d.key.clone(), d.stop);
+            finish.insert(d.key, d.stop);
         }
         for d in &data.task_done {
             if d.key.prefix == "reduce" {
@@ -1197,7 +1197,7 @@ mod tests {
             }
             let built = b.build(&ext).unwrap();
             for t in &built.tasks {
-                ext.insert(t.key.clone());
+                ext.insert(t.key);
             }
             graphs.push(built);
         }

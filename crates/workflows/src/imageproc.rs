@@ -122,27 +122,18 @@ pub fn build<R: Rng + ?Sized>(rng: &mut R) -> SimWorkflow {
         let read = imread(&mut g0, t_read0, img, stragglers[img as usize]);
         let norms: Vec<TaskKey> = (0..NORM_CHUNKS)
             .map(|c| {
-                chunk_task(
-                    &mut g0,
-                    "normalize",
-                    t_norm,
-                    img,
-                    c,
-                    NORM_CHUNKS,
-                    vec![read.clone()],
-                    850.0,
-                )
+                chunk_task(&mut g0, "normalize", t_norm, img, c, NORM_CHUNKS, vec![read], 850.0)
             })
             .collect();
         let mut grays = Vec::new();
         for c in 0..SEG_CHUNKS {
-            let deps = vec![norms[c as usize].clone()];
+            let deps = vec![norms[c as usize]];
             grays.push(chunk_task(&mut g0, "grayscale", t_gray, img, c, SEG_CHUNKS, deps, 650.0));
         }
         // the store consumes the 7 grayscale chunks plus the boundary
         // normalize chunk the 8 -> 7 rechunk folds in
         let mut store_deps = grays;
-        store_deps.push(norms[(NORM_CHUNKS - 1) as usize].clone());
+        store_deps.push(norms[(NORM_CHUNKS - 1) as usize]);
         let write_size = 24 * 1024 + (img as u64 % 11) * 1024;
         g0.add_sim(
             "store-normalized",
@@ -190,7 +181,7 @@ pub fn build<R: Rng + ?Sized>(rng: &mut R) -> SimWorkflow {
                 img,
                 c,
                 NORM_CHUNKS,
-                vec![read.clone()],
+                vec![read],
                 950.0,
             ));
         }
@@ -234,7 +225,7 @@ pub fn build<R: Rng + ?Sized>(rng: &mut R) -> SimWorkflow {
                 img,
                 c,
                 SEG_CHUNKS,
-                vec![read.clone()],
+                vec![read],
                 1200.0,
             ));
         }

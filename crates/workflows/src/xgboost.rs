@@ -61,7 +61,7 @@ pub fn build<R: Rng + ?Sized>(rng: &mut R) -> SimWorkflow {
     let finish = |b: GraphBuilder, external: &mut std::collections::HashSet<TaskKey>| {
         let g = b.build(external).expect("xgboost graph valid");
         for t in &g.tasks {
-            external.insert(t.key.clone());
+            external.insert(t.key);
         }
         g
     };
@@ -104,7 +104,7 @@ pub fn build<R: Rng + ?Sized>(rng: &mut R) -> SimWorkflow {
             "repartition",
             t_rep,
             p,
-            vec![read_keys[a as usize].clone(), read_keys[b as usize].clone()],
+            vec![read_keys[a as usize], read_keys[b as usize]],
             SimAction {
                 compute: Dur::from_secs_f64(2.2),
                 io: vec![],
@@ -124,7 +124,7 @@ pub fn build<R: Rng + ?Sized>(rng: &mut R) -> SimWorkflow {
             "getitem__get_categories",
             t_cat,
             p,
-            vec![part_keys[p as usize].clone()],
+            vec![part_keys[p as usize]],
             SimAction {
                 compute: Dur::from_secs_f64(1.4),
                 io: vec![],
@@ -141,7 +141,7 @@ pub fn build<R: Rng + ?Sized>(rng: &mut R) -> SimWorkflow {
     let mut train_parts = Vec::new();
     let mut test_parts = Vec::new();
     for p in 0..PARTITIONS {
-        let dep = vec![cat_keys[p as usize].clone()];
+        let dep = vec![cat_keys[p as usize]];
         train_parts.push(g2.add_sim(
             "random_split_take",
             t_split,
@@ -188,9 +188,9 @@ pub fn build<R: Rng + ?Sized>(rng: &mut R) -> SimWorkflow {
         let windowed = op % 9 == 4;
         let mut next = Vec::with_capacity(PARTITIONS as usize);
         for p in 0..PARTITIONS {
-            let mut deps = vec![chain[p as usize].clone()];
+            let mut deps = vec![chain[p as usize]];
             if windowed {
-                deps.push(chain[((p + 1) % PARTITIONS) as usize].clone());
+                deps.push(chain[((p + 1) % PARTITIONS) as usize]);
             }
             next.push(g.add_sim(
                 prefix,
@@ -217,12 +217,8 @@ pub fn build<R: Rng + ?Sized>(rng: &mut R) -> SimWorkflow {
     let mut train_keys = Vec::new();
     for w in 0..workers {
         // each train task gathers its share of partitions
-        let deps: Vec<TaskKey> = chain
-            .iter()
-            .enumerate()
-            .filter(|(p, _)| p % workers == w)
-            .map(|(_, k)| k.clone())
-            .collect();
+        let deps: Vec<TaskKey> =
+            chain.iter().enumerate().filter(|(p, _)| p % workers == w).map(|(_, k)| *k).collect();
         train_keys.push(gt.add_sim(
             "xgboost-train",
             t_train,
@@ -254,7 +250,7 @@ pub fn build<R: Rng + ?Sized>(rng: &mut R) -> SimWorkflow {
             "predict",
             t_pred,
             p,
-            vec![model.clone(), test_parts[(p as usize) * test_parts.len() / 44].clone()],
+            vec![model, test_parts[(p as usize) * test_parts.len() / 44]],
             SimAction {
                 compute: Dur::from_secs_f64(2.4),
                 io: vec![],
@@ -391,8 +387,8 @@ mod tests {
     fn category_mix_matches_fig6() {
         let mut rng = SmallRng::seed_from_u64(5);
         let wf = build(&mut rng);
-        let prefixes: std::collections::HashSet<dtf_core::ids::TaskPrefix> =
-            wf.graphs.iter().flat_map(|g| &g.tasks).map(|t| t.key.prefix.clone()).collect();
+        let prefixes: std::collections::HashSet<&str> =
+            wf.graphs.iter().flat_map(|g| &g.tasks).map(|t| t.key.prefix.as_str()).collect();
         for expected in [
             "read_parquet-fused-assign",
             "getitem",

@@ -27,13 +27,8 @@ fn main() {
     let data = SimCluster::new(cfg).expect("cluster").run(workflow).expect("run");
 
     // find a few tasks of the requested category
-    let keys: Vec<_> = data
-        .meta
-        .iter()
-        .filter(|m| m.key.prefix == prefix)
-        .map(|m| m.key.clone())
-        .take(2)
-        .collect();
+    let keys: Vec<_> =
+        data.meta.iter().filter(|m| m.key.prefix == prefix).map(|m| m.key).take(2).collect();
     if keys.is_empty() {
         let mut prefixes: Vec<&str> = data.meta.iter().map(|m| m.key.prefix.as_str()).collect();
         prefixes.sort_unstable();

@@ -159,7 +159,7 @@ fn anchored_workflow(consumers: u32) -> SimWorkflow {
             "cons",
             tok + 1,
             i,
-            vec![big, small.clone()],
+            vec![big, small],
             SimAction::compute_only(Dur::from_secs_f64(0.5), 1 << 10),
         );
     }

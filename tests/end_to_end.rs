@@ -66,7 +66,7 @@ fn resnet_full_pipeline_with_truncation() {
         .meta
         .iter()
         .find(|m| m.key.prefix == "predict")
-        .map(|m| m.key.clone())
+        .map(|m| m.key)
         .expect("predicts exist");
     let l = lineage::build(&data, &key).unwrap();
     assert!(l.dependencies.len() >= 4);
@@ -102,7 +102,7 @@ fn xgboost_full_pipeline() {
         .meta
         .iter()
         .find(|m| m.key.prefix == "getitem__get_categories" && m.key.index == 63)
-        .map(|m| m.key.clone())
+        .map(|m| m.key)
         .expect("getitem__get_categories tasks exist");
     let l = lineage::build(&data, &key).unwrap();
     assert!(l.is_consistent());

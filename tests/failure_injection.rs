@@ -32,7 +32,7 @@ fn long_workflow(tasks: u32, task_secs: f64, with_io: bool) -> SimWorkflow {
             "consume",
             tok + 1,
             i as u32,
-            vec![r.clone()],
+            vec![*r],
             SimAction::compute_only(Dur::from_secs_f64(task_secs / 2.0), 128),
         );
     }

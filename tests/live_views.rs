@@ -39,7 +39,7 @@ fn sim_run(seed: u64, layers: usize, width: usize) -> RunData {
                 action.io.push(IoCall::read(FileId(0), i as u64 * 8192, 8192));
                 Vec::new()
             } else {
-                vec![prev[i % prev.len()].clone()]
+                vec![prev[i % prev.len()]]
             };
             cur.push(b.add_sim(&format!("layer{layer}"), tok, i as u32, deps, action));
         }

@@ -61,7 +61,7 @@ proptest! {
         let graph = random_dag(layers, width, edges);
         let n_tasks = graph.len();
         let deps: HashMap<TaskKey, Vec<TaskKey>> =
-            graph.tasks.iter().map(|t| (t.key.clone(), t.deps.clone())).collect();
+            graph.tasks.iter().map(|t| (t.key, t.deps.clone())).collect();
         let wf = SimWorkflow {
             name: "prop".into(),
             graphs: vec![graph],
@@ -78,7 +78,7 @@ proptest! {
         prop_assert_eq!(data.task_done.len(), n_tasks);
         let mut finish = HashMap::new();
         for d in &data.task_done {
-            prop_assert!(finish.insert(d.key.clone(), d.stop).is_none(), "double completion");
+            prop_assert!(finish.insert(d.key, d.stop).is_none(), "double completion");
         }
         // dependencies finished before dependents started
         for d in &data.task_done {
@@ -372,7 +372,7 @@ proptest! {
         let graph = random_dag_heavy(layers, width, bytes);
         let n_tasks = graph.len();
         let deps: HashMap<TaskKey, Vec<TaskKey>> =
-            graph.tasks.iter().map(|t| (t.key.clone(), t.deps.clone())).collect();
+            graph.tasks.iter().map(|t| (t.key, t.deps.clone())).collect();
         let mut cfg = SimConfig {
             campaign_seed: seed,
             run: RunId(0),
@@ -383,7 +383,7 @@ proptest! {
         let data = SimCluster::new(cfg).unwrap().run(workflow_of(graph)).unwrap();
         prop_assert_eq!(data.task_done.len(), n_tasks);
         let finish: HashMap<TaskKey, Time> =
-            data.task_done.iter().map(|d| (d.key.clone(), d.stop)).collect();
+            data.task_done.iter().map(|d| (d.key, d.stop)).collect();
         for d in &data.task_done {
             for dep in &deps[&d.key] {
                 prop_assert!(
@@ -423,7 +423,7 @@ fn stealing_engages_on_skewed_load() {
                 "analyze",
                 tok + 1 + root_idx,
                 c,
-                vec![root.clone()],
+                vec![root],
                 SimAction::compute_only(Dur::from_secs_f64(2.0), 1 << 20),
             );
         }

@@ -56,12 +56,12 @@ fn shared_identifiers_exist_between_every_source_pair() {
     let data = run(DxtConfig::default());
 
     // tasks <-> transitions: task key
-    let done_keys: HashSet<_> = data.task_done.iter().map(|d| d.key.clone()).collect();
-    let transition_keys: HashSet<_> = data.transitions.iter().map(|t| t.key.clone()).collect();
+    let done_keys: HashSet<_> = data.task_done.iter().map(|d| d.key).collect();
+    let transition_keys: HashSet<_> = data.transitions.iter().map(|t| t.key).collect();
     assert!(done_keys.is_subset(&transition_keys));
 
     // tasks <-> meta: task key
-    let meta_keys: HashSet<_> = data.meta.iter().map(|m| m.key.clone()).collect();
+    let meta_keys: HashSet<_> = data.meta.iter().map(|m| m.key).collect();
     assert_eq!(done_keys, meta_keys);
 
     // tasks <-> I/O: pthread id and host
