@@ -550,15 +550,14 @@ fn stress_bench() -> i32 {
         b.consumed_per_s / 1e6
     );
     println!(
-        "  {} producers x {} events -> {} partitions / {} shards, {} groups x {} members \
-         (pipeline depth {}), {:.2}s wall",
+        "  {} producers x {} events -> {} partitions / {} shards, {} groups x {} members, \
+         {:.2}s wall",
         b.producers,
         b.events_per_producer,
         b.partitions,
         b.shards,
         b.consumer_groups,
         b.members_per_group,
-        b.pipeline_depth,
         b.wall_s
     );
     let section = serde_json::to_value(b).expect("section serializes");

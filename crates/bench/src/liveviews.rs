@@ -2,9 +2,9 @@
 //! `BENCH_repro.json` (schema 7).
 //!
 //! One synthetic run's task-done stream (category waves over a fixed
-//! worker pool, every `(stop, start)` pair distinct so the post-hoc sort
-//! order is unambiguous) is produced into a Mofka service and consumed two
-//! ways:
+//! worker pool, with tied `(stop, start)` pairs on purpose: no order of
+//! equal-keyed events may reach a view) is produced into a Mofka service
+//! and consumed two ways:
 //!
 //! * **incremental** — a [`dtf_perfrecup::live::LiveViews`] engine pumps
 //!   the stream in Δ-sized batches and publishes a fresh snapshot after
@@ -81,20 +81,20 @@ const TAIL_ROUNDS: u64 = 5;
 const TRIALS: u64 = 3;
 
 /// Event `i` of `n`: categories arrive in waves (`i * CATEGORIES / n`,
-/// the shape workflow layers produce), workers round-robin, and both
-/// `start` and `stop` are strictly increasing in `i` so every post-hoc
-/// sort key is distinct — order equivalence cannot hinge on tie-breaks.
+/// the shape workflow layers produce) and workers round-robin. Events
+/// come in pairs sharing one `(start, stop)` on two workers, so the
+/// stream is full of ties in the post-hoc sort key.
 fn synth_event(i: u64, n: u64) -> TaskDoneEvent {
     let c = (i * CATEGORIES / n.max(1)).min(CATEGORIES - 1);
     let w = i % WORKERS;
-    let start = 1_000_000 + i * 1_000;
+    let start = 1_000_000 + (i / 2) * 2_000;
     TaskDoneEvent {
         key: TaskKey::new(format!("view{c:03}").as_str(), c as u32, i as u32),
         graph: GraphId((i % 3) as u32),
         worker: WorkerId::new(NodeId((w / 4) as u32), (w % 4) as u32),
         thread: ThreadId(w),
         start: Time(start),
-        stop: Time(start + 640 + (i % 251)),
+        stop: Time(start + 640 + ((i / 2) % 251)),
         nbytes: (i * 4096) % (1 << 24),
     }
 }

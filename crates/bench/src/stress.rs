@@ -4,8 +4,7 @@
 //! One real-time service, hundreds of concurrent clients: `producers`
 //! producer threads each push `events_per_producer` typed events through
 //! the shard plane while `groups × members_per_group` consumer threads
-//! (pipelined when `pipeline_depth > 0`) tail the topic in situ, every
-//! group draining the full stream. The headline number is *aggregate*
+//! tail the topic in situ, every group draining the full stream. The headline number is *aggregate*
 //! throughput — events produced plus events delivered, over one wall
 //! clock — the quantity that scales with concurrent fan-out and that the
 //! `stress-check` CI gate holds a floor under.
@@ -34,8 +33,6 @@ pub struct StressConfig {
     pub shards: usize,
     pub groups: usize,
     pub members_per_group: usize,
-    /// Consumer pipeline depth; 0 uses synchronous (unpipelined) members.
-    pub pipeline_depth: usize,
     pub batch_size: usize,
     pub prefetch: usize,
     /// Track (producer, seq) per delivery and check exactly-once + order.
@@ -53,7 +50,7 @@ impl StressConfig {
     /// producers and 8 consumer groups (264 concurrent clients) on one
     /// service. Each knob can be overridden through `DTF_STRESS_*`
     /// environment variables (producers, events, partitions, shards,
-    /// groups, members, depth, batch, prefetch) for tuning sweeps.
+    /// groups, members, batch, prefetch, trials) for tuning sweeps.
     pub fn full() -> Self {
         fn knob(name: &str, default: usize) -> usize {
             std::env::var(name).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
@@ -65,7 +62,6 @@ impl StressConfig {
             shards: knob("DTF_STRESS_SHARDS", 4),
             groups: knob("DTF_STRESS_GROUPS", 8),
             members_per_group: knob("DTF_STRESS_MEMBERS", 1),
-            pipeline_depth: knob("DTF_STRESS_DEPTH", 0),
             batch_size: knob("DTF_STRESS_BATCH", 2048),
             prefetch: knob("DTF_STRESS_PREFETCH", 4096),
             verify: false,
@@ -83,7 +79,6 @@ impl StressConfig {
             shards: 2,
             groups: 4,
             members_per_group: 2,
-            pipeline_depth: 2,
             batch_size: 64,
             prefetch: 256,
             verify: true,
@@ -101,7 +96,6 @@ pub struct StressBench {
     pub shards: u64,
     pub consumer_groups: u64,
     pub members_per_group: u64,
-    pub pipeline_depth: u64,
     pub batch_size: u64,
     pub prefetch: u64,
     pub events_produced: u64,
@@ -272,12 +266,7 @@ fn stress_run(cfg: &StressConfig) -> StressOutcome {
                 let count = group_count;
                 consumer_handles.push(scope.spawn(move || {
                     let ccfg = ConsumerConfig { group: format!("g{g}"), prefetch: cfg.prefetch };
-                    let mut consumer = if cfg.pipeline_depth > 0 {
-                        svc.consumer_pipelined("stress", ccfg, cfg.pipeline_depth)
-                            .expect("pipelined consumer")
-                    } else {
-                        svc.consumer("stress", ccfg).expect("consumer")
-                    };
+                    let mut consumer = svc.consumer("stress", ccfg).expect("consumer");
                     let mut deliveries = Vec::new();
                     let mut delivered = 0u64;
                     // Accumulation backoff: while tailing live producers,
@@ -347,7 +336,6 @@ fn stress_run(cfg: &StressConfig) -> StressOutcome {
         shards: shards as u64,
         consumer_groups: cfg.groups as u64,
         members_per_group: cfg.members_per_group as u64,
-        pipeline_depth: cfg.pipeline_depth as u64,
         batch_size: cfg.batch_size as u64,
         prefetch: cfg.prefetch as u64,
         events_produced: produced,
@@ -374,7 +362,6 @@ mod tests {
             shards: 2,
             groups: 2,
             members_per_group: 2,
-            pipeline_depth: 1,
             batch_size: 16,
             prefetch: 32,
             verify: true,
@@ -387,7 +374,7 @@ mod tests {
     }
 
     #[test]
-    fn synchronous_members_also_run_clean() {
+    fn single_member_groups_on_auto_shards_run_clean() {
         let cfg = StressConfig {
             producers: 3,
             events_per_producer: 400,
@@ -395,7 +382,6 @@ mod tests {
             shards: 0,
             groups: 2,
             members_per_group: 1,
-            pipeline_depth: 0,
             batch_size: 8,
             prefetch: 64,
             verify: true,

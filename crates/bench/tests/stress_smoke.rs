@@ -1,7 +1,7 @@
 //! CI smoke for the many-client stress bench: the scaled-down
 //! configuration (16 producers × 4 consumer groups × 2 members, real
-//! threads, pipelined consumers) must run clean — every group sees every
-//! event exactly once, in per-producer partition order. This is the
+//! threads) must run clean — every group sees every event exactly once,
+//! in per-producer partition order. This is the
 //! `cargo test` face of `repro stress-bench`; the full 264-client run and
 //! its >20% regression gate (`repro stress-check`) live in the CI stress
 //! job.

@@ -42,30 +42,6 @@ impl Welford {
         self.max = self.max.max(x);
     }
 
-    /// Absorb another accumulator (Chan et al. parallel combination).
-    /// Merging is algebraically equivalent to pushing the other side's
-    /// samples, but not bit-identical to any particular push order — use
-    /// it where partials are combined (per-shard aggregation, cross-run
-    /// roll-ups), not where a pinned sequential order must be reproduced.
-    pub fn merge(&mut self, other: &Welford) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n_a = self.n as f64;
-        let n_b = other.n as f64;
-        let n = n_a + n_b;
-        let delta = other.mean - self.mean;
-        self.mean += delta * (n_b / n);
-        self.m2 += other.m2 + delta * delta * (n_a * n_b / n);
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     pub fn count(&self) -> u64 {
         self.n
     }
@@ -267,45 +243,6 @@ mod tests {
         w.push(3.0);
         assert_eq!(w.mean(), 3.0);
         assert_eq!(w.std(), 0.0);
-    }
-
-    #[test]
-    fn merge_matches_sequential_push() {
-        let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut whole = Welford::new();
-        for &x in &data {
-            whole.push(x);
-        }
-        for split in 0..=data.len() {
-            let (lo, hi) = data.split_at(split);
-            let mut a = Welford::new();
-            let mut b = Welford::new();
-            for &x in lo {
-                a.push(x);
-            }
-            for &x in hi {
-                b.push(x);
-            }
-            a.merge(&b);
-            assert_eq!(a.count(), whole.count());
-            assert!((a.mean() - whole.mean()).abs() < 1e-12, "split {split}");
-            assert!((a.std() - whole.std()).abs() < 1e-12, "split {split}");
-            assert_eq!(a.min(), whole.min());
-            assert_eq!(a.max(), whole.max());
-        }
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut w = Welford::new();
-        w.push(3.0);
-        w.push(5.0);
-        let before = w;
-        w.merge(&Welford::new());
-        assert_eq!(w, before);
-        let mut e = Welford::new();
-        e.merge(&before);
-        assert_eq!(e, before);
     }
 
     #[test]

@@ -278,142 +278,6 @@ pub trait Tabular {
     fn row(&self) -> Vec<Value>;
 }
 
-/// Aggregation kinds an [`Accumulator`] supports. `Sum` keeps an exact
-/// `u64` tally while every input stays integral and spills to `f64` on the
-/// first float; `Min`/`Max` use [`Value::cmp_total`] order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AccKind {
-    Count,
-    Sum,
-    Min,
-    Max,
-}
-
-/// Internal sum state: integral until the first float input.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum SumState {
-    Int(u64),
-    Float(f64),
-}
-
-/// A mergeable streaming aggregate over [`Value`] cells.
-///
-/// The incremental analysis layer maintains one per `(group, column)`:
-/// cells are [`Accumulator::push`]ed as events arrive, partials built on
-/// different shards (or different event batches) combine with
-/// [`Accumulator::merge`], and [`Accumulator::finish`] renders the current
-/// aggregate without consuming the state. All four kinds are commutative
-/// and associative over their inputs — `Count` and integral `Sum` exactly,
-/// `Min`/`Max` by total order — so merge order never changes the result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Accumulator {
-    kind: AccKind,
-    count: u64,
-    sum: SumState,
-    /// Running extremum for Min/Max (`None` until the first comparable cell).
-    extreme: Option<Value>,
-}
-
-impl Accumulator {
-    pub fn new(kind: AccKind) -> Self {
-        Self { kind, count: 0, sum: SumState::Int(0), extreme: None }
-    }
-
-    pub fn kind(&self) -> AccKind {
-        self.kind
-    }
-
-    /// Cells absorbed so far (every cell for Count, numeric/comparable
-    /// cells for the numeric kinds — mirroring `DataFrame::group_by`,
-    /// which counts every row but aggregates only numeric cells).
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    pub fn push(&mut self, v: &Value) {
-        match self.kind {
-            AccKind::Count => self.count += 1,
-            AccKind::Sum => {
-                match (&mut self.sum, v) {
-                    (SumState::Int(acc), Value::U64(x)) => *acc += x,
-                    (SumState::Int(acc), Value::I64(x)) if *x >= 0 => *acc += *x as u64,
-                    (SumState::Int(acc), v) => {
-                        let Some(x) = v.as_f64() else { return };
-                        self.sum = SumState::Float(*acc as f64 + x);
-                    }
-                    (SumState::Float(acc), v) => {
-                        let Some(x) = v.as_f64() else { return };
-                        *acc += x;
-                    }
-                }
-                self.count += 1;
-            }
-            AccKind::Min | AccKind::Max => {
-                if matches!(v, Value::Null) {
-                    return;
-                }
-                self.count += 1;
-                let better = match (&self.extreme, self.kind) {
-                    (None, _) => true,
-                    (Some(cur), AccKind::Min) => v.cmp_total(cur) == std::cmp::Ordering::Less,
-                    (Some(cur), AccKind::Max) => v.cmp_total(cur) == std::cmp::Ordering::Greater,
-                    _ => unreachable!(),
-                };
-                if better {
-                    self.extreme = Some(v.clone());
-                }
-            }
-        }
-    }
-
-    /// Absorb another partial of the same kind.
-    pub fn merge(&mut self, other: &Accumulator) {
-        assert_eq!(self.kind, other.kind, "cannot merge accumulators of different kinds");
-        self.count += other.count;
-        match self.kind {
-            AccKind::Count => {}
-            AccKind::Sum => {
-                self.sum = match (&self.sum, &other.sum) {
-                    (SumState::Int(a), SumState::Int(b)) => SumState::Int(a + b),
-                    (a, b) => {
-                        let f = |s: &SumState| match s {
-                            SumState::Int(v) => *v as f64,
-                            SumState::Float(v) => *v,
-                        };
-                        SumState::Float(f(a) + f(b))
-                    }
-                };
-            }
-            AccKind::Min | AccKind::Max => {
-                if let Some(v) = &other.extreme {
-                    let better = match &self.extreme {
-                        None => true,
-                        Some(cur) if self.kind == AccKind::Min => {
-                            v.cmp_total(cur) == std::cmp::Ordering::Less
-                        }
-                        Some(cur) => v.cmp_total(cur) == std::cmp::Ordering::Greater,
-                    };
-                    if better {
-                        self.extreme = Some(v.clone());
-                    }
-                }
-            }
-        }
-    }
-
-    /// The current aggregate as a cell; `Null` when nothing aggregated.
-    pub fn finish(&self) -> Value {
-        match self.kind {
-            AccKind::Count => Value::U64(self.count),
-            AccKind::Sum => match self.sum {
-                SumState::Int(v) => Value::U64(v),
-                SumState::Float(v) => Value::F64(v),
-            },
-            AccKind::Min | AccKind::Max => self.extreme.clone().unwrap_or(Value::Null),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,64 +373,6 @@ mod tests {
         // Ord is total and consistent with Eq (ties broken by payload)
         assert_ne!(Value::U64(3).key().cmp(&Value::F64(3.0).key()), Ordering::Equal);
         assert_eq!(Value::U64(3).key().cmp(&Value::U64(3).key()), Ordering::Equal);
-    }
-
-    #[test]
-    fn accumulator_push_and_finish() {
-        let mut c = Accumulator::new(AccKind::Count);
-        c.push(&Value::Str("x".into()));
-        c.push(&Value::Null);
-        assert_eq!(c.finish(), Value::U64(2));
-
-        let mut s = Accumulator::new(AccKind::Sum);
-        s.push(&Value::U64(3));
-        s.push(&Value::I64(4));
-        assert_eq!(s.finish(), Value::U64(7), "integral inputs keep an exact sum");
-        s.push(&Value::F64(0.5));
-        assert_eq!(s.finish(), Value::F64(7.5), "first float spills to f64");
-        s.push(&Value::Str("skip".into()));
-        assert_eq!(s.finish(), Value::F64(7.5), "non-numeric cells are skipped");
-
-        let mut m = Accumulator::new(AccKind::Min);
-        m.push(&Value::U64(9));
-        m.push(&Value::F64(2.5));
-        assert_eq!(m.finish(), Value::F64(2.5));
-        let mut m = Accumulator::new(AccKind::Max);
-        m.push(&Value::Str("a".into()));
-        m.push(&Value::Str("b".into()));
-        assert_eq!(m.finish(), Value::Str("b".into()));
-        assert_eq!(Accumulator::new(AccKind::Max).finish(), Value::Null);
-    }
-
-    #[test]
-    fn accumulator_merge_equals_combined_push() {
-        let cells = [Value::U64(5), Value::F64(1.5), Value::I64(-2), Value::U64(9)];
-        for kind in [AccKind::Count, AccKind::Sum, AccKind::Min, AccKind::Max] {
-            for split in 0..=cells.len() {
-                let mut whole = Accumulator::new(kind);
-                for v in &cells {
-                    whole.push(v);
-                }
-                let mut a = Accumulator::new(kind);
-                let mut b = Accumulator::new(kind);
-                for v in &cells[..split] {
-                    a.push(v);
-                }
-                for v in &cells[split..] {
-                    b.push(v);
-                }
-                a.merge(&b);
-                assert_eq!(a.finish(), whole.finish(), "{kind:?} split {split}");
-                assert_eq!(a.count(), whole.count(), "{kind:?} split {split}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "different kinds")]
-    fn accumulator_merge_rejects_kind_mismatch() {
-        let mut a = Accumulator::new(AccKind::Sum);
-        a.merge(&Accumulator::new(AccKind::Count));
     }
 
     #[test]

@@ -42,19 +42,9 @@ pub struct GroupFeed {
 }
 
 impl GroupFeed {
-    pub(crate) fn new(
-        svc: &MofkaService,
-        topics: &[&str],
-        cfg: ConsumerConfig,
-        pipeline_depth: Option<usize>,
-    ) -> Result<Self> {
-        let mut consumers = Vec::with_capacity(topics.len());
-        for t in topics {
-            consumers.push(match pipeline_depth {
-                Some(depth) => svc.consumer_pipelined(t, cfg.clone(), depth)?,
-                None => svc.consumer(t, cfg.clone())?,
-            });
-        }
+    pub(crate) fn new(svc: &MofkaService, topics: &[&str], cfg: ConsumerConfig) -> Result<Self> {
+        let consumers =
+            topics.iter().map(|t| svc.consumer(t, cfg.clone())).collect::<Result<Vec<_>>>()?;
         let activity = svc.plane().map(|p| p.activity());
         let seen = activity.as_ref().map_or(0, |a| a.seq());
         Ok(Self {
@@ -100,13 +90,6 @@ impl GroupFeed {
         };
         a.wait_past(self.seen, timeout) > self.seen
     }
-
-    /// Sum of claimed-but-undelivered events across the feed's consumers
-    /// (populated at drop for pipelined feeds; see
-    /// [`Consumer::discarded_claims`]).
-    pub fn discarded_claims(&self) -> u64 {
-        self.consumers.iter().map(|c| c.discarded_claims().count()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -134,7 +117,7 @@ mod tests {
         }
         drop((p1, p2));
         let cfg = ConsumerConfig { group: "feed-test".into(), prefetch: 64 };
-        let mut feed = GroupFeed::new(&svc, &["task-done", "comm-events"], cfg, None).unwrap();
+        let mut feed = GroupFeed::new(&svc, &["task-done", "comm-events"], cfg).unwrap();
         let mut got = [0usize; 2];
         loop {
             let batches = feed.poll(3).unwrap();
@@ -149,7 +132,7 @@ mod tests {
         assert_eq!(feed.topics(), &["task-done".to_string(), "comm-events".to_string()]);
         // a second feed under another group sees everything again
         let cfg2 = ConsumerConfig { group: "feed-test-2".into(), prefetch: 64 };
-        let mut feed2 = GroupFeed::new(&svc, &["task-done"], cfg2, None).unwrap();
+        let mut feed2 = GroupFeed::new(&svc, &["task-done"], cfg2).unwrap();
         let mut total = 0;
         loop {
             let n: usize = feed2.poll(64).unwrap().iter().map(|b| b.events.len()).sum();
@@ -165,7 +148,7 @@ mod tests {
     fn wait_activity_is_immediate_without_a_plane() {
         let svc = BedrockConfig::wms_default().bootstrap().unwrap();
         let cfg = ConsumerConfig { group: "vt".into(), prefetch: 16 };
-        let mut feed = GroupFeed::new(&svc, &["logs"], cfg, None).unwrap();
+        let mut feed = GroupFeed::new(&svc, &["logs"], cfg).unwrap();
         let t0 = std::time::Instant::now();
         assert!(!feed.wait_activity(std::time::Duration::from_secs(5)));
         assert!(t0.elapsed() < std::time::Duration::from_secs(1), "no plane: no blocking");
@@ -179,7 +162,7 @@ mod tests {
         };
         let svc = BedrockConfig::wms_default().bootstrap_with(&svc_cfg).unwrap();
         let cfg = ConsumerConfig { group: "rt".into(), prefetch: 16 };
-        let mut feed = GroupFeed::new(&svc, &["task-done"], cfg, None).unwrap();
+        let mut feed = GroupFeed::new(&svc, &["task-done"], cfg).unwrap();
         assert!(!feed.wait_activity(std::time::Duration::from_millis(50)), "idle plane");
         let mut p = svc.producer("task-done", ProducerConfig::default()).unwrap();
         p.push(ev(1)).unwrap();

@@ -13,9 +13,9 @@
 //! lock — the deterministic path every simulated run takes, byte-identical
 //! across runs. [`ServiceMode::RealTime`] activates the sharded concurrent
 //! plane (see [`crate::shard`]): producers hand batches to shard-owning
-//! worker threads, and consumers may opt into prefetch pipelines via
-//! [`MofkaService::consumer_pipelined`]. The topic map itself is sharded
-//! in both modes (lookup-only — it cannot affect event order).
+//! worker threads. Consumers claim synchronously in both modes, and the
+//! topic map itself is sharded in both (lookup-only — it cannot affect
+//! event order).
 
 use bytes::Bytes;
 use dtf_store::RecoveryReport;
@@ -42,9 +42,8 @@ pub enum ServiceMode {
     #[default]
     VirtualTime,
     /// The sharded concurrent plane: per-partition shard ownership with
-    /// mpsc-batched producer handoff and optional consumer prefetch
-    /// pipelines. For live services and the stress bench; never used by
-    /// virtual-time simulated runs.
+    /// mpsc-batched producer handoff. For live services and the stress
+    /// bench; never used by virtual-time simulated runs.
     RealTime {
         /// Worker shards; 0 = auto (available parallelism, min 2).
         shards: usize,
@@ -345,31 +344,9 @@ impl MofkaService {
         Ok(Producer::with_plane(self.topic(topic)?, cfg, self.plane.clone()))
     }
 
-    /// Open a consumer on `topic` (synchronous claims — the
-    /// deterministic path, available in every mode).
+    /// Open a consumer on `topic` (available in every mode).
     pub fn consumer(&self, topic: &str, cfg: ConsumerConfig) -> Result<Consumer> {
         Ok(Consumer::new(self.topic(topic)?, self.yokan.clone(), cfg))
-    }
-
-    /// Open a consumer whose claims run on a background prefetch
-    /// pipeline, `depth` claimed-batches ahead of demand (see
-    /// `Consumer`). Real-time mode only: pipelined claims are
-    /// wall-clock-dependent, so virtual-time services refuse them
-    /// rather than silently losing determinism.
-    pub fn consumer_pipelined(
-        &self,
-        topic: &str,
-        cfg: ConsumerConfig,
-        depth: usize,
-    ) -> Result<Consumer> {
-        if self.plane.is_none() {
-            return Err(DtfError::IllegalState(
-                "pipelined consumers need real-time mode (virtual-time claims must stay \
-                 deterministic)"
-                    .into(),
-            ));
-        }
-        Consumer::pipelined(self.topic(topic)?, self.yokan.clone(), cfg, depth)
     }
 
     /// Open a [`crate::feed::GroupFeed`]: one consumer per listed topic,
@@ -378,19 +355,7 @@ impl MofkaService {
     /// activity signal between polls; on virtual-time services it is a
     /// plain synchronous multi-topic drain (available in every mode).
     pub fn group_feed(&self, topics: &[&str], cfg: ConsumerConfig) -> Result<GroupFeed> {
-        GroupFeed::new(self, topics, cfg, None)
-    }
-
-    /// Like [`Self::group_feed`], but each topic's consumer claims on a
-    /// background prefetch pipeline `depth` batches ahead. Real-time mode
-    /// only, for the same reason as [`Self::consumer_pipelined`].
-    pub fn group_feed_pipelined(
-        &self,
-        topics: &[&str],
-        cfg: ConsumerConfig,
-        depth: usize,
-    ) -> Result<GroupFeed> {
-        GroupFeed::new(self, topics, cfg, Some(depth))
+        GroupFeed::new(self, topics, cfg)
     }
 
     /// The concurrent data plane, if this service runs one.
@@ -527,18 +492,6 @@ mod tests {
         p.sync().unwrap();
         let mut c = svc.consumer("t", ConsumerConfig::default()).unwrap();
         assert_eq!(c.drain_all().unwrap().len(), 100);
-    }
-
-    #[test]
-    fn virtual_time_service_refuses_pipelined_consumers() {
-        let svc = MofkaService::new();
-        svc.create_topic("t", TopicConfig::default()).unwrap();
-        let err = svc.consumer_pipelined("t", ConsumerConfig::default(), 4).unwrap_err();
-        assert!(err.to_string().contains("real-time"));
-        // the real-time service grants them
-        let rt = MofkaService::real_time(2);
-        rt.create_topic("t", TopicConfig::default()).unwrap();
-        assert!(rt.consumer_pipelined("t", ConsumerConfig::default(), 4).is_ok());
     }
 
     #[test]

@@ -134,8 +134,8 @@ proptest! {
     // distinct producer/consumer races per test run
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Real producer threads racing real pipelined consumers on a
-    /// spawned plane: the group drains exactly the produced set.
+    /// Real producer threads racing a consumer on a spawned plane: the
+    /// group drains exactly the produced set.
     #[test]
     fn nothing_is_lost_under_concurrent_flush_and_pull(
         producers in 1usize..5,
@@ -143,7 +143,6 @@ proptest! {
         shards in 1usize..4,
         batch in 1usize..33,
         per_producer in 1u64..200,
-        depth in 1usize..4,
     ) {
         let svc = MofkaService::real_time(shards);
         svc.create_topic("t", TopicConfig { partitions }).unwrap();
@@ -162,9 +161,8 @@ proptest! {
                     producer.sync().unwrap();
                 });
             }
-            let mut consumer = svc
-                .consumer_pipelined("t", ConsumerConfig { group: "g".into(), prefetch: 32 }, depth)
-                .unwrap();
+            let mut consumer =
+                svc.consumer("t", ConsumerConfig { group: "g".into(), prefetch: 32 }).unwrap();
             let mut seen = std::collections::HashSet::new();
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
             while (seen.len() as u64) < total && std::time::Instant::now() < deadline {

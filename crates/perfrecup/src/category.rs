@@ -2,19 +2,17 @@
 //! within one or multiple runs — performance, variability, distribution,
 //! I/O per task").
 //!
-//! Aggregates per task prefix: duration statistics, output sizes, thread
-//! spread, and — through the pthread-id join — the I/O performed by tasks
-//! of that category.
-
-use std::collections::HashMap;
+//! Per task prefix: duration statistics, output sizes, thread spread, and
+//! — through the pthread-id join — the I/O performed by tasks of that
+//! category. The numbers come out of [`CategoryState`], the same derived
+//! state the live engine keeps, so the two cannot disagree.
 
 use serde::{Deserialize, Serialize};
 
-use dtf_core::ids::TaskPrefix;
 use dtf_core::stats::{Summary, Welford};
 use dtf_wms::RunData;
 
-use crate::views::RunViews;
+use crate::state::CategoryState;
 
 /// Statistics for one task category within one run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -34,69 +32,7 @@ pub struct CategoryStats {
 
 /// Per-category statistics for one run, sorted by mean duration desc.
 pub fn per_category(data: &RunData) -> Vec<CategoryStats> {
-    struct Acc {
-        duration: Welford,
-        nbytes: Welford,
-        threads: std::collections::HashSet<u64>,
-        workers: std::collections::HashSet<String>,
-        io_ops: u64,
-        io_bytes: u64,
-    }
-    // keyed by the interned prefix: no per-task string allocation
-    let mut acc: HashMap<TaskPrefix, Acc> = HashMap::new();
-    for d in &data.task_done {
-        let a = acc.entry(d.key.prefix).or_insert_with(|| Acc {
-            duration: Welford::new(),
-            nbytes: Welford::new(),
-            threads: Default::default(),
-            workers: Default::default(),
-            io_ops: 0,
-            io_bytes: 0,
-        });
-        a.duration.push(d.duration().as_secs_f64());
-        a.nbytes.push(d.nbytes as f64);
-        a.threads.insert(d.thread.0);
-        a.workers.insert(d.worker.address());
-    }
-    // attribute I/O through the fused view
-    let fused = RunViews::new(data).task_io();
-    if !fused.is_empty() {
-        let prefixes = fused.col("prefix").expect("prefix col");
-        let sizes = fused.col("size").expect("size col");
-        let ops = fused.col("op").expect("op col");
-        for i in 0..fused.n_rows() {
-            let Some(prefix) = prefixes[i].as_str() else { continue };
-            // the column was rendered from these same keys, so the intern
-            // is a lookup, never an insert
-            if let Some(a) = acc.get_mut(&TaskPrefix::intern(prefix)) {
-                if matches!(ops[i].as_str(), Some("read") | Some("write")) {
-                    a.io_ops += 1;
-                    a.io_bytes += sizes[i].as_u64().unwrap_or(0);
-                }
-            }
-        }
-    }
-    let mut out: Vec<CategoryStats> = acc
-        .into_iter()
-        .map(|(category, a)| CategoryStats {
-            category: category.as_str().to_string(),
-            tasks: a.duration.count() as usize,
-            duration: a.duration.summary(),
-            output_nbytes: a.nbytes.summary(),
-            threads: a.threads.len(),
-            workers: a.workers.len(),
-            io_ops: a.io_ops,
-            io_bytes: a.io_bytes,
-        })
-        .collect();
-    out.sort_by(|a, b| {
-        b.duration
-            .mean
-            .partial_cmp(&a.duration.mean)
-            .expect("finite means")
-            .then(a.category.cmp(&b.category))
-    });
-    out
+    CategoryState::of(data).stats()
 }
 
 /// Cross-run variability of one category's mean duration (paper: which

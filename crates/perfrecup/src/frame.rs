@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use dtf_core::error::{DtfError, Result};
-use dtf_core::table::{AccKind, Accumulator, Tabular, Value, ValueKey};
+use dtf_core::table::{Tabular, Value, ValueKey};
 
 /// Column-major table with string column names.
 ///
@@ -299,204 +299,6 @@ impl DataFrame {
     }
 }
 
-/// Owned form of [`ValueKey`] so a standing group table can outlive the
-/// batches it ingested. Construction canonicalizes exactly like
-/// `Value::key()` (integer unification, canonical float bits), so equality
-/// and hashing agree with the borrowed key.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum OwnedKey {
-    Null,
-    Bool(bool),
-    NegInt(i64),
-    UInt(u64),
-    F64(u64),
-    Str(String),
-}
-
-impl OwnedKey {
-    fn of(v: &Value) -> Self {
-        match v.key() {
-            ValueKey::Null => OwnedKey::Null,
-            ValueKey::Bool(b) => OwnedKey::Bool(b),
-            ValueKey::NegInt(i) => OwnedKey::NegInt(i),
-            ValueKey::UInt(u) => OwnedKey::UInt(u),
-            ValueKey::F64(bits) => OwnedKey::F64(bits),
-            ValueKey::Str(s) => OwnedKey::Str(s.to_string()),
-        }
-    }
-}
-
-struct GroupState {
-    /// First-seen key cell, echoed into the output (same convention as
-    /// [`DataFrame::group_by`]).
-    first: Value,
-    accs: Vec<Accumulator>,
-}
-
-/// An incrementally maintained [`DataFrame::group_by`]: feed it row batches
-/// as they arrive and snapshot the aggregate table at any point, paying
-/// O(batch) per ingest instead of O(everything seen) per refresh.
-///
-/// Aggregates ride on [`dtf_core::table::Accumulator`], whose partials are
-/// mergeable — two `DeltaGroupBy` tables built over disjoint batch streams
-/// can be [`DeltaGroupBy::merge`]d into the table the union would have
-/// produced. `Mean` is kept as a (sum, count) pair so it merges exactly.
-///
-/// [`DeltaGroupBy::snapshot`] emits the same schema, key order, and value
-/// types as a one-shot `group_by` over the concatenation of every batch
-/// (floating-point sums are accumulated in arrival order, so a snapshot is
-/// bit-identical to the one-shot result when batches arrive in row order).
-pub struct DeltaGroupBy {
-    key: String,
-    specs: Vec<(String, Agg)>,
-    groups: HashMap<OwnedKey, GroupState>,
-    rows: u64,
-}
-
-impl DeltaGroupBy {
-    /// A standing group-by `key`, computing one aggregate column per
-    /// `(value column, agg)` spec.
-    pub fn new(key: &str, specs: &[(&str, Agg)]) -> Self {
-        Self {
-            key: key.to_string(),
-            specs: specs.iter().map(|(c, a)| (c.to_string(), *a)).collect(),
-            groups: HashMap::new(),
-            rows: 0,
-        }
-    }
-
-    fn accs_for(specs: &[(String, Agg)]) -> Vec<Accumulator> {
-        specs
-            .iter()
-            .flat_map(|(_, agg)| match agg {
-                Agg::Count => vec![Accumulator::new(AccKind::Count)],
-                Agg::Sum => vec![Accumulator::new(AccKind::Sum)],
-                // mean is a mergeable (sum, count) pair over numeric cells
-                Agg::Mean => vec![Accumulator::new(AccKind::Sum), Accumulator::new(AccKind::Count)],
-                Agg::Min => vec![Accumulator::new(AccKind::Min)],
-                Agg::Max => vec![Accumulator::new(AccKind::Max)],
-            })
-            .collect()
-    }
-
-    /// Ingest one batch of rows. O(rows in `batch`).
-    pub fn push_batch(&mut self, batch: &DataFrame) -> Result<()> {
-        let ki = batch.col_index(&self.key)?;
-        let vis: Vec<usize> =
-            self.specs.iter().map(|(c, _)| batch.col_index(c)).collect::<Result<_>>()?;
-        for i in 0..batch.n_rows() {
-            let kv = &batch.columns[ki][i];
-            let state = self.groups.entry(OwnedKey::of(kv)).or_insert_with(|| GroupState {
-                first: kv.clone(),
-                accs: Self::accs_for(&self.specs),
-            });
-            let mut ai = 0;
-            for (si, (_, agg)) in self.specs.iter().enumerate() {
-                let cell = &batch.columns[vis[si]][i];
-                let numeric = cell.as_f64().map(Value::F64);
-                match agg {
-                    // group_by counts every row, numeric or not
-                    Agg::Count => state.accs[ai].push(cell),
-                    // the numeric aggs see only numeric cells, like the
-                    // `as_f64`-filtered vectors in group_by
-                    Agg::Sum | Agg::Min | Agg::Max => {
-                        if let Some(v) = &numeric {
-                            state.accs[ai].push(v);
-                        }
-                    }
-                    Agg::Mean => {
-                        if let Some(v) = &numeric {
-                            state.accs[ai].push(v);
-                            state.accs[ai + 1].push(v);
-                        }
-                    }
-                }
-                ai += if *agg == Agg::Mean { 2 } else { 1 };
-            }
-            self.rows += 1;
-        }
-        Ok(())
-    }
-
-    /// Absorb another table built with the same key and specs (partials
-    /// from a parallel ingest path, a shard, or another run segment).
-    pub fn merge(&mut self, other: &DeltaGroupBy) -> Result<()> {
-        if self.key != other.key || self.specs != other.specs {
-            return Err(DtfError::Config("merge of differently-specified group tables".into()));
-        }
-        for (k, theirs) in &other.groups {
-            match self.groups.get_mut(k) {
-                Some(ours) => {
-                    for (a, b) in ours.accs.iter_mut().zip(&theirs.accs) {
-                        a.merge(b);
-                    }
-                }
-                None => {
-                    self.groups.insert(
-                        k.clone(),
-                        GroupState { first: theirs.first.clone(), accs: theirs.accs.clone() },
-                    );
-                }
-            }
-        }
-        self.rows += other.rows;
-        Ok(())
-    }
-
-    /// Total rows ingested so far.
-    pub fn rows_seen(&self) -> u64 {
-        self.rows
-    }
-
-    /// Distinct groups seen so far.
-    pub fn n_groups(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// The aggregate table right now: columns `[key, value_agg...]`,
-    /// ordered by key exactly like [`DataFrame::group_by`].
-    pub fn snapshot(&self) -> DataFrame {
-        let mut states: Vec<&GroupState> = self.groups.values().collect();
-        states.sort_by(|a, b| a.first.key().cmp(&b.first.key()));
-        let mut names = vec![self.key.clone()];
-        for (col, agg) in &self.specs {
-            let suffix = match agg {
-                Agg::Count => "count",
-                Agg::Sum => "sum",
-                Agg::Mean => "mean",
-                Agg::Min => "min",
-                Agg::Max => "max",
-            };
-            names.push(format!("{col}_{suffix}"));
-        }
-        let mut out = DataFrame::new(names);
-        out.reserve(states.len());
-        for s in states {
-            let mut row = vec![s.first.clone()];
-            let mut ai = 0;
-            for (_, agg) in &self.specs {
-                let v = match agg {
-                    Agg::Count => Value::U64(s.accs[ai].count()),
-                    Agg::Sum => Value::F64(s.accs[ai].finish().as_f64().unwrap_or(0.0)),
-                    Agg::Mean => {
-                        let sum = s.accs[ai].finish().as_f64().unwrap_or(0.0);
-                        let n = s.accs[ai + 1].count();
-                        Value::F64(if n == 0 { 0.0 } else { sum / n as f64 })
-                    }
-                    Agg::Min => Value::F64(s.accs[ai].finish().as_f64().unwrap_or(f64::INFINITY)),
-                    Agg::Max => {
-                        Value::F64(s.accs[ai].finish().as_f64().unwrap_or(f64::NEG_INFINITY))
-                    }
-                };
-                row.push(v);
-                ai += if *agg == Agg::Mean { 2 } else { 1 };
-            }
-            out.push_row(row).expect("schema-conforming aggregate row");
-        }
-        out
-    }
-}
-
 impl fmt::Display for DataFrame {
     /// Render the first 20 rows as an aligned text table.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -743,64 +545,5 @@ mod tests {
         assert_eq!(lines[0], "name,x");
         assert_eq!(lines[2], "\"with,comma\",2");
         assert_eq!(lines[3], "\"with\"\"quote\",3");
-    }
-
-    /// A `DeltaGroupBy` fed row-by-row must snapshot exactly what a
-    /// one-shot `group_by` computes over the whole frame, for every agg.
-    #[test]
-    fn delta_group_by_matches_one_shot() {
-        let d = df();
-        for agg in [Agg::Count, Agg::Sum, Agg::Mean, Agg::Min, Agg::Max] {
-            let expect = d.group_by("tag", "x", agg).unwrap();
-            let mut delta = DeltaGroupBy::new("tag", &[("x", agg)]);
-            // one row per batch: the maximally incremental schedule
-            for i in 0..d.n_rows() {
-                let mut batch = DataFrame::new(d.names().to_vec());
-                batch.push_row(d.row(i)).unwrap();
-                delta.push_batch(&batch).unwrap();
-            }
-            assert_eq!(delta.snapshot(), expect, "{agg:?}");
-            assert_eq!(delta.rows_seen(), 3);
-            assert_eq!(delta.n_groups(), 2);
-        }
-    }
-
-    #[test]
-    fn delta_group_by_multi_spec_and_merge() {
-        let d = df();
-        let specs: &[(&str, Agg)] = &[("x", Agg::Sum), ("x", Agg::Mean), ("k", Agg::Max)];
-        let mut whole = DeltaGroupBy::new("tag", specs);
-        whole.push_batch(&d).unwrap();
-        // split the rows across two partials and merge them
-        let mut a = DeltaGroupBy::new("tag", specs);
-        let mut b = DeltaGroupBy::new("tag", specs);
-        a.push_batch(&d.head(1)).unwrap();
-        let mut rest = DataFrame::new(d.names().to_vec());
-        rest.push_row(d.row(1)).unwrap();
-        rest.push_row(d.row(2)).unwrap();
-        b.push_batch(&rest).unwrap();
-        a.merge(&b).unwrap();
-        assert_eq!(a.snapshot(), whole.snapshot());
-        let snap = a.snapshot();
-        assert_eq!(snap.names(), &["tag", "x_sum", "x_mean", "k_max"]);
-        assert_eq!(snap.col_f64("x_sum").unwrap(), vec![40.0, 20.0]);
-        assert_eq!(snap.col_f64("x_mean").unwrap(), vec![20.0, 20.0]);
-        assert_eq!(snap.col_f64("k_max").unwrap(), vec![3.0, 2.0]);
-        // mismatched specs refuse to merge
-        let other = DeltaGroupBy::new("k", specs);
-        assert!(a.merge(&other).is_err());
-    }
-
-    #[test]
-    fn delta_group_by_non_numeric_cells() {
-        let mut d = DataFrame::new(vec!["k".into(), "v".into()]);
-        d.push_row(vec![Value::Str("a".into()), Value::Str("x".into())]).unwrap();
-        d.push_row(vec![Value::Str("a".into()), Value::F64(1.0)]).unwrap();
-        d.push_row(vec![Value::Str("b".into()), Value::Null]).unwrap();
-        for agg in [Agg::Count, Agg::Sum, Agg::Mean, Agg::Min, Agg::Max] {
-            let mut delta = DeltaGroupBy::new("k", &[("v", agg)]);
-            delta.push_batch(&d).unwrap();
-            assert_eq!(delta.snapshot(), d.group_by("k", "v", agg).unwrap(), "{agg:?}");
-        }
     }
 }

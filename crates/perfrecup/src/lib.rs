@@ -27,11 +27,14 @@
 //! * [`export`] — FAIR archival export of a run (CSV views + JSON manifests).
 //! * [`archive`] — post-hoc entry point: reopen a persisted store
 //!   directory (dtf-store backed) and analyze it like a live run.
-//! * [`live`] — online incremental view maintenance: a Mofka consumer
-//!   group keeping the category / utilization / phase views fresh in O(Δ)
-//!   per batch, with versioned snapshot subscriptions for concurrent
-//!   readers and a [`live::ViewQuery`] answered identically by live state
-//!   and archives.
+//! * [`state`] — the derived state of one run: one order-insensitive
+//!   integer accumulator behind each of the category / utilization /
+//!   phase views, and the one task↔I/O join; fed once by the post-hoc
+//!   kernels, event by event by [`live`].
+//! * [`live`] — online view maintenance: a Mofka consumer group feeding
+//!   that state in O(Δ) per batch, with versioned snapshot subscriptions
+//!   for concurrent readers and a [`live::ViewQuery`] answered identically
+//!   by live state and archives.
 
 pub mod archive;
 pub mod category;
@@ -45,6 +48,7 @@ pub mod live;
 pub mod parallel_coords;
 pub mod phases;
 pub mod schedule_order;
+pub mod state;
 pub mod utilization;
 pub mod variability;
 pub mod views;

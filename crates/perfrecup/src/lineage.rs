@@ -6,69 +6,98 @@
 //! transitions from the transition stream, compute location from the
 //! completion record, replicas from communication events naming the
 //! task's key, and I/O from Darshan records joined on
-//! `(pthread id, execution interval)`.
+//! `(pthread id, execution interval)` by [`ExecIndex::owner`] — the same
+//! join `task_io` and the category view read, so an operation belongs to
+//! exactly one execution here too.
+//!
+//! One pass over the run files every event under its task ([`index`]);
+//! a lineage is then assembled from its task's entry. [`build`] and
+//! [`build_all`] are that pass for one key and for all of them.
 
 use std::collections::HashMap;
 
 use dtf_core::error::{DtfError, Result};
-use dtf_core::ids::TaskKey;
+use dtf_core::events::{CommEvent, IoRecord, TaskDoneEvent, TaskMetaEvent};
+use dtf_core::ids::{KeyMap, TaskKey};
 use dtf_core::provenance::{LineageLocation, LineageTransition, TaskLineage};
 use dtf_wms::RunData;
 
-/// Build the lineage of `key` from one run's data.
-pub fn build(data: &RunData, key: &TaskKey) -> Result<TaskLineage> {
-    let meta = data
-        .meta
-        .iter()
-        .find(|m| &m.key == key)
-        .ok_or_else(|| DtfError::NotFound(format!("task {key} in meta stream")))?;
+use crate::state::ExecIndex;
 
-    // dependents: inverted dependency index
-    let mut dependents = Vec::new();
+/// What the run recorded about one task, in stream order.
+#[derive(Default)]
+struct Parts<'a> {
+    /// The first task-meta record naming the key.
+    meta: Option<&'a TaskMetaEvent>,
+    dependents: Vec<TaskKey>,
+    states: Vec<LineageTransition>,
+    /// The last completion (a recomputed key completes more than once).
+    done: Option<&'a TaskDoneEvent>,
+    movements: Vec<CommEvent>,
+    /// Darshan records owned by the last completion's execution.
+    io: Vec<IoRecord>,
+}
+
+/// File every event of the run under its task — under `only` alone when
+/// given, skipping what belongs to other tasks.
+fn index<'a>(data: &'a RunData, only: Option<&TaskKey>) -> KeyMap<Parts<'a>> {
+    let wanted = |key: &TaskKey| only.is_none_or(|o| o == key);
+    let mut parts: KeyMap<Parts<'a>> = KeyMap::default();
     for m in &data.meta {
-        if m.deps.contains(key) {
-            dependents.push(m.key);
+        if wanted(&m.key) {
+            parts.entry(m.key).or_default().meta.get_or_insert(m);
+        }
+        // the inverted dependency index: a task depending twice on the
+        // same key is still one dependent
+        for (i, dep) in m.deps.iter().enumerate() {
+            if wanted(dep) && !m.deps[..i].contains(dep) {
+                parts.entry(*dep).or_default().dependents.push(m.key);
+            }
         }
     }
-
-    let states: Vec<LineageTransition> = data
-        .transitions
-        .iter()
-        .filter(|t| &t.key == key && !(t.from == t.to))
-        .map(|t| LineageTransition {
+    for t in data.transitions.iter().filter(|t| wanted(&t.key) && t.from != t.to) {
+        parts.entry(t.key).or_default().states.push(LineageTransition {
             from: t.from,
             to: t.to,
             stimulus: t.stimulus,
             location: t.location,
             time: t.time,
-        })
-        .collect();
-
-    let done = data.task_done.iter().rfind(|d| &d.key == key);
-
-    let mut locations = Vec::new();
-    if let Some(d) = done {
-        locations.push(LineageLocation { worker: d.worker, thread: Some(d.thread), since: d.stop });
+        });
     }
-    // replicas created by data movements of this key
-    let movements: Vec<_> = data.comms.iter().filter(|c| &c.key == key).cloned().collect();
-    for m in &movements {
-        locations.push(LineageLocation { worker: m.to, thread: None, since: m.stop });
+    for d in data.task_done.iter().filter(|d| wanted(&d.key)) {
+        parts.entry(d.key).or_default().done = Some(d);
     }
-
-    // I/O performed during this task's execution, joined on thread id +
-    // interval
-    let mut io = Vec::new();
-    if let Some(d) = done {
-        for r in data.darshan.all_records() {
-            if r.thread == d.thread && r.start >= d.start && r.start <= d.stop {
-                io.push(r.clone());
-            }
+    for c in data.comms.iter().filter(|c| wanted(&c.key)) {
+        parts.entry(c.key).or_default().movements.push(c.clone());
+    }
+    let execs = ExecIndex::of(&data.task_done);
+    for r in data.darshan.all_records() {
+        let Some(exec) = execs.owner(r.thread, r.start) else { continue };
+        let Some(p) = parts.get_mut(&exec.key) else { continue };
+        let is_last =
+            |d: &TaskDoneEvent| (d.thread, d.start, d.stop) == (r.thread, exec.start, exec.stop);
+        if p.done.is_some_and(is_last) {
+            p.io.push(r.clone());
         }
     }
+    parts
+}
 
+fn assemble(key: TaskKey, parts: Parts<'_>) -> Result<TaskLineage> {
+    let Parts { meta, dependents, states, done, movements, io } = parts;
+    let meta = meta.ok_or_else(|| DtfError::NotFound(format!("task {key} in meta stream")))?;
+    // where the output lives: computed here, replicated by each movement
+    let locations = done
+        .map(|d| LineageLocation { worker: d.worker, thread: Some(d.thread), since: d.stop })
+        .into_iter()
+        .chain(movements.iter().map(|m| LineageLocation {
+            worker: m.to,
+            thread: None,
+            since: m.stop,
+        }))
+        .collect();
     Ok(TaskLineage {
-        key: Some(*key),
+        key: Some(key),
         graph: Some(meta.graph),
         client: Some(meta.client),
         submitted: Some(meta.submitted),
@@ -84,15 +113,17 @@ pub fn build(data: &RunData, key: &TaskKey) -> Result<TaskLineage> {
     })
 }
 
-/// Build lineages for every completed task (bulk provenance export).
+/// Build the lineage of `key` from one run's data.
+pub fn build(data: &RunData, key: &TaskKey) -> Result<TaskLineage> {
+    assemble(*key, index(data, Some(key)).remove(key).unwrap_or_default())
+}
+
+/// Build lineages for every submitted task (bulk provenance export).
 pub fn build_all(data: &RunData) -> HashMap<TaskKey, TaskLineage> {
-    let mut out = HashMap::new();
-    for m in &data.meta {
-        if let Ok(l) = build(data, &m.key) {
-            out.insert(m.key, l);
-        }
-    }
-    out
+    index(data, None)
+        .into_iter()
+        .filter_map(|(key, parts)| Some((key, assemble(key, parts).ok()?)))
+        .collect()
 }
 
 #[cfg(test)]

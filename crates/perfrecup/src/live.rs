@@ -1,40 +1,30 @@
-//! Online incremental view maintenance: the live counterpart of the
-//! post-hoc analyses, updated in O(Δ) per consumed batch.
+//! Online view maintenance: the live counterpart of the post-hoc
+//! analyses, updated in O(Δ) per consumed batch.
 //!
 //! [`LiveViews`] attaches to a Mofka service as its own consumer group
-//! (one [`dtf_mofka::GroupFeed`] over the standard WMS topics) and keeps
-//! *delta state* for the equivalence-gated views — per-category statistics
-//! ([`crate::category::per_category`]), per-worker utilization
-//! ([`crate::utilization::per_worker`]), and the phase totals
-//! ([`crate::phases::PhaseSample`]) — so a refresh after Δ new events
-//! costs O(Δ), not O(everything seen).
+//! (one [`dtf_mofka::GroupFeed`] over the standard WMS topics) and feeds
+//! every event it consumes to a [`RunState`] — the same view states the
+//! post-hoc kernels ([`per_category`], [`per_worker`], [`phase_sample`])
+//! feed a drained [`RunData`] to. This module owns the feed, the
+//! publication slot, the subscriptions and the query surface; it
+//! accumulates nothing itself.
 //!
-//! ## Exact equivalence with the post-hoc kernels
+//! ## Equivalence with the post-hoc kernels
 //!
-//! The post-hoc kernels iterate event vectors in a pinned sort order
-//! (task-done by `(stop, start)`, drain order breaking ties), and their
-//! floating-point accumulations are order-sensitive. To be *value-identical*
-//! — bit-for-bit, not merely within epsilon — the engine does not merge
-//! float partials out of arrival order. Instead each group (task category,
-//! worker) keeps its raw samples in a `BTreeMap` keyed by the post-hoc sort
-//! key extended with the event's `(partition, offset)` id, and a snapshot
-//! replays only the *dirty* groups' arithmetic in that canonical order.
-//! Ingest stays O(Δ log n); snapshot cost is proportional to the groups
-//! the delta actually touched. Integer accumulations (phase `Dur` sums,
-//! I/O byte/op counters) are order-insensitive and update in place.
-//!
-//! The `(partition, offset)` tiebreak equals the drain order of
-//! `RunData::drain_from_mofka` as long as no partition holds more than one
-//! prefetch window (4096 events) — true for every test and chaos schedule
-//! in this repo; ties across that boundary would still be value-equal for
-//! any tie among *identical* events.
+//! A finalized snapshot is value-identical — bit for bit — to the post-hoc
+//! kernels over the same drained record because both are one
+//! implementation fed the same multiset of events, and every accumulator
+//! of [`RunState`] is an integer sum, extremum or set: arrival order,
+//! chunking, partition and offset cannot reach the result (see
+//! [`crate::state`]). Ingesting Δ events costs O(Δ); a publish costs
+//! O(categories + workers · bins) whatever the engine already holds.
 //!
 //! Darshan log sets only exist once a run shuts down, so the I/O half of
-//! the fused task↔I/O join ([`RunViews::task_io`]) arrives as one final
-//! Δ-batch through [`LiveViews::finalize`]; equivalence is asserted on
-//! finalized snapshots. Mid-run snapshots use a quantized time horizon for
-//! utilization bins (so clean workers stay cached as the run grows) and
-//! the latest event time as the provisional wall clock.
+//! the task↔I/O join arrives through [`LiveViews::finalize`] together
+//! with the exact wall time. Mid-run snapshots use the latest event time
+//! as the provisional wall clock and a power-of-two horizon for the
+//! utilization bins; outgrowing it, like finalize replacing it, re-bins
+//! the executions held once (O(executions)).
 //!
 //! ## Subscriptions
 //!
@@ -46,11 +36,10 @@
 //! append signal ([`LiveViews::wait_activity`]) between pumps.
 //!
 //! [`ViewQuery`] unifies hot and cold: the same query answers from live
-//! delta state for an active run and from [`crate::archive::ArchivedRun`]
-//! (or any drained [`RunData`]) for history.
+//! state for an active run and from [`crate::archive::ArchivedRun`] (or
+//! any drained [`RunData`]) for history.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -58,19 +47,18 @@ use serde::{Deserialize, Serialize};
 
 use dtf_core::error::DtfError;
 use dtf_core::events::{
-    CommEvent, IoOp, IoRecord, LogEntry, ProvEvent, TaskDoneEvent, TaskMetaEvent, TransitionEvent,
+    CommEvent, IoRecord, LogEntry, ProvEvent, TaskDoneEvent, TaskMetaEvent, TransitionEvent,
     WarningEvent, WorkerTransitionEvent,
 };
-use dtf_core::ids::{TaskPrefix, ThreadId, WorkerId};
-use dtf_core::stats::Welford;
-use dtf_core::time::{Dur, Time};
+use dtf_core::time::Dur;
 use dtf_darshan::log::LogSet;
 use dtf_mofka::{ConsumerConfig, Event, GroupFeed, Metadata, MofkaService, ProducerConfig};
 use dtf_wms::plugins::{MofkaPlugin, WmsPlugin};
 use dtf_wms::RunData;
 
-use crate::category::CategoryStats;
+use crate::category::{per_category, CategoryStats};
 use crate::phases::PhaseSample;
+use crate::state::{PhaseState, RunState};
 use crate::utilization::{per_worker, WorkerUtilization};
 
 /// The topics a live engine subscribes to, in feed index order.
@@ -84,10 +72,6 @@ pub const LIVE_TOPICS: [&str; 8] = [
     "logs",
     "io-records",
 ];
-
-/// Post-hoc sort key + event-id tiebreak; BTreeMap order over these keys
-/// is exactly the order the post-hoc kernels iterate in.
-type OrdKey = (Time, Time, u32, u64);
 
 /// How a live engine attaches to a service.
 #[derive(Debug, Clone)]
@@ -228,22 +212,16 @@ pub enum ViewResult {
     Phases(PhaseSample),
 }
 
-/// Phase totals of a drained run — the cold-path `Phases` answer, and the
-/// oracle the live engine's integer accumulators are checked against.
+/// Phase totals of a drained run — the cold-path `Phases` answer.
 pub fn phase_sample(data: &RunData) -> PhaseSample {
-    PhaseSample {
-        wall_s: data.wall_time.as_secs_f64(),
-        io_s: data.io_time().as_secs_f64(),
-        comm_s: data.comm_time().as_secs_f64(),
-        compute_s: data.compute_time().as_secs_f64(),
-    }
+    PhaseState::of(data).sample()
 }
 
 /// Answer a [`ViewQuery`] from a drained run record (the cold path; see
 /// [`crate::archive::ArchivedRun::query`]).
 pub fn query_rundata(data: &RunData, q: &ViewQuery) -> ViewResult {
     match q {
-        ViewQuery::Categories => ViewResult::Categories(crate::category::per_category(data)),
+        ViewQuery::Categories => ViewResult::Categories(per_category(data)),
         ViewQuery::Utilization { bins, threads_per_worker } => {
             ViewResult::Utilization(per_worker(data, *bins, *threads_per_worker))
         }
@@ -252,56 +230,19 @@ pub fn query_rundata(data: &RunData, q: &ViewQuery) -> ViewResult {
 }
 
 /// Everything the run hands over when it ends: the sources that only
-/// exist at shutdown, ingested as the final Δ-batch.
+/// exist at shutdown.
 #[derive(Debug, Clone)]
 pub struct RunFinal {
     pub darshan: LogSet,
     pub wall_time: Dur,
 }
 
-#[derive(Default)]
-struct CatState {
-    /// Raw samples in post-hoc iteration order: `(stop, start, part, off)`
-    /// → `(duration_s, nbytes)`.
-    samples: BTreeMap<OrdKey, (f64, f64)>,
-    threads: HashSet<u64>,
-    workers: HashSet<String>,
-    io_ops: u64,
-    io_bytes: u64,
-}
-
-#[derive(Default)]
-struct WorkerState {
-    /// Execution intervals in post-hoc iteration order: `(stop, start,
-    /// part, off)` → `(start_s, stop_s)`.
-    intervals: BTreeMap<OrdKey, (f64, f64)>,
-}
-
-/// The incremental view-maintenance engine. See the module docs.
+/// The live view engine. See the module docs.
 pub struct LiveViews {
     feed: GroupFeed,
     cfg: LiveConfig,
-
-    // ---- delta state ----
-    cats: HashMap<TaskPrefix, CatState>,
-    cat_cache: HashMap<TaskPrefix, CategoryStats>,
-    dirty_cats: HashSet<TaskPrefix>,
-    workers: BTreeMap<WorkerId, WorkerState>,
-    busy_cache: HashMap<WorkerId, Vec<f64>>,
-    dirty_workers: HashSet<WorkerId>,
-    /// Horizon the cached busy bins were computed over.
-    horizon: f64,
-    /// Per-thread task intervals for the I/O join, in the `task_io` scan
-    /// order: `(start, stop, part, off)` → category.
-    by_thread: HashMap<ThreadId, BTreeMap<OrdKey, TaskPrefix>>,
-    compute: Dur,
-    comm: Dur,
-    io: Dur,
-    /// Latest event timestamp seen (provisional wall clock).
-    max_t: Time,
+    state: RunState,
     progress: LiveProgress,
-    wall: Option<Dur>,
-    attribution: Option<(u64, u64)>, // (matched, total) darshan records
     finalized: bool,
 
     // ---- publication ----
@@ -314,28 +255,13 @@ impl LiveViews {
     pub fn attach(svc: &MofkaService, cfg: LiveConfig) -> dtf_core::Result<Self> {
         let feed = svc.group_feed(
             &LIVE_TOPICS,
-            // prefetch matches the post-hoc drain so the (partition,
-            // offset) tiebreak discussion in the module docs carries over
             ConsumerConfig { group: cfg.group.clone(), prefetch: 4096 },
         )?;
         Ok(Self {
             feed,
+            state: RunState::with_bins(cfg.bins),
             cfg,
-            cats: HashMap::new(),
-            cat_cache: HashMap::new(),
-            dirty_cats: HashSet::new(),
-            workers: BTreeMap::new(),
-            busy_cache: HashMap::new(),
-            dirty_workers: HashSet::new(),
-            horizon: 0.0,
-            by_thread: HashMap::new(),
-            compute: Dur::ZERO,
-            comm: Dur::ZERO,
-            io: Dur::ZERO,
-            max_t: Time::ZERO,
             progress: LiveProgress::default(),
-            wall: None,
-            attribution: None,
             finalized: false,
             published: Arc::new(Published {
                 snap: Mutex::new(Arc::new(ViewSnapshot::empty())),
@@ -401,44 +327,36 @@ impl LiveViews {
         }
         match topic {
             0 => {
-                let t = event::<TaskMetaEvent>(stored)?.submitted;
+                self.state.observe(event::<TaskMetaEvent>(stored)?.submitted);
                 self.progress.meta += 1;
-                self.max_t = self.max_t.max(t);
             }
             1 => {
-                let t = event::<TransitionEvent>(stored)?.time;
+                self.state.observe(event::<TransitionEvent>(stored)?.time);
                 self.progress.transitions += 1;
-                self.max_t = self.max_t.max(t);
             }
             2 => {
-                let t = event::<WorkerTransitionEvent>(stored)?.time;
+                self.state.observe(event::<WorkerTransitionEvent>(stored)?.time);
                 self.progress.worker_transitions += 1;
-                self.max_t = self.max_t.max(t);
             }
             3 => {
-                let e = event::<TaskDoneEvent>(stored)?;
-                self.ingest_task_done(stored.id.partition, stored.id.offset, &e);
+                self.state.task_done(&*event::<TaskDoneEvent>(stored)?);
+                self.progress.task_done += 1;
             }
             4 => {
-                let e = event::<CommEvent>(stored)?;
+                self.state.comm(&*event::<CommEvent>(stored)?);
                 self.progress.comms += 1;
-                self.comm += e.duration();
-                self.max_t = self.max_t.max(e.stop);
             }
             5 => {
-                let t = event::<WarningEvent>(stored)?.time;
+                self.state.observe(event::<WarningEvent>(stored)?.time);
                 self.progress.warnings += 1;
-                self.max_t = self.max_t.max(t);
             }
             6 => {
-                let t = event::<LogEntry>(stored)?.time;
+                self.state.observe(event::<LogEntry>(stored)?.time);
                 self.progress.logs += 1;
-                self.max_t = self.max_t.max(t);
             }
             7 => {
-                let t = event::<IoRecord>(stored)?.stop;
+                self.state.observe(event::<IoRecord>(stored)?.stop);
                 self.progress.io_records += 1;
-                self.max_t = self.max_t.max(t);
             }
             other => {
                 return Err(DtfError::IllegalState(format!("unknown live feed topic {other}")))
@@ -447,244 +365,47 @@ impl LiveViews {
         Ok(())
     }
 
-    fn ingest_task_done(&mut self, part: u32, off: u64, e: &TaskDoneEvent) {
-        self.progress.task_done += 1;
-        self.max_t = self.max_t.max(e.stop);
-        self.compute += e.duration();
-        let key: OrdKey = (e.stop, e.start, part, off);
-        let cat = self.cats.entry(e.key.prefix).or_default();
-        cat.samples.insert(key, (e.duration().as_secs_f64(), e.nbytes as f64));
-        cat.threads.insert(e.thread.0);
-        cat.workers.insert(e.worker.address());
-        self.dirty_cats.insert(e.key.prefix);
-        self.workers
-            .entry(e.worker)
-            .or_default()
-            .intervals
-            .insert(key, (e.start.as_secs_f64(), e.stop.as_secs_f64()));
-        self.dirty_workers.insert(e.worker);
-        self.by_thread
-            .entry(e.thread)
-            .or_default()
-            .insert((e.start, e.stop, part, off), e.key.prefix);
-    }
-
-    /// Ingest the shutdown-only sources (Darshan logs, exact wall time) as
-    /// the final Δ-batch, drain the feed, and publish the finalized
-    /// snapshot — the one the equivalence oracle compares to the post-hoc
-    /// kernels.
+    /// Drain the feed, hand the state the shutdown-only sources (Darshan
+    /// logs for the task↔I/O join, the exact wall time), and publish the
+    /// finalized snapshot — the one that equals the post-hoc kernels.
     pub fn finalize(&mut self, fin: RunFinal) -> dtf_core::Result<Arc<ViewSnapshot>> {
         self.pump_all()?;
-        // the fused task↔I/O join, incremental edition: each Darshan
-        // record resolves against the per-thread interval index in the
-        // exact scan order task_io uses (last interval starting at or
-        // before t, latest first)
-        let (mut matched, mut total) = (0u64, 0u64);
-        for rec in fin.darshan.all_records() {
-            total += 1;
-            let t = Time::from_secs_f64(rec.start.as_secs_f64());
-            let found = self.by_thread.get(&rec.thread).and_then(|intervals| {
-                intervals
-                    .range(..=(t, Time(u64::MAX), u32::MAX, u64::MAX))
-                    .rev()
-                    .find(|((_, stop, _, _), _)| *stop >= t)
-                    .map(|(_, prefix)| *prefix)
-            });
-            if let Some(prefix) = found {
-                matched += 1;
-                if matches!(rec.op, IoOp::Read | IoOp::Write) {
-                    if let Some(cat) = self.cats.get_mut(&prefix) {
-                        cat.io_ops += 1;
-                        cat.io_bytes += rec.size;
-                        self.dirty_cats.insert(prefix);
-                    }
-                }
-            }
-        }
-        self.attribution = Some((matched, total));
-        self.io = fin.darshan.total_io_time();
-        self.wall = Some(fin.wall_time);
-        // exact wall time moves every bin edge: recompute all workers once
-        self.dirty_workers.extend(self.workers.keys().copied());
+        self.state.set_wall(fin.wall_time);
+        self.state.join_io(&fin.darshan);
         self.finalized = true;
         Ok(self.publish())
     }
 
-    /// Refresh the dirty groups and publish a new snapshot. Cost is
-    /// proportional to the groups touched since the last publish (plus the
-    /// O(C log C) output sort), not to the events seen.
+    /// Publish a new snapshot of the current state. Costs O(categories +
+    /// workers · bins), whatever the engine holds.
     pub fn publish(&mut self) -> Arc<ViewSnapshot> {
-        self.refresh_categories();
-        self.refresh_utilization();
         self.version += 1;
-        let snap =
-            Arc::new(ViewSnapshot {
-                version: self.version,
-                finalized: self.finalized,
-                progress: self.progress,
-                categories: self.sorted_categories(),
-                utilization: self.sorted_utilization(),
-                phases: self.current_phases(),
-                attribution_rate: self.attribution.map(|(m, t)| {
-                    if t == 0 {
-                        0.0
-                    } else {
-                        m as f64 / t as f64
-                    }
-                }),
-            });
+        let snap = Arc::new(ViewSnapshot {
+            version: self.version,
+            finalized: self.finalized,
+            progress: self.progress,
+            categories: self.state.categories(),
+            utilization: self.state.utilization(self.cfg.bins, self.cfg.threads_per_worker),
+            phases: self.state.phases(),
+            attribution_rate: self.state.attribution_rate(),
+        });
         let mut slot = self.published.snap.lock().expect("publish slot poisoned");
         *slot = snap.clone();
         self.published.cv.notify_all();
         snap
     }
 
-    /// Answer a [`ViewQuery`] from live state (the hot path). Queries with
-    /// non-configured utilization parameters recompute from the interval
-    /// stores instead of the bin cache.
-    pub fn query(&mut self, q: &ViewQuery) -> ViewResult {
+    /// Answer a [`ViewQuery`] from live state (the hot path). A
+    /// utilization query at a bin count other than the configured one
+    /// bins the held executions on the spot.
+    pub fn query(&self, q: &ViewQuery) -> ViewResult {
         match q {
-            ViewQuery::Categories => {
-                self.refresh_categories();
-                ViewResult::Categories(self.sorted_categories())
-            }
-            ViewQuery::Utilization { bins, threads_per_worker }
-                if *bins == self.cfg.bins && *threads_per_worker == self.cfg.threads_per_worker =>
-            {
-                self.refresh_utilization();
-                ViewResult::Utilization(self.sorted_utilization())
-            }
+            ViewQuery::Categories => ViewResult::Categories(self.state.categories()),
             ViewQuery::Utilization { bins, threads_per_worker } => {
-                let horizon = self.effective_horizon();
-                let out = self
-                    .workers
-                    .iter()
-                    .map(|(worker, st)| WorkerUtilization {
-                        worker: *worker,
-                        busy: Self::bins_for(&st.intervals, *bins, horizon, *threads_per_worker),
-                    })
-                    .collect();
-                ViewResult::Utilization(out)
+                ViewResult::Utilization(self.state.utilization(*bins, *threads_per_worker))
             }
-            ViewQuery::Phases => ViewResult::Phases(self.current_phases()),
+            ViewQuery::Phases => ViewResult::Phases(self.state.phases()),
         }
-    }
-
-    fn current_phases(&self) -> PhaseSample {
-        PhaseSample {
-            wall_s: self.wall.map_or_else(|| self.max_t.as_secs_f64(), |w| w.as_secs_f64()),
-            io_s: self.io.as_secs_f64(),
-            comm_s: self.comm.as_secs_f64(),
-            compute_s: self.compute.as_secs_f64(),
-        }
-    }
-
-    fn refresh_categories(&mut self) {
-        for prefix in std::mem::take(&mut self.dirty_cats) {
-            let st = &self.cats[&prefix];
-            // replay in canonical order: bit-identical to per_category's
-            // pass over the (stop, start)-sorted task vector
-            let mut duration = Welford::new();
-            let mut nbytes = Welford::new();
-            for (d, n) in st.samples.values() {
-                duration.push(*d);
-                nbytes.push(*n);
-            }
-            self.cat_cache.insert(
-                prefix,
-                CategoryStats {
-                    category: prefix.as_str().to_string(),
-                    tasks: st.samples.len(),
-                    duration: duration.summary(),
-                    output_nbytes: nbytes.summary(),
-                    threads: st.threads.len(),
-                    workers: st.workers.len(),
-                    io_ops: st.io_ops,
-                    io_bytes: st.io_bytes,
-                },
-            );
-        }
-    }
-
-    fn sorted_categories(&self) -> Vec<CategoryStats> {
-        let mut out: Vec<CategoryStats> = self.cat_cache.values().cloned().collect();
-        out.sort_by(|a, b| {
-            b.duration
-                .mean
-                .partial_cmp(&a.duration.mean)
-                .expect("finite means")
-                .then(a.category.cmp(&b.category))
-        });
-        out
-    }
-
-    /// Horizon the utilization bins currently span: the exact wall time
-    /// once finalized, otherwise the latest event time rounded up to a
-    /// power of two so bin edges (and the clean workers' cached bins) stay
-    /// put as the run grows.
-    fn effective_horizon(&self) -> f64 {
-        match self.wall {
-            Some(w) => w.as_secs_f64().max(1e-9),
-            None => {
-                let t = self.max_t.as_secs_f64().max(1.0);
-                let mut h = 1.0f64;
-                while h < t {
-                    h *= 2.0;
-                }
-                h
-            }
-        }
-    }
-
-    fn bins_for(
-        intervals: &BTreeMap<OrdKey, (f64, f64)>,
-        bins: usize,
-        horizon: f64,
-        threads_per_worker: u32,
-    ) -> Vec<f64> {
-        // mirror per_worker's arithmetic exactly, including its add order
-        let w = horizon / bins as f64;
-        let mut busy = vec![0.0; bins];
-        for (s, e) in intervals.values() {
-            let first = ((s / w) as usize).min(bins - 1);
-            let last = ((e / w) as usize).min(bins - 1);
-            for (bin, slot) in busy.iter_mut().enumerate().take(last + 1).skip(first) {
-                let b0 = bin as f64 * w;
-                let b1 = b0 + w;
-                *slot += (e.min(b1) - s.max(b0)).max(0.0);
-            }
-        }
-        let cap = w * threads_per_worker as f64;
-        busy.into_iter().map(|b| (b / cap).min(1.0)).collect()
-    }
-
-    fn refresh_utilization(&mut self) {
-        let horizon = self.effective_horizon();
-        if horizon != self.horizon {
-            // bin edges moved: every cached worker is stale
-            self.dirty_workers.extend(self.workers.keys().copied());
-            self.horizon = horizon;
-        }
-        for worker in std::mem::take(&mut self.dirty_workers) {
-            let st = &self.workers[&worker];
-            self.busy_cache.insert(
-                worker,
-                Self::bins_for(&st.intervals, self.cfg.bins, horizon, self.cfg.threads_per_worker),
-            );
-        }
-    }
-
-    fn sorted_utilization(&self) -> Vec<WorkerUtilization> {
-        // self.workers is a BTreeMap: iteration is already worker order
-        self.workers
-            .keys()
-            .map(|w| WorkerUtilization { worker: *w, busy: self.busy_cache[w].clone() })
-            .collect()
-    }
-
-    /// Events claimed but never delivered by this engine's feed.
-    pub fn discarded_claims(&self) -> u64 {
-        self.feed.discarded_claims()
     }
 
     /// Latest published version (0 until the first publish).
@@ -740,8 +461,8 @@ pub fn republish(data: &RunData, svc: &MofkaService) -> dtf_core::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::category::per_category;
-    use dtf_core::ids::{GraphId, RunId};
+    use dtf_core::ids::{GraphId, RunId, ThreadId, WorkerId};
+    use dtf_core::time::Time;
     use dtf_mofka::bedrock::BedrockConfig;
     use dtf_wms::sim::{SimCluster, SimConfig, SimWorkflow, SubmitPolicy};
     use dtf_wms::{GraphBuilder, IoCall, SimAction};
@@ -801,8 +522,8 @@ mod tests {
         .unwrap()
     }
 
-    /// The equivalence oracle: a live engine pumped in small chunks ends
-    /// bit-identical to the post-hoc kernels over the same drained events.
+    /// A live engine pumped in small chunks ends bit-identical to the
+    /// post-hoc kernels over the same drained events.
     #[test]
     fn live_views_equal_post_hoc_kernels() {
         let data = sim_run(7);
@@ -839,7 +560,7 @@ mod tests {
         for q in [
             ViewQuery::Categories,
             ViewQuery::Utilization { bins: 20, threads_per_worker: 1 },
-            // non-configured bins: answered from the interval stores
+            // non-configured bins: binned from the held executions
             ViewQuery::Utilization { bins: 7, threads_per_worker: 2 },
             ViewQuery::Phases,
         ] {
@@ -979,7 +700,7 @@ mod tests {
     /// several subscriber threads block for fresh versions.
     #[test]
     fn concurrent_subscriptions_on_realtime_plane() {
-        use dtf_core::ids::{NodeId, TaskKey, WorkerId};
+        use dtf_core::ids::{NodeId, TaskKey};
         let svc_cfg = dtf_mofka::ServiceConfig {
             mode: dtf_mofka::ServiceMode::RealTime { shards: 2 },
             ..Default::default()

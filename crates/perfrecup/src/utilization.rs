@@ -5,14 +5,15 @@
 //! Utilization is the fraction of a worker's thread-time spent executing
 //! tasks within each time window. Imbalance across workers is one of the
 //! scheduling-related variability sources §V discusses (placement, work
-//! stealing).
-
-use std::collections::HashMap;
+//! stealing). Busy time is binned in integer nanoseconds by [`BusyState`],
+//! the same derived state the live engine keeps.
 
 use serde::{Deserialize, Serialize};
 
 use dtf_core::ids::WorkerId;
 use dtf_wms::RunData;
+
+use crate::state::BusyState;
 
 /// Utilization of one worker over the run's time windows.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -27,31 +28,7 @@ pub struct WorkerUtilization {
 /// `threads_per_worker` caps the per-window busy time (a worker can be at
 /// most `threads × window` busy).
 pub fn per_worker(data: &RunData, bins: usize, threads_per_worker: u32) -> Vec<WorkerUtilization> {
-    assert!(bins > 0 && threads_per_worker > 0);
-    let horizon = data.wall_time.as_secs_f64().max(1e-9);
-    let w = horizon / bins as f64;
-    let mut map: HashMap<WorkerId, Vec<f64>> = HashMap::new();
-    for d in &data.task_done {
-        let busy = map.entry(d.worker).or_insert_with(|| vec![0.0; bins]);
-        let (s, e) = (d.start.as_secs_f64(), d.stop.as_secs_f64());
-        let first = ((s / w) as usize).min(bins - 1);
-        let last = ((e / w) as usize).min(bins - 1);
-        for (bin, slot) in busy.iter_mut().enumerate().take(last + 1).skip(first) {
-            let b0 = bin as f64 * w;
-            let b1 = b0 + w;
-            *slot += (e.min(b1) - s.max(b0)).max(0.0);
-        }
-    }
-    let cap = w * threads_per_worker as f64;
-    let mut out: Vec<WorkerUtilization> = map
-        .into_iter()
-        .map(|(worker, busy)| WorkerUtilization {
-            worker,
-            busy: busy.into_iter().map(|b| (b / cap).min(1.0)).collect(),
-        })
-        .collect();
-    out.sort_by_key(|u| u.worker);
-    out
+    BusyState::of(data).utilization(bins, threads_per_worker)
 }
 
 /// Imbalance metric per window: max − min busy fraction across workers.

@@ -7,16 +7,14 @@
 //! that was executing on that thread at that moment. Without the authors'
 //! pthread-id extension this join is impossible — `task_io` on a
 //! vanilla-DXT run returns no matches, which is exactly the
-//! interoperability gap the paper calls out.
+//! interoperability gap the paper calls out. The rule itself lives in
+//! [`ExecIndex::owner`]; `task_io` renders its answers as a DataFrame.
 
-use std::collections::HashMap;
-
-use dtf_core::ids::{TaskKey, ThreadId};
 use dtf_core::table::Value;
-use dtf_core::time::Time;
 use dtf_wms::RunData;
 
 use crate::frame::DataFrame;
+use crate::state::{CategoryState, ExecIndex};
 
 /// Lazily built DataFrame views over one run.
 pub struct RunViews<'a> {
@@ -71,61 +69,30 @@ impl<'a> RunViews<'a> {
     /// I/O that matches no task (e.g. thread ids scrubbed by vanilla DXT)
     /// gets a `Null` key.
     pub fn task_io(&self) -> DataFrame {
-        // index tasks by thread, sorted by start time
-        let mut by_thread: HashMap<ThreadId, Vec<(Time, Time, &TaskKey)>> = HashMap::new();
-        for d in &self.data.task_done {
-            by_thread.entry(d.thread).or_default().push((d.start, d.stop, &d.key));
-        }
-        for v in by_thread.values_mut() {
-            v.sort_by_key(|(s, _, _)| *s);
-        }
+        let execs = ExecIndex::of(&self.data.task_done);
+        let (keys, prefixes): (Vec<Value>, Vec<Value>) = self
+            .data
+            .darshan
+            .all_records()
+            .map(|rec| match execs.owner(rec.thread, rec.start) {
+                Some(exec) => (
+                    Value::Str(exec.key.to_string()),
+                    Value::Str(exec.key.prefix.as_str().to_string()),
+                ),
+                None => (Value::Null, Value::Null),
+            })
+            .unzip();
+        // one row per record, in `all_records` order, like the columns above
         let mut df = self.io();
-        let starts = df.col_f64("start_s").expect("io view has start_s");
-        let threads: Vec<u64> = df
-            .col("thread")
-            .expect("io view has thread")
-            .iter()
-            .map(|v| v.as_u64().unwrap_or(0))
-            .collect();
-        let mut keys = Vec::with_capacity(df.n_rows());
-        let mut prefixes = Vec::with_capacity(df.n_rows());
-        for i in 0..df.n_rows() {
-            let t = Time::from_secs_f64(starts[i]);
-            let found = by_thread.get(&ThreadId(threads[i])).and_then(|intervals| {
-                // last interval starting at or before t
-                let idx = intervals.partition_point(|(s, _, _)| *s <= t);
-                intervals[..idx].iter().rev().find(|(_, stop, _)| *stop >= t)
-            });
-            match found {
-                Some((_, _, key)) => {
-                    keys.push(Value::Str(key.to_string()));
-                    prefixes.push(Value::Str(key.prefix.as_str().to_string()));
-                }
-                None => {
-                    keys.push(Value::Null);
-                    prefixes.push(Value::Null);
-                }
-            }
-        }
         df.with_column("key", |i| keys[i].clone());
         df.with_column("prefix", |i| prefixes[i].clone());
         df
     }
 
-    /// Fraction of traced I/O operations successfully attributed to a task
-    /// by [`Self::task_io`]; 1.0 with the pthread-id extension, ~0 without.
+    /// Fraction of traced I/O operations the join attributes to a task;
+    /// 1.0 with the pthread-id extension, ~0 without.
     pub fn io_attribution_rate(&self) -> f64 {
-        let df = self.task_io();
-        if df.is_empty() {
-            return 0.0;
-        }
-        let matched = df
-            .col("key")
-            .expect("task_io has key")
-            .iter()
-            .filter(|v| !matches!(v, Value::Null))
-            .count();
-        matched as f64 / df.n_rows() as f64
+        CategoryState::of(self.data).attribution_rate().unwrap_or(0.0)
     }
 }
 
