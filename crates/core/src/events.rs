@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{ClientId, FileId, GraphId, NodeId, TaskKey, ThreadId, WorkerId};
-use crate::table::{Tabular, Value};
+use crate::table::{CellSink, Tabular};
 use crate::time::{Dur, Time};
 
 /// Scheduler-side task states, mirroring Dask's scheduler state machine.
@@ -159,16 +159,14 @@ impl Tabular for WorkerTransitionEvent {
         vec!["key", "prefix", "graph", "worker", "from", "to", "time_s"]
     }
 
-    fn row(&self) -> Vec<Value> {
-        vec![
-            Value::Str(self.key.to_string()),
-            Value::Str(self.key.prefix.as_str().to_string()),
-            Value::U64(self.graph.0 as u64),
-            Value::Str(self.worker.address()),
-            Value::Str(self.from.as_str().to_string()),
-            Value::Str(self.to.as_str().to_string()),
-            Value::F64(self.time.as_secs_f64()),
-        ]
+    fn cells(&self, out: &mut impl CellSink) {
+        out.display(self.key);
+        out.str(self.key.prefix.as_str());
+        out.u64(self.graph.0 as u64);
+        out.display(self.worker);
+        out.str(self.from.as_str());
+        out.str(self.to.as_str());
+        out.f64(self.time.as_secs_f64());
     }
 }
 
@@ -255,16 +253,14 @@ impl Tabular for TaskMetaEvent {
         vec!["key", "group", "prefix", "graph", "client", "n_deps", "submitted_s"]
     }
 
-    fn row(&self) -> Vec<Value> {
-        vec![
-            Value::Str(self.key.to_string()),
-            Value::Str(self.key.group()),
-            Value::Str(self.key.prefix.as_str().to_string()),
-            Value::U64(self.graph.0 as u64),
-            Value::Str(self.client.to_string()),
-            Value::U64(self.deps.len() as u64),
-            Value::F64(self.submitted.as_secs_f64()),
-        ]
+    fn cells(&self, out: &mut impl CellSink) {
+        out.display(self.key);
+        out.display(self.key.group_name());
+        out.str(self.key.prefix.as_str());
+        out.u64(self.graph.0 as u64);
+        out.display(self.client);
+        out.u64(self.deps.len() as u64);
+        out.f64(self.submitted.as_secs_f64());
     }
 }
 
@@ -419,21 +415,19 @@ impl Tabular for TransitionEvent {
         vec!["key", "group", "prefix", "graph", "from", "to", "stimulus", "location", "time_s"]
     }
 
-    fn row(&self) -> Vec<Value> {
-        vec![
-            Value::Str(self.key.to_string()),
-            Value::Str(self.key.group()),
-            Value::Str(self.key.prefix.as_str().to_string()),
-            Value::U64(self.graph.0 as u64),
-            Value::Str(self.from.as_str().to_string()),
-            Value::Str(self.to.as_str().to_string()),
-            Value::Str(self.stimulus.as_str().to_string()),
-            Value::Str(match self.location {
-                Location::Scheduler => "scheduler".to_string(),
-                Location::Worker(w) => w.address(),
-            }),
-            Value::F64(self.time.as_secs_f64()),
-        ]
+    fn cells(&self, out: &mut impl CellSink) {
+        out.display(self.key);
+        out.display(self.key.group_name());
+        out.str(self.key.prefix.as_str());
+        out.u64(self.graph.0 as u64);
+        out.str(self.from.as_str());
+        out.str(self.to.as_str());
+        out.str(self.stimulus.as_str());
+        match self.location {
+            Location::Scheduler => out.str("scheduler"),
+            Location::Worker(w) => out.display(w),
+        }
+        out.f64(self.time.as_secs_f64());
     }
 }
 
@@ -454,20 +448,18 @@ impl Tabular for TaskDoneEvent {
         ]
     }
 
-    fn row(&self) -> Vec<Value> {
-        vec![
-            Value::Str(self.key.to_string()),
-            Value::Str(self.key.group()),
-            Value::Str(self.key.prefix.as_str().to_string()),
-            Value::U64(self.graph.0 as u64),
-            Value::Str(self.worker.address()),
-            Value::Str(self.worker.node.hostname()),
-            Value::U64(self.thread.0),
-            Value::F64(self.start.as_secs_f64()),
-            Value::F64(self.stop.as_secs_f64()),
-            Value::F64(self.duration().as_secs_f64()),
-            Value::U64(self.nbytes),
-        ]
+    fn cells(&self, out: &mut impl CellSink) {
+        out.display(self.key);
+        out.display(self.key.group_name());
+        out.str(self.key.prefix.as_str());
+        out.u64(self.graph.0 as u64);
+        out.display(self.worker);
+        out.display(self.worker.node);
+        out.u64(self.thread.0);
+        out.f64(self.start.as_secs_f64());
+        out.f64(self.stop.as_secs_f64());
+        out.f64(self.duration().as_secs_f64());
+        out.u64(self.nbytes);
     }
 }
 
@@ -476,17 +468,15 @@ impl Tabular for CommEvent {
         vec!["key", "from", "to", "same_node", "nbytes", "start_s", "stop_s", "duration_s"]
     }
 
-    fn row(&self) -> Vec<Value> {
-        vec![
-            Value::Str(self.key.to_string()),
-            Value::Str(self.from.address()),
-            Value::Str(self.to.address()),
-            Value::Bool(self.same_node()),
-            Value::U64(self.nbytes),
-            Value::F64(self.start.as_secs_f64()),
-            Value::F64(self.stop.as_secs_f64()),
-            Value::F64(self.duration().as_secs_f64()),
-        ]
+    fn cells(&self, out: &mut impl CellSink) {
+        out.display(self.key);
+        out.display(self.from);
+        out.display(self.to);
+        out.bool(self.same_node());
+        out.u64(self.nbytes);
+        out.f64(self.start.as_secs_f64());
+        out.f64(self.stop.as_secs_f64());
+        out.f64(self.duration().as_secs_f64());
     }
 }
 
@@ -506,19 +496,17 @@ impl Tabular for IoRecord {
         ]
     }
 
-    fn row(&self) -> Vec<Value> {
-        vec![
-            Value::Str(self.host.hostname()),
-            Value::Str(self.worker.address()),
-            Value::U64(self.thread.0),
-            Value::U64(self.file.0),
-            Value::Str(self.op.as_str().to_string()),
-            Value::U64(self.offset),
-            Value::U64(self.size),
-            Value::F64(self.start.as_secs_f64()),
-            Value::F64(self.stop.as_secs_f64()),
-            Value::F64(self.duration().as_secs_f64()),
-        ]
+    fn cells(&self, out: &mut impl CellSink) {
+        out.display(self.host);
+        out.display(self.worker);
+        out.u64(self.thread.0);
+        out.u64(self.file.0);
+        out.str(self.op.as_str());
+        out.u64(self.offset);
+        out.u64(self.size);
+        out.f64(self.start.as_secs_f64());
+        out.f64(self.stop.as_secs_f64());
+        out.f64(self.duration().as_secs_f64());
     }
 }
 
@@ -527,13 +515,14 @@ impl Tabular for WarningEvent {
         vec!["kind", "worker", "time_s", "duration_s"]
     }
 
-    fn row(&self) -> Vec<Value> {
-        vec![
-            Value::Str(self.kind.as_str().to_string()),
-            Value::Str(self.worker.map(|w| w.address()).unwrap_or_else(|| "scheduler".into())),
-            Value::F64(self.time.as_secs_f64()),
-            Value::F64(self.duration.as_secs_f64()),
-        ]
+    fn cells(&self, out: &mut impl CellSink) {
+        out.str(self.kind.as_str());
+        match self.worker {
+            Some(w) => out.display(w),
+            None => out.str("scheduler"),
+        }
+        out.f64(self.time.as_secs_f64());
+        out.f64(self.duration.as_secs_f64());
     }
 }
 
@@ -610,19 +599,20 @@ impl Tabular for ProxyEvent {
         ]
     }
 
-    fn row(&self) -> Vec<Value> {
-        vec![
-            Value::Str(self.action.as_str().to_string()),
-            Value::Str(self.key.to_string()),
-            Value::Str(self.key.prefix.as_str().to_string()),
-            Value::U64(self.graph.0 as u64),
-            Value::U64(self.size),
-            Value::Str(self.owner.address()),
-            Value::U64(self.checksum),
-            Value::U64(self.generation as u64),
-            Value::Str(self.worker.map(|w| w.address()).unwrap_or_else(|| "-".into())),
-            Value::F64(self.time.as_secs_f64()),
-        ]
+    fn cells(&self, out: &mut impl CellSink) {
+        out.str(self.action.as_str());
+        out.display(self.key);
+        out.str(self.key.prefix.as_str());
+        out.u64(self.graph.0 as u64);
+        out.u64(self.size);
+        out.display(self.owner);
+        out.u64(self.checksum);
+        out.u64(self.generation as u64);
+        match self.worker {
+            Some(w) => out.display(w),
+            None => out.str("-"),
+        }
+        out.f64(self.time.as_secs_f64());
     }
 }
 
@@ -941,6 +931,7 @@ mod wire {
 mod tests {
     use super::*;
     use crate::ids::NodeId;
+    use crate::table::Value;
 
     fn key() -> TaskKey {
         TaskKey::new("inc", 1, 0)
@@ -995,53 +986,244 @@ mod tests {
         assert_eq!(done.duration(), Dur::from_secs_f64(2.5));
     }
 
+    /// The literal rows of one event per `Tabular` type, written down from
+    /// the hand-built `row()` bodies before `cells()` replaced them: the
+    /// `Vec<Value>` sink must keep every cell's variant and rendering.
     #[test]
-    fn tabular_rows_match_schema_len() {
-        let a = WorkerId::new(NodeId(0), 0);
-        let tr = TransitionEvent {
-            key: key(),
-            graph: GraphId(0),
-            from: TaskState::Waiting,
-            to: TaskState::Processing,
-            stimulus: Stimulus::Dispatched,
-            location: Location::Scheduler,
-            time: Time(5),
-        };
-        assert_eq!(tr.row().len(), TransitionEvent::schema().len());
-
-        let io = IoRecord {
-            host: NodeId(0),
-            worker: a,
-            thread: ThreadId(7),
-            file: FileId(1),
-            op: IoOp::Read,
-            offset: 0,
-            size: 4096,
-            start: Time(0),
-            stop: Time(10),
-        };
-        assert_eq!(io.row().len(), IoRecord::schema().len());
-
-        let w = WarningEvent {
-            kind: WarningKind::GcPause,
-            worker: Some(a),
-            time: Time(9),
-            duration: Dur(100),
-        };
-        assert_eq!(w.row().len(), WarningEvent::schema().len());
-
-        let p = ProxyEvent {
-            action: ProxyAction::Evicted,
-            key: key(),
-            graph: GraphId(0),
-            size: 1 << 20,
-            owner: a,
-            checksum: 7,
-            generation: 1,
-            worker: Some(a),
-            time: Time(11),
-        };
-        assert_eq!(p.row().len(), ProxyEvent::schema().len());
+    fn tabular_rows_are_pinned_cell_by_cell() {
+        fn s(v: &str) -> Value {
+            Value::Str(v.to_string())
+        }
+        fn pinned<T: Tabular>(event: &T, expect: Vec<Value>) {
+            assert_eq!(event.row(), expect);
+            assert_eq!(expect.len(), T::schema().len());
+        }
+        let k = TaskKey::new("inc", 0x2a, 3);
+        let a = WorkerId::new(NodeId(3), 1);
+        let b = WorkerId::new(NodeId(260), 0);
+        pinned(
+            &TransitionEvent {
+                key: k,
+                graph: GraphId(2),
+                from: TaskState::Waiting,
+                to: TaskState::Processing,
+                stimulus: Stimulus::Dispatched,
+                location: Location::Scheduler,
+                time: Time(1_500_000_000),
+            },
+            vec![
+                s("('inc-00002a', 3)"),
+                s("inc-00002a"),
+                s("inc"),
+                Value::U64(2),
+                s("waiting"),
+                s("processing"),
+                s("dispatched"),
+                s("scheduler"),
+                Value::F64(1.5),
+            ],
+        );
+        pinned(
+            &TransitionEvent {
+                key: k,
+                graph: GraphId(2),
+                from: TaskState::Processing,
+                to: TaskState::Memory,
+                stimulus: Stimulus::ComputeFinished,
+                location: Location::Worker(b),
+                time: Time(u64::MAX),
+            },
+            vec![
+                s("('inc-00002a', 3)"),
+                s("inc-00002a"),
+                s("inc"),
+                Value::U64(2),
+                s("processing"),
+                s("memory"),
+                s("compute-finished"),
+                s("10.0.1.4:40000"),
+                Value::F64(u64::MAX as f64 / 1e9),
+            ],
+        );
+        pinned(
+            &WorkerTransitionEvent {
+                key: k,
+                graph: GraphId(0),
+                worker: a,
+                from: WorkerTaskState::Ready,
+                to: WorkerTaskState::Executing,
+                time: Time(250_000_000),
+            },
+            vec![
+                s("('inc-00002a', 3)"),
+                s("inc"),
+                Value::U64(0),
+                s("10.0.0.3:40001"),
+                s("ready"),
+                s("executing"),
+                Value::F64(0.25),
+            ],
+        );
+        pinned(
+            &TaskMetaEvent {
+                key: k,
+                graph: GraphId(1),
+                client: ClientId(4),
+                deps: vec![TaskKey::new("load", 1, 0), TaskKey::new("load", 1, 1)],
+                submitted: Time(0),
+            },
+            vec![
+                s("('inc-00002a', 3)"),
+                s("inc-00002a"),
+                s("inc"),
+                Value::U64(1),
+                s("client-4"),
+                Value::U64(2),
+                Value::F64(0.0),
+            ],
+        );
+        pinned(
+            &TaskDoneEvent {
+                key: k,
+                graph: GraphId(1),
+                worker: a,
+                thread: ThreadId(0x7f00_0000_1001),
+                start: Time(1_000_000_000),
+                stop: Time(3_500_000_000),
+                nbytes: 4096,
+            },
+            vec![
+                s("('inc-00002a', 3)"),
+                s("inc-00002a"),
+                s("inc"),
+                Value::U64(1),
+                s("10.0.0.3:40001"),
+                s("nid0003"),
+                Value::U64(0x7f00_0000_1001),
+                Value::F64(1.0),
+                Value::F64(3.5),
+                Value::F64(2.5),
+                Value::U64(4096),
+            ],
+        );
+        pinned(
+            &CommEvent {
+                key: k,
+                from: a,
+                to: b,
+                nbytes: 1 << 20,
+                start: Time(2_000_000_000),
+                stop: Time(2_125_000_000),
+            },
+            vec![
+                s("('inc-00002a', 3)"),
+                s("10.0.0.3:40001"),
+                s("10.0.1.4:40000"),
+                Value::Bool(false),
+                Value::U64(1 << 20),
+                Value::F64(2.0),
+                Value::F64(2.125),
+                Value::F64(0.125),
+            ],
+        );
+        pinned(
+            &IoRecord {
+                host: NodeId(3),
+                worker: a,
+                thread: ThreadId(7),
+                file: FileId(9),
+                op: IoOp::Write,
+                offset: 512,
+                size: 4096,
+                start: Time(4_000_000_000),
+                stop: Time(4_500_000_000),
+            },
+            vec![
+                s("nid0003"),
+                s("10.0.0.3:40001"),
+                Value::U64(7),
+                Value::U64(9),
+                s("write"),
+                Value::U64(512),
+                Value::U64(4096),
+                Value::F64(4.0),
+                Value::F64(4.5),
+                Value::F64(0.5),
+            ],
+        );
+        pinned(
+            &WarningEvent {
+                kind: WarningKind::GcPause,
+                worker: Some(a),
+                time: Time(9_000_000_000),
+                duration: Dur(750_000_000),
+            },
+            vec![s("gc-pause"), s("10.0.0.3:40001"), Value::F64(9.0), Value::F64(0.75)],
+        );
+        pinned(
+            &WarningEvent {
+                kind: WarningKind::UnresponsiveEventLoop,
+                worker: None,
+                time: Time(0),
+                duration: Dur(u64::MAX),
+            },
+            vec![
+                s("unresponsive-event-loop"),
+                s("scheduler"),
+                Value::F64(0.0),
+                Value::F64(u64::MAX as f64 / 1e9),
+            ],
+        );
+        pinned(
+            &ProxyEvent {
+                action: ProxyAction::Resolved,
+                key: k,
+                graph: GraphId(5),
+                size: 1 << 21,
+                owner: a,
+                checksum: u64::MAX,
+                generation: 2,
+                worker: Some(b),
+                time: Time(11_000_000_000),
+            },
+            vec![
+                s("resolved"),
+                s("('inc-00002a', 3)"),
+                s("inc"),
+                Value::U64(5),
+                Value::U64(1 << 21),
+                s("10.0.0.3:40001"),
+                Value::U64(u64::MAX),
+                Value::U64(2),
+                s("10.0.1.4:40000"),
+                Value::F64(11.0),
+            ],
+        );
+        pinned(
+            &ProxyEvent {
+                action: ProxyAction::Published,
+                key: k,
+                graph: GraphId(5),
+                size: 0,
+                owner: a,
+                checksum: 0,
+                generation: 0,
+                worker: None,
+                time: Time(0),
+            },
+            vec![
+                s("published"),
+                s("('inc-00002a', 3)"),
+                s("inc"),
+                Value::U64(5),
+                Value::U64(0),
+                s("10.0.0.3:40001"),
+                Value::U64(0),
+                Value::U64(0),
+                s("-"),
+                Value::F64(0.0),
+            ],
+        );
     }
 
     #[test]

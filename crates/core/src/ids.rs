@@ -280,7 +280,13 @@ impl TaskKey {
     /// The task *group* name: prefix plus token, shared by all chunks of one
     /// collection operation.
     pub fn group(&self) -> String {
-        format!("{}-{:06x}", self.prefix, self.token)
+        self.group_name().to_string()
+    }
+
+    /// The group's spelling as a `Display` value, for sinks that print it
+    /// without wanting the `String`.
+    pub fn group_name(&self) -> GroupName {
+        GroupName { prefix: self.prefix, token: self.token }
     }
 
     /// Write the compact JSON rendering of this key — exactly the bytes
@@ -305,7 +311,20 @@ impl TaskKey {
 
 impl fmt::Display for TaskKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "('{}-{:06x}', {})", self.prefix, self.token, self.index)
+        write!(f, "('{}', {})", self.group_name(), self.index)
+    }
+}
+
+/// `Display` form of a task group, `prefix-token` (see [`TaskKey::group`]).
+#[derive(Debug, Clone, Copy)]
+pub struct GroupName {
+    prefix: TaskPrefix,
+    token: u32,
+}
+
+impl fmt::Display for GroupName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}-{:06x}", self.prefix, self.token)
     }
 }
 
@@ -316,13 +335,13 @@ pub struct NodeId(pub u32);
 impl NodeId {
     /// Hostname as recorded in logs (e.g. `nid0003`, Polaris-style).
     pub fn hostname(&self) -> String {
-        format!("nid{:04}", self.0)
+        self.to_string()
     }
 }
 
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.hostname())
+        write!(f, "nid{:04}", self.0)
     }
 }
 
@@ -343,13 +362,13 @@ impl WorkerId {
 
     /// Synthetic `ip:port` address, the identifier Dask uses in its logs.
     pub fn address(&self) -> String {
-        format!("10.0.{}.{}:{}", self.node.0 / 256, self.node.0 % 256, 40000 + self.slot)
+        self.to_string()
     }
 }
 
 impl fmt::Display for WorkerId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.address())
+        write!(f, "10.0.{}.{}:{}", self.node.0 / 256, self.node.0 % 256, 40000 + self.slot)
     }
 }
 

@@ -2,9 +2,14 @@
 //!
 //! Every data source in the framework (task transitions, task completions,
 //! communications, I/O traces, warnings, job metadata) can project itself
-//! into rows of typed values under a named schema. The analysis engine
-//! (`dtf-perfrecup`) ingests these projections into DataFrames and joins
-//! them on the shared identifier columns.
+//! into rows of typed cells under a named schema. A [`Tabular`] type is a
+//! *cell visitor*: [`Tabular::cells`] hands one row's cells, borrowed and
+//! in schema order, to a [`CellSink`], and that is the type's only
+//! projection. What the cells become is the sink's business — the CSV
+//! writer of `dtf-perfrecup` prints them as they arrive (the archival
+//! export never builds a row), a `Vec<Value>` boxes them into the row
+//! [`Tabular::row`] returns, and DataFrames are built from those rows for
+//! the analyses that compute on columns.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -100,7 +105,7 @@ impl Value {
 /// Borrowed key form of a [`Value`]: `Hash + Eq + Ord` over the typed
 /// variants, so join indexes and group tables can hash rows without
 /// rendering each cell to a fresh `String` (the old per-row `to_string()`
-/// allocation in `inner_join`/`group_by`).
+/// allocation in `group_by`).
 ///
 /// Equality semantics match what display-form hashing gave the identifier
 /// columns the analyses join on: `U64` and non-negative `I64` canonicalize
@@ -270,12 +275,83 @@ impl From<String> for Value {
     }
 }
 
+/// Receiver of one row's cells, in schema order. String cells are
+/// borrowed, so a sink that only prints them allocates nothing per cell.
+pub trait CellSink {
+    fn str(&mut self, v: &str);
+    fn u64(&mut self, v: u64);
+    fn i64(&mut self, v: i64);
+    fn f64(&mut self, v: f64);
+    fn bool(&mut self, v: bool);
+    fn null(&mut self);
+    /// A string cell given by its `Display` form (a task key, a worker
+    /// address) rather than by a `&str` the row would have to allocate.
+    fn display(&mut self, v: impl fmt::Display);
+}
+
+/// The boxing sink: each cell becomes the [`Value`] of its type.
+impl CellSink for Vec<Value> {
+    fn str(&mut self, v: &str) {
+        self.push(Value::Str(v.to_string()));
+    }
+    fn u64(&mut self, v: u64) {
+        self.push(Value::U64(v));
+    }
+    fn i64(&mut self, v: i64) {
+        self.push(Value::I64(v));
+    }
+    fn f64(&mut self, v: f64) {
+        self.push(Value::F64(v));
+    }
+    fn bool(&mut self, v: bool) {
+        self.push(Value::Bool(v));
+    }
+    fn null(&mut self) {
+        self.push(Value::Null);
+    }
+    fn display(&mut self, v: impl fmt::Display) {
+        self.push(Value::Str(v.to_string()));
+    }
+}
+
+impl Value {
+    /// Hand this cell to `out` as the cell of its type — the inverse of
+    /// the boxing sink, so a frame of `Value`s prints through the same
+    /// sink a [`Tabular`] row does.
+    pub fn cell(&self, out: &mut impl CellSink) {
+        match self {
+            Value::Null => out.null(),
+            Value::Bool(v) => out.bool(*v),
+            Value::I64(v) => out.i64(*v),
+            Value::U64(v) => out.u64(*v),
+            Value::F64(v) => out.f64(*v),
+            Value::Str(v) => out.str(v),
+        }
+    }
+}
+
 /// Types that project into the common tabular format.
 pub trait Tabular {
     /// Column names, fixed per type.
     fn schema() -> Vec<&'static str>;
-    /// One row; must have exactly `schema().len()` values.
-    fn row(&self) -> Vec<Value>;
+    /// One row's cells, in schema order: exactly `schema().len()` calls on
+    /// `out`. This is the type's one projection.
+    fn cells(&self, out: &mut impl CellSink);
+    /// One row as boxed values — [`Tabular::cells`] into a `Vec<Value>`.
+    fn row(&self) -> Vec<Value> {
+        let mut row = Vec::new();
+        self.cells(&mut row);
+        row
+    }
+}
+
+impl<T: Tabular> Tabular for &T {
+    fn schema() -> Vec<&'static str> {
+        T::schema()
+    }
+    fn cells(&self, out: &mut impl CellSink) {
+        (**self).cells(out);
+    }
 }
 
 #[cfg(test)]

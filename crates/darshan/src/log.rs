@@ -18,6 +18,8 @@ use crate::counters::PosixCounters;
 
 const MAGIC: &[u8; 8] = b"DTFDARSH";
 const VERSION: u32 = 1;
+/// Magic + version + payload length.
+const HEADER_LEN: usize = 20;
 
 /// Log header: identity of the process and trace-completeness flags.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -44,18 +46,20 @@ pub struct DarshanLog {
 impl DarshanLog {
     /// Serialize to the binary log format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let payload = serde_json::to_vec(self).expect("log serializes");
-        let mut out = Vec::with_capacity(16 + payload.len());
+        let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&payload);
+        // payload length, patched once the payload is behind the header
+        out.extend_from_slice(&0u64.to_le_bytes());
+        serde_json::to_writer(&mut out, self).expect("log serializes");
+        let len = (out.len() - HEADER_LEN) as u64;
+        out[12..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
         out
     }
 
     /// Parse a binary log.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() < 20 {
+        if bytes.len() < HEADER_LEN {
             return Err(DtfError::Io("darshan log too short".into()));
         }
         if &bytes[0..8] != MAGIC {
@@ -65,9 +69,9 @@ impl DarshanLog {
         if version != VERSION {
             return Err(DtfError::Io(format!("unsupported darshan log version {version}")));
         }
-        let len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize;
+        let len = u64::from_le_bytes(bytes[12..HEADER_LEN].try_into().expect("8 bytes")) as usize;
         let payload = bytes
-            .get(20..20 + len)
+            .get(HEADER_LEN..HEADER_LEN + len)
             .ok_or_else(|| DtfError::Io("truncated darshan log payload".into()))?;
         Ok(serde_json::from_slice(payload)?)
     }
@@ -173,6 +177,8 @@ mod tests {
         let bytes = log.to_bytes();
         let back = DarshanLog::from_bytes(&bytes).unwrap();
         assert_eq!(log, back);
+        // the payload rendered behind the header is the standalone rendering
+        assert_eq!(&bytes[HEADER_LEN..], serde_json::to_vec(&log).unwrap());
     }
 
     #[test]

@@ -5,14 +5,23 @@
 //! Writes one run's complete characterization data to a directory:
 //! every view as CSV (the common tabular format), the provenance chart and
 //! run manifest as JSON, and the Darshan logs in their binary format.
+//!
+//! The CSVs are streamed: each event's cells go from [`Tabular::cells`]
+//! straight into one reused [`CsvWriter`] buffer, with no DataFrame, row
+//! vector or per-cell `String` in between. The bundle's bytes are the
+//! contract (`tests/golden/export_fnv64.txt` pins them), not the path that
+//! produces them.
 
 use std::io::Write as _;
 use std::path::Path;
 
 use dtf_core::error::{DtfError, Result};
+use dtf_core::table::Tabular;
 use dtf_wms::RunData;
 
-use crate::views::RunViews;
+use crate::frame::CsvWriter;
+use crate::state::ExecIndex;
+use crate::views::task_io_rows;
 
 /// Files written by [`export_run`].
 pub const CSV_VIEWS: [&str; 7] = [
@@ -31,30 +40,37 @@ fn write(path: &Path, bytes: &[u8]) -> Result<()> {
     f.write_all(bytes).map_err(|e| DtfError::Io(format!("write {}: {e}", path.display())))
 }
 
+/// Render `rows` under their schema's header into `csv` and write the file.
+fn write_csv<T: Tabular>(
+    csv: &mut CsvWriter,
+    path: &Path,
+    rows: impl IntoIterator<Item = T>,
+) -> Result<()> {
+    csv.clear();
+    csv.header(&T::schema());
+    for r in rows {
+        csv.row(&r);
+    }
+    write(path, csv.as_str().as_bytes())
+}
+
 /// Export everything collected from `data` into `dir` (created if absent).
 /// Returns the number of files written.
 pub fn export_run(data: &RunData, dir: &Path) -> Result<usize> {
     std::fs::create_dir_all(dir)
         .map_err(|e| DtfError::Io(format!("mkdir {}: {e}", dir.display())))?;
-    let views = RunViews::new(data);
-    let mut written = 0;
-
-    for (name, df) in [
-        ("tasks.csv", views.tasks()),
-        ("task_meta.csv", views.meta()),
-        ("transitions.csv", views.transitions()),
-        ("worker_transitions.csv", views.worker_transitions()),
-        ("comms.csv", views.comms()),
-        ("io.csv", views.io()),
-        ("warnings.csv", views.warnings()),
-    ] {
-        write(&dir.join(name), df.to_csv().as_bytes())?;
-        written += 1;
-    }
-
+    let csv = &mut CsvWriter::default();
+    write_csv(csv, &dir.join("tasks.csv"), &data.task_done)?;
+    write_csv(csv, &dir.join("task_meta.csv"), &data.meta)?;
+    write_csv(csv, &dir.join("transitions.csv"), &data.transitions)?;
+    write_csv(csv, &dir.join("worker_transitions.csv"), &data.worker_transitions)?;
+    write_csv(csv, &dir.join("comms.csv"), &data.comms)?;
+    write_csv(csv, &dir.join("io.csv"), data.darshan.all_records())?;
+    write_csv(csv, &dir.join("warnings.csv"), &data.warnings)?;
     // the fused task<->I/O view, the paper's headline join
-    write(&dir.join("task_io.csv"), views.task_io().to_csv().as_bytes())?;
-    written += 1;
+    let execs = ExecIndex::of(&data.task_done);
+    write_csv(csv, &dir.join("task_io.csv"), task_io_rows(data, &execs))?;
+    let mut written = CSV_VIEWS.len() + 1;
 
     // provenance chart (layers 1-2) and run manifest
     write(
@@ -164,6 +180,27 @@ mod tests {
             .expect("darshan log written");
         let bytes = std::fs::read(any_log.path()).unwrap();
         assert!(DarshanLog::from_bytes(&bytes).is_ok());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn streamed_task_io_is_the_task_io_frame() {
+        // scrub every other record's thread id, as vanilla DXT would, so
+        // the join leaves some I/O unattributed
+        let mut data = run();
+        let records = data.darshan.logs.iter_mut().flat_map(|l| l.dxt.iter_mut());
+        for rec in records.step_by(2) {
+            rec.thread = dtf_core::ids::ThreadId(0);
+        }
+        let frame = crate::RunViews::new(&data).task_io();
+        let keys = frame.col("key").unwrap();
+        assert!(keys.iter().any(|k| k.as_str().is_some()), "some I/O is attributed");
+        assert!(keys.contains(&dtf_core::table::Value::Null), "some I/O is not");
+
+        let dir = std::env::temp_dir().join(format!("dtf-export-taskio-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        export_run(&data, &dir).unwrap();
+        assert_eq!(std::fs::read_to_string(dir.join("task_io.csv")).unwrap(), frame.to_csv());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

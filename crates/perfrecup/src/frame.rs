@@ -1,13 +1,19 @@
 //! A small typed columnar DataFrame — the pandas substitute underneath the
-//! analysis views. Supports projection, filtering, sorting, inner joins on
-//! shared identifier columns, and grouped aggregation; exactly the
-//! operations the paper's analyses need.
+//! analysis views — and the CSV writer of the common tabular format.
+//!
+//! The frame supports projection, filtering, sorting and grouped
+//! aggregation: the operations the paper's analyses compute on columns.
+//! (The paper's one join, task↔I/O, is `ExecIndex::owner`, not a frame
+//! operation.) [`CsvWriter`] is the only CSV renderer: it is a
+//! [`CellSink`], so [`Tabular`] rows stream into it cell by cell without a
+//! frame in between (`export_run`), and [`DataFrame::to_csv`] feeds it a
+//! frame's boxed cells — one quoting rule, one float form.
 
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use dtf_core::error::{DtfError, Result};
-use dtf_core::table::{Tabular, Value, ValueKey};
+use dtf_core::table::{CellSink, Tabular, Value, ValueKey};
 
 /// Column-major table with string column names.
 ///
@@ -45,13 +51,22 @@ impl DataFrame {
         Self { names, columns }
     }
 
-    /// Build from any slice of records in the common tabular format.
-    pub fn from_tabular<T: Tabular>(records: &[T]) -> Self {
+    /// Build from any sequence of records in the common tabular format
+    /// (a slice of events, or an iterator of borrowed rows).
+    pub fn from_tabular<T: Tabular>(records: impl IntoIterator<Item = T>) -> Self {
         let names: Vec<String> = T::schema().into_iter().map(str::to_string).collect();
         let mut df = DataFrame::new(names);
-        df.reserve(records.len());
+        let records = records.into_iter();
+        df.reserve(records.size_hint().0);
+        // one row buffer for the whole frame: cells are boxed into it and
+        // moved out to their columns
+        let mut row = Vec::with_capacity(df.n_cols());
         for r in records {
-            df.push_row(r.row()).expect("schema-conforming row");
+            r.cells(&mut row);
+            assert_eq!(row.len(), df.n_cols(), "schema-conforming row");
+            for (col, v) in df.columns.iter_mut().zip(row.drain(..)) {
+                col.push(v);
+            }
         }
         df
     }
@@ -160,57 +175,6 @@ impl DataFrame {
         self.take(&rows)
     }
 
-    /// Inner join on `self[left_on] == other[right_on]`. Columns of `other`
-    /// are suffixed with `_r` when they collide.
-    pub fn inner_join(
-        &self,
-        other: &DataFrame,
-        left_on: &str,
-        right_on: &str,
-    ) -> Result<DataFrame> {
-        let li = self.col_index(left_on)?;
-        let ri = other.col_index(right_on)?;
-        // hash the right side by the borrowed typed key — zero per-row
-        // string rendering (the old code allocated a display-form String
-        // for every row of both sides)
-        let mut index: HashMap<ValueKey<'_>, Vec<usize>> = HashMap::with_capacity(other.n_rows());
-        for (i, v) in other.columns[ri].iter().enumerate() {
-            index.entry(v.key()).or_default().push(i);
-        }
-        let mut names = self.names.clone();
-        for (j, n) in other.names.iter().enumerate() {
-            if j == ri {
-                continue;
-            }
-            if names.contains(n) {
-                names.push(format!("{n}_r"));
-            } else {
-                names.push(n.clone());
-            }
-        }
-        // probe pass: collect the (left, right) row pairs so every output
-        // column can be assembled column-major with exact capacity
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for i in 0..self.n_rows() {
-            if let Some(matches) = index.get(&self.columns[li][i].key()) {
-                pairs.extend(matches.iter().map(|&j| (i, j)));
-            }
-        }
-        let mut out = DataFrame::new(names);
-        for (ci, col) in self.columns.iter().enumerate() {
-            let mut vals = Vec::with_capacity(pairs.len());
-            vals.extend(pairs.iter().map(|&(i, _)| col[i].clone()));
-            out.columns[ci] = vals;
-        }
-        for (cj, col) in other.columns.iter().enumerate().filter(|&(cj, _)| cj != ri) {
-            let mut vals = Vec::with_capacity(pairs.len());
-            vals.extend(pairs.iter().map(|&(_, j)| col[j].clone()));
-            let oi = self.columns.len() + if cj < ri { cj } else { cj - 1 };
-            out.columns[oi] = vals;
-        }
-        Ok(out)
-    }
-
     /// Group by a key column and aggregate a value column.
     /// Returns a frame with columns `[key, agg]`, ordered by key
     /// ([`Value::cmp_total`] order; string keys sort exactly as before,
@@ -277,25 +241,131 @@ impl DataFrame {
         self.columns.push(vals);
     }
 
-    /// Render as CSV (RFC-4180-style quoting) — the archival form of the
-    /// common tabular format.
+    /// Render as CSV — the archival form of the common tabular format
+    /// (see [`CsvWriter`]).
     pub fn to_csv(&self) -> String {
-        fn field(s: String) -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s
-            }
-        }
-        let mut out = String::new();
-        out.push_str(&self.names.iter().map(|n| field(n.clone())).collect::<Vec<_>>().join(","));
-        out.push('\n');
+        let mut csv = CsvWriter::default();
+        csv.header(&self.names);
         for i in 0..self.n_rows() {
-            let row: Vec<String> = self.row(i).iter().map(|v| field(v.to_string())).collect();
-            out.push_str(&row.join(","));
-            out.push('\n');
+            for col in &self.columns {
+                col[i].cell(&mut csv);
+            }
+            csv.end_row();
         }
-        out
+        csv.into_string()
+    }
+}
+
+/// The CSV renderer of the common tabular format: a [`CellSink`] that
+/// appends each cell to one growing text buffer. It owns the two rules the
+/// exported bytes depend on — a text field is quoted (RFC 4180: wrapped in
+/// `"`, inner `"` doubled) exactly when it contains `,` `"` `\n` or `\r`,
+/// and a float prints as `{:.6}`. Numbers, booleans and nulls cannot
+/// contain a quotable byte and are never scanned for one.
+///
+/// [`CsvWriter::clear`] keeps the buffer, so one writer renders any
+/// number of files.
+#[derive(Debug, Default)]
+pub struct CsvWriter {
+    out: String,
+    /// Cells written so far in the current row.
+    col: usize,
+}
+
+impl CsvWriter {
+    /// The header row: column names are text fields like any other.
+    pub fn header<S: AsRef<str>>(&mut self, names: &[S]) {
+        for n in names {
+            self.str(n.as_ref());
+        }
+        self.end_row();
+    }
+
+    /// One record, streamed cell by cell.
+    pub fn row(&mut self, record: &impl Tabular) {
+        record.cells(self);
+        self.end_row();
+    }
+
+    /// Terminate a row whose cells were fed through the [`CellSink`] methods.
+    pub fn end_row(&mut self) {
+        self.out.push('\n');
+        self.col = 0;
+    }
+
+    pub fn as_str(&self) -> &str {
+        &self.out
+    }
+
+    pub fn into_string(self) -> String {
+        self.out
+    }
+
+    /// Forget the rendered text, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.out.clear();
+        self.col = 0;
+    }
+
+    /// Open the next field; returns where its text starts.
+    fn field(&mut self) -> usize {
+        if self.col > 0 {
+            self.out.push(',');
+        }
+        self.col += 1;
+        self.out.len()
+    }
+
+    /// Quote the text field written from `start` on, if it needs it. Every
+    /// task key does (`('prefix-token', index)` holds a comma), so wrapping
+    /// is done in place; only doubling an inner `"` allocates.
+    fn quote(&mut self, start: usize) {
+        let raw = &self.out.as_bytes()[start..];
+        if !raw.iter().any(|b| matches!(b, b',' | b'"' | b'\n' | b'\r')) {
+            return;
+        }
+        if raw.contains(&b'"') {
+            let doubled = self.out[start..].replace('"', "\"\"");
+            self.out.truncate(start);
+            self.out.push_str(&doubled);
+        }
+        self.out.insert(start, '"');
+        self.out.push('"');
+    }
+
+    /// A field whose rendering cannot hold a byte that needs quoting.
+    fn bare(&mut self, v: impl fmt::Display) {
+        self.field();
+        write!(self.out, "{v}").expect("writing to a String cannot fail");
+    }
+}
+
+impl CellSink for CsvWriter {
+    fn str(&mut self, v: &str) {
+        let start = self.field();
+        self.out.push_str(v);
+        self.quote(start);
+    }
+    fn u64(&mut self, v: u64) {
+        self.bare(v);
+    }
+    fn i64(&mut self, v: i64) {
+        self.bare(v);
+    }
+    fn f64(&mut self, v: f64) {
+        self.field();
+        write!(self.out, "{v:.6}").expect("writing to a String cannot fail");
+    }
+    fn bool(&mut self, v: bool) {
+        self.bare(v);
+    }
+    fn null(&mut self) {
+        self.field();
+    }
+    fn display(&mut self, v: impl fmt::Display) {
+        let start = self.field();
+        write!(self.out, "{v}").expect("writing to a String cannot fail");
+        self.quote(start);
     }
 }
 
@@ -381,31 +451,6 @@ mod tests {
     }
 
     #[test]
-    fn inner_join_on_key() {
-        let left = df();
-        let mut right = DataFrame::new(vec!["k".into(), "y".into()]);
-        right.push_row(vec![Value::U64(1), Value::Str("one".into())]).unwrap();
-        right.push_row(vec![Value::U64(3), Value::Str("three".into())]).unwrap();
-        right.push_row(vec![Value::U64(3), Value::Str("tres".into())]).unwrap();
-        let j = left.inner_join(&right, "k", "k").unwrap();
-        // k=1 matches once, k=3 matches twice, k=2 drops
-        assert_eq!(j.n_rows(), 3);
-        assert_eq!(j.names(), &["k", "x", "tag", "y"]);
-        let ys: Vec<String> = j.col("y").unwrap().iter().map(|v| v.to_string()).collect();
-        assert!(ys.contains(&"one".to_string()));
-        assert!(ys.contains(&"tres".to_string()));
-    }
-
-    #[test]
-    fn join_suffixes_colliding_columns() {
-        let left = df();
-        let right = df();
-        let j = left.inner_join(&right, "k", "k").unwrap();
-        assert!(j.names().contains(&"x_r".to_string()));
-        assert!(j.names().contains(&"tag_r".to_string()));
-    }
-
-    #[test]
     fn group_by_aggregations() {
         let d = df();
         let g = d.group_by("tag", "x", Agg::Sum).unwrap();
@@ -452,16 +497,6 @@ mod tests {
         assert_eq!(g.n_rows(), 2, "U64(1)+I64(1) merge; F64(1.0) stays separate");
         let sums: Vec<f64> = g.col_f64("x_sum").unwrap();
         assert!(sums.contains(&30.0) && sums.contains(&40.0));
-    }
-
-    #[test]
-    fn join_matches_cross_typed_integer_keys() {
-        let mut left = DataFrame::new(vec!["k".into(), "x".into()]);
-        left.push_row(vec![Value::U64(7), Value::F64(1.0)]).unwrap();
-        let mut right = DataFrame::new(vec!["k".into(), "y".into()]);
-        right.push_row(vec![Value::I64(7), Value::F64(2.0)]).unwrap();
-        let j = left.inner_join(&right, "k", "k").unwrap();
-        assert_eq!(j.n_rows(), 1, "U64(7) joins I64(7)");
     }
 
     #[test]
@@ -545,5 +580,17 @@ mod tests {
         assert_eq!(lines[0], "name,x");
         assert_eq!(lines[2], "\"with,comma\",2");
         assert_eq!(lines[3], "\"with\"\"quote\",3");
+    }
+
+    // RFC 4180: a bare CR or LF inside a field would split the row for a
+    // CRLF-aware reader, so either one quotes the field; numbers, floats
+    // (`{:.6}`), booleans and nulls print bare.
+    #[test]
+    fn csv_quotes_line_breaks_and_prints_numbers_bare() {
+        let mut d = DataFrame::new(vec!["a,b".into(), "v".into()]);
+        d.push_row(vec![Value::Str("cr\rhere".into()), Value::F64(1.5)]).unwrap();
+        d.push_row(vec![Value::Str("lf\nhere".into()), Value::I64(-7)]).unwrap();
+        d.push_row(vec![Value::Null, Value::Bool(true)]).unwrap();
+        assert_eq!(d.to_csv(), "\"a,b\",v\n\"cr\rhere\",1.500000\n\"lf\nhere\",-7\n,true\n");
     }
 }

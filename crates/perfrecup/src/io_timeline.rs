@@ -35,8 +35,7 @@ impl IoPhase {
 /// The per-thread segment view (the figure's raw marks): columns
 /// `thread, op, start_s, stop_s, size`.
 pub fn segments(data: &RunData) -> DataFrame {
-    let records: Vec<_> = data.darshan.all_records().cloned().collect();
-    let df = DataFrame::from_tabular(&records);
+    let df = DataFrame::from_tabular(data.darshan.all_records());
     df.select(&["thread", "op", "start_s", "stop_s", "size", "host"])
         .expect("io schema has these columns")
 }

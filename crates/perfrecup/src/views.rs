@@ -8,13 +8,59 @@
 //! pthread-id extension this join is impossible — `task_io` on a
 //! vanilla-DXT run returns no matches, which is exactly the
 //! interoperability gap the paper calls out. The rule itself lives in
-//! [`ExecIndex::owner`]; `task_io` renders its answers as a DataFrame.
+//! [`ExecIndex::owner`]; [`TaskIoRow`] is its one rendering — a borrowed
+//! `(record, owner)` pair in the common tabular format, which `task_io`
+//! collects into a DataFrame and `export_run` streams into `task_io.csv`.
 
-use dtf_core::table::Value;
+use dtf_core::events::IoRecord;
+use dtf_core::table::{CellSink, Tabular};
 use dtf_wms::RunData;
 
 use crate::frame::DataFrame;
-use crate::state::{CategoryState, ExecIndex};
+use crate::state::{CategoryState, Exec, ExecIndex};
+
+/// One row of the fused task↔I/O view: a traced I/O operation and the
+/// execution that owned its thread when it started, if any. The columns
+/// are the I/O record's, then the owning task's `key` and `prefix` (null
+/// for I/O no task owns).
+#[derive(Debug, Clone, Copy)]
+pub struct TaskIoRow<'a> {
+    pub record: &'a IoRecord,
+    pub owner: Option<&'a Exec>,
+}
+
+impl Tabular for TaskIoRow<'_> {
+    fn schema() -> Vec<&'static str> {
+        let mut names = IoRecord::schema();
+        names.extend(["key", "prefix"]);
+        names
+    }
+
+    fn cells(&self, out: &mut impl CellSink) {
+        self.record.cells(out);
+        match self.owner {
+            Some(exec) => {
+                out.display(exec.key);
+                out.str(exec.key.prefix.as_str());
+            }
+            None => {
+                out.null();
+                out.null();
+            }
+        }
+    }
+}
+
+/// The fused view's rows, one per Darshan record in `all_records` order,
+/// each attributed through `execs` (the run's sealed [`ExecIndex`]).
+pub fn task_io_rows<'a>(
+    data: &'a RunData,
+    execs: &'a ExecIndex,
+) -> impl Iterator<Item = TaskIoRow<'a>> {
+    data.darshan
+        .all_records()
+        .map(|record| TaskIoRow { record, owner: execs.owner(record.thread, record.start) })
+}
 
 /// Lazily built DataFrame views over one run.
 pub struct RunViews<'a> {
@@ -55,8 +101,7 @@ impl<'a> RunViews<'a> {
 
     /// Traced I/O operations across all workers' Darshan logs.
     pub fn io(&self) -> DataFrame {
-        let records: Vec<_> = self.data.darshan.all_records().cloned().collect();
-        DataFrame::from_tabular(&records)
+        DataFrame::from_tabular(self.data.darshan.all_records())
     }
 
     /// Runtime warnings.
@@ -70,23 +115,7 @@ impl<'a> RunViews<'a> {
     /// gets a `Null` key.
     pub fn task_io(&self) -> DataFrame {
         let execs = ExecIndex::of(&self.data.task_done);
-        let (keys, prefixes): (Vec<Value>, Vec<Value>) = self
-            .data
-            .darshan
-            .all_records()
-            .map(|rec| match execs.owner(rec.thread, rec.start) {
-                Some(exec) => (
-                    Value::Str(exec.key.to_string()),
-                    Value::Str(exec.key.prefix.as_str().to_string()),
-                ),
-                None => (Value::Null, Value::Null),
-            })
-            .unzip();
-        // one row per record, in `all_records` order, like the columns above
-        let mut df = self.io();
-        df.with_column("key", |i| keys[i].clone());
-        df.with_column("prefix", |i| prefixes[i].clone());
-        df
+        DataFrame::from_tabular(task_io_rows(self.data, &execs))
     }
 
     /// Fraction of traced I/O operations the join attributes to a task;

@@ -131,10 +131,9 @@ proptest! {
         }
     }
 
-    /// DataFrame group-by sums match a naive computation, and joins never
-    /// invent rows.
+    /// DataFrame group-by sums match a naive computation.
     #[test]
-    fn dataframe_groupby_and_join_invariants(
+    fn dataframe_groupby_invariants(
         rows in proptest::collection::vec((0u8..5, -100i64..100), 0..60),
     ) {
         use dtf::core::table::Value;
@@ -154,10 +153,6 @@ proptest! {
             let k: u8 = key.as_u64().unwrap() as u8;
             prop_assert!((naive[&k].0 - sum).abs() < 1e-9);
         }
-        // self-join on key multiplies group sizes
-        let joined = df.inner_join(&df, "k", "k").unwrap();
-        let expect: usize = naive.values().map(|(_, n)| n * n).sum();
-        prop_assert_eq!(joined.n_rows(), expect);
     }
 
     /// Kendall tau is symmetric, bounded, and 1 on identical sequences.
@@ -452,5 +447,155 @@ fn bedrock_default_supports_every_plugin_topic() {
     let svc = BedrockConfig::wms_default().bootstrap().unwrap();
     for topic in dtf::wms::MofkaPlugin::TOPICS {
         assert!(svc.topic(topic).is_ok(), "missing topic {topic}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The common tabular format: one projection, three renderings that agree.
+// ---------------------------------------------------------------------------
+
+/// The CSV rendering written the slow, obvious way — every cell boxed,
+/// rendered to its own `String`, quoted per RFC 4180, joined — as the
+/// exporter did before it streamed.
+fn reference_csv(names: &[&str], rows: Vec<Vec<dtf::core::table::Value>>) -> String {
+    fn field(s: String) -> String {
+        if s.contains([',', '"', '\n', '\r']) {
+            format!("\"{}\"", s.replace('"', "\"\""))
+        } else {
+            s
+        }
+    }
+    let mut out = names.iter().map(|n| field(n.to_string())).collect::<Vec<_>>().join(",");
+    out.push('\n');
+    for row in rows {
+        out.push_str(&row.iter().map(|v| field(v.to_string())).collect::<Vec<_>>().join(","));
+        out.push('\n');
+    }
+    out
+}
+
+/// Streamed rows, a frame of boxed rows, and the reference all print the
+/// same bytes.
+fn assert_one_csv<T: dtf::core::table::Tabular>(events: &[T]) {
+    let mut streamed = dtf::perfrecup::frame::CsvWriter::default();
+    streamed.header(&T::schema());
+    for e in events {
+        streamed.row(e);
+    }
+    let framed = DataFrame::from_tabular(events).to_csv();
+    assert_eq!(streamed.as_str(), framed);
+    assert_eq!(framed, reference_csv(&T::schema(), events.iter().map(|e| e.row()).collect()));
+}
+
+/// Times that stress the `{:.6}` float form: both ends of `u64`, and
+/// ordinary run-length instants.
+fn time_strategy() -> impl Strategy<Value = Time> {
+    prop_oneof![
+        Just(Time(0)),
+        Just(Time(u64::MAX)),
+        any::<u64>().prop_map(Time),
+        (0u64..4_000_000_000_000).prop_map(Time),
+    ]
+}
+
+proptest! {
+    /// For arbitrary events of every `Tabular` type — prefixes that need
+    /// quoting or are not ASCII, times at the `u64` extremes, optional
+    /// workers both ways, empty slices — the streamed CSV, the frame's CSV
+    /// and the reference rendering are one text.
+    #[test]
+    fn streamed_csv_equals_the_frame_csv_for_every_tabular_type(
+        shapes in proptest::collection::vec(
+            (
+                ("[ab,\"\n\ré✓_]{0,5}", any::<u32>(), any::<u32>()),
+                (0u32..70_000, 0u32..4, any::<bool>()),
+                (time_strategy(), time_strategy()),
+                (any::<u64>(), 0u8..12),
+            ),
+            0..4,
+        ),
+    ) {
+        use dtf::core::events::*;
+        use dtf::core::ids::{ClientId, FileId, NodeId, ThreadId, WorkerId};
+
+        let mut transitions = Vec::new();
+        let mut worker_transitions = Vec::new();
+        let mut meta = Vec::new();
+        let mut done = Vec::new();
+        let mut comms = Vec::new();
+        let mut io = Vec::new();
+        let mut warnings = Vec::new();
+        let mut proxies = Vec::new();
+        for ((prefix, token, index), (node, slot, has_worker), (start, stop), (n, pick)) in shapes {
+            let key = TaskKey::new(prefix.as_str(), token, index);
+            let graph = GraphId(token % 100);
+            let worker = WorkerId::new(NodeId(node), slot);
+            let peer = WorkerId::new(NodeId(node / 2), slot + 1);
+            let maybe_worker = has_worker.then_some(worker);
+            let thread = ThreadId(n);
+            transitions.push(TransitionEvent {
+                key,
+                graph,
+                from: TaskState::Waiting,
+                to: [TaskState::Processing, TaskState::NoWorker][pick as usize % 2],
+                stimulus: [Stimulus::Dispatched, Stimulus::NoWorkerAvailable][pick as usize % 2],
+                location: maybe_worker.map_or(Location::Scheduler, Location::Worker),
+                time: start,
+            });
+            worker_transitions.push(WorkerTransitionEvent {
+                key,
+                graph,
+                worker,
+                from: WorkerTaskState::Ready,
+                to: WorkerTaskState::Executing,
+                time: stop,
+            });
+            meta.push(TaskMetaEvent {
+                key,
+                graph,
+                client: ClientId(slot),
+                deps: vec![key; pick as usize % 3],
+                submitted: start,
+            });
+            done.push(TaskDoneEvent { key, graph, worker, thread, start, stop, nbytes: n });
+            comms.push(CommEvent { key, from: worker, to: peer, nbytes: n, start, stop });
+            io.push(IoRecord {
+                host: worker.node,
+                worker,
+                thread,
+                file: FileId(n >> 3),
+                op: [IoOp::Open, IoOp::Read, IoOp::Write, IoOp::Close][pick as usize % 4],
+                offset: n,
+                size: n >> 7,
+                start,
+                stop,
+            });
+            warnings.push(WarningEvent {
+                kind: [WarningKind::GcPause, WarningKind::UnresponsiveEventLoop][pick as usize % 2],
+                worker: maybe_worker,
+                time: start,
+                duration: stop - start,
+            });
+            proxies.push(ProxyEvent {
+                action: [ProxyAction::Published, ProxyAction::Resolved, ProxyAction::Orphaned]
+                    [pick as usize % 3],
+                key,
+                graph,
+                size: n,
+                owner: peer,
+                checksum: !n,
+                generation: slot,
+                worker: maybe_worker,
+                time: stop,
+            });
+        }
+        assert_one_csv(&transitions);
+        assert_one_csv(&worker_transitions);
+        assert_one_csv(&meta);
+        assert_one_csv(&done);
+        assert_one_csv(&comms);
+        assert_one_csv(&io);
+        assert_one_csv(&warnings);
+        assert_one_csv(&proxies);
     }
 }

@@ -223,3 +223,33 @@ fn persisted_run_keeps_the_event_stream_out_of_yokan() {
     assert!(yokan.list_prefix("topic-log/").is_empty());
     std::fs::remove_dir_all(&store).unwrap();
 }
+
+/// The frame checksum's value is the contract, not its loop: an archive
+/// written when `crc32` still walked one byte at a time
+/// (`tests/fixtures/bytewise_crc_archive`, 12 events over two partitions
+/// and one Yokan key, produced at the commit before slicing-by-8) must
+/// verify frame for frame — nothing torn, nothing dropped, every event back.
+#[test]
+fn archive_written_with_the_bytewise_crc_reopens_clean() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/bytewise_crc_archive");
+    // recovery may repair on disk; never let it touch the committed fixture
+    let store = scratch("bytewise-crc");
+    copy_store(&fixture, &store).unwrap();
+
+    let (svc, recovery) = MofkaService::reopen(&store).unwrap();
+    for (name, report) in
+        [("yokan", recovery.yokan), ("warabi", recovery.warabi), ("topics", recovery.topics)]
+    {
+        assert!(!report.torn, "{name}: a frame failed its checksum");
+        assert_eq!(report.dropped_segments, 0, "{name}: a segment header failed its checksum");
+        assert_eq!(report.truncated_bytes, 0, "{name}");
+        assert_eq!(report.segments, 1, "{name}");
+    }
+    assert_eq!(recovery.restored_events, 12);
+    assert_eq!(svc.yokan().get("fixture/meta").as_deref(), Some(&b"bytewise"[..]));
+    let text = stream_text(&svc);
+    for i in 0..12 {
+        assert!(text.contains(&format!("\"i\":{i},")), "event {i} missing from:\n{text}");
+    }
+    std::fs::remove_dir_all(&store).unwrap();
+}
