@@ -332,7 +332,7 @@ pub fn instrumentation_overhead(repetitions: u32) -> String {
         .unwrap();
     writeln!(out, "  millisecond-and-up granularity of the paper's workloads (as the paper")
         .unwrap();
-    writeln!(out, "  anticipated; Mofka's cost is one JSON serialization + batched append).")
+    writeln!(out, "  anticipated; Mofka's cost is one record clone + batched append per event).")
         .unwrap();
     out
 }

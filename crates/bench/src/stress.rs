@@ -15,7 +15,7 @@
 //! concurrency proptests check, here under real threads and real time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Barrier;
 use std::time::Instant;
 
 use serde::Serialize;
@@ -127,13 +127,13 @@ struct Delivery {
     seq: u64,
 }
 
-fn make_event(verify: bool, shared: &Arc<dtf_core::events::ProvRecord>, p: u64, s: u64) -> Event {
+fn make_event(verify: bool, record: &dtf_core::events::ProvRecord, p: u64, s: u64) -> Event {
     if verify {
         Event::meta_only(serde_json::json!({ "p": p, "s": s }))
     } else {
-        // the hot path ships typed records: one shared Arc per producer,
-        // refcount-bumped per event — what the provenance pipeline does
-        Event { metadata: Metadata::Typed(shared.clone()), data: Default::default() }
+        // the hot path ships typed records, one plain-data copy per event
+        // — what the provenance pipeline does
+        Event { metadata: Metadata::Typed(record.clone()), data: Default::default() }
     }
 }
 
@@ -222,13 +222,12 @@ fn stress_run(cfg: &StressConfig) -> StressOutcome {
     // everyone (producers, consumers, the timing thread) starts together
     let start = Barrier::new(cfg.producers + cfg.groups * cfg.members_per_group + 1);
     let group_counts: Vec<AtomicU64> = (0..cfg.groups).map(|_| AtomicU64::new(0)).collect();
-    let shared_record =
-        Arc::new(dtf_core::events::ProvRecord::from(dtf_core::events::WarningEvent {
-            kind: dtf_core::events::WarningKind::GcPause,
-            worker: None,
-            time: dtf_core::time::Time(0),
-            duration: dtf_core::time::Dur(1),
-        }));
+    let record = dtf_core::events::ProvRecord::from(dtf_core::events::WarningEvent {
+        kind: dtf_core::events::WarningKind::GcPause,
+        worker: None,
+        time: dtf_core::time::Time(0),
+        duration: dtf_core::time::Dur(1),
+    });
 
     let mut wall_s = 0.0;
     let mut consumed_total = 0u64;
@@ -238,7 +237,7 @@ fn stress_run(cfg: &StressConfig) -> StressOutcome {
         for p in 0..cfg.producers {
             let svc = &svc;
             let start = &start;
-            let shared = shared_record.clone();
+            let record = &record;
             producer_handles.push(scope.spawn(move || {
                 let mut producer = svc
                     .producer(
@@ -251,7 +250,7 @@ fn stress_run(cfg: &StressConfig) -> StressOutcome {
                     .expect("producer");
                 start.wait();
                 for s in 0..cfg.events_per_producer {
-                    producer.push(make_event(cfg.verify, &shared, p as u64, s)).expect("push");
+                    producer.push(make_event(cfg.verify, record, p as u64, s)).expect("push");
                 }
                 // flush + plane barrier: every handed-off batch is applied
                 // (and deferred shard errors would surface here)

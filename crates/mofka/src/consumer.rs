@@ -10,14 +10,23 @@
 //! workflow finishes replays the whole stream — the paper's post-processing
 //! mode — while a group created up front tails it in situ.
 //!
-//! Claiming *is* the group's commit point: events a consumer claimed
-//! into its local buffer and never delivered are lost to the group when
-//! it drops (the at-most-once window every prefetching consumer has), so
-//! drain before dropping. The loss is *counted*, never silent: drop
-//! tallies the undelivered events into a [`DiscardedClaims`] handle
-//! (clone it via [`Consumer::discarded_claims`] before dropping), so
-//! delivered + discarded always accounts for exactly what the group's
-//! offsets say was claimed.
+//! Delivery is claim-then-visit. A consumer holds the offset *ranges* it
+//! has claimed, not copies of their events: the log is append-only, so a
+//! claimed range stays where it is until the consumer gets to it, and
+//! [`Consumer::visit`] walks it in place ([`Topic::visit`]) handing each
+//! event to a callback by reference. [`Consumer::pull`] and
+//! [`Consumer::drain_all`] are the owning forms for generic consumers —
+//! the same visit with a clone per event — so every form claims in the
+//! same order and a consumer may mix them.
+//!
+//! Claiming *is* the group's commit point: events a consumer claimed and
+//! never delivered are lost to the group when it drops (the at-most-once
+//! window every prefetching consumer has), so drain before dropping. The
+//! loss is *counted*, never silent: drop tallies the undelivered events
+//! into a [`DiscardedClaims`] handle (clone it via
+//! [`Consumer::discarded_claims`] before dropping), so delivered +
+//! discarded always accounts for exactly what the group's offsets say was
+//! claimed.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,7 +35,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use dtf_core::error::Result;
 
-use crate::event::StoredEvent;
+use crate::event::{EventId, Metadata, StoredEvent};
 use crate::topic::Topic;
 use crate::yokan::Yokan;
 
@@ -86,14 +95,23 @@ impl Default for ConsumerConfig {
     }
 }
 
+/// Offsets `start..end` of one partition, claimed for the group and not
+/// yet delivered.
+#[derive(Debug, Clone, Copy)]
+struct Claim {
+    partition: u32,
+    start: u64,
+    end: u64,
+}
+
 /// A pull consumer bound to one topic.
 #[derive(Debug)]
 pub struct Consumer {
     topic: Arc<Topic>,
     yokan: Arc<Yokan>,
     cfg: ConsumerConfig,
-    /// Locally claimed but not yet delivered events.
-    buffer: std::collections::VecDeque<StoredEvent>,
+    /// Claimed but not yet delivered ranges, oldest first.
+    claims: std::collections::VecDeque<Claim>,
     /// Next partition to claim from (round-robin fairness).
     next_partition: u32,
     /// Claimed-but-undelivered events discarded at drop (0 until then).
@@ -107,7 +125,7 @@ impl Consumer {
             topic,
             yokan,
             cfg,
-            buffer: std::collections::VecDeque::new(),
+            claims: std::collections::VecDeque::new(),
             next_partition: 0,
             discarded: DiscardedClaims::default(),
         }
@@ -115,9 +133,14 @@ impl Consumer {
 
     /// Handle to this consumer's discarded-claims tally. Clone it before
     /// dropping the consumer: the final count — every claimed event that
-    /// was buffered but never delivered — lands during drop.
+    /// was never delivered — lands during drop.
     pub fn discarded_claims(&self) -> DiscardedClaims {
         self.discarded.clone()
+    }
+
+    /// Events claimed and not yet delivered.
+    fn undelivered(&self) -> u64 {
+        self.claims.iter().map(|c| c.end - c.start).sum()
     }
 
     /// Atomically claim up to `n` offsets in `partition`; returns the
@@ -135,54 +158,108 @@ impl Consumer {
         Ok(claimed)
     }
 
-    /// Claim and read the next nonempty range, trying each partition once
-    /// from where the last claim left off. `None`: every partition is
-    /// drained for this group.
-    fn claim_next(&mut self) -> Result<Option<Vec<StoredEvent>>> {
+    /// Claim the next nonempty range (up to `prefetch` events), trying
+    /// each partition once from where the last claim left off. `false`:
+    /// every partition is drained for this group.
+    fn claim_next(&mut self) -> Result<bool> {
         let parts = self.topic.num_partitions();
         for _ in 0..parts {
-            let p = self.next_partition;
+            let partition = self.next_partition;
             self.next_partition = (self.next_partition + 1) % parts;
-            let (start, end) = self.claim(p, self.cfg.prefetch)?;
+            let (start, end) = self.claim(partition, self.cfg.prefetch)?;
             if end > start {
-                let events = self.topic.read(p, start, (end - start) as usize)?;
-                debug_assert_eq!(events.len() as u64, end - start);
-                return Ok(Some(events));
+                self.claims.push_back(Claim { partition, start, end });
+                return Ok(true);
             }
         }
-        Ok(None)
+        Ok(false)
+    }
+
+    /// Hand up to `max` events to `f`, in place (see [`Topic::visit`] for
+    /// what `f` may do). Claims one more range first if fewer than `max`
+    /// events are claimed and waiting — so repeated visits claim exactly
+    /// as repeated [`Self::pull`]s of the same sizes do. Returns how many
+    /// events `f` accepted (possibly zero: the stream is currently
+    /// drained). An event whose callback fails ends the visit with that
+    /// error and stays claimed and undelivered, as does everything behind
+    /// it.
+    pub fn visit(
+        &mut self,
+        max: usize,
+        mut f: impl FnMut(EventId, &Metadata, Bytes) -> Result<()>,
+    ) -> Result<usize> {
+        if self.undelivered() < max as u64 {
+            self.claim_next()?;
+        }
+        let mut delivered = 0;
+        while delivered < max {
+            let Some(claim) = self.claims.front_mut() else { break };
+            let want = (max - delivered).min((claim.end - claim.start) as usize);
+            let mut accepted = 0;
+            let visited = self.topic.visit(claim.partition, claim.start, want, |id, meta, data| {
+                f(id, meta, data)?;
+                accepted += 1;
+                Ok(())
+            });
+            claim.start += accepted as u64;
+            delivered += accepted;
+            if claim.start == claim.end {
+                self.claims.pop_front();
+            }
+            visited?;
+            if accepted < want {
+                // the log shows less than was claimed: nothing to walk on to
+                break;
+            }
+        }
+        Ok(delivered)
     }
 
     /// Pull up to `max` events. Returns fewer (possibly zero) if the stream
     /// is currently drained — nonblocking, like Mofka's pull API.
     pub fn pull(&mut self, max: usize) -> Result<Vec<StoredEvent>> {
-        if self.buffer.len() < max {
-            if let Some(events) = self.claim_next()? {
-                self.buffer.extend(events);
-            }
-        }
-        let take = max.min(self.buffer.len());
-        Ok(self.buffer.drain(..take).collect())
+        let mut out = Vec::new();
+        self.visit(max, |id, metadata, data| {
+            out.push(StoredEvent::copy_of(id, metadata, data));
+            Ok(())
+        })?;
+        Ok(out)
     }
 
-    /// Drain everything currently in the topic for this group. Delivery
-    /// order is that of repeated [`Self::pull`]s — what is buffered, then
-    /// claim after claim — but each claimed batch is appended whole
-    /// instead of passing through the buffer event by event.
-    pub fn drain_all(&mut self) -> Result<Vec<StoredEvent>> {
-        let mut out = Vec::from(std::mem::take(&mut self.buffer));
-        while let Some(mut batch) = self.claim_next()? {
-            out.append(&mut batch);
+    /// Visit everything currently in the topic for this group: what is
+    /// claimed and waiting, then claim after claim until every partition
+    /// is drained. Returns how many events `f` accepted.
+    pub fn visit_all(
+        &mut self,
+        mut f: impl FnMut(EventId, &Metadata, Bytes) -> Result<()>,
+    ) -> Result<usize> {
+        let mut total = 0;
+        loop {
+            let n = self.visit(usize::MAX, &mut f)?;
+            if n == 0 {
+                return Ok(total);
+            }
+            total += n;
         }
+    }
+
+    /// Drain everything currently in the topic for this group, in the
+    /// order repeated [`Self::pull`]s deliver it.
+    pub fn drain_all(&mut self) -> Result<Vec<StoredEvent>> {
+        let mut out = Vec::new();
+        self.visit_all(|id, metadata, data| {
+            out.push(StoredEvent::copy_of(id, metadata, data));
+            Ok(())
+        })?;
         Ok(out)
     }
 }
 
 impl Drop for Consumer {
     fn drop(&mut self) {
-        // buffered events are claimed: the group's offsets have moved past
-        // them, so they are counted as discarded, never silently dropped
-        self.discarded.add(self.buffer.len() as u64);
+        // undelivered ranges are claimed: the group's offsets have moved
+        // past them, so they are counted as discarded, never silently dropped
+        self.discarded.add(self.undelivered());
     }
 }
 
@@ -306,8 +383,8 @@ mod tests {
     fn dropped_consumer_counts_discarded_claims_exactly() {
         let (topic, yokan) = setup(2, 200);
         let mut c = consumer(&topic, &yokan, "g");
-        // deliver a prefix, then drop: pull(10) claimed a 16-event batch
-        // and buffered the rest of it
+        // deliver a prefix, then drop: pull(10) claimed a 16-event range
+        // and left the rest of it undelivered
         let delivered = c.pull(10).unwrap().len() as u64;
         let discarded = c.discarded_claims();
         drop(c);

@@ -4,15 +4,23 @@
 //!
 //! Metadata is *logically* JSON but does not have to exist as a JSON tree:
 //! provenance records produced by the WMS plugins travel as typed
-//! [`ProvRecord`]s behind an `Arc`, and are only rendered to JSON at
-//! export/replay boundaries. Generic producers (tests, ad-hoc tooling)
-//! still push plain [`serde_json::Value`] metadata.
+//! [`ProvRecord`]s, and are only rendered to JSON at export/replay
+//! boundaries. Generic producers (tests, ad-hoc tooling) still push plain
+//! [`serde_json::Value`] metadata.
+//!
+//! A typed record lives *inline* in its [`Metadata`] — in the producer's
+//! buffer, in the partition log, in whatever a consumer copies out — so a
+//! partition is one contiguous run of records, not of pointers to them,
+//! and moving an event is a `memcpy`. What a clone costs depends on the
+//! family: every provenance record is plain data except
+//! `TaskMetaEvent::deps` (a `Vec`) and `LogEntry::message` (a `String`),
+//! so only those two allocate; the other seven families copy ~90 bytes.
+//! Consumers that only look ([`crate::topic::Topic::visit`]) clone nothing.
 
 use bytes::Bytes;
 use dtf_core::events::ProvRecord;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
 
 /// Identifier of a stored event: partition number and offset within it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -29,14 +37,14 @@ impl fmt::Display for EventId {
 
 /// Event metadata: either a generic JSON tree or a typed provenance record.
 /// Both render to the same JSON text; the typed form skips building the
-/// tree entirely and clones by bumping a refcount.
+/// tree entirely.
 #[derive(Debug, Clone)]
 pub enum Metadata {
     /// Generic JSON metadata (tests, tooling, non-provenance producers).
     Json(serde_json::Value),
-    /// A typed provenance record, shared by reference through producer
-    /// buffers, partition logs, and consumers without re-serialization.
-    Typed(Arc<ProvRecord>),
+    /// A typed provenance record, held by value: it moves through producer
+    /// buffers and partition logs without indirection or re-serialization.
+    Typed(ProvRecord),
 }
 
 static NULL: serde_json::Value = serde_json::Value::Null;
@@ -60,7 +68,7 @@ impl Metadata {
     }
 
     /// The typed record, if this metadata is the typed form.
-    pub fn as_record(&self) -> Option<&Arc<ProvRecord>> {
+    pub fn as_record(&self) -> Option<&ProvRecord> {
         match self {
             Metadata::Json(_) => None,
             Metadata::Typed(rec) => Some(rec),
@@ -129,12 +137,6 @@ impl From<serde_json::Value> for Metadata {
 
 impl From<ProvRecord> for Metadata {
     fn from(rec: ProvRecord) -> Self {
-        Metadata::Typed(Arc::new(rec))
-    }
-}
-
-impl From<Arc<ProvRecord>> for Metadata {
-    fn from(rec: Arc<ProvRecord>) -> Self {
         Metadata::Typed(rec)
     }
 }
@@ -184,6 +186,14 @@ impl Event {
 pub struct StoredEvent {
     pub id: EventId,
     pub event: Event,
+}
+
+impl StoredEvent {
+    /// An owned copy of an event a visitor was shown — what the owning
+    /// read API (`read` / `pull` / `drain_all`) hands out.
+    pub(crate) fn copy_of(id: EventId, metadata: &Metadata, data: Bytes) -> Self {
+        Self { id, event: Event { metadata: metadata.clone(), data } }
+    }
 }
 
 #[cfg(test)]
@@ -258,11 +268,14 @@ mod tests {
     }
 
     #[test]
-    fn typed_metadata_clones_share_the_record() {
-        let m = Metadata::from(ProvRecord::Log(sample_record()));
-        let m2 = m.clone();
-        let (a, b) = (m.as_record().unwrap(), m2.as_record().unwrap());
-        assert!(Arc::ptr_eq(a, b), "clone must bump the refcount, not copy the record");
+    fn typed_metadata_holds_the_record_inline() {
+        let rec = ProvRecord::Log(sample_record());
+        let m = Metadata::from(rec.clone());
+        assert_eq!(m.as_record(), Some(&rec));
+        // no box: the metadata is the record plus (at most) a tag word, so
+        // a `Vec` of them is one contiguous run of records
+        let (meta, record) = (std::mem::size_of::<Metadata>(), std::mem::size_of::<ProvRecord>());
+        assert!(meta <= record + 8, "{meta} bytes around a {record}-byte record");
     }
 
     #[test]

@@ -2,9 +2,13 @@
 //! analysis engine sits on.
 //!
 //! A [`GroupFeed`] bundles one consumer per topic under a single consumer
-//! group and exposes one nonblocking [`GroupFeed::poll`] across all of
+//! group and exposes one nonblocking [`GroupFeed::visit`] across all of
 //! them, so a subscriber ingests "whatever arrived since last time" in one
-//! call. On a real-time service the feed also holds the shard plane's
+//! call — in place: the callback sees each event where the partition log
+//! holds it ([`crate::topic::Topic::visit`] states what it may do there),
+//! and the feed copies nothing.
+//!
+//! On a real-time service the feed also holds the shard plane's
 //! [`Activity`] signal: [`GroupFeed::wait_activity`] sleeps until a shard
 //! worker applies a new append batch (or a timeout elapses) instead of
 //! spinning on empty claims — many concurrent feeds can park on the same
@@ -17,18 +21,12 @@ use std::sync::Arc;
 
 use dtf_core::error::Result;
 
+use bytes::Bytes;
+
 use crate::consumer::{Consumer, ConsumerConfig};
-use crate::event::StoredEvent;
+use crate::event::{EventId, Metadata};
 use crate::service::MofkaService;
 use crate::shard::Activity;
-
-/// One batch of events pulled from one topic of the feed.
-#[derive(Debug)]
-pub struct FeedBatch {
-    /// Index into the topic list the feed was built with.
-    pub topic: usize,
-    pub events: Vec<StoredEvent>,
-}
 
 /// A consumer group spanning several topics, polled as one stream.
 #[derive(Debug)]
@@ -55,35 +53,38 @@ impl GroupFeed {
         })
     }
 
-    /// Topic names, in the index order [`FeedBatch::topic`] refers to.
+    /// Topic names, in the index order [`Self::visit`] reports.
     pub fn topics(&self) -> &[String] {
         &self.topics
     }
 
-    /// Pull up to `max_per_topic` events from every topic. Nonblocking:
-    /// topics with nothing available contribute no batch, and an empty
-    /// result means the whole feed is (currently) drained.
-    pub fn poll(&mut self, max_per_topic: usize) -> Result<Vec<FeedBatch>> {
+    /// Visit up to `max_per_topic` events of every topic, topic by topic:
+    /// `f` gets the topic's index in the list the feed was built with,
+    /// then what [`Consumer::visit`] hands over. Nonblocking; returns the
+    /// events visited, and zero means the whole feed is (currently)
+    /// drained.
+    pub fn visit(
+        &mut self,
+        max_per_topic: usize,
+        mut f: impl FnMut(usize, EventId, &Metadata, Bytes) -> Result<()>,
+    ) -> Result<u64> {
         if let Some(a) = &self.activity {
             // remember where the plane was *before* reading, so appends
-            // racing this poll re-trigger the next wait instead of being
+            // racing this visit re-trigger the next wait instead of being
             // slept past
             self.seen = a.seq();
         }
-        let mut out = Vec::new();
-        for (i, c) in self.consumers.iter_mut().enumerate() {
-            let events = c.pull(max_per_topic)?;
-            if !events.is_empty() {
-                out.push(FeedBatch { topic: i, events });
-            }
+        let mut visited = 0;
+        for (topic, c) in self.consumers.iter_mut().enumerate() {
+            visited += c.visit(max_per_topic, |id, meta, data| f(topic, id, meta, data))? as u64;
         }
-        Ok(out)
+        Ok(visited)
     }
 
     /// Sleep until the shard plane applies an append the feed has not yet
-    /// polled past, or `timeout` elapses. Returns whether new activity was
+    /// visited past, or `timeout` elapses. Returns whether new activity was
     /// observed. Without a plane (virtual-time service) this returns
-    /// `false` immediately — poll synchronously instead.
+    /// `false` immediately — visit synchronously instead.
     pub fn wait_activity(&mut self, timeout: std::time::Duration) -> bool {
         let Some(a) = &self.activity else {
             return false;
@@ -105,7 +106,7 @@ mod tests {
     }
 
     #[test]
-    fn feed_polls_across_topics_under_one_group() {
+    fn feed_visits_across_topics_under_one_group() {
         let svc = BedrockConfig::wms_default().bootstrap().unwrap();
         let mut p1 = svc.producer("task-done", ProducerConfig::default()).unwrap();
         let mut p2 = svc.producer("comm-events", ProducerConfig::default()).unwrap();
@@ -119,15 +120,11 @@ mod tests {
         let cfg = ConsumerConfig { group: "feed-test".into(), prefetch: 64 };
         let mut feed = GroupFeed::new(&svc, &["task-done", "comm-events"], cfg).unwrap();
         let mut got = [0usize; 2];
-        loop {
-            let batches = feed.poll(3).unwrap();
-            if batches.is_empty() {
-                break;
-            }
-            for b in batches {
-                got[b.topic] += b.events.len();
-            }
-        }
+        let mut count = |topic: usize, _, _: &Metadata, _| {
+            got[topic] += 1;
+            Ok(())
+        };
+        while feed.visit(3, &mut count).unwrap() > 0 {}
         assert_eq!(got, [10, 5]);
         assert_eq!(feed.topics(), &["task-done".to_string(), "comm-events".to_string()]);
         // a second feed under another group sees everything again
@@ -135,7 +132,7 @@ mod tests {
         let mut feed2 = GroupFeed::new(&svc, &["task-done"], cfg2).unwrap();
         let mut total = 0;
         loop {
-            let n: usize = feed2.poll(64).unwrap().iter().map(|b| b.events.len()).sum();
+            let n = feed2.visit(64, |_, _, _, _| Ok(())).unwrap();
             if n == 0 {
                 break;
             }
@@ -168,9 +165,8 @@ mod tests {
         p.push(ev(1)).unwrap();
         p.sync().unwrap();
         assert!(feed.wait_activity(std::time::Duration::from_secs(10)), "append wakes the feed");
-        let n: usize = feed.poll(16).unwrap().iter().map(|b| b.events.len()).sum();
-        assert_eq!(n, 1);
-        // polling advances the seen watermark: quiet plane, no new wake
+        assert_eq!(feed.visit(16, |_, _, _, _| Ok(())).unwrap(), 1);
+        // visiting advances the seen watermark: quiet plane, no new wake
         assert!(!feed.wait_activity(std::time::Duration::from_millis(50)));
         svc.shutdown().unwrap();
     }

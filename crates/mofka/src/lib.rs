@@ -40,7 +40,7 @@ pub mod yokan;
 
 pub use consumer::{Consumer, ConsumerConfig, DiscardedClaims};
 pub use event::{Event, EventId, Metadata, StoredEvent};
-pub use feed::{FeedBatch, GroupFeed};
+pub use feed::GroupFeed;
 pub use producer::{Producer, ProducerConfig};
 pub use service::{MofkaService, ServiceConfig, ServiceMode, ServiceRecovery};
 pub use shard::{Activity, DataPlane};

@@ -8,10 +8,20 @@
 //!
 //! The hash is SipHash over the key field's compact JSON text, for typed
 //! and generic events alike, so a record lands in the same partition in
-//! either form. `push` is the per-event hot path and does nothing else per
-//! event: the text is rendered into one buffer the producer reuses and
-//! hashed with a single `write`, nothing is sized or serialized, and a
-//! flush hands over each partition's batch while keeping the buffer.
+//! either form. Typed records do not pay it every time: a task's events
+//! arrive in bursts (its meta, its transitions, its completion), so the
+//! producer keeps a small direct-mapped memo from [`TaskKey`] — three
+//! machine words, compared by value — to the partition it hashed to, and
+//! only renders and SipHashes a key the memo does not hold. The memo
+//! stores what the hash returned, so the assignment is the historic one
+//! bit for bit; it is a cache, never a second routing rule.
+//!
+//! `push` is the per-event hot path: it builds the partition log's own
+//! element (a slot of a [`SlotBatch`]) once, in the buffer of the
+//! partition it routes to, and nothing is sized or serialized. A flush
+//! moves each partition's batch into the log with one `Vec::append` and
+//! keeps the buffer; there is no per-flush collection and no per-event
+//! conversion between what a producer holds and what a partition holds.
 //!
 //! On a real-time service (see [`crate::shard`]) a producer's `flush`
 //! hands each partition batch to the owning shard's queue instead of
@@ -24,14 +34,15 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use dtf_core::error::Result;
+use dtf_core::ids::{KeyHasher, TaskKey};
 
 use crate::event::{Event, Metadata};
 use crate::shard::DataPlane;
-use crate::topic::Topic;
+use crate::topic::{SlotBatch, Topic};
 
 /// How a producer assigns events to partitions.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -64,6 +75,17 @@ impl Default for ProducerConfig {
     }
 }
 
+/// Entries of a producer's partition memo: a power of two, 32 KiB per
+/// keyed producer, fixed for the producer's life.
+const MEMO_SLOTS: usize = 1024;
+
+/// The memo entry `key` maps to (direct-mapped: one candidate, no probing).
+fn memo_slot(key: &TaskKey) -> usize {
+    let mut h = KeyHasher::default();
+    key.hash(&mut h);
+    h.finish() as usize & (MEMO_SLOTS - 1)
+}
+
 /// Producer-side statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProducerStats {
@@ -78,12 +100,16 @@ pub struct ProducerStats {
 pub struct Producer {
     topic: Arc<Topic>,
     cfg: ProducerConfig,
-    /// Per-partition pending buffers.
-    pending: Vec<Vec<Event>>,
+    /// Per-partition pending buffers, in the partition log's element type.
+    pending: Vec<SlotBatch>,
+    /// Events buffered across `pending`, exactly.
     pending_count: usize,
     rr_next: u32,
     /// JSON text of the key field of the event being routed (`HashKey`).
     key_text: String,
+    /// `HashKey` assignments of recently routed task keys, indexed by
+    /// [`memo_slot`]; empty under `RoundRobin`.
+    memo: Vec<Option<(TaskKey, u32)>>,
     stats: ProducerStats,
     /// Concurrent data plane; `None` appends synchronously (virtual time).
     plane: Option<Arc<DataPlane>>,
@@ -103,13 +129,18 @@ impl Producer {
     ) -> Self {
         assert!(cfg.batch_size >= 1, "batch_size must be >= 1");
         let parts = topic.num_partitions() as usize;
+        let memo = match cfg.strategy {
+            PartitionStrategy::HashKey(_) => vec![None; MEMO_SLOTS],
+            PartitionStrategy::RoundRobin => Vec::new(),
+        };
         Self {
             topic,
             cfg,
-            pending: (0..parts).map(|_| Vec::new()).collect(),
+            pending: (0..parts).map(|_| SlotBatch::default()).collect(),
             pending_count: 0,
             rr_next: 0,
             key_text: String::new(),
+            memo,
             stats: ProducerStats::default(),
             plane,
         }
@@ -122,31 +153,47 @@ impl Producer {
                 self.rr_next = (self.rr_next + 1) % self.topic.num_partitions();
                 p
             }
-            PartitionStrategy::HashKey(field) => {
-                let text = &mut self.key_text;
-                text.clear();
-                match &event.metadata {
-                    Metadata::Json(v) => match v.get(field) {
-                        Some(val) => serde_json::write_value_to(val, text),
-                        None => return MISSING_KEY_PARTITION,
-                    },
-                    // Typed provenance records route on their task key,
-                    // rendered as the JSON form of the field would be.
-                    Metadata::Typed(rec) => match rec.task_key() {
-                        Some(key) => key.write_json(text),
-                        None => return MISSING_KEY_PARTITION,
-                    },
-                }
-                .expect("a String sink is infallible");
-                // `str::hash`: the bytes, then a 0xff terminator — the
-                // historic stringify-then-hash assignment (same hash, same
-                // partition)
-                let mut h = DefaultHasher::new();
-                h.write(text.as_bytes());
-                h.write_u8(0xff);
-                (h.finish() % self.topic.num_partitions() as u64) as u32
-            }
+            PartitionStrategy::HashKey(field) => match &event.metadata {
+                Metadata::Json(v) => match v.get(field) {
+                    Some(val) => {
+                        self.key_text.clear();
+                        serde_json::write_value_to(val, &mut self.key_text)
+                            .expect("a String sink is infallible");
+                        self.hash_key_text()
+                    }
+                    None => MISSING_KEY_PARTITION,
+                },
+                // Typed provenance records route on their task key,
+                // rendered as the JSON form of the field would be — once
+                // per memo residency, not once per event.
+                Metadata::Typed(rec) => match rec.task_key() {
+                    Some(key) => {
+                        let slot = memo_slot(key);
+                        if let Some((held, p)) = &self.memo[slot] {
+                            if held == key {
+                                return *p;
+                            }
+                        }
+                        self.key_text.clear();
+                        key.write_json(&mut self.key_text).expect("a String sink is infallible");
+                        let p = self.hash_key_text();
+                        self.memo[slot] = Some((*key, p));
+                        p
+                    }
+                    None => MISSING_KEY_PARTITION,
+                },
+            },
         }
+    }
+
+    /// The partition `key_text` hashes to. `str::hash`: the bytes, then a
+    /// 0xff terminator — the historic stringify-then-hash assignment (same
+    /// hash, same partition).
+    fn hash_key_text(&self) -> u32 {
+        let mut h = DefaultHasher::new();
+        h.write(self.key_text.as_bytes());
+        h.write_u8(0xff);
+        (h.finish() % self.topic.num_partitions() as u64) as u32
     }
 
     /// Buffer one event; flushes automatically when the batch fills.
@@ -166,26 +213,35 @@ impl Producer {
     /// every batch is *queued* (nonblocking, like Mofka's client); the
     /// appends themselves complete asynchronously in handoff order. Call
     /// [`Producer::sync`] (or the service's `sync`) to wait for them.
+    ///
+    /// Every partition is attempted even when one fails, and the first
+    /// error is returned. A batch a shut-down plane refused is gone — the
+    /// error is its only trace — and [`Self::pending_events`] counts what
+    /// is still buffered afterwards, not what was before.
     pub fn flush(&mut self) -> Result<()> {
+        let mut first_error = None;
         for (p, buf) in self.pending.iter_mut().enumerate() {
             if buf.is_empty() {
                 continue;
             }
             // either way `buf` keeps room for the next batch, instead of
             // growing from empty after every flush
-            match &self.plane {
+            let appended = match &self.plane {
                 Some(plane) => {
-                    let batch = std::mem::replace(buf, Vec::with_capacity(buf.len()));
-                    plane.enqueue_append(&self.topic, p as u32, batch)?
+                    let batch = std::mem::replace(buf, SlotBatch::with_capacity(buf.len()));
+                    plane.enqueue_append(&self.topic, p as u32, batch)
                 }
-                None => {
-                    self.topic.append_batch(p as u32, buf.drain(..))?;
+                None => self.topic.append_slots(p as u32, buf).map(drop),
+            };
+            match appended {
+                Ok(()) => self.stats.batches += 1,
+                Err(e) => {
+                    first_error.get_or_insert(e);
                 }
             }
-            self.stats.batches += 1;
         }
-        self.pending_count = 0;
-        Ok(())
+        self.pending_count = self.pending.iter().map(SlotBatch::len).sum();
+        first_error.map_or(Ok(()), Err)
     }
 
     /// Flush, then wait until every batch this producer (and any other
@@ -413,6 +469,58 @@ mod tests {
         }
     }
 
+    /// Another key in `key`'s memo slot: routing it evicts `key`.
+    fn memo_rival(key: &dtf_core::ids::TaskKey) -> dtf_core::ids::TaskKey {
+        (1..)
+            .map(|step| dtf_core::ids::TaskKey { index: key.index.wrapping_add(step), ..*key })
+            .find(|rival| memo_slot(rival) == memo_slot(key))
+            .expect("some index shares the slot")
+    }
+
+    proptest::proptest! {
+        /// The memo is a cache in front of the hash, never a second routing
+        /// rule: through cold misses, hits, and evictions by keys forced
+        /// into the same slot, every typed record lands where
+        /// stringify-then-hash puts it, for any partition count.
+        #[test]
+        fn memoized_partition_matches_unmemoized(
+            keys in proptest::collection::vec(("[a-z]{1,3}", 0u32..4, 0u32..4096), 1..12),
+            picks in proptest::collection::vec((0usize..12, proptest::any::<bool>()), 1..120),
+            parts in 0usize..7,
+        ) {
+            use dtf_core::events::TaskDoneEvent;
+            use dtf_core::ids::{GraphId, NodeId, TaskKey, ThreadId, WorkerId};
+            use dtf_core::time::Time;
+
+            let parts = [1u32, 2, 3, 5, 8, 13, 16][parts];
+
+            let mut p = Producer::new(
+                topic(parts),
+                ProducerConfig { batch_size: 1, strategy: PartitionStrategy::HashKey("key".into()) },
+            );
+            let keys: Vec<TaskKey> = keys
+                .into_iter()
+                .map(|(prefix, token, index)| TaskKey::new(prefix, token, index))
+                .collect();
+            for (pick, rival) in picks {
+                let key = keys[pick % keys.len()];
+                let key = if rival { memo_rival(&key) } else { key };
+                let done = TaskDoneEvent {
+                    key,
+                    graph: GraphId(0),
+                    worker: WorkerId::new(NodeId(0), 0),
+                    thread: ThreadId(1),
+                    start: Time(0),
+                    stop: Time(1),
+                    nbytes: 0,
+                };
+                let expected =
+                    legacy_partition(&serde_json::to_value(&done).unwrap(), "key", parts as u64);
+                proptest::prop_assert_eq!(p.select_partition(&Event::typed(done)), expected);
+            }
+        }
+    }
+
     #[test]
     fn missing_key_routes_to_documented_partition() {
         use dtf_core::events::{WarningEvent, WarningKind};
@@ -434,6 +542,36 @@ mod tests {
             duration: Dur(2),
         };
         assert_eq!(p.select_partition(&Event::typed(warn)), MISSING_KEY_PARTITION);
+    }
+
+    #[test]
+    fn failed_flush_attempts_every_partition_and_keeps_the_count_exact() {
+        let t = topic(2);
+        let plane = DataPlane::manual(2);
+        let mut p = Producer::with_plane(
+            t.clone(),
+            ProducerConfig { batch_size: 4, strategy: PartitionStrategy::RoundRobin },
+            Some(plane.clone()),
+        );
+        for i in 0..3 {
+            p.push(Event::meta_only(json!(i))).unwrap();
+        }
+        assert_eq!(p.pending_events(), 3, "two for partition 0, one for partition 1");
+        plane.shutdown().unwrap();
+        let err = p.flush().unwrap_err();
+        assert!(err.to_string().contains("shut down"), "got: {err}");
+        // both partitions were attempted: nothing is left buffered, and the
+        // count says so instead of remembering the lost batches
+        assert_eq!(p.pending_events(), 0);
+        assert!(p.pending.iter().all(SlotBatch::is_empty));
+        assert_eq!(p.stats().batches, 0, "a refused batch is not a batch sent");
+        // a later push buffers one event — it is not one more casualty of a
+        // flush re-run on a count that never came down
+        p.push(Event::meta_only(json!(3))).unwrap();
+        assert_eq!(p.pending_events(), 1);
+        assert!(p.flush().is_err());
+        assert_eq!(p.pending_events(), 0);
+        assert_eq!(t.total_len(), 0, "a shut-down plane appends nothing");
     }
 
     #[test]

@@ -350,9 +350,9 @@ impl MofkaService {
     }
 
     /// Open a [`crate::feed::GroupFeed`]: one consumer per listed topic,
-    /// all under `cfg.group`, polled as a single stream. On a real-time
+    /// all under `cfg.group`, visited as a single stream. On a real-time
     /// service the feed can additionally park on the shard plane's
-    /// activity signal between polls; on virtual-time services it is a
+    /// activity signal between visits; on virtual-time services it is a
     /// plain synchronous multi-topic drain (available in every mode).
     pub fn group_feed(&self, topics: &[&str], cfg: ConsumerConfig) -> Result<GroupFeed> {
         GroupFeed::new(self, topics, cfg)

@@ -13,9 +13,12 @@
 //!
 //! The handoff protocol:
 //!
-//! * `Append` jobs carry a batch for one partition. Per-queue FIFO order
-//!   plus single ownership gives the same guarantee as the synchronous
-//!   path: one producer's batches land in a partition in flush order.
+//! * `Append` jobs carry a batch for one partition — a [`SlotBatch`],
+//!   the partition log's own element type, which the worker moves into
+//!   the log with the same `Topic::append_slots` call a synchronous flush
+//!   makes. Per-queue FIFO order plus single ownership gives the same
+//!   guarantee as the synchronous path: one producer's batches land in a
+//!   partition in flush order.
 //! * `Barrier` jobs ack when processed. Because the queue is FIFO, an
 //!   ack proves every job enqueued *before* the barrier has been applied.
 //!   [`DataPlane::barrier`] fans a barrier to every shard and waits for
@@ -44,8 +47,7 @@ use std::thread::JoinHandle;
 
 use dtf_core::error::{DtfError, Result};
 
-use crate::event::Event;
-use crate::topic::Topic;
+use crate::topic::{SlotBatch, Topic};
 
 /// Soft bound on queued jobs per shard: producers enqueueing into a
 /// spawned (threaded) plane block once the owning shard is this far
@@ -56,9 +58,11 @@ const MAX_QUEUED_JOBS: usize = 1024;
 
 /// One unit of work for a shard worker.
 enum Job {
-    /// Append `events` to `partition` of `topic` (the shard owns that
-    /// partition, so applying it never races another writer).
-    Append { topic: Arc<Topic>, partition: u32, events: Vec<Event> },
+    /// Append `batch` to `partition` of `topic` (the shard owns that
+    /// partition, so applying it never races another writer). The batch is
+    /// the one a synchronous flush would have appended itself: both planes
+    /// end in [`Topic::append_slots`].
+    Append { topic: Arc<Topic>, partition: u32, batch: SlotBatch },
     /// Ack when reached; FIFO order makes the ack a completion proof for
     /// everything enqueued before it.
     Barrier(mpsc::Sender<()>),
@@ -67,11 +71,11 @@ enum Job {
 impl std::fmt::Debug for Job {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Job::Append { topic, partition, events } => f
+            Job::Append { topic, partition, batch } => f
                 .debug_struct("Append")
                 .field("topic", &topic.name())
                 .field("partition", partition)
-                .field("events", &events.len())
+                .field("events", &batch.len())
                 .finish(),
             Job::Barrier(_) => f.write_str("Barrier"),
         }
@@ -186,8 +190,8 @@ impl Shard {
 
     fn apply(&self, job: Job) {
         match job {
-            Job::Append { topic, partition, events } => {
-                if let Err(e) = topic.append_batch(partition, events) {
+            Job::Append { topic, partition, mut batch } => {
+                if let Err(e) = topic.append_slots(partition, &mut batch) {
                     self.state.lock().error.get_or_insert(e.to_string());
                 } else {
                     // wake subscription feeds sleeping on plane activity
@@ -337,10 +341,10 @@ impl DataPlane {
         &self,
         topic: &Arc<Topic>,
         partition: u32,
-        events: Vec<Event>,
+        batch: SlotBatch,
     ) -> Result<()> {
         let shard = &self.shards[self.shard_for(topic.name(), partition)];
-        shard.push(Job::Append { topic: topic.clone(), partition, events }, self.bounded)
+        shard.push(Job::Append { topic: topic.clone(), partition, batch }, self.bounded)
     }
 
     /// Apply one queued job on shard `i`; returns whether one ran.
@@ -417,9 +421,15 @@ impl Drop for DataPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Event;
     use crate::topic::TopicConfig;
     use crate::warabi::Warabi;
     use serde_json::json;
+
+    /// A one-event batch carrying `value` as generic metadata.
+    fn one(value: serde_json::Value) -> SlotBatch {
+        std::iter::once(Event::meta_only(value)).collect()
+    }
 
     fn topic(name: &str, parts: u32) -> Arc<Topic> {
         Arc::new(Topic::new(
@@ -435,7 +445,7 @@ mod tests {
         let plane = DataPlane::spawned(3);
         let t = topic("t", 4);
         for p in 0..4 {
-            plane.enqueue_append(&t, p, vec![Event::meta_only(json!(p))]).unwrap();
+            plane.enqueue_append(&t, p, one(json!(p))).unwrap();
         }
         plane.barrier().unwrap();
         assert_eq!(t.total_len(), 4);
@@ -445,8 +455,8 @@ mod tests {
     fn manual_plane_holds_jobs_until_stepped() {
         let plane = DataPlane::manual(2);
         let t = topic("t", 2);
-        plane.enqueue_append(&t, 0, vec![Event::meta_only(json!(0))]).unwrap();
-        plane.enqueue_append(&t, 1, vec![Event::meta_only(json!(1))]).unwrap();
+        plane.enqueue_append(&t, 0, one(json!(0))).unwrap();
+        plane.enqueue_append(&t, 1, one(json!(1))).unwrap();
         assert_eq!(t.total_len(), 0, "nothing applied before stepping");
         let s0 = plane.shard_for("t", 0);
         assert!(plane.step_shard(s0));
@@ -469,7 +479,7 @@ mod tests {
     fn append_errors_are_deferred_to_the_barrier() {
         let plane = DataPlane::spawned(2);
         let t = topic("t", 1);
-        plane.enqueue_append(&t, 7, vec![Event::meta_only(json!(1))]).unwrap();
+        plane.enqueue_append(&t, 7, one(json!(1))).unwrap();
         let err = plane.barrier().unwrap_err();
         assert!(err.to_string().contains("partition 7"), "got: {err}");
         // the error was taken; a clean barrier follows
@@ -481,13 +491,13 @@ mod tests {
         let t = topic("t", 1);
         let plane = DataPlane::manual(1);
         for i in 0..10 {
-            plane.enqueue_append(&t, 0, vec![Event::meta_only(json!(i))]).unwrap();
+            plane.enqueue_append(&t, 0, one(json!(i))).unwrap();
         }
         assert_eq!(t.total_len(), 0);
         plane.shutdown().unwrap();
         assert_eq!(t.total_len(), 10, "drain-then-stop");
         // post-shutdown enqueues error cleanly instead of vanishing
-        let err = plane.enqueue_append(&t, 0, vec![Event::meta_only(json!(99))]).unwrap_err();
+        let err = plane.enqueue_append(&t, 0, one(json!(99))).unwrap_err();
         assert!(err.to_string().contains("shut down"));
     }
 
@@ -497,7 +507,7 @@ mod tests {
         {
             let plane = DataPlane::manual(2);
             for i in 0..6 {
-                plane.enqueue_append(&t, i % 2, vec![Event::meta_only(json!(i))]).unwrap();
+                plane.enqueue_append(&t, i % 2, one(json!(i))).unwrap();
             }
         } // Drop
         assert_eq!(t.total_len(), 6, "queued batches survive Drop");
@@ -514,11 +524,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for j in 0..100u64 {
                         plane
-                            .enqueue_append(
-                                &t,
-                                (i % 4) as u32,
-                                vec![Event::meta_only(json!({ "t": i, "j": j }))],
-                            )
+                            .enqueue_append(&t, (i % 4) as u32, one(json!({ "t": i, "j": j })))
                             .unwrap();
                     }
                 })

@@ -1,12 +1,29 @@
 //! Topics and partitions.
 //!
 //! A topic is a set of append-only partitions. Event metadata lives inline
-//! in the partition log; non-empty payloads are stored in the shared
-//! [`Warabi`](crate::warabi::Warabi) blob store and referenced by id —
-//! mirroring Mofka's composition of micro-services. Partition logs are
-//! persistent: consumers may replay from offset zero at any time, which is
-//! what lets the same consumer API serve both in-situ and post-hoc analysis
-//! (paper §III-B).
+//! in the partition log — a typed provenance record by value, so a
+//! partition is one contiguous `Vec` of records — and non-empty payloads
+//! are stored in the shared [`Warabi`](crate::warabi::Warabi) blob store
+//! and referenced by id, mirroring Mofka's composition of micro-services.
+//! Partition logs are persistent: consumers may replay from offset zero at
+//! any time, which is what lets the same consumer API serve both in-situ
+//! and post-hoc analysis (paper §III-B).
+//!
+//! Events come in as a [`SlotBatch`]: the partition's own element type,
+//! built once by the producer, so an append is one `Vec::append` (a
+//! `memcpy`) under the partition lock. They go out through
+//! [`Topic::visit`], which walks a range *in place* under the partition's
+//! read lock and hands each event to a callback by reference; the owning
+//! [`Topic::read`] is that visitor with a clone per event.
+//!
+//! **The visitor contract.** For a range without payloads (every
+//! provenance topic) the callback runs while the partition's read lock is
+//! held: it must not append to, stall or unstall that topic (a writer
+//! queued behind a reader that waits for it is a deadlock), and it should
+//! be short — appenders wait for it. Reading other partitions or topics,
+//! and failing, are fine; a failed callback ends the visit with that
+//! error. A range holding payloads is copied out and its blobs resolved
+//! from Warabi with the lock released, so there the callback runs unlocked.
 //!
 //! A partition *is* a log, and a durable service persists it as one: every
 //! appended slot is also appended, under the partition lock, to the
@@ -55,12 +72,53 @@ impl Default for TopicConfig {
 }
 
 /// One stored record: inline metadata + optional payload reference. Typed
-/// provenance metadata is held as-is (an `Arc` bump per append/read), so a
-/// record pushed typed is never re-serialized while it sits in the log.
+/// provenance metadata is held as-is, by value, so a record pushed typed
+/// is never boxed or re-serialized while it sits in the log.
 #[derive(Debug, Clone)]
 struct Slot {
     metadata: Metadata,
     payload: Option<BlobId>,
+}
+
+/// Events bound for one partition, already in the partition log's element
+/// type: what a producer buffers, what a shard job carries, and what
+/// [`Topic::append_slots`] moves into the log with one `Vec::append`.
+/// Payloads ride beside their slots until the append stores them — blob
+/// ids are assigned there, in batch order, not when an event is buffered.
+#[derive(Debug, Default)]
+pub struct SlotBatch {
+    slots: Vec<Slot>,
+    /// Payloads not yet in Warabi: `(index into slots, bytes)`.
+    payloads: Vec<(usize, Bytes)>,
+}
+
+impl SlotBatch {
+    pub fn with_capacity(n: usize) -> Self {
+        Self { slots: Vec::with_capacity(n), payloads: Vec::new() }
+    }
+
+    pub fn push(&mut self, event: Event) {
+        if !event.data.is_empty() {
+            self.payloads.push((self.slots.len(), event.data));
+        }
+        self.slots.push(Slot { metadata: event.metadata, payload: None });
+    }
+
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+}
+
+impl FromIterator<Event> for SlotBatch {
+    fn from_iter<I: IntoIterator<Item = Event>>(events: I) -> Self {
+        let mut batch = Self::default();
+        events.into_iter().for_each(|e| batch.push(e));
+        batch
+    }
 }
 
 /// A partition log plus its stall state. While stalled, appended events
@@ -87,6 +145,9 @@ const META_BINARY: u8 = 1;
 const NO_BLOB: u64 = u64::MAX;
 /// Bytes of a slot record before its metadata.
 const SLOT_HEADER: usize = 26;
+
+/// Fewest slots a partition log grows by (~28 KiB).
+const MIN_LOG_GROWTH: usize = 256;
 
 /// How the topic log commits between explicit syncs. A slot record is
 /// ~50 bytes framed, so the store's defaults (group commit every 256
@@ -271,7 +332,7 @@ pub(crate) fn restore(
                 }
                 let meta = &rec[SLOT_HEADER..];
                 let metadata = match rec[SLOT_HEADER - 1] {
-                    META_BINARY => Metadata::Typed(Arc::new(ProvRecord::decode_binary(meta)?)),
+                    META_BINARY => Metadata::Typed(ProvRecord::decode_binary(meta)?),
                     META_JSON => Metadata::Json(serde_json::from_slice(meta)?),
                     _ => return Err(malformed()),
                 };
@@ -358,37 +419,46 @@ impl Topic {
 
     /// Append a batch of events to one partition; returns the offset the
     /// first one took and how many there were (event `i` of the batch is
-    /// `EventId { partition: p, offset: base + i }`). One lock acquisition
-    /// per batch — this is the amortization producers' batching buys. A
-    /// stalled partition stages the batch instead (offsets are still
-    /// assigned, past the staged tail).
+    /// `EventId { partition: p, offset: base + i }`). The convenience form
+    /// of [`Self::append_slots`] for callers holding plain events.
     pub fn append_batch(
         &self,
         p: u32,
         events: impl IntoIterator<Item = Event>,
     ) -> Result<(u64, usize)> {
+        self.append_slots(p, &mut events.into_iter().collect())
+    }
+
+    /// Move `batch` onto the end of partition `p`, leaving it empty with
+    /// its capacity kept; returns the offset the first slot took and how
+    /// many there were. One lock acquisition and one `Vec::append` per
+    /// batch — this is the amortization producers' batching buys. A
+    /// stalled partition stages the batch instead (offsets are still
+    /// assigned, past the staged tail). An unknown partition is an error
+    /// and leaves the batch as it was.
+    pub fn append_slots(&self, p: u32, batch: &mut SlotBatch) -> Result<(u64, usize)> {
         let part = self.partition(p)?;
         // store payloads outside the partition lock
-        let slots: Vec<Slot> = events
-            .into_iter()
-            .map(|e| Slot {
-                metadata: e.metadata,
-                payload: if e.data.is_empty() { None } else { Some(self.warabi.put(e.data)) },
-            })
-            .collect();
+        for (i, data) in batch.payloads.drain(..) {
+            batch.slots[i].payload = Some(self.warabi.put(data));
+        }
         let mut state = part.state.write();
         let base = (state.slots.len() + state.staged.len()) as u64;
-        let n = slots.len();
+        let n = batch.slots.len();
         // write-through while holding the partition lock, so persisted
         // offsets can never interleave with a concurrent batch
         if let Some((log, id)) = &self.persist {
-            log.append_slots(*id, p, base, &slots);
+            log.append_slots(*id, p, base, &batch.slots);
         }
-        if state.stalled {
-            state.staged.extend(slots);
-        } else {
-            state.slots.extend(slots);
+        let state = &mut *state;
+        let log = if state.stalled { &mut state.staged } else { &mut state.slots };
+        // grow by a quarter, not by doubling: a log is long-lived and its
+        // slots are ~112 bytes, so a doubling `Vec`'s slack is the largest
+        // avoidable share of a run's resident memory
+        if log.capacity() - log.len() < n {
+            log.reserve_exact(n.max(log.len() / 4).max(MIN_LOG_GROWTH));
         }
+        log.append(&mut batch.slots);
         Ok((base, n))
     }
 
@@ -405,8 +475,8 @@ impl Topic {
         let part = self.partition(p)?;
         let mut state = part.state.write();
         state.stalled = false;
-        let staged = std::mem::take(&mut state.staged);
-        state.slots.extend(staged);
+        let state = &mut *state;
+        state.slots.append(&mut state.staged);
         Ok(())
     }
 
@@ -432,18 +502,26 @@ impl Topic {
         self.partitions.iter().map(|p| p.state.read().slots.len() as u64).sum()
     }
 
-    /// Read up to `max` events from partition `p` starting at `offset`.
-    pub fn read(&self, p: u32, offset: u64, max: usize) -> Result<Vec<StoredEvent>> {
+    /// Visit up to `max` events of partition `p` starting at `offset`, in
+    /// offset order and in place: `f` gets each event's id, its metadata by
+    /// reference, and its payload (empty for metadata-only events).
+    /// Returns how many events it was handed; the first error `f` returns
+    /// ends the visit. See the module docs for what `f` may do — for a
+    /// payload-free range it runs under the partition's read lock.
+    pub fn visit(
+        &self,
+        p: u32,
+        offset: u64,
+        max: usize,
+        mut f: impl FnMut(EventId, &Metadata, Bytes) -> Result<()>,
+    ) -> Result<usize> {
         let part = self.partition(p)?;
-        let stored = |i: usize, metadata: &Metadata, data: Bytes| StoredEvent {
-            id: EventId { partition: p, offset: i as u64 },
-            event: Event { metadata: metadata.clone(), data },
-        };
-        // A range without payloads (every provenance topic) is built in one
-        // pass under the lock. Otherwise copy the slot range out and resolve
-        // payloads unlocked: readers here can hold thousands of slots, and
-        // keeping blob lookups inside the critical section stalls appenders
-        // (and every reader queued behind them) for the whole construction.
+        let id = |i: usize| EventId { partition: p, offset: i as u64 };
+        // A range without payloads (every provenance topic) is walked where
+        // it lies. Otherwise copy the slot range out and resolve payloads
+        // unlocked: readers here can hold thousands of slots, and keeping
+        // blob lookups inside the critical section stalls appenders (and
+        // every reader queued behind them) for the whole walk.
         let (start, slots) = {
             let state = part.state.read();
             let log = &state.slots;
@@ -451,20 +529,21 @@ impl Topic {
             let end = start.saturating_add(max).min(log.len());
             let range = &log[start..end];
             if range.iter().all(|slot| slot.payload.is_none()) {
-                return Ok(range
-                    .iter()
-                    .enumerate()
-                    .map(|(i, slot)| stored(start + i, &slot.metadata, Bytes::new()))
-                    .collect());
+                for (i, slot) in range.iter().enumerate() {
+                    f(id(start + i), &slot.metadata, Bytes::new())?;
+                }
+                return Ok(range.len());
             }
             (start, range.to_vec())
         };
-        let mut out = Vec::with_capacity(slots.len());
+        // every blob first: a dangling one fails the range before `f` has
+        // seen any of it
+        let mut payloads = Vec::with_capacity(slots.len());
         for (i, slot) in slots.iter().enumerate() {
             // a blob id with no blob means the slot references data that
             // did not survive (reachable after a durable reopen); surface
             // it as corruption instead of silently yielding empty bytes
-            let data = match slot.payload {
+            payloads.push(match slot.payload {
                 Some(b) => self.warabi.get(b).ok_or_else(|| {
                     DtfError::IllegalState(format!(
                         "dangling {b} at offset {} of topic {} partition {p}",
@@ -473,9 +552,23 @@ impl Topic {
                     ))
                 })?,
                 None => Bytes::new(),
-            };
-            out.push(stored(start + i, &slot.metadata, data));
+            });
         }
+        for (i, (slot, data)) in slots.iter().zip(payloads).enumerate() {
+            f(id(start + i), &slot.metadata, data)?;
+        }
+        Ok(slots.len())
+    }
+
+    /// Read up to `max` events from partition `p` starting at `offset`:
+    /// [`Self::visit`] with a clone of each event.
+    pub fn read(&self, p: u32, offset: u64, max: usize) -> Result<Vec<StoredEvent>> {
+        let available = self.partition_len(p)?.saturating_sub(offset);
+        let mut out = Vec::with_capacity(max.min(available as usize));
+        self.visit(p, offset, max, |id, metadata, data| {
+            out.push(StoredEvent::copy_of(id, metadata, data));
+            Ok(())
+        })?;
         Ok(out)
     }
 }
@@ -754,7 +847,7 @@ mod tests {
         assert_eq!(n, 2);
         let got = t2.read(0, 0, 10).unwrap();
         match &got[0].event.metadata {
-            Metadata::Typed(back) => assert_eq!(**back, rec),
+            Metadata::Typed(back) => assert_eq!(*back, rec),
             other => panic!("binary slot must restore typed, got {other:?}"),
         }
         match &got[1].event.metadata {

@@ -8,7 +8,43 @@ use dtf_mofka::consumer::ConsumerConfig;
 use dtf_mofka::producer::{PartitionStrategy, ProducerConfig};
 use dtf_mofka::topic::TopicConfig;
 use dtf_mofka::yokan::Yokan;
-use dtf_mofka::{Event, MofkaService};
+use dtf_mofka::{Event, EventId, Metadata, MofkaService};
+
+/// Event `n` of a generated stream: typed or generic metadata, with or
+/// without a payload, all four combinations, recognisable by `n`.
+fn mixed_event(n: u64) -> Event {
+    use dtf_core::events::{LogEntry, LogLevel, LogSource};
+    use dtf_core::time::Time;
+    let metadata: Metadata = if n.is_multiple_of(2) {
+        dtf_core::events::ProvRecord::from(LogEntry {
+            time: Time(n),
+            level: LogLevel::Info,
+            source: LogSource::Scheduler,
+            message: format!("event {n}"),
+        })
+        .into()
+    } else {
+        serde_json::json!({ "n": n }).into()
+    };
+    let data = if n.is_multiple_of(3) {
+        bytes::Bytes::from(n.to_le_bytes().to_vec())
+    } else {
+        Default::default()
+    };
+    Event::new(metadata, data)
+}
+
+/// The group's committed cursors, summed over `partitions`.
+fn group_claimed(svc: &MofkaService, topic: &str, group: &str, partitions: u32) -> u64 {
+    (0..partitions)
+        .map(|p| {
+            svc.yokan()
+                .get(&format!("group/{topic}/{group}/{p}"))
+                .and_then(|raw| std::str::from_utf8(&raw).ok()?.parse::<u64>().ok())
+                .unwrap_or(0)
+        })
+        .sum()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -129,5 +165,133 @@ proptest! {
             }
         }
         prop_assert_eq!(sum, total as u64);
+    }
+
+    /// Visiting `[offset, offset + max)` yields exactly what `read` always
+    /// returned — ids, metadata, payload bytes — for any interleaving of
+    /// appends, stalls, unstalls and reads over typed and generic events
+    /// with and without payloads; staged slots stay invisible until the
+    /// unstall. The model is the definition: a visible and a staged list
+    /// per partition.
+    #[test]
+    fn visiting_a_range_yields_what_read_returns(
+        ops in proptest::collection::vec((0u8..8, 0u32..2, 0u64..40, 0usize..12), 1..60)
+    ) {
+        let svc = MofkaService::new();
+        svc.create_topic("t", TopicConfig { partitions: 2 }).unwrap();
+        let topic = svc.topic("t").unwrap();
+        let mut visible: [Vec<Event>; 2] = Default::default();
+        let mut staged: [Vec<Event>; 2] = Default::default();
+        let mut stalled = [false; 2];
+        let mut next = 0u64;
+        for (op, p, offset, n) in ops {
+            let part = p as usize;
+            match op {
+                // append a batch of n events
+                0..=3 => {
+                    let batch: Vec<Event> = (next..next + n as u64).map(mixed_event).collect();
+                    next += n as u64;
+                    let base = (visible[part].len() + staged[part].len()) as u64;
+                    prop_assert_eq!(topic.append_batch(p, batch.clone()).unwrap(), (base, n));
+                    let list = if stalled[part] { &mut staged[part] } else { &mut visible[part] };
+                    list.extend(batch);
+                }
+                4 => {
+                    topic.stall(p).unwrap();
+                    stalled[part] = true;
+                }
+                5 => {
+                    topic.unstall(p).unwrap();
+                    stalled[part] = false;
+                    let drained = std::mem::take(&mut staged[part]);
+                    visible[part].extend(drained);
+                }
+                // visit (and read) [offset, offset + n)
+                _ => {
+                    let mut seen: Vec<(EventId, Metadata, bytes::Bytes)> = Vec::new();
+                    let visited = topic
+                        .visit(p, offset, n, |id, metadata, data| {
+                            seen.push((id, metadata.clone(), data));
+                            Ok(())
+                        })
+                        .unwrap();
+                    let start = (offset as usize).min(visible[part].len());
+                    let want = &visible[part][start..(start + n).min(visible[part].len())];
+                    prop_assert_eq!(visited, want.len());
+                    prop_assert_eq!(seen.len(), want.len());
+                    for (i, ((id, metadata, data), event)) in seen.iter().zip(want).enumerate() {
+                        prop_assert_eq!(*id, EventId { partition: p, offset: (start + i) as u64 });
+                        prop_assert_eq!(metadata, &event.metadata);
+                        prop_assert_eq!(data, &event.data);
+                    }
+                    let read = topic.read(p, offset, n).unwrap();
+                    prop_assert_eq!(read.len(), seen.len());
+                    for (stored, (id, metadata, data)) in read.into_iter().zip(seen) {
+                        prop_assert_eq!(stored.id, id);
+                        prop_assert_eq!(stored.event, Event::new(metadata, data));
+                    }
+                }
+            }
+            prop_assert_eq!(topic.partition_len(p).unwrap(), visible[part].len() as u64);
+            prop_assert_eq!(topic.staged_len(p).unwrap(), staged[part].len() as u64);
+        }
+    }
+
+    /// Two members of one group, stepped by an arbitrary schedule: visiting
+    /// claims and delivers exactly as pulling does — same events to the
+    /// same member in the same order, step for step — each event reaches
+    /// the group once, and whatever was claimed but not delivered when the
+    /// members drop is counted, to the event.
+    #[test]
+    fn consumer_visits_deliver_what_pulls_deliver(
+        events in 0u64..300,
+        partitions in 1u32..4,
+        prefetch in 1usize..24,
+        schedule in proptest::collection::vec((any::<bool>(), 1usize..40), 0..40),
+    ) {
+        let svc = MofkaService::new();
+        svc.create_topic("t", TopicConfig { partitions }).unwrap();
+        let mut producer = svc.producer("t", ProducerConfig::default()).unwrap();
+        for n in 0..events {
+            producer.push(mixed_event(n)).unwrap();
+        }
+        producer.flush().unwrap();
+        let member = |group: &str| {
+            svc.consumer("t", ConsumerConfig { group: group.into(), prefetch }).unwrap()
+        };
+        let mut pulling = [member("pull"), member("pull")];
+        let mut visiting = [member("visit"), member("visit")];
+        let mut delivered = std::collections::HashSet::new();
+        for (second, max) in schedule {
+            let who = second as usize;
+            let pulled: Vec<(EventId, Event)> =
+                pulling[who].pull(max).unwrap().into_iter().map(|se| (se.id, se.event)).collect();
+            let mut visited = Vec::new();
+            let n = visiting[who]
+                .visit(max, |id, metadata, data| {
+                    visited.push((id, Event::new(metadata.clone(), data)));
+                    Ok(())
+                })
+                .unwrap();
+            prop_assert_eq!(n, visited.len());
+            prop_assert_eq!(&visited, &pulled, "member {} diverged", who);
+            for (id, _) in visited {
+                prop_assert!(delivered.insert(id), "{} delivered twice", id);
+            }
+        }
+        let tallies: Vec<_> =
+            pulling.iter().chain(&visiting).map(|c| c.discarded_claims()).collect();
+        drop((pulling, visiting));
+        let discarded = |members: &[dtf_mofka::DiscardedClaims]| -> u64 {
+            members.iter().map(|d| d.count()).sum()
+        };
+        prop_assert_eq!(discarded(&tallies[..2]), discarded(&tallies[2..]));
+        for (group, tally) in [("pull", &tallies[..2]), ("visit", &tallies[2..])] {
+            prop_assert_eq!(
+                delivered.len() as u64 + discarded(tally),
+                group_claimed(&svc, "t", group, partitions),
+                "group {}: delivered + discarded must equal claimed", group
+            );
+        }
     }
 }

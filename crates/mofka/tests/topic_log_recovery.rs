@@ -152,3 +152,124 @@ fn cursor_ahead_of_a_torn_topic_log_is_clamped_on_writable_reopen() {
     assert_eq!(archive.topic("t").unwrap().partition_len(0).unwrap(), restored + 5);
     fs::remove_dir_all(&dir).unwrap();
 }
+
+/// FNV-1a over every topic-log segment of `store`, in segment order.
+fn topic_log_fnv64(store: &Path) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for segment in segment_paths(&store.join("topics")).unwrap() {
+        for byte in fs::read(segment).unwrap() {
+            hash = (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// What the typed path promises: a record read back *is* the record
+/// pushed — from the live service and from a reopen of its store — and
+/// how a record is held in memory (once behind an `Arc`, now inline in
+/// the partition log) never reaches the disk: the topic-log bytes of this
+/// push sequence are pinned to what the `Arc`-era code wrote for it.
+#[test]
+fn a_record_read_back_is_the_record_pushed_and_the_log_bytes_are_pinned() {
+    use dtf_core::events::{
+        LogEntry, LogLevel, LogSource, ProvRecord, TaskDoneEvent, TaskMetaEvent, WarningEvent,
+        WarningKind,
+    };
+    use dtf_core::ids::{ClientId, GraphId, NodeId, TaskKey, ThreadId, WorkerId};
+    use dtf_core::time::{Dur, Time};
+    use dtf_mofka::producer::PartitionStrategy;
+    use dtf_mofka::Metadata;
+
+    let pushed: Vec<(ProvRecord, Bytes)> = (0..40u32)
+        .map(|i| {
+            let key = TaskKey::new("stage", i / 4, i % 4);
+            let record: ProvRecord = match i % 4 {
+                0 => TaskMetaEvent {
+                    key,
+                    graph: GraphId(i / 8),
+                    client: ClientId(0),
+                    deps: (0..i % 3).map(|d| TaskKey::new("stage", i / 4, 10 + d)).collect(),
+                    submitted: Time(i as u64),
+                }
+                .into(),
+                1 => TaskDoneEvent {
+                    key,
+                    graph: GraphId(i / 8),
+                    worker: WorkerId::new(NodeId(i % 2), i % 3),
+                    thread: ThreadId(i as u64),
+                    start: Time(i as u64),
+                    stop: Time(i as u64 + 5),
+                    nbytes: 1 << (i % 20),
+                }
+                .into(),
+                2 => LogEntry {
+                    time: Time(i as u64),
+                    level: LogLevel::Info,
+                    source: LogSource::Scheduler,
+                    message: format!("event {i} \"quoted\""),
+                }
+                .into(),
+                _ => WarningEvent {
+                    kind: WarningKind::GcPause,
+                    worker: None,
+                    time: Time(i as u64),
+                    duration: Dur(i as u64),
+                }
+                .into(),
+            };
+            // every fifth event carries a payload: blob ids reach the log
+            let payload = if i % 5 == 0 { Bytes::from(vec![i as u8; 3]) } else { Bytes::new() };
+            (record, payload)
+        })
+        .collect();
+
+    let store = scratch("pinned");
+    let read_back = |svc: &MofkaService| -> Vec<(Metadata, Bytes)> {
+        let mut events: Vec<StoredEvent> = streams(svc).into_values().flatten().collect();
+        // every record carries its own push index in a time field
+        events.sort_by_key(|e| match e.event.metadata.as_record() {
+            Some(ProvRecord::TaskMeta(e)) => e.submitted,
+            Some(ProvRecord::TaskDone(e)) => e.start,
+            Some(ProvRecord::Log(e)) => e.time,
+            Some(ProvRecord::Warning(e)) => e.time,
+            other => panic!("a typed record was pushed, got {other:?}"),
+        });
+        events.into_iter().map(|e| (e.event.metadata, e.event.data)).collect()
+    };
+    let expected: Vec<(Metadata, Bytes)> = pushed
+        .iter()
+        .map(|(record, data)| (Metadata::from(record.clone()), data.clone()))
+        .collect();
+    {
+        let svc = durable(&store);
+        svc.create_topic("keyed", TopicConfig { partitions: 3 }).unwrap();
+        let mut producer = svc
+            .producer(
+                "keyed",
+                ProducerConfig {
+                    batch_size: 7,
+                    strategy: PartitionStrategy::HashKey("key".into()),
+                },
+            )
+            .unwrap();
+        for (record, data) in &pushed {
+            producer.push(Event::new(record.clone(), data.clone())).unwrap();
+        }
+        producer.flush().unwrap();
+        assert_eq!(read_back(&svc), expected, "live read-back");
+        svc.sync().unwrap();
+    }
+    let (archive, recovery) = MofkaService::reopen(&store).unwrap();
+    assert_eq!(recovery.restored_events, pushed.len() as u64);
+    assert_eq!(read_back(&archive), expected, "read-back from the reopened store");
+    assert_eq!(
+        topic_log_fnv64(&store),
+        PINNED_TOPIC_LOG_FNV64,
+        "the topic log's bytes changed for an unchanged push sequence"
+    );
+    fs::remove_dir_all(&store).unwrap();
+}
+
+/// Written by the parent of the inline-record change (commit 58afbea) for
+/// the push sequence above.
+const PINNED_TOPIC_LOG_FNV64: u64 = 0x242b_b6a0_7db2_4ea1;

@@ -5,8 +5,10 @@
 //! (one [`dtf_mofka::GroupFeed`] over the standard WMS topics) and feeds
 //! every event it consumes to a [`RunState`] — the same view states the
 //! post-hoc kernels ([`per_category`], [`per_worker`], [`phase_sample`])
-//! feed a drained [`RunData`] to. This module owns the feed, the
-//! publication slot, the subscriptions and the query surface; it
+//! feed a drained [`RunData`] to. Events are visited where the partition
+//! logs hold them ([`dtf_mofka::GroupFeed::visit`]): the engine reads each
+//! typed record by reference and clones none. This module owns the feed,
+//! the publication slot, the subscriptions and the query surface; it
 //! accumulates nothing itself.
 //!
 //! ## Equivalence with the post-hoc kernels
@@ -237,6 +239,63 @@ pub struct RunFinal {
     pub wall_time: Dur,
 }
 
+/// Feed one event of feed topic `topic` to the view state. The event is
+/// borrowed from a typed record (which the partition log goes on
+/// holding), parsed from a generic one.
+fn apply(
+    state: &mut RunState,
+    progress: &mut LiveProgress,
+    topic: usize,
+    metadata: &Metadata,
+) -> dtf_core::Result<()> {
+    fn event<T: ProvEvent + Clone + serde::Deserialize>(
+        metadata: &Metadata,
+    ) -> dtf_core::Result<Cow<'_, T>> {
+        match metadata {
+            Metadata::Typed(rec) => T::from_record_ref(rec).map(Cow::Borrowed).ok_or_else(|| {
+                DtfError::IllegalState("live topic carried a wrong-family record".into())
+            }),
+            Metadata::Json(v) => Ok(Cow::Owned(T::from_content(v)?)),
+        }
+    }
+    match topic {
+        0 => {
+            state.observe(event::<TaskMetaEvent>(metadata)?.submitted);
+            progress.meta += 1;
+        }
+        1 => {
+            state.observe(event::<TransitionEvent>(metadata)?.time);
+            progress.transitions += 1;
+        }
+        2 => {
+            state.observe(event::<WorkerTransitionEvent>(metadata)?.time);
+            progress.worker_transitions += 1;
+        }
+        3 => {
+            state.task_done(&*event::<TaskDoneEvent>(metadata)?);
+            progress.task_done += 1;
+        }
+        4 => {
+            state.comm(&*event::<CommEvent>(metadata)?);
+            progress.comms += 1;
+        }
+        5 => {
+            state.observe(event::<WarningEvent>(metadata)?.time);
+            progress.warnings += 1;
+        }
+        6 => {
+            state.observe(event::<LogEntry>(metadata)?.time);
+            progress.logs += 1;
+        }
+        7 => {
+            state.observe(event::<IoRecord>(metadata)?.stop);
+            progress.io_records += 1;
+        }
+        other => return Err(DtfError::IllegalState(format!("unknown live feed topic {other}"))),
+    }
+    Ok(())
+}
+
 /// The live view engine. See the module docs.
 pub struct LiveViews {
     feed: GroupFeed,
@@ -283,18 +342,12 @@ impl LiveViews {
         self.feed.wait_activity(timeout)
     }
 
-    /// One poll pass over the feed: ingest whatever arrived, up to
-    /// `max_per_topic` events per topic. Returns events ingested. O(Δ).
+    /// One pass over the feed: ingest whatever arrived, up to
+    /// `max_per_topic` events per topic, in place. Returns events
+    /// ingested. O(Δ).
     pub fn pump(&mut self, max_per_topic: usize) -> dtf_core::Result<u64> {
-        let batches = self.feed.poll(max_per_topic)?;
-        let mut n = 0u64;
-        for b in batches {
-            for stored in &b.events {
-                self.apply(b.topic, stored)?;
-                n += 1;
-            }
-        }
-        Ok(n)
+        let Self { feed, state, progress, .. } = self;
+        feed.visit(max_per_topic, |topic, _, metadata, _| apply(state, progress, topic, metadata))
     }
 
     /// Pump until the feed runs dry. Returns events ingested.
@@ -307,62 +360,6 @@ impl LiveViews {
             }
             total += n;
         }
-    }
-
-    fn apply(&mut self, topic: usize, stored: &dtf_mofka::StoredEvent) -> dtf_core::Result<()> {
-        /// The event a stored record carries: borrowed from a typed record
-        /// (which the partition log goes on holding), parsed from a
-        /// generic one.
-        fn event<T: ProvEvent + Clone + serde::Deserialize>(
-            stored: &dtf_mofka::StoredEvent,
-        ) -> dtf_core::Result<Cow<'_, T>> {
-            match &stored.event.metadata {
-                Metadata::Typed(rec) => {
-                    T::from_record_ref(rec).map(Cow::Borrowed).ok_or_else(|| {
-                        DtfError::IllegalState("live topic carried a wrong-family record".into())
-                    })
-                }
-                Metadata::Json(v) => Ok(Cow::Owned(T::from_content(v)?)),
-            }
-        }
-        match topic {
-            0 => {
-                self.state.observe(event::<TaskMetaEvent>(stored)?.submitted);
-                self.progress.meta += 1;
-            }
-            1 => {
-                self.state.observe(event::<TransitionEvent>(stored)?.time);
-                self.progress.transitions += 1;
-            }
-            2 => {
-                self.state.observe(event::<WorkerTransitionEvent>(stored)?.time);
-                self.progress.worker_transitions += 1;
-            }
-            3 => {
-                self.state.task_done(&*event::<TaskDoneEvent>(stored)?);
-                self.progress.task_done += 1;
-            }
-            4 => {
-                self.state.comm(&*event::<CommEvent>(stored)?);
-                self.progress.comms += 1;
-            }
-            5 => {
-                self.state.observe(event::<WarningEvent>(stored)?.time);
-                self.progress.warnings += 1;
-            }
-            6 => {
-                self.state.observe(event::<LogEntry>(stored)?.time);
-                self.progress.logs += 1;
-            }
-            7 => {
-                self.state.observe(event::<IoRecord>(stored)?.stop);
-                self.progress.io_records += 1;
-            }
-            other => {
-                return Err(DtfError::IllegalState(format!("unknown live feed topic {other}")))
-            }
-        }
-        Ok(())
     }
 
     /// Drain the feed, hand the state the shutdown-only sources (Darshan

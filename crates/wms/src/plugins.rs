@@ -157,11 +157,12 @@ impl MofkaPlugin {
     }
 
     fn push<T: Clone + Into<ProvRecord>>(producer: &mut Producer, value: &T) {
-        // Typed end to end: one clone of the record here is the only copy
-        // made on the whole path — Mofka shares it by refcount and JSON is
-        // rendered lazily at export boundaries. A full topic only errors on
-        // misconfiguration, which bootstrap validated; instrumentation must
-        // not take down the workflow.
+        // Typed end to end: this clone of the record is what the partition
+        // log will hold — Mofka moves it by value from the producer's
+        // buffer into the log, and JSON is rendered lazily at export
+        // boundaries. A full topic only errors on misconfiguration, which
+        // bootstrap validated; instrumentation must not take down the
+        // workflow.
         let _ = producer.push(Event::typed(value.clone()));
     }
 }
@@ -357,7 +358,7 @@ mod tests {
         assert_eq!(events.len(), 2);
         // the metadata is the typed TransitionEvent — no JSON round-trip
         let rec = events[0].event.metadata.as_record().expect("plugin pushes typed records");
-        assert_eq!(**rec, ProvRecord::Transition(transition()));
+        assert_eq!(*rec, ProvRecord::Transition(transition()));
         // and its lazy JSON rendering still matches eager serialization
         assert_eq!(
             serde_json::to_string(rec).unwrap(),

@@ -7,10 +7,11 @@
 //! Darshan log set into one record the analysis engine consumes.
 //!
 //! The drain reads each record where the partition log holds it: topics
-//! are persistent, so the log shares every record's `Arc` for as long as
-//! the service lives, and the drain copies the one event it wants out by
-//! reference ([`ProvEvent::from_record_ref`]) into vectors sized from the
-//! partition lengths. It never tries to take a record out of its `Arc`.
+//! are persistent, so the log keeps every record for as long as the
+//! service lives, and the drain visits them in place
+//! ([`dtf_mofka::Consumer::visit_all`]) and clones the one event it wants
+//! out by reference ([`ProvEvent::from_record_ref`]) — once, straight into
+//! a vector sized from the partition lengths.
 //!
 //! For persistent runs the same drain works post-hoc from disk:
 //! [`RunData::open_archive`] reopens a store directory read-only and
@@ -130,12 +131,12 @@ impl RunData {
             let mut consumer =
                 svc.consumer(topic, ConsumerConfig { group: group.to_string(), prefetch: 4096 })?;
             let mut out = Vec::with_capacity(svc.topic(topic)?.total_len() as usize);
-            for stored in consumer.drain_all()? {
-                match stored.event.metadata {
+            consumer.visit_all(|_, metadata, _| {
+                match metadata {
                     // typed path: copy the event out of the record, which
                     // the partition log goes on holding — no JSON involved
                     Metadata::Typed(rec) => {
-                        let event = T::from_record_ref(&rec).ok_or_else(|| {
+                        let event = T::from_record_ref(rec).ok_or_else(|| {
                             DtfError::IllegalState(format!(
                                 "topic {topic} carried a record of the wrong family"
                             ))
@@ -146,10 +147,11 @@ impl RunData {
                     // WMS plugins push typed and binary slots restore
                     // typed, so only generic producers (or JSON-era
                     // stores) ever land here — and they pay the one
-                    // from_value parse their representation requires.
-                    Metadata::Json(v) => out.push(serde_json::from_value(v)?),
+                    // parse their representation requires.
+                    Metadata::Json(v) => out.push(T::from_content(v)?),
                 }
-            }
+                Ok(())
+            })?;
             Ok(out)
         }
         let mut meta: Vec<TaskMetaEvent> = drain(svc, "task-meta", group)?;

@@ -152,6 +152,11 @@ pub struct Scheduler {
     inflight: BTreeMap<(usize, TaskKey), Inflight>,
     /// Worker id → index in `workers`.
     worker_index: HashMap<WorkerId, usize>,
+    /// Per worker: whether its `ready` set gained a task or its
+    /// `executing` set lost one since [`Self::take_startable`] last asked —
+    /// the only two ways a worker that could not start a task becomes one
+    /// that can.
+    startable: Vec<bool>,
     plugins: PluginSet,
     next_priority: u64,
     /// Keys of all tasks ever submitted, for cross-graph dependency checks.
@@ -173,6 +178,7 @@ impl Scheduler {
             queued: BTreeSet::new(),
             inflight: BTreeMap::new(),
             worker_index: HashMap::new(),
+            startable: Vec::new(),
             plugins,
             next_priority: 0,
             known_keys: KeySet::default(),
@@ -197,7 +203,17 @@ impl Scheduler {
         });
         let idx = self.workers.len() - 1;
         self.worker_index.insert(id, idx);
+        self.startable.push(false);
         idx
+    }
+
+    /// Whether the worker at index `widx` may have become able to start a
+    /// task since this was last asked of it; asking clears the mark. An
+    /// engine that runs [`Self::try_start_at`] to exhaustion on every
+    /// worker this returns `true` for has started everything startable —
+    /// it need not ask the others.
+    pub fn take_startable(&mut self, widx: usize) -> bool {
+        std::mem::take(&mut self.startable[widx])
     }
 
     pub fn worker_ids(&self) -> Vec<WorkerId> {
@@ -508,6 +524,7 @@ impl Scheduler {
         if !pending {
             let p = self.tasks[key].priority;
             self.workers[widx].ready.insert((p, *key));
+            self.startable[widx] = true;
             self.emit_worker_transition(
                 key,
                 widx,
@@ -564,6 +581,7 @@ impl Scheduler {
                 let w = &mut self.workers[widx];
                 w.fetching.remove(&key);
                 w.ready.insert((p, key));
+                self.startable[widx] = true;
                 self.emit_worker_transition(
                     &key,
                     widx,
@@ -580,6 +598,13 @@ impl Scheduler {
     /// [`Self::task_finished`].
     pub fn try_start(&mut self, worker: WorkerId, now: Time) -> Option<TaskKey> {
         let widx = self.worker_index(worker)?;
+        self.try_start_at(widx, now)
+    }
+
+    /// [`Self::try_start`] for the worker at index `widx` (the index
+    /// [`Self::add_worker`] returned), skipping the id lookup.
+    pub fn try_start_at(&mut self, widx: usize, now: Time) -> Option<TaskKey> {
+        let worker = self.workers[widx].id;
         if !self.workers[widx].has_free_thread() {
             return None;
         }
@@ -623,6 +648,7 @@ impl Scheduler {
         let widx = self.worker_index(worker).expect("worker exists");
         let removed = self.workers[widx].executing.remove(key);
         debug_assert!(removed, "finished task {key} was not executing");
+        self.startable[widx] = true;
         self.workers[widx].has_data.insert(*key, nbytes);
         {
             let rec = self.tasks.get_mut(key).expect("known task");
@@ -1202,7 +1228,13 @@ mod tests {
 
     /// Drive a scheduler to completion with a trivial engine that performs
     /// fetches instantly and runs one task at a time per free thread.
-    fn drive(s: &mut Scheduler, mut actions: Vec<Action>) {
+    fn drive(s: &mut Scheduler, actions: Vec<Action>) {
+        drive_workers(s, actions, false)
+    }
+
+    /// [`drive`], asking either every worker for a start after every step
+    /// or — `marked_only` — just those [`Scheduler::take_startable`] names.
+    fn drive_workers(s: &mut Scheduler, mut actions: Vec<Action>, marked_only: bool) {
         let mut t = 0u64;
         loop {
             // complete all fetches instantly
@@ -1211,8 +1243,11 @@ mod tests {
             }
             // start and instantly finish any startable task
             let mut progressed = false;
-            for w in s.worker_ids() {
-                while let Some(key) = s.try_start(w, Time(t)) {
+            for (widx, w) in s.worker_ids().into_iter().enumerate() {
+                if marked_only && !s.take_startable(widx) {
+                    continue;
+                }
+                while let Some(key) = s.try_start_at(widx, Time(t)) {
                     progressed = true;
                     t += 1;
                     let more = s.task_finished(&key, w, ThreadId(1), Time(t - 1), Time(t), 100);
@@ -1403,6 +1438,55 @@ mod tests {
         let done = collector.take().task_done;
         let w1 = s.worker_ids()[1];
         assert!(done.iter().any(|d| d.worker == w1), "thief executed stolen work");
+    }
+
+    #[test]
+    fn marked_workers_are_the_only_ones_with_something_to_start() {
+        // fan-out with locality pile-up, fetches and steals: every way a
+        // worker's ready set gains a task or its threads free up
+        let run = |marked_only: bool| {
+            let (mut s, _c) = sched(
+                4,
+                2,
+                SchedulerConfig {
+                    work_stealing: true,
+                    queue_factor: 100.0,
+                    steal_backlog_per_thread: 1.0,
+                    ..Default::default()
+                },
+            );
+            let mut b = GraphBuilder::new(GraphId(0));
+            let tok = b.new_token();
+            let big = 32u64 << 30;
+            let root = b.add_sim("root", tok, 0, vec![], SimAction::compute_only(Dur(1), big));
+            let children: Vec<TaskKey> = (0..24)
+                .map(|i| {
+                    b.add_sim("child", tok, i, vec![root], SimAction::compute_only(Dur(1), 10))
+                })
+                .collect();
+            for (i, pair) in children.chunks(2).enumerate() {
+                b.add_sim(
+                    "join",
+                    tok,
+                    i as u32,
+                    pair.to_vec(),
+                    SimAction::compute_only(Dur(1), 10),
+                );
+            }
+            let _ = s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
+            // the root's children pile onto w0 by locality; a rebalance
+            // before anything else runs steals some of them away
+            let w0 = s.worker_ids()[0];
+            let k = s.try_start(w0, Time(0)).unwrap();
+            let mut actions = s.task_finished(&k, w0, ThreadId(1), Time(0), Time(1), big);
+            actions.extend(s.rebalance(Time(2)));
+            drive_workers(&mut s, actions, marked_only);
+            assert_eq!(s.unfinished(), 0, "marked_only={marked_only}: the graph must drain");
+            (s.start_order().to_vec(), s.steal_count())
+        };
+        let (scanned, steals) = run(false);
+        assert!(steals > 0, "the scenario must exercise the steal path");
+        assert_eq!(run(true), (scanned, steals), "same starts, same order, same steals");
     }
 
     #[test]

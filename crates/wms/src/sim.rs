@@ -778,14 +778,18 @@ impl SimCluster {
         }
     }
 
-    /// Start every startable task on every live worker.
+    /// Start every startable task on every live worker. Only workers the
+    /// scheduler marked since the last pass can have one — the rest were
+    /// left with no free thread or nothing ready, and nothing changed for
+    /// them — and they are visited in ascending index order, as a scan of
+    /// all workers would, so starts (and the RNG draws they make) keep
+    /// their order.
     fn try_start_all(&mut self) {
         for widx in 0..self.worker_ids.len() {
-            if self.dead[widx] {
+            if !self.scheduler.take_startable(widx) || self.dead[widx] {
                 continue;
             }
-            let wid = self.worker_ids[widx];
-            while let Some(key) = self.scheduler.try_start(wid, self.now) {
+            while let Some(key) = self.scheduler.try_start_at(widx, self.now) {
                 let slot = self.slots[widx]
                     .iter()
                     .position(|s| s.is_none())
