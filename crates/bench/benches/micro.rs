@@ -5,7 +5,9 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
+use dtf_core::events::{WarningEvent, WarningKind};
 use dtf_core::table::Value;
+use dtf_core::time::{Dur, Time};
 use dtf_mofka::producer::{PartitionStrategy, ProducerConfig};
 use dtf_mofka::{ConsumerConfig, Event, MofkaService, TopicConfig};
 use dtf_perfrecup::frame::{Agg, DataFrame};
@@ -34,7 +36,13 @@ fn bench_mofka_throughput(c: &mut Criterion) {
                     )
                     .unwrap();
                 for i in 0..N {
-                    p.push(Event::meta_only(serde_json::json!({ "i": i }))).unwrap();
+                    p.push(Event::typed(WarningEvent {
+                        kind: WarningKind::GcPause,
+                        worker: None,
+                        time: Time(i as u64),
+                        duration: Dur(1),
+                    }))
+                    .unwrap();
                 }
                 p.flush().unwrap();
                 let mut consumer = svc

@@ -209,25 +209,6 @@ pub fn mofka_batch(seed: u64) -> String {
     out
 }
 
-/// Diagnostic: comm counts by the fetched dependency's task category.
-pub fn debug_comms(seed: u64, workload: Workload) -> String {
-    let mut c = Campaign::paper(workload, seed);
-    c.runs = 1;
-    let r = c.execute().expect("campaign executes");
-    let data = r.first.as_ref().expect("first kept");
-    let mut by: std::collections::HashMap<&str, usize> = Default::default();
-    for cm in &data.comms {
-        *by.entry(cm.key.prefix.as_str()).or_default() += 1;
-    }
-    let mut rows: Vec<_> = by.into_iter().collect();
-    rows.sort_by_key(|(_, n)| std::cmp::Reverse(*n));
-    let mut out = format!("total comms {} steals {}\n", data.comms.len(), data.steals);
-    for (k, n) in rows {
-        out.push_str(&format!("  {k:<28} {n}\n"));
-    }
-    out
-}
-
 /// Instrumentation-overhead characterization (paper §VI future work:
 /// "a thorough performance characterization of the overhead of Darshan
 /// and Mofka within Dask workflows"). Runs the same real workload on the

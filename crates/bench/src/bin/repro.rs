@@ -29,7 +29,7 @@
 //!   store-check     (measure and gate against the committed
 //!                    BENCH_repro.json `storage` section: exits nonzero on
 //!                    a >20% drop in group-commit append, recovery rate, or
-//!                    codec throughput, a >20% rise in binary replay time,
+//!                    codec throughput, a >20% rise in replay time,
 //!                    a recovery ratio above 2x between the 8x-apart log
 //!                    sizes, or an indexed point/range speedup below 10x;
 //!                    exit 2 on a pre-schema-6 baseline)
@@ -168,9 +168,6 @@ fn main() {
             let n = dtf_perfrecup::export::export_run(&data, &dir).expect("export");
             format!("exported {n} files to {}\n", dir.display())
         }
-        "debug-comms-ip" => ablations::debug_comms(seed, dtf_workflows::Workload::ImageProcessing),
-        "debug-comms-rn" => ablations::debug_comms(seed, dtf_workflows::Workload::ResNet152),
-        "debug-comms-xgb" => ablations::debug_comms(seed, dtf_workflows::Workload::Xgboost),
         _ => usage(),
     };
     if cmd == "all" {
@@ -341,13 +338,7 @@ fn store_bench() -> i32 {
         b.codec.binary_bytes,
         b.codec.json_bytes
     );
-    println!(
-        "store replay: binary {:.1} ms, json-era {:.1} ms ({} events, {:.1}x)",
-        b.codec.replay_binary_ms,
-        b.codec.replay_json_ms,
-        b.codec.replay_events,
-        b.codec.replay_json_ms / b.codec.replay_binary_ms.max(1e-12)
-    );
+    println!("store replay: {:.1} ms ({} events)", b.codec.replay_binary_ms, b.codec.replay_events);
     println!(
         "store scale (x{}): recovery {:.1} ms @ {} records vs {:.1} ms @ {} (ratio {:.2}, \
          full replay {:.1} ms)",

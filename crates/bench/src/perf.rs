@@ -2,9 +2,10 @@
 //!
 //! One `repro bench` invocation measures the numbers the perf trajectory
 //! tracks across PRs — per-workflow campaign wall time (sequential vs the
-//! parallel pool), runs/sec, the scheduler-throughput number, the
-//! DataFrame kernel throughputs, and peak RSS where the OS exposes it —
-//! and serializes them as one JSON document.
+//! parallel pool), runs/sec, the scheduler-throughput number and the
+//! DataFrame kernel throughputs — and serializes them as one JSON
+//! document (schema 9: no process-wide `peak_rss_bytes`, which attributed
+//! to no section, and no `storage.codec.replay_json_ms`).
 
 use std::time::Instant;
 
@@ -47,8 +48,6 @@ pub struct BenchReport {
     /// on a data-heavy workflow plus resolver fast-path latency (schema 8).
     pub proxy: crate::proxy::ProxyBench,
     pub campaigns: Vec<CampaignBench>,
-    /// Peak resident set size in bytes (`VmHWM`), `None` where unexposed.
-    pub peak_rss_bytes: Option<u64>,
 }
 
 #[derive(Debug, Serialize)]
@@ -149,14 +148,6 @@ fn frame_kernels(rows: u64) -> FrameKernels {
     }
 }
 
-/// Peak resident set size (`VmHWM`) in bytes, Linux only.
-pub fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb * 1024)
-}
-
 fn campaign_bench(workload: Workload, seed: u64, runs: u32, jobs: usize) -> CampaignBench {
     let mut base = Campaign::paper(workload, seed).with_jobs(1);
     base.runs = runs;
@@ -215,7 +206,7 @@ pub fn bench_report(seed: u64, runs: u32, jobs: Option<usize>) -> BenchReport {
     let campaigns =
         Workload::ALL.iter().map(|&w| campaign_bench(w, seed, runs, parallel_jobs)).collect();
     BenchReport {
-        schema: 8,
+        schema: 9,
         seed,
         cores,
         parallel_jobs,
@@ -227,7 +218,6 @@ pub fn bench_report(seed: u64, runs: u32, jobs: Option<usize>) -> BenchReport {
         views,
         proxy,
         campaigns,
-        peak_rss_bytes: peak_rss_bytes(),
     }
 }
 
@@ -285,11 +275,10 @@ pub fn bench_artifact(seed: u64, runs: u32, jobs: Option<usize>) -> (String, Str
     .unwrap();
     writeln!(
         text,
-        "store codec: encode {:.0} MiB/s, decode {:.0} MiB/s, replay binary {:.1}ms vs json {:.1}ms",
+        "store codec: encode {:.0} MiB/s, decode {:.0} MiB/s, replay {:.1}ms",
         report.storage.codec.encode_mib_s,
         report.storage.codec.decode_mib_s,
-        report.storage.codec.replay_binary_ms,
-        report.storage.codec.replay_json_ms
+        report.storage.codec.replay_binary_ms
     )
     .unwrap();
     writeln!(
@@ -340,22 +329,12 @@ pub fn bench_artifact(seed: u64, runs: u32, jobs: Option<usize>) -> (String, Str
         )
         .unwrap();
     }
-    if let Some(rss) = report.peak_rss_bytes {
-        writeln!(text, "peak RSS: {:.1} MiB", rss as f64 / (1024.0 * 1024.0)).unwrap();
-    }
     (json, text)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rss_probe_works_on_linux() {
-        if cfg!(target_os = "linux") {
-            assert!(peak_rss_bytes().unwrap_or(0) > 0);
-        }
-    }
 
     #[test]
     fn frame_kernel_measurement_is_sane() {

@@ -14,10 +14,8 @@
 //!
 //! The `codec` subsection measures the binary record format: pure
 //! encode/decode throughput over a mixed-family record corpus, and the
-//! end-to-end replay (service reopen + read + typed materialization) of
-//! two stores with identical content — one written binary-era (typed
-//! slots), one JSON-era (value-tree slots) — which is the wall time
-//! `open_archive` pays per format.
+//! end-to-end replay (service reopen + read of every record) of a
+//! persisted store, which is the wall time `open_archive` pays.
 //!
 //! The `scale` subsection (schema 6) measures what the sparse indexes and
 //! snapshots buy at size: KV recovery wall at two log sizes (8x apart; a
@@ -31,12 +29,10 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use dtf_core::events::{
-    LogEntry, LogLevel, LogSource, ProvEvent, ProvRecord, TaskDoneEvent, TransitionEvent,
-};
+use dtf_core::events::{LogEntry, LogLevel, LogSource, ProvRecord, TaskDoneEvent, TransitionEvent};
 use dtf_core::ids::{ClientId, GraphId, NodeId, TaskKey, ThreadId, WorkerId};
 use dtf_core::time::Time;
-use dtf_mofka::{Event, Metadata, MofkaService, ServiceConfig, TopicConfig};
+use dtf_mofka::{Event, MofkaService, ServiceConfig, TopicConfig};
 use dtf_store::{
     FlushPolicy, KvWalConfig, LogConfig, LogReader, ReaderOptions, SegmentedLog, WalKv,
 };
@@ -77,7 +73,7 @@ pub struct CodecBench {
     pub records: u64,
     /// Corpus size in its binary encoding.
     pub binary_bytes: u64,
-    /// The same corpus rendered as compact JSON (the JSON-era at-rest size).
+    /// The same corpus rendered as compact JSON (its size at export).
     pub json_bytes: u64,
     /// Binary encode throughput, MiB of encoded output per second.
     pub encode_mib_s: f64,
@@ -85,10 +81,8 @@ pub struct CodecBench {
     pub decode_mib_s: f64,
     /// Events in each replay store.
     pub replay_events: u64,
-    /// End-to-end reopen + read + typed materialization, binary-era store.
+    /// End-to-end reopen + read of every record of the replay store.
     pub replay_binary_ms: f64,
-    /// Same, JSON-era store (value-tree slots parsed back per event).
-    pub replay_json_ms: f64,
 }
 
 /// GB-scale behaviour measurements (schema 6): snapshot-bounded recovery
@@ -239,9 +233,8 @@ fn codec_corpus(n: u64) -> Vec<ProvRecord> {
         .collect()
 }
 
-/// One replay store: the corpus pushed into a persisted "logs"-style
-/// topic, either typed (binary slots) or as value trees (JSON slots).
-fn build_replay_store(dir: &Path, corpus: &[ProvRecord], typed: bool) {
+/// The replay store: the corpus pushed into a persisted "logs"-style topic.
+fn build_replay_store(dir: &Path, corpus: &[ProvRecord]) {
     let svc = MofkaService::with_config(&ServiceConfig {
         persist: Some(dir.to_path_buf()),
         ..Default::default()
@@ -250,15 +243,13 @@ fn build_replay_store(dir: &Path, corpus: &[ProvRecord], typed: bool) {
     svc.create_topic("events", TopicConfig { partitions: 1 }).expect("topic");
     let t = svc.topic("events").expect("topic handle");
     for rec in corpus {
-        let event =
-            if typed { Event::typed(rec.clone()) } else { Event::meta_only(rec.to_value()) };
-        t.append_batch(0, vec![event]).expect("append");
+        t.append_batch(0, vec![Event::typed(rec.clone())]).expect("append");
     }
     svc.sync().expect("sync");
 }
 
-/// Reopen a replay store and materialize every event to its typed form —
-/// the `open_archive` read path. Returns this trial's wall time.
+/// Reopen the replay store and read every record back — the
+/// `open_archive` read path. Returns this trial's wall time.
 fn replay_trial(dir: &Path, expect: u64) -> f64 {
     let t0 = Instant::now();
     let (svc, recovery) = MofkaService::reopen(dir).expect("replay reopen");
@@ -266,26 +257,7 @@ fn replay_trial(dir: &Path, expect: u64) -> f64 {
     let t = svc.topic("events").expect("topic");
     let mut sink = 0u64;
     for stored in t.read(0, 0, usize::MAX >> 1).expect("read") {
-        let parsed;
-        let rec: &ProvRecord = match stored.event.metadata {
-            // the drain reads a typed record where the log holds it
-            Metadata::Typed(ref rec) => rec,
-            Metadata::Json(v) => {
-                // the drain's fallback: one from_value parse per event.
-                // Values are untagged, so dispatch on a family-unique field.
-                parsed = if v.get("stimulus").is_some() {
-                    TransitionEvent::into_record(
-                        serde_json::from_value(v).expect("transition parses"),
-                    )
-                } else if v.get("nbytes").is_some() {
-                    TaskDoneEvent::into_record(serde_json::from_value(v).expect("task_done parses"))
-                } else {
-                    LogEntry::into_record(serde_json::from_value(v).expect("log parses"))
-                };
-                &parsed
-            }
-        };
-        if let Some(k) = rec.task_key() {
+        if let Some(k) = stored.event.record.task_key() {
             sink = sink.wrapping_add(k.token as u64);
         }
     }
@@ -294,7 +266,7 @@ fn replay_trial(dir: &Path, expect: u64) -> f64 {
 }
 
 /// Codec sweep: pure encode/decode throughput plus the end-to-end replay
-/// comparison between a binary-era and a JSON-era store.
+/// of a persisted store.
 fn codec_bench() -> CodecBench {
     const CODEC_RECORDS: u64 = 32_768;
     const REPLAY_EVENTS: u64 = 8_192;
@@ -315,7 +287,8 @@ fn codec_bench() -> CodecBench {
         encode_s = encode_s.min(t0.elapsed().as_secs_f64());
     }
     let binary_bytes = buf.len() as u64;
-    let json_bytes: u64 = corpus.iter().map(|r| r.encoded_size() as u64).sum();
+    let json_bytes: u64 =
+        corpus.iter().map(|r| serde_json::to_vec(r).expect("record renders").len() as u64).sum();
 
     // pure decode, straight off the encoded buffer slices
     let mut decode_s = f64::INFINITY;
@@ -334,20 +307,14 @@ fn codec_bench() -> CodecBench {
         decode_s = decode_s.min(t0.elapsed().as_secs_f64());
     }
 
-    // end-to-end replay: identical content, two at-rest formats
-    let replay_corpus = codec_corpus(REPLAY_EVENTS);
+    // end-to-end replay
     let bin_dir = scratch("replay-binary");
-    let json_dir = scratch("replay-json");
-    build_replay_store(&bin_dir, &replay_corpus, true);
-    build_replay_store(&json_dir, &replay_corpus, false);
+    build_replay_store(&bin_dir, &codec_corpus(REPLAY_EVENTS));
     let mut replay_binary_s = f64::INFINITY;
-    let mut replay_json_s = f64::INFINITY;
     for _ in 0..TRIALS {
         replay_binary_s = replay_binary_s.min(replay_trial(&bin_dir, REPLAY_EVENTS));
-        replay_json_s = replay_json_s.min(replay_trial(&json_dir, REPLAY_EVENTS));
     }
     let _ = std::fs::remove_dir_all(&bin_dir);
-    let _ = std::fs::remove_dir_all(&json_dir);
 
     let mib = binary_bytes as f64 / (1u64 << 20) as f64;
     CodecBench {
@@ -358,7 +325,6 @@ fn codec_bench() -> CodecBench {
         decode_mib_s: mib / decode_s.max(1e-12),
         replay_events: REPLAY_EVENTS,
         replay_binary_ms: replay_binary_s * 1e3,
-        replay_json_ms: replay_json_s * 1e3,
     }
 }
 
@@ -605,9 +571,6 @@ mod tests {
         assert_eq!(b.recovery.records, 16_384);
         assert!(b.recovery.segments >= 1);
         assert!(b.recovery.records_per_s > 0.0);
-        // codec rows are structurally sound; the 2x replay ratio itself is
-        // asserted by hand when reviewing store-bench output, not here (CI
-        // boxes are too noisy to gate a ratio between two measurements)
         assert!(b.codec.records > 0 && b.codec.replay_events > 0);
         assert!(
             b.codec.binary_bytes < b.codec.json_bytes,
@@ -616,7 +579,7 @@ mod tests {
             b.codec.json_bytes
         );
         assert!(b.codec.encode_mib_s > 0.0 && b.codec.decode_mib_s > 0.0);
-        assert!(b.codec.replay_binary_ms > 0.0 && b.codec.replay_json_ms > 0.0);
+        assert!(b.codec.replay_binary_ms > 0.0);
         // scale rows: structural soundness here; the ≤2x / ≥10x thresholds
         // are gated by store-check against artifacts taken on quiet runs
         assert_eq!(b.scale.small_records, 512);

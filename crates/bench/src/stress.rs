@@ -20,8 +20,10 @@ use std::time::Instant;
 
 use serde::Serialize;
 
+use dtf_core::events::{ProvRecord, WarningEvent, WarningKind};
+use dtf_core::time::{Dur, Time};
 use dtf_mofka::producer::{PartitionStrategy, ProducerConfig};
-use dtf_mofka::{ConsumerConfig, Event, Metadata, MofkaService, TopicConfig};
+use dtf_mofka::{ConsumerConfig, Event, MofkaService, TopicConfig};
 
 /// Knobs of one stress run.
 #[derive(Debug, Clone)]
@@ -127,13 +129,23 @@ struct Delivery {
     seq: u64,
 }
 
-fn make_event(verify: bool, record: &dtf_core::events::ProvRecord, p: u64, s: u64) -> Event {
-    if verify {
-        Event::meta_only(serde_json::json!({ "p": p, "s": s }))
-    } else {
-        // the hot path ships typed records, one plain-data copy per event
-        // — what the provenance pipeline does
-        Event { metadata: Metadata::Typed(record.clone()), data: Default::default() }
+/// Event `s` of producer `p`: a plain-data record (one copy per event, no
+/// allocation — what the provenance pipeline ships) whose `duration` and
+/// `time` carry the `(producer, seq)` tag verify mode reads back.
+fn make_event(p: u64, s: u64) -> Event {
+    Event::typed(WarningEvent {
+        kind: WarningKind::GcPause,
+        worker: None,
+        time: Time(s),
+        duration: Dur(p),
+    })
+}
+
+/// The `(producer, seq)` tag of a [`make_event`] event.
+fn event_tag(record: &ProvRecord) -> (u64, u64) {
+    match record {
+        ProvRecord::Warning(w) => (w.duration.0, w.time.0),
+        _ => (u64::MAX, u64::MAX),
     }
 }
 
@@ -222,12 +234,6 @@ fn stress_run(cfg: &StressConfig) -> StressOutcome {
     // everyone (producers, consumers, the timing thread) starts together
     let start = Barrier::new(cfg.producers + cfg.groups * cfg.members_per_group + 1);
     let group_counts: Vec<AtomicU64> = (0..cfg.groups).map(|_| AtomicU64::new(0)).collect();
-    let record = dtf_core::events::ProvRecord::from(dtf_core::events::WarningEvent {
-        kind: dtf_core::events::WarningKind::GcPause,
-        worker: None,
-        time: dtf_core::time::Time(0),
-        duration: dtf_core::time::Dur(1),
-    });
 
     let mut wall_s = 0.0;
     let mut consumed_total = 0u64;
@@ -237,7 +243,6 @@ fn stress_run(cfg: &StressConfig) -> StressOutcome {
         for p in 0..cfg.producers {
             let svc = &svc;
             let start = &start;
-            let record = &record;
             producer_handles.push(scope.spawn(move || {
                 let mut producer = svc
                     .producer(
@@ -250,7 +255,7 @@ fn stress_run(cfg: &StressConfig) -> StressOutcome {
                     .expect("producer");
                 start.wait();
                 for s in 0..cfg.events_per_producer {
-                    producer.push(make_event(cfg.verify, record, p as u64, s)).expect("push");
+                    producer.push(make_event(p as u64, s)).expect("push");
                 }
                 // flush + plane barrier: every handed-off batch is applied
                 // (and deferred shard errors would surface here)
@@ -296,11 +301,14 @@ fn stress_run(cfg: &StressConfig) -> StressOutcome {
                         delivered += batch.len() as u64;
                         count.fetch_add(batch.len() as u64, Ordering::AcqRel);
                         if cfg.verify {
-                            deliveries.extend(batch.iter().map(|se| Delivery {
-                                partition: se.id.partition,
-                                offset: se.id.offset,
-                                producer: se.event.metadata["p"].as_u64().unwrap_or(u64::MAX),
-                                seq: se.event.metadata["s"].as_u64().unwrap_or(u64::MAX),
+                            deliveries.extend(batch.iter().map(|se| {
+                                let (producer, seq) = event_tag(&se.event.record);
+                                Delivery {
+                                    partition: se.id.partition,
+                                    offset: se.id.offset,
+                                    producer,
+                                    seq,
+                                }
                             }));
                         }
                     }

@@ -321,6 +321,18 @@ mod tests {
         dir
     }
 
+    /// Event `i` of a test store: a log line stamped `i`, plus `data`.
+    fn event(i: u64, data: Vec<u8>) -> Event {
+        use dtf_core::events::{LogEntry, LogLevel, LogSource};
+        let line = LogEntry {
+            time: dtf_core::time::Time(i),
+            level: LogLevel::Info,
+            source: LogSource::Scheduler,
+            message: String::new(),
+        };
+        Event::new(line, bytes::Bytes::from(data))
+    }
+
     fn seeded_store(dir: &Path, events: usize) {
         let svc = MofkaService::with_config(&ServiceConfig {
             persist: Some(dir.to_path_buf()),
@@ -330,8 +342,7 @@ mod tests {
         svc.create_topic("t", TopicConfig { partitions: 2 }).unwrap();
         let mut p = svc.producer("t", ProducerConfig::default()).unwrap();
         for i in 0..events {
-            p.push(Event::new(serde_json::json!({"i": i}), bytes::Bytes::from(vec![i as u8; 16])))
-                .unwrap();
+            p.push(event(i as u64, vec![i as u8; 16])).unwrap();
         }
         p.flush().unwrap();
         svc.sync().unwrap();
@@ -405,11 +416,7 @@ mod tests {
             svc.create_topic("t", TopicConfig { partitions: 2 }).unwrap();
             let mut p = svc.producer("t", ProducerConfig::default()).unwrap();
             for i in 0..20 {
-                p.push(Event::new(
-                    serde_json::json!({"i": i + 1000}),
-                    bytes::Bytes::from(vec![0u8; 4]),
-                ))
-                .unwrap();
+                p.push(event(i + 1000, vec![0u8; 4])).unwrap();
             }
             p.flush().unwrap();
             svc.sync().unwrap();

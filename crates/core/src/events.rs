@@ -670,35 +670,6 @@ impl ProvRecord {
             ProvRecord::Warning(_) | ProvRecord::Log(_) | ProvRecord::Io(_) => None,
         }
     }
-
-    /// The on-disk archive encoding: compact JSON bytes of [`to_value`]
-    /// (untagged — the family is implied by the topic the record sits
-    /// in). Persistent topic logs store this form; an archive reopen
-    /// decodes it back through the generic-JSON drain path, so a
-    /// round-tripped record exports byte-identically.
-    ///
-    /// [`to_value`]: ProvRecord::to_value
-    pub fn to_json_bytes(&self) -> Vec<u8> {
-        serde_json::to_vec(&self.to_value()).expect("value tree always renders")
-    }
-
-    /// Exact byte length of the compact JSON rendering
-    /// (`serde_json::to_string(&record).len()`), computed arithmetically —
-    /// no value tree, no string. Pinned against the rendered form by
-    /// tests; event `wire_size` accounting is identical on both paths.
-    pub fn encoded_size(&self) -> usize {
-        match self {
-            ProvRecord::TaskMeta(e) => wire::task_meta(e),
-            ProvRecord::Transition(e) => wire::transition(e),
-            ProvRecord::WorkerTransition(e) => wire::worker_transition(e),
-            ProvRecord::TaskDone(e) => wire::task_done(e),
-            ProvRecord::Comm(e) => wire::comm(e),
-            ProvRecord::Warning(e) => wire::warning(e),
-            ProvRecord::Log(e) => wire::log(e),
-            ProvRecord::Io(e) => wire::io(e),
-            ProvRecord::Proxy(e) => wire::proxy(e),
-        }
-    }
 }
 
 impl serde::Serialize for ProvRecord {
@@ -748,184 +719,6 @@ impl_prov_event!(
     IoRecord => Io,
     ProxyEvent => Proxy,
 );
-
-/// Exact compact-JSON byte lengths for every record family, mirroring the
-/// derive stub's rendering rules: structs are objects (key order does not
-/// affect total length), newtypes are transparent, unit enum variants are
-/// the variant identifier as a string, newtype variants are one-entry
-/// objects, `Option` is value-or-`null`.
-mod wire {
-    use super::*;
-    use crate::ids::WorkerId;
-
-    fn digits(mut n: u64) -> usize {
-        let mut d = 1;
-        while n >= 10 {
-            d += 1;
-            n /= 10;
-        }
-        d
-    }
-
-    /// `"key":value` for an escape-free ASCII key.
-    fn kv(key: &str, value: usize) -> usize {
-        key.len() + 3 + value
-    }
-
-    /// `{...}` around `entries` comma-joined field sizes.
-    fn obj(entries: &[usize]) -> usize {
-        2 + entries.iter().sum::<usize>() + entries.len().saturating_sub(1)
-    }
-
-    /// Unit enum variants render as `"<ident>"`; the derived `Debug` of a
-    /// unit variant prints exactly that identifier.
-    fn unit<T: std::fmt::Debug>(v: &T) -> usize {
-        struct Counter(usize);
-        impl std::fmt::Write for Counter {
-            fn write_str(&mut self, s: &str) -> std::fmt::Result {
-                self.0 += s.len();
-                Ok(())
-            }
-        }
-        let mut c = Counter(0);
-        use std::fmt::Write as _;
-        write!(c, "{v:?}").expect("counting sink is infallible");
-        c.0 + 2
-    }
-
-    fn task_key(k: &TaskKey) -> usize {
-        obj(&[
-            kv("index", digits(k.index as u64)),
-            kv("prefix", serde::json_impl::str_encoded_len(k.prefix.as_str())),
-            kv("token", digits(k.token as u64)),
-        ])
-    }
-
-    fn worker(w: &WorkerId) -> usize {
-        obj(&[kv("node", digits(w.node.0 as u64)), kv("slot", digits(w.slot as u64))])
-    }
-
-    fn location(l: &Location) -> usize {
-        match l {
-            Location::Scheduler => "\"Scheduler\"".len(),
-            Location::Worker(w) => obj(&[kv("Worker", worker(w))]),
-        }
-    }
-
-    fn log_source(s: &LogSource) -> usize {
-        match s {
-            LogSource::Scheduler => "\"Scheduler\"".len(),
-            LogSource::Client(c) => obj(&[kv("Client", digits(c.0 as u64))]),
-            LogSource::Worker(w) => obj(&[kv("Worker", worker(w))]),
-        }
-    }
-
-    fn keys(deps: &[TaskKey]) -> usize {
-        2 + deps.iter().map(task_key).sum::<usize>() + deps.len().saturating_sub(1)
-    }
-
-    pub(super) fn task_meta(e: &TaskMetaEvent) -> usize {
-        obj(&[
-            kv("client", digits(e.client.0 as u64)),
-            kv("deps", keys(&e.deps)),
-            kv("graph", digits(e.graph.0 as u64)),
-            kv("key", task_key(&e.key)),
-            kv("submitted", digits(e.submitted.0)),
-        ])
-    }
-
-    pub(super) fn transition(e: &TransitionEvent) -> usize {
-        obj(&[
-            kv("from", unit(&e.from)),
-            kv("graph", digits(e.graph.0 as u64)),
-            kv("key", task_key(&e.key)),
-            kv("location", location(&e.location)),
-            kv("stimulus", unit(&e.stimulus)),
-            kv("time", digits(e.time.0)),
-            kv("to", unit(&e.to)),
-        ])
-    }
-
-    pub(super) fn worker_transition(e: &WorkerTransitionEvent) -> usize {
-        obj(&[
-            kv("from", unit(&e.from)),
-            kv("graph", digits(e.graph.0 as u64)),
-            kv("key", task_key(&e.key)),
-            kv("time", digits(e.time.0)),
-            kv("to", unit(&e.to)),
-            kv("worker", worker(&e.worker)),
-        ])
-    }
-
-    pub(super) fn task_done(e: &TaskDoneEvent) -> usize {
-        obj(&[
-            kv("graph", digits(e.graph.0 as u64)),
-            kv("key", task_key(&e.key)),
-            kv("nbytes", digits(e.nbytes)),
-            kv("start", digits(e.start.0)),
-            kv("stop", digits(e.stop.0)),
-            kv("thread", digits(e.thread.0)),
-            kv("worker", worker(&e.worker)),
-        ])
-    }
-
-    pub(super) fn comm(e: &CommEvent) -> usize {
-        obj(&[
-            kv("from", worker(&e.from)),
-            kv("key", task_key(&e.key)),
-            kv("nbytes", digits(e.nbytes)),
-            kv("start", digits(e.start.0)),
-            kv("stop", digits(e.stop.0)),
-            kv("to", worker(&e.to)),
-        ])
-    }
-
-    pub(super) fn warning(e: &WarningEvent) -> usize {
-        obj(&[
-            kv("duration", digits(e.duration.0)),
-            kv("kind", unit(&e.kind)),
-            kv("time", digits(e.time.0)),
-            kv("worker", e.worker.as_ref().map_or("null".len(), worker)),
-        ])
-    }
-
-    pub(super) fn log(e: &LogEntry) -> usize {
-        obj(&[
-            kv("level", unit(&e.level)),
-            kv("message", serde::json_impl::str_encoded_len(&e.message)),
-            kv("source", log_source(&e.source)),
-            kv("time", digits(e.time.0)),
-        ])
-    }
-
-    pub(super) fn proxy(e: &ProxyEvent) -> usize {
-        obj(&[
-            kv("action", unit(&e.action)),
-            kv("checksum", digits(e.checksum)),
-            kv("generation", digits(e.generation as u64)),
-            kv("graph", digits(e.graph.0 as u64)),
-            kv("key", task_key(&e.key)),
-            kv("owner", worker(&e.owner)),
-            kv("size", digits(e.size)),
-            kv("time", digits(e.time.0)),
-            kv("worker", e.worker.as_ref().map_or("null".len(), worker)),
-        ])
-    }
-
-    pub(super) fn io(e: &IoRecord) -> usize {
-        obj(&[
-            kv("file", digits(e.file.0)),
-            kv("host", digits(e.host.0 as u64)),
-            kv("offset", digits(e.offset)),
-            kv("op", unit(&e.op)),
-            kv("size", digits(e.size)),
-            kv("start", digits(e.start.0)),
-            kv("stop", digits(e.stop.0)),
-            kv("thread", digits(e.thread.0)),
-            kv("worker", worker(&e.worker)),
-        ])
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -1240,143 +1033,6 @@ mod tests {
         let s = serde_json::to_string(&e).unwrap();
         let back: TransitionEvent = serde_json::from_str(&s).unwrap();
         assert_eq!(e, back);
-    }
-
-    /// One record of every family, with awkward values: multi-digit ids,
-    /// escapes in strings, `None` worker, zero-valued fields.
-    fn sample_records() -> Vec<ProvRecord> {
-        let w = WorkerId::new(NodeId(12), 3);
-        let w2 = WorkerId::new(NodeId(0), 0);
-        vec![
-            ProvRecord::TaskMeta(TaskMetaEvent {
-                key: TaskKey::new("load-image", 42, 1000),
-                graph: GraphId(7),
-                client: ClientId(3),
-                deps: vec![key(), TaskKey::new("sum", 0, 99)],
-                submitted: Time(1_234_567_890),
-            }),
-            ProvRecord::TaskMeta(TaskMetaEvent {
-                key: key(),
-                graph: GraphId(0),
-                client: ClientId(0),
-                deps: vec![],
-                submitted: Time(0),
-            }),
-            ProvRecord::Transition(TransitionEvent {
-                key: key(),
-                graph: GraphId(2),
-                from: TaskState::NoWorker,
-                to: TaskState::Processing,
-                stimulus: Stimulus::Dispatched,
-                location: Location::Worker(w),
-                time: Time(123),
-            }),
-            ProvRecord::Transition(TransitionEvent {
-                key: key(),
-                graph: GraphId(2),
-                from: TaskState::Released,
-                to: TaskState::Waiting,
-                stimulus: Stimulus::GraphSubmitted,
-                location: Location::Scheduler,
-                time: Time(u64::MAX),
-            }),
-            ProvRecord::WorkerTransition(WorkerTransitionEvent {
-                key: key(),
-                graph: GraphId(1),
-                worker: w,
-                from: WorkerTaskState::Ready,
-                to: WorkerTaskState::Executing,
-                time: Time(456),
-            }),
-            ProvRecord::TaskDone(TaskDoneEvent {
-                key: key(),
-                graph: GraphId(1),
-                worker: w,
-                thread: ThreadId(777),
-                start: Time(10),
-                stop: Time(20),
-                nbytes: 1 << 40,
-            }),
-            ProvRecord::Comm(CommEvent {
-                key: key(),
-                from: w,
-                to: w2,
-                nbytes: 0,
-                start: Time(5),
-                stop: Time(6),
-            }),
-            ProvRecord::Warning(WarningEvent {
-                kind: WarningKind::UnresponsiveEventLoop,
-                worker: Some(w),
-                time: Time(9),
-                duration: Dur(100),
-            }),
-            ProvRecord::Warning(WarningEvent {
-                kind: WarningKind::GcPause,
-                worker: None,
-                time: Time(9),
-                duration: Dur(0),
-            }),
-            ProvRecord::Log(LogEntry {
-                time: Time(77),
-                level: LogLevel::Warning,
-                source: LogSource::Client(ClientId(4)),
-                message: String::from("odd \"quoted\"\npath\\x\t\u{1} π"),
-            }),
-            ProvRecord::Log(LogEntry {
-                time: Time(78),
-                level: LogLevel::Info,
-                source: LogSource::Scheduler,
-                message: String::new(),
-            }),
-            ProvRecord::Io(IoRecord {
-                host: NodeId(3),
-                worker: w,
-                thread: ThreadId(7),
-                file: FileId(12),
-                op: IoOp::Write,
-                offset: 65536,
-                size: 4096,
-                start: Time(100),
-                stop: Time(200),
-            }),
-            ProvRecord::Proxy(ProxyEvent {
-                action: ProxyAction::Published,
-                key: TaskKey::new("load-image", 42, 1000),
-                graph: GraphId(7),
-                size: 1 << 28,
-                owner: w,
-                checksum: u64::MAX,
-                generation: 0,
-                worker: None,
-                time: Time(314),
-            }),
-            ProvRecord::Proxy(ProxyEvent {
-                action: ProxyAction::Resolved,
-                key: key(),
-                graph: GraphId(0),
-                size: 0,
-                owner: w2,
-                checksum: 0,
-                generation: 12,
-                worker: Some(w),
-                time: Time(u64::MAX),
-            }),
-        ]
-    }
-
-    #[test]
-    fn encoded_size_matches_rendered_json_for_every_family() {
-        for rec in sample_records() {
-            let rendered = serde_json::to_string(&rec).unwrap();
-            assert_eq!(
-                rec.encoded_size(),
-                rendered.len(),
-                "arithmetic size diverges from rendered JSON for {rec:?}: {rendered}"
-            );
-            // Untagged: ProvRecord renders exactly as its inner record.
-            assert_eq!(serde_json::to_value(&rec).unwrap(), rec.to_value());
-        }
     }
 
     #[test]

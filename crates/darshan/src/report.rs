@@ -1,4 +1,4 @@
-//! Log-analysis helpers, the PyDarshan analog (paper [17]): summaries
+//! Log-analysis helpers, the PyDarshan analog (paper \[17\]): summaries
 //! computed from parsed log sets — per-file tables, per-process tables,
 //! access-size histograms, and time-binned activity for heatmap-style
 //! views.

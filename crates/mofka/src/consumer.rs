@@ -34,8 +34,9 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use dtf_core::error::Result;
+use dtf_core::events::ProvRecord;
 
-use crate::event::{EventId, Metadata, StoredEvent};
+use crate::event::{EventId, StoredEvent};
 use crate::topic::Topic;
 use crate::yokan::Yokan;
 
@@ -151,7 +152,7 @@ impl Consumer {
         let cursor = format!("group/{}/{}/{}", self.topic.name(), self.cfg.group, partition);
         self.yokan.update(&cursor, |old| {
             let cur = old.and_then(|b| cursor_value(b)).unwrap_or(0);
-            let end = avail.min(cur + n as u64).max(cur);
+            let end = avail.min(cur.saturating_add(n as u64)).max(cur);
             claimed = (cur, end);
             Bytes::from(end.to_string())
         });
@@ -186,7 +187,7 @@ impl Consumer {
     pub fn visit(
         &mut self,
         max: usize,
-        mut f: impl FnMut(EventId, &Metadata, Bytes) -> Result<()>,
+        mut f: impl FnMut(EventId, &ProvRecord, Bytes) -> Result<()>,
     ) -> Result<usize> {
         if self.undelivered() < max as u64 {
             self.claim_next()?;
@@ -196,11 +197,12 @@ impl Consumer {
             let Some(claim) = self.claims.front_mut() else { break };
             let want = (max - delivered).min((claim.end - claim.start) as usize);
             let mut accepted = 0;
-            let visited = self.topic.visit(claim.partition, claim.start, want, |id, meta, data| {
-                f(id, meta, data)?;
-                accepted += 1;
-                Ok(())
-            });
+            let visited =
+                self.topic.visit(claim.partition, claim.start, want, |id, record, data| {
+                    f(id, record, data)?;
+                    accepted += 1;
+                    Ok(())
+                });
             claim.start += accepted as u64;
             delivered += accepted;
             if claim.start == claim.end {
@@ -219,8 +221,8 @@ impl Consumer {
     /// is currently drained — nonblocking, like Mofka's pull API.
     pub fn pull(&mut self, max: usize) -> Result<Vec<StoredEvent>> {
         let mut out = Vec::new();
-        self.visit(max, |id, metadata, data| {
-            out.push(StoredEvent::copy_of(id, metadata, data));
+        self.visit(max, |id, record, data| {
+            out.push(StoredEvent::copy_of(id, record, data));
             Ok(())
         })?;
         Ok(out)
@@ -231,7 +233,7 @@ impl Consumer {
     /// is drained. Returns how many events `f` accepted.
     pub fn visit_all(
         &mut self,
-        mut f: impl FnMut(EventId, &Metadata, Bytes) -> Result<()>,
+        mut f: impl FnMut(EventId, &ProvRecord, Bytes) -> Result<()>,
     ) -> Result<usize> {
         let mut total = 0;
         loop {
@@ -247,8 +249,8 @@ impl Consumer {
     /// order repeated [`Self::pull`]s deliver it.
     pub fn drain_all(&mut self) -> Result<Vec<StoredEvent>> {
         let mut out = Vec::new();
-        self.visit_all(|id, metadata, data| {
-            out.push(StoredEvent::copy_of(id, metadata, data));
+        self.visit_all(|id, record, data| {
+            out.push(StoredEvent::copy_of(id, record, data));
             Ok(())
         })?;
         Ok(out)
@@ -266,10 +268,9 @@ impl Drop for Consumer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Event;
+    use crate::event::testing::{tag, tagged};
     use crate::topic::TopicConfig;
     use crate::warabi::Warabi;
-    use serde_json::json;
     use std::collections::HashSet;
 
     fn setup(parts: u32, n_events: u64) -> (Arc<Topic>, Arc<Yokan>) {
@@ -280,9 +281,7 @@ mod tests {
             None,
         ));
         for i in 0..n_events {
-            topic
-                .append_batch((i % parts as u64) as u32, vec![Event::meta_only(json!({ "i": i }))])
-                .unwrap();
+            topic.append_batch((i % parts as u64) as u32, vec![tagged(0, i)]).unwrap();
         }
         (topic, Arc::new(Yokan::new()))
     }
@@ -301,8 +300,7 @@ mod tests {
         let mut c = consumer(&topic, &yokan, "g");
         let got = c.drain_all().unwrap();
         assert_eq!(got.len(), 100);
-        let uniq: HashSet<u64> =
-            got.iter().map(|e| e.event.metadata["i"].as_u64().unwrap()).collect();
+        let uniq: HashSet<u64> = got.iter().map(|e| tag(&e.event.record).1).collect();
         assert_eq!(uniq.len(), 100);
         // stream drained
         assert!(c.pull(10).unwrap().is_empty());
@@ -349,8 +347,7 @@ mod tests {
             got.extend(b);
         }
         assert_eq!(got.len(), 200, "no duplicates, no losses");
-        let uniq: HashSet<u64> =
-            got.iter().map(|e| e.event.metadata["i"].as_u64().unwrap()).collect();
+        let uniq: HashSet<u64> = got.iter().map(|e| tag(&e.event.record).1).collect();
         assert_eq!(uniq.len(), 200);
     }
 
@@ -360,10 +357,24 @@ mod tests {
         let mut c = consumer(&topic, &yokan, "g");
         assert_eq!(c.drain_all().unwrap().len(), 5);
         // workflow continues producing
-        topic.append_batch(0, vec![Event::meta_only(json!({ "i": 99 }))]).unwrap();
+        topic.append_batch(0, vec![tagged(0, 99)]).unwrap();
         let more = c.pull(10).unwrap();
         assert_eq!(more.len(), 1);
-        assert_eq!(more[0].event.metadata["i"], 99);
+        assert_eq!(tag(&more[0].event.record), (0, 99));
+    }
+
+    /// `prefetch: usize::MAX` means "claim everything"; the second claim
+    /// starts from a non-zero cursor, and cursor + prefetch must not wrap.
+    #[test]
+    fn claim_everything_prefetch_reads_late_events() {
+        let (topic, yokan) = setup(1, 10);
+        let cfg = ConsumerConfig { group: "g".into(), prefetch: usize::MAX };
+        let mut c = Consumer::new(topic.clone(), yokan, cfg);
+        assert_eq!(c.drain_all().unwrap().len(), 10);
+        topic.append_batch(0, (10..20).map(|i| tagged(0, i))).unwrap();
+        let late: Vec<u64> =
+            c.drain_all().unwrap().iter().map(|e| tag(&e.event.record).1).collect();
+        assert_eq!(late, (10..20).collect::<Vec<_>>());
     }
 
     /// Offsets the group has committed past, summed over partitions.

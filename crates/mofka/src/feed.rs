@@ -19,12 +19,12 @@
 
 use std::sync::Arc;
 
-use dtf_core::error::Result;
-
 use bytes::Bytes;
+use dtf_core::error::Result;
+use dtf_core::events::ProvRecord;
 
 use crate::consumer::{Consumer, ConsumerConfig};
-use crate::event::{EventId, Metadata};
+use crate::event::EventId;
 use crate::service::MofkaService;
 use crate::shard::Activity;
 
@@ -66,7 +66,7 @@ impl GroupFeed {
     pub fn visit(
         &mut self,
         max_per_topic: usize,
-        mut f: impl FnMut(usize, EventId, &Metadata, Bytes) -> Result<()>,
+        mut f: impl FnMut(usize, EventId, &ProvRecord, Bytes) -> Result<()>,
     ) -> Result<u64> {
         if let Some(a) = &self.activity {
             // remember where the plane was *before* reading, so appends
@@ -76,7 +76,8 @@ impl GroupFeed {
         }
         let mut visited = 0;
         for (topic, c) in self.consumers.iter_mut().enumerate() {
-            visited += c.visit(max_per_topic, |id, meta, data| f(topic, id, meta, data))? as u64;
+            visited +=
+                c.visit(max_per_topic, |id, record, data| f(topic, id, record, data))? as u64;
         }
         Ok(visited)
     }
@@ -97,12 +98,12 @@ impl GroupFeed {
 mod tests {
     use super::*;
     use crate::bedrock::BedrockConfig;
-    use crate::event::{Event, Metadata};
+    use crate::event::testing::tagged;
+    use crate::event::Event;
     use crate::producer::ProducerConfig;
-    use serde_json::json;
 
     fn ev(i: u64) -> Event {
-        Event::new(Metadata::Json(json!({ "i": i })), bytes::Bytes::new())
+        tagged(0, i)
     }
 
     #[test]
@@ -120,7 +121,7 @@ mod tests {
         let cfg = ConsumerConfig { group: "feed-test".into(), prefetch: 64 };
         let mut feed = GroupFeed::new(&svc, &["task-done", "comm-events"], cfg).unwrap();
         let mut got = [0usize; 2];
-        let mut count = |topic: usize, _, _: &Metadata, _| {
+        let mut count = |topic: usize, _, _: &ProvRecord, _| {
             got[topic] += 1;
             Ok(())
         };

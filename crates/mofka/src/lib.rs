@@ -4,7 +4,8 @@
 //! Kafka-like model optimized for ingesting large volumes of small, highly
 //! concurrent events from instrumented workflows.
 //!
-//! * Events carry a JSON *metadata* part and a raw *data* payload (§III-B).
+//! * Events carry a *metadata* part — a typed provenance record, rendered
+//!   to the paper's JSON at export — and a raw *data* payload (§III-B).
 //! * Producers push into **topics**, batched to amortize synchronization;
 //!   consumers in **consumer groups** pull with prefetch, each group seeing
 //!   every event exactly once, in per-partition order.
@@ -39,7 +40,7 @@ pub mod warabi;
 pub mod yokan;
 
 pub use consumer::{Consumer, ConsumerConfig, DiscardedClaims};
-pub use event::{Event, EventId, Metadata, StoredEvent};
+pub use event::{Event, EventId, StoredEvent};
 pub use feed::GroupFeed;
 pub use producer::{Producer, ProducerConfig};
 pub use service::{MofkaService, ServiceConfig, ServiceMode, ServiceRecovery};

@@ -2,19 +2,20 @@
 //!
 //! Producers buffer events locally and append them to partitions in
 //! batches, amortizing synchronization — Mofka's "batching strategies"
-//! (§III-B). Partition selection is either round-robin or by hashing a
-//! metadata key field, which keeps all events of one task in one partition
+//! (§III-B). Partition selection is either round-robin or by hashing the
+//! record's task key, which keeps all events of one task in one partition
 //! (preserving per-task ordering for consumers).
 //!
-//! The hash is SipHash over the key field's compact JSON text, for typed
-//! and generic events alike, so a record lands in the same partition in
-//! either form. Typed records do not pay it every time: a task's events
-//! arrive in bursts (its meta, its transitions, its completion), so the
-//! producer keeps a small direct-mapped memo from [`TaskKey`] — three
-//! machine words, compared by value — to the partition it hashed to, and
-//! only renders and SipHashes a key the memo does not hold. The memo
-//! stores what the hash returned, so the assignment is the historic one
-//! bit for bit; it is a cache, never a second routing rule.
+//! The hash is SipHash over the key's compact JSON text
+//! ([`TaskKey::write_json`]): partition assignment decides the order of
+//! equal-time events at drain time and therefore exported bytes, so it
+//! stays what it has always been. A record does not pay it every time: a
+//! task's events arrive in bursts (its meta, its transitions, its
+//! completion), so the producer keeps a small direct-mapped memo from
+//! [`TaskKey`] — three machine words, compared by value — to the partition
+//! it hashed to, and only renders and SipHashes a key the memo does not
+//! hold. The memo stores what the hash returned, so the assignment is the
+//! historic one bit for bit; it is a cache, never a second routing rule.
 //!
 //! `push` is the per-event hot path: it builds the partition log's own
 //! element (a slot of a [`SlotBatch`]) once, in the buffer of the
@@ -40,7 +41,7 @@ use std::sync::Arc;
 use dtf_core::error::Result;
 use dtf_core::ids::{KeyHasher, TaskKey};
 
-use crate::event::{Event, Metadata};
+use crate::event::Event;
 use crate::shard::DataPlane;
 use crate::topic::{SlotBatch, Topic};
 
@@ -49,14 +50,17 @@ use crate::topic::{SlotBatch, Topic};
 pub enum PartitionStrategy {
     /// Cycle through partitions.
     RoundRobin,
-    /// Hash the given metadata field's JSON rendering; events with equal
-    /// key values land in the same partition, preserving their relative
-    /// order. Events *without* the field (e.g. warnings and logs, which
-    /// are not task-scoped) all go to [`MISSING_KEY_PARTITION`].
+    /// Hash the record's task key ([`ProvRecord::task_key`], rendered as
+    /// JSON); events with equal keys land in the same partition, preserving
+    /// their relative order. Records *without* one (warnings, logs and I/O
+    /// records, which are not task-scoped) all go to
+    /// [`MISSING_KEY_PARTITION`]. The field name is not consulted.
+    ///
+    /// [`ProvRecord::task_key`]: dtf_core::events::ProvRecord::task_key
     HashKey(String),
 }
 
-/// Where `HashKey` routes events whose metadata lacks the key field. One
+/// Where `HashKey` routes events whose record has no task key. One
 /// fixed partition keeps all key-less events of a topic mutually ordered,
 /// which is all the routing contract promises for them.
 pub const MISSING_KEY_PARTITION: u32 = 0;
@@ -105,7 +109,7 @@ pub struct Producer {
     /// Events buffered across `pending`, exactly.
     pending_count: usize,
     rr_next: u32,
-    /// JSON text of the key field of the event being routed (`HashKey`).
+    /// JSON text of the task key of the event being routed (`HashKey`).
     key_text: String,
     /// `HashKey` assignments of recently routed task keys, indexed by
     /// [`memo_slot`]; empty under `RoundRobin`.
@@ -153,35 +157,23 @@ impl Producer {
                 self.rr_next = (self.rr_next + 1) % self.topic.num_partitions();
                 p
             }
-            PartitionStrategy::HashKey(field) => match &event.metadata {
-                Metadata::Json(v) => match v.get(field) {
-                    Some(val) => {
-                        self.key_text.clear();
-                        serde_json::write_value_to(val, &mut self.key_text)
-                            .expect("a String sink is infallible");
-                        self.hash_key_text()
-                    }
-                    None => MISSING_KEY_PARTITION,
-                },
-                // Typed provenance records route on their task key,
-                // rendered as the JSON form of the field would be — once
-                // per memo residency, not once per event.
-                Metadata::Typed(rec) => match rec.task_key() {
-                    Some(key) => {
-                        let slot = memo_slot(key);
-                        if let Some((held, p)) = &self.memo[slot] {
-                            if held == key {
-                                return *p;
-                            }
+            // Records route on their task key, rendered as its JSON form —
+            // once per memo residency, not once per event.
+            PartitionStrategy::HashKey(_) => match event.record.task_key() {
+                Some(key) => {
+                    let slot = memo_slot(key);
+                    if let Some((held, p)) = &self.memo[slot] {
+                        if held == key {
+                            return *p;
                         }
-                        self.key_text.clear();
-                        key.write_json(&mut self.key_text).expect("a String sink is infallible");
-                        let p = self.hash_key_text();
-                        self.memo[slot] = Some((*key, p));
-                        p
                     }
-                    None => MISSING_KEY_PARTITION,
-                },
+                    self.key_text.clear();
+                    key.write_json(&mut self.key_text).expect("a String sink is infallible");
+                    let p = self.hash_key_text();
+                    self.memo[slot] = Some((*key, p));
+                    p
+                }
+                None => MISSING_KEY_PARTITION,
             },
         }
     }
@@ -275,12 +267,28 @@ impl Drop for Producer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::testing::tagged;
     use crate::topic::TopicConfig;
     use crate::warabi::Warabi;
-    use serde_json::json;
+    use dtf_core::events::{Location, ProvEvent, Stimulus, TaskState, TransitionEvent};
+    use dtf_core::ids::{GraphId, TaskKey};
+    use dtf_core::time::Time;
 
     fn topic(parts: u32) -> Arc<Topic> {
         Arc::new(Topic::new("t", &TopicConfig { partitions: parts }, Arc::new(Warabi::new()), None))
+    }
+
+    /// A task-scoped record: `key`'s transition at `time`.
+    fn transition(key: TaskKey, time: u64) -> TransitionEvent {
+        TransitionEvent {
+            key,
+            graph: GraphId(1),
+            from: TaskState::Released,
+            to: TaskState::Waiting,
+            stimulus: Stimulus::GraphSubmitted,
+            location: Location::Scheduler,
+            time: Time(time),
+        }
     }
 
     #[test]
@@ -291,11 +299,11 @@ mod tests {
             ProducerConfig { batch_size: 4, strategy: PartitionStrategy::RoundRobin },
         );
         for i in 0..3 {
-            p.push(Event::meta_only(json!(i))).unwrap();
+            p.push(tagged(0, i)).unwrap();
         }
         assert_eq!(t.total_len(), 0, "nothing flushed yet");
         assert_eq!(p.pending_events(), 3);
-        p.push(Event::meta_only(json!(3))).unwrap();
+        p.push(tagged(0, 3)).unwrap();
         assert_eq!(t.total_len(), 4, "batch flushed at threshold");
         assert_eq!(p.pending_events(), 0);
         assert_eq!(p.stats().batches, 1);
@@ -306,7 +314,7 @@ mod tests {
     fn explicit_flush_drains_partial_batch() {
         let t = topic(1);
         let mut p = Producer::new(t.clone(), ProducerConfig::default());
-        p.push(Event::meta_only(json!(1))).unwrap();
+        p.push(tagged(0, 1)).unwrap();
         p.flush().unwrap();
         assert_eq!(t.total_len(), 1);
     }
@@ -316,7 +324,7 @@ mod tests {
         let t = topic(1);
         {
             let mut p = Producer::new(t.clone(), ProducerConfig::default());
-            p.push(Event::meta_only(json!(1))).unwrap();
+            p.push(tagged(0, 1)).unwrap();
         }
         assert_eq!(t.total_len(), 1);
     }
@@ -329,7 +337,7 @@ mod tests {
             ProducerConfig { batch_size: 1, strategy: PartitionStrategy::RoundRobin },
         );
         for i in 0..8 {
-            p.push(Event::meta_only(json!(i))).unwrap();
+            p.push(tagged(0, i)).unwrap();
         }
         for part in 0..4 {
             assert_eq!(t.partition_len(part).unwrap(), 2);
@@ -343,21 +351,24 @@ mod tests {
             t.clone(),
             ProducerConfig { batch_size: 1, strategy: PartitionStrategy::HashKey("task".into()) },
         );
+        let (a, b) = (TaskKey::new("A", 0, 0), TaskKey::new("B", 0, 0));
         for i in 0..20 {
-            p.push(Event::meta_only(json!({ "task": "A", "i": i }))).unwrap();
-            p.push(Event::meta_only(json!({ "task": "B", "i": i }))).unwrap();
+            p.push(Event::typed(transition(a, i))).unwrap();
+            p.push(Event::typed(transition(b, i))).unwrap();
         }
         // each key's events all in exactly one partition
         let mut parts_a = vec![];
         for part in 0..4 {
             let evs = t.read(part, 0, 1000).unwrap();
-            let a: Vec<_> = evs.iter().filter(|e| e.event.metadata["task"] == "A").collect();
-            if !a.is_empty() {
+            let times: Vec<u64> = evs
+                .iter()
+                .filter_map(|e| TransitionEvent::from_record_ref(&e.event.record))
+                .filter(|tr| tr.key == a)
+                .map(|tr| tr.time.0)
+                .collect();
+            if !times.is_empty() {
                 parts_a.push(part);
-                // and in order
-                let idx: Vec<u64> =
-                    a.iter().map(|e| e.event.metadata["i"].as_u64().unwrap()).collect();
-                assert!(idx.windows(2).all(|w| w[0] < w[1]), "per-key order preserved");
+                assert!(times.windows(2).all(|w| w[0] < w[1]), "per-key order preserved");
             }
         }
         assert_eq!(parts_a.len(), 1, "key A must map to exactly one partition");
@@ -377,61 +388,34 @@ mod tests {
 
     #[test]
     fn hash_key_matches_stringified_hash() {
+        use dtf_core::events::TaskMetaEvent;
+        use dtf_core::ids::ClientId;
+
         let t = topic(7);
         let mut p = Producer::new(
             t.clone(),
             ProducerConfig { batch_size: 1, strategy: PartitionStrategy::HashKey("key".into()) },
         );
-        let metas = [
-            json!({"key": "task-a", "i": 0}),
-            json!({"key": "task-b", "i": 1}),
-            json!({"key": {"index":3,"prefix":"inc","token":12}, "i": 2}),
-            json!({"key": 42, "i": 3}),
-            json!({"key": "", "i": 4}),
-            json!({"key": "päth \"q\"\n", "i": 5}),
+        let keys = [
+            TaskKey::new("task-a", 0, 0),
+            TaskKey::new("task-b", 0, 1),
+            TaskKey::new("inc", 12, 3),
+            TaskKey::new("", 0, 0),
+            TaskKey::new("päth \"q\"\n", u32::MAX, 5),
         ];
-        for m in &metas {
-            let got = p.select_partition(&Event::meta_only(m.clone()));
-            assert_eq!(got, legacy_partition(m, "key", 7), "diverged for {m}");
-        }
-    }
-
-    #[test]
-    fn typed_and_json_forms_of_a_record_share_a_partition() {
-        use dtf_core::events::{Location, Stimulus, TaskState};
-        use dtf_core::events::{TaskMetaEvent, TransitionEvent};
-        use dtf_core::ids::{ClientId, GraphId, TaskKey};
-        use dtf_core::time::Time;
-
-        let t = topic(5);
-        let mut p = Producer::new(
-            t.clone(),
-            ProducerConfig { batch_size: 1, strategy: PartitionStrategy::HashKey("key".into()) },
-        );
-        for token in 0..32u32 {
-            let key = TaskKey::new("double", token, token * 3);
+        for (i, key) in keys.into_iter().enumerate() {
+            let tr = transition(key, i as u64);
             let meta = TaskMetaEvent {
                 key,
                 graph: GraphId(1),
                 client: ClientId(0),
                 deps: vec![],
-                submitted: Time(token as u64),
+                submitted: Time(i as u64),
             };
-            let tr = TransitionEvent {
-                key,
-                graph: GraphId(1),
-                from: TaskState::Released,
-                to: TaskState::Waiting,
-                stimulus: Stimulus::GraphSubmitted,
-                location: Location::Scheduler,
-                time: Time(token as u64),
-            };
-            let typed_meta = p.select_partition(&Event::typed(meta.clone()));
-            let typed_tr = p.select_partition(&Event::typed(tr.clone()));
-            let json_meta =
-                p.select_partition(&Event::meta_only(serde_json::to_value(&meta).unwrap()));
-            assert_eq!(typed_meta, typed_tr, "same key must co-locate across families");
-            assert_eq!(typed_meta, json_meta, "typed and JSON forms must co-locate");
+            let expected = legacy_partition(&serde_json::to_value(&tr).unwrap(), "key", 7);
+            assert_eq!(p.select_partition(&Event::typed(tr)), expected, "diverged for {key}");
+            // the key alone routes: every family of one task co-locates
+            assert_eq!(p.select_partition(&Event::typed(meta)), expected, "families split {key}");
         }
     }
 
@@ -447,8 +431,7 @@ mod tests {
             parts in 1u32..17,
         ) {
             use dtf_core::events::CommEvent;
-            use dtf_core::ids::{NodeId, TaskKey, WorkerId};
-            use dtf_core::time::Time;
+            use dtf_core::ids::{NodeId, WorkerId};
 
             let mut p = Producer::new(
                 topic(parts),
@@ -465,14 +448,13 @@ mod tests {
             let json = serde_json::to_value(&comm).unwrap();
             let expected = legacy_partition(&json, "key", parts as u64);
             proptest::prop_assert_eq!(p.select_partition(&Event::typed(comm)), expected);
-            proptest::prop_assert_eq!(p.select_partition(&Event::meta_only(json)), expected);
         }
     }
 
     /// Another key in `key`'s memo slot: routing it evicts `key`.
-    fn memo_rival(key: &dtf_core::ids::TaskKey) -> dtf_core::ids::TaskKey {
+    fn memo_rival(key: &TaskKey) -> TaskKey {
         (1..)
-            .map(|step| dtf_core::ids::TaskKey { index: key.index.wrapping_add(step), ..*key })
+            .map(|step| TaskKey { index: key.index.wrapping_add(step), ..*key })
             .find(|rival| memo_slot(rival) == memo_slot(key))
             .expect("some index shares the slot")
     }
@@ -489,8 +471,7 @@ mod tests {
             parts in 0usize..7,
         ) {
             use dtf_core::events::TaskDoneEvent;
-            use dtf_core::ids::{GraphId, NodeId, TaskKey, ThreadId, WorkerId};
-            use dtf_core::time::Time;
+            use dtf_core::ids::{NodeId, ThreadId, WorkerId};
 
             let parts = [1u32, 2, 3, 5, 8, 13, 16][parts];
 
@@ -524,17 +505,14 @@ mod tests {
     #[test]
     fn missing_key_routes_to_documented_partition() {
         use dtf_core::events::{WarningEvent, WarningKind};
-        use dtf_core::time::{Dur, Time};
+        use dtf_core::time::Dur;
 
         let t = topic(4);
         let mut p = Producer::new(
             t.clone(),
             ProducerConfig { batch_size: 1, strategy: PartitionStrategy::HashKey("key".into()) },
         );
-        // generic JSON without the field
-        let json_part = p.select_partition(&Event::meta_only(json!({"other": 1})));
-        assert_eq!(json_part, MISSING_KEY_PARTITION);
-        // typed record with no task key (warnings are not task-scoped)
+        // a record with no task key (warnings are not task-scoped)
         let warn = WarningEvent {
             kind: WarningKind::GcPause,
             worker: None,
@@ -554,7 +532,7 @@ mod tests {
             Some(plane.clone()),
         );
         for i in 0..3 {
-            p.push(Event::meta_only(json!(i))).unwrap();
+            p.push(tagged(0, i)).unwrap();
         }
         assert_eq!(p.pending_events(), 3, "two for partition 0, one for partition 1");
         plane.shutdown().unwrap();
@@ -567,7 +545,7 @@ mod tests {
         assert_eq!(p.stats().batches, 0, "a refused batch is not a batch sent");
         // a later push buffers one event — it is not one more casualty of a
         // flush re-run on a count that never came down
-        p.push(Event::meta_only(json!(3))).unwrap();
+        p.push(tagged(0, 3)).unwrap();
         assert_eq!(p.pending_events(), 1);
         assert!(p.flush().is_err());
         assert_eq!(p.pending_events(), 0);
@@ -584,7 +562,7 @@ mod tests {
             Some(plane.clone()),
         );
         for i in 0..8 {
-            p.push(Event::meta_only(json!(i))).unwrap();
+            p.push(tagged(0, i)).unwrap();
         }
         assert_eq!(t.total_len(), 0, "batches queued on shards, not yet applied");
         p.sync().unwrap();

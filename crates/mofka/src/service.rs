@@ -145,19 +145,27 @@ impl TopicMap {
 /// are left to the caller; the service itself is `Send + Sync`.
 ///
 /// ```
+/// use dtf_core::events::{LogEntry, LogLevel, LogSource, ProvRecord};
+/// use dtf_core::time::Time;
 /// use dtf_mofka::{Event, MofkaService, TopicConfig, ConsumerConfig};
 /// use dtf_mofka::producer::ProducerConfig;
 ///
 /// let svc = MofkaService::new();
-/// svc.create_topic("metrics", TopicConfig { partitions: 2 }).unwrap();
-/// let mut producer = svc.producer("metrics", ProducerConfig::default()).unwrap();
-/// producer.push(Event::meta_only(serde_json::json!({"sample": 1}))).unwrap();
+/// svc.create_topic("logs", TopicConfig { partitions: 2 }).unwrap();
+/// let mut producer = svc.producer("logs", ProducerConfig::default()).unwrap();
+/// let line = LogEntry {
+///     time: Time(1),
+///     level: LogLevel::Info,
+///     source: LogSource::Scheduler,
+///     message: "sample".into(),
+/// };
+/// producer.push(Event::typed(line.clone())).unwrap();
 /// producer.flush().unwrap();
 ///
-/// let mut consumer = svc.consumer("metrics", ConsumerConfig::default()).unwrap();
+/// let mut consumer = svc.consumer("logs", ConsumerConfig::default()).unwrap();
 /// let events = consumer.drain_all().unwrap();
 /// assert_eq!(events.len(), 1);
-/// assert_eq!(events[0].event.metadata["sample"], 1);
+/// assert_eq!(events[0].event.record, ProvRecord::Log(line));
 /// ```
 #[derive(Debug)]
 pub struct MofkaService {
@@ -397,8 +405,8 @@ impl MofkaService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::testing::{tag, tagged};
     use crate::event::Event;
-    use serde_json::json;
 
     #[test]
     fn create_produce_consume_roundtrip() {
@@ -406,7 +414,7 @@ mod tests {
         svc.create_topic("task-events", TopicConfig { partitions: 2 }).unwrap();
         let mut p = svc.producer("task-events", ProducerConfig::default()).unwrap();
         for i in 0..10 {
-            p.push(Event::meta_only(json!({ "i": i }))).unwrap();
+            p.push(tagged(0, i)).unwrap();
         }
         p.flush().unwrap();
         let mut c = svc.consumer("task-events", ConsumerConfig::default()).unwrap();
@@ -450,7 +458,8 @@ mod tests {
             svc.create_topic("events", TopicConfig { partitions: 2 }).unwrap();
             let mut p = svc.producer("events", ProducerConfig::default()).unwrap();
             for i in 0..20 {
-                p.push(Event::new(json!({"i": i}), bytes::Bytes::from(vec![i as u8; 8]))).unwrap();
+                p.push(Event { data: bytes::Bytes::from(vec![i as u8; 8]), ..tagged(0, i) })
+                    .unwrap();
             }
             p.flush().unwrap();
             svc.sync().unwrap();
@@ -462,7 +471,7 @@ mod tests {
         let events = c.drain_all().unwrap();
         assert_eq!(events.len(), 20);
         for e in &events {
-            let i = e.event.metadata["i"].as_u64().unwrap();
+            let i = tag(&e.event.record).1;
             assert_eq!(e.event.data.as_ref(), vec![i as u8; 8].as_slice());
         }
         // reopen is read-only: a second open sees identical state
@@ -487,7 +496,7 @@ mod tests {
         svc.create_topic("t", TopicConfig { partitions: 2 }).unwrap();
         let mut p = svc.producer("t", ProducerConfig::default()).unwrap();
         for i in 0..100 {
-            p.push(Event::meta_only(json!(i))).unwrap();
+            p.push(tagged(0, i)).unwrap();
         }
         p.sync().unwrap();
         let mut c = svc.consumer("t", ConsumerConfig::default()).unwrap();

@@ -22,8 +22,9 @@
 //! * `Barrier` jobs ack when processed. Because the queue is FIFO, an
 //!   ack proves every job enqueued *before* the barrier has been applied.
 //!   [`DataPlane::barrier`] fans a barrier to every shard and waits for
-//!   all acks — the flush/visibility point for [`Producer::sync`]
-//!   (crate::producer::Producer::sync) and `MofkaService::sync`.
+//!   all acks — the flush/visibility point for
+//!   [`Producer::sync`](crate::producer::Producer::sync) and
+//!   `MofkaService::sync`.
 //! * Append errors are deferred (enqueue is infallible) and surfaced by
 //!   the next `barrier()` or `shutdown()`, mirroring how the durable KV
 //!   defers WAL errors to its `sync()` commit point.
@@ -421,14 +422,13 @@ impl Drop for DataPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Event;
+    use crate::event::testing::{tag, tagged};
     use crate::topic::TopicConfig;
     use crate::warabi::Warabi;
-    use serde_json::json;
 
-    /// A one-event batch carrying `value` as generic metadata.
-    fn one(value: serde_json::Value) -> SlotBatch {
-        std::iter::once(Event::meta_only(value)).collect()
+    /// A one-event batch tagged `(producer, seq)`.
+    fn one(producer: u32, seq: u64) -> SlotBatch {
+        std::iter::once(tagged(producer, seq)).collect()
     }
 
     fn topic(name: &str, parts: u32) -> Arc<Topic> {
@@ -445,7 +445,7 @@ mod tests {
         let plane = DataPlane::spawned(3);
         let t = topic("t", 4);
         for p in 0..4 {
-            plane.enqueue_append(&t, p, one(json!(p))).unwrap();
+            plane.enqueue_append(&t, p, one(0, p as u64)).unwrap();
         }
         plane.barrier().unwrap();
         assert_eq!(t.total_len(), 4);
@@ -455,8 +455,8 @@ mod tests {
     fn manual_plane_holds_jobs_until_stepped() {
         let plane = DataPlane::manual(2);
         let t = topic("t", 2);
-        plane.enqueue_append(&t, 0, one(json!(0))).unwrap();
-        plane.enqueue_append(&t, 1, one(json!(1))).unwrap();
+        plane.enqueue_append(&t, 0, one(0, 0)).unwrap();
+        plane.enqueue_append(&t, 1, one(0, 1)).unwrap();
         assert_eq!(t.total_len(), 0, "nothing applied before stepping");
         let s0 = plane.shard_for("t", 0);
         assert!(plane.step_shard(s0));
@@ -479,7 +479,7 @@ mod tests {
     fn append_errors_are_deferred_to_the_barrier() {
         let plane = DataPlane::spawned(2);
         let t = topic("t", 1);
-        plane.enqueue_append(&t, 7, one(json!(1))).unwrap();
+        plane.enqueue_append(&t, 7, one(0, 1)).unwrap();
         let err = plane.barrier().unwrap_err();
         assert!(err.to_string().contains("partition 7"), "got: {err}");
         // the error was taken; a clean barrier follows
@@ -491,13 +491,13 @@ mod tests {
         let t = topic("t", 1);
         let plane = DataPlane::manual(1);
         for i in 0..10 {
-            plane.enqueue_append(&t, 0, one(json!(i))).unwrap();
+            plane.enqueue_append(&t, 0, one(0, i as u64)).unwrap();
         }
         assert_eq!(t.total_len(), 0);
         plane.shutdown().unwrap();
         assert_eq!(t.total_len(), 10, "drain-then-stop");
         // post-shutdown enqueues error cleanly instead of vanishing
-        let err = plane.enqueue_append(&t, 0, one(json!(99))).unwrap_err();
+        let err = plane.enqueue_append(&t, 0, one(0, 99)).unwrap_err();
         assert!(err.to_string().contains("shut down"));
     }
 
@@ -507,7 +507,7 @@ mod tests {
         {
             let plane = DataPlane::manual(2);
             for i in 0..6 {
-                plane.enqueue_append(&t, i % 2, one(json!(i))).unwrap();
+                plane.enqueue_append(&t, i % 2, one(0, i as u64)).unwrap();
             }
         } // Drop
         assert_eq!(t.total_len(), 6, "queued batches survive Drop");
@@ -517,15 +517,13 @@ mod tests {
     fn concurrent_producers_one_owner_per_partition() {
         let plane = DataPlane::spawned(4);
         let t = topic("t", 4);
-        let handles: Vec<_> = (0..8u64)
+        let handles: Vec<_> = (0..8u32)
             .map(|i| {
                 let plane = plane.clone();
                 let t = t.clone();
                 std::thread::spawn(move || {
                     for j in 0..100u64 {
-                        plane
-                            .enqueue_append(&t, (i % 4) as u32, one(json!({ "t": i, "j": j })))
-                            .unwrap();
+                        plane.enqueue_append(&t, i % 4, one(i, j)).unwrap();
                     }
                 })
             })
@@ -538,10 +536,9 @@ mod tests {
         // per-producer order within each partition (FIFO queue + single owner)
         for p in 0..4 {
             let evs = t.read(p, 0, 10_000).unwrap();
-            let mut last: std::collections::HashMap<u64, u64> = Default::default();
+            let mut last: std::collections::HashMap<u32, u64> = Default::default();
             for e in &evs {
-                let producer = e.event.metadata["t"].as_u64().unwrap();
-                let j = e.event.metadata["j"].as_u64().unwrap();
+                let (producer, j) = tag(&e.event.record);
                 if let Some(prev) = last.insert(producer, j) {
                     assert!(j > prev, "producer {producer} reordered in partition {p}");
                 }

@@ -1,10 +1,10 @@
 //! Topics and partitions.
 //!
-//! A topic is a set of append-only partitions. Event metadata lives inline
-//! in the partition log — a typed provenance record by value, so a
-//! partition is one contiguous `Vec` of records — and non-empty payloads
-//! are stored in the shared [`Warabi`](crate::warabi::Warabi) blob store
-//! and referenced by id, mirroring Mofka's composition of micro-services.
+//! A topic is a set of append-only partitions. An event's provenance record
+//! lives inline in the partition log, by value, so a partition is one
+//! contiguous `Vec` of records, and non-empty payloads are stored in the
+//! shared [`Warabi`] blob store and referenced by id, mirroring Mofka's
+//! composition of micro-services.
 //! Partition logs are persistent: consumers may replay from offset zero at
 //! any time, which is what lets the same consumer API serve both in-situ
 //! and post-hoc analysis (paper §III-B).
@@ -27,7 +27,7 @@
 //!
 //! A partition *is* a log, and a durable service persists it as one: every
 //! appended slot is also appended, under the partition lock, to the
-//! service's one [`TopicLog`] — a dtf-store [`SegmentedLog`] multiplexing
+//! service's one `TopicLog` — a dtf-store [`SegmentedLog`] multiplexing
 //! all partitions of all topics (the payload stays in Warabi; the record
 //! carries the blob id). Two record shapes, little-endian:
 //!
@@ -36,15 +36,14 @@
 //! slot     0x01 | topic id u32 | partition u32 | offset u64 | blob id u64 (MAX = none) | kind u8 | metadata
 //! ```
 //!
-//! Metadata kind 1 is the `dtf_core::binfmt` encoding every typed
-//! provenance record is written in (restored straight to
-//! `Metadata::Typed`, no value tree); kind 0 is the JSON text of a generic
-//! `Metadata::Json` event. A topic id is declared in-log before its first
-//! slot. [`restore`] is one scan over the recovered records that routes
-//! slots to partitions; the log's torn-tail rule already made them a
-//! committed prefix. Staged (stalled) slots are persisted at append time
-//! too — durability is decided at append, visibility at unstall — so a
-//! crash while stalled surfaces the staged events after recovery.
+//! Metadata kind 1 is the `dtf_core::binfmt` encoding of the record, and
+//! the only kind there is: a slot with any other kind byte is a malformed
+//! record. A topic id is declared in-log before its first slot. `restore`
+//! is one scan over the recovered records that routes slots to partitions;
+//! the log's torn-tail rule already made them a committed prefix. Staged
+//! (stalled) slots are persisted at append time too — durability is decided
+//! at append, visibility at unstall — so a crash while stalled surfaces the
+//! staged events after recovery.
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
@@ -56,7 +55,7 @@ use dtf_core::error::{DtfError, Result};
 use dtf_core::events::ProvRecord;
 use dtf_store::{FlushPolicy, LogConfig, RecoveryReport, SegmentedLog};
 
-use crate::event::{Event, EventId, Metadata, StoredEvent};
+use crate::event::{Event, EventId, StoredEvent};
 use crate::warabi::{BlobId, Warabi};
 
 /// Topic creation parameters.
@@ -71,12 +70,11 @@ impl Default for TopicConfig {
     }
 }
 
-/// One stored record: inline metadata + optional payload reference. Typed
-/// provenance metadata is held as-is, by value, so a record pushed typed
-/// is never boxed or re-serialized while it sits in the log.
+/// One stored event: the record, by value, plus an optional payload
+/// reference — never boxed or re-serialized while it sits in the log.
 #[derive(Debug, Clone)]
 struct Slot {
-    metadata: Metadata,
+    record: ProvRecord,
     payload: Option<BlobId>,
 }
 
@@ -101,7 +99,7 @@ impl SlotBatch {
         if !event.data.is_empty() {
             self.payloads.push((self.slots.len(), event.data));
         }
-        self.slots.push(Slot { metadata: event.metadata, payload: None });
+        self.slots.push(Slot { record: event.record, payload: None });
     }
 
     pub fn len(&self) -> usize {
@@ -140,13 +138,12 @@ struct Partition {
 
 const REC_DECLARE: u8 = 0;
 const REC_SLOT: u8 = 1;
-const META_JSON: u8 = 0;
 const META_BINARY: u8 = 1;
 const NO_BLOB: u64 = u64::MAX;
 /// Bytes of a slot record before its metadata.
 const SLOT_HEADER: usize = 26;
 
-/// Fewest slots a partition log grows by (~28 KiB).
+/// Fewest slots a partition log grows by (~26 KiB).
 const MIN_LOG_GROWTH: usize = 256;
 
 /// How the topic log commits between explicit syncs. A slot record is
@@ -215,10 +212,7 @@ impl TopicLog {
         let mut state = self.state.lock();
         let id = state.declared;
         state.declared += 1;
-        state.buf.clear();
-        state.buf.push(REC_DECLARE);
-        state.buf.extend_from_slice(&id.to_le_bytes());
-        state.buf.extend_from_slice(name.as_bytes());
+        encode_declare(&mut state.buf, id, name);
         state.append_buf();
         id
     }
@@ -227,23 +221,7 @@ impl TopicLog {
     fn append_slots(&self, id: u32, partition: u32, base: u64, slots: &[Slot]) {
         let mut state = self.state.lock();
         for (i, slot) in slots.iter().enumerate() {
-            let buf = &mut state.buf;
-            buf.clear();
-            buf.push(REC_SLOT);
-            buf.extend_from_slice(&id.to_le_bytes());
-            buf.extend_from_slice(&partition.to_le_bytes());
-            buf.extend_from_slice(&(base + i as u64).to_le_bytes());
-            buf.extend_from_slice(&slot.payload.map_or(NO_BLOB, |b| b.0).to_le_bytes());
-            match &slot.metadata {
-                Metadata::Typed(rec) => {
-                    buf.push(META_BINARY);
-                    rec.encode_binary(buf);
-                }
-                Metadata::Json(value) => {
-                    buf.push(META_JSON);
-                    buf.extend(serde_json::to_vec(value).expect("value tree always renders"));
-                }
-            }
+            encode_slot(&mut state.buf, id, partition, base + i as u64, slot);
             state.append_buf();
         }
     }
@@ -259,6 +237,27 @@ impl TopicLog {
         }
         state.error.clone().map_or(Ok(()), |e| Err(DtfError::Io(e)))
     }
+}
+
+/// Write the `declare` record of topic `id` into `buf`, replacing its contents.
+fn encode_declare(buf: &mut Vec<u8>, id: u32, name: &str) {
+    buf.clear();
+    buf.push(REC_DECLARE);
+    buf.extend_from_slice(&id.to_le_bytes());
+    buf.extend_from_slice(name.as_bytes());
+}
+
+/// Write the `slot` record of `slot` at `offset` of `partition` of topic
+/// `id` into `buf`, replacing its contents.
+fn encode_slot(buf: &mut Vec<u8>, id: u32, partition: u32, offset: u64, slot: &Slot) {
+    buf.clear();
+    buf.push(REC_SLOT);
+    buf.extend_from_slice(&id.to_le_bytes());
+    buf.extend_from_slice(&partition.to_le_bytes());
+    buf.extend_from_slice(&offset.to_le_bytes());
+    buf.extend_from_slice(&slot.payload.map_or(NO_BLOB, |b| b.0).to_le_bytes());
+    buf.push(META_BINARY);
+    slot.record.encode_binary(buf);
 }
 
 fn malformed() -> DtfError {
@@ -284,7 +283,9 @@ fn u64_le(bytes: &[u8]) -> u64 {
 /// offset, or whose blob id Warabi does not hold (blob logs are flushed
 /// before the topic log, so a recovered slot normally implies a recovered
 /// blob; a tear in the blob log stops the partition here instead). Slots
-/// of a topic with no persisted config are skipped.
+/// of a topic with no persisted config are skipped. A record that is
+/// neither shape, or a slot whose metadata kind is not [`META_BINARY`], is
+/// an error: the log holds one layout and no reader for another.
 pub(crate) fn restore(
     topics: &mut [Topic],
     records: &[Bytes],
@@ -319,6 +320,11 @@ pub(crate) fn restore(
                 let p = u32_le(&rec[5..9]) as usize;
                 let offset = u64_le(&rec[9..17]);
                 let blob = Some(u64_le(&rec[17..25])).filter(|b| *b != NO_BLOB).map(BlobId);
+                // checked before routing, so a slot nobody claims is held
+                // to the layout too
+                if rec[SLOT_HEADER - 1] != META_BINARY {
+                    return Err(malformed());
+                }
                 let Some(t) = *ids.get(id).ok_or_else(malformed)? else { continue };
                 let Some(stop) = stopped[t].get_mut(p).filter(|stop| !**stop) else { continue };
                 let topic = &mut topics[t];
@@ -330,13 +336,8 @@ pub(crate) fn restore(
                     *stop = true;
                     continue;
                 }
-                let meta = &rec[SLOT_HEADER..];
-                let metadata = match rec[SLOT_HEADER - 1] {
-                    META_BINARY => Metadata::Typed(ProvRecord::decode_binary(meta)?),
-                    META_JSON => Metadata::Json(serde_json::from_slice(meta)?),
-                    _ => return Err(malformed()),
-                };
-                slots.push(Slot { metadata, payload: blob });
+                let record = ProvRecord::decode_binary(&rec[SLOT_HEADER..])?;
+                slots.push(Slot { record, payload: blob });
             }
             _ => return Err(malformed()),
         }
@@ -453,7 +454,7 @@ impl Topic {
         let state = &mut *state;
         let log = if state.stalled { &mut state.staged } else { &mut state.slots };
         // grow by a quarter, not by doubling: a log is long-lived and its
-        // slots are ~112 bytes, so a doubling `Vec`'s slack is the largest
+        // slots are ~104 bytes, so a doubling `Vec`'s slack is the largest
         // avoidable share of a run's resident memory
         if log.capacity() - log.len() < n {
             log.reserve_exact(n.max(log.len() / 4).max(MIN_LOG_GROWTH));
@@ -503,7 +504,7 @@ impl Topic {
     }
 
     /// Visit up to `max` events of partition `p` starting at `offset`, in
-    /// offset order and in place: `f` gets each event's id, its metadata by
+    /// offset order and in place: `f` gets each event's id, its record by
     /// reference, and its payload (empty for metadata-only events).
     /// Returns how many events it was handed; the first error `f` returns
     /// ends the visit. See the module docs for what `f` may do — for a
@@ -513,7 +514,7 @@ impl Topic {
         p: u32,
         offset: u64,
         max: usize,
-        mut f: impl FnMut(EventId, &Metadata, Bytes) -> Result<()>,
+        mut f: impl FnMut(EventId, &ProvRecord, Bytes) -> Result<()>,
     ) -> Result<usize> {
         let part = self.partition(p)?;
         let id = |i: usize| EventId { partition: p, offset: i as u64 };
@@ -530,7 +531,7 @@ impl Topic {
             let range = &log[start..end];
             if range.iter().all(|slot| slot.payload.is_none()) {
                 for (i, slot) in range.iter().enumerate() {
-                    f(id(start + i), &slot.metadata, Bytes::new())?;
+                    f(id(start + i), &slot.record, Bytes::new())?;
                 }
                 return Ok(range.len());
             }
@@ -555,7 +556,7 @@ impl Topic {
             });
         }
         for (i, (slot, data)) in slots.iter().zip(payloads).enumerate() {
-            f(id(start + i), &slot.metadata, data)?;
+            f(id(start + i), &slot.record, data)?;
         }
         Ok(slots.len())
     }
@@ -565,8 +566,8 @@ impl Topic {
     pub fn read(&self, p: u32, offset: u64, max: usize) -> Result<Vec<StoredEvent>> {
         let available = self.partition_len(p)?.saturating_sub(offset);
         let mut out = Vec::with_capacity(max.min(available as usize));
-        self.visit(p, offset, max, |id, metadata, data| {
-            out.push(StoredEvent::copy_of(id, metadata, data));
+        self.visit(p, offset, max, |id, record, data| {
+            out.push(StoredEvent::copy_of(id, record, data));
             Ok(())
         })?;
         Ok(out)
@@ -576,7 +577,7 @@ impl Topic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde_json::json;
+    use crate::event::testing::{tag, tagged};
 
     fn topic(parts: u32) -> Topic {
         Topic::new("test", &TopicConfig { partitions: parts }, Arc::new(Warabi::new()), None)
@@ -585,11 +586,9 @@ mod tests {
     #[test]
     fn append_assigns_sequential_offsets() {
         let t = topic(2);
-        let range = t
-            .append_batch(0, vec![Event::meta_only(json!(1)), Event::meta_only(json!(2))])
-            .unwrap();
+        let range = t.append_batch(0, vec![tagged(0, 1), tagged(0, 2)]).unwrap();
         assert_eq!(range, (0, 2));
-        assert_eq!(t.append_batch(0, vec![Event::meta_only(json!(3))]).unwrap(), (2, 1));
+        assert_eq!(t.append_batch(0, vec![tagged(0, 3)]).unwrap(), (2, 1));
         assert_eq!(t.partition_len(0).unwrap(), 3);
         assert_eq!(t.partition_len(1).unwrap(), 0);
         assert_eq!(t.total_len(), 3);
@@ -599,13 +598,13 @@ mod tests {
     fn read_returns_events_in_order_with_ids() {
         let t = topic(1);
         for i in 0..10 {
-            t.append_batch(0, vec![Event::meta_only(json!({ "i": i }))]).unwrap();
+            t.append_batch(0, vec![tagged(0, i)]).unwrap();
         }
         let got = t.read(0, 3, 4).unwrap();
         assert_eq!(got.len(), 4);
         for (k, se) in got.iter().enumerate() {
             assert_eq!(se.id.offset, 3 + k as u64);
-            assert_eq!(se.event.metadata["i"], 3 + k as u64);
+            assert_eq!(tag(&se.event.record), (0, 3 + k as u64));
         }
         // reading past end is empty, not an error
         assert!(t.read(0, 100, 5).unwrap().is_empty());
@@ -614,7 +613,7 @@ mod tests {
     #[test]
     fn payloads_roundtrip_through_warabi() {
         let t = topic(1);
-        t.append_batch(0, vec![Event::new(json!({"k": 1}), Bytes::from_static(b"payload"))])
+        t.append_batch(0, vec![Event { data: Bytes::from_static(b"payload"), ..tagged(0, 1) }])
             .unwrap();
         let got = t.read(0, 0, 1).unwrap();
         assert_eq!(got[0].event.data.as_ref(), b"payload");
@@ -624,7 +623,8 @@ mod tests {
     fn ranges_with_and_without_payloads_read_alike() {
         let t = topic(1);
         let payload = |i: u64| if i == 4 { Bytes::from_static(b"blob") } else { Bytes::new() };
-        t.append_batch(0, (0..8).map(|i| Event::new(json!({ "i": i }), payload(i)))).unwrap();
+        let event = |i: u64| Event { data: payload(i), ..tagged(0, i) };
+        t.append_batch(0, (0..8).map(event)).unwrap();
         // [0, 4) holds no payload (built in one pass); [2, 8) holds one
         for (offset, max) in [(0, 4), (2, 6)] {
             let got = t.read(0, offset, max).unwrap();
@@ -632,7 +632,7 @@ mod tests {
             for (k, se) in got.iter().enumerate() {
                 let i = offset + k as u64;
                 assert_eq!(se.id, EventId { partition: 0, offset: i });
-                assert_eq!(se.event, Event::new(json!({ "i": i }), payload(i)));
+                assert_eq!(se.event, event(i));
             }
         }
     }
@@ -648,17 +648,15 @@ mod tests {
     #[test]
     fn stalled_partition_stages_and_drains_in_order() {
         let t = topic(2);
-        t.append_batch(0, vec![Event::meta_only(json!(0))]).unwrap();
+        t.append_batch(0, vec![tagged(0, 0)]).unwrap();
         t.stall(0).unwrap();
-        let range = t
-            .append_batch(0, vec![Event::meta_only(json!(1)), Event::meta_only(json!(2))])
-            .unwrap();
+        let range = t.append_batch(0, vec![tagged(0, 1), tagged(0, 2)]).unwrap();
         // offsets assigned past the staged tail, but nothing visible yet
         assert_eq!(range, (1, 2));
         assert_eq!(t.partition_len(0).unwrap(), 1);
         assert_eq!(t.staged_len(0).unwrap(), 2);
         // other partitions unaffected
-        t.append_batch(1, vec![Event::meta_only(json!(9))]).unwrap();
+        t.append_batch(1, vec![tagged(0, 9)]).unwrap();
         assert_eq!(t.partition_len(1).unwrap(), 1);
         // reads see only the visible prefix
         assert_eq!(t.read(0, 0, 10).unwrap().len(), 1);
@@ -668,7 +666,7 @@ mod tests {
         assert_eq!(got.len(), 3);
         for (i, se) in got.iter().enumerate() {
             assert_eq!(se.id.offset, i as u64, "order preserved across the stall");
-            assert_eq!(se.event.metadata, json!(i));
+            assert_eq!(tag(&se.event.record), (0, i as u64));
         }
         // idempotent
         t.unstall(0).unwrap();
@@ -695,8 +693,8 @@ mod tests {
         (topics.pop().unwrap(), n)
     }
 
-    fn json_slot(v: serde_json::Value, payload: Option<BlobId>) -> Slot {
-        Slot { metadata: Metadata::Json(v), payload }
+    fn slot(seq: u64, payload: Option<BlobId>) -> Slot {
+        Slot { record: tagged(0, seq).record, payload }
     }
 
     #[test]
@@ -706,10 +704,11 @@ mod tests {
         let cfg = TopicConfig { partitions: 2 };
         let (log, _) = open_log(&dir);
         let t = Topic::new("t", &cfg, warabi.clone(), Some(log.clone()));
-        t.append_batch(0, vec![Event::new(json!({"k": 0}), Bytes::from_static(b"blob"))]).unwrap();
-        t.append_batch(1, vec![Event::meta_only(json!({"k": 1}))]).unwrap();
+        t.append_batch(0, vec![Event { data: Bytes::from_static(b"blob"), ..tagged(0, 0) }])
+            .unwrap();
+        t.append_batch(1, vec![tagged(1, 1)]).unwrap();
         t.stall(0).unwrap();
-        t.append_batch(0, vec![Event::meta_only(json!({"k": 2}))]).unwrap();
+        t.append_batch(0, vec![tagged(0, 2)]).unwrap();
         log.sync().unwrap();
         // durability is decided at append: the staged slot is persisted
         let (t2, n) = replayed(&dir, &cfg, &warabi);
@@ -717,9 +716,9 @@ mod tests {
         let p0 = t2.read(0, 0, 10).unwrap();
         assert_eq!(p0.len(), 2, "the staged event surfaces after restore");
         assert_eq!(p0[0].event.data.as_ref(), b"blob");
-        assert_eq!(p0[0].event.metadata["k"], 0u64);
-        assert_eq!(p0[1].event.metadata["k"], 2u64);
-        assert_eq!(t2.read(1, 0, 10).unwrap()[0].event.metadata["k"], 1u64);
+        assert_eq!(tag(&p0[0].event.record), (0, 0));
+        assert_eq!(tag(&p0[1].event.record), (0, 2));
+        assert_eq!(tag(&t2.read(1, 0, 10).unwrap()[0].event.record), (1, 1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -731,12 +730,11 @@ mod tests {
         let (log, _) = open_log(&dir);
         let id = log.declare("t");
         // partition 0: offset 2 is missing, so the prefix ends there
-        log.append_slots(id, 0, 0, &[json_slot(json!(0), None), json_slot(json!(1), None)]);
-        log.append_slots(id, 0, 3, &[json_slot(json!(3), None)]);
+        log.append_slots(id, 0, 0, &[slot(0, None), slot(1, None)]);
+        log.append_slots(id, 0, 3, &[slot(3, None)]);
         // partition 1: the second slot's blob never made it to warabi
-        let dangling = json_slot(json!(11), Some(BlobId(99)));
-        log.append_slots(id, 1, 0, &[json_slot(json!(10), None), dangling]);
-        log.append_slots(id, 1, 2, &[json_slot(json!(12), None)]);
+        log.append_slots(id, 1, 0, &[slot(10, None), slot(11, Some(BlobId(99)))]);
+        log.append_slots(id, 1, 2, &[slot(12, None)]);
         log.sync().unwrap();
         let (t, n) = replayed(&dir, &cfg, &warabi);
         assert_eq!(n, 3);
@@ -753,9 +751,9 @@ mod tests {
         {
             let (log, _) = open_log(&dir);
             let id = log.declare("t");
-            let dangling = json_slot(json!("lost"), Some(BlobId(0)));
-            log.append_slots(id, 0, 0, &[json_slot(json!("kept"), None), dangling]);
-            log.append_slots(id, 0, 2, &[json_slot(json!("behind the tear"), None)]);
+            // seq 0 is kept, seq 1 lost its blob, seq 2 is behind the tear
+            log.append_slots(id, 0, 0, &[slot(0, None), slot(1, Some(BlobId(0)))]);
+            log.append_slots(id, 0, 2, &[slot(2, None)]);
             log.sync().unwrap();
         }
         {
@@ -765,15 +763,22 @@ mod tests {
             // the blob store hands id 0 out again: the old slot naming it
             // must not come back to life with this payload
             topics[0]
-                .append_batch(0, vec![Event::new(json!("new"), Bytes::from_static(b"payload"))])
+                .append_batch(
+                    0,
+                    vec![Event { data: Bytes::from_static(b"payload"), ..tagged(1, 0) }],
+                )
                 .unwrap();
             log.sync().unwrap();
         }
         let (t, n) = replayed(&dir, &cfg, &warabi);
         assert_eq!(n, 2);
         let got = t.read(0, 0, 10).unwrap();
-        assert_eq!(got[0].event.metadata, json!("kept"));
-        assert_eq!(got[1].event.metadata, json!("new"));
+        assert_eq!(tag(&got[0].event.record), (0, 0), "the kept slot");
+        assert_eq!(
+            tag(&got[1].event.record),
+            (1, 0),
+            "the new one, not the slot that lost its blob"
+        );
         assert_eq!(got[1].event.data.as_ref(), b"payload");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -786,7 +791,7 @@ mod tests {
         {
             let (log, _) = open_log(&dir);
             let t = Topic::new("t", &cfg, warabi.clone(), Some(log.clone()));
-            t.append_batch(0, vec![Event::meta_only(json!("old")); 3]).unwrap();
+            t.append_batch(0, vec![tagged(0, 0); 3]).unwrap();
             log.sync().unwrap();
         }
         {
@@ -795,23 +800,19 @@ mod tests {
             let (log, records) = open_log(&dir);
             assert_eq!(restore(&mut [], &records, Some(&log)).unwrap(), 0);
             let t = Topic::new("t", &cfg, warabi.clone(), Some(log.clone()));
-            t.append_batch(0, vec![Event::meta_only(json!("new"))]).unwrap();
+            t.append_batch(0, vec![tagged(1, 0)]).unwrap();
             log.sync().unwrap();
         }
         let (t, n) = replayed(&dir, &cfg, &warabi);
         assert_eq!(n, 1);
-        assert_eq!(t.read(0, 0, 10).unwrap()[0].event.metadata, json!("new"));
+        assert_eq!(tag(&t.read(0, 0, 10).unwrap()[0].event.record), (1, 0), "the new topic's");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn dangling_blob_read_is_an_error_not_empty_bytes() {
         let t = topic(1);
-        t.partitions[0]
-            .state
-            .write()
-            .slots
-            .push(Slot { metadata: Metadata::Json(json!(1)), payload: Some(BlobId(7)) });
+        t.partitions[0].state.write().slots.push(slot(1, Some(BlobId(7))));
         match t.read(0, 0, 1) {
             Err(DtfError::IllegalState(msg)) => assert!(msg.contains("blob-7")),
             other => panic!("expected IllegalState, got {other:?}"),
@@ -819,44 +820,121 @@ mod tests {
     }
 
     #[test]
-    fn typed_slots_restore_typed_without_a_json_round_trip() {
-        use dtf_core::events::{LogEntry, LogLevel, LogSource, ProvRecord};
-        use dtf_core::time::Time;
+    fn a_slot_record_is_its_header_plus_the_binfmt_record() {
         let dir = tmpdir("typed");
         let warabi = Arc::new(Warabi::new());
         let cfg = TopicConfig { partitions: 1 };
         let (log, _) = open_log(&dir);
         let t = Topic::new("t", &cfg, warabi.clone(), Some(log.clone()));
-        let rec = ProvRecord::Log(LogEntry {
-            time: Time(42),
-            level: LogLevel::Info,
-            source: LogSource::Scheduler,
-            message: "typed slot".into(),
-        });
-        t.append_batch(0, vec![Event::typed(rec.clone())]).unwrap();
-        t.append_batch(0, vec![Event::meta_only(json!({"generic": true}))]).unwrap();
+        let event = tagged(3, 42);
+        t.append_batch(0, vec![event.clone()]).unwrap();
         log.sync().unwrap();
 
-        // on disk: the typed slot's metadata is binary, the generic one's JSON
         let (raw, _) = TopicLog::replay(&dir).unwrap();
         assert_eq!(raw[0][0], REC_DECLARE);
         assert_eq!(raw[1][SLOT_HEADER - 1], META_BINARY);
-        assert_eq!(raw[2][SLOT_HEADER - 1], META_JSON);
+        assert_eq!(raw[1][SLOT_HEADER..], event.record.to_binary_bytes()[..]);
 
         let (t2, n) = replayed(&dir, &cfg, &warabi);
-        assert_eq!(n, 2);
-        let got = t2.read(0, 0, 10).unwrap();
-        match &got[0].event.metadata {
-            Metadata::Typed(back) => assert_eq!(*back, rec),
-            other => panic!("binary slot must restore typed, got {other:?}"),
-        }
-        match &got[1].event.metadata {
-            Metadata::Json(v) => assert_eq!(v["generic"], true),
-            other => panic!("generic slot must restore as JSON, got {other:?}"),
-        }
-        // the export boundary is unchanged either way
-        assert_eq!(got[0].event.metadata.to_value(), rec.to_value());
+        assert_eq!(n, 1);
+        assert_eq!(t2.read(0, 0, 10).unwrap()[0].event, event);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// What [`restore`] makes of `records` for topics "a" (two partitions)
+    /// and "b" (one), as one record list per partition.
+    fn restored(records: &[Bytes]) -> Result<Vec<Vec<ProvRecord>>> {
+        let warabi = Arc::new(Warabi::new());
+        let mut topics = vec![
+            Topic::new("a", &TopicConfig { partitions: 2 }, warabi.clone(), None),
+            Topic::new("b", &TopicConfig { partitions: 1 }, warabi, None),
+        ];
+        restore(&mut topics, records, None)?;
+        let stream = |t: &Topic, p| {
+            t.read(p, 0, usize::MAX >> 1).unwrap().into_iter().map(|se| se.event.record).collect()
+        };
+        Ok(topics.iter().flat_map(|t| (0..t.num_partitions()).map(move |p| stream(t, p))).collect())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The topic log's decode surface under structure-aware mutation:
+        /// one slot of a valid record list gets every kind byte, every
+        /// truncated header, every truncated metadata, trailing bytes, and
+        /// a topic id and a partition past the end. Never a panic; a kind
+        /// other than `META_BINARY`, a short header and an undeclared topic
+        /// are errors; and whatever is accepted restores, per partition, at
+        /// least what the records before the mutation restore and at most
+        /// what the unmutated list does.
+        #[test]
+        fn restore_rejects_or_bounds_every_mutated_slot(
+            appends in proptest::collection::vec((0usize..3, 0u32..2), 1..24),
+            pick in proptest::any::<usize>(),
+            past_end in 0u32..1000,
+            trailing in proptest::collection::vec(proptest::any::<u8>(), 1..9),
+        ) {
+            // "ghost" is declared in the log but has no config: its slots
+            // are skipped, yet must still be well-formed
+            let topics = [("a", 2u32), ("ghost", 1), ("b", 1)];
+            let mut buf = Vec::new();
+            let mut valid: Vec<Bytes> = Vec::new();
+            for (id, (name, _)) in topics.iter().enumerate() {
+                encode_declare(&mut buf, id as u32, name);
+                valid.push(Bytes::from(buf.clone()));
+            }
+            let mut next = [[0u64; 2]; 3];
+            for (seq, (t, p)) in appends.iter().enumerate() {
+                let p = p % topics[*t].1;
+                let offset = &mut next[*t][p as usize];
+                encode_slot(&mut buf, *t as u32, p, *offset, &slot(seq as u64, None));
+                *offset += 1;
+                valid.push(Bytes::from(buf.clone()));
+            }
+            let at = topics.len() + pick % appends.len();
+            let original = valid[at].to_vec();
+            let clean = restored(&valid).unwrap();
+            let before = restored(&valid[..at]).unwrap();
+
+            let mutated = |bytes: Vec<u8>| {
+                let mut list = valid.clone();
+                list[at] = Bytes::from(bytes);
+                restored(&list)
+            };
+            let bounded = |got: Vec<Vec<ProvRecord>>, what: &str| {
+                for ((lo, got), hi) in before.iter().zip(&got).zip(&clean) {
+                    assert!(got.starts_with(lo) && hi.starts_with(got), "{what}: {got:?}");
+                }
+            };
+            for kind in 0..=u8::MAX {
+                let mut bytes = original.clone();
+                bytes[SLOT_HEADER - 1] = kind;
+                match mutated(bytes) {
+                    Ok(got) => {
+                        assert_eq!(kind, META_BINARY, "kind {kind} was accepted");
+                        assert_eq!(got, clean);
+                    }
+                    Err(_) => assert_ne!(kind, META_BINARY),
+                }
+            }
+            for len in 0..SLOT_HEADER {
+                assert!(mutated(original[..len].to_vec()).is_err(), "{len}-byte header accepted");
+            }
+            for len in SLOT_HEADER..original.len() {
+                if let Ok(got) = mutated(original[..len].to_vec()) {
+                    bounded(got, "truncated metadata");
+                }
+            }
+            if let Ok(got) = mutated([&original[..], &trailing[..]].concat()) {
+                bounded(got, "extended metadata");
+            }
+            let mut bytes = original.clone();
+            bytes[1..5].copy_from_slice(&(topics.len() as u32 + past_end).to_le_bytes());
+            assert!(mutated(bytes).is_err(), "undeclared topic id accepted");
+            let mut bytes = original.clone();
+            bytes[5..9].copy_from_slice(&(2 + past_end).to_le_bytes());
+            bounded(mutated(bytes).unwrap(), "partition past the end");
+        }
     }
 
     #[test]
@@ -867,8 +945,7 @@ mod tests {
                 let t = t.clone();
                 std::thread::spawn(move || {
                     for j in 0..250 {
-                        t.append_batch(i % 4, vec![Event::meta_only(json!({ "t": i, "j": j }))])
-                            .unwrap();
+                        t.append_batch(i % 4, vec![tagged(i, j)]).unwrap();
                     }
                 })
             })

@@ -14,15 +14,10 @@
 
 use proptest::prelude::*;
 
-use dtf_mofka::{ConsumerConfig, Event, MofkaService, ProducerConfig, TopicConfig};
+use dtf_mofka::{ConsumerConfig, MofkaService, ProducerConfig, TopicConfig};
 
-fn ev(producer: u64, seq: u64) -> Event {
-    Event::meta_only(serde_json::json!({ "p": producer, "s": seq }))
-}
-
-fn key(e: &Event) -> (u64, u64) {
-    (e.metadata["p"].as_u64().unwrap(), e.metadata["s"].as_u64().unwrap())
-}
+mod common;
+use common::{tag as key, tagged as ev};
 
 proptest! {
     /// Randomized flush/step interleavings on a manual plane keep every
@@ -110,7 +105,7 @@ proptest! {
         let mut seen = std::collections::HashSet::new();
         fn deliver(
             batch: Vec<dtf_mofka::StoredEvent>,
-            seen: &mut std::collections::HashSet<(u64, u64)>,
+            seen: &mut std::collections::HashSet<(u32, u64)>,
         ) {
             for se in batch {
                 prop_assert!(seen.insert(key(&se.event)), "duplicate delivery {:?}", se.id);
@@ -156,7 +151,7 @@ proptest! {
                         .producer("t", ProducerConfig { batch_size: batch, ..Default::default() })
                         .unwrap();
                     for s in 0..per_producer {
-                        producer.push(ev(p as u64, s)).unwrap();
+                        producer.push(ev(p as u32, s)).unwrap();
                     }
                     producer.sync().unwrap();
                 });

@@ -24,11 +24,10 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use dtf_mofka::{ConsumerConfig, Event, MofkaService, ProducerConfig, TopicConfig};
+use dtf_mofka::{ConsumerConfig, MofkaService, ProducerConfig, TopicConfig};
 
-fn ev(producer: u64, seq: u64) -> Event {
-    Event::meta_only(serde_json::json!({ "p": producer, "s": seq }))
-}
+mod common;
+use common::{tag, tagged as ev};
 
 struct Harness {
     svc: MofkaService,
@@ -36,9 +35,9 @@ struct Harness {
     next_seq: Vec<u64>,
     consumer: dtf_mofka::Consumer,
     // exactly-once ledger: (producer, seq) -> delivered?
-    seen: std::collections::HashSet<(u64, u64)>,
+    seen: std::collections::HashSet<(u32, u64)>,
     // per (producer, partition): last seq delivered, for order checks
-    last_seq: std::collections::HashMap<(u64, u32), u64>,
+    last_seq: std::collections::HashMap<(u32, u32), u64>,
     pushed: u64,
     delivered: u64,
 }
@@ -73,8 +72,7 @@ impl Harness {
 
     fn deliver(&mut self, batch: Vec<dtf_mofka::StoredEvent>) {
         for se in batch {
-            let p = se.event.metadata["p"].as_u64().unwrap();
-            let s = se.event.metadata["s"].as_u64().unwrap();
+            let (p, s) = tag(&se.event);
             assert!(self.seen.insert((p, s)), "duplicate delivery of (p{p}, s{s})");
             if let Some(prev) = self.last_seq.insert((p, se.id.partition), s) {
                 assert!(
@@ -97,7 +95,7 @@ impl Harness {
                     let i = rng.gen_range(0..self.producers.len());
                     let s = self.next_seq[i];
                     self.next_seq[i] += 1;
-                    self.producers[i].push(ev(i as u64, s)).unwrap();
+                    self.producers[i].push(ev(i as u32, s)).unwrap();
                     self.pushed += 1;
                 }
                 // explicit flush: hand partial batches to the shards

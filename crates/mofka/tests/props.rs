@@ -4,34 +4,54 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use dtf_core::events::{
+    Location, LogEntry, LogLevel, LogSource, ProvEvent, ProvRecord, Stimulus, TaskState,
+    TransitionEvent,
+};
+use dtf_core::ids::{GraphId, TaskKey};
+use dtf_core::time::Time;
 use dtf_mofka::consumer::ConsumerConfig;
 use dtf_mofka::producer::{PartitionStrategy, ProducerConfig};
 use dtf_mofka::topic::TopicConfig;
 use dtf_mofka::yokan::Yokan;
-use dtf_mofka::{Event, EventId, Metadata, MofkaService};
+use dtf_mofka::{Event, EventId, MofkaService};
 
-/// Event `n` of a generated stream: typed or generic metadata, with or
-/// without a payload, all four combinations, recognisable by `n`.
+mod common;
+use common::tagged;
+
+/// Transition `seq` of task `task`: the keyed record `HashKey` routes on.
+fn transition(task: u32, seq: u64) -> TransitionEvent {
+    TransitionEvent {
+        key: TaskKey::new("task", task, 0),
+        graph: GraphId(0),
+        from: TaskState::Released,
+        to: TaskState::Waiting,
+        stimulus: Stimulus::GraphSubmitted,
+        location: Location::Scheduler,
+        time: Time(seq),
+    }
+}
+
+/// Event `n` of a generated stream: a heap-owning or a plain-data record,
+/// with or without a payload, all four combinations, recognisable by `n`.
 fn mixed_event(n: u64) -> Event {
-    use dtf_core::events::{LogEntry, LogLevel, LogSource};
-    use dtf_core::time::Time;
-    let metadata: Metadata = if n.is_multiple_of(2) {
-        dtf_core::events::ProvRecord::from(LogEntry {
+    let record: ProvRecord = if n.is_multiple_of(2) {
+        LogEntry {
             time: Time(n),
             level: LogLevel::Info,
             source: LogSource::Scheduler,
             message: format!("event {n}"),
-        })
+        }
         .into()
     } else {
-        serde_json::json!({ "n": n }).into()
+        transition(n as u32, n).into()
     };
     let data = if n.is_multiple_of(3) {
         bytes::Bytes::from(n.to_le_bytes().to_vec())
     } else {
         Default::default()
     };
-    Event::new(metadata, data)
+    Event::new(record, data)
 }
 
 /// The group's committed cursors, summed over `partitions`.
@@ -97,7 +117,7 @@ proptest! {
     ) {
         let svc = Arc::new(MofkaService::new());
         svc.create_topic("t", TopicConfig { partitions }).unwrap();
-        let handles: Vec<_> = (0..n_keys)
+        let handles: Vec<_> = (0..n_keys as u32)
             .map(|key| {
                 let svc = svc.clone();
                 std::thread::spawn(move || {
@@ -107,11 +127,8 @@ proptest! {
                             strategy: PartitionStrategy::HashKey("key".into()),
                         })
                         .unwrap();
-                    for seq in 0..per_key {
-                        p.push(Event::meta_only(serde_json::json!({
-                            "key": key, "seq": seq
-                        })))
-                        .unwrap();
+                    for seq in 0..per_key as u64 {
+                        p.push(Event::typed(transition(key, seq))).unwrap();
                     }
                 })
             })
@@ -125,10 +142,10 @@ proptest! {
         let events = consumer.drain_all().unwrap();
         prop_assert_eq!(events.len(), n_keys * per_key);
         // per key, seq numbers arrive in increasing order
-        let mut last: std::collections::HashMap<u64, i64> = Default::default();
+        let mut last: std::collections::HashMap<u32, i64> = Default::default();
         for e in events {
-            let key = e.event.metadata["key"].as_u64().unwrap();
-            let seq = e.event.metadata["seq"].as_i64().unwrap();
+            let tr = TransitionEvent::from_record_ref(&e.event.record).unwrap();
+            let (key, seq) = (tr.key.token, tr.time.0 as i64);
             let prev = last.insert(key, seq).unwrap_or(-1);
             prop_assert!(seq > prev, "key {key}: seq {seq} after {prev}");
         }
@@ -148,7 +165,7 @@ proptest! {
                 })
                 .unwrap();
             for i in 0..*batch {
-                p.push(Event::meta_only(serde_json::json!(i))).unwrap();
+                p.push(tagged(0, i as u64)).unwrap();
             }
             p.flush().unwrap();
             total += batch;
@@ -168,9 +185,9 @@ proptest! {
     }
 
     /// Visiting `[offset, offset + max)` yields exactly what `read` always
-    /// returned — ids, metadata, payload bytes — for any interleaving of
-    /// appends, stalls, unstalls and reads over typed and generic events
-    /// with and without payloads; staged slots stay invisible until the
+    /// returned — ids, records, payload bytes — for any interleaving of
+    /// appends, stalls, unstalls and reads over events with and without
+    /// payloads; staged slots stay invisible until the
     /// unstall. The model is the definition: a visible and a staged list
     /// per partition.
     #[test]
@@ -208,10 +225,10 @@ proptest! {
                 }
                 // visit (and read) [offset, offset + n)
                 _ => {
-                    let mut seen: Vec<(EventId, Metadata, bytes::Bytes)> = Vec::new();
+                    let mut seen: Vec<(EventId, ProvRecord, bytes::Bytes)> = Vec::new();
                     let visited = topic
-                        .visit(p, offset, n, |id, metadata, data| {
-                            seen.push((id, metadata.clone(), data));
+                        .visit(p, offset, n, |id, record, data| {
+                            seen.push((id, record.clone(), data));
                             Ok(())
                         })
                         .unwrap();
@@ -219,16 +236,16 @@ proptest! {
                     let want = &visible[part][start..(start + n).min(visible[part].len())];
                     prop_assert_eq!(visited, want.len());
                     prop_assert_eq!(seen.len(), want.len());
-                    for (i, ((id, metadata, data), event)) in seen.iter().zip(want).enumerate() {
+                    for (i, ((id, record, data), event)) in seen.iter().zip(want).enumerate() {
                         prop_assert_eq!(*id, EventId { partition: p, offset: (start + i) as u64 });
-                        prop_assert_eq!(metadata, &event.metadata);
+                        prop_assert_eq!(record, &event.record);
                         prop_assert_eq!(data, &event.data);
                     }
                     let read = topic.read(p, offset, n).unwrap();
                     prop_assert_eq!(read.len(), seen.len());
-                    for (stored, (id, metadata, data)) in read.into_iter().zip(seen) {
+                    for (stored, (id, record, data)) in read.into_iter().zip(seen) {
                         prop_assert_eq!(stored.id, id);
-                        prop_assert_eq!(stored.event, Event::new(metadata, data));
+                        prop_assert_eq!(stored.event, Event::new(record, data));
                     }
                 }
             }
@@ -268,8 +285,8 @@ proptest! {
                 pulling[who].pull(max).unwrap().into_iter().map(|se| (se.id, se.event)).collect();
             let mut visited = Vec::new();
             let n = visiting[who]
-                .visit(max, |id, metadata, data| {
-                    visited.push((id, Event::new(metadata.clone(), data)));
+                .visit(max, |id, record, data| {
+                    visited.push((id, Event::new(record.clone(), data)));
                     Ok(())
                 })
                 .unwrap();

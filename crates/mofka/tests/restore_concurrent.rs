@@ -29,8 +29,10 @@ fn durable_real_time(dir: &std::path::Path, shards: usize) -> MofkaService {
     .unwrap()
 }
 
+mod common;
+
 fn ev(seq: u64) -> Event {
-    Event::meta_only(serde_json::json!({ "s": seq }))
+    common::tagged(0, seq)
 }
 
 /// Every event handed to a producer `flush` before `shutdown` survives
@@ -58,8 +60,7 @@ fn shutdown_drains_queued_batches_before_reopen() {
         svc.consumer("t", ConsumerConfig { group: "audit".into(), prefetch: 256 }).unwrap();
     let drained = consumer.drain_all().unwrap();
     assert_eq!(drained.len() as u64, N);
-    let mut seqs: Vec<u64> =
-        drained.iter().map(|se| se.event.metadata["s"].as_u64().unwrap()).collect();
+    let mut seqs: Vec<u64> = drained.iter().map(|se| common::tag(&se.event).1).collect();
     seqs.sort_unstable();
     assert_eq!(seqs, (0..N).collect::<Vec<_>>(), "restored stream lost or duplicated events");
     std::fs::remove_dir_all(&dir).unwrap();

@@ -12,6 +12,9 @@ use dtf_mofka::{
 };
 use dtf_store::log::segment_paths;
 
+mod common;
+use common::{tag, tagged};
+
 fn scratch(label: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dtf-topic-log-{label}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
@@ -55,8 +58,8 @@ fn every_truncation_point_reopens_to_contiguous_prefixes() {
         for i in 0..24u64 {
             // interleave topics, with and without blobs
             let blob = if i % 3 == 0 { Bytes::from(vec![i as u8; 5]) } else { Bytes::new() };
-            pa.push(Event::new(serde_json::json!({ "a": i }), blob)).unwrap();
-            pb.push(Event::meta_only(serde_json::json!({ "b": i }))).unwrap();
+            pa.push(Event { data: blob, ..tagged(0, i) }).unwrap();
+            pb.push(tagged(1, i)).unwrap();
             if i == 12 {
                 pa.flush().unwrap();
                 pb.flush().unwrap();
@@ -116,7 +119,7 @@ fn cursor_ahead_of_a_torn_topic_log_is_clamped_on_writable_reopen() {
         svc.create_topic("t", TopicConfig { partitions: 1 }).unwrap();
         let mut producer = svc.producer("t", ProducerConfig::default()).unwrap();
         for i in 0..20u64 {
-            producer.push(Event::meta_only(serde_json::json!({ "i": i }))).unwrap();
+            producer.push(tagged(0, i)).unwrap();
         }
         producer.flush().unwrap();
         let mut consumer = svc.consumer("t", group.clone()).unwrap();
@@ -133,16 +136,11 @@ fn cursor_ahead_of_a_torn_topic_log_is_clamped_on_writable_reopen() {
     assert_eq!(svc.yokan().get("group/t/g/0").unwrap().as_ref(), restored.to_string().as_bytes());
     let mut producer = svc.producer("t", ProducerConfig::default()).unwrap();
     for i in 100..105u64 {
-        producer.push(Event::meta_only(serde_json::json!({ "i": i }))).unwrap();
+        producer.push(tagged(0, i)).unwrap();
     }
     producer.flush().unwrap();
     let mut consumer = svc.consumer("t", group).unwrap();
-    let seen: Vec<u64> = consumer
-        .drain_all()
-        .unwrap()
-        .iter()
-        .map(|e| e.event.metadata["i"].as_u64().unwrap())
-        .collect();
+    let seen: Vec<u64> = consumer.drain_all().unwrap().iter().map(|e| tag(&e.event).1).collect();
     assert_eq!(seen, (100..105).collect::<Vec<_>>(), "the group must see every new event");
     // and the appends continued the restored log: a reopen sees both
     svc.sync().unwrap();
@@ -164,7 +162,7 @@ fn topic_log_fnv64(store: &Path) -> u64 {
     hash
 }
 
-/// What the typed path promises: a record read back *is* the record
+/// What the event path promises: a record read back *is* the record
 /// pushed — from the live service and from a reopen of its store — and
 /// how a record is held in memory (once behind an `Arc`, now inline in
 /// the partition log) never reaches the disk: the topic-log bytes of this
@@ -178,7 +176,6 @@ fn a_record_read_back_is_the_record_pushed_and_the_log_bytes_are_pinned() {
     use dtf_core::ids::{ClientId, GraphId, NodeId, TaskKey, ThreadId, WorkerId};
     use dtf_core::time::{Dur, Time};
     use dtf_mofka::producer::PartitionStrategy;
-    use dtf_mofka::Metadata;
 
     let pushed: Vec<(ProvRecord, Bytes)> = (0..40u32)
         .map(|i| {
@@ -224,22 +221,19 @@ fn a_record_read_back_is_the_record_pushed_and_the_log_bytes_are_pinned() {
         .collect();
 
     let store = scratch("pinned");
-    let read_back = |svc: &MofkaService| -> Vec<(Metadata, Bytes)> {
+    let read_back = |svc: &MofkaService| -> Vec<(ProvRecord, Bytes)> {
         let mut events: Vec<StoredEvent> = streams(svc).into_values().flatten().collect();
         // every record carries its own push index in a time field
-        events.sort_by_key(|e| match e.event.metadata.as_record() {
-            Some(ProvRecord::TaskMeta(e)) => e.submitted,
-            Some(ProvRecord::TaskDone(e)) => e.start,
-            Some(ProvRecord::Log(e)) => e.time,
-            Some(ProvRecord::Warning(e)) => e.time,
-            other => panic!("a typed record was pushed, got {other:?}"),
+        events.sort_by_key(|e| match &e.event.record {
+            ProvRecord::TaskMeta(e) => e.submitted,
+            ProvRecord::TaskDone(e) => e.start,
+            ProvRecord::Log(e) => e.time,
+            ProvRecord::Warning(e) => e.time,
+            other => panic!("no such family was pushed: {other:?}"),
         });
-        events.into_iter().map(|e| (e.event.metadata, e.event.data)).collect()
+        events.into_iter().map(|e| (e.event.record, e.event.data)).collect()
     };
-    let expected: Vec<(Metadata, Bytes)> = pushed
-        .iter()
-        .map(|(record, data)| (Metadata::from(record.clone()), data.clone()))
-        .collect();
+    let expected = pushed.clone();
     {
         let svc = durable(&store);
         svc.create_topic("keyed", TopicConfig { partitions: 3 }).unwrap();

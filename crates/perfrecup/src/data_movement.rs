@@ -4,7 +4,7 @@
 //! scheduler-mediated, through the same channel as control traffic. With
 //! the plane on, transfers whose source task published a [`ProxyRef`]
 //! carry only the small typed reference in-band while the payload moves
-//! peer-to-peer out-of-band. This view attributes each [`CommEvent`]'s
+//! peer-to-peer out-of-band. This view attributes each [`CommEvent`](dtf_core::events::CommEvent)'s
 //! bytes to the two planes and quantifies the scheduler-traffic reduction
 //! the ablation in `dtf-bench` gates on.
 //!

@@ -10,7 +10,7 @@
 //! join `task_io` and the category view read, so an operation belongs to
 //! exactly one execution here too.
 //!
-//! One pass over the run files every event under its task ([`index`]);
+//! One pass over the run files every event under its task (`index`);
 //! a lineage is then assembled from its task's entry. [`build`] and
 //! [`build_all`] are that pass for one key and for all of them.
 

@@ -7,7 +7,7 @@
 //! post-hoc kernels ([`per_category`], [`per_worker`], [`phase_sample`])
 //! feed a drained [`RunData`] to. Events are visited where the partition
 //! logs hold them ([`dtf_mofka::GroupFeed::visit`]): the engine reads each
-//! typed record by reference and clones none. This module owns the feed,
+//! record by reference and clones none. This module owns the feed,
 //! the publication slot, the subscriptions and the query surface; it
 //! accumulates nothing itself.
 //!
@@ -41,7 +41,6 @@
 //! state for an active run and from [`crate::archive::ArchivedRun`] (or
 //! any drained [`RunData`]) for history.
 
-use std::borrow::Cow;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -49,12 +48,12 @@ use serde::{Deserialize, Serialize};
 
 use dtf_core::error::DtfError;
 use dtf_core::events::{
-    CommEvent, IoRecord, LogEntry, ProvEvent, TaskDoneEvent, TaskMetaEvent, TransitionEvent,
-    WarningEvent, WorkerTransitionEvent,
+    CommEvent, IoRecord, LogEntry, ProvEvent, ProvRecord, TaskDoneEvent, TaskMetaEvent,
+    TransitionEvent, WarningEvent, WorkerTransitionEvent,
 };
 use dtf_core::time::Dur;
 use dtf_darshan::log::LogSet;
-use dtf_mofka::{ConsumerConfig, Event, GroupFeed, Metadata, MofkaService, ProducerConfig};
+use dtf_mofka::{ConsumerConfig, Event, GroupFeed, MofkaService, ProducerConfig};
 use dtf_wms::plugins::{MofkaPlugin, WmsPlugin};
 use dtf_wms::RunData;
 
@@ -239,56 +238,50 @@ pub struct RunFinal {
     pub wall_time: Dur,
 }
 
-/// Feed one event of feed topic `topic` to the view state. The event is
-/// borrowed from a typed record (which the partition log goes on
-/// holding), parsed from a generic one.
+/// Feed one event of feed topic `topic` to the view state, borrowed from
+/// the record (which the partition log goes on holding).
 fn apply(
     state: &mut RunState,
     progress: &mut LiveProgress,
     topic: usize,
-    metadata: &Metadata,
+    record: &ProvRecord,
 ) -> dtf_core::Result<()> {
-    fn event<T: ProvEvent + Clone + serde::Deserialize>(
-        metadata: &Metadata,
-    ) -> dtf_core::Result<Cow<'_, T>> {
-        match metadata {
-            Metadata::Typed(rec) => T::from_record_ref(rec).map(Cow::Borrowed).ok_or_else(|| {
-                DtfError::IllegalState("live topic carried a wrong-family record".into())
-            }),
-            Metadata::Json(v) => Ok(Cow::Owned(T::from_content(v)?)),
-        }
+    fn event<T: ProvEvent>(record: &ProvRecord) -> dtf_core::Result<&T> {
+        T::from_record_ref(record).ok_or_else(|| {
+            DtfError::IllegalState("live topic carried a wrong-family record".into())
+        })
     }
     match topic {
         0 => {
-            state.observe(event::<TaskMetaEvent>(metadata)?.submitted);
+            state.observe(event::<TaskMetaEvent>(record)?.submitted);
             progress.meta += 1;
         }
         1 => {
-            state.observe(event::<TransitionEvent>(metadata)?.time);
+            state.observe(event::<TransitionEvent>(record)?.time);
             progress.transitions += 1;
         }
         2 => {
-            state.observe(event::<WorkerTransitionEvent>(metadata)?.time);
+            state.observe(event::<WorkerTransitionEvent>(record)?.time);
             progress.worker_transitions += 1;
         }
         3 => {
-            state.task_done(&*event::<TaskDoneEvent>(metadata)?);
+            state.task_done(event::<TaskDoneEvent>(record)?);
             progress.task_done += 1;
         }
         4 => {
-            state.comm(&*event::<CommEvent>(metadata)?);
+            state.comm(event::<CommEvent>(record)?);
             progress.comms += 1;
         }
         5 => {
-            state.observe(event::<WarningEvent>(metadata)?.time);
+            state.observe(event::<WarningEvent>(record)?.time);
             progress.warnings += 1;
         }
         6 => {
-            state.observe(event::<LogEntry>(metadata)?.time);
+            state.observe(event::<LogEntry>(record)?.time);
             progress.logs += 1;
         }
         7 => {
-            state.observe(event::<IoRecord>(metadata)?.stop);
+            state.observe(event::<IoRecord>(record)?.stop);
             progress.io_records += 1;
         }
         other => return Err(DtfError::IllegalState(format!("unknown live feed topic {other}"))),
@@ -347,7 +340,7 @@ impl LiveViews {
     /// ingested. O(Δ).
     pub fn pump(&mut self, max_per_topic: usize) -> dtf_core::Result<u64> {
         let Self { feed, state, progress, .. } = self;
-        feed.visit(max_per_topic, |topic, _, metadata, _| apply(state, progress, topic, metadata))
+        feed.visit(max_per_topic, |topic, _, record, _| apply(state, progress, topic, record))
     }
 
     /// Pump until the feed runs dry. Returns events ingested.
@@ -566,14 +559,13 @@ mod tests {
     }
 
     /// The engine ingests records the partition logs still hold, by
-    /// reference: a mixed stream (typed records of four families and one
-    /// generic JSON event) produces exactly the state its fields spell
-    /// out, and the topics' records are the same afterwards.
+    /// reference: a mixed stream (records of four families) produces
+    /// exactly the state its fields spell out, and the topics' records are
+    /// the same afterwards.
     #[test]
     fn ingest_reads_shared_records_in_place() {
         use dtf_core::ids::{ClientId, NodeId, TaskKey};
         use dtf_core::stats::Summary;
-        use dtf_mofka::producer::PartitionStrategy;
 
         let sec = |s: u64| Time(s * 1_000_000_000);
         let worker = |slot: u32| WorkerId::new(NodeId(0), slot);
@@ -611,19 +603,8 @@ mod tests {
             source: dtf_core::events::LogSource::Scheduler,
             message: "last event of the run".into(),
         });
+        plugin.on_task_done(&done("fit", 1, 1, 4, 7));
         plugin.flush();
-        // the generic form of a record, routed as the plugin routes typed ones
-        let mut generic = svc
-            .producer(
-                "task-done",
-                ProducerConfig {
-                    strategy: PartitionStrategy::HashKey("key".into()),
-                    batch_size: 1,
-                },
-            )
-            .unwrap();
-        let json = serde_json::to_value(done("fit", 1, 1, 4, 7)).unwrap();
-        generic.push(Event::meta_only(json)).unwrap();
 
         let records = |group: &str| -> Vec<Vec<dtf_mofka::StoredEvent>> {
             LIVE_TOPICS
@@ -668,6 +649,23 @@ mod tests {
         );
 
         assert_eq!(records("after"), before, "ingesting left the topics' records as they were");
+    }
+
+    #[test]
+    fn a_record_of_the_wrong_family_fails_the_pump() {
+        let svc = BedrockConfig::wms_default().bootstrap().unwrap();
+        let line = LogEntry {
+            time: Time(1),
+            level: dtf_core::events::LogLevel::Info,
+            source: dtf_core::events::LogSource::Scheduler,
+            message: "a log line on the task-done topic".into(),
+        };
+        svc.topic("task-done").unwrap().append_batch(0, vec![Event::typed(line)]).unwrap();
+        let mut live = LiveViews::attach(&svc, LiveConfig::default()).unwrap();
+        match live.pump_all() {
+            Err(DtfError::IllegalState(msg)) => assert!(msg.contains("wrong-family"), "{msg}"),
+            other => panic!("expected IllegalState, got {other:?}"),
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! HPC storage and network resources are shared with other jobs; the paper
 //! cites I/O interference as a prominent variability source at scale
-//! ([15], [16] in the paper). We model interference as a piecewise-constant
+//! (\[15\], \[16\] in the paper). We model interference as a piecewise-constant
 //! load factor: time is cut into fixed windows and each window's factor is
 //! drawn independently from a mixture of "quiet" (factor ≈ 1) and "burst"
 //! (heavy-tailed slowdown) regimes.

@@ -1,7 +1,7 @@
 //! A `dask.delayed`-style client API over the real executor.
 //!
 //! [`Delayed`] buffers task definitions; [`Delayed::compute`] submits them
-//! as one graph to a [`LocalCluster`](crate::exec::LocalCluster) — the
+//! as one graph to a [`LocalCluster`] — the
 //! lower-level decorators-and-futures style of writing Dask programs
 //! (paper §III-A).
 

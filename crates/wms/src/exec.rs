@@ -1,7 +1,7 @@
 //! The real executor: genuine Rust closures on real worker threads.
 //!
 //! [`LocalCluster`] spins up `workers × threads_per_worker` OS threads that
-//! share the same [`Scheduler`](crate::scheduler::Scheduler) state machine
+//! share the same [`Scheduler`] state machine
 //! the simulator uses — same placement heuristic, same queuing, same
 //! stealing, same plugin instrumentation — but under a monotonic wall
 //! clock, executing [`Payload::Real`] closures and passing real values

@@ -157,8 +157,7 @@ impl MofkaPlugin {
     }
 
     fn push<T: Clone + Into<ProvRecord>>(producer: &mut Producer, value: &T) {
-        // Typed end to end: this clone of the record is what the partition
-        // log will hold — Mofka moves it by value from the producer's
+        // This clone of the record is what the partition log will hold — Mofka moves it by value from the producer's
         // buffer into the log, and JSON is rendered lazily at export
         // boundaries. A full topic only errors on misconfiguration, which
         // bootstrap validated; instrumentation must not take down the
@@ -356,8 +355,8 @@ mod tests {
             .unwrap();
         let events = c.drain_all().unwrap();
         assert_eq!(events.len(), 2);
-        // the metadata is the typed TransitionEvent — no JSON round-trip
-        let rec = events[0].event.metadata.as_record().expect("plugin pushes typed records");
+        // the event's record is the TransitionEvent — no JSON round-trip
+        let rec = &events[0].event.record;
         assert_eq!(*rec, ProvRecord::Transition(transition()));
         // and its lazy JSON rendering still matches eager serialization
         assert_eq!(

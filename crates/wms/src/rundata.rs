@@ -33,7 +33,7 @@ use dtf_core::ids::{RunId, TaskKey};
 use dtf_core::provenance::ProvenanceChart;
 use dtf_core::time::{Dur, Time};
 use dtf_darshan::log::LogSet;
-use dtf_mofka::{ConsumerConfig, Metadata, MofkaService, ServiceRecovery};
+use dtf_mofka::{ConsumerConfig, MofkaService, ServiceRecovery};
 
 /// Yokan key under which a persistent run archives its non-Mofka data.
 pub const ARCHIVE_META_KEY: &str = "run-meta";
@@ -123,7 +123,7 @@ impl RunData {
         archive: ArchiveMeta,
     ) -> dtf_core::Result<Self> {
         let ArchiveMeta { run, workflow, chart, darshan, wall_time, start_order, steals } = archive;
-        fn drain<T: ProvEvent + Clone + serde::Deserialize>(
+        fn drain<T: ProvEvent + Clone>(
             svc: &MofkaService,
             topic: &str,
             group: &str,
@@ -131,25 +131,15 @@ impl RunData {
             let mut consumer =
                 svc.consumer(topic, ConsumerConfig { group: group.to_string(), prefetch: 4096 })?;
             let mut out = Vec::with_capacity(svc.topic(topic)?.total_len() as usize);
-            consumer.visit_all(|_, metadata, _| {
-                match metadata {
-                    // typed path: copy the event out of the record, which
-                    // the partition log goes on holding — no JSON involved
-                    Metadata::Typed(rec) => {
-                        let event = T::from_record_ref(rec).ok_or_else(|| {
-                            DtfError::IllegalState(format!(
-                                "topic {topic} carried a record of the wrong family"
-                            ))
-                        })?;
-                        out.push(event.clone());
-                    }
-                    // Genuine fallback, not a detour for typed records:
-                    // WMS plugins push typed and binary slots restore
-                    // typed, so only generic producers (or JSON-era
-                    // stores) ever land here — and they pay the one
-                    // parse their representation requires.
-                    Metadata::Json(v) => out.push(T::from_content(v)?),
-                }
+            // copy the event out of the record, which the partition log
+            // goes on holding
+            consumer.visit_all(|_, record, _| {
+                let event = T::from_record_ref(record).ok_or_else(|| {
+                    DtfError::IllegalState(format!(
+                        "topic {topic} carried a record of the wrong family"
+                    ))
+                })?;
+                out.push(event.clone());
                 Ok(())
             })?;
             Ok(out)
@@ -362,36 +352,34 @@ mod tests {
         assert!(data.compute_time() > Dur::ZERO);
     }
 
-    /// The `Metadata::Json` fallback of the drain: a generic producer
-    /// appending a JSON value tree (no typed record anywhere) must still
-    /// come out of the drain as a typed event via `from_value`.
+    /// A record on a topic of another family is an error, not a skipped or
+    /// reinterpreted event.
     #[test]
-    fn json_metadata_fallback_drains_through_from_value() {
-        use dtf_core::events::{LogEntry, LogLevel, LogSource, ProvRecord};
+    fn a_record_of_the_wrong_family_fails_the_drain() {
+        use dtf_core::events::{LogEntry, LogLevel, LogSource};
         use dtf_mofka::Event;
         let svc = BedrockConfig::wms_default().bootstrap().unwrap();
         let entry = LogEntry {
             time: Time(321),
             level: LogLevel::Error,
             source: LogSource::Scheduler,
-            message: "generic producer".into(),
+            message: "a log line on the task-done topic".into(),
         };
-        // append the value tree, not the record: this is what a non-WMS
-        // producer without the typed schema would push
-        let value = ProvRecord::Log(entry.clone()).to_value();
-        svc.topic("logs").unwrap().append_batch(0, vec![Event::meta_only(value)]).unwrap();
-        let data = RunData::drain_from_mofka(
+        svc.topic("task-done").unwrap().append_batch(0, vec![Event::typed(entry)]).unwrap();
+        let drained = RunData::drain_from_mofka(
             &svc,
             RunId(2),
-            "json-fallback".into(),
+            "wrong-family".into(),
             chart(),
             LogSet::default(),
             Dur::ZERO,
             vec![],
             0,
-        )
-        .unwrap();
-        assert_eq!(data.logs, vec![entry], "the JSON fallback must be parsed, not dropped");
+        );
+        match drained {
+            Err(DtfError::IllegalState(msg)) => assert!(msg.contains("task-done"), "{msg}"),
+            other => panic!("expected IllegalState, got {other:?}"),
+        }
     }
 
     /// Every record of `topic`, read through a fresh consumer group.
@@ -403,16 +391,13 @@ mod tests {
     }
 
     /// The drain reads records the partition logs still hold, by
-    /// reference: a mixed stream (typed records of three families, deps
-    /// included, and one generic JSON event) comes out as exactly the
-    /// events that went in, in drain order, and the topics' records are
-    /// the same afterwards.
+    /// reference: a mixed stream (records of three families, deps
+    /// included) comes out as exactly the events that went in, in drain
+    /// order, and the topics' records are the same afterwards.
     #[test]
     fn drain_reads_shared_records_in_place() {
         use crate::plugins::{MofkaPlugin, WmsPlugin};
         use dtf_core::events::TaskMetaEvent;
-        use dtf_mofka::producer::PartitionStrategy;
-        use dtf_mofka::Event;
 
         let key = |i: u32| TaskKey::new("stage", 7, i);
         let meta = |i: u32, deps: Vec<TaskKey>, at: u64| TaskMetaEvent {
@@ -448,27 +433,14 @@ mod tests {
         plugin.on_task_meta(&meta(0, vec![], 1));
         plugin.on_transition(&transition(0, 9));
         plugin.on_transition(&transition(1, 2));
+        plugin.on_transition(&transition(2, 6));
         plugin.on_task_done(&done(1, 4, 8));
         plugin.on_task_done(&done(0, 1, 3));
         plugin.flush();
-        // the generic form of a record, routed as the plugin routes typed ones
-        let mut generic = svc
-            .producer(
-                "task-transitions",
-                ProducerConfig {
-                    strategy: PartitionStrategy::HashKey("key".into()),
-                    batch_size: 1,
-                },
-            )
-            .unwrap();
-        generic.push(Event::meta_only(serde_json::to_value(transition(2, 6)).unwrap())).unwrap();
 
         let topics = ["task-meta", "task-transitions", "task-done"];
         let before: Vec<_> = topics.iter().map(|t| records_of(&svc, t, "before")).collect();
         assert_eq!(before.iter().map(Vec::len).collect::<Vec<_>>(), [3, 3, 2]);
-        let json_forms =
-            before[1].iter().filter(|e| matches!(e.event.metadata, Metadata::Json(_))).count();
-        assert_eq!(json_forms, 1, "one generic event among the typed ones");
 
         let data = RunData::drain_from_mofka(
             &svc,

@@ -1,6 +1,6 @@
 //! The discrete-event cluster simulator.
 //!
-//! Drives the [`Scheduler`](crate::scheduler::Scheduler) under virtual time
+//! Drives the [`Scheduler`] under virtual time
 //! against the `dtf-platform` cost models: task compute times (node profile
 //! × stochastic jitter), in-task I/O through the Darshan-instrumented PFS,
 //! dependency transfers through the network model, work-stealing

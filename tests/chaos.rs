@@ -19,6 +19,8 @@ use dtf::wms::graph::{GraphBuilder, SimAction};
 use dtf::wms::sim::{SimCluster, SimConfig, SimWorkflow, SubmitPolicy};
 use dtf::wms::RunData;
 
+mod common;
+
 /// `n_prod` one-second producers feeding `n_cons` consumers that each
 /// depend on every producer — every consumer placed off a producer's
 /// worker must fetch, so the run exercises the full fetch lifecycle.
@@ -326,11 +328,8 @@ fn crash_faults_recover_committed_prefixes_deterministically() {
         svc.create_topic("t", TopicConfig { partitions: 2 }).unwrap();
         let mut p = svc.producer("t", ProducerConfig::default()).unwrap();
         for i in 0..300u64 {
-            p.push(Event::new(
-                serde_json::json!({ "i": i }),
-                bytes::Bytes::from(vec![(i % 251) as u8; 32]),
-            ))
-            .unwrap();
+            let data = bytes::Bytes::from(vec![(i % 251) as u8; 32]);
+            p.push(Event { data, ..common::tagged(0, i) }).unwrap();
         }
         p.flush().unwrap();
         svc.sync().unwrap();
@@ -383,7 +382,7 @@ fn crash_faults_recover_committed_prefixes_deterministically() {
 #[test]
 fn mofka_stall_preserves_exactly_once_in_order() {
     use dtf::mofka::producer::{PartitionStrategy, ProducerConfig};
-    use dtf::mofka::{ConsumerConfig, Event, MofkaService, TopicConfig};
+    use dtf::mofka::{ConsumerConfig, MofkaService, TopicConfig};
 
     let svc = MofkaService::new();
     svc.create_topic("t", TopicConfig { partitions: 1 }).unwrap();
@@ -391,31 +390,23 @@ fn mofka_stall_preserves_exactly_once_in_order() {
         .producer("t", ProducerConfig { batch_size: 1, strategy: PartitionStrategy::RoundRobin })
         .unwrap();
     for i in 0..50u64 {
-        producer.push(Event::meta_only(serde_json::json!({ "i": i }))).unwrap();
+        producer.push(common::tagged(0, i)).unwrap();
     }
     producer.flush().unwrap();
     svc.stall_partition("t", 0).unwrap();
     for i in 50..100u64 {
-        producer.push(Event::meta_only(serde_json::json!({ "i": i }))).unwrap();
+        producer.push(common::tagged(0, i)).unwrap();
     }
     producer.flush().unwrap();
 
     let mut consumer =
         svc.consumer("t", ConsumerConfig { group: "g".into(), prefetch: 16 }).unwrap();
-    let before: Vec<u64> = consumer
-        .drain_all()
-        .unwrap()
-        .iter()
-        .map(|e| e.event.metadata["i"].as_u64().unwrap())
-        .collect();
+    let before: Vec<u64> =
+        consumer.drain_all().unwrap().iter().map(|e| common::tag(&e.event).1).collect();
     assert_eq!(before, (0..50).collect::<Vec<u64>>(), "stalled events must not be visible");
 
     svc.unstall_partition("t", 0).unwrap();
-    let after: Vec<u64> = consumer
-        .drain_all()
-        .unwrap()
-        .iter()
-        .map(|e| e.event.metadata["i"].as_u64().unwrap())
-        .collect();
+    let after: Vec<u64> =
+        consumer.drain_all().unwrap().iter().map(|e| common::tag(&e.event).1).collect();
     assert_eq!(after, (50..100).collect::<Vec<u64>>(), "exactly the staged events, in order");
 }

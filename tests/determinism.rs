@@ -7,6 +7,9 @@ use dtf::wms::sim::{SimCluster, SimConfig};
 use dtf::wms::RunData;
 use dtf::workflows::Workload;
 
+mod common;
+use common::{tag, tagged};
+
 fn run(workload: Workload, seed: u64, run: u32) -> RunData {
     let rr = RunRng::new(seed, RunId(run));
     let workflow = workload.generate(&rr);
@@ -125,7 +128,7 @@ fn campaign_summaries_are_reproducible() {
 /// into characterization data.
 #[test]
 fn virtual_time_export_is_byte_identical_with_concurrent_plane_running() {
-    use dtf::mofka::{Event, MofkaService, ProducerConfig, TopicConfig};
+    use dtf::mofka::{MofkaService, ProducerConfig, TopicConfig};
     use dtf::perfrecup::export::export_run;
 
     fn fnv64(bytes: &[u8]) -> u64 {
@@ -148,7 +151,7 @@ fn virtual_time_export_is_byte_identical_with_concurrent_plane_running() {
                 .unwrap();
             let mut s = 0u64;
             while !stop.load(std::sync::atomic::Ordering::Acquire) {
-                producer.push(Event::meta_only(serde_json::json!({ "s": s }))).unwrap();
+                producer.push(tagged(0, s)).unwrap();
                 s += 1;
             }
             producer.sync().unwrap();
@@ -200,14 +203,14 @@ fn virtual_time_export_is_byte_identical_with_concurrent_plane_running() {
 /// plane is drained.
 #[test]
 fn virtual_and_real_time_services_store_identical_streams() {
-    use dtf::mofka::{ConsumerConfig, Event, MofkaService, ProducerConfig, TopicConfig};
+    use dtf::mofka::{ConsumerConfig, MofkaService, ProducerConfig, TopicConfig};
 
     fn run(svc: &MofkaService) -> Vec<(u32, u64, u64)> {
         svc.create_topic("t", TopicConfig { partitions: 3 }).unwrap();
         let mut producer =
             svc.producer("t", ProducerConfig { batch_size: 16, ..Default::default() }).unwrap();
         for s in 0..500u64 {
-            producer.push(Event::meta_only(serde_json::json!({ "s": s }))).unwrap();
+            producer.push(tagged(0, s)).unwrap();
         }
         producer.sync().unwrap();
         let mut consumer =
@@ -216,7 +219,7 @@ fn virtual_and_real_time_services_store_identical_streams() {
             .drain_all()
             .unwrap()
             .iter()
-            .map(|se| (se.id.partition, se.id.offset, se.event.metadata["s"].as_u64().unwrap()))
+            .map(|se| (se.id.partition, se.id.offset, tag(&se.event).1))
             .collect();
         rows.sort_unstable();
         rows

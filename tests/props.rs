@@ -13,10 +13,13 @@ use dtf::core::stats::kendall_tau;
 use dtf::core::time::{Dur, Time};
 use dtf::mofka::bedrock::BedrockConfig;
 use dtf::mofka::producer::{PartitionStrategy, ProducerConfig};
-use dtf::mofka::{ConsumerConfig, Event, TopicConfig};
+use dtf::mofka::{ConsumerConfig, TopicConfig};
 use dtf::perfrecup::frame::{Agg, DataFrame};
 use dtf::wms::graph::{GraphBuilder, SimAction, TaskGraph};
 use dtf::wms::sim::{SimCluster, SimConfig, SimWorkflow, SubmitPolicy};
+
+mod common;
+use common::{tag, tagged};
 
 /// Build a random layered DAG: `layers` layers of up to `width` tasks,
 /// each task depending on a random subset of the previous layer.
@@ -111,7 +114,7 @@ proptest! {
             .producer("t", ProducerConfig { batch_size: batch, strategy: PartitionStrategy::RoundRobin })
             .unwrap();
         for i in 0..n_events {
-            producer.push(Event::meta_only(serde_json::json!({ "i": i }))).unwrap();
+            producer.push(tagged(0, i as u64)).unwrap();
         }
         producer.flush().unwrap();
         let mut consumer = svc
@@ -119,8 +122,7 @@ proptest! {
             .unwrap();
         let got = consumer.drain_all().unwrap();
         prop_assert_eq!(got.len(), n_events);
-        let ids: HashSet<u64> =
-            got.iter().map(|e| e.event.metadata["i"].as_u64().unwrap()).collect();
+        let ids: HashSet<u64> = got.iter().map(|e| tag(&e.event).1).collect();
         prop_assert_eq!(ids.len(), n_events);
         // per-partition order preserved
         let mut last_offset: HashMap<u32, u64> = HashMap::new();

@@ -124,7 +124,7 @@ fn stream_text(svc: &MofkaService) -> String {
                     "{name}/{p}/{i} {} {} {}\n",
                     e.id,
                     e.event.data.len(),
-                    e.event.metadata.to_value()
+                    e.event.record.to_value()
                 ));
             }
         }
@@ -224,32 +224,48 @@ fn persisted_run_keeps_the_event_stream_out_of_yokan() {
     std::fs::remove_dir_all(&store).unwrap();
 }
 
-/// The frame checksum's value is the contract, not its loop: an archive
+/// The frame checksum's value is the contract, not its loop: a store
 /// written when `crc32` still walked one byte at a time
 /// (`tests/fixtures/bytewise_crc_archive`, 12 events over two partitions
 /// and one Yokan key, produced at the commit before slicing-by-8) must
-/// verify frame for frame — nothing torn, nothing dropped, every event back.
+/// verify frame for frame through dtf-store — nothing torn, nothing
+/// dropped, every record back. Its slots are JSON-era (metadata kind 0), a
+/// layout the topic log no longer holds, so the service refuses the store
+/// as malformed rather than skipping or misreading them.
 #[test]
 fn archive_written_with_the_bytewise_crc_reopens_clean() {
+    use dtf::store::{LogConfig, SegmentedLog};
+
     let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/bytewise_crc_archive");
     // recovery may repair on disk; never let it touch the committed fixture
     let store = scratch("bytewise-crc");
     copy_store(&fixture, &store).unwrap();
 
-    let (svc, recovery) = MofkaService::reopen(&store).unwrap();
-    for (name, report) in
-        [("yokan", recovery.yokan), ("warabi", recovery.warabi), ("topics", recovery.topics)]
-    {
+    let mut recovered = Vec::new();
+    for (name, records) in [("yokan", 2), ("warabi", 0), ("topics", 13)] {
+        let (log, frames, report) =
+            SegmentedLog::open(&store.join(name), LogConfig::default()).unwrap();
+        drop(log);
         assert!(!report.torn, "{name}: a frame failed its checksum");
         assert_eq!(report.dropped_segments, 0, "{name}: a segment header failed its checksum");
         assert_eq!(report.truncated_bytes, 0, "{name}");
         assert_eq!(report.segments, 1, "{name}");
+        assert_eq!(report.records, records, "{name}");
+        assert_eq!(frames.len() as u64, records, "{name}");
+        recovered.push(frames);
     }
-    assert_eq!(recovery.restored_events, 12);
-    assert_eq!(svc.yokan().get("fixture/meta").as_deref(), Some(&b"bytewise"[..]));
-    let text = stream_text(&svc);
+    let holds = |frames: &[bytes::Bytes], needle: &str| {
+        frames.iter().any(|f| f.windows(needle.len()).any(|w| w == needle.as_bytes()))
+    };
+    assert!(holds(&recovered[0], "fixture/meta") && holds(&recovered[0], "bytewise"));
     for i in 0..12 {
-        assert!(text.contains(&format!("\"i\":{i},")), "event {i} missing from:\n{text}");
+        assert!(
+            holds(&recovered[2], &format!("\"i\":{i},")),
+            "event {i} missing from the topic log"
+        );
     }
+
+    let refused = MofkaService::reopen(&store).unwrap_err().to_string();
+    assert!(refused.contains("malformed topic log record"), "{refused}");
     std::fs::remove_dir_all(&store).unwrap();
 }
