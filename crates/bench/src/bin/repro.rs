@@ -21,18 +21,16 @@
 //!                      BENCH_repro.json: exits nonzero if events/s
 //!                      regressed by more than 20%)
 //!   store-bench     (measure dtf-store append throughput per flush policy,
-//!                    the recovery-scan rate, the binary-codec rows, and the
-//!                    schema-6 scale rows — snapshot-bounded recovery at two
-//!                    log sizes plus indexed point/range reads, scaled by
-//!                    DTF_STORE_SCALE; prints the `storage` section and
-//!                    refreshes it inside BENCH_repro.json when present)
+//!                    the recovery-scan rate, the binary-codec rows, and
+//!                    indexed point/range reads against a full scan;
+//!                    prints the `storage` section and refreshes it inside
+//!                    BENCH_repro.json when present)
 //!   store-check     (measure and gate against the committed
 //!                    BENCH_repro.json `storage` section: exits nonzero on
 //!                    a >20% drop in group-commit append, recovery rate, or
-//!                    codec throughput, a >20% rise in replay time,
-//!                    a recovery ratio above 2x between the 8x-apart log
-//!                    sizes, or an indexed point/range speedup below 10x;
-//!                    exit 2 on a pre-schema-6 baseline)
+//!                    codec throughput, a >20% rise in replay time, or an
+//!                    indexed point/range speedup below 10x; exit 2 on a
+//!                    pre-schema-6 baseline)
 //!   stress-bench    (many-client stress of the sharded real-time data
 //!                    plane: 256 concurrent producers + 8 consumer groups
 //!                    on one service; prints the `stress` section and
@@ -68,8 +66,8 @@
 //!                    fresh-process archive reopen reproduces the export
 //!                    bundle byte-for-byte, then damage store copies under
 //!                    seeded crash faults — torn/zeroed/bit-flipped tails,
-//!                    corrupted index sidecars and snapshots, orphaned
-//!                    compaction staging — and check the recovery oracle;
+//!                    forged frame lengths, corrupted index sidecars — and
+//!                    check the recovery oracle;
 //!                    exits nonzero — keeping the store dir as an artifact —
 //!                    on any violation)
 //!   all      (everything above, in order)
@@ -340,17 +338,6 @@ fn store_bench() -> i32 {
     );
     println!("store replay: {:.1} ms ({} events)", b.codec.replay_binary_ms, b.codec.replay_events);
     println!(
-        "store scale (x{}): recovery {:.1} ms @ {} records vs {:.1} ms @ {} (ratio {:.2}, \
-         full replay {:.1} ms)",
-        b.scale.scale,
-        b.scale.recovery_small_ms,
-        b.scale.small_records,
-        b.scale.recovery_large_ms,
-        b.scale.large_records,
-        b.scale.recovery_ratio,
-        b.scale.full_replay_large_ms
-    );
-    println!(
         "store indexed: point {:.1} us ({:.0}x vs {:.1} ms scan), range {:.2} ms ({:.0}x), \
          reader open {:.1} ms",
         b.scale.indexed.point_avg_us,
@@ -436,15 +423,11 @@ fn store_check() -> i32 {
         eprintln!("store-check: BENCH_repro.json has no storage.codec.replay_binary_ms");
         return 2;
     };
-    // schema-6 scale rows: their absence means a pre-index baseline, exit 2
-    if doc["storage"]["scale"]["recovery_ratio"].as_f64().is_none() {
-        eprintln!(
-            "store-check: BENCH_repro.json has no storage.scale.recovery_ratio (schema < 6?)"
-        );
-        return 2;
-    }
+    // schema-6 indexed rows: their absence means a pre-index baseline, exit 2
     if doc["storage"]["scale"]["indexed"]["point_speedup"].as_f64().is_none() {
-        eprintln!("store-check: BENCH_repro.json has no storage.scale.indexed.point_speedup");
+        eprintln!(
+            "store-check: BENCH_repro.json has no storage.scale.indexed.point_speedup (schema < 6?)"
+        );
         return 2;
     }
     let b = dtf_bench::storage::storage_bench();
@@ -486,24 +469,9 @@ fn store_check() -> i32 {
         );
         failed = true;
     }
-    // schema-6 absolute gates, measured fresh at whatever DTF_STORE_SCALE
-    // this run uses: snapshots must keep recovery tail-bounded (an 8x log
-    // must not cost more than 2x the reopen) and the sparse index must
-    // beat a full scan by an order of magnitude per query.
-    const RATIO_CEILING: f64 = 2.0;
+    // schema-6 absolute gate, measured fresh: the sparse index must beat
+    // a full scan by an order of magnitude per query.
     const SPEEDUP_FLOOR: f64 = 10.0;
-    println!(
-        "store scale recovery ratio: measured {:.2} at x{} ({} -> {} records, ceiling {RATIO_CEILING})",
-        b.scale.recovery_ratio, b.scale.scale, b.scale.small_records, b.scale.large_records
-    );
-    if b.scale.recovery_ratio > RATIO_CEILING {
-        eprintln!(
-            "store-check: FAIL — snapshot-aided recovery is not tail-bounded \
-             (8x log costs {:.2}x reopen, ceiling {RATIO_CEILING})",
-            b.scale.recovery_ratio
-        );
-        failed = true;
-    }
     for (what, speedup) in [
         ("indexed point read", b.scale.indexed.point_speedup),
         ("indexed range read", b.scale.indexed.range_speedup),
@@ -1001,8 +969,7 @@ fn recovery_smoke(seed: u64) -> i32 {
         }
     };
     for i in 0..FAULTS {
-        // the fault space also damages cache artifacts (sparse indexes,
-        // snapshots) and leaves orphaned compaction staging
+        // the fault space also damages cache artifacts (sparse indexes)
         let fault = CrashFault::generate(seed.wrapping_mul(FAULTS).wrapping_add(i));
         let victim = base.join(format!("victim-{i}"));
         let outcome = copy_store(&store, &victim).and_then(|()| fault.apply(&victim)).and_then(

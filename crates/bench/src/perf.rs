@@ -4,8 +4,8 @@
 //! tracks across PRs — per-workflow campaign wall time (sequential vs the
 //! parallel pool), runs/sec, the scheduler-throughput number and the
 //! DataFrame kernel throughputs — and serializes them as one JSON
-//! document (schema 9: no process-wide `peak_rss_bytes`, which attributed
-//! to no section, and no `storage.codec.replay_json_ms`).
+//! document (schema 10: `storage.scale` holds the indexed-read rows only;
+//! the KV snapshot-recovery rows went with the snapshots).
 
 use std::time::Instant;
 
@@ -35,8 +35,7 @@ pub struct BenchReport {
     /// Events/s through plugin → producer → topic → `RunData` ingest.
     pub provenance_pipeline: crate::provenance::ProvenancePipeline,
     /// dtf-store append throughput per flush policy, recovery-scan rate,
-    /// codec rows, and the scale rows — snapshot-bounded recovery and
-    /// indexed reads (schema 6).
+    /// codec rows, and the indexed-read rows (schema 6).
     pub storage: crate::storage::StorageBench,
     /// Many-client aggregate throughput through the sharded real-time
     /// data plane (schema 5).
@@ -206,7 +205,7 @@ pub fn bench_report(seed: u64, runs: u32, jobs: Option<usize>) -> BenchReport {
     let campaigns =
         Workload::ALL.iter().map(|&w| campaign_bench(w, seed, runs, parallel_jobs)).collect();
     BenchReport {
-        schema: 9,
+        schema: 10,
         seed,
         cores,
         parallel_jobs,

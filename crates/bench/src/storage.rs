@@ -17,12 +17,8 @@
 //! end-to-end replay (service reopen + read of every record) of a
 //! persisted store, which is the wall time `open_archive` pays.
 //!
-//! The `scale` subsection (schema 6) measures what the sparse indexes and
-//! snapshots buy at size: KV recovery wall at two log sizes (8x apart; a
-//! tail-bounded reopen keeps the ratio near 1 instead of near 8), the
-//! full-replay wall for contrast, and indexed point/range reads against
-//! the full-scan alternative. `DTF_STORE_SCALE` scales the record counts
-//! (0.125 is the CI smoke size; 1.0 the reference artifact).
+//! The `scale` subsection measures what the sparse indexes buy at size:
+//! indexed point/range reads against the full-scan alternative.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -33,9 +29,7 @@ use dtf_core::events::{LogEntry, LogLevel, LogSource, ProvRecord, TaskDoneEvent,
 use dtf_core::ids::{ClientId, GraphId, NodeId, TaskKey, ThreadId, WorkerId};
 use dtf_core::time::Time;
 use dtf_mofka::{Event, MofkaService, ServiceConfig, TopicConfig};
-use dtf_store::{
-    FlushPolicy, KvWalConfig, LogConfig, LogReader, ReaderOptions, SegmentedLog, WalKv,
-};
+use dtf_store::{FlushPolicy, LogConfig, LogReader, ReaderOptions, SegmentedLog};
 
 /// The `storage` section of the artifact.
 #[derive(Debug, Serialize)]
@@ -85,25 +79,9 @@ pub struct CodecBench {
     pub replay_binary_ms: f64,
 }
 
-/// GB-scale behaviour measurements (schema 6): snapshot-bounded recovery
-/// and indexed reads, at a record count scaled by `DTF_STORE_SCALE`.
+/// At-size behaviour measurements: indexed reads.
 #[derive(Debug, Serialize)]
 pub struct ScaleBench {
-    /// The `DTF_STORE_SCALE` factor these numbers were taken at.
-    pub scale: f64,
-    /// Value size of every KV put in the recovery stores.
-    pub value_bytes: usize,
-    pub small_records: u64,
-    pub large_records: u64,
-    /// Snapshot-aided reopen wall of the small / large store.
-    pub recovery_small_ms: f64,
-    pub recovery_large_ms: f64,
-    /// `recovery_large / recovery_small` — near-constant (tail-bounded)
-    /// recovery keeps this far below the 8x log-size ratio; gated ≤ 2.
-    pub recovery_ratio: f64,
-    /// Replay of the large store's *whole* log (`SegmentedLog::open`) —
-    /// the cost every reopen paid before snapshots, for contrast.
-    pub full_replay_large_ms: f64,
     pub indexed: IndexedBench,
 }
 
@@ -328,52 +306,6 @@ fn codec_bench() -> CodecBench {
     }
 }
 
-/// `DTF_STORE_SCALE` factor: scales every record count in the `scale`
-/// subsection. 1.0 is the reference artifact; CI smoke uses 0.125.
-fn scale_from_env() -> f64 {
-    std::env::var("DTF_STORE_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|v| *v > 0.0)
-        .unwrap_or(1.0)
-}
-
-/// KV config for the scale stores: compaction disabled (isolates
-/// snapshot-bounded recovery), snapshots on the given cadence.
-fn scale_kv_cfg(snapshot_every: u64) -> KvWalConfig {
-    KvWalConfig {
-        log: LogConfig { flush: FlushPolicy::Manual, sync_data: false, ..Default::default() },
-        compact_min_records: u64::MAX,
-        compact_ratio: 4,
-        snapshot_every,
-    }
-}
-
-/// Build a KV store of `records` puts over a `keys`-sized working set.
-fn build_scale_store(dir: &Path, records: u64, keys: u64, value: &[u8], snapshot_every: u64) {
-    let (mut kv, report) = WalKv::open(dir, scale_kv_cfg(snapshot_every)).expect("scale store");
-    assert_eq!(report.records, 0, "scale store directory must start empty");
-    for i in 0..records {
-        kv.put(format!("key-{:08}", i % keys), value.to_vec()).expect("scale put");
-    }
-    kv.sync().expect("scale sync");
-}
-
-/// Best-of-[`TRIALS`] snapshot-aided reopen wall of a scale store, in ms.
-fn recovery_wall_ms(dir: &Path, records: u64, snapshot_every: u64) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..TRIALS {
-        let t0 = Instant::now();
-        let (kv, report) = WalKv::open(dir, scale_kv_cfg(snapshot_every)).expect("scale reopen");
-        let wall = t0.elapsed().as_secs_f64();
-        assert_eq!(report.records, records, "scale store must recover fully");
-        assert!(report.snapshot_records > 0, "reopen must be snapshot-aided");
-        drop(kv); // nothing appended: reopen leaves the store as-is
-        best = best.min(wall);
-    }
-    best * 1e3
-}
-
 /// Indexed archive reads vs the full-scan alternative over one log of
 /// `records` 1 KiB payloads.
 fn indexed_bench(records: u64) -> IndexedBench {
@@ -447,62 +379,16 @@ fn indexed_bench(records: u64) -> IndexedBench {
     }
 }
 
-/// The scale sweep: recovery walls at two log sizes 8x apart (snapshots
-/// make the ratio tail-bounded), the full-replay contrast, and the
-/// indexed-read comparison.
-fn scale_bench(scale: f64) -> ScaleBench {
-    const VALUE_BYTES: usize = 4096;
-    let small = ((8192.0 * scale) as u64).max(512);
-    let large = small * 8;
-    let keys = (small / 4).max(1);
-    let snapshot_every = small / 2;
-    let value = vec![0x5au8; VALUE_BYTES];
-
-    let small_dir = scratch("scale-small");
-    let large_dir = scratch("scale-large");
-    build_scale_store(&small_dir, small, keys, &value, snapshot_every);
-    build_scale_store(&large_dir, large, keys, &value, snapshot_every);
-
-    let recovery_small_ms = recovery_wall_ms(&small_dir, small, snapshot_every);
-    let recovery_large_ms = recovery_wall_ms(&large_dir, large, snapshot_every);
-
-    // contrast: what the same reopen costs as a full body replay
-    let mut full_replay_s = f64::INFINITY;
-    for _ in 0..TRIALS {
-        let t0 = Instant::now();
-        let (log, recovered, _) =
-            SegmentedLog::open(&large_dir, scale_kv_cfg(snapshot_every).log).expect("full replay");
-        let wall = t0.elapsed().as_secs_f64();
-        assert_eq!(recovered.len() as u64, large);
-        log.abandon();
-        full_replay_s = full_replay_s.min(wall);
-    }
-
-    let _ = std::fs::remove_dir_all(&small_dir);
-    let _ = std::fs::remove_dir_all(&large_dir);
-
-    ScaleBench {
-        scale,
-        value_bytes: VALUE_BYTES,
-        small_records: small,
-        large_records: large,
-        recovery_small_ms,
-        recovery_large_ms,
-        recovery_ratio: recovery_large_ms / recovery_small_ms.max(1e-9),
-        full_replay_large_ms: full_replay_s * 1e3,
-        indexed: indexed_bench(large),
-    }
-}
-
-/// Run the storage sweep at the `DTF_STORE_SCALE` env scale.
+/// Run the storage sweep at the reference size.
 pub fn storage_bench() -> StorageBench {
-    storage_bench_with_scale(scale_from_env())
+    storage_bench_sized(65_536)
 }
 
-/// Run the storage sweep. `every_record` appends fewer records than the
+/// Run the storage sweep with an `indexed_records`-record log behind the
+/// indexed rows. `every_record` appends fewer records than the
 /// batched policies because each one costs an fsync; rates are still
 /// directly comparable since everything is reported per second.
-pub fn storage_bench_with_scale(scale: f64) -> StorageBench {
+fn storage_bench_sized(indexed_records: u64) -> StorageBench {
     const RECORD_BYTES: usize = 256;
     const BATCHED_RECORDS: u64 = 16_384;
     let payload = vec![0xa5u8; RECORD_BYTES];
@@ -549,7 +435,7 @@ pub fn storage_bench_with_scale(scale: f64) -> StorageBench {
         append,
         recovery,
         codec: codec_bench(),
-        scale: scale_bench(scale),
+        scale: ScaleBench { indexed: indexed_bench(indexed_records) },
     }
 }
 
@@ -559,9 +445,9 @@ mod tests {
 
     #[test]
     fn storage_sweep_measures_all_policies() {
-        // 1/16 scale keeps the unit test fast; the full artifact is taken
-        // by `repro store-bench` at the env scale.
-        let b = storage_bench_with_scale(0.0625);
+        // a 1/16-size indexed log keeps the unit test fast; the artifact
+        // is taken by `repro store-bench` at the reference size
+        let b = storage_bench_sized(4096);
         assert_eq!(b.record_bytes, 256);
         let policies: Vec<&str> = b.append.iter().map(|a| a.policy.as_str()).collect();
         assert_eq!(policies, ["every_record", "group_commit_256", "manual"]);
@@ -580,13 +466,8 @@ mod tests {
         );
         assert!(b.codec.encode_mib_s > 0.0 && b.codec.decode_mib_s > 0.0);
         assert!(b.codec.replay_binary_ms > 0.0);
-        // scale rows: structural soundness here; the ≤2x / ≥10x thresholds
+        // indexed rows: structural soundness here; the ≥10x thresholds
         // are gated by store-check against artifacts taken on quiet runs
-        assert_eq!(b.scale.small_records, 512);
-        assert_eq!(b.scale.large_records, 4096);
-        assert!(b.scale.recovery_small_ms > 0.0 && b.scale.recovery_large_ms > 0.0);
-        assert!(b.scale.recovery_ratio > 0.0);
-        assert!(b.scale.full_replay_large_ms > 0.0);
         let idx = &b.scale.indexed;
         assert_eq!(idx.records, 4096);
         assert!(idx.full_scan_ms > 0.0 && idx.reader_open_ms > 0.0);

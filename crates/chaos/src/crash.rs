@@ -8,9 +8,9 @@
 //! fault replays from its seed. Tail damage is confined to the **last
 //! segment past its header** — the committed-tail region a real crash
 //! races with; wholesale header destruction is exercised separately by
-//! dtf-store's own tests. The remaining kinds damage cache artifacts
-//! (index sidecars, snapshots, compaction staging), which recovery must
-//! shrug off without losing anything.
+//! dtf-store's own tests. The remaining kind damages a cache artifact
+//! (an index sidecar), which recovery must shrug off without losing
+//! anything.
 //!
 //! The oracle, [`recovery_oracle`], asserts the two recovery invariants
 //! end to end at the Mofka level: per topic and partition, the recovered
@@ -73,25 +73,15 @@ pub enum CrashKind {
     /// caches: recovery must detect the damage and rebuild, losing
     /// **nothing** — this kind asserts exact-state recovery, not a prefix.
     CorruptIndex,
-    /// Damage (or forge) a KV snapshot (`snap-*.dtk`). Same cache
-    /// contract: the snapshot is discarded and full replay reproduces the
-    /// identical map.
-    CorruptSnapshot,
-    /// Leave a stale compaction-staging directory (`<dir>.new`) full of
-    /// garbage beside the store — the artifact of a crash before the
-    /// swap's first rename. Repair sweeps it; state is untouched.
-    OrphanStaging,
 }
 
 impl CrashKind {
-    pub const ALL: [CrashKind; 7] = [
+    pub const ALL: [CrashKind; 5] = [
         CrashKind::TruncateTail,
         CrashKind::ZeroTail,
         CrashKind::BitFlip,
         CrashKind::MaxLenFrame,
         CrashKind::CorruptIndex,
-        CrashKind::CorruptSnapshot,
-        CrashKind::OrphanStaging,
     ];
 }
 
@@ -114,14 +104,11 @@ impl CrashFault {
         Self { target, kind, seed }
     }
 
-    /// Whether this fault damages only cache artifacts (sidecars,
-    /// snapshots, staging) — recovery must then reproduce the **exact**
-    /// original state, not merely a committed prefix.
+    /// Whether this fault damages only a cache artifact (an index
+    /// sidecar) — recovery must then reproduce the **exact** original
+    /// state, not merely a committed prefix.
     pub fn is_cache_only(&self) -> bool {
-        matches!(
-            self.kind,
-            CrashKind::CorruptIndex | CrashKind::CorruptSnapshot | CrashKind::OrphanStaging
-        )
+        self.kind == CrashKind::CorruptIndex
     }
 
     /// Apply the fault to a persisted service directory (normally a copy
@@ -129,45 +116,13 @@ impl CrashFault {
     /// offset the damage starts at.
     pub fn apply(&self, store_dir: &Path) -> Result<(PathBuf, u64)> {
         let dir = store_dir.join(self.target.subdir());
-        // cache-artifact kinds need no committed tail — handle them first
-        match self.kind {
-            CrashKind::CorruptIndex => {
-                let seg = segment_paths(&dir)?.pop().ok_or_else(|| {
-                    DtfError::NotFound(format!("no segments under {}", dir.display()))
-                })?;
-                let side = seg.with_extension("dti");
-                return Ok((damage_or_forge(&side, self.seed)?, 0));
-            }
-            CrashKind::CorruptSnapshot => {
-                // newest snapshot if one exists, else a forged one
-                let snap = fs::read_dir(&dir)?
-                    .flatten()
-                    .map(|e| e.path())
-                    .filter(|p| {
-                        p.extension().is_some_and(|x| x == "dtk")
-                            && p.file_name()
-                                .is_some_and(|n| n.to_string_lossy().starts_with("snap-"))
-                    })
-                    .max();
-                let snap = snap.unwrap_or_else(|| dir.join("snap-00000000000000ff.dtk"));
-                return Ok((damage_or_forge(&snap, self.seed)?, 0));
-            }
-            CrashKind::OrphanStaging => {
-                let mut name = dir.file_name().map(|n| n.to_os_string()).unwrap_or_default();
-                name.push(".new");
-                let staging = dir.with_file_name(name);
-                fs::create_dir_all(&staging)?;
-                fs::write(
-                    staging.join("seg-0000000000000000.dtl"),
-                    b"stale staging left by a crash before the swap's first rename",
-                )?;
-                return Ok((staging, 0));
-            }
-            _ => {}
-        }
         let seg = segment_paths(&dir)?
             .pop()
             .ok_or_else(|| DtfError::NotFound(format!("no segments under {}", dir.display())))?;
+        if self.kind == CrashKind::CorruptIndex {
+            // a cache artifact: needs no committed tail
+            return Ok((damage_or_forge(&seg.with_extension("dti"), self.seed)?, 0));
+        }
         let len = fs::metadata(&seg)?.len();
         let tail_base = HEADER_LEN as u64;
         if len <= tail_base + 1 {
@@ -208,10 +163,7 @@ impl CrashFault {
                 }
                 fs::write(&seg, &data)?;
             }
-            // handled by the early return above
-            CrashKind::CorruptIndex | CrashKind::CorruptSnapshot | CrashKind::OrphanStaging => {
-                unreachable!()
-            }
+            CrashKind::CorruptIndex => unreachable!("returned above"),
         }
         Ok((seg, at))
     }

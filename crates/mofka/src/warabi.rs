@@ -7,8 +7,10 @@
 //! Like [`Yokan`](crate::yokan::Yokan), a Warabi can be **durable**:
 //! [`Warabi::durable`] backs the store with a dtf-store
 //! [`SegmentedLog`] in which blob id == log record index, so recovery
-//! yields the committed blob prefix in order. Write errors are deferred
-//! to [`Warabi::sync`]; [`Warabi::replay`] reopens read-only for archive
+//! yields the committed blob prefix in order. The first write error
+//! poisons the log — later blobs are not logged (one logged after a lost
+//! one would sit an index below its id) and every [`Warabi::sync`] reports
+//! it; [`Warabi::replay`] reopens read-only for archive
 //! consumers — **lazily**, through an indexed [`LogReader`]: only segment
 //! headers (and the torn-tail candidate) are read at open, and blob
 //! payloads are fetched on demand via sparse-index seeks through a block
@@ -39,6 +41,8 @@ impl fmt::Display for BlobId {
 #[derive(Debug)]
 struct Wal {
     log: SegmentedLog,
+    /// The first write error. It poisons the log: later blobs are not
+    /// logged and every [`Warabi::sync`] reports it.
     error: Option<String>,
 }
 
@@ -64,11 +68,7 @@ impl Warabi {
     /// Open (or create) a durable blob store at `dir`; committed blobs
     /// are recovered in id order.
     pub fn durable(dir: &Path) -> Result<(Self, RecoveryReport)> {
-        Self::durable_with(dir, LogConfig::default())
-    }
-
-    pub fn durable_with(dir: &Path, cfg: LogConfig) -> Result<(Self, RecoveryReport)> {
-        let (log, blobs, report) = SegmentedLog::open(dir, cfg)?;
+        let (log, blobs, report) = SegmentedLog::open(dir, LogConfig::default())?;
         Ok((
             Self {
                 blobs: RwLock::new(blobs),
@@ -84,11 +84,7 @@ impl Warabi {
     /// demand through sidecar seeks and a block cache, so opening a
     /// GB-scale blob log costs headers plus one tail scan.
     pub fn replay(dir: &Path) -> Result<(Self, RecoveryReport)> {
-        Self::replay_with(dir, ReaderOptions::default())
-    }
-
-    pub fn replay_with(dir: &Path, opts: ReaderOptions) -> Result<(Self, RecoveryReport)> {
-        let (reader, report) = LogReader::open(dir, opts)?;
+        let (reader, report) = LogReader::open(dir, ReaderOptions::default())?;
         Ok((Self { blobs: RwLock::new(Vec::new()), wal: None, archive: Some(reader) }, report))
     }
 
@@ -109,8 +105,10 @@ impl Warabi {
         let id = BlobId(self.archived() + blobs.len() as u64);
         if let Some(wal) = &self.wal {
             let mut wal = wal.lock();
-            if let Err(e) = wal.log.append(&data) {
-                wal.error.get_or_insert(e.to_string());
+            if wal.error.is_none() {
+                if let Err(e) = wal.log.append(&data) {
+                    wal.error = Some(e.to_string());
+                }
             }
         }
         blobs.push(data);
@@ -165,17 +163,17 @@ impl Warabi {
         self.archive.as_ref().map(|r| r.cache_stats())
     }
 
-    /// Flush the blob log and surface any deferred write error. A no-op
-    /// for in-memory stores.
+    /// Flush the blob log (group commit), surfacing the error that
+    /// poisoned it if there is one. A no-op for in-memory stores.
     pub fn sync(&self) -> Result<()> {
-        if let Some(wal) = &self.wal {
-            let mut wal = wal.lock();
-            if let Some(e) = wal.error.take() {
-                return Err(DtfError::Io(e));
+        let Some(wal) = &self.wal else { return Ok(()) };
+        let mut wal = wal.lock();
+        if wal.error.is_none() {
+            if let Err(e) = wal.log.sync() {
+                wal.error = Some(e.to_string());
             }
-            wal.log.sync()?;
         }
-        Ok(())
+        wal.error.clone().map_or(Ok(()), |e| Err(DtfError::Io(e)))
     }
 }
 
@@ -292,12 +290,13 @@ mod tests {
         let dir = tmpdir("lazy");
         let n = 300u64;
         {
+            // blob id == record index: small segments, written as the log
             let cfg = LogConfig { segment_bytes: 1 << 10, ..LogConfig::default() };
-            let (w, _) = Warabi::durable_with(&dir, cfg).unwrap();
+            let (mut log, _, _) = SegmentedLog::open(&dir, cfg).unwrap();
             for i in 0..n {
-                w.put(Bytes::from(format!("payload-{i:06}")));
+                log.append(format!("payload-{i:06}").as_bytes()).unwrap();
             }
-            w.sync().unwrap();
+            log.sync().unwrap();
         }
         let (w, report) = Warabi::replay(&dir).unwrap();
         assert_eq!(report.records, n);
@@ -332,6 +331,28 @@ mod tests {
         assert_eq!(w.get(id).unwrap().as_ref(), b"fresh");
         assert_eq!(w.len(), 2);
         assert!(w.contains(id));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn first_log_error_poisons_the_log_and_keeps_ids_aligned() {
+        let dir = tmpdir("poison");
+        {
+            let (w, _) = Warabi::durable(&dir).unwrap();
+            assert_eq!(w.put(Bytes::from_static(b"kept")), BlobId(0));
+            // over the log's record cap: rejected, but the id is handed out
+            assert_eq!(w.put(vec![0u8; dtf_store::log::MAX_RECORD_BYTES + 1]), BlobId(1));
+            assert_eq!(w.put(Bytes::from_static(b"after")), BlobId(2));
+            assert!(w.sync().is_err());
+            assert!(
+                w.sync().is_err(),
+                "the store is ahead of the log for good: every sync says so"
+            );
+        }
+        let (w, report) = Warabi::durable(&dir).unwrap();
+        assert_eq!(report.records, 1, "nothing is logged past the lost blob");
+        assert_eq!(w.get(BlobId(0)).unwrap().as_ref(), b"kept");
+        assert!(w.get(BlobId(1)).is_none(), "no later blob slid into the lost one's id");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

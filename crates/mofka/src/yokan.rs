@@ -4,23 +4,24 @@
 //! store is a sorted map guarded by an `RwLock`, supporting point ops and
 //! prefix listing (the operations Mofka's metadata layer uses). It holds
 //! only what is key-value — topic configs (`topic-config/`), consumer-group
-//! cursors (`group/`), the archived run's metadata — a few hundred records
-//! per run; the event stream itself is persisted as a log (see
+//! cursors (`group/`), the archived run's metadata — under a hundred log
+//! records per run; the event stream itself is persisted as a log (see
 //! [`crate::topic`]).
 //!
 //! A Yokan can optionally be **durable**: [`Yokan::durable`] attaches a
 //! write-ahead log (dtf-store's [`KvWal`]) and every mutation is written
 //! through to it under the map lock, so the on-disk log always replays to
-//! the in-memory map. Mutation signatures stay infallible — a WAL write
-//! error is remembered and surfaced by the next [`Yokan::sync`], which is
-//! the commit point anyway (group-commit semantics). [`Yokan::replay`]
+//! the in-memory map. Mutation signatures stay infallible — the first WAL
+//! write error poisons the log (later mutations are not logged: a record
+//! after a lost one would replay to a map that never existed) and every
+//! [`Yokan::sync`], the commit point, reports it. [`Yokan::replay`]
 //! reopens a directory read-only: the map is rebuilt from the log and the
 //! log handle is dropped, so archive readers never mutate the store
 //! beyond recovery's torn-tail repair.
 
 use bytes::Bytes;
 use dtf_core::error::{DtfError, Result};
-use dtf_store::{KvWal, KvWalConfig, RecoveryReport};
+use dtf_store::{KvWal, LogConfig, RecoveryReport};
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -28,14 +29,18 @@ use std::path::Path;
 #[derive(Debug)]
 struct Wal {
     kv: KvWal,
-    /// First write error since the last successful sync; surfaced there.
+    /// The first write error. It poisons the log: later mutations are not
+    /// logged and every [`Yokan::sync`] reports it.
     error: Option<String>,
 }
 
 impl Wal {
-    fn record(&mut self, r: Result<()>) {
-        if let Err(e) = r {
-            self.error.get_or_insert(e.to_string());
+    /// Run one write against the log unless it is poisoned.
+    fn write(&mut self, f: impl FnOnce(&mut KvWal) -> Result<()>) {
+        if self.error.is_none() {
+            if let Err(e) = f(&mut self.kv) {
+                self.error = Some(e.to_string());
+            }
         }
     }
 }
@@ -56,11 +61,7 @@ impl Yokan {
     /// Open (or create) a durable store rooted at `dir`: the WAL is
     /// replayed into the map and every future mutation writes through.
     pub fn durable(dir: &Path) -> Result<(Self, RecoveryReport)> {
-        Self::durable_with(dir, KvWalConfig::default())
-    }
-
-    pub fn durable_with(dir: &Path, cfg: KvWalConfig) -> Result<(Self, RecoveryReport)> {
-        let (kv, map, report) = KvWal::open(dir, cfg)?;
+        let (kv, map, report) = KvWal::open(dir, LogConfig::default())?;
         Ok((Self { map: RwLock::new(map), wal: Some(Mutex::new(Wal { kv, error: None })) }, report))
     }
 
@@ -68,7 +69,7 @@ impl Yokan {
     /// attached: reads only (after recovery's torn-tail repair). The
     /// archive-reader path — reopening the same directory twice is safe.
     pub fn replay(dir: &Path) -> Result<(Self, RecoveryReport)> {
-        let (kv, map, report) = KvWal::open(dir, KvWalConfig::default())?;
+        let (kv, map, report) = KvWal::open(dir, LogConfig::default())?;
         drop(kv);
         Ok((Self { map: RwLock::new(map), wal: None }, report))
     }
@@ -78,12 +79,9 @@ impl Yokan {
         let value = value.into();
         let mut map = self.map.write();
         if let Some(wal) = &self.wal {
-            let mut wal = wal.lock();
-            let r = wal.kv.append_put(&key, &value);
-            wal.record(r);
+            wal.lock().write(|kv| kv.append_put(&key, &value));
         }
         map.insert(key, value);
-        self.maybe_maintain(&map);
     }
 
     pub fn get(&self, key: &str) -> Option<Bytes> {
@@ -93,13 +91,9 @@ impl Yokan {
     pub fn delete(&self, key: &str) -> bool {
         let mut map = self.map.write();
         if let Some(wal) = &self.wal {
-            let mut wal = wal.lock();
-            let r = wal.kv.append_delete(key);
-            wal.record(r);
+            wal.lock().write(|kv| kv.append_delete(key));
         }
-        let existed = map.remove(key).is_some();
-        self.maybe_maintain(&map);
-        existed
+        map.remove(key).is_some()
     }
 
     pub fn contains(&self, key: &str) -> bool {
@@ -130,36 +124,18 @@ impl Yokan {
         let mut map = self.map.write();
         let new = f(map.get(key));
         if let Some(wal) = &self.wal {
-            let mut wal = wal.lock();
-            let r = wal.kv.append_put(key, &new);
-            wal.record(r);
+            wal.lock().write(|kv| kv.append_put(key, &new));
         }
         map.insert(key.to_string(), new);
-        self.maybe_maintain(&map);
     }
 
-    /// Flush the WAL (group commit) and surface any write error deferred
-    /// since the last sync. A no-op for in-memory stores.
+    /// Flush the WAL (group commit), surfacing the error that poisoned it
+    /// if there is one. A no-op for in-memory stores.
     pub fn sync(&self) -> Result<()> {
-        if let Some(wal) = &self.wal {
-            let mut wal = wal.lock();
-            if let Some(e) = wal.error.take() {
-                return Err(DtfError::Io(e));
-            }
-            wal.kv.sync()?;
-        }
-        Ok(())
-    }
-
-    /// Drive WAL maintenance — periodic snapshots and threshold
-    /// compaction — after a mutation. Failures are deferred to
-    /// [`Yokan::sync`] like any other WAL error.
-    fn maybe_maintain(&self, map: &BTreeMap<String, Bytes>) {
-        if let Some(wal) = &self.wal {
-            let mut wal = wal.lock();
-            let r = wal.kv.maybe_maintain(map).map(|_| ());
-            wal.record(r);
-        }
+        let Some(wal) = &self.wal else { return Ok(()) };
+        let mut wal = wal.lock();
+        wal.write(KvWal::sync);
+        wal.error.clone().map_or(Ok(()), |e| Err(DtfError::Io(e)))
     }
 }
 
@@ -265,6 +241,25 @@ mod tests {
             assert_eq!(ro.get("a"), Some(Bytes::from_static(b"2")));
             assert!(ro.sync().is_ok(), "sync is a no-op without a wal");
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn first_wal_error_poisons_the_log() {
+        let dir = tmpdir("poison");
+        {
+            let (kv, _) = Yokan::durable(&dir).unwrap();
+            kv.put("before", Bytes::from_static(b"1"));
+            // over the log's record cap: the WAL rejects it
+            kv.put("huge", vec![0u8; dtf_store::log::MAX_RECORD_BYTES]);
+            kv.put("after", Bytes::from_static(b"2"));
+            assert!(kv.sync().is_err());
+            assert!(kv.sync().is_err(), "the map is ahead of the log for good: every sync says so");
+        }
+        let (kv, report) = Yokan::replay(&dir).unwrap();
+        assert_eq!(report.records, 1, "nothing is logged past the lost record");
+        assert_eq!(kv.get("before"), Some(Bytes::from_static(b"1")));
+        assert!(kv.get("after").is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -12,8 +12,8 @@
 //! eight lookups of a step are independent of one another and only their
 //! XOR feeds the next step. It is the same polynomial division, regrouped —
 //! the value for any input is unchanged, which is why no stored frame,
-//! index, snapshot or golden moved when the loop changed (the byte-wise
-//! loop is kept in the tests as the reference).
+//! index or golden moved when the loop changed (the byte-wise loop is kept
+//! in the tests as the reference).
 
 /// Reflected IEEE polynomial.
 const POLY: u32 = 0xedb8_8320;

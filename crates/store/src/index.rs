@@ -2,10 +2,8 @@
 //!
 //! Every sealed segment `seg-<seqno>.dtl` can carry a sidecar
 //! `seg-<seqno>.dti` holding a **sparse index**: the byte offset of every
-//! `stride`-th record, plus (optionally) a caller-extracted `u64` key per
-//! entry — a timestamp, a task-prefix hash, whatever is monotone in the
-//! stream — so point and range lookups seek to a block instead of
-//! scanning the log from byte zero.
+//! `stride`-th record, so point and range lookups seek to a block instead
+//! of scanning the log from byte zero.
 //!
 //! Sidecars are **caches, never truth**. They are validated on load
 //! (magic, CRC, seqno, first-record, and the exact segment byte length
@@ -42,12 +40,8 @@ const INDEX_VERSION: u8 = 1;
 pub const DEFAULT_STRIDE: u32 = 64;
 /// Fixed prefix of the sidecar before the entry array:
 /// magic(7) + version(1) + seqno(8) + first_record(8) + records(4) +
-/// seg_bytes(8) + stride(4) + has_keys(1) + n_entries(4).
+/// seg_bytes(8) + stride(4) + has_keys(1, always 0) + n_entries(4).
 const SIDECAR_FIXED: usize = 45;
-
-/// Per-record key extractor for keyed indexes. Must be cheap and total:
-/// a payload it cannot interpret should map to 0.
-pub type KeyFn = fn(&[u8]) -> u64;
 
 fn io_err(path: &Path, e: std::io::Error) -> DtfError {
     DtfError::Io(format!("{}: {e}", path.display()))
@@ -66,8 +60,6 @@ pub struct SegmentIndex {
     pub seg_bytes: u64,
     pub stride: u32,
     pub offsets: Vec<u32>,
-    /// One key per entry when built with a [`KeyFn`], else empty.
-    pub keys: Vec<u64>,
 }
 
 impl SegmentIndex {
@@ -79,7 +71,7 @@ impl SegmentIndex {
     /// Build by scanning the segment's frames. Fails if the header or any
     /// frame is damaged — callers treat that exactly as the recovery scan
     /// would (a tear at the damaged byte).
-    pub fn build(seg: &Path, stride: u32, key_fn: Option<KeyFn>) -> Result<Self> {
+    pub fn build(seg: &Path, stride: u32) -> Result<Self> {
         let stride = stride.max(1);
         let data = fs::read(seg).map_err(|e| io_err(seg, e))?;
         let (seqno, first_record) = header_fields(&data)
@@ -91,7 +83,6 @@ impl SegmentIndex {
             seg_bytes: data.len() as u64,
             stride,
             offsets: Vec::new(),
-            keys: Vec::new(),
         };
         let mut off = HEADER_LEN;
         while off < data.len() {
@@ -103,8 +94,7 @@ impl SegmentIndex {
                 return Err(DtfError::Io(format!("{}: bad frame length at {off}", seg.display())));
             }
             let crc = u32::from_le_bytes(data[off + 4..off + 8].try_into().unwrap());
-            let payload = &data[off + 8..off + 8 + len];
-            if crc32(payload) != crc {
+            if crc32(&data[off + 8..off + 8 + len]) != crc {
                 return Err(DtfError::Io(format!(
                     "{}: frame crc mismatch at {off}",
                     seg.display()
@@ -112,9 +102,6 @@ impl SegmentIndex {
             }
             if idx.records.is_multiple_of(stride) {
                 idx.offsets.push(off as u32);
-                if let Some(f) = key_fn {
-                    idx.keys.push(f(payload));
-                }
             }
             idx.records += 1;
             off += FRAME_OVERHEAD + len;
@@ -132,13 +119,11 @@ impl SegmentIndex {
         stride: u32,
         offsets: Vec<u32>,
     ) -> Self {
-        Self { seqno, first_record, records, seg_bytes, stride, offsets, keys: Vec::new() }
+        Self { seqno, first_record, records, seg_bytes, stride, offsets }
     }
 
     fn encode(&self) -> Vec<u8> {
-        let has_keys = !self.keys.is_empty();
-        let entry = if has_keys { 12 } else { 4 };
-        let mut out = Vec::with_capacity(SIDECAR_FIXED + self.offsets.len() * entry + 4);
+        let mut out = Vec::with_capacity(SIDECAR_FIXED + self.offsets.len() * 4 + 4);
         out.extend_from_slice(INDEX_MAGIC);
         out.push(INDEX_VERSION);
         out.extend_from_slice(&self.seqno.to_le_bytes());
@@ -146,13 +131,10 @@ impl SegmentIndex {
         out.extend_from_slice(&self.records.to_le_bytes());
         out.extend_from_slice(&self.seg_bytes.to_le_bytes());
         out.extend_from_slice(&self.stride.to_le_bytes());
-        out.push(has_keys as u8);
+        out.push(0); // has_keys
         out.extend_from_slice(&(self.offsets.len() as u32).to_le_bytes());
-        for (j, off) in self.offsets.iter().enumerate() {
+        for off in &self.offsets {
             out.extend_from_slice(&off.to_le_bytes());
-            if has_keys {
-                out.extend_from_slice(&self.keys[j].to_le_bytes());
-            }
         }
         let crc = crc32(&out);
         out.extend_from_slice(&crc.to_le_bytes());
@@ -173,36 +155,23 @@ impl SegmentIndex {
         let records = u32::from_le_bytes(data[24..28].try_into().unwrap());
         let seg_bytes = u64::from_le_bytes(data[28..36].try_into().unwrap());
         let stride = u32::from_le_bytes(data[36..40].try_into().unwrap());
-        let has_keys = data[40] == 1;
         let n = u32::from_le_bytes(data[41..45].try_into().unwrap()) as usize;
-        let entry = if has_keys { 12 } else { 4 };
-        if stride == 0 || body.len() != SIDECAR_FIXED + n * entry {
+        // a keyed sidecar (has_keys set) is a layout nothing reads any more
+        if stride == 0 || data[40] != 0 || body.len() != SIDECAR_FIXED + n * 4 {
             return None;
         }
-        let mut offsets = Vec::with_capacity(n);
-        let mut keys = Vec::with_capacity(if has_keys { n } else { 0 });
-        let mut at = SIDECAR_FIXED;
-        for _ in 0..n {
-            offsets.push(u32::from_le_bytes(data[at..at + 4].try_into().unwrap()));
-            at += 4;
-            if has_keys {
-                keys.push(u64::from_le_bytes(data[at..at + 8].try_into().unwrap()));
-                at += 8;
-            }
-        }
-        Some(Self { seqno, first_record, records, seg_bytes, stride, offsets, keys })
+        let offsets = body[SIDECAR_FIXED..]
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+            .collect();
+        Some(Self { seqno, first_record, records, seg_bytes, stride, offsets })
     }
 
     /// Load the sidecar next to `seg` and validate it against the segment
     /// as it exists *now*: same seqno, same first record, same byte
-    /// length, expected record count, and (when `want_keys`) a keyed
-    /// build. Any mismatch is `None` — the caller rebuilds.
-    pub fn load_validated(
-        seg: &Path,
-        expect_first: u64,
-        expect_records: u32,
-        want_keys: bool,
-    ) -> Option<Self> {
+    /// length, expected record count. Any mismatch is `None` — the caller
+    /// rebuilds.
+    pub fn load_validated(seg: &Path, expect_first: u64, expect_records: u32) -> Option<Self> {
         let data = fs::read(Self::sidecar_path(seg)).ok()?;
         let idx = Self::decode(&data)?;
         let seg_len = fs::metadata(seg).ok()?.len();
@@ -211,8 +180,7 @@ impl SegmentIndex {
             && idx.first_record == expect_first
             && idx.records == expect_records
             && idx.seg_bytes == seg_len
-            && idx.offsets.len() == expected_entries
-            && (!want_keys || !idx.keys.is_empty() || expect_records == 0))
+            && idx.offsets.len() == expected_entries)
             .then_some(idx)
     }
 
@@ -248,21 +216,13 @@ pub struct ReaderOptions {
     pub cache_bytes: usize,
     /// Stride used when a sidecar must be rebuilt.
     pub stride: u32,
-    /// Extract a monotone `u64` key per record (enables [`LogReader::find_from_key`]).
-    /// Sidecars without keys are rebuilt when this is set.
-    pub key_fn: Option<KeyFn>,
     /// Persist rebuilt sidecars so the next open is cheap.
     pub write_sidecars: bool,
 }
 
 impl Default for ReaderOptions {
     fn default() -> Self {
-        Self {
-            cache_bytes: DEFAULT_CACHE_BYTES,
-            stride: DEFAULT_STRIDE,
-            key_fn: None,
-            write_sidecars: true,
-        }
+        Self { cache_bytes: DEFAULT_CACHE_BYTES, stride: DEFAULT_STRIDE, write_sidecars: true }
     }
 }
 
@@ -322,7 +282,6 @@ impl LogReader {
         }
 
         let mut segs = Vec::with_capacity(survivors.len());
-        let want_keys = opts.key_fn.is_some();
         let mut idx = 0usize;
         while idx < survivors.len() {
             let (path, first) = {
@@ -332,10 +291,10 @@ impl LogReader {
             let last = idx + 1 == survivors.len();
             let index = if last {
                 // The only place a torn tail can live: scan and repair.
-                match SegmentIndex::build(&path, opts.stride, opts.key_fn) {
+                match SegmentIndex::build(&path, opts.stride) {
                     Ok(ix) => ix,
                     Err(_) => {
-                        let repaired = truncate_at_tear(&path, first, opts)?;
+                        let repaired = truncate_at_tear(&path, first, opts.stride)?;
                         report.torn = true;
                         report.truncated_bytes += repaired.1;
                         repaired.0
@@ -343,9 +302,9 @@ impl LogReader {
                 }
             } else {
                 let expect_records = (survivors[idx + 1].2 - first) as u32;
-                match SegmentIndex::load_validated(&path, first, expect_records, want_keys) {
+                match SegmentIndex::load_validated(&path, first, expect_records) {
                     Some(ix) => ix,
-                    None => match SegmentIndex::build(&path, opts.stride, opts.key_fn) {
+                    None => match SegmentIndex::build(&path, opts.stride) {
                         Ok(ix) if ix.records == expect_records => {
                             if opts.write_sidecars {
                                 let _ = ix.write(&path);
@@ -355,7 +314,7 @@ impl LogReader {
                         // Damage (or a record-count lie) in a cold body:
                         // recovery semantics — truncate here, drop the rest.
                         _ => {
-                            let repaired = truncate_at_tear(&path, first, opts)?;
+                            let repaired = truncate_at_tear(&path, first, opts.stride)?;
                             report.torn = true;
                             report.truncated_bytes += repaired.1;
                             report.dropped_segments += survivors.len() - idx - 1;
@@ -453,31 +412,6 @@ impl LogReader {
         out
     }
 
-    /// For keyed indexes: the smallest record index from whose *block*
-    /// forward scanning will reach the first record with key ≥ `k`,
-    /// assuming keys are nondecreasing over the stream. Sparse by
-    /// construction — the answer is block-aligned, up to `stride - 1`
-    /// records early. `None` when the reader has no keyed entries.
-    pub fn find_from_key(&self, k: u64) -> Option<u64> {
-        let mut best: Option<u64> = None;
-        let mut prev_start: Option<u64> = None;
-        for seg in &self.segs {
-            if seg.index.keys.is_empty() {
-                return None;
-            }
-            for (j, key) in seg.index.keys.iter().enumerate() {
-                let block_start = seg.index.first_record + j as u64 * seg.index.stride as u64;
-                if *key >= k {
-                    // the run may begin inside the previous block
-                    best = Some(prev_start.unwrap_or(block_start));
-                    return best;
-                }
-                prev_start = Some(block_start);
-            }
-        }
-        best.or(prev_start)
-    }
-
     fn seg_for(&self, idx: u64) -> Option<&SegMeta> {
         if idx >= self.records {
             return None;
@@ -524,17 +458,12 @@ fn read_header(path: &Path) -> Option<(u64, u64, u64)> {
 /// Recovery repair for a damaged segment body: rescan frame by frame,
 /// truncate the file at the first bad frame, and return the index of what
 /// survived plus the bytes cut.
-fn truncate_at_tear(
-    path: &Path,
-    first_record: u64,
-    opts: ReaderOptions,
-) -> Result<(SegmentIndex, u64)> {
+fn truncate_at_tear(path: &Path, first_record: u64, stride: u32) -> Result<(SegmentIndex, u64)> {
     let data = fs::read(path).map_err(|e| io_err(path, e))?;
     let mut off = HEADER_LEN.min(data.len());
     let mut records = 0u32;
-    let stride = opts.stride.max(1);
+    let stride = stride.max(1);
     let mut offsets = Vec::new();
-    let mut keys = Vec::new();
     while off < data.len() {
         if off + FRAME_OVERHEAD > data.len() {
             break;
@@ -544,15 +473,11 @@ fn truncate_at_tear(
             break;
         }
         let crc = u32::from_le_bytes(data[off + 4..off + 8].try_into().unwrap());
-        let payload = &data[off + 8..off + 8 + len];
-        if crc32(payload) != crc {
+        if crc32(&data[off + 8..off + 8 + len]) != crc {
             break;
         }
         if records.is_multiple_of(stride) {
             offsets.push(off as u32);
-            if let Some(f) = opts.key_fn {
-                keys.push(f(payload));
-            }
         }
         records += 1;
         off += FRAME_OVERHEAD + len;
@@ -565,10 +490,7 @@ fn truncate_at_tear(
         .map_err(|e| io_err(path, e))?;
     remove_sidecar(path); // stale against the new length
     let (seqno, _) = header_fields(&data).unwrap_or((parse_seqno(path), first_record));
-    Ok((
-        SegmentIndex { seqno, first_record, records, seg_bytes: off as u64, stride, offsets, keys },
-        cut,
-    ))
+    Ok((SegmentIndex { seqno, first_record, records, seg_bytes: off as u64, stride, offsets }, cut))
 }
 
 #[cfg(test)]
@@ -597,11 +519,11 @@ mod tests {
         let dir = tmpdir("roundtrip");
         build_log(&dir, 100, 1 << 20);
         let seg = segment_paths(&dir).unwrap().pop().unwrap();
-        let built = SegmentIndex::build(&seg, 8, None).unwrap();
+        let built = SegmentIndex::build(&seg, 8).unwrap();
         assert_eq!(built.records, 100);
         assert_eq!(built.offsets.len(), 13); // ceil(100/8)
         built.write(&seg).unwrap();
-        let loaded = SegmentIndex::load_validated(&seg, 0, 100, false).unwrap();
+        let loaded = SegmentIndex::load_validated(&seg, 0, 100).unwrap();
         assert_eq!(loaded, built);
         // corrupt one byte: validation must reject, never misread
         let side = SegmentIndex::sidecar_path(&seg);
@@ -609,7 +531,7 @@ mod tests {
         let at = raw.len() / 2;
         raw[at] ^= 0xff;
         fs::write(&side, &raw).unwrap();
-        assert!(SegmentIndex::load_validated(&seg, 0, 100, false).is_none());
+        assert!(SegmentIndex::load_validated(&seg, 0, 100).is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -618,7 +540,7 @@ mod tests {
         let dir = tmpdir("stale");
         build_log(&dir, 10, 1 << 20);
         let seg = segment_paths(&dir).unwrap().pop().unwrap();
-        SegmentIndex::build(&seg, 4, None).unwrap().write(&seg).unwrap();
+        SegmentIndex::build(&seg, 4).unwrap().write(&seg).unwrap();
         // more appends change the segment length
         let cfg =
             LogConfig { segment_bytes: 1 << 20, flush: FlushPolicy::Manual, sync_data: false };
@@ -626,8 +548,8 @@ mod tests {
         log.append(b"more").unwrap();
         log.sync().unwrap();
         drop(log);
-        assert!(SegmentIndex::load_validated(&seg, 0, 10, false).is_none(), "stale by length");
-        assert!(SegmentIndex::load_validated(&seg, 0, 11, false).is_none());
+        assert!(SegmentIndex::load_validated(&seg, 0, 10).is_none(), "stale by length");
+        assert!(SegmentIndex::load_validated(&seg, 0, 11).is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -700,29 +622,6 @@ mod tests {
         assert_eq!(reader.records(), 99);
         assert!(reader.get(98).is_some());
         assert!(reader.get(99).is_none());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn keyed_index_seeks_monotone_keys() {
-        let dir = tmpdir("keyed");
-        // key = record index (monotone), encoded in the payload text
-        build_log(&dir, 300, 512);
-        fn key_of(payload: &[u8]) -> u64 {
-            std::str::from_utf8(payload)
-                .ok()
-                .and_then(|s| s.strip_prefix("record-"))
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0)
-        }
-        let opts = ReaderOptions { key_fn: Some(key_of), stride: 16, ..Default::default() };
-        let (reader, _) = LogReader::open(&dir, opts).unwrap();
-        let start = reader.find_from_key(123).unwrap();
-        assert!(start <= 123, "seek lands at or before the target");
-        assert!(123 - start < 32, "…and within two strides of it");
-        // forward scan from the hint reaches the exact record
-        let found = (start..reader.records()).find(|i| key_of(&reader.get(*i).unwrap()) >= 123);
-        assert_eq!(found, Some(123));
         fs::remove_dir_all(&dir).unwrap();
     }
 

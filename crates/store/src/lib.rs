@@ -16,17 +16,11 @@
 //!   truncates a torn tail, so a reopened log contains exactly the
 //!   committed record prefix. Recovered records are zero-copy slices of
 //!   the per-segment read buffer, not per-record allocations.
-//!   [`log::SegmentedLog::open_tail`] recovers tail-bounded: segment
-//!   bodies below a snapshot watermark are trusted via their CRC'd
-//!   headers and never read.
 //! * [`kv`] — a write-ahead-logged KV built on the same log: put and
-//!   delete records replay into a `BTreeMap` on open. Periodic
-//!   [`snapshot`]s pin a replay watermark so reopen cost tracks the log
-//!   *tail*, and threshold compaction rewrites the live map into a
-//!   staging log swapped in by a rename-aside protocol (every crash state
-//!   repaired on open). Both run inline on the writer's thread: the maps
-//!   this backs hold what is key-value (topic configs, group cursors,
-//!   run metadata), never the event stream, so they stay small.
+//!   delete records replay, all of them, into a `BTreeMap` on open. The
+//!   maps this backs hold what is key-value (topic configs, group
+//!   cursors, run metadata), never the event stream — under a hundred
+//!   records a run, microseconds to replay.
 //! * [`index`] — sparse per-segment index sidecars (`seg-*.dti`) and the
 //!   [`index::LogReader`] archive view: point/range reads seek to an
 //!   indexed block instead of scanning the log, served through the
@@ -36,19 +30,18 @@
 //! ever lost, and no uncommitted record ever surfaces**. "Committed"
 //! means flushed by policy or an explicit [`log::SegmentedLog::sync`];
 //! a torn or bit-flipped tail truncates the stream at the first damaged
-//! byte and never resurrects anything behind it. Index sidecars and
-//! snapshots are **caches, never truth**: each is validated on load,
-//! rebuilt (or discarded for full replay) on any mismatch, and deleting
-//! all of them reproduces the identical state from the log alone.
+//! byte and never resurrects anything behind it. Index sidecars are
+//! **caches, never truth**: each is validated on load, rebuilt on any
+//! mismatch, and deleting all of them reproduces the identical state from
+//! the log alone.
 
 pub mod cache;
 pub mod crc32;
 pub mod index;
 pub mod kv;
 pub mod log;
-pub mod snapshot;
 
 pub use cache::{BlockCache, CacheStats};
 pub use index::{LogReader, ReaderOptions, SegmentIndex};
-pub use kv::{CompactStep, KvWal, KvWalConfig, WalKv};
-pub use log::{fsync_dir, FlushPolicy, LogConfig, RecoveryReport, SegmentedLog, FORMAT_BINARY};
+pub use kv::{KvWal, WalKv};
+pub use log::{FlushPolicy, LogConfig, RecoveryReport, SegmentedLog, FORMAT_BINARY};

@@ -32,7 +32,7 @@
 //! committed prefix.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
@@ -98,12 +98,6 @@ pub struct RecoveryReport {
     pub dropped_segments: usize,
     /// Whether a torn/corrupt tail was found and truncated.
     pub torn: bool,
-    /// Segments whose bodies were never read because tail-only recovery
-    /// skipped them (their records are covered by a snapshot watermark).
-    pub skipped_segments: usize,
-    /// Records whose effects were restored from a snapshot instead of
-    /// replay (set by the KV layer; always 0 for a raw log open).
-    pub snapshot_records: u64,
 }
 
 /// A segmented append-only record log rooted at one directory.
@@ -129,40 +123,12 @@ pub struct SegmentedLog {
     seg_offsets: Vec<u32>,
 }
 
-/// What one [`SegmentedLog::scan_bodies`] pass over segment bodies found.
-#[derive(Debug, Default)]
-struct ScanOutcome {
-    /// Record payloads from `collect_from` (global index) onward.
-    records: Vec<Bytes>,
-    /// Total records through the scanned range, including the skipped base.
-    total: u64,
-    /// `(seqno, path, byte length)` of the segment appends continue into.
-    active: Option<(u64, PathBuf, u64)>,
-    dropped_segments: usize,
-    torn: bool,
-    truncated_bytes: u64,
-    /// First record index of the active segment.
-    seg_first: u64,
-    /// Sparse offsets of the active segment (stride [`DEFAULT_STRIDE`]).
-    seg_offsets: Vec<u32>,
-    /// Segments that passed full header validation in this scan.
-    segments: usize,
-}
-
 fn io_err(path: &Path, e: std::io::Error) -> DtfError {
     DtfError::Io(format!("{}: {e}", path.display()))
 }
 
 pub(crate) fn segment_name(seqno: u64) -> String {
     format!("seg-{seqno:016x}.dtl")
-}
-
-/// Floor the segment size so a header plus one tiny frame always fits.
-fn clamp(cfg: LogConfig) -> LogConfig {
-    LogConfig {
-        segment_bytes: cfg.segment_bytes.max((HEADER_LEN + FRAME_OVERHEAD) as u64 + 8),
-        ..cfg
-    }
 }
 
 fn header_bytes(seqno: u64, first_record: u64) -> [u8; HEADER_LEN] {
@@ -194,19 +160,10 @@ pub(crate) fn header_fields(data: &[u8]) -> Option<(u64, u64)> {
     ))
 }
 
-/// Read and validate only a segment's 28-byte header:
-/// `(seqno, first_record)`. `None` when unreadable or damaged.
-fn read_header(path: &Path) -> Option<(u64, u64)> {
-    let mut head = [0u8; HEADER_LEN];
-    File::open(path).and_then(|mut f| f.read_exact(&mut head)).ok()?;
-    header_fields(&head)
-}
-
-/// Fsync a directory, making renames/creations inside it power-loss
-/// durable. POSIX only guarantees a rename survives power loss once the
-/// parent directory's entry is flushed — syncing the file alone is not
-/// enough.
-pub fn fsync_dir(dir: &Path) -> Result<()> {
+/// Fsync a directory, making file creations inside it power-loss
+/// durable: POSIX only guarantees a new file survives power loss once its
+/// directory entry is flushed — syncing the file alone is not enough.
+fn fsync_dir(dir: &Path) -> Result<()> {
     File::open(dir).and_then(|f| f.sync_all()).map_err(|e| io_err(dir, e))
 }
 
@@ -244,96 +201,25 @@ pub(crate) fn parse_seqno(path: &Path) -> u64 {
 impl SegmentedLog {
     /// Open (creating if absent) the log at `dir`, running the recovery
     /// scan. Returns the log positioned for appending, the recovered
-    /// records in order, and the scan report.
+    /// records in order, and the scan report. A bad frame truncates its
+    /// file there, a bad header (or anything after a tear) drops the file
+    /// — dropped and truncated segments also lose their index sidecars,
+    /// which would otherwise go stale.
     pub fn open(dir: &Path, cfg: LogConfig) -> Result<(Self, Vec<Bytes>, RecoveryReport)> {
-        let cfg = clamp(cfg);
+        // floor the segment size so a header plus one tiny frame always fits
+        let cfg = LogConfig {
+            segment_bytes: cfg.segment_bytes.max((HEADER_LEN + FRAME_OVERHEAD) as u64 + 8),
+            ..cfg
+        };
         fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
         let paths = segment_paths(dir)?;
-        let out = Self::scan_bodies(&paths, 0, 0)?;
-        let report = RecoveryReport {
-            segments: out.segments,
-            records: out.total,
-            truncated_bytes: out.truncated_bytes,
-            dropped_segments: out.dropped_segments,
-            torn: out.torn,
-            ..Default::default()
-        };
-        let log = Self::position(dir, cfg, &out)?;
-        Ok((log, out.records, report))
-    }
-
-    /// Tail-only recovery: trust the CRC-validated headers of segments
-    /// wholly below `from_record` without reading their bodies, and
-    /// replay only from the segment containing `from_record`. Returns
-    /// `Ok(None)` when the header chain cannot support it (a damaged or
-    /// discontinuous header anywhere in the walk) — the caller falls back
-    /// to a full [`SegmentedLog::open`], which repairs.
-    ///
-    /// The returned records start exactly at `from_record`; records
-    /// before it inside the boundary segment are parsed and discarded
-    /// (bounded by one segment). A tear can still truncate *below*
-    /// `from_record` — callers holding a snapshot watermark must compare
-    /// `report.records` against it and fall back to full replay when the
-    /// log no longer reaches the watermark.
-    pub fn open_tail(
-        dir: &Path,
-        cfg: LogConfig,
-        from_record: u64,
-    ) -> Result<Option<(Self, Vec<Bytes>, RecoveryReport)>> {
-        let cfg = clamp(cfg);
-        fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-        let paths = segment_paths(dir)?;
-        if paths.is_empty() {
-            return Ok(None);
-        }
-        let mut prev: Option<(u64, u64)> = None;
-        let mut firsts = Vec::with_capacity(paths.len());
-        for path in &paths {
-            let Some((seqno, first)) = read_header(path) else { return Ok(None) };
-            let chain_ok = seqno == parse_seqno(path)
-                && prev.map(|(ps, pf)| seqno == ps + 1 && first >= pf).unwrap_or(first == 0);
-            if !chain_ok {
-                return Ok(None);
-            }
-            prev = Some((seqno, first));
-            firsts.push(first);
-        }
-        // last segment whose first record is at or below the watermark:
-        // every earlier segment's body is wholly covered by it
-        let boundary = firsts.partition_point(|f| *f <= from_record).saturating_sub(1);
-        let out = Self::scan_bodies(&paths[boundary..], firsts[boundary], from_record)?;
-        let report = RecoveryReport {
-            segments: boundary + out.segments,
-            records: out.total,
-            truncated_bytes: out.truncated_bytes,
-            dropped_segments: out.dropped_segments,
-            torn: out.torn,
-            skipped_segments: boundary,
-            ..Default::default()
-        };
-        let log = Self::position(dir, cfg, &out)?;
-        Ok(Some((log, out.records, report)))
-    }
-
-    /// Reposition for appending after the caller rewrote the directory
-    /// (compaction swap): bodies of cold segments are never read. Falls
-    /// back to a full open if the header chain is unexpectedly broken.
-    pub(crate) fn attach_end(dir: &Path, cfg: LogConfig) -> Result<Self> {
-        match Self::open_tail(dir, cfg, u64::MAX)? {
-            Some((log, _, _)) => Ok(log),
-            None => Ok(Self::open(dir, cfg)?.0),
-        }
-    }
-
-    /// Walk `paths` reading full bodies, starting the global record count
-    /// at `base` (the first path's first-record index) and collecting
-    /// payloads from global index `collect_from` onward. Repairs exactly
-    /// as recovery always has: a bad frame truncates the file there, a
-    /// bad header (or anything after a tear) drops the file — dropped
-    /// and truncated segments also lose their index sidecars, which
-    /// would otherwise go stale.
-    fn scan_bodies(paths: &[PathBuf], base: u64, collect_from: u64) -> Result<ScanOutcome> {
-        let mut out = ScanOutcome { total: base, ..Default::default() };
+        let mut report = RecoveryReport::default();
+        let mut records: Vec<Bytes> = Vec::new();
+        // (seqno, path, byte length) of the segment appends continue into
+        let mut active: Option<(u64, PathBuf, u64)> = None;
+        // first record index and sparse offsets of that segment
+        let mut seg_first = 0u64;
+        let mut seg_offsets: Vec<u32> = Vec::new();
         let mut drop_from: Option<usize> = None;
         let mut prev_seqno: Option<u64> = None;
 
@@ -345,7 +231,7 @@ impl SegmentedLog {
             let header_ok = header_fields(&data)
                 .map(|(s, first)| {
                     s == seqno
-                        && first == out.total
+                        && first == records.len() as u64
                         && prev_seqno.map(|p| seqno == p + 1).unwrap_or(true)
                 })
                 .unwrap_or(false);
@@ -354,9 +240,9 @@ impl SegmentedLog {
                 break;
             }
             prev_seqno = Some(seqno);
-            out.segments += 1;
-            let seg_first = out.total;
-            let mut seg_offsets: Vec<u32> = Vec::new();
+            report.segments += 1;
+            seg_first = records.len() as u64;
+            seg_offsets.clear();
             let mut off = HEADER_LEN;
             loop {
                 if off == data.len() {
@@ -382,61 +268,52 @@ impl SegmentedLog {
                         OpenOptions::new().write(true).open(path).map_err(|e| io_err(path, e))?;
                     f.set_len(off as u64).map_err(|e| io_err(path, e))?;
                     remove_sidecar(path); // stale against the new length
-                    out.truncated_bytes += (data.len() - off) as u64;
-                    out.torn = true;
-                    out.active = Some((seqno, path.clone(), off as u64));
-                    out.seg_first = seg_first;
-                    out.seg_offsets = seg_offsets;
+                    report.truncated_bytes += (data.len() - off) as u64;
+                    report.torn = true;
+                    active = Some((seqno, path.clone(), off as u64));
                     drop_from = Some(i + 1);
                     break 'segments;
                 };
-                if (out.total - seg_first).is_multiple_of(DEFAULT_STRIDE as u64) {
+                if (records.len() as u64 - seg_first).is_multiple_of(DEFAULT_STRIDE as u64) {
                     seg_offsets.push(off as u32);
                 }
-                if out.total >= collect_from {
-                    out.records.push(data.slice(off + 8..off + 8 + len));
-                }
-                out.total += 1;
+                records.push(data.slice(off + 8..off + 8 + len));
                 off += FRAME_OVERHEAD + len;
             }
-            out.active = Some((seqno, path.clone(), data.len() as u64));
-            out.seg_first = seg_first;
-            out.seg_offsets = seg_offsets;
+            active = Some((seqno, path.clone(), data.len() as u64));
         }
 
         if let Some(i) = drop_from {
-            out.dropped_segments = paths.len() - i;
+            report.dropped_segments = paths.len() - i;
             for path in &paths[i..] {
                 remove_sidecar(path);
                 fs::remove_file(path).map_err(|e| io_err(path, e))?;
             }
         }
-        Ok(out)
-    }
+        report.records = records.len() as u64;
 
-    /// Build the appendable log from a scan outcome.
-    fn position(dir: &Path, cfg: LogConfig, out: &ScanOutcome) -> Result<Self> {
-        let (file, seg_seqno, seg_len) = match &out.active {
+        let (file, seg_seqno, seg_len) = match active {
             Some((seqno, path, len)) => {
                 let file =
-                    OpenOptions::new().append(true).open(path).map_err(|e| io_err(path, e))?;
-                (file, *seqno, *len)
+                    OpenOptions::new().append(true).open(&path).map_err(|e| io_err(&path, e))?;
+                (file, seqno, len)
             }
             None => Self::create_segment(dir, 0, 0)?,
         };
-        Ok(Self {
+        let log = Self {
             dir: dir.to_path_buf(),
             cfg,
             file,
             seg_seqno,
             seg_len,
-            records: out.total,
-            committed: out.total,
+            records: report.records,
+            committed: report.records,
             pending: Vec::new(),
             pending_records: 0,
-            seg_first: out.seg_first,
-            seg_offsets: out.seg_offsets.clone(),
-        })
+            seg_first,
+            seg_offsets,
+        };
+        Ok((log, records, report))
     }
 
     fn create_segment(dir: &Path, seqno: u64, first_record: u64) -> Result<(File, u64, u64)> {
@@ -868,79 +745,6 @@ mod tests {
     }
 
     #[test]
-    fn open_tail_replays_only_past_the_watermark() {
-        let dir = tmpdir("tail");
-        {
-            let (mut log, _, _) = SegmentedLog::open(&dir, cfg(128, FlushPolicy::Manual)).unwrap();
-            for i in 0..50u8 {
-                log.append(&[i; 40]).unwrap();
-            }
-            log.sync().unwrap();
-            assert!(log.segments() > 5);
-        }
-        let (mut log, tail, report) =
-            SegmentedLog::open_tail(&dir, cfg(128, FlushPolicy::Manual), 30).unwrap().unwrap();
-        assert_eq!(report.records, 50, "total counts skipped and replayed records");
-        assert!(report.skipped_segments > 0, "cold bodies were not read");
-        assert_eq!(tail.len(), 20, "exactly the records past the watermark");
-        for (i, r) in tail.iter().enumerate() {
-            assert_eq!(r.as_ref(), &[30 + i as u8; 40]);
-        }
-        // appends continue from the full count, not the tail count
-        assert_eq!(log.append(b"next").unwrap(), 50);
-        log.sync().unwrap();
-        let (_, full, _) = SegmentedLog::open(&dir, cfg(128, FlushPolicy::Manual)).unwrap();
-        assert_eq!(full.len(), 51);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn open_tail_declines_on_a_damaged_header_chain() {
-        let dir = tmpdir("tail-damaged");
-        {
-            let (mut log, _, _) = SegmentedLog::open(&dir, cfg(128, FlushPolicy::Manual)).unwrap();
-            for i in 0..50u8 {
-                log.append(&[i; 40]).unwrap();
-            }
-            log.sync().unwrap();
-        }
-        let victim = &segment_paths(&dir).unwrap()[1];
-        let mut data = fs::read(victim).unwrap();
-        data[3] ^= 0xff;
-        fs::write(victim, &data).unwrap();
-        assert!(
-            SegmentedLog::open_tail(&dir, cfg(128, FlushPolicy::Manual), 40).unwrap().is_none(),
-            "a broken chain defers to the full open, which repairs"
-        );
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn open_tail_reports_a_tear_below_the_watermark() {
-        let dir = tmpdir("tail-tear");
-        {
-            let (mut log, _, _) =
-                SegmentedLog::open(&dir, cfg(1 << 20, FlushPolicy::EveryRecord)).unwrap();
-            for i in 0..20u8 {
-                log.append(&[i; 16]).unwrap();
-            }
-        }
-        let path = segment_paths(&dir).unwrap().pop().unwrap();
-        let len = fs::metadata(&path).unwrap().len();
-        OpenOptions::new().write(true).open(&path).unwrap().set_len(len - 30).unwrap();
-        // watermark 19 is no longer reachable: the caller sees that in
-        // report.records and must fall back to full replay
-        let (_, tail, report) =
-            SegmentedLog::open_tail(&dir, cfg(1 << 20, FlushPolicy::EveryRecord), 19)
-                .unwrap()
-                .unwrap();
-        assert!(report.torn);
-        assert!(report.records < 19);
-        assert!(tail.is_empty());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn rolling_seals_segments_with_index_sidecars() {
         let dir = tmpdir("roll-sidecar");
         {
@@ -958,7 +762,7 @@ mod tests {
         firsts.push(50);
         for (i, seg) in paths[..paths.len() - 1].iter().enumerate() {
             let expect = (firsts[i + 1] - firsts[i]) as u32;
-            let idx = SegmentIndex::load_validated(seg, firsts[i], expect, false)
+            let idx = SegmentIndex::load_validated(seg, firsts[i], expect)
                 .expect("sealed segment carries a valid sidecar");
             assert_eq!(idx.records, expect);
         }

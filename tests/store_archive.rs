@@ -212,16 +212,28 @@ fn corrupted_tail_recovers_committed_prefix_to_golden() {
 
 /// Yokan holds what is key-value — topic configs, group cursors, run
 /// metadata — and stays small however long the run: the event stream is
-/// in the topic log, never under per-slot keys.
+/// in the topic log, never under per-slot keys. That traffic is what lets
+/// the KV replay its whole log on every open; route a stream through it
+/// again and this fails before a profile has to find it.
 #[test]
 fn persisted_run_keeps_the_event_stream_out_of_yokan() {
-    let store = scratch("kv-size");
-    let data = persistent_run(Workload::Xgboost, &store);
-    assert!(data.transitions.len() > 10_000, "a run big enough to tell a log from a map");
-    let (yokan, _) = dtf::mofka::yokan::Yokan::replay(&store.join("yokan")).unwrap();
-    assert!(yokan.len() < 200, "yokan holds {} keys", yokan.len());
-    assert!(yokan.list_prefix("topic-log/").is_empty());
-    std::fs::remove_dir_all(&store).unwrap();
+    for workload in Workload::ALL {
+        let store = scratch("kv-size");
+        let data = persistent_run(workload, &store);
+        assert!(data.transitions.len() > 10_000, "a run big enough to tell a log from a map");
+        let (yokan, report) = dtf::mofka::yokan::Yokan::replay(&store.join("yokan")).unwrap();
+        assert!(yokan.len() < 200, "{workload:?}: yokan holds {} keys", yokan.len());
+        assert!(yokan.list_prefix("topic-log/").is_empty());
+        assert!(report.records < 256, "{workload:?}: yokan's log holds {}", report.records);
+        for entry in std::fs::read_dir(store.join("yokan")).unwrap() {
+            let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+            assert!(
+                name.starts_with("seg-") && (name.ends_with(".dtl") || name.ends_with(".dti")),
+                "{workload:?}: yokan/ holds {name}"
+            );
+        }
+        std::fs::remove_dir_all(&store).unwrap();
+    }
 }
 
 /// The frame checksum's value is the contract, not its loop: a store
