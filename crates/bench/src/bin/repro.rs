@@ -62,7 +62,8 @@
 //!                    reduction is below 5x or regressed >20% against the
 //!                    committed `proxy` section, or if resolve latency
 //!                    regressed >20%; exit 2 on a pre-schema-8 baseline)
-//!   recovery-smoke  (--seed N: run a persistent seeded campaign, verify a
+//!   recovery-smoke  (--seed N: run a persistent seeded campaign with the
+//!                    proxy plane and online Darshan on, verify a
 //!                    fresh-process archive reopen reproduces the export
 //!                    bundle byte-for-byte, then damage store copies under
 //!                    seeded crash faults — torn/zeroed/bit-flipped tails,
@@ -898,13 +899,18 @@ fn recovery_smoke(seed: u64) -> i32 {
     let store = base.join("store");
     println!("recovery-smoke: seed {seed}, store {}", store.display());
 
+    // persisted the way the benchmark's `campaign_durable` persists a run:
+    // proxy plane and online Darshan on, so the archived-export diff below
+    // covers every topic and the whole `run-meta` document
     let workload = dtf_workflows::Workload::ImageProcessing;
     let mut cfg = SimConfig {
         campaign_seed: seed,
         run: RunId(0),
         persist_dir: Some(store.to_string_lossy().into_owned()),
+        online_darshan: true,
         ..Default::default()
     };
+    cfg.proxy.enabled = true;
     workload.adjust(&mut cfg);
     let rr = RunRng::new(seed, RunId(0));
     let cluster = match SimCluster::new(cfg) {

@@ -32,6 +32,14 @@
 //! Family tags and per-family field order are frozen by the round-trip
 //! proptests and by the mixed-version store tests: changing either is a
 //! format break and needs a new segment-header format version.
+//!
+//! The field writers ([`put_varint`], [`put_str`], [`put_key`],
+//! [`put_worker`], [`put_io_record`]) and the bounds-checked [`Reader`]
+//! are public so the other binary documents — a Darshan `LogSet`, the
+//! `run-meta` archive document, proxy manifests — are built from the same
+//! pieces instead of re-implementing them. Every varint a [`Reader`]
+//! accepts is minimal (no redundant trailing zero byte), so an accepted
+//! value re-encodes to exactly the bytes it was read from.
 
 use crate::error::{DtfError, Result};
 use crate::events::{
@@ -61,7 +69,8 @@ fn bad(what: impl Into<String>) -> DtfError {
 
 // ---------------------------------------------------------------- writing
 
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+/// Append `v` as a LEB128 varint (1–10 bytes, always minimal).
+pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -73,51 +82,88 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
+/// Append `s` as `varint(len) utf8-bytes`.
+pub fn put_str(out: &mut Vec<u8>, s: &str) {
     put_varint(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
 }
 
-fn put_key(out: &mut Vec<u8>, k: &TaskKey) {
+/// Append a task key as `str(prefix) varint(token) varint(index)`.
+pub fn put_key(out: &mut Vec<u8>, k: &TaskKey) {
     put_str(out, k.prefix.as_str());
     put_varint(out, k.token as u64);
     put_varint(out, k.index as u64);
 }
 
-fn put_worker(out: &mut Vec<u8>, w: &WorkerId) {
+/// Append a worker address as `varint(node) varint(slot)`.
+pub fn put_worker(out: &mut Vec<u8>, w: &WorkerId) {
     put_varint(out, w.node.0 as u64);
     put_varint(out, w.slot as u64);
 }
 
+/// Append an [`IoRecord`]'s fields (everything after the `Io` family tag)
+/// — the frozen layout DXT traces reuse.
+pub fn put_io_record(out: &mut Vec<u8>, e: &IoRecord) {
+    put_varint(out, e.host.0 as u64);
+    put_worker(out, &e.worker);
+    put_varint(out, e.thread.0);
+    put_varint(out, e.file.0);
+    out.push(io_op_tag(e.op));
+    put_varint(out, e.offset);
+    put_varint(out, e.size);
+    put_varint(out, e.start.0);
+    put_varint(out, e.stop.0);
+}
+
 // ---------------------------------------------------------------- reading
 
-/// A cursor over one encoded record. All reads borrow from the slice the
-/// caller holds (for replay: the whole-segment buffer) — the only
-/// allocations a decode performs are the owned `String`/`Vec` fields of
-/// the record itself, and interned prefixes don't even pay that.
-struct Reader<'a> {
+/// A bounds-checked cursor over one encoded value. All reads borrow from
+/// the slice the caller holds (for replay: the whole-segment buffer) — the
+/// only allocations a decode performs are the owned `String`/`Vec` fields
+/// of the value itself, and interned prefixes don't even pay that. No read
+/// ever indexes past the slice or allocates from an unchecked length.
+pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
+    pub fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
     }
 
-    fn u8(&mut self) -> Result<u8> {
+    /// Bytes not yet consumed.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    pub fn u8(&mut self) -> Result<u8> {
         let b = *self.buf.get(self.pos).ok_or_else(|| bad("truncated"))?;
         self.pos += 1;
         Ok(b)
     }
 
-    fn varint(&mut self) -> Result<u64> {
+    /// A `0x00`/`0x01` byte; anything else is corruption.
+    pub fn bool(&mut self) -> Result<bool> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            t => Err(bad(format!("unknown bool byte {t}"))),
+        }
+    }
+
+    pub fn varint(&mut self) -> Result<u64> {
         let mut v: u64 = 0;
         let mut shift = 0u32;
         loop {
             let byte = self.u8()?;
             if shift == 63 && byte > 1 {
                 return Err(bad("varint overflows u64"));
+            }
+            if byte == 0 && shift > 0 {
+                // the writer never emits one: accepting it would let two
+                // byte strings decode to the same value
+                return Err(bad("varint has a redundant trailing zero byte"));
             }
             v |= ((byte & 0x7f) as u64) << shift;
             if byte & 0x80 == 0 {
@@ -130,36 +176,67 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn varint_u32(&mut self) -> Result<u32> {
+    pub fn varint_u32(&mut self) -> Result<u32> {
         u32::try_from(self.varint()?).map_err(|_| bad("varint overflows u32"))
     }
 
-    fn str(&mut self) -> Result<&'a str> {
-        let len = self.varint()? as usize;
-        let end = self.pos.checked_add(len).filter(|&e| e <= self.buf.len());
-        let end = end.ok_or_else(|| bad("string length exceeds record"))?;
-        let s = std::str::from_utf8(&self.buf[self.pos..end])
-            .map_err(|_| bad("string is not utf-8"))?;
-        self.pos = end;
-        Ok(s)
+    /// An element count, checked against the bytes left before the caller
+    /// reserves anything: `n` elements of at least `min_bytes` encoded
+    /// bytes each cannot be in fewer than `n * min_bytes` remaining bytes.
+    pub fn count(&mut self, min_bytes: usize) -> Result<usize> {
+        let n = self.varint()?;
+        if n > (self.remaining() / min_bytes.max(1)) as u64 {
+            return Err(bad(format!("count {n} exceeds the {} bytes left", self.remaining())));
+        }
+        Ok(n as usize)
     }
 
-    fn key(&mut self) -> Result<TaskKey> {
+    /// `varint(len)` then that many raw bytes, borrowed.
+    pub fn bytes(&mut self) -> Result<&'a [u8]> {
+        let len = self.varint()?;
+        if len > self.remaining() as u64 {
+            return Err(bad("length exceeds the bytes left"));
+        }
+        let start = self.pos;
+        self.pos += len as usize;
+        Ok(&self.buf[start..self.pos])
+    }
+
+    pub fn str(&mut self) -> Result<&'a str> {
+        std::str::from_utf8(self.bytes()?).map_err(|_| bad("string is not utf-8"))
+    }
+
+    pub fn key(&mut self) -> Result<TaskKey> {
         let prefix = TaskPrefix::intern(self.str()?);
         let token = self.varint_u32()?;
         let index = self.varint_u32()?;
         Ok(TaskKey { prefix, token, index })
     }
 
-    fn worker(&mut self) -> Result<WorkerId> {
+    pub fn worker(&mut self) -> Result<WorkerId> {
         let node = NodeId(self.varint_u32()?);
         let slot = self.varint_u32()?;
         Ok(WorkerId { node, slot })
     }
 
-    /// The record must consume its slice exactly; trailing bytes mean the
-    /// frame length and the record disagree — corruption.
-    fn finish(self) -> Result<()> {
+    /// The fields [`put_io_record`] writes.
+    pub fn io_record(&mut self) -> Result<IoRecord> {
+        Ok(IoRecord {
+            host: NodeId(self.varint_u32()?),
+            worker: self.worker()?,
+            thread: ThreadId(self.varint()?),
+            file: FileId(self.varint()?),
+            op: io_op_from(self.u8()?)?,
+            offset: self.varint()?,
+            size: self.varint()?,
+            start: Time(self.varint()?),
+            stop: Time(self.varint()?),
+        })
+    }
+
+    /// The value must consume its slice exactly; trailing bytes mean the
+    /// frame length and the value disagree — corruption.
+    pub fn finish(self) -> Result<()> {
         if self.pos == self.buf.len() {
             Ok(())
         } else {
@@ -426,15 +503,7 @@ impl ProvRecord {
             }
             ProvRecord::Io(e) => {
                 out.push(TAG_IO);
-                put_varint(out, e.host.0 as u64);
-                put_worker(out, &e.worker);
-                put_varint(out, e.thread.0);
-                put_varint(out, e.file.0);
-                out.push(io_op_tag(e.op));
-                put_varint(out, e.offset);
-                put_varint(out, e.size);
-                put_varint(out, e.start.0);
-                put_varint(out, e.stop.0);
+                put_io_record(out, e);
             }
             ProvRecord::Proxy(e) => {
                 out.push(TAG_PROXY);
@@ -477,12 +546,8 @@ impl ProvRecord {
                 let key = r.key()?;
                 let graph = GraphId(r.varint_u32()?);
                 let client = ClientId(r.varint_u32()?);
-                let n = r.varint()? as usize;
-                // a dep count can't exceed the remaining bytes (each dep is
-                // at least 3 bytes) — reject before reserving anything
-                if n > buf.len() {
-                    return Err(bad("dependency count exceeds record"));
-                }
+                // each dep is at least 3 bytes — checked before reserving
+                let n = r.count(3)?;
                 let mut deps = Vec::with_capacity(n);
                 for _ in 0..n {
                     deps.push(r.key()?);
@@ -549,17 +614,7 @@ impl ProvRecord {
                 },
                 message: r.str()?.to_string(),
             }),
-            TAG_IO => ProvRecord::Io(IoRecord {
-                host: NodeId(r.varint_u32()?),
-                worker: r.worker()?,
-                thread: ThreadId(r.varint()?),
-                file: FileId(r.varint()?),
-                op: io_op_from(r.u8()?)?,
-                offset: r.varint()?,
-                size: r.varint()?,
-                start: Time(r.varint()?),
-                stop: Time(r.varint()?),
-            }),
+            TAG_IO => ProvRecord::Io(r.io_record()?),
             TAG_PROXY => ProvRecord::Proxy(ProxyEvent {
                 action: proxy_action_from(r.u8()?)?,
                 key: r.key()?,
@@ -808,6 +863,19 @@ mod tests {
     }
 
     #[test]
+    fn counts_are_bounded_by_the_bytes_left() {
+        let mut out = Vec::new();
+        put_varint(&mut out, 1 << 40);
+        out.extend_from_slice(&[0; 16]);
+        assert!(Reader::new(&out).count(1).is_err());
+        let mut out = Vec::new();
+        put_varint(&mut out, 4);
+        out.extend_from_slice(&[0; 8]);
+        assert_eq!(Reader::new(&out).count(2).unwrap(), 4);
+        assert!(Reader::new(&out).count(3).is_err());
+    }
+
+    #[test]
     fn varints_roundtrip_at_boundaries() {
         for v in [0u64, 1, 127, 128, 16383, 16384, u32::MAX as u64, u64::MAX] {
             let mut out = Vec::new();
@@ -815,6 +883,11 @@ mod tests {
             let mut r = Reader::new(&out);
             assert_eq!(r.varint().unwrap(), v);
             r.finish().unwrap();
+        }
+        // a non-minimal spelling of 0 or 1 (redundant trailing zero byte)
+        // is rejected: every accepted varint re-encodes to its own bytes
+        for padded in [&[0x80, 0x00][..], &[0x81, 0x80, 0x00], &[0x80, 0x80, 0x80, 0x00]] {
+            assert!(Reader::new(padded).varint().is_err(), "{padded:?}");
         }
         // an 11-byte varint is rejected
         let mut r = Reader::new(&[0x80; 11]);

@@ -9,6 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use dtf_core::binfmt::{put_io_record, put_str, put_varint, put_worker, Reader};
 use dtf_core::error::{DtfError, Result};
 use dtf_core::events::IoRecord;
 use dtf_core::ids::{RunId, WorkerId};
@@ -132,6 +133,69 @@ impl LogSet {
     pub fn any_truncated(&self) -> bool {
         self.logs.iter().any(|l| l.header.dxt_truncated)
     }
+
+    /// Append the compact binary encoding the `run-meta` archive document
+    /// embeds (the export bundle keeps [`DarshanLog::to_bytes`]):
+    ///
+    /// ```text
+    /// logset  := varint(logs) log*
+    /// log     := header counters varint(records) io-record*
+    /// header  := varint(run) varint(job_id) worker str(hostname)
+    ///            varint(start) varint(end) u8(dxt_truncated) varint(dxt_dropped)
+    /// ```
+    ///
+    /// `counters` is [`PosixCounters::encode_binary`]; an `io-record` is
+    /// binfmt's frozen `IoRecord` field layout ([`put_io_record`]).
+    pub fn encode_binary(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.logs.len() as u64);
+        for log in &self.logs {
+            let h = &log.header;
+            put_varint(out, h.run.0 as u64);
+            put_varint(out, h.job_id);
+            put_worker(out, &h.worker);
+            put_str(out, &h.hostname);
+            put_varint(out, h.start.0);
+            put_varint(out, h.end.0);
+            out.push(h.dxt_truncated as u8);
+            put_varint(out, h.dxt_dropped);
+            log.counters.encode_binary(out);
+            put_varint(out, log.dxt.len() as u64);
+            for rec in &log.dxt {
+                put_io_record(out, rec);
+            }
+        }
+    }
+
+    /// Decode what [`Self::encode_binary`] wrote, every count checked
+    /// against the bytes left before anything is reserved.
+    pub fn decode_binary(r: &mut Reader<'_>) -> Result<Self> {
+        // header (9) + counters count (1) + records count (1)
+        const MIN_LOG_BYTES: usize = 11;
+        // host, node, slot, thread, file, op, offset, size, start, stop
+        const MIN_IO_BYTES: usize = 10;
+        let n = r.count(MIN_LOG_BYTES)?;
+        let mut logs = Vec::with_capacity(n);
+        for _ in 0..n {
+            let header = LogHeader {
+                run: RunId(r.varint_u32()?),
+                job_id: r.varint()?,
+                worker: r.worker()?,
+                hostname: r.str()?.to_string(),
+                start: Time(r.varint()?),
+                end: Time(r.varint()?),
+                dxt_truncated: r.bool()?,
+                dxt_dropped: r.varint()?,
+            };
+            let counters = PosixCounters::decode_binary(r)?;
+            let records = r.count(MIN_IO_BYTES)?;
+            let mut dxt = Vec::with_capacity(records);
+            for _ in 0..records {
+                dxt.push(r.io_record()?);
+            }
+            logs.push(DarshanLog { header, counters, dxt });
+        }
+        Ok(Self { logs })
+    }
 }
 
 #[cfg(test)]
@@ -197,6 +261,73 @@ mod tests {
         let mut bytes = log.to_bytes();
         bytes[8] = 99;
         assert!(DarshanLog::from_bytes(&bytes).is_err());
+    }
+
+    fn binary(set: &LogSet) -> Vec<u8> {
+        let mut out = Vec::new();
+        set.encode_binary(&mut out);
+        out
+    }
+
+    fn decode_exactly(bytes: &[u8]) -> Result<LogSet> {
+        let mut r = Reader::new(bytes);
+        let set = LogSet::decode_binary(&mut r)?;
+        r.finish()?;
+        Ok(set)
+    }
+
+    #[test]
+    fn logset_binary_roundtrip() {
+        let mut truncated = sample_log(true);
+        truncated.header.hostname = "nœud-07 ノード".into();
+        truncated.header.worker = WorkerId::new(NodeId(4096), 3);
+        truncated.dxt.push(IoRecord {
+            thread: ThreadId(0x7f00_dead_beef),
+            file: FileId(u64::MAX),
+            offset: 1 << 40,
+            stop: Time(u64::MAX),
+            ..truncated.dxt[0]
+        });
+        let mut no_trace = sample_log(false);
+        no_trace.dxt.clear();
+        for set in [LogSet::default(), LogSet::new(vec![sample_log(false), truncated, no_trace])] {
+            let bytes = binary(&set);
+            let back = decode_exactly(&bytes).unwrap();
+            assert_eq!(back, set);
+            assert_eq!(binary(&back), bytes, "re-encoding is byte-equal");
+        }
+    }
+
+    #[test]
+    fn logset_binary_rejects_truncation_and_forged_counts() {
+        let bytes = binary(&LogSet::new(vec![sample_log(true)]));
+        for cut in 0..bytes.len() {
+            assert!(decode_exactly(&bytes[..cut]).is_err(), "cut at {cut} decoded");
+        }
+        // a log count of 2^40 is refused before anything is reserved
+        let mut forged = Vec::new();
+        put_varint(&mut forged, 1 << 40);
+        forged.extend_from_slice(&bytes[1..]);
+        assert!(decode_exactly(&forged).is_err());
+        // so is a DXT record count past what the bytes left could hold
+        let mut forged = bytes.clone();
+        let at = forged.len() - 1 - sample_log(true).dxt.iter().map(rec_len).sum::<usize>();
+        assert_eq!(forged[at], 1, "the record count sits before the one record");
+        forged[at] = 100;
+        assert!(decode_exactly(&forged).is_err());
+        // and a dxt_truncated byte other than 0/1
+        let mut flag = bytes;
+        // logs, run, job 1001, worker, hostname, start 100, end 200
+        let at = 1 + 1 + 2 + 2 + 1 + "nid0000".len() + 1 + 2;
+        assert_eq!(flag[at], 1, "the dxt_truncated byte");
+        flag[at] = 2;
+        assert!(decode_exactly(&flag).is_err());
+    }
+
+    fn rec_len(r: &IoRecord) -> usize {
+        let mut out = Vec::new();
+        put_io_record(&mut out, r);
+        out.len()
     }
 
     #[test]

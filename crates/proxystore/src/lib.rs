@@ -29,7 +29,9 @@
 //!   to the scheduler's recompute path.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::{self, Write as _};
 
+use dtf_core::binfmt::{put_key, put_varint, put_worker};
 use dtf_core::error::{DtfError, Result};
 use dtf_core::events::{ProxyAction, ProxyEvent};
 use dtf_core::ids::{GraphId, TaskKey, WorkerId};
@@ -70,7 +72,7 @@ impl Default for ProxyConfig {
 }
 
 /// The typed reference that travels in place of the payload.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProxyRef {
     pub key: TaskKey,
     pub graph: GraphId,
@@ -85,22 +87,53 @@ pub struct ProxyRef {
 }
 
 impl ProxyRef {
-    /// Bytes this reference occupies on the wire — the scheduler-mediated
-    /// (in-band) cost of a proxied dependency. The payload's `size` bytes
-    /// move out-of-band.
+    /// The manifest the plane stores: binfmt fields in [`ProxyEvent`]'s
+    /// order for the fields the two share — key, graph, size, owner,
+    /// checksum, generation.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(48);
+        put_key(&mut out, &self.key);
+        put_varint(&mut out, self.graph.0 as u64);
+        put_varint(&mut out, self.size);
+        put_worker(&mut out, &self.owner);
+        put_varint(&mut out, self.checksum);
+        put_varint(&mut out, self.generation as u64);
+        out
+    }
+
+    /// Bytes this reference occupies on the wire — the length of the
+    /// manifest the plane stores, and so the scheduler-mediated (in-band)
+    /// cost of a proxied dependency. The payload's `size` bytes move
+    /// out-of-band.
     pub fn wire_size(&self) -> u64 {
-        serde_json::to_string(self).expect("proxy ref serializes").len() as u64
+        self.to_bytes().len() as u64
     }
 }
 
-/// Deterministic FNV-1a fingerprint of a proxied payload's identity.
+/// Deterministic FNV-1a fingerprint of a proxied payload's identity: the
+/// key's `Display` text, then the size's little-endian bytes.
 pub fn payload_checksum(key: &TaskKey, size: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.to_string().bytes().chain(size.to_le_bytes()) {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    /// Folds whatever is written into it into the hash, so the key's text
+    /// is never materialized as a `String`.
+    struct Fnv(u64);
+    impl Fnv {
+        fn bytes(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 ^= b as u64;
+                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
     }
-    h
+    impl fmt::Write for Fnv {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.bytes(s.as_bytes());
+            Ok(())
+        }
+    }
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    write!(h, "{key}").expect("hashing never fails");
+    h.bytes(&size.to_le_bytes());
+    h.0
 }
 
 /// What a [`ProxyPlane::resolve`] call did.
@@ -223,7 +256,7 @@ impl ProxyPlane {
     }
 
     fn write_manifest(store: &Warabi, r: &ProxyRef) -> BlobId {
-        store.put(serde_json::to_vec(r).expect("manifest serializes"))
+        store.put(r.to_bytes())
     }
 
     fn event(
@@ -593,6 +626,73 @@ mod tests {
         assert_eq!(p.in_band_bytes(&key(0), 16 << 20), wire);
         // unproxied keys pay their full payload in-band
         assert_eq!(p.in_band_bytes(&key(1), 12345), 12345);
+    }
+
+    /// The checksum is in the event stream (`ProxyEvent.checksum`), so
+    /// hashing the key's text as it is written must give exactly what
+    /// hashing `key.to_string()` gave.
+    #[test]
+    fn payload_checksum_matches_the_string_formula() {
+        fn reference(key: &TaskKey, size: u64) -> u64 {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for b in key.to_string().bytes().chain(size.to_le_bytes()) {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            h
+        }
+        let prefixes = ["blob-task", "", "π-étape", "画像-処理", "quote'd \"x\"\\", "🦀"];
+        let numbers = [0, 1, 127, 128, 99_999, u32::MAX - 1, u32::MAX];
+        for prefix in prefixes {
+            for &token in &numbers {
+                for &index in &numbers {
+                    let key = TaskKey::new(prefix, token, index);
+                    for size in [0, 4096, 64 << 20, u64::MAX] {
+                        assert_eq!(payload_checksum(&key, size), reference(&key, size), "{key}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// What the plane stores is the binfmt manifest, fields in
+    /// `ProxyEvent`'s order, and `wire_size` is its length.
+    #[test]
+    fn the_manifest_is_the_binfmt_ref_and_wire_size_its_length() {
+        use dtf_core::binfmt::Reader;
+        let refs = [
+            ProxyRef {
+                key: key(3),
+                graph: GraphId(0),
+                size: 0,
+                owner: wid(0),
+                checksum: 0,
+                generation: 0,
+            },
+            ProxyRef {
+                key: TaskKey::new("画像-処理", u32::MAX, 128),
+                graph: GraphId(u32::MAX),
+                size: 64 << 20,
+                owner: WorkerId::new(NodeId(300), 7),
+                checksum: u64::MAX,
+                generation: 16_384,
+            },
+        ];
+        for r in refs {
+            let bytes = r.to_bytes();
+            assert_eq!(r.wire_size(), bytes.len() as u64, "{r:?}");
+            let mut rd = Reader::new(&bytes);
+            assert_eq!(rd.key().unwrap(), r.key);
+            assert_eq!(rd.varint_u32().unwrap(), r.graph.0);
+            assert_eq!(rd.varint().unwrap(), r.size);
+            assert_eq!(rd.worker().unwrap(), r.owner);
+            assert_eq!(rd.varint().unwrap(), r.checksum);
+            assert_eq!(rd.varint_u32().unwrap(), r.generation);
+            rd.finish().unwrap();
+        }
+        let mut p = plane(0, u64::MAX);
+        let (r, _) = p.publish(&key(0), GraphId(2), wid(1), 8 << 20, Time::ZERO);
+        assert_eq!(p.manifest_bytes() as u64, r.wire_size(), "the plane stores what it charges");
     }
 
     #[test]

@@ -19,11 +19,13 @@
 //! (same prefetch, fresh consumer group), so a reconstructed `RunData`
 //! is byte-identical to the in-memory one for the committed prefix. The
 //! non-Mofka half of the record — chart, Darshan logs, wall time — is
-//! persisted at finalize under the [`ARCHIVE_META_KEY`] Yokan key.
+//! persisted at finalize under the [`ARCHIVE_META_KEY`] Yokan key, as the
+//! binary document [`ArchiveMeta::encode`] writes.
 
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
+use dtf_core::binfmt::{put_key, put_str, put_varint, Reader};
 use dtf_core::error::DtfError;
 use dtf_core::events::{
     CommEvent, IoRecord, LogEntry, ProvEvent, ProxyEvent, TaskDoneEvent, TaskMetaEvent,
@@ -38,9 +40,13 @@ use dtf_mofka::{ConsumerConfig, MofkaService, ServiceRecovery};
 /// Yokan key under which a persistent run archives its non-Mofka data.
 pub const ARCHIVE_META_KEY: &str = "run-meta";
 
+/// First bytes of an encoded [`ArchiveMeta`]: magic, then the version.
+const META_MAGIC: &[u8; 7] = b"DTFMETA";
+const META_VERSION: u8 = 1;
+
 /// The non-Mofka half of a run record, persisted at finalize so an
 /// archive reopen can rebuild a full [`RunData`] from disk alone.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArchiveMeta {
     pub run: RunId,
     pub workflow: String,
@@ -49,6 +55,89 @@ pub struct ArchiveMeta {
     pub wall_time: Dur,
     pub start_order: Vec<(TaskKey, Time)>,
     pub steals: u64,
+}
+
+impl ArchiveMeta {
+    /// The binary `run-meta` document (DESIGN.md §13 has the table):
+    ///
+    /// ```text
+    /// "DTFMETA" version:u8 varint(run) str(workflow) varint(len) chart-json
+    /// logset varint(wall_time) varint(n) (key varint(time))^n varint(steals)
+    /// ```
+    ///
+    /// `logset` is [`LogSet::encode_binary`]; `start_order` is written in
+    /// stored order, so same-instant ties come back as they went in.
+    pub fn encode(&self) -> Vec<u8> {
+        let chart = serde_json::to_vec(&self.chart).expect("chart serializes");
+        let mut out = Vec::with_capacity(64 + chart.len() + 24 * self.start_order.len());
+        out.extend_from_slice(META_MAGIC);
+        out.push(META_VERSION);
+        put_varint(&mut out, self.run.0 as u64);
+        put_str(&mut out, &self.workflow);
+        put_varint(&mut out, chart.len() as u64);
+        out.extend_from_slice(&chart);
+        self.darshan.encode_binary(&mut out);
+        put_varint(&mut out, self.wall_time.0);
+        put_varint(&mut out, self.start_order.len() as u64);
+        for (key, at) in &self.start_order {
+            put_key(&mut out, key);
+            put_varint(&mut out, at.0);
+        }
+        put_varint(&mut out, self.steals);
+        out
+    }
+
+    /// Decode a `run-meta` document. Every count is checked against the
+    /// bytes left before anything is reserved, the document must be
+    /// consumed exactly, and the chart must be the JSON [`Self::encode`]
+    /// prints for it — so whatever decodes re-encodes to the same bytes.
+    pub fn decode(bytes: &[u8]) -> dtf_core::Result<Self> {
+        if bytes.first() == Some(&b'{') {
+            return Err(DtfError::Serde(format!(
+                "{ARCHIVE_META_KEY} is a JSON document, the format before binary \
+                 {ARCHIVE_META_KEY} version {META_VERSION}; this build reads only the binary one"
+            )));
+        }
+        let body = bytes
+            .strip_prefix(META_MAGIC.as_slice())
+            .ok_or_else(|| DtfError::Serde(format!("{ARCHIVE_META_KEY}: bad magic")))?;
+        match body.first() {
+            Some(&META_VERSION) => {}
+            Some(v) => {
+                return Err(DtfError::Serde(format!(
+                    "{ARCHIVE_META_KEY}: unsupported version {v} (this build reads {META_VERSION})"
+                )))
+            }
+            None => return Err(DtfError::Serde(format!("{ARCHIVE_META_KEY}: truncated"))),
+        }
+        Self::decode_fields(&body[1..]).map_err(|e| match e {
+            DtfError::Serde(m) => DtfError::Serde(format!("{ARCHIVE_META_KEY}: {m}")),
+            other => other,
+        })
+    }
+
+    fn decode_fields(buf: &[u8]) -> dtf_core::Result<Self> {
+        // key (prefix length, token, index) + time
+        const MIN_START_BYTES: usize = 4;
+        let mut r = Reader::new(buf);
+        let run = RunId(r.varint_u32()?);
+        let workflow = r.str()?.to_string();
+        let chart_json = r.bytes()?;
+        let chart: ProvenanceChart = serde_json::from_slice(chart_json)?;
+        if serde_json::to_vec(&chart)? != chart_json {
+            return Err(DtfError::Serde("chart is not in its canonical JSON form".into()));
+        }
+        let darshan = LogSet::decode_binary(&mut r)?;
+        let wall_time = Dur(r.varint()?);
+        let n = r.count(MIN_START_BYTES)?;
+        let mut start_order = Vec::with_capacity(n);
+        for _ in 0..n {
+            start_order.push((r.key()?, Time(r.varint()?)));
+        }
+        let steals = r.varint()?;
+        r.finish()?;
+        Ok(Self { run, workflow, chart, darshan, wall_time, start_order, steals })
+    }
 }
 
 /// All data collected from a single run.
@@ -109,7 +198,7 @@ impl RunData {
         let raw = svc.yokan().get(ARCHIVE_META_KEY).ok_or_else(|| {
             DtfError::NotFound(format!("{ARCHIVE_META_KEY} in archive {}", dir.display()))
         })?;
-        let meta: ArchiveMeta = serde_json::from_slice(&raw)?;
+        let meta = ArchiveMeta::decode(&raw)?;
         let group = format!("archive-{}", meta.run);
         let data = Self::drain_with_group(&svc, &group, meta)?;
         Ok((data, recovery))

@@ -925,9 +925,7 @@ impl SimCluster {
         if self.cfg.persist_dir.is_some() {
             // archive the non-Mofka half of the run record, then group-
             // commit everything: past this point the run is recoverable
-            self.mofka
-                .yokan()
-                .put(ARCHIVE_META_KEY, serde_json::to_vec(&meta).expect("meta serializes"));
+            self.mofka.yokan().put(ARCHIVE_META_KEY, meta.encode());
             self.mofka.sync()?;
         }
         let ArchiveMeta { run, workflow, chart, darshan, wall_time, start_order, steals } = meta;

@@ -77,10 +77,13 @@ fn scratch(label: &str) -> PathBuf {
 /// campaign seed 13, run 0, ImageProcessing, online Darshan — but with
 /// persistence pointed at `store`.
 fn persistent_fixed_seed_run(store: &Path) -> RunData {
-    persistent_run(Workload::ImageProcessing, store)
+    persistent_run(Workload::ImageProcessing, store, false)
 }
 
-fn persistent_run(workload: Workload, store: &Path) -> RunData {
+/// Seed 13, run 0 of `workload` with online Darshan, persisted to `store`;
+/// `proxy` turns the out-of-band plane on as well (what the benchmark's
+/// `campaign_durable` persists).
+fn persistent_run(workload: Workload, store: &Path, proxy: bool) -> RunData {
     let mut cfg = SimConfig {
         campaign_seed: 13,
         run: RunId(0),
@@ -88,6 +91,7 @@ fn persistent_run(workload: Workload, store: &Path) -> RunData {
         persist_dir: Some(store.to_string_lossy().into_owned()),
         ..Default::default()
     };
+    cfg.proxy.enabled = proxy;
     workload.adjust(&mut cfg);
     let rr = RunRng::new(13, RunId(0));
     SimCluster::new(cfg).unwrap().run(workload.generate(&rr)).unwrap()
@@ -145,27 +149,41 @@ fn persistent_run_export_matches_the_non_durable_golden() {
 }
 
 /// Gate 2: a fresh-process reopen of the store directory reconstructs the
-/// run — same export bundle as the live `RunData`, no repair needed, and
-/// the perfrecup views build from it.
+/// run — for every paper workload, persisted with the proxy plane and
+/// online Darshan on. The binary `run-meta` document loses nothing (chart,
+/// Darshan logs, start order with its same-instant ties, wall time and
+/// steals equal the live run's), the export bundle is the live one byte
+/// for byte, no repair is needed, and the perfrecup views build from it.
 #[test]
 fn archive_reopen_reconstructs_the_export_byte_identically() {
-    let store = scratch("reopen");
-    let live = persistent_fixed_seed_run(&store);
-    let live_print = export_fingerprint(&live, &scratch("reopen-live"));
+    let mut proxy_events = 0;
+    for workload in Workload::ALL {
+        let store = scratch("reopen");
+        let live = persistent_run(workload, &store, true);
+        proxy_events += live.proxies.len();
+        let live_print = export_fingerprint(&live, &scratch("reopen-live"));
 
-    let archived = ArchivedRun::open(&store).unwrap();
-    assert!(!archived.was_repaired(), "clean shutdown needs no repair");
-    assert!(archived.recovery.restored_events > 0, "the archive holds the event stream");
-    let arch_print = export_fingerprint(&archived.data, &scratch("reopen-arch"));
-    assert_eq!(live_print, arch_print, "archived export must be byte-identical to live");
+        let archived = ArchivedRun::open(&store).unwrap();
+        assert!(!archived.was_repaired(), "clean shutdown needs no repair");
+        assert!(archived.recovery.restored_events > 0, "the archive holds the event stream");
+        let data = &archived.data;
+        assert_eq!(data.chart, live.chart, "{workload:?}");
+        assert_eq!(data.darshan, live.darshan, "{workload:?}");
+        assert_eq!(data.start_order, live.start_order, "{workload:?}");
+        assert_eq!(data.wall_time, live.wall_time, "{workload:?}");
+        assert_eq!(data.steals, live.steals, "{workload:?}");
+        let arch_print = export_fingerprint(data, &scratch("reopen-arch"));
+        assert_eq!(live_print, arch_print, "{workload:?}: archived export must be live's");
 
-    let views = archived.views();
-    assert!(views.tasks().n_rows() > 0, "views build from the archived run");
+        let views = archived.views();
+        assert!(views.tasks().n_rows() > 0, "views build from the archived run");
 
-    // reopening is read-only: a second open sees the identical stream
-    let again = ArchivedRun::open(&store).unwrap();
-    assert_eq!(again.recovery.restored_events, archived.recovery.restored_events);
-    std::fs::remove_dir_all(&store).unwrap();
+        // reopening is read-only: a second open sees the identical stream
+        let again = ArchivedRun::open(&store).unwrap();
+        assert_eq!(again.recovery.restored_events, archived.recovery.restored_events);
+        std::fs::remove_dir_all(&store).unwrap();
+    }
+    assert!(proxy_events > 0, "the proxy plane engaged");
 }
 
 /// Gate 3: a fixed tail corruption of the topic log recovers exactly
@@ -219,7 +237,7 @@ fn corrupted_tail_recovers_committed_prefix_to_golden() {
 fn persisted_run_keeps_the_event_stream_out_of_yokan() {
     for workload in Workload::ALL {
         let store = scratch("kv-size");
-        let data = persistent_run(workload, &store);
+        let data = persistent_run(workload, &store, false);
         assert!(data.transitions.len() > 10_000, "a run big enough to tell a log from a map");
         let (yokan, report) = dtf::mofka::yokan::Yokan::replay(&store.join("yokan")).unwrap();
         assert!(yokan.len() < 200, "{workload:?}: yokan holds {} keys", yokan.len());
