@@ -17,7 +17,7 @@
 //!   (fresh consumer group) and re-run the post-hoc kernels
 //!   (`per_category` + `per_worker` + `phase_sample`) over everything.
 //!
-//! `speedup = recompute / delta_refresh` is what `repro view-check` gates
+//! `speedup = recompute / delta_refresh` is what `repro check views` gates
 //! (≥10x), alongside `equivalent`: the finalized live snapshot must be
 //! value-identical to the post-hoc kernels over the drained record.
 
@@ -62,7 +62,7 @@ pub struct ViewBench {
     pub kernels_ms: f64,
     /// `drain + kernels` — the non-incremental refresh.
     pub recompute_ms: f64,
-    /// `recompute / delta_refresh` — gated ≥ 10 by `view-check`.
+    /// `recompute / delta_refresh` — gated ≥ 10 by `repro check views`.
     pub speedup: f64,
     /// Finalized live snapshot is value-identical to the post-hoc kernels.
     pub equivalent: bool,
@@ -252,7 +252,7 @@ mod tests {
     #[test]
     fn view_bench_is_equivalent_and_sane() {
         // small stream keeps the unit test fast; the reference artifact is
-        // taken by `repro view-bench` at 100k events
+        // taken by `repro bench views` at 100k events
         let b = view_bench_sized(4_000, 200);
         assert_eq!(b.events, 4_000);
         assert!(b.refreshes >= TAIL_ROUNDS, "every Δ-batch published");

@@ -21,6 +21,7 @@
 //! indexed point/range reads against the full-scan alternative.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use serde::Serialize;
@@ -36,16 +37,22 @@ use dtf_store::{FlushPolicy, LogConfig, LogReader, ReaderOptions, SegmentedLog};
 pub struct StorageBench {
     /// Payload size of every appended record.
     pub record_bytes: usize,
-    pub append: Vec<AppendBench>,
+    pub append: AppendPolicies,
     pub recovery: RecoveryBench,
     pub codec: CodecBench,
     pub scale: ScaleBench,
 }
 
+/// One append row per flush policy, keyed by policy so a gate path names it.
+#[derive(Debug, Serialize)]
+pub struct AppendPolicies {
+    pub every_record: AppendBench,
+    pub group_commit_256: AppendBench,
+    pub manual: AppendBench,
+}
+
 #[derive(Debug, Serialize)]
 pub struct AppendBench {
-    /// Flush-policy label: `every_record`, `group_commit_256`, `manual`.
-    pub policy: String,
     pub records: u64,
     pub wall_s: f64,
     pub records_per_s: f64,
@@ -116,15 +123,20 @@ pub struct IndexedBench {
     pub range_cache_misses: u64,
 }
 
+/// A fresh directory, unique per call: two sweeps in one process (the
+/// unit tests run in parallel) must not share one.
 fn scratch(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dtf-store-bench-{}-{label}", std::process::id()));
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let n = CALLS.fetch_add(1, Ordering::Relaxed);
+    let pid = std::process::id();
+    let dir = std::env::temp_dir().join(format!("dtf-store-bench-{pid}-{n}-{label}"));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
 
 /// Trials per measurement; the fastest is reported. fsync-bound wall
 /// times are noisy in one direction only (interference slows, nothing
-/// speeds up), so best-of-N is what makes the 20% CI gate trustworthy.
+/// speeds up), so best-of-N narrows the spread the gate bounds are set from.
 const TRIALS: u32 = 3;
 
 /// Append `records` payloads under `flush` into a fresh dir, ending with
@@ -146,9 +158,8 @@ fn append_trial(dir: &Path, flush: FlushPolicy, records: u64, payload: &[u8]) ->
 /// left in place (its path is returned) so the recovery scan can reopen a
 /// fully-committed log.
 fn bench_append(
-    label: &str,
-    flush: FlushPolicy,
     policy: &str,
+    flush: FlushPolicy,
     records: u64,
     payload: &[u8],
 ) -> (AppendBench, PathBuf) {
@@ -158,11 +169,10 @@ fn bench_append(
         if trial > 0 {
             let _ = std::fs::remove_dir_all(&dir);
         }
-        dir = scratch(&format!("{label}-{trial}"));
+        dir = scratch(&format!("{policy}-{trial}"));
         best = best.min(append_trial(&dir, flush, records, payload));
     }
     let bench = AppendBench {
-        policy: policy.to_string(),
         records,
         wall_s: best,
         records_per_s: records as f64 / best.max(1e-12),
@@ -388,24 +398,15 @@ pub fn storage_bench() -> StorageBench {
 /// indexed rows. `every_record` appends fewer records than the
 /// batched policies because each one costs an fsync; rates are still
 /// directly comparable since everything is reported per second.
-fn storage_bench_sized(indexed_records: u64) -> StorageBench {
+pub fn storage_bench_sized(indexed_records: u64) -> StorageBench {
     const RECORD_BYTES: usize = 256;
     const BATCHED_RECORDS: u64 = 16_384;
     let payload = vec![0xa5u8; RECORD_BYTES];
-    let mut append = Vec::new();
-    let (b, dir) = bench_append("every", FlushPolicy::EveryRecord, "every_record", 512, &payload);
-    append.push(b);
+    let (every_record, dir) = bench_append("every_record", FlushPolicy::EveryRecord, 512, &payload);
     let _ = std::fs::remove_dir_all(&dir);
-    let (b, group) = bench_append(
-        "group",
-        FlushPolicy::EveryN(256),
-        "group_commit_256",
-        BATCHED_RECORDS,
-        &payload,
-    );
-    append.push(b);
-    let (b, dir) = bench_append("manual", FlushPolicy::Manual, "manual", BATCHED_RECORDS, &payload);
-    append.push(b);
+    let (group_commit_256, group) =
+        bench_append("group_commit_256", FlushPolicy::EveryN(256), BATCHED_RECORDS, &payload);
+    let (manual, dir) = bench_append("manual", FlushPolicy::Manual, BATCHED_RECORDS, &payload);
     let _ = std::fs::remove_dir_all(&dir);
 
     // Recovery scan: reopen the group-commit log (many segments, all
@@ -432,7 +433,7 @@ fn storage_bench_sized(indexed_records: u64) -> StorageBench {
     let _ = std::fs::remove_dir_all(&group);
     StorageBench {
         record_bytes: RECORD_BYTES,
-        append,
+        append: AppendPolicies { every_record, group_commit_256, manual },
         recovery,
         codec: codec_bench(),
         scale: ScaleBench { indexed: indexed_bench(indexed_records) },
@@ -446,13 +447,16 @@ mod tests {
     #[test]
     fn storage_sweep_measures_all_policies() {
         // a 1/16-size indexed log keeps the unit test fast; the artifact
-        // is taken by `repro store-bench` at the reference size
+        // is taken by `repro bench storage` at the reference size
         let b = storage_bench_sized(4096);
         assert_eq!(b.record_bytes, 256);
-        let policies: Vec<&str> = b.append.iter().map(|a| a.policy.as_str()).collect();
-        assert_eq!(policies, ["every_record", "group_commit_256", "manual"]);
-        for a in &b.append {
-            assert!(a.records_per_s > 0.0, "{}: rate must be positive", a.policy);
+        let a = &b.append;
+        for (policy, rate) in [
+            ("every_record", a.every_record.records_per_s),
+            ("group_commit_256", a.group_commit_256.records_per_s),
+            ("manual", a.manual.records_per_s),
+        ] {
+            assert!(rate > 0.0, "{policy}: rate must be positive");
         }
         assert_eq!(b.recovery.records, 16_384);
         assert!(b.recovery.segments >= 1);
@@ -466,8 +470,8 @@ mod tests {
         );
         assert!(b.codec.encode_mib_s > 0.0 && b.codec.decode_mib_s > 0.0);
         assert!(b.codec.replay_binary_ms > 0.0);
-        // indexed rows: structural soundness here; the ≥10x thresholds
-        // are gated by store-check against artifacts taken on quiet runs
+        // indexed rows: structural soundness here; the ≥10x floors are
+        // gate rows, judged by `repro check storage` at the reference size
         let idx = &b.scale.indexed;
         assert_eq!(idx.records, 4096);
         assert!(idx.full_scan_ms > 0.0 && idx.reader_open_ms > 0.0);

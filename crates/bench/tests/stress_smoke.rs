@@ -2,9 +2,8 @@
 //! configuration (16 producers × 4 consumer groups × 2 members, real
 //! threads) must run clean — every group sees every event exactly once,
 //! in per-producer partition order. This is the
-//! `cargo test` face of `repro stress-bench`; the full 264-client run and
-//! its >20% regression gate (`repro stress-check`) live in the CI stress
-//! job.
+//! `cargo test` face of `repro bench stress`; the full 264-client run and
+//! its gate (`repro check stress`) run in CI's `gates` matrix.
 
 use dtf_bench::{stress_bench, StressConfig};
 
