@@ -24,10 +24,10 @@
 //!   recovery-smoke  (--seed N: run a persistent seeded campaign with the
 //!                    proxy plane and online Darshan on, verify a
 //!                    fresh-process archive reopen reproduces the export
-//!                    bundle byte-for-byte, then damage store copies under
-//!                    seeded crash faults — torn/zeroed/bit-flipped tails,
-//!                    forged frame lengths, corrupted index sidecars — and
-//!                    check the recovery oracle;
+//!                    bundle byte-for-byte, print the records each log
+//!                    recovers, then damage store copies under seeded
+//!                    crash faults — torn/zeroed/bit-flipped tails, forged
+//!                    frame lengths — and check the recovery oracle;
 //!                    exits nonzero — keeping the store dir as an artifact —
 //!                    on any violation)
 //!   all      (every table, figure and ablation, in order)
@@ -282,7 +282,13 @@ fn recovery_smoke(seed: u64) -> i32 {
 
     // Gate 2: crash faults at random committed offsets, recovery oracle.
     let original = match MofkaService::reopen(&store) {
-        Ok((svc, _)) => svc,
+        Ok((svc, recovery)) => {
+            println!(
+                "recovery-smoke: pristine reopen recovered {} yokan / {} warabi / {} topics records",
+                recovery.yokan.records, recovery.warabi.records, recovery.topics.records
+            );
+            svc
+        }
         Err(e) => {
             eprintln!("recovery-smoke: pristine reopen failed: {e}");
             eprintln!("recovery-smoke: FAIL — store kept at {}", base.display());
@@ -290,7 +296,7 @@ fn recovery_smoke(seed: u64) -> i32 {
         }
     };
     for i in 0..FAULTS {
-        // the fault space also damages cache artifacts (sparse indexes)
+        // every fault damages the committed tail of one of the three logs
         let fault = CrashFault::generate(seed.wrapping_mul(FAULTS).wrapping_add(i));
         let victim = base.join(format!("victim-{i}"));
         let outcome = copy_store(&store, &victim).and_then(|()| fault.apply(&victim)).and_then(
@@ -316,7 +322,8 @@ fn recovery_smoke(seed: u64) -> i32 {
                 }
                 failures += 1;
             }
-            // Metadata-only campaigns leave the blob log empty, so a
+            // A persisted run leaves the blob log empty (events carry no
+            // payload and the proxy plane keeps its own store), so a
             // warabi-targeted fault has no committed tail to damage —
             // that precondition failure is a skip, not a violation
             // (warabi crash coverage lives in dtf-chaos's own tests).

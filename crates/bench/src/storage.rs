@@ -30,6 +30,7 @@ use dtf_core::events::{LogEntry, LogLevel, LogSource, ProvRecord, TaskDoneEvent,
 use dtf_core::ids::{ClientId, GraphId, NodeId, TaskKey, ThreadId, WorkerId};
 use dtf_core::time::Time;
 use dtf_mofka::{Event, MofkaService, ServiceConfig, TopicConfig};
+use dtf_store::index::DEFAULT_STRIDE;
 use dtf_store::{FlushPolicy, LogConfig, LogReader, ReaderOptions, SegmentedLog};
 
 /// The `storage` section of the artifact.
@@ -345,9 +346,8 @@ fn indexed_bench(records: u64) -> IndexedBench {
         full_scan_s = full_scan_s.min(wall);
     }
 
-    let opts = ReaderOptions::default();
     let t0 = Instant::now();
-    let (reader, report) = LogReader::open(&dir, opts).expect("reader open");
+    let (reader, report) = LogReader::open(&dir, ReaderOptions).expect("reader open");
     let reader_open_s = t0.elapsed().as_secs_f64();
     assert_eq!(report.records, records);
 
@@ -362,7 +362,7 @@ fn indexed_bench(records: u64) -> IndexedBench {
     let point_cache = reader.cache_stats();
 
     // range read mid-log on a fresh reader (fresh cache)
-    let (reader2, _) = LogReader::open(&dir, opts).expect("reader reopen");
+    let (reader2, _) = LogReader::open(&dir, ReaderOptions).expect("reader reopen");
     let want = 256usize.min(records as usize / 2);
     let t0 = Instant::now();
     let got = reader2.range(records / 2, want);
@@ -374,7 +374,7 @@ fn indexed_bench(records: u64) -> IndexedBench {
     IndexedBench {
         records,
         record_bytes: REC_BYTES,
-        stride: opts.stride,
+        stride: DEFAULT_STRIDE,
         full_scan_ms: full_scan_s * 1e3,
         reader_open_ms: reader_open_s * 1e3,
         point_lookups: POINTS,

@@ -5,12 +5,10 @@
 //! (truncated) tail, a tail written as zeros, or flipped bits. Faults are
 //! plain data generated from a seed, in the same tradition as the fault
 //! schedules: [`CrashFault::generate`] is deterministic, so a failing
-//! fault replays from its seed. Tail damage is confined to the **last
-//! segment past its header** — the committed-tail region a real crash
-//! races with; wholesale header destruction is exercised separately by
-//! dtf-store's own tests. The remaining kind damages a cache artifact
-//! (an index sidecar), which recovery must shrug off without losing
-//! anything.
+//! fault replays from its seed. Damage is confined to the **last segment
+//! past its header** — the committed-tail region a real crash races with;
+//! wholesale header destruction is exercised separately by dtf-store's
+//! own tests, and so are failing writes.
 //!
 //! The oracle, [`recovery_oracle`], asserts the two recovery invariants
 //! end to end at the Mofka level: per topic and partition, the recovered
@@ -69,20 +67,11 @@ pub enum CrashKind {
     /// the recovery scan must bounds-check before slicing; anywhere else
     /// it is payload damage the CRC catches.
     MaxLenFrame,
-    /// Damage (or forge) an index sidecar (`seg-*.dti`). Sidecars are
-    /// caches: recovery must detect the damage and rebuild, losing
-    /// **nothing** — this kind asserts exact-state recovery, not a prefix.
-    CorruptIndex,
 }
 
 impl CrashKind {
-    pub const ALL: [CrashKind; 5] = [
-        CrashKind::TruncateTail,
-        CrashKind::ZeroTail,
-        CrashKind::BitFlip,
-        CrashKind::MaxLenFrame,
-        CrashKind::CorruptIndex,
-    ];
+    pub const ALL: [CrashKind; 4] =
+        [CrashKind::TruncateTail, CrashKind::ZeroTail, CrashKind::BitFlip, CrashKind::MaxLenFrame];
 }
 
 /// One seeded crash fault: plain, serializable data.
@@ -104,13 +93,6 @@ impl CrashFault {
         Self { target, kind, seed }
     }
 
-    /// Whether this fault damages only a cache artifact (an index
-    /// sidecar) — recovery must then reproduce the **exact** original
-    /// state, not merely a committed prefix.
-    pub fn is_cache_only(&self) -> bool {
-        self.kind == CrashKind::CorruptIndex
-    }
-
     /// Apply the fault to a persisted service directory (normally a copy
     /// — see [`copy_store`]). Returns the damaged file and the byte
     /// offset the damage starts at.
@@ -119,10 +101,6 @@ impl CrashFault {
         let seg = segment_paths(&dir)?
             .pop()
             .ok_or_else(|| DtfError::NotFound(format!("no segments under {}", dir.display())))?;
-        if self.kind == CrashKind::CorruptIndex {
-            // a cache artifact: needs no committed tail
-            return Ok((damage_or_forge(&seg.with_extension("dti"), self.seed)?, 0));
-        }
         let len = fs::metadata(&seg)?.len();
         let tail_base = HEADER_LEN as u64;
         if len <= tail_base + 1 {
@@ -163,27 +141,9 @@ impl CrashFault {
                 }
                 fs::write(&seg, &data)?;
             }
-            CrashKind::CorruptIndex => unreachable!("returned above"),
         }
         Ok((seg, at))
     }
-}
-
-/// Flip bits in an existing cache file, or forge a garbage one when the
-/// store never wrote it — both are crash artifacts loaders must reject.
-fn damage_or_forge(path: &Path, seed: u64) -> Result<PathBuf> {
-    match fs::read(path) {
-        Ok(mut data) if !data.is_empty() => {
-            let mut rng = RunRng::new(seed, RunId(0)).stream("crash-cache");
-            let off = rng.gen_range(0..data.len() as u64) as usize;
-            data[off] ^= 1 << rng.gen_range(0..8u32);
-            fs::write(path, &data)?;
-        }
-        _ => {
-            fs::write(path, b"torn cache artifact: not a valid sidecar")?;
-        }
-    }
-    Ok(path.to_path_buf())
 }
 
 /// Recursively copy a persisted store directory, so faults can be applied
@@ -319,7 +279,6 @@ mod tests {
         let golden = tmp("golden");
         seeded_store(&golden, 200);
         let (original, _) = MofkaService::reopen(&golden).unwrap();
-        let total = original.topic("t").unwrap().total_len();
         let mut case = 0u64;
         for kind in CrashKind::ALL {
             for target in CrashTarget::ALL {
@@ -331,11 +290,6 @@ mod tests {
                 let (recovered, _) = MofkaService::reopen(&victim).unwrap();
                 let violations = recovery_oracle(&original, &recovered);
                 assert!(violations.is_empty(), "{fault:?} violated recovery: {violations:?}");
-                if fault.is_cache_only() {
-                    // caches are never truth: damaging them loses nothing
-                    let rec = recovered.topic("t").unwrap();
-                    assert_eq!(rec.total_len(), total, "cache fault {fault:?} lost events");
-                }
                 fs::remove_dir_all(&victim).unwrap();
             }
         }

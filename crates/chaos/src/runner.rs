@@ -12,6 +12,7 @@
 
 use rand::Rng;
 
+use dtf_core::error::DtfError;
 use dtf_core::fault::FaultSchedule;
 use dtf_core::ids::{FileId, GraphId, RunId};
 use dtf_core::rngx::RunRng;
@@ -129,7 +130,7 @@ pub struct ScheduleOutcome {
     pub schedule: FaultSchedule,
     /// Run error, if either run failed (includes live invariant
     /// violations, which abort the run at their virtual time).
-    pub error: Option<String>,
+    pub error: Option<DtfError>,
     /// Post-run oracle violations on the first run.
     pub violations: Vec<String>,
     /// Whether both runs produced byte-identical transition logs.
@@ -233,7 +234,7 @@ fn run_schedule_faults(
         determinism_ok: false,
         tasks_completed: 0,
     };
-    let run_once = || -> Result<RunData, String> {
+    let run_once = || -> dtf_core::error::Result<RunData> {
         let cfg = SimConfig {
             campaign_seed: seed,
             run: RunId(index as u32),
@@ -242,8 +243,7 @@ fn run_schedule_faults(
             proxy: proxy.clone(),
             ..Default::default()
         };
-        let cluster = SimCluster::new(cfg).map_err(|e| e.to_string())?;
-        cluster.run(chaos_workflow(seed)).map_err(|e| e.to_string())
+        SimCluster::new(cfg)?.run(chaos_workflow(seed))
     };
     match (run_once(), run_once()) {
         (Ok(first), Ok(second)) => {

@@ -12,8 +12,10 @@ pub enum DtfError {
     /// An operation was attempted in an illegal state (e.g. illegal task
     /// state transition, producing to a closed topic).
     IllegalState(String),
-    /// I/O layer error (simulated PFS or log serialization).
-    Io(String),
+    /// I/O layer error (simulated PFS or log serialization): the failure's
+    /// `io::ErrorKind` — `InvalidData` for bytes that fail to decode — so
+    /// a caller can tell a full disk from a failing one, beside its message.
+    Io(std::io::ErrorKind, String),
     /// A configuration value is out of range or inconsistent.
     Config(String),
     /// Serialization / deserialization failure.
@@ -26,7 +28,7 @@ impl fmt::Display for DtfError {
             DtfError::InvalidGraph(m) => write!(f, "invalid task graph: {m}"),
             DtfError::NotFound(m) => write!(f, "not found: {m}"),
             DtfError::IllegalState(m) => write!(f, "illegal state: {m}"),
-            DtfError::Io(m) => write!(f, "i/o error: {m}"),
+            DtfError::Io(_, m) => write!(f, "i/o error: {m}"),
             DtfError::Config(m) => write!(f, "configuration error: {m}"),
             DtfError::Serde(m) => write!(f, "serialization error: {m}"),
         }
@@ -43,7 +45,7 @@ impl From<serde_json::Error> for DtfError {
 
 impl From<std::io::Error> for DtfError {
     fn from(e: std::io::Error) -> Self {
-        DtfError::Io(e.to_string())
+        DtfError::Io(e.kind(), e.to_string())
     }
 }
 

@@ -8,6 +8,7 @@
 //! analysis engine consumes.
 
 use serde::{Deserialize, Serialize};
+use std::io::ErrorKind::InvalidData;
 
 use dtf_core::binfmt::{put_io_record, put_str, put_varint, put_worker, Reader};
 use dtf_core::error::{DtfError, Result};
@@ -61,19 +62,22 @@ impl DarshanLog {
     /// Parse a binary log.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         if bytes.len() < HEADER_LEN {
-            return Err(DtfError::Io("darshan log too short".into()));
+            return Err(DtfError::Io(InvalidData, "darshan log too short".into()));
         }
         if &bytes[0..8] != MAGIC {
-            return Err(DtfError::Io("bad darshan log magic".into()));
+            return Err(DtfError::Io(InvalidData, "bad darshan log magic".into()));
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
         if version != VERSION {
-            return Err(DtfError::Io(format!("unsupported darshan log version {version}")));
+            return Err(DtfError::Io(
+                InvalidData,
+                format!("unsupported darshan log version {version}"),
+            ));
         }
         let len = u64::from_le_bytes(bytes[12..HEADER_LEN].try_into().expect("8 bytes")) as usize;
         let payload = bytes
             .get(HEADER_LEN..HEADER_LEN + len)
-            .ok_or_else(|| DtfError::Io("truncated darshan log payload".into()))?;
+            .ok_or_else(|| DtfError::Io(InvalidData, "truncated darshan log payload".into()))?;
         Ok(serde_json::from_slice(payload)?)
     }
 }

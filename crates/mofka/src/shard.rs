@@ -88,7 +88,7 @@ struct ShardState {
     jobs: VecDeque<Job>,
     stopping: bool,
     /// First append error since the last barrier/shutdown that surfaced it.
-    error: Option<String>,
+    error: Option<DtfError>,
 }
 
 /// Append-activity signal shared by every shard of one plane: a sequence
@@ -193,7 +193,7 @@ impl Shard {
         match job {
             Job::Append { topic, partition, mut batch } => {
                 if let Err(e) = topic.append_slots(partition, &mut batch) {
-                    self.state.lock().error.get_or_insert(e.to_string());
+                    self.state.lock().error.get_or_insert(e);
                 } else {
                     // wake subscription feeds sleeping on plane activity
                     self.activity.bump();
@@ -238,7 +238,7 @@ impl Shard {
         self.space.notify_all();
     }
 
-    fn take_error(&self) -> Option<String> {
+    fn take_error(&self) -> Option<DtfError> {
         self.state.lock().error.take()
     }
 
@@ -389,7 +389,7 @@ impl DataPlane {
     fn collect_errors(&self) -> Result<()> {
         for shard in &self.shards {
             if let Some(e) = shard.take_error() {
-                return Err(DtfError::Io(format!("deferred shard append error: {e}")));
+                return Err(e);
             }
         }
         Ok(())
@@ -481,7 +481,7 @@ mod tests {
         let t = topic("t", 1);
         plane.enqueue_append(&t, 7, one(0, 1)).unwrap();
         let err = plane.barrier().unwrap_err();
-        assert!(err.to_string().contains("partition 7"), "got: {err}");
+        assert!(matches!(&err, DtfError::NotFound(m) if m.contains("partition 7")), "got: {err:?}");
         // the error was taken; a clean barrier follows
         plane.barrier().unwrap();
     }

@@ -43,7 +43,10 @@
 //! the log's torn-tail rule already made them a committed prefix. Staged
 //! (stalled) slots are persisted at append time too — durability is decided
 //! at append, visibility at unstall — so a crash while stalled surfaces the
-//! staged events after recovery.
+//! staged events after recovery. A failed append never fails the event
+//! path: the log keeps its first error, logs nothing after it (a record
+//! after a lost one could only be a gap) and reports it from every sync
+//! (`MofkaService::sync`).
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
@@ -54,6 +57,7 @@ use std::sync::Arc;
 use dtf_core::error::{DtfError, Result};
 use dtf_core::events::ProvRecord;
 use dtf_store::{FlushPolicy, LogConfig, RecoveryReport, SegmentedLog};
+use std::io::ErrorKind;
 
 use crate::event::{Event, EventId, StoredEvent};
 use crate::warabi::{BlobId, Warabi};
@@ -157,34 +161,20 @@ const MIN_LOG_GROWTH: usize = 256;
 const LOG_CONFIG: LogConfig =
     LogConfig { segment_bytes: 4 << 20, flush: FlushPolicy::EveryN(8192), sync_data: true };
 
-#[derive(Debug)]
-struct LogState {
-    log: SegmentedLog,
-    /// Topic ids declared so far; the next declaration takes this id.
-    declared: u32,
-    /// The first write error. It poisons the log: later appends are
-    /// dropped (a record after a lost one could only be a gap) and every
-    /// [`TopicLog::sync`] reports it.
-    error: Option<String>,
-    /// Record encode buffer, reused across appends.
-    buf: Vec<u8>,
-}
-
-impl LogState {
-    fn append_buf(&mut self) {
-        if self.error.is_none() {
-            if let Err(e) = self.log.append(&self.buf) {
-                self.error = Some(e.to_string());
-            }
-        }
-    }
-}
-
 /// The durable log behind every partition of one persisted service's
 /// topics (`<persist>/topics/`). See the module docs for the record layout.
 #[derive(Debug)]
 pub(crate) struct TopicLog {
-    state: Mutex<LogState>,
+    writer: Mutex<Writer>,
+}
+
+#[derive(Debug)]
+struct Writer {
+    log: SegmentedLog,
+    /// Topic ids declared so far; the next declaration takes this id.
+    declared: u32,
+    /// Record encode buffer, reused across appends.
+    buf: Vec<u8>,
 }
 
 impl TopicLog {
@@ -193,8 +183,8 @@ impl TopicLog {
     pub(crate) fn open(dir: &Path) -> Result<(Self, Vec<Bytes>, RecoveryReport)> {
         let (log, records, report) = SegmentedLog::open(dir, LOG_CONFIG)?;
         let declared = records.iter().filter(|r| r.first() == Some(&REC_DECLARE)).count() as u32;
-        let state = LogState { log, declared, error: None, buf: Vec::new() };
-        Ok((Self { state: Mutex::new(state) }, records, report))
+        let writer = Writer { log, declared, buf: Vec::new() };
+        Ok((Self { writer: Mutex::new(writer) }, records, report))
     }
 
     /// Recover the records at `dir` without keeping the log attached: reads
@@ -209,33 +199,27 @@ impl TopicLog {
     /// fresh id, so slots logged for an earlier topic of the same name can
     /// never be mistaken for this one's.
     fn declare(&self, name: &str) -> u32 {
-        let mut state = self.state.lock();
-        let id = state.declared;
-        state.declared += 1;
-        encode_declare(&mut state.buf, id, name);
-        state.append_buf();
+        let w = &mut *self.writer.lock();
+        let id = w.declared;
+        w.declared += 1;
+        encode_declare(&mut w.buf, id, name);
+        let _ = w.log.append(&w.buf);
         id
     }
 
     /// Append `slots` as offsets `base..` of `partition` of topic `id`.
     fn append_slots(&self, id: u32, partition: u32, base: u64, slots: &[Slot]) {
-        let mut state = self.state.lock();
+        let w = &mut *self.writer.lock();
         for (i, slot) in slots.iter().enumerate() {
-            encode_slot(&mut state.buf, id, partition, base + i as u64, slot);
-            state.append_buf();
+            encode_slot(&mut w.buf, id, partition, base + i as u64, slot);
+            let _ = w.log.append(&w.buf);
         }
     }
 
     /// Flush the log (group commit), surfacing the error that poisoned it
     /// if there is one.
     pub(crate) fn sync(&self) -> Result<()> {
-        let mut state = self.state.lock();
-        if state.error.is_none() {
-            if let Err(e) = state.log.sync() {
-                state.error = Some(e.to_string());
-            }
-        }
-        state.error.clone().map_or(Ok(()), |e| Err(DtfError::Io(e)))
+        self.writer.lock().log.sync()
     }
 }
 
@@ -261,7 +245,7 @@ fn encode_slot(buf: &mut Vec<u8>, id: u32, partition: u32, offset: u64, slot: &S
 }
 
 fn malformed() -> DtfError {
-    DtfError::Io("malformed topic log record".into())
+    DtfError::Io(ErrorKind::InvalidData, "malformed topic log record".into())
 }
 
 fn u32_le(bytes: &[u8]) -> u32 {
@@ -329,9 +313,8 @@ pub(crate) fn restore(
                 let Some(stop) = stopped[t].get_mut(p).filter(|stop| !**stop) else { continue };
                 let topic = &mut topics[t];
                 let slots = &mut topic.partitions[p].state.get_mut().slots;
-                // the blob check asks only whether the id exists — on an
-                // archive that reads the segment map, not the payload, so
-                // restore stays metadata-bounded
+                // the blob check asks Warabi's in-memory map whether the
+                // id exists; no payload is read
                 if offset != slots.len() as u64 || blob.is_some_and(|b| !topic.warabi.contains(b)) {
                     *stop = true;
                     continue;

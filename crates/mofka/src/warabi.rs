@@ -7,22 +7,20 @@
 //! Like [`Yokan`](crate::yokan::Yokan), a Warabi can be **durable**:
 //! [`Warabi::durable`] backs the store with a dtf-store
 //! [`SegmentedLog`] in which blob id == log record index, so recovery
-//! yields the committed blob prefix in order. The first write error
-//! poisons the log — later blobs are not logged (one logged after a lost
-//! one would sit an index below its id) and every [`Warabi::sync`] reports
-//! it; [`Warabi::replay`] reopens read-only for archive
-//! consumers — **lazily**, through an indexed [`LogReader`]: only segment
-//! headers (and the torn-tail candidate) are read at open, and blob
-//! payloads are fetched on demand via sparse-index seeks through a block
-//! cache instead of materializing the whole blob log in memory. A
-//! dangling [`BlobId`] (beyond the recovered prefix after a crash) is
-//! simply `None` from [`Warabi::get`] — callers decide whether that is an
-//! error or a truncation point; [`Warabi::contains`] answers the
-//! existence question without ever touching payload bytes.
+//! yields the committed blob prefix in order. The log keeps its first
+//! write error — later blobs are not logged (one logged after a lost one
+//! would sit an index below its id) and every [`Warabi::sync`] reports it.
+//! [`Warabi::replay`] reopens read-only for archive consumers: the same
+//! recovery scan, with the log handle dropped. Blobs are held in memory
+//! either way; a persisted run's `warabi/` holds none (events carry no
+//! payload, and the proxy plane keeps its own store). A dangling
+//! [`BlobId`] (beyond the recovered prefix after a crash) is simply
+//! `None` from [`Warabi::get`] — callers decide whether that is an error
+//! or a truncation point.
 
 use bytes::Bytes;
-use dtf_core::error::{DtfError, Result};
-use dtf_store::{CacheStats, LogConfig, LogReader, ReaderOptions, RecoveryReport, SegmentedLog};
+use dtf_core::error::Result;
+use dtf_store::{LogConfig, RecoveryReport, SegmentedLog};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -38,26 +36,13 @@ impl fmt::Display for BlobId {
     }
 }
 
-#[derive(Debug)]
-struct Wal {
-    log: SegmentedLog,
-    /// The first write error. It poisons the log: later blobs are not
-    /// logged and every [`Warabi::sync`] reports it.
-    error: Option<String>,
-}
-
-/// An append-only blob store with an optional durable log.
-///
-/// Three backings share one API: purely in-memory ([`Warabi::new`]),
-/// durable write-through ([`Warabi::durable`] — blobs in memory *and* in
-/// a log), and read-only archive ([`Warabi::replay`] — blobs stay on disk
-/// behind an indexed reader; `blobs` then only holds post-archive puts,
-/// addressed after the archived prefix).
+/// An append-only blob store, in memory and optionally written through to
+/// a durable log. A failed log write is not returned by [`Warabi::put`]:
+/// the log keeps it and [`Warabi::sync`] reports it.
 #[derive(Debug, Default)]
 pub struct Warabi {
     blobs: RwLock<Vec<Bytes>>,
-    wal: Option<Mutex<Wal>>,
-    archive: Option<LogReader>,
+    log: Option<Mutex<SegmentedLog>>,
 }
 
 impl Warabi {
@@ -69,66 +54,37 @@ impl Warabi {
     /// are recovered in id order.
     pub fn durable(dir: &Path) -> Result<(Self, RecoveryReport)> {
         let (log, blobs, report) = SegmentedLog::open(dir, LogConfig::default())?;
-        Ok((
-            Self {
-                blobs: RwLock::new(blobs),
-                wal: Some(Mutex::new(Wal { log, error: None })),
-                archive: None,
-            },
-            report,
-        ))
+        Ok((Self { blobs: RwLock::new(blobs), log: Some(Mutex::new(log)) }, report))
     }
 
-    /// Open the log at `dir` as a read-only archive (see `Yokan::replay`).
-    /// Blobs are *not* loaded: an indexed [`LogReader`] serves them on
-    /// demand through sidecar seeks and a block cache, so opening a
-    /// GB-scale blob log costs headers plus one tail scan.
+    /// Recover the blobs at `dir` without keeping the log attached (see
+    /// `Yokan::replay`): the archive-reader path.
     pub fn replay(dir: &Path) -> Result<(Self, RecoveryReport)> {
-        let (reader, report) = LogReader::open(dir, ReaderOptions::default())?;
-        Ok((Self { blobs: RwLock::new(Vec::new()), wal: None, archive: Some(reader) }, report))
-    }
-
-    pub fn is_durable(&self) -> bool {
-        self.wal.is_some()
-    }
-
-    /// Blobs served lazily from an archived log (0 unless opened by
-    /// [`Warabi::replay`]); ids below this resolve through the reader.
-    fn archived(&self) -> u64 {
-        self.archive.as_ref().map(|r| r.records()).unwrap_or(0)
+        let (log, blobs, report) = SegmentedLog::open(dir, LogConfig::default())?;
+        drop(log);
+        Ok((Self { blobs: RwLock::new(blobs), log: None }, report))
     }
 
     /// Store a blob, returning its id.
     pub fn put(&self, data: impl Into<Bytes>) -> BlobId {
         let data = data.into();
         let mut blobs = self.blobs.write();
-        let id = BlobId(self.archived() + blobs.len() as u64);
-        if let Some(wal) = &self.wal {
-            let mut wal = wal.lock();
-            if wal.error.is_none() {
-                if let Err(e) = wal.log.append(&data) {
-                    wal.error = Some(e.to_string());
-                }
-            }
+        let id = BlobId(blobs.len() as u64);
+        if let Some(log) = &self.log {
+            let _ = log.lock().append(&data);
         }
         blobs.push(data);
         id
     }
 
-    /// Fetch a blob (cheap clone of a refcounted buffer; an archive read
-    /// seeks to the blob's indexed block and caches it). `None` for an
+    /// Fetch a blob (cheap clone of a refcounted buffer). `None` for an
     /// id past the end — reachable after crash recovery truncates the
     /// blob log, so callers must treat it as data loss, not a bug.
     pub fn get(&self, id: BlobId) -> Option<Bytes> {
-        let archived = self.archived();
-        if id.0 < archived {
-            return self.archive.as_ref()?.get(id.0);
-        }
-        self.blobs.read().get((id.0 - archived) as usize).cloned()
+        self.blobs.read().get(id.0 as usize).cloned()
     }
 
-    /// Whether `id` names a stored blob — without reading its payload
-    /// (an archive answers from the segment map alone).
+    /// Whether `id` names a stored blob.
     pub fn contains(&self, id: BlobId) -> bool {
         (id.0 as usize) < self.len()
     }
@@ -143,37 +99,22 @@ impl Warabi {
     }
 
     pub fn len(&self) -> usize {
-        (self.archived() as usize) + self.blobs.read().len()
+        self.blobs.read().len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Total stored bytes. For an archive this comes from the segment
-    /// map — no payloads are read to answer it.
+    /// Total stored bytes.
     pub fn total_bytes(&self) -> usize {
-        let archived = self.archive.as_ref().map(|r| r.payload_bytes() as usize).unwrap_or(0);
-        archived + self.blobs.read().iter().map(|b| b.len()).sum::<usize>()
-    }
-
-    /// Block-cache statistics of the archive reader, when this store was
-    /// opened by [`Warabi::replay`].
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.archive.as_ref().map(|r| r.cache_stats())
+        self.blobs.read().iter().map(|b| b.len()).sum()
     }
 
     /// Flush the blob log (group commit), surfacing the error that
     /// poisoned it if there is one. A no-op for in-memory stores.
     pub fn sync(&self) -> Result<()> {
-        let Some(wal) = &self.wal else { return Ok(()) };
-        let mut wal = wal.lock();
-        if wal.error.is_none() {
-            if let Err(e) = wal.log.sync() {
-                wal.error = Some(e.to_string());
-            }
-        }
-        wal.error.clone().map_or(Ok(()), |e| Err(DtfError::Io(e)))
+        self.log.as_ref().map_or(Ok(()), |log| log.lock().sync())
     }
 }
 
@@ -285,35 +226,73 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn replay_serves_blobs_lazily_through_the_index() {
-        let dir = tmpdir("lazy");
-        let n = 300u64;
-        {
-            // blob id == record index: small segments, written as the log
-            let cfg = LogConfig { segment_bytes: 1 << 10, ..LogConfig::default() };
-            let (mut log, _, _) = SegmentedLog::open(&dir, cfg).unwrap();
-            for i in 0..n {
-                log.append(format!("payload-{i:06}").as_bytes()).unwrap();
-            }
-            log.sync().unwrap();
+    /// `n` blobs `payload-<id>` written straight to the log at `dir`, in
+    /// ~1 KiB segments (blob id == record index).
+    fn multi_segment_blob_log(dir: &std::path::Path, n: u64) {
+        let cfg = LogConfig { segment_bytes: 1 << 10, ..LogConfig::default() };
+        let (mut log, _, _) = SegmentedLog::open(dir, cfg).unwrap();
+        for i in 0..n {
+            log.append(format!("payload-{i:06}").as_bytes()).unwrap();
         }
+        log.sync().unwrap();
+    }
+
+    #[test]
+    fn replay_serves_every_blob_of_a_multi_segment_log() {
+        let dir = tmpdir("multi");
+        let n = 300u64;
+        multi_segment_blob_log(&dir, n);
         let (w, report) = Warabi::replay(&dir).unwrap();
+        assert!(report.segments > 3);
         assert_eq!(report.records, n);
         assert_eq!(w.len(), n as usize);
         assert!(!w.is_empty());
-        // existence answers come from the segment map, not payload reads
         assert!(w.contains(BlobId(n - 1)));
         assert!(!w.contains(BlobId(n)));
-        assert_eq!(w.cache_stats().unwrap().misses, 0, "contains/len read no blocks");
         for id in [0u64, 1, 150, n - 1] {
             assert_eq!(w.get(BlobId(id)).unwrap().as_ref(), format!("payload-{id:06}").as_bytes());
         }
         assert_eq!(w.get_range(BlobId(7), 8, 6).unwrap().as_ref(), b"000007");
-        let stats = w.cache_stats().unwrap();
-        assert!(stats.misses > 0, "point reads faulted blocks in");
         assert_eq!(w.total_bytes(), n as usize * "payload-000000".len());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One recovery rule: a flipped byte in the body of a sealed segment
+    /// whose sidecar still validates is a tear for the archive reopen
+    /// exactly as for the writable one — the same blobs, byte for byte.
+    #[test]
+    fn replay_and_durable_recover_alike_past_a_damaged_sealed_segment() {
+        use dtf_store::log::{segment_paths, FRAME_OVERHEAD, HEADER_LEN};
+        let dir = tmpdir("sealed-flip");
+        multi_segment_blob_log(&dir, 300);
+        let segs = segment_paths(&dir).unwrap();
+        assert!(segs.len() > 2);
+        let sealed = &segs[1];
+        assert!(dtf_store::SegmentIndex::sidecar_path(sealed).exists(), "sealed with a sidecar");
+        let mut data = std::fs::read(sealed).unwrap();
+        let kept = u64::from_le_bytes(data[16..24].try_into().unwrap()); // its first record
+        data[HEADER_LEN + FRAME_OVERHEAD + 3] ^= 0x01; // inside that record's payload
+        std::fs::write(sealed, &data).unwrap();
+        // each reopen repairs: give each its own copy of the damaged log
+        let copy = tmpdir("sealed-flip-copy");
+        std::fs::create_dir_all(&copy).unwrap();
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let entry = entry.unwrap();
+            std::fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
+        }
+
+        let (replayed, replay_report) = Warabi::replay(&dir).unwrap();
+        let (durable, durable_report) = Warabi::durable(&copy).unwrap();
+        assert!(replay_report.torn && durable_report.torn);
+        assert_eq!(replayed.len() as u64, kept, "nothing past the damaged record");
+        assert_eq!(durable.len(), replayed.len());
+        for id in 0..kept {
+            let blob = replayed.get(BlobId(id));
+            assert!(blob.is_some(), "blob {id} recovered");
+            assert_eq!(blob, durable.get(BlobId(id)));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&copy).unwrap();
     }
 
     #[test]

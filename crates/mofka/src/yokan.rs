@@ -11,45 +11,28 @@
 //! A Yokan can optionally be **durable**: [`Yokan::durable`] attaches a
 //! write-ahead log (dtf-store's [`KvWal`]) and every mutation is written
 //! through to it under the map lock, so the on-disk log always replays to
-//! the in-memory map. Mutation signatures stay infallible — the first WAL
-//! write error poisons the log (later mutations are not logged: a record
-//! after a lost one would replay to a map that never existed) and every
-//! [`Yokan::sync`], the commit point, reports it. [`Yokan::replay`]
-//! reopens a directory read-only: the map is rebuilt from the log and the
-//! log handle is dropped, so archive readers never mutate the store
-//! beyond recovery's torn-tail repair.
+//! the in-memory map. Mutation signatures stay infallible: the log's own
+//! failure rule keeps the first write error (later mutations are not
+//! logged — a record after a lost one would replay to a map that never
+//! existed) and every [`Yokan::sync`], the commit point, reports it.
+//! [`Yokan::replay`] reopens a directory read-only: the map is rebuilt
+//! from the log and the log handle is dropped, so archive readers never
+//! mutate the store beyond recovery's torn-tail repair.
 
 use bytes::Bytes;
-use dtf_core::error::{DtfError, Result};
+use dtf_core::error::Result;
 use dtf_store::{KvWal, LogConfig, RecoveryReport};
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::path::Path;
 
-#[derive(Debug)]
-struct Wal {
-    kv: KvWal,
-    /// The first write error. It poisons the log: later mutations are not
-    /// logged and every [`Yokan::sync`] reports it.
-    error: Option<String>,
-}
-
-impl Wal {
-    /// Run one write against the log unless it is poisoned.
-    fn write(&mut self, f: impl FnOnce(&mut KvWal) -> Result<()>) {
-        if self.error.is_none() {
-            if let Err(e) = f(&mut self.kv) {
-                self.error = Some(e.to_string());
-            }
-        }
-    }
-}
-
 /// A sorted KV store with prefix queries and an optional write-ahead log.
+/// A failed WAL write is not returned by the mutation: the WAL keeps it
+/// and [`Yokan::sync`] reports it.
 #[derive(Debug, Default)]
 pub struct Yokan {
     map: RwLock<BTreeMap<String, Bytes>>,
-    wal: Option<Mutex<Wal>>,
+    wal: Option<Mutex<KvWal>>,
 }
 
 impl Yokan {
@@ -62,7 +45,7 @@ impl Yokan {
     /// replayed into the map and every future mutation writes through.
     pub fn durable(dir: &Path) -> Result<(Self, RecoveryReport)> {
         let (kv, map, report) = KvWal::open(dir, LogConfig::default())?;
-        Ok((Self { map: RwLock::new(map), wal: Some(Mutex::new(Wal { kv, error: None })) }, report))
+        Ok((Self { map: RwLock::new(map), wal: Some(Mutex::new(kv)) }, report))
     }
 
     /// Rebuild the map from the log at `dir` without keeping the log
@@ -79,7 +62,7 @@ impl Yokan {
         let value = value.into();
         let mut map = self.map.write();
         if let Some(wal) = &self.wal {
-            wal.lock().write(|kv| kv.append_put(&key, &value));
+            let _ = wal.lock().append_put(&key, &value);
         }
         map.insert(key, value);
     }
@@ -91,7 +74,7 @@ impl Yokan {
     pub fn delete(&self, key: &str) -> bool {
         let mut map = self.map.write();
         if let Some(wal) = &self.wal {
-            wal.lock().write(|kv| kv.append_delete(key));
+            let _ = wal.lock().append_delete(key);
         }
         map.remove(key).is_some()
     }
@@ -124,7 +107,7 @@ impl Yokan {
         let mut map = self.map.write();
         let new = f(map.get(key));
         if let Some(wal) = &self.wal {
-            wal.lock().write(|kv| kv.append_put(key, &new));
+            let _ = wal.lock().append_put(key, &new);
         }
         map.insert(key.to_string(), new);
     }
@@ -132,10 +115,7 @@ impl Yokan {
     /// Flush the WAL (group commit), surfacing the error that poisoned it
     /// if there is one. A no-op for in-memory stores.
     pub fn sync(&self) -> Result<()> {
-        let Some(wal) = &self.wal else { return Ok(()) };
-        let mut wal = wal.lock();
-        wal.write(KvWal::sync);
-        wal.error.clone().map_or(Ok(()), |e| Err(DtfError::Io(e)))
+        self.wal.as_ref().map_or(Ok(()), |wal| wal.lock().sync())
     }
 }
 

@@ -36,8 +36,8 @@ pub const CSV_VIEWS: [&str; 7] = [
 
 fn write(path: &Path, bytes: &[u8]) -> Result<()> {
     let mut f = std::fs::File::create(path)
-        .map_err(|e| DtfError::Io(format!("create {}: {e}", path.display())))?;
-    f.write_all(bytes).map_err(|e| DtfError::Io(format!("write {}: {e}", path.display())))
+        .map_err(|e| DtfError::Io(e.kind(), format!("create {}: {e}", path.display())))?;
+    f.write_all(bytes).map_err(|e| DtfError::Io(e.kind(), format!("write {}: {e}", path.display())))
 }
 
 /// Render `rows` under their schema's header into `csv` and write the file.
@@ -58,7 +58,7 @@ fn write_csv<T: Tabular>(
 /// Returns the number of files written.
 pub fn export_run(data: &RunData, dir: &Path) -> Result<usize> {
     std::fs::create_dir_all(dir)
-        .map_err(|e| DtfError::Io(format!("mkdir {}: {e}", dir.display())))?;
+        .map_err(|e| DtfError::Io(e.kind(), format!("mkdir {}: {e}", dir.display())))?;
     let csv = &mut CsvWriter::default();
     write_csv(csv, &dir.join("tasks.csv"), &data.task_done)?;
     write_csv(csv, &dir.join("task_meta.csv"), &data.meta)?;

@@ -171,13 +171,16 @@ impl Pfs {
     ) -> Result<Dur> {
         let f = self.meta(id)?;
         if offset.saturating_add(len) > f.size {
-            return Err(DtfError::Io(format!(
-                "read past EOF: {}..{} of {} ({})",
-                offset,
-                offset.saturating_add(len),
-                f.size,
-                f.path
-            )));
+            return Err(DtfError::Io(
+                std::io::ErrorKind::UnexpectedEof,
+                format!(
+                    "read past EOF: {}..{} of {} ({})",
+                    offset,
+                    offset.saturating_add(len),
+                    f.size,
+                    f.path
+                ),
+            ));
         }
         let bw = self.effective_bandwidth(f.stripe_count);
         let base = self.cfg.op_latency + len as f64 / bw * self.interference.factor(now);

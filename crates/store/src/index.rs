@@ -3,7 +3,8 @@
 //! Every sealed segment `seg-<seqno>.dtl` can carry a sidecar
 //! `seg-<seqno>.dti` holding a **sparse index**: the byte offset of every
 //! `stride`-th record, so point and range lookups seek to a block instead
-//! of scanning the log from byte zero.
+//! of scanning the log from byte zero. The writer seals one when it rolls
+//! past a segment.
 //!
 //! Sidecars are **caches, never truth**. They are validated on load
 //! (magic, CRC, seqno, first-record, and the exact segment byte length
@@ -16,10 +17,14 @@
 //! header-validated segment map where only the *last* segment's body is
 //! scanned at open (the only place a torn tail can live), cold segments
 //! are trusted via their CRC'd headers and sidecars, and reads go through
-//! a [`BlockCache`] in stride-sized blocks.
+//! a [`BlockCache`] in stride-sized blocks. Every body it does scan goes
+//! through the log's own frame scan (`scan_frames`). No
+//! store of the Mofka analog reads through it — Yokan, Warabi and the
+//! topic log all recover through [`crate::log::SegmentedLog::open`] — so
+//! it serves the benchmark's indexed-read rows alone.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom};
+use std::fs::{self, File};
+use std::io::{ErrorKind, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -29,8 +34,8 @@ use dtf_core::error::{DtfError, Result};
 use crate::cache::{BlockCache, CacheStats, DEFAULT_CACHE_BYTES};
 use crate::crc32::crc32;
 use crate::log::{
-    header_fields, parse_seqno, segment_paths, RecoveryReport, FRAME_OVERHEAD, HEADER_LEN,
-    MAX_RECORD_BYTES,
+    frame_len, header_fields, io_err, parse_seqno, scan_frames, segment_paths, truncate_segment,
+    RecoveryReport, FRAME_OVERHEAD, HEADER_LEN,
 };
 
 /// Sidecar magic: 7 bytes + a version byte, mirroring the segment header.
@@ -42,10 +47,6 @@ pub const DEFAULT_STRIDE: u32 = 64;
 /// magic(7) + version(1) + seqno(8) + first_record(8) + records(4) +
 /// seg_bytes(8) + stride(4) + has_keys(1, always 0) + n_entries(4).
 const SIDECAR_FIXED: usize = 45;
-
-fn io_err(path: &Path, e: std::io::Error) -> DtfError {
-    DtfError::Io(format!("{}: {e}", path.display()))
-}
 
 /// The sparse index of one segment. Entry `j` is the byte offset (from
 /// the segment start, header included) of record `first_record + j*stride`.
@@ -68,58 +69,35 @@ impl SegmentIndex {
         seg.with_extension("dti")
     }
 
-    /// Build by scanning the segment's frames. Fails if the header or any
-    /// frame is damaged — callers treat that exactly as the recovery scan
-    /// would (a tear at the damaged byte).
-    pub fn build(seg: &Path, stride: u32) -> Result<Self> {
-        let stride = stride.max(1);
+    /// Index the segment at `seg` with the recovery scan's frame walk, at
+    /// [`DEFAULT_STRIDE`]. Returns the index of its intact frame prefix
+    /// and the bytes past that prefix: 0 for an intact segment, otherwise
+    /// the tear recovery would cut. Only an unreadable file or a damaged
+    /// header is an error.
+    pub fn build(seg: &Path) -> Result<(Self, u64)> {
         let data = fs::read(seg).map_err(|e| io_err(seg, e))?;
-        let (seqno, first_record) = header_fields(&data)
-            .ok_or_else(|| DtfError::Io(format!("{}: damaged segment header", seg.display())))?;
+        let (seqno, first_record) = header_fields(&data).ok_or_else(|| {
+            DtfError::Io(
+                ErrorKind::InvalidData,
+                format!("{}: damaged segment header", seg.display()),
+            )
+        })?;
         let mut idx = Self {
             seqno,
             first_record,
             records: 0,
-            seg_bytes: data.len() as u64,
-            stride,
+            seg_bytes: 0,
+            stride: DEFAULT_STRIDE,
             offsets: Vec::new(),
         };
-        let mut off = HEADER_LEN;
-        while off < data.len() {
-            if off + FRAME_OVERHEAD > data.len() {
-                return Err(DtfError::Io(format!("{}: torn frame at {off}", seg.display())));
-            }
-            let len = u32::from_le_bytes(data[off..off + 4].try_into().unwrap()) as usize;
-            if len > MAX_RECORD_BYTES || len > data.len() - off - FRAME_OVERHEAD {
-                return Err(DtfError::Io(format!("{}: bad frame length at {off}", seg.display())));
-            }
-            let crc = u32::from_le_bytes(data[off + 4..off + 8].try_into().unwrap());
-            if crc32(&data[off + 8..off + 8 + len]) != crc {
-                return Err(DtfError::Io(format!(
-                    "{}: frame crc mismatch at {off}",
-                    seg.display()
-                )));
-            }
-            if idx.records.is_multiple_of(stride) {
+        let end = scan_frames(&data, |off, _| {
+            if idx.records.is_multiple_of(DEFAULT_STRIDE) {
                 idx.offsets.push(off as u32);
             }
             idx.records += 1;
-            off += FRAME_OVERHEAD + len;
-        }
-        Ok(idx)
-    }
-
-    /// Build from offsets the writer tracked while appending — no rescan.
-    /// `offsets` must hold every `stride`-th record's byte offset.
-    pub(crate) fn from_tracked(
-        seqno: u64,
-        first_record: u64,
-        records: u32,
-        seg_bytes: u64,
-        stride: u32,
-        offsets: Vec<u32>,
-    ) -> Self {
-        Self { seqno, first_record, records, seg_bytes, stride, offsets }
+        });
+        idx.seg_bytes = end as u64;
+        Ok((idx, (data.len() - end) as u64))
     }
 
     fn encode(&self) -> Vec<u8> {
@@ -210,21 +188,12 @@ pub(crate) fn remove_sidecar(seg: &Path) {
     let _ = fs::remove_file(SegmentIndex::sidecar_path(seg));
 }
 
-/// Tuning for [`LogReader`].
-#[derive(Debug, Clone, Copy)]
-pub struct ReaderOptions {
-    pub cache_bytes: usize,
-    /// Stride used when a sidecar must be rebuilt.
-    pub stride: u32,
-    /// Persist rebuilt sidecars so the next open is cheap.
-    pub write_sidecars: bool,
-}
-
-impl Default for ReaderOptions {
-    fn default() -> Self {
-        Self { cache_bytes: DEFAULT_CACHE_BYTES, stride: DEFAULT_STRIDE, write_sidecars: true }
-    }
-}
+/// Options for [`LogReader::open`]. None are left: every caller took the
+/// same values, which are now fixed — a [`DEFAULT_CACHE_BYTES`] block
+/// cache, [`DEFAULT_STRIDE`] for rebuilt sidecars, and rebuilt sidecars
+/// persisted so the next open is cheap.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ReaderOptions;
 
 #[derive(Debug)]
 struct SegMeta {
@@ -243,35 +212,31 @@ struct SegMeta {
 /// truncated store exposes.
 #[derive(Debug)]
 pub struct LogReader {
-    dir: PathBuf,
     segs: Vec<SegMeta>,
     records: u64,
-    /// Payload bytes across all records (frame and header overhead
-    /// excluded), computable from the segment map without reading bodies.
-    payload_bytes: u64,
     cache: Mutex<BlockCache>,
 }
 
 impl LogReader {
     /// Open `dir` read-only (beyond recovery repairs; see type docs).
-    pub fn open(dir: &Path, opts: ReaderOptions) -> Result<(Self, RecoveryReport)> {
+    pub fn open(dir: &Path, _opts: ReaderOptions) -> Result<(Self, RecoveryReport)> {
         let paths = segment_paths(dir)?;
         let mut report = RecoveryReport::default();
-        let mut survivors: Vec<(PathBuf, u64, u64, u64)> = Vec::new(); // path, seqno, first, len
+        let mut survivors: Vec<(PathBuf, u64)> = Vec::new(); // path, first record
         let mut prev: Option<(u64, u64)> = None; // seqno, first_record
         let mut drop_from = None;
         for (i, path) in paths.iter().enumerate() {
             let head = read_header(path);
-            let ok = head.is_some_and(|(seqno, first, _)| {
+            let ok = head.is_some_and(|(seqno, first)| {
                 seqno == parse_seqno(path)
                     && prev.map(|(ps, pf)| seqno == ps + 1 && first >= pf).unwrap_or(first == 0)
             });
-            let Some((seqno, first, len)) = head.filter(|_| ok) else {
+            let Some((seqno, first)) = head.filter(|_| ok) else {
                 drop_from = Some(i);
                 break;
             };
             prev = Some((seqno, first));
-            survivors.push((path.clone(), seqno, first, len));
+            survivors.push((path.clone(), first));
         }
         if let Some(i) = drop_from {
             report.dropped_segments += paths.len() - i;
@@ -284,48 +249,32 @@ impl LogReader {
         let mut segs = Vec::with_capacity(survivors.len());
         let mut idx = 0usize;
         while idx < survivors.len() {
-            let (path, first) = {
-                let s = &survivors[idx];
-                (s.0.clone(), s.2)
-            };
-            let last = idx + 1 == survivors.len();
-            let index = if last {
-                // The only place a torn tail can live: scan and repair.
-                match SegmentIndex::build(&path, opts.stride) {
-                    Ok(ix) => ix,
-                    Err(_) => {
-                        let repaired = truncate_at_tear(&path, first, opts.stride)?;
+            let (path, first) = survivors[idx].clone();
+            // a sealed segment's record count is fixed by its successor's
+            // header; only the last segment's body is always scanned
+            let sealed = survivors.get(idx + 1).map(|next| (next.1 - first) as u32);
+            let index = match sealed.and_then(|n| SegmentIndex::load_validated(&path, first, n)) {
+                Some(ix) => ix,
+                None => {
+                    let (ix, cut) = SegmentIndex::build(&path)?;
+                    if cut == 0 && sealed.is_none_or(|n| ix.records == n) {
+                        if sealed.is_some() {
+                            let _ = ix.write(&path);
+                        }
+                    } else {
+                        // a tear (or a record-count lie): recovery
+                        // semantics — truncate here, drop the rest
+                        truncate_segment(&path, ix.seg_bytes)?;
                         report.torn = true;
-                        report.truncated_bytes += repaired.1;
-                        repaired.0
+                        report.truncated_bytes += cut;
+                        report.dropped_segments += survivors.len() - idx - 1;
+                        for (p, _) in &survivors[idx + 1..] {
+                            remove_sidecar(p);
+                            fs::remove_file(p).map_err(|e| io_err(p, e))?;
+                        }
+                        survivors.truncate(idx + 1);
                     }
-                }
-            } else {
-                let expect_records = (survivors[idx + 1].2 - first) as u32;
-                match SegmentIndex::load_validated(&path, first, expect_records) {
-                    Some(ix) => ix,
-                    None => match SegmentIndex::build(&path, opts.stride) {
-                        Ok(ix) if ix.records == expect_records => {
-                            if opts.write_sidecars {
-                                let _ = ix.write(&path);
-                            }
-                            ix
-                        }
-                        // Damage (or a record-count lie) in a cold body:
-                        // recovery semantics — truncate here, drop the rest.
-                        _ => {
-                            let repaired = truncate_at_tear(&path, first, opts.stride)?;
-                            report.torn = true;
-                            report.truncated_bytes += repaired.1;
-                            report.dropped_segments += survivors.len() - idx - 1;
-                            for (p, ..) in &survivors[idx + 1..] {
-                                remove_sidecar(p);
-                                fs::remove_file(p).map_err(|e| io_err(p, e))?;
-                            }
-                            survivors.truncate(idx + 1);
-                            repaired.0
-                        }
-                    },
+                    ix
                 }
             };
             report.segments += 1;
@@ -336,24 +285,8 @@ impl LogReader {
         let records =
             segs.last().map(|s| s.index.first_record + s.index.records as u64).unwrap_or(0);
         report.records = records;
-        let payload_bytes = segs
-            .iter()
-            .map(|s| {
-                s.index.seg_bytes
-                    - HEADER_LEN as u64
-                    - s.index.records as u64 * FRAME_OVERHEAD as u64
-            })
-            .sum();
-        Ok((
-            Self {
-                dir: dir.to_path_buf(),
-                segs,
-                records,
-                payload_bytes,
-                cache: Mutex::new(BlockCache::new(opts.cache_bytes)),
-            },
-            report,
-        ))
+        let cache = Mutex::new(BlockCache::new(DEFAULT_CACHE_BYTES));
+        Ok((Self { segs, records, cache }, report))
     }
 
     /// Total records visible to this reader.
@@ -363,15 +296,6 @@ impl LogReader {
 
     pub fn is_empty(&self) -> bool {
         self.records == 0
-    }
-
-    /// Sum of record payload lengths, derived from the segment map.
-    pub fn payload_bytes(&self) -> u64 {
-        self.payload_bytes
-    }
-
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     pub fn cache_stats(&self) -> CacheStats {
@@ -435,62 +359,12 @@ impl LogReader {
     }
 }
 
-/// Bounds-checked frame length at `off` inside a block.
-fn frame_len(data: &Bytes, off: usize) -> Option<usize> {
-    if off + FRAME_OVERHEAD > data.len() {
-        return None;
-    }
-    let len = u32::from_le_bytes(data[off..off + 4].try_into().unwrap()) as usize;
-    (len <= MAX_RECORD_BYTES && len <= data.len() - off - FRAME_OVERHEAD).then_some(len)
-}
-
 /// Header fields of a segment file read without its body:
-/// `(seqno, first_record, file_len)`. `None` when damaged.
-fn read_header(path: &Path) -> Option<(u64, u64, u64)> {
-    let mut f = File::open(path).ok()?;
-    let len = f.metadata().ok()?.len();
+/// `(seqno, first_record)`. `None` when damaged.
+fn read_header(path: &Path) -> Option<(u64, u64)> {
     let mut head = [0u8; HEADER_LEN];
-    f.read_exact(&mut head).ok()?;
-    let (seqno, first) = header_fields(&head)?;
-    Some((seqno, first, len))
-}
-
-/// Recovery repair for a damaged segment body: rescan frame by frame,
-/// truncate the file at the first bad frame, and return the index of what
-/// survived plus the bytes cut.
-fn truncate_at_tear(path: &Path, first_record: u64, stride: u32) -> Result<(SegmentIndex, u64)> {
-    let data = fs::read(path).map_err(|e| io_err(path, e))?;
-    let mut off = HEADER_LEN.min(data.len());
-    let mut records = 0u32;
-    let stride = stride.max(1);
-    let mut offsets = Vec::new();
-    while off < data.len() {
-        if off + FRAME_OVERHEAD > data.len() {
-            break;
-        }
-        let len = u32::from_le_bytes(data[off..off + 4].try_into().unwrap()) as usize;
-        if len > MAX_RECORD_BYTES || len > data.len() - off - FRAME_OVERHEAD {
-            break;
-        }
-        let crc = u32::from_le_bytes(data[off + 4..off + 8].try_into().unwrap());
-        if crc32(&data[off + 8..off + 8 + len]) != crc {
-            break;
-        }
-        if records.is_multiple_of(stride) {
-            offsets.push(off as u32);
-        }
-        records += 1;
-        off += FRAME_OVERHEAD + len;
-    }
-    let cut = (data.len() - off) as u64;
-    OpenOptions::new()
-        .write(true)
-        .open(path)
-        .and_then(|f| f.set_len(off as u64))
-        .map_err(|e| io_err(path, e))?;
-    remove_sidecar(path); // stale against the new length
-    let (seqno, _) = header_fields(&data).unwrap_or((parse_seqno(path), first_record));
-    Ok((SegmentIndex { seqno, first_record, records, seg_bytes: off as u64, stride, offsets }, cut))
+    File::open(path).ok()?.read_exact(&mut head).ok()?;
+    header_fields(&head)
 }
 
 #[cfg(test)]
@@ -519,9 +393,10 @@ mod tests {
         let dir = tmpdir("roundtrip");
         build_log(&dir, 100, 1 << 20);
         let seg = segment_paths(&dir).unwrap().pop().unwrap();
-        let built = SegmentIndex::build(&seg, 8).unwrap();
+        let (built, cut) = SegmentIndex::build(&seg).unwrap();
+        assert_eq!(cut, 0, "an intact segment");
         assert_eq!(built.records, 100);
-        assert_eq!(built.offsets.len(), 13); // ceil(100/8)
+        assert_eq!(built.offsets.len(), 2); // ceil(100/64)
         built.write(&seg).unwrap();
         let loaded = SegmentIndex::load_validated(&seg, 0, 100).unwrap();
         assert_eq!(loaded, built);
@@ -540,7 +415,7 @@ mod tests {
         let dir = tmpdir("stale");
         build_log(&dir, 10, 1 << 20);
         let seg = segment_paths(&dir).unwrap().pop().unwrap();
-        SegmentIndex::build(&seg, 4).unwrap().write(&seg).unwrap();
+        SegmentIndex::build(&seg).unwrap().0.write(&seg).unwrap();
         // more appends change the segment length
         let cfg =
             LogConfig { segment_bytes: 1 << 20, flush: FlushPolicy::Manual, sync_data: false };
@@ -557,7 +432,7 @@ mod tests {
     fn reader_point_and_range_match_full_scan() {
         let dir = tmpdir("reader");
         build_log(&dir, 500, 512); // many segments
-        let (reader, report) = LogReader::open(&dir, ReaderOptions::default()).unwrap();
+        let (reader, report) = LogReader::open(&dir, ReaderOptions).unwrap();
         assert_eq!(reader.records(), 500);
         assert!(!report.torn);
         assert!(report.segments > 3);
@@ -578,13 +453,13 @@ mod tests {
     fn deleting_sidecars_changes_nothing_but_rebuild_cost() {
         let dir = tmpdir("rebuild");
         build_log(&dir, 200, 512);
-        let (reader, _) = LogReader::open(&dir, ReaderOptions::default()).unwrap();
+        let (reader, _) = LogReader::open(&dir, ReaderOptions).unwrap();
         let before: Vec<Bytes> = (0..200).map(|i| reader.get(i).unwrap()).collect();
         drop(reader);
         for seg in segment_paths(&dir).unwrap() {
             let _ = fs::remove_file(SegmentIndex::sidecar_path(&seg));
         }
-        let (reader, report) = LogReader::open(&dir, ReaderOptions::default()).unwrap();
+        let (reader, report) = LogReader::open(&dir, ReaderOptions).unwrap();
         assert_eq!(report.records, 200);
         for (i, b) in before.iter().enumerate() {
             assert_eq!(reader.get(i as u64).unwrap(), *b);
@@ -604,7 +479,7 @@ mod tests {
         let paths = segment_paths(&dir).unwrap();
         let side = SegmentIndex::sidecar_path(&paths[0]);
         fs::write(&side, b"garbage that is not an index").unwrap();
-        let (reader, report) = LogReader::open(&dir, ReaderOptions::default()).unwrap();
+        let (reader, report) = LogReader::open(&dir, ReaderOptions).unwrap();
         assert_eq!(report.records, 200);
         assert_eq!(reader.get(0).unwrap().as_ref(), b"record-000000");
         fs::remove_dir_all(&dir).unwrap();
@@ -616,8 +491,8 @@ mod tests {
         build_log(&dir, 100, 1 << 20);
         let seg = segment_paths(&dir).unwrap().pop().unwrap();
         let len = fs::metadata(&seg).unwrap().len();
-        OpenOptions::new().write(true).open(&seg).unwrap().set_len(len - 3).unwrap();
-        let (reader, report) = LogReader::open(&dir, ReaderOptions::default()).unwrap();
+        fs::OpenOptions::new().write(true).open(&seg).unwrap().set_len(len - 3).unwrap();
+        let (reader, report) = LogReader::open(&dir, ReaderOptions).unwrap();
         assert!(report.torn);
         assert_eq!(reader.records(), 99);
         assert!(reader.get(98).is_some());
@@ -629,7 +504,7 @@ mod tests {
     fn empty_dir_is_an_empty_reader() {
         let dir = tmpdir("empty");
         fs::create_dir_all(&dir).unwrap();
-        let (reader, report) = LogReader::open(&dir, ReaderOptions::default()).unwrap();
+        let (reader, report) = LogReader::open(&dir, ReaderOptions).unwrap();
         assert!(reader.is_empty());
         assert_eq!(report.records, 0);
         assert!(reader.get(0).is_none());

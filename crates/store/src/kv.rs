@@ -8,11 +8,13 @@
 //! run, so a full replay costs microseconds (DESIGN.md §16, *Why the KV
 //! replays in full*).
 //!
-//! [`KvWal`] is the log half only — the caller owns the map, so e.g. the
-//! Yokan analog can keep its one `RwLock<BTreeMap>` and write through.
-//! [`WalKv`] bundles both for standalone use (tests).
+//! [`KvWal`] is the log half only — the caller owns the map, so the Yokan
+//! analog keeps its one `RwLock<BTreeMap>` and writes through. Failures
+//! follow the log's rule: the first failed append or sync poisons the
+//! WAL, and every later append and [`KvWal::sync`] reports it.
 
 use std::collections::BTreeMap;
+use std::io::ErrorKind;
 use std::path::Path;
 
 use bytes::Bytes;
@@ -41,7 +43,7 @@ fn encode_delete(key: &str) -> Vec<u8> {
 }
 
 fn apply_record(map: &mut BTreeMap<String, Bytes>, rec: &Bytes) -> Result<()> {
-    let bad = |what: &str| DtfError::Io(format!("kv wal record: {what}"));
+    let bad = |what: &str| DtfError::Io(ErrorKind::InvalidData, format!("kv wal record: {what}"));
     if rec.len() < 5 {
         return Err(bad("shorter than tag + key length"));
     }
@@ -103,65 +105,6 @@ impl KvWal {
     pub fn sync(&mut self) -> Result<()> {
         self.log.sync()
     }
-
-    pub fn dir(&self) -> &Path {
-        self.log.dir()
-    }
-
-    /// Crash simulation: discard buffered records (see
-    /// [`SegmentedLog::abandon`]).
-    pub fn abandon(self) {
-        self.log.abandon();
-    }
-}
-
-/// A self-contained durable KV: [`KvWal`] plus its map. The convenience
-/// form for tests; the Mofka analogs use [`KvWal`] directly under their
-/// own locks.
-#[derive(Debug)]
-pub struct WalKv {
-    wal: KvWal,
-    map: BTreeMap<String, Bytes>,
-}
-
-impl WalKv {
-    pub fn open(dir: &Path, cfg: LogConfig) -> Result<(Self, RecoveryReport)> {
-        let (wal, map, report) = KvWal::open(dir, cfg)?;
-        Ok((Self { wal, map }, report))
-    }
-
-    pub fn put(&mut self, key: impl Into<String>, value: impl Into<Bytes>) -> Result<()> {
-        let key = key.into();
-        let value = value.into();
-        self.wal.append_put(&key, &value)?;
-        self.map.insert(key, value);
-        Ok(())
-    }
-
-    pub fn delete(&mut self, key: &str) -> Result<bool> {
-        self.wal.append_delete(key)?;
-        Ok(self.map.remove(key).is_some())
-    }
-
-    pub fn get(&self, key: &str) -> Option<Bytes> {
-        self.map.get(key).cloned()
-    }
-
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    pub fn sync(&mut self) -> Result<()> {
-        self.wal.sync()
-    }
-
-    pub fn map(&self) -> &BTreeMap<String, Bytes> {
-        &self.map
-    }
 }
 
 #[cfg(test)]
@@ -186,19 +129,19 @@ mod tests {
     fn puts_and_deletes_replay() {
         let dir = tmpdir("replay");
         {
-            let (mut kv, _) = WalKv::open(&dir, fast()).unwrap();
-            kv.put("a", &b"1"[..]).unwrap();
-            kv.put("b", &b"2"[..]).unwrap();
-            kv.put("a", &b"3"[..]).unwrap(); // overwrite
-            kv.delete("b").unwrap();
-            kv.put("c", &b"4"[..]).unwrap();
+            let (mut wal, _, _) = KvWal::open(&dir, fast()).unwrap();
+            wal.append_put("a", b"1").unwrap();
+            wal.append_put("b", b"2").unwrap();
+            wal.append_put("a", b"3").unwrap(); // overwrite
+            wal.append_delete("b").unwrap();
+            wal.append_put("c", b"4").unwrap();
         }
-        let (kv, report) = WalKv::open(&dir, fast()).unwrap();
+        let (_, map, report) = KvWal::open(&dir, fast()).unwrap();
         assert_eq!(report.records, 5);
-        assert_eq!(kv.len(), 2);
-        assert_eq!(kv.get("a").unwrap().as_ref(), b"3");
-        assert!(kv.get("b").is_none());
-        assert_eq!(kv.get("c").unwrap().as_ref(), b"4");
+        assert_eq!(map.len(), 2);
+        assert_eq!(map["a"].as_ref(), b"3");
+        assert!(!map.contains_key("b"));
+        assert_eq!(map["c"].as_ref(), b"4");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -206,15 +149,15 @@ mod tests {
     fn binary_values_and_empty_values_roundtrip() {
         let dir = tmpdir("binary");
         {
-            let (mut kv, _) = WalKv::open(&dir, fast()).unwrap();
-            kv.put("zeros", vec![0u8; 256]).unwrap();
-            kv.put("empty", Bytes::new()).unwrap();
-            kv.put("utf8-key-π", &b"pi"[..]).unwrap();
+            let (mut wal, _, _) = KvWal::open(&dir, fast()).unwrap();
+            wal.append_put("zeros", &[0u8; 256]).unwrap();
+            wal.append_put("empty", b"").unwrap();
+            wal.append_put("utf8-key-π", b"pi").unwrap();
         }
-        let (kv, _) = WalKv::open(&dir, fast()).unwrap();
-        assert_eq!(kv.get("zeros").unwrap().len(), 256);
-        assert_eq!(kv.get("empty").unwrap().len(), 0);
-        assert_eq!(kv.get("utf8-key-π").unwrap().as_ref(), b"pi");
+        let (_, map, _) = KvWal::open(&dir, fast()).unwrap();
+        assert_eq!(map["zeros"].len(), 256);
+        assert_eq!(map["empty"].len(), 0);
+        assert_eq!(map["utf8-key-π"].as_ref(), b"pi");
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -23,16 +23,27 @@
 //! exit. [`SegmentedLog::abandon`] discards the buffer instead, modelling
 //! a hard crash for tests.
 //!
+//! **The failure rule.** The log keeps its first error. A failed append
+//! (a record over [`MAX_RECORD_BYTES`] included), roll or sync poisons
+//! it: every later append is refused and every [`SegmentedLog::sync`]
+//! returns that error, so nothing is logged after a lost record. Records
+//! buffered before the poison are still written. A failed write or
+//! `sync_data` discards the buffer, because part of it may already be on
+//! disk, and writing it again would duplicate frames that recovery
+//! accepts. Once poisoned, the only retry is a reopen, which recovers the
+//! committed prefix.
+//!
 //! Opening a directory runs the recovery scan: segments are walked in
 //! seqno order; a segment with a damaged header, a seqno gap, or a
 //! first-record index that disagrees with the running count is dropped
 //! along with everything after it; inside a segment, the first frame with
 //! a bad length, a short read, or a CRC mismatch truncates the file at
 //! that byte and drops all later segments. What survives is exactly the
-//! committed prefix.
+//! committed prefix. The frame walk is `scan_frames`, the one scan every
+//! reader of a segment runs.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
@@ -100,12 +111,31 @@ pub struct RecoveryReport {
     pub torn: bool,
 }
 
+/// The writer's one I/O seam: the appends and data syncs of the active
+/// segment. Production writes the segment's [`File`]; tests substitute one
+/// that fails. Segment creation, recovery's truncation and the directory
+/// fsync go to `std::fs` directly.
+pub(crate) trait SegmentFile: std::fmt::Debug + Send + Sync {
+    fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()>;
+    fn sync_data(&mut self) -> std::io::Result<()>;
+}
+
+impl SegmentFile for File {
+    fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+        Write::write_all(self, buf)
+    }
+
+    fn sync_data(&mut self) -> std::io::Result<()> {
+        File::sync_data(self)
+    }
+}
+
 /// A segmented append-only record log rooted at one directory.
 #[derive(Debug)]
 pub struct SegmentedLog {
     dir: PathBuf,
     cfg: LogConfig,
-    file: File,
+    file: Box<dyn SegmentFile>,
     seg_seqno: u64,
     /// Bytes in the current segment, committed and pending.
     seg_len: u64,
@@ -121,10 +151,12 @@ pub struct SegmentedLog {
     /// segment, tracked while appending so sealing the segment writes its
     /// index sidecar without a rescan.
     seg_offsets: Vec<u32>,
+    /// The first failed append, roll or sync (see the module docs).
+    poison: Option<DtfError>,
 }
 
-fn io_err(path: &Path, e: std::io::Error) -> DtfError {
-    DtfError::Io(format!("{}: {e}", path.display()))
+pub(crate) fn io_err(path: &Path, e: std::io::Error) -> DtfError {
+    DtfError::Io(e.kind(), format!("{}: {e}", path.display()))
 }
 
 pub(crate) fn segment_name(seqno: u64) -> String {
@@ -160,6 +192,49 @@ pub(crate) fn header_fields(data: &[u8]) -> Option<(u64, u64)> {
     ))
 }
 
+/// The payload length of the frame at `off` in `data`, when its length
+/// field fits both the bytes that remain and the record cap. Checked
+/// before the payload is touched: a corrupted length must end a scan
+/// here, never drive a slice (or, for a copying reader, a multi-GB
+/// allocation).
+pub(crate) fn frame_len(data: &[u8], off: usize) -> Option<usize> {
+    let head = data.get(off..off.checked_add(FRAME_OVERHEAD)?)?;
+    let len = u32::from_le_bytes(head[..4].try_into().expect("a 4-byte slice")) as usize;
+    (len <= MAX_RECORD_BYTES && len <= data.len() - off - FRAME_OVERHEAD).then_some(len)
+}
+
+/// The one frame scan behind every reader of a segment: the recovery
+/// scan, [`SegmentIndex::build`] and the archive reader. Walks the frames
+/// of `data` — a whole segment file whose header the caller validated —
+/// handing each verified frame's byte offset and payload length to `f`,
+/// and returns where it stopped: `data.len()` for an intact segment, else
+/// the first frame with a bad length, a short read or a CRC mismatch (the
+/// tear).
+pub(crate) fn scan_frames(data: &[u8], mut f: impl FnMut(usize, usize)) -> usize {
+    let mut off = HEADER_LEN;
+    while let Some(len) = frame_len(data, off) {
+        let crc = u32::from_le_bytes(data[off + 4..off + 8].try_into().expect("a 4-byte slice"));
+        if crc32(&data[off + FRAME_OVERHEAD..off + FRAME_OVERHEAD + len]) != crc {
+            break;
+        }
+        f(off, len);
+        off += FRAME_OVERHEAD + len;
+    }
+    off
+}
+
+/// Recovery's repair of a tear: cut the segment back to `len` bytes and
+/// drop its index sidecar, stale against the new length.
+pub(crate) fn truncate_segment(path: &Path, len: u64) -> Result<()> {
+    OpenOptions::new()
+        .write(true)
+        .open(path)
+        .and_then(|f| f.set_len(len))
+        .map_err(|e| io_err(path, e))?;
+    remove_sidecar(path);
+    Ok(())
+}
+
 /// Fsync a directory, making file creations inside it power-loss
 /// durable: POSIX only guarantees a new file survives power loss once its
 /// directory entry is flushed — syncing the file alone is not enough.
@@ -173,7 +248,7 @@ pub fn segment_paths(dir: &Path) -> Result<Vec<PathBuf>> {
     let mut found: Vec<(u64, PathBuf)> = Vec::new();
     let entries = match fs::read_dir(dir) {
         Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(io_err(dir, e)),
     };
     for entry in entries {
@@ -223,7 +298,7 @@ impl SegmentedLog {
         let mut drop_from: Option<usize> = None;
         let mut prev_seqno: Option<u64> = None;
 
-        'segments: for (i, path) in paths.iter().enumerate() {
+        for (i, path) in paths.iter().enumerate() {
             let seqno = parse_seqno(path);
             // One read and one allocation per segment: recovered records
             // are zero-copy slices into this buffer.
@@ -243,44 +318,21 @@ impl SegmentedLog {
             report.segments += 1;
             seg_first = records.len() as u64;
             seg_offsets.clear();
-            let mut off = HEADER_LEN;
-            loop {
-                if off == data.len() {
-                    break; // clean segment end
-                }
-                // Bounds-check the length field against the bytes that
-                // actually remain BEFORE touching the payload: a corrupted
-                // length must tear here, never drive a slice (or, for a
-                // copying reader, a multi-GB allocation).
-                let mut frame_len = None;
-                if off + FRAME_OVERHEAD <= data.len() {
-                    let len = u32::from_le_bytes(data[off..off + 4].try_into().unwrap()) as usize;
-                    if len <= MAX_RECORD_BYTES && len <= data.len() - off - FRAME_OVERHEAD {
-                        let crc = u32::from_le_bytes(data[off + 4..off + 8].try_into().unwrap());
-                        if crc32(&data[off + 8..off + 8 + len]) == crc {
-                            frame_len = Some(len);
-                        }
-                    }
-                }
-                let Some(len) = frame_len else {
-                    // torn tail: truncate here, drop everything after
-                    let f =
-                        OpenOptions::new().write(true).open(path).map_err(|e| io_err(path, e))?;
-                    f.set_len(off as u64).map_err(|e| io_err(path, e))?;
-                    remove_sidecar(path); // stale against the new length
-                    report.truncated_bytes += (data.len() - off) as u64;
-                    report.torn = true;
-                    active = Some((seqno, path.clone(), off as u64));
-                    drop_from = Some(i + 1);
-                    break 'segments;
-                };
+            let end = scan_frames(&data, |off, len| {
                 if (records.len() as u64 - seg_first).is_multiple_of(DEFAULT_STRIDE as u64) {
                     seg_offsets.push(off as u32);
                 }
-                records.push(data.slice(off + 8..off + 8 + len));
-                off += FRAME_OVERHEAD + len;
+                records.push(data.slice(off + FRAME_OVERHEAD..off + FRAME_OVERHEAD + len));
+            });
+            active = Some((seqno, path.clone(), end as u64));
+            if end < data.len() {
+                // torn tail: truncate here, drop everything after
+                truncate_segment(path, end as u64)?;
+                report.truncated_bytes += (data.len() - end) as u64;
+                report.torn = true;
+                drop_from = Some(i + 1);
+                break;
             }
-            active = Some((seqno, path.clone(), data.len() as u64));
         }
 
         if let Some(i) = drop_from {
@@ -298,12 +350,12 @@ impl SegmentedLog {
                     OpenOptions::new().append(true).open(&path).map_err(|e| io_err(&path, e))?;
                 (file, seqno, len)
             }
-            None => Self::create_segment(dir, 0, 0)?,
+            None => (Self::create_segment(dir, 0, 0)?, 0, HEADER_LEN as u64),
         };
         let log = Self {
             dir: dir.to_path_buf(),
             cfg,
-            file,
+            file: Box::new(file),
             seg_seqno,
             seg_len,
             records: report.records,
@@ -312,33 +364,45 @@ impl SegmentedLog {
             pending_records: 0,
             seg_first,
             seg_offsets,
+            poison: None,
         };
         Ok((log, records, report))
     }
 
-    fn create_segment(dir: &Path, seqno: u64, first_record: u64) -> Result<(File, u64, u64)> {
+    /// Create segment `seqno` and write its header.
+    fn create_segment(dir: &Path, seqno: u64, first_record: u64) -> Result<File> {
         let path = dir.join(segment_name(seqno));
         let mut file = OpenOptions::new()
             .create_new(true)
             .append(true)
             .open(&path)
             .map_err(|e| io_err(&path, e))?;
-        file.write_all(&header_bytes(seqno, first_record)).map_err(|e| io_err(&path, e))?;
-        Ok((file, seqno, HEADER_LEN as u64))
+        Write::write_all(&mut file, &header_bytes(seqno, first_record))
+            .map_err(|e| io_err(&path, e))?;
+        Ok(file)
     }
 
     /// Append one record; returns its index (0-based over the log's life).
-    /// Flushes per the configured policy.
+    /// Flushes per the configured policy. On a poisoned log, and for the
+    /// append that poisons it, the error is the log's first.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64> {
+        if let Some(e) = &self.poison {
+            return Err(e.clone());
+        }
         if payload.len() > MAX_RECORD_BYTES {
-            return Err(DtfError::Io(format!(
-                "record of {} bytes exceeds the {MAX_RECORD_BYTES}-byte cap",
-                payload.len()
+            return Err(self.fail(DtfError::Io(
+                ErrorKind::InvalidInput,
+                format!(
+                    "record of {} bytes exceeds the {MAX_RECORD_BYTES}-byte cap",
+                    payload.len()
+                ),
             )));
         }
         let frame = (FRAME_OVERHEAD + payload.len()) as u64;
         if self.seg_len + frame > self.cfg.segment_bytes && self.seg_len > HEADER_LEN as u64 {
-            self.roll()?;
+            if let Err(e) = self.roll() {
+                return Err(self.fail(e));
+            }
         }
         let index = self.records;
         if (self.records - self.seg_first).is_multiple_of(DEFAULT_STRIDE as u64) {
@@ -363,19 +427,36 @@ impl SegmentedLog {
     }
 
     /// Group commit: write everything pending in one `write`, then
-    /// `sync_data` if configured. After this returns, every appended
-    /// record is committed.
+    /// `sync_data` if configured. After this returns `Ok`, every appended
+    /// record is committed; on a poisoned log it returns the first error.
     pub fn sync(&mut self) -> Result<()> {
         if !self.pending.is_empty() {
-            self.file.write_all(&self.pending).map_err(|e| io_err(&self.dir, e))?;
-            if self.cfg.sync_data {
-                self.file.sync_data().map_err(|e| io_err(&self.dir, e))?;
-            }
+            let written = self.file.write_all(&self.pending).and_then(|()| {
+                if self.cfg.sync_data {
+                    self.file.sync_data()
+                } else {
+                    Ok(())
+                }
+            });
+            // written or not, the buffer is done: after a failure part of
+            // it may be on disk, and a second write would duplicate frames
             self.pending.clear();
             self.pending_records = 0;
+            match written {
+                Ok(()) => self.committed = self.records,
+                Err(e) => {
+                    let e = io_err(&self.dir, e);
+                    self.fail(e);
+                }
+            }
         }
-        self.committed = self.records;
-        Ok(())
+        self.poison.clone().map_or(Ok(()), Err)
+    }
+
+    /// Poison the log with `e` unless an earlier error already did, and
+    /// return the poison.
+    fn fail(&mut self, e: DtfError) -> DtfError {
+        self.poison.get_or_insert(e).clone()
     }
 
     /// Flush the current segment and start the next one. The directory is
@@ -386,29 +467,29 @@ impl SegmentedLog {
     fn roll(&mut self) -> Result<()> {
         self.sync()?;
         self.write_sidecar();
-        let (file, seqno, len) = Self::create_segment(&self.dir, self.seg_seqno + 1, self.records)?;
+        let file = Self::create_segment(&self.dir, self.seg_seqno + 1, self.records)?;
         if self.cfg.sync_data {
             fsync_dir(&self.dir)?;
         }
-        self.file = file;
-        self.seg_seqno = seqno;
-        self.seg_len = len;
+        self.file = Box::new(file);
+        self.seg_seqno += 1;
+        self.seg_len = HEADER_LEN as u64;
         self.seg_first = self.records;
-        self.seg_offsets.clear();
         Ok(())
     }
 
-    /// Best-effort index sidecar for the segment being sealed. Sidecars
-    /// are a pure cache — a failed write only costs a later rebuild.
+    /// Best-effort index sidecar for the segment being sealed, from the
+    /// offsets tracked while appending — no rescan. Sidecars are a pure
+    /// cache — a failed write only costs a later rebuild.
     fn write_sidecar(&mut self) {
-        let idx = SegmentIndex::from_tracked(
-            self.seg_seqno,
-            self.seg_first,
-            (self.records - self.seg_first) as u32,
-            self.seg_len,
-            DEFAULT_STRIDE,
-            std::mem::take(&mut self.seg_offsets),
-        );
+        let idx = SegmentIndex {
+            seqno: self.seg_seqno,
+            first_record: self.seg_first,
+            records: (self.records - self.seg_first) as u32,
+            seg_bytes: self.seg_len,
+            stride: DEFAULT_STRIDE,
+            offsets: std::mem::take(&mut self.seg_offsets),
+        };
         let _ = idx.write(&self.dir.join(segment_name(self.seg_seqno)));
     }
 
@@ -427,10 +508,6 @@ impl SegmentedLog {
         self.seg_seqno + 1
     }
 
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Drop the log as a hard crash would: buffered (uncommitted) records
     /// are discarded, not flushed. Test hook for crash-recovery scenarios.
     pub fn abandon(mut self) {
@@ -441,7 +518,8 @@ impl SegmentedLog {
 
 impl Drop for SegmentedLog {
     fn drop(&mut self) {
-        // clean-exit semantics: write what's buffered, skip the fsync
+        // clean-exit semantics: write what's buffered, skip the fsync (a
+        // failed write already dropped its buffer, so nothing lands twice)
         if !self.pending.is_empty() {
             let _ = self.file.write_all(&self.pending);
             self.pending.clear();
@@ -784,5 +862,148 @@ mod tests {
         assert_eq!(recovered.len(), 3);
         assert!(recovered[0].is_empty() && recovered[2].is_empty());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// How the active segment fails once [`install`]ed.
+    #[derive(Debug, Clone, Copy)]
+    enum Fault {
+        /// `write` fails with ENOSPC before a byte lands.
+        NoSpace,
+        /// The first `n` bytes land, then the device takes no more.
+        Short(usize),
+        /// Writes land; `sync_data` fails with EIO.
+        SyncEio,
+    }
+
+    /// The active segment's file, failing per its [`Fault`].
+    #[derive(Debug)]
+    struct Faulty {
+        file: File,
+        fault: Fault,
+    }
+
+    impl SegmentFile for Faulty {
+        fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+            match self.fault {
+                Fault::NoSpace => Err(std::io::Error::from_raw_os_error(28)), // ENOSPC
+                Fault::Short(n) => {
+                    Write::write_all(&mut self.file, &buf[..n.min(buf.len())])?;
+                    Err(ErrorKind::WriteZero.into())
+                }
+                Fault::SyncEio => Write::write_all(&mut self.file, buf),
+            }
+        }
+
+        fn sync_data(&mut self) -> std::io::Result<()> {
+            match self.fault {
+                Fault::SyncEio => Err(std::io::Error::from_raw_os_error(5)), // EIO
+                _ => self.file.sync_data(),
+            }
+        }
+    }
+
+    /// Put `fault` under the log's active segment.
+    fn install(log: &mut SegmentedLog, fault: Fault) {
+        let path = log.dir.join(segment_name(log.seg_seqno));
+        let file = OpenOptions::new().append(true).open(path).unwrap();
+        log.file = Box::new(Faulty { file, fault });
+    }
+
+    fn err_kind<T: std::fmt::Debug>(r: Result<T>) -> ErrorKind {
+        match r {
+            Err(DtfError::Io(kind, _)) => kind,
+            other => panic!("expected an i/o error, got {other:?}"),
+        }
+    }
+
+    fn segment_bytes(dir: &Path) -> Vec<Vec<u8>> {
+        segment_paths(dir).unwrap().iter().map(|p| fs::read(p).unwrap()).collect()
+    }
+
+    /// What a failure of `kind` must leave behind: every later append and
+    /// every sync report it, `Drop` writes no frame, and a reopen recovers
+    /// `expect` — the records whose frames reached the file, each once.
+    fn assert_poisoned(mut log: SegmentedLog, kind: ErrorKind, expect: &[&[u8]]) {
+        let dir = log.dir.clone();
+        let cfg = log.cfg;
+        for _ in 0..2 {
+            assert_eq!(err_kind(log.append(b"later")), kind, "later appends are refused");
+            assert_eq!(err_kind(log.sync()), kind, "every sync reports the first error");
+        }
+        let before = segment_bytes(&dir);
+        drop(log);
+        assert_eq!(segment_bytes(&dir), before, "Drop adds no frame");
+        let (_, recovered, _) = SegmentedLog::open(&dir, cfg).unwrap();
+        let recovered: Vec<&[u8]> = recovered.iter().map(|r| r.as_ref()).collect();
+        assert_eq!(recovered, expect, "a reopen recovers the committed prefix, once");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_full_disk_poisons_the_log() {
+        let dir = tmpdir("enospc");
+        let (mut log, _, _) =
+            SegmentedLog::open(&dir, cfg(1 << 20, FlushPolicy::EveryN(2))).unwrap();
+        log.append(b"r0").unwrap();
+        log.append(b"r1").unwrap(); // the group commits
+        install(&mut log, Fault::NoSpace);
+        log.append(b"r2").unwrap();
+        assert_eq!(err_kind(log.append(b"r3")), ErrorKind::StorageFull);
+        assert_poisoned(log, ErrorKind::StorageFull, &[b"r0", b"r1"]);
+    }
+
+    #[test]
+    fn a_short_write_poisons_the_log_and_recovery_cuts_its_frame() {
+        let dir = tmpdir("short");
+        let (mut log, _, _) = SegmentedLog::open(&dir, cfg(1 << 20, FlushPolicy::Manual)).unwrap();
+        log.append(b"r0").unwrap();
+        log.append(b"r1").unwrap();
+        log.sync().unwrap();
+        install(&mut log, Fault::Short(5));
+        log.append(b"r2").unwrap();
+        log.append(b"r3").unwrap();
+        assert_eq!(err_kind(log.sync()), ErrorKind::WriteZero);
+        assert_poisoned(log, ErrorKind::WriteZero, &[b"r0", b"r1"]);
+    }
+
+    #[test]
+    fn a_failed_fsync_poisons_the_log_and_never_rewrites_its_group() {
+        let dir = tmpdir("eio");
+        let eio = std::io::Error::from_raw_os_error(5).kind();
+        let cfg =
+            LogConfig { segment_bytes: 1 << 20, flush: FlushPolicy::EveryN(2), sync_data: true };
+        let (mut log, _, _) = SegmentedLog::open(&dir, cfg).unwrap();
+        log.append(b"r0").unwrap();
+        log.append(b"r1").unwrap();
+        install(&mut log, Fault::SyncEio);
+        log.append(b"r2").unwrap();
+        assert_eq!(err_kind(log.append(b"r3")), eio);
+        // the group's write reached the file before its fsync failed
+        assert_poisoned(log, eio, &[b"r0", b"r1", b"r2", b"r3"]);
+    }
+
+    #[test]
+    fn an_oversized_record_poisons_the_log_after_what_was_buffered() {
+        let dir = tmpdir("cap");
+        let (mut log, _, _) = SegmentedLog::open(&dir, cfg(1 << 20, FlushPolicy::Manual)).unwrap();
+        log.append(b"r0").unwrap();
+        log.sync().unwrap();
+        log.append(b"r1").unwrap();
+        let huge = vec![0u8; MAX_RECORD_BYTES + 1];
+        assert_eq!(err_kind(log.append(&huge)), ErrorKind::InvalidInput);
+        // r1 was appended before the poison: sync still writes it
+        assert_poisoned(log, ErrorKind::InvalidInput, &[b"r0", b"r1"]);
+    }
+
+    #[test]
+    fn a_roll_onto_a_taken_segment_name_poisons_the_log() {
+        let dir = tmpdir("taken");
+        // header 28 + two 48-byte frames fit in 128 bytes, a third rolls
+        let (mut log, _, _) = SegmentedLog::open(&dir, cfg(128, FlushPolicy::Manual)).unwrap();
+        log.append(&[0; 40]).unwrap();
+        log.append(&[1; 40]).unwrap();
+        fs::write(dir.join(segment_name(1)), b"squatter").unwrap();
+        assert_eq!(err_kind(log.append(&[2; 40])), ErrorKind::AlreadyExists);
+        assert_poisoned(log, ErrorKind::AlreadyExists, &[&[0; 40][..], &[1; 40][..]]);
     }
 }

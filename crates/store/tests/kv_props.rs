@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use dtf_store::kv::WalKv;
+use dtf_store::kv::KvWal;
 use dtf_store::log::{segment_paths, FlushPolicy, LogConfig, HEADER_LEN};
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
@@ -75,14 +75,12 @@ fn value(v: u8) -> Vec<u8> {
 
 /// Execute a schedule into a fresh store at `dir`.
 fn run_schedule(dir: &Path, ops: &[Op]) {
-    let (mut kv, _) = WalKv::open(dir, small_cfg()).unwrap();
+    let (mut wal, _, _) = KvWal::open(dir, small_cfg()).unwrap();
     for op in ops {
         match op {
-            Op::Put(k, v) => kv.put(key(*k), value(*v)).unwrap(),
-            Op::Delete(k) => {
-                kv.delete(&key(*k)).unwrap();
-            }
-            Op::Sync => kv.sync().unwrap(),
+            Op::Put(k, v) => wal.append_put(&key(*k), &value(*v)).unwrap(),
+            Op::Delete(k) => wal.append_delete(&key(*k)).unwrap(),
+            Op::Sync => wal.sync().unwrap(),
         }
     }
 }
@@ -111,8 +109,8 @@ fn model(ops: &[Op], records: u64) -> BTreeMap<String, Bytes> {
 }
 
 fn recover(dir: &Path) -> (BTreeMap<String, Bytes>, u64) {
-    let (kv, report) = WalKv::open(dir, small_cfg()).unwrap();
-    (kv.map().clone(), report.records)
+    let (_, map, report) = KvWal::open(dir, small_cfg()).unwrap();
+    (map, report.records)
 }
 
 proptest! {

@@ -349,8 +349,6 @@ fn crash_faults_recover_committed_prefixes_deterministically() {
     ];
     for (target, kind, seed) in faults {
         let fault = CrashFault { target, kind, seed };
-        // archives serve blob payloads lazily through the segment index,
-        // so each victim directory must outlive its oracle reads
         let recover = |label: &str| {
             let victim = base.join(format!("victim-{seed:x}-{label}"));
             copy_store(&golden, &victim).unwrap();

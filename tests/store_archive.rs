@@ -77,17 +77,17 @@ fn scratch(label: &str) -> PathBuf {
 /// campaign seed 13, run 0, ImageProcessing, online Darshan — but with
 /// persistence pointed at `store`.
 fn persistent_fixed_seed_run(store: &Path) -> RunData {
-    persistent_run(Workload::ImageProcessing, store, false)
+    persistent_run(Workload::ImageProcessing, store, false, true)
 }
 
-/// Seed 13, run 0 of `workload` with online Darshan, persisted to `store`;
-/// `proxy` turns the out-of-band plane on as well (what the benchmark's
-/// `campaign_durable` persists).
-fn persistent_run(workload: Workload, store: &Path, proxy: bool) -> RunData {
+/// Seed 13, run 0 of `workload`, persisted to `store`; `proxy` turns the
+/// out-of-band plane on and `online_darshan` the online Darshan stream
+/// (both on is what the benchmark's `campaign_durable` persists).
+fn persistent_run(workload: Workload, store: &Path, proxy: bool, online_darshan: bool) -> RunData {
     let mut cfg = SimConfig {
         campaign_seed: 13,
         run: RunId(0),
-        online_darshan: true,
+        online_darshan,
         persist_dir: Some(store.to_string_lossy().into_owned()),
         ..Default::default()
     };
@@ -159,7 +159,7 @@ fn archive_reopen_reconstructs_the_export_byte_identically() {
     let mut proxy_events = 0;
     for workload in Workload::ALL {
         let store = scratch("reopen");
-        let live = persistent_run(workload, &store, true);
+        let live = persistent_run(workload, &store, true, true);
         proxy_events += live.proxies.len();
         let live_print = export_fingerprint(&live, &scratch("reopen-live"));
 
@@ -228,29 +228,41 @@ fn corrupted_tail_recovers_committed_prefix_to_golden() {
     check_golden("store_recovery_fnv64.txt", &fingerprint);
 }
 
-/// Yokan holds what is key-value — topic configs, group cursors, run
-/// metadata — and stays small however long the run: the event stream is
-/// in the topic log, never under per-slot keys. That traffic is what lets
-/// the KV replay its whole log on every open; route a stream through it
-/// again and this fails before a profile has to find it.
+/// The traffic of a persisted run. Yokan holds what is key-value — topic
+/// configs, group cursors, run metadata — and stays small however long
+/// the run; Warabi holds nothing, since events carry no payload and the
+/// proxy plane keeps its blobs in a store of its own. The event stream is
+/// in the topic log, never under per-slot keys or blobs. That traffic is
+/// what lets the KV replay its whole log on every open, and the blob
+/// store reopen by the same full scan; route a stream through either and
+/// this fails before a profile has to find it.
 #[test]
 fn persisted_run_keeps_the_event_stream_out_of_yokan() {
     for workload in Workload::ALL {
-        let store = scratch("kv-size");
-        let data = persistent_run(workload, &store, false);
-        assert!(data.transitions.len() > 10_000, "a run big enough to tell a log from a map");
-        let (yokan, report) = dtf::mofka::yokan::Yokan::replay(&store.join("yokan")).unwrap();
-        assert!(yokan.len() < 200, "{workload:?}: yokan holds {} keys", yokan.len());
-        assert!(yokan.list_prefix("topic-log/").is_empty());
-        assert!(report.records < 256, "{workload:?}: yokan's log holds {}", report.records);
-        for entry in std::fs::read_dir(store.join("yokan")).unwrap() {
-            let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+        // the proxy plane and online Darshan both off, then both on
+        for on in [false, true] {
+            let store = scratch("kv-size");
+            let data = persistent_run(workload, &store, on, on);
+            assert!(data.transitions.len() > 10_000, "a run big enough to tell a log from a map");
+            let (yokan, report) = dtf::mofka::yokan::Yokan::replay(&store.join("yokan")).unwrap();
+            assert!(yokan.len() < 200, "{workload:?}/{on}: yokan holds {} keys", yokan.len());
+            assert!(yokan.list_prefix("topic-log/").is_empty());
             assert!(
-                name.starts_with("seg-") && (name.ends_with(".dtl") || name.ends_with(".dti")),
-                "{workload:?}: yokan/ holds {name}"
+                report.records < 256,
+                "{workload:?}/{on}: yokan's log holds {}",
+                report.records
             );
+            for entry in std::fs::read_dir(store.join("yokan")).unwrap() {
+                let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+                assert!(
+                    name.starts_with("seg-") && (name.ends_with(".dtl") || name.ends_with(".dti")),
+                    "{workload:?}/{on}: yokan/ holds {name}"
+                );
+            }
+            let (_, blobs) = dtf::mofka::warabi::Warabi::replay(&store.join("warabi")).unwrap();
+            assert_eq!(blobs.records, 0, "{workload:?}/{on}: warabi/ holds blobs");
+            std::fs::remove_dir_all(&store).unwrap();
         }
-        std::fs::remove_dir_all(&store).unwrap();
     }
 }
 
