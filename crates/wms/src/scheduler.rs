@@ -121,8 +121,6 @@ struct WorkerEntry {
     ready: BTreeSet<(u64, TaskKey)>,
     /// Dispatched tasks still waiting for dependency fetches.
     fetching: BTreeSet<TaskKey>,
-    /// Output data resident on this worker: key -> nbytes.
-    has_data: BTreeMap<TaskKey, u64>,
     alive: bool,
 }
 
@@ -157,6 +155,8 @@ pub struct Scheduler {
     /// the only two ways a worker that could not start a task becomes one
     /// that can.
     startable: Vec<bool>,
+    /// [`Self::decide_worker`]'s resident dep bytes per worker (reused).
+    local_bytes: Vec<u64>,
     plugins: PluginSet,
     next_priority: u64,
     /// Keys of all tasks ever submitted, for cross-graph dependency checks.
@@ -179,6 +179,7 @@ impl Scheduler {
             inflight: BTreeMap::new(),
             worker_index: HashMap::new(),
             startable: Vec::new(),
+            local_bytes: Vec::new(),
             plugins,
             next_priority: 0,
             known_keys: KeySet::default(),
@@ -198,7 +199,6 @@ impl Scheduler {
             executing: BTreeSet::new(),
             ready: BTreeSet::new(),
             fetching: BTreeSet::new(),
-            has_data: BTreeMap::new(),
             alive: true,
         });
         let idx = self.workers.len() - 1;
@@ -397,21 +397,27 @@ impl Scheduler {
     /// with the scheduler's assumed bandwidth. Workers with busy threads
     /// spill work to peers when the transfer is cheaper than the wait,
     /// which is where most inter-worker communications come from.
-    /// Returns `None` if no worker is alive.
-    fn decide_worker(&self, key: &TaskKey) -> Option<usize> {
-        let rec = &self.tasks[key];
+    /// One pass over the deps prices every worker (total bytes less those
+    /// its `who_has` entries cover). Returns `None` if no worker is alive.
+    fn decide_worker(&mut self, key: &TaskKey) -> Option<usize> {
+        self.local_bytes.clear();
+        self.local_bytes.resize(self.workers.len(), 0);
+        let mut total = 0u64;
+        for d in &self.tasks[key].deps {
+            let dep = &self.tasks[d];
+            let Some(nbytes) = dep.nbytes else { continue };
+            total += nbytes;
+            for &h in &dep.who_has {
+                self.local_bytes[h] += nbytes;
+            }
+        }
         let mut best_score = f64::INFINITY;
         let mut best_idx = None;
         for (i, w) in self.workers.iter().enumerate() {
             if !w.alive {
                 continue;
             }
-            let missing_bytes: u64 = rec
-                .deps
-                .iter()
-                .filter(|d| !w.has_data.contains_key(*d))
-                .filter_map(|d| self.tasks[d].nbytes)
-                .sum();
+            let missing_bytes = total - self.local_bytes[i];
             // threads drain occupancy in parallel
             let backlog = w.occupancy() as f64 / w.threads.max(1) as f64;
             let mut score = backlog * self.cfg.est_task_duration_s
@@ -482,12 +488,12 @@ impl Scheduler {
     /// A dep already in flight to `widx` (for an earlier task) is joined,
     /// not re-fetched — one transfer per `(worker, dep)` pair.
     fn place_on_worker(&mut self, key: &TaskKey, widx: usize, now: Time) -> Vec<Action> {
-        let deps = self.tasks[key].deps.clone();
+        let deps = std::mem::take(&mut self.tasks.get_mut(key).expect("known task").deps);
         let to = self.workers[widx].id;
         let mut actions = Vec::new();
         let mut missing = BTreeSet::new();
         for dep in &deps {
-            if self.workers[widx].has_data.contains_key(dep) {
+            if self.tasks[dep].who_has.contains(&widx) {
                 continue;
             }
             missing.insert(*dep);
@@ -518,6 +524,7 @@ impl Scheduler {
         let pending = !missing.is_empty();
         {
             let rec = self.tasks.get_mut(key).expect("known task");
+            rec.deps = deps;
             rec.assigned = Some(widx);
             rec.missing_deps = missing;
         }
@@ -564,8 +571,6 @@ impl Scheduler {
     pub fn fetch_done(&mut self, dep: &TaskKey, to: WorkerId, now: Time) {
         let Some(widx) = self.worker_index(to) else { return };
         if self.workers[widx].alive {
-            let nbytes = self.tasks[dep].nbytes.unwrap_or(0);
-            self.workers[widx].has_data.insert(*dep, nbytes);
             self.tasks.get_mut(dep).expect("dep known").who_has.insert(widx);
         }
         let Some(flight) = self.inflight.remove(&(widx, *dep)) else { return };
@@ -649,7 +654,6 @@ impl Scheduler {
         let removed = self.workers[widx].executing.remove(key);
         debug_assert!(removed, "finished task {key} was not executing");
         self.startable[widx] = true;
-        self.workers[widx].has_data.insert(*key, nbytes);
         {
             let rec = self.tasks.get_mut(key).expect("known task");
             rec.nbytes = Some(nbytes);
@@ -683,14 +687,15 @@ impl Scheduler {
 
         let mut actions = Vec::new();
         // dependents may become runnable
-        let dependents = self.tasks[key].dependents.clone();
-        for dep in dependents {
-            let rec = self.tasks.get_mut(&dep).expect("dependent known");
+        let dependents = std::mem::take(&mut self.tasks.get_mut(key).expect("known").dependents);
+        for dep in &dependents {
+            let rec = self.tasks.get_mut(dep).expect("dependent known");
             rec.unfinished_deps = rec.unfinished_deps.saturating_sub(1);
             if rec.unfinished_deps == 0 && rec.state == TaskState::Waiting {
-                actions.extend(self.make_runnable(&dep, now));
+                actions.extend(self.make_runnable(dep, now));
             }
         }
+        self.tasks.get_mut(key).expect("known").dependents = dependents;
         // refill workers from the scheduler-side queue
         actions.extend(self.refill_from_queue(now));
         actions
@@ -795,8 +800,10 @@ impl Scheduler {
             std::mem::take(&mut self.workers[widx].ready).into_iter().map(|(_, k)| k).collect();
         let fetching: Vec<TaskKey> =
             std::mem::take(&mut self.workers[widx].fetching).into_iter().collect();
-        let held: Vec<TaskKey> =
-            std::mem::take(&mut self.workers[widx].has_data).into_keys().collect();
+        // outputs it held, in key order: the order of the recomputes below
+        let mut held: Vec<TaskKey> =
+            self.tasks.iter().filter(|(_, t)| t.who_has.contains(&widx)).map(|(k, _)| *k).collect();
+        held.sort_unstable();
 
         // transfers TO the dead worker die with it; their waiters are
         // exactly the dead worker's fetching tasks, re-planned below
@@ -1002,10 +1009,10 @@ impl Scheduler {
     ///   `(worker, dep)` half is structural: `inflight` is keyed by the
     ///   pair, so this check makes the bound exact);
     /// - in-flight transfers connect live workers and known deps;
-    /// - `who_has` ⊆ live workers, each entry backed by the worker's
-    ///   `has_data`;
+    /// - `who_has` — the only record of where data lives — lists live
+    ///   workers only, so dead workers hold no data;
     /// - thread occupancy bounds and state agreement for executing/ready/
-    ///   queued tasks; dead workers hold neither work nor data.
+    ///   queued tasks; dead workers hold no work.
     pub fn invariant_violations(&self) -> Vec<String> {
         let mut v = Vec::new();
         for (widx, w) in self.workers.iter().enumerate() {
@@ -1018,12 +1025,9 @@ impl Scheduler {
                 ));
             }
             if !w.alive
-                && (!w.executing.is_empty()
-                    || !w.ready.is_empty()
-                    || !w.fetching.is_empty()
-                    || !w.has_data.is_empty())
+                && (!w.executing.is_empty() || !w.ready.is_empty() || !w.fetching.is_empty())
             {
-                v.push(format!("dead worker {} still holds work or data", w.id));
+                v.push(format!("dead worker {} still holds work", w.id));
             }
             for (p, key) in &w.ready {
                 let Some(rec) = self.tasks.get(key) else {
@@ -1056,7 +1060,7 @@ impl Scheduler {
                     ));
                 }
                 for d in &rec.deps {
-                    if !w.has_data.contains_key(d) {
+                    if !self.tasks.get(d).is_some_and(|t| t.who_has.contains(&widx)) {
                         v.push(format!("task {key} ready on {} without dep {d} resident", w.id));
                     }
                 }
@@ -1150,10 +1154,6 @@ impl Scheduler {
                     Some(w) if !w.alive => {
                         v.push(format!("who_has of {key} lists dead worker {}", w.id))
                     }
-                    Some(w) if !w.has_data.contains_key(key) => v.push(format!(
-                        "who_has of {key} lists worker {} which does not hold the data",
-                        w.id
-                    )),
                     _ => {}
                 }
             }
@@ -1648,7 +1648,8 @@ mod tests {
 
     /// `who_has` is one entry per replica: completions and fetch arrivals
     /// for the same worker must not accumulate duplicates (the old `Vec`
-    /// push in `task_finished` had no contains-check).
+    /// push in `task_finished` had no contains-check), and a replica is
+    /// recorded exactly where a completion or an arrival put it.
     #[test]
     fn who_has_stays_one_entry_per_replica() {
         let (mut s, _collector, d, g, e) = fetch_rig();
@@ -1664,6 +1665,9 @@ mod tests {
         s.fetch_done(&d, w2, Time(3));
         s.fetch_done(&g, w2, Time(4));
         s.fetch_done(&g, w2, Time(4));
+        assert_eq!(s.tasks[&d].who_has, BTreeSet::from([0, 2]), "computed on w0, fetched to w2");
+        assert_eq!(s.tasks[&g].who_has, BTreeSet::from([1, 2]), "computed on w1, fetched to w2");
+        assert_eq!(s.tasks[&e].who_has, BTreeSet::from([2]), "computed on w2, never moved");
         drive(&mut s, Vec::new());
         assert_eq!(s.unfinished(), 0);
         for (key, rec) in &s.tasks {
@@ -1671,12 +1675,6 @@ mod tests {
             let mut deduped = replicas.clone();
             deduped.dedup();
             assert_eq!(replicas, deduped, "duplicate replica entry for {key}");
-            for &w in &rec.who_has {
-                assert!(
-                    s.workers[w].has_data.contains_key(key),
-                    "who_has of {key} lists worker {w} which does not hold it"
-                );
-            }
         }
     }
 
@@ -1763,13 +1761,163 @@ mod tests {
         drive(&mut s, Vec::new());
         assert_eq!(s.unfinished(), 0);
         assert_eq!(s.invariant_violations(), Vec::<String>::new());
-        // corrupt the table: a replica entry nobody backs
+        // corrupt the table: a replica on the dead worker w0
         s.tasks.get_mut(&d).unwrap().who_has.insert(0);
         let violations = s.invariant_violations();
         assert!(
-            violations.iter().any(|m| m.contains("who_has")),
+            violations.iter().any(|m| m.contains("who_has of") && m.contains("dead worker")),
             "corruption must be reported: {violations:?}"
         );
+    }
+
+    /// A `ready` task whose only input replica vanishes from `who_has` is
+    /// a task about to run without its input: the oracle must say so.
+    #[test]
+    fn invariant_oracle_detects_ready_task_without_its_input() {
+        let (mut s, _c) =
+            sched(2, 1, SchedulerConfig { work_stealing: false, ..Default::default() });
+        let _ = s.submit_graph(chain_graph(2), Time::ZERO).unwrap();
+        let w0 = s.worker_ids()[0];
+        let root = s.try_start(w0, Time(0)).unwrap();
+        let actions = s.task_finished(&root, w0, ThreadId(1), Time(0), Time(1), 100);
+        assert!(actions.is_empty(), "the child is placed with its input");
+        assert_eq!(s.invariant_violations(), Vec::<String>::new());
+        s.tasks.get_mut(&root).unwrap().who_has.clear();
+        let violations = s.invariant_violations();
+        assert!(
+            violations.iter().any(|m| m.contains("ready on") && m.contains("resident")),
+            "missing input must be reported: {violations:?}"
+        );
+    }
+
+    /// A worker holding several sole replicas dies: the lost outputs are
+    /// revoked in `TaskKey` order. The prefixes are chosen so that string
+    /// order differs from submission order and from hash order.
+    #[test]
+    fn worker_death_revokes_lost_outputs_in_key_order() {
+        let (mut s, collector) =
+            sched(2, 4, SchedulerConfig { work_stealing: false, ..Default::default() });
+        let mut b = GraphBuilder::new(GraphId(0));
+        let tok = b.new_token();
+        // a 32 GB root pins every child to w0 by locality
+        let big = 32u64 << 30;
+        let root = b.add_sim("root", tok, 0, vec![], SimAction::compute_only(Dur(1), big));
+        let children: Vec<TaskKey> = ["zeta", "alpha", "mid", "beta"]
+            .into_iter()
+            .map(|p| b.add_sim(p, tok, 0, vec![root], SimAction::compute_only(Dur(1), 10)))
+            .collect();
+        b.add_sim("sink", tok, 0, children, SimAction::compute_only(Dur(1), 10));
+        let _ = s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
+        let w0 = s.worker_ids()[0];
+        let k = s.try_start(w0, Time(0)).unwrap();
+        assert_eq!(k, root);
+        assert!(s.task_finished(&k, w0, ThreadId(1), Time(0), Time(1), big).is_empty());
+        for t in 1..=4 {
+            let k = s.try_start(w0, Time(t)).expect("children run on w0");
+            assert!(s.task_finished(&k, w0, ThreadId(1), Time(t), Time(t + 1), 10).is_empty());
+        }
+        // every output's sole replica is on w0, and the sink waits there
+        assert_eq!(s.tasks.values().filter(|t| t.state == TaskState::Memory).count(), 5);
+        collector.take();
+        let _ = s.worker_died(w0, Time(10));
+        let lost: Vec<(&str, TaskState)> = collector
+            .take()
+            .transitions
+            .iter()
+            .filter(|t| t.stimulus == Stimulus::WorkerLost)
+            .map(|t| (t.key.prefix.as_str(), t.to))
+            .collect();
+        let (released, waiting) = (TaskState::Released, TaskState::Waiting);
+        assert_eq!(
+            lost,
+            vec![
+                ("alpha", released),
+                ("alpha", waiting),
+                ("beta", released),
+                ("beta", waiting),
+                ("mid", released),
+                ("mid", waiting),
+                ("root", released),
+                ("root", waiting),
+                ("zeta", released),
+                ("zeta", waiting),
+                ("sink", waiting),
+            ]
+        );
+    }
+
+    /// The placement of [`Scheduler::decide_worker`] as first written:
+    /// per live worker, the bytes of every dep it does not hold.
+    fn decide_worker_per_worker(s: &Scheduler, key: &TaskKey) -> Option<usize> {
+        let rec = &s.tasks[key];
+        let mut best_score = f64::INFINITY;
+        let mut best_idx = None;
+        for (i, w) in s.workers.iter().enumerate() {
+            if !w.alive {
+                continue;
+            }
+            let missing_bytes: u64 = rec
+                .deps
+                .iter()
+                .filter(|d| !s.tasks[*d].who_has.contains(&i))
+                .filter_map(|d| s.tasks[d].nbytes)
+                .sum();
+            let backlog = w.occupancy() as f64 / w.threads.max(1) as f64;
+            let mut score = backlog * s.cfg.est_task_duration_s
+                + missing_bytes as f64 / s.cfg.assumed_bandwidth;
+            if let Some(h) = &s.cfg.hotspot {
+                if h.worker as usize == i {
+                    score *= h.weight;
+                }
+            }
+            if score < best_score {
+                best_score = score;
+                best_idx = Some(i);
+            }
+        }
+        best_idx
+    }
+
+    proptest::proptest! {
+        /// One pass over the deps picks the worker the per-worker sum
+        /// picked, over random residency, unknown sizes, duplicate deps,
+        /// dead workers, backlogs and a hotspot weight.
+        #[test]
+        fn one_pass_pricing_matches_per_worker_sum(
+            producers in proptest::collection::vec((0u8..5, proptest::any::<u8>()), 1..8),
+            deps in proptest::collection::vec(0usize..8, 0..10),
+            workers in proptest::collection::vec((0u8..4, 0u8..4), 1..6),
+            hotspot in (0u8..3, 0u32..6, 0.1f64..2.0),
+        ) {
+            let cfg = SchedulerConfig {
+                hotspot: (hotspot.0 == 0)
+                    .then_some(dtf_core::fault::HotspotFault { worker: hotspot.1, weight: hotspot.2 }),
+                ..Default::default()
+            };
+            let (mut s, _c) = sched(workers.len() as u32, 2, cfg);
+            let mut b = GraphBuilder::new(GraphId(0));
+            let tok = b.new_token();
+            let keys: Vec<TaskKey> = (0..producers.len())
+                .map(|i| b.add_sim("p", tok, i as u32, vec![], SimAction::compute_only(Dur(1), 1)))
+                .collect();
+            let consumer = b.add_sim("c", tok, 0, vec![], SimAction::compute_only(Dur(1), 1));
+            let _ = s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
+            for (k, &(size, holders)) in keys.iter().zip(&producers) {
+                let rec = s.tasks.get_mut(k).unwrap();
+                rec.nbytes = [None, Some(0), Some(100), Some(1 << 20), Some(16 << 30)][size as usize];
+                rec.who_has = (0..workers.len()).filter(|w| holders & (1 << w) != 0).collect();
+            }
+            s.tasks.get_mut(&consumer).unwrap().deps =
+                deps.iter().map(|&d| keys[d % keys.len()]).collect();
+            for (w, &(backlog, alive)) in s.workers.iter_mut().zip(&workers) {
+                w.alive = alive != 0; // one worker in four is dead
+                w.ready = (0..backlog as u64).map(|p| (p, consumer)).collect();
+            }
+            proptest::prop_assert_eq!(
+                s.decide_worker(&consumer),
+                decide_worker_per_worker(&s, &consumer)
+            );
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use dtf_core::dist::{Exponential, Jitter, LogNormal, Sample};
 use dtf_core::error::{DtfError, Result};
 use dtf_core::events::{CommEvent, LogEntry, LogLevel, LogSource, WarningEvent, WarningKind};
 use dtf_core::fault::FaultSchedule;
-use dtf_core::ids::{ClientId, KeySet, RunId, TaskKey, ThreadId, WorkerId};
+use dtf_core::ids::{ClientId, FileId, KeySet, RunId, TaskKey, ThreadId, WorkerId};
 use dtf_core::provenance::WmsConfig;
 use dtf_core::rngx::RunRng;
 use dtf_core::time::{Dur, Time};
@@ -37,7 +37,7 @@ use dtf_platform::job::{AllocPolicy, JobRequest, JobScheduler};
 use dtf_platform::{ClusterTopology, LoadProcess, NetworkConfig, NetworkModel, Pfs, PfsConfig};
 use dtf_proxystore::{ProxyConfig, ProxyPlane};
 
-use crate::graph::{Payload, SimAction, TaskGraph};
+use crate::graph::{IoCall, Payload, TaskGraph};
 use crate::plugins::{MofkaPlugin, PluginSet, WmsPlugin};
 use crate::rundata::{ArchiveMeta, RunData, ARCHIVE_META_KEY};
 use crate::scheduler::{Action, Scheduler, SchedulerConfig};
@@ -291,6 +291,8 @@ pub struct SimCluster {
     // per-worker thread slots (None = free)
     slots: Vec<Vec<Option<TaskKey>>>,
     dead: Vec<bool>,
+    /// Files the task in [`Self::execute`] has open, reused across tasks.
+    opened: Vec<FileId>,
     last_done: Time,
     compute_jitter: Jitter,
     stall_dur: LogNormal,
@@ -421,6 +423,7 @@ impl SimCluster {
             proxy_resolve_seq: 0,
             slots,
             dead: vec![false; n_workers],
+            opened: Vec::new(),
             last_done: Time::ZERO,
             compute_jitter,
             stall_dur: LogNormal::new(-0.2, 0.6), // median ~0.8 s stalls
@@ -802,23 +805,25 @@ impl SimCluster {
 
     /// Charge a task's full cost model and schedule its completion.
     fn execute(&mut self, key: TaskKey, widx: usize, slot: usize) {
-        let action = match self.scheduler.payload(&key) {
-            Some(Payload::Sim(a)) => a.clone(),
-            Some(Payload::Real(_)) => {
+        // the I/O list is borrowed from the scheduler's task table, which
+        // the I/O loop below never touches; the stall loop needs the
+        // scheduler mutably, so only the scalars are copied out
+        let (io, compute, stall_rate, nbytes): (&[IoCall], _, _, _) =
+            match self.scheduler.payload(&key) {
+                Some(Payload::Sim(a)) => (&a.io, a.compute, a.stall_rate, a.output_nbytes),
                 // real payloads cannot run under virtual time; model them as
                 // zero-cost so mixed graphs still complete
-                SimAction::compute_only(Dur::ZERO, 0)
-            }
-            None => SimAction::compute_only(Dur::ZERO, 0),
-        };
+                Some(Payload::Real(_)) | None => (&[], Dur::ZERO, 0.0, 0),
+            };
         let start = self.now;
         let wid = self.worker_ids[widx];
         let thread = ThreadId::synth(wid, slot as u32);
 
         // --- in-task I/O, sequential from task start
         let mut elapsed = Dur::ZERO;
-        let mut opened: Vec<dtf_core::ids::FileId> = Vec::new();
-        for call in &action.io {
+        let opened = &mut self.opened;
+        opened.clear();
+        for call in io {
             let at = start + elapsed;
             if !opened.contains(&call.file) {
                 if let Ok(d) = self.io[widx].open(thread, call.file, at, &mut self.rng_io) {
@@ -841,7 +846,7 @@ impl SimCluster {
                 }
             }
         }
-        for file in opened {
+        for &file in opened.iter() {
             let at = start + elapsed;
             if let Ok(d) = self.io[widx].close(thread, file, at, &mut self.rng_io) {
                 elapsed += d;
@@ -854,13 +859,13 @@ impl SimCluster {
         let profile = self.topo.profile(wid.node);
         let jitter = self.compute_jitter.factor(&mut self.rng_compute);
         let straggle = self.cfg.faults.straggler_factor(widx as u32, start);
-        let compute = action.compute.scale(profile.compute_factor).scale(jitter).scale(straggle);
+        let compute = compute.scale(profile.compute_factor).scale(jitter).scale(straggle);
         elapsed += compute;
 
         // --- event-loop / GC stalls (Fig. 7 warning model)
-        if action.stall_rate > 0.0 {
+        if stall_rate > 0.0 {
             let exec_secs = elapsed.as_secs_f64();
-            let gap = Exponential::new(action.stall_rate);
+            let gap = Exponential::new(stall_rate);
             let mut t = gap.sample(&mut self.rng_stall);
             let mut stall_total = Dur::ZERO;
             while t < exec_secs {
@@ -888,7 +893,6 @@ impl SimCluster {
             elapsed += stall_total;
         }
 
-        let nbytes = action.output_nbytes;
         self.push(start + elapsed, Ev::TaskDone { key, worker: widx, slot, start, nbytes });
     }
 
@@ -949,8 +953,8 @@ fn hash_addr(w: WorkerId) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{GraphBuilder, IoCall};
-    use dtf_core::ids::{FileId, GraphId};
+    use crate::graph::{GraphBuilder, SimAction};
+    use dtf_core::ids::GraphId;
     use std::collections::HashSet;
 
     fn small_workflow(io: bool) -> SimWorkflow {
