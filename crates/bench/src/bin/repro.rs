@@ -149,35 +149,26 @@ fn main() {
 /// virtual time with live invariant checks, gated on byte-identical
 /// transition logs, judged by the post-run oracles. Returns the exit code.
 fn chaos_campaign(seed: u64, schedules: u64) -> i32 {
-    use dtf_chaos::{run_schedule, ChaosConfig};
-    let chaos = ChaosConfig::default();
     println!("chaos campaign: seed {seed}, {schedules} schedules");
-    let mut passed = 0u64;
-    let mut failed = 0u64;
-    for i in 0..schedules {
-        let outcome = run_schedule(seed, i, &chaos);
-        if outcome.passed() {
-            passed += 1;
-        } else {
-            failed += 1;
-            println!("{}", outcome.describe());
-            println!("  replay: repro chaos-replay --seed {seed} --index {i}");
-            println!("  schedule: {}", outcome.schedule.to_json());
-        }
+    let report = dtf_chaos::run_campaign(seed, schedules);
+    for outcome in &report.failures {
+        println!("{}", outcome.describe());
+        println!("  replay: repro chaos-replay --seed {seed} --index {}", outcome.index);
+        println!("  schedule: {}", outcome.schedule.to_json());
     }
-    println!("chaos campaign: {passed}/{schedules} passed, {failed} failed");
-    if failed > 0 {
-        1
-    } else {
-        0
-    }
+    println!(
+        "chaos campaign: {}/{schedules} passed, {} failed",
+        report.passed,
+        report.failures.len()
+    );
+    i32::from(!report.ok())
 }
 
 /// Replay one schedule of a campaign and print everything a bug report
 /// needs: the schedule JSON and the full outcome. Returns the exit code.
 fn chaos_replay(seed: u64, index: u64) -> i32 {
-    use dtf_chaos::{run_schedule, schedule_seed, ChaosConfig};
-    let outcome = run_schedule(seed, index, &ChaosConfig::default());
+    use dtf_chaos::{run_schedule, schedule_seed};
+    let (outcome, _) = run_schedule(seed, index);
     println!(
         "campaign seed {seed}, index {index} -> schedule seed {:016x}",
         schedule_seed(seed, index)

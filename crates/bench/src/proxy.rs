@@ -12,7 +12,7 @@
 //! the plane on, via [`dtf_perfrecup::data_movement`]) is what
 //! `repro check proxy` gates (≥5x, and at most 0.10 below the baseline),
 //! beside `identical`; `resolve_ns` — a timed micro-benchmark of the
-//! resolver fast path (manifest read + checksum verify + cache admission)
+//! resolver fast path (directory lookup + checksum verify + cache admission)
 //! — is recorded, not gated (DESIGN §11).
 
 use std::collections::HashSet;

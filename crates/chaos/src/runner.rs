@@ -5,14 +5,15 @@
 //! **twice**; the canonical transition logs of the two runs are compared
 //! byte-for-byte (the determinism gate — if they differ, replay-from-seed
 //! is broken and every other result is suspect), then the oracles of
-//! [`crate::oracle`] judge the first run. The scheduler's live structural
-//! invariants are enabled for every perturbed run via
-//! `SimConfig::invariant_checks`, so a violation mid-run surfaces as a run
-//! error carrying the virtual time it happened at.
+//! [`crate::oracle`] judge the first run. [`run_faults`] is the only place
+//! a chaos run is configured: the scheduler's live structural invariants
+//! are on (`SimConfig::invariant_checks`), so a violation mid-run surfaces
+//! as a run error carrying the virtual time it happened at, and the proxy
+//! plane is on, so the proxy fault families have a surface to land on.
 
 use rand::Rng;
 
-use dtf_core::error::DtfError;
+use dtf_core::error::{DtfError, Result};
 use dtf_core::fault::FaultSchedule;
 use dtf_core::ids::{FileId, GraphId, RunId};
 use dtf_core::rngx::RunRng;
@@ -22,7 +23,34 @@ use dtf_wms::sim::{SimCluster, SimConfig, SimWorkflow, SubmitPolicy};
 use dtf_wms::{GraphBuilder, IoCall, RunData, SimAction};
 
 use crate::oracle;
-use crate::schedule::ChaosConfig;
+use crate::schedule::generate;
+
+/// The proxy plane every chaos run has on: a 1 MiB threshold so the
+/// mid-size chaos-workflow outputs ride out-of-band, and a small
+/// resolver-cache budget so evictions actually happen. The plane is
+/// schedule-neutral (DESIGN §18), so it costs the other fault families no
+/// coverage.
+const PROXY: ProxyConfig =
+    ProxyConfig { enabled: true, threshold: 1 << 20, resolver_cache_bytes: 32 << 20 };
+
+/// The simulator configuration of a chaos run: `faults` applied to run
+/// `index` of `seed`, with live invariant checks and the proxy plane on.
+fn sim_config(seed: u64, index: u64, faults: FaultSchedule) -> SimConfig {
+    SimConfig {
+        campaign_seed: seed,
+        run: RunId(index as u32),
+        faults,
+        invariant_checks: true,
+        proxy: PROXY,
+        ..Default::default()
+    }
+}
+
+/// Workers in a chaos run: the ordinals fault schedules address.
+pub(crate) fn workers() -> u32 {
+    let cfg = sim_config(0, 0, FaultSchedule::default());
+    cfg.worker_nodes * cfg.wms.workers_per_node
+}
 
 /// Derive the fault-schedule seed for schedule `index` of a campaign
 /// (splitmix64 finalizer — consecutive indices give unrelated seeds).
@@ -189,118 +217,50 @@ impl CampaignReport {
     }
 }
 
+/// Run `faults` once: the workflow [`chaos_workflow`]`(seed)` as run
+/// `index` of campaign seed `seed`, under the chaos configuration (live
+/// invariant checks and the proxy plane on).
+pub fn run_faults(seed: u64, index: u64, faults: &FaultSchedule) -> Result<RunData> {
+    SimCluster::new(sim_config(seed, index, faults.clone()))?.run(chaos_workflow(seed))
+}
+
 /// Run one schedule of a campaign: generate its fault schedule, run the
 /// seed-derived workflow under it twice, gate on determinism, judge with
-/// the oracles.
-pub fn run_schedule(campaign_seed: u64, index: u64, chaos: &ChaosConfig) -> ScheduleOutcome {
+/// the oracles. The first run's record comes back with the outcome when
+/// both runs completed, for callers that feed chaos runs into further
+/// analysis (e.g. the live-view equivalence oracle).
+pub fn run_schedule(campaign_seed: u64, index: u64) -> (ScheduleOutcome, Option<RunData>) {
     let seed = schedule_seed(campaign_seed, index);
-    let faults = chaos.generate(seed);
-    run_schedule_faults(seed, index, faults, ProxyConfig::default())
-}
-
-/// Proxy-plane configuration extended campaigns run under: enabled, with a
-/// 1 MiB threshold so the mid-size chaos-workflow outputs ride out-of-band
-/// and a small resolver-cache budget so evictions actually happen.
-pub fn extended_proxy_config() -> ProxyConfig {
-    ProxyConfig { enabled: true, threshold: 1 << 20, resolver_cache_bytes: 32 << 20 }
-}
-
-/// Run one schedule of an *extended* campaign: the fault stream additionally
-/// carries stragglers, hot-spot placement bias, dangling proxy blobs, and
-/// slow resolvers, and the run executes with the proxy plane enabled so the
-/// proxy faults have a surface to land on.
-pub fn run_schedule_extended(
-    campaign_seed: u64,
-    index: u64,
-    chaos: &ChaosConfig,
-) -> ScheduleOutcome {
-    let seed = schedule_seed(campaign_seed, index);
-    let faults = chaos.generate_extended(seed);
-    run_schedule_faults(seed, index, faults, extended_proxy_config())
-}
-
-fn run_schedule_faults(
-    seed: u64,
-    index: u64,
-    faults: FaultSchedule,
-    proxy: ProxyConfig,
-) -> ScheduleOutcome {
+    let schedule = generate(seed);
+    let runs = (run_faults(seed, index, &schedule), run_faults(seed, index, &schedule));
     let mut outcome = ScheduleOutcome {
         index,
         seed,
-        schedule: faults.clone(),
+        schedule,
         error: None,
         violations: Vec::new(),
         determinism_ok: false,
         tasks_completed: 0,
     };
-    let run_once = || -> dtf_core::error::Result<RunData> {
-        let cfg = SimConfig {
-            campaign_seed: seed,
-            run: RunId(index as u32),
-            faults: faults.clone(),
-            invariant_checks: true,
-            proxy: proxy.clone(),
-            ..Default::default()
-        };
-        SimCluster::new(cfg)?.run(chaos_workflow(seed))
-    };
-    match (run_once(), run_once()) {
+    match runs {
         (Ok(first), Ok(second)) => {
             outcome.determinism_ok = transition_log(&first) == transition_log(&second);
             outcome.violations = oracle::check_run(&first);
             outcome.tasks_completed = first.distinct_tasks();
+            (outcome, Some(first))
         }
-        (Err(e), _) | (_, Err(e)) => outcome.error = Some(e),
+        (Err(e), _) | (_, Err(e)) => {
+            outcome.error = Some(e);
+            (outcome, None)
+        }
     }
-    outcome
-}
-
-/// Run one schedule once and hand back the run record itself — for
-/// callers that feed chaos runs into further analysis (e.g. the live-view
-/// equivalence oracle, which replays a faulted run's event stream through
-/// the incremental engine and compares against the post-hoc kernels).
-pub fn run_schedule_data(
-    campaign_seed: u64,
-    index: u64,
-    chaos: &ChaosConfig,
-) -> Result<RunData, String> {
-    let seed = schedule_seed(campaign_seed, index);
-    let faults = chaos.generate(seed);
-    let cfg = SimConfig {
-        campaign_seed: seed,
-        run: RunId(index as u32),
-        faults,
-        invariant_checks: true,
-        ..Default::default()
-    };
-    let cluster = SimCluster::new(cfg).map_err(|e| e.to_string())?;
-    cluster.run(chaos_workflow(seed)).map_err(|e| e.to_string())
 }
 
 /// Run a whole campaign of `schedules` schedules.
-pub fn run_campaign(campaign_seed: u64, schedules: u64, chaos: &ChaosConfig) -> CampaignReport {
+pub fn run_campaign(campaign_seed: u64, schedules: u64) -> CampaignReport {
     let mut report = CampaignReport { campaign_seed, schedules, passed: 0, failures: Vec::new() };
     for index in 0..schedules {
-        let outcome = run_schedule(campaign_seed, index, chaos);
-        if outcome.passed() {
-            report.passed += 1;
-        } else {
-            report.failures.push(outcome);
-        }
-    }
-    report
-}
-
-/// Run a whole campaign over the extended fault stream (proxy plane on).
-pub fn run_campaign_extended(
-    campaign_seed: u64,
-    schedules: u64,
-    chaos: &ChaosConfig,
-) -> CampaignReport {
-    let mut report = CampaignReport { campaign_seed, schedules, passed: 0, failures: Vec::new() };
-    for index in 0..schedules {
-        let outcome = run_schedule_extended(campaign_seed, index, chaos);
+        let (outcome, _) = run_schedule(campaign_seed, index);
         if outcome.passed() {
             report.passed += 1;
         } else {
@@ -340,51 +300,20 @@ mod tests {
 
     #[test]
     fn unperturbed_schedule_passes_all_oracles() {
-        // A config that generates empty schedules: the oracles and the
-        // determinism gate must hold on a fault-free run.
-        let quiet = ChaosConfig {
-            max_deaths: 0,
-            death_prob: 0.0,
-            max_fetch_faults: 0,
-            max_heartbeat_drops: 0,
-            max_mofka_stalls: 0,
-            max_pfs_bursts: 0,
-            ..Default::default()
-        };
-        let outcome = run_schedule(0xD7F, 0, &quiet);
-        assert!(outcome.schedule.is_empty());
-        assert!(outcome.passed(), "{}", outcome.describe());
-        assert!(outcome.tasks_completed >= 6);
+        // the empty schedule: the oracles and the determinism gate must
+        // hold on a fault-free run
+        let quiet = FaultSchedule::default();
+        let first = run_faults(0xD7F, 0, &quiet).unwrap();
+        let second = run_faults(0xD7F, 0, &quiet).unwrap();
+        assert_eq!(transition_log(&first), transition_log(&second));
+        assert!(oracle::check_run(&first).is_empty(), "{:?}", oracle::check_run(&first));
+        assert!(first.distinct_tasks() >= 6);
     }
 
     #[test]
-    fn extended_campaign_with_proxy_plane_is_clean() {
-        // extended fault stream (stragglers, hot spot, dangling proxies,
-        // slow resolvers) with the proxy plane enabled: every schedule must
-        // hold determinism, the scheduler model, exactly-once resolution,
-        // and lineage completeness
-        let report = run_campaign_extended(0xFEED, 3, &ChaosConfig::default());
-        assert!(
-            report.ok(),
-            "{}",
-            report.failures.iter().map(|f| f.describe()).collect::<Vec<_>>().join("\n")
-        );
-        assert_eq!(report.passed, 3);
-    }
-
-    #[test]
-    fn extended_run_actually_emits_proxy_lifecycle() {
-        // drive one run directly so we can inspect the drained stream
-        let seed = schedule_seed(0xFEED, 0);
-        let cfg = SimConfig {
-            campaign_seed: seed,
-            run: RunId(0),
-            faults: ChaosConfig::default().generate_extended(seed),
-            invariant_checks: true,
-            proxy: extended_proxy_config(),
-            ..Default::default()
-        };
-        let data = SimCluster::new(cfg).unwrap().run(chaos_workflow(seed)).unwrap();
+    fn chaos_runs_actually_emit_proxy_lifecycle() {
+        let (outcome, data) = run_schedule(0xFEED, 0);
+        let data = data.unwrap_or_else(|| panic!("{}", outcome.describe()));
         use dtf_core::events::ProxyAction;
         let n_pub = data.proxies.iter().filter(|p| p.action == ProxyAction::Published).count();
         let n_res = data.proxies.iter().filter(|p| p.action == ProxyAction::Resolved).count();
@@ -409,21 +338,13 @@ mod tests {
             hotspot: Some(HotspotFault { worker: 1, weight: 0.05 }),
             ..Default::default()
         };
-        let cfg = SimConfig {
-            campaign_seed: 0xBEEF,
-            run: RunId(0),
-            faults,
-            invariant_checks: true,
-            ..Default::default()
-        };
-        let a = SimCluster::new(cfg.clone()).unwrap().run(chaos_workflow(0xBEEF)).unwrap();
-        let b = SimCluster::new(cfg).unwrap().run(chaos_workflow(0xBEEF)).unwrap();
+        let a = run_faults(0xBEEF, 0, &faults).unwrap();
+        let b = run_faults(0xBEEF, 0, &faults).unwrap();
         assert_eq!(transition_log(&a), transition_log(&b), "skewed runs must replay");
         assert!(oracle::check_run(&a).is_empty(), "{:?}", oracle::check_run(&a));
         // against the unperturbed baseline of the same seed, the skew must
         // actually bite: load concentrates and the critical path stretches
-        let base_cfg = SimConfig { campaign_seed: 0xBEEF, run: RunId(0), ..Default::default() };
-        let base = SimCluster::new(base_cfg).unwrap().run(chaos_workflow(0xBEEF)).unwrap();
+        let base = run_faults(0xBEEF, 0, &FaultSchedule::default()).unwrap();
         let max_share = |d: &RunData| {
             let mut per: std::collections::HashMap<_, usize> = Default::default();
             for t in &d.task_done {
@@ -447,12 +368,12 @@ mod tests {
 
     #[test]
     fn perturbed_campaign_is_clean() {
-        let report = run_campaign(0xC0FFEE, 4, &ChaosConfig::default());
+        let report = run_campaign(0xC0FFEE, 6);
         assert!(
             report.ok(),
             "{}",
             report.failures.iter().map(|f| f.describe()).collect::<Vec<_>>().join("\n")
         );
-        assert_eq!(report.passed, 4);
+        assert_eq!(report.passed, 6);
     }
 }

@@ -533,10 +533,10 @@ impl Tabular for WarningEvent {
 /// stays as complete as the in-band one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ProxyAction {
-    /// Output crossed the threshold; manifest written to the blob plane.
+    /// Output crossed the threshold; its ref entered the plane.
     Published,
-    /// Manifest re-written (generation bump) after the previous blob was
-    /// found dangling while a live owner could repair it.
+    /// Generation bump on a known key: a dangling payload repaired from
+    /// its live owner, or the output published again after a recompute.
     Republished,
     /// A dependent materialized the payload on first use.
     Resolved,

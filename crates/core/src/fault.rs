@@ -88,7 +88,7 @@ pub struct HotspotFault {
     pub weight: f64,
 }
 
-/// Make the blob behind the `index`-th *published* proxy manifest dangle
+/// Make the payload behind the `index`-th *published* proxy dangle
 /// (counted in publish order from 0): the first resolve finds the payload
 /// missing from the plane and must repair or surface `IllegalState` with
 /// the proxy key.
@@ -108,11 +108,6 @@ pub struct SlowResolve {
 
 /// One run's complete fault schedule. The empty (default) schedule is a
 /// no-op: a run with it is bit-identical to a run without one.
-///
-/// The proxy-plane and load-skew fields (stragglers, hotspot,
-/// dangling_proxies, slow_resolves) were appended after the original
-/// schema froze; they carry serde defaults so archived pre-proxy
-/// schedules still parse.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultSchedule {
     /// Seed the schedule was generated from (0 for hand-written schedules).
@@ -122,13 +117,9 @@ pub struct FaultSchedule {
     pub heartbeat_drops: Vec<HeartbeatDrop>,
     pub mofka_stalls: Vec<MofkaStall>,
     pub pfs_bursts: Vec<InterferenceBurst>,
-    #[serde(default = "Default::default")]
     pub stragglers: Vec<StragglerFault>,
-    #[serde(default = "Default::default")]
     pub hotspot: Option<HotspotFault>,
-    #[serde(default = "Default::default")]
     pub dangling_proxies: Vec<DanglingProxy>,
-    #[serde(default = "Default::default")]
     pub slow_resolves: Vec<SlowResolve>,
 }
 
@@ -266,25 +257,6 @@ mod tests {
         let back = FaultSchedule::from_json(&s.to_json()).unwrap();
         assert_eq!(s, back);
         assert!(FaultSchedule::from_json("nope").is_err());
-    }
-
-    #[test]
-    fn pre_proxy_schedules_still_parse() {
-        // an archived schedule from before the proxy/skew fields existed
-        let old = r#"{
-            "seed": 9,
-            "deaths": [{"worker": 1, "time": 2000000}],
-            "fetch_faults": [],
-            "heartbeat_drops": [],
-            "mofka_stalls": [],
-            "pfs_bursts": []
-        }"#;
-        let s = FaultSchedule::from_json(old).unwrap();
-        assert_eq!(s.seed, 9);
-        assert!(s.stragglers.is_empty() && s.hotspot.is_none());
-        assert!(s.dangling_proxies.is_empty() && s.slow_resolves.is_empty());
-        assert!(!s.is_empty());
-        assert_eq!(s.len(), 1);
     }
 
     #[test]

@@ -1,32 +1,32 @@
 //! ProxyStore-analog out-of-band data plane for large task outputs.
 //!
 //! Task outputs whose size crosses [`ProxyConfig::threshold`] are *published*
-//! to a store-backed blob plane (reusing the Warabi blob abstraction from
-//! `dtf-mofka`, and through it the `dtf-store` segmented log when durable):
-//! a small typed [`ProxyRef`] — key, size, owner, checksum, generation —
-//! travels through the scheduler, the Mofka provenance stream, and dependent
-//! tasks instead of the payload. Dependents *resolve* the proxy lazily on
-//! first use through a per-worker resolver cache with a byte budget;
-//! resolution is exactly-once per `(key, worker)` pair no matter how many
-//! duplicated or delayed fetch completions race in.
+//! to the plane: a small typed [`ProxyRef`] — key, size, owner, checksum,
+//! generation — travels through the scheduler, the Mofka provenance stream,
+//! and dependent tasks instead of the payload. Dependents *resolve* the
+//! proxy lazily on first use through a per-worker resolver cache with a
+//! byte budget; resolution is exactly-once per `(key, worker)` pair no
+//! matter how many duplicated or delayed fetch completions race in.
 //!
-//! The plane is an accounting / provenance / persistence overlay: it never
-//! changes what the scheduler decides, so a simulated run with the plane
-//! disabled is byte-identical to the same run with it enabled. What changes
-//! is *attribution* — with the plane on, only `ProxyRef::wire_size()` bytes
+//! The plane is an accounting / provenance overlay: it never changes what
+//! the scheduler decides, so a simulated run with the plane disabled is
+//! byte-identical to the same run with it enabled. What changes is
+//! *attribution* — with the plane on, only `ProxyRef::wire_size()` bytes
 //! per proxied dependency are scheduler-mediated (in-band); the payload
-//! moves peer-to-peer out-of-band.
+//! moves peer-to-peer out-of-band. Every ref field is also in the
+//! `proxy-events` stream, so the plane's directory lives in memory only.
 //!
 //! Failure handling (see DESIGN.md §18 for the full state machine):
-//! - a *dangling* manifest blob (lost to truncation or fault injection) is
-//!   repaired by republishing from the live owner with a generation bump;
+//! - a *dangling* payload (lost to fault injection) is repaired by
+//!   republishing from the live owner with a generation bump;
 //! - if the owner is dead but a resolved replica survives, ownership
-//!   *re-sources* to the smallest surviving replica (repairing the blob too
-//!   when it dangles);
-//! - if the owner is dead and no replica survives a dangling blob, the
-//!   proxy is *orphaned* and resolution surfaces
-//!   [`DtfError::IllegalState`] naming the proxy key — dependents fall back
-//!   to the scheduler's recompute path.
+//!   *re-sources* to the smallest surviving replica (repairing the payload
+//!   too when it dangles);
+//! - if the owner is dead and no replica survives a dangling payload, the
+//!   proxy is *orphaned*: it keeps its directory entry and generation, and
+//!   resolution surfaces [`DtfError::IllegalState`] naming the proxy key —
+//!   dependents fall back to the scheduler's recompute path, whose
+//!   re-publication mints the next generation (`republished`).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::{self, Write as _};
@@ -36,7 +36,6 @@ use dtf_core::error::{DtfError, Result};
 use dtf_core::events::{ProxyAction, ProxyEvent};
 use dtf_core::ids::{GraphId, TaskKey, WorkerId};
 use dtf_core::time::Time;
-use dtf_mofka::warabi::{BlobId, Warabi};
 
 /// Data-plane configuration, embedded in the simulator config as a
 /// serde-defaulted field so pre-proxy config documents parse unchanged.
@@ -87,9 +86,9 @@ pub struct ProxyRef {
 }
 
 impl ProxyRef {
-    /// The manifest the plane stores: binfmt fields in [`ProxyEvent`]'s
-    /// order for the fields the two share — key, graph, size, owner,
-    /// checksum, generation.
+    /// The ref's wire form: binfmt fields in [`ProxyEvent`]'s order for
+    /// the fields the two share — key, graph, size, owner, checksum,
+    /// generation.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(48);
         put_key(&mut out, &self.key);
@@ -101,10 +100,9 @@ impl ProxyRef {
         out
     }
 
-    /// Bytes this reference occupies on the wire — the length of the
-    /// manifest the plane stores, and so the scheduler-mediated (in-band)
-    /// cost of a proxied dependency. The payload's `size` bytes move
-    /// out-of-band.
+    /// Bytes this reference occupies on the wire — the length of
+    /// [`Self::to_bytes`], and so the scheduler-mediated (in-band) cost of
+    /// a proxied dependency. The payload's `size` bytes move out-of-band.
     pub fn wire_size(&self) -> u64 {
         self.to_bytes().len() as u64
     }
@@ -167,7 +165,8 @@ pub struct PlaneStats {
 #[derive(Debug)]
 struct DirEntry {
     r: ProxyRef,
-    blob: BlobId,
+    /// The payload is gone (fault injection or real loss).
+    dangling: bool,
     /// Workers holding a resolved (cached) copy of the payload.
     replicas: BTreeSet<WorkerId>,
 }
@@ -179,18 +178,15 @@ struct WorkerCache {
     bytes: u64,
 }
 
-/// The out-of-band data plane: blob-backed manifests plus per-worker
-/// resolver caches. Deterministic — all iteration is over ordered maps and
-/// every decision is a pure function of the call sequence.
+/// The out-of-band data plane: the ref directory plus per-worker resolver
+/// caches. Deterministic — all iteration is over ordered maps and every
+/// decision is a pure function of the call sequence.
 pub struct ProxyPlane {
     cfg: ProxyConfig,
-    store: Warabi,
     dir: BTreeMap<TaskKey, DirEntry>,
     /// Exactly-once ledger: pairs that have resolved.
     resolved: BTreeSet<(TaskKey, WorkerId)>,
     caches: BTreeMap<WorkerId, WorkerCache>,
-    /// Blob ids whose payload is gone (fault injection or real loss).
-    dangling: BTreeSet<BlobId>,
     dead: BTreeSet<WorkerId>,
     publish_seq: u64,
     resolve_seq: u64,
@@ -199,26 +195,12 @@ pub struct ProxyPlane {
 }
 
 impl ProxyPlane {
-    /// In-memory plane (simulated runs).
     pub fn new(cfg: ProxyConfig) -> Self {
-        Self::with_store(cfg, Warabi::new())
-    }
-
-    /// Durable plane: manifests persist through the dtf-store segmented log
-    /// and survive the process.
-    pub fn durable(cfg: ProxyConfig, dir: &std::path::Path) -> Result<Self> {
-        let (store, _report) = Warabi::durable(dir)?;
-        Ok(Self::with_store(cfg, store))
-    }
-
-    pub fn with_store(cfg: ProxyConfig, store: Warabi) -> Self {
         Self {
             cfg,
-            store,
             dir: BTreeMap::new(),
             resolved: BTreeSet::new(),
             caches: BTreeMap::new(),
-            dangling: BTreeSet::new(),
             dead: BTreeSet::new(),
             publish_seq: 0,
             resolve_seq: 0,
@@ -255,10 +237,6 @@ impl ProxyPlane {
         self.dir.get(key).map(|e| &e.r)
     }
 
-    fn write_manifest(store: &Warabi, r: &ProxyRef) -> BlobId {
-        store.put(r.to_bytes())
-    }
-
     fn event(
         r: &ProxyRef,
         action: ProxyAction,
@@ -279,8 +257,9 @@ impl ProxyPlane {
     }
 
     /// Publish a finished task's output. A re-publication of a known key
-    /// (the task recomputed after its output was lost) bumps the generation
-    /// and moves ownership to the new completing worker.
+    /// (the task recomputed after its output was lost, orphaned keys
+    /// included) bumps the generation and moves ownership to the new
+    /// completing worker.
     pub fn publish(
         &mut self,
         key: &TaskKey,
@@ -295,8 +274,7 @@ impl ProxyPlane {
             entry.r.owner = owner;
             entry.r.size = size;
             entry.r.checksum = payload_checksum(key, size);
-            self.dangling.remove(&entry.blob);
-            entry.blob = Self::write_manifest(&self.store, &entry.r);
+            entry.dangling = false;
             self.stats.republished += 1;
             let ev = Self::event(&entry.r, ProxyAction::Republished, None, now);
             return (entry.r.clone(), ev);
@@ -309,19 +287,19 @@ impl ProxyPlane {
             checksum: payload_checksum(key, size),
             generation: 0,
         };
-        let blob = Self::write_manifest(&self.store, &r);
-        self.dir.insert(*key, DirEntry { r: r.clone(), blob, replicas: BTreeSet::new() });
+        let ev = Self::event(&r, ProxyAction::Published, None, now);
+        self.dir
+            .insert(*key, DirEntry { r: r.clone(), dangling: false, replicas: BTreeSet::new() });
         self.stats.published += 1;
-        let ev = Self::event(&self.dir[key].r, ProxyAction::Published, None, now);
         (r, ev)
     }
 
-    /// Fault injection: make the manifest blob behind `key` dangle, as if
-    /// the store lost the payload. Returns false for unknown keys.
+    /// Fault injection: make the payload behind `key` dangle, as if the
+    /// plane lost it. Returns false for unknown keys.
     pub fn damage(&mut self, key: &TaskKey) -> bool {
-        match self.dir.get(key) {
+        match self.dir.get_mut(key) {
             Some(e) => {
-                self.dangling.insert(e.blob);
+                e.dangling = true;
                 true
             }
             None => false,
@@ -330,7 +308,7 @@ impl ProxyPlane {
 
     /// Resolve `key` for dependent worker `to`. Exactly-once per
     /// `(key, to)`: duplicated completions return [`ResolveOutcome::Deduped`]
-    /// with no events. A dangling blob is repaired from the live owner
+    /// with no events. A dangling payload is repaired from the live owner
     /// (generation bump); with the owner dead the error names the proxy key.
     pub fn resolve(
         &mut self,
@@ -348,22 +326,19 @@ impl ProxyPlane {
             .get_mut(key)
             .ok_or_else(|| DtfError::IllegalState(format!("resolve of unpublished proxy {key}")))?;
         let mut events = Vec::new();
-        if self.dangling.contains(&entry.blob) || self.store.get(entry.blob).is_none() {
-            if !self.dead.contains(&entry.r.owner) {
-                // repair: the owner still holds the payload; republish
-                entry.r.generation += 1;
-                entry.r.checksum = payload_checksum(key, entry.r.size);
-                self.dangling.remove(&entry.blob);
-                entry.blob = Self::write_manifest(&self.store, &entry.r);
-                self.stats.republished += 1;
-                events.push(Self::event(&entry.r, ProxyAction::Republished, None, now));
-            } else {
+        if entry.dangling {
+            if self.dead.contains(&entry.r.owner) {
                 return Err(DtfError::IllegalState(format!(
-                    "dangling proxy {key}: blob {} missing and owner {} dead",
-                    entry.blob,
+                    "dangling proxy {key}: payload missing and owner {} dead",
                     entry.r.owner.address(),
                 )));
             }
+            // repair: the owner still holds the payload; republish
+            entry.r.generation += 1;
+            entry.r.checksum = payload_checksum(key, entry.r.size);
+            entry.dangling = false;
+            self.stats.republished += 1;
+            events.push(Self::event(&entry.r, ProxyAction::Republished, None, now));
         }
         let expect = payload_checksum(key, entry.r.size);
         if entry.r.checksum != expect {
@@ -407,44 +382,35 @@ impl ProxyPlane {
 
     /// The owner-death half of the re-source protocol. Entries owned by the
     /// dead worker re-source to their smallest surviving replica; a dangling
-    /// blob with no surviving replica orphans the proxy (dependents fall
-    /// back to the scheduler's recompute path).
+    /// payload with no surviving replica orphans the proxy (dependents fall
+    /// back to the scheduler's recompute path). An orphaned entry keeps its
+    /// generation, so the recompute's publish mints the next one.
     pub fn worker_died(&mut self, worker: WorkerId, now: Time) -> Vec<ProxyEvent> {
         self.dead.insert(worker);
         let mut events = Vec::new();
         // the dead worker's resolver cache (and replica claims) vanish
         self.caches.remove(&worker);
-        let keys: Vec<TaskKey> = self.dir.keys().cloned().collect();
-        for key in keys {
-            let entry = self.dir.get_mut(&key).expect("key just listed");
+        for (key, entry) in &mut self.dir {
             entry.replicas.remove(&worker);
             if entry.r.owner != worker {
                 continue;
             }
-            let heir = entry.replicas.iter().next().copied();
-            match heir {
+            match entry.replicas.first().copied() {
                 Some(new_owner) => {
                     entry.r.owner = new_owner;
                     entry.r.generation += 1;
-                    entry.r.checksum = payload_checksum(&key, entry.r.size);
-                    if self.dangling.contains(&entry.blob) || self.store.get(entry.blob).is_none() {
-                        // the heir's cached copy also repairs the blob
-                        self.dangling.remove(&entry.blob);
-                        entry.blob = Self::write_manifest(&self.store, &entry.r);
-                    }
+                    entry.r.checksum = payload_checksum(key, entry.r.size);
+                    // the heir's cached copy also repairs a dangling payload
+                    entry.dangling = false;
                     self.stats.resourced += 1;
                     events.push(Self::event(&entry.r, ProxyAction::Resourced, Some(worker), now));
                 }
-                None => {
-                    if self.dangling.contains(&entry.blob) || self.store.get(entry.blob).is_none() {
-                        self.stats.orphaned += 1;
-                        events.push(Self::event(&entry.r, ProxyAction::Orphaned, None, now));
-                        let blob = entry.blob;
-                        self.dangling.remove(&blob);
-                        self.dir.remove(&key);
-                    }
-                    // healthy blob: the plane itself still serves resolves
+                None if entry.dangling => {
+                    self.stats.orphaned += 1;
+                    events.push(Self::event(&entry.r, ProxyAction::Orphaned, None, now));
                 }
+                // intact payload: the plane itself still serves resolves
+                None => {}
             }
         }
         events
@@ -459,18 +425,13 @@ impl ProxyPlane {
         }
     }
 
-    /// Number of live manifests.
+    /// Number of published keys (orphaned ones included).
     pub fn len(&self) -> usize {
         self.dir.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.dir.is_empty()
-    }
-
-    /// Total manifest bytes in the blob plane (durability cost).
-    pub fn manifest_bytes(&self) -> usize {
-        self.store.total_bytes()
     }
 }
 
@@ -557,6 +518,26 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains(&key(9).to_string()), "error must name the proxy key: {msg}");
         assert!(msg.to_lowercase().contains("proxy"), "error should say what dangled: {msg}");
+    }
+
+    /// An orphaned key's recompute publishes again: that mints the next
+    /// generation as a `republished` record (one `published` per key), and
+    /// the re-published ref resolves.
+    #[test]
+    fn orphaned_key_republishes_at_the_next_generation() {
+        let mut p = plane(0, u64::MAX);
+        p.publish(&key(5), GraphId(0), wid(1), 4096, Time::ZERO);
+        p.damage(&key(5));
+        let evs = p.worker_died(wid(1), Time::from_secs_f64(1.0));
+        assert_eq!(evs[0].action, ProxyAction::Orphaned);
+        assert_eq!(evs[0].generation, 0);
+        let err = p.resolve(&key(5), wid(3), Time::from_secs_f64(1.5)).unwrap_err();
+        assert!(err.to_string().contains(&key(5).to_string()), "{err}");
+        let (r, ev) = p.publish(&key(5), GraphId(0), wid(2), 4096, Time::from_secs_f64(2.0));
+        assert_eq!(ev.action, ProxyAction::Republished);
+        assert_eq!((r.generation, r.owner), (1, wid(2)));
+        let (_, evs) = p.resolve(&key(5), wid(3), Time::from_secs_f64(3.0)).unwrap();
+        assert_eq!((evs[0].action, evs[0].generation), (ProxyAction::Resolved, 1));
     }
 
     #[test]
@@ -655,8 +636,8 @@ mod tests {
         }
     }
 
-    /// What the plane stores is the binfmt manifest, fields in
-    /// `ProxyEvent`'s order, and `wire_size` is its length.
+    /// The ref's wire form is binfmt, fields in `ProxyEvent`'s order, and
+    /// `wire_size` is its length.
     #[test]
     fn the_manifest_is_the_binfmt_ref_and_wire_size_its_length() {
         use dtf_core::binfmt::Reader;
@@ -690,24 +671,6 @@ mod tests {
             assert_eq!(rd.varint_u32().unwrap(), r.generation);
             rd.finish().unwrap();
         }
-        let mut p = plane(0, u64::MAX);
-        let (r, _) = p.publish(&key(0), GraphId(2), wid(1), 8 << 20, Time::ZERO);
-        assert_eq!(p.manifest_bytes() as u64, r.wire_size(), "the plane stores what it charges");
-    }
-
-    #[test]
-    fn durable_plane_persists_manifests() {
-        let dir = std::env::temp_dir().join(format!("dtf-proxy-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        {
-            let mut p = ProxyPlane::durable(ProxyConfig::default(), &dir).unwrap();
-            p.publish(&key(0), GraphId(0), wid(1), 4096, Time::ZERO);
-            assert!(p.manifest_bytes() > 0);
-        }
-        let p = ProxyPlane::durable(ProxyConfig::default(), &dir).unwrap();
-        // manifests survived the process through the dtf-store log
-        assert!(p.manifest_bytes() > 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -821,12 +821,8 @@ impl Scheduler {
         // re-read the input.
         let mut candidates = Vec::new();
         for key in held {
-            {
-                let rec = self.tasks.get_mut(&key).expect("held task known");
-                rec.who_has.remove(&widx);
-            }
-            let rec = &self.tasks[&key];
-            if rec.who_has.is_empty() && rec.state == TaskState::Memory {
+            self.tasks.get_mut(&key).expect("held task known").who_has.remove(&widx);
+            if self.is_lost(&key) {
                 candidates.push(key);
             }
         }
@@ -851,61 +847,8 @@ impl Scheduler {
                 break;
             }
         }
-        let to_recompute: Vec<TaskKey> =
-            candidates.into_iter().filter(|k| needed_set.contains(k)).collect();
-        let mut actions = Vec::new();
-        let mut recomputed = Vec::new();
-        for key in to_recompute {
-            // Memory -> Released -> Waiting, then runnable again
-            self.emit_transition(
-                &key,
-                TaskState::Released,
-                Stimulus::WorkerLost,
-                Location::Scheduler,
-                now,
-            );
-            self.emit_transition(
-                &key,
-                TaskState::Waiting,
-                Stimulus::WorkerLost,
-                Location::Scheduler,
-                now,
-            );
-            {
-                let rec = self.tasks.get_mut(&key).expect("known");
-                rec.nbytes = None;
-                rec.assigned = None;
-                rec.missing_deps.clear();
-                // recompute its unfinished deps (inputs may also be gone)
-                rec.unfinished_deps = 0;
-            }
-            let deps = self.tasks[&key].deps.clone();
-            let mut unfinished = 0;
-            for d in &deps {
-                if self.tasks[d].state != TaskState::Memory {
-                    unfinished += 1;
-                }
-            }
-            self.tasks.get_mut(&key).expect("known").unfinished_deps = unfinished;
-            // bump dependents' unfinished counts: their input went away
-            let dependents = self.tasks[&key].dependents.clone();
-            for d in dependents {
-                let drec = self.tasks.get_mut(&d).expect("dependent known");
-                if !drec.state.is_terminal() {
-                    drec.unfinished_deps += 1;
-                }
-            }
-            recomputed.push(key);
-        }
-        // Dispatch only after every lost output has been revoked: a task
-        // early in the batch can look ready (its dep still reads `memory`)
-        // until a later entry — that dep, whose only replica also died —
-        // sends it back to waiting and bumps the count.
-        for key in recomputed {
-            if self.tasks[&key].unfinished_deps == 0 {
-                actions.extend(self.make_runnable(&key, now));
-            }
-        }
+        let to_recompute = candidates.into_iter().filter(|k| needed_set.contains(k)).collect();
+        let mut actions = self.recompute(to_recompute, now);
         // in-flight work on the dead worker goes back to waiting and is
         // re-planned
         for key in executing.into_iter().chain(ready).chain(fetching) {
@@ -979,6 +922,80 @@ impl Scheduler {
                 rec.unfinished_deps = unfinished;
             }
             if unfinished == 0 {
+                actions.extend(self.make_runnable(&key, now));
+            }
+        }
+        actions
+    }
+
+    /// Whether `key` reads `memory` while no live worker holds its output.
+    fn is_lost(&self, key: &TaskKey) -> bool {
+        let rec = &self.tasks[key];
+        rec.state == TaskState::Memory && rec.who_has.is_empty()
+    }
+
+    /// Send lost outputs back through `released` to `waiting` and dispatch
+    /// each whose inputs are all resident. The set is first closed over
+    /// lost inputs: an output whose last replica died while nothing needed
+    /// it still reads `memory`, and recomputing a dependent needs it back.
+    /// Keys are revoked in `TaskKey` order.
+    fn recompute(&mut self, mut lost: BTreeSet<TaskKey>, now: Time) -> Vec<Action> {
+        let mut stack: Vec<TaskKey> = lost.iter().copied().collect();
+        while let Some(key) = stack.pop() {
+            for d in &self.tasks[&key].deps {
+                if self.is_lost(d) && lost.insert(*d) {
+                    stack.push(*d);
+                }
+            }
+        }
+        let mut actions = Vec::new();
+        for &key in &lost {
+            // Memory -> Released -> Waiting, then runnable again
+            self.emit_transition(
+                &key,
+                TaskState::Released,
+                Stimulus::WorkerLost,
+                Location::Scheduler,
+                now,
+            );
+            self.emit_transition(
+                &key,
+                TaskState::Waiting,
+                Stimulus::WorkerLost,
+                Location::Scheduler,
+                now,
+            );
+            {
+                let rec = self.tasks.get_mut(&key).expect("known");
+                rec.nbytes = None;
+                rec.assigned = None;
+                rec.missing_deps.clear();
+                // recompute its unfinished deps (inputs may also be gone)
+                rec.unfinished_deps = 0;
+            }
+            let deps = self.tasks[&key].deps.clone();
+            let mut unfinished = 0;
+            for d in &deps {
+                if self.tasks[d].state != TaskState::Memory {
+                    unfinished += 1;
+                }
+            }
+            self.tasks.get_mut(&key).expect("known").unfinished_deps = unfinished;
+            // bump dependents' unfinished counts: their input went away
+            let dependents = self.tasks[&key].dependents.clone();
+            for d in dependents {
+                let drec = self.tasks.get_mut(&d).expect("dependent known");
+                if !drec.state.is_terminal() {
+                    drec.unfinished_deps += 1;
+                }
+            }
+        }
+        // Dispatch only after every lost output has been revoked: a task
+        // early in the batch can look ready (its dep still reads `memory`)
+        // until a later entry — that dep, whose only replica also died —
+        // sends it back to waiting and bumps the count.
+        for key in lost {
+            if self.tasks[&key].unfinished_deps == 0 {
                 actions.extend(self.make_runnable(&key, now));
             }
         }

@@ -97,8 +97,6 @@ pub struct SimConfig {
     /// Heartbeat period and fault-detection timeout.
     pub heartbeat_interval: Dur,
     pub heartbeat_timeout: Dur,
-    /// Kill worker ordinal `.0` at time `.1` (failure injection).
-    pub worker_death: Option<(u32, Time)>,
     /// Mofka producer batch size (ablation knob).
     pub mofka_batch: usize,
     /// Stream every Darshan record into the Mofka `io-records` topic at
@@ -145,7 +143,6 @@ impl Default for SimConfig {
             steal_interval: Dur::from_millis_f64(100.0),
             heartbeat_interval: Dur::from_millis_f64(500.0),
             heartbeat_timeout: Dur::from_secs_f64(3.0),
-            worker_death: None,
             mofka_batch: 64,
             online_darshan: false,
             faults: FaultSchedule::default(),
@@ -472,9 +469,6 @@ impl SimCluster {
         self.push(Time::ZERO + startup, Ev::Submit(0));
         self.push(Time::ZERO + startup, Ev::Rebalance);
         self.push(Time::ZERO + startup, Ev::FaultCheck);
-        if let Some((w, t)) = self.cfg.worker_death {
-            self.push(t, Ev::Kill { worker: w as usize });
-        }
         // the fault schedule's perturbations all become ordinary queue
         // events, so they replay under the same virtual clock as the run
         let faults = self.cfg.faults.clone();
@@ -954,6 +948,7 @@ fn hash_addr(w: WorkerId) -> u64 {
 mod tests {
     use super::*;
     use crate::graph::{GraphBuilder, SimAction};
+    use dtf_core::fault::WorkerDeath;
     use dtf_core::ids::GraphId;
     use std::collections::HashSet;
 
@@ -1085,8 +1080,9 @@ mod tests {
             shutdown: Dur::ZERO,
             dataset: vec![],
         };
-        let cfg =
-            SimConfig { worker_death: Some((0, Time::from_secs_f64(2.5))), ..Default::default() };
+        let death = WorkerDeath { worker: 0, time: Time::from_secs_f64(2.5) };
+        let faults = FaultSchedule { deaths: vec![death], ..Default::default() };
+        let cfg = SimConfig { faults, ..Default::default() };
         let sim = SimCluster::new(cfg).unwrap();
         let data = sim.run(wf).unwrap();
         assert_eq!(data.distinct_tasks(), 80);

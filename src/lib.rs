@@ -12,8 +12,8 @@
 //! * [`darshan`] — I/O characterization (POSIX counters + DXT tracing).
 //! * [`wms`] — the Dask.distributed-analog workflow management system.
 //! * [`proxystore`] — ProxyStore-analog out-of-band data plane: task
-//!   outputs above a threshold publish blob-backed manifests and travel as
-//!   small typed `ProxyRef`s through the scheduler channel.
+//!   outputs above a threshold are published and travel as small typed
+//!   `ProxyRef`s through the scheduler channel.
 //! * [`chaos`] — deterministic chaos harness: seeded fault schedules,
 //!   invariant oracles, replayable campaigns.
 //! * [`perfrecup`] — multi-source analysis and view engine.

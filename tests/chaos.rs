@@ -11,8 +11,11 @@
 
 use std::collections::{HashMap, HashSet};
 
-use dtf::chaos::{check_run, transition_log};
-use dtf::core::fault::{FaultSchedule, FetchFault, MofkaStall, WorkerDeath};
+use dtf::chaos::runner::chaos_workflow;
+use dtf::chaos::{check_run, run_faults, transition_log};
+use dtf::core::fault::{
+    FaultSchedule, FetchFault, HeartbeatDrop, InterferenceBurst, MofkaStall, WorkerDeath,
+};
 use dtf::core::ids::{GraphId, RunId, TaskKey, WorkerId};
 use dtf::core::time::{Dur, Time};
 use dtf::wms::graph::{GraphBuilder, SimAction};
@@ -276,6 +279,51 @@ fn dead_source_without_replica_triggers_recompute() {
     let small_runs = counts.iter().find(|(k, _)| k.prefix == "small").map(|(_, n)| *n).unwrap_or(0);
     assert_eq!(small_runs, 2, "the producer's only replica died mid-transfer; it must run again");
     assert_clean(&data);
+}
+
+/// Campaign 20240806, schedule 1514, base families as generated: an
+/// early heartbeat gap evicts worker 2, taking with it an output nothing
+/// still needed; worker 4's death later sends one of that output's
+/// dependents back to recompute. The lost input read `memory` with no
+/// replica, the dependent was dispatched, and placement panicked with
+/// "runnable task has all inputs somewhere". The input must be recomputed
+/// with its dependent.
+#[test]
+fn recompute_brings_back_an_input_lost_while_unneeded() {
+    const SEED: u64 = 12_938_018_853_614_767_132;
+    let t = |ns: u64| Time(ns);
+    let faults = FaultSchedule {
+        seed: SEED,
+        deaths: vec![WorkerDeath { worker: 4, time: t(3_097_306_151) }],
+        fetch_faults: vec![
+            FetchFault { index: 2, extra_delay: Dur(5_780_256_890), duplicate: true },
+            FetchFault { index: 28, extra_delay: Dur(5_410_002_687), duplicate: true },
+            FetchFault { index: 37, extra_delay: Dur(3_000_220_361), duplicate: false },
+        ],
+        heartbeat_drops: vec![HeartbeatDrop {
+            worker: 2,
+            start: t(686_099_225),
+            stop: t(4_409_999_930),
+        }],
+        mofka_stalls: vec![MofkaStall {
+            topic: "worker-transitions".into(),
+            partition: 0,
+            start: t(5_268_513_321),
+            stop: t(11_804_484_693),
+        }],
+        pfs_bursts: vec![InterferenceBurst {
+            start: t(13_181_256_890),
+            stop: t(18_505_188_465),
+            factor: 6.858_872_570_013_642,
+        }],
+        ..Default::default()
+    };
+    let first = run_faults(SEED, 1514, &faults).unwrap();
+    let second = run_faults(SEED, 1514, &faults).unwrap();
+    assert_eq!(first.distinct_tasks(), chaos_workflow(SEED).graphs[0].len());
+    assert!(first.task_done.len() > first.distinct_tasks(), "the scenario recomputes");
+    assert_clean(&first);
+    assert_eq!(transition_log(&first), transition_log(&second));
 }
 
 /// A Mofka partition stalled across the whole run releases its staged

@@ -20,8 +20,9 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use dtf::chaos::{run_schedule_data, ChaosConfig};
+use dtf::chaos::{run_faults, run_schedule, schedule_seed};
 use dtf::core::events::{CommEvent, IoOp, IoRecord, TaskDoneEvent};
+use dtf::core::fault::{FaultSchedule, WorkerDeath};
 use dtf::core::ids::{FileId, GraphId, NodeId, RunId, TaskKey, ThreadId, WorkerId};
 use dtf::core::provenance::{LineageLocation, LineageTransition, TaskLineage};
 use dtf::core::stats::Summary;
@@ -480,22 +481,30 @@ fn kernels_agree_with_the_naive_definitions_on_simulated_runs() {
 
 #[test]
 fn kernels_agree_with_the_naive_definitions_under_chaos_schedules() {
-    // the default mix of faults, then one where workers certainly die
-    // mid-run: a death that takes a needed output with it recomputes keys
-    let deadly = ChaosConfig {
-        death_prob: 1.0,
-        max_deaths: 3,
-        horizon: Dur::from_secs_f64(10.0),
-        ..Default::default()
-    };
+    // the generated mix of faults, then hand-built schedules where three
+    // workers certainly die mid-run: a death that takes a needed output
+    // with it recomputes keys
+    let mut runs = Vec::new();
+    for index in 0..8 {
+        let (outcome, data) = run_schedule(20240806, index);
+        runs.push(data.unwrap_or_else(|| panic!("{}", outcome.describe())));
+    }
+    for index in 0..16u32 {
+        let deaths = (0..3u32)
+            .map(|k| WorkerDeath {
+                worker: 1 + (index + 2 * k) % 7,
+                time: Time::from_secs_f64(2.0 + k as f64 + 0.1 * index as f64),
+            })
+            .collect();
+        let faults = FaultSchedule { deaths, ..Default::default() };
+        let seed = schedule_seed(20240806, index as u64);
+        runs.push(run_faults(seed, index as u64, &faults).expect("chaos run"));
+    }
     let mut recomputed = 0;
-    for (chaos, schedules) in [(ChaosConfig::default(), 8), (deadly, 16)] {
-        for index in 0..schedules {
-            let data = run_schedule_data(20240806, index, &chaos).expect("chaos run");
-            let distinct: HashSet<TaskKey> = data.task_done.iter().map(|d| d.key).collect();
-            recomputed += data.task_done.len() - distinct.len();
-            check_against_references(&data);
-        }
+    for data in &runs {
+        let distinct: HashSet<TaskKey> = data.task_done.iter().map(|d| d.key).collect();
+        recomputed += data.task_done.len() - distinct.len();
+        check_against_references(data);
     }
     assert!(recomputed >= 3, "too few recomputed keys to test the last-completion rule");
 }

@@ -3,11 +3,21 @@
 
 use std::collections::HashSet;
 
+use dtf::core::fault::{FaultSchedule, WorkerDeath};
 use dtf::core::ids::{GraphId, RunId, WorkerId};
 use dtf::core::time::{Dur, Time};
 use dtf::darshan::DxtConfig;
 use dtf::wms::graph::{GraphBuilder, IoCall, SimAction};
 use dtf::wms::sim::{SimCluster, SimConfig, SimWorkflow, SubmitPolicy};
+
+/// Kill each `(worker ordinal, seconds)` pair's worker at that time.
+fn deaths(kills: &[(u32, f64)]) -> FaultSchedule {
+    let deaths = kills
+        .iter()
+        .map(|&(worker, t)| WorkerDeath { worker, time: Time::from_secs_f64(t) })
+        .collect();
+    FaultSchedule { deaths, ..Default::default() }
+}
 
 fn long_workflow(tasks: u32, task_secs: f64, with_io: bool) -> SimWorkflow {
     let mut b = GraphBuilder::new(GraphId(0));
@@ -52,7 +62,7 @@ fn worker_death_recovers_and_completes() {
     let cfg = SimConfig {
         campaign_seed: 3,
         run: RunId(0),
-        worker_death: Some((2, Time::from_secs_f64(3.0))),
+        faults: deaths(&[(2, 3.0)]),
         ..Default::default()
     };
     let data = SimCluster::new(cfg).unwrap().run(long_workflow(96, 3.0, false)).unwrap();
@@ -79,7 +89,7 @@ fn worker_death_transitions_carry_worker_lost_stimulus() {
     let cfg = SimConfig {
         campaign_seed: 4,
         run: RunId(0),
-        worker_death: Some((0, Time::from_secs_f64(2.0))),
+        faults: deaths(&[(0, 2.0)]),
         ..Default::default()
     };
     let data = SimCluster::new(cfg).unwrap().run(long_workflow(96, 3.0, false)).unwrap();
@@ -186,14 +196,15 @@ fn dxt_exhaustion_truncates_but_counters_stay_complete() {
 
 #[test]
 fn death_of_every_worker_but_one_still_completes() {
-    // harsher scenario: kill 3 workers in sequence; the cluster keeps going
-    let base = SimConfig { campaign_seed: 7, run: RunId(0), ..Default::default() };
-    // note: SimConfig supports one injected death; chain by killing the
-    // same ordinal repeatedly is not possible, so this test uses one death
-    // with a single-node cluster of 4 workers to maximize impact
-    let mut cfg = base;
-    cfg.worker_nodes = 1;
-    cfg.worker_death = Some((1, Time::from_secs_f64(2.0)));
+    // harsher scenario: on a single-node cluster of 4 workers, kill 3 in
+    // sequence; the last one keeps going
+    let cfg = SimConfig {
+        campaign_seed: 7,
+        run: RunId(0),
+        worker_nodes: 1,
+        faults: deaths(&[(1, 2.0), (2, 5.0), (3, 8.0)]),
+        ..Default::default()
+    };
     let data = SimCluster::new(cfg).unwrap().run(long_workflow(48, 2.0, false)).unwrap();
     assert_eq!(data.distinct_tasks(), 96);
 }

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use dtf::chaos::{run_schedule_data, ChaosConfig};
+use dtf::chaos::run_schedule;
 use dtf::core::ids::{FileId, GraphId, RunId, TaskKey};
 use dtf::core::time::Dur;
 use dtf::mofka::bedrock::BedrockConfig;
@@ -150,17 +150,18 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Seeded chaos fault schedules: runs perturbed by worker deaths,
-    /// fetch faults, Mofka stalls, and PFS bursts still replay through the
-    /// live engine value-identical to the post-hoc kernels.
+    /// Seeded chaos fault schedules: runs perturbed by every fault family
+    /// (worker deaths, fetch faults, Mofka stalls, PFS bursts, stragglers,
+    /// hot spots, proxy faults) still replay through the live engine
+    /// value-identical to the post-hoc kernels.
     #[test]
     fn live_views_match_post_hoc_under_chaos_schedules(
         campaign_seed in 0u64..1_000,
         index in 0u64..8,
         chunk in 1usize..129,
     ) {
-        let data = run_schedule_data(campaign_seed, index, &ChaosConfig::default())
-            .expect("chaos run completes");
+        let (outcome, data) = run_schedule(campaign_seed, index);
+        let data = data.unwrap_or_else(|| panic!("{}", outcome.describe()));
         check_live_equivalence(&data, &[chunk], 16);
     }
 }

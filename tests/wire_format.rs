@@ -16,8 +16,7 @@
 
 use std::path::{Path, PathBuf};
 
-use dtf::chaos::runner::chaos_workflow;
-use dtf::chaos::{schedule_seed, transition_log, ChaosConfig};
+use dtf::chaos::{generate, run_faults, schedule_seed, transition_log};
 use dtf::core::fault::FaultSchedule;
 use dtf::core::ids::RunId;
 use dtf::core::rngx::RunRng;
@@ -103,16 +102,16 @@ fn export_bundle_is_byte_identical_to_golden() {
     check_golden("export_fnv64.txt", &fingerprint);
 }
 
-/// An archived (pre-change) chaos schedule must still parse and replay to
-/// the same canonical transition log, deterministically.
+/// An archived chaos schedule must still parse and replay (as a chaos
+/// run: proxy plane on) to the same canonical transition log,
+/// deterministically.
 #[test]
 fn archived_chaos_schedule_replays_identically() {
     let schedule_path = golden_dir().join("chaos_schedule.json");
     let seed = schedule_seed(42, 7);
     if update_golden() {
-        let faults = ChaosConfig::default().generate(seed);
         std::fs::create_dir_all(golden_dir()).unwrap();
-        std::fs::write(&schedule_path, faults.to_json()).unwrap();
+        std::fs::write(&schedule_path, generate(seed).to_json()).unwrap();
         eprintln!("updated golden {}", schedule_path.display());
     }
     let archived = std::fs::read_to_string(&schedule_path)
@@ -120,18 +119,8 @@ fn archived_chaos_schedule_replays_identically() {
     let faults = FaultSchedule::from_json(&archived).expect("archived schedule parses");
     assert_eq!(faults.seed, seed, "archive carries its generating seed");
 
-    let run_once = || {
-        let cfg = SimConfig {
-            campaign_seed: seed,
-            run: RunId(7),
-            faults: faults.clone(),
-            invariant_checks: true,
-            ..Default::default()
-        };
-        SimCluster::new(cfg).unwrap().run(chaos_workflow(seed)).unwrap()
-    };
-    let first = run_once();
-    let second = run_once();
+    let first = run_faults(seed, 7, &faults).unwrap();
+    let second = run_faults(seed, 7, &faults).unwrap();
     let log = transition_log(&first);
     assert_eq!(log, transition_log(&second), "replay must be deterministic");
     let fingerprint = format!("{:016x} {}\n", fnv64(log.as_bytes()), log.len());
