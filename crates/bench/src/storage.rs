@@ -224,11 +224,8 @@ fn codec_corpus(n: u64) -> Vec<ProvRecord> {
 
 /// The replay store: the corpus pushed into a persisted "logs"-style topic.
 fn build_replay_store(dir: &Path, corpus: &[ProvRecord]) {
-    let svc = MofkaService::with_config(&ServiceConfig {
-        persist: Some(dir.to_path_buf()),
-        ..Default::default()
-    })
-    .expect("replay store");
+    let svc = MofkaService::with_config(&ServiceConfig { persist: Some(dir.to_path_buf()) })
+        .expect("replay store");
     svc.create_topic("events", TopicConfig { partitions: 1 }).expect("topic");
     let t = svc.topic("events").expect("topic handle");
     for rec in corpus {

@@ -1,9 +1,9 @@
-//! Many-client stress bench for the sharded concurrent Mofka data plane —
-//! the `stress` section of `BENCH_repro.json` (schema 5).
+//! Many-client stress bench for the Mofka data plane — the `stress`
+//! section of `BENCH_repro.json` (schema 5).
 //!
-//! One real-time service, hundreds of concurrent clients: `producers`
-//! producer threads each push `events_per_producer` typed events through
-//! the shard plane while `groups × members_per_group` consumer threads
+//! One service, hundreds of concurrent clients: `producers` producer
+//! threads each push `events_per_producer` typed events, appending under
+//! the partition locks, while `groups × members_per_group` consumer threads
 //! tail the topic in situ, every group draining the full stream. The headline number is *aggregate*
 //! throughput — events produced plus events delivered, over one wall
 //! clock — the quantity that scales with concurrent fan-out and that the
@@ -32,8 +32,6 @@ pub struct StressConfig {
     pub producers: usize,
     pub events_per_producer: u64,
     pub partitions: u32,
-    /// Shard workers of the real-time plane (0 = auto).
-    pub shards: usize,
     pub groups: usize,
     pub members_per_group: usize,
     pub batch_size: usize,
@@ -57,7 +55,6 @@ impl StressConfig {
             producers: 256,
             events_per_producer: 20_000,
             partitions: 2,
-            shards: 4,
             groups: 8,
             members_per_group: 1,
             batch_size: 2048,
@@ -74,7 +71,6 @@ impl StressConfig {
             producers: 16,
             events_per_producer: 2_000,
             partitions: 4,
-            shards: 2,
             groups: 4,
             members_per_group: 2,
             batch_size: 64,
@@ -91,7 +87,6 @@ pub struct StressBench {
     pub producers: u64,
     pub events_per_producer: u64,
     pub partitions: u64,
-    pub shards: u64,
     pub consumer_groups: u64,
     pub members_per_group: u64,
     pub batch_size: u64,
@@ -197,7 +192,7 @@ fn verify_group(
     }
 }
 
-/// Run one stress configuration against a fresh real-time service,
+/// Run one stress configuration against a fresh service,
 /// best-of-`trials` (delivery violations from every trial are kept).
 pub fn stress_bench(cfg: &StressConfig) -> StressOutcome {
     let mut violations = Vec::new();
@@ -218,9 +213,8 @@ pub fn stress_bench(cfg: &StressConfig) -> StressOutcome {
 /// One trial: fresh service, full produce + consume overlap, one wall
 /// clock. Its `clean` is left for [`stress_bench`] to fill in.
 fn stress_run(cfg: &StressConfig) -> (StressBench, Vec<String>) {
-    let svc = MofkaService::real_time(cfg.shards);
+    let svc = MofkaService::new();
     svc.create_topic("stress", TopicConfig { partitions: cfg.partitions }).expect("topic");
-    let shards = svc.plane().expect("real-time service has a plane").num_shards();
     let expected = cfg.producers as u64 * cfg.events_per_producer;
     // everyone (producers, consumers, the timing thread) starts together
     let start = Barrier::new(cfg.producers + cfg.groups * cfg.members_per_group + 1);
@@ -248,9 +242,7 @@ fn stress_run(cfg: &StressConfig) -> (StressBench, Vec<String>) {
                 for s in 0..cfg.events_per_producer {
                     producer.push(make_event(p as u64, s)).expect("push");
                 }
-                // flush + plane barrier: every handed-off batch is applied
-                // (and deferred shard errors would surface here)
-                producer.sync().expect("producer sync");
+                producer.flush().expect("producer flush");
             }));
         }
         let mut consumer_handles = Vec::new();
@@ -337,7 +329,6 @@ fn stress_run(cfg: &StressConfig) -> (StressBench, Vec<String>) {
         producers: cfg.producers as u64,
         events_per_producer: cfg.events_per_producer,
         partitions: cfg.partitions as u64,
-        shards: shards as u64,
         consumer_groups: cfg.groups as u64,
         members_per_group: cfg.members_per_group as u64,
         batch_size: cfg.batch_size as u64,
@@ -364,7 +355,6 @@ mod tests {
             producers: 4,
             events_per_producer: 500,
             partitions: 2,
-            shards: 2,
             groups: 2,
             members_per_group: 2,
             batch_size: 16,
@@ -379,12 +369,11 @@ mod tests {
     }
 
     #[test]
-    fn single_member_groups_on_auto_shards_run_clean() {
+    fn single_member_groups_run_clean() {
         let cfg = StressConfig {
             producers: 3,
             events_per_producer: 400,
             partitions: 3,
-            shards: 0,
             groups: 2,
             members_per_group: 1,
             batch_size: 8,

@@ -246,11 +246,8 @@ mod tests {
     }
 
     fn seeded_store(dir: &Path, events: usize) {
-        let svc = MofkaService::with_config(&ServiceConfig {
-            persist: Some(dir.to_path_buf()),
-            ..Default::default()
-        })
-        .unwrap();
+        let svc =
+            MofkaService::with_config(&ServiceConfig { persist: Some(dir.to_path_buf()) }).unwrap();
         svc.create_topic("t", TopicConfig { partitions: 2 }).unwrap();
         let mut p = svc.producer("t", ProducerConfig::default()).unwrap();
         for i in 0..events {
@@ -314,11 +311,8 @@ mod tests {
         // divergence: same length, different content
         let diff = tmp("oracle-diff");
         {
-            let svc = MofkaService::with_config(&ServiceConfig {
-                persist: Some(diff.clone()),
-                ..Default::default()
-            })
-            .unwrap();
+            let svc =
+                MofkaService::with_config(&ServiceConfig { persist: Some(diff.clone()) }).unwrap();
             svc.create_topic("t", TopicConfig { partitions: 2 }).unwrap();
             let mut p = svc.producer("t", ProducerConfig::default()).unwrap();
             for i in 0..20 {

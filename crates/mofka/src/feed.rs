@@ -7,17 +7,6 @@
 //! call — in place: the callback sees each event where the partition log
 //! holds it ([`crate::topic::Topic::visit`] states what it may do there),
 //! and the feed copies nothing.
-//!
-//! On a real-time service the feed also holds the shard plane's
-//! [`Activity`] signal: [`GroupFeed::wait_activity`] sleeps until a shard
-//! worker applies a new append batch (or a timeout elapses) instead of
-//! spinning on empty claims — many concurrent feeds can park on the same
-//! condvar without ever touching the ingest path. Virtual-time services
-//! have no plane (and no concurrent appends); there `wait_activity`
-//! returns immediately and callers drive the feed synchronously, which is
-//! what keeps simulated runs deterministic.
-
-use std::sync::Arc;
 
 use bytes::Bytes;
 use dtf_core::error::Result;
@@ -26,31 +15,19 @@ use dtf_core::events::ProvRecord;
 use crate::consumer::{Consumer, ConsumerConfig};
 use crate::event::EventId;
 use crate::service::MofkaService;
-use crate::shard::Activity;
 
 /// A consumer group spanning several topics, polled as one stream.
 #[derive(Debug)]
 pub struct GroupFeed {
     topics: Vec<String>,
     consumers: Vec<Consumer>,
-    /// Shard-plane append signal (real-time services only).
-    activity: Option<Arc<Activity>>,
-    /// Last activity sequence this feed acted on.
-    seen: u64,
 }
 
 impl GroupFeed {
     pub(crate) fn new(svc: &MofkaService, topics: &[&str], cfg: ConsumerConfig) -> Result<Self> {
         let consumers =
             topics.iter().map(|t| svc.consumer(t, cfg.clone())).collect::<Result<Vec<_>>>()?;
-        let activity = svc.plane().map(|p| p.activity());
-        let seen = activity.as_ref().map_or(0, |a| a.seq());
-        Ok(Self {
-            topics: topics.iter().map(|t| t.to_string()).collect(),
-            consumers,
-            activity,
-            seen,
-        })
+        Ok(Self { topics: topics.iter().map(|t| t.to_string()).collect(), consumers })
     }
 
     /// Topic names, in the index order [`Self::visit`] reports.
@@ -68,29 +45,12 @@ impl GroupFeed {
         max_per_topic: usize,
         mut f: impl FnMut(usize, EventId, &ProvRecord, Bytes) -> Result<()>,
     ) -> Result<u64> {
-        if let Some(a) = &self.activity {
-            // remember where the plane was *before* reading, so appends
-            // racing this visit re-trigger the next wait instead of being
-            // slept past
-            self.seen = a.seq();
-        }
         let mut visited = 0;
         for (topic, c) in self.consumers.iter_mut().enumerate() {
             visited +=
                 c.visit(max_per_topic, |id, record, data| f(topic, id, record, data))? as u64;
         }
         Ok(visited)
-    }
-
-    /// Sleep until the shard plane applies an append the feed has not yet
-    /// visited past, or `timeout` elapses. Returns whether new activity was
-    /// observed. Without a plane (virtual-time service) this returns
-    /// `false` immediately — visit synchronously instead.
-    pub fn wait_activity(&mut self, timeout: std::time::Duration) -> bool {
-        let Some(a) = &self.activity else {
-            return false;
-        };
-        a.wait_past(self.seen, timeout) > self.seen
     }
 }
 
@@ -140,35 +100,5 @@ mod tests {
             total += n;
         }
         assert_eq!(total, 10);
-    }
-
-    #[test]
-    fn wait_activity_is_immediate_without_a_plane() {
-        let svc = BedrockConfig::wms_default().bootstrap().unwrap();
-        let cfg = ConsumerConfig { group: "vt".into(), prefetch: 16 };
-        let mut feed = GroupFeed::new(&svc, &["logs"], cfg).unwrap();
-        let t0 = std::time::Instant::now();
-        assert!(!feed.wait_activity(std::time::Duration::from_secs(5)));
-        assert!(t0.elapsed() < std::time::Duration::from_secs(1), "no plane: no blocking");
-    }
-
-    #[test]
-    fn wait_activity_wakes_on_plane_append() {
-        let svc_cfg = crate::ServiceConfig {
-            mode: crate::ServiceMode::RealTime { shards: 2 },
-            ..Default::default()
-        };
-        let svc = BedrockConfig::wms_default().bootstrap_with(&svc_cfg).unwrap();
-        let cfg = ConsumerConfig { group: "rt".into(), prefetch: 16 };
-        let mut feed = GroupFeed::new(&svc, &["task-done"], cfg).unwrap();
-        assert!(!feed.wait_activity(std::time::Duration::from_millis(50)), "idle plane");
-        let mut p = svc.producer("task-done", ProducerConfig::default()).unwrap();
-        p.push(ev(1)).unwrap();
-        p.sync().unwrap();
-        assert!(feed.wait_activity(std::time::Duration::from_secs(10)), "append wakes the feed");
-        assert_eq!(feed.visit(16, |_, _, _, _| Ok(())).unwrap(), 1);
-        // visiting advances the seen watermark: quiet plane, no new wake
-        assert!(!feed.wait_activity(std::time::Duration::from_millis(50)));
-        svc.shutdown().unwrap();
     }
 }

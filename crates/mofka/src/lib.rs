@@ -20,12 +20,11 @@
 //! cursors in Yokan, mirroring Mofka's composition; a durable service
 //! persists the partitions themselves as one segmented log ([`topic`]).
 //!
-//! Two data planes serve producers ([`ServiceMode`]): the default
-//! *virtual-time* plane appends synchronously and deterministically (the
-//! simulation path), while the *real-time* plane ([`shard`]) gives each
-//! partition an owning shard worker so hundreds of concurrent clients
-//! scale past the single-lock ceiling — service mode and the stress
-//! bench only, never simulated runs.
+//! One data plane serves producers: a flush appends each partition batch
+//! under that partition's lock, from whichever thread flushes. Simulated
+//! runs flush from one thread and stay byte-identical; concurrent clients
+//! (the stress bench, live services) flush from many and contend only per
+//! partition.
 
 pub mod bedrock;
 pub mod consumer;
@@ -33,7 +32,6 @@ pub mod event;
 pub mod feed;
 pub mod producer;
 pub mod service;
-pub mod shard;
 pub mod ssg;
 pub mod topic;
 pub mod warabi;
@@ -43,6 +41,5 @@ pub use consumer::{Consumer, ConsumerConfig, DiscardedClaims};
 pub use event::{Event, EventId, StoredEvent};
 pub use feed::GroupFeed;
 pub use producer::{Producer, ProducerConfig};
-pub use service::{MofkaService, ServiceConfig, ServiceMode, ServiceRecovery};
-pub use shard::{Activity, DataPlane};
+pub use service::{MofkaService, ServiceConfig, ServiceRecovery};
 pub use topic::TopicConfig;

@@ -24,14 +24,10 @@
 //! keeps the buffer; there is no per-flush collection and no per-event
 //! conversion between what a producer holds and what a partition holds.
 //!
-//! On a real-time service (see [`crate::shard`]) a producer's `flush`
-//! hands each partition batch to the owning shard's queue instead of
-//! appending under the partition lock itself — concurrent producers
-//! stop contending there. Handed-off batches complete asynchronously;
-//! [`Producer::sync`] flushes *and* waits (a plane barrier), which is
-//! also where deferred append errors surface. On a virtual-time service
-//! there is no plane and `flush` appends synchronously, exactly as
-//! before — the deterministic path.
+//! `flush` appends on the calling thread, under each partition's lock in
+//! turn, so when it returns every buffered event is visible to consumers.
+//! Concurrent producers on one topic contend only on the partitions they
+//! share, once per batch.
 
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
@@ -42,7 +38,6 @@ use dtf_core::error::Result;
 use dtf_core::ids::{KeyHasher, TaskKey};
 
 use crate::event::Event;
-use crate::shard::DataPlane;
 use crate::topic::{SlotBatch, Topic};
 
 /// How a producer assigns events to partitions.
@@ -115,22 +110,10 @@ pub struct Producer {
     /// [`memo_slot`]; empty under `RoundRobin`.
     memo: Vec<Option<(TaskKey, u32)>>,
     stats: ProducerStats,
-    /// Concurrent data plane; `None` appends synchronously (virtual time).
-    plane: Option<Arc<DataPlane>>,
 }
 
 impl Producer {
-    /// A synchronous (plane-less) producer — the virtual-time path.
-    #[cfg(test)]
     pub(crate) fn new(topic: Arc<Topic>, cfg: ProducerConfig) -> Self {
-        Self::with_plane(topic, cfg, None)
-    }
-
-    pub(crate) fn with_plane(
-        topic: Arc<Topic>,
-        cfg: ProducerConfig,
-        plane: Option<Arc<DataPlane>>,
-    ) -> Self {
         assert!(cfg.batch_size >= 1, "batch_size must be >= 1");
         let parts = topic.num_partitions() as usize;
         let memo = match cfg.strategy {
@@ -146,7 +129,6 @@ impl Producer {
             key_text: String::new(),
             memo,
             stats: ProducerStats::default(),
-            plane,
         }
     }
 
@@ -200,52 +182,21 @@ impl Producer {
         Ok(())
     }
 
-    /// Append all buffered events to their partitions. With a data plane
-    /// this hands each batch to the owning shard and returns as soon as
-    /// every batch is *queued* (nonblocking, like Mofka's client); the
-    /// appends themselves complete asynchronously in handoff order. Call
-    /// [`Producer::sync`] (or the service's `sync`) to wait for them.
-    ///
-    /// Every partition is attempted even when one fails, and the first
-    /// error is returned. A batch a shut-down plane refused is gone — the
-    /// error is its only trace — and [`Self::pending_events`] counts what
-    /// is still buffered afterwards, not what was before.
+    /// Append all buffered events to their partitions, one
+    /// [`Topic::append_slots`] per non-empty partition batch; each buffer
+    /// keeps its capacity for the next batch. When this returns `Ok`, every
+    /// buffered event is visible to consumers. On an error the failed batch
+    /// and those after it stay buffered, and [`Self::pending_events`]
+    /// counts them.
     pub fn flush(&mut self) -> Result<()> {
-        let mut first_error = None;
         for (p, buf) in self.pending.iter_mut().enumerate() {
-            if buf.is_empty() {
-                continue;
-            }
-            // either way `buf` keeps room for the next batch, instead of
-            // growing from empty after every flush
-            let appended = match &self.plane {
-                Some(plane) => {
-                    let batch = std::mem::replace(buf, SlotBatch::with_capacity(buf.len()));
-                    plane.enqueue_append(&self.topic, p as u32, batch)
-                }
-                None => self.topic.append_slots(p as u32, buf).map(drop),
-            };
-            match appended {
-                Ok(()) => self.stats.batches += 1,
-                Err(e) => {
-                    first_error.get_or_insert(e);
-                }
+            if !buf.is_empty() {
+                let (_, n) = self.topic.append_slots(p as u32, buf)?;
+                self.pending_count -= n;
+                self.stats.batches += 1;
             }
         }
-        self.pending_count = self.pending.iter().map(SlotBatch::len).sum();
-        first_error.map_or(Ok(()), Err)
-    }
-
-    /// Flush, then wait until every batch this producer (and any other
-    /// client of the same plane) handed off has been appended. Deferred
-    /// shard append errors surface here. On a virtual-time service this
-    /// is just `flush` — appends there are already synchronous.
-    pub fn sync(&mut self) -> Result<()> {
-        self.flush()?;
-        match &self.plane {
-            Some(plane) => plane.barrier(),
-            None => Ok(()),
-        }
+        Ok(())
     }
 
     pub fn stats(&self) -> ProducerStats {
@@ -520,53 +471,5 @@ mod tests {
             duration: Dur(2),
         };
         assert_eq!(p.select_partition(&Event::typed(warn)), MISSING_KEY_PARTITION);
-    }
-
-    #[test]
-    fn failed_flush_attempts_every_partition_and_keeps_the_count_exact() {
-        let t = topic(2);
-        let plane = DataPlane::manual(2);
-        let mut p = Producer::with_plane(
-            t.clone(),
-            ProducerConfig { batch_size: 4, strategy: PartitionStrategy::RoundRobin },
-            Some(plane.clone()),
-        );
-        for i in 0..3 {
-            p.push(tagged(0, i)).unwrap();
-        }
-        assert_eq!(p.pending_events(), 3, "two for partition 0, one for partition 1");
-        plane.shutdown().unwrap();
-        let err = p.flush().unwrap_err();
-        assert!(err.to_string().contains("shut down"), "got: {err}");
-        // both partitions were attempted: nothing is left buffered, and the
-        // count says so instead of remembering the lost batches
-        assert_eq!(p.pending_events(), 0);
-        assert!(p.pending.iter().all(SlotBatch::is_empty));
-        assert_eq!(p.stats().batches, 0, "a refused batch is not a batch sent");
-        // a later push buffers one event — it is not one more casualty of a
-        // flush re-run on a count that never came down
-        p.push(tagged(0, 3)).unwrap();
-        assert_eq!(p.pending_events(), 1);
-        assert!(p.flush().is_err());
-        assert_eq!(p.pending_events(), 0);
-        assert_eq!(t.total_len(), 0, "a shut-down plane appends nothing");
-    }
-
-    #[test]
-    fn plane_flush_is_queued_until_barrier() {
-        let t = topic(2);
-        let plane = DataPlane::manual(2);
-        let mut p = Producer::with_plane(
-            t.clone(),
-            ProducerConfig { batch_size: 4, strategy: PartitionStrategy::RoundRobin },
-            Some(plane.clone()),
-        );
-        for i in 0..8 {
-            p.push(tagged(0, i)).unwrap();
-        }
-        assert_eq!(t.total_len(), 0, "batches queued on shards, not yet applied");
-        p.sync().unwrap();
-        assert_eq!(t.total_len(), 8, "barrier applied every handed-off batch");
-        assert_eq!(p.stats().batches, 4, "two auto-flushes x two partitions");
     }
 }

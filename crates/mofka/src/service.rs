@@ -8,14 +8,10 @@
 //! topics are rebuilt to their committed prefixes, and the regular
 //! consumer API drains them exactly as an in-situ analysis would.
 //!
-//! [`ServiceConfig::mode`] selects the data plane. The default,
-//! [`ServiceMode::VirtualTime`], appends synchronously under the partition
-//! lock — the deterministic path every simulated run takes, byte-identical
-//! across runs. [`ServiceMode::RealTime`] activates the sharded concurrent
-//! plane (see [`crate::shard`]): producers hand batches to shard-owning
-//! worker threads. Consumers claim synchronously in both modes, and the
-//! topic map itself is sharded in both (lookup-only — it cannot affect
-//! event order).
+//! Producers append (under the partition lock) and consumers claim on the
+//! calling thread; the service runs no threads of its own. The topic map
+//! is striped for concurrent lookups (lookup-only — it cannot affect event
+//! order).
 
 use bytes::Bytes;
 use dtf_store::RecoveryReport;
@@ -29,37 +25,16 @@ use dtf_core::error::{DtfError, Result};
 use crate::consumer::{clamp_cursors, Consumer, ConsumerConfig};
 use crate::feed::GroupFeed;
 use crate::producer::{Producer, ProducerConfig};
-use crate::shard::DataPlane;
 use crate::topic::{self, Topic, TopicConfig, TopicLog};
 use crate::warabi::Warabi;
 use crate::yokan::Yokan;
 
-/// Which data plane serves producers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ServiceMode {
-    /// Synchronous appends under the partition lock — deterministic, the
-    /// simulation path. The default.
-    #[default]
-    VirtualTime,
-    /// The sharded concurrent plane: per-partition shard ownership with
-    /// mpsc-batched producer handoff. For live services and the stress
-    /// bench; never used by virtual-time simulated runs.
-    RealTime {
-        /// Worker shards; 0 = auto (available parallelism, min 2).
-        shards: usize,
-    },
-}
-
-/// Service-level configuration: where (whether) to persist, and which
-/// data plane to run.
+/// Service-level configuration: where (whether) to persist.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Root directory for durable state. `None` keeps the service fully
     /// in-memory (the default).
     pub persist: Option<PathBuf>,
-    /// Data-plane selection; defaults to the deterministic virtual-time
-    /// path.
-    pub mode: ServiceMode,
 }
 
 /// What recovery found when a persisted service directory was opened.
@@ -175,9 +150,6 @@ pub struct MofkaService {
     /// for read-only archive reopens.
     topic_log: Option<Arc<TopicLog>>,
     topics: TopicMap,
-    /// The concurrent data plane; `None` in virtual-time mode (and for
-    /// read-only archive reopens).
-    plane: Option<Arc<DataPlane>>,
 }
 
 impl Default for MofkaService {
@@ -193,37 +165,15 @@ impl MofkaService {
             warabi: Arc::new(Warabi::new()),
             topic_log: None,
             topics: TopicMap::new(),
-            plane: None,
         }
-    }
-
-    /// An in-memory service running the sharded concurrent plane — the
-    /// service-mode entry point for live (wall-clock) clients.
-    pub fn real_time(shards: usize) -> Self {
-        Self { plane: Some(DataPlane::spawned(shards)), ..Self::new() }
-    }
-
-    /// An in-memory service on a *manual* plane: producer flushes are
-    /// queued per shard but applied only when the caller steps them
-    /// ([`DataPlane::step_shard`] via [`Self::plane`]) or a barrier
-    /// drains them inline. This is the deterministic-interleaving entry
-    /// point the seeded schedule harness drives — every handoff state
-    /// the spawned plane can reach is reachable one `step_shard` at a
-    /// time, with no worker threads racing the schedule.
-    pub fn manual(shards: usize) -> Self {
-        Self { plane: Some(DataPlane::manual(shards)), ..Self::new() }
     }
 
     /// Build a service per `cfg`: in-memory when `persist` is unset,
     /// durable (with any existing state recovered and topics restored)
-    /// when it names a directory; `cfg.mode` picks the data plane.
+    /// when it names a directory.
     pub fn with_config(cfg: &ServiceConfig) -> Result<Self> {
-        let plane = match cfg.mode {
-            ServiceMode::VirtualTime => None,
-            ServiceMode::RealTime { shards } => Some(DataPlane::spawned(shards)),
-        };
         match &cfg.persist {
-            None => Ok(Self { plane, ..Self::new() }),
+            None => Ok(Self::new()),
             Some(dir) => {
                 let (yokan, _) = Yokan::durable(&dir.join("yokan"))?;
                 let (warabi, _) = Warabi::durable(&dir.join("warabi"))?;
@@ -233,7 +183,6 @@ impl MofkaService {
                     warabi: Arc::new(warabi),
                     topic_log: Some(Arc::new(log)),
                     topics: TopicMap::new(),
-                    plane,
                 };
                 svc.restore_topics(&records)?;
                 Ok(svc)
@@ -245,10 +194,8 @@ impl MofkaService {
     /// path. Recovery repairs torn tails on disk (the only mutation);
     /// the returned service holds no log handles, so reopening the same
     /// directory any number of times yields the same committed state.
-    /// Archive readers never get a data plane: if the producing service
-    /// is still alive with batches queued in its shards, those batches
-    /// are not yet committed and this reopen sees the clean committed
-    /// prefix (see `MofkaService::shutdown` for the drain-first path).
+    /// Reopening while the producing service is still appending is safe:
+    /// this sees the committed prefix as of its last [`Self::sync`].
     pub fn reopen(dir: &Path) -> Result<(Self, ServiceRecovery)> {
         let (yokan, yokan_report) = Yokan::replay(&dir.join("yokan"))?;
         let (warabi, warabi_report) = Warabi::replay(&dir.join("warabi"))?;
@@ -258,7 +205,6 @@ impl MofkaService {
             warabi: Arc::new(warabi),
             topic_log: None,
             topics: TopicMap::new(),
-            plane: None,
         };
         let restored_events = svc.restore_topics(&records)?;
         let recovery = ServiceRecovery {
@@ -292,34 +238,19 @@ impl MofkaService {
         Ok(restored)
     }
 
-    /// Flush durable state (group commit). In real-time mode a plane
-    /// barrier runs first, so every batch handed off before this call is
-    /// appended — and therefore written through to the stores — before
-    /// they flush. The order is blobs, then the topic log, then Yokan, so
+    /// Flush durable state (group commit): every batch a producer flushed
+    /// before this call is committed. The order is blobs, then the topic
+    /// log, then Yokan, so
     /// what a sync commits is closed under reference — a crash between
     /// two of the flushes leaves orphan blobs (harmless) rather than slots
     /// naming missing blobs, and group cursors behind the slots they
     /// count rather than past them.
     pub fn sync(&self) -> Result<()> {
-        if let Some(plane) = &self.plane {
-            plane.barrier()?;
-        }
         self.warabi.sync()?;
         if let Some(log) = &self.topic_log {
             log.sync()?;
         }
         self.yokan.sync()
-    }
-
-    /// Graceful shutdown of the data plane: drain every shard queue
-    /// (surfacing deferred append errors), then flush durable state.
-    /// After this, a `reopen` of the persist directory sees every event
-    /// that was ever handed to a producer `flush` — queued batches are
-    /// drained first, never dropped. The plane keeps running (workers
-    /// stop only when the last handle drops), so this is safe to call
-    /// more than once.
-    pub fn shutdown(&self) -> Result<()> {
-        self.sync()
     }
 
     /// Create a topic. Errors if it already exists.
@@ -345,30 +276,20 @@ impl MofkaService {
         self.topics.names()
     }
 
-    /// Open a producer on `topic`. In real-time mode its flushes hand
-    /// batches to the shard plane; in virtual-time mode they append
-    /// synchronously (the deterministic path).
+    /// Open a producer on `topic`.
     pub fn producer(&self, topic: &str, cfg: ProducerConfig) -> Result<Producer> {
-        Ok(Producer::with_plane(self.topic(topic)?, cfg, self.plane.clone()))
+        Ok(Producer::new(self.topic(topic)?, cfg))
     }
 
-    /// Open a consumer on `topic` (available in every mode).
+    /// Open a consumer on `topic`.
     pub fn consumer(&self, topic: &str, cfg: ConsumerConfig) -> Result<Consumer> {
         Ok(Consumer::new(self.topic(topic)?, self.yokan.clone(), cfg))
     }
 
     /// Open a [`crate::feed::GroupFeed`]: one consumer per listed topic,
-    /// all under `cfg.group`, visited as a single stream. On a real-time
-    /// service the feed can additionally park on the shard plane's
-    /// activity signal between visits; on virtual-time services it is a
-    /// plain synchronous multi-topic drain (available in every mode).
+    /// all under `cfg.group`, visited as a single stream.
     pub fn group_feed(&self, topics: &[&str], cfg: ConsumerConfig) -> Result<GroupFeed> {
         GroupFeed::new(self, topics, cfg)
-    }
-
-    /// The concurrent data plane, if this service runs one.
-    pub fn plane(&self) -> Option<&Arc<DataPlane>> {
-        self.plane.as_ref()
     }
 
     /// Stall one partition of `topic` (fault injection): appends stage
@@ -450,11 +371,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dtf-svc-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let svc = MofkaService::with_config(&ServiceConfig {
-                persist: Some(dir.clone()),
-                ..Default::default()
-            })
-            .unwrap();
+            let svc =
+                MofkaService::with_config(&ServiceConfig { persist: Some(dir.clone()) }).unwrap();
             svc.create_topic("events", TopicConfig { partitions: 2 }).unwrap();
             let mut p = svc.producer("events", ProducerConfig::default()).unwrap();
             for i in 0..20 {
@@ -487,20 +405,6 @@ mod tests {
         svc.create_topic("b", TopicConfig::default()).unwrap();
         svc.create_topic("a", TopicConfig::default()).unwrap();
         assert_eq!(svc.topic_names(), vec!["a".to_string(), "b".to_string()]);
-    }
-
-    #[test]
-    fn real_time_service_routes_flushes_through_the_plane() {
-        let svc = MofkaService::real_time(2);
-        assert!(svc.plane().is_some());
-        svc.create_topic("t", TopicConfig { partitions: 2 }).unwrap();
-        let mut p = svc.producer("t", ProducerConfig::default()).unwrap();
-        for i in 0..100 {
-            p.push(tagged(0, i)).unwrap();
-        }
-        p.sync().unwrap();
-        let mut c = svc.consumer("t", ConsumerConfig::default()).unwrap();
-        assert_eq!(c.drain_all().unwrap().len(), 100);
     }
 
     #[test]

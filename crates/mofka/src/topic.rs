@@ -83,8 +83,8 @@ struct Slot {
 }
 
 /// Events bound for one partition, already in the partition log's element
-/// type: what a producer buffers, what a shard job carries, and what
-/// [`Topic::append_slots`] moves into the log with one `Vec::append`.
+/// type: what a producer buffers and what [`Topic::append_slots`] moves
+/// into the log with one `Vec::append`.
 /// Payloads ride beside their slots until the append stores them — blob
 /// ids are assigned there, in batch order, not when an event is buffered.
 #[derive(Debug, Default)]
@@ -95,10 +95,6 @@ pub struct SlotBatch {
 }
 
 impl SlotBatch {
-    pub fn with_capacity(n: usize) -> Self {
-        Self { slots: Vec::with_capacity(n), payloads: Vec::new() }
-    }
-
     pub fn push(&mut self, event: Event) {
         if !event.data.is_empty() {
             self.payloads.push((self.slots.len(), event.data));

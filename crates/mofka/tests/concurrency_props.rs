@@ -1,15 +1,12 @@
-//! Concurrency properties of the sharded data plane.
+//! Concurrency properties of the data plane.
 //!
-//! Three invariants, property-tested over randomized shapes:
+//! Two invariants, property-tested over randomized shapes:
 //!
-//! 1. **Per-partition ordering** — however producer flushes interleave
-//!    with shard steps on a manual plane, each partition's log holds that
-//!    producer's events in push order.
-//! 2. **Exactly-once per group** — however pulls interleave across the
+//! 1. **Exactly-once per group** — however pulls interleave across the
 //!    members of a consumer group, every event is delivered to exactly
 //!    one member, and no event is lost.
-//! 3. **No loss under concurrent flush/pull** — with real producer and
-//!    consumer threads racing on a spawned plane, the group still drains
+//! 2. **No loss under concurrent flush/pull** — with real producer and
+//!    consumer threads racing on one service, the group still drains
 //!    exactly the produced set.
 
 use proptest::prelude::*;
@@ -20,64 +17,6 @@ mod common;
 use common::{tag as key, tagged as ev};
 
 proptest! {
-    /// Randomized flush/step interleavings on a manual plane keep every
-    /// partition's log in per-producer push order, and a final barrier
-    /// always drains the queues completely.
-    #[test]
-    fn per_partition_order_survives_any_step_schedule(
-        partitions in 1u32..5,
-        shards in 1usize..5,
-        batch in 1usize..17,
-        events in 8u64..200,
-        // each entry: after this many pushes, run one step of this shard
-        schedule in proptest::collection::vec((1u64..32, 0usize..8), 0..64),
-    ) {
-        let svc = MofkaService::manual(shards);
-        svc.create_topic("t", TopicConfig { partitions }).unwrap();
-        let plane = svc.plane().unwrap().clone();
-        let mut producer = svc
-            .producer("t", ProducerConfig { batch_size: batch, ..Default::default() })
-            .unwrap();
-
-        let mut schedule = schedule.into_iter();
-        let mut next = schedule.next();
-        let mut since_step = 0u64;
-        for s in 0..events {
-            producer.push(ev(0, s)).unwrap();
-            since_step += 1;
-            if let Some((after, shard)) = next {
-                if since_step >= after {
-                    plane.step_shard(shard % plane.num_shards());
-                    since_step = 0;
-                    next = schedule.next();
-                }
-            }
-        }
-        producer.sync().unwrap(); // flush + inline drain on a manual plane
-        for i in 0..plane.num_shards() {
-            prop_assert_eq!(plane.queued_jobs(i), 0, "barrier left shard {} non-empty", i);
-        }
-
-        // one fresh group drains everything; per partition, seqs of the
-        // single producer must come out strictly increasing
-        let mut consumer = svc
-            .consumer("t", ConsumerConfig { group: "check".into(), prefetch: 64 })
-            .unwrap();
-        let drained = consumer.drain_all().unwrap();
-        prop_assert_eq!(drained.len() as u64, events);
-        let mut last_seq: std::collections::HashMap<u32, u64> = Default::default();
-        for se in &drained {
-            let (_, s) = key(&se.event);
-            if let Some(prev) = last_seq.insert(se.id.partition, s) {
-                prop_assert!(
-                    s > prev,
-                    "partition {} delivered seq {} after {}",
-                    se.id.partition, s, prev
-                );
-            }
-        }
-    }
-
     /// However pulls interleave across a group's members (decided by a
     /// randomized round-robin schedule), each event lands on exactly one
     /// member and none are lost.
@@ -129,17 +68,16 @@ proptest! {
     // distinct producer/consumer races per test run
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Real producer threads racing a consumer on a spawned plane: the
-    /// group drains exactly the produced set.
+    /// Real producer threads racing a consumer on one service: the group
+    /// drains exactly the produced set.
     #[test]
     fn nothing_is_lost_under_concurrent_flush_and_pull(
         producers in 1usize..5,
         partitions in 1u32..4,
-        shards in 1usize..4,
         batch in 1usize..33,
         per_producer in 1u64..200,
     ) {
-        let svc = MofkaService::real_time(shards);
+        let svc = MofkaService::new();
         svc.create_topic("t", TopicConfig { partitions }).unwrap();
         let total = producers as u64 * per_producer;
 
@@ -153,7 +91,7 @@ proptest! {
                     for s in 0..per_producer {
                         producer.push(ev(p as u32, s)).unwrap();
                     }
-                    producer.sync().unwrap();
+                    producer.flush().unwrap();
                 });
             }
             let mut consumer =

@@ -1,14 +1,11 @@
-//! Topic restore versus the concurrent data plane: a persisted
-//! directory must reopen to a clean committed prefix no matter what the
-//! plane was doing — queued-unflushed batches are drained by `shutdown`
-//! (never dropped), and a reopen racing a live service sees only
-//! committed state, never a torn or reordered log.
+//! Topic restore versus concurrent producers: a persisted directory must
+//! reopen to a clean committed prefix while producer threads are still
+//! appending to the live service, and after the service is dropped
+//! without a final sync — never a torn, gapped or reordered log.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dtf_mofka::{
-    ConsumerConfig, Event, MofkaService, ProducerConfig, ServiceConfig, ServiceMode, TopicConfig,
-};
+use dtf_mofka::{ConsumerConfig, Event, MofkaService, ProducerConfig, ServiceConfig, TopicConfig};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -21,12 +18,8 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-fn durable_real_time(dir: &std::path::Path, shards: usize) -> MofkaService {
-    MofkaService::with_config(&ServiceConfig {
-        persist: Some(dir.to_path_buf()),
-        mode: ServiceMode::RealTime { shards },
-    })
-    .unwrap()
+fn durable(dir: &std::path::Path) -> MofkaService {
+    MofkaService::with_config(&ServiceConfig { persist: Some(dir.to_path_buf()) }).unwrap()
 }
 
 mod common;
@@ -35,90 +28,93 @@ fn ev(seq: u64) -> Event {
     common::tagged(0, seq)
 }
 
-/// Every event handed to a producer `flush` before `shutdown` survives
-/// the reopen — the shard queues are drained and synced, not dropped.
-#[test]
-fn shutdown_drains_queued_batches_before_reopen() {
-    let dir = temp_dir("shutdown");
-    const N: u64 = 1_000;
-    {
-        let svc = durable_real_time(&dir, 2);
-        svc.create_topic("t", TopicConfig { partitions: 3 }).unwrap();
-        let mut producer =
-            svc.producer("t", ProducerConfig { batch_size: 64, ..Default::default() }).unwrap();
-        for s in 0..N {
-            producer.push(ev(s)).unwrap();
-        }
-        // flush hands the tail batches to the shard queues; no barrier —
-        // shutdown below is what must drain them
-        producer.flush().unwrap();
-        svc.shutdown().unwrap();
-    }
-    let (svc, recovery) = MofkaService::reopen(&dir).unwrap();
-    assert_eq!(recovery.restored_events, N, "queued batches were dropped, not drained");
-    let mut consumer =
-        svc.consumer("t", ConsumerConfig { group: "audit".into(), prefetch: 256 }).unwrap();
-    let drained = consumer.drain_all().unwrap();
-    assert_eq!(drained.len() as u64, N);
-    let mut seqs: Vec<u64> = drained.iter().map(|se| common::tag(&se.event).1).collect();
-    seqs.sort_unstable();
-    assert_eq!(seqs, (0..N).collect::<Vec<_>>(), "restored stream lost or duplicated events");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// Reopening a directory while the producing service is still alive (its
-/// plane mid-drain) is the archive path: it must succeed cleanly and see
-/// a committed per-partition prefix — contiguous offsets from zero, no
-/// gaps, no torn tail — never an error or a corrupt log.
+/// Producer threads append to a durable service while the main thread
+/// commits and reopens the same directory three times. Every reopen is
+/// the archive path: it must succeed cleanly and see a committed prefix
+/// that only grows and holds everything flushed before the commit — per
+/// partition, contiguous offsets from zero, and each producer's events in
+/// push order. Each producer reports every flushed round on a channel,
+/// and each reopen waits for another `PRODUCERS` reports, so it commits
+/// while the producers are on later rounds. The producers append fewer records
+/// than one topic-log group holds, so every file write is one of the main
+/// thread's commits and a reopen never reads half a group.
 #[test]
 fn reopen_racing_a_live_plane_sees_a_clean_prefix() {
     let dir = temp_dir("racing");
-    const N: u64 = 5_000;
-    let svc = durable_real_time(&dir, 2);
+    const PRODUCERS: u32 = 3;
+    const ROUNDS: u64 = 4;
+    const PER_ROUND: u64 = 500;
+    let svc = durable(&dir);
     svc.create_topic("t", TopicConfig { partitions: 2 }).unwrap();
-    let mut producer =
-        svc.producer("t", ProducerConfig { batch_size: 32, ..Default::default() }).unwrap();
-    for s in 0..N {
-        producer.push(ev(s)).unwrap();
-        if s % 512 == 0 {
-            // periodic commit points so the racing reopens have
-            // something durable to see
+    svc.sync().unwrap();
+    let (flushed, reports) = std::sync::mpsc::channel();
+
+    std::thread::scope(|scope| {
+        for p in 0..PRODUCERS {
+            let (svc, flushed) = (&svc, flushed.clone());
+            scope.spawn(move || {
+                let mut producer = svc
+                    .producer("t", ProducerConfig { batch_size: 32, ..Default::default() })
+                    .unwrap();
+                for round in 0..ROUNDS {
+                    for s in round * PER_ROUND..(round + 1) * PER_ROUND {
+                        producer.push(common::tagged(p, s)).unwrap();
+                    }
+                    producer.flush().unwrap();
+                    // the receiver is gone only if the main thread failed
+                    let _ = flushed.send(());
+                }
+            });
+        }
+        // a producer that panics hangs up instead of leaving `recv` waiting
+        drop(flushed);
+
+        let mut last_seen = 0u64;
+        let mut rounds_flushed = 0u64;
+        for _ in 1..ROUNDS {
+            for _ in 0..PRODUCERS {
+                reports.recv().unwrap();
+                rounds_flushed += 1;
+            }
             svc.sync().unwrap();
+            let (archive, recovery) = MofkaService::reopen(&dir).unwrap();
+            assert!(!recovery.topics.torn, "a committed group reopened torn");
+            assert!(
+                recovery.restored_events >= rounds_flushed * PER_ROUND,
+                "a commit missed batches flushed before it"
+            );
+            let mut consumer = archive
+                .consumer("t", ConsumerConfig { group: "probe".into(), prefetch: 256 })
+                .unwrap();
+            let drained = consumer.drain_all().unwrap();
+            assert_eq!(drained.len() as u64, recovery.restored_events);
+            // committed prefixes only grow (monotone across reopens)
+            assert!(drained.len() as u64 >= last_seen, "committed prefix shrank");
+            last_seen = drained.len() as u64;
+            let mut next: std::collections::HashMap<u32, u64> = Default::default();
+            let mut last_seq: std::collections::HashMap<(u32, u32), u64> = Default::default();
+            for se in &drained {
+                // per partition: offsets are the contiguous range 0..len
+                let want = next.entry(se.id.partition).or_insert(0);
+                assert_eq!(se.id.offset, *want, "gap in partition {}", se.id.partition);
+                *want += 1;
+                let (producer, seq) = common::tag(&se.event);
+                if let Some(prev) = last_seq.insert((producer, se.id.partition), seq) {
+                    assert!(seq > prev, "producer {producer} reordered in {}", se.id.partition);
+                }
+            }
         }
-    }
-    producer.flush().unwrap();
+    });
 
-    // while the plane may still hold queued batches, reopen the same
-    // directory a few times: each must see a clean committed prefix
-    let mut last_seen = 0u64;
-    for _ in 0..3 {
-        let (archive, recovery) = MofkaService::reopen(&dir).unwrap();
-        assert!(recovery.restored_events <= N);
-        let mut consumer =
-            archive.consumer("t", ConsumerConfig { group: "probe".into(), prefetch: 256 }).unwrap();
-        let drained = consumer.drain_all().unwrap();
-        assert_eq!(drained.len() as u64, recovery.restored_events);
-        // committed prefixes only grow (monotone across reopens)
-        assert!(drained.len() as u64 >= last_seen, "committed prefix shrank");
-        last_seen = drained.len() as u64;
-        // per partition: offsets are the contiguous range 0..len
-        let mut next: std::collections::HashMap<u32, u64> = Default::default();
-        for se in &drained {
-            let want = next.entry(se.id.partition).or_insert(0);
-            assert_eq!(se.id.offset, *want, "gap in partition {}", se.id.partition);
-            *want += 1;
-        }
-    }
-
-    // after a graceful shutdown the full stream is visible
-    svc.shutdown().unwrap();
+    // once every producer has flushed, a commit makes the full stream visible
+    svc.sync().unwrap();
     let (_, recovery) = MofkaService::reopen(&dir).unwrap();
-    assert_eq!(recovery.restored_events, N);
+    assert_eq!(recovery.restored_events, PRODUCERS as u64 * ROUNDS * PER_ROUND);
     drop(svc);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Dropping a real-time service without `shutdown` still never corrupts:
+/// Dropping a durable service without `sync` still never corrupts:
 /// whatever was committed reopens as a clean prefix, and a subsequent
 /// reopen is deterministic (same committed state both times).
 #[test]
@@ -126,7 +122,7 @@ fn ungraceful_drop_leaves_a_reopenable_store() {
     let dir = temp_dir("drop");
     const N: u64 = 2_000;
     {
-        let svc = durable_real_time(&dir, 2);
+        let svc = durable(&dir);
         svc.create_topic("t", TopicConfig { partitions: 2 }).unwrap();
         let mut producer =
             svc.producer("t", ProducerConfig { batch_size: 128, ..Default::default() }).unwrap();
@@ -134,7 +130,7 @@ fn ungraceful_drop_leaves_a_reopenable_store() {
             producer.push(ev(s)).unwrap();
         }
         producer.flush().unwrap();
-        // no shutdown, no sync: the service (and its plane) just drops
+        // no sync: the service just drops
     }
     let (_, first) = MofkaService::reopen(&dir).unwrap();
     let (_, second) = MofkaService::reopen(&dir).unwrap();

@@ -22,11 +22,7 @@ fn scratch(label: &str) -> PathBuf {
 }
 
 fn durable(dir: &Path) -> MofkaService {
-    MofkaService::with_config(&ServiceConfig {
-        persist: Some(dir.to_path_buf()),
-        ..Default::default()
-    })
-    .unwrap()
+    MofkaService::with_config(&ServiceConfig { persist: Some(dir.to_path_buf()) }).unwrap()
 }
 
 /// Every partition's visible stream, keyed by `(topic, partition)`.

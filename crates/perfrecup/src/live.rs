@@ -34,8 +34,6 @@
 //! [`LiveViews::publish`] swaps one `Arc<ViewSnapshot>` under a mutex and
 //! notifies a condvar, so any number of concurrent readers poll or block
 //! ([`ViewSubscription::wait_newer`]) without ever touching ingest state.
-//! On a real-time service the engine can also park on the shard plane's
-//! append signal ([`LiveViews::wait_activity`]) between pumps.
 //!
 //! [`ViewQuery`] unifies hot and cold: the same query answers from live
 //! state for an active run and from [`crate::archive::ArchivedRun`] (or
@@ -327,12 +325,6 @@ impl LiveViews {
     /// stay valid for the engine's lifetime and beyond).
     pub fn subscribe(&self) -> ViewSubscription {
         ViewSubscription { shared: self.published.clone() }
-    }
-
-    /// Park on the shard plane's append signal (real-time services); see
-    /// [`GroupFeed::wait_activity`].
-    pub fn wait_activity(&mut self, timeout: Duration) -> bool {
-        self.feed.wait_activity(timeout)
     }
 
     /// One pass over the feed: ingest whatever arrived, up to
@@ -690,17 +682,13 @@ mod tests {
         assert_eq!(got.version, s2.version);
     }
 
-    /// Concurrent subscriptions off the real-time shard plane: a producer
-    /// thread streams events while the engine pumps on plane activity and
-    /// several subscriber threads block for fresh versions.
+    /// Concurrent subscriptions while a producer thread streams events:
+    /// the engine polls the feed, and several subscriber threads block for
+    /// fresh versions.
     #[test]
     fn concurrent_subscriptions_on_realtime_plane() {
         use dtf_core::ids::{NodeId, TaskKey};
-        let svc_cfg = dtf_mofka::ServiceConfig {
-            mode: dtf_mofka::ServiceMode::RealTime { shards: 2 },
-            ..Default::default()
-        };
-        let svc = BedrockConfig::wms_default().bootstrap_with(&svc_cfg).unwrap();
+        let svc = BedrockConfig::wms_default().bootstrap().unwrap();
         let mut live =
             LiveViews::attach(&svc, LiveConfig { group: "rt-subs".into(), ..Default::default() })
                 .unwrap();
@@ -713,30 +701,38 @@ mod tests {
                 })
             })
             .collect();
-        let mut producer = svc.producer("task-done", ProducerConfig::default()).unwrap();
         let n_events = 64u64;
-        for i in 0..n_events {
-            producer
-                .push(Event::typed(TaskDoneEvent {
-                    key: TaskKey::new("t", 0, i as u32),
-                    graph: GraphId(0),
-                    worker: WorkerId::new(NodeId(0), (i % 4) as u32),
-                    thread: ThreadId(i % 4),
-                    start: Time(i * 1_000_000),
-                    stop: Time((i + 1) * 1_000_000),
-                    nbytes: 64,
-                }))
-                .unwrap();
-        }
-        producer.flush().unwrap();
-        svc.sync().unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        while live.progress().task_done < n_events {
-            if live.pump(4096).unwrap() == 0 {
-                live.wait_activity(Duration::from_millis(50));
+        std::thread::scope(|scope| {
+            let svc = &svc;
+            scope.spawn(move || {
+                let mut producer = svc
+                    .producer("task-done", ProducerConfig { batch_size: 8, ..Default::default() })
+                    .unwrap();
+                for i in 0..n_events {
+                    producer
+                        .push(Event::typed(TaskDoneEvent {
+                            key: TaskKey::new("t", 0, i as u32),
+                            graph: GraphId(0),
+                            worker: WorkerId::new(NodeId(0), (i % 4) as u32),
+                            thread: ThreadId(i % 4),
+                            start: Time(i * 1_000_000),
+                            stop: Time((i + 1) * 1_000_000),
+                            nbytes: 64,
+                        }))
+                        .unwrap();
+                }
+                producer.flush().unwrap();
+            });
+            let deadline = std::time::Instant::now() + Duration::from_secs(30);
+            while live.progress().task_done < n_events {
+                if live.pump(4096).unwrap() == 0 {
+                    std::thread::sleep(Duration::from_millis(1));
+                } else {
+                    live.publish();
+                }
+                assert!(std::time::Instant::now() < deadline, "ingest stalled");
             }
-            assert!(std::time::Instant::now() < deadline, "ingest stalled");
-        }
+        });
         live.publish();
         for r in readers {
             let (version, seen) = r.join().unwrap();
@@ -744,6 +740,5 @@ mod tests {
             assert!(seen > 0, "subscribers observed live progress");
         }
         assert_eq!(live.progress().task_done, n_events);
-        svc.shutdown().unwrap();
     }
 }

@@ -328,6 +328,16 @@ impl Scheduler {
             return Err(DtfError::IllegalState("no workers connected".into()));
         }
         self.graphs_submitted += 1;
+        // an earlier output whose last replica died while nothing needed it
+        // still reads `memory`: bring it back before counting it finished
+        let lost: BTreeSet<TaskKey> = graph
+            .tasks
+            .iter()
+            .flat_map(|spec| &spec.deps)
+            .filter(|d| self.tasks.contains_key(*d) && self.is_lost(d))
+            .copied()
+            .collect();
+        let mut actions = self.recompute(lost, now);
         let mut new_keys = Vec::with_capacity(graph.tasks.len());
         for spec in graph.tasks {
             let priority = self.next_priority;
@@ -363,7 +373,6 @@ impl Scheduler {
             );
             new_keys.push(spec.key);
         }
-        let mut actions = Vec::new();
         for key in new_keys {
             let meta = TaskMetaEvent {
                 key,
@@ -1953,5 +1962,37 @@ mod tests {
         let actions = s.submit_graph(b.build(&ext).unwrap(), Time(100)).unwrap();
         drive(&mut s, actions);
         assert_eq!(s.unfinished(), 0);
+    }
+
+    /// A later graph names an output whose only replica died while nothing
+    /// needed it: the output still reads `memory`, so it must be computed
+    /// again before its new dependent runs, not counted as finished.
+    #[test]
+    fn submit_graph_recomputes_an_external_input_lost_while_unneeded() {
+        let (mut s, collector) =
+            sched(2, 1, SchedulerConfig { work_stealing: false, ..Default::default() });
+        let mut b = GraphBuilder::new(GraphId(0));
+        let tok = b.new_token();
+        let a = b.add_sim("a", tok, 0, vec![], SimAction::compute_only(Dur(1), 100));
+        let _ = s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
+        let w0 = s.worker_ids()[0];
+        assert_eq!(s.try_start(w0, Time(0)), Some(a));
+        assert!(s.task_finished(&a, w0, ThreadId(1), Time(0), Time(1), 100).is_empty());
+        // nothing needs `a`, so its holder's death leaves it in `memory`
+        assert!(s.worker_died(w0, Time(2)).is_empty());
+        assert_eq!(s.tasks[&a].state, TaskState::Memory);
+        assert!(s.tasks[&a].who_has.is_empty());
+
+        let mut b = GraphBuilder::new(GraphId(1));
+        let tok = b.new_token();
+        let follow = b.add_sim("b", tok, 0, vec![a], SimAction::compute_only(Dur(1), 10));
+        let ext: Set<TaskKey> = std::iter::once(a).collect();
+        let actions = s.submit_graph(b.build(&ext).unwrap(), Time(3)).unwrap();
+        drive(&mut s, actions);
+        assert_eq!(s.unfinished(), 0);
+        let order: Vec<TaskKey> = s.start_order().iter().map(|(k, _)| *k).collect();
+        assert_eq!(order, vec![a, a, follow], "a runs again, then its new dependent");
+        assert_eq!(collector.take().task_done.len(), 3);
+        assert_eq!(s.invariant_violations(), Vec::<String>::new());
     }
 }

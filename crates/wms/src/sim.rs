@@ -346,12 +346,8 @@ impl SimCluster {
             runtimes.push(rt);
         }
 
-        // Simulated runs always take the virtual-time (deterministic)
-        // data plane; the concurrent shard plane is for real-time
-        // service mode only.
         let svc_cfg = dtf_mofka::ServiceConfig {
             persist: cfg.persist_dir.as_ref().map(std::path::PathBuf::from),
-            mode: dtf_mofka::ServiceMode::VirtualTime,
         };
         let mofka = BedrockConfig::wms_default().bootstrap_with(&svc_cfg)?;
         if cfg.online_darshan {

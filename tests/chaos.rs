@@ -368,11 +368,8 @@ fn crash_faults_recover_committed_prefixes_deterministically() {
     let _ = std::fs::remove_dir_all(&base);
     let golden = base.join("golden");
     {
-        let svc = MofkaService::with_config(&ServiceConfig {
-            persist: Some(golden.clone()),
-            ..Default::default()
-        })
-        .unwrap();
+        let svc =
+            MofkaService::with_config(&ServiceConfig { persist: Some(golden.clone()) }).unwrap();
         svc.create_topic("t", TopicConfig { partitions: 2 }).unwrap();
         let mut p = svc.producer("t", ProducerConfig::default()).unwrap();
         for i in 0..300u64 {
