@@ -226,7 +226,7 @@ mod tests {
                 assert!(h.weight > 0.0 && h.weight < 1.0 && h.worker < workers);
             }
             // schedules roundtrip through their archive format
-            assert_eq!(FaultSchedule::from_json(&s.to_json()).unwrap(), s);
+            assert_eq!(serde_json::from_str::<FaultSchedule>(&s.to_json()).unwrap(), s);
         }
     }
 

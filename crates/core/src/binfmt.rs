@@ -526,15 +526,6 @@ impl ProvRecord {
         }
     }
 
-    /// The binary encoding as an owned buffer (see [`encode_binary`]).
-    ///
-    /// [`encode_binary`]: ProvRecord::encode_binary
-    pub fn to_binary_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(48);
-        self.encode_binary(&mut out);
-        out
-    }
-
     /// Decode one record from `buf`, which must hold exactly one encoded
     /// record (the frame length of the surrounding log delimits it).
     /// Prefixes are re-interned, so decoded keys share allocations the
@@ -640,6 +631,12 @@ impl ProvRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn bin(rec: &ProvRecord) -> Vec<u8> {
+        let mut out = Vec::new();
+        rec.encode_binary(&mut out);
+        out
+    }
 
     fn key() -> TaskKey {
         TaskKey::new("inc", 1, 0)
@@ -762,7 +759,7 @@ mod tests {
     #[test]
     fn every_family_roundtrips_exactly() {
         for rec in samples() {
-            let bytes = rec.to_binary_bytes();
+            let bytes = bin(&rec);
             let back = ProvRecord::decode_binary(&bytes).unwrap();
             assert_eq!(rec, back, "round-trip diverged for {rec:?}");
             // and the JSON rendering (the export boundary) agrees too
@@ -773,7 +770,7 @@ mod tests {
     #[test]
     fn binary_is_smaller_than_json() {
         for rec in samples() {
-            let bin = rec.to_binary_bytes().len();
+            let bin = bin(&rec).len();
             let json = serde_json::to_vec(&rec).unwrap().len();
             assert!(bin < json, "binary ({bin}B) not smaller than JSON ({json}B) for {rec:?}");
         }
@@ -790,7 +787,7 @@ mod tests {
             stop: Time(1),
             nbytes: 0,
         });
-        let back = ProvRecord::decode_binary(&rec.to_binary_bytes()).unwrap();
+        let back = ProvRecord::decode_binary(&bin(&rec)).unwrap();
         let (a, b) = match (&rec, &back) {
             (ProvRecord::TaskDone(a), ProvRecord::TaskDone(b)) => (&a.key.prefix, &b.key.prefix),
             _ => unreachable!(),
@@ -803,7 +800,7 @@ mod tests {
     #[test]
     fn truncation_at_every_byte_is_an_error_never_a_panic() {
         for rec in samples() {
-            let bytes = rec.to_binary_bytes();
+            let bytes = bin(&rec);
             for cut in 0..bytes.len() {
                 assert!(
                     ProvRecord::decode_binary(&bytes[..cut]).is_err(),
@@ -815,7 +812,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut bytes = samples()[0].to_binary_bytes();
+        let mut bytes = bin(&samples()[0]);
         bytes.push(0);
         assert!(ProvRecord::decode_binary(&bytes).is_err());
     }
@@ -825,11 +822,11 @@ mod tests {
         assert!(ProvRecord::decode_binary(&[]).is_err());
         assert!(ProvRecord::decode_binary(&[0xff]).is_err());
         // a valid record with its family tag corrupted
-        let mut bytes = samples()[2].to_binary_bytes();
+        let mut bytes = bin(&samples()[2]);
         bytes[0] = 200;
         assert!(ProvRecord::decode_binary(&bytes).is_err());
         // a Transition with an out-of-range state byte
-        let mut bytes = samples()[2].to_binary_bytes();
+        let mut bytes = bin(&samples()[2]);
         // offset math: ...from,to,stimulus,loc-tag,worker(2),time(10)
         let state_off = bytes.len() - 11;
         // corrupting any single mid-record byte must never panic

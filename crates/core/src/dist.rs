@@ -113,29 +113,6 @@ impl Sample for Exponential {
     }
 }
 
-/// Uniform distribution over `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Uniform {
-    pub lo: f64,
-    pub hi: f64,
-}
-
-impl Uniform {
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(lo <= hi && lo.is_finite() && hi.is_finite());
-        Self { lo, hi }
-    }
-}
-
-impl Sample for Uniform {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        if self.lo == self.hi {
-            return self.lo;
-        }
-        rng.gen_range(self.lo..self.hi)
-    }
-}
-
 /// Bounded Pareto: heavy-tailed sizes/latencies with a hard cap, used for
 /// interference bursts so a single draw cannot stall the simulation forever.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -237,19 +214,6 @@ mod tests {
         let d = Exponential::new(4.0);
         let m = mean_of(&d, 200_000);
         assert!((m - 0.25).abs() < 0.01, "mean {m}");
-    }
-
-    #[test]
-    fn uniform_bounds() {
-        let d = Uniform::new(2.0, 3.0);
-        let mut r = rng();
-        for _ in 0..10_000 {
-            let x = d.sample(&mut r);
-            assert!((2.0..3.0).contains(&x));
-        }
-        // degenerate interval
-        let d = Uniform::new(2.0, 2.0);
-        assert_eq!(d.sample(&mut r), 2.0);
     }
 
     #[test]

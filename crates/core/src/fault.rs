@@ -184,11 +184,6 @@ impl FaultSchedule {
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("fault schedule serializes")
     }
-
-    /// Parse an archived schedule.
-    pub fn from_json(json: &str) -> crate::error::Result<Self> {
-        Ok(serde_json::from_str(json)?)
-    }
 }
 
 #[cfg(test)]
@@ -254,9 +249,8 @@ mod tests {
             dangling_proxies: vec![DanglingProxy { index: 2 }],
             slow_resolves: vec![SlowResolve { index: 0, extra_delay: Dur(7) }],
         };
-        let back = FaultSchedule::from_json(&s.to_json()).unwrap();
+        let back: FaultSchedule = serde_json::from_str(&s.to_json()).unwrap();
         assert_eq!(s, back);
-        assert!(FaultSchedule::from_json("nope").is_err());
     }
 
     #[test]

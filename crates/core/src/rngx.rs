@@ -25,18 +25,12 @@ impl RunRng {
 
     /// Derive an independent RNG stream for a named component.
     pub fn stream(&self, label: &str) -> SmallRng {
-        SmallRng::seed_from_u64(self.mix(label, 0))
+        SmallRng::seed_from_u64(self.mix(label))
     }
 
-    /// Derive an independent RNG stream for a named, indexed component
-    /// (e.g. one per worker).
-    pub fn stream_indexed(&self, label: &str, index: u64) -> SmallRng {
-        SmallRng::seed_from_u64(self.mix(label, index))
-    }
-
-    fn mix(&self, label: &str, index: u64) -> u64 {
-        // FNV-1a over the label, then splitmix64 finalization with seed,
-        // run id, and index folded in.
+    fn mix(&self, label: &str) -> u64 {
+        // FNV-1a over the label, then splitmix64 finalization with seed
+        // and run id folded in.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in label.as_bytes() {
             h ^= *b as u64;
@@ -44,8 +38,7 @@ impl RunRng {
         }
         let mut z = h
             ^ self.campaign_seed.rotate_left(17)
-            ^ (self.run.0 as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            ^ index.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            ^ (self.run.0 as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         // splitmix64 finalizer
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -89,16 +82,5 @@ mod tests {
         let a: u64 = RunRng::new(1, RunId(0)).stream("pfs").gen();
         let b: u64 = RunRng::new(2, RunId(0)).stream("pfs").gen();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn indexed_streams_differ() {
-        let r = RunRng::new(7, RunId(3));
-        let a: u64 = r.stream_indexed("worker", 0).gen();
-        let b: u64 = r.stream_indexed("worker", 1).gen();
-        assert_ne!(a, b);
-        // index 0 equals the unindexed stream of the same label
-        let c: u64 = r.stream("worker").gen();
-        assert_eq!(a, c);
     }
 }

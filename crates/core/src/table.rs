@@ -26,17 +26,6 @@ pub enum Value {
 }
 
 impl Value {
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::I64(_) => "i64",
-            Value::U64(_) => "u64",
-            Value::F64(_) => "f64",
-            Value::Str(_) => "str",
-        }
-    }
-
     /// Numeric view: any numeric variant as f64, `None` otherwise.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -66,38 +55,6 @@ impl Value {
         match self {
             Value::Bool(b) => Some(*b),
             _ => None,
-        }
-    }
-
-    /// Total ordering for sorting mixed columns: Null < Bool < numbers < Str.
-    /// Numeric variants compare by value; NaN sorts last among numbers.
-    pub fn cmp_total(&self, other: &Value) -> std::cmp::Ordering {
-        use std::cmp::Ordering::*;
-        fn rank(v: &Value) -> u8 {
-            match v {
-                Value::Null => 0,
-                Value::Bool(_) => 1,
-                Value::I64(_) | Value::U64(_) | Value::F64(_) => 2,
-                Value::Str(_) => 3,
-            }
-        }
-        match (self, other) {
-            (Value::Null, Value::Null) => Equal,
-            (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
-            (Value::Str(a), Value::Str(b)) => a.cmp(b),
-            (a, b) if rank(a) == 2 && rank(b) == 2 => {
-                let (x, y) = (a.as_f64().unwrap(), b.as_f64().unwrap());
-                x.partial_cmp(&y).unwrap_or_else(|| {
-                    // NaN handling: NaN sorts after numbers
-                    match (x.is_nan(), y.is_nan()) {
-                        (true, true) => Equal,
-                        (true, false) => Greater,
-                        (false, true) => Less,
-                        _ => unreachable!(),
-                    }
-                })
-            }
-            (a, b) => rank(a).cmp(&rank(b)),
         }
     }
 }
@@ -157,11 +114,10 @@ impl<'a> ValueKey<'a> {
         }
     }
 
-    /// Exactly [`Value::cmp_total`]'s ordering — Null < Bool < numbers <
-    /// Str, numbers by value with NaN last — including its Equal verdict
-    /// for numerically equal cells of different variants, so a stable sort
-    /// over `ValueKey`s reorders nothing a stable sort over `cmp_total`
-    /// would keep.
+    /// Total ordering for sorting mixed columns: Null < Bool < numbers <
+    /// Str, numbers by value with NaN last. Numerically equal cells of
+    /// different variants compare Equal, so a stable sort keeps their
+    /// input order.
     pub fn cmp_sort(&self, other: &Self) -> std::cmp::Ordering {
         use std::cmp::Ordering::*;
         match (self, other) {
@@ -359,6 +315,10 @@ mod tests {
     use super::*;
     use std::cmp::Ordering;
 
+    fn ord(a: &Value, b: &Value) -> Ordering {
+        a.key().cmp_sort(&b.key())
+    }
+
     #[test]
     fn numeric_views() {
         assert_eq!(Value::I64(-3).as_f64(), Some(-3.0));
@@ -371,29 +331,29 @@ mod tests {
 
     #[test]
     fn cross_type_numeric_ordering() {
-        assert_eq!(Value::I64(2).cmp_total(&Value::F64(2.5)), Ordering::Less);
-        assert_eq!(Value::U64(3).cmp_total(&Value::I64(3)), Ordering::Equal);
+        assert_eq!(ord(&Value::I64(2), &Value::F64(2.5)), Ordering::Less);
+        assert_eq!(ord(&Value::U64(3), &Value::I64(3)), Ordering::Equal);
     }
 
     #[test]
     fn rank_ordering() {
-        assert_eq!(Value::Null.cmp_total(&Value::Bool(false)), Ordering::Less);
-        assert_eq!(Value::F64(1e9).cmp_total(&Value::Str("a".into())), Ordering::Less);
-        assert_eq!(Value::Str("a".into()).cmp_total(&Value::Str("b".into())), Ordering::Less);
+        assert_eq!(ord(&Value::Null, &Value::Bool(false)), Ordering::Less);
+        assert_eq!(ord(&Value::F64(1e9), &Value::Str("a".into())), Ordering::Less);
+        assert_eq!(ord(&Value::Str("a".into()), &Value::Str("b".into())), Ordering::Less);
     }
 
     #[test]
     fn nan_sorts_last_among_numbers() {
-        assert_eq!(Value::F64(f64::NAN).cmp_total(&Value::F64(1.0)), Ordering::Greater);
-        assert_eq!(Value::F64(1.0).cmp_total(&Value::F64(f64::NAN)), Ordering::Less);
-        assert_eq!(Value::F64(f64::NAN).cmp_total(&Value::F64(f64::NAN)), Ordering::Equal);
+        assert_eq!(ord(&Value::F64(f64::NAN), &Value::F64(1.0)), Ordering::Greater);
+        assert_eq!(ord(&Value::F64(1.0), &Value::F64(f64::NAN)), Ordering::Less);
+        assert_eq!(ord(&Value::F64(f64::NAN), &Value::F64(f64::NAN)), Ordering::Equal);
     }
 
-    // Pinned behaviour for the ValueKey kernels: cmp_total across every
+    // Pinned behaviour for the ValueKey kernels: cmp_sort across every
     // pair of variants, including the Equal verdicts the stable sorts in
     // the analysis layer rely on.
     #[test]
-    fn cmp_total_pins_mixed_variant_ordering() {
+    fn cmp_sort_pins_mixed_variant_ordering() {
         let vals = [
             Value::Null,
             Value::Bool(false),
@@ -407,39 +367,17 @@ mod tests {
         for i in 0..vals.len() {
             for j in 0..vals.len() {
                 let expect = i.cmp(&j);
-                assert_eq!(vals[i].cmp_total(&vals[j]), expect, "{:?} vs {:?}", vals[i], vals[j]);
+                assert_eq!(ord(&vals[i], &vals[j]), expect, "{:?} vs {:?}", vals[i], vals[j]);
             }
         }
         // cross-variant numeric ties are Equal, not variant-ordered
-        assert_eq!(Value::I64(1).cmp_total(&Value::U64(1)), Ordering::Equal);
-        assert_eq!(Value::U64(2).cmp_total(&Value::F64(2.0)), Ordering::Equal);
-        assert_eq!(Value::I64(-1).cmp_total(&Value::F64(-1.0)), Ordering::Equal);
+        assert_eq!(ord(&Value::I64(1), &Value::U64(1)), Ordering::Equal);
+        assert_eq!(ord(&Value::U64(2), &Value::F64(2.0)), Ordering::Equal);
+        assert_eq!(ord(&Value::I64(-1), &Value::F64(-1.0)), Ordering::Equal);
     }
 
     #[test]
-    fn value_key_matches_cmp_total_and_display_equality() {
-        use std::cmp::Ordering;
-        // cmp_sort reproduces cmp_total on every pair
-        let vals = [
-            Value::Null,
-            Value::Bool(true),
-            Value::I64(-2),
-            Value::I64(3),
-            Value::U64(3),
-            Value::U64(9),
-            Value::F64(3.0),
-            Value::F64(f64::NAN),
-            Value::Str("s".into()),
-        ];
-        for a in &vals {
-            for b in &vals {
-                assert_eq!(
-                    a.key().cmp_sort(&b.key()),
-                    a.cmp_total(b),
-                    "cmp_sort diverges from cmp_total for {a:?} vs {b:?}"
-                );
-            }
-        }
+    fn value_key_matches_display_equality() {
         // hashing equality matches the display forms of identifier columns
         assert_eq!(Value::I64(3).key(), Value::U64(3).key(), "both render \"3\"");
         assert_ne!(Value::F64(3.0).key(), Value::U64(3).key(), "\"3.000000\" != \"3\"");

@@ -55,10 +55,6 @@ impl Dur {
         Self::from_secs_f64(ms / 1e3)
     }
 
-    pub fn from_micros(us: u64) -> Self {
-        Dur(us * 1_000)
-    }
-
     pub fn as_secs_f64(&self) -> f64 {
         self.0 as f64 / 1e9
     }
@@ -126,15 +122,8 @@ impl fmt::Display for Dur {
     }
 }
 
-/// A source of timestamps. The simulator advances a virtual clock; the real
-/// executor reads a monotonic OS clock anchored at run start. Code that emits
-/// events is generic over this trait so instrumentation is identical in both
-/// modes.
-pub trait Clock: Send + Sync {
-    fn now(&self) -> Time;
-}
-
-/// Real monotonic clock anchored at construction time.
+/// Real monotonic clock anchored at construction time: the real
+/// executor's timestamps. The simulator keeps its own virtual `now`.
 #[derive(Debug)]
 pub struct RealClock {
     start: std::time::Instant,
@@ -144,44 +133,15 @@ impl RealClock {
     pub fn new() -> Self {
         Self { start: std::time::Instant::now() }
     }
+
+    pub fn now(&self) -> Time {
+        Time(self.start.elapsed().as_nanos() as u64)
+    }
 }
 
 impl Default for RealClock {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl Clock for RealClock {
-    fn now(&self) -> Time {
-        Time(self.start.elapsed().as_nanos() as u64)
-    }
-}
-
-/// Shared virtual clock for the discrete-event simulator. The event loop is
-/// the only writer; any instrumentation component may read it.
-#[derive(Debug, Default)]
-pub struct SimClock {
-    now: std::sync::atomic::AtomicU64,
-}
-
-impl SimClock {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Advance the clock. Panics if asked to move backwards: the event queue
-    /// must dispatch in nondecreasing time order.
-    pub fn advance_to(&self, t: Time) {
-        use std::sync::atomic::Ordering;
-        let prev = self.now.swap(t.0, Ordering::SeqCst);
-        assert!(prev <= t.0, "virtual clock moved backwards: {prev} -> {}", t.0);
-    }
-}
-
-impl Clock for SimClock {
-    fn now(&self) -> Time {
-        Time(self.now.load(std::sync::atomic::Ordering::SeqCst))
     }
 }
 
@@ -211,24 +171,6 @@ mod tests {
     fn dur_scale() {
         assert_eq!(Dur::from_secs_f64(2.0).scale(1.5), Dur::from_secs_f64(3.0));
         assert_eq!(Dur::from_secs_f64(2.0).scale(0.0), Dur::ZERO);
-    }
-
-    #[test]
-    fn sim_clock_advances_monotonically() {
-        let c = SimClock::new();
-        assert_eq!(c.now(), Time::ZERO);
-        c.advance_to(Time(10));
-        c.advance_to(Time(10));
-        c.advance_to(Time(25));
-        assert_eq!(c.now(), Time(25));
-    }
-
-    #[test]
-    #[should_panic(expected = "backwards")]
-    fn sim_clock_rejects_backwards() {
-        let c = SimClock::new();
-        c.advance_to(Time(10));
-        c.advance_to(Time(5));
     }
 
     #[test]

@@ -178,7 +178,8 @@ proptest! {
 
     #[test]
     fn arbitrary_records_roundtrip_exactly(rec in record()) {
-        let bytes = rec.to_binary_bytes();
+        let mut bytes = Vec::new();
+        rec.encode_binary(&mut bytes);
         let back = ProvRecord::decode_binary(&bytes).unwrap();
         prop_assert_eq!(&rec, &back);
         // the export boundary (JSON value tree) is unchanged by the trip
@@ -187,7 +188,8 @@ proptest! {
 
     #[test]
     fn arbitrary_records_reject_every_truncation(rec in record()) {
-        let bytes = rec.to_binary_bytes();
+        let mut bytes = Vec::new();
+        rec.encode_binary(&mut bytes);
         // decoding any strict prefix must error, never panic or succeed
         for cut in [0, bytes.len() / 2, bytes.len().saturating_sub(1)] {
             if cut < bytes.len() {

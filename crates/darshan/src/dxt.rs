@@ -13,13 +13,11 @@
 //!   footnote 9 reports ResNet152 I/O counts being incomplete for exactly
 //!   this reason. [`DxtModule`] counts drops and flags truncation.
 
-use serde::{Deserialize, Serialize};
-
 use dtf_core::events::IoRecord;
 use dtf_core::ids::ThreadId;
 
 /// How the tracer reacts when its buffer budget is exhausted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OverflowPolicy {
     /// Darshan's behaviour: silently drop further records (footnote 9).
     #[default]
@@ -33,7 +31,7 @@ pub enum OverflowPolicy {
 }
 
 /// DXT configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DxtConfig {
     /// Maximum records buffered per process before the overflow policy
     /// applies. Darshan's default DXT memory of 2 MiB holds on the order
@@ -61,15 +59,10 @@ impl DxtConfig {
     pub fn with_buffer(max_records: usize) -> Self {
         Self { max_records, ..Self::default() }
     }
-
-    /// Adaptive downsampling instead of truncation (paper §VI future work).
-    pub fn adaptive(max_records: usize) -> Self {
-        Self { max_records, overflow: OverflowPolicy::Adaptive, ..Self::default() }
-    }
 }
 
 /// The per-process DXT trace buffer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DxtModule {
     cfg: DxtConfig,
     records: Vec<IoRecord>,
@@ -128,11 +121,6 @@ impl DxtModule {
         true
     }
 
-    /// Sampling stride currently in effect (1 = full fidelity).
-    pub fn sampling_stride(&self) -> u64 {
-        1u64 << self.sample_level.min(63)
-    }
-
     pub fn records(&self) -> &[IoRecord] {
         &self.records
     }
@@ -157,17 +145,17 @@ impl DxtModule {
     pub fn config(&self) -> DxtConfig {
         self.cfg
     }
-
-    /// Consume the module, yielding its records (for log finalization).
-    pub fn into_records(self) -> (Vec<IoRecord>, u64) {
-        (self.records, self.dropped)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dtf_core::events::IoOp;
+
+    fn adaptive(max_records: usize) -> DxtConfig {
+        DxtConfig { overflow: OverflowPolicy::Adaptive, ..DxtConfig::with_buffer(max_records) }
+    }
+
     use dtf_core::ids::{FileId, NodeId, WorkerId};
     use dtf_core::time::Time;
 
@@ -227,7 +215,7 @@ mod tests {
 
     #[test]
     fn adaptive_mode_downsamples_instead_of_stopping() {
-        let mut dxt = DxtModule::new(DxtConfig::adaptive(100));
+        let mut dxt = DxtModule::new(adaptive(100));
         for i in 0..1000 {
             dxt.push(rec(i));
         }
@@ -235,7 +223,6 @@ mod tests {
         assert!(dxt.len() <= 100, "bounded by the budget: {}", dxt.len());
         assert!(dxt.len() >= 50, "decimation keeps at least half: {}", dxt.len());
         assert!(dxt.truncated(), "drops are still accounted");
-        assert!(dxt.sampling_stride() > 1);
         // crucially, the *tail* of the workload is still represented
         let max_tid = dxt.records().iter().map(|r| r.thread.0).max().unwrap();
         assert!(max_tid > 900, "late operations sampled, not cut off: {max_tid}");
@@ -250,19 +237,18 @@ mod tests {
 
     #[test]
     fn adaptive_mode_below_budget_is_lossless() {
-        let mut dxt = DxtModule::new(DxtConfig::adaptive(100));
+        let mut dxt = DxtModule::new(adaptive(100));
         for i in 0..100 {
             assert!(dxt.push(rec(i)));
         }
         assert_eq!(dxt.len(), 100);
         assert!(!dxt.truncated());
-        assert_eq!(dxt.sampling_stride(), 1);
     }
 
     #[test]
     fn truncate_mode_loses_the_tail_adaptive_does_not() {
         let mut trunc = DxtModule::new(DxtConfig::with_buffer(50));
-        let mut adapt = DxtModule::new(DxtConfig::adaptive(50));
+        let mut adapt = DxtModule::new(adaptive(50));
         for i in 0..500 {
             trunc.push(rec(i));
             adapt.push(rec(i));
@@ -271,15 +257,5 @@ mod tests {
         let a_max = adapt.records().iter().map(|r| r.thread.0).max().unwrap();
         assert_eq!(t_max, 49, "truncation keeps only the head");
         assert!(a_max > 400, "adaptive covers the whole run");
-    }
-
-    #[test]
-    fn into_records_reports_drops() {
-        let mut dxt = DxtModule::new(DxtConfig::with_buffer(1));
-        dxt.push(rec(1));
-        dxt.push(rec(2));
-        let (recs, dropped) = dxt.into_records();
-        assert_eq!(recs.len(), 1);
-        assert_eq!(dropped, 1);
     }
 }

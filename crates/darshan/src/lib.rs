@@ -13,15 +13,12 @@
 //!   footnote 9 observed exactly this on ResNet152).
 //! * [`runtime`] — the per-process collection runtime that the instrumented
 //!   I/O path feeds, and the instrumented-PFS wrapper used by workers.
-//! * [`report`] — log-analysis helpers (the PyDarshan analog): per-file and
-//!   per-process summaries, size histograms, time-binned activity.
-//! * [`log`] — the binary log format written at process shutdown and the
-//!   reader that parses it back (the PyDarshan-analog entry point).
+//! * [`log`] — the binary log format written at process shutdown, and the
+//!   per-run [`log::LogSet`] the analysis layer consumes.
 
 pub mod counters;
 pub mod dxt;
 pub mod log;
-pub mod report;
 pub mod runtime;
 
 pub use counters::{FileCounters, PosixCounters, SizeBucket};

@@ -1,17 +1,16 @@
-//! The Darshan-analog binary log format and its reader.
+//! The Darshan-analog binary log format.
 //!
-//! Real Darshan writes one compressed binary log per process at shutdown;
-//! PyDarshan parses it for analysis. Our format is a fixed header
-//! (magic + version + payload length) followed by a JSON payload — simple,
-//! versioned, and self-describing, which is what the analysis layer needs.
+//! Real Darshan writes one compressed binary log per process at shutdown.
+//! Our format is a fixed header (magic + version + payload length)
+//! followed by a JSON payload — simple, versioned, and self-describing.
+//! The export bundle writes one per worker.
 //! A [`LogSet`] merges the per-worker logs of one run, the unit the
 //! analysis engine consumes.
 
 use serde::{Deserialize, Serialize};
-use std::io::ErrorKind::InvalidData;
 
 use dtf_core::binfmt::{put_io_record, put_str, put_varint, put_worker, Reader};
-use dtf_core::error::{DtfError, Result};
+use dtf_core::error::Result;
 use dtf_core::events::IoRecord;
 use dtf_core::ids::{RunId, WorkerId};
 use dtf_core::time::Time;
@@ -57,28 +56,6 @@ impl DarshanLog {
         let len = (out.len() - HEADER_LEN) as u64;
         out[12..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
         out
-    }
-
-    /// Parse a binary log.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() < HEADER_LEN {
-            return Err(DtfError::Io(InvalidData, "darshan log too short".into()));
-        }
-        if &bytes[0..8] != MAGIC {
-            return Err(DtfError::Io(InvalidData, "bad darshan log magic".into()));
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if version != VERSION {
-            return Err(DtfError::Io(
-                InvalidData,
-                format!("unsupported darshan log version {version}"),
-            ));
-        }
-        let len = u64::from_le_bytes(bytes[12..HEADER_LEN].try_into().expect("8 bytes")) as usize;
-        let payload = bytes
-            .get(HEADER_LEN..HEADER_LEN + len)
-            .ok_or_else(|| DtfError::Io(InvalidData, "truncated darshan log payload".into()))?;
-        Ok(serde_json::from_slice(payload)?)
     }
 }
 
@@ -240,31 +217,15 @@ mod tests {
     }
 
     #[test]
-    fn binary_roundtrip() {
+    fn binary_layout() {
         let log = sample_log(false);
         let bytes = log.to_bytes();
-        let back = DarshanLog::from_bytes(&bytes).unwrap();
-        assert_eq!(log, back);
+        assert_eq!(&bytes[..8], MAGIC);
+        assert_eq!(bytes[8..12], VERSION.to_le_bytes());
+        let len = (bytes.len() - HEADER_LEN) as u64;
+        assert_eq!(bytes[12..HEADER_LEN], len.to_le_bytes());
         // the payload rendered behind the header is the standalone rendering
         assert_eq!(&bytes[HEADER_LEN..], serde_json::to_vec(&log).unwrap());
-    }
-
-    #[test]
-    fn bad_magic_and_truncation_rejected() {
-        let log = sample_log(false);
-        let mut bytes = log.to_bytes();
-        assert!(DarshanLog::from_bytes(&bytes[..10]).is_err());
-        assert!(DarshanLog::from_bytes(&bytes[..bytes.len() - 1]).is_err());
-        bytes[0] = b'X';
-        assert!(DarshanLog::from_bytes(&bytes).is_err());
-    }
-
-    #[test]
-    fn bad_version_rejected() {
-        let log = sample_log(false);
-        let mut bytes = log.to_bytes();
-        bytes[8] = 99;
-        assert!(DarshanLog::from_bytes(&bytes).is_err());
     }
 
     fn binary(set: &LogSet) -> Vec<u8> {

@@ -95,11 +95,6 @@ impl DarshanRuntime {
         m.dxt.push(rec);
     }
 
-    /// Number of traced (not dropped) DXT records so far.
-    pub fn dxt_len(&self) -> usize {
-        self.inner.lock().dxt.len()
-    }
-
     /// Finalize at process shutdown: produce the log, consuming nothing
     /// (the runtime can keep collecting; real Darshan writes at exit, and
     /// the simulator finalizes once per run).
@@ -266,7 +261,7 @@ mod tests {
         let (io, rt, file) = setup();
         let mut rng = SmallRng::seed_from_u64(1);
         assert!(io.read(ThreadId(1), file, 0, u64::MAX / 2, Time::ZERO, &mut rng).is_err());
-        assert_eq!(rt.dxt_len(), 0);
+        assert!(rt.finalize(RunId(0), 1).dxt.is_empty());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Bedrock-analog bootstrapping: assemble a Mofka service from a JSON
+//! Bedrock-analog bootstrapping: assemble a Mofka service from a
 //! deployment description, the way Mochi's Bedrock spins up a composed
 //! service from a configuration file.
 
@@ -13,12 +13,7 @@ use crate::topic::TopicConfig;
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TopicSpec {
     pub name: String,
-    #[serde(default = "default_partitions")]
     pub partitions: u32,
-}
-
-fn default_partitions() -> u32 {
-    4
 }
 
 /// Deployment description for one Mofka instance.
@@ -44,12 +39,6 @@ impl BedrockConfig {
                 TopicSpec { name: "logs".into(), partitions: 1 },
             ],
         }
-    }
-
-    pub fn from_json(json: &str) -> Result<Self> {
-        let cfg: BedrockConfig = serde_json::from_str(json)?;
-        cfg.validate()?;
-        Ok(cfg)
     }
 
     pub fn validate(&self) -> Result<()> {
@@ -113,27 +102,26 @@ mod tests {
         }
     }
 
+    fn topics(specs: &[(&str, u32)]) -> BedrockConfig {
+        let topics = specs
+            .iter()
+            .map(|&(name, partitions)| TopicSpec { name: name.into(), partitions })
+            .collect();
+        BedrockConfig { topics }
+    }
+
     #[test]
-    fn json_roundtrip_with_default_partitions() {
-        let cfg = BedrockConfig::from_json(
-            r#"{"topics": [{"name": "a"}, {"name": "b", "partitions": 2}]}"#,
-        )
-        .unwrap();
-        assert_eq!(cfg.topics[0].partitions, 4);
-        assert_eq!(cfg.topics[1].partitions, 2);
-        let svc = cfg.bootstrap().unwrap();
+    fn bootstrap_creates_the_described_partitions() {
+        let svc = topics(&[("a", 4), ("b", 2)]).bootstrap().unwrap();
         assert_eq!(svc.topic("a").unwrap().num_partitions(), 4);
         assert_eq!(svc.topic("b").unwrap().num_partitions(), 2);
     }
 
     #[test]
     fn invalid_configs_rejected() {
-        assert!(BedrockConfig::from_json(r#"{"topics": []}"#).is_err());
-        assert!(
-            BedrockConfig::from_json(r#"{"topics": [{"name": "a", "partitions": 0}]}"#).is_err()
-        );
-        assert!(BedrockConfig::from_json(r#"{"topics": [{"name": "a"}, {"name": "a"}]}"#).is_err());
-        assert!(BedrockConfig::from_json("not json").is_err());
+        assert!(topics(&[]).bootstrap().is_err());
+        assert!(topics(&[("a", 0)]).bootstrap().is_err());
+        assert!(topics(&[("a", 4), ("a", 4)]).bootstrap().is_err());
     }
 
     #[test]

@@ -85,13 +85,6 @@ fn memo_slot(key: &TaskKey) -> usize {
     h.finish() as usize & (MEMO_SLOTS - 1)
 }
 
-/// Producer-side statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ProducerStats {
-    pub events: u64,
-    pub batches: u64,
-}
-
 /// A producer handle bound to one topic. Not `Sync`: each producing thread
 /// owns its producer (Mofka's nonblocking client model); the topic itself
 /// is thread-safe.
@@ -109,7 +102,6 @@ pub struct Producer {
     /// `HashKey` assignments of recently routed task keys, indexed by
     /// [`memo_slot`]; empty under `RoundRobin`.
     memo: Vec<Option<(TaskKey, u32)>>,
-    stats: ProducerStats,
 }
 
 impl Producer {
@@ -128,7 +120,6 @@ impl Producer {
             rr_next: 0,
             key_text: String::new(),
             memo,
-            stats: ProducerStats::default(),
         }
     }
 
@@ -172,7 +163,6 @@ impl Producer {
 
     /// Buffer one event; flushes automatically when the batch fills.
     pub fn push(&mut self, event: Event) -> Result<()> {
-        self.stats.events += 1;
         let p = self.select_partition(&event);
         self.pending[p as usize].push(event);
         self.pending_count += 1;
@@ -186,25 +176,15 @@ impl Producer {
     /// [`Topic::append_slots`] per non-empty partition batch; each buffer
     /// keeps its capacity for the next batch. When this returns `Ok`, every
     /// buffered event is visible to consumers. On an error the failed batch
-    /// and those after it stay buffered, and [`Self::pending_events`]
-    /// counts them.
+    /// and those after it stay buffered.
     pub fn flush(&mut self) -> Result<()> {
         for (p, buf) in self.pending.iter_mut().enumerate() {
             if !buf.is_empty() {
                 let (_, n) = self.topic.append_slots(p as u32, buf)?;
                 self.pending_count -= n;
-                self.stats.batches += 1;
             }
         }
         Ok(())
-    }
-
-    pub fn stats(&self) -> ProducerStats {
-        self.stats
-    }
-
-    pub fn pending_events(&self) -> usize {
-        self.pending_count
     }
 }
 
@@ -253,12 +233,10 @@ mod tests {
             p.push(tagged(0, i)).unwrap();
         }
         assert_eq!(t.total_len(), 0, "nothing flushed yet");
-        assert_eq!(p.pending_events(), 3);
         p.push(tagged(0, 3)).unwrap();
         assert_eq!(t.total_len(), 4, "batch flushed at threshold");
-        assert_eq!(p.pending_events(), 0);
-        assert_eq!(p.stats().batches, 1);
-        assert_eq!(p.stats().events, 4);
+        p.flush().unwrap();
+        assert_eq!(t.total_len(), 4, "nothing left buffered");
     }
 
     #[test]

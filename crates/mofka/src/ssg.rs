@@ -49,16 +49,6 @@ impl SsgGroup {
         inner.view += 1;
     }
 
-    /// Remove a member voluntarily. Returns whether it was present.
-    pub fn leave(&self, member: &str) -> bool {
-        let mut inner = self.inner.write();
-        let removed = inner.members.remove(member).is_some();
-        if removed {
-            inner.view += 1;
-        }
-        removed
-    }
-
     /// Record a heartbeat. Unknown members are ignored (stale heartbeat
     /// after eviction).
     pub fn heartbeat(&self, member: &str, now: Time) {
@@ -118,15 +108,13 @@ mod tests {
     }
 
     #[test]
-    fn join_leave_membership() {
+    fn join_membership() {
         let g = grp();
         g.join("w0", Time::ZERO);
         g.join("w1", Time::ZERO);
         assert_eq!(g.members(), vec!["w0", "w1"]);
         assert!(g.contains("w0"));
-        assert!(g.leave("w0"));
-        assert!(!g.leave("w0"));
-        assert_eq!(g.members(), vec!["w1"]);
+        assert!(!g.contains("w2"));
     }
 
     #[test]
@@ -138,7 +126,7 @@ mod tests {
         assert!(v1 > v0);
         g.heartbeat("w0", Time::from_secs_f64(0.5));
         assert_eq!(g.view(), v1, "heartbeat is not a membership change");
-        g.leave("w0");
+        g.evict_suspects(Time::from_secs_f64(2.0));
         assert!(g.view() > v1);
     }
 

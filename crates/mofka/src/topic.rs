@@ -812,7 +812,9 @@ mod tests {
         let (raw, _) = TopicLog::replay(&dir).unwrap();
         assert_eq!(raw[0][0], REC_DECLARE);
         assert_eq!(raw[1][SLOT_HEADER - 1], META_BINARY);
-        assert_eq!(raw[1][SLOT_HEADER..], event.record.to_binary_bytes()[..]);
+        let mut bytes = Vec::new();
+        event.record.encode_binary(&mut bytes);
+        assert_eq!(raw[1][SLOT_HEADER..], bytes[..]);
 
         let (t2, n) = replayed(&dir, &cfg, &warabi);
         assert_eq!(n, 1);

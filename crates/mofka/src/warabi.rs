@@ -89,15 +89,6 @@ impl Warabi {
         (id.0 as usize) < self.len()
     }
 
-    /// Read a byte range of a blob.
-    pub fn get_range(&self, id: BlobId, offset: usize, len: usize) -> Option<Bytes> {
-        let blob = self.get(id)?;
-        if offset.checked_add(len)? > blob.len() {
-            return None;
-        }
-        Some(blob.slice(offset..offset + len))
-    }
-
     pub fn len(&self) -> usize {
         self.blobs.read().len()
     }
@@ -144,16 +135,6 @@ mod tests {
     fn missing_blob_is_none() {
         let w = Warabi::new();
         assert!(w.get(BlobId(0)).is_none());
-    }
-
-    #[test]
-    fn range_reads() {
-        let w = Warabi::new();
-        let id = w.put(Bytes::from_static(b"0123456789"));
-        assert_eq!(w.get_range(id, 2, 3).unwrap().as_ref(), b"234");
-        assert_eq!(w.get_range(id, 0, 10).unwrap().as_ref(), b"0123456789");
-        assert!(w.get_range(id, 8, 3).is_none(), "past end");
-        assert!(w.get_range(id, usize::MAX, 1).is_none(), "overflow");
     }
 
     #[test]
@@ -252,7 +233,6 @@ mod tests {
         for id in [0u64, 1, 150, n - 1] {
             assert_eq!(w.get(BlobId(id)).unwrap().as_ref(), format!("payload-{id:06}").as_bytes());
         }
-        assert_eq!(w.get_range(BlobId(7), 8, 6).unwrap().as_ref(), b"000007");
         assert_eq!(w.total_bytes(), n as usize * "payload-000000".len());
         std::fs::remove_dir_all(&dir).unwrap();
     }

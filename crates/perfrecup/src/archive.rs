@@ -3,7 +3,7 @@
 //! The paper's pipeline keeps provenance queryable after the run because
 //! Mofka's topics persist through Yokan/Warabi; PERFRECUP then consumes
 //! them like any other source. This module is that entry point for the
-//! analog: point [`open_run`] at the `persist_dir` of a finished (or
+//! analog: point [`ArchivedRun::open`] at the `persist_dir` of a finished (or
 //! crashed) run and get back the same [`RunData`] the in-situ drain
 //! produced — recovery trims to the committed prefix first — ready for
 //! every analysis view in this crate.
@@ -16,12 +16,6 @@ use dtf_wms::rundata::RunData;
 use crate::live::{query_rundata, ViewQuery, ViewResult};
 use crate::views::RunViews;
 
-/// Reconstruct a run record from a store directory (read-only; see
-/// `RunData::open_archive`). Returns the run plus what recovery found.
-pub fn open_run(dir: &Path) -> dtf_core::Result<(RunData, ServiceRecovery)> {
-    RunData::open_archive(dir)
-}
-
 /// An archived run bundled with its reconstructed record, so views can
 /// borrow from data owned alongside them.
 #[derive(Debug)]
@@ -31,6 +25,8 @@ pub struct ArchivedRun {
 }
 
 impl ArchivedRun {
+    /// Reconstruct a run record from a store directory (read-only; see
+    /// `RunData::open_archive`), keeping what recovery found.
     pub fn open(dir: &Path) -> dtf_core::Result<Self> {
         let (data, recovery) = RunData::open_archive(dir)?;
         Ok(Self { data, recovery })

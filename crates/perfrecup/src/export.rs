@@ -115,7 +115,6 @@ mod tests {
     use super::*;
     use dtf_core::ids::{GraphId, RunId};
     use dtf_core::time::Dur;
-    use dtf_darshan::log::DarshanLog;
     use dtf_wms::sim::{SimCluster, SimConfig, SimWorkflow, SubmitPolicy};
     use dtf_wms::{GraphBuilder, IoCall, SimAction};
 
@@ -172,14 +171,11 @@ mod tests {
                 .unwrap();
         assert_eq!(manifest["distinct_tasks"], 5);
         assert_eq!(manifest["workflow"], "export-test");
-        // binary darshan logs parse back
-        let any_log = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .find(|e| e.file_name().to_string_lossy().ends_with(".dtflog"))
-            .expect("darshan log written");
-        let bytes = std::fs::read(any_log.path()).unwrap();
-        assert!(DarshanLog::from_bytes(&bytes).is_ok());
+        // each worker's binary darshan log is written as its own file
+        for log in &data.darshan.logs {
+            let name = format!("darshan_{}.dtflog", log.header.worker.address().replace(':', "_"));
+            assert_eq!(std::fs::read(dir.join(name)).unwrap(), log.to_bytes());
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -200,7 +196,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dtf-export-taskio-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         export_run(&data, &dir).unwrap();
-        assert_eq!(std::fs::read_to_string(dir.join("task_io.csv")).unwrap(), frame.to_csv());
+        let framed = crate::frame::tests::csv(&frame);
+        assert_eq!(std::fs::read_to_string(dir.join("task_io.csv")).unwrap(), framed);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -6,8 +6,7 @@
 //! (The paper's one join, task↔I/O, is `ExecIndex::owner`, not a frame
 //! operation.) [`CsvWriter`] is the only CSV renderer: it is a
 //! [`CellSink`], so [`Tabular`] rows stream into it cell by cell without a
-//! frame in between (`export_run`), and [`DataFrame::to_csv`] feeds it a
-//! frame's boxed cells — one quoting rule, one float form.
+//! frame in between (`export_run`) — one quoting rule, one float form.
 
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
@@ -157,12 +156,11 @@ impl DataFrame {
         }
     }
 
-    /// Stable sort by a column, ascending ([`Value::cmp_total`] order).
+    /// Stable sort by a column, ascending ([`ValueKey::cmp_sort`] order).
     pub fn sort_by(&self, col: &str) -> Result<DataFrame> {
         let ci = self.col_index(col)?;
         // extract each cell's typed key once instead of re-matching the
-        // Value variants on every comparison; cmp_sort preserves
-        // cmp_total's verdicts exactly, so the stable sort is unchanged
+        // Value variants on every comparison
         let keys: Vec<ValueKey<'_>> = self.columns[ci].iter().map(Value::key).collect();
         let mut order: Vec<usize> = (0..self.n_rows()).collect();
         order.sort_by(|&a, &b| keys[a].cmp_sort(&keys[b]));
@@ -177,7 +175,7 @@ impl DataFrame {
 
     /// Group by a key column and aggregate a value column.
     /// Returns a frame with columns `[key, agg]`, ordered by key
-    /// ([`Value::cmp_total`] order; string keys sort exactly as before,
+    /// ([`ValueKey::cmp_sort`] order; string keys sort exactly as before,
     /// numeric keys sort numerically rather than by their rendered digits).
     pub fn group_by(&self, key: &str, value: &str, agg: Agg) -> Result<DataFrame> {
         let ki = self.col_index(key)?;
@@ -194,7 +192,7 @@ impl DataFrame {
             }
         }
         let mut keys: Vec<&ValueKey<'_>> = groups.keys().collect();
-        keys.sort(); // Ord: cmp_total order with exact-payload tiebreak
+        keys.sort(); // Ord: cmp_sort order with exact-payload tiebreak
         let agg_name = match agg {
             Agg::Count => "count",
             Agg::Sum => "sum",
@@ -232,27 +230,6 @@ impl DataFrame {
             a.extend(b.iter().cloned());
         }
         Ok(())
-    }
-
-    /// Add a computed column.
-    pub fn with_column<F: Fn(usize) -> Value>(&mut self, name: &str, f: F) {
-        let vals: Vec<Value> = (0..self.n_rows()).map(f).collect();
-        self.names.push(name.to_string());
-        self.columns.push(vals);
-    }
-
-    /// Render as CSV — the archival form of the common tabular format
-    /// (see [`CsvWriter`]).
-    pub fn to_csv(&self) -> String {
-        let mut csv = CsvWriter::default();
-        csv.header(&self.names);
-        for i in 0..self.n_rows() {
-            for col in &self.columns {
-                col[i].cell(&mut csv);
-            }
-            csv.end_row();
-        }
-        csv.into_string()
     }
 }
 
@@ -295,10 +272,6 @@ impl CsvWriter {
 
     pub fn as_str(&self) -> &str {
         &self.out
-    }
-
-    pub fn into_string(self) -> String {
-        self.out
     }
 
     /// Forget the rendered text, keeping the allocation.
@@ -400,8 +373,21 @@ impl fmt::Display for DataFrame {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A frame's boxed cells through [`CsvWriter`].
+    pub(crate) fn csv(d: &DataFrame) -> String {
+        let mut csv = CsvWriter::default();
+        csv.header(d.names());
+        for i in 0..d.n_rows() {
+            for cell in d.row(i) {
+                cell.cell(&mut csv);
+            }
+            csv.end_row();
+        }
+        csv.as_str().to_string()
+    }
 
     fn df() -> DataFrame {
         let mut d = DataFrame::new(vec!["k".into(), "x".into(), "tag".into()]);
@@ -501,7 +487,7 @@ mod tests {
 
     #[test]
     fn sort_by_is_stable_across_mixed_variants() {
-        // mixed column: cmp_total ranks Null < Bool < numbers < Str and the
+        // mixed column: cmp_sort ranks Null < Bool < numbers < Str and the
         // sort must be stable for equal-comparing cells
         let mut d = DataFrame::new(vec!["v".into(), "i".into()]);
         let cells = [
@@ -529,14 +515,6 @@ mod tests {
         assert_eq!(a.n_rows(), 6);
         let bad = DataFrame::new(vec!["z".into()]);
         assert!(a.concat(&bad).is_err());
-    }
-
-    #[test]
-    fn with_column_computes() {
-        let mut d = df();
-        let xs = d.col_f64("x").unwrap();
-        d.with_column("x2", |i| Value::F64(xs[i] * 2.0));
-        assert_eq!(d.col_f64("x2").unwrap(), vec![20.0, 40.0, 60.0]);
     }
 
     #[test]
@@ -574,7 +552,7 @@ mod tests {
         d.push_row(vec![Value::Str("plain".into()), Value::U64(1)]).unwrap();
         d.push_row(vec![Value::Str("with,comma".into()), Value::U64(2)]).unwrap();
         d.push_row(vec![Value::Str("with\"quote".into()), Value::U64(3)]).unwrap();
-        let csv = d.to_csv();
+        let csv = csv(&d);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 4);
         assert_eq!(lines[0], "name,x");
@@ -591,6 +569,6 @@ mod tests {
         d.push_row(vec![Value::Str("cr\rhere".into()), Value::F64(1.5)]).unwrap();
         d.push_row(vec![Value::Str("lf\nhere".into()), Value::I64(-7)]).unwrap();
         d.push_row(vec![Value::Null, Value::Bool(true)]).unwrap();
-        assert_eq!(d.to_csv(), "\"a,b\",v\n\"cr\rhere\",1.500000\n\"lf\nhere\",-7\n,true\n");
+        assert_eq!(csv(&d), "\"a,b\",v\n\"cr\rhere\",1.500000\n\"lf\nhere\",-7\n,true\n");
     }
 }

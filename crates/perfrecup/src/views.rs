@@ -178,16 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_waits_are_nonnegative_and_complete() {
-        let data = run_with_io(dtf_darshan::DxtConfig::default());
-        let waits = data.queue_waits();
-        assert_eq!(waits.len(), 12, "every executed task has a ready->executing wait");
-        for (_, w) in &waits {
-            assert!(w.0 < 10_000_000_000, "waits are bounded in this tiny run");
-        }
-    }
-
-    #[test]
     fn task_io_attributes_every_op_with_thread_ids() {
         let data = run_with_io(dtf_darshan::DxtConfig::default());
         let v = RunViews::new(&data);

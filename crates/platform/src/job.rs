@@ -25,14 +25,6 @@ pub struct JobRequest {
     pub queue: String,
 }
 
-impl JobRequest {
-    /// The paper's job configuration: 2 worker nodes + 1 scheduler/client
-    /// node (we fold scheduler and client onto the first allocated node).
-    pub fn paper_default() -> Self {
-        Self { nodes: 3, walltime_limit_s: 3600, queue: "prod".into() }
-    }
-}
-
 /// Allocation policy knobs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AllocPolicy {
@@ -115,6 +107,12 @@ impl JobScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The paper's job configuration: 2 worker nodes + 1 scheduler/client
+    /// node.
+    fn paper_request() -> JobRequest {
+        JobRequest { nodes: 3, walltime_limit_s: 3600, queue: "prod".into() }
+    }
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -124,8 +122,7 @@ mod tests {
         let mut js = JobScheduler::new(AllocPolicy::default());
         let mut rng = SmallRng::seed_from_u64(1);
         for _ in 0..50 {
-            let job =
-                js.allocate(&topo, &JobRequest::paper_default(), Time::ZERO, &mut rng).unwrap();
+            let job = js.allocate(&topo, &paper_request(), Time::ZERO, &mut rng).unwrap();
             assert_eq!(job.allocated_nodes.len(), 3);
             let mut uniq = job.allocated_nodes.clone();
             uniq.dedup();
@@ -140,8 +137,8 @@ mod tests {
         let topo = ClusterTopology::uniform(64, 16);
         let mut js = JobScheduler::new(AllocPolicy::default());
         let mut rng = SmallRng::seed_from_u64(1);
-        let a = js.allocate(&topo, &JobRequest::paper_default(), Time::ZERO, &mut rng).unwrap();
-        let b = js.allocate(&topo, &JobRequest::paper_default(), Time::ZERO, &mut rng).unwrap();
+        let a = js.allocate(&topo, &paper_request(), Time::ZERO, &mut rng).unwrap();
+        let b = js.allocate(&topo, &paper_request(), Time::ZERO, &mut rng).unwrap();
         assert!(b.job_id > a.job_id);
     }
 
@@ -153,8 +150,7 @@ mod tests {
         let mut scattered = 0;
         let trials = 400;
         for _ in 0..trials {
-            let job =
-                js.allocate(&topo, &JobRequest::paper_default(), Time::ZERO, &mut rng).unwrap();
+            let job = js.allocate(&topo, &paper_request(), Time::ZERO, &mut rng).unwrap();
             // packed allocations are contiguous node ranges
             let contiguous = job.allocated_nodes.windows(2).all(|w| w[1].0 == w[0].0 + 1);
             if !contiguous {
@@ -202,7 +198,7 @@ mod tests {
         let topo = ClusterTopology::uniform(64, 16);
         let mut js = JobScheduler::new(AllocPolicy::default());
         let mut rng = SmallRng::seed_from_u64(1);
-        let job = js.allocate(&topo, &JobRequest::paper_default(), Time::ZERO, &mut rng).unwrap();
+        let job = js.allocate(&topo, &paper_request(), Time::ZERO, &mut rng).unwrap();
         assert!(job.script.contains("select=3"));
         assert!(job.script.contains("walltime=3600"));
     }

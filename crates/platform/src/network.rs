@@ -14,7 +14,6 @@
 //! intra-node: Dask opens TCP connections lazily on first use.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 use dtf_core::dist::Jitter;
@@ -25,7 +24,7 @@ use crate::interference::LoadProcess;
 use crate::topology::{ClusterTopology, Distance};
 
 /// Tunable constants of the network model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkConfig {
     /// One-way software latency for intra-node (loopback) messages, seconds.
     pub latency_same_node: f64,
@@ -128,11 +127,6 @@ impl NetworkModel {
         let base = latency * nic + bytes as f64 / bw * congestion;
         let secs = connect + self.jitter.apply(base, rng);
         (Dur::from_secs_f64(secs), first_contact)
-    }
-
-    /// Forget all established connections (used between simulated runs).
-    pub fn reset_connections(&mut self) {
-        self.connected.clear();
     }
 }
 
@@ -247,15 +241,5 @@ mod tests {
         let quiet = mk(LoadProcess::none(1));
         let congested = mk(LoadProcess::network_default(1));
         assert!(congested > quiet, "congested mean {congested} vs quiet {quiet}");
-    }
-
-    #[test]
-    fn reset_connections_restores_first_contact() {
-        let (topo, mut net, mut rng) = setup();
-        net.transfer_time(&topo, 1, NodeId(0), 2, NodeId(1), 10, Time::ZERO, &mut rng);
-        net.reset_connections();
-        let (_, first) =
-            net.transfer_time(&topo, 1, NodeId(0), 2, NodeId(1), 10, Time::ZERO, &mut rng);
-        assert!(first);
     }
 }

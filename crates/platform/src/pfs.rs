@@ -27,7 +27,7 @@ use dtf_core::time::{Dur, Time};
 use crate::interference::LoadProcess;
 
 /// Tunable constants of the PFS model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PfsConfig {
     /// Metadata operation latency (open/stat/close), seconds.
     pub metadata_latency: f64,
@@ -65,19 +65,7 @@ pub struct PfsFile {
     pub stripe_count: u32,
 }
 
-/// Aggregate operation counters (exposed for tests and sanity checks; the
-/// authoritative per-operation trace lives in the Darshan-analog layer).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PfsCounters {
-    pub opens: u64,
-    pub closes: u64,
-    pub reads: u64,
-    pub writes: u64,
-    pub bytes_read: u64,
-    pub bytes_written: u64,
-}
-
-/// The filesystem: namespace + cost model + counters.
+/// The filesystem: namespace + cost model.
 #[derive(Debug)]
 pub struct Pfs {
     cfg: PfsConfig,
@@ -85,7 +73,6 @@ pub struct Pfs {
     jitter: Jitter,
     by_path: HashMap<String, FileId>,
     files: Vec<PfsFile>,
-    counters: PfsCounters,
 }
 
 impl Pfs {
@@ -95,22 +82,11 @@ impl Pfs {
         } else {
             Jitter::none()
         };
-        Self {
-            cfg,
-            interference,
-            jitter,
-            by_path: HashMap::new(),
-            files: Vec::new(),
-            counters: PfsCounters::default(),
-        }
+        Self { cfg, interference, jitter, by_path: HashMap::new(), files: Vec::new() }
     }
 
     pub fn config(&self) -> &PfsConfig {
         &self.cfg
-    }
-
-    pub fn counters(&self) -> PfsCounters {
-        self.counters
     }
 
     pub fn file_count(&self) -> usize {
@@ -133,10 +109,6 @@ impl Pfs {
         id
     }
 
-    pub fn lookup(&self, path: &str) -> Option<FileId> {
-        self.by_path.get(path).copied()
-    }
-
     pub fn meta(&self, id: FileId) -> Result<&PfsFile> {
         self.files.get(id.0 as usize).ok_or_else(|| DtfError::NotFound(format!("file {id}")))
     }
@@ -144,14 +116,12 @@ impl Pfs {
     /// Cost of an `open` (metadata RPC to the MDS).
     pub fn open<R: Rng + ?Sized>(&mut self, id: FileId, rng: &mut R) -> Result<Dur> {
         self.meta(id)?;
-        self.counters.opens += 1;
         Ok(Dur::from_secs_f64(self.jitter.apply(self.cfg.metadata_latency, rng)))
     }
 
     /// Cost of a `close`.
     pub fn close<R: Rng + ?Sized>(&mut self, id: FileId, rng: &mut R) -> Result<Dur> {
         self.meta(id)?;
-        self.counters.closes += 1;
         Ok(Dur::from_secs_f64(self.jitter.apply(self.cfg.metadata_latency * 0.5, rng)))
     }
 
@@ -184,8 +154,6 @@ impl Pfs {
         }
         let bw = self.effective_bandwidth(f.stripe_count);
         let base = self.cfg.op_latency + len as f64 / bw * self.interference.factor(now);
-        self.counters.reads += 1;
-        self.counters.bytes_read += len;
         Ok(Dur::from_secs_f64(self.jitter.apply(base, rng)))
     }
 
@@ -203,8 +171,6 @@ impl Pfs {
         let base = self.cfg.op_latency + len as f64 / bw * self.interference.factor(now);
         let f = &mut self.files[id.0 as usize];
         f.size = f.size.max(offset.saturating_add(len));
-        self.counters.writes += 1;
-        self.counters.bytes_written += len;
         Ok(Dur::from_secs_f64(self.jitter.apply(base, rng)))
     }
 }
@@ -221,11 +187,9 @@ mod tests {
     }
 
     #[test]
-    fn create_lookup_and_meta() {
+    fn create_and_meta() {
         let mut pfs = quiet_pfs();
         let id = pfs.create("/data/img_000.tif", 80 << 20, 4);
-        assert_eq!(pfs.lookup("/data/img_000.tif"), Some(id));
-        assert_eq!(pfs.lookup("/nope"), None);
         let m = pfs.meta(id).unwrap();
         assert_eq!(m.size, 80 << 20);
         assert_eq!(m.stripe_count, 4);
@@ -284,22 +248,6 @@ mod tests {
         let r = pfs.read(id, 0, 128 << 20, Time::ZERO, &mut rng).unwrap();
         let w = pfs.write(id, 0, 128 << 20, Time::ZERO, &mut rng).unwrap();
         assert!(w > r, "write {w} should exceed read {r}");
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let mut pfs = quiet_pfs();
-        let id = pfs.create("/f", 1 << 20, 1);
-        let mut rng = SmallRng::seed_from_u64(1);
-        pfs.open(id, &mut rng).unwrap();
-        pfs.read(id, 0, 1024, Time::ZERO, &mut rng).unwrap();
-        pfs.read(id, 1024, 1024, Time::ZERO, &mut rng).unwrap();
-        pfs.write(id, 0, 512, Time::ZERO, &mut rng).unwrap();
-        pfs.close(id, &mut rng).unwrap();
-        let c = pfs.counters();
-        assert_eq!((c.opens, c.closes, c.reads, c.writes), (1, 1, 2, 1));
-        assert_eq!(c.bytes_read, 2048);
-        assert_eq!(c.bytes_written, 512);
     }
 
     #[test]

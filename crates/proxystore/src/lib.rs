@@ -37,36 +37,20 @@ use dtf_core::events::{ProxyAction, ProxyEvent};
 use dtf_core::ids::{GraphId, TaskKey, WorkerId};
 use dtf_core::time::Time;
 
-/// Data-plane configuration, embedded in the simulator config as a
-/// serde-defaulted field so pre-proxy config documents parse unchanged.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+/// Data-plane configuration, embedded in the simulator config.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProxyConfig {
     /// Master switch. Off (the default) short-circuits every hook.
-    #[serde(default = "Default::default")]
     pub enabled: bool,
     /// Outputs of at least this many bytes are proxied.
-    #[serde(default = "default_threshold")]
     pub threshold: u64,
     /// Per-worker resolver-cache byte budget (LRU eviction beyond it).
-    #[serde(default = "default_cache_bytes")]
     pub resolver_cache_bytes: u64,
-}
-
-fn default_threshold() -> u64 {
-    4 << 20
-}
-
-fn default_cache_bytes() -> u64 {
-    256 << 20
 }
 
 impl Default for ProxyConfig {
     fn default() -> Self {
-        Self {
-            enabled: false,
-            threshold: default_threshold(),
-            resolver_cache_bytes: default_cache_bytes(),
-        }
+        Self { enabled: false, threshold: 4 << 20, resolver_cache_bytes: 256 << 20 }
     }
 }
 
@@ -145,23 +129,6 @@ pub enum ResolveOutcome {
     Deduped,
 }
 
-/// Running totals the ablation bench and the data-movement view read.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlaneStats {
-    pub published: u64,
-    pub republished: u64,
-    pub resolved: u64,
-    pub deduped: u64,
-    pub evicted: u64,
-    pub resourced: u64,
-    pub orphaned: u64,
-    /// Scheduler-mediated bytes for proxied dependencies (`ProxyRef` wire
-    /// size per resolve).
-    pub in_band_bytes: u64,
-    /// Peer-to-peer payload bytes that left the scheduler path.
-    pub out_of_band_bytes: u64,
-}
-
 #[derive(Debug)]
 struct DirEntry {
     r: ProxyRef,
@@ -189,9 +156,7 @@ pub struct ProxyPlane {
     caches: BTreeMap<WorkerId, WorkerCache>,
     dead: BTreeSet<WorkerId>,
     publish_seq: u64,
-    resolve_seq: u64,
     lru_clock: u64,
-    stats: PlaneStats,
 }
 
 impl ProxyPlane {
@@ -203,18 +168,12 @@ impl ProxyPlane {
             caches: BTreeMap::new(),
             dead: BTreeSet::new(),
             publish_seq: 0,
-            resolve_seq: 0,
             lru_clock: 0,
-            stats: PlaneStats::default(),
         }
     }
 
     pub fn config(&self) -> &ProxyConfig {
         &self.cfg
-    }
-
-    pub fn stats(&self) -> &PlaneStats {
-        &self.stats
     }
 
     /// Whether an output of `nbytes` takes the out-of-band path.
@@ -226,11 +185,6 @@ impl ProxyPlane {
     /// schedule keys on (next publish gets this index).
     pub fn publish_count(&self) -> u64 {
         self.publish_seq
-    }
-
-    /// Resolves attempted so far — the index `SlowResolve` faults key on.
-    pub fn resolve_count(&self) -> u64 {
-        self.resolve_seq
     }
 
     pub fn proxy_ref(&self, key: &TaskKey) -> Option<&ProxyRef> {
@@ -275,7 +229,6 @@ impl ProxyPlane {
             entry.r.size = size;
             entry.r.checksum = payload_checksum(key, size);
             entry.dangling = false;
-            self.stats.republished += 1;
             let ev = Self::event(&entry.r, ProxyAction::Republished, None, now);
             return (entry.r.clone(), ev);
         }
@@ -290,7 +243,6 @@ impl ProxyPlane {
         let ev = Self::event(&r, ProxyAction::Published, None, now);
         self.dir
             .insert(*key, DirEntry { r: r.clone(), dangling: false, replicas: BTreeSet::new() });
-        self.stats.published += 1;
         (r, ev)
     }
 
@@ -316,9 +268,7 @@ impl ProxyPlane {
         to: WorkerId,
         now: Time,
     ) -> Result<(ResolveOutcome, Vec<ProxyEvent>)> {
-        self.resolve_seq += 1;
         if self.resolved.contains(&(*key, to)) {
-            self.stats.deduped += 1;
             return Ok((ResolveOutcome::Deduped, Vec::new()));
         }
         let entry = self
@@ -337,7 +287,6 @@ impl ProxyPlane {
             entry.r.generation += 1;
             entry.r.checksum = payload_checksum(key, entry.r.size);
             entry.dangling = false;
-            self.stats.republished += 1;
             events.push(Self::event(&entry.r, ProxyAction::Republished, None, now));
         }
         let expect = payload_checksum(key, entry.r.size);
@@ -350,9 +299,6 @@ impl ProxyPlane {
         entry.replicas.insert(to);
         let r = entry.r.clone();
         self.resolved.insert((*key, to));
-        self.stats.resolved += 1;
-        self.stats.in_band_bytes += r.wire_size();
-        self.stats.out_of_band_bytes += r.size;
         events.push(Self::event(&r, ProxyAction::Resolved, Some(to), now));
         // admit into the resolver cache, evicting LRU entries beyond budget
         self.lru_clock += 1;
@@ -373,7 +319,6 @@ impl ProxyPlane {
             cache.bytes -= victim.1;
             if let Some(e) = self.dir.get_mut(&victim.0) {
                 e.replicas.remove(&to);
-                self.stats.evicted += 1;
                 events.push(Self::event(&e.r, ProxyAction::Evicted, Some(to), now));
             }
         }
@@ -402,11 +347,9 @@ impl ProxyPlane {
                     entry.r.checksum = payload_checksum(key, entry.r.size);
                     // the heir's cached copy also repairs a dangling payload
                     entry.dangling = false;
-                    self.stats.resourced += 1;
                     events.push(Self::event(&entry.r, ProxyAction::Resourced, Some(worker), now));
                 }
                 None if entry.dangling => {
-                    self.stats.orphaned += 1;
                     events.push(Self::event(&entry.r, ProxyAction::Orphaned, None, now));
                 }
                 // intact payload: the plane itself still serves resolves
@@ -467,9 +410,8 @@ mod tests {
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].action, ProxyAction::Resolved);
         assert_eq!(evs[0].worker, Some(wid(2)));
-        assert_eq!(p.stats().resolved, 1);
-        assert_eq!(p.stats().out_of_band_bytes, 8 << 20);
-        assert!(p.stats().in_band_bytes < 256);
+        assert_eq!(evs[0].size, 8 << 20, "the payload moves out-of-band");
+        assert_eq!(p.in_band_bytes(&key(0), 8 << 20), r.wire_size());
     }
 
     #[test]
@@ -484,8 +426,6 @@ mod tests {
         assert!(evs.is_empty());
         // a different dependent still resolves fresh
         assert_eq!(p.resolve(&key(0), wid(3), t).unwrap().0, ResolveOutcome::Fresh);
-        assert_eq!(p.stats().resolved, 2);
-        assert_eq!(p.stats().deduped, 1);
     }
 
     #[test]
@@ -578,7 +518,6 @@ mod tests {
         let evicted: Vec<_> = evs.iter().filter(|e| e.action == ProxyAction::Evicted).collect();
         assert_eq!(evicted.len(), 1);
         assert_eq!(evicted[0].key, key(0));
-        assert_eq!(p.stats().evicted, 1);
         // key(0) is no longer a replica on wid(2): owner death has no heir
         p.damage(&key(0));
         let evs = p.worker_died(wid(1), Time::from_secs_f64(2.0));
@@ -674,15 +613,9 @@ mod tests {
     }
 
     #[test]
-    fn config_defaults_and_json_roundtrip() {
+    fn config_defaults() {
         let d = ProxyConfig::default();
         assert!(!d.enabled);
         assert_eq!(d.threshold, 4 << 20);
-        // a pre-proxy (empty) document parses to the defaults
-        let parsed: ProxyConfig = serde_json::from_str("{}").unwrap();
-        assert_eq!(parsed, d);
-        let on = ProxyConfig { enabled: true, threshold: 123, resolver_cache_bytes: 456 };
-        let back: ProxyConfig = serde_json::from_str(&serde_json::to_string(&on).unwrap()).unwrap();
-        assert_eq!(back, on);
     }
 }

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use dtf_core::error::{DtfError, Result};
 use dtf_core::events::{CommEvent, TaskState};
 use dtf_core::ids::{NodeId, TaskKey, ThreadId, WorkerId};
-use dtf_core::time::{Clock, Dur, RealClock, Time};
+use dtf_core::time::{Dur, RealClock, Time};
 
 use crate::graph::{Payload, TaskGraph, TaskValue};
 use crate::plugins::PluginSet;

@@ -71,10 +71,6 @@ impl CollectorPlugin {
     pub fn take(&self) -> CollectedEvents {
         std::mem::take(&mut self.inner.lock())
     }
-
-    pub fn transition_count(&self) -> usize {
-        self.inner.lock().transitions.len()
-    }
 }
 
 impl WmsPlugin for CollectorPlugin {
@@ -376,7 +372,7 @@ mod tests {
         set.register(Box::new(a.clone()));
         set.register(Box::new(b.clone()));
         set.on_transition(&transition());
-        assert_eq!(a.transition_count(), 1);
-        assert_eq!(b.transition_count(), 1);
+        assert_eq!(a.take().transitions.len(), 1);
+        assert_eq!(b.take().transitions.len(), 1);
     }
 }

@@ -155,7 +155,6 @@ pub struct RunData {
     pub logs: Vec<LogEntry>,
     /// Proxy-plane lifecycle records (empty when the out-of-band data
     /// plane is disabled — the default).
-    #[serde(default = "Default::default")]
     pub proxies: Vec<ProxyEvent>,
     pub darshan: LogSet,
     /// I/O records streamed online through Mofka (empty unless the run was
@@ -326,29 +325,6 @@ impl RunData {
             t += c.duration();
         }
         t
-    }
-
-    /// Per-task wait between becoming ready on a worker and starting to
-    /// execute (the "time spent in a worker before execution" the paper
-    /// collects worker-side transitions for).
-    pub fn queue_waits(&self) -> Vec<(TaskKey, Dur)> {
-        use dtf_core::events::WorkerTaskState as W;
-        let mut ready_at: std::collections::HashMap<&TaskKey, Time> = Default::default();
-        let mut waits = Vec::new();
-        for t in &self.worker_transitions {
-            match (t.from, t.to) {
-                (_, W::Ready) => {
-                    ready_at.insert(&t.key, t.time);
-                }
-                (W::Ready, W::Executing) => {
-                    if let Some(r) = ready_at.get(&t.key) {
-                        waits.push((t.key, t.time - *r));
-                    }
-                }
-                _ => {}
-            }
-        }
-        waits
     }
 
     /// Sum of task execution time (Fig. 3 "compute" bar). Task execution

@@ -11,8 +11,6 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use serde::{Deserialize, Serialize};
-
 use dtf_core::error::{DtfError, Result};
 use dtf_core::events::{
     Location, Stimulus, TaskDoneEvent, TaskMetaEvent, TaskState, TransitionEvent, WorkerTaskState,
@@ -24,9 +22,13 @@ use dtf_core::time::Time;
 use crate::graph::{Payload, TaskGraph};
 use crate::plugins::{PluginSet, WmsPlugin};
 
+/// A worker is a stealing victim if its ready backlog exceeds this many
+/// tasks per thread.
+const STEAL_BACKLOG_PER_THREAD: f64 = 1.0;
+
 /// Scheduler tuning (the `distributed.yaml` analog surface that matters to
 /// scheduling behaviour).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchedulerConfig {
     /// Enable idle workers stealing ready tasks from busy ones.
     pub work_stealing: bool,
@@ -34,9 +36,6 @@ pub struct SchedulerConfig {
     /// worker already has `threads * queue_factor` tasks, instead of
     /// dispatching everything eagerly.
     pub queue_factor: f64,
-    /// A worker is a stealing victim if its ready backlog exceeds this many
-    /// tasks per thread.
-    pub steal_backlog_per_thread: f64,
     /// Estimated task duration used by the placement heuristic to price a
     /// worker's occupancy, seconds (Dask keeps a measured per-prefix
     /// average; a constant estimate reproduces the same spill-vs-locality
@@ -47,9 +46,7 @@ pub struct SchedulerConfig {
     pub assumed_bandwidth: f64,
     /// Skewed-placement fault injection: multiply one worker's placement
     /// score by a weight (< 1.0 makes it look artificially cheap, piling
-    /// work onto it). `None` (the default) changes nothing, so pre-fault
-    /// config documents parse and schedule identically.
-    #[serde(default = "Default::default")]
+    /// work onto it). `None` (the default) changes nothing.
     pub hotspot: Option<dtf_core::fault::HotspotFault>,
 }
 
@@ -58,7 +55,6 @@ impl Default for SchedulerConfig {
         Self {
             work_stealing: true,
             queue_factor: 1.5,
-            steal_backlog_per_thread: 1.0,
             est_task_duration_s: 0.5,
             assumed_bandwidth: 400e6,
             hotspot: None,
@@ -768,7 +764,7 @@ impl Scheduler {
                 .filter(|(_, w)| {
                     w.alive
                         && w.ready.len() as f64
-                            > (w.threads as f64 * self.cfg.steal_backlog_per_thread).max(1.0)
+                            > (w.threads as f64 * STEAL_BACKLOG_PER_THREAD).max(1.0)
                 })
                 .max_by_key(|(_, w)| w.ready.len())
                 .map(|(i, _)| i);
@@ -1439,7 +1435,6 @@ mod tests {
             SchedulerConfig {
                 work_stealing: true,
                 queue_factor: 100.0, // no scheduler-side queuing: eager dispatch
-                steal_backlog_per_thread: 1.0,
                 ..Default::default()
             },
         );
@@ -1474,12 +1469,7 @@ mod tests {
             let (mut s, _c) = sched(
                 4,
                 2,
-                SchedulerConfig {
-                    work_stealing: true,
-                    queue_factor: 100.0,
-                    steal_backlog_per_thread: 1.0,
-                    ..Default::default()
-                },
+                SchedulerConfig { work_stealing: true, queue_factor: 100.0, ..Default::default() },
             );
             let mut b = GraphBuilder::new(GraphId(0));
             let tok = b.new_token();
@@ -1520,12 +1510,7 @@ mod tests {
         let (mut s, _c) = sched(
             2,
             1,
-            SchedulerConfig {
-                work_stealing: false,
-                queue_factor: 100.0,
-                steal_backlog_per_thread: 1.0,
-                ..Default::default()
-            },
+            SchedulerConfig { work_stealing: false, queue_factor: 100.0, ..Default::default() },
         );
         let mut b = GraphBuilder::new(GraphId(0));
         let tok = b.new_token();

@@ -71,13 +71,10 @@ pub struct SimWorkflow {
     pub dataset: Vec<(String, u64, u32)>,
 }
 
-/// Simulator configuration (platform + WMS + instrumentation).
-///
-/// Serializable: this is the `distributed.yaml`-analog surface the paper
-/// collects as provenance (timeouts, heartbeat intervals, communication
-/// settings, §III-E1); [`SimConfig::from_json`] loads one from a config
-/// document and [`SimConfig::to_json`] archives it.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+/// Simulator configuration (platform + WMS + instrumentation). The part
+/// the paper collects as provenance (§III-E1) is `wms`, which the run's
+/// [`ProvenanceChart`](dtf_core::provenance::ProvenanceChart) records.
+#[derive(Debug, Clone)]
 pub struct SimConfig {
     pub campaign_seed: u64,
     pub run: RunId,
@@ -104,26 +101,21 @@ pub struct SimConfig {
     /// records bypass DXT buffer limits.
     pub online_darshan: bool,
     /// Fault schedule applied to this run (chaos testing). The default
-    /// (empty) schedule perturbs nothing, so old config documents parse
-    /// unchanged and run identically.
-    #[serde(default = "Default::default")]
+    /// (empty) schedule perturbs nothing.
     pub faults: FaultSchedule,
     /// Evaluate the scheduler's structural invariants after every event and
     /// fail the run on the first violation (chaos testing; off by default —
     /// the check scans the whole task table).
-    #[serde(default = "Default::default")]
     pub invariant_checks: bool,
     /// Root directory for durable Mofka state (dtf-store backed). `None`
     /// (the default) keeps the run in-memory, exactly as before; set, the
     /// run's event stream and archive metadata survive the process and
     /// can be reopened with `RunData::open_archive`.
-    #[serde(default = "Default::default")]
     pub persist_dir: Option<String>,
     /// Out-of-band proxy data plane for large task outputs. Disabled by
     /// default; enabling it never changes the schedule — only byte
     /// attribution (in-band refs vs out-of-band payloads) and the
     /// provenance stream gain records.
-    #[serde(default = "Default::default")]
     pub proxy: ProxyConfig,
 }
 
@@ -150,18 +142,6 @@ impl Default for SimConfig {
             persist_dir: None,
             proxy: ProxyConfig::default(),
         }
-    }
-}
-
-impl SimConfig {
-    /// Parse a configuration document (JSON).
-    pub fn from_json(json: &str) -> Result<Self> {
-        Ok(serde_json::from_str(json)?)
-    }
-
-    /// Archive the configuration (pretty JSON).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("config serializes")
     }
 }
 
@@ -1157,24 +1137,6 @@ mod tests {
             on.proxies.iter().all(|p| p.key.prefix == "load"),
             "only above-threshold outputs publish"
         );
-    }
-
-    #[test]
-    fn config_roundtrips_through_json() {
-        let mut cfg = SimConfig {
-            worker_nodes: 4,
-            mofka_batch: 7,
-            online_darshan: true,
-            ..Default::default()
-        };
-        cfg.scheduler.work_stealing = false;
-        let json = cfg.to_json();
-        let back = SimConfig::from_json(&json).unwrap();
-        assert_eq!(back.worker_nodes, 4);
-        assert!(!back.scheduler.work_stealing);
-        assert_eq!(back.mofka_batch, 7);
-        assert!(back.online_darshan);
-        assert!(SimConfig::from_json("not json").is_err());
     }
 
     #[test]

@@ -116,7 +116,7 @@ fn archived_chaos_schedule_replays_identically() {
     }
     let archived = std::fs::read_to_string(&schedule_path)
         .unwrap_or_else(|e| panic!("golden {} missing ({e})", schedule_path.display()));
-    let faults = FaultSchedule::from_json(&archived).expect("archived schedule parses");
+    let faults: FaultSchedule = serde_json::from_str(&archived).expect("archived schedule parses");
     assert_eq!(faults.seed, seed, "archive carries its generating seed");
 
     let first = run_faults(seed, 7, &faults).unwrap();
