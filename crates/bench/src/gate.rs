@@ -18,7 +18,7 @@ use dtf_core::ids::{GraphId, NodeId, ThreadId, WorkerId};
 use dtf_core::time::{Dur, Time};
 use dtf_wms::graph::{GraphBuilder, SimAction};
 use dtf_wms::plugins::PluginSet;
-use dtf_wms::scheduler::{Action, Scheduler, SchedulerConfig};
+use dtf_wms::scheduler::{Scheduler, SchedulerConfig};
 
 /// The committed baseline, relative to the working directory.
 pub const BASELINE: &str = "BENCH_repro.json";
@@ -284,24 +284,24 @@ pub fn scheduler_bench(tasks: u32) -> SchedulerBench {
     for w in 0..32 {
         s.add_worker(WorkerId::new(NodeId(w / 4), w % 4), 4);
     }
-    let mut actions = s.submit_graph(graph, Time::ZERO).expect("fresh graph submits");
+    s.submit_graph(graph, Time::ZERO).expect("fresh graph submits");
     let mut t = 0u64;
     loop {
         let mut progressed = false;
-        while let Some(Action::Fetch { dep, to, .. }) = actions.pop() {
-            progressed = true;
-            s.fetch_done(&dep, to, Time(t));
-        }
-        for w in s.worker_ids() {
+        for w in 0..32 {
             while let Some(key) = s.try_start(w, Time(t)) {
                 progressed = true;
                 t += 1;
-                actions.extend(s.task_finished(&key, w, ThreadId(1), Time(t - 1), Time(t), 64));
+                s.task_finished(&key, w, ThreadId(1), Time(t - 1), Time(t), 64);
             }
         }
-        actions.extend(s.rebalance(Time(t)));
-        if !progressed && actions.is_empty() {
+        s.rebalance(Time(t));
+        let fetches = s.take_fetches();
+        if !progressed && fetches.is_empty() {
             break;
+        }
+        for f in fetches {
+            s.fetch_done(&f.dep, f.to, Time(t));
         }
     }
     assert_eq!(s.unfinished(), 0, "benchmark graph must drain completely");

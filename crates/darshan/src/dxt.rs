@@ -141,10 +141,6 @@ impl DxtModule {
     pub fn truncated(&self) -> bool {
         self.dropped > 0
     }
-
-    pub fn config(&self) -> DxtConfig {
-        self.cfg
-    }
 }
 
 #[cfg(test)]

@@ -132,10 +132,6 @@ impl InstrumentedPfs {
         Self { pfs, runtime }
     }
 
-    pub fn runtime(&self) -> &Arc<DarshanRuntime> {
-        &self.runtime
-    }
-
     pub fn pfs(&self) -> &Arc<Mutex<Pfs>> {
         &self.pfs
     }

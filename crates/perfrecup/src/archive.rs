@@ -14,7 +14,6 @@ use dtf_mofka::ServiceRecovery;
 use dtf_wms::rundata::RunData;
 
 use crate::live::{query_rundata, ViewQuery, ViewResult};
-use crate::views::RunViews;
 
 /// An archived run bundled with its reconstructed record, so views can
 /// borrow from data owned alongside them.
@@ -30,11 +29,6 @@ impl ArchivedRun {
     pub fn open(dir: &Path) -> dtf_core::Result<Self> {
         let (data, recovery) = RunData::open_archive(dir)?;
         Ok(Self { data, recovery })
-    }
-
-    /// Build the fused analysis views over the archived record.
-    pub fn views(&self) -> RunViews<'_> {
-        RunViews::new(&self.data)
     }
 
     /// Answer a [`ViewQuery`] from the archive — the cold half of the

@@ -167,12 +167,6 @@ impl DataFrame {
         Ok(self.take(&order))
     }
 
-    /// First `n` rows.
-    pub fn head(&self, n: usize) -> DataFrame {
-        let rows: Vec<usize> = (0..self.n_rows().min(n)).collect();
-        self.take(&rows)
-    }
-
     /// Group by a key column and aggregate a value column.
     /// Returns a frame with columns `[key, agg]`, ordered by key
     /// ([`ValueKey::cmp_sort`] order; string keys sort exactly as before,

@@ -390,11 +390,6 @@ impl LiveViews {
         }
     }
 
-    /// Latest published version (0 until the first publish).
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
     pub fn progress(&self) -> LiveProgress {
         self.progress
     }

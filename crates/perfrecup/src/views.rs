@@ -1,5 +1,4 @@
-//! Views: uniform DataFrames over one run's multi-source data, plus the
-//! fused task↔I/O view.
+//! Views: the fused task↔I/O view over one run.
 //!
 //! The load-bearing join (paper §III-E3, §V): Darshan DXT records carry
 //! `(host, pthread id, timestamps)`; Dask task records carry
@@ -62,7 +61,7 @@ pub fn task_io_rows<'a>(
         .map(|record| TaskIoRow { record, owner: execs.owner(record.thread, record.start) })
 }
 
-/// Lazily built DataFrame views over one run.
+/// The fused task↔I/O view over one run, built on demand.
 pub struct RunViews<'a> {
     pub data: &'a RunData,
 }
@@ -70,43 +69,6 @@ pub struct RunViews<'a> {
 impl<'a> RunViews<'a> {
     pub fn new(data: &'a RunData) -> Self {
         Self { data }
-    }
-
-    /// Completed tasks (key, group, prefix, graph, worker, host, thread,
-    /// start/stop/duration, nbytes).
-    pub fn tasks(&self) -> DataFrame {
-        DataFrame::from_tabular(&self.data.task_done)
-    }
-
-    /// Task metadata at submission (key, deps count, client, graph).
-    pub fn meta(&self) -> DataFrame {
-        DataFrame::from_tabular(&self.data.meta)
-    }
-
-    /// All task state transitions.
-    pub fn transitions(&self) -> DataFrame {
-        DataFrame::from_tabular(&self.data.transitions)
-    }
-
-    /// Worker-side task state transitions (waiting/fetch/flight/ready/
-    /// executing/memory).
-    pub fn worker_transitions(&self) -> DataFrame {
-        DataFrame::from_tabular(&self.data.worker_transitions)
-    }
-
-    /// Inter-worker communications.
-    pub fn comms(&self) -> DataFrame {
-        DataFrame::from_tabular(&self.data.comms)
-    }
-
-    /// Traced I/O operations across all workers' Darshan logs.
-    pub fn io(&self) -> DataFrame {
-        DataFrame::from_tabular(self.data.darshan.all_records())
-    }
-
-    /// Runtime warnings.
-    pub fn warnings(&self) -> DataFrame {
-        DataFrame::from_tabular(&self.data.warnings)
     }
 
     /// The fused task↔I/O view: every traced I/O operation attributed to
@@ -162,19 +124,6 @@ mod tests {
         };
         let cfg = SimConfig { run: RunId(0), dxt, ..Default::default() };
         SimCluster::new(cfg).unwrap().run(wf).unwrap()
-    }
-
-    #[test]
-    fn views_have_expected_shapes() {
-        let data = run_with_io(dtf_darshan::DxtConfig::default());
-        let v = RunViews::new(&data);
-        assert_eq!(v.tasks().n_rows(), 12);
-        assert_eq!(v.meta().n_rows(), 12);
-        assert!(v.transitions().n_rows() >= 36);
-        // each task: ready + executing + memory worker-side observations
-        assert!(v.worker_transitions().n_rows() >= 36);
-        // 12 reads + 12 opens + 12 closes
-        assert_eq!(v.io().n_rows(), 36);
     }
 
     #[test]

@@ -78,10 +78,6 @@ impl NetworkModel {
         Self { cfg, congestion, jitter, connected: HashSet::new() }
     }
 
-    pub fn config(&self) -> &NetworkConfig {
-        &self.cfg
-    }
-
     /// Cost of transferring `bytes` between endpoints `a` and `b` (opaque
     /// endpoint ids — worker address hashes) living on nodes `na`/`nb`,
     /// starting at time `now`. Also returns whether this call paid the

@@ -85,10 +85,6 @@ impl Pfs {
         Self { cfg, interference, jitter, by_path: HashMap::new(), files: Vec::new() }
     }
 
-    pub fn config(&self) -> &PfsConfig {
-        &self.cfg
-    }
-
     pub fn file_count(&self) -> usize {
         self.files.len()
     }

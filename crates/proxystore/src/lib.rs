@@ -172,10 +172,6 @@ impl ProxyPlane {
         }
     }
 
-    pub fn config(&self) -> &ProxyConfig {
-        &self.cfg
-    }
-
     /// Whether an output of `nbytes` takes the out-of-band path.
     pub fn should_proxy(&self, nbytes: u64) -> bool {
         self.cfg.enabled && nbytes >= self.cfg.threshold

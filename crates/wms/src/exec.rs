@@ -7,6 +7,12 @@
 //! clock, executing [`Payload::Real`] closures and passing real values
 //! between tasks. This is the mode a downstream user adopts to
 //! characterize their own workload.
+//!
+//! Every idle thread, and every client call that blocks, sleeps on one
+//! condvar paired with the scheduler mutex, and checks its condition under
+//! that mutex before it waits, so no wake-up is lost and no wait needs a
+//! timeout. A task takes the scheduler lock twice: once to start it and
+//! read its closure and inputs, once to report it finished.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
@@ -19,8 +25,8 @@ use dtf_core::ids::{NodeId, TaskKey, ThreadId, WorkerId};
 use dtf_core::time::{Dur, RealClock, Time};
 
 use crate::graph::{Payload, TaskGraph, TaskValue};
-use crate::plugins::PluginSet;
-use crate::scheduler::{Action, Scheduler, SchedulerConfig};
+use crate::plugins::{PluginSet, WmsPlugin};
+use crate::scheduler::{Fetch, Scheduler, SchedulerConfig};
 
 /// Executor configuration.
 #[derive(Debug, Clone)]
@@ -42,19 +48,23 @@ struct Shared {
     scheduler: Mutex<Scheduler>,
     data: Mutex<HashMap<TaskKey, Arc<TaskValue>>>,
     clock: RealClock,
-    work: Condvar,
-    work_mutex: Mutex<()>,
-    /// Signalled (paired with the scheduler mutex) after every scheduler
-    /// state change; `gather`/`wait_all` block on it instead of polling.
+    /// Paired with `scheduler`: signalled after every scheduler state
+    /// change that can let a thread start a task or a waiter return, and
+    /// on stop.
     progress: Condvar,
+    /// Set under the scheduler lock.
     stop: AtomicBool,
+}
+
+/// All workers share one node in-process; the slot is the worker's index.
+fn worker_id(widx: usize) -> WorkerId {
+    WorkerId::new(NodeId(0), widx as u32)
 }
 
 /// A running local cluster.
 pub struct LocalCluster {
     shared: Arc<Shared>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    worker_ids: Vec<WorkerId>,
 }
 
 impl LocalCluster {
@@ -62,41 +72,29 @@ impl LocalCluster {
     pub fn start(cfg: ExecConfig, plugins: PluginSet) -> Self {
         assert!(cfg.workers >= 1 && cfg.threads_per_worker >= 1);
         let mut scheduler = Scheduler::new(cfg.scheduler.clone(), plugins);
-        let mut worker_ids = Vec::new();
-        for w in 0..cfg.workers {
-            // all workers share one node in-process; slots distinguish them
-            let id = WorkerId::new(NodeId(0), w);
-            scheduler.add_worker(id, cfg.threads_per_worker);
-            worker_ids.push(id);
+        for w in 0..cfg.workers as usize {
+            scheduler.add_worker(worker_id(w), cfg.threads_per_worker);
         }
         let shared = Arc::new(Shared {
             scheduler: Mutex::new(scheduler),
             data: Mutex::new(HashMap::new()),
             clock: RealClock::new(),
-            work: Condvar::new(),
-            work_mutex: Mutex::new(()),
             progress: Condvar::new(),
             stop: AtomicBool::new(false),
         });
         let mut handles = Vec::new();
-        for (widx, wid) in worker_ids.iter().enumerate() {
+        for widx in 0..cfg.workers as usize {
             for t in 0..cfg.threads_per_worker {
                 let shared = shared.clone();
-                let wid = *wid;
-                let _ = widx;
                 handles.push(
                     std::thread::Builder::new()
-                        .name(format!("dtf-worker-{}-{t}", wid.slot))
-                        .spawn(move || worker_loop(shared, wid, t))
+                        .name(format!("dtf-worker-{widx}-{t}"))
+                        .spawn(move || worker_loop(shared, widx, t))
                         .expect("spawn worker thread"),
                 );
             }
         }
-        Self { shared, handles, worker_ids }
-    }
-
-    pub fn worker_ids(&self) -> &[WorkerId] {
-        &self.worker_ids
+        Self { shared, handles }
     }
 
     fn now(&self) -> Time {
@@ -115,17 +113,16 @@ impl LocalCluster {
         }
         let now = self.now();
         let mut sched = self.shared.scheduler.lock();
-        let actions = sched.submit_graph(graph, now)?;
-        process_fetches(&self.shared, &mut sched, actions, now);
+        sched.submit_graph(graph, now)?;
+        process_fetches(&self.shared, &mut sched, now);
         drop(sched);
-        self.shared.work.notify_all();
         self.shared.progress.notify_all();
         Ok(())
     }
 
-    /// Block until `key` is in memory (or the cluster stopped); return its
-    /// value. Sleeps on the progress condvar — woken by workers as tasks
-    /// finish — rather than polling the scheduler.
+    /// Block until `key` is in memory; return its value. Sleeps on the
+    /// progress condvar — woken by workers as tasks finish — rather than
+    /// polling the scheduler.
     pub fn gather(&self, key: &TaskKey) -> Result<Arc<TaskValue>> {
         let mut sched = self.shared.scheduler.lock();
         loop {
@@ -137,8 +134,7 @@ impl LocalCluster {
                 }
                 _ => {}
             }
-            // the timeout is only a safety net against a stalled cluster
-            self.shared.progress.wait_for(&mut sched, std::time::Duration::from_millis(100));
+            self.shared.progress.wait(&mut sched);
         }
         drop(sched);
         let data = self.shared.data.lock();
@@ -149,15 +145,17 @@ impl LocalCluster {
     pub fn wait_all(&self) {
         let mut sched = self.shared.scheduler.lock();
         while sched.unfinished() != 0 {
-            self.shared.progress.wait_for(&mut sched, std::time::Duration::from_millis(100));
+            self.shared.progress.wait(&mut sched);
         }
     }
 
     /// Stop the workers and return the scheduler's plugin set (with all
     /// collected instrumentation).
     pub fn shutdown(self) -> PluginSet {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.work.notify_all();
+        {
+            let _sched = self.shared.scheduler.lock();
+            self.shared.stop.store(true, Ordering::SeqCst);
+        }
         self.shared.progress.notify_all();
         for h in self.handles {
             let _ = h.join();
@@ -167,95 +165,76 @@ impl LocalCluster {
             Scheduler::new(SchedulerConfig::default(), PluginSet::new()),
         );
         let mut plugins = scheduler.into_plugins();
-        use crate::plugins::WmsPlugin;
         plugins.flush();
         plugins
     }
 }
 
-fn process_fetches(shared: &Shared, sched: &mut Scheduler, actions: Vec<Action>, now: Time) {
-    // in-process "transfers": data is already shared; record the comm event
-    // with a measured (near-zero) duration and complete it immediately
-    for action in actions {
-        match action {
-            Action::Fetch { dep, from, to, nbytes } => {
-                use crate::plugins::WmsPlugin;
-                let stop = shared.clock.now();
-                sched.plugins_mut().on_comm(&CommEvent {
-                    key: dep,
-                    from,
-                    to,
-                    nbytes,
-                    start: now,
-                    stop: stop.max(now + Dur(1)),
-                });
-                sched.fetch_done(&dep, to, stop);
-            }
-        }
+/// In-process "transfers": the data is already shared, so each issued
+/// fetch records its comm event with a measured (near-zero) duration and
+/// completes at once.
+fn process_fetches(shared: &Shared, sched: &mut Scheduler, now: Time) {
+    for Fetch { dep, from, to, nbytes } in sched.take_fetches() {
+        let stop = shared.clock.now();
+        sched.plugins_mut().on_comm(&CommEvent {
+            key: dep,
+            from: worker_id(from),
+            to: worker_id(to),
+            nbytes,
+            start: now,
+            stop: stop.max(now + Dur(1)),
+        });
+        sched.fetch_done(&dep, to, stop);
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, wid: WorkerId, thread_ordinal: u32) {
-    let tid = ThreadId::synth(wid, thread_ordinal);
+fn worker_loop(shared: Arc<Shared>, widx: usize, thread_ordinal: u32) {
+    let tid = ThreadId::synth(worker_id(widx), thread_ordinal);
     loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        // try to pick up work
-        let picked = {
-            let now = shared.clock.now();
-            let mut sched = shared.scheduler.lock();
-            let key = sched.try_start(wid, now);
-            if key.is_none() {
-                // idle: opportunistically rebalance (work stealing)
-                let actions = sched.rebalance(now);
-                process_fetches(&shared, &mut sched, actions, now);
-                sched.try_start(wid, now)
-            } else {
-                key
-            }
-        };
-        let Some(key) = picked else {
-            // nothing to run: wait for a notification
-            let mut guard = shared.work_mutex.lock();
+        let mut sched = shared.scheduler.lock();
+        let key = loop {
             if shared.stop.load(Ordering::SeqCst) {
                 return;
             }
-            shared.work.wait_for(&mut guard, std::time::Duration::from_millis(5));
-            continue;
+            let now = shared.clock.now();
+            if let Some(key) = sched.try_start(widx, now) {
+                break key;
+            }
+            // idle: steal (work stealing) before sleeping
+            let steals = sched.steal_count();
+            sched.rebalance(now);
+            process_fetches(&shared, &mut sched, now);
+            if sched.steal_count() != steals {
+                // a stolen task may have gone to a worker whose threads all sleep
+                shared.progress.notify_all();
+            }
+            if let Some(key) = sched.try_start(widx, now) {
+                break key;
+            }
+            shared.progress.wait(&mut sched);
         };
+        let func = match sched.payload(&key).expect("started task has payload") {
+            Payload::Real(f) => f.clone(),
+            Payload::Sim(_) => unreachable!("submit() rejects Sim payloads"),
+        };
+        let deps = sched.task_deps(&key).expect("known task");
+        drop(sched);
 
-        // gather the payload and dependency values
-        let (func, deps) = {
-            let sched = shared.scheduler.lock();
-            let payload = sched.payload(&key).expect("started task has payload");
-            let func = match payload {
-                Payload::Real(f) => f.clone(),
-                Payload::Sim(_) => unreachable!("submit() rejects Sim payloads"),
-            };
-            let deps = sched.task_deps(&key).expect("known task");
-            (func, deps)
-        };
         let dep_values: Vec<Arc<TaskValue>> = {
             let data = shared.data.lock();
             deps.iter().map(|d| data.get(d).cloned().expect("dependency value resident")).collect()
         };
-
         let start = shared.clock.now();
         let value = func(&dep_values);
         let stop = shared.clock.now();
         let nbytes = value.nbytes;
+        shared.data.lock().insert(key, Arc::new(value));
 
         {
-            let mut data = shared.data.lock();
-            data.insert(key, Arc::new(value));
-        }
-        {
             let mut sched = shared.scheduler.lock();
-            let actions = sched.task_finished(&key, wid, tid, start, stop, nbytes);
-            process_fetches(&shared, &mut sched, actions, stop);
+            sched.task_finished(&key, widx, tid, start, stop, nbytes);
+            process_fetches(&shared, &mut sched, stop);
         }
-        shared.work.notify_all();
         shared.progress.notify_all();
     }
 }

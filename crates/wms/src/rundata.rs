@@ -241,13 +241,7 @@ impl RunData {
         let mut warnings: Vec<WarningEvent> = drain(svc, "warnings", group)?;
         let mut logs: Vec<LogEntry> = drain(svc, "logs", group)?;
         let mut online_io: Vec<IoRecord> = drain(svc, "io-records", group)?;
-        // archives written before the proxy plane existed have no
-        // proxy-events topic; treat that exactly like an empty one
-        let mut proxies: Vec<ProxyEvent> = match drain(svc, "proxy-events", group) {
-            Ok(v) => v,
-            Err(DtfError::NotFound(_)) => Vec::new(),
-            Err(e) => return Err(e),
-        };
+        let mut proxies: Vec<ProxyEvent> = drain(svc, "proxy-events", group)?;
         meta.sort_by_key(|e| (e.submitted, e.key));
         transitions.sort_by_key(|e| e.time);
         worker_transitions.sort_by_key(|e| (e.time, e.key));

@@ -5,11 +5,21 @@
 //! resident data), the placement heuristic, scheduler-side queuing, and
 //! work stealing. It is *engine-agnostic*: it never advances time or draws
 //! randomness — the discrete-event simulator ([`crate::sim`]) and the real
-//! executor ([`crate::exec`]) drive it and carry out the [`Action`]s it
-//! returns. That separation is what lets both modes share one scheduling
-//! behaviour (and one instrumentation surface).
+//! executor ([`crate::exec`]) drive it through one contract:
+//!
+//! - a worker is named by the index [`Scheduler::add_worker`] returned;
+//! - the engine's callbacks (`submit_graph`, `task_finished`, `fetch_done`,
+//!   `rebalance`, `worker_died`) return nothing but `submit_graph`'s
+//!   validation error, and leave the dependency transfers they issue in
+//!   one outbox, which the engine drains with [`Scheduler::take_fetches`]
+//!   after each call that can place a task;
+//! - [`Scheduler::take_startable`] names the workers that may start a
+//!   task, and [`Scheduler::try_start`] starts one.
+//!
+//! That separation is what lets both modes share one scheduling behaviour
+//! (and one instrumentation surface).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use dtf_core::error::{DtfError, Result};
 use dtf_core::events::{
@@ -62,12 +72,15 @@ impl Default for SchedulerConfig {
     }
 }
 
-/// Work the engine must carry out on behalf of the scheduler.
+/// A dependency transfer the engine must carry out: move `dep`'s data
+/// (`nbytes`) from worker index `from` to worker index `to`, charge its
+/// cost, then call [`Scheduler::fetch_done`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum Action {
-    /// Move `key`'s dependency data `dep` from `from` to `to` (the engine
-    /// charges network cost, then calls [`Scheduler::fetch_done`]).
-    Fetch { dep: TaskKey, from: WorkerId, to: WorkerId, nbytes: u64 },
+pub struct Fetch {
+    pub dep: TaskKey,
+    pub from: usize,
+    pub to: usize,
+    pub nbytes: u64,
 }
 
 #[derive(Debug)]
@@ -144,8 +157,9 @@ pub struct Scheduler {
     /// reverse index `fetch_done` uses to resolve waiters without scanning
     /// every fetching task.
     inflight: BTreeMap<(usize, TaskKey), Inflight>,
-    /// Worker id → index in `workers`.
-    worker_index: HashMap<WorkerId, usize>,
+    /// Transfers issued since [`Self::take_fetches`] last drained them, in
+    /// issue order (the order the fault schedule's fetch faults key on).
+    fetches: Vec<Fetch>,
     /// Per worker: whether its `ready` set gained a task or its
     /// `executing` set lost one since [`Self::take_startable`] last asked —
     /// the only two ways a worker that could not start a task becomes one
@@ -161,7 +175,6 @@ pub struct Scheduler {
     start_order: Vec<(TaskKey, Time)>,
     /// Runnable tasks parked because no live worker existed (`no-worker`).
     no_worker: Vec<TaskKey>,
-    graphs_submitted: u32,
     steals: u64,
 }
 
@@ -173,7 +186,7 @@ impl Scheduler {
             workers: Vec::new(),
             queued: BTreeSet::new(),
             inflight: BTreeMap::new(),
-            worker_index: HashMap::new(),
+            fetches: Vec::new(),
             startable: Vec::new(),
             local_bytes: Vec::new(),
             plugins,
@@ -181,7 +194,6 @@ impl Scheduler {
             known_keys: KeySet::default(),
             start_order: Vec::new(),
             no_worker: Vec::new(),
-            graphs_submitted: 0,
             steals: 0,
         }
     }
@@ -197,31 +209,26 @@ impl Scheduler {
             fetching: BTreeSet::new(),
             alive: true,
         });
-        let idx = self.workers.len() - 1;
-        self.worker_index.insert(id, idx);
         self.startable.push(false);
-        idx
+        self.workers.len() - 1
     }
 
     /// Whether the worker at index `widx` may have become able to start a
     /// task since this was last asked of it; asking clears the mark. An
-    /// engine that runs [`Self::try_start_at`] to exhaustion on every
-    /// worker this returns `true` for has started everything startable —
-    /// it need not ask the others.
+    /// engine that runs [`Self::try_start`] to exhaustion on every worker
+    /// this returns `true` for has started everything startable — it need
+    /// not ask the others.
     pub fn take_startable(&mut self, widx: usize) -> bool {
         std::mem::take(&mut self.startable[widx])
     }
 
-    pub fn worker_ids(&self) -> Vec<WorkerId> {
-        self.workers.iter().map(|w| w.id).collect()
+    /// Drain the transfers issued since the last call, in issue order.
+    pub fn take_fetches(&mut self) -> Vec<Fetch> {
+        std::mem::take(&mut self.fetches)
     }
 
     pub fn plugins_mut(&mut self) -> &mut PluginSet {
         &mut self.plugins
-    }
-
-    pub fn graphs_submitted(&self) -> u32 {
-        self.graphs_submitted
     }
 
     pub fn steal_count(&self) -> u64 {
@@ -315,15 +322,14 @@ impl Scheduler {
     // Graph submission
     // ------------------------------------------------------------------
 
-    /// Submit a validated graph. Returns fetch actions for the engine.
-    pub fn submit_graph(&mut self, graph: TaskGraph, now: Time) -> Result<Vec<Action>> {
+    /// Submit a validated graph.
+    pub fn submit_graph(&mut self, graph: TaskGraph, now: Time) -> Result<()> {
         graph
             .validate(&self.known_keys)
             .map_err(|e| DtfError::InvalidGraph(format!("graph {}: {e}", graph.id)))?;
         if self.workers.is_empty() {
             return Err(DtfError::IllegalState("no workers connected".into()));
         }
-        self.graphs_submitted += 1;
         // an earlier output whose last replica died while nothing needed it
         // still reads `memory`: bring it back before counting it finished
         let lost: BTreeSet<TaskKey> = graph
@@ -333,7 +339,7 @@ impl Scheduler {
             .filter(|d| self.tasks.contains_key(*d) && self.is_lost(d))
             .copied()
             .collect();
-        let mut actions = self.recompute(lost, now);
+        self.recompute(lost, now);
         let mut new_keys = Vec::with_capacity(graph.tasks.len());
         for spec in graph.tasks {
             let priority = self.next_priority;
@@ -386,10 +392,10 @@ impl Scheduler {
                 now,
             );
             if self.tasks[&key].unfinished_deps == 0 {
-                actions.extend(self.make_runnable(&key, now));
+                self.make_runnable(&key, now);
             }
         }
-        Ok(actions)
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -455,19 +461,18 @@ impl Scheduler {
     }
 
     /// A task's dependencies are met: queue it or dispatch it.
-    fn make_runnable(&mut self, key: &TaskKey, now: Time) -> Vec<Action> {
+    fn make_runnable(&mut self, key: &TaskKey, now: Time) {
         if self.all_saturated() {
             self.emit_transition(key, TaskState::Queued, Stimulus::Queue, Location::Scheduler, now);
             let p = self.tasks[key].priority;
             self.queued.insert((p, *key));
-            Vec::new()
         } else {
             self.dispatch(key, now)
         }
     }
 
     /// Assign `key` to a worker; generate fetches for missing inputs.
-    fn dispatch(&mut self, key: &TaskKey, now: Time) -> Vec<Action> {
+    fn dispatch(&mut self, key: &TaskKey, now: Time) {
         let Some(widx) = self.decide_worker(key) else {
             self.emit_transition(
                 key,
@@ -477,7 +482,7 @@ impl Scheduler {
                 now,
             );
             self.no_worker.push(*key);
-            return Vec::new();
+            return;
         };
         self.emit_transition(
             key,
@@ -489,13 +494,11 @@ impl Scheduler {
         self.place_on_worker(key, widx, now)
     }
 
-    /// Common path of dispatch and steal: set assignment, compute fetches.
+    /// Common path of dispatch and steal: set assignment, issue fetches.
     /// A dep already in flight to `widx` (for an earlier task) is joined,
     /// not re-fetched — one transfer per `(worker, dep)` pair.
-    fn place_on_worker(&mut self, key: &TaskKey, widx: usize, now: Time) -> Vec<Action> {
+    fn place_on_worker(&mut self, key: &TaskKey, widx: usize, now: Time) {
         let deps = std::mem::take(&mut self.tasks.get_mut(key).expect("known task").deps);
-        let to = self.workers[widx].id;
-        let mut actions = Vec::new();
         let mut missing = BTreeSet::new();
         for dep in &deps {
             if self.tasks[dep].who_has.contains(&widx) {
@@ -517,10 +520,10 @@ impl Scheduler {
                         .find(|&h| self.workers[h].alive)
                         .expect("runnable task has all inputs somewhere");
                     e.insert(Inflight { from: holder, waiters: std::iter::once(*key).collect() });
-                    actions.push(Action::Fetch {
+                    self.fetches.push(Fetch {
                         dep: *dep,
-                        from: self.workers[holder].id,
-                        to,
+                        from: holder,
+                        to: widx,
                         nbytes: dep_rec.nbytes.unwrap_or(0),
                     });
                 }
@@ -561,7 +564,6 @@ impl Scheduler {
                 now,
             );
         }
-        actions
     }
 
     // ------------------------------------------------------------------
@@ -573,8 +575,7 @@ impl Scheduler {
     /// entry — no scan over the worker's fetching set. A replayed or stale
     /// completion (no in-flight entry) still records the data but wakes
     /// nobody, so it can never mark a task ready prematurely.
-    pub fn fetch_done(&mut self, dep: &TaskKey, to: WorkerId, now: Time) {
-        let Some(widx) = self.worker_index(to) else { return };
+    pub fn fetch_done(&mut self, dep: &TaskKey, widx: usize, now: Time) {
         if self.workers[widx].alive {
             self.tasks.get_mut(dep).expect("dep known").who_has.insert(widx);
         }
@@ -603,17 +604,10 @@ impl Scheduler {
         }
     }
 
-    /// If `worker` has a free thread and a ready task, start it: returns the
-    /// task to execute. The engine charges its duration and later calls
-    /// [`Self::task_finished`].
-    pub fn try_start(&mut self, worker: WorkerId, now: Time) -> Option<TaskKey> {
-        let widx = self.worker_index(worker)?;
-        self.try_start_at(widx, now)
-    }
-
-    /// [`Self::try_start`] for the worker at index `widx` (the index
-    /// [`Self::add_worker`] returned), skipping the id lookup.
-    pub fn try_start_at(&mut self, widx: usize, now: Time) -> Option<TaskKey> {
+    /// If the worker at index `widx` has a free thread and a ready task,
+    /// start it: returns the task to execute. The engine charges its
+    /// duration and later calls [`Self::task_finished`].
+    pub fn try_start(&mut self, widx: usize, now: Time) -> Option<TaskKey> {
         let worker = self.workers[widx].id;
         if !self.workers[widx].has_free_thread() {
             return None;
@@ -643,19 +637,19 @@ impl Scheduler {
         Some(key)
     }
 
-    /// Task finished executing on `worker`. Emits Memory transition and the
-    /// completion record; unlocks dependents; refills from the scheduler
-    /// queue. Returns new fetch actions.
+    /// Task finished executing on the worker at index `widx`. Emits Memory
+    /// transition and the completion record; unlocks dependents; refills
+    /// from the scheduler queue.
     pub fn task_finished(
         &mut self,
         key: &TaskKey,
-        worker: WorkerId,
+        widx: usize,
         thread: ThreadId,
         start: Time,
         now: Time,
         nbytes: u64,
-    ) -> Vec<Action> {
-        let widx = self.worker_index(worker).expect("worker exists");
+    ) {
+        let worker = self.workers[widx].id;
         let removed = self.workers[widx].executing.remove(key);
         debug_assert!(removed, "finished task {key} was not executing");
         self.startable[widx] = true;
@@ -690,29 +684,25 @@ impl Scheduler {
             nbytes,
         });
 
-        let mut actions = Vec::new();
         // dependents may become runnable
         let dependents = std::mem::take(&mut self.tasks.get_mut(key).expect("known").dependents);
         for dep in &dependents {
             let rec = self.tasks.get_mut(dep).expect("dependent known");
             rec.unfinished_deps = rec.unfinished_deps.saturating_sub(1);
             if rec.unfinished_deps == 0 && rec.state == TaskState::Waiting {
-                actions.extend(self.make_runnable(dep, now));
+                self.make_runnable(dep, now);
             }
         }
         self.tasks.get_mut(key).expect("known").dependents = dependents;
         // refill workers from the scheduler-side queue
-        actions.extend(self.refill_from_queue(now));
-        actions
+        self.refill_from_queue(now);
     }
 
-    fn refill_from_queue(&mut self, now: Time) -> Vec<Action> {
-        let mut actions = Vec::new();
+    fn refill_from_queue(&mut self, now: Time) {
         while !self.queued.is_empty() && !self.all_saturated() {
             let (_, key) = self.queued.pop_first().expect("nonempty queue");
-            actions.extend(self.dispatch(&key, now));
+            self.dispatch(&key, now);
         }
-        actions
     }
 
     // ------------------------------------------------------------------
@@ -722,8 +712,7 @@ impl Scheduler {
     /// Rebalance ready backlogs: idle workers steal from saturated ones,
     /// and tasks parked in `no-worker` are re-dispatched once a live worker
     /// exists again.
-    pub fn rebalance(&mut self, now: Time) -> Vec<Action> {
-        let mut actions = Vec::new();
+    pub fn rebalance(&mut self, now: Time) {
         if !self.no_worker.is_empty() && self.workers.iter().any(|w| w.alive) {
             let parked = std::mem::take(&mut self.no_worker);
             for key in parked {
@@ -736,15 +725,15 @@ impl Scheduler {
                         now,
                     );
                     let widx = self.decide_worker(&key).expect("a live worker exists");
-                    actions.extend(self.place_on_worker(&key, widx, now));
+                    self.place_on_worker(&key, widx, now);
                 }
             }
         }
         // a periodic refill also unsticks the scheduler queue when worker
         // capacity changed outside the task_finished path (e.g. new worker)
-        actions.extend(self.refill_from_queue(now));
+        self.refill_from_queue(now);
         if !self.cfg.work_stealing {
-            return actions;
+            return;
         }
         loop {
             // thief: the most under-committed live worker (fewer queued and
@@ -783,9 +772,8 @@ impl Scheduler {
                 Location::Worker(thief_id),
                 now,
             );
-            actions.extend(self.place_on_worker(&key, thief, now));
+            self.place_on_worker(&key, thief, now);
         }
-        actions
     }
 
     // ------------------------------------------------------------------
@@ -794,10 +782,7 @@ impl Scheduler {
 
     /// A worker died: re-plan everything it was running or holding, and
     /// re-source or abandon the transfers it was serving to live workers.
-    /// Returns actions (fetches for re-dispatched tasks and re-issued
-    /// transfers).
-    pub fn worker_died(&mut self, worker: WorkerId, now: Time) -> Vec<Action> {
-        let Some(widx) = self.worker_index(worker) else { return Vec::new() };
+    pub fn worker_died(&mut self, widx: usize, now: Time) {
         self.workers[widx].alive = false;
         let executing: Vec<TaskKey> =
             std::mem::take(&mut self.workers[widx].executing).into_iter().collect();
@@ -853,27 +838,11 @@ impl Scheduler {
             }
         }
         let to_recompute = candidates.into_iter().filter(|k| needed_set.contains(k)).collect();
-        let mut actions = self.recompute(to_recompute, now);
+        self.recompute(to_recompute, now);
         // in-flight work on the dead worker goes back to waiting and is
         // re-planned
         for key in executing.into_iter().chain(ready).chain(fetching) {
-            self.emit_transition(
-                &key,
-                TaskState::Waiting,
-                Stimulus::WorkerLost,
-                Location::Scheduler,
-                now,
-            );
-            {
-                let rec = self.tasks.get_mut(&key).expect("known");
-                rec.assigned = None;
-                rec.missing_deps.clear();
-            }
-            let ready_now =
-                self.tasks[&key].deps.iter().all(|d| self.tasks[d].state == TaskState::Memory);
-            if ready_now {
-                actions.extend(self.make_runnable(&key, now));
-            }
+            self.replan(&key, now);
         }
         // transfers FROM the dead worker to live workers never complete:
         // re-issue each from a surviving replica, or — when the last
@@ -890,10 +859,10 @@ impl Scheduler {
             if let Some(holder) = new_holder {
                 let flight = self.inflight.get_mut(&(to_widx, dep)).expect("entry collected above");
                 flight.from = holder;
-                actions.push(Action::Fetch {
+                self.fetches.push(Fetch {
                     dep,
-                    from: self.workers[holder].id,
-                    to: self.workers[to_widx].id,
+                    from: holder,
+                    to: to_widx,
                     nbytes: self.tasks[&dep].nbytes.unwrap_or(0),
                 });
             } else {
@@ -910,27 +879,32 @@ impl Scheduler {
             for flight in self.inflight.values_mut() {
                 flight.waiters.remove(&key);
             }
-            self.emit_transition(
-                &key,
-                TaskState::Waiting,
-                Stimulus::WorkerLost,
-                Location::Scheduler,
-                now,
-            );
-            let deps = self.tasks[&key].deps.clone();
-            let unfinished =
-                deps.iter().filter(|d| self.tasks[*d].state != TaskState::Memory).count();
-            {
-                let rec = self.tasks.get_mut(&key).expect("known");
-                rec.assigned = None;
-                rec.missing_deps.clear();
-                rec.unfinished_deps = unfinished;
-            }
-            if unfinished == 0 {
-                actions.extend(self.make_runnable(&key, now));
-            }
+            self.replan(&key, now);
         }
-        actions
+    }
+
+    /// Send a task planned on a dead worker back to `waiting`, recount its
+    /// unfinished inputs, and make it runnable if none remain.
+    fn replan(&mut self, key: &TaskKey, now: Time) {
+        self.emit_transition(
+            key,
+            TaskState::Waiting,
+            Stimulus::WorkerLost,
+            Location::Scheduler,
+            now,
+        );
+        let unfinished = self.tasks[key]
+            .deps
+            .iter()
+            .filter(|d| self.tasks[*d].state != TaskState::Memory)
+            .count();
+        let rec = self.tasks.get_mut(key).expect("known");
+        rec.assigned = None;
+        rec.missing_deps.clear();
+        rec.unfinished_deps = unfinished;
+        if unfinished == 0 {
+            self.make_runnable(key, now);
+        }
     }
 
     /// Whether `key` reads `memory` while no live worker holds its output.
@@ -944,7 +918,7 @@ impl Scheduler {
     /// lost inputs: an output whose last replica died while nothing needed
     /// it still reads `memory`, and recomputing a dependent needs it back.
     /// Keys are revoked in `TaskKey` order.
-    fn recompute(&mut self, mut lost: BTreeSet<TaskKey>, now: Time) -> Vec<Action> {
+    fn recompute(&mut self, mut lost: BTreeSet<TaskKey>, now: Time) {
         let mut stack: Vec<TaskKey> = lost.iter().copied().collect();
         while let Some(key) = stack.pop() {
             for d in &self.tasks[&key].deps {
@@ -953,7 +927,6 @@ impl Scheduler {
                 }
             }
         }
-        let mut actions = Vec::new();
         for &key in &lost {
             // Memory -> Released -> Waiting, then runnable again
             self.emit_transition(
@@ -1001,14 +974,9 @@ impl Scheduler {
         // sends it back to waiting and bumps the count.
         for key in lost {
             if self.tasks[&key].unfinished_deps == 0 {
-                actions.extend(self.make_runnable(&key, now));
+                self.make_runnable(&key, now);
             }
         }
-        actions
-    }
-
-    fn worker_index(&self, id: WorkerId) -> Option<usize> {
-        self.worker_index.get(&id).copied()
     }
 
     // ------------------------------------------------------------------
@@ -1250,34 +1218,33 @@ mod tests {
 
     /// Drive a scheduler to completion with a trivial engine that performs
     /// fetches instantly and runs one task at a time per free thread.
-    fn drive(s: &mut Scheduler, actions: Vec<Action>) {
-        drive_workers(s, actions, false)
+    fn drive(s: &mut Scheduler) {
+        drive_workers(s, false)
     }
 
     /// [`drive`], asking either every worker for a start after every step
     /// or — `marked_only` — just those [`Scheduler::take_startable`] names.
-    fn drive_workers(s: &mut Scheduler, mut actions: Vec<Action>, marked_only: bool) {
+    fn drive_workers(s: &mut Scheduler, marked_only: bool) {
         let mut t = 0u64;
         loop {
             // complete all fetches instantly
-            while let Some(Action::Fetch { dep, to, .. }) = actions.pop() {
-                s.fetch_done(&dep, to, Time(t));
+            for f in s.take_fetches() {
+                s.fetch_done(&f.dep, f.to, Time(t));
             }
             // start and instantly finish any startable task
             let mut progressed = false;
-            for (widx, w) in s.worker_ids().into_iter().enumerate() {
+            for widx in 0..s.workers.len() {
                 if marked_only && !s.take_startable(widx) {
                     continue;
                 }
-                while let Some(key) = s.try_start_at(widx, Time(t)) {
+                while let Some(key) = s.try_start(widx, Time(t)) {
                     progressed = true;
                     t += 1;
-                    let more = s.task_finished(&key, w, ThreadId(1), Time(t - 1), Time(t), 100);
-                    actions.extend(more);
+                    s.task_finished(&key, widx, ThreadId(1), Time(t - 1), Time(t), 100);
                 }
             }
-            actions.extend(s.rebalance(Time(t)));
-            if !progressed && actions.is_empty() {
+            s.rebalance(Time(t));
+            if !progressed && s.fetches.is_empty() {
                 break;
             }
         }
@@ -1286,8 +1253,8 @@ mod tests {
     #[test]
     fn chain_executes_in_dependency_order() {
         let (mut s, collector) = sched(2, 2, SchedulerConfig::default());
-        let actions = s.submit_graph(chain_graph(5), Time::ZERO).unwrap();
-        drive(&mut s, actions);
+        s.submit_graph(chain_graph(5), Time::ZERO).unwrap();
+        drive(&mut s);
         assert_eq!(s.unfinished(), 0);
         let order = s.start_order();
         assert_eq!(order.len(), 5);
@@ -1303,8 +1270,8 @@ mod tests {
     #[test]
     fn all_transitions_are_legal() {
         let (mut s, collector) = sched(2, 2, SchedulerConfig::default());
-        let actions = s.submit_graph(chain_graph(20), Time::ZERO).unwrap();
-        drive(&mut s, actions);
+        s.submit_graph(chain_graph(20), Time::ZERO).unwrap();
+        drive(&mut s);
         for tr in collector.take().transitions {
             assert!(
                 tr.from.can_transition_to(tr.to) || tr.from == tr.to,
@@ -1323,8 +1290,8 @@ mod tests {
         for i in 0..40 {
             b.add_sim("leaf", tok, i, vec![], SimAction::compute_only(Dur(1), 10));
         }
-        let actions = s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
-        drive(&mut s, actions);
+        s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
+        drive(&mut s);
         assert_eq!(s.unfinished(), 0);
         let done = collector.take().task_done;
         let workers_used: Set<WorkerId> = done.iter().map(|d| d.worker).collect();
@@ -1341,20 +1308,16 @@ mod tests {
         let a = b.add_sim("rootA", tok, 0, vec![], SimAction::compute_only(Dur(1), 1000));
         let c = b.add_sim("rootB", tok, 1, vec![], SimAction::compute_only(Dur(1), 2000));
         b.add_sim("join", tok, 0, vec![a, c], SimAction::compute_only(Dur(1), 10));
-        let mut actions = s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
-        assert!(actions.is_empty(), "roots have no deps to fetch");
+        s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
+        assert!(s.fetches.is_empty(), "roots have no deps to fetch");
         // run the two roots
-        let w0 = s.worker_ids()[0];
-        let w1 = s.worker_ids()[1];
-        let k0 = s.try_start(w0, Time(0)).unwrap();
-        let k1 = s.try_start(w1, Time(0)).unwrap();
-        actions.extend(s.task_finished(&k0, w0, ThreadId(1), Time(0), Time(1), 1000));
-        actions.extend(s.task_finished(&k1, w1, ThreadId(1), Time(0), Time(1), 2000));
+        let k0 = s.try_start(0, Time(0)).unwrap();
+        let k1 = s.try_start(1, Time(0)).unwrap();
+        s.task_finished(&k0, 0, ThreadId(1), Time(0), Time(1), 1000);
+        s.task_finished(&k1, 1, ThreadId(1), Time(0), Time(1), 2000);
         // join was dispatched somewhere; one dep must be fetched
-        let fetches: Vec<&Action> =
-            actions.iter().filter(|a| matches!(a, Action::Fetch { .. })).collect();
-        assert_eq!(fetches.len(), 1, "exactly one remote dependency: {actions:?}");
-        drive(&mut s, actions);
+        assert_eq!(s.fetches.len(), 1, "exactly one remote dependency: {:?}", s.fetches);
+        drive(&mut s);
         assert_eq!(s.unfinished(), 0);
         assert_eq!(collector.take().task_done.len(), 3);
     }
@@ -1371,12 +1334,11 @@ mod tests {
         for i in 0..4 {
             b.add_sim("child", tok, i, vec![root], SimAction::compute_only(Dur(1), 10));
         }
-        let _ = s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
-        let w0 = s.worker_ids()[0];
-        let k = s.try_start(w0, Time(0)).unwrap();
-        let actions = s.task_finished(&k, w0, ThreadId(1), Time(0), Time(1), big);
+        s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
+        let k = s.try_start(0, Time(0)).unwrap();
+        s.task_finished(&k, 0, ThreadId(1), Time(0), Time(1), big);
         // all children should be placed on w0 (data is there): no fetches
-        assert!(actions.is_empty(), "locality placement should avoid fetches: {actions:?}");
+        assert!(s.fetches.is_empty(), "locality placement should avoid fetches: {:?}", s.fetches);
     }
 
     #[test]
@@ -1391,17 +1353,14 @@ mod tests {
         for i in 0..4 {
             b.add_sim("child", tok, i, vec![root], SimAction::compute_only(Dur(1), 10));
         }
-        let _ = s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
-        let w0 = s.worker_ids()[0];
-        let k = s.try_start(w0, Time(0)).unwrap();
-        let actions = s.task_finished(&k, w0, ThreadId(1), Time(0), Time(1), 1 << 20);
-        let fetches = actions.iter().filter(|a| matches!(a, Action::Fetch { .. })).count();
-        assert!(fetches > 0, "children should spill to the idle worker");
-        drive(&mut s, actions);
+        s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
+        let k = s.try_start(0, Time(0)).unwrap();
+        s.task_finished(&k, 0, ThreadId(1), Time(0), Time(1), 1 << 20);
+        assert!(!s.fetches.is_empty(), "children should spill to the idle worker");
+        drive(&mut s);
         assert_eq!(s.unfinished(), 0);
-        let w1 = s.worker_ids()[1];
         assert!(
-            collector.take().task_done.iter().any(|d| d.worker == w1),
+            collector.take().task_done.iter().any(|d| d.worker == worker(1)),
             "the idle worker should have executed spilled children"
         );
     }
@@ -1418,12 +1377,12 @@ mod tests {
         for i in 0..5 {
             b.add_sim("leaf", tok, i, vec![], SimAction::compute_only(Dur(1), 10));
         }
-        let actions = s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
-        assert!(actions.is_empty());
+        s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
+        assert!(s.fetches.is_empty());
         let events = collector.take();
         let queued = events.transitions.iter().filter(|t| t.to == TaskState::Queued).count();
         assert_eq!(queued, 4, "1 dispatched, 4 queued");
-        drive(&mut s, Vec::new());
+        drive(&mut s);
         assert_eq!(s.unfinished(), 0);
     }
 
@@ -1447,18 +1406,16 @@ mod tests {
         for i in 0..12 {
             b.add_sim("child", tok, i, vec![root], SimAction::compute_only(Dur(1), 10));
         }
-        let _ = s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
-        let w0 = s.worker_ids()[0];
-        let k = s.try_start(w0, Time(0)).unwrap();
-        let mut actions = s.task_finished(&k, w0, ThreadId(1), Time(0), Time(1), big);
+        s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
+        let k = s.try_start(0, Time(0)).unwrap();
+        s.task_finished(&k, 0, ThreadId(1), Time(0), Time(1), big);
         // all 12 children piled onto w0 by locality; rebalance steals some
-        actions.extend(s.rebalance(Time(2)));
+        s.rebalance(Time(2));
         assert!(s.steal_count() > 0, "stealing should trigger");
-        drive(&mut s, actions);
+        drive(&mut s);
         assert_eq!(s.unfinished(), 0);
         let done = collector.take().task_done;
-        let w1 = s.worker_ids()[1];
-        assert!(done.iter().any(|d| d.worker == w1), "thief executed stolen work");
+        assert!(done.iter().any(|d| d.worker == worker(1)), "thief executed stolen work");
     }
 
     #[test]
@@ -1489,14 +1446,13 @@ mod tests {
                     SimAction::compute_only(Dur(1), 10),
                 );
             }
-            let _ = s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
+            s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
             // the root's children pile onto w0 by locality; a rebalance
             // before anything else runs steals some of them away
-            let w0 = s.worker_ids()[0];
-            let k = s.try_start(w0, Time(0)).unwrap();
-            let mut actions = s.task_finished(&k, w0, ThreadId(1), Time(0), Time(1), big);
-            actions.extend(s.rebalance(Time(2)));
-            drive_workers(&mut s, actions, marked_only);
+            let k = s.try_start(0, Time(0)).unwrap();
+            s.task_finished(&k, 0, ThreadId(1), Time(0), Time(1), big);
+            s.rebalance(Time(2));
+            drive_workers(&mut s, marked_only);
             assert_eq!(s.unfinished(), 0, "marked_only={marked_only}: the graph must drain");
             (s.start_order().to_vec(), s.steal_count())
         };
@@ -1519,13 +1475,13 @@ mod tests {
         for i in 0..12 {
             b.add_sim("child", tok, i, vec![root], SimAction::compute_only(Dur(1), 10));
         }
-        let _ = s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
-        let w0 = s.worker_ids()[0];
-        let k = s.try_start(w0, Time(0)).unwrap();
-        let actions = s.task_finished(&k, w0, ThreadId(1), Time(0), Time(1), big);
-        assert!(s.rebalance(Time(2)).is_empty());
+        s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
+        let k = s.try_start(0, Time(0)).unwrap();
+        s.task_finished(&k, 0, ThreadId(1), Time(0), Time(1), big);
+        s.rebalance(Time(2));
+        assert!(s.fetches.is_empty());
         assert_eq!(s.steal_count(), 0);
-        drive(&mut s, actions);
+        drive(&mut s);
         assert_eq!(s.unfinished(), 0);
     }
 
@@ -1537,37 +1493,34 @@ mod tests {
         let tok = b.new_token();
         let root = b.add_sim("root", tok, 0, vec![], SimAction::compute_only(Dur(1), 1 << 20));
         b.add_sim("child", tok, 0, vec![root], SimAction::compute_only(Dur(1), 10));
-        let _ = s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
-        let w0 = s.worker_ids()[0];
-        let k = s.try_start(w0, Time(0)).unwrap();
+        s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
+        let k = s.try_start(0, Time(0)).unwrap();
         assert_eq!(k, root);
-        let _ = s.task_finished(&k, w0, ThreadId(1), Time(0), Time(1), 1 << 20);
+        s.task_finished(&k, 0, ThreadId(1), Time(0), Time(1), 1 << 20);
         // the child is now on w0 (locality); kill w0 before it runs
-        let actions = s.worker_died(w0, Time(2));
-        drive(&mut s, actions);
+        s.worker_died(0, Time(2));
+        drive(&mut s);
         assert_eq!(s.unfinished(), 0, "workflow completes despite death");
         // the root must have been recomputed: two TaskDone events for it
         let done = collector.take().task_done;
         let root_runs = done.iter().filter(|d| d.key == root).count();
         assert_eq!(root_runs, 2, "root recomputed after its output was lost");
         // and everything ran on the surviving worker
-        let w1 = s.worker_ids()[1];
-        assert!(done.iter().filter(|d| d.stop > Time(2)).all(|d| d.worker == w1));
+        assert!(done.iter().filter(|d| d.stop > Time(2)).all(|d| d.worker == worker(1)));
     }
 
     #[test]
     fn no_worker_tasks_recover_when_capacity_returns() {
         let (mut s, collector) = sched(1, 2, SchedulerConfig::default());
-        let w_dead = s.worker_ids()[0];
         // kill the only worker, then submit: tasks park in no-worker
-        let _ = s.worker_died(w_dead, Time::ZERO);
-        let actions = s.submit_graph(chain_graph(3), Time(1)).unwrap();
-        assert!(actions.is_empty());
+        s.worker_died(0, Time::ZERO);
+        s.submit_graph(chain_graph(3), Time(1)).unwrap();
+        assert!(s.fetches.is_empty());
         assert_eq!(s.task_state(&TaskKey::new("step", 1, 0)), Some(TaskState::NoWorker));
         // a replacement worker connects; the periodic rebalance re-plans
         s.add_worker(worker(9), 2);
-        let actions = s.rebalance(Time(2));
-        drive(&mut s, actions);
+        s.rebalance(Time(2));
+        drive(&mut s);
         assert_eq!(s.unfinished(), 0, "parked tasks recovered");
         let events = collector.take();
         assert!(
@@ -1602,8 +1555,8 @@ mod tests {
         let e = b.add_sim("e", tok, 0, vec![], SimAction::compute_only(Dur(1), 32 << 30));
         b.add_sim("t1", tok, 0, vec![e, d], SimAction::compute_only(Dur(1), 10));
         b.add_sim("t2", tok, 0, vec![e, d, g], SimAction::compute_only(Dur(1), 10));
-        let actions = s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
-        assert!(actions.is_empty(), "producers have no deps");
+        s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
+        assert!(s.fetches.is_empty(), "producers have no deps");
         (s, collector, d, g, e)
     }
 
@@ -1616,35 +1569,35 @@ mod tests {
     #[test]
     fn duplicate_fetch_completion_cannot_mark_ready_prematurely() {
         let (mut s, _collector, d, g, e) = fetch_rig();
-        let (w0, w1, w2) = (s.worker_ids()[0], s.worker_ids()[1], s.worker_ids()[2]);
+        let (w0, w1, w2) = (0, 1, 2);
         assert_eq!(s.try_start(w0, Time(0)).as_ref(), Some(&d));
         assert_eq!(s.try_start(w1, Time(0)).as_ref(), Some(&g));
         assert_eq!(s.try_start(w2, Time(0)).as_ref(), Some(&e));
-        let mut actions = s.task_finished(&d, w0, ThreadId(1), Time(0), Time(1), 1 << 10);
-        actions.extend(s.task_finished(&g, w1, ThreadId(1), Time(0), Time(1), 1 << 10));
+        s.task_finished(&d, w0, ThreadId(1), Time(0), Time(1), 1 << 10);
+        s.task_finished(&g, w1, ThreadId(1), Time(0), Time(1), 1 << 10);
         // e's 32 GB output pins t1 {e,d} and t2 {e,d,g} to w2
-        actions.extend(s.task_finished(&e, w2, ThreadId(1), Time(0), Time(1), 32 << 30));
+        s.task_finished(&e, w2, ThreadId(1), Time(0), Time(1), 32 << 30);
+        let fetches = s.take_fetches();
         let (mut d_fetches, mut g_fetches) = (0, 0);
-        for a in &actions {
-            let Action::Fetch { dep, to, .. } = a;
-            assert_eq!(*to, w2, "all consumer inputs head for w2");
-            if *dep == d {
+        for f in &fetches {
+            assert_eq!(f.to, w2, "all consumer inputs head for w2");
+            if f.dep == d {
                 d_fetches += 1;
-            } else if *dep == g {
+            } else if f.dep == g {
                 g_fetches += 1;
             }
         }
         assert_eq!(
             (d_fetches, g_fetches),
             (1, 1),
-            "one transfer per (worker, dep): shared dep d must not be fetched twice: {actions:?}"
+            "one transfer per (worker, dep): shared dep d must not be fetched twice: {fetches:?}"
         );
         // d arrives twice (duplicate/replayed completion) before g arrives
         s.fetch_done(&d, w2, Time(2));
         s.fetch_done(&d, w2, Time(3));
         let started = s.try_start(w2, Time(4)).expect("t1 has all inputs");
         assert_eq!(started.prefix, "t1");
-        let _ = s.task_finished(&started, w2, ThreadId(1), Time(4), Time(5), 10);
+        s.task_finished(&started, w2, ThreadId(1), Time(4), Time(5), 10);
         // the thread is free again; only g's arrival may unblock t2
         assert!(
             s.try_start(w2, Time(5)).is_none(),
@@ -1653,7 +1606,7 @@ mod tests {
         s.fetch_done(&g, w2, Time(6));
         let t2 = s.try_start(w2, Time(7)).expect("t2 ready once g arrived");
         assert_eq!(t2.prefix, "t2");
-        let _ = s.task_finished(&t2, w2, ThreadId(1), Time(7), Time(8), 10);
+        s.task_finished(&t2, w2, ThreadId(1), Time(7), Time(8), 10);
         assert_eq!(s.unfinished(), 0);
     }
 
@@ -1664,13 +1617,14 @@ mod tests {
     #[test]
     fn who_has_stays_one_entry_per_replica() {
         let (mut s, _collector, d, g, e) = fetch_rig();
-        let (w0, w1, w2) = (s.worker_ids()[0], s.worker_ids()[1], s.worker_ids()[2]);
+        let (w0, w1, w2) = (0, 1, 2);
         assert_eq!(s.try_start(w0, Time(0)).as_ref(), Some(&d));
         assert_eq!(s.try_start(w1, Time(0)).as_ref(), Some(&g));
         assert_eq!(s.try_start(w2, Time(0)).as_ref(), Some(&e));
-        let mut actions = s.task_finished(&d, w0, ThreadId(1), Time(0), Time(1), 1 << 10);
-        actions.extend(s.task_finished(&g, w1, ThreadId(1), Time(0), Time(1), 1 << 10));
-        actions.extend(s.task_finished(&e, w2, ThreadId(1), Time(0), Time(1), 32 << 30));
+        s.task_finished(&d, w0, ThreadId(1), Time(0), Time(1), 1 << 10);
+        s.task_finished(&g, w1, ThreadId(1), Time(0), Time(1), 1 << 10);
+        s.task_finished(&e, w2, ThreadId(1), Time(0), Time(1), 32 << 30);
+        s.take_fetches();
         // replayed completions for the same (dep, worker) pair
         s.fetch_done(&d, w2, Time(2));
         s.fetch_done(&d, w2, Time(3));
@@ -1679,7 +1633,7 @@ mod tests {
         assert_eq!(s.tasks[&d].who_has, BTreeSet::from([0, 2]), "computed on w0, fetched to w2");
         assert_eq!(s.tasks[&g].who_has, BTreeSet::from([1, 2]), "computed on w1, fetched to w2");
         assert_eq!(s.tasks[&e].who_has, BTreeSet::from([2]), "computed on w2, never moved");
-        drive(&mut s, Vec::new());
+        drive(&mut s);
         assert_eq!(s.unfinished(), 0);
         for (key, rec) in &s.tasks {
             let replicas: Vec<usize> = rec.who_has.iter().copied().collect();
@@ -1695,31 +1649,26 @@ mod tests {
     #[test]
     fn dead_fetch_source_reissues_from_surviving_replica() {
         let (mut s, _collector, d, g, e) = fetch_rig();
-        let (w0, w1, w2) = (s.worker_ids()[0], s.worker_ids()[1], s.worker_ids()[2]);
+        let (w0, w1, w2) = (0, 1, 2);
         assert_eq!(s.try_start(w0, Time(0)).as_ref(), Some(&d));
         assert_eq!(s.try_start(w1, Time(0)).as_ref(), Some(&g));
         assert_eq!(s.try_start(w2, Time(0)).as_ref(), Some(&e));
-        let _ = s.task_finished(&d, w0, ThreadId(1), Time(0), Time(1), 1 << 10);
-        let _ = s.task_finished(&g, w1, ThreadId(1), Time(0), Time(1), 1 << 10);
-        let actions = s.task_finished(&e, w2, ThreadId(1), Time(0), Time(1), 32 << 30);
-        assert_eq!(actions.len(), 2, "d and g head for w2");
+        s.task_finished(&d, w0, ThreadId(1), Time(0), Time(1), 1 << 10);
+        s.task_finished(&g, w1, ThreadId(1), Time(0), Time(1), 1 << 10);
+        s.task_finished(&e, w2, ThreadId(1), Time(0), Time(1), 32 << 30);
+        assert_eq!(s.take_fetches().len(), 2, "d and g head for w2");
         // replicate d onto w1 so a second holder survives w0's death
         s.fetch_done(&d, w1, Time(2));
         // w0 dies while its transfer of d to w2 is still in flight
-        let recovery = s.worker_died(w0, Time(3));
-        let reissued: Vec<&Action> = recovery
-            .iter()
-            .filter(|a| {
-                matches!(a, Action::Fetch { dep, from, to, .. }
-                if dep == &d && *from == w1 && *to == w2)
-            })
-            .collect();
-        assert_eq!(reissued.len(), 1, "transfer re-issued from surviving replica: {recovery:?}");
+        s.worker_died(w0, Time(3));
+        let recovery = s.take_fetches();
+        let reissued = recovery.iter().filter(|f| f.dep == d && f.from == w1 && f.to == w2).count();
+        assert_eq!(reissued, 1, "transfer re-issued from surviving replica: {recovery:?}");
         // the original completion never arrives (source died); the
         // re-issued one does
         s.fetch_done(&d, w2, Time(4));
         s.fetch_done(&g, w2, Time(5));
-        drive(&mut s, Vec::new());
+        drive(&mut s);
         assert_eq!(s.unfinished(), 0, "waiters must not stall in flight");
     }
 
@@ -1728,18 +1677,20 @@ mod tests {
     #[test]
     fn dead_fetch_source_without_replica_recomputes() {
         let (mut s, collector, d, g, e) = fetch_rig();
-        let (w0, w1, w2) = (s.worker_ids()[0], s.worker_ids()[1], s.worker_ids()[2]);
+        let (w0, w1, w2) = (0, 1, 2);
         assert_eq!(s.try_start(w0, Time(0)).as_ref(), Some(&d));
         assert_eq!(s.try_start(w1, Time(0)).as_ref(), Some(&g));
         assert_eq!(s.try_start(w2, Time(0)).as_ref(), Some(&e));
-        let _ = s.task_finished(&d, w0, ThreadId(1), Time(0), Time(1), 1 << 10);
-        let _ = s.task_finished(&g, w1, ThreadId(1), Time(0), Time(1), 1 << 10);
-        let _ = s.task_finished(&e, w2, ThreadId(1), Time(0), Time(1), 32 << 30);
-        // g's transfer (live source) completes; d's never will
+        s.task_finished(&d, w0, ThreadId(1), Time(0), Time(1), 1 << 10);
+        s.task_finished(&g, w1, ThreadId(1), Time(0), Time(1), 1 << 10);
+        s.task_finished(&e, w2, ThreadId(1), Time(0), Time(1), 32 << 30);
+        // the issued transfers are never carried out: g's completes by hand
+        // below (live source), d's never will
+        s.take_fetches();
         s.fetch_done(&g, w2, Time(2));
         // w0 dies holding the only replica of d; its transfer to w2 is lost
-        let recovery = s.worker_died(w0, Time(3));
-        drive(&mut s, recovery);
+        s.worker_died(w0, Time(3));
+        drive(&mut s);
         assert_eq!(s.unfinished(), 0, "recompute path must recover the waiters");
         let done = collector.take().task_done;
         let d_runs = done.iter().filter(|t| t.key == d).count();
@@ -1752,24 +1703,26 @@ mod tests {
     fn invariant_oracle_clean_under_faults_and_detects_corruption() {
         let (mut s, _collector, d, g, e) = fetch_rig();
         assert_eq!(s.invariant_violations(), Vec::<String>::new());
-        let (w0, w1, w2) = (s.worker_ids()[0], s.worker_ids()[1], s.worker_ids()[2]);
+        let (w0, w1, w2) = (0, 1, 2);
         assert_eq!(s.try_start(w0, Time(0)).as_ref(), Some(&d));
         assert_eq!(s.try_start(w1, Time(0)).as_ref(), Some(&g));
         assert_eq!(s.try_start(w2, Time(0)).as_ref(), Some(&e));
         assert_eq!(s.invariant_violations(), Vec::<String>::new());
-        let _ = s.task_finished(&d, w0, ThreadId(1), Time(0), Time(1), 1 << 10);
-        let _ = s.task_finished(&g, w1, ThreadId(1), Time(0), Time(1), 1 << 10);
-        let _ = s.task_finished(&e, w2, ThreadId(1), Time(0), Time(1), 32 << 30);
+        s.task_finished(&d, w0, ThreadId(1), Time(0), Time(1), 1 << 10);
+        s.task_finished(&g, w1, ThreadId(1), Time(0), Time(1), 1 << 10);
+        s.task_finished(&e, w2, ThreadId(1), Time(0), Time(1), 32 << 30);
         // consumers are mid-fetch on w2: the ledger must be coherent
         assert_eq!(s.invariant_violations(), Vec::<String>::new());
         s.fetch_done(&d, w1, Time(2));
-        let _ = s.worker_died(w0, Time(3));
+        s.worker_died(w0, Time(3));
+        // the transfers are completed by hand below
+        s.take_fetches();
         assert_eq!(s.invariant_violations(), Vec::<String>::new());
         s.fetch_done(&d, w2, Time(4));
         s.fetch_done(&d, w2, Time(5)); // replay
         s.fetch_done(&g, w2, Time(6));
         assert_eq!(s.invariant_violations(), Vec::<String>::new());
-        drive(&mut s, Vec::new());
+        drive(&mut s);
         assert_eq!(s.unfinished(), 0);
         assert_eq!(s.invariant_violations(), Vec::<String>::new());
         // corrupt the table: a replica on the dead worker w0
@@ -1787,11 +1740,10 @@ mod tests {
     fn invariant_oracle_detects_ready_task_without_its_input() {
         let (mut s, _c) =
             sched(2, 1, SchedulerConfig { work_stealing: false, ..Default::default() });
-        let _ = s.submit_graph(chain_graph(2), Time::ZERO).unwrap();
-        let w0 = s.worker_ids()[0];
-        let root = s.try_start(w0, Time(0)).unwrap();
-        let actions = s.task_finished(&root, w0, ThreadId(1), Time(0), Time(1), 100);
-        assert!(actions.is_empty(), "the child is placed with its input");
+        s.submit_graph(chain_graph(2), Time::ZERO).unwrap();
+        let root = s.try_start(0, Time(0)).unwrap();
+        s.task_finished(&root, 0, ThreadId(1), Time(0), Time(1), 100);
+        assert!(s.fetches.is_empty(), "the child is placed with its input");
         assert_eq!(s.invariant_violations(), Vec::<String>::new());
         s.tasks.get_mut(&root).unwrap().who_has.clear();
         let violations = s.invariant_violations();
@@ -1818,19 +1770,19 @@ mod tests {
             .map(|p| b.add_sim(p, tok, 0, vec![root], SimAction::compute_only(Dur(1), 10)))
             .collect();
         b.add_sim("sink", tok, 0, children, SimAction::compute_only(Dur(1), 10));
-        let _ = s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
-        let w0 = s.worker_ids()[0];
-        let k = s.try_start(w0, Time(0)).unwrap();
+        s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
+        let k = s.try_start(0, Time(0)).unwrap();
         assert_eq!(k, root);
-        assert!(s.task_finished(&k, w0, ThreadId(1), Time(0), Time(1), big).is_empty());
+        s.task_finished(&k, 0, ThreadId(1), Time(0), Time(1), big);
         for t in 1..=4 {
-            let k = s.try_start(w0, Time(t)).expect("children run on w0");
-            assert!(s.task_finished(&k, w0, ThreadId(1), Time(t), Time(t + 1), 10).is_empty());
+            let k = s.try_start(0, Time(t)).expect("children run on w0");
+            s.task_finished(&k, 0, ThreadId(1), Time(t), Time(t + 1), 10);
         }
+        assert!(s.fetches.is_empty());
         // every output's sole replica is on w0, and the sink waits there
         assert_eq!(s.tasks.values().filter(|t| t.state == TaskState::Memory).count(), 5);
         collector.take();
-        let _ = s.worker_died(w0, Time(10));
+        s.worker_died(0, Time(10));
         let lost: Vec<(&str, TaskState)> = collector
             .take()
             .transitions
@@ -1912,7 +1864,7 @@ mod tests {
                 .map(|i| b.add_sim("p", tok, i as u32, vec![], SimAction::compute_only(Dur(1), 1)))
                 .collect();
             let consumer = b.add_sim("c", tok, 0, vec![], SimAction::compute_only(Dur(1), 1));
-            let _ = s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
+            s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
             for (k, &(size, holders)) in keys.iter().zip(&producers) {
                 let rec = s.tasks.get_mut(k).unwrap();
                 rec.nbytes = [None, Some(0), Some(100), Some(1 << 20), Some(16 << 30)][size as usize];
@@ -1936,16 +1888,16 @@ mod tests {
         let (mut s, _c) = sched(2, 2, SchedulerConfig::default());
         let g0 = chain_graph(3);
         let last = g0.tasks.last().unwrap().key;
-        let actions = s.submit_graph(g0, Time::ZERO).unwrap();
-        drive(&mut s, actions);
+        s.submit_graph(g0, Time::ZERO).unwrap();
+        drive(&mut s);
         // second graph depends on first graph's last task
         let mut b = GraphBuilder::new(GraphId(1));
         let tok = b.new_token();
         b.add_sim("follow", tok, 0, vec![last], SimAction::compute_only(Dur(1), 10));
         let mut ext = Set::new();
         ext.insert(last);
-        let actions = s.submit_graph(b.build(&ext).unwrap(), Time(100)).unwrap();
-        drive(&mut s, actions);
+        s.submit_graph(b.build(&ext).unwrap(), Time(100)).unwrap();
+        drive(&mut s);
         assert_eq!(s.unfinished(), 0);
     }
 
@@ -1959,12 +1911,12 @@ mod tests {
         let mut b = GraphBuilder::new(GraphId(0));
         let tok = b.new_token();
         let a = b.add_sim("a", tok, 0, vec![], SimAction::compute_only(Dur(1), 100));
-        let _ = s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
-        let w0 = s.worker_ids()[0];
-        assert_eq!(s.try_start(w0, Time(0)), Some(a));
-        assert!(s.task_finished(&a, w0, ThreadId(1), Time(0), Time(1), 100).is_empty());
+        s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
+        assert_eq!(s.try_start(0, Time(0)), Some(a));
+        s.task_finished(&a, 0, ThreadId(1), Time(0), Time(1), 100);
         // nothing needs `a`, so its holder's death leaves it in `memory`
-        assert!(s.worker_died(w0, Time(2)).is_empty());
+        s.worker_died(0, Time(2));
+        assert!(s.fetches.is_empty());
         assert_eq!(s.tasks[&a].state, TaskState::Memory);
         assert!(s.tasks[&a].who_has.is_empty());
 
@@ -1972,8 +1924,8 @@ mod tests {
         let tok = b.new_token();
         let follow = b.add_sim("b", tok, 0, vec![a], SimAction::compute_only(Dur(1), 10));
         let ext: Set<TaskKey> = std::iter::once(a).collect();
-        let actions = s.submit_graph(b.build(&ext).unwrap(), Time(3)).unwrap();
-        drive(&mut s, actions);
+        s.submit_graph(b.build(&ext).unwrap(), Time(3)).unwrap();
+        drive(&mut s);
         assert_eq!(s.unfinished(), 0);
         let order: Vec<TaskKey> = s.start_order().iter().map(|(k, _)| *k).collect();
         assert_eq!(order, vec![a, a, follow], "a runs again, then its new dependent");

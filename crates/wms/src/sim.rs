@@ -12,7 +12,7 @@
 //! sequential), execution, shutdown — and returns the fused [`RunData`].
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -40,7 +40,7 @@ use dtf_proxystore::{ProxyConfig, ProxyPlane};
 use crate::graph::{IoCall, Payload, TaskGraph};
 use crate::plugins::{MofkaPlugin, PluginSet, WmsPlugin};
 use crate::rundata::{ArchiveMeta, RunData, ARCHIVE_META_KEY};
-use crate::scheduler::{Action, Scheduler, SchedulerConfig};
+use crate::scheduler::{Fetch, Scheduler, SchedulerConfig};
 
 /// How the client submits its graphs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,8 +150,8 @@ enum Ev {
     Submit(usize),
     FetchDone {
         dep: TaskKey,
-        from: WorkerId,
-        to: WorkerId,
+        from: usize,
+        to: usize,
         nbytes: u64,
         start: Time,
     },
@@ -182,7 +182,7 @@ enum Ev {
     /// finished earlier but the payload materializes only now.
     ProxyResolve {
         dep: TaskKey,
-        to: WorkerId,
+        to: usize,
     },
 }
 
@@ -239,9 +239,8 @@ pub struct SimCluster {
     cfg: SimConfig,
     topo: ClusterTopology,
     job: dtf_core::provenance::JobInfo,
+    /// Worker ids by scheduler index.
     worker_ids: Vec<WorkerId>,
-    /// Worker id → index in `worker_ids` (the per-event lookup).
-    widx_of: HashMap<WorkerId, usize>,
     scheduler: Scheduler,
     net: NetworkModel,
     io: Vec<InstrumentedPfs>,
@@ -370,7 +369,6 @@ impl SimCluster {
         } else {
             Jitter::none()
         };
-        let widx_of = worker_ids.iter().enumerate().map(|(i, w)| (*w, i)).collect();
         let proxy = ProxyPlane::new(cfg.proxy.clone());
         Ok(Self {
             ssg: SsgGroup::new("dask-workers", cfg.heartbeat_timeout),
@@ -382,7 +380,6 @@ impl SimCluster {
             topo,
             job,
             worker_ids,
-            widx_of,
             scheduler,
             net,
             io,
@@ -401,14 +398,6 @@ impl SimCluster {
             compute_jitter,
             stall_dur: LogNormal::new(-0.2, 0.6), // median ~0.8 s stalls
         })
-    }
-
-    pub fn job(&self) -> &dtf_core::provenance::JobInfo {
-        &self.job
-    }
-
-    pub fn worker_ids(&self) -> &[WorkerId] {
-        &self.worker_ids
     }
 
     fn push(&mut self, time: Time, ev: Ev) {
@@ -484,8 +473,8 @@ impl SimCluster {
                         format!("submitting graph {gid} ({} tasks)", graph.len()),
                     );
                     let was_empty = remaining.get(idx).copied() == Some(0);
-                    let actions = self.scheduler.submit_graph(graph, self.now)?;
-                    self.process_actions(actions);
+                    self.scheduler.submit_graph(graph, self.now)?;
+                    self.process_fetches();
                     submitted += 1;
                     if submitted < total_graphs
                         && (workflow.submit == SubmitPolicy::AllAtOnce || was_empty)
@@ -495,16 +484,15 @@ impl SimCluster {
                     self.try_start_all();
                 }
                 Ev::FetchDone { dep, from, to, nbytes, start } => {
-                    let widx = self.worker_index(to);
-                    if self.dead[widx] || self.dead[self.worker_index(from)] {
+                    if self.dead[to] || self.dead[from] {
                         // destination gone, or the source died mid-transfer
                         // (the scheduler re-issued it from a live replica)
                         continue;
                     }
                     self.scheduler.plugins_mut().on_comm(&CommEvent {
                         key: dep,
-                        from,
-                        to,
+                        from: self.worker_ids[from],
+                        to: self.worker_ids[to],
                         nbytes,
                         start,
                         stop: self.now,
@@ -526,7 +514,7 @@ impl SimCluster {
                     self.try_start_all();
                 }
                 Ev::ProxyResolve { dep, to } => {
-                    if self.dead[self.worker_index(to)] {
+                    if self.dead[to] {
                         continue;
                     }
                     self.resolve_proxy(&dep, to);
@@ -541,8 +529,7 @@ impl SimCluster {
                     self.slots[worker][slot] = None;
                     let wid = self.worker_ids[worker];
                     let thread = ThreadId::synth(wid, slot as u32);
-                    let actions =
-                        self.scheduler.task_finished(&key, wid, thread, start, self.now, nbytes);
+                    self.scheduler.task_finished(&key, worker, thread, start, self.now, nbytes);
                     // outputs crossing the threshold publish to the proxy
                     // plane before any dependent fetch completes
                     if self.proxy.should_proxy(nbytes) {
@@ -555,7 +542,7 @@ impl SimCluster {
                             self.proxy.damage(&key);
                         }
                     }
-                    self.process_actions(actions);
+                    self.process_fetches();
                     self.last_done = self.now;
                     if completed_once.insert(key) {
                         tasks_outstanding = tasks_outstanding.saturating_sub(1);
@@ -579,8 +566,8 @@ impl SimCluster {
                     self.try_start_all();
                 }
                 Ev::Rebalance => {
-                    let actions = self.scheduler.rebalance(self.now);
-                    self.process_actions(actions);
+                    self.scheduler.rebalance(self.now);
+                    self.process_fetches();
                     self.try_start_all();
                     if tasks_outstanding > 0 || submitted < total_graphs {
                         let t = self.now + self.cfg.steal_interval;
@@ -622,14 +609,13 @@ impl SimCluster {
                             for s in self.slots[widx].iter_mut() {
                                 *s = None;
                             }
-                            let wid = self.worker_ids[widx];
-                            let actions = self.scheduler.worker_died(wid, self.now);
+                            self.scheduler.worker_died(widx, self.now);
                             // re-source or orphan the proxies the dead
                             // worker owned
-                            for ev in self.proxy.worker_died(wid, self.now) {
+                            for ev in self.proxy.worker_died(self.worker_ids[widx], self.now) {
                                 self.scheduler.plugins_mut().on_proxy(&ev);
                             }
-                            self.process_actions(actions);
+                            self.process_fetches();
                         }
                     }
                     self.try_start_all();
@@ -693,39 +679,34 @@ impl SimCluster {
         self.scheduler.task_graph(key).map(|g| g.0)
     }
 
-    fn worker_index(&self, id: WorkerId) -> usize {
-        *self.widx_of.get(&id).expect("known worker")
-    }
-
-    fn process_actions(&mut self, actions: Vec<Action>) {
-        for action in actions {
-            match action {
-                Action::Fetch { dep, from, to, nbytes } => {
-                    let (mut dur, _first) = self.net.transfer_time(
-                        &self.topo,
-                        hash_addr(from),
-                        from.node,
-                        hash_addr(to),
-                        to.node,
-                        nbytes,
-                        self.now,
-                        &mut self.rng_net,
-                    );
-                    // fetch faults key on issue order: delay stretches the
-                    // transfer, duplicate replays its completion (which the
-                    // scheduler must absorb as a no-op)
-                    let fault = self.cfg.faults.fetch_fault(self.fetch_seq).copied();
-                    self.fetch_seq += 1;
-                    if let Some(f) = &fault {
-                        dur += f.extra_delay;
-                    }
-                    let start = self.now;
-                    let done = self.now + dur;
-                    self.push(done, Ev::FetchDone { dep, from, to, nbytes, start });
-                    if fault.map(|f| f.duplicate).unwrap_or(false) {
-                        self.push(done, Ev::FetchDone { dep, from, to, nbytes, start });
-                    }
-                }
+    /// Charge network cost for every transfer the scheduler issued since
+    /// the last call and schedule its completion.
+    fn process_fetches(&mut self) {
+        for Fetch { dep, from, to, nbytes } in self.scheduler.take_fetches() {
+            let (src, dst) = (self.worker_ids[from], self.worker_ids[to]);
+            let (mut dur, _first) = self.net.transfer_time(
+                &self.topo,
+                hash_addr(src),
+                src.node,
+                hash_addr(dst),
+                dst.node,
+                nbytes,
+                self.now,
+                &mut self.rng_net,
+            );
+            // fetch faults key on issue order: delay stretches the
+            // transfer, duplicate replays its completion (which the
+            // scheduler must absorb as a no-op)
+            let fault = self.cfg.faults.fetch_fault(self.fetch_seq).copied();
+            self.fetch_seq += 1;
+            if let Some(f) = &fault {
+                dur += f.extra_delay;
+            }
+            let start = self.now;
+            let done = self.now + dur;
+            self.push(done, Ev::FetchDone { dep, from, to, nbytes, start });
+            if fault.map(|f| f.duplicate).unwrap_or(false) {
+                self.push(done, Ev::FetchDone { dep, from, to, nbytes, start });
             }
         }
     }
@@ -734,8 +715,8 @@ impl SimCluster {
     /// lifecycle records. A plane-level failure (dangling blob whose owner
     /// died) is surfaced as a log warning — by then the scheduler has
     /// already re-planned the data via recompute, so the run proceeds.
-    fn resolve_proxy(&mut self, dep: &TaskKey, to: WorkerId) {
-        match self.proxy.resolve(dep, to, self.now) {
+    fn resolve_proxy(&mut self, dep: &TaskKey, to: usize) {
+        match self.proxy.resolve(dep, self.worker_ids[to], self.now) {
             Ok((_outcome, events)) => {
                 for ev in events {
                     self.scheduler.plugins_mut().on_proxy(&ev);
@@ -762,7 +743,7 @@ impl SimCluster {
             if !self.scheduler.take_startable(widx) || self.dead[widx] {
                 continue;
             }
-            while let Some(key) = self.scheduler.try_start_at(widx, self.now) {
+            while let Some(key) = self.scheduler.try_start(widx, self.now) {
                 let slot = self.slots[widx]
                     .iter()
                     .position(|s| s.is_none())

@@ -29,12 +29,11 @@ use dtf::core::stats::Summary;
 use dtf::core::time::{Dur, Time};
 use dtf::darshan::counters::PosixCounters;
 use dtf::darshan::log::{DarshanLog, LogHeader, LogSet};
+use dtf::mofka::bedrock::BedrockConfig;
 use dtf::mofka::{Event, MofkaService, ProducerConfig, TopicConfig};
 use dtf::perfrecup::category::{per_category, CategoryStats};
 use dtf::perfrecup::lineage;
-use dtf::perfrecup::live::{
-    phase_sample, LiveConfig, LiveViews, RunFinal, ViewSnapshot, LIVE_TOPICS,
-};
+use dtf::perfrecup::live::{phase_sample, LiveConfig, LiveViews, RunFinal, ViewSnapshot};
 use dtf::perfrecup::state::RunState;
 use dtf::perfrecup::utilization::{per_worker, WorkerUtilization};
 use dtf::wms::rundata::RunData;
@@ -186,12 +185,12 @@ proptest! {
     }
 }
 
-/// A service whose every live topic is one partition, so a stream of any
+/// The WMS deployment's topics, each one partition, so a stream of any
 /// length sits in a single partition log.
 fn one_partition_service() -> MofkaService {
     let svc = MofkaService::new();
-    for topic in LIVE_TOPICS {
-        svc.create_topic(topic, TopicConfig { partitions: 1 }).expect("topic");
+    for topic in BedrockConfig::wms_default().topics {
+        svc.create_topic(&topic.name, TopicConfig { partitions: 1 }).expect("topic");
     }
     svc
 }

@@ -1,8 +1,11 @@
 //! Integration tests of the real multi-threaded executor: genuine
 //! closures, real data flow, instrumentation identical to the simulator's.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
+use std::time::Duration;
 
 use dtf::core::ids::{GraphId, TaskKey};
 use dtf::wms::exec::{ExecConfig, LocalCluster};
@@ -149,4 +152,79 @@ fn values_larger_than_threshold_still_pass_between_workers() {
     let v = client.gather(&len).unwrap();
     assert_eq!(*v.downcast_ref::<u64>().unwrap(), 1 << 20);
     cluster.shutdown();
+}
+
+/// Run `body` on its own thread and fail, rather than hang, if it has not
+/// returned within a minute: the executor's waits have no timeout, so a
+/// lost wake-up would otherwise block the test forever.
+fn within_a_minute(body: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        body();
+        let _ = tx.send(());
+    });
+    if let Err(RecvTimeoutError::Timeout) = rx.recv_timeout(Duration::from_secs(60)) {
+        panic!("no progress within 60 s: a wake-up was lost");
+    }
+    if let Err(panic) = handle.join() {
+        std::panic::resume_unwind(panic);
+    }
+}
+
+#[test]
+fn submit_wakes_a_cluster_whose_threads_all_sleep() {
+    within_a_minute(|| {
+        let (cluster, collector) = collector_cluster(2, 2);
+        for round in 0..200u32 {
+            let mut b = GraphBuilder::new(GraphId(round));
+            let tok = b.new_token();
+            let key = b.add(
+                TaskKey::new("tiny", tok, round),
+                vec![],
+                Payload::Real(Arc::new(move |_: &[Arc<TaskValue>]| TaskValue::new(round, 4))),
+            );
+            cluster.submit(b.build(&Default::default()).unwrap()).unwrap();
+            let v = cluster.gather(&key).unwrap();
+            assert_eq!(*v.downcast_ref::<u32>().unwrap(), round);
+            if round % 2 == 0 {
+                // give every thread time to reach its wait before the next submit
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        cluster.wait_all();
+        cluster.shutdown();
+        assert_eq!(collector.take().task_done.len(), 200);
+    });
+}
+
+#[test]
+fn a_steal_wakes_the_sleeping_thief() {
+    within_a_minute(|| {
+        let (cluster, collector) = collector_cluster(2, 1);
+        let mut client = Delayed::new(&cluster);
+        // a 32 GB declared output pins every child to the root's worker by
+        // locality; only a steal moves one to the other, sleeping worker
+        let root = client.delayed("root", vec![], |_| TaskValue::new(0u8, 32 << 30));
+        let children: Vec<TaskKey> = (0..8)
+            .map(|_| {
+                client.delayed("child", vec![root], |_| {
+                    std::thread::sleep(Duration::from_millis(10));
+                    TaskValue::new(1u8, 1)
+                })
+            })
+            .collect();
+        client.compute().unwrap();
+        for c in &children {
+            cluster.gather(c).unwrap();
+        }
+        cluster.shutdown();
+        let workers: HashSet<_> = collector
+            .take()
+            .task_done
+            .iter()
+            .filter(|d| d.key.prefix == "child")
+            .map(|d| d.worker)
+            .collect();
+        assert_eq!(workers.len(), 2, "children ran on both workers");
+    });
 }

@@ -175,8 +175,7 @@ fn archive_reopen_reconstructs_the_export_byte_identically() {
         let arch_print = export_fingerprint(data, &scratch("reopen-arch"));
         assert_eq!(live_print, arch_print, "{workload:?}: archived export must be live's");
 
-        let views = archived.views();
-        assert!(views.tasks().n_rows() > 0, "views build from the archived run");
+        assert!(!data.task_done.is_empty(), "the archived run holds its task records");
 
         // reopening is read-only: a second open sees the identical stream
         let again = ArchivedRun::open(&store).unwrap();
