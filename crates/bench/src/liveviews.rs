@@ -30,7 +30,7 @@ use dtf_core::ids::{GraphId, NodeId, RunId, TaskKey, ThreadId, WorkerId};
 use dtf_core::provenance::{HardwareInfo, JobInfo, ProvenanceChart, SystemInfo, WmsConfig};
 use dtf_core::time::{Dur, Time};
 use dtf_darshan::log::LogSet;
-use dtf_mofka::bedrock::BedrockConfig;
+use dtf_mofka::bedrock::{BedrockConfig, WmsFamily, WMS_TOPICS};
 use dtf_mofka::{Event, ProducerConfig};
 use dtf_perfrecup::category::per_category;
 use dtf_perfrecup::live::{phase_sample, LiveConfig, LiveViews, RunFinal};
@@ -132,7 +132,8 @@ pub fn view_bench_sized(events: u64, batch: u64) -> ViewBench {
     let wall_time = Dur(1_000_000 + events * 1_000 + 1_000);
     let head = events - TAIL_ROUNDS * batch;
 
-    let mut producer = svc.producer("task-done", ProducerConfig::default()).expect("producer");
+    let topic = WMS_TOPICS[TaskDoneEvent::TOPIC].name;
+    let mut producer = svc.producer(topic, ProducerConfig::default()).expect("producer");
     for i in 0..head {
         producer.push(Event::typed(synth_event(i, events))).expect("push");
     }

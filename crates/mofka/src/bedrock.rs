@@ -1,10 +1,20 @@
 //! Bedrock-analog bootstrapping: assemble a Mofka service from a
 //! deployment description, the way Mochi's Bedrock spins up a composed
 //! service from a configuration file.
+//!
+//! [`WMS_TOPICS`] is the one table of the WMS deployment: which record
+//! family streams to which topic, with how many partitions and what
+//! routing. [`BedrockConfig::wms_default`] creates it, the WMS plugin
+//! produces to it, and the drain and the live views read it back, each
+//! through [`topic_of`] or [`WmsFamily::TOPIC`].
 
 use serde::{Deserialize, Serialize};
 
 use dtf_core::error::{DtfError, Result};
+use dtf_core::events::{
+    CommEvent, IoRecord, LogEntry, ProvRecord, ProxyEvent, TaskDoneEvent, TaskMetaEvent,
+    TransitionEvent, WarningEvent, WorkerTransitionEvent,
+};
 
 use crate::service::{MofkaService, ServiceConfig};
 use crate::topic::TopicConfig;
@@ -16,6 +26,60 @@ pub struct TopicSpec {
     pub partitions: u32,
 }
 
+/// One provenance topic of the WMS deployment: a row of [`WMS_TOPICS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WmsTopic {
+    pub name: &'static str,
+    pub partitions: u32,
+    /// Task-scoped: producers hash the record's task key, so one task's
+    /// events stay in one partition, in their relative order.
+    pub keyed: bool,
+}
+
+/// A provenance record family, and the row of [`WMS_TOPICS`] it streams to.
+pub trait WmsFamily {
+    const TOPIC: usize;
+}
+
+macro_rules! wms_topics {
+    ($($variant:ident($ty:ty) => $name:literal, $partitions:literal, $keyed:literal;)*) => {
+        /// One topic per provenance record family (§III-E2), in creation
+        /// order. The order fixes the topic ids of a durable topic log and
+        /// the order the WMS plugin flushes in, so it is part of the
+        /// at-rest format.
+        pub const WMS_TOPICS: [WmsTopic; 9] =
+            [$(WmsTopic { name: $name, partitions: $partitions, keyed: $keyed }),*];
+
+        #[repr(usize)]
+        enum Row {
+            $($variant),*
+        }
+
+        /// The row of [`WMS_TOPICS`] `record`'s family streams to.
+        pub fn topic_of(record: &ProvRecord) -> usize {
+            match record {
+                $(ProvRecord::$variant(_) => Row::$variant as usize),*
+            }
+        }
+
+        $(impl WmsFamily for $ty {
+            const TOPIC: usize = Row::$variant as usize;
+        })*
+    };
+}
+
+wms_topics! {
+    TaskMeta(TaskMetaEvent) => "task-meta", 4, true;
+    Transition(TransitionEvent) => "task-transitions", 4, true;
+    WorkerTransition(WorkerTransitionEvent) => "worker-transitions", 4, true;
+    TaskDone(TaskDoneEvent) => "task-done", 4, true;
+    Comm(CommEvent) => "comm-events", 4, true;
+    Io(IoRecord) => "io-records", 4, false;
+    Proxy(ProxyEvent) => "proxy-events", 4, true;
+    Warning(WarningEvent) => "warnings", 1, false;
+    Log(LogEntry) => "logs", 1, false;
+}
+
 /// Deployment description for one Mofka instance.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BedrockConfig {
@@ -23,22 +87,13 @@ pub struct BedrockConfig {
 }
 
 impl BedrockConfig {
-    /// The deployment the WMS plugins expect: one topic per provenance
-    /// record family (§III-E2).
+    /// The deployment the WMS plugins expect: the rows of [`WMS_TOPICS`].
     pub fn wms_default() -> Self {
-        Self {
-            topics: vec![
-                TopicSpec { name: "task-meta".into(), partitions: 4 },
-                TopicSpec { name: "task-transitions".into(), partitions: 4 },
-                TopicSpec { name: "worker-transitions".into(), partitions: 4 },
-                TopicSpec { name: "task-done".into(), partitions: 4 },
-                TopicSpec { name: "comm-events".into(), partitions: 4 },
-                TopicSpec { name: "io-records".into(), partitions: 4 },
-                TopicSpec { name: "proxy-events".into(), partitions: 4 },
-                TopicSpec { name: "warnings".into(), partitions: 1 },
-                TopicSpec { name: "logs".into(), partitions: 1 },
-            ],
-        }
+        let topics = WMS_TOPICS
+            .iter()
+            .map(|t| TopicSpec { name: t.name.into(), partitions: t.partitions })
+            .collect();
+        Self { topics }
     }
 
     pub fn validate(&self) -> Result<()> {
@@ -88,17 +143,8 @@ mod tests {
     fn default_deployment_bootstraps_all_topics() {
         let svc = BedrockConfig::wms_default().bootstrap().unwrap();
         let names = svc.topic_names();
-        for expect in [
-            "task-meta",
-            "task-transitions",
-            "worker-transitions",
-            "task-done",
-            "comm-events",
-            "io-records",
-            "warnings",
-            "logs",
-        ] {
-            assert!(names.contains(&expect.to_string()), "missing {expect}");
+        for topic in WMS_TOPICS {
+            assert!(names.contains(&topic.name.to_string()), "missing {}", topic.name);
         }
     }
 

@@ -2,12 +2,14 @@
 //! analyses, updated in O(Δ) per consumed batch.
 //!
 //! [`LiveViews`] attaches to a Mofka service as its own consumer group
-//! (one [`dtf_mofka::GroupFeed`] over the standard WMS topics) and feeds
-//! every event it consumes to a [`RunState`] — the same view states the
-//! post-hoc kernels ([`per_category`], [`per_worker`], [`phase_sample`])
+//! (one [`dtf_mofka::GroupFeed`] over every row of [`WMS_TOPICS`]) and
+//! feeds every event it consumes to a [`RunState`] — the same view states
+//! the post-hoc kernels ([`per_category`], [`per_worker`], [`phase_sample`])
 //! feed a drained [`RunData`] to. Events are visited where the partition
 //! logs hold them ([`dtf_mofka::GroupFeed::visit`]): the engine reads each
-//! record by reference and clones none. This module owns the feed,
+//! record by reference, dispatches on its variant, and clones none; a
+//! record whose family is not its topic's ([`topic_of`]) fails the pump.
+//! Proxy-plane records feed no view. This module owns the feed,
 //! the publication slot, the subscriptions and the query surface; it
 //! accumulates nothing itself.
 //!
@@ -45,13 +47,11 @@ use std::time::Duration;
 use serde::{Deserialize, Serialize};
 
 use dtf_core::error::DtfError;
-use dtf_core::events::{
-    CommEvent, IoRecord, LogEntry, ProvEvent, ProvRecord, TaskDoneEvent, TaskMetaEvent,
-    TransitionEvent, WarningEvent, WorkerTransitionEvent,
-};
+use dtf_core::events::ProvRecord;
 use dtf_core::time::Dur;
 use dtf_darshan::log::LogSet;
-use dtf_mofka::{ConsumerConfig, Event, GroupFeed, MofkaService, ProducerConfig};
+use dtf_mofka::bedrock::{topic_of, WMS_TOPICS};
+use dtf_mofka::{ConsumerConfig, GroupFeed, MofkaService, ProducerConfig};
 use dtf_wms::plugins::{MofkaPlugin, WmsPlugin};
 use dtf_wms::RunData;
 
@@ -59,18 +59,6 @@ use crate::category::{per_category, CategoryStats};
 use crate::phases::PhaseSample;
 use crate::state::{PhaseState, RunState};
 use crate::utilization::{per_worker, WorkerUtilization};
-
-/// The topics a live engine subscribes to, in feed index order.
-pub const LIVE_TOPICS: [&str; 8] = [
-    "task-meta",
-    "task-transitions",
-    "worker-transitions",
-    "task-done",
-    "comm-events",
-    "warnings",
-    "logs",
-    "io-records",
-];
 
 /// How a live engine attaches to a service.
 #[derive(Debug, Clone)]
@@ -236,53 +224,56 @@ pub struct RunFinal {
     pub wall_time: Dur,
 }
 
-/// Feed one event of feed topic `topic` to the view state, borrowed from
-/// the record (which the partition log goes on holding).
+/// Feed one event of feed topic `topic` (a row of [`WMS_TOPICS`]) to the
+/// view state, borrowed from the record (which the partition log goes on
+/// holding).
 fn apply(
     state: &mut RunState,
     progress: &mut LiveProgress,
     topic: usize,
     record: &ProvRecord,
 ) -> dtf_core::Result<()> {
-    fn event<T: ProvEvent>(record: &ProvRecord) -> dtf_core::Result<&T> {
-        T::from_record_ref(record).ok_or_else(|| {
-            DtfError::IllegalState("live topic carried a wrong-family record".into())
-        })
+    if topic_of(record) != topic {
+        return Err(DtfError::IllegalState(format!(
+            "live topic {} carried a wrong-family record",
+            WMS_TOPICS[topic].name
+        )));
     }
-    match topic {
-        0 => {
-            state.observe(event::<TaskMetaEvent>(record)?.submitted);
+    match record {
+        ProvRecord::TaskMeta(e) => {
+            state.observe(e.submitted);
             progress.meta += 1;
         }
-        1 => {
-            state.observe(event::<TransitionEvent>(record)?.time);
+        ProvRecord::Transition(e) => {
+            state.observe(e.time);
             progress.transitions += 1;
         }
-        2 => {
-            state.observe(event::<WorkerTransitionEvent>(record)?.time);
+        ProvRecord::WorkerTransition(e) => {
+            state.observe(e.time);
             progress.worker_transitions += 1;
         }
-        3 => {
-            state.task_done(event::<TaskDoneEvent>(record)?);
+        ProvRecord::TaskDone(e) => {
+            state.task_done(e);
             progress.task_done += 1;
         }
-        4 => {
-            state.comm(event::<CommEvent>(record)?);
+        ProvRecord::Comm(e) => {
+            state.comm(e);
             progress.comms += 1;
         }
-        5 => {
-            state.observe(event::<WarningEvent>(record)?.time);
+        ProvRecord::Warning(e) => {
+            state.observe(e.time);
             progress.warnings += 1;
         }
-        6 => {
-            state.observe(event::<LogEntry>(record)?.time);
+        ProvRecord::Log(e) => {
+            state.observe(e.time);
             progress.logs += 1;
         }
-        7 => {
-            state.observe(event::<IoRecord>(record)?.stop);
+        ProvRecord::Io(e) => {
+            state.observe(e.stop);
             progress.io_records += 1;
         }
-        other => return Err(DtfError::IllegalState(format!("unknown live feed topic {other}"))),
+        // proxy-plane lifecycle records feed no view
+        ProvRecord::Proxy(_) => {}
     }
     Ok(())
 }
@@ -301,12 +292,12 @@ pub struct LiveViews {
 }
 
 impl LiveViews {
-    /// Attach to `svc` as consumer group `cfg.group` over [`LIVE_TOPICS`].
+    /// Attach to `svc` as consumer group `cfg.group` over every topic of
+    /// [`WMS_TOPICS`].
     pub fn attach(svc: &MofkaService, cfg: LiveConfig) -> dtf_core::Result<Self> {
-        let feed = svc.group_feed(
-            &LIVE_TOPICS,
-            ConsumerConfig { group: cfg.group.clone(), prefetch: 4096 },
-        )?;
+        let topics = WMS_TOPICS.map(|t| t.name);
+        let feed =
+            svc.group_feed(&topics, ConsumerConfig { group: cfg.group.clone(), prefetch: 4096 })?;
         Ok(Self {
             feed,
             state: RunState::with_bins(cfg.bins),
@@ -403,48 +394,39 @@ impl LiveViews {
 /// and pump it through [`LiveViews`] in whatever chunking the test wants.
 pub fn republish(data: &RunData, svc: &MofkaService) -> dtf_core::Result<()> {
     let mut plugin = MofkaPlugin::new(svc, ProducerConfig::default())?;
-    for e in &data.meta {
-        plugin.on_task_meta(e);
-    }
-    for e in &data.transitions {
-        plugin.on_transition(e);
-    }
-    for e in &data.worker_transitions {
-        plugin.on_worker_transition(e);
-    }
-    for e in &data.task_done {
-        plugin.on_task_done(e);
-    }
-    for e in &data.comms {
-        plugin.on_comm(e);
-    }
-    for e in &data.warnings {
-        plugin.on_warning(e);
-    }
-    for e in &data.logs {
-        plugin.on_log(e);
+    let records = (data.meta.iter().cloned().map(ProvRecord::from))
+        .chain(data.transitions.iter().cloned().map(ProvRecord::from))
+        .chain(data.worker_transitions.iter().cloned().map(ProvRecord::from))
+        .chain(data.task_done.iter().cloned().map(ProvRecord::from))
+        .chain(data.comms.iter().cloned().map(ProvRecord::from))
+        .chain(data.online_io.iter().cloned().map(ProvRecord::from))
+        .chain(data.proxies.iter().cloned().map(ProvRecord::from))
+        .chain(data.warnings.iter().cloned().map(ProvRecord::from))
+        .chain(data.logs.iter().cloned().map(ProvRecord::from));
+    for record in records {
+        plugin.on_record(record);
     }
     plugin.flush();
-    if !data.online_io.is_empty() {
-        let mut producer = svc.producer("io-records", ProducerConfig::default())?;
-        for r in &data.online_io {
-            producer.push(Event::typed(r.clone()))?;
-        }
-        producer.flush()?;
-    }
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtf_core::events::{CommEvent, LogEntry, TaskDoneEvent, TaskMetaEvent};
     use dtf_core::ids::{GraphId, RunId, ThreadId, WorkerId};
     use dtf_core::time::Time;
     use dtf_mofka::bedrock::BedrockConfig;
+    use dtf_mofka::Event;
+    use dtf_proxystore::ProxyConfig;
     use dtf_wms::sim::{SimCluster, SimConfig, SimWorkflow, SubmitPolicy};
     use dtf_wms::{GraphBuilder, IoCall, SimAction};
 
     fn sim_run(seed: u64) -> RunData {
+        sim_run_with(SimConfig { campaign_seed: seed, run: RunId(0), ..Default::default() })
+    }
+
+    fn sim_run_with(cfg: SimConfig) -> RunData {
         let mut b = GraphBuilder::new(GraphId(0));
         let tok = b.new_token();
         for i in 0..8u32 {
@@ -477,10 +459,7 @@ mod tests {
             shutdown: Dur::ZERO,
             dataset: vec![("/f".into(), 1 << 20, 1)],
         };
-        SimCluster::new(SimConfig { campaign_seed: seed, run: RunId(0), ..Default::default() })
-            .unwrap()
-            .run(wf)
-            .unwrap()
+        SimCluster::new(cfg).unwrap().run(wf).unwrap()
     }
 
     /// Drain `svc` (fresh group) exactly as the post-hoc analysis would,
@@ -567,43 +546,51 @@ mod tests {
         };
         let svc = BedrockConfig::wms_default().bootstrap().unwrap();
         let mut plugin = MofkaPlugin::new(&svc, ProducerConfig::default()).unwrap();
-        plugin.on_task_meta(&TaskMetaEvent {
-            key: TaskKey::new("fit", 1, 0),
-            graph: GraphId(0),
-            client: ClientId(0),
-            deps: vec![TaskKey::new("load", 1, 0)],
-            submitted: sec(0),
-        });
-        plugin.on_task_done(&done("load", 0, 0, 0, 2));
-        plugin.on_task_done(&done("fit", 0, 0, 2, 3));
-        plugin.on_comm(&CommEvent {
-            key: TaskKey::new("load", 1, 0),
-            from: worker(0),
-            to: worker(1),
-            nbytes: 8,
-            start: sec(2),
-            stop: sec(4),
-        });
-        plugin.on_log(&LogEntry {
-            time: sec(9),
-            level: dtf_core::events::LogLevel::Info,
-            source: dtf_core::events::LogSource::Scheduler,
-            message: "last event of the run".into(),
-        });
-        plugin.on_task_done(&done("fit", 1, 1, 4, 7));
+        let records: [ProvRecord; 6] = [
+            TaskMetaEvent {
+                key: TaskKey::new("fit", 1, 0),
+                graph: GraphId(0),
+                client: ClientId(0),
+                deps: vec![TaskKey::new("load", 1, 0)],
+                submitted: sec(0),
+            }
+            .into(),
+            done("load", 0, 0, 0, 2).into(),
+            done("fit", 0, 0, 2, 3).into(),
+            CommEvent {
+                key: TaskKey::new("load", 1, 0),
+                from: worker(0),
+                to: worker(1),
+                nbytes: 8,
+                start: sec(2),
+                stop: sec(4),
+            }
+            .into(),
+            LogEntry {
+                time: sec(9),
+                level: dtf_core::events::LogLevel::Info,
+                source: dtf_core::events::LogSource::Scheduler,
+                message: "last event of the run".into(),
+            }
+            .into(),
+            done("fit", 1, 1, 4, 7).into(),
+        ];
+        for record in records {
+            plugin.on_record(record);
+        }
         plugin.flush();
 
         let records = |group: &str| -> Vec<Vec<dtf_mofka::StoredEvent>> {
-            LIVE_TOPICS
+            WMS_TOPICS
                 .iter()
                 .map(|t| {
                     let cfg = ConsumerConfig { group: group.into(), prefetch: 3 };
-                    svc.consumer(t, cfg).unwrap().drain_all().unwrap()
+                    svc.consumer(t.name, cfg).unwrap().drain_all().unwrap()
                 })
                 .collect()
         };
         let before = records("before");
-        assert_eq!(before.iter().map(Vec::len).collect::<Vec<_>>(), [1, 0, 0, 3, 1, 0, 1, 0]);
+        assert_eq!(before.iter().map(Vec::len).collect::<Vec<_>>(), [1, 0, 0, 3, 1, 0, 0, 0, 1]);
 
         let mut live = LiveViews::attach(&svc, LiveConfig::default()).unwrap();
         assert_eq!(live.pump_all().unwrap(), 6);
@@ -636,6 +623,34 @@ mod tests {
         );
 
         assert_eq!(records("after"), before, "ingesting left the topics' records as they were");
+    }
+
+    /// Republishing a run puts every family back — the proxy lifecycle
+    /// stream and the online I/O records too — so a drain of the
+    /// republished service equals the original record.
+    #[test]
+    fn republish_carries_every_family() {
+        let data = sim_run_with(SimConfig {
+            campaign_seed: 5,
+            run: RunId(0),
+            online_darshan: true,
+            proxy: ProxyConfig { enabled: true, threshold: 1 << 15, resolver_cache_bytes: 8 << 20 },
+            ..Default::default()
+        });
+        assert!(!data.proxies.is_empty(), "the proxy plane published");
+        assert!(!data.online_io.is_empty(), "Darshan streamed online");
+        let svc = BedrockConfig::wms_default().bootstrap().unwrap();
+        republish(&data, &svc).unwrap();
+        let again = drain_again(&svc, &data, 3);
+        assert_eq!(again.proxies, data.proxies);
+        assert_eq!(again.online_io, data.online_io);
+        assert_eq!(again.meta, data.meta);
+        assert_eq!(again.task_done, data.task_done);
+        assert_eq!(again.comms, data.comms);
+        assert_eq!(again.logs.len(), data.logs.len());
+        assert_eq!(again.warnings.len(), data.warnings.len());
+        assert_eq!(again.transitions.len(), data.transitions.len());
+        assert_eq!(again.worker_transitions.len(), data.worker_transitions.len());
     }
 
     #[test]

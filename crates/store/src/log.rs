@@ -5,7 +5,9 @@
 //! magic `DTFSEG1`, a format-version byte, the segment's sequence number,
 //! the index of its first record, and a CRC32 of those 24 bytes —
 //! followed by record frames: `len:u32le | crc32(payload):u32le |
-//! payload`. A record never spans segments; a segment holds at least one
+//! payload`, with `len >= 1` — a zeroed frame would verify, so appends
+//! refuse an empty payload and a scan treats length 0 as the tear. A
+//! record never spans segments; a segment holds at least one
 //! record even when the record alone exceeds the size cap (oversized
 //! records simply get a segment to themselves).
 //!
@@ -24,7 +26,8 @@
 //! a hard crash for tests.
 //!
 //! **The failure rule.** The log keeps its first error. A failed append
-//! (a record over [`MAX_RECORD_BYTES`] included), roll or sync poisons
+//! (an empty record or one over [`MAX_RECORD_BYTES`] included), roll or
+//! sync poisons
 //! it: every later append is refused and every [`SegmentedLog::sync`]
 //! returns that error, so nothing is logged after a lost record. Records
 //! buffered before the poison are still written. A failed write or
@@ -193,14 +196,15 @@ pub(crate) fn header_fields(data: &[u8]) -> Option<(u64, u64)> {
 }
 
 /// The payload length of the frame at `off` in `data`, when its length
-/// field fits both the bytes that remain and the record cap. Checked
-/// before the payload is touched: a corrupted length must end a scan
-/// here, never drive a slice (or, for a copying reader, a multi-GB
-/// allocation).
+/// field is nonzero and fits both the bytes that remain and the record
+/// cap. Checked before the payload is touched: a corrupted length must
+/// end a scan here, never drive a slice (or, for a copying reader, a
+/// multi-GB allocation). A zero length is the tear: no record is empty,
+/// and a zeroed frame (length 0, `crc32("") == 0`) would otherwise verify.
 pub(crate) fn frame_len(data: &[u8], off: usize) -> Option<usize> {
     let head = data.get(off..off.checked_add(FRAME_OVERHEAD)?)?;
     let len = u32::from_le_bytes(head[..4].try_into().expect("a 4-byte slice")) as usize;
-    (len <= MAX_RECORD_BYTES && len <= data.len() - off - FRAME_OVERHEAD).then_some(len)
+    (len != 0 && len <= MAX_RECORD_BYTES && len <= data.len() - off - FRAME_OVERHEAD).then_some(len)
 }
 
 /// The one frame scan behind every reader of a segment: the recovery
@@ -389,14 +393,14 @@ impl SegmentedLog {
         if let Some(e) = &self.poison {
             return Err(e.clone());
         }
-        if payload.len() > MAX_RECORD_BYTES {
-            return Err(self.fail(DtfError::Io(
-                ErrorKind::InvalidInput,
-                format!(
-                    "record of {} bytes exceeds the {MAX_RECORD_BYTES}-byte cap",
-                    payload.len()
-                ),
-            )));
+        if payload.is_empty() || payload.len() > MAX_RECORD_BYTES {
+            let why = match payload.len() {
+                // an empty frame is all zeros, and zeros are what a torn
+                // tail reads as
+                0 => "an empty record cannot be told from a zeroed tail".to_string(),
+                n => format!("record of {n} bytes exceeds the {MAX_RECORD_BYTES}-byte cap"),
+            };
+            return Err(self.fail(DtfError::Io(ErrorKind::InvalidInput, why)));
         }
         let frame = (FRAME_OVERHEAD + payload.len()) as u64;
         if self.seg_len + frame > self.cfg.segment_bytes && self.seg_len > HEADER_LEN as u64 {
@@ -677,6 +681,35 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Zeros from a frame boundary on read as a tear, not as committed
+    /// empty records (a length-0 frame with CRC 0 would verify, since
+    /// `crc32("") == 0`).
+    #[test]
+    fn a_tail_zeroed_from_a_frame_boundary_is_a_tear() {
+        let dir = tmpdir("zerotail");
+        {
+            let (mut log, _, _) =
+                SegmentedLog::open(&dir, cfg(1 << 20, FlushPolicy::EveryRecord)).unwrap();
+            for i in 0..20u8 {
+                log.append(&[i; 16]).unwrap();
+            }
+        }
+        let path = segment_paths(&dir).unwrap().pop().unwrap();
+        let mut data = fs::read(&path).unwrap();
+        let boundary = HEADER_LEN + 12 * (FRAME_OVERHEAD + 16);
+        data[boundary..].fill(0);
+        fs::write(&path, &data).unwrap();
+        let (_, recovered, report) =
+            SegmentedLog::open(&dir, cfg(1 << 20, FlushPolicy::EveryRecord)).unwrap();
+        let recovered: Vec<&[u8]> = recovered.iter().map(|r| r.as_ref()).collect();
+        let expect: Vec<Vec<u8>> = (0..12u8).map(|i| vec![i; 16]).collect();
+        assert_eq!(recovered, expect, "exactly the prefix before the zeros");
+        assert!(report.torn);
+        assert_eq!(report.truncated_bytes, (data.len() - boundary) as u64);
+        assert_eq!(fs::metadata(&path).unwrap().len(), boundary as u64);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn bit_flip_truncates_at_the_damaged_record() {
         let dir = tmpdir("bitflip");
@@ -848,20 +881,12 @@ mod tests {
     }
 
     #[test]
-    fn empty_payloads_are_valid_records() {
+    fn an_empty_record_is_refused_and_poisons_the_log() {
         let dir = tmpdir("empty");
-        {
-            let (mut log, _, _) =
-                SegmentedLog::open(&dir, cfg(1 << 20, FlushPolicy::EveryRecord)).unwrap();
-            log.append(b"").unwrap();
-            log.append(b"x").unwrap();
-            log.append(b"").unwrap();
-        }
-        let (_, recovered, _) =
-            SegmentedLog::open(&dir, cfg(1 << 20, FlushPolicy::EveryRecord)).unwrap();
-        assert_eq!(recovered.len(), 3);
-        assert!(recovered[0].is_empty() && recovered[2].is_empty());
-        fs::remove_dir_all(&dir).unwrap();
+        let (mut log, _, _) = SegmentedLog::open(&dir, cfg(1 << 20, FlushPolicy::Manual)).unwrap();
+        log.append(b"r0").unwrap();
+        assert_eq!(err_kind(log.append(b"")), ErrorKind::InvalidInput);
+        assert_poisoned(log, ErrorKind::InvalidInput, &[b"r0"]);
     }
 
     /// How the active segment fails once [`install`]ed.

@@ -139,11 +139,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Arbitrary payload sets, segment sizes, and cut points: reopen is
-    /// always exactly the committed prefix before the cut.
+    /// always exactly the committed prefix before the cut. Payloads are
+    /// at least one byte: the log refuses an empty record.
     #[test]
     fn truncation_yields_committed_prefix(
         payloads in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 0..48), 1..40),
+            proptest::collection::vec(any::<u8>(), 1..48), 1..40),
         segment_bytes in 64u64..1024,
         seg_sel in any::<u64>(),
         off_sel in any::<u64>(),

@@ -176,14 +176,17 @@ impl LocalCluster {
 fn process_fetches(shared: &Shared, sched: &mut Scheduler, now: Time) {
     for Fetch { dep, from, to, nbytes } in sched.take_fetches() {
         let stop = shared.clock.now();
-        sched.plugins_mut().on_comm(&CommEvent {
-            key: dep,
-            from: worker_id(from),
-            to: worker_id(to),
-            nbytes,
-            start: now,
-            stop: stop.max(now + Dur(1)),
-        });
+        sched.plugins_mut().on_record(
+            CommEvent {
+                key: dep,
+                from: worker_id(from),
+                to: worker_id(to),
+                nbytes,
+                start: now,
+                stop: stop.max(now + Dur(1)),
+            }
+            .into(),
+        );
         sched.fetch_done(&dep, to, stop);
     }
 }

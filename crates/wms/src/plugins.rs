@@ -2,14 +2,17 @@
 //!
 //! The paper extends Dask with scheduler and worker plugins that intercept
 //! state transitions, completions, transfers, and log events, and stream
-//! them to Mofka. [`WmsPlugin`] is that interception surface; the scheduler
-//! and simulator invoke it at every observable event. Plugins must not
-//! influence scheduling — they receive `&` references and return nothing.
+//! them to Mofka. [`WmsPlugin`] is that interception surface: the
+//! scheduler, the simulator and the real executor build each observable
+//! event as a [`ProvRecord`] and move it into [`WmsPlugin::on_record`].
+//! Plugins must not influence scheduling — they take the record and
+//! return nothing.
 //!
 //! * [`CollectorPlugin`] buffers events in memory (useful in tests and for
 //!   direct analysis).
-//! * [`MofkaPlugin`] streams each record into the corresponding Mofka topic,
-//!   which is the paper's actual data path.
+//! * [`MofkaPlugin`] streams each record into its family's Mofka topic,
+//!   the row [`topic_of`] names in [`WMS_TOPICS`] — the paper's actual
+//!   data path.
 
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -18,26 +21,14 @@ use dtf_core::events::{
     CommEvent, LogEntry, ProvRecord, ProxyEvent, TaskDoneEvent, TaskMetaEvent, TransitionEvent,
     WarningEvent, WorkerTransitionEvent,
 };
+use dtf_mofka::bedrock::{topic_of, WMS_TOPICS};
 use dtf_mofka::producer::{PartitionStrategy, ProducerConfig};
 use dtf_mofka::{Event, MofkaService, Producer};
 
-/// Partitioning used for task-scoped topics: hash the serialized task key.
-pub(crate) fn key_strategy() -> PartitionStrategy {
-    PartitionStrategy::HashKey("key".to_string())
-}
-
-/// Interception surface for WMS instrumentation. All methods have empty
-/// default bodies, so a plugin implements only what it needs.
+/// Interception surface for WMS instrumentation.
 pub trait WmsPlugin: Send {
-    fn on_task_meta(&mut self, _event: &TaskMetaEvent) {}
-    fn on_transition(&mut self, _event: &TransitionEvent) {}
-    fn on_worker_transition(&mut self, _event: &WorkerTransitionEvent) {}
-    fn on_task_done(&mut self, _event: &TaskDoneEvent) {}
-    fn on_comm(&mut self, _event: &CommEvent) {}
-    fn on_warning(&mut self, _event: &WarningEvent) {}
-    fn on_log(&mut self, _entry: &LogEntry) {}
-    /// Proxy-plane lifecycle records (publish/resolve/evict/re-source).
-    fn on_proxy(&mut self, _event: &ProxyEvent) {}
+    /// One provenance record, moved in: the plugin keeps it or drops it.
+    fn on_record(&mut self, record: ProvRecord);
     /// Flush any buffered telemetry (end of run).
     fn flush(&mut self) {}
 }
@@ -74,136 +65,88 @@ impl CollectorPlugin {
 }
 
 impl WmsPlugin for CollectorPlugin {
-    fn on_task_meta(&mut self, event: &TaskMetaEvent) {
-        self.inner.lock().meta.push(event.clone());
-    }
-
-    fn on_transition(&mut self, event: &TransitionEvent) {
-        self.inner.lock().transitions.push(event.clone());
-    }
-
-    fn on_worker_transition(&mut self, event: &WorkerTransitionEvent) {
-        self.inner.lock().worker_transitions.push(event.clone());
-    }
-
-    fn on_task_done(&mut self, event: &TaskDoneEvent) {
-        self.inner.lock().task_done.push(event.clone());
-    }
-
-    fn on_comm(&mut self, event: &CommEvent) {
-        self.inner.lock().comms.push(event.clone());
-    }
-
-    fn on_warning(&mut self, event: &WarningEvent) {
-        self.inner.lock().warnings.push(event.clone());
-    }
-
-    fn on_log(&mut self, entry: &LogEntry) {
-        self.inner.lock().logs.push(entry.clone());
-    }
-
-    fn on_proxy(&mut self, event: &ProxyEvent) {
-        self.inner.lock().proxies.push(event.clone());
+    fn on_record(&mut self, record: ProvRecord) {
+        let mut c = self.inner.lock();
+        match record {
+            ProvRecord::TaskMeta(e) => c.meta.push(e),
+            ProvRecord::Transition(e) => c.transitions.push(e),
+            ProvRecord::WorkerTransition(e) => c.worker_transitions.push(e),
+            ProvRecord::TaskDone(e) => c.task_done.push(e),
+            ProvRecord::Comm(e) => c.comms.push(e),
+            ProvRecord::Warning(e) => c.warnings.push(e),
+            ProvRecord::Log(e) => c.logs.push(e),
+            ProvRecord::Proxy(e) => c.proxies.push(e),
+            // Darshan records reach Mofka through the runtime's own sink,
+            // never through a WMS plugin
+            ProvRecord::Io(_) => {}
+        }
     }
 }
 
-/// Streams every record into Mofka topics (created by
+/// Streams every record into its Mofka topic (created by
 /// [`dtf_mofka::bedrock::BedrockConfig::wms_default`]).
 pub struct MofkaPlugin {
-    meta: Producer,
-    transitions: Producer,
-    worker_transitions: Producer,
-    task_done: Producer,
-    comms: Producer,
-    warnings: Producer,
-    logs: Producer,
-    proxies: Producer,
+    /// One producer per row of [`WMS_TOPICS`], flushed in row order.
+    producers: Vec<Producer>,
 }
 
 impl MofkaPlugin {
-    /// Topic names used by the plugin.
-    pub const TOPICS: [&'static str; 8] = [
-        "task-meta",
-        "task-transitions",
-        "worker-transitions",
-        "task-done",
-        "comm-events",
-        "warnings",
-        "logs",
-        "proxy-events",
-    ];
-
     pub fn new(service: &MofkaService, producer_cfg: ProducerConfig) -> dtf_core::Result<Self> {
-        // task-scoped topics partition by task key so one task's events
-        // stay in one partition, preserving their relative order end to end
-        let by_key = |cfg: &ProducerConfig| ProducerConfig {
-            batch_size: cfg.batch_size,
-            strategy: crate::plugins::key_strategy(),
-        };
-        Ok(Self {
-            meta: service.producer("task-meta", by_key(&producer_cfg))?,
-            transitions: service.producer("task-transitions", by_key(&producer_cfg))?,
-            worker_transitions: service.producer("worker-transitions", by_key(&producer_cfg))?,
-            task_done: service.producer("task-done", by_key(&producer_cfg))?,
-            comms: service.producer("comm-events", by_key(&producer_cfg))?,
-            proxies: service.producer("proxy-events", by_key(&producer_cfg))?,
-            warnings: service.producer("warnings", producer_cfg.clone())?,
-            logs: service.producer("logs", producer_cfg)?,
-        })
-    }
-
-    fn push<T: Clone + Into<ProvRecord>>(producer: &mut Producer, value: &T) {
-        // This clone of the record is what the partition log will hold — Mofka moves it by value from the producer's
-        // buffer into the log, and JSON is rendered lazily at export
-        // boundaries. A full topic only errors on misconfiguration, which
-        // bootstrap validated; instrumentation must not take down the
-        // workflow.
-        let _ = producer.push(Event::typed(value.clone()));
+        let producers = WMS_TOPICS
+            .iter()
+            .map(|topic| {
+                // task-scoped topics partition by task key so one task's
+                // events stay in one partition, preserving their relative
+                // order end to end
+                let strategy = if topic.keyed {
+                    PartitionStrategy::HashKey("key".to_string())
+                } else {
+                    producer_cfg.strategy.clone()
+                };
+                let cfg = ProducerConfig { batch_size: producer_cfg.batch_size, strategy };
+                service.producer(topic.name, cfg)
+            })
+            .collect::<dtf_core::Result<_>>()?;
+        Ok(Self { producers })
     }
 }
 
+/// Typed entry points for callers that hold a borrowed event: each clones
+/// it into [`WmsPlugin::on_record`].
+macro_rules! typed_hooks {
+    ($($hook:ident($ty:ty)),* $(,)?) => {
+        impl MofkaPlugin {
+            $(pub fn $hook(&mut self, event: &$ty) {
+                self.on_record(event.clone().into());
+            })*
+        }
+    };
+}
+
+typed_hooks!(
+    on_task_meta(TaskMetaEvent),
+    on_transition(TransitionEvent),
+    on_worker_transition(WorkerTransitionEvent),
+    on_task_done(TaskDoneEvent),
+    on_comm(CommEvent),
+    on_warning(WarningEvent),
+    on_log(LogEntry),
+    on_proxy(ProxyEvent),
+);
+
 impl WmsPlugin for MofkaPlugin {
-    fn on_task_meta(&mut self, event: &TaskMetaEvent) {
-        Self::push(&mut self.meta, event);
-    }
-
-    fn on_transition(&mut self, event: &TransitionEvent) {
-        Self::push(&mut self.transitions, event);
-    }
-
-    fn on_worker_transition(&mut self, event: &WorkerTransitionEvent) {
-        Self::push(&mut self.worker_transitions, event);
-    }
-
-    fn on_task_done(&mut self, event: &TaskDoneEvent) {
-        Self::push(&mut self.task_done, event);
-    }
-
-    fn on_comm(&mut self, event: &CommEvent) {
-        Self::push(&mut self.comms, event);
-    }
-
-    fn on_warning(&mut self, event: &WarningEvent) {
-        Self::push(&mut self.warnings, event);
-    }
-
-    fn on_log(&mut self, entry: &LogEntry) {
-        Self::push(&mut self.logs, entry);
-    }
-
-    fn on_proxy(&mut self, event: &ProxyEvent) {
-        Self::push(&mut self.proxies, event);
+    fn on_record(&mut self, record: ProvRecord) {
+        // The record moves into the producer's buffer and from there into
+        // the partition log; JSON is rendered lazily at export boundaries.
+        // A full topic only errors on misconfiguration, which bootstrap
+        // validated; instrumentation must not take down the workflow.
+        let _ = self.producers[topic_of(&record)].push(Event::typed(record));
     }
 
     fn flush(&mut self) {
-        let _ = self.meta.flush();
-        let _ = self.transitions.flush();
-        let _ = self.worker_transitions.flush();
-        let _ = self.task_done.flush();
-        let _ = self.comms.flush();
-        let _ = self.proxies.flush();
-        let _ = self.warnings.flush();
-        let _ = self.logs.flush();
+        for producer in &mut self.producers {
+            let _ = producer.flush();
+        }
     }
 }
 
@@ -228,51 +171,13 @@ impl PluginSet {
 }
 
 impl WmsPlugin for PluginSet {
-    fn on_task_meta(&mut self, event: &TaskMetaEvent) {
-        for p in &mut self.plugins {
-            p.on_task_meta(event);
-        }
-    }
-
-    fn on_transition(&mut self, event: &TransitionEvent) {
-        for p in &mut self.plugins {
-            p.on_transition(event);
-        }
-    }
-
-    fn on_worker_transition(&mut self, event: &WorkerTransitionEvent) {
-        for p in &mut self.plugins {
-            p.on_worker_transition(event);
-        }
-    }
-
-    fn on_task_done(&mut self, event: &TaskDoneEvent) {
-        for p in &mut self.plugins {
-            p.on_task_done(event);
-        }
-    }
-
-    fn on_comm(&mut self, event: &CommEvent) {
-        for p in &mut self.plugins {
-            p.on_comm(event);
-        }
-    }
-
-    fn on_warning(&mut self, event: &WarningEvent) {
-        for p in &mut self.plugins {
-            p.on_warning(event);
-        }
-    }
-
-    fn on_log(&mut self, entry: &LogEntry) {
-        for p in &mut self.plugins {
-            p.on_log(entry);
-        }
-    }
-
-    fn on_proxy(&mut self, event: &ProxyEvent) {
-        for p in &mut self.plugins {
-            p.on_proxy(event);
+    /// Every plugin but the last gets a clone; the last takes the record.
+    fn on_record(&mut self, record: ProvRecord) {
+        if let Some((last, rest)) = self.plugins.split_last_mut() {
+            for p in rest {
+                p.on_record(record.clone());
+            }
+            last.on_record(record);
         }
     }
 
@@ -286,8 +191,11 @@ impl WmsPlugin for PluginSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtf_core::events::{Location, Stimulus, TaskState};
-    use dtf_core::ids::{GraphId, NodeId, TaskKey, ThreadId, WorkerId};
+    use dtf_core::events::{
+        IoOp, IoRecord, Location, LogLevel, LogSource, ProxyAction, Stimulus, TaskState,
+        WarningKind, WorkerTaskState,
+    };
+    use dtf_core::ids::{ClientId, FileId, GraphId, NodeId, TaskKey, ThreadId, WorkerId};
     use dtf_core::time::{Dur, Time};
     use dtf_mofka::bedrock::BedrockConfig;
     use dtf_mofka::ConsumerConfig;
@@ -316,52 +224,126 @@ mod tests {
         }
     }
 
+    /// One record of each of the nine families.
+    fn one_of_each() -> Vec<ProvRecord> {
+        let key = TaskKey::new("inc", 1, 0);
+        let worker = WorkerId::new(NodeId(0), 0);
+        vec![
+            TaskMetaEvent {
+                key,
+                graph: GraphId(0),
+                client: ClientId(0),
+                deps: vec![TaskKey::new("load", 1, 0)],
+                submitted: Time(1),
+            }
+            .into(),
+            transition().into(),
+            WorkerTransitionEvent {
+                key,
+                graph: GraphId(0),
+                worker,
+                from: WorkerTaskState::Ready,
+                to: WorkerTaskState::Executing,
+                time: Time(6),
+            }
+            .into(),
+            done().into(),
+            CommEvent { key, from: worker, to: worker, nbytes: 8, start: Time(2), stop: Time(4) }
+                .into(),
+            WarningEvent {
+                kind: WarningKind::GcPause,
+                worker: None,
+                time: Time(1),
+                duration: Dur(5),
+            }
+            .into(),
+            LogEntry {
+                time: Time(9),
+                level: LogLevel::Info,
+                source: LogSource::Scheduler,
+                message: "a line".into(),
+            }
+            .into(),
+            IoRecord {
+                host: NodeId(0),
+                worker,
+                thread: ThreadId(1),
+                file: FileId(0),
+                op: IoOp::Read,
+                offset: 0,
+                size: 4096,
+                start: Time(3),
+                stop: Time(4),
+            }
+            .into(),
+            ProxyEvent {
+                action: ProxyAction::Published,
+                key,
+                graph: GraphId(0),
+                size: 1 << 20,
+                owner: worker,
+                checksum: 7,
+                generation: 0,
+                worker: None,
+                time: Time(10),
+            }
+            .into(),
+        ]
+    }
+
     #[test]
     fn collector_gathers_all_kinds() {
         let collector = CollectorPlugin::new();
         let mut plugin: Box<dyn WmsPlugin> = Box::new(collector.clone());
-        plugin.on_transition(&transition());
-        plugin.on_task_done(&done());
-        plugin.on_warning(&WarningEvent {
-            kind: dtf_core::events::WarningKind::GcPause,
-            worker: None,
-            time: Time(1),
-            duration: Dur(5),
-        });
+        for record in one_of_each() {
+            plugin.on_record(record);
+        }
         let events = collector.take();
-        assert_eq!(events.transitions.len(), 1);
-        assert_eq!(events.task_done.len(), 1);
-        assert_eq!(events.warnings.len(), 1);
+        let lens = [
+            events.meta.len(),
+            events.transitions.len(),
+            events.worker_transitions.len(),
+            events.task_done.len(),
+            events.comms.len(),
+            events.warnings.len(),
+            events.logs.len(),
+            events.proxies.len(),
+        ];
+        assert_eq!(lens, [1; 8], "every family but Darshan's");
+        assert_eq!(events.transitions[0], transition());
         // take() drains
         assert_eq!(collector.take().transitions.len(), 0);
     }
 
+    /// Each family lands on its own table row's topic, as the record that
+    /// went in, and on no other topic.
     #[test]
     fn mofka_plugin_streams_to_topics() {
         let svc = BedrockConfig::wms_default().bootstrap().unwrap();
+        let records = one_of_each();
         {
             let mut plugin = MofkaPlugin::new(&svc, ProducerConfig::default()).unwrap();
-            plugin.on_transition(&transition());
-            plugin.on_transition(&transition());
-            plugin.on_task_done(&done());
+            for record in &records {
+                plugin.on_record(record.clone());
+            }
             plugin.flush();
         }
-        let mut c = svc
-            .consumer("task-transitions", ConsumerConfig { group: "t".into(), prefetch: 16 })
-            .unwrap();
-        let events = c.drain_all().unwrap();
-        assert_eq!(events.len(), 2);
-        // the event's record is the TransitionEvent — no JSON round-trip
-        let rec = &events[0].event.record;
-        assert_eq!(*rec, ProvRecord::Transition(transition()));
+        let mut rows: Vec<usize> = records.iter().map(topic_of).collect();
+        rows.sort_unstable();
+        assert_eq!(rows, (0..WMS_TOPICS.len()).collect::<Vec<_>>(), "one family per row");
+        for record in &records {
+            let topic = WMS_TOPICS[topic_of(record)].name;
+            let cfg = ConsumerConfig { group: "t".into(), prefetch: 16 };
+            let events = svc.consumer(topic, cfg).unwrap().drain_all().unwrap();
+            assert_eq!(events.len(), 1, "{topic}");
+            // the event's record is the one pushed — no JSON round-trip
+            assert_eq!(events[0].event.record, *record, "{topic}");
+        }
         // and its lazy JSON rendering still matches eager serialization
         assert_eq!(
-            serde_json::to_string(rec).unwrap(),
+            serde_json::to_string(&ProvRecord::from(transition())).unwrap(),
             serde_json::to_string(&transition()).unwrap()
         );
-        let mut c =
-            svc.consumer("task-done", ConsumerConfig { group: "t".into(), prefetch: 16 }).unwrap();
-        assert_eq!(c.drain_all().unwrap().len(), 1);
     }
 
     #[test]
@@ -371,8 +353,8 @@ mod tests {
         let mut set = PluginSet::new();
         set.register(Box::new(a.clone()));
         set.register(Box::new(b.clone()));
-        set.on_transition(&transition());
-        assert_eq!(a.take().transitions.len(), 1);
-        assert_eq!(b.take().transitions.len(), 1);
+        set.on_record(transition().into());
+        assert_eq!(a.take().transitions, [transition()]);
+        assert_eq!(b.take().transitions, [transition()]);
     }
 }

@@ -35,6 +35,7 @@ use dtf_core::ids::{RunId, TaskKey};
 use dtf_core::provenance::ProvenanceChart;
 use dtf_core::time::{Dur, Time};
 use dtf_darshan::log::LogSet;
+use dtf_mofka::bedrock::{WmsFamily, WMS_TOPICS};
 use dtf_mofka::{ConsumerConfig, MofkaService, ServiceRecovery};
 
 /// Yokan key under which a persistent run archives its non-Mofka data.
@@ -211,11 +212,11 @@ impl RunData {
         archive: ArchiveMeta,
     ) -> dtf_core::Result<Self> {
         let ArchiveMeta { run, workflow, chart, darshan, wall_time, start_order, steals } = archive;
-        fn drain<T: ProvEvent + Clone>(
+        fn drain<T: ProvEvent + WmsFamily + Clone>(
             svc: &MofkaService,
-            topic: &str,
             group: &str,
         ) -> dtf_core::Result<Vec<T>> {
+            let topic = WMS_TOPICS[T::TOPIC].name;
             let mut consumer =
                 svc.consumer(topic, ConsumerConfig { group: group.to_string(), prefetch: 4096 })?;
             let mut out = Vec::with_capacity(svc.topic(topic)?.total_len() as usize);
@@ -232,16 +233,16 @@ impl RunData {
             })?;
             Ok(out)
         }
-        let mut meta: Vec<TaskMetaEvent> = drain(svc, "task-meta", group)?;
-        let mut transitions: Vec<TransitionEvent> = drain(svc, "task-transitions", group)?;
-        let mut worker_transitions: Vec<WorkerTransitionEvent> =
-            drain(svc, "worker-transitions", group)?;
-        let mut task_done: Vec<TaskDoneEvent> = drain(svc, "task-done", group)?;
-        let mut comms: Vec<CommEvent> = drain(svc, "comm-events", group)?;
-        let mut warnings: Vec<WarningEvent> = drain(svc, "warnings", group)?;
-        let mut logs: Vec<LogEntry> = drain(svc, "logs", group)?;
-        let mut online_io: Vec<IoRecord> = drain(svc, "io-records", group)?;
-        let mut proxies: Vec<ProxyEvent> = drain(svc, "proxy-events", group)?;
+        // this order fixes the order the group's cursors are written in
+        let mut meta: Vec<TaskMetaEvent> = drain(svc, group)?;
+        let mut transitions: Vec<TransitionEvent> = drain(svc, group)?;
+        let mut worker_transitions: Vec<WorkerTransitionEvent> = drain(svc, group)?;
+        let mut task_done: Vec<TaskDoneEvent> = drain(svc, group)?;
+        let mut comms: Vec<CommEvent> = drain(svc, group)?;
+        let mut warnings: Vec<WarningEvent> = drain(svc, group)?;
+        let mut logs: Vec<LogEntry> = drain(svc, group)?;
+        let mut online_io: Vec<IoRecord> = drain(svc, group)?;
+        let mut proxies: Vec<ProxyEvent> = drain(svc, group)?;
         meta.sort_by_key(|e| (e.submitted, e.key));
         transitions.sort_by_key(|e| e.time);
         worker_transitions.sort_by_key(|e| (e.time, e.key));
@@ -370,25 +371,31 @@ mod tests {
             let mut plugin = MofkaPlugin::new(&svc, ProducerConfig::default()).unwrap();
             let w = WorkerId::new(NodeId(0), 0);
             for (i, t) in [5u64, 2, 9].iter().enumerate() {
-                plugin.on_transition(&TransitionEvent {
-                    key: TaskKey::new("x", 0, i as u32),
-                    graph: GraphId(0),
-                    from: TaskState::Released,
-                    to: TaskState::Waiting,
-                    stimulus: Stimulus::GraphSubmitted,
-                    location: Location::Scheduler,
-                    time: Time(*t),
-                });
+                plugin.on_record(
+                    TransitionEvent {
+                        key: TaskKey::new("x", 0, i as u32),
+                        graph: GraphId(0),
+                        from: TaskState::Released,
+                        to: TaskState::Waiting,
+                        stimulus: Stimulus::GraphSubmitted,
+                        location: Location::Scheduler,
+                        time: Time(*t),
+                    }
+                    .into(),
+                );
             }
-            plugin.on_task_done(&TaskDoneEvent {
-                key: TaskKey::new("x", 0, 0),
-                graph: GraphId(0),
-                worker: w,
-                thread: ThreadId(1),
-                start: Time(0),
-                stop: Time(10),
-                nbytes: 4,
-            });
+            plugin.on_record(
+                TaskDoneEvent {
+                    key: TaskKey::new("x", 0, 0),
+                    graph: GraphId(0),
+                    worker: w,
+                    thread: ThreadId(1),
+                    start: Time(0),
+                    stop: Time(10),
+                    nbytes: 4,
+                }
+                .into(),
+            );
             plugin.flush();
         }
         let data = RunData::drain_from_mofka(
@@ -487,14 +494,14 @@ mod tests {
 
         let svc = BedrockConfig::wms_default().bootstrap().unwrap();
         let mut plugin = MofkaPlugin::new(&svc, ProducerConfig::default()).unwrap();
-        plugin.on_task_meta(&meta(1, vec![key(0)], 5));
-        plugin.on_task_meta(&meta(2, vec![key(0), key(1)], 5));
-        plugin.on_task_meta(&meta(0, vec![], 1));
-        plugin.on_transition(&transition(0, 9));
-        plugin.on_transition(&transition(1, 2));
-        plugin.on_transition(&transition(2, 6));
-        plugin.on_task_done(&done(1, 4, 8));
-        plugin.on_task_done(&done(0, 1, 3));
+        plugin.on_record(meta(1, vec![key(0)], 5).into());
+        plugin.on_record(meta(2, vec![key(0), key(1)], 5).into());
+        plugin.on_record(meta(0, vec![], 1).into());
+        plugin.on_record(transition(0, 9).into());
+        plugin.on_record(transition(1, 2).into());
+        plugin.on_record(transition(2, 6).into());
+        plugin.on_record(done(1, 4, 8).into());
+        plugin.on_record(done(0, 1, 3).into());
         plugin.flush();
 
         let topics = ["task-meta", "task-transitions", "task-done"];

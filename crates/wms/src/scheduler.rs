@@ -281,15 +281,9 @@ impl Scheduler {
         );
         rec.state = to;
         let graph = rec.graph;
-        self.plugins.on_transition(&TransitionEvent {
-            key: *key,
-            graph,
-            from,
-            to,
-            stimulus,
-            location,
-            time: now,
-        });
+        self.plugins.on_record(
+            TransitionEvent { key: *key, graph, from, to, stimulus, location, time: now }.into(),
+        );
     }
 
     fn emit_worker_transition(
@@ -308,14 +302,9 @@ impl Scheduler {
         );
         let graph = self.tasks[key].graph;
         let worker = self.workers[widx].id;
-        self.plugins.on_worker_transition(&WorkerTransitionEvent {
-            key: *key,
-            graph,
-            worker,
-            from,
-            to,
-            time: now,
-        });
+        self.plugins.on_record(
+            WorkerTransitionEvent { key: *key, graph, worker, from, to, time: now }.into(),
+        );
     }
 
     // ------------------------------------------------------------------
@@ -376,14 +365,16 @@ impl Scheduler {
             new_keys.push(spec.key);
         }
         for key in new_keys {
-            let meta = TaskMetaEvent {
-                key,
-                graph: self.tasks[&key].graph,
-                client: ClientId(0),
-                deps: self.tasks[&key].deps.clone(),
-                submitted: now,
-            };
-            self.plugins.on_task_meta(&meta);
+            self.plugins.on_record(
+                TaskMetaEvent {
+                    key,
+                    graph: self.tasks[&key].graph,
+                    client: ClientId(0),
+                    deps: self.tasks[&key].deps.clone(),
+                    submitted: now,
+                }
+                .into(),
+            );
             self.emit_transition(
                 &key,
                 TaskState::Waiting,
@@ -625,15 +616,18 @@ impl Scheduler {
         // worker-side observation of compute start
         let graph = self.tasks[&key].graph;
         let state = self.tasks[&key].state;
-        self.plugins.on_transition(&TransitionEvent {
-            key,
-            graph,
-            from: state,
-            to: state,
-            stimulus: Stimulus::ComputeStarted,
-            location: Location::Worker(worker),
-            time: now,
-        });
+        self.plugins.on_record(
+            TransitionEvent {
+                key,
+                graph,
+                from: state,
+                to: state,
+                stimulus: Stimulus::ComputeStarted,
+                location: Location::Worker(worker),
+                time: now,
+            }
+            .into(),
+        );
         Some(key)
     }
 
@@ -674,15 +668,9 @@ impl Scheduler {
             now,
         );
         let graph = self.tasks[key].graph;
-        self.plugins.on_task_done(&TaskDoneEvent {
-            key: *key,
-            graph,
-            worker,
-            thread,
-            start,
-            stop: now,
-            nbytes,
-        });
+        self.plugins.on_record(
+            TaskDoneEvent { key: *key, graph, worker, thread, start, stop: now, nbytes }.into(),
+        );
 
         // dependents may become runnable
         let dependents = std::mem::take(&mut self.tasks.get_mut(key).expect("known").dependents);

@@ -21,7 +21,9 @@ use rand::Rng;
 
 use dtf_core::dist::{Exponential, Jitter, LogNormal, Sample};
 use dtf_core::error::{DtfError, Result};
-use dtf_core::events::{CommEvent, LogEntry, LogLevel, LogSource, WarningEvent, WarningKind};
+use dtf_core::events::{
+    CommEvent, IoRecord, LogEntry, LogLevel, LogSource, WarningEvent, WarningKind,
+};
 use dtf_core::fault::FaultSchedule;
 use dtf_core::ids::{ClientId, FileId, KeySet, RunId, TaskKey, ThreadId, WorkerId};
 use dtf_core::provenance::WmsConfig;
@@ -29,7 +31,7 @@ use dtf_core::rngx::RunRng;
 use dtf_core::time::{Dur, Time};
 use dtf_darshan::log::LogSet;
 use dtf_darshan::{DarshanRuntime, DxtConfig, InstrumentedPfs};
-use dtf_mofka::bedrock::BedrockConfig;
+use dtf_mofka::bedrock::{BedrockConfig, WmsFamily, WMS_TOPICS};
 use dtf_mofka::producer::ProducerConfig;
 use dtf_mofka::ssg::SsgGroup;
 use dtf_mofka::MofkaService;
@@ -337,7 +339,7 @@ impl SimCluster {
             // with no JSON rendering and no extra mutex on the I/O path.
             for rt in &runtimes {
                 let mut producer = mofka.producer(
-                    "io-records",
+                    WMS_TOPICS[IoRecord::TOPIC].name,
                     ProducerConfig { batch_size: cfg.mofka_batch.max(1), ..Default::default() },
                 )?;
                 rt.set_sink(Box::new(move |rec| {
@@ -407,8 +409,9 @@ impl SimCluster {
     }
 
     fn log(&mut self, level: LogLevel, source: LogSource, message: String) {
-        let entry = LogEntry { time: self.now, level, source, message };
-        self.scheduler.plugins_mut().on_log(&entry);
+        self.scheduler
+            .plugins_mut()
+            .on_record(LogEntry { time: self.now, level, source, message }.into());
     }
 
     /// Execute one complete workflow run.
@@ -489,14 +492,17 @@ impl SimCluster {
                         // (the scheduler re-issued it from a live replica)
                         continue;
                     }
-                    self.scheduler.plugins_mut().on_comm(&CommEvent {
-                        key: dep,
-                        from: self.worker_ids[from],
-                        to: self.worker_ids[to],
-                        nbytes,
-                        start,
-                        stop: self.now,
-                    });
+                    self.scheduler.plugins_mut().on_record(
+                        CommEvent {
+                            key: dep,
+                            from: self.worker_ids[from],
+                            to: self.worker_ids[to],
+                            nbytes,
+                            start,
+                            stop: self.now,
+                        }
+                        .into(),
+                    );
                     // proxied dependency: the transfer moved out-of-band;
                     // the payload must resolve before the dependent can use
                     // it. A slow-resolver fault defers both the resolution
@@ -537,7 +543,7 @@ impl SimCluster {
                             self.scheduler.task_graph(&key).unwrap_or(dtf_core::ids::GraphId(0));
                         let pidx = self.proxy.publish_count();
                         let (_r, ev) = self.proxy.publish(&key, graph, wid, nbytes, self.now);
-                        self.scheduler.plugins_mut().on_proxy(&ev);
+                        self.scheduler.plugins_mut().on_record(ev.into());
                         if self.cfg.faults.dangling_proxy(pidx) {
                             self.proxy.damage(&key);
                         }
@@ -613,7 +619,7 @@ impl SimCluster {
                             // re-source or orphan the proxies the dead
                             // worker owned
                             for ev in self.proxy.worker_died(self.worker_ids[widx], self.now) {
-                                self.scheduler.plugins_mut().on_proxy(&ev);
+                                self.scheduler.plugins_mut().on_record(ev.into());
                             }
                             self.process_fetches();
                         }
@@ -719,7 +725,7 @@ impl SimCluster {
         match self.proxy.resolve(dep, self.worker_ids[to], self.now) {
             Ok((_outcome, events)) => {
                 for ev in events {
-                    self.scheduler.plugins_mut().on_proxy(&ev);
+                    self.scheduler.plugins_mut().on_record(ev.into());
                 }
             }
             Err(e) => {
@@ -826,13 +832,9 @@ impl SimCluster {
                 } else {
                     WarningKind::GcPause
                 };
-                let warn = WarningEvent {
-                    kind,
-                    worker: Some(wid),
-                    time: start + Dur::from_secs_f64(t),
-                    duration: dur,
-                };
-                self.scheduler.plugins_mut().on_warning(&warn);
+                let time = start + Dur::from_secs_f64(t);
+                let warn = WarningEvent { kind, worker: Some(wid), time, duration: dur };
+                self.scheduler.plugins_mut().on_record(warn.into());
                 self.log(
                     LogLevel::Warning,
                     LogSource::Worker(wid),

@@ -445,11 +445,13 @@ fn stealing_engages_on_skewed_load() {
 #[test]
 fn bedrock_default_supports_every_plugin_topic() {
     // not property-based but belongs with the invariants: the default
-    // deployment must cover every topic the plugin writes
+    // deployment must create every topic of the table, as the table sizes it
     let svc = BedrockConfig::wms_default().bootstrap().unwrap();
-    for topic in dtf::wms::MofkaPlugin::TOPICS {
-        assert!(svc.topic(topic).is_ok(), "missing topic {topic}");
+    for topic in dtf::mofka::bedrock::WMS_TOPICS {
+        let created = svc.topic(topic.name).unwrap_or_else(|_| panic!("missing {}", topic.name));
+        assert_eq!(created.num_partitions(), topic.partitions, "{}", topic.name);
     }
+    assert_eq!(svc.topic_names().len(), dtf::mofka::bedrock::WMS_TOPICS.len());
 }
 
 // ---------------------------------------------------------------------------
