@@ -1,0 +1,522 @@
+//! Byte pins for every binary document `dtf` writes: one fixed value of
+//! each, with its exact encoding spelled out as hex, and every variant of
+//! every closed enum as a literal `(variant, tag, name)` row.
+//!
+//! The round-trip tests cannot catch a layout drift that changes the
+//! encoder and the decoder the same way; these can. A failure here is a
+//! format break: it needs a new format version, not a new pin.
+
+use std::collections::BTreeMap;
+
+use dtf::core::binfmt::put_varint;
+use dtf::core::events::{
+    CommEvent, IoOp, IoRecord, Location, LogEntry, LogLevel, LogSource, ProvRecord, ProxyAction,
+    ProxyEvent, Stimulus, TaskDoneEvent, TaskMetaEvent, TaskState, TransitionEvent, WarningEvent,
+    WarningKind, WorkerTaskState, WorkerTransitionEvent,
+};
+use dtf::core::ids::{ClientId, FileId, GraphId, NodeId, RunId, TaskKey, ThreadId, WorkerId};
+use dtf::core::provenance::{HardwareInfo, JobInfo, ProvenanceChart, SystemInfo, WmsConfig};
+use dtf::core::time::{Dur, Time};
+use dtf::darshan::counters::{FileCounters, PosixCounters};
+use dtf::darshan::log::{DarshanLog, LogHeader, LogSet};
+use dtf::proxystore::ProxyRef;
+use dtf::wms::rundata::ArchiveMeta;
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn encode(rec: &ProvRecord) -> Vec<u8> {
+    let mut out = Vec::new();
+    rec.encode_binary(&mut out);
+    out
+}
+
+/// A worker whose node id needs a two-byte varint.
+fn worker() -> WorkerId {
+    WorkerId::new(NodeId(300), 7)
+}
+
+fn key() -> TaskKey {
+    TaskKey::new("inc", 0x2a, 200)
+}
+
+#[test]
+fn every_record_family_encodes_to_its_pinned_bytes() {
+    let w = worker();
+    let k = key();
+    // key = str("inc") varint(42) varint(200); worker = varint(300) varint(7)
+    let cases: Vec<(ProvRecord, &str)> = vec![
+        (
+            ProvRecord::TaskMeta(TaskMetaEvent {
+                key: k,
+                graph: GraphId(7),
+                client: ClientId(3),
+                deps: vec![TaskKey::new("a", 0, 1), TaskKey::new("", u32::MAX, 0)],
+                submitted: Time(1_000_000_007),
+            }),
+            "0003696e632ac8010703020161000100ffffffff0f008794ebdc03",
+        ),
+        (
+            ProvRecord::Transition(TransitionEvent {
+                key: k,
+                graph: GraphId(2),
+                from: TaskState::Waiting,
+                to: TaskState::Processing,
+                stimulus: Stimulus::Dispatched,
+                location: Location::Scheduler,
+                time: Time(128),
+            }),
+            "0103696e632ac80102010402008001",
+        ),
+        (
+            ProvRecord::Transition(TransitionEvent {
+                key: k,
+                graph: GraphId(2),
+                from: TaskState::Processing,
+                to: TaskState::Memory,
+                stimulus: Stimulus::ComputeFinished,
+                location: Location::Worker(w),
+                time: Time(u64::MAX),
+            }),
+            "0103696e632ac8010204050401ac0207ffffffffffffffffff01",
+        ),
+        (
+            ProvRecord::WorkerTransition(WorkerTransitionEvent {
+                key: k,
+                graph: GraphId(1),
+                worker: w,
+                from: WorkerTaskState::Ready,
+                to: WorkerTaskState::Executing,
+                time: Time(16_384),
+            }),
+            "0203696e632ac80101ac02070304808001",
+        ),
+        (
+            ProvRecord::TaskDone(TaskDoneEvent {
+                key: k,
+                graph: GraphId(1),
+                worker: w,
+                thread: ThreadId(0x7f00_0000_1001),
+                start: Time(10),
+                stop: Time(20),
+                nbytes: 1 << 40,
+            }),
+            "0303696e632ac80101ac020781a0808080e01f0a14808080808020",
+        ),
+        (
+            ProvRecord::Comm(CommEvent {
+                key: k,
+                from: w,
+                to: WorkerId::new(NodeId(0), 0),
+                nbytes: 4096,
+                start: Time(5),
+                stop: Time(6),
+            }),
+            "0403696e632ac801ac0207000080200506",
+        ),
+        (
+            ProvRecord::Warning(WarningEvent {
+                kind: WarningKind::GcPause,
+                worker: None,
+                time: Time(9),
+                duration: Dur(0),
+            }),
+            "0501000900",
+        ),
+        (
+            ProvRecord::Warning(WarningEvent {
+                kind: WarningKind::UnresponsiveEventLoop,
+                worker: Some(w),
+                time: Time(9),
+                duration: Dur(750_000_000),
+            }),
+            "050001ac02070980afd0e502",
+        ),
+        (
+            ProvRecord::Log(LogEntry {
+                time: Time(77),
+                level: LogLevel::Warning,
+                source: LogSource::Client(ClientId(4)),
+                message: "π \"q\"\n".into(),
+            }),
+            "064d02010407cf80202271220a",
+        ),
+        (
+            ProvRecord::Log(LogEntry {
+                time: Time(78),
+                level: LogLevel::Debug,
+                source: LogSource::Scheduler,
+                message: String::new(),
+            }),
+            "064e000000",
+        ),
+        (
+            ProvRecord::Log(LogEntry {
+                time: Time(79),
+                level: LogLevel::Error,
+                source: LogSource::Worker(w),
+                message: "x".into(),
+            }),
+            "064f0302ac02070178",
+        ),
+        (
+            ProvRecord::Io(IoRecord {
+                host: NodeId(300),
+                worker: w,
+                thread: ThreadId(7),
+                file: FileId(12),
+                op: IoOp::Write,
+                offset: 65_536,
+                size: 4096,
+                start: Time(100),
+                stop: Time(200),
+            }),
+            "07ac02ac0207070c02808004802064c801",
+        ),
+        (
+            ProvRecord::Proxy(ProxyEvent {
+                action: ProxyAction::Published,
+                key: k,
+                graph: GraphId(7),
+                size: 1 << 28,
+                owner: w,
+                checksum: u64::MAX,
+                generation: 0,
+                worker: None,
+                time: Time(314),
+            }),
+            "080003696e632ac801078080808001ac0207ffffffffffffffffff010000ba02",
+        ),
+        (
+            ProvRecord::Proxy(ProxyEvent {
+                action: ProxyAction::Resolved,
+                key: k,
+                graph: GraphId(0),
+                size: 0,
+                owner: WorkerId::new(NodeId(0), 0),
+                checksum: 0,
+                generation: 300,
+                worker: Some(w),
+                time: Time(1),
+            }),
+            "080203696e632ac8010000000000ac0201ac020701",
+        ),
+    ];
+    for (rec, expect) in &cases {
+        let bytes = encode(rec);
+        assert_eq!(hex(&bytes), *expect, "{rec:?}");
+        assert_eq!(&ProvRecord::decode_binary(&bytes).unwrap(), rec);
+    }
+}
+
+fn transition(from: TaskState, stimulus: Stimulus) -> ProvRecord {
+    ProvRecord::Transition(TransitionEvent {
+        key: TaskKey::new("k", 0, 0),
+        graph: GraphId(0),
+        from,
+        to: from,
+        stimulus,
+        location: Location::Scheduler,
+        time: Time(0),
+    })
+}
+
+/// Encodes `rec`, checks the byte at `at` is `tag`, that the record
+/// decodes back, and that every byte past the vocabulary's last tag is
+/// rejected there.
+fn assert_tag(rec: ProvRecord, at: usize, tag: u8, vocabulary: usize) {
+    let bytes = encode(&rec);
+    assert_eq!(bytes[at], tag, "{rec:?}");
+    assert_eq!(ProvRecord::decode_binary(&bytes).unwrap(), rec);
+    let mut unknown = bytes;
+    for byte in vocabulary as u8..=u8::MAX {
+        unknown[at] = byte;
+        assert!(ProvRecord::decode_binary(&unknown).is_err(), "{rec:?} with byte {byte}");
+    }
+}
+
+#[test]
+fn every_closed_enum_variant_has_its_pinned_tag_and_name() {
+    let task_states = [
+        (TaskState::Released, 0, "released"),
+        (TaskState::Waiting, 1, "waiting"),
+        (TaskState::NoWorker, 2, "no-worker"),
+        (TaskState::Queued, 3, "queued"),
+        (TaskState::Processing, 4, "processing"),
+        (TaskState::Memory, 5, "memory"),
+        (TaskState::Erred, 6, "erred"),
+        (TaskState::Forgotten, 7, "forgotten"),
+    ];
+    // family(1) key(4: "k" 0 0) graph(1), then from, to, stimulus
+    for (state, tag, name) in task_states {
+        assert_eq!(state.as_str(), name);
+        assert_tag(transition(state, Stimulus::Queue), 6, tag, task_states.len());
+        assert_tag(transition(state, Stimulus::Queue), 7, tag, task_states.len());
+    }
+    let stimuli = [
+        (Stimulus::GraphSubmitted, 0, "graph-submitted"),
+        (Stimulus::DependenciesMet, 1, "dependencies-met"),
+        (Stimulus::Dispatched, 2, "dispatched"),
+        (Stimulus::ComputeStarted, 3, "compute-started"),
+        (Stimulus::ComputeFinished, 4, "compute-finished"),
+        (Stimulus::ComputeErred, 5, "compute-erred"),
+        (Stimulus::WorkStolen, 6, "work-stolen"),
+        (Stimulus::WorkerLost, 7, "worker-lost"),
+        (Stimulus::ClientReleased, 8, "client-released"),
+        (Stimulus::NoWorkerAvailable, 9, "no-worker-available"),
+        (Stimulus::Queue, 10, "queued"),
+    ];
+    for (stimulus, tag, name) in stimuli {
+        assert_eq!(stimulus.as_str(), name);
+        assert_tag(transition(TaskState::Waiting, stimulus), 8, tag, stimuli.len());
+    }
+    let worker_states = [
+        (WorkerTaskState::Waiting, 0, "waiting"),
+        (WorkerTaskState::Fetch, 1, "fetch"),
+        (WorkerTaskState::Flight, 2, "flight"),
+        (WorkerTaskState::Ready, 3, "ready"),
+        (WorkerTaskState::Executing, 4, "executing"),
+        (WorkerTaskState::Memory, 5, "memory"),
+        (WorkerTaskState::Error, 6, "error"),
+        (WorkerTaskState::Released, 7, "released"),
+    ];
+    for (state, tag, name) in worker_states {
+        assert_eq!(state.as_str(), name);
+        let rec = ProvRecord::WorkerTransition(WorkerTransitionEvent {
+            key: TaskKey::new("k", 0, 0),
+            graph: GraphId(0),
+            worker: WorkerId::new(NodeId(0), 0),
+            from: state,
+            to: state,
+            time: Time(0),
+        });
+        // family(1) key(4) graph(1) worker(2), then from, to
+        assert_tag(rec.clone(), 8, tag, worker_states.len());
+        assert_tag(rec, 9, tag, worker_states.len());
+    }
+    let io_ops = [
+        (IoOp::Open, 0, "open"),
+        (IoOp::Read, 1, "read"),
+        (IoOp::Write, 2, "write"),
+        (IoOp::Close, 3, "close"),
+    ];
+    for (op, tag, name) in io_ops {
+        assert_eq!(op.as_str(), name);
+        let rec = ProvRecord::Io(IoRecord {
+            host: NodeId(0),
+            worker: WorkerId::new(NodeId(0), 0),
+            thread: ThreadId(0),
+            file: FileId(0),
+            op,
+            offset: 0,
+            size: 0,
+            start: Time(0),
+            stop: Time(0),
+        });
+        // family(1) host(1) worker(2) thread(1) file(1), then op
+        assert_tag(rec, 6, tag, io_ops.len());
+    }
+    let warning_kinds = [
+        (WarningKind::UnresponsiveEventLoop, 0, "unresponsive-event-loop"),
+        (WarningKind::GcPause, 1, "gc-pause"),
+    ];
+    for (kind, tag, name) in warning_kinds {
+        assert_eq!(kind.as_str(), name);
+        let rec = ProvRecord::Warning(WarningEvent {
+            kind,
+            worker: None,
+            time: Time(0),
+            duration: Dur(0),
+        });
+        assert_tag(rec, 1, tag, warning_kinds.len());
+    }
+    // log levels have no name: their text is only their serde spelling
+    let log_levels =
+        [(LogLevel::Debug, 0), (LogLevel::Info, 1), (LogLevel::Warning, 2), (LogLevel::Error, 3)];
+    for (level, tag) in log_levels {
+        let rec = ProvRecord::Log(LogEntry {
+            time: Time(0),
+            level,
+            source: LogSource::Scheduler,
+            message: String::new(),
+        });
+        assert_tag(rec, 2, tag, log_levels.len());
+    }
+    let proxy_actions = [
+        (ProxyAction::Published, 0, "published"),
+        (ProxyAction::Republished, 1, "republished"),
+        (ProxyAction::Resolved, 2, "resolved"),
+        (ProxyAction::Evicted, 3, "evicted"),
+        (ProxyAction::Resourced, 4, "resourced"),
+        (ProxyAction::Orphaned, 5, "orphaned"),
+    ];
+    for (action, tag, name) in proxy_actions {
+        assert_eq!(action.as_str(), name);
+        let rec = ProvRecord::Proxy(ProxyEvent {
+            action,
+            key: TaskKey::new("k", 0, 0),
+            graph: GraphId(0),
+            size: 0,
+            owner: WorkerId::new(NodeId(0), 0),
+            checksum: 0,
+            generation: 0,
+            worker: None,
+            time: Time(0),
+        });
+        assert_tag(rec, 1, tag, proxy_actions.len());
+    }
+}
+
+/// `PosixCounters` keeps its map private; its serde form is the way to
+/// hold an entry `record` never makes (`first_op: None`).
+fn counters_from(files: BTreeMap<FileId, FileCounters>) -> PosixCounters {
+    serde_json::from_value(serde_json::json!({ "per_file": files })).unwrap()
+}
+
+fn two_log_set() -> LogSet {
+    let untimed = FileCounters {
+        opens: 1,
+        closes: 2,
+        reads: 3,
+        writes: 4,
+        bytes_read: 5,
+        bytes_written: 6,
+        read_time: Dur(7),
+        write_time: Dur(8),
+        meta_time: Dur(9),
+        max_read_size: 10,
+        max_write_size: 11,
+        slowest_op: Dur(12),
+        first_op: None,
+        last_op: Some(Time(300)),
+        size_histogram: [1, 2, 3, 4, 5, 6, 7, 8, 9, 128],
+    };
+    let first = DarshanLog {
+        header: LogHeader {
+            run: RunId(3),
+            job_id: 1001,
+            worker: worker(),
+            hostname: "nid0300".into(),
+            start: Time(100),
+            end: Time(200),
+            dxt_truncated: true,
+            dxt_dropped: 5,
+        },
+        counters: counters_from(BTreeMap::from([(FileId(1 << 40), untimed)])),
+        dxt: vec![],
+    };
+    let w = WorkerId::new(NodeId(1), 0);
+    let op = IoRecord {
+        host: NodeId(1),
+        worker: w,
+        thread: ThreadId(42),
+        file: FileId(7),
+        op: IoOp::Read,
+        offset: 0,
+        size: 4096,
+        start: Time(100),
+        stop: Time(200),
+    };
+    let mut counters = PosixCounters::new();
+    counters.record(&op);
+    let second = DarshanLog {
+        header: LogHeader {
+            run: RunId(3),
+            job_id: 0,
+            worker: w,
+            hostname: String::new(),
+            start: Time(0),
+            end: Time(1),
+            dxt_truncated: false,
+            dxt_dropped: 0,
+        },
+        counters,
+        dxt: vec![op],
+    };
+    LogSet::new(vec![first, second])
+}
+
+fn chart() -> ProvenanceChart {
+    ProvenanceChart {
+        hardware: HardwareInfo::polaris_like(1),
+        system: SystemInfo::synthetic(),
+        job: JobInfo {
+            job_id: 9,
+            script: "#!/bin/bash".into(),
+            queue: "debug".into(),
+            nodes_requested: 1,
+            allocated_nodes: vec![NodeId(0)],
+            submit_time: Time(0),
+            start_time: Time(1),
+            walltime_limit_s: 60,
+        },
+        wms_config: WmsConfig::default(),
+        client_code_hash: 17,
+        workflow_name: "w".into(),
+    }
+}
+
+#[test]
+fn the_run_meta_document_and_its_darshan_logs_encode_to_their_pinned_bytes() {
+    let meta = ArchiveMeta {
+        run: RunId(300),
+        workflow: "wf".into(),
+        chart: chart(),
+        darshan: two_log_set(),
+        wall_time: Dur(1_000_000_007),
+        start_order: vec![(key(), Time(5)), (TaskKey::new("a", 0, 0), Time(5))],
+        steals: 2,
+    };
+    // the chart is JSON text behind its length; its bytes are the JSON
+    // renderer's, pinned by the export goldens, not by this codec
+    let chart = serde_json::to_vec(&meta.chart).unwrap();
+    let mut chart_len = Vec::new();
+    put_varint(&mut chart_len, chart.len() as u64);
+    let segments = [
+        ("magic, version", "4454464d45544101".to_string()),
+        ("run, workflow", "ac02027766".to_string()),
+        ("chart length", hex(&chart_len)),
+        ("chart", hex(&chart)),
+        ("log count", "02".to_string()),
+        ("log 1 header", "03e907ac0207076e69643033303064c8010105".to_string()),
+        (
+            "log 1 counters: one untimed file, full histogram",
+            "018080808080200102030405060708090a0b0c0001ac020102030405060708098001".to_string(),
+        ),
+        ("log 1 dxt: empty", "00".to_string()),
+        ("log 2 header", "030001000000010000".to_string()),
+        (
+            "log 2 counters: one timed file",
+            "01070000010080200064000080200064016401c80100000100000000000000".to_string(),
+        ),
+        ("log 2 dxt: one record", "010101002a070100802064c801".to_string()),
+        ("wall time", "8794ebdc03".to_string()),
+        ("start order", "0203696e632ac801050161000005".to_string()),
+        ("steals", "02".to_string()),
+    ];
+    let bytes = meta.encode();
+    let mut at = 0;
+    let actual = hex(&bytes);
+    for (what, expect) in &segments {
+        let end = (at + expect.len()).min(actual.len());
+        assert_eq!(&actual[at..end], expect, "segment `{what}` at byte {}", at / 2);
+        at = end;
+    }
+    assert_eq!(at, actual.len(), "bytes past the last segment");
+    assert_eq!(ArchiveMeta::decode(&bytes).unwrap(), meta);
+}
+
+#[test]
+fn a_proxy_ref_encodes_to_its_pinned_bytes() {
+    let r = ProxyRef {
+        key: key(),
+        graph: GraphId(7),
+        size: 64 << 20,
+        owner: worker(),
+        checksum: u64::MAX,
+        generation: 300,
+    };
+    assert_eq!(hex(&r.to_bytes()), "03696e632ac8010780808020ac0207ffffffffffffffffff01ac02");
+    assert_eq!(r.wire_size(), r.to_bytes().len() as u64);
+}
