@@ -7,45 +7,35 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::binfmt::wire_enum;
 use crate::ids::{ClientId, FileId, GraphId, NodeId, TaskKey, ThreadId, WorkerId};
 use crate::table::{CellSink, Tabular};
 use crate::time::{Dur, Time};
 
-/// Scheduler-side task states, mirroring Dask's scheduler state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum TaskState {
-    /// Known but not yet wanted (dependencies of the graph being built).
-    Released,
-    /// Waiting on one or more dependencies.
-    Waiting,
-    /// Runnable but no worker satisfies its restrictions / all saturated.
-    NoWorker,
-    /// Runnable and queued on the scheduler (no worker slot yet).
-    Queued,
-    /// Assigned to a worker and (about to be) executing.
-    Processing,
-    /// Finished; result resident in some worker's memory.
-    Memory,
-    /// Execution raised an error.
-    Erred,
-    /// All clients released it; removed from scheduler tables.
-    Forgotten,
+wire_enum! {
+    /// Scheduler-side task states, mirroring Dask's scheduler state machine.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+    pub enum TaskState("task state") {
+        /// Known but not yet wanted (dependencies of the graph being built).
+        Released = 0 => "released",
+        /// Waiting on one or more dependencies.
+        Waiting = 1 => "waiting",
+        /// Runnable but no worker satisfies its restrictions / all saturated.
+        NoWorker = 2 => "no-worker",
+        /// Runnable and queued on the scheduler (no worker slot yet).
+        Queued = 3 => "queued",
+        /// Assigned to a worker and (about to be) executing.
+        Processing = 4 => "processing",
+        /// Finished; result resident in some worker's memory.
+        Memory = 5 => "memory",
+        /// Execution raised an error.
+        Erred = 6 => "erred",
+        /// All clients released it; removed from scheduler tables.
+        Forgotten = 7 => "forgotten",
+    }
 }
 
 impl TaskState {
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            TaskState::Released => "released",
-            TaskState::Waiting => "waiting",
-            TaskState::NoWorker => "no-worker",
-            TaskState::Queued => "queued",
-            TaskState::Processing => "processing",
-            TaskState::Memory => "memory",
-            TaskState::Erred => "erred",
-            TaskState::Forgotten => "forgotten",
-        }
-    }
-
     /// Whether `self -> to` is a legal transition of the scheduler state
     /// machine. Mirrors `dask.distributed`'s allowed transition table.
     pub fn can_transition_to(&self, to: TaskState) -> bool {
@@ -82,39 +72,26 @@ impl TaskState {
     }
 }
 
-/// Worker-side task states, mirroring Dask's worker state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum WorkerTaskState {
-    /// Arrived at the worker, dependencies not yet local.
-    Waiting,
-    /// Dependency data scheduled to be fetched from a peer.
-    Fetch,
-    /// Dependency data in flight from a peer.
-    Flight,
-    /// All inputs local; in the worker's ready heap.
-    Ready,
-    /// Running on a worker thread.
-    Executing,
-    /// Finished on this worker; output in worker memory.
-    Memory,
-    /// Raised during execution.
-    Error,
-    /// Released by the scheduler.
-    Released,
-}
-
-impl WorkerTaskState {
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            WorkerTaskState::Waiting => "waiting",
-            WorkerTaskState::Fetch => "fetch",
-            WorkerTaskState::Flight => "flight",
-            WorkerTaskState::Ready => "ready",
-            WorkerTaskState::Executing => "executing",
-            WorkerTaskState::Memory => "memory",
-            WorkerTaskState::Error => "error",
-            WorkerTaskState::Released => "released",
-        }
+wire_enum! {
+    /// Worker-side task states, mirroring Dask's worker state machine.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+    pub enum WorkerTaskState("worker task state") {
+        /// Arrived at the worker, dependencies not yet local.
+        Waiting = 0 => "waiting",
+        /// Dependency data scheduled to be fetched from a peer.
+        Fetch = 1 => "fetch",
+        /// Dependency data in flight from a peer.
+        Flight = 2 => "flight",
+        /// All inputs local; in the worker's ready heap.
+        Ready = 3 => "ready",
+        /// Running on a worker thread.
+        Executing = 4 => "executing",
+        /// Finished on this worker; output in worker memory.
+        Memory = 5 => "memory",
+        /// Raised during execution.
+        Error = 6 => "error",
+        /// Released by the scheduler.
+        Released = 7 => "released",
     }
 }
 
@@ -141,17 +118,19 @@ impl WorkerTaskState {
     }
 }
 
-/// A worker-side task state transition (paper §III-E1: "we gather task
-/// state transitions in the worker to identify the time spent in a worker
-/// before execution").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WorkerTransitionEvent {
-    pub key: TaskKey,
-    pub graph: GraphId,
-    pub worker: WorkerId,
-    pub from: WorkerTaskState,
-    pub to: WorkerTaskState,
-    pub time: Time,
+crate::wire_struct! {
+    /// A worker-side task state transition (paper §III-E1: "we gather task
+    /// state transitions in the worker to identify the time spent in a worker
+    /// before execution").
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub struct WorkerTransitionEvent {
+        pub key: TaskKey,
+        pub graph: GraphId,
+        pub worker: WorkerId,
+        pub from: WorkerTaskState,
+        pub to: WorkerTaskState,
+        pub time: Time,
+    }
 }
 
 impl Tabular for WorkerTransitionEvent {
@@ -170,82 +149,72 @@ impl Tabular for WorkerTransitionEvent {
     }
 }
 
-/// What caused a state transition — the "stimuli" captured by the plugins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Stimulus {
-    /// Client submitted the graph containing this task.
-    GraphSubmitted,
-    /// The last outstanding dependency entered memory.
-    DependenciesMet,
-    /// Scheduler chose a worker and dispatched the task.
-    Dispatched,
-    /// A worker thread began executing.
-    ComputeStarted,
-    /// Worker reported successful completion.
-    ComputeFinished,
-    /// Worker reported an error.
-    ComputeErred,
-    /// An idle worker stole this task from a busy peer.
-    WorkStolen,
-    /// The worker running/holding this task died.
-    WorkerLost,
-    /// All clients released their interest.
-    ClientReleased,
-    /// Scheduler decided no worker can run it right now.
-    NoWorkerAvailable,
-    /// Scheduler queue admitted the task.
-    Queue,
-}
-
-impl Stimulus {
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Stimulus::GraphSubmitted => "graph-submitted",
-            Stimulus::DependenciesMet => "dependencies-met",
-            Stimulus::Dispatched => "dispatched",
-            Stimulus::ComputeStarted => "compute-started",
-            Stimulus::ComputeFinished => "compute-finished",
-            Stimulus::ComputeErred => "compute-erred",
-            Stimulus::WorkStolen => "work-stolen",
-            Stimulus::WorkerLost => "worker-lost",
-            Stimulus::ClientReleased => "client-released",
-            Stimulus::NoWorkerAvailable => "no-worker-available",
-            Stimulus::Queue => "queued",
-        }
+wire_enum! {
+    /// What caused a state transition — the "stimuli" captured by the plugins.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+    pub enum Stimulus("stimulus") {
+        /// Client submitted the graph containing this task.
+        GraphSubmitted = 0 => "graph-submitted",
+        /// The last outstanding dependency entered memory.
+        DependenciesMet = 1 => "dependencies-met",
+        /// Scheduler chose a worker and dispatched the task.
+        Dispatched = 2 => "dispatched",
+        /// A worker thread began executing.
+        ComputeStarted = 3 => "compute-started",
+        /// Worker reported successful completion.
+        ComputeFinished = 4 => "compute-finished",
+        /// Worker reported an error.
+        ComputeErred = 5 => "compute-erred",
+        /// An idle worker stole this task from a busy peer.
+        WorkStolen = 6 => "work-stolen",
+        /// The worker running/holding this task died.
+        WorkerLost = 7 => "worker-lost",
+        /// All clients released their interest.
+        ClientReleased = 8 => "client-released",
+        /// Scheduler decided no worker can run it right now.
+        NoWorkerAvailable = 9 => "no-worker-available",
+        /// Scheduler queue admitted the task.
+        Queue = 10 => "queued",
     }
 }
 
-/// Where a transition was observed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Location {
-    Scheduler,
-    Worker(WorkerId),
+wire_enum! {
+    /// Where a transition was observed.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+    pub enum Location("location tag") {
+        Scheduler = 0,
+        Worker(w: WorkerId) = 1,
+    }
 }
 
-/// A task state transition, the core provenance record (paper §III-E2:
-/// "task key, group, prefix, initial state, final state, timestamp, and the
-/// stimuli that triggered this transition").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TransitionEvent {
-    pub key: TaskKey,
-    pub graph: GraphId,
-    pub from: TaskState,
-    pub to: TaskState,
-    pub stimulus: Stimulus,
-    pub location: Location,
-    pub time: Time,
+crate::wire_struct! {
+    /// A task state transition, the core provenance record (paper §III-E2:
+    /// "task key, group, prefix, initial state, final state, timestamp, and the
+    /// stimuli that triggered this transition").
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub struct TransitionEvent {
+        pub key: TaskKey,
+        pub graph: GraphId,
+        pub from: TaskState,
+        pub to: TaskState,
+        pub stimulus: Stimulus,
+        pub location: Location,
+        pub time: Time,
+    }
 }
 
-/// Emitted once per task when its graph arrives at the scheduler (paper
-/// §III-E1: "we extract all task-related data, such as task keys, groups,
-/// prefixes, and dependencies").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TaskMetaEvent {
-    pub key: TaskKey,
-    pub graph: GraphId,
-    pub client: ClientId,
-    pub deps: Vec<TaskKey>,
-    pub submitted: Time,
+crate::wire_struct! {
+    /// Emitted once per task when its graph arrives at the scheduler (paper
+    /// §III-E1: "we extract all task-related data, such as task keys, groups,
+    /// prefixes, and dependencies").
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub struct TaskMetaEvent {
+        pub key: TaskKey,
+        pub graph: GraphId,
+        pub client: ClientId,
+        pub deps: Vec<TaskKey>,
+        pub submitted: Time,
+    }
 }
 
 impl Tabular for TaskMetaEvent {
@@ -264,19 +233,21 @@ impl Tabular for TaskMetaEvent {
     }
 }
 
-/// Emitted when a task completes on a worker (paper: "IP address of the
-/// worker where the task was executed, the thread ID, start and end times,
-/// and the size of the task result").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TaskDoneEvent {
-    pub key: TaskKey,
-    pub graph: GraphId,
-    pub worker: WorkerId,
-    pub thread: ThreadId,
-    pub start: Time,
-    pub stop: Time,
-    /// Size of the task's output, in bytes (Dask's "nbytes").
-    pub nbytes: u64,
+crate::wire_struct! {
+    /// Emitted when a task completes on a worker (paper: "IP address of the
+    /// worker where the task was executed, the thread ID, start and end times,
+    /// and the size of the task result").
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub struct TaskDoneEvent {
+        pub key: TaskKey,
+        pub graph: GraphId,
+        pub worker: WorkerId,
+        pub thread: ThreadId,
+        pub start: Time,
+        pub stop: Time,
+        /// Size of the task's output, in bytes (Dask's "nbytes").
+        pub nbytes: u64,
+    }
 }
 
 impl TaskDoneEvent {
@@ -285,16 +256,18 @@ impl TaskDoneEvent {
     }
 }
 
-/// An inter-worker data transfer (dependency fetch or steal movement).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CommEvent {
-    /// The data item being moved (output of this task).
-    pub key: TaskKey,
-    pub from: WorkerId,
-    pub to: WorkerId,
-    pub nbytes: u64,
-    pub start: Time,
-    pub stop: Time,
+crate::wire_struct! {
+    /// An inter-worker data transfer (dependency fetch or steal movement).
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub struct CommEvent {
+        /// The data item being moved (output of this task).
+        pub key: TaskKey,
+        pub from: WorkerId,
+        pub to: WorkerId,
+        pub nbytes: u64,
+        pub start: Time,
+        pub stop: Time,
+    }
 }
 
 impl CommEvent {
@@ -308,42 +281,35 @@ impl CommEvent {
     }
 }
 
-/// I/O operation type, as recorded by the DXT-analog tracer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum IoOp {
-    Open,
-    Read,
-    Write,
-    Close,
-}
-
-impl IoOp {
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            IoOp::Open => "open",
-            IoOp::Read => "read",
-            IoOp::Write => "write",
-            IoOp::Close => "close",
-        }
+wire_enum! {
+    /// I/O operation type, as recorded by the DXT-analog tracer.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+    pub enum IoOp("io op") {
+        Open = 0 => "open",
+        Read = 1 => "read",
+        Write = 2 => "write",
+        Close = 3 => "close",
     }
 }
 
-/// One traced I/O operation. This is the record format shared between the
-/// Darshan-analog collector and the analysis engine; `host` + `thread` +
-/// timestamps are the join keys against task records.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct IoRecord {
-    pub host: NodeId,
-    /// Worker process that issued the I/O.
-    pub worker: WorkerId,
-    /// POSIX thread id — the authors' DXT extension (§III-E3).
-    pub thread: ThreadId,
-    pub file: FileId,
-    pub op: IoOp,
-    pub offset: u64,
-    pub size: u64,
-    pub start: Time,
-    pub stop: Time,
+crate::wire_struct! {
+    /// One traced I/O operation. This is the record format shared between the
+    /// Darshan-analog collector and the analysis engine; `host` + `thread` +
+    /// timestamps are the join keys against task records.
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub struct IoRecord {
+        pub host: NodeId,
+        /// Worker process that issued the I/O.
+        pub worker: WorkerId,
+        /// POSIX thread id — the authors' DXT extension (§III-E3).
+        pub thread: ThreadId,
+        pub file: FileId,
+        pub op: IoOp,
+        pub offset: u64,
+        pub size: u64,
+        pub start: Time,
+        pub stop: Time,
+    }
 }
 
 impl IoRecord {
@@ -352,58 +318,59 @@ impl IoRecord {
     }
 }
 
-/// Kinds of runtime warnings mined from scheduler/worker logs (Fig. 7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum WarningKind {
-    /// Tornado-style "event loop was unresponsive for X s".
-    UnresponsiveEventLoop,
-    /// "full garbage collections took X% CPU time recently".
-    GcPause,
-}
-
-impl WarningKind {
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            WarningKind::UnresponsiveEventLoop => "unresponsive-event-loop",
-            WarningKind::GcPause => "gc-pause",
-        }
+wire_enum! {
+    /// Kinds of runtime warnings mined from scheduler/worker logs (Fig. 7).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+    pub enum WarningKind("warning kind") {
+        /// Tornado-style "event loop was unresponsive for X s".
+        UnresponsiveEventLoop = 0 => "unresponsive-event-loop",
+        /// "full garbage collections took X% CPU time recently".
+        GcPause = 1 => "gc-pause",
     }
 }
 
-/// A runtime warning emitted by a worker or the scheduler.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WarningEvent {
-    pub kind: WarningKind,
-    pub worker: Option<WorkerId>,
-    pub time: Time,
-    /// Duration of the stall/pause being warned about.
-    pub duration: Dur,
+crate::wire_struct! {
+    /// A runtime warning emitted by a worker or the scheduler.
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub struct WarningEvent {
+        pub kind: WarningKind,
+        pub worker: Option<WorkerId>,
+        pub time: Time,
+        /// Duration of the stall/pause being warned about.
+        pub duration: Dur,
+    }
 }
 
-/// Log severity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum LogLevel {
-    Debug,
-    Info,
-    Warning,
-    Error,
+wire_enum! {
+    /// Log severity.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+    pub enum LogLevel("log level") {
+        Debug = 0,
+        Info = 1,
+        Warning = 2,
+        Error = 3,
+    }
 }
 
-/// Origin of a log line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum LogSource {
-    Client(ClientId),
-    Scheduler,
-    Worker(WorkerId),
+wire_enum! {
+    /// Origin of a log line.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+    pub enum LogSource("log source tag") {
+        Client(c: ClientId) = 1,
+        Scheduler = 0,
+        Worker(w: WorkerId) = 2,
+    }
 }
 
-/// One log line from any component.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LogEntry {
-    pub time: Time,
-    pub level: LogLevel,
-    pub source: LogSource,
-    pub message: String,
+crate::wire_struct! {
+    /// One log line from any component.
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub struct LogEntry {
+        pub time: Time,
+        pub level: LogLevel,
+        pub source: LogSource,
+        pub message: String,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -526,61 +493,52 @@ impl Tabular for WarningEvent {
     }
 }
 
-/// Lifecycle step of an out-of-band proxy (the ProxyStore-style data
-/// plane): large task outputs are published to the blob plane and move
-/// peer-to-peer, with only a small typed reference travelling through the
-/// scheduler. Each step is recorded so lineage over the out-of-band path
-/// stays as complete as the in-band one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ProxyAction {
-    /// Output crossed the threshold; its ref entered the plane.
-    Published,
-    /// Generation bump on a known key: a dangling payload repaired from
-    /// its live owner, or the output published again after a recompute.
-    Republished,
-    /// A dependent materialized the payload on first use.
-    Resolved,
-    /// Resolver-cache entry dropped to stay within the byte budget.
-    Evicted,
-    /// Ownership moved to a surviving replica after the owner died.
-    Resourced,
-    /// Owner died before any resolve and no replica survives; dependents
-    /// fall back to the recompute path.
-    Orphaned,
-}
-
-impl ProxyAction {
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ProxyAction::Published => "published",
-            ProxyAction::Republished => "republished",
-            ProxyAction::Resolved => "resolved",
-            ProxyAction::Evicted => "evicted",
-            ProxyAction::Resourced => "resourced",
-            ProxyAction::Orphaned => "orphaned",
-        }
+wire_enum! {
+    /// Lifecycle step of an out-of-band proxy (the ProxyStore-style data
+    /// plane): large task outputs are published to the blob plane and move
+    /// peer-to-peer, with only a small typed reference travelling through the
+    /// scheduler. Each step is recorded so lineage over the out-of-band path
+    /// stays as complete as the in-band one.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+    pub enum ProxyAction("proxy action") {
+        /// Output crossed the threshold; its ref entered the plane.
+        Published = 0 => "published",
+        /// Generation bump on a known key: a dangling payload repaired from
+        /// its live owner, or the output published again after a recompute.
+        Republished = 1 => "republished",
+        /// A dependent materialized the payload on first use.
+        Resolved = 2 => "resolved",
+        /// Resolver-cache entry dropped to stay within the byte budget.
+        Evicted = 3 => "evicted",
+        /// Ownership moved to a surviving replica after the owner died.
+        Resourced = 4 => "resourced",
+        /// Owner died before any resolve and no replica survives; dependents
+        /// fall back to the recompute path.
+        Orphaned = 5 => "orphaned",
     }
 }
 
-/// One proxy-plane lifecycle record (topic `proxy-events`). `owner` is
-/// the worker holding the payload when the record was emitted; `worker`
-/// is the counterparty where the action has one (the resolving dependent
-/// worker, the cache doing the eviction), `None` for publish/orphan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ProxyEvent {
-    pub action: ProxyAction,
-    /// Task whose output the proxy stands for.
-    pub key: TaskKey,
-    pub graph: GraphId,
-    /// Payload size in bytes (what stays out-of-band).
-    pub size: u64,
-    pub owner: WorkerId,
-    /// Content checksum carried by the `ProxyRef` (verified on resolve).
-    pub checksum: u64,
-    /// Manifest generation; bumped by every republish/re-source.
-    pub generation: u32,
-    pub worker: Option<WorkerId>,
-    pub time: Time,
+crate::wire_struct! {
+    /// One proxy-plane lifecycle record (topic `proxy-events`). `owner` is
+    /// the worker holding the payload when the record was emitted; `worker`
+    /// is the counterparty where the action has one (the resolving dependent
+    /// worker, the cache doing the eviction), `None` for publish/orphan.
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub struct ProxyEvent {
+        pub action: ProxyAction,
+        /// Task whose output the proxy stands for.
+        pub key: TaskKey,
+        pub graph: GraphId,
+        /// Payload size in bytes (what stays out-of-band).
+        pub size: u64,
+        pub owner: WorkerId,
+        /// Content checksum carried by the `ProxyRef` (verified on resolve).
+        pub checksum: u64,
+        /// Manifest generation; bumped by every republish/re-source.
+        pub generation: u32,
+        pub worker: Option<WorkerId>,
+        pub time: Time,
+    }
 }
 
 impl Tabular for ProxyEvent {
@@ -620,23 +578,26 @@ impl Tabular for ProxyEvent {
 // ProvRecord: the typed union the provenance pipeline carries end to end.
 // ---------------------------------------------------------------------------
 
-/// One provenance record of any family — the typed payload that flows
-/// from the WMS plugins through Mofka into `RunData` without ever being
-/// rendered to JSON on the hot path. Serialization is *untagged*: a
-/// `ProvRecord` renders as exactly the JSON of its inner record, so the
-/// bytes emitted at export/replay boundaries are identical to what the
-/// eager-JSON pipeline produced (the family is implied by the topic).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ProvRecord {
-    TaskMeta(TaskMetaEvent),
-    Transition(TransitionEvent),
-    WorkerTransition(WorkerTransitionEvent),
-    TaskDone(TaskDoneEvent),
-    Comm(CommEvent),
-    Warning(WarningEvent),
-    Log(LogEntry),
-    Io(IoRecord),
-    Proxy(ProxyEvent),
+wire_enum! {
+    /// One provenance record of any family — the typed payload that flows
+    /// from the WMS plugins through Mofka into `RunData` without ever being
+    /// rendered to JSON on the hot path. Serialization is *untagged*: a
+    /// `ProvRecord` renders as exactly the JSON of its inner record, so the
+    /// bytes emitted at export/replay boundaries are identical to what the
+    /// eager-JSON pipeline produced (the family is implied by the topic).
+    /// The binary encoding is the family tag, then the record's fields.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum ProvRecord("family tag") {
+        TaskMeta(e: TaskMetaEvent) = 0,
+        Transition(e: TransitionEvent) = 1,
+        WorkerTransition(e: WorkerTransitionEvent) = 2,
+        TaskDone(e: TaskDoneEvent) = 3,
+        Comm(e: CommEvent) = 4,
+        Warning(e: WarningEvent) = 5,
+        Log(e: LogEntry) = 6,
+        Io(e: IoRecord) = 7,
+        Proxy(e: ProxyEvent) = 8,
+    }
 }
 
 impl ProvRecord {

@@ -213,19 +213,21 @@ impl Deserialize for TaskPrefix {
     }
 }
 
-/// A task key, mirroring Dask's `(prefix-token, index)` convention, e.g.
-/// `('getitem__get_categories-24266c..', 63)`.
-///
-/// * `prefix` — the human-readable operation category (Dask calls the
-///   deduplicated form "task prefix"; groups of tasks sharing a token form a
-///   "task group"). Interned, so the whole key is a 24-byte `Copy` value.
-/// * `token` — a hash-like token distinguishing groups with the same prefix.
-/// * `index` — position within the group (chunk / partition number).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct TaskKey {
-    pub prefix: TaskPrefix,
-    pub token: u32,
-    pub index: u32,
+crate::wire_struct! {
+    /// A task key, mirroring Dask's `(prefix-token, index)` convention, e.g.
+    /// `('getitem__get_categories-24266c..', 63)`.
+    ///
+    /// * `prefix` — the human-readable operation category (Dask calls the
+    ///   deduplicated form "task prefix"; groups of tasks sharing a token form a
+    ///   "task group"). Interned, so the whole key is a 24-byte `Copy` value.
+    /// * `token` — a hash-like token distinguishing groups with the same prefix.
+    /// * `index` — position within the group (chunk / partition number).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+    pub struct TaskKey {
+        pub prefix: TaskPrefix,
+        pub token: u32,
+        pub index: u32,
+    }
 }
 
 /// Hasher for maps keyed on [`TaskKey`]: one rotate, xor and multiply per
@@ -345,14 +347,16 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Identifier of a worker process. Workers are identified in logs by their
-/// IP:port address; we derive a deterministic synthetic address from the node
-/// and a per-node ordinal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct WorkerId {
-    pub node: NodeId,
-    /// Ordinal of the worker on its node (0-based).
-    pub slot: u32,
+crate::wire_struct! {
+    /// Identifier of a worker process. Workers are identified in logs by their
+    /// IP:port address; we derive a deterministic synthetic address from the node
+    /// and a per-node ordinal.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+    pub struct WorkerId {
+        pub node: NodeId,
+        /// Ordinal of the worker on its node (0-based).
+        pub slot: u32,
+    }
 }
 
 impl WorkerId {

@@ -5,12 +5,15 @@
 //! histogram of access sizes. These aggregates are cheap enough to keep for
 //! every file (unlike full traces) and are what most Darshan analyses start
 //! from.
+//!
+//! Binary form (inside a `run-meta` log set): [`PosixCounters`] is its map,
+//! a file count and then, in `FileId` order, each id followed by that
+//! file's [`FileCounters`] fields in declaration order — `Option`s as
+//! binfmt options, the ten histogram buckets last.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-use dtf_core::binfmt::{put_varint, Reader};
-use dtf_core::error::{DtfError, Result};
 use dtf_core::events::{IoOp, IoRecord};
 use dtf_core::ids::FileId;
 use dtf_core::time::{Dur, Time};
@@ -65,31 +68,33 @@ impl SizeBucket {
     }
 }
 
-/// Aggregated counters for one file within one process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FileCounters {
-    pub opens: u64,
-    pub closes: u64,
-    pub reads: u64,
-    pub writes: u64,
-    pub bytes_read: u64,
-    pub bytes_written: u64,
-    /// Cumulative time in read operations.
-    pub read_time: Dur,
-    /// Cumulative time in write operations.
-    pub write_time: Dur,
-    /// Cumulative time in metadata operations (open/close).
-    pub meta_time: Dur,
-    pub max_read_size: u64,
-    pub max_write_size: u64,
-    /// Slowest single operation observed.
-    pub slowest_op: Dur,
-    /// Timestamp of the first operation on this file.
-    pub first_op: Option<Time>,
-    /// Timestamp of the last operation's completion.
-    pub last_op: Option<Time>,
-    /// Access-size histogram over reads and writes (index = `SizeBucket`).
-    pub size_histogram: [u64; 10],
+dtf_core::wire_struct! {
+    /// Aggregated counters for one file within one process.
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub struct FileCounters {
+        pub opens: u64,
+        pub closes: u64,
+        pub reads: u64,
+        pub writes: u64,
+        pub bytes_read: u64,
+        pub bytes_written: u64,
+        /// Cumulative time in read operations.
+        pub read_time: Dur,
+        /// Cumulative time in write operations.
+        pub write_time: Dur,
+        /// Cumulative time in metadata operations (open/close).
+        pub meta_time: Dur,
+        pub max_read_size: u64,
+        pub max_write_size: u64,
+        /// Slowest single operation observed.
+        pub slowest_op: Dur,
+        /// Timestamp of the first operation on this file.
+        pub first_op: Option<Time>,
+        /// Timestamp of the last operation's completion.
+        pub last_op: Option<Time>,
+        /// Access-size histogram over reads and writes (index = `SizeBucket`).
+        pub size_histogram: [u64; 10],
+    }
 }
 
 impl Default for FileCounters {
@@ -158,10 +163,12 @@ impl FileCounters {
     }
 }
 
-/// The per-process POSIX counters module.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct PosixCounters {
-    per_file: BTreeMap<FileId, FileCounters>,
+dtf_core::wire_struct! {
+    /// The per-process POSIX counters module.
+    #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+    pub struct PosixCounters {
+        per_file: BTreeMap<FileId, FileCounters>,
+    }
 }
 
 impl PosixCounters {
@@ -183,86 +190,6 @@ impl PosixCounters {
 
     pub fn file_count(&self) -> usize {
         self.per_file.len()
-    }
-
-    /// Append the binary encoding: `varint(files)`, then per file in
-    /// `FileId` order `varint(id)` and its fields in declaration order
-    /// (times as varint nanoseconds, `Option`s as binfmt options, the ten
-    /// histogram buckets last).
-    pub fn encode_binary(&self, out: &mut Vec<u8>) {
-        fn put_option(out: &mut Vec<u8>, t: Option<Time>) {
-            match t {
-                None => out.push(0),
-                Some(t) => {
-                    out.push(1);
-                    put_varint(out, t.0);
-                }
-            }
-        }
-        put_varint(out, self.per_file.len() as u64);
-        for (id, c) in &self.per_file {
-            put_varint(out, id.0);
-            for v in [c.opens, c.closes, c.reads, c.writes, c.bytes_read, c.bytes_written] {
-                put_varint(out, v);
-            }
-            for d in [c.read_time, c.write_time, c.meta_time] {
-                put_varint(out, d.0);
-            }
-            put_varint(out, c.max_read_size);
-            put_varint(out, c.max_write_size);
-            put_varint(out, c.slowest_op.0);
-            put_option(out, c.first_op);
-            put_option(out, c.last_op);
-            for v in c.size_histogram {
-                put_varint(out, v);
-            }
-        }
-    }
-
-    /// Decode what [`Self::encode_binary`] wrote. File ids must be strictly
-    /// increasing — the only order the encoder writes — so an accepted
-    /// encoding re-encodes to the same bytes.
-    pub fn decode_binary(r: &mut Reader<'_>) -> Result<Self> {
-        fn option(r: &mut Reader<'_>) -> Result<Option<Time>> {
-            Ok(if r.bool()? { Some(Time(r.varint()?)) } else { None })
-        }
-        // id + 12 varints + 2 option tags + 10 buckets
-        const MIN_FILE_BYTES: usize = 25;
-        let n = r.count(MIN_FILE_BYTES)?;
-        let mut per_file = BTreeMap::new();
-        let mut last = None;
-        for _ in 0..n {
-            let id = FileId(r.varint()?);
-            if last.is_some_and(|prev| prev >= id) {
-                return Err(DtfError::Serde(format!("darshan counters: file {id} out of order")));
-            }
-            last = Some(id);
-            let c = FileCounters {
-                opens: r.varint()?,
-                closes: r.varint()?,
-                reads: r.varint()?,
-                writes: r.varint()?,
-                bytes_read: r.varint()?,
-                bytes_written: r.varint()?,
-                read_time: Dur(r.varint()?),
-                write_time: Dur(r.varint()?),
-                meta_time: Dur(r.varint()?),
-                max_read_size: r.varint()?,
-                max_write_size: r.varint()?,
-                slowest_op: Dur(r.varint()?),
-                first_op: option(r)?,
-                last_op: option(r)?,
-                size_histogram: {
-                    let mut h = [0u64; 10];
-                    for b in &mut h {
-                        *b = r.varint()?;
-                    }
-                    h
-                },
-            };
-            per_file.insert(id, c);
-        }
-        Ok(Self { per_file })
     }
 
     /// Process-wide totals, folded over files.
@@ -300,6 +227,7 @@ impl PosixCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtf_core::binfmt::{self, put_varint};
     use dtf_core::ids::{NodeId, ThreadId, WorkerId};
 
     fn rec(file: u64, op: IoOp, size: u64, start: f64, stop: f64) -> IoRecord {
@@ -378,12 +306,6 @@ mod tests {
         assert_eq!(t.total_time(), Dur::ZERO);
     }
 
-    fn binary(c: &PosixCounters) -> Vec<u8> {
-        let mut out = Vec::new();
-        c.encode_binary(&mut out);
-        out
-    }
-
     #[test]
     fn binary_roundtrip_keeps_every_field() {
         let mut c = PosixCounters::new();
@@ -393,37 +315,36 @@ mod tests {
         // a file entry no timed op reached: first_op/last_op stay None
         c.per_file.insert(FileId(u64::MAX), FileCounters { opens: 3, ..Default::default() });
         for c in [PosixCounters::new(), c] {
-            let bytes = binary(&c);
-            let mut r = Reader::new(&bytes);
-            let back = PosixCounters::decode_binary(&mut r).unwrap();
-            r.finish().unwrap();
+            let bytes = binfmt::encode(&c);
+            let back: PosixCounters = binfmt::decode(&bytes).unwrap();
             assert_eq!(back, c);
-            assert_eq!(binary(&back), bytes);
+            assert_eq!(binfmt::encode(&back), bytes);
         }
     }
 
     #[test]
     fn binary_decode_rejects_unordered_files_and_forged_counts() {
+        let decode = binfmt::decode::<PosixCounters>;
         let mut c = PosixCounters::new();
         c.record(&rec(1, IoOp::Read, 10, 0.0, 0.1));
         c.record(&rec(2, IoOp::Read, 10, 0.0, 0.1));
-        let bytes = binary(&c);
+        let bytes = binfmt::encode(&c);
         // swap the two entries' file ids (each entry starts with its id)
         let entry = (bytes.len() - 1) / 2;
         let mut swapped = bytes.clone();
         swapped[1] = 2;
         swapped[1 + entry] = 1;
-        assert!(PosixCounters::decode_binary(&mut Reader::new(&swapped)).is_err());
+        assert!(decode(&swapped).is_err());
         let mut dup = bytes.clone();
         dup[1 + entry] = 1;
-        assert!(PosixCounters::decode_binary(&mut Reader::new(&dup)).is_err());
+        assert!(decode(&dup).is_err());
         // a file count of 2^40 is refused before anything is reserved
         let mut forged = Vec::new();
         put_varint(&mut forged, 1 << 40);
         forged.extend_from_slice(&bytes[1..]);
-        assert!(PosixCounters::decode_binary(&mut Reader::new(&forged)).is_err());
+        assert!(decode(&forged).is_err());
         for cut in 0..bytes.len() {
-            assert!(PosixCounters::decode_binary(&mut Reader::new(&bytes[..cut])).is_err());
+            assert!(decode(&bytes[..cut]).is_err());
         }
     }
 

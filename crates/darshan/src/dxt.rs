@@ -16,36 +16,20 @@
 use dtf_core::events::IoRecord;
 use dtf_core::ids::ThreadId;
 
-/// How the tracer reacts when its buffer budget is exhausted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OverflowPolicy {
-    /// Darshan's behaviour: silently drop further records (footnote 9).
-    #[default]
-    Truncate,
-    /// The paper's future-work idea of "dynamically adjusting our data
-    /// capture in response to changes in workflow behavior": once the
-    /// budget is hit, halve the sampling rate (keep every 2nd, then every
-    /// 4th, ... record) so the trace stays time-representative instead of
-    /// stopping dead, while never exceeding ~2x the budget.
-    Adaptive,
-}
-
 /// DXT configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DxtConfig {
-    /// Maximum records buffered per process before the overflow policy
-    /// applies. Darshan's default DXT memory of 2 MiB holds on the order
-    /// of a few tens of thousands of trace segments.
+    /// Maximum records buffered per process; further records are dropped.
+    /// Darshan's default DXT memory of 2 MiB holds on the order of a few
+    /// tens of thousands of trace segments.
     pub max_records: usize,
     /// The paper's extension: record pthread ids. Off = vanilla DXT.
     pub record_thread_ids: bool,
-    /// What to do on buffer exhaustion.
-    pub overflow: OverflowPolicy,
 }
 
 impl Default for DxtConfig {
     fn default() -> Self {
-        Self { max_records: 32_768, record_thread_ids: true, overflow: OverflowPolicy::Truncate }
+        Self { max_records: 32_768, record_thread_ids: true }
     }
 }
 
@@ -67,52 +51,19 @@ pub struct DxtModule {
     cfg: DxtConfig,
     records: Vec<IoRecord>,
     dropped: u64,
-    /// Adaptive mode: keep every `2^level`-th record once over budget.
-    sample_level: u32,
-    /// Operations seen since entering the current sampling level.
-    seen_at_level: u64,
 }
 
 impl DxtModule {
     pub fn new(cfg: DxtConfig) -> Self {
-        Self { cfg, records: Vec::new(), dropped: 0, sample_level: 0, seen_at_level: 0 }
+        Self { cfg, records: Vec::new(), dropped: 0 }
     }
 
-    /// Trace one operation. Returns `false` if the record was dropped
-    /// (truncation or adaptive downsampling).
+    /// Trace one operation. Returns `false` if the buffer is full and the
+    /// record was dropped (Darshan keeps the head of the trace).
     pub fn push(&mut self, mut rec: IoRecord) -> bool {
-        // adaptive mode: incoming operations are sampled at the current
-        // stride, so the tail of the run stays represented
-        if self.sample_level > 0 {
-            let stride = 1u64 << self.sample_level.min(63);
-            let keep = self.seen_at_level.is_multiple_of(stride);
-            self.seen_at_level += 1;
-            if !keep {
-                self.dropped += 1;
-                return false;
-            }
-        }
         if self.records.len() >= self.cfg.max_records {
-            match self.cfg.overflow {
-                OverflowPolicy::Truncate => {
-                    self.dropped += 1;
-                    return false;
-                }
-                OverflowPolicy::Adaptive => {
-                    // decimate: drop every other stored record and halve the
-                    // future capture rate; memory never exceeds the budget
-                    // and the kept trace stays uniform over time
-                    let mut i = 0usize;
-                    let before = self.records.len();
-                    self.records.retain(|_| {
-                        i += 1;
-                        i % 2 == 1
-                    });
-                    self.dropped += (before - self.records.len()) as u64;
-                    self.sample_level += 1;
-                    self.seen_at_level = 1; // this record counts as sampled
-                }
-            }
+            self.dropped += 1;
+            return false;
         }
         if !self.cfg.record_thread_ids {
             rec.thread = ThreadId(0);
@@ -147,10 +98,6 @@ impl DxtModule {
 mod tests {
     use super::*;
     use dtf_core::events::IoOp;
-
-    fn adaptive(max_records: usize) -> DxtConfig {
-        DxtConfig { overflow: OverflowPolicy::Adaptive, ..DxtConfig::with_buffer(max_records) }
-    }
 
     use dtf_core::ids::{FileId, NodeId, WorkerId};
     use dtf_core::time::Time;
@@ -207,51 +154,5 @@ mod tests {
         let mut dxt = DxtModule::new(DxtConfig::default());
         dxt.push(rec(0x7f00_1234));
         assert_eq!(dxt.records()[0].thread, ThreadId(0x7f00_1234));
-    }
-
-    #[test]
-    fn adaptive_mode_downsamples_instead_of_stopping() {
-        let mut dxt = DxtModule::new(adaptive(100));
-        for i in 0..1000 {
-            dxt.push(rec(i));
-        }
-        // memory never exceeds the budget; decimation keeps >= budget/2
-        assert!(dxt.len() <= 100, "bounded by the budget: {}", dxt.len());
-        assert!(dxt.len() >= 50, "decimation keeps at least half: {}", dxt.len());
-        assert!(dxt.truncated(), "drops are still accounted");
-        // crucially, the *tail* of the workload is still represented
-        let max_tid = dxt.records().iter().map(|r| r.thread.0).max().unwrap();
-        assert!(max_tid > 900, "late operations sampled, not cut off: {max_tid}");
-        // and coverage is roughly uniform: records exist in every quarter
-        for q in 0..4u64 {
-            assert!(
-                dxt.records().iter().any(|r| r.thread.0 >= q * 250 && r.thread.0 < (q + 1) * 250),
-                "quarter {q} unrepresented"
-            );
-        }
-    }
-
-    #[test]
-    fn adaptive_mode_below_budget_is_lossless() {
-        let mut dxt = DxtModule::new(adaptive(100));
-        for i in 0..100 {
-            assert!(dxt.push(rec(i)));
-        }
-        assert_eq!(dxt.len(), 100);
-        assert!(!dxt.truncated());
-    }
-
-    #[test]
-    fn truncate_mode_loses_the_tail_adaptive_does_not() {
-        let mut trunc = DxtModule::new(DxtConfig::with_buffer(50));
-        let mut adapt = DxtModule::new(adaptive(50));
-        for i in 0..500 {
-            trunc.push(rec(i));
-            adapt.push(rec(i));
-        }
-        let t_max = trunc.records().iter().map(|r| r.thread.0).max().unwrap();
-        let a_max = adapt.records().iter().map(|r| r.thread.0).max().unwrap();
-        assert_eq!(t_max, 49, "truncation keeps only the head");
-        assert!(a_max > 400, "adaptive covers the whole run");
     }
 }

@@ -6,11 +6,15 @@
 //! The export bundle writes one per worker.
 //! A [`LogSet`] merges the per-worker logs of one run, the unit the
 //! analysis engine consumes.
+//!
+//! Inside the `run-meta` archive document a [`LogSet`] is binary instead:
+//! [`LogHeader`], [`DarshanLog`] and [`LogSet`] are declared through
+//! [`dtf_core::wire_struct!`], so each goes on the wire as its fields in
+//! declaration order — a log is its header, its counters, then its DXT
+//! records as a count and that many `IoRecord`s.
 
 use serde::{Deserialize, Serialize};
 
-use dtf_core::binfmt::{put_io_record, put_str, put_varint, put_worker, Reader};
-use dtf_core::error::Result;
 use dtf_core::events::IoRecord;
 use dtf_core::ids::{RunId, WorkerId};
 use dtf_core::time::Time;
@@ -22,26 +26,30 @@ const VERSION: u32 = 1;
 /// Magic + version + payload length.
 const HEADER_LEN: usize = 20;
 
-/// Log header: identity of the process and trace-completeness flags.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LogHeader {
-    pub run: RunId,
-    pub job_id: u64,
-    pub worker: WorkerId,
-    pub hostname: String,
-    pub start: Time,
-    pub end: Time,
-    /// Whether the DXT trace overflowed its buffer (footnote-9 condition).
-    pub dxt_truncated: bool,
-    pub dxt_dropped: u64,
+dtf_core::wire_struct! {
+    /// Log header: identity of the process and trace-completeness flags.
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub struct LogHeader {
+        pub run: RunId,
+        pub job_id: u64,
+        pub worker: WorkerId,
+        pub hostname: String,
+        pub start: Time,
+        pub end: Time,
+        /// Whether the DXT trace overflowed its buffer (footnote-9 condition).
+        pub dxt_truncated: bool,
+        pub dxt_dropped: u64,
+    }
 }
 
-/// One per-process log: header + POSIX counters + DXT trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DarshanLog {
-    pub header: LogHeader,
-    pub counters: PosixCounters,
-    pub dxt: Vec<IoRecord>,
+dtf_core::wire_struct! {
+    /// One per-process log: header + POSIX counters + DXT trace.
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub struct DarshanLog {
+        pub header: LogHeader,
+        pub counters: PosixCounters,
+        pub dxt: Vec<IoRecord>,
+    }
 }
 
 impl DarshanLog {
@@ -59,10 +67,12 @@ impl DarshanLog {
     }
 }
 
-/// All per-process logs of one run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct LogSet {
-    pub logs: Vec<DarshanLog>,
+dtf_core::wire_struct! {
+    /// All per-process logs of one run.
+    #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+    pub struct LogSet {
+        pub logs: Vec<DarshanLog>,
+    }
 }
 
 impl LogSet {
@@ -114,74 +124,12 @@ impl LogSet {
     pub fn any_truncated(&self) -> bool {
         self.logs.iter().any(|l| l.header.dxt_truncated)
     }
-
-    /// Append the compact binary encoding the `run-meta` archive document
-    /// embeds (the export bundle keeps [`DarshanLog::to_bytes`]):
-    ///
-    /// ```text
-    /// logset  := varint(logs) log*
-    /// log     := header counters varint(records) io-record*
-    /// header  := varint(run) varint(job_id) worker str(hostname)
-    ///            varint(start) varint(end) u8(dxt_truncated) varint(dxt_dropped)
-    /// ```
-    ///
-    /// `counters` is [`PosixCounters::encode_binary`]; an `io-record` is
-    /// binfmt's frozen `IoRecord` field layout ([`put_io_record`]).
-    pub fn encode_binary(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.logs.len() as u64);
-        for log in &self.logs {
-            let h = &log.header;
-            put_varint(out, h.run.0 as u64);
-            put_varint(out, h.job_id);
-            put_worker(out, &h.worker);
-            put_str(out, &h.hostname);
-            put_varint(out, h.start.0);
-            put_varint(out, h.end.0);
-            out.push(h.dxt_truncated as u8);
-            put_varint(out, h.dxt_dropped);
-            log.counters.encode_binary(out);
-            put_varint(out, log.dxt.len() as u64);
-            for rec in &log.dxt {
-                put_io_record(out, rec);
-            }
-        }
-    }
-
-    /// Decode what [`Self::encode_binary`] wrote, every count checked
-    /// against the bytes left before anything is reserved.
-    pub fn decode_binary(r: &mut Reader<'_>) -> Result<Self> {
-        // header (9) + counters count (1) + records count (1)
-        const MIN_LOG_BYTES: usize = 11;
-        // host, node, slot, thread, file, op, offset, size, start, stop
-        const MIN_IO_BYTES: usize = 10;
-        let n = r.count(MIN_LOG_BYTES)?;
-        let mut logs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let header = LogHeader {
-                run: RunId(r.varint_u32()?),
-                job_id: r.varint()?,
-                worker: r.worker()?,
-                hostname: r.str()?.to_string(),
-                start: Time(r.varint()?),
-                end: Time(r.varint()?),
-                dxt_truncated: r.bool()?,
-                dxt_dropped: r.varint()?,
-            };
-            let counters = PosixCounters::decode_binary(r)?;
-            let records = r.count(MIN_IO_BYTES)?;
-            let mut dxt = Vec::with_capacity(records);
-            for _ in 0..records {
-                dxt.push(r.io_record()?);
-            }
-            logs.push(DarshanLog { header, counters, dxt });
-        }
-        Ok(Self { logs })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtf_core::binfmt::{self, put_varint};
     use dtf_core::events::IoOp;
     use dtf_core::ids::{FileId, NodeId, ThreadId};
 
@@ -228,19 +176,6 @@ mod tests {
         assert_eq!(&bytes[HEADER_LEN..], serde_json::to_vec(&log).unwrap());
     }
 
-    fn binary(set: &LogSet) -> Vec<u8> {
-        let mut out = Vec::new();
-        set.encode_binary(&mut out);
-        out
-    }
-
-    fn decode_exactly(bytes: &[u8]) -> Result<LogSet> {
-        let mut r = Reader::new(bytes);
-        let set = LogSet::decode_binary(&mut r)?;
-        r.finish()?;
-        Ok(set)
-    }
-
     #[test]
     fn logset_binary_roundtrip() {
         let mut truncated = sample_log(true);
@@ -256,43 +191,40 @@ mod tests {
         let mut no_trace = sample_log(false);
         no_trace.dxt.clear();
         for set in [LogSet::default(), LogSet::new(vec![sample_log(false), truncated, no_trace])] {
-            let bytes = binary(&set);
-            let back = decode_exactly(&bytes).unwrap();
+            let bytes = binfmt::encode(&set);
+            let back: LogSet = binfmt::decode(&bytes).unwrap();
             assert_eq!(back, set);
-            assert_eq!(binary(&back), bytes, "re-encoding is byte-equal");
+            assert_eq!(binfmt::encode(&back), bytes, "re-encoding is byte-equal");
         }
     }
 
     #[test]
     fn logset_binary_rejects_truncation_and_forged_counts() {
-        let bytes = binary(&LogSet::new(vec![sample_log(true)]));
+        let decode = binfmt::decode::<LogSet>;
+        let bytes = binfmt::encode(&LogSet::new(vec![sample_log(true)]));
         for cut in 0..bytes.len() {
-            assert!(decode_exactly(&bytes[..cut]).is_err(), "cut at {cut} decoded");
+            assert!(decode(&bytes[..cut]).is_err(), "cut at {cut} decoded");
         }
         // a log count of 2^40 is refused before anything is reserved
         let mut forged = Vec::new();
         put_varint(&mut forged, 1 << 40);
         forged.extend_from_slice(&bytes[1..]);
-        assert!(decode_exactly(&forged).is_err());
+        assert!(decode(&forged).is_err());
         // so is a DXT record count past what the bytes left could hold
         let mut forged = bytes.clone();
-        let at = forged.len() - 1 - sample_log(true).dxt.iter().map(rec_len).sum::<usize>();
+        let at = forged.len()
+            - 1
+            - sample_log(true).dxt.iter().map(|r| binfmt::encode(r).len()).sum::<usize>();
         assert_eq!(forged[at], 1, "the record count sits before the one record");
         forged[at] = 100;
-        assert!(decode_exactly(&forged).is_err());
+        assert!(decode(&forged).is_err());
         // and a dxt_truncated byte other than 0/1
         let mut flag = bytes;
         // logs, run, job 1001, worker, hostname, start 100, end 200
         let at = 1 + 1 + 2 + 2 + 1 + "nid0000".len() + 1 + 2;
         assert_eq!(flag[at], 1, "the dxt_truncated byte");
         flag[at] = 2;
-        assert!(decode_exactly(&flag).is_err());
-    }
-
-    fn rec_len(r: &IoRecord) -> usize {
-        let mut out = Vec::new();
-        put_io_record(&mut out, r);
-        out.len()
+        assert!(decode(&flag).is_err());
     }
 
     #[test]

@@ -31,7 +31,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::{self, Write as _};
 
-use dtf_core::binfmt::{put_key, put_varint, put_worker};
+use dtf_core::binfmt::Wire;
 use dtf_core::error::{DtfError, Result};
 use dtf_core::events::{ProxyAction, ProxyEvent};
 use dtf_core::ids::{GraphId, TaskKey, WorkerId};
@@ -75,12 +75,12 @@ impl ProxyRef {
     /// generation.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(48);
-        put_key(&mut out, &self.key);
-        put_varint(&mut out, self.graph.0 as u64);
-        put_varint(&mut out, self.size);
-        put_worker(&mut out, &self.owner);
-        put_varint(&mut out, self.checksum);
-        put_varint(&mut out, self.generation as u64);
+        self.key.put(&mut out);
+        self.graph.put(&mut out);
+        self.size.put(&mut out);
+        self.owner.put(&mut out);
+        self.checksum.put(&mut out);
+        self.generation.put(&mut out);
         out
     }
 
@@ -598,12 +598,12 @@ mod tests {
             let bytes = r.to_bytes();
             assert_eq!(r.wire_size(), bytes.len() as u64, "{r:?}");
             let mut rd = Reader::new(&bytes);
-            assert_eq!(rd.key().unwrap(), r.key);
-            assert_eq!(rd.varint_u32().unwrap(), r.graph.0);
-            assert_eq!(rd.varint().unwrap(), r.size);
-            assert_eq!(rd.worker().unwrap(), r.owner);
-            assert_eq!(rd.varint().unwrap(), r.checksum);
-            assert_eq!(rd.varint_u32().unwrap(), r.generation);
+            assert_eq!(TaskKey::get(&mut rd).unwrap(), r.key);
+            assert_eq!(GraphId::get(&mut rd).unwrap(), r.graph);
+            assert_eq!(u64::get(&mut rd).unwrap(), r.size);
+            assert_eq!(WorkerId::get(&mut rd).unwrap(), r.owner);
+            assert_eq!(u64::get(&mut rd).unwrap(), r.checksum);
+            assert_eq!(u32::get(&mut rd).unwrap(), r.generation);
             rd.finish().unwrap();
         }
     }

@@ -25,7 +25,7 @@
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
-use dtf_core::binfmt::{put_key, put_str, put_varint, Reader};
+use dtf_core::binfmt::{self, put_varint, Reader, Wire};
 use dtf_core::error::DtfError;
 use dtf_core::events::{
     CommEvent, IoRecord, LogEntry, ProvEvent, ProxyEvent, TaskDoneEvent, TaskMetaEvent,
@@ -59,39 +59,13 @@ pub struct ArchiveMeta {
 }
 
 impl ArchiveMeta {
-    /// The binary `run-meta` document (DESIGN.md §13 has the table):
-    ///
-    /// ```text
-    /// "DTFMETA" version:u8 varint(run) str(workflow) varint(len) chart-json
-    /// logset varint(wall_time) varint(n) (key varint(time))^n varint(steals)
-    /// ```
-    ///
-    /// `logset` is [`LogSet::encode_binary`]; `start_order` is written in
-    /// stored order, so same-instant ties come back as they went in.
+    /// The binary `run-meta` document (DESIGN.md §13 has the table).
     pub fn encode(&self) -> Vec<u8> {
-        let chart = serde_json::to_vec(&self.chart).expect("chart serializes");
-        let mut out = Vec::with_capacity(64 + chart.len() + 24 * self.start_order.len());
-        out.extend_from_slice(META_MAGIC);
-        out.push(META_VERSION);
-        put_varint(&mut out, self.run.0 as u64);
-        put_str(&mut out, &self.workflow);
-        put_varint(&mut out, chart.len() as u64);
-        out.extend_from_slice(&chart);
-        self.darshan.encode_binary(&mut out);
-        put_varint(&mut out, self.wall_time.0);
-        put_varint(&mut out, self.start_order.len() as u64);
-        for (key, at) in &self.start_order {
-            put_key(&mut out, key);
-            put_varint(&mut out, at.0);
-        }
-        put_varint(&mut out, self.steals);
-        out
+        binfmt::encode(self)
     }
 
-    /// Decode a `run-meta` document. Every count is checked against the
-    /// bytes left before anything is reserved, the document must be
-    /// consumed exactly, and the chart must be the JSON [`Self::encode`]
-    /// prints for it — so whatever decodes re-encodes to the same bytes.
+    /// Decode a `run-meta` document, naming the format in the error when
+    /// it is the JSON one that came before it.
     pub fn decode(bytes: &[u8]) -> dtf_core::Result<Self> {
         if bytes.first() == Some(&b'{') {
             return Err(DtfError::Serde(format!(
@@ -99,45 +73,73 @@ impl ArchiveMeta {
                  {ARCHIVE_META_KEY} version {META_VERSION}; this build reads only the binary one"
             )));
         }
-        let body = bytes
-            .strip_prefix(META_MAGIC.as_slice())
-            .ok_or_else(|| DtfError::Serde(format!("{ARCHIVE_META_KEY}: bad magic")))?;
-        match body.first() {
-            Some(&META_VERSION) => {}
-            Some(v) => {
-                return Err(DtfError::Serde(format!(
-                    "{ARCHIVE_META_KEY}: unsupported version {v} (this build reads {META_VERSION})"
-                )))
-            }
-            None => return Err(DtfError::Serde(format!("{ARCHIVE_META_KEY}: truncated"))),
-        }
-        Self::decode_fields(&body[1..]).map_err(|e| match e {
+        binfmt::decode(bytes).map_err(|e| match e {
             DtfError::Serde(m) => DtfError::Serde(format!("{ARCHIVE_META_KEY}: {m}")),
             other => other,
         })
     }
+}
 
-    fn decode_fields(buf: &[u8]) -> dtf_core::Result<Self> {
-        // key (prefix length, token, index) + time
-        const MIN_START_BYTES: usize = 4;
-        let mut r = Reader::new(buf);
-        let run = RunId(r.varint_u32()?);
-        let workflow = r.str()?.to_string();
+/// The document's layout:
+///
+/// ```text
+/// "DTFMETA" version:u8 run workflow varint(len) chart-json darshan wall_time start_order steals
+/// ```
+///
+/// Every field but the chart is its [`Wire`] form (`darshan` is the
+/// `LogSet`'s declared layout; `start_order` keeps stored order, so
+/// same-instant ties come back as they went in). The chart must be the
+/// JSON [`Wire::put`] prints for it, so whatever decodes re-encodes to the
+/// same bytes.
+impl Wire for ArchiveMeta {
+    /// Magic, version and a byte for each field.
+    const MIN_BYTES: usize = META_MAGIC.len() + 1 + 7;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(META_MAGIC);
+        out.push(META_VERSION);
+        self.run.put(out);
+        self.workflow.put(out);
+        let chart = serde_json::to_vec(&self.chart).expect("chart serializes");
+        put_varint(out, chart.len() as u64);
+        out.extend_from_slice(&chart);
+        self.darshan.put(out);
+        self.wall_time.put(out);
+        self.start_order.put(out);
+        self.steals.put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> dtf_core::Result<Self> {
+        for &m in META_MAGIC {
+            if r.u8().ok() != Some(m) {
+                return Err(DtfError::Serde("bad magic".into()));
+            }
+        }
+        match r.u8() {
+            Ok(META_VERSION) => {}
+            Ok(v) => {
+                return Err(DtfError::Serde(format!(
+                    "unsupported version {v} (this build reads {META_VERSION})"
+                )))
+            }
+            Err(_) => return Err(DtfError::Serde("truncated".into())),
+        }
+        let run = Wire::get(r)?;
+        let workflow = Wire::get(r)?;
         let chart_json = r.bytes()?;
         let chart: ProvenanceChart = serde_json::from_slice(chart_json)?;
         if serde_json::to_vec(&chart)? != chart_json {
             return Err(DtfError::Serde("chart is not in its canonical JSON form".into()));
         }
-        let darshan = LogSet::decode_binary(&mut r)?;
-        let wall_time = Dur(r.varint()?);
-        let n = r.count(MIN_START_BYTES)?;
-        let mut start_order = Vec::with_capacity(n);
-        for _ in 0..n {
-            start_order.push((r.key()?, Time(r.varint()?)));
-        }
-        let steals = r.varint()?;
-        r.finish()?;
-        Ok(Self { run, workflow, chart, darshan, wall_time, start_order, steals })
+        Ok(Self {
+            run,
+            workflow,
+            chart,
+            darshan: Wire::get(r)?,
+            wall_time: Wire::get(r)?,
+            start_order: Wire::get(r)?,
+            steals: Wire::get(r)?,
+        })
     }
 }
 

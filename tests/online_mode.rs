@@ -1,10 +1,9 @@
-//! The paper's §VI future-work directions, implemented and verified:
-//! fully-online Darshan→Mofka streaming and adaptive data capture.
+//! The paper's §VI future-work direction of fully-online Darshan→Mofka
+//! streaming, implemented and verified.
 
 use dtf::core::events::IoOp;
 use dtf::core::ids::RunId;
 use dtf::core::rngx::RunRng;
-use dtf::darshan::dxt::OverflowPolicy;
 use dtf::darshan::DxtConfig;
 use dtf::wms::sim::{SimCluster, SimConfig};
 use dtf::workflows::Workload;
@@ -42,36 +41,4 @@ fn online_streaming_bypasses_dxt_truncation() {
 fn online_mode_off_keeps_topic_empty() {
     let data = resnet_run(dtf::workflows::resnet::dxt_config(), false);
     assert!(data.online_io.is_empty());
-}
-
-#[test]
-fn adaptive_capture_keeps_run_tail_under_pressure() {
-    // same buffer budget, truncating vs adaptive overflow
-    let budget = 630;
-    let truncate = resnet_run(DxtConfig::with_buffer(budget), false);
-    let adaptive = resnet_run(
-        DxtConfig { max_records: budget, overflow: OverflowPolicy::Adaptive, ..Default::default() },
-        false,
-    );
-    assert!(truncate.darshan.any_truncated());
-    assert!(adaptive.darshan.any_truncated(), "drops still accounted");
-
-    // truncation loses the tail of the run: the last traced operation is
-    // far before the last actual one; adaptive sampling covers the tail
-    let last = |d: &dtf::wms::RunData| {
-        d.darshan.all_records().map(|r| r.stop).max().expect("records exist").as_secs_f64()
-    };
-    let complete_end = truncate.task_done.iter().map(|t| t.stop.as_secs_f64()).fold(0.0, f64::max);
-    let t_last = last(&truncate);
-    let a_last = last(&adaptive);
-    assert!(a_last > t_last, "adaptive trace extends later ({a_last:.1} vs {t_last:.1})");
-    assert!(
-        a_last > 0.8 * complete_end.min(last(&adaptive) + 60.0),
-        "adaptive trace reaches near the end of I/O activity"
-    );
-
-    // both respect the memory budget per process
-    for log in &adaptive.darshan.logs {
-        assert!(log.dxt.len() <= budget, "adaptive stays within budget");
-    }
 }
