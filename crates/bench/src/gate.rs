@@ -194,9 +194,11 @@ fn read_baseline() -> Result<Option<Doc>, String> {
     match std::fs::read_to_string(BASELINE) {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
         Err(e) => Err(format!("cannot read {BASELINE}: {e}")),
-        Ok(s) => serde_json::from_str(&s)
-            .map(Some)
-            .map_err(|e| format!("{BASELINE} is not a JSON object: {e}")),
+        Ok(s) => match serde_json::from_str(&s) {
+            Ok(Value::Object(doc)) => Ok(Some(doc)),
+            Ok(_) => Err(format!("{BASELINE} is not a JSON object")),
+            Err(e) => Err(format!("{BASELINE} is not a JSON object: {e}")),
+        },
     }
 }
 

@@ -20,7 +20,7 @@ use std::fs::{self, OpenOptions};
 use std::path::{Path, PathBuf};
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use dtf_core::error::{DtfError, Result};
 use dtf_core::ids::RunId;
@@ -29,7 +29,7 @@ use dtf_mofka::MofkaService;
 use dtf_store::log::{segment_paths, HEADER_LEN};
 
 /// Which of a persisted service's three logs the fault hits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum CrashTarget {
     /// The key-value metadata WAL (`yokan/`): topic configs, group cursors.
     YokanWal,
@@ -53,7 +53,7 @@ impl CrashTarget {
 }
 
 /// The shape of the damage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum CrashKind {
     /// Cut the file at a byte offset (a torn write).
     TruncateTail,
@@ -75,7 +75,7 @@ impl CrashKind {
 }
 
 /// One seeded crash fault: plain, serializable data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CrashFault {
     pub target: CrashTarget,
     pub kind: CrashKind,

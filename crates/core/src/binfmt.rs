@@ -3,7 +3,9 @@
 //!
 //! Every binary document — the nine [`ProvRecord`] families, a Darshan
 //! `LogSet` with its counters and DXT records, the `run-meta` archive
-//! document — is built from the field types below. Integers are LEB128
+//! document and the provenance chart in it, a topic's config, a group
+//! cursor and the KV WAL record that stores them — is built from the field
+//! types below: every durable byte of a store. Integers are LEB128
 //! varints, strings are length-prefixed UTF-8, and decoding reads fields
 //! straight off the borrowed slice into the typed value: no intermediate
 //! value tree is ever built. Task prefixes are re-interned
@@ -15,18 +17,22 @@
 //! wraps a struct's definition and generates its [`Wire`] impl from the
 //! field list, so the fields go on the wire in the order they are declared
 //! and the struct's [`Wire::MIN_BYTES`] is the sum of its fields'. **Tags
-//! live in the enum's table.** `wire_enum!` declares an enum from one table
-//! that gives each variant an explicit tag and, for a closed vocabulary,
-//! its name; the enum, its `as_str` and its `Wire` impl are generated from
-//! that table, so reordering a declaration can never change the format.
+//! live in the enum's table.** [`wire_enum!`](crate::wire_enum) declares
+//! an enum from one table that gives each variant an explicit tag and,
+//! for a closed vocabulary, its name; the enum, its `as_str` and its
+//! `Wire` impl are generated from that table, so reordering a declaration
+//! can never change the format.
 //! The record family tags are [`ProvRecord`]'s table, and the `Location`
-//! and `LogSource` unions' tags theirs.
+//! and `LogSource` unions' tags theirs. Both macros are exported, so
+//! dtf-store's `KvRecord` and dtf-mofka's `TopicConfig` are declared the
+//! same way.
 //!
 //! ```text
 //! varint          := LEB128, 1–10 bytes, always minimal
 //! u64 u32 Time Dur and the id newtypes := varint
 //! bool            := 0x00 | 0x01
 //! String          := varint(len) utf8-bytes
+//! Bytes           := varint(len) bytes
 //! TaskKey         := str(prefix) varint(token) varint(index)
 //! WorkerId        := varint(node) varint(slot)
 //! Option<T>       := 0x00 | 0x01 T
@@ -38,6 +44,10 @@
 //! record          := family:u8 fields…
 //! location        := 0x00 | 0x01 worker
 //! source          := 0x00 | 0x01 varint(client) | 0x02 worker
+//! kv record       := 0x00 str(key) bytes(value) | 0x01 str(key)
+//! topic config    := varint(partitions)
+//! group cursor    := varint(next offset)
+//! chart           := hardware system job wms-config varint(code hash) str(workflow)
 //! ```
 //!
 //! Family tags, enum tags and field order are frozen by the byte pins in
@@ -60,6 +70,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Display;
+
+use bytes::Bytes;
 
 use crate::error::{DtfError, Result};
 use crate::events::ProvRecord;
@@ -281,6 +293,22 @@ impl Wire for String {
     }
 }
 
+/// Raw bytes, with a length like a string's: `varint(len) bytes`.
+impl Wire for Bytes {
+    const MIN_BYTES: usize = 1;
+
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.len() as u64);
+        out.extend_from_slice(self);
+    }
+
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(Bytes::copy_from_slice(r.bytes()?))
+    }
+}
+
 impl Wire for TaskPrefix {
     const MIN_BYTES: usize = 1;
 
@@ -474,9 +502,10 @@ macro_rules! wire_struct {
 /// Declares an enum from one table that gives each variant an explicit
 /// one-byte tag and, for a closed vocabulary of names, its name; the enum,
 /// `as_str` (when named) and the [`Wire`] impl are generated from it. A
-/// variant may carry one payload, written `Variant(binding: Type)`, which
-/// goes on the wire after the tag. The quoted word after the enum's name is
-/// what an unknown tag is reported as.
+/// variant may carry payload fields, written `Variant(binding: Type, …)`,
+/// which go on the wire after the tag in the order they are listed. The
+/// quoted word after the enum's name is what an unknown tag is reported as.
+#[macro_export]
 macro_rules! wire_enum {
     (
         $(#[$attr:meta])*
@@ -484,7 +513,7 @@ macro_rules! wire_enum {
             $($(#[$variant_attr:meta])* $variant:ident = $tag:literal => $text:literal),* $(,)?
         }
     ) => {
-        $crate::binfmt::wire_enum! {
+        $crate::wire_enum! {
             $(#[$attr])*
             pub enum $name($what) { $($(#[$variant_attr])* $variant = $tag),* }
         }
@@ -502,26 +531,26 @@ macro_rules! wire_enum {
         pub enum $name:ident($what:literal) {
             $(
                 $(#[$variant_attr:meta])*
-                $variant:ident $(($bind:ident: $payload:ty))? = $tag:literal
+                $variant:ident $(($($bind:ident: $payload:ty),+))? = $tag:literal
             ),* $(,)?
         }
     ) => {
         $(#[$attr])*
         pub enum $name {
-            $($(#[$variant_attr])* $variant $(($payload))?),*
+            $($(#[$variant_attr])* $variant $(($($payload),+))?),*
         }
 
         impl $crate::binfmt::Wire for $name {
             const MIN_BYTES: usize = 1 + $crate::binfmt::min_of(&[
-                $(0 $(+ <$payload as $crate::binfmt::Wire>::MIN_BYTES)?),*
+                $(0 $($(+ <$payload as $crate::binfmt::Wire>::MIN_BYTES)+)?),*
             ]);
 
             #[inline]
-            fn put(&self, out: &mut Vec<u8>) {
+            fn put(&self, out: &mut ::std::vec::Vec<u8>) {
                 match self {
-                    $(Self::$variant $(($bind))? => {
+                    $(Self::$variant $(($($bind),+))? => {
                         out.push($tag);
-                        $($crate::binfmt::Wire::put($bind, out);)?
+                        $($($crate::binfmt::Wire::put($bind, out);)+)?
                     })*
                 }
             }
@@ -529,17 +558,19 @@ macro_rules! wire_enum {
             #[inline]
             fn get(r: &mut $crate::binfmt::Reader<'_>) -> $crate::Result<Self> {
                 match r.u8()? {
-                    $($tag => Ok(Self::$variant $((<$payload as $crate::binfmt::Wire>::get(r)?))?),)*
-                    t => Err($crate::binfmt::unknown($what, t)),
+                    $($tag => ::std::result::Result::Ok(Self::$variant $((
+                        $(<$payload as $crate::binfmt::Wire>::get(r)?),+
+                    ))?),)*
+                    t => ::std::result::Result::Err($crate::binfmt::unknown($what, t)),
                 }
             }
         }
     };
 }
-pub(crate) use wire_enum;
 
 /// The smallest of `sizes`: an enum's smallest variant.
-pub(crate) const fn min_of(mut sizes: &[usize]) -> usize {
+#[doc(hidden)]
+pub const fn min_of(mut sizes: &[usize]) -> usize {
     let mut min = usize::MAX;
     while let [first, rest @ ..] = sizes {
         if *first < min {
@@ -551,7 +582,8 @@ pub(crate) const fn min_of(mut sizes: &[usize]) -> usize {
 }
 
 /// The error an unknown tag of the vocabulary `what` raises.
-pub(crate) fn unknown(what: &str, tag: u8) -> DtfError {
+#[doc(hidden)]
+pub fn unknown(what: &str, tag: u8) -> DtfError {
     bad(format!("unknown {what} {tag}"))
 }
 

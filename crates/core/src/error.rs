@@ -63,7 +63,7 @@ mod tests {
 
     #[test]
     fn serde_error_converts() {
-        let bad: std::result::Result<u32, _> = serde_json::from_str("not json");
+        let bad = serde_json::from_str("not json");
         let err: DtfError = bad.unwrap_err().into();
         assert!(matches!(err, DtfError::Serde(_)));
     }

@@ -5,16 +5,16 @@
 //! carries the shared identifiers (task key, worker address, pthread id,
 //! timestamps) that make multi-source joins possible at analysis time.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
-use crate::binfmt::wire_enum;
 use crate::ids::{ClientId, FileId, GraphId, NodeId, TaskKey, ThreadId, WorkerId};
 use crate::table::{CellSink, Tabular};
 use crate::time::{Dur, Time};
+use crate::wire_enum;
 
 wire_enum! {
     /// Scheduler-side task states, mirroring Dask's scheduler state machine.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
     pub enum TaskState("task state") {
         /// Known but not yet wanted (dependencies of the graph being built).
         Released = 0 => "released",
@@ -74,7 +74,7 @@ impl TaskState {
 
 wire_enum! {
     /// Worker-side task states, mirroring Dask's worker state machine.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
     pub enum WorkerTaskState("worker task state") {
         /// Arrived at the worker, dependencies not yet local.
         Waiting = 0 => "waiting",
@@ -122,7 +122,7 @@ crate::wire_struct! {
     /// A worker-side task state transition (paper §III-E1: "we gather task
     /// state transitions in the worker to identify the time spent in a worker
     /// before execution").
-    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq, Serialize)]
     pub struct WorkerTransitionEvent {
         pub key: TaskKey,
         pub graph: GraphId,
@@ -151,7 +151,7 @@ impl Tabular for WorkerTransitionEvent {
 
 wire_enum! {
     /// What caused a state transition — the "stimuli" captured by the plugins.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
     pub enum Stimulus("stimulus") {
         /// Client submitted the graph containing this task.
         GraphSubmitted = 0 => "graph-submitted",
@@ -180,7 +180,7 @@ wire_enum! {
 
 wire_enum! {
     /// Where a transition was observed.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
     pub enum Location("location tag") {
         Scheduler = 0,
         Worker(w: WorkerId) = 1,
@@ -191,7 +191,7 @@ crate::wire_struct! {
     /// A task state transition, the core provenance record (paper §III-E2:
     /// "task key, group, prefix, initial state, final state, timestamp, and the
     /// stimuli that triggered this transition").
-    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq, Serialize)]
     pub struct TransitionEvent {
         pub key: TaskKey,
         pub graph: GraphId,
@@ -207,7 +207,7 @@ crate::wire_struct! {
     /// Emitted once per task when its graph arrives at the scheduler (paper
     /// §III-E1: "we extract all task-related data, such as task keys, groups,
     /// prefixes, and dependencies").
-    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq, Serialize)]
     pub struct TaskMetaEvent {
         pub key: TaskKey,
         pub graph: GraphId,
@@ -237,7 +237,7 @@ crate::wire_struct! {
     /// Emitted when a task completes on a worker (paper: "IP address of the
     /// worker where the task was executed, the thread ID, start and end times,
     /// and the size of the task result").
-    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq, Serialize)]
     pub struct TaskDoneEvent {
         pub key: TaskKey,
         pub graph: GraphId,
@@ -258,7 +258,7 @@ impl TaskDoneEvent {
 
 crate::wire_struct! {
     /// An inter-worker data transfer (dependency fetch or steal movement).
-    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq, Serialize)]
     pub struct CommEvent {
         /// The data item being moved (output of this task).
         pub key: TaskKey,
@@ -283,7 +283,7 @@ impl CommEvent {
 
 wire_enum! {
     /// I/O operation type, as recorded by the DXT-analog tracer.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
     pub enum IoOp("io op") {
         Open = 0 => "open",
         Read = 1 => "read",
@@ -296,7 +296,7 @@ crate::wire_struct! {
     /// One traced I/O operation. This is the record format shared between the
     /// Darshan-analog collector and the analysis engine; `host` + `thread` +
     /// timestamps are the join keys against task records.
-    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq, Serialize)]
     pub struct IoRecord {
         pub host: NodeId,
         /// Worker process that issued the I/O.
@@ -320,7 +320,7 @@ impl IoRecord {
 
 wire_enum! {
     /// Kinds of runtime warnings mined from scheduler/worker logs (Fig. 7).
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
     pub enum WarningKind("warning kind") {
         /// Tornado-style "event loop was unresponsive for X s".
         UnresponsiveEventLoop = 0 => "unresponsive-event-loop",
@@ -331,7 +331,7 @@ wire_enum! {
 
 crate::wire_struct! {
     /// A runtime warning emitted by a worker or the scheduler.
-    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq, Serialize)]
     pub struct WarningEvent {
         pub kind: WarningKind,
         pub worker: Option<WorkerId>,
@@ -343,7 +343,7 @@ crate::wire_struct! {
 
 wire_enum! {
     /// Log severity.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
     pub enum LogLevel("log level") {
         Debug = 0,
         Info = 1,
@@ -354,7 +354,7 @@ wire_enum! {
 
 wire_enum! {
     /// Origin of a log line.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
     pub enum LogSource("log source tag") {
         Client(c: ClientId) = 1,
         Scheduler = 0,
@@ -364,7 +364,7 @@ wire_enum! {
 
 crate::wire_struct! {
     /// One log line from any component.
-    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq, Serialize)]
     pub struct LogEntry {
         pub time: Time,
         pub level: LogLevel,
@@ -499,7 +499,7 @@ wire_enum! {
     /// peer-to-peer, with only a small typed reference travelling through the
     /// scheduler. Each step is recorded so lineage over the out-of-band path
     /// stays as complete as the in-band one.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
     pub enum ProxyAction("proxy action") {
         /// Output crossed the threshold; its ref entered the plane.
         Published = 0 => "published",
@@ -523,7 +523,7 @@ crate::wire_struct! {
     /// the worker holding the payload when the record was emitted; `worker`
     /// is the counterparty where the action has one (the resolving dependent
     /// worker, the cache doing the eviction), `None` for publish/orphan.
-    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq, Serialize)]
     pub struct ProxyEvent {
         pub action: ProxyAction,
         /// Task whose output the proxy stands for.
@@ -991,9 +991,9 @@ mod tests {
             location: Location::Worker(WorkerId::new(NodeId(1), 2)),
             time: Time(123),
         };
+        // the printed text parses back to the tree it was printed from
         let s = serde_json::to_string(&e).unwrap();
-        let back: TransitionEvent = serde_json::from_str(&s).unwrap();
-        assert_eq!(e, back);
+        assert_eq!(serde_json::from_str(&s).unwrap(), serde_json::to_value(&e).unwrap());
     }
 
     #[test]

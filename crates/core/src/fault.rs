@@ -12,14 +12,14 @@
 //! `dtf-chaos`), and `seed` records that provenance; hand-written schedules
 //! set it to 0.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::time::{Dur, Time};
 
 /// Kill worker `ordinal` (index into the run's worker list) at `time`.
 /// The worker stops heartbeating and completing work; the WMS detects the
 /// loss through the heartbeat timeout, exactly as for a real crash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct WorkerDeath {
     pub worker: u32,
     pub time: Time,
@@ -29,7 +29,7 @@ pub struct WorkerDeath {
 /// issue order from 0). `extra_delay` stretches its completion;
 /// `duplicate` replays the completion event a second time — the scheduler
 /// must treat the replay as a no-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct FetchFault {
     pub index: u64,
     pub extra_delay: Dur,
@@ -40,7 +40,7 @@ pub struct FetchFault {
 /// `[start, stop)`. A window longer than the heartbeat timeout makes the
 /// scheduler evict a perfectly healthy worker — the "stalled event loop"
 /// failure mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct HeartbeatDrop {
     pub worker: u32,
     pub start: Time,
@@ -50,7 +50,7 @@ pub struct HeartbeatDrop {
 /// Stall one partition of one Mofka topic in `[start, stop)`: appends are
 /// accepted but stay invisible to consumers until the stall lifts. Delivery
 /// must remain exactly-once and in partition order regardless.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct MofkaStall {
     pub topic: String,
     pub partition: u32,
@@ -61,7 +61,7 @@ pub struct MofkaStall {
 /// Force a PFS interference burst: every I/O issued in `[start, stop)` is
 /// additionally slowed by `factor` (on top of the stochastic background
 /// load process).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct InterferenceBurst {
     pub start: Time,
     pub stop: Time,
@@ -71,7 +71,7 @@ pub struct InterferenceBurst {
 /// Slow every compute worker `ordinal` performs in `[start, stop)` by
 /// `factor` (≥ 1.0) — a straggler. Plain data, not an RNG draw, so a
 /// straggling run replays byte-identically.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct StragglerFault {
     pub worker: u32,
     pub factor: f64,
@@ -82,7 +82,7 @@ pub struct StragglerFault {
 /// Bias placement toward worker `ordinal`: its occupancy/transfer score is
 /// multiplied by `weight` (< 1.0 makes it look artificially cheap, so the
 /// scheduler piles work onto it — a hot spot).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct HotspotFault {
     pub worker: u32,
     pub weight: f64,
@@ -92,7 +92,7 @@ pub struct HotspotFault {
 /// (counted in publish order from 0): the first resolve finds the payload
 /// missing from the plane and must repair or surface `IllegalState` with
 /// the proxy key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct DanglingProxy {
     pub index: u64,
 }
@@ -100,7 +100,7 @@ pub struct DanglingProxy {
 /// Stretch the `index`-th proxy resolve (counted in resolve order from 0)
 /// by `extra_delay` — a slow resolver. Exactly-once resolution must hold
 /// regardless of how late the materialization lands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SlowResolve {
     pub index: u64,
     pub extra_delay: Dur,
@@ -108,7 +108,7 @@ pub struct SlowResolve {
 
 /// One run's complete fault schedule. The empty (default) schedule is a
 /// no-op: a run with it is bit-identical to a run without one.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct FaultSchedule {
     /// Seed the schedule was generated from (0 for hand-written schedules).
     pub seed: u64,
@@ -249,8 +249,8 @@ mod tests {
             dangling_proxies: vec![DanglingProxy { index: 2 }],
             slow_resolves: vec![SlowResolve { index: 0, extra_delay: Dur(7) }],
         };
-        let back: FaultSchedule = serde_json::from_str(&s.to_json()).unwrap();
-        assert_eq!(s, back);
+        let back = serde_json::from_str(&s.to_json()).unwrap();
+        assert_eq!(serde_json::to_value(&s).unwrap(), back);
     }
 
     #[test]

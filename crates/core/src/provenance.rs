@@ -9,24 +9,26 @@
 //!
 //! Layers 1–2 are captured once per run; layer 3 is the event stream.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 use crate::events::{CommEvent, IoRecord, Location, Stimulus, TaskState};
 use crate::ids::{ClientId, GraphId, NodeId, TaskKey, ThreadId, WorkerId};
 use crate::time::Time;
 
-/// Hardware-infrastructure layer provenance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HardwareInfo {
-    pub cpu_model: String,
-    pub cores_per_node: u32,
-    pub memory_gb_per_node: u32,
-    pub gpus_per_node: u32,
-    pub nics_per_node: u32,
-    pub node_count: u32,
-    pub network: String,
-    pub pfs: String,
+crate::wire_struct! {
+    /// Hardware-infrastructure layer provenance.
+    #[derive(Debug, Clone, PartialEq, Serialize)]
+    pub struct HardwareInfo {
+        pub cpu_model: String,
+        pub cores_per_node: u32,
+        pub memory_gb_per_node: u32,
+        pub gpus_per_node: u32,
+        pub nics_per_node: u32,
+        pub node_count: u32,
+        pub network: String,
+        pub pfs: String,
+    }
 }
 
 impl HardwareInfo {
@@ -45,14 +47,16 @@ impl HardwareInfo {
     }
 }
 
-/// System-software / job-configuration layer provenance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SystemInfo {
-    pub os: String,
-    pub kernel: String,
-    pub loaded_modules: Vec<String>,
-    /// package name -> version
-    pub packages: BTreeMap<String, String>,
+crate::wire_struct! {
+    /// System-software / job-configuration layer provenance.
+    #[derive(Debug, Clone, PartialEq, Serialize)]
+    pub struct SystemInfo {
+        pub os: String,
+        pub kernel: String,
+        pub loaded_modules: Vec<String>,
+        /// package name -> version
+        pub packages: BTreeMap<String, String>,
+    }
 }
 
 impl SystemInfo {
@@ -70,31 +74,35 @@ impl SystemInfo {
     }
 }
 
-/// Job allocation provenance (requested vs allocated resources).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct JobInfo {
-    pub job_id: u64,
-    pub script: String,
-    pub queue: String,
-    pub nodes_requested: u32,
-    pub allocated_nodes: Vec<NodeId>,
-    pub submit_time: Time,
-    pub start_time: Time,
-    pub walltime_limit_s: u64,
+crate::wire_struct! {
+    /// Job allocation provenance (requested vs allocated resources).
+    #[derive(Debug, Clone, PartialEq, Serialize)]
+    pub struct JobInfo {
+        pub job_id: u64,
+        pub script: String,
+        pub queue: String,
+        pub nodes_requested: u32,
+        pub allocated_nodes: Vec<NodeId>,
+        pub submit_time: Time,
+        pub start_time: Time,
+        pub walltime_limit_s: u64,
+    }
 }
 
-/// WMS configuration relevant to performance (the `distributed.yaml`
-/// analog: timeouts, heartbeat intervals, communication settings).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WmsConfig {
-    pub workers_per_node: u32,
-    pub threads_per_worker: u32,
-    pub heartbeat_interval_ms: u64,
-    pub connect_timeout_ms: u64,
-    pub comm_retry_count: u32,
-    pub work_stealing: bool,
-    /// Scheduler bandwidth assumption used by its placement heuristic (B/s).
-    pub assumed_bandwidth: u64,
+crate::wire_struct! {
+    /// WMS configuration relevant to performance (the `distributed.yaml`
+    /// analog: timeouts, heartbeat intervals, communication settings).
+    #[derive(Debug, Clone, PartialEq, Serialize)]
+    pub struct WmsConfig {
+        pub workers_per_node: u32,
+        pub threads_per_worker: u32,
+        pub heartbeat_interval_ms: u64,
+        pub connect_timeout_ms: u64,
+        pub comm_retry_count: u32,
+        pub work_stealing: bool,
+        /// Scheduler bandwidth assumption used by its placement heuristic (B/s).
+        pub assumed_bandwidth: u64,
+    }
 }
 
 impl Default for WmsConfig {
@@ -113,17 +121,19 @@ impl Default for WmsConfig {
     }
 }
 
-/// The full static provenance chart for one run (layers 1–2 of Fig. 1 plus
-/// client-side application metadata).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ProvenanceChart {
-    pub hardware: HardwareInfo,
-    pub system: SystemInfo,
-    pub job: JobInfo,
-    pub wms_config: WmsConfig,
-    /// Hash of the client code that generated the task graphs.
-    pub client_code_hash: u64,
-    pub workflow_name: String,
+crate::wire_struct! {
+    /// The full static provenance chart for one run (layers 1–2 of Fig. 1 plus
+    /// client-side application metadata).
+    #[derive(Debug, Clone, PartialEq, Serialize)]
+    pub struct ProvenanceChart {
+        pub hardware: HardwareInfo,
+        pub system: SystemInfo,
+        pub job: JobInfo,
+        pub wms_config: WmsConfig,
+        /// Hash of the client code that generated the task graphs.
+        pub client_code_hash: u64,
+        pub workflow_name: String,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -131,7 +141,7 @@ pub struct ProvenanceChart {
 // ---------------------------------------------------------------------------
 
 /// One state transition in a task's lineage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LineageTransition {
     pub from: TaskState,
     pub to: TaskState,
@@ -142,7 +152,7 @@ pub struct LineageTransition {
 
 /// One residence of the task's output in distributed memory (the original
 /// compute location plus any replicas created by transfers).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LineageLocation {
     pub worker: WorkerId,
     pub thread: Option<ThreadId>,
@@ -150,7 +160,7 @@ pub struct LineageLocation {
 }
 
 /// Complete lineage of one task: the paper's Fig. 8 record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Serialize, Default)]
 pub struct TaskLineage {
     #[serde(skip_serializing_if = "Option::is_none")]
     pub key: Option<TaskKey>,
@@ -255,7 +265,7 @@ mod tests {
     }
 
     #[test]
-    fn chart_serde_roundtrip() {
+    fn chart_roundtrips_through_its_wire_form_and_prints_its_json() {
         let chart = ProvenanceChart {
             hardware: HardwareInfo::polaris_like(2),
             system: SystemInfo::synthetic(),
@@ -273,8 +283,9 @@ mod tests {
             client_code_hash: 0xdead_beef,
             workflow_name: "xgboost".into(),
         };
+        let bytes = crate::binfmt::encode(&chart);
+        assert_eq!(crate::binfmt::decode::<ProvenanceChart>(&bytes).unwrap(), chart);
         let s = serde_json::to_string(&chart).unwrap();
-        let back: ProvenanceChart = serde_json::from_str(&s).unwrap();
-        assert_eq!(chart, back);
+        assert_eq!(serde_json::from_str(&s).unwrap(), serde_json::to_value(&chart).unwrap());
     }
 }

@@ -5,7 +5,7 @@
 //! numeric kernels: streaming mean/variance (Welford), percentiles, summary
 //! records, and Kendall's tau for order-similarity comparisons.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Streaming mean / variance accumulator (Welford's algorithm).
 ///
@@ -101,7 +101,7 @@ impl Welford {
 }
 
 /// Immutable summary of a sample set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Summary {
     pub count: u64,
     pub mean: f64,
@@ -184,7 +184,7 @@ pub fn kendall_tau(a: &[f64], b: &[f64]) -> f64 {
 /// Histogram over fixed-width bins of `[lo, hi)`; the last bin is inclusive
 /// of `hi`. Out-of-range values are clamped into the edge bins. Used for the
 /// warning-distribution figure (Fig. 7).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Histogram {
     pub lo: f64,
     pub hi: f64,

@@ -11,11 +11,11 @@
 //! [`Tabular::row`] returns, and DataFrames are built from those rows for
 //! the analyses that compute on columns.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A dynamically typed cell value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum Value {
     Null,
     Bool(bool),

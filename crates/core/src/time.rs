@@ -5,20 +5,16 @@
 //! timestamps totally ordered and hashable, which the discrete-event queue
 //! and the analysis joins both rely on.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A point in (virtual or real) time: nanoseconds since run start.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize)]
 pub struct Time(pub u64);
 
 /// A span of time: nanoseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize)]
 pub struct Dur(pub u64);
 
 impl Time {

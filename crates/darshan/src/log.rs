@@ -13,7 +13,7 @@
 //! declaration order — a log is its header, its counters, then its DXT
 //! records as a count and that many `IoRecord`s.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use dtf_core::events::IoRecord;
 use dtf_core::ids::{RunId, WorkerId};
@@ -28,7 +28,7 @@ const HEADER_LEN: usize = 20;
 
 dtf_core::wire_struct! {
     /// Log header: identity of the process and trace-completeness flags.
-    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq, Serialize)]
     pub struct LogHeader {
         pub run: RunId,
         pub job_id: u64,
@@ -44,7 +44,7 @@ dtf_core::wire_struct! {
 
 dtf_core::wire_struct! {
     /// One per-process log: header + POSIX counters + DXT trace.
-    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq, Serialize)]
     pub struct DarshanLog {
         pub header: LogHeader,
         pub counters: PosixCounters,
@@ -69,7 +69,7 @@ impl DarshanLog {
 
 dtf_core::wire_struct! {
     /// All per-process logs of one run.
-    #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Default, PartialEq, Serialize)]
     pub struct LogSet {
         pub logs: Vec<DarshanLog>,
     }

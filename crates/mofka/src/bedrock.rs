@@ -8,8 +8,6 @@
 //! produces to it, and the drain and the live views read it back, each
 //! through [`topic_of`] or [`WmsFamily::TOPIC`].
 
-use serde::{Deserialize, Serialize};
-
 use dtf_core::error::{DtfError, Result};
 use dtf_core::events::{
     CommEvent, IoRecord, LogEntry, ProvRecord, ProxyEvent, TaskDoneEvent, TaskMetaEvent,
@@ -20,7 +18,7 @@ use crate::service::{MofkaService, ServiceConfig};
 use crate::topic::TopicConfig;
 
 /// One topic in the deployment description.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TopicSpec {
     pub name: String,
     pub partitions: u32,
@@ -81,7 +79,7 @@ wms_topics! {
 }
 
 /// Deployment description for one Mofka instance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BedrockConfig {
     pub topics: Vec<TopicSpec>,
 }
@@ -128,9 +126,6 @@ impl BedrockConfig {
                 svc.create_topic(&t.name, TopicConfig { partitions: t.partitions })?;
             }
         }
-        // record the deployment description itself (provenance of the
-        // provenance system)
-        svc.yokan().put("bedrock/config", serde_json::to_vec(self).expect("config serializes"));
         Ok(svc)
     }
 }
@@ -168,13 +163,5 @@ mod tests {
         assert!(topics(&[]).bootstrap().is_err());
         assert!(topics(&[("a", 0)]).bootstrap().is_err());
         assert!(topics(&[("a", 4), ("a", 4)]).bootstrap().is_err());
-    }
-
-    #[test]
-    fn bootstrap_records_config_in_yokan() {
-        let svc = BedrockConfig::wms_default().bootstrap().unwrap();
-        let raw = svc.yokan().get("bedrock/config").unwrap();
-        let cfg: BedrockConfig = serde_json::from_slice(&raw).unwrap();
-        assert_eq!(cfg, BedrockConfig::wms_default());
     }
 }

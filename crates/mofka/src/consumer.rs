@@ -27,22 +27,29 @@
 //! [`Consumer::discarded_claims`] before dropping), so delivered +
 //! discarded always accounts for exactly what the group's offsets say was
 //! claimed.
+//!
+//! A group cursor is the Yokan value under `group/<topic>/<group>/<p>`:
+//! the next offset to claim in partition `p`, as one `u64` varint (its
+//! `dtf_core::binfmt` form). A claim that advances nothing writes nothing.
+//! A cursor that does not decode is an error wherever it is read — a
+//! claim, or the clamp on a writable reopen — never offset 0, which would
+//! deliver the whole partition to the group again.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use dtf_core::error::Result;
+use dtf_core::binfmt;
+use dtf_core::error::{DtfError, Result};
 use dtf_core::events::ProvRecord;
 
 use crate::event::{EventId, StoredEvent};
 use crate::topic::Topic;
 use crate::yokan::Yokan;
 
-/// A stored group cursor: the next offset to claim, as decimal text.
-fn cursor_value(raw: &[u8]) -> Option<u64> {
-    std::str::from_utf8(raw).ok()?.parse().ok()
+/// The group cursor stored under `key`.
+fn cursor_value(key: &str, raw: &[u8]) -> Result<u64> {
+    binfmt::decode(raw).map_err(|e| DtfError::Serde(format!("group cursor {key}: {e}")))
 }
 
 /// Pull every cursor of `topic` that points past its partition's end back
@@ -51,15 +58,15 @@ fn cursor_value(raw: &[u8]) -> Option<u64> {
 /// outlive the events it counted; left alone it would skip that many
 /// offsets once the partition grows again. Run on a writable reopen —
 /// redelivery (at-least-once), never a silent skip.
-pub(crate) fn clamp_cursors(topic: &Topic, yokan: &Yokan) {
+pub(crate) fn clamp_cursors(topic: &Topic, yokan: &Yokan) -> Result<()> {
     for (key, raw) in yokan.list_prefix(&format!("group/{}/", topic.name())) {
+        let cursor = cursor_value(&key, &raw)?;
         let len = key.rsplit_once('/').and_then(|(_, p)| topic.partition_len(p.parse().ok()?).ok());
-        if let (Some(len), Some(cursor)) = (len, cursor_value(&raw)) {
-            if cursor > len {
-                yokan.put(key, len.to_string());
-            }
+        if let Some(len) = len.filter(|len| cursor > *len) {
+            yokan.put(key, binfmt::encode(&len));
         }
     }
+    Ok(())
 }
 
 /// Running count of claimed-but-undelivered events a consumer discarded
@@ -81,7 +88,7 @@ impl DiscardedClaims {
 }
 
 /// Consumer tuning parameters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConsumerConfig {
     /// Consumer-group name; groups share progress through Yokan.
     pub group: String,
@@ -111,6 +118,8 @@ pub struct Consumer {
     topic: Arc<Topic>,
     yokan: Arc<Yokan>,
     cfg: ConsumerConfig,
+    /// The group's cursor key for each partition.
+    cursors: Vec<String>,
     /// Claimed but not yet delivered ranges, oldest first.
     claims: std::collections::VecDeque<Claim>,
     /// Next partition to claim from (round-robin fairness).
@@ -122,10 +131,14 @@ pub struct Consumer {
 impl Consumer {
     pub(crate) fn new(topic: Arc<Topic>, yokan: Arc<Yokan>, cfg: ConsumerConfig) -> Self {
         assert!(cfg.prefetch >= 1, "prefetch must be >= 1");
+        let cursors = (0..topic.num_partitions())
+            .map(|p| format!("group/{}/{}/{p}", topic.name(), cfg.group))
+            .collect();
         Self {
             topic,
             yokan,
             cfg,
+            cursors,
             claims: std::collections::VecDeque::new(),
             next_partition: 0,
             discarded: DiscardedClaims::default(),
@@ -145,17 +158,17 @@ impl Consumer {
     }
 
     /// Atomically claim up to `n` offsets in `partition`; returns the
-    /// claimed half-open range.
+    /// claimed half-open range. An empty range leaves the cursor alone.
     fn claim(&self, partition: u32, n: usize) -> Result<(u64, u64)> {
         let avail = self.topic.partition_len(partition)?;
+        let key = &self.cursors[partition as usize];
         let mut claimed = (0, 0);
-        let cursor = format!("group/{}/{}/{}", self.topic.name(), self.cfg.group, partition);
-        self.yokan.update(&cursor, |old| {
-            let cur = old.and_then(|b| cursor_value(b)).unwrap_or(0);
+        self.yokan.update(key, |old| {
+            let cur = old.map_or(Ok(0), |raw| cursor_value(key, raw))?;
             let end = avail.min(cur.saturating_add(n as u64)).max(cur);
             claimed = (cur, end);
-            Bytes::from(end.to_string())
-        });
+            Ok((end > cur).then(|| Bytes::from(binfmt::encode(&end))))
+        })?;
         Ok(claimed)
     }
 
@@ -383,9 +396,7 @@ mod tests {
             .map(|p| {
                 yokan
                     .get(&format!("group/{}/{}/{}", topic.name(), group, p))
-                    .and_then(|b| String::from_utf8(b.to_vec()).ok())
-                    .and_then(|s| s.parse::<u64>().ok())
-                    .unwrap_or(0)
+                    .map_or(0, |b| binfmt::decode::<u64>(&b).unwrap())
             })
             .sum()
     }
@@ -418,6 +429,30 @@ mod tests {
         drop(c);
         assert_eq!(discarded.count(), 0, "a drained consumer has nothing to discard");
         assert_eq!(group_claimed(&topic, &yokan, "g"), 90);
+    }
+
+    /// A cursor that does not decode fails the claim; read as offset 0 it
+    /// would hand the group the whole partition again.
+    #[test]
+    fn a_cursor_that_does_not_decode_fails_the_claim_and_delivers_nothing() {
+        let (topic, yokan) = setup(1, 10);
+        yokan.put("group/t/g/0", Bytes::from_static(b"not a cursor"));
+        let mut c = consumer(&topic, &yokan, "g");
+        let pulled = c.pull(10);
+        assert!(pulled.is_err(), "delivered {} events", pulled.map_or(0, |e| e.len()));
+        assert_eq!(c.drain_all().map_or(0, |e| e.len()), 0, "no event is delivered");
+        assert_eq!(yokan.get("group/t/g/0").unwrap().as_ref(), b"not a cursor");
+    }
+
+    /// A claim that advances nothing writes no cursor.
+    #[test]
+    fn an_empty_claim_writes_nothing() {
+        let (topic, yokan) = setup(2, 1);
+        let mut c = consumer(&topic, &yokan, "g");
+        assert_eq!(c.pull(10).unwrap().len(), 1);
+        assert!(c.pull(10).unwrap().is_empty());
+        assert_eq!(yokan.len(), 1, "only the partition that advanced has a cursor");
+        assert_eq!(group_claimed(&topic, &yokan, "g"), 1);
     }
 
     #[test]

@@ -18,11 +18,11 @@
 
 use bytes::Bytes;
 use dtf_core::events::ProvRecord;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Identifier of a stored event: partition number and offset within it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct EventId {
     pub partition: u32,
     pub offset: u64,

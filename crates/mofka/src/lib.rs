@@ -26,6 +26,8 @@
 //! (the stress bench, live services) flush from many and contend only per
 //! partition.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 pub mod bedrock;
 pub mod consumer;
 pub mod event;

@@ -29,7 +29,7 @@
 //! Concurrent producers on one topic contend only on the partitions they
 //! share, once per batch.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -41,7 +41,7 @@ use crate::event::Event;
 use crate::topic::{SlotBatch, Topic};
 
 /// How a producer assigns events to partitions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum PartitionStrategy {
     /// Cycle through partitions.
     RoundRobin,
@@ -61,7 +61,7 @@ pub enum PartitionStrategy {
 pub const MISSING_KEY_PARTITION: u32 = 0;
 
 /// Producer tuning parameters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ProducerConfig {
     /// Flush when this many events are buffered. 1 disables batching.
     pub batch_size: usize,
@@ -141,7 +141,8 @@ impl Producer {
                         }
                     }
                     self.key_text.clear();
-                    key.write_json(&mut self.key_text).expect("a String sink is infallible");
+                    // writing into a `String` cannot fail
+                    let _ = key.write_json(&mut self.key_text);
                     let p = self.hash_key_text();
                     self.memo[slot] = Some((*key, p));
                     p

@@ -2,8 +2,9 @@
 //!
 //! A service is in-memory by default; [`ServiceConfig::persist`] roots it
 //! in a store directory of three dtf-store logs: `yokan/` for key-value
-//! metadata (topic configs, group cursors), `warabi/` for blob payloads,
-//! `topics/` for the partition logs. [`MofkaService::reopen`] opens such a
+//! metadata (each topic's [`TopicConfig`] under `topic-config/<topic>` and
+//! group cursors, in their `dtf_core::binfmt` form), `warabi/` for blob
+//! payloads, `topics/` for the partition logs. [`MofkaService::reopen`] opens such a
 //! directory read-only — the archive path: recovery repairs any torn tail,
 //! topics are rebuilt to their committed prefixes, and the regular
 //! consumer API drains them exactly as an in-situ analysis would.
@@ -20,6 +21,7 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use dtf_core::binfmt;
 use dtf_core::error::{DtfError, Result};
 
 use crate::consumer::{clamp_cursors, Consumer, ConsumerConfig};
@@ -223,14 +225,15 @@ impl MofkaService {
     fn restore_topics(&self, records: &[Bytes]) -> Result<u64> {
         let mut topics = Vec::new();
         for (key, raw) in self.yokan.list_prefix("topic-config/") {
-            let cfg: TopicConfig = serde_json::from_slice(&raw)?;
+            let cfg: TopicConfig = binfmt::decode(&raw)
+                .map_err(|e| DtfError::Serde(format!("topic config {key}: {e}")))?;
             let name = &key["topic-config/".len()..];
             topics.push(Topic::new(name, &cfg, self.warabi.clone(), None));
         }
         let restored = topic::restore(&mut topics, records, self.topic_log.as_ref())?;
         for topic in topics {
             if self.topic_log.is_some() {
-                clamp_cursors(&topic, &self.yokan);
+                clamp_cursors(&topic, &self.yokan)?;
             }
             let name = topic.name().to_string();
             let _ = self.topics.try_insert(&name, || Arc::new(topic));
@@ -259,10 +262,7 @@ impl MofkaService {
             .try_insert(name, || {
                 // record the topic config in Yokan, as Mofka does —
                 // under the map-shard lock, atomic with the reservation
-                self.yokan.put(
-                    format!("topic-config/{name}"),
-                    serde_json::to_vec(&cfg).expect("topic config serializes"),
-                );
+                self.yokan.put(format!("topic-config/{name}"), binfmt::encode(&cfg));
                 Arc::new(Topic::new(name, &cfg, self.warabi.clone(), self.topic_log.clone()))
             })
             .map_err(|()| DtfError::IllegalState(format!("topic {name} already exists")))
@@ -362,8 +362,27 @@ mod tests {
         let svc = MofkaService::new();
         svc.create_topic("t", TopicConfig { partitions: 7 }).unwrap();
         let raw = svc.yokan().get("topic-config/t").unwrap();
-        let cfg: TopicConfig = serde_json::from_slice(&raw).unwrap();
-        assert_eq!(cfg.partitions, 7);
+        assert_eq!(binfmt::decode::<TopicConfig>(&raw).unwrap(), TopicConfig { partitions: 7 });
+    }
+
+    /// A persisted topic config or group cursor that does not decode fails
+    /// the reopen that reads it.
+    #[test]
+    fn undecodable_metadata_fails_the_reopen() {
+        let dir = std::env::temp_dir().join(format!("dtf-svc-bad-{}", std::process::id()));
+        let persist = ServiceConfig { persist: Some(dir.clone()) };
+        for (key, garbage) in [("group/events/g/0", &b"\x80"[..]), ("topic-config/events", b"{}")] {
+            let _ = std::fs::remove_dir_all(&dir);
+            {
+                let svc = MofkaService::with_config(&persist).unwrap();
+                svc.create_topic("events", TopicConfig { partitions: 2 }).unwrap();
+                svc.yokan().put(key, Bytes::from_static(garbage));
+                svc.sync().unwrap();
+            }
+            let err = MofkaService::with_config(&persist).unwrap_err().to_string();
+            assert!(err.contains(key), "{err}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

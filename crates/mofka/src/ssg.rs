@@ -6,13 +6,13 @@
 //! and for tests to inject failures.
 
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 use dtf_core::time::{Dur, Time};
 
 /// Per-member state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct MemberState {
     pub joined: Time,
     pub last_heartbeat: Time,

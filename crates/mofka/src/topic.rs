@@ -50,7 +50,6 @@
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
-use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -62,10 +61,13 @@ use std::io::ErrorKind;
 use crate::event::{Event, EventId, StoredEvent};
 use crate::warabi::{BlobId, Warabi};
 
-/// Topic creation parameters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TopicConfig {
-    pub partitions: u32,
+dtf_core::wire_struct! {
+    /// Topic creation parameters, persisted as this document under the
+    /// topic's `topic-config/` Yokan key.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct TopicConfig {
+        pub partitions: u32,
+    }
 }
 
 impl Default for TopicConfig {
@@ -244,12 +246,12 @@ fn malformed() -> DtfError {
     DtfError::Io(ErrorKind::InvalidData, "malformed topic log record".into())
 }
 
-fn u32_le(bytes: &[u8]) -> u32 {
-    u32::from_le_bytes(bytes.try_into().expect("caller slices 4 bytes"))
+fn u32_le(bytes: &[u8]) -> Result<u32> {
+    Ok(u32::from_le_bytes(bytes.try_into().map_err(|_| malformed())?))
 }
 
-fn u64_le(bytes: &[u8]) -> u64 {
-    u64::from_le_bytes(bytes.try_into().expect("caller slices 8 bytes"))
+fn u64_le(bytes: &[u8]) -> Result<u64> {
+    Ok(u64::from_le_bytes(bytes.try_into().map_err(|_| malformed())?))
 }
 
 /// Rebuild `topics` — freshly created from their persisted configs —
@@ -278,7 +280,7 @@ pub(crate) fn restore(
     for rec in records {
         match rec.first() {
             Some(&REC_DECLARE) if rec.len() >= 5 => {
-                if u32_le(&rec[1..5]) as usize != ids.len() {
+                if u32_le(&rec[1..5])? as usize != ids.len() {
                     return Err(malformed());
                 }
                 let name = std::str::from_utf8(&rec[5..]).map_err(|_| malformed())?;
@@ -296,10 +298,10 @@ pub(crate) fn restore(
                 ids.push(t);
             }
             Some(&REC_SLOT) if rec.len() >= SLOT_HEADER => {
-                let id = u32_le(&rec[1..5]) as usize;
-                let p = u32_le(&rec[5..9]) as usize;
-                let offset = u64_le(&rec[9..17]);
-                let blob = Some(u64_le(&rec[17..25])).filter(|b| *b != NO_BLOB).map(BlobId);
+                let id = u32_le(&rec[1..5])? as usize;
+                let p = u32_le(&rec[5..9])? as usize;
+                let offset = u64_le(&rec[9..17])?;
+                let blob = Some(u64_le(&rec[17..25])?).filter(|b| *b != NO_BLOB).map(BlobId);
                 // checked before routing, so a slot nobody claims is held
                 // to the layout too
                 if rec[SLOT_HEADER - 1] != META_BINARY {

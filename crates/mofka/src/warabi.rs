@@ -22,12 +22,12 @@ use bytes::Bytes;
 use dtf_core::error::Result;
 use dtf_store::{LogConfig, RecoveryReport, SegmentedLog};
 use parking_lot::{Mutex, RwLock};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::path::Path;
 
 /// Handle to a stored blob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct BlobId(pub u64);
 
 impl fmt::Display for BlobId {

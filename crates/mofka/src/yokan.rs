@@ -10,18 +10,20 @@
 //!
 //! A Yokan can optionally be **durable**: [`Yokan::durable`] attaches a
 //! write-ahead log (dtf-store's [`KvWal`]) and every mutation is written
-//! through to it under the map lock, so the on-disk log always replays to
-//! the in-memory map. Mutation signatures stay infallible: the log's own
-//! failure rule keeps the first write error (later mutations are not
-//! logged — a record after a lost one would replay to a map that never
-//! existed) and every [`Yokan::sync`], the commit point, reports it.
+//! through to it under the map lock as one [`KvRecord`], so the on-disk
+//! log always replays to the in-memory map; a [`Yokan::update`] that
+//! leaves the value as it is writes nothing. Mutation signatures stay
+//! infallible: the log's own failure rule keeps the first write error
+//! (later mutations are not logged — a record after a lost one would
+//! replay to a map that never existed) and every [`Yokan::sync`], the
+//! commit point, reports it.
 //! [`Yokan::replay`] reopens a directory read-only: the map is rebuilt
 //! from the log and the log handle is dropped, so archive readers never
 //! mutate the store beyond recovery's torn-tail repair.
 
 use bytes::Bytes;
 use dtf_core::error::Result;
-use dtf_store::{KvWal, LogConfig, RecoveryReport};
+use dtf_store::{KvRecord, KvWal, LogConfig, RecoveryReport};
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -61,10 +63,16 @@ impl Yokan {
         let key = key.into();
         let value = value.into();
         let mut map = self.map.write();
-        if let Some(wal) = &self.wal {
-            let _ = wal.lock().append_put(&key, &value);
-        }
+        self.log(|| KvRecord::Put(key.clone(), value.clone()));
         map.insert(key, value);
+    }
+
+    /// Write `rec` through to the WAL, if there is one; the caller holds
+    /// the map lock, so the log's order is the map's.
+    fn log(&self, rec: impl FnOnce() -> KvRecord) {
+        if let Some(wal) = &self.wal {
+            let _ = wal.lock().append(&rec());
+        }
     }
 
     pub fn get(&self, key: &str) -> Option<Bytes> {
@@ -73,9 +81,7 @@ impl Yokan {
 
     pub fn delete(&self, key: &str) -> bool {
         let mut map = self.map.write();
-        if let Some(wal) = &self.wal {
-            let _ = wal.lock().append_delete(key);
-        }
+        self.log(|| KvRecord::Delete(key.to_string()));
         map.remove(key).is_some()
     }
 
@@ -101,15 +107,25 @@ impl Yokan {
             .collect()
     }
 
-    /// Atomically update the value at `key` with `f` (insert if absent,
-    /// starting from `None`).
-    pub fn update<F: FnOnce(Option<&Bytes>) -> Bytes>(&self, key: &str, f: F) {
+    /// Atomically update the value at `key` with `f`, which sees the
+    /// current value (`None` if absent) and returns the new one, or `None`
+    /// to leave the value — and the map and the WAL — untouched. An error
+    /// from `f` is returned and changes nothing.
+    pub fn update(
+        &self,
+        key: &str,
+        f: impl FnOnce(Option<&Bytes>) -> Result<Option<Bytes>>,
+    ) -> Result<()> {
         let mut map = self.map.write();
-        let new = f(map.get(key));
-        if let Some(wal) = &self.wal {
-            let _ = wal.lock().append_put(key, &new);
+        let Some(new) = f(map.get(key))? else { return Ok(()) };
+        self.log(|| KvRecord::Put(key.to_string(), new.clone()));
+        match map.get_mut(key) {
+            Some(value) => *value = new,
+            None => {
+                map.insert(key.to_string(), new);
+            }
         }
-        map.insert(key.to_string(), new);
+        Ok(())
     }
 
     /// Flush the WAL (group commit), surfacing the error that poisoned it
@@ -122,6 +138,7 @@ impl Yokan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtf_core::error::DtfError;
 
     #[test]
     fn put_get_delete() {
@@ -163,13 +180,21 @@ mod tests {
         let kv = Yokan::new();
         kv.update("ctr", |old| {
             assert!(old.is_none());
-            Bytes::from_static(b"1")
-        });
+            Ok(Some(Bytes::from_static(b"1")))
+        })
+        .unwrap();
         kv.update("ctr", |old| {
             assert_eq!(old.unwrap().as_ref(), b"1");
-            Bytes::from_static(b"2")
-        });
+            Ok(Some(Bytes::from_static(b"2")))
+        })
+        .unwrap();
         assert_eq!(kv.get("ctr"), Some(Bytes::from_static(b"2")));
+        // unchanged and failed updates leave the map alone
+        kv.update("ctr", |_| Ok(None)).unwrap();
+        kv.update("new", |_| Ok(None)).unwrap();
+        assert!(kv.update("ctr", |_| Err(DtfError::Config("no".into()))).is_err());
+        assert_eq!(kv.get("ctr"), Some(Bytes::from_static(b"2")));
+        assert!(!kv.contains("new"));
     }
 
     #[test]
@@ -205,13 +230,14 @@ mod tests {
         {
             let (kv, _) = Yokan::durable(&dir).unwrap();
             kv.put("a", Bytes::from_static(b"1"));
-            kv.update("a", |_| Bytes::from_static(b"2"));
+            kv.update("a", |_| Ok(Some(Bytes::from_static(b"2")))).unwrap();
+            kv.update("a", |_| Ok(None)).unwrap();
             kv.put("gone", Bytes::from_static(b"x"));
             kv.delete("gone");
             kv.sync().unwrap();
         }
         let (kv, report) = Yokan::durable(&dir).unwrap();
-        assert_eq!(report.records, 4);
+        assert_eq!(report.records, 4, "an unchanged update logs nothing");
         assert_eq!(kv.get("a"), Some(Bytes::from_static(b"2")));
         assert!(kv.get("gone").is_none());
         drop(kv);

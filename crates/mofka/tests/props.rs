@@ -4,6 +4,7 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use dtf_core::binfmt;
 use dtf_core::events::{
     Location, LogEntry, LogLevel, LogSource, ProvEvent, ProvRecord, Stimulus, TaskState,
     TransitionEvent,
@@ -60,8 +61,7 @@ fn group_claimed(svc: &MofkaService, topic: &str, group: &str, partitions: u32) 
         .map(|p| {
             svc.yokan()
                 .get(&format!("group/{topic}/{group}/{p}"))
-                .and_then(|raw| std::str::from_utf8(&raw).ok()?.parse::<u64>().ok())
-                .unwrap_or(0)
+                .map_or(0, |raw| binfmt::decode::<u64>(&raw).unwrap())
         })
         .sum()
 }

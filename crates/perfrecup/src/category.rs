@@ -7,7 +7,7 @@
 //! category. The numbers come out of [`CategoryState`], the same derived
 //! state the live engine keeps, so the two cannot disagree.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use dtf_core::stats::{Summary, Welford};
 use dtf_wms::RunData;
@@ -15,7 +15,7 @@ use dtf_wms::RunData;
 use crate::state::CategoryState;
 
 /// Statistics for one task category within one run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CategoryStats {
     pub category: String,
     pub tasks: usize,

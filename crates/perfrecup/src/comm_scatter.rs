@@ -7,7 +7,7 @@
 //! substrate the cause is explicit: lazy connection establishment on
 //! first contact between worker pairs.)
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use dtf_core::stats::percentile;
 use dtf_wms::RunData;
@@ -22,7 +22,7 @@ pub fn points(data: &RunData) -> DataFrame {
 }
 
 /// Summary of the slow-small-early anomaly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CommSummary {
     pub total: usize,
     pub intra_node: usize,

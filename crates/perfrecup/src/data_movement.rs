@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use dtf_core::events::ProxyAction;
 use dtf_core::ids::TaskKey;
@@ -26,7 +26,7 @@ use dtf_wms::RunData;
 use crate::frame::DataFrame;
 
 /// Per-transfer attribution row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MovementRow {
     pub key: TaskKey,
     /// Payload size of the transfer.
@@ -40,7 +40,7 @@ pub struct MovementRow {
 }
 
 /// Aggregate attribution over a whole run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MovementSummary {
     /// Total payload bytes moved between workers.
     pub total_bytes: u64,

@@ -7,7 +7,7 @@
 //! one per sequentially submitted task graph — each ending in a burst of
 //! small writes.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use dtf_core::events::IoOp;
 use dtf_wms::RunData;
@@ -15,7 +15,7 @@ use dtf_wms::RunData;
 use crate::frame::DataFrame;
 
 /// One detected activity phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct IoPhase {
     pub start_s: f64,
     pub end_s: f64,
@@ -96,7 +96,7 @@ pub fn detect_phases(data: &RunData, gap_s: f64) -> Vec<IoPhase> {
 
 /// Whether each detected phase is read-dominant and also contains a
 /// trailing write burst — the Fig. 4 ImageProcessing signature.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PhaseSignature {
     pub phases: Vec<IoPhase>,
     pub read_phases: usize,

@@ -44,7 +44,7 @@
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use dtf_core::error::DtfError;
 use dtf_core::events::ProvRecord;
@@ -79,7 +79,7 @@ impl Default for LiveConfig {
 }
 
 /// Ingest counters, by topic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct LiveProgress {
     pub meta: u64,
     pub transitions: u64,
@@ -106,7 +106,7 @@ impl LiveProgress {
 
 /// One immutable published view state. Readers hold it by `Arc`; a new
 /// publish never mutates an outstanding snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ViewSnapshot {
     /// Monotone publish counter (0 = nothing published yet).
     pub version: u64,
@@ -184,7 +184,7 @@ impl ViewSubscription {
 }
 
 /// One query shape answered identically by live state and archives.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum ViewQuery {
     Categories,
     Utilization { bins: usize, threads_per_worker: u32 },
@@ -192,7 +192,7 @@ pub enum ViewQuery {
 }
 
 /// A query answer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum ViewResult {
     Categories(Vec<CategoryStats>),
     Utilization(Vec<WorkerUtilization>),

@@ -7,7 +7,7 @@
 //! the 128 MB the Dask developers recommend — a likely cause of
 //! suboptimal, variable performance.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use dtf_core::table::Value;
 use dtf_wms::RunData;
@@ -40,7 +40,7 @@ pub fn coordinates(data: &RunData) -> DataFrame {
 }
 
 /// Category-level reading of the figure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CoordsSummary {
     /// Category with the largest mean duration.
     pub longest_category: String,

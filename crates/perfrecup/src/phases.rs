@@ -8,12 +8,12 @@
 //! §IV-C), so bars need not add to the total. Values are normalized by the
 //! workflow's mean wall time for cross-workflow readability.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use dtf_core::stats::Welford;
 
 /// One run's phase totals, in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PhaseSample {
     pub wall_s: f64,
     pub io_s: f64,
@@ -22,7 +22,7 @@ pub struct PhaseSample {
 }
 
 /// One bar of the figure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PhaseBar {
     /// Mean over runs, seconds.
     pub mean_s: f64,
@@ -35,7 +35,7 @@ pub struct PhaseBar {
 }
 
 /// The four bars of one workflow in Fig. 3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PhaseBreakdown {
     pub io: PhaseBar,
     pub comm: PhaseBar,

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use dtf_core::ids::TaskKey;
 use dtf_core::stats::{kendall_tau, Summary};
@@ -39,7 +39,7 @@ pub fn order_similarity(a: &[(TaskKey, Time)], b: &[(TaskKey, Time)], max_tasks:
 }
 
 /// Pairwise order similarity across a campaign's runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct OrderSimilarityMatrix {
     pub runs: usize,
     /// Upper-triangle pairwise taus, row-major (i < j).

@@ -8,7 +8,7 @@
 //! stealing). Busy time is binned in integer nanoseconds by [`BusyState`],
 //! the same derived state the live engine keeps.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use dtf_core::ids::WorkerId;
 use dtf_wms::RunData;
@@ -16,7 +16,7 @@ use dtf_wms::RunData;
 use crate::state::BusyState;
 
 /// Utilization of one worker over the run's time windows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WorkerUtilization {
     pub worker: WorkerId,
     /// Busy fraction (0..=1) per window.

@@ -2,12 +2,12 @@
 //! when the same workflow runs repeatedly in the same configuration —
 //! the paper's central reproducibility question.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use dtf_core::stats::{percentile, Summary, Welford};
 
 /// Variability of one metric across runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Variability {
     pub metric: String,
     pub summary: Summary,

@@ -8,14 +8,14 @@
 //! timestamp falls inside the execution interval of a long task on the
 //! same worker.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use dtf_core::events::WarningKind;
 use dtf_core::stats::Histogram;
 use dtf_wms::RunData;
 
 /// The warning distribution and its task correlation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WarningReport {
     pub total: usize,
     pub unresponsive: usize,

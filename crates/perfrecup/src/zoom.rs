@@ -6,14 +6,14 @@
 //! I/O overlapping it, the warnings raised in it, and aggregate busy-time
 //! statistics clipped to the window.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use dtf_core::events::{CommEvent, IoRecord, TaskDoneEvent, WarningEvent};
 use dtf_core::time::{Dur, Time};
 use dtf_wms::RunData;
 
 /// Aggregate statistics of one time window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WindowStats {
     pub t0: Time,
     pub t1: Time,

@@ -8,7 +8,7 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use dtf_core::error::{DtfError, Result};
 use dtf_core::ids::NodeId;
@@ -18,7 +18,7 @@ use dtf_core::time::Time;
 use crate::topology::ClusterTopology;
 
 /// A resource request (the job-script analog).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct JobRequest {
     pub nodes: u32,
     pub walltime_limit_s: u64,
@@ -26,7 +26,7 @@ pub struct JobRequest {
 }
 
 /// Allocation policy knobs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AllocPolicy {
     /// Probability that the allocation is scattered across the cluster
     /// instead of packed under contiguous switches.

@@ -16,7 +16,7 @@
 //! attribute every operation to a real file.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 use dtf_core::dist::Jitter;
@@ -57,7 +57,7 @@ impl Default for PfsConfig {
 }
 
 /// Metadata of one file.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PfsFile {
     pub id: FileId,
     pub path: String,

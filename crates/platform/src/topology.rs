@@ -7,13 +7,13 @@
 //! effective performance. Both are first-class here.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use dtf_core::dist::{Normal, Sample};
 use dtf_core::ids::NodeId;
 
 /// Network distance classes between two endpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Distance {
     /// Same node: loopback / shared memory.
     SameNode,
@@ -24,7 +24,7 @@ pub enum Distance {
 }
 
 /// Per-node effective performance profile, drawn once per run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct NodeProfile {
     /// Multiplier on compute durations (1.0 = nominal; >1 = slower node).
     pub compute_factor: f64,
@@ -39,7 +39,7 @@ impl Default for NodeProfile {
 }
 
 /// A cluster of `node_count` nodes, `nodes_per_switch` under each switch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClusterTopology {
     pub node_count: u32,
     pub nodes_per_switch: u32,

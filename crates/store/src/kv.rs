@@ -1,8 +1,15 @@
 //! A write-ahead-logged key-value store on the segmented log.
 //!
-//! Every mutation is one log record — `0x00 | klen:u32le | key | value`
-//! for a put, `0x01 | klen:u32le | key` for a delete — and opening the
-//! store replays the whole log into the map. That is all the store's
+//! Every mutation is one log record, a [`KvRecord`] in its
+//! `dtf_core::binfmt` form —
+//!
+//! ```text
+//! record := 0x00 str(key) bytes(value)    put
+//!         | 0x01 str(key)                 delete
+//! ```
+//!
+//! — and opening the store replays the whole log into the map; a record
+//! that does not decode is an error, not a skip. That is all the store's
 //! traffic needs: the maps it backs hold what is key-value (topic
 //! configs, group cursors, run metadata), under a hundred records per
 //! run, so a full replay costs microseconds (DESIGN.md §16, *Why the KV
@@ -18,54 +25,28 @@ use std::io::ErrorKind;
 use std::path::Path;
 
 use bytes::Bytes;
+use dtf_core::binfmt;
 use dtf_core::error::{DtfError, Result};
+use dtf_core::wire_enum;
 
 use crate::log::{LogConfig, RecoveryReport, SegmentedLog};
 
-const TAG_PUT: u8 = 0;
-const TAG_DELETE: u8 = 1;
-
-fn encode_put(key: &str, value: &[u8]) -> Vec<u8> {
-    let mut rec = Vec::with_capacity(5 + key.len() + value.len());
-    rec.push(TAG_PUT);
-    rec.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    rec.extend_from_slice(key.as_bytes());
-    rec.extend_from_slice(value);
-    rec
+wire_enum! {
+    /// One mutation of a WAL-backed map: the only record the KV log holds.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum KvRecord("kv record") {
+        Put(key: String, value: Bytes) = 0,
+        Delete(key: String) = 1,
+    }
 }
 
-fn encode_delete(key: &str) -> Vec<u8> {
-    let mut rec = Vec::with_capacity(5 + key.len());
-    rec.push(TAG_DELETE);
-    rec.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    rec.extend_from_slice(key.as_bytes());
-    rec
-}
-
-fn apply_record(map: &mut BTreeMap<String, Bytes>, rec: &Bytes) -> Result<()> {
-    let bad = |what: &str| DtfError::Io(ErrorKind::InvalidData, format!("kv wal record: {what}"));
-    if rec.len() < 5 {
-        return Err(bad("shorter than tag + key length"));
+impl KvRecord {
+    fn apply(self, map: &mut BTreeMap<String, Bytes>) {
+        match self {
+            KvRecord::Put(key, value) => map.insert(key, value),
+            KvRecord::Delete(key) => map.remove(&key),
+        };
     }
-    let klen = u32::from_le_bytes(rec[1..5].try_into().unwrap()) as usize;
-    if 5 + klen > rec.len() {
-        return Err(bad("key length exceeds record"));
-    }
-    let key =
-        std::str::from_utf8(&rec[5..5 + klen]).map_err(|_| bad("key is not utf-8"))?.to_string();
-    match rec[0] {
-        TAG_PUT => {
-            map.insert(key, rec.slice(5 + klen..));
-        }
-        TAG_DELETE => {
-            if rec.len() != 5 + klen {
-                return Err(bad("delete record carries trailing bytes"));
-            }
-            map.remove(&key);
-        }
-        t => return Err(bad(&format!("unknown tag {t}"))),
-    }
-    Ok(())
 }
 
 /// The WAL half of a durable KV: owns the log, not the map.
@@ -84,20 +65,16 @@ impl KvWal {
         let (log, records, report) = SegmentedLog::open(dir, cfg)?;
         let mut map = BTreeMap::new();
         for rec in &records {
-            apply_record(&mut map, rec)?;
+            binfmt::decode::<KvRecord>(rec)
+                .map_err(|e| DtfError::Io(ErrorKind::InvalidData, format!("kv wal record: {e}")))?
+                .apply(&mut map);
         }
         Ok((Self { log }, map, report))
     }
 
-    /// Log a put. The caller applies the same mutation to its map.
-    pub fn append_put(&mut self, key: &str, value: &[u8]) -> Result<()> {
-        self.log.append(&encode_put(key, value))?;
-        Ok(())
-    }
-
-    /// Log a delete. The caller applies the same mutation to its map.
-    pub fn append_delete(&mut self, key: &str) -> Result<()> {
-        self.log.append(&encode_delete(key))?;
+    /// Log `rec`. The caller applies the same mutation to its map.
+    pub fn append(&mut self, rec: &KvRecord) -> Result<()> {
+        self.log.append(&binfmt::encode(rec))?;
         Ok(())
     }
 
@@ -120,6 +97,10 @@ mod tests {
         dir
     }
 
+    fn put(key: &str, value: &[u8]) -> KvRecord {
+        KvRecord::Put(key.into(), Bytes::copy_from_slice(value))
+    }
+
     /// No fsync: fast for tests.
     fn fast() -> LogConfig {
         LogConfig { flush: FlushPolicy::EveryRecord, sync_data: false, ..LogConfig::default() }
@@ -130,11 +111,11 @@ mod tests {
         let dir = tmpdir("replay");
         {
             let (mut wal, _, _) = KvWal::open(&dir, fast()).unwrap();
-            wal.append_put("a", b"1").unwrap();
-            wal.append_put("b", b"2").unwrap();
-            wal.append_put("a", b"3").unwrap(); // overwrite
-            wal.append_delete("b").unwrap();
-            wal.append_put("c", b"4").unwrap();
+            wal.append(&put("a", b"1")).unwrap();
+            wal.append(&put("b", b"2")).unwrap();
+            wal.append(&put("a", b"3")).unwrap(); // overwrite
+            wal.append(&KvRecord::Delete("b".into())).unwrap();
+            wal.append(&put("c", b"4")).unwrap();
         }
         let (_, map, report) = KvWal::open(&dir, fast()).unwrap();
         assert_eq!(report.records, 5);
@@ -150,14 +131,29 @@ mod tests {
         let dir = tmpdir("binary");
         {
             let (mut wal, _, _) = KvWal::open(&dir, fast()).unwrap();
-            wal.append_put("zeros", &[0u8; 256]).unwrap();
-            wal.append_put("empty", b"").unwrap();
-            wal.append_put("utf8-key-π", b"pi").unwrap();
+            wal.append(&put("zeros", &[0u8; 256])).unwrap();
+            wal.append(&put("empty", b"")).unwrap();
+            wal.append(&put("utf8-key-π", b"pi")).unwrap();
         }
         let (_, map, _) = KvWal::open(&dir, fast()).unwrap();
         assert_eq!(map["zeros"].len(), 256);
         assert_eq!(map["empty"].len(), 0);
         assert_eq!(map["utf8-key-π"].as_ref(), b"pi");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_record_that_does_not_decode_is_an_error() {
+        let dir = tmpdir("garbage");
+        for rec in [&[2, 1, b'k'][..], &[0, 1, b'k'], &[1, 1, b'k', 0]] {
+            {
+                let _ = fs::remove_dir_all(&dir);
+                let (mut log, _, _) = SegmentedLog::open(&dir, fast()).unwrap();
+                log.append(rec).unwrap();
+            }
+            let err = KvWal::open(&dir, fast()).unwrap_err().to_string();
+            assert!(err.contains("kv wal record"), "{rec:?}: {err}");
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 }

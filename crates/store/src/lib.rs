@@ -48,5 +48,5 @@ pub mod log;
 
 pub use cache::{BlockCache, CacheStats};
 pub use index::{LogReader, ReaderOptions, SegmentIndex};
-pub use kv::KvWal;
+pub use kv::{KvRecord, KvWal};
 pub use log::{FlushPolicy, LogConfig, RecoveryReport, SegmentedLog, FORMAT_BINARY};

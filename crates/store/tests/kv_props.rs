@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use dtf_store::kv::KvWal;
+use dtf_store::kv::{KvRecord, KvWal};
 use dtf_store::log::{segment_paths, FlushPolicy, LogConfig, HEADER_LEN};
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
@@ -78,8 +78,8 @@ fn run_schedule(dir: &Path, ops: &[Op]) {
     let (mut wal, _, _) = KvWal::open(dir, small_cfg()).unwrap();
     for op in ops {
         match op {
-            Op::Put(k, v) => wal.append_put(&key(*k), &value(*v)).unwrap(),
-            Op::Delete(k) => wal.append_delete(&key(*k)).unwrap(),
+            Op::Put(k, v) => wal.append(&KvRecord::Put(key(*k), value(*v).into())).unwrap(),
+            Op::Delete(k) => wal.append(&KvRecord::Delete(key(*k))).unwrap(),
             Op::Sync => wal.sync().unwrap(),
         }
     }

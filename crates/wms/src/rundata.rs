@@ -22,10 +22,10 @@
 //! persisted at finalize under the [`ARCHIVE_META_KEY`] Yokan key, as the
 //! binary document [`ArchiveMeta::encode`] writes.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::path::Path;
 
-use dtf_core::binfmt::{self, put_varint, Reader, Wire};
+use dtf_core::binfmt::{self, Reader, Wire};
 use dtf_core::error::DtfError;
 use dtf_core::events::{
     CommEvent, IoRecord, LogEntry, ProvEvent, ProxyEvent, TaskDoneEvent, TaskMetaEvent,
@@ -43,7 +43,7 @@ pub const ARCHIVE_META_KEY: &str = "run-meta";
 
 /// First bytes of an encoded [`ArchiveMeta`]: magic, then the version.
 const META_MAGIC: &[u8; 7] = b"DTFMETA";
-const META_VERSION: u8 = 1;
+const META_VERSION: u8 = 2;
 
 /// The non-Mofka half of a run record, persisted at finalize so an
 /// archive reopen can rebuild a full [`RunData`] from disk alone.
@@ -70,7 +70,7 @@ impl ArchiveMeta {
         if bytes.first() == Some(&b'{') {
             return Err(DtfError::Serde(format!(
                 "{ARCHIVE_META_KEY} is a JSON document, the format before binary \
-                 {ARCHIVE_META_KEY} version {META_VERSION}; this build reads only the binary one"
+                 {ARCHIVE_META_KEY}; this build reads only binary version {META_VERSION}"
             )));
         }
         binfmt::decode(bytes).map_err(|e| match e {
@@ -83,26 +83,23 @@ impl ArchiveMeta {
 /// The document's layout:
 ///
 /// ```text
-/// "DTFMETA" version:u8 run workflow varint(len) chart-json darshan wall_time start_order steals
+/// "DTFMETA" version:u8 run workflow chart darshan wall_time start_order steals
 /// ```
 ///
-/// Every field but the chart is its [`Wire`] form (`darshan` is the
-/// `LogSet`'s declared layout; `start_order` keeps stored order, so
-/// same-instant ties come back as they went in). The chart must be the
-/// JSON [`Wire::put`] prints for it, so whatever decodes re-encodes to the
-/// same bytes.
+/// Every field is its [`Wire`] form: `chart` is the `ProvenanceChart`'s
+/// declared layout, `darshan` the `LogSet`'s, and `start_order` keeps
+/// stored order, so same-instant ties come back as they went in.
 impl Wire for ArchiveMeta {
-    /// Magic, version and a byte for each field.
-    const MIN_BYTES: usize = META_MAGIC.len() + 1 + 7;
+    /// Magic, version and a byte for each field but the chart, whose
+    /// minimum is its own.
+    const MIN_BYTES: usize = META_MAGIC.len() + 1 + 6 + ProvenanceChart::MIN_BYTES;
 
     fn put(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(META_MAGIC);
         out.push(META_VERSION);
         self.run.put(out);
         self.workflow.put(out);
-        let chart = serde_json::to_vec(&self.chart).expect("chart serializes");
-        put_varint(out, chart.len() as u64);
-        out.extend_from_slice(&chart);
+        self.chart.put(out);
         self.darshan.put(out);
         self.wall_time.put(out);
         self.start_order.put(out);
@@ -124,17 +121,10 @@ impl Wire for ArchiveMeta {
             }
             Err(_) => return Err(DtfError::Serde("truncated".into())),
         }
-        let run = Wire::get(r)?;
-        let workflow = Wire::get(r)?;
-        let chart_json = r.bytes()?;
-        let chart: ProvenanceChart = serde_json::from_slice(chart_json)?;
-        if serde_json::to_vec(&chart)? != chart_json {
-            return Err(DtfError::Serde("chart is not in its canonical JSON form".into()));
-        }
         Ok(Self {
-            run,
-            workflow,
-            chart,
+            run: Wire::get(r)?,
+            workflow: Wire::get(r)?,
+            chart: Wire::get(r)?,
             darshan: Wire::get(r)?,
             wall_time: Wire::get(r)?,
             start_order: Wire::get(r)?,
@@ -144,7 +134,7 @@ impl Wire for ArchiveMeta {
 }
 
 /// All data collected from a single run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RunData {
     pub run: RunId,
     pub workflow: String,

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use dtf_core::binfmt::{put_str, put_varint};
+use dtf_core::binfmt::{self, put_str, put_varint, Wire};
 use dtf_core::events::{IoOp, IoRecord};
 use dtf_core::ids::{FileId, NodeId, RunId, TaskKey, ThreadId, WorkerId};
 use dtf_core::provenance::{HardwareInfo, JobInfo, ProvenanceChart, SystemInfo, WmsConfig};
@@ -63,10 +63,10 @@ fn io_record(rng: &mut SmallRng, worker: WorkerId, file: FileId) -> IoRecord {
     }
 }
 
-/// `PosixCounters` keeps its map private; its serde form is the way to
-/// hold entries `record` never makes (no timed op: `first_op: None`).
+/// `PosixCounters` keeps its map private; its wire form is that map, the
+/// way to hold entries `record` never makes (no timed op: `first_op: None`).
 fn counters_from(files: BTreeMap<FileId, FileCounters>) -> PosixCounters {
-    serde_json::from_value(serde_json::json!({ "per_file": files })).unwrap()
+    binfmt::decode(&binfmt::encode(&files)).unwrap()
 }
 
 fn darshan_log(rng: &mut SmallRng, run: RunId) -> DarshanLog {
@@ -266,13 +266,11 @@ fn forged_counts_fail_before_allocating() {
     forged.extend_from_slice(&bytes[steals_at..]);
     assert!(ArchiveMeta::decode(&forged).is_err());
 
-    // the LogSet's log count follows the chart's JSON
-    let mut head = b"DTFMETA\x01".to_vec();
+    // the LogSet's log count follows the chart
+    let mut head = b"DTFMETA\x02".to_vec();
     put_varint(&mut head, meta.run.0 as u64);
     put_str(&mut head, &meta.workflow);
-    let chart = serde_json::to_vec(&meta.chart).unwrap();
-    put_varint(&mut head, chart.len() as u64);
-    head.extend_from_slice(&chart);
+    meta.chart.put(&mut head);
     assert!(bytes.starts_with(&head));
     let logs_at = head.len();
     assert_eq!(bytes[logs_at], meta.darshan.logs.len() as u8);
@@ -290,9 +288,10 @@ fn a_json_era_document_is_an_error_naming_the_format() {
     assert!(ArchiveMeta::decode(b"{").is_err());
     let mut bytes = edge_meta().encode();
     assert!(ArchiveMeta::decode(&bytes[..7]).is_err(), "magic without a version");
-    bytes[7] = 2;
+    // a version-1 document (the chart as JSON) is refused by its version
+    bytes[7] = 1;
     let err = ArchiveMeta::decode(&bytes).unwrap_err().to_string();
-    assert!(err.contains("version 2"), "{err}");
+    assert!(err.contains("version 1"), "{err}");
     bytes[0] = b'X';
     assert!(ArchiveMeta::decode(&bytes).is_err(), "bad magic");
 }

@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::mpsc;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use dtf_core::error::Result;
 use dtf_core::ids::{RunId, TaskKey};
@@ -24,7 +24,7 @@ use dtf_wms::RunData;
 use crate::{imageproc, resnet, xgboost};
 
 /// The three paper workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Workload {
     ImageProcessing,
     ResNet152,
@@ -87,7 +87,7 @@ impl Workload {
 }
 
 /// Per-run scalar summary (the quantities Figs. 3 and Table I aggregate).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RunSummary {
     pub run: RunId,
     pub wall_s: f64,

@@ -8,6 +8,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 
+use bytes::Bytes;
 use dtf::core::binfmt::{self, put_varint, Wire};
 use dtf::core::events::{
     CommEvent, IoOp, IoRecord, Location, LogEntry, LogLevel, LogSource, ProvRecord, ProxyAction,
@@ -19,6 +20,8 @@ use dtf::core::provenance::{HardwareInfo, JobInfo, ProvenanceChart, SystemInfo, 
 use dtf::core::time::{Dur, Time};
 use dtf::darshan::counters::{FileCounters, PosixCounters};
 use dtf::darshan::log::{DarshanLog, LogHeader, LogSet};
+use dtf::mofka::TopicConfig;
+use dtf::store::KvRecord;
 use dtf::wms::rundata::ArchiveMeta;
 
 /// Whether `bytes` decoded; a value it decodes to must re-encode to it.
@@ -190,10 +193,10 @@ fn records() -> Vec<ProvRecord> {
     ]
 }
 
-/// `PosixCounters` keeps its map private; its serde form is the way to
-/// hold an entry `record` never makes (`first_op: None`).
+/// `PosixCounters` keeps its map private; its wire form is that map, the
+/// way to hold an entry `record` never makes (`first_op: None`).
 fn counters_from(files: BTreeMap<FileId, FileCounters>) -> PosixCounters {
-    serde_json::from_value(serde_json::json!({ "per_file": files })).unwrap()
+    binfmt::decode(&binfmt::encode(&files)).unwrap()
 }
 
 /// Two logs: one with an untimed counters entry and a dropped trace, one
@@ -297,6 +300,26 @@ fn a_log_set_survives_hostile_bytes() {
 #[test]
 fn the_run_meta_document_survives_hostile_bytes() {
     assert!(hostile(&archive_meta()) > 0, "no forged count was refused");
+}
+
+/// What the durable store's Yokan log holds besides `run-meta`: topic
+/// configs, group cursors, and the KV records that carry them.
+#[test]
+fn the_durable_metadata_survives_hostile_bytes() {
+    assert!(hostile(&TopicConfig { partitions: 300 }) > 0, "a u32 overflows");
+    // a cursor is one varint: a count forged into it is just another cursor
+    hostile(&0u64);
+    hostile(&u64::MAX);
+    assert!(hostile(&archive_meta().chart) > 0, "no forged count was refused");
+    let records = [
+        KvRecord::Put("group/t/g/0".into(), binfmt::encode(&300u64).into()),
+        KvRecord::Put("run-meta".into(), archive_meta().encode().into()),
+        KvRecord::Put(String::new(), Bytes::new()),
+        KvRecord::Delete("topic-config/logs".into()),
+    ];
+    for rec in &records {
+        assert!(hostile(rec) > 0, "no forged count was refused in {rec:?}");
+    }
 }
 
 /// Each struct's derived `MIN_BYTES` is the length of its smallest
@@ -403,7 +426,10 @@ fn each_min_bytes_is_the_length_of_the_smallest_encoding() {
         worker: None,
         time: Time(0),
     });
+    smallest(TopicConfig { partitions: 0 });
+    smallest(0u64);
     // an enum's minimum is its tag plus its smallest variant's payload
+    assert_eq!(smallest(KvRecord::Delete(String::new())), 2);
     smallest(Location::Scheduler);
     smallest(LogSource::Scheduler);
     assert_eq!(smallest(ProvRecord::Log(log_entry)), 5);

@@ -1,6 +1,8 @@
 //! Byte pins for every binary document `dtf` writes: one fixed value of
 //! each, with its exact encoding spelled out as hex, and every variant of
-//! every closed enum as a literal `(variant, tag, name)` row.
+//! every closed enum as a literal `(variant, tag, name)` row. That covers
+//! every value the durable store holds: topic-log records, `run-meta` and
+//! its chart, topic configs, group cursors and the KV WAL's records.
 //!
 //! The round-trip tests cannot catch a layout drift that changes the
 //! encoder and the decoder the same way; these can. A failure here is a
@@ -8,7 +10,8 @@
 
 use std::collections::BTreeMap;
 
-use dtf::core::binfmt::put_varint;
+use bytes::Bytes;
+use dtf::core::binfmt;
 use dtf::core::events::{
     CommEvent, IoOp, IoRecord, Location, LogEntry, LogLevel, LogSource, ProvRecord, ProxyAction,
     ProxyEvent, Stimulus, TaskDoneEvent, TaskMetaEvent, TaskState, TransitionEvent, WarningEvent,
@@ -19,7 +22,9 @@ use dtf::core::provenance::{HardwareInfo, JobInfo, ProvenanceChart, SystemInfo, 
 use dtf::core::time::{Dur, Time};
 use dtf::darshan::counters::{FileCounters, PosixCounters};
 use dtf::darshan::log::{DarshanLog, LogHeader, LogSet};
+use dtf::mofka::TopicConfig;
 use dtf::proxystore::ProxyRef;
+use dtf::store::KvRecord;
 use dtf::wms::rundata::ArchiveMeta;
 
 fn hex(bytes: &[u8]) -> String {
@@ -368,10 +373,10 @@ fn every_closed_enum_variant_has_its_pinned_tag_and_name() {
     }
 }
 
-/// `PosixCounters` keeps its map private; its serde form is the way to
-/// hold an entry `record` never makes (`first_op: None`).
+/// `PosixCounters` keeps its map private; its wire form is that map, the
+/// way to hold an entry `record` never makes (`first_op: None`).
 fn counters_from(files: BTreeMap<FileId, FileCounters>) -> PosixCounters {
-    serde_json::from_value(serde_json::json!({ "per_file": files })).unwrap()
+    binfmt::decode(&binfmt::encode(&files)).unwrap()
 }
 
 fn two_log_set() -> LogSet {
@@ -437,16 +442,32 @@ fn two_log_set() -> LogSet {
     LogSet::new(vec![first, second])
 }
 
+/// A chart whose strings are short enough to spell out.
 fn chart() -> ProvenanceChart {
+    let packages = BTreeMap::from([("a".into(), "1".into()), ("b".into(), "2".into())]);
     ProvenanceChart {
-        hardware: HardwareInfo::polaris_like(1),
-        system: SystemInfo::synthetic(),
+        hardware: HardwareInfo {
+            cpu_model: "c".into(),
+            cores_per_node: 32,
+            memory_gb_per_node: 512,
+            gpus_per_node: 4,
+            nics_per_node: 2,
+            node_count: 300,
+            network: "n".into(),
+            pfs: String::new(),
+        },
+        system: SystemInfo {
+            os: "o".into(),
+            kernel: "k".into(),
+            loaded_modules: vec!["m".into()],
+            packages,
+        },
         job: JobInfo {
             job_id: 9,
-            script: "#!/bin/bash".into(),
-            queue: "debug".into(),
+            script: "s".into(),
+            queue: "q".into(),
             nodes_requested: 1,
-            allocated_nodes: vec![NodeId(0)],
+            allocated_nodes: vec![NodeId(0), NodeId(300)],
             submit_time: Time(0),
             start_time: Time(1),
             walltime_limit_s: 60,
@@ -454,6 +475,61 @@ fn chart() -> ProvenanceChart {
         wms_config: WmsConfig::default(),
         client_code_hash: 17,
         workflow_name: "w".into(),
+    }
+}
+
+/// The chart's segments, in declaration order.
+const CHART: [(&str, &str); 6] = [
+    ("hardware", "01632080040402ac02016e00"),
+    ("system", "016f016b01016d020161013101620132"),
+    ("job", "0901730171010200ac0200013c"),
+    ("wms config", "0408f403b0ea01000180808032"),
+    ("client code hash", "11"),
+    ("workflow name", "0177"),
+];
+
+/// Checks `bytes` against labelled hex segments, in order, to the end.
+fn assert_segments(bytes: &[u8], segments: &[(&str, String)]) {
+    let actual = hex(bytes);
+    let mut at = 0;
+    for (what, expect) in segments {
+        let end = (at + expect.len()).min(actual.len());
+        assert_eq!(&actual[at..end], expect, "segment `{what}` at byte {}", at / 2);
+        at = end;
+    }
+    assert_eq!(at, actual.len(), "bytes past the last segment");
+}
+
+#[test]
+fn a_provenance_chart_encodes_to_its_pinned_bytes() {
+    let segments: Vec<_> = CHART.iter().map(|(what, hex)| (*what, hex.to_string())).collect();
+    let bytes = binfmt::encode(&chart());
+    assert_segments(&bytes, &segments);
+    assert_eq!(binfmt::decode::<ProvenanceChart>(&bytes).unwrap(), chart());
+}
+
+/// The metadata the Mofka service keeps in Yokan: a topic's config and a
+/// group cursor, and the KV WAL record each is logged in.
+#[test]
+fn topic_configs_cursors_and_kv_records_encode_to_their_pinned_bytes() {
+    assert_eq!(hex(&binfmt::encode(&TopicConfig { partitions: 4 })), "04");
+    assert_eq!(hex(&binfmt::encode(&TopicConfig { partitions: 300 })), "ac02");
+    // a cursor is the next offset to claim, one varint
+    assert_eq!(hex(&binfmt::encode(&0u64)), "00");
+    assert_eq!(hex(&binfmt::encode(&300u64)), "ac02");
+    assert_eq!(hex(&binfmt::encode(&u64::MAX)), "ffffffffffffffffff01");
+    let records = [
+        (
+            KvRecord::Put("group/t/g/0".into(), Bytes::from_static(&[0xac, 0x02])),
+            "000b67726f75702f742f672f3002ac02",
+        ),
+        (KvRecord::Put("k".into(), Bytes::new()), "00016b00"),
+        (KvRecord::Delete("k".into()), "01016b"),
+    ];
+    for (rec, pinned) in records {
+        let bytes = binfmt::encode(&rec);
+        assert_eq!(hex(&bytes), pinned, "{rec:?}");
+        assert_eq!(binfmt::decode::<KvRecord>(&bytes).unwrap(), rec);
     }
 }
 
@@ -468,16 +544,12 @@ fn the_run_meta_document_and_its_darshan_logs_encode_to_their_pinned_bytes() {
         start_order: vec![(key(), Time(5)), (TaskKey::new("a", 0, 0), Time(5))],
         steals: 2,
     };
-    // the chart is JSON text behind its length; its bytes are the JSON
-    // renderer's, pinned by the export goldens, not by this codec
-    let chart = serde_json::to_vec(&meta.chart).unwrap();
-    let mut chart_len = Vec::new();
-    put_varint(&mut chart_len, chart.len() as u64);
-    let segments = [
-        ("magic, version", "4454464d45544101".to_string()),
+    let mut segments = vec![
+        ("magic, version", "4454464d45544102".to_string()),
         ("run, workflow", "ac02027766".to_string()),
-        ("chart length", hex(&chart_len)),
-        ("chart", hex(&chart)),
+    ];
+    segments.extend(CHART.iter().map(|(what, hex)| (*what, hex.to_string())));
+    segments.extend([
         ("log count", "02".to_string()),
         ("log 1 header", "03e907ac0207076e69643033303064c8010105".to_string()),
         (
@@ -494,16 +566,9 @@ fn the_run_meta_document_and_its_darshan_logs_encode_to_their_pinned_bytes() {
         ("wall time", "8794ebdc03".to_string()),
         ("start order", "0203696e632ac801050161000005".to_string()),
         ("steals", "02".to_string()),
-    ];
+    ]);
     let bytes = meta.encode();
-    let mut at = 0;
-    let actual = hex(&bytes);
-    for (what, expect) in &segments {
-        let end = (at + expect.len()).min(actual.len());
-        assert_eq!(&actual[at..end], expect, "segment `{what}` at byte {}", at / 2);
-        at = end;
-    }
-    assert_eq!(at, actual.len(), "bytes past the last segment");
+    assert_segments(&bytes, &segments);
     assert_eq!(ArchiveMeta::decode(&bytes).unwrap(), meta);
 }
 

@@ -270,9 +270,11 @@ fn persisted_run_keeps_the_event_stream_out_of_yokan() {
 /// (`tests/fixtures/bytewise_crc_archive`, 12 events over two partitions
 /// and one Yokan key, produced at the commit before slicing-by-8) must
 /// verify frame for frame through dtf-store — nothing torn, nothing
-/// dropped, every record back. Its slots are JSON-era (metadata kind 0), a
-/// layout the topic log no longer holds, so the service refuses the store
-/// as malformed rather than skipping or misreading them.
+/// dropped, every record back. Its Yokan records are in the hand-coded KV
+/// layout before the declared `KvRecord`, and its slots are JSON-era
+/// (metadata kind 0): layouts the store no longer holds, so the service
+/// refuses the store — the KV replay first — rather than skipping or
+/// misreading them.
 #[test]
 fn archive_written_with_the_bytewise_crc_reopens_clean() {
     use dtf::store::{LogConfig, SegmentedLog};
@@ -307,6 +309,6 @@ fn archive_written_with_the_bytewise_crc_reopens_clean() {
     }
 
     let refused = MofkaService::reopen(&store).unwrap_err().to_string();
-    assert!(refused.contains("malformed topic log record"), "{refused}");
+    assert!(refused.contains("kv wal record"), "{refused}");
     std::fs::remove_dir_all(&store).unwrap();
 }

@@ -17,7 +17,6 @@
 use std::path::{Path, PathBuf};
 
 use dtf::chaos::{generate, run_faults, schedule_seed, transition_log};
-use dtf::core::fault::FaultSchedule;
 use dtf::core::ids::RunId;
 use dtf::core::rngx::RunRng;
 use dtf::perfrecup::export::export_run;
@@ -102,9 +101,9 @@ fn export_bundle_is_byte_identical_to_golden() {
     check_golden("export_fnv64.txt", &fingerprint);
 }
 
-/// An archived chaos schedule must still parse and replay (as a chaos
-/// run: proxy plane on) to the same canonical transition log,
-/// deterministically.
+/// An archived chaos schedule must still parse to the schedule its seed
+/// generates, and that schedule replay (as a chaos run: proxy plane on) to
+/// the same canonical transition log, deterministically.
 #[test]
 fn archived_chaos_schedule_replays_identically() {
     let schedule_path = golden_dir().join("chaos_schedule.json");
@@ -116,8 +115,10 @@ fn archived_chaos_schedule_replays_identically() {
     }
     let archived = std::fs::read_to_string(&schedule_path)
         .unwrap_or_else(|e| panic!("golden {} missing ({e})", schedule_path.display()));
-    let faults: FaultSchedule = serde_json::from_str(&archived).expect("archived schedule parses");
-    assert_eq!(faults.seed, seed, "archive carries its generating seed");
+    let archived = serde_json::from_str(&archived).expect("archived schedule parses");
+    let faults = generate(seed);
+    assert_eq!(serde_json::to_value(&faults).unwrap(), archived, "the archive is the seed's");
+    assert_eq!(archived["seed"], seed, "archive carries its generating seed");
 
     let first = run_faults(seed, 7, &faults).unwrap();
     let second = run_faults(seed, 7, &faults).unwrap();
