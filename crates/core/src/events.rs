@@ -145,7 +145,7 @@ impl Tabular for WorkerTransitionEvent {
         out.display(self.worker);
         out.str(self.from.as_str());
         out.str(self.to.as_str());
-        out.f64(self.time.as_secs_f64());
+        out.secs(self.time.0);
     }
 }
 
@@ -229,7 +229,7 @@ impl Tabular for TaskMetaEvent {
         out.u64(self.graph.0 as u64);
         out.display(self.client);
         out.u64(self.deps.len() as u64);
-        out.f64(self.submitted.as_secs_f64());
+        out.secs(self.submitted.0);
     }
 }
 
@@ -394,7 +394,7 @@ impl Tabular for TransitionEvent {
             Location::Scheduler => out.str("scheduler"),
             Location::Worker(w) => out.display(w),
         }
-        out.f64(self.time.as_secs_f64());
+        out.secs(self.time.0);
     }
 }
 
@@ -423,9 +423,9 @@ impl Tabular for TaskDoneEvent {
         out.display(self.worker);
         out.display(self.worker.node);
         out.u64(self.thread.0);
-        out.f64(self.start.as_secs_f64());
-        out.f64(self.stop.as_secs_f64());
-        out.f64(self.duration().as_secs_f64());
+        out.secs(self.start.0);
+        out.secs(self.stop.0);
+        out.secs(self.duration().0);
         out.u64(self.nbytes);
     }
 }
@@ -441,9 +441,9 @@ impl Tabular for CommEvent {
         out.display(self.to);
         out.bool(self.same_node());
         out.u64(self.nbytes);
-        out.f64(self.start.as_secs_f64());
-        out.f64(self.stop.as_secs_f64());
-        out.f64(self.duration().as_secs_f64());
+        out.secs(self.start.0);
+        out.secs(self.stop.0);
+        out.secs(self.duration().0);
     }
 }
 
@@ -471,9 +471,9 @@ impl Tabular for IoRecord {
         out.str(self.op.as_str());
         out.u64(self.offset);
         out.u64(self.size);
-        out.f64(self.start.as_secs_f64());
-        out.f64(self.stop.as_secs_f64());
-        out.f64(self.duration().as_secs_f64());
+        out.secs(self.start.0);
+        out.secs(self.stop.0);
+        out.secs(self.duration().0);
     }
 }
 
@@ -488,8 +488,8 @@ impl Tabular for WarningEvent {
             Some(w) => out.display(w),
             None => out.str("scheduler"),
         }
-        out.f64(self.time.as_secs_f64());
-        out.f64(self.duration.as_secs_f64());
+        out.secs(self.time.0);
+        out.secs(self.duration.0);
     }
 }
 
@@ -570,7 +570,7 @@ impl Tabular for ProxyEvent {
             Some(w) => out.display(w),
             None => out.str("-"),
         }
-        out.f64(self.time.as_secs_f64());
+        out.secs(self.time.0);
     }
 }
 

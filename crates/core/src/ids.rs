@@ -20,6 +20,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Deref;
 use std::sync::{Mutex, OnceLock};
 
+use crate::table::{Digits, Spell};
+
 /// Identifier of one end-to-end execution of a workflow (one "run" of a
 /// campaign). Runs of the same workflow differ only by seed / placement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
@@ -279,8 +281,8 @@ impl TaskKey {
         self.group_name().to_string()
     }
 
-    /// The group's spelling as a `Display` value, for sinks that print it
-    /// without wanting the `String`.
+    /// The group as a value that spells itself ([`Spell`], `Display`), for
+    /// sinks that print it without wanting the `String`.
     pub fn group_name(&self) -> GroupName {
         GroupName { prefix: self.prefix, token: self.token }
     }
@@ -305,22 +307,39 @@ impl TaskKey {
     }
 }
 
-impl fmt::Display for TaskKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "('{}', {})", self.group_name(), self.index)
+/// `('prefix-token', index)`: the group's spelling, quoted, and the index.
+impl Spell for TaskKey {
+    fn spell<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        out.write_str("('")?;
+        self.group_name().spell(out)?;
+        Digits::new().text(")").dec(self.index as u64, 1).text("', ").write(out)
     }
 }
 
-/// `Display` form of a task group, `prefix-token` (see [`TaskKey::group`]).
+impl fmt::Display for TaskKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.spell(f)
+    }
+}
+
+/// A task group by its spelling, `prefix-token` (see [`TaskKey::group`]).
 #[derive(Debug, Clone, Copy)]
 pub struct GroupName {
     prefix: TaskPrefix,
     token: u32,
 }
 
+/// `prefix-token`, the token as at least six lowercase hex digits.
+impl Spell for GroupName {
+    fn spell<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        out.write_str(self.prefix.as_str())?;
+        Digits::new().hex(self.token as u64, 6).text("-").write(out)
+    }
+}
+
 impl fmt::Display for GroupName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}-{:06x}", self.prefix, self.token)
+        self.spell(f)
     }
 }
 
@@ -335,9 +354,16 @@ impl NodeId {
     }
 }
 
+/// `nid` and the node number, at least four digits.
+impl Spell for NodeId {
+    fn spell<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        Digits::new().dec(self.0 as u64, 4).text("nid").write(out)
+    }
+}
+
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "nid{:04}", self.0)
+        self.spell(f)
     }
 }
 
@@ -364,9 +390,21 @@ impl WorkerId {
     }
 }
 
+/// `10.0.{node / 256}.{node % 256}:{40000 + slot}`. The port is computed
+/// in `u64`, so every slot a decoded archive can carry spells its own
+/// address.
+impl Spell for WorkerId {
+    fn spell<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        let (node, port) = (self.node.0 as u64, 40000 + self.slot as u64);
+        let mut digits = Digits::new();
+        digits.dec(port, 1).text(":").dec(node % 256, 1).text(".").dec(node / 256, 1);
+        digits.text("10.0.").write(out)
+    }
+}
+
 impl fmt::Display for WorkerId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "10.0.{}.{}:{}", self.node.0 / 256, self.node.0 % 256, 40000 + self.slot)
+        self.spell(f)
     }
 }
 
@@ -395,9 +433,16 @@ impl fmt::Display for ThreadId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct ClientId(pub u32);
 
+/// `client-` and the client number.
+impl Spell for ClientId {
+    fn spell<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        Digits::new().dec(self.0 as u64, 1).text("client-").write(out)
+    }
+}
+
 impl fmt::Display for ClientId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "client-{}", self.0)
+        self.spell(f)
     }
 }
 
@@ -452,6 +497,48 @@ mod tests {
         let w1 = WorkerId::new(n, 1);
         assert_ne!(w0.address(), w1.address());
         assert_eq!(w0.address(), WorkerId::new(n, 0).address());
+    }
+
+    #[test]
+    fn worker_port_is_computed_wide() {
+        // 40000 + u32::MAX overflows u32: the port must neither panic nor
+        // wrap
+        let last = WorkerId::new(NodeId(0), u32::MAX);
+        assert_eq!(last.to_string(), "10.0.0.0:4295007295");
+    }
+
+    /// The spelling through both of its sinks: `Display` and a `String`.
+    fn spelled<T: Spell + fmt::Display>(v: &T) -> (String, String) {
+        let mut direct = String::new();
+        v.spell(&mut direct).unwrap();
+        (v.to_string(), direct)
+    }
+
+    proptest! {
+        /// Every identifier spells exactly what its `write!` format printed,
+        /// through `Display` and through a `String` sink alike: hex wider
+        /// than six digits, host numbers wider than four, ports past
+        /// `u32::MAX`, prefixes with quotable and non-ASCII text.
+        #[test]
+        fn identifier_spellings_are_the_format_strings(
+            prefix in "[ab,\"\n\ré→_ -]{0,6}",
+            token in prop_oneof![any::<u32>(), 0xff_fff0u32..0x100_0010, Just(u32::MAX)],
+            index in prop_oneof![any::<u32>(), Just(u32::MAX), Just(0u32)],
+            node in prop_oneof![0u32..10_000, 9_990u32..70_000, Just(65_536u32), any::<u32>()],
+            slot in prop_oneof![0u32..8, Just(u32::MAX), any::<u32>()],
+        ) {
+            let key = TaskKey::new(prefix.as_str(), token, index);
+            let group = format!("{prefix}-{token:06x}");
+            prop_assert_eq!(spelled(&key.group_name()), (group.clone(), group.clone()));
+            let tuple = format!("('{group}', {index})");
+            prop_assert_eq!(spelled(&key), (tuple.clone(), tuple));
+            let host = format!("nid{node:04}");
+            prop_assert_eq!(spelled(&NodeId(node)), (host.clone(), host));
+            let address = format!("10.0.{}.{}:{}", node / 256, node % 256, 40000 + slot as u64);
+            prop_assert_eq!(spelled(&WorkerId::new(NodeId(node), slot)), (address.clone(), address));
+            let client = format!("client-{slot}");
+            prop_assert_eq!(spelled(&ClientId(slot)), (client.clone(), client));
+        }
     }
 
     #[test]

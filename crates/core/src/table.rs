@@ -231,18 +231,136 @@ impl From<String> for Value {
     }
 }
 
+/// A value with one spelling, written as `write_str` pieces into any
+/// [`fmt::Write`] sink — no `fmt::Arguments`, no `Formatter`.
+///
+/// The identifiers the tabular format joins on (task keys, group names,
+/// hosts, worker addresses, clients) implement it, and each one's
+/// `Display` is a call to [`Spell::spell`], so the spelling exists once.
+/// A sink that prints into a `String` gets it monomorphized.
+pub trait Spell {
+    fn spell<W: fmt::Write>(&self, out: &mut W) -> fmt::Result;
+}
+
+/// ASCII assembled right to left in a stack buffer and handed to a sink
+/// in one `write_str`: the digit helper behind every integer spelling.
+/// The buffer holds the longest text built with it (a worker address, at
+/// most 28 bytes) with room to spare.
+pub(crate) struct Digits {
+    buf: [u8; 48],
+    at: usize,
+}
+
+impl Digits {
+    #[inline]
+    pub(crate) fn new() -> Self {
+        Self { buf: [0; 48], at: 48 }
+    }
+
+    /// Prepend `text`.
+    #[inline]
+    pub(crate) fn text(&mut self, text: &str) -> &mut Self {
+        let start = self.at - text.len();
+        self.buf[start..self.at].copy_from_slice(text.as_bytes());
+        self.at = start;
+        self
+    }
+
+    /// Prepend `v` in decimal, zero-padded to at least `width` digits:
+    /// `{v:0width$}`. Two digits per division, so the chain of dependent
+    /// multiplies is half as long.
+    #[inline]
+    pub(crate) fn dec(&mut self, mut v: u64, width: usize) -> &mut Self {
+        const PAIRS: &[u8; 200] = b"\
+            0001020304050607080910111213141516171819\
+            2021222324252627282930313233343536373839\
+            4041424344454647484950515253545556575859\
+            6061626364656667686970717273747576777879\
+            8081828384858687888990919293949596979899";
+        let end = self.at;
+        while v >= 10 {
+            let pair = (v % 100) as usize * 2;
+            v /= 100;
+            self.at -= 2;
+            self.buf[self.at..self.at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+        }
+        if v > 0 || self.at == end {
+            self.at -= 1;
+            self.buf[self.at] = b'0' + v as u8;
+        }
+        self.pad(end, width)
+    }
+
+    /// Prepend `v` in lowercase hex, zero-padded to at least `width`
+    /// digits: `{v:0width$x}`.
+    #[inline]
+    pub(crate) fn hex(&mut self, mut v: u64, width: usize) -> &mut Self {
+        let end = self.at;
+        loop {
+            self.at -= 1;
+            self.buf[self.at] = b"0123456789abcdef"[(v & 0xf) as usize];
+            v >>= 4;
+            if v == 0 {
+                break;
+            }
+        }
+        self.pad(end, width)
+    }
+
+    /// Zero-pad the number that ends at `end` to `width` digits.
+    #[inline]
+    fn pad(&mut self, end: usize, width: usize) -> &mut Self {
+        while end - self.at < width {
+            self.at -= 1;
+            self.buf[self.at] = b'0';
+        }
+        self
+    }
+
+    /// Hand the assembled text to `out`.
+    #[inline]
+    pub(crate) fn write<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        // every byte was copied from a `&str` or is an ASCII digit, so the
+        // check cannot fail
+        out.write_str(std::str::from_utf8(&self.buf[self.at..]).map_err(|_| fmt::Error)?)
+    }
+}
+
+/// Write `v` in decimal: the bytes of `v.to_string()`.
+#[inline]
+pub fn write_u64<W: fmt::Write>(out: &mut W, v: u64) -> fmt::Result {
+    Digits::new().dec(v, 1).write(out)
+}
+
+/// Write `v` in decimal: the bytes of `v.to_string()`.
+#[inline]
+pub fn write_i64<W: fmt::Write>(out: &mut W, v: i64) -> fmt::Result {
+    let mut digits = Digits::new();
+    digits.dec(v.unsigned_abs(), 1);
+    if v < 0 {
+        digits.text("-");
+    }
+    digits.write(out)
+}
+
 /// Receiver of one row's cells, in schema order. String cells are
-/// borrowed, so a sink that only prints them allocates nothing per cell.
+/// borrowed and identifiers are handed over as values that [`Spell`]
+/// themselves, so a sink that only prints them allocates nothing per cell.
 pub trait CellSink {
     fn str(&mut self, v: &str);
     fn u64(&mut self, v: u64);
     fn i64(&mut self, v: i64);
     fn f64(&mut self, v: f64);
+    /// A time cell, in seconds, given as the integer nanoseconds a
+    /// [`Time`](crate::time::Time) or [`Dur`](crate::time::Dur) holds: the
+    /// value is `ns as f64 / 1e9`, and a printing sink can spell it from the
+    /// integer ([`write_secs`](crate::time::write_secs)).
+    fn secs(&mut self, ns: u64);
     fn bool(&mut self, v: bool);
     fn null(&mut self);
-    /// A string cell given by its `Display` form (a task key, a worker
-    /// address) rather than by a `&str` the row would have to allocate.
-    fn display(&mut self, v: impl fmt::Display);
+    /// A string cell given by its spelling (a task key, a worker address)
+    /// rather than by a `&str` the row would have to allocate.
+    fn display<V: Spell>(&mut self, v: V);
 }
 
 /// The boxing sink: each cell becomes the [`Value`] of its type.
@@ -259,14 +377,20 @@ impl CellSink for Vec<Value> {
     fn f64(&mut self, v: f64) {
         self.push(Value::F64(v));
     }
+    fn secs(&mut self, ns: u64) {
+        self.push(Value::F64(ns as f64 / 1e9));
+    }
     fn bool(&mut self, v: bool) {
         self.push(Value::Bool(v));
     }
     fn null(&mut self) {
         self.push(Value::Null);
     }
-    fn display(&mut self, v: impl fmt::Display) {
-        self.push(Value::Str(v.to_string()));
+    fn display<V: Spell>(&mut self, v: V) {
+        let mut text = String::new();
+        // a `String` sink never fails
+        let _ = v.spell(&mut text);
+        self.push(Value::Str(text));
     }
 }
 

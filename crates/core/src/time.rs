@@ -7,6 +7,8 @@
 
 use serde::Serialize;
 use std::fmt;
+
+use crate::table::Digits;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A point in (virtual or real) time: nanoseconds since run start.
@@ -106,15 +108,44 @@ impl Sub<Dur> for Dur {
     }
 }
 
+/// Write `ns` nanoseconds as seconds with six decimals: exactly the bytes
+/// of `format!("{:.6}", ns as f64 / 1e9)`, the one spelling of seconds in
+/// the framework, computed from the integer.
+///
+/// The integer path prints `ns / 1000` microseconds, one more when the
+/// dropped nanoseconds exceed 500, as `secs.micros`. It falls back to the
+/// float path in exactly two cases: an exact tie (`ns % 1000 == 500`),
+/// where `{:.6}` rounds the f64 nearest the tie in a direction the integer
+/// cannot know, and `ns >= 2^53`, where `ns as f64` is no longer exact.
+///
+/// Why the two agree everywhere else: below 2^53, `ns as f64` is exact
+/// and the one rounding in `/ 1e9` leaves the f64 within half an ulp of
+/// the true value `v = ns / 1e9`. As `v < 2^53 / 1e9 < 2^24`, that ulp is
+/// at most 2^-29 s, so the f64 lies within 2^-30 s (under 1 ns) of `v`.
+/// A non-tie `v` lies at least 1 ns from every rounding boundary (the odd
+/// multiples of half a microsecond), so the f64 sits strictly inside the
+/// same micro-interval as `v`, and `{:.6}` — which rounds the f64's exact
+/// value — lands on the same microsecond the integer rule picks.
+pub fn write_secs<W: fmt::Write>(out: &mut W, ns: u64) -> fmt::Result {
+    let rest = ns % 1000;
+    if ns >= 1 << 53 || rest == 500 {
+        return write!(out, "{:.6}", ns as f64 / 1e9);
+    }
+    let micros = ns / 1000 + u64::from(rest > 500);
+    Digits::new().dec(micros % 1_000_000, 6).text(".").dec(micros / 1_000_000, 1).write(out)
+}
+
 impl fmt::Display for Time {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.6}s", self.as_secs_f64())
+        write_secs(f, self.0)?;
+        f.write_str("s")
     }
 }
 
 impl fmt::Display for Dur {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.6}s", self.as_secs_f64())
+        write_secs(f, self.0)?;
+        f.write_str("s")
     }
 }
 
@@ -167,6 +198,38 @@ mod tests {
     fn dur_scale() {
         assert_eq!(Dur::from_secs_f64(2.0).scale(1.5), Dur::from_secs_f64(3.0));
         assert_eq!(Dur::from_secs_f64(2.0).scale(0.0), Dur::ZERO);
+    }
+
+    /// The float path `write_secs` reproduces.
+    fn float_secs(ns: u64) -> String {
+        format!("{:.6}", ns as f64 / 1e9)
+    }
+
+    fn secs(ns: u64) -> String {
+        let mut out = String::new();
+        write_secs(&mut out, ns).unwrap();
+        out
+    }
+
+    #[test]
+    fn seconds_from_integers_are_the_float_spelling() {
+        for ns in 0..2_000_000 {
+            assert_eq!(secs(ns), float_secs(ns), "ns = {ns}");
+        }
+        // exact half-microsecond ties up to 10^12 ns, and their neighbours
+        for tie in (500..1_000_000_000_000u64).step_by(10_007_000) {
+            for ns in [tie - 1, tie, tie + 1] {
+                assert_eq!(secs(ns), float_secs(ns), "ns = {ns}");
+            }
+        }
+        // the edge of f64's exact integers, and past it to u64::MAX, where
+        // the float path decides
+        let past = ((1 << 53) + 1..u64::MAX).step_by((1 << 49) + 12_345);
+        for ns in [(1 << 53) - 1, 1 << 53, u64::MAX].into_iter().chain(past) {
+            assert_eq!(secs(ns), float_secs(ns), "ns = {ns}");
+        }
+        assert_eq!(Time(1_500_000_000).to_string(), "1.500000s");
+        assert_eq!(Dur(2_499_999_501).to_string(), "2.500000s");
     }
 
     #[test]

@@ -63,8 +63,10 @@ impl SizeBucket {
         SizeBucket::B1GPlus,
     ];
 
+    /// Position in [`SizeBucket::ALL`]: the declaration order, which `ALL`
+    /// lists.
     fn index(&self) -> usize {
-        Self::ALL.iter().position(|b| b == self).expect("bucket in ALL")
+        *self as usize
     }
 }
 
@@ -251,6 +253,10 @@ mod tests {
         assert_eq!(SizeBucket::of(101), SizeBucket::B100_1K);
         assert_eq!(SizeBucket::of(4 * 1024 * 1024), SizeBucket::B4M_10M);
         assert_eq!(SizeBucket::of(2_000_000_000), SizeBucket::B1GPlus);
+        // a bucket's histogram slot is its place in ALL
+        for (i, bucket) in SizeBucket::ALL.iter().enumerate() {
+            assert_eq!(bucket.index(), i, "{bucket:?}");
+        }
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! * [`log`] — the binary log format written at process shutdown, and the
 //!   per-run [`log::LogSet`] the analysis layer consumes.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 pub mod counters;
 pub mod dxt;
 pub mod log;

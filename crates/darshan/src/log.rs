@@ -60,7 +60,8 @@ impl DarshanLog {
         out.extend_from_slice(&VERSION.to_le_bytes());
         // payload length, patched once the payload is behind the header
         out.extend_from_slice(&0u64.to_le_bytes());
-        serde_json::to_writer(&mut out, self).expect("log serializes");
+        // the compact JSON of the value tree; printing it cannot fail
+        out.extend_from_slice(self.to_content().to_string().as_bytes());
         let len = (out.len() - HEADER_LEN) as u64;
         out[12..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
         out

@@ -8,7 +8,8 @@
 //!
 //! The CSVs are streamed: each event's cells go from [`Tabular::cells`]
 //! straight into one reused [`CsvWriter`] buffer, with no DataFrame, row
-//! vector or per-cell `String` in between. The bundle's bytes are the
+//! vector or per-cell `String` in between, and the buffer goes to the
+//! open file every 64 KiB, at a row boundary. The bundle's bytes are the
 //! contract (`tests/golden/export_fnv64.txt` pins them), not the path that
 //! produces them.
 
@@ -34,31 +35,48 @@ pub const CSV_VIEWS: [&str; 7] = [
     "warnings.csv",
 ];
 
-fn write(path: &Path, bytes: &[u8]) -> Result<()> {
-    let mut f = std::fs::File::create(path)
-        .map_err(|e| DtfError::Io(e.kind(), format!("create {}: {e}", path.display())))?;
-    f.write_all(bytes).map_err(|e| DtfError::Io(e.kind(), format!("write {}: {e}", path.display())))
+/// Bytes a CSV's render buffer holds before it is written out: each file
+/// streams in chunks of about this size, cut at a row boundary, so the
+/// largest view never sits in memory whole.
+const CSV_CHUNK: usize = 64 * 1024;
+
+fn io_error(what: &str, path: &Path, e: std::io::Error) -> DtfError {
+    DtfError::Io(e.kind(), format!("{what} {}: {e}", path.display()))
 }
 
-/// Render `rows` under their schema's header into `csv` and write the file.
+fn write(path: &Path, bytes: &[u8]) -> Result<()> {
+    let mut f = std::fs::File::create(path).map_err(|e| io_error("create", path, e))?;
+    f.write_all(bytes).map_err(|e| io_error("write", path, e))
+}
+
+/// Stream `rows` under their schema's header into the file at `path`,
+/// rendering through `csv` and writing it out every [`CSV_CHUNK`] bytes.
 fn write_csv<T: Tabular>(
     csv: &mut CsvWriter,
     path: &Path,
     rows: impl IntoIterator<Item = T>,
 ) -> Result<()> {
+    let mut file = std::fs::File::create(path).map_err(|e| io_error("create", path, e))?;
+    let mut flush = |csv: &mut CsvWriter| {
+        let written = file.write_all(csv.as_str().as_bytes());
+        csv.clear();
+        written.map_err(|e| io_error("write", path, e))
+    };
     csv.clear();
     csv.header(&T::schema());
     for r in rows {
         csv.row(&r);
+        if csv.as_str().len() >= CSV_CHUNK {
+            flush(csv)?;
+        }
     }
-    write(path, csv.as_str().as_bytes())
+    flush(csv)
 }
 
 /// Export everything collected from `data` into `dir` (created if absent).
 /// Returns the number of files written.
 pub fn export_run(data: &RunData, dir: &Path) -> Result<usize> {
-    std::fs::create_dir_all(dir)
-        .map_err(|e| DtfError::Io(e.kind(), format!("mkdir {}: {e}", dir.display())))?;
+    std::fs::create_dir_all(dir).map_err(|e| io_error("mkdir", dir, e))?;
     let csv = &mut CsvWriter::default();
     write_csv(csv, &dir.join("tasks.csv"), &data.task_done)?;
     write_csv(csv, &dir.join("task_meta.csv"), &data.meta)?;
@@ -175,6 +193,35 @@ mod tests {
         for log in &data.darshan.logs {
             let name = format!("darshan_{}.dtflog", log.header.worker.address().replace(':', "_"));
             assert_eq!(std::fs::read(dir.join(name)).unwrap(), log.to_bytes());
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A file the export cannot write is an `Io` error that names it, not
+    /// a panic: whether it fails at create or, streamed, in mid-file.
+    #[test]
+    fn unwritable_csv_is_an_io_error_naming_the_file() {
+        let data = run();
+        let dir = std::env::temp_dir().join(format!("dtf-export-err-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("tasks.csv")).unwrap();
+        match export_run(&data, &dir) {
+            Err(DtfError::Io(_, msg)) => {
+                assert!(msg.contains("create") && msg.contains("tasks.csv"), "{msg}")
+            }
+            other => panic!("expected an Io error, got {other:?}"),
+        }
+        // a device that takes the open and refuses every write
+        #[cfg(target_os = "linux")]
+        if Path::new("/dev/full").exists() {
+            std::fs::remove_dir(dir.join("tasks.csv")).unwrap();
+            std::os::unix::fs::symlink("/dev/full", dir.join("tasks.csv")).unwrap();
+            match export_run(&data, &dir) {
+                Err(DtfError::Io(_, msg)) => {
+                    assert!(msg.contains("write") && msg.contains("tasks.csv"), "{msg}")
+                }
+                other => panic!("expected an Io error, got {other:?}"),
+            }
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -6,13 +6,16 @@
 //! (The paper's one join, task↔I/O, is `ExecIndex::owner`, not a frame
 //! operation.) [`CsvWriter`] is the only CSV renderer: it is a
 //! [`CellSink`], so [`Tabular`] rows stream into it cell by cell without a
-//! frame in between (`export_run`) — one quoting rule, one float form.
+//! frame in between (`export_run`) — one quoting rule, one spelling of
+//! seconds. It prints every cell from the integer or the spelling the row
+//! hands it; the frame's own non-time floats still print as `{:.6}`.
 
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 
 use dtf_core::error::{DtfError, Result};
-use dtf_core::table::{CellSink, Tabular, Value, ValueKey};
+use dtf_core::table::{write_i64, write_u64, CellSink, Spell, Tabular, Value, ValueKey};
+use dtf_core::time::write_secs;
 
 /// Column-major table with string column names.
 ///
@@ -228,14 +231,26 @@ impl DataFrame {
 }
 
 /// The CSV renderer of the common tabular format: a [`CellSink`] that
-/// appends each cell to one growing text buffer. It owns the two rules the
-/// exported bytes depend on — a text field is quoted (RFC 4180: wrapped in
-/// `"`, inner `"` doubled) exactly when it contains `,` `"` `\n` or `\r`,
-/// and a float prints as `{:.6}`. Numbers, booleans and nulls cannot
-/// contain a quotable byte and are never scanned for one.
+/// appends each cell to one text buffer. It owns the rules the exported
+/// bytes depend on:
+///
+/// - a text field is quoted (RFC 4180: wrapped in `"`, inner `"` doubled)
+///   exactly when it contains `,` `"` `\n` or `\r`;
+/// - a time cell prints as seconds with six decimals, from its integer
+///   nanoseconds ([`write_secs`]), and any other float as `{:.6}`;
+/// - integers print their decimal digits, booleans `true`/`false`, and a
+///   null prints nothing.
+///
+/// No cell goes through `core::fmt`'s formatter but a non-time float and
+/// the rare seconds [`write_secs`] hands to the float path: identifiers
+/// [`Spell`] themselves into the buffer, and integers are printed by
+/// `dtf-core`'s digit helper ([`write_u64`], [`write_i64`]). Numbers,
+/// booleans and nulls cannot contain a quotable byte and are never
+/// scanned for one.
 ///
 /// [`CsvWriter::clear`] keeps the buffer, so one writer renders any
-/// number of files.
+/// number of files, and a caller that streams a file writes the buffer
+/// out and clears it at a row boundary (`export_run`).
 #[derive(Debug, Default)]
 pub struct CsvWriter {
     out: String,
@@ -283,12 +298,20 @@ impl CsvWriter {
         self.out.len()
     }
 
+    /// Print into the buffer. A `String` is a `fmt::Write` that never
+    /// fails, so there is no error to pass on.
+    fn print(&mut self, spell: impl FnOnce(&mut String) -> fmt::Result) {
+        let _ = spell(&mut self.out);
+    }
+
     /// Quote the text field written from `start` on, if it needs it. Every
     /// task key does (`('prefix-token', index)` holds a comma), so wrapping
-    /// is done in place; only doubling an inner `"` allocates.
+    /// is done in place; only doubling an inner `"` allocates. Fields are
+    /// short, so the scan tests every byte without an early exit, which
+    /// lets the compiler test many at a time.
     fn quote(&mut self, start: usize) {
         let raw = &self.out.as_bytes()[start..];
-        if !raw.iter().any(|b| matches!(b, b',' | b'"' | b'\n' | b'\r')) {
+        if !raw.iter().fold(false, |hit, b| hit | matches!(b, b',' | b'"' | b'\n' | b'\r')) {
             return;
         }
         if raw.contains(&b'"') {
@@ -299,12 +322,6 @@ impl CsvWriter {
         self.out.insert(start, '"');
         self.out.push('"');
     }
-
-    /// A field whose rendering cannot hold a byte that needs quoting.
-    fn bare(&mut self, v: impl fmt::Display) {
-        self.field();
-        write!(self.out, "{v}").expect("writing to a String cannot fail");
-    }
 }
 
 impl CellSink for CsvWriter {
@@ -314,24 +331,31 @@ impl CellSink for CsvWriter {
         self.quote(start);
     }
     fn u64(&mut self, v: u64) {
-        self.bare(v);
+        self.field();
+        self.print(|out| write_u64(out, v));
     }
     fn i64(&mut self, v: i64) {
-        self.bare(v);
+        self.field();
+        self.print(|out| write_i64(out, v));
     }
     fn f64(&mut self, v: f64) {
         self.field();
-        write!(self.out, "{v:.6}").expect("writing to a String cannot fail");
+        self.print(|out| write!(out, "{v:.6}"));
+    }
+    fn secs(&mut self, ns: u64) {
+        self.field();
+        self.print(|out| write_secs(out, ns));
     }
     fn bool(&mut self, v: bool) {
-        self.bare(v);
+        self.field();
+        self.out.push_str(if v { "true" } else { "false" });
     }
     fn null(&mut self) {
         self.field();
     }
-    fn display(&mut self, v: impl fmt::Display) {
+    fn display<V: Spell>(&mut self, v: V) {
         let start = self.field();
-        write!(self.out, "{v}").expect("writing to a String cannot fail");
+        self.print(|out| v.spell(out));
         self.quote(start);
     }
 }

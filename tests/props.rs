@@ -489,22 +489,30 @@ fn assert_one_csv<T: dtf::core::table::Tabular>(events: &[T]) {
     assert_eq!(streamed.as_str(), reference);
 }
 
-/// Times that stress the `{:.6}` float form: both ends of `u64`, and
-/// ordinary run-length instants.
+/// Times that stress the `{:.6}` float form the integer seconds writer
+/// must reproduce: both ends of `u64`, ordinary run-length instants, exact
+/// half-microsecond ties, and the edge of f64's exact integers (2^53),
+/// where the writer hands over to the float path. Whole microseconds are
+/// in the mix so that a tie minus one of them is a tie duration.
 fn time_strategy() -> impl Strategy<Value = Time> {
+    const EXACT: u64 = 1 << 53;
     prop_oneof![
         Just(Time(0)),
         Just(Time(u64::MAX)),
         any::<u64>().prop_map(Time),
         (0u64..4_000_000_000_000).prop_map(Time),
+        (0u64..4_000_000_000).prop_map(|k| Time(k * 1000 + 500)),
+        (0u64..4_000_000_000).prop_map(|k| Time(k * 1000)),
+        prop_oneof![Just(EXACT - 1), Just(EXACT), Just(EXACT + 1)].prop_map(Time),
     ]
 }
 
 proptest! {
     /// For arbitrary events of every `Tabular` type — prefixes that need
-    /// quoting or are not ASCII, times at the `u64` extremes, optional
-    /// workers both ways, empty slices — the streamed CSV and the
-    /// reference rendering are one text.
+    /// quoting or are not ASCII, times at the `u64` extremes, at exact
+    /// half-microsecond ties and around 2^53, optional workers both ways,
+    /// empty slices — the streamed CSV and the reference rendering are one
+    /// text: the integer seconds writer against `Value`'s `{:.6}`.
     #[test]
     fn streamed_csv_equals_the_frame_csv_for_every_tabular_type(
         shapes in proptest::collection::vec(
