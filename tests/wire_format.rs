@@ -73,9 +73,20 @@ fn fixed_seed_run() -> RunData {
     SimCluster::new(cfg).unwrap().run(workload.generate(&rr)).unwrap()
 }
 
+/// A file's rows as a set: the FNV-64 of its lines (each with its
+/// terminator) sorted bytewise, then the line count. It holds still when
+/// only the order of rows moves, e.g. the drain order of equal-time events.
+fn rows_fingerprint(bytes: &[u8]) -> String {
+    let mut lines: Vec<&[u8]> = bytes.split_inclusive(|&b| b == b'\n').collect();
+    lines.sort_unstable();
+    let sorted: Vec<u8> = lines.concat();
+    format!("{:016x} {}", fnv64(&sorted), lines.len())
+}
+
 /// Every file of a fixed-seed perfrecup export bundle — CSV views, the
 /// provenance chart, the manifest, the binary Darshan logs — must be
-/// byte-identical to the bundle the pre-typed (eager JSON) pipeline wrote.
+/// byte-identical to the golden bundle. The rows golden is checked first:
+/// a change that only reorders rows fails the byte golden alone.
 #[test]
 fn export_bundle_is_byte_identical_to_golden() {
     let data = fixed_seed_run();
@@ -90,14 +101,17 @@ fn export_bundle_is_byte_identical_to_golden() {
         .collect();
     names.sort();
     let mut fingerprint = String::new();
+    let mut rows = String::new();
     for name in &names {
         let bytes = std::fs::read(dir.join(name)).unwrap();
         // why quoting `\r` fields (RFC 4180) moved no pinned byte: the
         // golden bundle's CSVs hold no carriage return to quote
         assert!(!name.ends_with(".csv") || !bytes.contains(&b'\r'), "{name} holds a CR");
         fingerprint.push_str(&format!("{name} {:016x} {}\n", fnv64(&bytes), bytes.len()));
+        rows.push_str(&format!("{name} {}\n", rows_fingerprint(&bytes)));
     }
     std::fs::remove_dir_all(&dir).unwrap();
+    check_golden("export_rows_fnv64.txt", &rows);
     check_golden("export_fnv64.txt", &fingerprint);
 }
 
