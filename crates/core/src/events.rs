@@ -1012,13 +1012,4 @@ mod tests {
         assert_eq!(TransitionEvent::from_record_ref(&rec), Some(&e));
         assert_eq!(TaskMetaEvent::from_record_ref(&rec), None);
     }
-
-    #[test]
-    fn task_key_write_json_matches_serde() {
-        for k in [key(), TaskKey::new("load-image", 42, 1000)] {
-            let mut streamed = String::new();
-            k.write_json(&mut streamed).unwrap();
-            assert_eq!(streamed, serde_json::to_string(&k).unwrap());
-        }
-    }
 }
