@@ -276,8 +276,12 @@ impl MofkaService {
         self.topics.names()
     }
 
-    /// Open a producer on `topic`.
+    /// Open a producer on `topic`. A `batch_size` of 0 is a
+    /// [`DtfError::Config`]: the smallest batch is one event.
     pub fn producer(&self, topic: &str, cfg: ProducerConfig) -> Result<Producer> {
+        if cfg.batch_size == 0 {
+            return Err(DtfError::Config(format!("producer on {topic}: batch_size must be >= 1")));
+        }
         Ok(Producer::new(self.topic(topic)?, cfg))
     }
 
@@ -347,6 +351,14 @@ mod tests {
         let svc = MofkaService::new();
         svc.create_topic("t", TopicConfig::default()).unwrap();
         assert!(svc.create_topic("t", TopicConfig::default()).is_err());
+    }
+
+    #[test]
+    fn zero_batch_size_is_a_config_error() {
+        let svc = MofkaService::new();
+        svc.create_topic("t", TopicConfig::default()).unwrap();
+        let cfg = ProducerConfig { batch_size: 0, ..ProducerConfig::default() };
+        assert!(matches!(svc.producer("t", cfg), Err(DtfError::Config(_))));
     }
 
     #[test]
