@@ -28,13 +28,16 @@
 //!   dependents fall back to the scheduler's recompute path, whose
 //!   re-publication mints the next generation (`republished`).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::{self, Write as _};
+use std::fmt;
 
 use dtf_core::binfmt::Wire;
 use dtf_core::error::{DtfError, Result};
 use dtf_core::events::{ProxyAction, ProxyEvent};
 use dtf_core::ids::{GraphId, TaskKey, WorkerId};
+use dtf_core::table::Spell;
 use dtf_core::time::Time;
 
 /// Data-plane configuration, embedded in the simulator config.
@@ -93,7 +96,7 @@ impl ProxyRef {
 }
 
 /// Deterministic FNV-1a fingerprint of a proxied payload's identity: the
-/// key's `Display` text, then the size's little-endian bytes.
+/// key's spelling (its `Display` text), then the size's little-endian bytes.
 pub fn payload_checksum(key: &TaskKey, size: u64) -> u64 {
     /// Folds whatever is written into it into the hash, so the key's text
     /// is never materialized as a `String`.
@@ -113,7 +116,8 @@ pub fn payload_checksum(key: &TaskKey, size: u64) -> u64 {
         }
     }
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    write!(h, "{key}").expect("hashing never fails");
+    // `Fnv::write_str` never fails, so neither does the spelling
+    let _ = key.spell(&mut h);
     h.bytes(&size.to_le_bytes());
     h.0
 }
@@ -302,15 +306,17 @@ impl ProxyPlane {
         let cache = self.caches.entry(to).or_default();
         cache.entries.insert(*key, (r.size, clock));
         cache.bytes += r.size;
-        while cache.bytes > self.cfg.resolver_cache_bytes && cache.entries.len() > 1 {
+        while cache.bytes > self.cfg.resolver_cache_bytes {
             // least-recently-used victim, excluding the entry just admitted
-            let victim = cache
+            let Some(victim) = cache
                 .entries
                 .iter()
                 .filter(|(k, _)| *k != key)
                 .min_by_key(|(_, (_, at))| *at)
                 .map(|(k, (sz, _))| (*k, *sz))
-                .expect("len > 1 guarantees a victim");
+            else {
+                break;
+            };
             cache.entries.remove(&victim.0);
             cache.bytes -= victim.1;
             if let Some(e) = self.dir.get_mut(&victim.0) {
