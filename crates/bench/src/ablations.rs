@@ -70,8 +70,8 @@ pub fn stealing(seed: u64, runs: u32) -> String {
         let mut steals = 0u64;
         for run in 0..runs {
             let mut cfg = SimConfig { campaign_seed: seed, run: RunId(run), ..Default::default() };
-            cfg.scheduler.queue_factor = 1e9; // eager dispatch
-            cfg.scheduler.work_stealing = enabled;
+            cfg.wms.queue_factor = 1e9; // eager dispatch
+            cfg.wms.work_stealing = enabled;
             let data = SimCluster::new(cfg).expect("cluster").run(skewed_workflow()).expect("run");
             walls.push(data.wall_time.as_secs_f64());
             comms.push(data.comm_count() as f64);
@@ -215,9 +215,10 @@ pub fn mofka_batch(seed: u64) -> String {
 /// real executor under three instrumentation configurations and measures
 /// wall time.
 pub fn instrumentation_overhead(repetitions: u32) -> String {
+    use dtf_core::provenance::WmsConfig;
     use dtf_mofka::bedrock::BedrockConfig;
     use dtf_mofka::producer::ProducerConfig;
-    use dtf_wms::exec::{ExecConfig, LocalCluster};
+    use dtf_wms::exec::LocalCluster;
     use dtf_wms::graph::TaskValue;
     use dtf_wms::plugins::PluginSet;
     use dtf_wms::{CollectorPlugin, Delayed, MofkaPlugin};
@@ -226,7 +227,7 @@ pub fn instrumentation_overhead(repetitions: u32) -> String {
 
     fn run_once(plugins: PluginSet, iters_per_task: u64) -> f64 {
         let cluster = LocalCluster::start(
-            ExecConfig { workers: 2, threads_per_worker: 2, ..Default::default() },
+            WmsConfig { workers_per_node: 2, threads_per_worker: 2, ..Default::default() },
             plugins,
         );
         let mut client = Delayed::new(&cluster);

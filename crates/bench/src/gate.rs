@@ -18,7 +18,7 @@ use dtf_core::ids::{GraphId, NodeId, ThreadId, WorkerId};
 use dtf_core::time::{Dur, Time};
 use dtf_wms::graph::{GraphBuilder, SimAction};
 use dtf_wms::plugins::PluginSet;
-use dtf_wms::scheduler::{Scheduler, SchedulerConfig};
+use dtf_wms::scheduler::Scheduler;
 
 /// The committed baseline, relative to the working directory.
 pub const BASELINE: &str = "BENCH_repro.json";
@@ -282,7 +282,7 @@ pub fn scheduler_bench(tasks: u32) -> SchedulerBench {
     }
     let graph = b.build(&Default::default()).expect("a dependency-free graph is valid");
     let t0 = Instant::now();
-    let mut s = Scheduler::new(SchedulerConfig::default(), PluginSet::new());
+    let mut s = Scheduler::new(Default::default(), None, PluginSet::new());
     for w in 0..32 {
         s.add_worker(WorkerId::new(NodeId(w / 4), w % 4), 4);
     }

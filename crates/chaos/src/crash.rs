@@ -176,7 +176,10 @@ pub fn recovery_oracle(original: &MofkaService, recovered: &MofkaService) -> Vec
         }
     }
     for name in &orig_topics {
-        let orig = original.topic(name).expect("listed topic exists");
+        let Ok(orig) = original.topic(name) else {
+            violations.push(format!("topic {name} is listed but not readable"));
+            continue;
+        };
         let Ok(rec) = recovered.topic(name) else { continue }; // empty prefix
         if rec.num_partitions() != orig.num_partitions() {
             violations.push(format!(

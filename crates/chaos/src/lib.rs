@@ -36,6 +36,8 @@
 //!
 //! [`RunData`]: dtf_wms::RunData
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 pub mod crash;
 pub mod oracle;
 pub mod runner;

@@ -100,8 +100,10 @@ pub fn transition_log(data: &RunData) -> String {
 /// The seed-derived random workflow schedules are applied to: a layered
 /// DAG (each layer depends on the previous one) whose roots read slices of
 /// a shared dataset file — enough structure to exercise dispatch, transfer,
-/// stealing, recompute, and the PFS under every fault kind.
-pub fn chaos_workflow(seed: u64) -> SimWorkflow {
+/// stealing, recompute, and the PFS under every fault kind. Every
+/// dependency names a task of the layer before, so the build does not
+/// fail; if it did, the error is the graph builder's.
+pub fn chaos_workflow(seed: u64) -> Result<SimWorkflow> {
     let rr = RunRng::new(seed, RunId(0));
     let mut rng = rr.stream("chaos-workflow");
     let layers = rng.gen_range(3..=5usize);
@@ -136,15 +138,15 @@ pub fn chaos_workflow(seed: u64) -> SimWorkflow {
         }
         prev = cur;
     }
-    SimWorkflow {
+    Ok(SimWorkflow {
         name: format!("chaos-{seed:016x}"),
-        graphs: vec![b.build(&Default::default()).expect("generated DAG is valid")],
+        graphs: vec![b.build(&Default::default())?],
         submit: SubmitPolicy::AllAtOnce,
         startup: Dur::from_secs_f64(1.5),
         inter_graph: Dur::ZERO,
         shutdown: Dur::ZERO,
         dataset: vec![("chaos-input.dat".into(), 1 << 30, 4)],
-    }
+    })
 }
 
 /// What happened to one schedule of a campaign.
@@ -221,7 +223,7 @@ impl CampaignReport {
 /// `index` of campaign seed `seed`, under the chaos configuration (live
 /// invariant checks and the proxy plane on).
 pub fn run_faults(seed: u64, index: u64, faults: &FaultSchedule) -> Result<RunData> {
-    SimCluster::new(sim_config(seed, index, faults.clone()))?.run(chaos_workflow(seed))
+    SimCluster::new(sim_config(seed, index, faults.clone()))?.run(chaos_workflow(seed)?)
 }
 
 /// Run one schedule of a campaign: generate its fault schedule, run the
@@ -283,8 +285,8 @@ mod tests {
 
     #[test]
     fn workflow_generator_is_deterministic() {
-        let a = chaos_workflow(7);
-        let b = chaos_workflow(7);
+        let a = chaos_workflow(7).unwrap();
+        let b = chaos_workflow(7).unwrap();
         let keys = |w: &SimWorkflow| {
             w.graphs[0]
                 .tasks
@@ -294,7 +296,7 @@ mod tests {
         };
         assert_eq!(keys(&a), keys(&b));
         assert!(a.graphs[0].len() >= 6, "at least 3 layers × 2 tasks");
-        let c = chaos_workflow(8);
+        let c = chaos_workflow(8).unwrap();
         assert!(keys(&a) != keys(&c) || a.graphs[0].len() != c.graphs[0].len());
     }
 

@@ -30,6 +30,7 @@
 //! ```text
 //! varint          := LEB128, 1–10 bytes, always minimal
 //! u64 u32 Time Dur and the id newtypes := varint
+//! f64             := to_bits() as 8 bytes, little-endian
 //! bool            := 0x00 | 0x01
 //! String          := varint(len) utf8-bytes
 //! Bytes           := varint(len) bytes
@@ -257,6 +258,25 @@ impl Wire for u32 {
     #[inline]
     fn get(r: &mut Reader<'_>) -> Result<Self> {
         u32::try_from(r.varint()?).map_err(|_| bad("varint overflows u32"))
+    }
+}
+
+/// Fixed width, so every bit pattern — NaN payloads included — reads back
+/// as the bytes it was written from.
+impl Wire for f64 {
+    const MIN_BYTES: usize = 8;
+
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_bits().to_le_bytes());
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        let mut bits = [0; 8];
+        for b in &mut bits {
+            *b = r.u8()?;
+        }
+        Ok(f64::from_bits(u64::from_le_bytes(bits)))
     }
 }
 

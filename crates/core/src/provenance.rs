@@ -90,18 +90,39 @@ crate::wire_struct! {
 }
 
 crate::wire_struct! {
-    /// WMS configuration relevant to performance (the `distributed.yaml`
-    /// analog: timeouts, heartbeat intervals, communication settings).
+    /// The WMS configuration both engines run on, and the one the run's
+    /// chart records: the Dask settings (`distributed.yaml` and the worker
+    /// command line) that move placement and timing. Each field names the
+    /// setting it stands for and its default here.
     #[derive(Debug, Clone, PartialEq, Serialize)]
     pub struct WmsConfig {
+        /// Worker processes per worker node (`dask worker --nworkers`),
+        /// default 4. The real executor is one in-process node, so this is
+        /// its worker count.
         pub workers_per_node: u32,
+        /// Threads per worker (`dask worker --nthreads`), default 8.
         pub threads_per_worker: u32,
+        /// Worker heartbeat period, default 500 ms. `distributed.yaml` has
+        /// no key for it: Dask derives it from the cluster size, and it is
+        /// 500 ms up to ten workers.
         pub heartbeat_interval_ms: u64,
-        pub connect_timeout_ms: u64,
-        pub comm_retry_count: u32,
+        /// Idle workers steal ready tasks from busy ones
+        /// (`distributed.scheduler.work-stealing`), default on.
         pub work_stealing: bool,
-        /// Scheduler bandwidth assumption used by its placement heuristic (B/s).
+        /// Bandwidth the placement heuristic assumes when it prices a
+        /// missing dependency transfer (`distributed.scheduler.bandwidth`),
+        /// B/s, default 400 000 000.
         pub assumed_bandwidth: u64,
+        /// Runnable tasks stay on the scheduler (state `queued`) once every
+        /// worker holds `threads * queue_factor` of them
+        /// (`distributed.scheduler.worker-saturation`), default 1.5.
+        pub queue_factor: f64,
+        /// Task duration the placement heuristic prices a worker's backlog
+        /// at, seconds (`distributed.scheduler.unknown-task-duration`),
+        /// default 0.5. Dask replaces it with a measured per-prefix
+        /// average; a constant reproduces the same spill-versus-locality
+        /// trade-off.
+        pub est_task_duration_s: f64,
     }
 }
 
@@ -113,10 +134,10 @@ impl Default for WmsConfig {
             workers_per_node: 4,
             threads_per_worker: 8,
             heartbeat_interval_ms: 500,
-            connect_timeout_ms: 30_000,
-            comm_retry_count: 0,
             work_stealing: true,
-            assumed_bandwidth: 100 * 1024 * 1024,
+            assumed_bandwidth: 400_000_000,
+            queue_factor: 1.5,
+            est_task_duration_s: 0.5,
         }
     }
 }

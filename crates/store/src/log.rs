@@ -604,6 +604,90 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Every truncation of a valid header, and every single-byte overwrite
+    /// of it with each value in `values(original byte)`.
+    fn hostile_headers(header: &[u8], values: impl Fn(u8) -> Vec<u8>) -> Vec<Vec<u8>> {
+        let mut out: Vec<Vec<u8>> = (0..header.len()).map(|cut| header[..cut].to_vec()).collect();
+        for (at, &byte) in header.iter().enumerate() {
+            for value in values(byte).into_iter().filter(|&v| v != byte) {
+                let mut mutated = header.to_vec();
+                mutated[at] = value;
+                out.push(mutated);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn a_hostile_header_reads_as_damaged_or_as_itself() {
+        let header = header_bytes(3, 1 << 40);
+        assert_eq!(header_fields(&header), Some((3, 1 << 40)));
+        for hostile in hostile_headers(&header, |_| (0..=u8::MAX).collect()) {
+            let fields = header_fields(&hostile);
+            assert!(fields.is_none() || fields == Some((3, 1 << 40)), "{hostile:?}: {fields:?}");
+        }
+    }
+
+    /// A log whose segment `k` carries a hostile header opens without a
+    /// panic: segment `k` and its successors are dropped and counted, every
+    /// record of the segments before it is kept, and the log appends on.
+    #[test]
+    fn a_hostile_header_drops_its_segment_and_keeps_the_prefix() {
+        let pristine = tmpdir("hostile-header-pristine");
+        let payloads: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 40]).collect();
+        {
+            let (mut log, _, _) =
+                SegmentedLog::open(&pristine, cfg(128, FlushPolicy::Manual)).unwrap();
+            for p in &payloads {
+                log.append(p).unwrap();
+            }
+            log.sync().unwrap();
+        }
+        let segments: Vec<Vec<u8>> =
+            segment_paths(&pristine).unwrap().iter().map(|p| fs::read(p).unwrap()).collect();
+        assert_eq!(segments.len(), 3, "two records per segment");
+        let work = tmpdir("hostile-header");
+        for (k, segment) in segments.iter().enumerate() {
+            let (header, body) = segment.split_at(HEADER_LEN);
+            let values = |b: u8| vec![b ^ 0xff, b ^ 0x01, 0x00, 0x80];
+            for hostile in hostile_headers(header, values) {
+                let _ = fs::remove_dir_all(&work);
+                fs::create_dir_all(&work).unwrap();
+                for entry in fs::read_dir(&pristine).unwrap() {
+                    let entry = entry.unwrap();
+                    fs::copy(entry.path(), work.join(entry.file_name())).unwrap();
+                }
+                // a cut header leaves the file ending inside it
+                let mut bytes = hostile.clone();
+                if hostile.len() == HEADER_LEN {
+                    bytes.extend_from_slice(body);
+                }
+                fs::write(work.join(segment_name(k as u64)), &bytes).unwrap();
+
+                let intact = header_fields(&hostile) == header_fields(header);
+                let kept = if intact { payloads.len() } else { 2 * k };
+                let (mut log, recovered, report) =
+                    SegmentedLog::open(&work, cfg(128, FlushPolicy::Manual)).unwrap();
+                let recovered: Vec<&[u8]> = recovered.iter().map(|r| r.as_ref()).collect();
+                let expected: Vec<&[u8]> = payloads[..kept].iter().map(|p| p.as_slice()).collect();
+                assert_eq!(recovered, expected, "segment {k}, header {hostile:?}");
+                assert_eq!(report.records, kept as u64);
+                assert_eq!(report.segments, if intact { 3 } else { k });
+                assert_eq!(report.dropped_segments, if intact { 0 } else { 3 - k });
+                log.append(b"after").unwrap();
+                log.sync().unwrap();
+                drop(log);
+                let (_, reopened, report) =
+                    SegmentedLog::open(&work, cfg(128, FlushPolicy::Manual)).unwrap();
+                assert_eq!(reopened.len(), kept + 1);
+                assert_eq!(reopened[kept].as_ref(), b"after");
+                assert_eq!(report.dropped_segments, 0);
+            }
+        }
+        fs::remove_dir_all(&work).unwrap();
+        fs::remove_dir_all(&pristine).unwrap();
+    }
+
     #[test]
     fn oversized_record_gets_its_own_segment() {
         let dir = tmpdir("oversize");

@@ -71,12 +71,17 @@ impl<'c> Delayed<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::ExecConfig;
     use crate::plugins::PluginSet;
+    use dtf_core::provenance::WmsConfig;
+
+    fn two_by_two() -> LocalCluster {
+        let cfg = WmsConfig { workers_per_node: 2, threads_per_worker: 2, ..Default::default() };
+        LocalCluster::start(cfg, PluginSet::new())
+    }
 
     #[test]
     fn delayed_pipeline_computes() {
-        let cluster = LocalCluster::start(ExecConfig::default(), PluginSet::new());
+        let cluster = two_by_two();
         let mut client = Delayed::new(&cluster);
         let a = client.delayed("load", vec![], |_| TaskValue::new(10i64, 8));
         let b = client.delayed("load", vec![], |_| TaskValue::new(32i64, 8));
@@ -92,7 +97,7 @@ mod tests {
 
     #[test]
     fn two_computes_chain_across_graphs() {
-        let cluster = LocalCluster::start(ExecConfig::default(), PluginSet::new());
+        let cluster = two_by_two();
         let mut client = Delayed::new(&cluster);
         let base = client.delayed("base", vec![], |_| TaskValue::new(5i64, 8));
         client.compute().unwrap();
@@ -106,7 +111,7 @@ mod tests {
 
     #[test]
     fn empty_compute_is_noop() {
-        let cluster = LocalCluster::start(ExecConfig::default(), PluginSet::new());
+        let cluster = two_by_two();
         let mut client = Delayed::new(&cluster);
         client.compute().unwrap();
         cluster.shutdown();

@@ -1,9 +1,10 @@
 //! The real executor: genuine Rust closures on real worker threads.
 //!
-//! [`LocalCluster`] spins up `workers × threads_per_worker` OS threads that
-//! share the same [`Scheduler`] state machine
-//! the simulator uses — same placement heuristic, same queuing, same
-//! stealing, same plugin instrumentation — but under a monotonic wall
+//! [`LocalCluster`] is one in-process node: it spins up
+//! `workers_per_node × threads_per_worker` OS threads that share the same
+//! [`Scheduler`] state machine the simulator uses — same placement
+//! heuristic, same queuing, same stealing, same plugin instrumentation,
+//! and the same [`WmsConfig`] — but under a monotonic wall
 //! clock, executing [`Payload::Real`] closures and passing real values
 //! between tasks. This is the mode a downstream user adopts to
 //! characterize their own workload.
@@ -22,27 +23,12 @@ use std::sync::Arc;
 use dtf_core::error::{DtfError, Result};
 use dtf_core::events::{CommEvent, TaskState};
 use dtf_core::ids::{NodeId, TaskKey, ThreadId, WorkerId};
+use dtf_core::provenance::WmsConfig;
 use dtf_core::time::{Dur, RealClock, Time};
 
 use crate::graph::{Payload, TaskGraph, TaskValue};
 use crate::plugins::{PluginSet, WmsPlugin};
-use crate::scheduler::{Fetch, Scheduler, SchedulerConfig};
-
-/// Executor configuration.
-#[derive(Debug, Clone)]
-pub struct ExecConfig {
-    /// Number of (emulated) worker processes.
-    pub workers: u32,
-    /// Threads per worker.
-    pub threads_per_worker: u32,
-    pub scheduler: SchedulerConfig,
-}
-
-impl Default for ExecConfig {
-    fn default() -> Self {
-        Self { workers: 2, threads_per_worker: 2, scheduler: SchedulerConfig::default() }
-    }
-}
+use crate::scheduler::{Fetch, Scheduler};
 
 struct Shared {
     scheduler: Mutex<Scheduler>,
@@ -68,12 +54,16 @@ pub struct LocalCluster {
 }
 
 impl LocalCluster {
-    /// Start the cluster with the given instrumentation plugins.
-    pub fn start(cfg: ExecConfig, plugins: PluginSet) -> Self {
-        assert!(cfg.workers >= 1 && cfg.threads_per_worker >= 1);
-        let mut scheduler = Scheduler::new(cfg.scheduler.clone(), plugins);
-        for w in 0..cfg.workers as usize {
-            scheduler.add_worker(worker_id(w), cfg.threads_per_worker);
+    /// Start the cluster with the given instrumentation plugins: one node
+    /// of `cfg.workers_per_node` workers with `cfg.threads_per_worker`
+    /// threads each.
+    pub fn start(cfg: WmsConfig, plugins: PluginSet) -> Self {
+        assert!(cfg.workers_per_node >= 1 && cfg.threads_per_worker >= 1);
+        let workers = cfg.workers_per_node as usize;
+        let threads = cfg.threads_per_worker;
+        let mut scheduler = Scheduler::new(cfg, None, plugins);
+        for w in 0..workers {
+            scheduler.add_worker(worker_id(w), threads);
         }
         let shared = Arc::new(Shared {
             scheduler: Mutex::new(scheduler),
@@ -83,8 +73,8 @@ impl LocalCluster {
             stop: AtomicBool::new(false),
         });
         let mut handles = Vec::new();
-        for widx in 0..cfg.workers as usize {
-            for t in 0..cfg.threads_per_worker {
+        for widx in 0..workers {
+            for t in 0..threads {
                 let shared = shared.clone();
                 handles.push(
                     std::thread::Builder::new()
@@ -162,7 +152,7 @@ impl LocalCluster {
         }
         let scheduler = std::mem::replace(
             &mut *self.shared.scheduler.lock(),
-            Scheduler::new(SchedulerConfig::default(), PluginSet::new()),
+            Scheduler::new(WmsConfig::default(), None, PluginSet::new()),
         );
         let mut plugins = scheduler.into_plugins();
         plugins.flush();
@@ -257,7 +247,11 @@ mod tests {
         Payload::Real(Arc::new(f))
     }
 
-    fn cluster_with_collector(cfg: ExecConfig) -> (LocalCluster, CollectorPlugin) {
+    fn cfg(workers: u32, threads: u32) -> WmsConfig {
+        WmsConfig { workers_per_node: workers, threads_per_worker: threads, ..Default::default() }
+    }
+
+    fn cluster_with_collector(cfg: WmsConfig) -> (LocalCluster, CollectorPlugin) {
         let collector = CollectorPlugin::new();
         let mut plugins = PluginSet::new();
         plugins.register(Box::new(collector.clone()));
@@ -266,7 +260,7 @@ mod tests {
 
     #[test]
     fn executes_a_real_dag_and_gathers_result() {
-        let (cluster, collector) = cluster_with_collector(ExecConfig::default());
+        let (cluster, collector) = cluster_with_collector(cfg(2, 2));
         let mut b = GraphBuilder::new(GraphId(0));
         let tok = b.new_token();
         let a = b.add(TaskKey::new("two", tok, 0), vec![], real_fn(|_| TaskValue::new(2i64, 8)));
@@ -295,11 +289,7 @@ mod tests {
 
     #[test]
     fn wide_fanout_uses_multiple_threads() {
-        let (cluster, collector) = cluster_with_collector(ExecConfig {
-            workers: 2,
-            threads_per_worker: 2,
-            scheduler: SchedulerConfig::default(),
-        });
+        let (cluster, collector) = cluster_with_collector(cfg(2, 2));
         let mut b = GraphBuilder::new(GraphId(0));
         let tok = b.new_token();
         for i in 0..32 {
@@ -327,7 +317,7 @@ mod tests {
 
     #[test]
     fn sim_payload_rejected() {
-        let (cluster, _c) = cluster_with_collector(ExecConfig::default());
+        let (cluster, _c) = cluster_with_collector(cfg(2, 2));
         let mut b = GraphBuilder::new(GraphId(0));
         let tok = b.new_token();
         b.add_sim("x", tok, 0, vec![], crate::graph::SimAction::compute_only(Dur(1), 1));
@@ -338,14 +328,14 @@ mod tests {
 
     #[test]
     fn gather_unknown_key_errors() {
-        let (cluster, _c) = cluster_with_collector(ExecConfig::default());
+        let (cluster, _c) = cluster_with_collector(cfg(2, 2));
         assert!(cluster.gather(&TaskKey::new("ghost", 0, 0)).is_err());
         cluster.shutdown();
     }
 
     #[test]
     fn cross_graph_dependency_executes() {
-        let (cluster, _c) = cluster_with_collector(ExecConfig::default());
+        let (cluster, _c) = cluster_with_collector(cfg(2, 2));
         let mut b = GraphBuilder::new(GraphId(0));
         let tok = b.new_token();
         let base =
@@ -370,11 +360,8 @@ mod tests {
 
     #[test]
     fn comm_events_recorded_for_remote_dependencies() {
-        let (cluster, collector) = cluster_with_collector(ExecConfig {
-            workers: 2,
-            threads_per_worker: 1,
-            scheduler: SchedulerConfig { work_stealing: false, ..Default::default() },
-        });
+        let (cluster, collector) =
+            cluster_with_collector(WmsConfig { work_stealing: false, ..cfg(2, 1) });
         let mut b = GraphBuilder::new(GraphId(0));
         let tok = b.new_token();
         // two roots run in parallel on different workers, then a join

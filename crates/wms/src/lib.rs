@@ -31,10 +31,8 @@ pub mod scheduler;
 pub mod sim;
 
 pub use client::Delayed;
-pub use exec::{ExecConfig, LocalCluster};
+pub use exec::LocalCluster;
 pub use graph::{GraphBuilder, IoCall, Payload, SimAction, TaskGraph, TaskSpec};
 pub use plugins::{CollectorPlugin, MofkaPlugin, WmsPlugin};
 pub use rundata::RunData;
-
-pub use scheduler::SchedulerConfig;
 pub use sim::{SimCluster, SimConfig, SimWorkflow, SubmitPolicy};

@@ -41,9 +41,10 @@ use dtf_mofka::{ConsumerConfig, MofkaService, ServiceRecovery};
 /// Yokan key under which a persistent run archives its non-Mofka data.
 pub const ARCHIVE_META_KEY: &str = "run-meta";
 
-/// First bytes of an encoded [`ArchiveMeta`]: magic, then the version.
+/// First bytes of an encoded [`ArchiveMeta`]: magic, then the version
+/// (DESIGN.md §13 says what the refused versions held).
 const META_MAGIC: &[u8; 7] = b"DTFMETA";
-const META_VERSION: u8 = 2;
+const META_VERSION: u8 = 3;
 
 /// The non-Mofka half of a run record, persisted at finalize so an
 /// archive reopen can rebuild a full [`RunData`] from disk alone.

@@ -26,7 +26,9 @@ use dtf_core::events::{
     Location, Stimulus, TaskDoneEvent, TaskMetaEvent, TaskState, TransitionEvent, WorkerTaskState,
     WorkerTransitionEvent,
 };
+use dtf_core::fault::HotspotFault;
 use dtf_core::ids::{ClientId, GraphId, KeyMap, KeySet, TaskKey, ThreadId, WorkerId};
+use dtf_core::provenance::WmsConfig;
 use dtf_core::time::Time;
 
 use crate::graph::{Payload, TaskGraph};
@@ -35,42 +37,6 @@ use crate::plugins::{PluginSet, WmsPlugin};
 /// A worker is a stealing victim if its ready backlog exceeds this many
 /// tasks per thread.
 const STEAL_BACKLOG_PER_THREAD: f64 = 1.0;
-
-/// Scheduler tuning (the `distributed.yaml` analog surface that matters to
-/// scheduling behaviour).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SchedulerConfig {
-    /// Enable idle workers stealing ready tasks from busy ones.
-    pub work_stealing: bool,
-    /// Keep runnable tasks on the scheduler (state `queued`) once every
-    /// worker already has `threads * queue_factor` tasks, instead of
-    /// dispatching everything eagerly.
-    pub queue_factor: f64,
-    /// Estimated task duration used by the placement heuristic to price a
-    /// worker's occupancy, seconds (Dask keeps a measured per-prefix
-    /// average; a constant estimate reproduces the same spill-vs-locality
-    /// trade-off).
-    pub est_task_duration_s: f64,
-    /// Bandwidth assumed when pricing missing dependency transfers, B/s
-    /// (Dask's `scheduler.bandwidth`, set to the Slingshot-class 1 GB/s).
-    pub assumed_bandwidth: f64,
-    /// Skewed-placement fault injection: multiply one worker's placement
-    /// score by a weight (< 1.0 makes it look artificially cheap, piling
-    /// work onto it). `None` (the default) changes nothing.
-    pub hotspot: Option<dtf_core::fault::HotspotFault>,
-}
-
-impl Default for SchedulerConfig {
-    fn default() -> Self {
-        Self {
-            work_stealing: true,
-            queue_factor: 1.5,
-            est_task_duration_s: 0.5,
-            assumed_bandwidth: 400e6,
-            hotspot: None,
-        }
-    }
-}
 
 /// A dependency transfer the engine must carry out: move `dep`'s data
 /// (`nbytes`) from worker index `from` to worker index `to`, charge its
@@ -145,7 +111,11 @@ impl WorkerEntry {
 
 /// The scheduler state machine.
 pub struct Scheduler {
-    cfg: SchedulerConfig,
+    cfg: WmsConfig,
+    /// Skewed-placement fault injection: one worker's placement score is
+    /// multiplied by a weight (< 1.0 makes it look artificially cheap,
+    /// piling work onto it). `None` changes nothing.
+    hotspot: Option<HotspotFault>,
     tasks: KeyMap<TaskRecord>,
     workers: Vec<WorkerEntry>,
     /// Runnable tasks held on the scheduler (state `queued`), ordered by
@@ -179,9 +149,10 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    pub fn new(cfg: SchedulerConfig, plugins: PluginSet) -> Self {
+    pub fn new(cfg: WmsConfig, hotspot: Option<HotspotFault>, plugins: PluginSet) -> Self {
         Self {
             cfg,
+            hotspot,
             tasks: KeyMap::default(),
             workers: Vec::new(),
             queued: BTreeSet::new(),
@@ -423,8 +394,8 @@ impl Scheduler {
             // threads drain occupancy in parallel
             let backlog = w.occupancy() as f64 / w.threads.max(1) as f64;
             let mut score = backlog * self.cfg.est_task_duration_s
-                + missing_bytes as f64 / self.cfg.assumed_bandwidth;
-            if let Some(h) = &self.cfg.hotspot {
+                + missing_bytes as f64 / self.cfg.assumed_bandwidth as f64;
+            if let Some(h) = &self.hotspot {
                 if h.worker as usize == i {
                     score *= h.weight;
                 }
@@ -1176,11 +1147,11 @@ mod tests {
         WorkerId::new(NodeId(i / 4), i % 4)
     }
 
-    fn sched(n_workers: u32, threads: u32, cfg: SchedulerConfig) -> (Scheduler, CollectorPlugin) {
+    fn sched(n_workers: u32, threads: u32, cfg: WmsConfig) -> (Scheduler, CollectorPlugin) {
         let collector = CollectorPlugin::new();
         let mut plugins = PluginSet::new();
         plugins.register(Box::new(collector.clone()));
-        let mut s = Scheduler::new(cfg, plugins);
+        let mut s = Scheduler::new(cfg, None, plugins);
         for i in 0..n_workers {
             s.add_worker(worker(i), threads);
         }
@@ -1240,7 +1211,7 @@ mod tests {
 
     #[test]
     fn chain_executes_in_dependency_order() {
-        let (mut s, collector) = sched(2, 2, SchedulerConfig::default());
+        let (mut s, collector) = sched(2, 2, WmsConfig::default());
         s.submit_graph(chain_graph(5), Time::ZERO).unwrap();
         drive(&mut s);
         assert_eq!(s.unfinished(), 0);
@@ -1257,7 +1228,7 @@ mod tests {
 
     #[test]
     fn all_transitions_are_legal() {
-        let (mut s, collector) = sched(2, 2, SchedulerConfig::default());
+        let (mut s, collector) = sched(2, 2, WmsConfig::default());
         s.submit_graph(chain_graph(20), Time::ZERO).unwrap();
         drive(&mut s);
         for tr in collector.take().transitions {
@@ -1272,7 +1243,7 @@ mod tests {
 
     #[test]
     fn wide_graph_spreads_across_workers() {
-        let (mut s, collector) = sched(4, 2, SchedulerConfig::default());
+        let (mut s, collector) = sched(4, 2, WmsConfig::default());
         let mut b = GraphBuilder::new(GraphId(0));
         let tok = b.new_token();
         for i in 0..40 {
@@ -1289,7 +1260,7 @@ mod tests {
     #[test]
     fn dependency_on_remote_data_generates_fetch() {
         let (mut s, collector) =
-            sched(2, 1, SchedulerConfig { work_stealing: false, ..Default::default() });
+            sched(2, 1, WmsConfig { work_stealing: false, ..Default::default() });
         // two roots land on different workers, join needs a fetch
         let mut b = GraphBuilder::new(GraphId(0));
         let tok = b.new_token();
@@ -1312,8 +1283,7 @@ mod tests {
 
     #[test]
     fn placement_prefers_data_locality_for_heavy_outputs() {
-        let (mut s, _c) =
-            sched(2, 4, SchedulerConfig { work_stealing: false, ..Default::default() });
+        let (mut s, _c) = sched(2, 4, WmsConfig { work_stealing: false, ..Default::default() });
         let mut b = GraphBuilder::new(GraphId(0));
         let tok = b.new_token();
         // 16 GB output: moving it costs far more than queueing behind peers
@@ -1332,7 +1302,7 @@ mod tests {
     #[test]
     fn placement_spills_cheap_data_to_idle_workers() {
         let (mut s, collector) =
-            sched(2, 1, SchedulerConfig { work_stealing: false, ..Default::default() });
+            sched(2, 1, WmsConfig { work_stealing: false, ..Default::default() });
         let mut b = GraphBuilder::new(GraphId(0));
         let tok = b.new_token();
         // 1 MB output: transferring it (~10 ms at assumed bandwidth) beats
@@ -1358,7 +1328,7 @@ mod tests {
         let (mut s, collector) = sched(
             1,
             1,
-            SchedulerConfig { queue_factor: 1.0, work_stealing: false, ..Default::default() },
+            WmsConfig { queue_factor: 1.0, work_stealing: false, ..Default::default() },
         );
         let mut b = GraphBuilder::new(GraphId(0));
         let tok = b.new_token();
@@ -1379,7 +1349,7 @@ mod tests {
         let (mut s, collector) = sched(
             2,
             1,
-            SchedulerConfig {
+            WmsConfig {
                 work_stealing: true,
                 queue_factor: 100.0, // no scheduler-side queuing: eager dispatch
                 ..Default::default()
@@ -1414,7 +1384,7 @@ mod tests {
             let (mut s, _c) = sched(
                 4,
                 2,
-                SchedulerConfig { work_stealing: true, queue_factor: 100.0, ..Default::default() },
+                WmsConfig { work_stealing: true, queue_factor: 100.0, ..Default::default() },
             );
             let mut b = GraphBuilder::new(GraphId(0));
             let tok = b.new_token();
@@ -1454,7 +1424,7 @@ mod tests {
         let (mut s, _c) = sched(
             2,
             1,
-            SchedulerConfig { work_stealing: false, queue_factor: 100.0, ..Default::default() },
+            WmsConfig { work_stealing: false, queue_factor: 100.0, ..Default::default() },
         );
         let mut b = GraphBuilder::new(GraphId(0));
         let tok = b.new_token();
@@ -1476,7 +1446,7 @@ mod tests {
     #[test]
     fn worker_death_recovers_lost_outputs() {
         let (mut s, collector) =
-            sched(2, 2, SchedulerConfig { work_stealing: false, ..Default::default() });
+            sched(2, 2, WmsConfig { work_stealing: false, ..Default::default() });
         let mut b = GraphBuilder::new(GraphId(0));
         let tok = b.new_token();
         let root = b.add_sim("root", tok, 0, vec![], SimAction::compute_only(Dur(1), 1 << 20));
@@ -1499,7 +1469,7 @@ mod tests {
 
     #[test]
     fn no_worker_tasks_recover_when_capacity_returns() {
-        let (mut s, collector) = sched(1, 2, SchedulerConfig::default());
+        let (mut s, collector) = sched(1, 2, WmsConfig::default());
         // kill the only worker, then submit: tasks park in no-worker
         s.worker_died(0, Time::ZERO);
         s.submit_graph(chain_graph(3), Time(1)).unwrap();
@@ -1523,7 +1493,7 @@ mod tests {
         let collector = CollectorPlugin::new();
         let mut plugins = PluginSet::new();
         plugins.register(Box::new(collector));
-        let mut s = Scheduler::new(SchedulerConfig::default(), plugins);
+        let mut s = Scheduler::new(WmsConfig::default(), None, plugins);
         assert!(s.submit_graph(chain_graph(1), Time::ZERO).is_err());
     }
 
@@ -1534,7 +1504,7 @@ mod tests {
         let (mut s, collector) = sched(
             3,
             1,
-            SchedulerConfig { work_stealing: false, queue_factor: 100.0, ..Default::default() },
+            WmsConfig { work_stealing: false, queue_factor: 100.0, ..Default::default() },
         );
         let mut b = GraphBuilder::new(GraphId(0));
         let tok = b.new_token();
@@ -1726,8 +1696,7 @@ mod tests {
     /// a task about to run without its input: the oracle must say so.
     #[test]
     fn invariant_oracle_detects_ready_task_without_its_input() {
-        let (mut s, _c) =
-            sched(2, 1, SchedulerConfig { work_stealing: false, ..Default::default() });
+        let (mut s, _c) = sched(2, 1, WmsConfig { work_stealing: false, ..Default::default() });
         s.submit_graph(chain_graph(2), Time::ZERO).unwrap();
         let root = s.try_start(0, Time(0)).unwrap();
         s.task_finished(&root, 0, ThreadId(1), Time(0), Time(1), 100);
@@ -1747,7 +1716,7 @@ mod tests {
     #[test]
     fn worker_death_revokes_lost_outputs_in_key_order() {
         let (mut s, collector) =
-            sched(2, 4, SchedulerConfig { work_stealing: false, ..Default::default() });
+            sched(2, 4, WmsConfig { work_stealing: false, ..Default::default() });
         let mut b = GraphBuilder::new(GraphId(0));
         let tok = b.new_token();
         // a 32 GB root pins every child to w0 by locality
@@ -1815,8 +1784,8 @@ mod tests {
                 .sum();
             let backlog = w.occupancy() as f64 / w.threads.max(1) as f64;
             let mut score = backlog * s.cfg.est_task_duration_s
-                + missing_bytes as f64 / s.cfg.assumed_bandwidth;
-            if let Some(h) = &s.cfg.hotspot {
+                + missing_bytes as f64 / s.cfg.assumed_bandwidth as f64;
+            if let Some(h) = &s.hotspot {
                 if h.worker as usize == i {
                     score *= h.weight;
                 }
@@ -1840,12 +1809,9 @@ mod tests {
             workers in proptest::collection::vec((0u8..4, 0u8..4), 1..6),
             hotspot in (0u8..3, 0u32..6, 0.1f64..2.0),
         ) {
-            let cfg = SchedulerConfig {
-                hotspot: (hotspot.0 == 0)
-                    .then_some(dtf_core::fault::HotspotFault { worker: hotspot.1, weight: hotspot.2 }),
-                ..Default::default()
-            };
-            let (mut s, _c) = sched(workers.len() as u32, 2, cfg);
+            let (mut s, _c) = sched(workers.len() as u32, 2, WmsConfig::default());
+            s.hotspot =
+                (hotspot.0 == 0).then_some(HotspotFault { worker: hotspot.1, weight: hotspot.2 });
             let mut b = GraphBuilder::new(GraphId(0));
             let tok = b.new_token();
             let keys: Vec<TaskKey> = (0..producers.len())
@@ -1873,7 +1839,7 @@ mod tests {
 
     #[test]
     fn cross_graph_dependencies_resolve() {
-        let (mut s, _c) = sched(2, 2, SchedulerConfig::default());
+        let (mut s, _c) = sched(2, 2, WmsConfig::default());
         let g0 = chain_graph(3);
         let last = g0.tasks.last().unwrap().key;
         s.submit_graph(g0, Time::ZERO).unwrap();
@@ -1895,7 +1861,7 @@ mod tests {
     #[test]
     fn submit_graph_recomputes_an_external_input_lost_while_unneeded() {
         let (mut s, collector) =
-            sched(2, 1, SchedulerConfig { work_stealing: false, ..Default::default() });
+            sched(2, 1, WmsConfig { work_stealing: false, ..Default::default() });
         let mut b = GraphBuilder::new(GraphId(0));
         let tok = b.new_token();
         let a = b.add_sim("a", tok, 0, vec![], SimAction::compute_only(Dur(1), 100));

@@ -42,7 +42,7 @@ use dtf_proxystore::{ProxyConfig, ProxyPlane};
 use crate::graph::{IoCall, Payload, TaskGraph};
 use crate::plugins::{MofkaPlugin, PluginSet, WmsPlugin};
 use crate::rundata::{ArchiveMeta, RunData, ARCHIVE_META_KEY};
-use crate::scheduler::{Fetch, Scheduler, SchedulerConfig};
+use crate::scheduler::{Fetch, Scheduler};
 
 /// How the client submits its graphs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,8 +74,9 @@ pub struct SimWorkflow {
 }
 
 /// Simulator configuration (platform + WMS + instrumentation). The part
-/// the paper collects as provenance (§III-E1) is `wms`, which the run's
-/// [`ProvenanceChart`](dtf_core::provenance::ProvenanceChart) records.
+/// the paper collects as provenance (§III-E1) is `wms`: the scheduler and
+/// the heartbeats run on it, and the run's
+/// [`ProvenanceChart`](dtf_core::provenance::ProvenanceChart) records it.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     pub campaign_seed: u64,
@@ -83,7 +84,6 @@ pub struct SimConfig {
     /// Worker nodes requested (scheduler/client live on an extra node).
     pub worker_nodes: u32,
     pub wms: WmsConfig,
-    pub scheduler: SchedulerConfig,
     pub dxt: DxtConfig,
     pub network: NetworkConfig,
     pub pfs: PfsConfig,
@@ -93,10 +93,10 @@ pub struct SimConfig {
     pub compute_jitter_sigma: f64,
     /// Work-stealing rebalance period.
     pub steal_interval: Dur,
-    /// Heartbeat period and fault-detection timeout.
-    pub heartbeat_interval: Dur,
+    /// Heartbeat fault-detection timeout (the period is
+    /// `wms.heartbeat_interval_ms`).
     pub heartbeat_timeout: Dur,
-    /// Mofka producer batch size (ablation knob).
+    /// Mofka producer batch size (ablation knob); 0 is a config error.
     pub mofka_batch: usize,
     /// Stream every Darshan record into the Mofka `io-records` topic at
     /// record time (the paper's future-work "fully online system"). Online
@@ -128,14 +128,12 @@ impl Default for SimConfig {
             run: RunId(0),
             worker_nodes: 2,
             wms: WmsConfig::default(),
-            scheduler: SchedulerConfig::default(),
             dxt: DxtConfig::default(),
             network: NetworkConfig::default(),
             pfs: PfsConfig::default(),
             interference: true,
             compute_jitter_sigma: 0.08,
             steal_interval: Dur::from_millis_f64(100.0),
-            heartbeat_interval: Dur::from_millis_f64(500.0),
             heartbeat_timeout: Dur::from_secs_f64(3.0),
             mofka_batch: 64,
             online_darshan: false,
@@ -340,7 +338,7 @@ impl SimCluster {
             for rt in &runtimes {
                 let mut producer = mofka.producer(
                     WMS_TOPICS[IoRecord::TOPIC].name,
-                    ProducerConfig { batch_size: cfg.mofka_batch.max(1), ..Default::default() },
+                    ProducerConfig { batch_size: cfg.mofka_batch, ..Default::default() },
                 )?;
                 rt.set_sink(Box::new(move |rec| {
                     let _ = producer.push(dtf_mofka::Event::typed(rec.clone()));
@@ -350,15 +348,9 @@ impl SimCluster {
         let mut plugins = PluginSet::new();
         plugins.register(Box::new(MofkaPlugin::new(
             &mofka,
-            ProducerConfig { batch_size: cfg.mofka_batch.max(1), ..Default::default() },
+            ProducerConfig { batch_size: cfg.mofka_batch, ..Default::default() },
         )?));
-        // skewed-placement fault injection rides through the scheduler's
-        // own config surface
-        let mut sched_cfg = cfg.scheduler.clone();
-        if sched_cfg.hotspot.is_none() {
-            sched_cfg.hotspot = cfg.faults.hotspot;
-        }
-        let mut scheduler = Scheduler::new(sched_cfg, plugins);
+        let mut scheduler = Scheduler::new(cfg.wms.clone(), cfg.faults.hotspot, plugins);
         for w in &worker_ids {
             scheduler.add_worker(*w, cfg.wms.threads_per_worker);
         }
@@ -402,6 +394,10 @@ impl SimCluster {
         })
     }
 
+    fn heartbeat_interval(&self) -> Dur {
+        Dur::from_millis_f64(self.cfg.wms.heartbeat_interval_ms as f64)
+    }
+
     fn push(&mut self, time: Time, ev: Ev) {
         debug_assert!(time >= self.now, "event scheduled in the past");
         self.seq += 1;
@@ -432,7 +428,7 @@ impl SimCluster {
             let t = Time::ZERO + startup.scale(frac);
             let addr = self.worker_ids[i].address();
             self.ssg.join(addr, t);
-            self.push(t + self.cfg.heartbeat_interval, Ev::Heartbeat { worker: i });
+            self.push(t + self.heartbeat_interval(), Ev::Heartbeat { worker: i });
         }
         self.push(Time::ZERO + startup, Ev::Submit(0));
         self.push(Time::ZERO + startup, Ev::Rebalance);
@@ -592,7 +588,7 @@ impl SimCluster {
                         self.ssg.heartbeat(&addr, self.now);
                     }
                     if tasks_outstanding > 0 || submitted < total_graphs {
-                        let t = self.now + self.cfg.heartbeat_interval;
+                        let t = self.now + self.heartbeat_interval();
                         self.push(t, Ev::Heartbeat { worker });
                     }
                 }
@@ -965,6 +961,17 @@ mod tests {
             assert!(w[0].time <= w[1].time);
         }
         assert_eq!(data.task_graphs(), 1);
+    }
+
+    /// A zero batch is the producer's config error, from both producers
+    /// the cluster opens, not a silent batch of one.
+    #[test]
+    fn zero_mofka_batch_is_a_config_error() {
+        for online_darshan in [false, true] {
+            let cfg = SimConfig { mofka_batch: 0, online_darshan, ..Default::default() };
+            let err = SimCluster::new(cfg).err().expect("batch 0 is refused");
+            assert!(matches!(err, DtfError::Config(_)), "{err}");
+        }
     }
 
     #[test]

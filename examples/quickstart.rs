@@ -13,7 +13,8 @@
 
 use std::sync::Arc;
 
-use dtf::wms::exec::{ExecConfig, LocalCluster};
+use dtf::core::provenance::WmsConfig;
+use dtf::wms::exec::LocalCluster;
 use dtf::wms::graph::TaskValue;
 use dtf::wms::plugins::PluginSet;
 use dtf::wms::{CollectorPlugin, Delayed};
@@ -25,7 +26,7 @@ fn main() {
     let mut plugins = PluginSet::new();
     plugins.register(Box::new(collector.clone()));
     let cluster = LocalCluster::start(
-        ExecConfig { workers: 2, threads_per_worker: 2, ..Default::default() },
+        WmsConfig { workers_per_node: 2, threads_per_worker: 2, ..Default::default() },
         plugins,
     );
 

@@ -483,7 +483,10 @@ const CHART: [(&str, &str); 6] = [
     ("hardware", "01632080040402ac02016e00"),
     ("system", "016f016b01016d020161013101620132"),
     ("job", "0901730171010200ac0200013c"),
-    ("wms config", "0408f403b0ea01000180808032"),
+    (
+        "wms config: 4 workers, 8 threads, 500 ms, stealing, 400e6 B/s, 1.5, 0.5 s",
+        "0408f403018088debe01000000000000f83f000000000000e03f",
+    ),
     ("client code hash", "11"),
     ("workflow name", "0177"),
 ];
@@ -506,6 +509,27 @@ fn a_provenance_chart_encodes_to_its_pinned_bytes() {
     let bytes = binfmt::encode(&chart());
     assert_segments(&bytes, &segments);
     assert_eq!(binfmt::decode::<ProvenanceChart>(&bytes).unwrap(), chart());
+}
+
+/// An `f64` is its IEEE-754 bits, eight bytes little-endian, whatever the
+/// value: signed zero, infinities and NaN payloads included.
+#[test]
+fn an_f64_encodes_to_its_pinned_bytes() {
+    let cases = [
+        (0.0, "0000000000000000"),
+        (-0.0, "0000000000000080"),
+        (1.5, "000000000000f83f"),
+        (0.62, "d7a3703d0ad7e33f"),
+        (180e6, "000000002a75a541"),
+        (f64::INFINITY, "000000000000f07f"),
+        (f64::from_bits(0x7ff8_0000_0000_0001), "010000000000f87f"),
+    ];
+    for (value, pinned) in cases {
+        let bytes = binfmt::encode(&value);
+        assert_eq!(hex(&bytes), pinned, "{value}");
+        assert_eq!(binfmt::decode::<f64>(&bytes).unwrap().to_bits(), value.to_bits());
+    }
+    assert_eq!(<f64 as binfmt::Wire>::MIN_BYTES, 8);
 }
 
 /// The metadata the Mofka service keeps in Yokan: a topic's config and a
@@ -545,7 +569,7 @@ fn the_run_meta_document_and_its_darshan_logs_encode_to_their_pinned_bytes() {
         steals: 2,
     };
     let mut segments = vec![
-        ("magic, version", "4454464d45544102".to_string()),
+        ("magic, version", "4454464d45544103".to_string()),
         ("run, workflow", "ac02027766".to_string()),
     ];
     segments.extend(CHART.iter().map(|(what, hex)| (*what, hex.to_string())));

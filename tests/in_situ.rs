@@ -7,10 +7,11 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use dtf::core::provenance::WmsConfig;
 use dtf::mofka::bedrock::BedrockConfig;
 use dtf::mofka::producer::ProducerConfig;
 use dtf::mofka::ConsumerConfig;
-use dtf::wms::exec::{ExecConfig, LocalCluster};
+use dtf::wms::exec::LocalCluster;
 use dtf::wms::graph::TaskValue;
 use dtf::wms::plugins::PluginSet;
 use dtf::wms::{Delayed, MofkaPlugin};
@@ -24,7 +25,7 @@ fn live_consumer_sees_events_during_the_run() {
         MofkaPlugin::new(&svc, ProducerConfig { batch_size: 1, ..Default::default() }).unwrap(),
     ));
     let cluster = LocalCluster::start(
-        ExecConfig { workers: 2, threads_per_worker: 2, ..Default::default() },
+        WmsConfig { workers_per_node: 2, threads_per_worker: 2, ..Default::default() },
         plugins,
     );
 

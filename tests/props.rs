@@ -376,7 +376,7 @@ proptest! {
             invariant_checks: true,
             ..Default::default()
         };
-        cfg.scheduler.work_stealing = stealing;
+        cfg.wms.work_stealing = stealing;
         let data = SimCluster::new(cfg).unwrap().run(workflow_of(graph)).unwrap();
         prop_assert_eq!(data.task_done.len(), n_tasks);
         let finish: HashMap<TaskKey, Time> =
@@ -428,7 +428,7 @@ fn stealing_engages_on_skewed_load() {
     let graph = b.build(&HashSet::new()).unwrap();
     let run = |stealing: bool| {
         let mut cfg = SimConfig { campaign_seed: 7, run: RunId(0), ..Default::default() };
-        cfg.scheduler.work_stealing = stealing;
+        cfg.wms.work_stealing = stealing;
         SimCluster::new(cfg).unwrap().run(workflow_of(graph.clone())).unwrap()
     };
     let on = run(true);

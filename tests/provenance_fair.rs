@@ -12,6 +12,7 @@ use dtf::perfrecup::RunViews;
 use dtf::wms::graph::{GraphBuilder, IoCall, SimAction};
 use dtf::wms::sim::{SimCluster, SimConfig, SimWorkflow, SubmitPolicy};
 use dtf::wms::RunData;
+use dtf::workflows::Workload;
 
 fn io_workflow() -> SimWorkflow {
     let mut b = GraphBuilder::new(GraphId(0));
@@ -45,9 +46,12 @@ fn io_workflow() -> SimWorkflow {
     }
 }
 
-fn run(dxt: DxtConfig) -> RunData {
-    let cfg = SimConfig { campaign_seed: 2, run: RunId(0), dxt, ..Default::default() };
+fn run_with(cfg: SimConfig) -> RunData {
     SimCluster::new(cfg).unwrap().run(io_workflow()).unwrap()
+}
+
+fn run(dxt: DxtConfig) -> RunData {
+    run_with(SimConfig { campaign_seed: 2, run: RunId(0), dxt, ..Default::default() })
 }
 
 #[test]
@@ -141,4 +145,27 @@ fn provenance_chart_captures_all_layers() {
     assert_eq!(chart.wms_config.workers_per_node, 4);
     assert_eq!(chart.wms_config.threads_per_worker, 8);
     assert_eq!(chart.workflow_name, "fair-test");
+}
+
+/// The chart records the WMS configuration the scheduler ran on, not a
+/// default beside it: each workload's placement constants after
+/// `Workload::adjust`, and a stealing-off run's switch.
+#[test]
+fn the_chart_records_the_wms_config_the_run_ran_with() {
+    let pinned = [
+        (Workload::ImageProcessing, 180_000_000, 0.62),
+        (Workload::ResNet152, 800_000_000, 1.0),
+        (Workload::Xgboost, 400_000_000, 0.5),
+    ];
+    for (workload, bandwidth, est_task_duration_s) in pinned {
+        let mut cfg = SimConfig { campaign_seed: 2, run: RunId(0), ..Default::default() };
+        workload.adjust(&mut cfg);
+        let recorded = run_with(cfg.clone()).chart.wms_config;
+        assert_eq!(recorded, cfg.wms, "{}", workload.name());
+        assert_eq!(recorded.assumed_bandwidth, bandwidth, "{}", workload.name());
+        assert_eq!(recorded.est_task_duration_s, est_task_duration_s, "{}", workload.name());
+    }
+    let mut cfg = SimConfig { campaign_seed: 2, run: RunId(0), ..Default::default() };
+    cfg.wms.work_stealing = false;
+    assert!(!run_with(cfg).chart.wms_config.work_stealing);
 }

@@ -8,10 +8,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dtf::core::ids::{GraphId, TaskKey};
-use dtf::wms::exec::{ExecConfig, LocalCluster};
+use dtf::core::provenance::WmsConfig;
+use dtf::wms::exec::LocalCluster;
 use dtf::wms::graph::{GraphBuilder, Payload, TaskValue};
 use dtf::wms::plugins::PluginSet;
-use dtf::wms::scheduler::SchedulerConfig;
 use dtf::wms::{CollectorPlugin, Delayed};
 
 fn collector_cluster(workers: u32, threads: u32) -> (LocalCluster, CollectorPlugin) {
@@ -19,7 +19,7 @@ fn collector_cluster(workers: u32, threads: u32) -> (LocalCluster, CollectorPlug
     let mut plugins = PluginSet::new();
     plugins.register(Box::new(collector.clone()));
     let cluster = LocalCluster::start(
-        ExecConfig { workers, threads_per_worker: threads, scheduler: SchedulerConfig::default() },
+        WmsConfig { workers_per_node: workers, threads_per_worker: threads, ..Default::default() },
         plugins,
     );
     (cluster, collector)
@@ -94,10 +94,11 @@ fn stealing_disabled_cluster_still_completes() {
     let mut plugins = PluginSet::new();
     plugins.register(Box::new(collector.clone()));
     let cluster = LocalCluster::start(
-        ExecConfig {
-            workers: 2,
+        WmsConfig {
+            workers_per_node: 2,
             threads_per_worker: 1,
-            scheduler: SchedulerConfig { work_stealing: false, ..Default::default() },
+            work_stealing: false,
+            ..Default::default()
         },
         plugins,
     );
