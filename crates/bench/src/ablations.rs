@@ -229,7 +229,8 @@ pub fn instrumentation_overhead(repetitions: u32) -> String {
         let cluster = LocalCluster::start(
             WmsConfig { workers_per_node: 2, threads_per_worker: 2, ..Default::default() },
             plugins,
-        );
+        )
+        .expect("a 2x2 cluster starts");
         let mut client = Delayed::new(&cluster);
         let t0 = std::time::Instant::now();
         for _ in 0..TASKS {

@@ -154,7 +154,7 @@ fn chaos_campaign(seed: u64, schedules: u64) -> i32 {
     for outcome in &report.failures {
         println!("{}", outcome.describe());
         println!("  replay: repro chaos-replay --seed {seed} --index {}", outcome.index);
-        println!("  schedule: {}", outcome.schedule.to_json());
+        println!("  schedule: {}", outcome.schedule.to_json().expect("schedule serializes"));
     }
     println!(
         "chaos campaign: {}/{schedules} passed, {} failed",
@@ -173,7 +173,7 @@ fn chaos_replay(seed: u64, index: u64) -> i32 {
         "campaign seed {seed}, index {index} -> schedule seed {:016x}",
         schedule_seed(seed, index)
     );
-    println!("schedule: {}", outcome.schedule.to_json());
+    println!("schedule: {}", outcome.schedule.to_json().expect("schedule serializes"));
     println!("{}", outcome.describe());
     for v in &outcome.violations {
         println!("  violation: {v}");

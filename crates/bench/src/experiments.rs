@@ -317,7 +317,7 @@ pub fn fig8(seed: u64) -> String {
     let mut out = String::new();
     writeln!(out, "FIG 8: Task provenance summary for {key}").unwrap();
     writeln!(out, "{:-<84}", "").unwrap();
-    out.push_str(&l.to_pretty_json());
+    out.push_str(&l.to_pretty_json().expect("lineage serializes"));
     out.push('\n');
     // also validate the views' attribution like the framework promises
     let views = RunViews::new(data);

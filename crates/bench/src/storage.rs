@@ -29,7 +29,7 @@ use serde::Serialize;
 use dtf_core::events::{LogEntry, LogLevel, LogSource, ProvRecord, TaskDoneEvent, TransitionEvent};
 use dtf_core::ids::{ClientId, GraphId, NodeId, TaskKey, ThreadId, WorkerId};
 use dtf_core::time::Time;
-use dtf_mofka::{Event, MofkaService, ServiceConfig, TopicConfig};
+use dtf_mofka::{Event, MofkaService, TopicConfig};
 use dtf_store::index::DEFAULT_STRIDE;
 use dtf_store::{FlushPolicy, LogConfig, LogReader, ReaderOptions, SegmentedLog};
 
@@ -224,8 +224,7 @@ fn codec_corpus(n: u64) -> Vec<ProvRecord> {
 
 /// The replay store: the corpus pushed into a persisted "logs"-style topic.
 fn build_replay_store(dir: &Path, corpus: &[ProvRecord]) {
-    let svc = MofkaService::with_config(&ServiceConfig { persist: Some(dir.to_path_buf()) })
-        .expect("replay store");
+    let svc = MofkaService::durable(dir).expect("replay store");
     svc.create_topic("events", TopicConfig { partitions: 1 }).expect("topic");
     let t = svc.topic("events").expect("topic handle");
     for rec in corpus {

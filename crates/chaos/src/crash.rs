@@ -228,7 +228,7 @@ pub fn recovery_oracle(original: &MofkaService, recovered: &MofkaService) -> Vec
 mod tests {
     use super::*;
     use dtf_mofka::producer::ProducerConfig;
-    use dtf_mofka::{Event, ServiceConfig, TopicConfig};
+    use dtf_mofka::{Event, TopicConfig};
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("dtf-crash-{name}-{}", std::process::id()));
@@ -249,8 +249,7 @@ mod tests {
     }
 
     fn seeded_store(dir: &Path, events: usize) {
-        let svc =
-            MofkaService::with_config(&ServiceConfig { persist: Some(dir.to_path_buf()) }).unwrap();
+        let svc = MofkaService::durable(dir).unwrap();
         svc.create_topic("t", TopicConfig { partitions: 2 }).unwrap();
         let mut p = svc.producer("t", ProducerConfig::default()).unwrap();
         for i in 0..events {
@@ -314,8 +313,7 @@ mod tests {
         // divergence: same length, different content
         let diff = tmp("oracle-diff");
         {
-            let svc =
-                MofkaService::with_config(&ServiceConfig { persist: Some(diff.clone()) }).unwrap();
+            let svc = MofkaService::durable(&diff).unwrap();
             svc.create_topic("t", TopicConfig { partitions: 2 }).unwrap();
             let mut p = svc.producer("t", ProducerConfig::default()).unwrap();
             for i in 0..20 {

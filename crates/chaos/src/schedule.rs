@@ -180,7 +180,7 @@ mod tests {
     #[test]
     fn different_seeds_differ() {
         let distinct: std::collections::HashSet<String> =
-            (0..32).map(|s| generate(s).to_json()).collect();
+            (0..32).map(|s| generate(s).to_json().unwrap()).collect();
         assert!(distinct.len() > 16, "only {} distinct schedules in 32 seeds", distinct.len());
     }
 
@@ -226,7 +226,7 @@ mod tests {
                 assert!(h.weight > 0.0 && h.weight < 1.0 && h.worker < workers);
             }
             // a schedule's archive text parses back to the tree it printed
-            let back = serde_json::from_str(&s.to_json()).unwrap();
+            let back = serde_json::from_str(&s.to_json().unwrap()).unwrap();
             assert_eq!(serde_json::to_value(&s).unwrap(), back);
         }
     }

@@ -181,8 +181,8 @@ impl FaultSchedule {
     }
 
     /// Archive the schedule (pretty JSON).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("fault schedule serializes")
+    pub fn to_json(&self) -> crate::Result<String> {
+        Ok(serde_json::to_string_pretty(self)?)
     }
 }
 
@@ -249,7 +249,7 @@ mod tests {
             dangling_proxies: vec![DanglingProxy { index: 2 }],
             slow_resolves: vec![SlowResolve { index: 0, extra_delay: Dur(7) }],
         };
-        let back = serde_json::from_str(&s.to_json()).unwrap();
+        let back = serde_json::from_str(&s.to_json().unwrap()).unwrap();
         assert_eq!(serde_json::to_value(&s).unwrap(), back);
     }
 

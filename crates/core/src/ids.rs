@@ -18,7 +18,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Deref;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use crate::table::{Digits, Spell};
 
@@ -96,7 +96,9 @@ impl TaskPrefix {
             return hit;
         }
         let prefix = {
-            let mut table = interner().lock().expect("prefix interner poisoned");
+            // the set only grows, so a panic in another holder cannot leave
+            // it half-updated: a poisoned lock is as good as a clean one
+            let mut table = interner().lock().unwrap_or_else(PoisonError::into_inner);
             match table.get(s) {
                 Some(existing) => Self(existing),
                 None => {

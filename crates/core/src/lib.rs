@@ -14,6 +14,8 @@
 //! at least one common identifier (thread id + timestamp, worker address,
 //! hostname).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 pub mod binfmt;
 pub mod dist;
 pub mod error;

@@ -106,9 +106,18 @@ crate::wire_struct! {
         /// no key for it: Dask derives it from the cluster size, and it is
         /// 500 ms up to ten workers.
         pub heartbeat_interval_ms: u64,
+        /// A worker that has not heartbeated for this long is evicted and
+        /// its work re-planned (`distributed.scheduler.worker-ttl`), ms,
+        /// default 3000. The scheduler checks for suspects every half of
+        /// it.
+        pub worker_ttl_ms: u64,
         /// Idle workers steal ready tasks from busy ones
         /// (`distributed.scheduler.work-stealing`), default on.
         pub work_stealing: bool,
+        /// Period of the work-stealing rebalance
+        /// (`distributed.scheduler.work-stealing-interval`), ms, default
+        /// 100.
+        pub steal_interval_ms: u64,
         /// Bandwidth the placement heuristic assumes when it prices a
         /// missing dependency transfer (`distributed.scheduler.bandwidth`),
         /// B/s, default 400 000 000.
@@ -134,7 +143,9 @@ impl Default for WmsConfig {
             workers_per_node: 4,
             threads_per_worker: 8,
             heartbeat_interval_ms: 500,
+            worker_ttl_ms: 3000,
             work_stealing: true,
+            steal_interval_ms: 100,
             assumed_bandwidth: 400_000_000,
             queue_factor: 1.5,
             est_task_duration_s: 0.5,
@@ -218,8 +229,8 @@ impl TaskLineage {
     }
 
     /// Pretty JSON rendering, the Fig. 8 "task provenance summary".
-    pub fn to_pretty_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("lineage serializes")
+    pub fn to_pretty_json(&self) -> crate::Result<String> {
+        Ok(serde_json::to_string_pretty(self)?)
     }
 }
 
@@ -280,7 +291,7 @@ mod tests {
             graph: Some(GraphId(2)),
             ..Default::default()
         };
-        let s = l.to_pretty_json();
+        let s = l.to_pretty_json().unwrap();
         assert!(s.contains("getitem__get_categories"));
         assert!(s.contains("\"graph\""));
     }

@@ -130,14 +130,15 @@ impl Summary {
 }
 
 /// Percentile with linear interpolation (values need not be sorted).
-/// `q` in `[0, 1]`. Returns 0 for an empty slice.
+/// `q` in `[0, 1]`. Returns 0 for an empty slice. NaN sorts above every
+/// number.
 pub fn percentile(values: &[f64], q: f64) -> f64 {
     assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
     if values.is_empty() {
         return 0.0;
     }
     let mut v = values.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
+    v.sort_by(|a, b| a.partial_cmp(b).unwrap_or_else(|| a.is_nan().cmp(&b.is_nan())));
     let pos = q * (v.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;

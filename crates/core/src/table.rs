@@ -124,16 +124,13 @@ impl<'a> ValueKey<'a> {
             (ValueKey::Null, ValueKey::Null) => Equal,
             (ValueKey::Bool(a), ValueKey::Bool(b)) => a.cmp(b),
             (ValueKey::Str(a), ValueKey::Str(b)) => a.cmp(b),
-            (a, b) if a.rank() == 2 && b.rank() == 2 => {
-                let (x, y) = (a.as_f64().unwrap(), b.as_f64().unwrap());
-                x.partial_cmp(&y).unwrap_or_else(|| match (x.is_nan(), y.is_nan()) {
-                    (true, true) => Equal,
-                    (true, false) => Greater,
-                    (false, true) => Less,
-                    _ => unreachable!(),
-                })
-            }
-            (a, b) => a.rank().cmp(&b.rank()),
+            (a, b) => match (a.as_f64(), b.as_f64()) {
+                // NaN is the only value `partial_cmp` leaves unordered
+                (Some(x), Some(y)) => {
+                    x.partial_cmp(&y).unwrap_or_else(|| x.is_nan().cmp(&y.is_nan()))
+                }
+                _ => a.rank().cmp(&b.rank()),
+            },
         }
     }
 

@@ -8,13 +8,15 @@
 //! produces to it, and the drain and the live views read it back, each
 //! through [`topic_of`] or [`WmsFamily::TOPIC`].
 
+use std::path::Path;
+
 use dtf_core::error::{DtfError, Result};
 use dtf_core::events::{
     CommEvent, IoRecord, LogEntry, ProvRecord, ProxyEvent, TaskDoneEvent, TaskMetaEvent,
     TransitionEvent, WarningEvent, WorkerTransitionEvent,
 };
 
-use crate::service::{MofkaService, ServiceConfig};
+use crate::service::MofkaService;
 use crate::topic::TopicConfig;
 
 /// One topic in the deployment description.
@@ -112,15 +114,18 @@ impl BedrockConfig {
 
     /// Spin up an in-memory service per this description.
     pub fn bootstrap(&self) -> Result<MofkaService> {
-        self.bootstrap_with(&ServiceConfig::default())
+        self.bootstrap_with(None)
     }
 
-    /// Spin up a service per this description and `svc_cfg` (which may
-    /// request persistence). Topics already restored from a persisted
-    /// directory are kept, not re-created.
-    pub fn bootstrap_with(&self, svc_cfg: &ServiceConfig) -> Result<MofkaService> {
+    /// Spin up a service per this description, durable in `persist` when
+    /// it names a directory. Topics already restored from that directory
+    /// are kept, not re-created.
+    pub fn bootstrap_with(&self, persist: Option<&Path>) -> Result<MofkaService> {
         self.validate()?;
-        let svc = MofkaService::with_config(svc_cfg)?;
+        let svc = match persist {
+            None => MofkaService::new(),
+            Some(dir) => MofkaService::durable(dir)?,
+        };
         for t in &self.topics {
             if svc.topic(&t.name).is_err() {
                 svc.create_topic(&t.name, TopicConfig { partitions: t.partitions })?;

@@ -43,5 +43,5 @@ pub use consumer::{Consumer, ConsumerConfig, DiscardedClaims};
 pub use event::{Event, EventId, StoredEvent};
 pub use feed::GroupFeed;
 pub use producer::{Producer, ProducerConfig};
-pub use service::{MofkaService, ServiceConfig, ServiceRecovery};
+pub use service::{MofkaService, ServiceRecovery};
 pub use topic::TopicConfig;

@@ -1,6 +1,6 @@
 //! The assembled Mofka service: topics + micro-services, thread-safe.
 //!
-//! A service is in-memory by default; [`ServiceConfig::persist`] roots it
+//! A service is in-memory by default; [`MofkaService::durable`] roots it
 //! in a store directory of three dtf-store logs: `yokan/` for key-value
 //! metadata (each topic's [`TopicConfig`] under `topic-config/<topic>` and
 //! group cursors, in their `dtf_core::binfmt` form), `warabi/` for blob
@@ -18,7 +18,7 @@ use bytes::Bytes;
 use dtf_store::RecoveryReport;
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use dtf_core::binfmt;
@@ -30,14 +30,6 @@ use crate::producer::{Producer, ProducerConfig};
 use crate::topic::{self, Topic, TopicConfig, TopicLog};
 use crate::warabi::Warabi;
 use crate::yokan::Yokan;
-
-/// Service-level configuration: where (whether) to persist.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServiceConfig {
-    /// Root directory for durable state. `None` keeps the service fully
-    /// in-memory (the default).
-    pub persist: Option<PathBuf>,
-}
 
 /// What recovery found when a persisted service directory was opened.
 #[derive(Debug, Clone, Copy, Default)]
@@ -170,26 +162,21 @@ impl MofkaService {
         }
     }
 
-    /// Build a service per `cfg`: in-memory when `persist` is unset,
-    /// durable (with any existing state recovered and topics restored)
-    /// when it names a directory.
-    pub fn with_config(cfg: &ServiceConfig) -> Result<Self> {
-        match &cfg.persist {
-            None => Ok(Self::new()),
-            Some(dir) => {
-                let (yokan, _) = Yokan::durable(&dir.join("yokan"))?;
-                let (warabi, _) = Warabi::durable(&dir.join("warabi"))?;
-                let (log, records, _) = TopicLog::open(&dir.join("topics"))?;
-                let svc = Self {
-                    yokan: Arc::new(yokan),
-                    warabi: Arc::new(warabi),
-                    topic_log: Some(Arc::new(log)),
-                    topics: TopicMap::new(),
-                };
-                svc.restore_topics(&records)?;
-                Ok(svc)
-            }
-        }
+    /// A durable service rooted in `dir`: any state already there is
+    /// recovered and its topics restored, and everything produced from
+    /// now on is written through to it.
+    pub fn durable(dir: &Path) -> Result<Self> {
+        let (yokan, _) = Yokan::durable(&dir.join("yokan"))?;
+        let (warabi, _) = Warabi::durable(&dir.join("warabi"))?;
+        let (log, records, _) = TopicLog::open(&dir.join("topics"))?;
+        let svc = Self {
+            yokan: Arc::new(yokan),
+            warabi: Arc::new(warabi),
+            topic_log: Some(Arc::new(log)),
+            topics: TopicMap::new(),
+        };
+        svc.restore_topics(&records)?;
+        Ok(svc)
     }
 
     /// Open a persisted service directory **read-only** — the archive
@@ -382,16 +369,15 @@ mod tests {
     #[test]
     fn undecodable_metadata_fails_the_reopen() {
         let dir = std::env::temp_dir().join(format!("dtf-svc-bad-{}", std::process::id()));
-        let persist = ServiceConfig { persist: Some(dir.clone()) };
         for (key, garbage) in [("group/events/g/0", &b"\x80"[..]), ("topic-config/events", b"{}")] {
             let _ = std::fs::remove_dir_all(&dir);
             {
-                let svc = MofkaService::with_config(&persist).unwrap();
+                let svc = MofkaService::durable(&dir).unwrap();
                 svc.create_topic("events", TopicConfig { partitions: 2 }).unwrap();
                 svc.yokan().put(key, Bytes::from_static(garbage));
                 svc.sync().unwrap();
             }
-            let err = MofkaService::with_config(&persist).unwrap_err().to_string();
+            let err = MofkaService::durable(&dir).unwrap_err().to_string();
             assert!(err.contains(key), "{err}");
         }
         std::fs::remove_dir_all(&dir).unwrap();
@@ -402,8 +388,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dtf-svc-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let svc =
-                MofkaService::with_config(&ServiceConfig { persist: Some(dir.clone()) }).unwrap();
+            let svc = MofkaService::durable(&dir).unwrap();
             svc.create_topic("events", TopicConfig { partitions: 2 }).unwrap();
             let mut p = svc.producer("events", ProducerConfig::default()).unwrap();
             for i in 0..20 {

@@ -5,7 +5,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dtf_mofka::{ConsumerConfig, Event, MofkaService, ProducerConfig, ServiceConfig, TopicConfig};
+use dtf_mofka::{ConsumerConfig, Event, MofkaService, ProducerConfig, TopicConfig};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -19,7 +19,7 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 }
 
 fn durable(dir: &std::path::Path) -> MofkaService {
-    MofkaService::with_config(&ServiceConfig { persist: Some(dir.to_path_buf()) }).unwrap()
+    MofkaService::durable(dir).unwrap()
 }
 
 mod common;

@@ -8,9 +8,7 @@ use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
 use dtf_core::binfmt;
-use dtf_mofka::{
-    ConsumerConfig, Event, MofkaService, ProducerConfig, ServiceConfig, StoredEvent, TopicConfig,
-};
+use dtf_mofka::{ConsumerConfig, Event, MofkaService, ProducerConfig, StoredEvent, TopicConfig};
 use dtf_store::log::segment_paths;
 
 mod common;
@@ -23,7 +21,7 @@ fn scratch(label: &str) -> PathBuf {
 }
 
 fn durable(dir: &Path) -> MofkaService {
-    MofkaService::with_config(&ServiceConfig { persist: Some(dir.to_path_buf()) }).unwrap()
+    MofkaService::durable(dir).unwrap()
 }
 
 /// Every partition's visible stream, keyed by `(topic, partition)`.

@@ -213,7 +213,7 @@ mod tests {
     fn lineage_renders_as_json() {
         let (data, root, _) = run();
         let l = build(&data, &root).unwrap();
-        let js = l.to_pretty_json();
+        let js = l.to_pretty_json().unwrap();
         assert!(js.contains("\"states\""));
         assert!(js.contains("load"));
     }

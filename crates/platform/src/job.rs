@@ -3,7 +3,7 @@
 //! The paper notes (§III-E1) that "the allocated nodes may vary in
 //! performance due to factors such as network topology" and that scheduler /
 //! worker placement across switches changes latency. The allocator below
-//! reproduces that: with probability `scatter_prob` an allocation is
+//! reproduces that: with probability `SCATTER_PROB` an allocation is
 //! scattered across distant switches instead of packed under one.
 
 use rand::seq::SliceRandom;
@@ -25,37 +25,33 @@ pub struct JobRequest {
     pub queue: String,
 }
 
-/// Allocation policy knobs.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct AllocPolicy {
-    /// Probability that the allocation is scattered across the cluster
-    /// instead of packed under contiguous switches.
-    pub scatter_prob: f64,
-}
-
-impl Default for AllocPolicy {
-    fn default() -> Self {
-        Self { scatter_prob: 0.35 }
-    }
-}
+/// Probability that an allocation is scattered across the cluster instead
+/// of packed under contiguous switches.
+const SCATTER_PROB: f64 = 0.35;
 
 /// The job scheduler. Holds no queue state — each `allocate` models one
 /// independent batch-job placement, which is how the paper's repeated runs
 /// behave (each run is a fresh `qsub`).
 #[derive(Debug)]
 pub struct JobScheduler {
-    policy: AllocPolicy,
     next_job_id: u64,
 }
 
+impl Default for JobScheduler {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl JobScheduler {
-    pub fn new(policy: AllocPolicy) -> Self {
-        Self { policy, next_job_id: 1000 }
+    pub fn new() -> Self {
+        Self { next_job_id: 1000 }
     }
 
     /// Allocate nodes for `req` at `submit_time`. The start delay (queue
     /// wait) is drawn in `[0, 30]` s — short because the paper's jobs are
-    /// small — and the node set is packed or scattered per policy.
+    /// small — and the node set is packed, or scattered with probability
+    /// `SCATTER_PROB`.
     pub fn allocate<R: Rng + ?Sized>(
         &mut self,
         topo: &ClusterTopology,
@@ -69,7 +65,7 @@ impl JobScheduler {
                 req.nodes, topo.node_count
             )));
         }
-        let scattered = rng.gen::<f64>() < self.policy.scatter_prob;
+        let scattered = rng.gen::<f64>() < SCATTER_PROB;
         let allocated_nodes: Vec<NodeId> = if scattered {
             // sample distinct nodes uniformly over the cluster
             let mut all: Vec<u32> = (0..topo.node_count).collect();
@@ -119,7 +115,7 @@ mod tests {
     #[test]
     fn allocation_has_right_node_count_and_distinct_nodes() {
         let topo = ClusterTopology::uniform(560, 16);
-        let mut js = JobScheduler::new(AllocPolicy::default());
+        let mut js = JobScheduler::new();
         let mut rng = SmallRng::seed_from_u64(1);
         for _ in 0..50 {
             let job = js.allocate(&topo, &paper_request(), Time::ZERO, &mut rng).unwrap();
@@ -135,7 +131,7 @@ mod tests {
     #[test]
     fn job_ids_increase() {
         let topo = ClusterTopology::uniform(64, 16);
-        let mut js = JobScheduler::new(AllocPolicy::default());
+        let mut js = JobScheduler::new();
         let mut rng = SmallRng::seed_from_u64(1);
         let a = js.allocate(&topo, &paper_request(), Time::ZERO, &mut rng).unwrap();
         let b = js.allocate(&topo, &paper_request(), Time::ZERO, &mut rng).unwrap();
@@ -143,9 +139,9 @@ mod tests {
     }
 
     #[test]
-    fn scattered_allocations_occur_at_policy_rate() {
+    fn scattered_allocations_occur_at_the_scatter_rate() {
         let topo = ClusterTopology::uniform(560, 16);
-        let mut js = JobScheduler::new(AllocPolicy { scatter_prob: 0.5 });
+        let mut js = JobScheduler::new();
         let mut rng = SmallRng::seed_from_u64(3);
         let mut scattered = 0;
         let trials = 400;
@@ -158,15 +154,16 @@ mod tests {
             }
         }
         let rate = scattered as f64 / trials as f64;
-        // scattered draws can accidentally be contiguous, so rate <= 0.5
-        assert!((0.3..=0.55).contains(&rate), "scatter rate {rate}");
+        // scattered draws can accidentally be contiguous, so rate <= 0.35
+        assert!((0.25..=0.4).contains(&rate), "scatter rate {rate}");
     }
 
     #[test]
-    fn packed_allocation_with_scatter_zero_is_always_contiguous() {
+    fn packed_allocations_are_contiguous_and_switch_aligned() {
         let topo = ClusterTopology::uniform(64, 16);
-        let mut js = JobScheduler::new(AllocPolicy { scatter_prob: 0.0 });
+        let mut js = JobScheduler::new();
         let mut rng = SmallRng::seed_from_u64(3);
+        let mut packed = 0;
         for _ in 0..50 {
             let job = js
                 .allocate(
@@ -176,16 +173,20 @@ mod tests {
                     &mut rng,
                 )
                 .unwrap();
-            assert!(job.allocated_nodes.windows(2).all(|w| w[1].0 == w[0].0 + 1));
-            // and switch-aligned
-            assert_eq!(job.allocated_nodes[0].0 % 16, 0);
+            // four of 64 nodes scattered at random are almost never
+            // contiguous, so a contiguous run is a packed allocation
+            if job.allocated_nodes.windows(2).all(|w| w[1].0 == w[0].0 + 1) {
+                assert_eq!(job.allocated_nodes[0].0 % 16, 0);
+                packed += 1;
+            }
         }
+        assert!(packed > 0 && packed < 50, "{packed} of 50 packed");
     }
 
     #[test]
     fn oversized_request_rejected() {
         let topo = ClusterTopology::uniform(4, 2);
-        let mut js = JobScheduler::new(AllocPolicy::default());
+        let mut js = JobScheduler::new();
         let mut rng = SmallRng::seed_from_u64(1);
         let req = JobRequest { nodes: 5, walltime_limit_s: 60, queue: "q".into() };
         assert!(js.allocate(&topo, &req, Time::ZERO, &mut rng).is_err());
@@ -196,7 +197,7 @@ mod tests {
     #[test]
     fn script_records_request() {
         let topo = ClusterTopology::uniform(64, 16);
-        let mut js = JobScheduler::new(AllocPolicy::default());
+        let mut js = JobScheduler::new();
         let mut rng = SmallRng::seed_from_u64(1);
         let job = js.allocate(&topo, &paper_request(), Time::ZERO, &mut rng).unwrap();
         assert!(job.script.contains("select=3"));

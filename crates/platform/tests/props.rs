@@ -6,7 +6,7 @@ use rand::SeedableRng;
 
 use dtf_core::ids::NodeId;
 use dtf_core::time::Time;
-use dtf_platform::job::{AllocPolicy, JobRequest, JobScheduler};
+use dtf_platform::job::{JobRequest, JobScheduler};
 use dtf_platform::{ClusterTopology, LoadProcess, NetworkConfig, NetworkModel, Pfs, PfsConfig};
 
 proptest! {
@@ -69,7 +69,7 @@ proptest! {
         let node_count = 1u32 << nodes_pow; // 8..256
         prop_assume!(request <= node_count);
         let topo = ClusterTopology::uniform(node_count, per_switch.min(node_count));
-        let mut js = JobScheduler::new(AllocPolicy::default());
+        let mut js = JobScheduler::new();
         let mut rng = SmallRng::seed_from_u64(seed);
         let req = JobRequest { nodes: request, walltime_limit_s: 60, queue: "q".into() };
         let job = js.allocate(&topo, &req, Time::ZERO, &mut rng).unwrap();

@@ -76,7 +76,7 @@ mod tests {
 
     fn two_by_two() -> LocalCluster {
         let cfg = WmsConfig { workers_per_node: 2, threads_per_worker: 2, ..Default::default() };
-        LocalCluster::start(cfg, PluginSet::new())
+        LocalCluster::start(cfg, PluginSet::new()).unwrap()
     }
 
     #[test]

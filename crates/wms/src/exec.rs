@@ -28,7 +28,7 @@ use dtf_core::time::{Dur, RealClock, Time};
 
 use crate::graph::{Payload, TaskGraph, TaskValue};
 use crate::plugins::{PluginSet, WmsPlugin};
-use crate::scheduler::{Fetch, Scheduler};
+use crate::scheduler::{nonzero, Fetch, Scheduler};
 
 struct Shared {
     scheduler: Mutex<Scheduler>,
@@ -56,9 +56,13 @@ pub struct LocalCluster {
 impl LocalCluster {
     /// Start the cluster with the given instrumentation plugins: one node
     /// of `cfg.workers_per_node` workers with `cfg.threads_per_worker`
-    /// threads each.
-    pub fn start(cfg: WmsConfig, plugins: PluginSet) -> Self {
-        assert!(cfg.workers_per_node >= 1 && cfg.threads_per_worker >= 1);
+    /// threads each; zero of either is a config error. The executor has
+    /// no heartbeats, and an idle thread rebalances before it sleeps
+    /// rather than on a period, so it reads none of
+    /// `heartbeat_interval_ms`, `worker_ttl_ms` and `steal_interval_ms`.
+    pub fn start(cfg: WmsConfig, plugins: PluginSet) -> Result<Self> {
+        nonzero("workers_per_node", cfg.workers_per_node)?;
+        nonzero("threads_per_worker", cfg.threads_per_worker)?;
         let workers = cfg.workers_per_node as usize;
         let threads = cfg.threads_per_worker;
         let mut scheduler = Scheduler::new(cfg, None, plugins);
@@ -84,7 +88,7 @@ impl LocalCluster {
                 );
             }
         }
-        Self { shared, handles }
+        Ok(Self { shared, handles })
     }
 
     fn now(&self) -> Time {
@@ -255,7 +259,7 @@ mod tests {
         let collector = CollectorPlugin::new();
         let mut plugins = PluginSet::new();
         plugins.register(Box::new(collector.clone()));
-        (LocalCluster::start(cfg, plugins), collector)
+        (LocalCluster::start(cfg, plugins).unwrap(), collector)
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub const ARCHIVE_META_KEY: &str = "run-meta";
 /// First bytes of an encoded [`ArchiveMeta`]: magic, then the version
 /// (DESIGN.md §13 says what the refused versions held).
 const META_MAGIC: &[u8; 7] = b"DTFMETA";
-const META_VERSION: u8 = 3;
+const META_VERSION: u8 = 4;
 
 /// The non-Mofka half of a run record, persisted at finalize so an
 /// archive reopen can rebuild a full [`RunData`] from disk alone.

@@ -109,6 +109,15 @@ impl WorkerEntry {
     }
 }
 
+/// A cluster size of zero is a config error. Both engines check their
+/// sizes with it before they add a worker, which asserts a thread.
+pub(crate) fn nonzero(what: &str, n: u32) -> Result<()> {
+    if n == 0 {
+        return Err(DtfError::Config(format!("{what} is 0; a cluster needs at least one")));
+    }
+    Ok(())
+}
+
 /// The scheduler state machine.
 pub struct Scheduler {
     cfg: WmsConfig,

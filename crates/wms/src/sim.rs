@@ -13,6 +13,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::path::Path;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -35,14 +36,14 @@ use dtf_mofka::bedrock::{BedrockConfig, WmsFamily, WMS_TOPICS};
 use dtf_mofka::producer::ProducerConfig;
 use dtf_mofka::ssg::SsgGroup;
 use dtf_mofka::MofkaService;
-use dtf_platform::job::{AllocPolicy, JobRequest, JobScheduler};
+use dtf_platform::job::{JobRequest, JobScheduler};
 use dtf_platform::{ClusterTopology, LoadProcess, NetworkConfig, NetworkModel, Pfs, PfsConfig};
 use dtf_proxystore::{ProxyConfig, ProxyPlane};
 
 use crate::graph::{IoCall, Payload, TaskGraph};
 use crate::plugins::{MofkaPlugin, PluginSet, WmsPlugin};
 use crate::rundata::{ArchiveMeta, RunData, ARCHIVE_META_KEY};
-use crate::scheduler::{Fetch, Scheduler};
+use crate::scheduler::{nonzero, Fetch, Scheduler};
 
 /// How the client submits its graphs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,8 +75,9 @@ pub struct SimWorkflow {
 }
 
 /// Simulator configuration (platform + WMS + instrumentation). The part
-/// the paper collects as provenance (§III-E1) is `wms`: the scheduler and
-/// the heartbeats run on it, and the run's
+/// the paper collects as provenance (§III-E1) is `wms`: the scheduler,
+/// the heartbeats, the eviction timeout and the stealing period run on
+/// it, and the run's
 /// [`ProvenanceChart`](dtf_core::provenance::ProvenanceChart) records it.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -85,17 +87,10 @@ pub struct SimConfig {
     pub worker_nodes: u32,
     pub wms: WmsConfig,
     pub dxt: DxtConfig,
-    pub network: NetworkConfig,
-    pub pfs: PfsConfig,
     /// Background interference on PFS and network (off for ablations).
     pub interference: bool,
     /// Log-scale sigma of per-task compute jitter.
     pub compute_jitter_sigma: f64,
-    /// Work-stealing rebalance period.
-    pub steal_interval: Dur,
-    /// Heartbeat fault-detection timeout (the period is
-    /// `wms.heartbeat_interval_ms`).
-    pub heartbeat_timeout: Dur,
     /// Mofka producer batch size (ablation knob); 0 is a config error.
     pub mofka_batch: usize,
     /// Stream every Darshan record into the Mofka `io-records` topic at
@@ -129,12 +124,8 @@ impl Default for SimConfig {
             worker_nodes: 2,
             wms: WmsConfig::default(),
             dxt: DxtConfig::default(),
-            network: NetworkConfig::default(),
-            pfs: PfsConfig::default(),
             interference: true,
             compute_jitter_sigma: 0.08,
-            steal_interval: Dur::from_millis_f64(100.0),
-            heartbeat_timeout: Dur::from_secs_f64(3.0),
             mofka_batch: 64,
             online_darshan: false,
             faults: FaultSchedule::default(),
@@ -209,6 +200,11 @@ impl Ord for Queued {
     }
 }
 
+/// A `WmsConfig` period in milliseconds as a virtual duration.
+fn millis(ms: u64) -> Dur {
+    Dur::from_millis_f64(ms as f64)
+}
+
 /// The simulated cluster. Build once per run; call [`Self::run`].
 ///
 /// ```
@@ -275,12 +271,16 @@ pub struct SimCluster {
 }
 
 impl SimCluster {
-    /// Allocate a cluster and wire all services for one run.
+    /// Allocate a cluster and wire all services for one run. A cluster
+    /// with no worker nodes, workers or threads is a config error.
     pub fn new(cfg: SimConfig) -> Result<Self> {
+        nonzero("worker_nodes", cfg.worker_nodes)?;
+        nonzero("workers_per_node", cfg.wms.workers_per_node)?;
+        nonzero("threads_per_worker", cfg.wms.threads_per_worker)?;
         let rr = RunRng::new(cfg.campaign_seed, cfg.run);
         let mut rng_topo = rr.stream("topology");
         let topo = ClusterTopology::polaris_like(&mut rng_topo);
-        let mut js = JobScheduler::new(AllocPolicy::default());
+        let mut js = JobScheduler::new();
         let req = JobRequest {
             nodes: cfg.worker_nodes + 1,
             walltime_limit_s: 3600,
@@ -314,8 +314,8 @@ impl SimCluster {
         } else {
             LoadProcess::none(interference_seed)
         };
-        let pfs = Arc::new(Mutex::new(Pfs::new(cfg.pfs.clone(), pfs_load)));
-        let net = NetworkModel::new(cfg.network.clone(), net_load);
+        let pfs = Arc::new(Mutex::new(Pfs::new(PfsConfig::default(), pfs_load)));
+        let net = NetworkModel::new(NetworkConfig::default(), net_load);
 
         let mut runtimes = Vec::new();
         let mut io = Vec::new();
@@ -325,10 +325,8 @@ impl SimCluster {
             runtimes.push(rt);
         }
 
-        let svc_cfg = dtf_mofka::ServiceConfig {
-            persist: cfg.persist_dir.as_ref().map(std::path::PathBuf::from),
-        };
-        let mofka = BedrockConfig::wms_default().bootstrap_with(&svc_cfg)?;
+        let mofka = BedrockConfig::wms_default()
+            .bootstrap_with(cfg.persist_dir.as_deref().map(Path::new))?;
         if cfg.online_darshan {
             // fully online system: every I/O record streams straight into
             // Mofka as it is captured, independent of the DXT buffers. Each
@@ -365,7 +363,7 @@ impl SimCluster {
         };
         let proxy = ProxyPlane::new(cfg.proxy.clone());
         Ok(Self {
-            ssg: SsgGroup::new("dask-workers", cfg.heartbeat_timeout),
+            ssg: SsgGroup::new("dask-workers", millis(cfg.wms.worker_ttl_ms)),
             rng_io: rr.stream("io"),
             rng_net: rr.stream("net"),
             rng_compute: rr.stream("compute"),
@@ -395,7 +393,7 @@ impl SimCluster {
     }
 
     fn heartbeat_interval(&self) -> Dur {
-        Dur::from_millis_f64(self.cfg.wms.heartbeat_interval_ms as f64)
+        millis(self.cfg.wms.heartbeat_interval_ms)
     }
 
     fn push(&mut self, time: Time, ev: Ev) {
@@ -572,7 +570,7 @@ impl SimCluster {
                     self.process_fetches();
                     self.try_start_all();
                     if tasks_outstanding > 0 || submitted < total_graphs {
-                        let t = self.now + self.cfg.steal_interval;
+                        let t = self.now + millis(self.cfg.wms.steal_interval_ms);
                         self.push(t, Ev::Rebalance);
                     }
                 }
@@ -622,7 +620,7 @@ impl SimCluster {
                     }
                     self.try_start_all();
                     if tasks_outstanding > 0 || submitted < total_graphs {
-                        let t = self.now + self.cfg.heartbeat_timeout.scale(0.5);
+                        let t = self.now + millis(self.cfg.wms.worker_ttl_ms).scale(0.5);
                         self.push(t, Ev::FaultCheck);
                     }
                 }
@@ -963,13 +961,26 @@ mod tests {
         assert_eq!(data.task_graphs(), 1);
     }
 
-    /// A zero batch is the producer's config error, from both producers
-    /// the cluster opens, not a silent batch of one.
+    /// A zero size is a config error, not a panic in the scheduler, an
+    /// empty run or a silent batch of one: the cluster's worker nodes,
+    /// workers and threads are refused before anything is allocated, and
+    /// a zero batch by both producers the cluster opens.
     #[test]
-    fn zero_mofka_batch_is_a_config_error() {
-        for online_darshan in [false, true] {
-            let cfg = SimConfig { mofka_batch: 0, online_darshan, ..Default::default() };
-            let err = SimCluster::new(cfg).err().expect("batch 0 is refused");
+    fn zero_sizes_are_config_errors() {
+        let zeroed: [fn(&mut SimConfig); 5] = [
+            |c| c.worker_nodes = 0,
+            |c| c.wms.workers_per_node = 0,
+            |c| c.wms.threads_per_worker = 0,
+            |c| c.mofka_batch = 0,
+            |c| {
+                c.mofka_batch = 0;
+                c.online_darshan = true;
+            },
+        ];
+        for zero in zeroed {
+            let mut cfg = SimConfig::default();
+            zero(&mut cfg);
+            let err = SimCluster::new(cfg).err().expect("a zero size is refused");
             assert!(matches!(err, DtfError::Config(_)), "{err}");
         }
     }

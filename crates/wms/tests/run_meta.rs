@@ -267,7 +267,7 @@ fn forged_counts_fail_before_allocating() {
     assert!(ArchiveMeta::decode(&forged).is_err());
 
     // the LogSet's log count follows the chart
-    let mut head = b"DTFMETA\x03".to_vec();
+    let mut head = b"DTFMETA\x04".to_vec();
     put_varint(&mut head, meta.run.0 as u64);
     put_str(&mut head, &meta.workflow);
     meta.chart.put(&mut head);
@@ -288,9 +288,11 @@ fn a_json_era_document_is_an_error_naming_the_format() {
     assert!(ArchiveMeta::decode(b"{").is_err());
     let mut bytes = edge_meta().encode();
     assert!(ArchiveMeta::decode(&bytes[..7]).is_err(), "magic without a version");
-    // a version-1 document (the chart as JSON) and a version-2 one (the
-    // chart's older WMS layout) are refused by their version byte
-    for old in [1, 2] {
+    // a version-1 document (the chart as JSON), a version-2 one (the
+    // chart's older WMS layout) and a version-3 one (the chart without
+    // the worker TTL and the stealing period) are refused by their
+    // version byte
+    for old in [1, 2, 3] {
         bytes[7] = old;
         let err = ArchiveMeta::decode(&bytes).unwrap_err().to_string();
         assert!(err.contains(&format!("version {old}")), "{err}");

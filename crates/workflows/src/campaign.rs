@@ -6,15 +6,15 @@
 //! `(campaign_seed, RunId)` pair and shares no mutable state with its
 //! siblings — so [`Campaign::execute`] runs them on a scoped worker pool
 //! and reassembles the results in run-index order. The output is
-//! byte-identical to sequential execution at any thread count; `DTF_JOBS`
-//! (or [`Campaign::jobs`]) bounds the pool.
+//! byte-identical to running the runs one by one, whatever the pool size;
+//! the pool has one thread per core, and never more than runs.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::mpsc;
 
 use serde::Serialize;
 
-use dtf_core::error::Result;
+use dtf_core::error::{DtfError, Result};
 use dtf_core::ids::{RunId, TaskKey};
 use dtf_core::rngx::RunRng;
 use dtf_core::time::{Dur, Time};
@@ -139,122 +139,73 @@ pub struct Campaign {
     pub workload: Workload,
     pub runs: u32,
     pub campaign_seed: u64,
-    pub base: SimConfig,
-    /// Keep full `RunData` of the first run (for the single-run figures).
-    pub keep_first: bool,
     /// Record per-run task start orders (schedule-order analysis).
     pub keep_order: bool,
-    /// Worker threads executing runs. `None` resolves the `DTF_JOBS`
-    /// environment variable, falling back to `available_parallelism`.
-    pub jobs: Option<usize>,
 }
 
 impl Campaign {
     /// Paper-default campaign for one workload.
     pub fn paper(workload: Workload, campaign_seed: u64) -> Self {
-        Self {
-            workload,
-            runs: workload.paper_runs(),
-            campaign_seed,
-            base: SimConfig::default(),
-            keep_first: true,
-            keep_order: false,
-            jobs: None,
-        }
+        Self { workload, runs: workload.paper_runs(), campaign_seed, keep_order: false }
     }
 
-    /// A scaled-down campaign for tests.
-    pub fn small(workload: Workload, runs: u32) -> Self {
-        Self {
-            workload,
-            runs,
-            campaign_seed: 1,
-            base: SimConfig::default(),
-            keep_first: true,
-            keep_order: false,
-            jobs: None,
-        }
-    }
-
-    /// Pin the worker-pool size (overrides `DTF_JOBS` and autodetection).
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = Some(jobs);
-        self
-    }
-
-    /// Pool size for this campaign: the explicit [`Campaign::jobs`] if set,
-    /// else `DTF_JOBS`, else `available_parallelism`; never more threads
-    /// than runs.
-    pub fn resolved_jobs(&self) -> usize {
-        let requested = self
-            .jobs
-            .or_else(|| std::env::var("DTF_JOBS").ok().and_then(|s| s.parse::<usize>().ok()))
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
-        requested.min(self.runs.max(1) as usize)
-    }
-
-    /// Execute one run of the campaign. Fully determined by
+    /// Execute one run of the campaign, keeping the full `RunData` of run
+    /// 0 (for the single-run figures). Fully determined by
     /// `(campaign_seed, r)` — no state is shared with other runs, which is
     /// what makes the parallel pool below sound.
     fn execute_run(&self, r: u32) -> Result<RunOutput> {
         let run = RunId(r);
-        let mut cfg = self.base.clone();
-        cfg.campaign_seed = self.campaign_seed;
-        cfg.run = run;
+        let mut cfg = SimConfig { campaign_seed: self.campaign_seed, run, ..Default::default() };
         self.workload.adjust(&mut cfg);
         let rr = RunRng::new(self.campaign_seed, run);
         let workflow = self.workload.generate(&rr);
         let data = SimCluster::new(cfg)?.run(workflow)?;
         let summary = RunSummary::of(&data, self.keep_order);
-        let keep = (r == 0 && self.keep_first).then_some(data);
+        let keep = (r == 0).then_some(data);
         Ok((summary, keep))
     }
 
-    /// Execute all runs — concurrently when the resolved pool size allows,
-    /// with results collected in run-index order so summaries, kept
-    /// `RunData`, and every downstream statistic are byte-identical to
-    /// sequential execution at any thread count.
+    /// Execute all runs concurrently, one pool thread per core and never
+    /// more than runs, with results collected in run-index order so
+    /// summaries, kept `RunData`, and every downstream statistic are
+    /// byte-identical to running the runs one by one.
     pub fn execute(&self) -> Result<CampaignResult> {
-        let jobs = self.resolved_jobs();
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let jobs = threads.min(self.runs as usize);
         let mut slots: Vec<Option<Result<RunOutput>>> = (0..self.runs).map(|_| None).collect();
-        if jobs <= 1 {
-            for r in 0..self.runs {
-                slots[r as usize] = Some(self.execute_run(r));
+        // hand-rolled scoped pool: `jobs` workers pull run indices from an
+        // atomic counter and send `(index, result)` back over a channel;
+        // arrival order is nondeterministic, slot placement makes it
+        // irrelevant
+        let next = AtomicU32::new(0);
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            for _ in 0..jobs {
+                let tx = tx.clone();
+                let next = &next;
+                scope.spawn(move || loop {
+                    let r = next.fetch_add(1, Ordering::Relaxed);
+                    if r >= self.runs {
+                        break;
+                    }
+                    if tx.send((r, self.execute_run(r))).is_err() {
+                        break;
+                    }
+                });
             }
-        } else {
-            // hand-rolled scoped pool: `jobs` workers pull run indices from
-            // an atomic counter and send `(index, result)` back over a
-            // channel; arrival order is nondeterministic, slot placement
-            // makes it irrelevant
-            let next = AtomicU32::new(0);
-            let (tx, rx) = mpsc::channel();
-            std::thread::scope(|scope| {
-                for _ in 0..jobs {
-                    let tx = tx.clone();
-                    let next = &next;
-                    scope.spawn(move || loop {
-                        let r = next.fetch_add(1, Ordering::Relaxed);
-                        if r >= self.runs {
-                            break;
-                        }
-                        if tx.send((r, self.execute_run(r))).is_err() {
-                            break;
-                        }
-                    });
-                }
-                drop(tx);
-                for (r, res) in rx {
-                    slots[r as usize] = Some(res);
-                }
-            });
-        }
+            drop(tx);
+            for (r, res) in rx {
+                slots[r as usize] = Some(res);
+            }
+        });
         // drain in run order; the lowest failing run's error wins, matching
-        // what sequential execution would have reported
+        // what running the runs one by one would have reported
         let mut summaries = Vec::with_capacity(self.runs as usize);
         let mut first = None;
         for slot in slots {
-            let (summary, kept) = slot.expect("every run index was executed")?;
+            let (summary, kept) = slot.ok_or_else(|| {
+                DtfError::IllegalState("a campaign pool thread exited before its run".into())
+            })??;
             summaries.push(summary);
             if let Some(data) = kept {
                 first = Some(data);
@@ -269,7 +220,7 @@ impl Campaign {
 pub struct CampaignResult {
     pub workload: Workload,
     pub summaries: Vec<RunSummary>,
-    /// Full data of run 0 (when kept).
+    /// Full data of run 0 (`None` only for a campaign of no runs).
     pub first: Option<RunData>,
 }
 
@@ -304,18 +255,13 @@ impl CampaignResult {
 mod tests {
     use super::*;
 
-    // a tiny bespoke workload keeps campaign tests fast; the real
-    // generators are exercised by the integration suite and the harness
-    fn tiny_campaign(runs: u32) -> CampaignResult {
-        // ImageProcessing's generator is the cheapest of the three paper
-        // workloads, but still ~5k tasks; use 2 runs at most here.
-        Campaign::small(Workload::ImageProcessing, runs).execute().unwrap()
-    }
-
     #[test]
     #[ignore = "multi-second: full ImageProcessing campaign; run with --ignored"]
     fn campaign_collects_summaries() {
-        let result = tiny_campaign(2);
+        // ImageProcessing's generator is the cheapest of the three paper
+        // workloads, but still ~5k tasks; use 2 runs at most here.
+        let campaign = Campaign { runs: 2, ..Campaign::paper(Workload::ImageProcessing, 1) };
+        let result = campaign.execute().unwrap();
         assert_eq!(result.summaries.len(), 2);
         assert!(result.first.is_some());
         let (lo, hi) = result.range(|s| s.io_ops);

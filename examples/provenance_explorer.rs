@@ -75,7 +75,7 @@ fn main() {
     println!("\nfull-JSON form of one lineage (what Fig. 8 renders):");
     let any = data.meta.iter().find(|m| m.key.prefix == prefix).unwrap();
     let l = lineage::build(&data, &any.key).unwrap();
-    let json = l.to_pretty_json();
+    let json = l.to_pretty_json().unwrap();
     // print just the head to keep the demo readable
     for line in json.lines().take(25) {
         println!("  {line}");

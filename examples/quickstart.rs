@@ -28,7 +28,8 @@ fn main() {
     let cluster = LocalCluster::start(
         WmsConfig { workers_per_node: 2, threads_per_worker: 2, ..Default::default() },
         plugins,
-    );
+    )
+    .expect("a 2x2 cluster starts");
 
     // 2. build a little map-reduce with the dask.delayed-style client
     let mut client = Delayed::new(&cluster);

@@ -362,14 +362,13 @@ fn mofka_stall_over_run_end_loses_nothing() {
 fn crash_faults_recover_committed_prefixes_deterministically() {
     use dtf::chaos::{copy_store, recovery_oracle, CrashFault, CrashKind, CrashTarget};
     use dtf::mofka::producer::ProducerConfig;
-    use dtf::mofka::{Event, MofkaService, ServiceConfig, TopicConfig};
+    use dtf::mofka::{Event, MofkaService, TopicConfig};
 
     let base = std::env::temp_dir().join(format!("dtf-chaos-crash-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     let golden = base.join("golden");
     {
-        let svc =
-            MofkaService::with_config(&ServiceConfig { persist: Some(golden.clone()) }).unwrap();
+        let svc = MofkaService::durable(&golden).unwrap();
         svc.create_topic("t", TopicConfig { partitions: 2 }).unwrap();
         let mut p = svc.producer("t", ProducerConfig::default()).unwrap();
         for i in 0..300u64 {

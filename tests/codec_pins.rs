@@ -484,8 +484,8 @@ const CHART: [(&str, &str); 6] = [
     ("system", "016f016b01016d020161013101620132"),
     ("job", "0901730171010200ac0200013c"),
     (
-        "wms config: 4 workers, 8 threads, 500 ms, stealing, 400e6 B/s, 1.5, 0.5 s",
-        "0408f403018088debe01000000000000f83f000000000000e03f",
+        "wms config: 4 workers, 8 threads, 500 ms, 3000 ms, stealing, 100 ms, 400e6 B/s, 1.5, 0.5 s",
+        "0408f403b81701648088debe01000000000000f83f000000000000e03f",
     ),
     ("client code hash", "11"),
     ("workflow name", "0177"),
@@ -569,7 +569,7 @@ fn the_run_meta_document_and_its_darshan_logs_encode_to_their_pinned_bytes() {
         steals: 2,
     };
     let mut segments = vec![
-        ("magic, version", "4454464d45544103".to_string()),
+        ("magic, version", "4454464d45544104".to_string()),
         ("run, workflow", "ac02027766".to_string()),
     ];
     segments.extend(CHART.iter().map(|(what, hex)| (*what, hex.to_string())));

@@ -48,58 +48,46 @@ fn different_campaign_seeds_vary() {
     assert_ne!(a.wall_time, b.wall_time);
 }
 
-/// The parallel-campaign determinism gate: a 3-run campaign must produce
-/// byte-identical summaries and canonical transition logs whether the
-/// worker pool has 1 thread or 4. (The pool size is pinned through
-/// `Campaign::jobs` — the programmatic form of the `DTF_JOBS` variable,
-/// which cannot be set per-test in a multithreaded test binary; the env
-/// path itself is covered by `dtf_jobs_env_parsing` below and exercised
-/// end-to-end by the CI perf smoke job.)
+/// The campaign pool's determinism gate: `Campaign::execute` spreads its
+/// runs over one pool thread per core, and its output must be
+/// byte-identical to a plain loop that simulates each run by itself — the
+/// same summaries (start orders included) in run-index order, and a kept
+/// first run that replays to the same canonical transition log. Three runs
+/// occupy more than one pool thread on any host with two cores or more.
 #[test]
 fn parallel_campaign_output_is_byte_identical_to_sequential() {
     use dtf::chaos::transition_log;
-    use dtf::workflows::Campaign;
+    use dtf::workflows::{Campaign, RunSummary};
 
-    let sequential = Campaign::small(Workload::ImageProcessing, 3).with_jobs(1);
-    let parallel = Campaign::small(Workload::ImageProcessing, 3).with_jobs(4);
-    assert_eq!(sequential.resolved_jobs(), 1);
-    assert_eq!(parallel.resolved_jobs(), 3, "pool never exceeds the run count");
+    let campaign =
+        Campaign { runs: 3, keep_order: true, ..Campaign::paper(Workload::ImageProcessing, 1) };
+    let pooled = campaign.execute().unwrap();
 
-    let a = sequential.execute().unwrap();
-    let b = parallel.execute().unwrap();
+    let mut reference = Vec::new();
+    let mut first_log = None;
+    for r in 0..campaign.runs {
+        let data = run(campaign.workload, campaign.campaign_seed, r);
+        reference.push(RunSummary::of(&data, campaign.keep_order));
+        first_log.get_or_insert_with(|| transition_log(&data));
+    }
 
     // summaries byte-identical, in run-index order
-    let aj = serde_json::to_string(&a.summaries).unwrap();
-    let bj = serde_json::to_string(&b.summaries).unwrap();
-    assert_eq!(aj, bj, "summaries must not depend on the pool size");
-    for (i, s) in a.summaries.iter().enumerate() {
-        assert_eq!(s.run, dtf::core::ids::RunId(i as u32), "run-index order");
+    assert_eq!(
+        serde_json::to_string(&pooled.summaries).unwrap(),
+        serde_json::to_string(&reference).unwrap(),
+        "summaries must not depend on the pool"
+    );
+    for (i, s) in pooled.summaries.iter().enumerate() {
+        assert_eq!(s.run, RunId(i as u32), "run-index order");
     }
 
     // the kept first run replays to the same canonical transition log
     // (the chaos harness's double-run determinism gate, reused)
-    let first_a = a.first.expect("keep_first");
-    let first_b = b.first.expect("keep_first");
     assert_eq!(
-        transition_log(&first_a),
-        transition_log(&first_b),
+        transition_log(&pooled.first.expect("run 0 is kept")),
+        first_log.unwrap(),
         "canonical transition logs must be byte-identical"
     );
-}
-
-#[test]
-fn dtf_jobs_env_parsing() {
-    use dtf::workflows::Campaign;
-    // `jobs` pin beats the environment; bogus explicit values are rejected
-    // at resolution (min 1, capped by run count)
-    let c = Campaign::small(Workload::ImageProcessing, 8).with_jobs(2);
-    assert_eq!(c.resolved_jobs(), 2);
-    let c = Campaign::small(Workload::ImageProcessing, 2).with_jobs(64);
-    assert_eq!(c.resolved_jobs(), 2);
-    // without a pin, resolution falls back to DTF_JOBS / autodetection and
-    // is always at least 1
-    let c = Campaign::small(Workload::ImageProcessing, 4);
-    assert!(c.resolved_jobs() >= 1);
 }
 
 #[test]

@@ -27,7 +27,8 @@ fn live_consumer_sees_events_during_the_run() {
     let cluster = LocalCluster::start(
         WmsConfig { workers_per_node: 2, threads_per_worker: 2, ..Default::default() },
         plugins,
-    );
+    )
+    .unwrap();
 
     // concurrent in-situ analyst: tails task-done while the workflow runs
     let stop = Arc::new(AtomicBool::new(false));

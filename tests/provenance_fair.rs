@@ -149,7 +149,8 @@ fn provenance_chart_captures_all_layers() {
 
 /// The chart records the WMS configuration the scheduler ran on, not a
 /// default beside it: each workload's placement constants after
-/// `Workload::adjust`, and a stealing-off run's switch.
+/// `Workload::adjust`, the stealing period and worker TTL the simulator's
+/// event loop runs on, and a stealing-off run's settings.
 #[test]
 fn the_chart_records_the_wms_config_the_run_ran_with() {
     let pinned = [
@@ -164,8 +165,14 @@ fn the_chart_records_the_wms_config_the_run_ran_with() {
         assert_eq!(recorded, cfg.wms, "{}", workload.name());
         assert_eq!(recorded.assumed_bandwidth, bandwidth, "{}", workload.name());
         assert_eq!(recorded.est_task_duration_s, est_task_duration_s, "{}", workload.name());
+        // the two Dask periods the simulator's event loop reads
+        assert_eq!(recorded.steal_interval_ms, 100, "{}", workload.name());
+        assert_eq!(recorded.worker_ttl_ms, 3000, "{}", workload.name());
     }
     let mut cfg = SimConfig { campaign_seed: 2, run: RunId(0), ..Default::default() };
     cfg.wms.work_stealing = false;
-    assert!(!run_with(cfg).chart.wms_config.work_stealing);
+    cfg.wms.steal_interval_ms = 250;
+    let recorded = run_with(cfg).chart.wms_config;
+    assert!(!recorded.work_stealing);
+    assert_eq!(recorded.steal_interval_ms, 250);
 }

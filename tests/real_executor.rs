@@ -7,6 +7,7 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
+use dtf::core::error::DtfError;
 use dtf::core::ids::{GraphId, TaskKey};
 use dtf::core::provenance::WmsConfig;
 use dtf::wms::exec::LocalCluster;
@@ -21,8 +22,24 @@ fn collector_cluster(workers: u32, threads: u32) -> (LocalCluster, CollectorPlug
     let cluster = LocalCluster::start(
         WmsConfig { workers_per_node: workers, threads_per_worker: threads, ..Default::default() },
         plugins,
-    );
+    )
+    .unwrap();
     (cluster, collector)
+}
+
+/// A cluster of no workers, or of workers with no threads, is a config
+/// error from `start`, not an assertion inside it.
+#[test]
+fn zero_workers_or_threads_is_a_config_error() {
+    for (workers, threads) in [(0, 2), (2, 0)] {
+        let cfg = WmsConfig {
+            workers_per_node: workers,
+            threads_per_worker: threads,
+            ..Default::default()
+        };
+        let err = LocalCluster::start(cfg, PluginSet::new()).err().expect("a zero size is refused");
+        assert!(matches!(err, DtfError::Config(_)), "{workers}x{threads}: {err}");
+    }
 }
 
 #[test]
@@ -101,7 +118,8 @@ fn stealing_disabled_cluster_still_completes() {
             ..Default::default()
         },
         plugins,
-    );
+    )
+    .unwrap();
     let mut b = GraphBuilder::new(GraphId(0));
     let tok = b.new_token();
     for i in 0..30 {

@@ -124,7 +124,7 @@ fn archived_chaos_schedule_replays_identically() {
     let seed = schedule_seed(42, 7);
     if update_golden() {
         std::fs::create_dir_all(golden_dir()).unwrap();
-        std::fs::write(&schedule_path, generate(seed).to_json()).unwrap();
+        std::fs::write(&schedule_path, generate(seed).to_json().unwrap()).unwrap();
         eprintln!("updated golden {}", schedule_path.display());
     }
     let archived = std::fs::read_to_string(&schedule_path)
