@@ -17,6 +17,7 @@
 use std::path::{Path, PathBuf};
 
 use dtf::chaos::{generate, run_faults, schedule_seed, transition_log};
+use dtf::core::events::TaskState;
 use dtf::core::ids::RunId;
 use dtf::core::rngx::RunRng;
 use dtf::perfrecup::export::export_run;
@@ -27,7 +28,11 @@ use dtf::workflows::Workload;
 /// FNV-1a 64-bit: a stable, dependency-free content fingerprint. This is
 /// a change detector, not a cryptographic commitment.
 fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
+    fnv64_extend(0xcbf29ce484222325, bytes)
+}
+
+/// Continue an FNV-1a 64-bit hash `h` over `bytes`.
+fn fnv64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x100000001b3);
@@ -140,4 +145,36 @@ fn archived_chaos_schedule_replays_identically() {
     assert_eq!(log, transition_log(&second), "replay must be deterministic");
     let fingerprint = format!("{:016x} {}\n", fnv64(log.as_bytes()), log.len());
     check_golden("chaos_transition_fnv64.txt", &fingerprint);
+}
+
+/// Schedules 0..200 of chaos campaign 20240806, each run once: one FNV-64
+/// over their canonical transition logs in index order. `repro
+/// chaos-replay` prints a schedule and a verdict, not the transitions, so
+/// this is the gate that the scheduler's schedule — every transition,
+/// worker transition and completion, in order — did not move. The set
+/// holds worker deaths, duplicated fetches and recomputes, whose order
+/// follows the scheduler's key-ordered walks.
+#[test]
+fn chaos_campaign_transitions_are_pinned() {
+    const SEED: u64 = 20240806;
+    let (mut log_bytes, mut deaths, mut duplicates, mut recomputes) = (0usize, 0, 0, 0);
+    let mut h = fnv64(&[]);
+    for index in 0..200 {
+        let seed = schedule_seed(SEED, index);
+        let faults = generate(seed);
+        deaths += faults.deaths.len();
+        duplicates += faults.fetch_faults.iter().filter(|f| f.duplicate).count();
+        let data = run_faults(seed, index, &faults).unwrap();
+        recomputes += data
+            .transitions
+            .iter()
+            .filter(|t| t.from == TaskState::Memory && t.to == TaskState::Released)
+            .count();
+        let log = transition_log(&data);
+        h = fnv64_extend(h, log.as_bytes());
+        log_bytes += log.len();
+    }
+    assert!(!generate(schedule_seed(SEED, 54)).deaths.is_empty(), "index 54 kills a worker");
+    assert!(deaths > 0 && duplicates > 0 && recomputes > 0, "{deaths} {duplicates} {recomputes}");
+    check_golden("chaos_campaign_fnv64.txt", &format!("{h:016x} {log_bytes}\n"));
 }
