@@ -13,6 +13,8 @@
 //! repeated runs of the same workflow vary the way real runs do, while any
 //! single `(seed, run)` pair stays exactly reproducible.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 pub mod interference;
 pub mod job;
 pub mod network;

@@ -13,10 +13,13 @@
 //! condvar paired with the scheduler mutex, and checks its condition under
 //! that mutex before it waits, so no wake-up is lost and no wait needs a
 //! timeout. A task takes the scheduler lock twice: once to start it and
-//! read its closure and inputs, once to report it finished.
+//! read its closure and inputs, once to report it finished — or erred: a
+//! closure that panics is caught on its thread, the task and everything
+//! waiting on it err, and the cluster runs on.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -26,7 +29,7 @@ use dtf_core::ids::{NodeId, TaskKey, ThreadId, WorkerId};
 use dtf_core::provenance::WmsConfig;
 use dtf_core::time::{Dur, RealClock, Time};
 
-use crate::graph::{Payload, TaskGraph, TaskValue};
+use crate::graph::{Payload, RealFn, TaskGraph, TaskValue};
 use crate::plugins::{PluginSet, WmsPlugin};
 use crate::scheduler::{nonzero, Fetch, Scheduler};
 
@@ -60,6 +63,8 @@ impl LocalCluster {
     /// no heartbeats, and an idle thread rebalances before it sleeps
     /// rather than on a period, so it reads none of
     /// `heartbeat_interval_ms`, `worker_ttl_ms` and `steal_interval_ms`.
+    /// A worker thread the OS refuses to start is an I/O error, after the
+    /// threads already started are stopped.
     pub fn start(cfg: WmsConfig, plugins: PluginSet) -> Result<Self> {
         nonzero("workers_per_node", cfg.workers_per_node)?;
         nonzero("threads_per_worker", cfg.threads_per_worker)?;
@@ -76,19 +81,23 @@ impl LocalCluster {
             progress: Condvar::new(),
             stop: AtomicBool::new(false),
         });
-        let mut handles = Vec::new();
+        let mut cluster = Self { shared, handles: Vec::new() };
         for widx in 0..workers {
             for t in 0..threads {
-                let shared = shared.clone();
-                handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("dtf-worker-{widx}-{t}"))
-                        .spawn(move || worker_loop(shared, widx, t))
-                        .expect("spawn worker thread"),
-                );
+                let shared = cluster.shared.clone();
+                let spawned = std::thread::Builder::new()
+                    .name(format!("dtf-worker-{widx}-{t}"))
+                    .spawn(move || worker_loop(shared, widx, t));
+                match spawned {
+                    Ok(handle) => cluster.handles.push(handle),
+                    Err(e) => {
+                        cluster.shutdown();
+                        return Err(DtfError::Io(e.kind(), format!("spawn worker thread: {e}")));
+                    }
+                }
             }
         }
-        Ok(Self { shared, handles })
+        Ok(cluster)
     }
 
     fn now(&self) -> Time {
@@ -114,9 +123,10 @@ impl LocalCluster {
         Ok(())
     }
 
-    /// Block until `key` is in memory; return its value. Sleeps on the
-    /// progress condvar — woken by workers as tasks finish — rather than
-    /// polling the scheduler.
+    /// Block until `key` is in memory; return its value, or an error when
+    /// it erred — its closure panicked, or one it depends on did. Sleeps on
+    /// the progress condvar — woken by workers as tasks finish — rather
+    /// than polling the scheduler.
     pub fn gather(&self, key: &TaskKey) -> Result<Arc<TaskValue>> {
         let mut sched = self.shared.scheduler.lock();
         loop {
@@ -185,6 +195,26 @@ fn process_fetches(shared: &Shared, sched: &mut Scheduler, now: Time) {
     }
 }
 
+/// What a started task runs: its closure and its inputs' keys. `None` for
+/// a task the executor cannot run (`submit` refuses Sim payloads, so only
+/// an unknown key gets here), which errs like a panicking one.
+fn job(sched: &Scheduler, key: &TaskKey) -> Option<(RealFn, Vec<TaskKey>)> {
+    match sched.payload(key)? {
+        Payload::Real(f) => Some((f.clone(), sched.task_deps(key)?)),
+        Payload::Sim(_) => None,
+    }
+}
+
+/// Run a task's closure on its inputs; `None` when an input is not
+/// resident or the closure panics.
+fn run(shared: &Shared, func: RealFn, deps: &[TaskKey]) -> Option<TaskValue> {
+    let inputs: Vec<Arc<TaskValue>> = {
+        let data = shared.data.lock();
+        deps.iter().map(|d| data.get(d).cloned()).collect::<Option<_>>()?
+    };
+    catch_unwind(AssertUnwindSafe(|| func(&inputs))).ok()
+}
+
 fn worker_loop(shared: Arc<Shared>, widx: usize, thread_ordinal: u32) {
     let tid = ThreadId::synth(worker_id(widx), thread_ordinal);
     loop {
@@ -210,26 +240,23 @@ fn worker_loop(shared: Arc<Shared>, widx: usize, thread_ordinal: u32) {
             }
             shared.progress.wait(&mut sched);
         };
-        let func = match sched.payload(&key).expect("started task has payload") {
-            Payload::Real(f) => f.clone(),
-            Payload::Sim(_) => unreachable!("submit() rejects Sim payloads"),
-        };
-        let deps = sched.task_deps(&key).expect("known task");
+        let job = job(&sched, &key);
         drop(sched);
 
-        let dep_values: Vec<Arc<TaskValue>> = {
-            let data = shared.data.lock();
-            deps.iter().map(|d| data.get(d).cloned().expect("dependency value resident")).collect()
-        };
         let start = shared.clock.now();
-        let value = func(&dep_values);
+        let value = job.and_then(|(func, deps)| run(&shared, func, &deps));
         let stop = shared.clock.now();
-        let nbytes = value.nbytes;
-        shared.data.lock().insert(key, Arc::new(value));
+        let nbytes = value.as_ref().map(|v| v.nbytes);
+        if let Some(value) = value {
+            shared.data.lock().insert(key, Arc::new(value));
+        }
 
         {
             let mut sched = shared.scheduler.lock();
-            sched.task_finished(&key, widx, tid, start, stop, nbytes);
+            match nbytes {
+                Some(nbytes) => sched.task_finished(&key, widx, tid, start, stop, nbytes),
+                None => sched.task_erred(&key, widx, stop),
+            }
             process_fetches(&shared, &mut sched, stop);
         }
         shared.progress.notify_all();

@@ -127,7 +127,7 @@ impl TaskGraph {
     /// Validate: unique keys, no dependency cycles, and every dependency
     /// either internal or in `external` (outputs of earlier graphs).
     pub fn validate<S: BuildHasher>(&self, external: &HashSet<TaskKey, S>) -> Result<()> {
-        // key -> position; also what Kahn's algorithm below walks edges by
+        // key -> position; also what the internal edges are written in
         let mut index: KeyMap<usize> = KeyMap::default();
         index.reserve(self.tasks.len());
         for (i, t) in self.tasks.iter().enumerate() {
@@ -135,47 +135,60 @@ impl TaskGraph {
                 return Err(DtfError::InvalidGraph(format!("duplicate key {}", t.key)));
             }
         }
-        for t in &self.tasks {
-            for d in &t.deps {
-                if !index.contains_key(d) && !external.contains(d) {
-                    return Err(DtfError::InvalidGraph(format!(
-                        "task {} depends on unknown {d}",
-                        t.key
-                    )));
-                }
-            }
-        }
-        // Kahn's algorithm over internal edges for cycle detection
-        let mut indeg = vec![0usize; self.tasks.len()];
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); self.tasks.len()];
+        let mut internal = Vec::new();
         for (i, t) in self.tasks.iter().enumerate() {
             for d in &t.deps {
-                if let Some(&j) = index.get(d) {
-                    indeg[i] += 1;
-                    dependents[j].push(i);
+                match index.get(d) {
+                    Some(&j) => internal.push((j, i)),
+                    None if external.contains(d) => {}
+                    None => {
+                        return Err(DtfError::InvalidGraph(format!(
+                            "task {} depends on unknown {d}",
+                            t.key
+                        )))
+                    }
                 }
             }
         }
-        let mut queue: Vec<usize> =
-            indeg.iter().enumerate().filter(|(_, &d)| d == 0).map(|(i, _)| i).collect();
-        let mut seen = 0;
-        while let Some(i) = queue.pop() {
-            seen += 1;
-            for &j in &dependents[i] {
-                indeg[j] -= 1;
-                if indeg[j] == 0 {
-                    queue.push(j);
-                }
-            }
-        }
-        if seen != self.tasks.len() {
-            return Err(DtfError::InvalidGraph(format!(
-                "graph {} contains a dependency cycle",
-                self.id
-            )));
-        }
-        Ok(())
+        check_acyclic(self.id, self.tasks.len(), &internal)
     }
+}
+
+/// Whether graph `id`'s `n` tasks, joined by the internal `(dependency,
+/// dependent)` edges `edges` (positions in the graph), form no cycle:
+/// Kahn's algorithm over the edges grouped by dependency.
+pub(crate) fn check_acyclic(id: GraphId, n: usize, edges: &[(usize, usize)]) -> Result<()> {
+    // `dependents[first[j]..first[j + 1]]` are j's
+    let mut indeg = vec![0usize; n];
+    let mut first = vec![0usize; n + 1];
+    for &(j, i) in edges {
+        indeg[i] += 1;
+        first[j + 1] += 1;
+    }
+    for j in 0..n {
+        first[j + 1] += first[j];
+    }
+    let mut next = first.clone();
+    let mut dependents = vec![0usize; edges.len()];
+    for &(j, i) in edges {
+        dependents[next[j]] = i;
+        next[j] += 1;
+    }
+    let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+    let mut seen = 0;
+    while let Some(j) = queue.pop() {
+        seen += 1;
+        for &i in &dependents[first[j]..first[j + 1]] {
+            indeg[i] -= 1;
+            if indeg[i] == 0 {
+                queue.push(i);
+            }
+        }
+    }
+    if seen != n {
+        return Err(DtfError::InvalidGraph(format!("graph {id} contains a dependency cycle")));
+    }
+    Ok(())
 }
 
 /// Convenience builder for task graphs.

@@ -8,6 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dtf::core::error::DtfError;
+use dtf::core::events::TaskState;
 use dtf::core::ids::{GraphId, TaskKey};
 use dtf::core::provenance::WmsConfig;
 use dtf::wms::exec::LocalCluster;
@@ -245,5 +246,51 @@ fn a_steal_wakes_the_sleeping_thief() {
             .map(|d| d.worker)
             .collect();
         assert_eq!(workers.len(), 2, "children ran on both workers");
+    });
+}
+
+/// A closure that panics errs its task, and every task waiting on it errs
+/// after it: `gather` returns the error instead of waiting for ever,
+/// `wait_all` returns, every task keeps its metadata and transitions, and
+/// the same threads run the next graph.
+#[test]
+fn a_panicking_closure_errs_its_dependents_and_the_cluster_runs_on() {
+    within_a_minute(|| {
+        let (cluster, collector) = collector_cluster(2, 2);
+        let mut client = Delayed::new(&cluster);
+        let ok = client.delayed("ok", vec![], |_| TaskValue::new(1u8, 1));
+        let boom = client.delayed("boom", vec![], |_| panic!("a task body failed"));
+        let after = client.delayed("after", vec![boom, ok], |_| TaskValue::new(2u8, 1));
+        let last = client.delayed("last", vec![after], |_| TaskValue::new(3u8, 1));
+        client.compute().unwrap();
+        for key in [boom, after, last] {
+            let err = cluster.gather(&key).expect_err("an erred task has no value");
+            assert!(matches!(err, DtfError::IllegalState(_)), "{key}: {err}");
+        }
+        assert_eq!(*cluster.gather(&ok).unwrap().downcast_ref::<u8>().unwrap(), 1);
+        cluster.wait_all();
+        let next = client.delayed("next", vec![ok], |d| {
+            TaskValue::new(d[0].downcast_ref::<u8>().unwrap() + 3, 1)
+        });
+        assert_eq!(*client.gather(&next).unwrap().downcast_ref::<u8>().unwrap(), 4);
+        cluster.wait_all();
+        cluster.shutdown();
+
+        let events = collector.take();
+        assert_eq!(events.meta.len(), 5, "every task keeps its metadata");
+        let erred: HashSet<(TaskKey, TaskState)> = events
+            .transitions
+            .iter()
+            .filter(|t| t.to == TaskState::Erred)
+            .map(|t| (t.key, t.from))
+            .collect();
+        let expected = [
+            (boom, TaskState::Processing),
+            (after, TaskState::Waiting),
+            (last, TaskState::Waiting),
+        ];
+        assert_eq!(erred, expected.into_iter().collect());
+        let done: HashSet<TaskKey> = events.task_done.iter().map(|d| d.key).collect();
+        assert_eq!(done, [ok, next].into_iter().collect());
     });
 }
