@@ -147,6 +147,40 @@ fn archived_chaos_schedule_replays_identically() {
     check_golden("chaos_transition_fnv64.txt", &fingerprint);
 }
 
+/// Chaos campaign 20240806's schedules 0..200, each run once: their
+/// canonical transition logs in index order, and how many worker deaths,
+/// duplicated fetches and recomputes they hold. Run once per test binary;
+/// both campaign pins read it.
+struct Campaign {
+    logs: Vec<String>,
+    deaths: usize,
+    duplicates: usize,
+    recomputes: usize,
+}
+
+const CAMPAIGN_SEED: u64 = 20240806;
+
+fn campaign() -> &'static Campaign {
+    static CAMPAIGN: std::sync::OnceLock<Campaign> = std::sync::OnceLock::new();
+    CAMPAIGN.get_or_init(|| {
+        let mut c = Campaign { logs: Vec::new(), deaths: 0, duplicates: 0, recomputes: 0 };
+        for index in 0..200 {
+            let seed = schedule_seed(CAMPAIGN_SEED, index);
+            let faults = generate(seed);
+            c.deaths += faults.deaths.len();
+            c.duplicates += faults.fetch_faults.iter().filter(|f| f.duplicate).count();
+            let data = run_faults(seed, index, &faults).unwrap();
+            c.recomputes += data
+                .transitions
+                .iter()
+                .filter(|t| t.from == TaskState::Memory && t.to == TaskState::Released)
+                .count();
+            c.logs.push(transition_log(&data));
+        }
+        c
+    })
+}
+
 /// Schedules 0..200 of chaos campaign 20240806, each run once: one FNV-64
 /// over their canonical transition logs in index order. `repro
 /// chaos-replay` prints a schedule and a verdict, not the transitions, so
@@ -156,25 +190,26 @@ fn archived_chaos_schedule_replays_identically() {
 /// follows the scheduler's key-ordered walks.
 #[test]
 fn chaos_campaign_transitions_are_pinned() {
-    const SEED: u64 = 20240806;
-    let (mut log_bytes, mut deaths, mut duplicates, mut recomputes) = (0usize, 0, 0, 0);
-    let mut h = fnv64(&[]);
-    for index in 0..200 {
-        let seed = schedule_seed(SEED, index);
-        let faults = generate(seed);
-        deaths += faults.deaths.len();
-        duplicates += faults.fetch_faults.iter().filter(|f| f.duplicate).count();
-        let data = run_faults(seed, index, &faults).unwrap();
-        recomputes += data
-            .transitions
-            .iter()
-            .filter(|t| t.from == TaskState::Memory && t.to == TaskState::Released)
-            .count();
-        let log = transition_log(&data);
-        h = fnv64_extend(h, log.as_bytes());
-        log_bytes += log.len();
-    }
-    assert!(!generate(schedule_seed(SEED, 54)).deaths.is_empty(), "index 54 kills a worker");
-    assert!(deaths > 0 && duplicates > 0 && recomputes > 0, "{deaths} {duplicates} {recomputes}");
+    let c = campaign();
+    let h = c.logs.iter().fold(fnv64(&[]), |h, log| fnv64_extend(h, log.as_bytes()));
+    let log_bytes: usize = c.logs.iter().map(String::len).sum();
+    assert!(!generate(schedule_seed(CAMPAIGN_SEED, 54)).deaths.is_empty(), "index 54 kills");
+    assert!(c.deaths > 0 && c.duplicates > 0 && c.recomputes > 0, "the set holds every fault");
     check_golden("chaos_campaign_fnv64.txt", &format!("{h:016x} {log_bytes}\n"));
+}
+
+/// The same 200 logs as rows: one FNV-64 over each log's lines sorted
+/// bytewise, in index order, then the line count. It holds still when only
+/// the order of equal-time records moves, so beside the pin above it tells
+/// a reordering from a changed schedule.
+#[test]
+fn chaos_campaign_transition_rows_are_pinned() {
+    let (mut h, mut rows) = (fnv64(&[]), 0usize);
+    for log in &campaign().logs {
+        let mut lines: Vec<&str> = log.split_inclusive('\n').collect();
+        lines.sort_unstable();
+        rows += lines.len();
+        h = lines.iter().fold(h, |h, line| fnv64_extend(h, line.as_bytes()));
+    }
+    check_golden("chaos_campaign_rows_fnv64.txt", &format!("{h:016x} {rows}\n"));
 }
