@@ -3,10 +3,13 @@
 //! service from a configuration file.
 //!
 //! [`WMS_TOPICS`] is the one table of the WMS deployment: which record
-//! family streams to which topic, with how many partitions and what
-//! routing. [`BedrockConfig::wms_default`] creates it, the WMS plugin
-//! produces to it, and the drain and the live views read it back, each
-//! through [`topic_of`] or [`WmsFamily::TOPIC`].
+//! family streams to which topic, with how many partitions.
+//! [`BedrockConfig::wms_default`] creates it, the WMS plugin produces to
+//! it, and the drain and the live views read it back, each through
+//! [`topic_of`] or [`WmsFamily::TOPIC`]. Routing is not part of the table:
+//! every producer routes by the config it is given, and since a topic
+//! orders its events by the seq stamped at push, neither the route nor the
+//! partition counts decide anything a drain returns.
 
 use std::path::Path;
 
@@ -31,9 +34,6 @@ pub struct TopicSpec {
 pub struct WmsTopic {
     pub name: &'static str,
     pub partitions: u32,
-    /// Task-scoped: producers hash the record's task key, so one task's
-    /// events stay in one partition, in their relative order.
-    pub keyed: bool,
 }
 
 /// A provenance record family, and the row of [`WMS_TOPICS`] it streams to.
@@ -42,13 +42,13 @@ pub trait WmsFamily {
 }
 
 macro_rules! wms_topics {
-    ($($variant:ident($ty:ty) => $name:literal, $partitions:literal, $keyed:literal;)*) => {
+    ($($variant:ident($ty:ty) => $name:literal, $partitions:literal;)*) => {
         /// One topic per provenance record family (§III-E2), in creation
         /// order. The order fixes the topic ids of a durable topic log and
         /// the order the WMS plugin flushes in, so it is part of the
         /// at-rest format.
         pub const WMS_TOPICS: [WmsTopic; 9] =
-            [$(WmsTopic { name: $name, partitions: $partitions, keyed: $keyed }),*];
+            [$(WmsTopic { name: $name, partitions: $partitions }),*];
 
         #[repr(usize)]
         enum Row {
@@ -69,15 +69,15 @@ macro_rules! wms_topics {
 }
 
 wms_topics! {
-    TaskMeta(TaskMetaEvent) => "task-meta", 4, true;
-    Transition(TransitionEvent) => "task-transitions", 4, true;
-    WorkerTransition(WorkerTransitionEvent) => "worker-transitions", 4, true;
-    TaskDone(TaskDoneEvent) => "task-done", 4, true;
-    Comm(CommEvent) => "comm-events", 4, true;
-    Io(IoRecord) => "io-records", 4, false;
-    Proxy(ProxyEvent) => "proxy-events", 4, true;
-    Warning(WarningEvent) => "warnings", 1, false;
-    Log(LogEntry) => "logs", 1, false;
+    TaskMeta(TaskMetaEvent) => "task-meta", 4;
+    Transition(TransitionEvent) => "task-transitions", 4;
+    WorkerTransition(WorkerTransitionEvent) => "worker-transitions", 4;
+    TaskDone(TaskDoneEvent) => "task-done", 4;
+    Comm(CommEvent) => "comm-events", 4;
+    Io(IoRecord) => "io-records", 4;
+    Proxy(ProxyEvent) => "proxy-events", 4;
+    Warning(WarningEvent) => "warnings", 1;
+    Log(LogEntry) => "logs", 1;
 }
 
 /// Deployment description for one Mofka instance.

@@ -200,7 +200,7 @@ impl Consumer {
     pub fn visit(
         &mut self,
         max: usize,
-        mut f: impl FnMut(EventId, &ProvRecord, Bytes) -> Result<()>,
+        mut f: impl FnMut(EventId, u64, &ProvRecord, Bytes) -> Result<()>,
     ) -> Result<usize> {
         if self.undelivered() < max as u64 {
             self.claim_next()?;
@@ -211,8 +211,8 @@ impl Consumer {
             let want = (max - delivered).min((claim.end - claim.start) as usize);
             let mut accepted = 0;
             let visited =
-                self.topic.visit(claim.partition, claim.start, want, |id, record, data| {
-                    f(id, record, data)?;
+                self.topic.visit(claim.partition, claim.start, want, |id, seq, record, data| {
+                    f(id, seq, record, data)?;
                     accepted += 1;
                     Ok(())
                 });
@@ -234,8 +234,8 @@ impl Consumer {
     /// is currently drained — nonblocking, like Mofka's pull API.
     pub fn pull(&mut self, max: usize) -> Result<Vec<StoredEvent>> {
         let mut out = Vec::new();
-        self.visit(max, |id, record, data| {
-            out.push(StoredEvent::copy_of(id, record, data));
+        self.visit(max, |id, seq, record, data| {
+            out.push(StoredEvent::copy_of(id, seq, record, data));
             Ok(())
         })?;
         Ok(out)
@@ -246,7 +246,7 @@ impl Consumer {
     /// is drained. Returns how many events `f` accepted.
     pub fn visit_all(
         &mut self,
-        mut f: impl FnMut(EventId, &ProvRecord, Bytes) -> Result<()>,
+        mut f: impl FnMut(EventId, u64, &ProvRecord, Bytes) -> Result<()>,
     ) -> Result<usize> {
         let mut total = 0;
         loop {
@@ -262,8 +262,8 @@ impl Consumer {
     /// order repeated [`Self::pull`]s deliver it.
     pub fn drain_all(&mut self) -> Result<Vec<StoredEvent>> {
         let mut out = Vec::new();
-        self.visit_all(|id, record, data| {
-            out.push(StoredEvent::copy_of(id, record, data));
+        self.visit_all(|id, seq, record, data| {
+            out.push(StoredEvent::copy_of(id, seq, record, data));
             Ok(())
         })?;
         Ok(out)

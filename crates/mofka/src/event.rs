@@ -15,6 +15,15 @@
 //! `TaskMetaEvent::deps` (a `Vec`) and `LogEntry::message` (a `String`),
 //! so only those two allocate; the other seven families copy ~90 bytes.
 //! Consumers that only look ([`crate::topic::Topic::visit`]) clone nothing.
+//!
+//! A stored event also carries its **sequence number**: the topic stamps
+//! one from its own counter when the event is pushed, so within a topic
+//! the seqs are `0..n` in emission order, whichever partition an event was
+//! routed to. It is a system field, like Kafka's offset or an EVTX
+//! record's `EventRecordID`: the record never holds it, and a reader gets
+//! it beside the [`EventId`]. Partition and offset say where an event is;
+//! the seq says when it was emitted, and is what equal-time events are
+//! ordered by when a drain sorts a family.
 
 use bytes::Bytes;
 use dtf_core::events::ProvRecord;
@@ -55,18 +64,20 @@ impl Event {
     }
 }
 
-/// A stored event: the event plus its assigned id.
+/// A stored event: the event plus its assigned id and sequence number.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredEvent {
     pub id: EventId,
+    /// Its place in the topic's emission order (see the module docs).
+    pub seq: u64,
     pub event: Event,
 }
 
 impl StoredEvent {
     /// An owned copy of an event a visitor was shown — what the owning
     /// read API (`read` / `pull` / `drain_all`) hands out.
-    pub(crate) fn copy_of(id: EventId, record: &ProvRecord, data: Bytes) -> Self {
-        Self { id, event: Event { record: record.clone(), data } }
+    pub(crate) fn copy_of(id: EventId, seq: u64, record: &ProvRecord, data: Bytes) -> Self {
+        Self { id, seq, event: Event { record: record.clone(), data } }
     }
 }
 
@@ -116,6 +127,16 @@ mod tests {
         // handle, so a `Vec` of them is one contiguous run of records
         let (event, record) = (std::mem::size_of::<Event>(), std::mem::size_of::<ProvRecord>());
         assert_eq!(event, record + std::mem::size_of::<Bytes>());
+    }
+
+    #[test]
+    fn a_slot_holds_its_seq_in_the_bytes_an_optional_blob_id_took() {
+        // the partition log's element: the record, the seq, and the blob
+        // id with a sentinel for none, so the seq takes the bytes an
+        // `Option<BlobId>` would spend on its tag
+        let record_and_optional_blob = std::mem::size_of::<ProvRecord>()
+            + std::mem::size_of::<Option<crate::warabi::BlobId>>();
+        assert_eq!(std::mem::size_of::<crate::topic::Slot>(), record_and_optional_blob);
     }
 
     #[test]

@@ -43,12 +43,13 @@ impl GroupFeed {
     pub fn visit(
         &mut self,
         max_per_topic: usize,
-        mut f: impl FnMut(usize, EventId, &ProvRecord, Bytes) -> Result<()>,
+        mut f: impl FnMut(usize, EventId, u64, &ProvRecord, Bytes) -> Result<()>,
     ) -> Result<u64> {
         let mut visited = 0;
         for (topic, c) in self.consumers.iter_mut().enumerate() {
-            visited +=
-                c.visit(max_per_topic, |id, record, data| f(topic, id, record, data))? as u64;
+            visited += c
+                .visit(max_per_topic, |id, seq, record, data| f(topic, id, seq, record, data))?
+                as u64;
         }
         Ok(visited)
     }
@@ -81,7 +82,7 @@ mod tests {
         let cfg = ConsumerConfig { group: "feed-test".into(), prefetch: 64 };
         let mut feed = GroupFeed::new(&svc, &["task-done", "comm-events"], cfg).unwrap();
         let mut got = [0usize; 2];
-        let mut count = |topic: usize, _, _: &ProvRecord, _| {
+        let mut count = |topic: usize, _, _, _: &ProvRecord, _| {
             got[topic] += 1;
             Ok(())
         };
@@ -93,7 +94,7 @@ mod tests {
         let mut feed2 = GroupFeed::new(&svc, &["task-done"], cfg2).unwrap();
         let mut total = 0;
         loop {
-            let n = feed2.visit(64, |_, _, _, _| Ok(())).unwrap();
+            let n = feed2.visit(64, |_, _, _, _, _| Ok(())).unwrap();
             if n == 0 {
                 break;
             }

@@ -4,17 +4,20 @@
 //! batches, amortizing synchronization — Mofka's "batching strategies"
 //! (§III-B). Partition selection is either round-robin or by hashing the
 //! record's task key, which keeps all events of one task in one partition
-//! (preserving per-task ordering for consumers).
+//! (preserving per-task ordering for consumers of a partition).
 //!
-//! The key hash is [`KeyHasher`] over the key's two counters, `token` and
-//! `index` (see `route`): a few multiplies per event. Partition assignment
-//! decides the order of equal-time events at drain time and therefore
-//! exported bytes, so the rule reads only values that are the same in
-//! every process.
+//! **Routing decides where an event is kept, not where it goes in a
+//! run.** `push` stamps each event with its topic's next sequence number
+//! before it routes it, so a topic's emission order is the order events
+//! were pushed in, whichever partition, strategy or batch size held them;
+//! a drain orders equal-time events by that seq. The route therefore
+//! decides the topic log's bytes and no drained or exported byte. It still
+//! reads only values that are the same in every process (`route`), so the
+//! log's bytes repeat too.
 //!
-//! `push` is the per-event hot path: it builds the partition log's own
-//! element (a slot of a [`SlotBatch`]) once, in the buffer of the
-//! partition it routes to, and nothing is sized or serialized. A flush
+//! `push` is the per-event hot path: it takes a seq from the topic's one
+//! counter, builds the partition log's own element once, in the buffer of
+//! the partition it routes to, and nothing is sized or serialized. A flush
 //! moves each partition's batch into the log with one `Vec::append` and
 //! keeps the buffer; there is no per-flush collection and no per-event
 //! conversion between what a producer holds and what a partition holds.
@@ -74,8 +77,8 @@ impl Default for ProducerConfig {
 ///
 /// The key itself is never hashed: `TaskKey`'s `Hash` writes the interned
 /// prefix's *address*, which ASLR moves in every process, and the
-/// partition decides the drain order of equal-time events, so exports
-/// would stop being reproducible. Keys that differ only in their prefix
+/// partition an event lands in is written to the topic log, whose bytes
+/// would then differ from run to run. Keys that differ only in their prefix
 /// therefore share a partition. That is a matter of balance, not of
 /// correctness: `(prefix, token)` names a group, and
 /// `GraphBuilder::new_token` makes tokens globally distinct by folding in
@@ -127,10 +130,12 @@ impl Producer {
         }
     }
 
-    /// Buffer one event; flushes automatically when the batch fills.
+    /// Stamp one event with its topic's next seq and buffer it; flushes
+    /// automatically when the batch fills.
     pub fn push(&mut self, event: Event) -> Result<()> {
+        let seq = self.topic.stamp();
         let p = self.select_partition(&event);
-        self.pending[p as usize].push(event);
+        self.pending[p as usize].push(seq, event);
         self.pending_count += 1;
         if self.pending_count >= self.cfg.batch_size {
             self.flush()?;
@@ -138,8 +143,8 @@ impl Producer {
         Ok(())
     }
 
-    /// Append all buffered events to their partitions, one
-    /// [`Topic::append_slots`] per non-empty partition batch; each buffer
+    /// Append all buffered events to their partitions, one append under
+    /// the partition's lock per non-empty partition batch; each buffer
     /// keeps its capacity for the next batch. When this returns `Ok`, every
     /// buffered event is visible to consumers. On an error the failed batch
     /// and those after it stay buffered.
@@ -271,8 +276,8 @@ mod tests {
 
     /// The route is pinned: six keys, each at 1, 4 and 7 partitions, map to
     /// these constants in every process and on every build. A changed rule
-    /// reorders equal-time events at drain time, so it must fail here
-    /// first, and deliberately.
+    /// moves events between partitions, and so the topic log's bytes, so
+    /// it must fail here first, and deliberately.
     #[test]
     fn route_is_pinned() {
         let pins: [(TaskKey, [u32; 3]); 6] = [

@@ -9,12 +9,15 @@
 //! any time, which is what lets the same consumer API serve both in-situ
 //! and post-hoc analysis (paper §III-B).
 //!
-//! Events come in as a [`SlotBatch`]: the partition's own element type,
-//! built once by the producer, so an append is one `Vec::append` (a
-//! `memcpy`) under the partition lock. They go out through
-//! [`Topic::visit`], which walks a range *in place* under the partition's
-//! read lock and hands each event to a callback by reference; the owning
-//! [`Topic::read`] is that visitor with a clone per event.
+//! Events come in as a batch of the partition's own element type, built
+//! once by the producer, so an append is one `Vec::append` (a `memcpy`)
+//! under the partition lock. Each event is stamped with the topic's next
+//! sequence number when it is pushed, before it is routed, so the seqs of
+//! a topic are `0..n` in emission order whatever the partitioning. They go
+//! out through [`Topic::visit`], which walks a range *in place* under the
+//! partition's read lock and hands each event, with its id and seq, to a
+//! callback by reference; the owning [`Topic::read`] is that visitor with
+//! a clone per event.
 //!
 //! **The visitor contract.** For a range without payloads (every
 //! provenance topic) the callback runs while the partition's read lock is
@@ -29,16 +32,17 @@
 //! appended slot is also appended, under the partition lock, to the
 //! service's one `TopicLog` — a dtf-store [`SegmentedLog`] multiplexing
 //! all partitions of all topics (the payload stays in Warabi; the record
-//! carries the blob id). Two record shapes, little-endian:
+//! carries the blob id). A log record is one header, declared in
+//! `dtf_core::binfmt` the way dtf-store's `KvRecord` is; a slot's header
+//! is followed by its record's binfmt, written from the slot by reference:
 //!
 //! ```text
-//! declare  0x00 | topic id u32 | topic name (UTF-8, to the record's end)
-//! slot     0x01 | topic id u32 | partition u32 | offset u64 | blob id u64 (MAX = none) | kind u8 | metadata
+//! declare := 0x00 varint(topic id) str(topic name)
+//! slot    := 0x01 varint(topic id) varint(partition) varint(offset) varint(seq)
+//!            option(varint(blob id)) record
 //! ```
 //!
-//! Metadata kind 1 is the `dtf_core::binfmt` encoding of the record, and
-//! the only kind there is: a slot with any other kind byte is a malformed
-//! record. A topic id is declared in-log before its first slot. `restore`
+//! A topic id is declared in-log before its first slot. `restore`
 //! is one scan over the recovered records that routes slots to partitions;
 //! the log's torn-tail rule already made them a committed prefix. Staged
 //! (stalled) slots are persisted at append time too — durability is decided
@@ -51,8 +55,10 @@
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use dtf_core::binfmt::{Reader, Wire};
 use dtf_core::error::{DtfError, Result};
 use dtf_core::events::ProvRecord;
 use dtf_store::{FlushPolicy, LogConfig, RecoveryReport, SegmentedLog};
@@ -76,12 +82,21 @@ impl Default for TopicConfig {
     }
 }
 
-/// One stored event: the record, by value, plus an optional payload
-/// reference — never boxed or re-serialized while it sits in the log.
+/// One stored event: the record, by value, its sequence number, and the
+/// id of its payload's blob, [`NO_BLOB`] for none — never boxed or
+/// re-serialized while it sits in the log. The blob id is the sentinel
+/// the log writes rather than an `Option`, whose tag word the seq takes.
 #[derive(Debug, Clone)]
-struct Slot {
+pub(crate) struct Slot {
     record: ProvRecord,
-    payload: Option<BlobId>,
+    seq: u64,
+    blob: u64,
+}
+
+impl Slot {
+    fn payload(&self) -> Option<BlobId> {
+        (self.blob != NO_BLOB).then_some(BlobId(self.blob))
+    }
 }
 
 /// Events bound for one partition, already in the partition log's element
@@ -90,34 +105,23 @@ struct Slot {
 /// Payloads ride beside their slots until the append stores them — blob
 /// ids are assigned there, in batch order, not when an event is buffered.
 #[derive(Debug, Default)]
-pub struct SlotBatch {
+pub(crate) struct SlotBatch {
     slots: Vec<Slot>,
     /// Payloads not yet in Warabi: `(index into slots, bytes)`.
     payloads: Vec<(usize, Bytes)>,
 }
 
 impl SlotBatch {
-    pub fn push(&mut self, event: Event) {
+    /// Buffer `event` as its topic's event `seq`.
+    pub(crate) fn push(&mut self, seq: u64, event: Event) {
         if !event.data.is_empty() {
             self.payloads.push((self.slots.len(), event.data));
         }
-        self.slots.push(Slot { record: event.record, payload: None });
+        self.slots.push(Slot { record: event.record, seq, blob: NO_BLOB });
     }
 
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.slots.is_empty()
-    }
-}
-
-impl FromIterator<Event> for SlotBatch {
-    fn from_iter<I: IntoIterator<Item = Event>>(events: I) -> Self {
-        let mut batch = Self::default();
-        events.into_iter().for_each(|e| batch.push(e));
-        batch
     }
 }
 
@@ -138,18 +142,28 @@ struct Partition {
     state: RwLock<PartitionState>,
 }
 
-const REC_DECLARE: u8 = 0;
-const REC_SLOT: u8 = 1;
-const META_BINARY: u8 = 1;
+/// The blob id of a slot without a payload.
 const NO_BLOB: u64 = u64::MAX;
-/// Bytes of a slot record before its metadata.
-const SLOT_HEADER: usize = 26;
+
+mod record {
+    dtf_core::wire_enum! {
+        /// The head of one topic-log record: a topic id's declaration, or
+        /// where a slot goes, its seq and its blob id. A slot's header is
+        /// followed by its record's binfmt, to the end of the log record.
+        #[derive(Debug, PartialEq, Eq)]
+        pub enum Header("topic log record") {
+            Declare(id: u32, name: String) = 0,
+            Slot(id: u32, partition: u32, offset: u64, seq: u64, blob: Option<u64>) = 1,
+        }
+    }
+}
+use record::Header;
 
 /// Fewest slots a partition log grows by (~26 KiB).
 const MIN_LOG_GROWTH: usize = 256;
 
 /// How the topic log commits between explicit syncs. A slot record is
-/// ~50 bytes framed, so the store's defaults (group commit every 256
+/// ~40 bytes framed, so the store's defaults (group commit every 256
 /// records, 256 KiB segments) would wait on the device every 12 KiB and
 /// seal a segment every 5k events: ~1200 `fdatasync`s for a 300k-event
 /// run, half its wall and all of its run-to-run spread. Sized for small
@@ -170,6 +184,7 @@ pub(crate) struct TopicLog {
 struct Writer {
     log: SegmentedLog,
     /// Topic ids declared so far; the next declaration takes this id.
+    /// [`restore`] sets it from the recovered declarations.
     declared: u32,
     /// Record encode buffer, reused across appends.
     buf: Vec<u8>,
@@ -180,8 +195,7 @@ impl TopicLog {
     /// records go to [`restore`].
     pub(crate) fn open(dir: &Path) -> Result<(Self, Vec<Bytes>, RecoveryReport)> {
         let (log, records, report) = SegmentedLog::open(dir, LOG_CONFIG)?;
-        let declared = records.iter().filter(|r| r.first() == Some(&REC_DECLARE)).count() as u32;
-        let writer = Writer { log, declared, buf: Vec::new() };
+        let writer = Writer { log, declared: 0, buf: Vec::new() };
         Ok((Self { writer: Mutex::new(writer) }, records, report))
     }
 
@@ -200,7 +214,8 @@ impl TopicLog {
         let w = &mut *self.writer.lock();
         let id = w.declared;
         w.declared += 1;
-        encode_declare(&mut w.buf, id, name);
+        w.buf.clear();
+        Header::Declare(id, name.to_string()).put(&mut w.buf);
         let _ = w.log.append(&w.buf);
         id
     }
@@ -221,43 +236,23 @@ impl TopicLog {
     }
 }
 
-/// Write the `declare` record of topic `id` into `buf`, replacing its contents.
-fn encode_declare(buf: &mut Vec<u8>, id: u32, name: &str) {
-    buf.clear();
-    buf.push(REC_DECLARE);
-    buf.extend_from_slice(&id.to_le_bytes());
-    buf.extend_from_slice(name.as_bytes());
-}
-
 /// Write the `slot` record of `slot` at `offset` of `partition` of topic
 /// `id` into `buf`, replacing its contents.
 fn encode_slot(buf: &mut Vec<u8>, id: u32, partition: u32, offset: u64, slot: &Slot) {
     buf.clear();
-    buf.push(REC_SLOT);
-    buf.extend_from_slice(&id.to_le_bytes());
-    buf.extend_from_slice(&partition.to_le_bytes());
-    buf.extend_from_slice(&offset.to_le_bytes());
-    buf.extend_from_slice(&slot.payload.map_or(NO_BLOB, |b| b.0).to_le_bytes());
-    buf.push(META_BINARY);
-    slot.record.encode_binary(buf);
+    Header::Slot(id, partition, offset, slot.seq, slot.payload().map(|b| b.0)).put(buf);
+    slot.record.put(buf);
 }
 
-fn malformed() -> DtfError {
-    DtfError::Io(ErrorKind::InvalidData, "malformed topic log record".into())
-}
-
-fn u32_le(bytes: &[u8]) -> Result<u32> {
-    Ok(u32::from_le_bytes(bytes.try_into().map_err(|_| malformed())?))
-}
-
-fn u64_le(bytes: &[u8]) -> Result<u64> {
-    Ok(u64::from_le_bytes(bytes.try_into().map_err(|_| malformed())?))
+fn malformed(what: impl std::fmt::Display) -> DtfError {
+    DtfError::Io(ErrorKind::InvalidData, format!("malformed topic log record: {what}"))
 }
 
 /// Rebuild `topics` — freshly created from their persisted configs —
 /// from the records recovered from the topic log, and, when `log` is given
 /// (a writable reopen), bind them to it so appends continue where the
-/// restored prefixes end. Returns events restored.
+/// restored prefixes end, and each topic's seqs above the highest it
+/// restored. Returns events restored.
 ///
 /// Records arrive as a committed prefix of what was appended, so routing
 /// is all that is left to do — except for two checks on each slot: a
@@ -265,9 +260,10 @@ fn u64_le(bytes: &[u8]) -> Result<u64> {
 /// offset, or whose blob id Warabi does not hold (blob logs are flushed
 /// before the topic log, so a recovered slot normally implies a recovered
 /// blob; a tear in the blob log stops the partition here instead). Slots
-/// of a topic with no persisted config are skipped. A record that is
-/// neither shape, or a slot whose metadata kind is not [`META_BINARY`], is
-/// an error: the log holds one layout and no reader for another.
+/// of a topic with no persisted config are skipped, their headers read and
+/// their records not. A record whose header does not decode, or a routed
+/// slot whose record does not fill the rest of it, is an error: the log
+/// holds one layout and no reader for another.
 pub(crate) fn restore(
     topics: &mut [Topic],
     records: &[Bytes],
@@ -278,12 +274,13 @@ pub(crate) fn restore(
     let mut stopped: Vec<Vec<bool>> =
         topics.iter().map(|t| vec![false; t.partitions.len()]).collect();
     for rec in records {
-        match rec.first() {
-            Some(&REC_DECLARE) if rec.len() >= 5 => {
-                if u32_le(&rec[1..5])? as usize != ids.len() {
-                    return Err(malformed());
+        let mut r = Reader::new(rec);
+        match Header::get(&mut r).map_err(malformed)? {
+            Header::Declare(id, name) => {
+                r.finish().map_err(malformed)?;
+                if id as usize != ids.len() {
+                    return Err(malformed(format!("topic id {id} declared out of order")));
                 }
-                let name = std::str::from_utf8(&rec[5..]).map_err(|_| malformed())?;
                 let t = topics.iter().position(|t| t.name == name);
                 if let Some(t) = t {
                     // a re-declaration supersedes all that the older id logged
@@ -297,33 +294,34 @@ pub(crate) fn restore(
                 }
                 ids.push(t);
             }
-            Some(&REC_SLOT) if rec.len() >= SLOT_HEADER => {
-                let id = u32_le(&rec[1..5])? as usize;
-                let p = u32_le(&rec[5..9])? as usize;
-                let offset = u64_le(&rec[9..17])?;
-                let blob = Some(u64_le(&rec[17..25])?).filter(|b| *b != NO_BLOB).map(BlobId);
-                // checked before routing, so a slot nobody claims is held
-                // to the layout too
-                if rec[SLOT_HEADER - 1] != META_BINARY {
-                    return Err(malformed());
-                }
-                let Some(t) = *ids.get(id).ok_or_else(malformed)? else { continue };
-                let Some(stop) = stopped[t].get_mut(p).filter(|stop| !**stop) else { continue };
+            Header::Slot(id, p, offset, seq, blob) => {
+                let undeclared = || malformed(format!("slot of undeclared topic id {id}"));
+                let Some(t) = *ids.get(id as usize).ok_or_else(undeclared)? else { continue };
+                let Some(stop) = stopped[t].get_mut(p as usize).filter(|stop| !**stop) else {
+                    continue;
+                };
                 let topic = &mut topics[t];
-                let slots = &mut topic.partitions[p].state.get_mut().slots;
+                let slots = &mut topic.partitions[p as usize].state.get_mut().slots;
                 // the blob check asks Warabi's in-memory map whether the
                 // id exists; no payload is read
-                if offset != slots.len() as u64 || blob.is_some_and(|b| !topic.warabi.contains(b)) {
+                if offset != slots.len() as u64
+                    || blob.is_some_and(|b| !topic.warabi.contains(BlobId(b)))
+                {
                     *stop = true;
                     continue;
                 }
-                let record = ProvRecord::decode_binary(&rec[SLOT_HEADER..])?;
-                slots.push(Slot { record, payload: blob });
+                let record = ProvRecord::get(&mut r).map_err(malformed)?;
+                r.finish().map_err(malformed)?;
+                slots.push(Slot { record, seq, blob: blob.unwrap_or(NO_BLOB) });
             }
-            _ => return Err(malformed()),
         }
     }
+    for topic in topics.iter_mut() {
+        let slots = topic.partitions.iter_mut().flat_map(|p| &p.state.get_mut().slots);
+        *topic.next_seq.get_mut() = slots.map(|s| s.seq + 1).max().unwrap_or(0);
+    }
     if let Some(log) = log {
+        log.writer.lock().declared = ids.len() as u32;
         let mut superseded = false;
         for (t, topic) in topics.iter_mut().enumerate() {
             let id = match ids.iter().position(|named| *named == Some(t)) {
@@ -361,6 +359,8 @@ pub struct Topic {
     /// When set, slots are written through to this log, under this topic
     /// id, as they are appended.
     persist: Option<(Arc<TopicLog>, u32)>,
+    /// The seq the next pushed event takes.
+    next_seq: AtomicU64,
 }
 
 impl Topic {
@@ -382,6 +382,7 @@ impl Topic {
             partitions: (0..cfg.partitions).map(|_| Partition::default()).collect(),
             warabi,
             persist,
+            next_seq: AtomicU64::new(0),
         }
     }
 
@@ -399,16 +400,28 @@ impl Topic {
             .ok_or_else(|| DtfError::NotFound(format!("partition {p} of topic {}", self.name)))
     }
 
-    /// Append a batch of events to one partition; returns the offset the
-    /// first one took and how many there were (event `i` of the batch is
-    /// `EventId { partition: p, offset: base + i }`). The convenience form
-    /// of [`Self::append_slots`] for callers holding plain events.
+    /// Take the next seq of this topic's emission order: what an event is
+    /// stamped with when it is pushed. `Relaxed` is enough: the counter
+    /// publishes no other data, and every `fetch_add` still takes a value
+    /// of its own.
+    pub(crate) fn stamp(&self) -> u64 {
+        self.next_seq.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Append a batch of events to one partition, stamping each with the
+    /// topic's next seq in turn; returns the offset the first one took and
+    /// how many there were (event `i` of the batch is `EventId {
+    /// partition: p, offset: base + i }`). An unknown partition is an
+    /// error that stamps nothing.
     pub fn append_batch(
         &self,
         p: u32,
         events: impl IntoIterator<Item = Event>,
     ) -> Result<(u64, usize)> {
-        self.append_slots(p, &mut events.into_iter().collect())
+        self.partition(p)?;
+        let mut batch = SlotBatch::default();
+        events.into_iter().for_each(|e| batch.push(self.stamp(), e));
+        self.append_slots(p, &mut batch)
     }
 
     /// Move `batch` onto the end of partition `p`, leaving it empty with
@@ -418,11 +431,11 @@ impl Topic {
     /// stalled partition stages the batch instead (offsets are still
     /// assigned, past the staged tail). An unknown partition is an error
     /// and leaves the batch as it was.
-    pub fn append_slots(&self, p: u32, batch: &mut SlotBatch) -> Result<(u64, usize)> {
+    pub(crate) fn append_slots(&self, p: u32, batch: &mut SlotBatch) -> Result<(u64, usize)> {
         let part = self.partition(p)?;
         // store payloads outside the partition lock
         for (i, data) in batch.payloads.drain(..) {
-            batch.slots[i].payload = Some(self.warabi.put(data));
+            batch.slots[i].blob = self.warabi.put(data).0;
         }
         let mut state = part.state.write();
         let base = (state.slots.len() + state.staged.len()) as u64;
@@ -485,8 +498,9 @@ impl Topic {
     }
 
     /// Visit up to `max` events of partition `p` starting at `offset`, in
-    /// offset order and in place: `f` gets each event's id, its record by
-    /// reference, and its payload (empty for metadata-only events).
+    /// offset order and in place: `f` gets each event's id, its seq, its
+    /// record by reference, and its payload (empty for metadata-only
+    /// events).
     /// Returns how many events it was handed; the first error `f` returns
     /// ends the visit. See the module docs for what `f` may do — for a
     /// payload-free range it runs under the partition's read lock.
@@ -495,7 +509,7 @@ impl Topic {
         p: u32,
         offset: u64,
         max: usize,
-        mut f: impl FnMut(EventId, &ProvRecord, Bytes) -> Result<()>,
+        mut f: impl FnMut(EventId, u64, &ProvRecord, Bytes) -> Result<()>,
     ) -> Result<usize> {
         let part = self.partition(p)?;
         let id = |i: usize| EventId { partition: p, offset: i as u64 };
@@ -510,9 +524,9 @@ impl Topic {
             let start = (offset as usize).min(log.len());
             let end = start.saturating_add(max).min(log.len());
             let range = &log[start..end];
-            if range.iter().all(|slot| slot.payload.is_none()) {
+            if range.iter().all(|slot| slot.blob == NO_BLOB) {
                 for (i, slot) in range.iter().enumerate() {
-                    f(id(start + i), &slot.record, Bytes::new())?;
+                    f(id(start + i), slot.seq, &slot.record, Bytes::new())?;
                 }
                 return Ok(range.len());
             }
@@ -525,7 +539,7 @@ impl Topic {
             // a blob id with no blob means the slot references data that
             // did not survive (reachable after a durable reopen); surface
             // it as corruption instead of silently yielding empty bytes
-            payloads.push(match slot.payload {
+            payloads.push(match slot.payload() {
                 Some(b) => self.warabi.get(b).ok_or_else(|| {
                     DtfError::IllegalState(format!(
                         "dangling {b} at offset {} of topic {} partition {p}",
@@ -537,7 +551,7 @@ impl Topic {
             });
         }
         for (i, (slot, data)) in slots.iter().zip(payloads).enumerate() {
-            f(id(start + i), &slot.record, data)?;
+            f(id(start + i), slot.seq, &slot.record, data)?;
         }
         Ok(slots.len())
     }
@@ -547,8 +561,8 @@ impl Topic {
     pub fn read(&self, p: u32, offset: u64, max: usize) -> Result<Vec<StoredEvent>> {
         let available = self.partition_len(p)?.saturating_sub(offset);
         let mut out = Vec::with_capacity(max.min(available as usize));
-        self.visit(p, offset, max, |id, record, data| {
-            out.push(StoredEvent::copy_of(id, record, data));
+        self.visit(p, offset, max, |id, seq, record, data| {
+            out.push(StoredEvent::copy_of(id, seq, record, data));
             Ok(())
         })?;
         Ok(out)
@@ -675,7 +689,7 @@ mod tests {
     }
 
     fn slot(seq: u64, payload: Option<BlobId>) -> Slot {
-        Slot { record: tagged(0, seq).record, payload }
+        Slot { record: tagged(0, seq).record, seq, blob: payload.map_or(NO_BLOB, |b| b.0) }
     }
 
     #[test]
@@ -808,19 +822,24 @@ mod tests {
         let (log, _) = open_log(&dir);
         let t = Topic::new("t", &cfg, warabi.clone(), Some(log.clone()));
         let event = tagged(3, 42);
-        t.append_batch(0, vec![event.clone()]).unwrap();
+        t.append_batch(0, vec![tagged(3, 41), event.clone()]).unwrap();
         log.sync().unwrap();
 
         let (raw, _) = TopicLog::replay(&dir).unwrap();
-        assert_eq!(raw[0][0], REC_DECLARE);
-        assert_eq!(raw[1][SLOT_HEADER - 1], META_BINARY);
+        assert_eq!(
+            dtf_core::binfmt::decode::<Header>(&raw[0]).unwrap(),
+            Header::Declare(0, "t".into())
+        );
         let mut bytes = Vec::new();
+        Header::Slot(0, 0, 1, 1, None).put(&mut bytes);
+        assert_eq!(bytes, [1, 0, 0, 1, 1, 0], "tag, topic id, partition, offset, seq, no blob");
         event.record.encode_binary(&mut bytes);
-        assert_eq!(raw[1][SLOT_HEADER..], bytes[..]);
+        assert_eq!(raw[2][..], bytes[..]);
 
         let (t2, n) = replayed(&dir, &cfg, &warabi);
-        assert_eq!(n, 1);
-        assert_eq!(t2.read(0, 0, 10).unwrap()[0].event, event);
+        assert_eq!(n, 2);
+        let got = &t2.read(0, 1, 10).unwrap()[0];
+        assert_eq!((got.seq, &got.event), (1, &event));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -843,10 +862,10 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
         /// The topic log's decode surface under structure-aware mutation:
-        /// one slot of a valid record list gets every kind byte, every
-        /// truncated header, every truncated metadata, trailing bytes, and
-        /// a topic id and a partition past the end. Never a panic; a kind
-        /// other than `META_BINARY`, a short header and an undeclared topic
+        /// one slot of a valid record list gets every tag byte, every
+        /// truncated header, every truncated record, trailing bytes, and
+        /// a topic id and a partition past the end. Never a panic; a tag
+        /// other than the slot's, a short header and an undeclared topic
         /// are errors; and whatever is accepted restores, per partition, at
         /// least what the records before the mutation restore and at most
         /// what the unmutated list does.
@@ -863,8 +882,10 @@ mod tests {
             let mut buf = Vec::new();
             let mut valid: Vec<Bytes> = Vec::new();
             for (id, (name, _)) in topics.iter().enumerate() {
-                encode_declare(&mut buf, id as u32, name);
-                valid.push(Bytes::from(buf.clone()));
+                valid.push(Bytes::from(dtf_core::binfmt::encode(&Header::Declare(
+                    id as u32,
+                    name.to_string(),
+                ))));
             }
             let mut next = [[0u64; 2]; 3];
             for (seq, (t, p)) in appends.iter().enumerate() {
@@ -876,6 +897,18 @@ mod tests {
             }
             let at = topics.len() + pick % appends.len();
             let original = valid[at].to_vec();
+            let header = Header::get(&mut Reader::new(&original)).unwrap();
+            // an accepted value re-encodes to the bytes it was read from
+            let header_len = dtf_core::binfmt::encode(&header).len();
+            let Header::Slot(id, _, offset, seq, blob) = header else {
+                panic!("record {at} is not a slot");
+            };
+            // the slot's record under a header naming topic `id`, partition `p`
+            let moved = |id: u32, p: u32| {
+                let mut bytes = dtf_core::binfmt::encode(&Header::Slot(id, p, offset, seq, blob));
+                bytes.extend_from_slice(&original[header_len..]);
+                bytes
+            };
             let clean = restored(&valid).unwrap();
             let before = restored(&valid[..at]).unwrap();
 
@@ -889,34 +922,31 @@ mod tests {
                     assert!(got.starts_with(lo) && hi.starts_with(got), "{what}: {got:?}");
                 }
             };
-            for kind in 0..=u8::MAX {
+            for tag in 0..=u8::MAX {
                 let mut bytes = original.clone();
-                bytes[SLOT_HEADER - 1] = kind;
+                bytes[0] = tag;
                 match mutated(bytes) {
                     Ok(got) => {
-                        assert_eq!(kind, META_BINARY, "kind {kind} was accepted");
+                        assert_eq!(tag, original[0], "tag {tag} was accepted");
                         assert_eq!(got, clean);
                     }
-                    Err(_) => assert_ne!(kind, META_BINARY),
+                    Err(_) => assert_ne!(tag, original[0]),
                 }
             }
-            for len in 0..SLOT_HEADER {
+            for len in 0..header_len {
                 assert!(mutated(original[..len].to_vec()).is_err(), "{len}-byte header accepted");
             }
-            for len in SLOT_HEADER..original.len() {
+            for len in header_len..original.len() {
                 if let Ok(got) = mutated(original[..len].to_vec()) {
-                    bounded(got, "truncated metadata");
+                    bounded(got, "truncated record");
                 }
             }
             if let Ok(got) = mutated([&original[..], &trailing[..]].concat()) {
-                bounded(got, "extended metadata");
+                bounded(got, "extended record");
             }
-            let mut bytes = original.clone();
-            bytes[1..5].copy_from_slice(&(topics.len() as u32 + past_end).to_le_bytes());
-            assert!(mutated(bytes).is_err(), "undeclared topic id accepted");
-            let mut bytes = original.clone();
-            bytes[5..9].copy_from_slice(&(2 + past_end).to_le_bytes());
-            bounded(mutated(bytes).unwrap(), "partition past the end");
+            let undeclared = mutated(moved(topics.len() as u32 + past_end, 0));
+            assert!(undeclared.is_err(), "undeclared topic id accepted");
+            bounded(mutated(moved(id, 2 + past_end)).unwrap(), "partition past the end");
         }
     }
 

@@ -197,8 +197,9 @@ proptest! {
         let svc = MofkaService::new();
         svc.create_topic("t", TopicConfig { partitions: 2 }).unwrap();
         let topic = svc.topic("t").unwrap();
-        let mut visible: [Vec<Event>; 2] = Default::default();
-        let mut staged: [Vec<Event>; 2] = Default::default();
+        // each event beside the seq the topic stamped it with
+        let mut visible: [Vec<(u64, Event)>; 2] = Default::default();
+        let mut staged: [Vec<(u64, Event)>; 2] = Default::default();
         let mut stalled = [false; 2];
         let mut next = 0u64;
         for (op, p, offset, n) in ops {
@@ -211,7 +212,7 @@ proptest! {
                     let base = (visible[part].len() + staged[part].len()) as u64;
                     prop_assert_eq!(topic.append_batch(p, batch.clone()).unwrap(), (base, n));
                     let list = if stalled[part] { &mut staged[part] } else { &mut visible[part] };
-                    list.extend(batch);
+                    list.extend((next - n as u64..next).zip(batch));
                 }
                 4 => {
                     topic.stall(p).unwrap();
@@ -225,10 +226,10 @@ proptest! {
                 }
                 // visit (and read) [offset, offset + n)
                 _ => {
-                    let mut seen: Vec<(EventId, ProvRecord, bytes::Bytes)> = Vec::new();
+                    let mut seen: Vec<(EventId, u64, ProvRecord, bytes::Bytes)> = Vec::new();
                     let visited = topic
-                        .visit(p, offset, n, |id, record, data| {
-                            seen.push((id, record.clone(), data));
+                        .visit(p, offset, n, |id, seq, record, data| {
+                            seen.push((id, seq, record.clone(), data));
                             Ok(())
                         })
                         .unwrap();
@@ -236,15 +237,18 @@ proptest! {
                     let want = &visible[part][start..(start + n).min(visible[part].len())];
                     prop_assert_eq!(visited, want.len());
                     prop_assert_eq!(seen.len(), want.len());
-                    for (i, ((id, record, data), event)) in seen.iter().zip(want).enumerate() {
+                    for (i, ((id, seq, record, data), (want_seq, event))) in
+                        seen.iter().zip(want).enumerate()
+                    {
                         prop_assert_eq!(*id, EventId { partition: p, offset: (start + i) as u64 });
+                        prop_assert_eq!(seq, want_seq);
                         prop_assert_eq!(record, &event.record);
                         prop_assert_eq!(data, &event.data);
                     }
                     let read = topic.read(p, offset, n).unwrap();
                     prop_assert_eq!(read.len(), seen.len());
-                    for (stored, (id, record, data)) in read.into_iter().zip(seen) {
-                        prop_assert_eq!(stored.id, id);
+                    for (stored, (id, seq, record, data)) in read.into_iter().zip(seen) {
+                        prop_assert_eq!((stored.id, stored.seq), (id, seq));
                         prop_assert_eq!(stored.event, Event::new(record, data));
                     }
                 }
@@ -281,18 +285,22 @@ proptest! {
         let mut delivered = std::collections::HashSet::new();
         for (second, max) in schedule {
             let who = second as usize;
-            let pulled: Vec<(EventId, Event)> =
-                pulling[who].pull(max).unwrap().into_iter().map(|se| (se.id, se.event)).collect();
+            let pulled: Vec<(EventId, u64, Event)> = pulling[who]
+                .pull(max)
+                .unwrap()
+                .into_iter()
+                .map(|se| (se.id, se.seq, se.event))
+                .collect();
             let mut visited = Vec::new();
             let n = visiting[who]
-                .visit(max, |id, record, data| {
-                    visited.push((id, Event::new(record.clone(), data)));
+                .visit(max, |id, seq, record, data| {
+                    visited.push((id, seq, Event::new(record.clone(), data)));
                     Ok(())
                 })
                 .unwrap();
             prop_assert_eq!(n, visited.len());
             prop_assert_eq!(&visited, &pulled, "member {} diverged", who);
-            for (id, _) in visited {
+            for (id, _, _) in visited {
                 prop_assert!(delivered.insert(id), "{} delivered twice", id);
             }
         }

@@ -146,6 +146,49 @@ fn cursor_ahead_of_a_torn_topic_log_is_clamped_on_writable_reopen() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A writable reopen resumes each topic's seqs above the highest it
+/// restored: the restored events keep theirs, what is pushed next takes
+/// the seqs after them, and a topic that restored nothing starts at 0. A
+/// reopen of the result sees every topic's seqs as `0..n` in push order.
+#[test]
+fn a_writable_reopen_resumes_the_seqs_above_the_restored_ones() {
+    let dir = scratch("seqs");
+    {
+        let svc = durable(&dir);
+        svc.create_topic("t", TopicConfig { partitions: 3 }).unwrap();
+        svc.create_topic("u", TopicConfig { partitions: 1 }).unwrap();
+        let cfg = ProducerConfig { batch_size: 4, ..Default::default() };
+        let mut producer = svc.producer("t", cfg).unwrap();
+        for i in 0..10u64 {
+            producer.push(tagged(0, i)).unwrap();
+        }
+        producer.flush().unwrap();
+        svc.sync().unwrap();
+    }
+    {
+        let svc = durable(&dir);
+        let mut producer = svc.producer("t", ProducerConfig::default()).unwrap();
+        for i in 10..15u64 {
+            producer.push(tagged(0, i)).unwrap();
+        }
+        producer.flush().unwrap();
+        svc.topic("u").unwrap().append_batch(0, vec![tagged(1, 0)]).unwrap();
+        svc.sync().unwrap();
+    }
+    let (archive, recovery) = MofkaService::reopen(&dir).unwrap();
+    assert_eq!(recovery.restored_events, 16);
+    let streams = streams(&archive);
+    let seqs = |topic: &str| {
+        let events = streams.iter().filter(|((t, _), _)| t == topic).flat_map(|(_, e)| e);
+        let mut seqs: Vec<(u64, u64)> = events.map(|e| (e.seq, tag(&e.event).1)).collect();
+        seqs.sort_unstable();
+        seqs
+    };
+    assert_eq!(seqs("t"), (0..15).map(|i| (i, i)).collect::<Vec<_>>(), "(seq, push index)");
+    assert_eq!(seqs("u"), [(0, 0)]);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
 /// FNV-1a over every topic-log segment of `store`, in segment order.
 fn topic_log_fnv64(store: &Path) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -158,10 +201,9 @@ fn topic_log_fnv64(store: &Path) -> u64 {
 }
 
 /// What the event path promises: a record read back *is* the record
-/// pushed — from the live service and from a reopen of its store — and
-/// how a record is held in memory (once behind an `Arc`, now inline in
-/// the partition log) never reaches the disk: the topic-log bytes of this
-/// push sequence are pinned to what the `Arc`-era code wrote for it.
+/// pushed, with the seq it was pushed as — from the live service and from
+/// a reopen of its store — and how a record is held in memory never
+/// reaches the disk: the topic-log bytes of this push sequence are pinned.
 #[test]
 fn a_record_read_back_is_the_record_pushed_and_the_log_bytes_are_pinned() {
     use dtf_core::events::{
@@ -219,13 +261,17 @@ fn a_record_read_back_is_the_record_pushed_and_the_log_bytes_are_pinned() {
     let read_back = |svc: &MofkaService| -> Vec<(ProvRecord, Bytes)> {
         let mut events: Vec<StoredEvent> = streams(svc).into_values().flatten().collect();
         // every record carries its own push index in a time field
-        events.sort_by_key(|e| match &e.event.record {
+        let pushed_at = |e: &StoredEvent| match &e.event.record {
             ProvRecord::TaskMeta(e) => e.submitted,
             ProvRecord::TaskDone(e) => e.start,
             ProvRecord::Log(e) => e.time,
             ProvRecord::Warning(e) => e.time,
             other => panic!("no such family was pushed: {other:?}"),
-        });
+        };
+        events.sort_by_key(|e| e.seq);
+        for (seq, e) in events.iter().enumerate() {
+            assert_eq!((e.seq, pushed_at(e).0), (seq as u64, seq as u64), "seq is push order");
+        }
         events.into_iter().map(|e| (e.event.record, e.event.data)).collect()
     };
     let expected = pushed.clone();
@@ -259,7 +305,7 @@ fn a_record_read_back_is_the_record_pushed_and_the_log_bytes_are_pinned() {
     fs::remove_dir_all(&store).unwrap();
 }
 
-/// Written for the push sequence above by the change that made `HashKey`
-/// route on the key's token and index instead of SipHash over its JSON
-/// text: the same slot records, in the partitions the new rule assigns.
-const PINNED_TOPIC_LOG_FNV64: u64 = 0x344d_7f96_52f1_6898;
+/// Written for the push sequence above by the change that declared the
+/// slot record's header in binfmt, with the event's seq: the same events
+/// in the same partitions and offsets, under varint headers.
+const PINNED_TOPIC_LOG_FNV64: u64 = 0xc7e1_0e24_2607_b0fe;

@@ -323,7 +323,7 @@ impl LiveViews {
     /// ingested. O(Δ).
     pub fn pump(&mut self, max_per_topic: usize) -> dtf_core::Result<u64> {
         let Self { feed, state, progress, .. } = self;
-        feed.visit(max_per_topic, |topic, _, record, _| apply(state, progress, topic, record))
+        feed.visit(max_per_topic, |topic, _, _, record, _| apply(state, progress, topic, record))
     }
 
     /// Pump until the feed runs dry. Returns events ingested.
@@ -386,14 +386,20 @@ impl LiveViews {
     }
 }
 
-/// Push every event of a drained run record back into `svc`'s topics with
-/// the production partitioning (task-scoped topics by task key — the same
-/// placement `MofkaPlugin` gave the original run). This is the replay
-/// harness the equivalence tests and the view bench feed live engines
-/// with: drain a simulated run once, republish it into a fresh service,
-/// and pump it through [`LiveViews`] in whatever chunking the test wants.
-pub fn republish(data: &RunData, svc: &MofkaService) -> dtf_core::Result<()> {
-    let mut plugin = MofkaPlugin::new(svc, ProducerConfig::default())?;
+/// Push every event of a drained run record back into `svc`'s topics
+/// through a [`MofkaPlugin`] routing by `producer`, family by family in
+/// drained order. This is the replay harness the equivalence tests feed
+/// live engines with: drain a simulated run once, republish it into a
+/// fresh service, and pump it through [`LiveViews`] in whatever chunking
+/// the test wants. Each family is pushed in the order the drain sorts it
+/// in, so a drain of the republished service returns the same run
+/// whatever `svc`'s partition counts and `producer`'s routing.
+pub fn republish(
+    data: &RunData,
+    svc: &MofkaService,
+    producer: ProducerConfig,
+) -> dtf_core::Result<()> {
+    let mut plugin = MofkaPlugin::new(svc, producer)?;
     let records = (data.meta.iter().cloned().map(ProvRecord::from))
         .chain(data.transitions.iter().cloned().map(ProvRecord::from))
         .chain(data.worker_transitions.iter().cloned().map(ProvRecord::from))
@@ -484,7 +490,7 @@ mod tests {
     fn live_views_equal_post_hoc_kernels() {
         let data = sim_run(7);
         let svc = BedrockConfig::wms_default().bootstrap().unwrap();
-        republish(&data, &svc).unwrap();
+        republish(&data, &svc, ProducerConfig::default()).unwrap();
         let cfg = LiveConfig { group: "live-eq".into(), bins: 16, threads_per_worker: 1 };
         let mut live = LiveViews::attach(&svc, cfg).unwrap();
         // pump in deliberately small chunks to exercise incremental paths
@@ -507,7 +513,7 @@ mod tests {
     fn view_query_unifies_hot_and_cold() {
         let data = sim_run(9);
         let svc = BedrockConfig::wms_default().bootstrap().unwrap();
-        republish(&data, &svc).unwrap();
+        republish(&data, &svc, ProducerConfig::default()).unwrap();
         let mut live = LiveViews::attach(&svc, LiveConfig::default()).unwrap();
         live.pump_all().unwrap();
         live.finalize(RunFinal { darshan: data.darshan.clone(), wall_time: data.wall_time })
@@ -640,17 +646,17 @@ mod tests {
         assert!(!data.proxies.is_empty(), "the proxy plane published");
         assert!(!data.online_io.is_empty(), "Darshan streamed online");
         let svc = BedrockConfig::wms_default().bootstrap().unwrap();
-        republish(&data, &svc).unwrap();
+        republish(&data, &svc, ProducerConfig::default()).unwrap();
         let again = drain_again(&svc, &data, 3);
         assert_eq!(again.proxies, data.proxies);
         assert_eq!(again.online_io, data.online_io);
         assert_eq!(again.meta, data.meta);
         assert_eq!(again.task_done, data.task_done);
         assert_eq!(again.comms, data.comms);
-        assert_eq!(again.logs.len(), data.logs.len());
-        assert_eq!(again.warnings.len(), data.warnings.len());
-        assert_eq!(again.transitions.len(), data.transitions.len());
-        assert_eq!(again.worker_transitions.len(), data.worker_transitions.len());
+        assert_eq!(again.logs, data.logs);
+        assert_eq!(again.warnings, data.warnings);
+        assert_eq!(again.transitions, data.transitions);
+        assert_eq!(again.worker_transitions, data.worker_transitions);
     }
 
     #[test]
@@ -674,7 +680,7 @@ mod tests {
     fn subscribers_see_versioned_snapshots() {
         let data = sim_run(11);
         let svc = BedrockConfig::wms_default().bootstrap().unwrap();
-        republish(&data, &svc).unwrap();
+        republish(&data, &svc, ProducerConfig::default()).unwrap();
         let mut live = LiveViews::attach(&svc, LiveConfig::default()).unwrap();
         let sub = live.subscribe();
         assert_eq!(sub.latest().version, 0, "nothing published yet");

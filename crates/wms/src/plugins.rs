@@ -22,7 +22,7 @@ use dtf_core::events::{
     WarningEvent, WorkerTransitionEvent,
 };
 use dtf_mofka::bedrock::{topic_of, WMS_TOPICS};
-use dtf_mofka::producer::{PartitionStrategy, ProducerConfig};
+use dtf_mofka::producer::ProducerConfig;
 use dtf_mofka::{Event, MofkaService, Producer};
 
 /// Interception surface for WMS instrumentation.
@@ -91,21 +91,13 @@ pub struct MofkaPlugin {
 }
 
 impl MofkaPlugin {
+    /// One producer per topic, each routing by `producer_cfg`: a topic
+    /// orders its events by the seq stamped at push, so no topic needs a
+    /// route of its own.
     pub fn new(service: &MofkaService, producer_cfg: ProducerConfig) -> dtf_core::Result<Self> {
         let producers = WMS_TOPICS
             .iter()
-            .map(|topic| {
-                // task-scoped topics partition by task key so one task's
-                // events stay in one partition, preserving their relative
-                // order end to end
-                let strategy = if topic.keyed {
-                    PartitionStrategy::HashKey("key".to_string())
-                } else {
-                    producer_cfg.strategy.clone()
-                };
-                let cfg = ProducerConfig { batch_size: producer_cfg.batch_size, strategy };
-                service.producer(topic.name, cfg)
-            })
+            .map(|topic| service.producer(topic.name, producer_cfg.clone()))
             .collect::<dtf_core::Result<_>>()?;
         Ok(Self { producers })
     }

@@ -13,6 +13,15 @@
 //! out by reference ([`ProvEvent::from_record_ref`]) — once, straight into
 //! a vector sized from the partition lengths.
 //!
+//! **One order rule.** Each family is sorted on `(its time field, seq)`:
+//! the time the family is ordered by (`submitted`, `time`, `stop` for
+//! completions, `start` for transfers and I/O records), then the seq its
+//! topic stamped when the event was pushed. The seq is unique in a topic
+//! and set in emission order, so this is a total order and a function of
+//! the run alone: equal-time events come out in the order they were
+//! emitted, whatever the partition counts, the routing or the consumer's
+//! claims were. `RunData` keeps no seq; the sort drops it.
+//!
 //! For persistent runs the same drain works post-hoc from disk:
 //! [`RunData::open_archive`] reopens a store directory read-only and
 //! replays the recovered topics through the identical consumer path
@@ -205,9 +214,11 @@ impl RunData {
         archive: ArchiveMeta,
     ) -> dtf_core::Result<Self> {
         let ArchiveMeta { run, workflow, chart, darshan, wall_time, start_order, steals } = archive;
+        /// Every event of `T`'s topic, sorted on `(time(e), seq)`.
         fn drain<T: ProvEvent + WmsFamily + Clone>(
             svc: &MofkaService,
             group: &str,
+            time: fn(&T) -> Time,
         ) -> dtf_core::Result<Vec<T>> {
             let topic = WMS_TOPICS[T::TOPIC].name;
             let mut consumer =
@@ -215,36 +226,31 @@ impl RunData {
             let mut out = Vec::with_capacity(svc.topic(topic)?.total_len() as usize);
             // copy the event out of the record, which the partition log
             // goes on holding
-            consumer.visit_all(|_, record, _| {
+            consumer.visit_all(|_, seq, record, _| {
                 let event = T::from_record_ref(record).ok_or_else(|| {
                     DtfError::IllegalState(format!(
                         "topic {topic} carried a record of the wrong family"
                     ))
                 })?;
-                out.push(event.clone());
+                out.push((event.clone(), seq));
                 Ok(())
             })?;
-            Ok(out)
+            out.sort_unstable_by_key(|(e, seq)| (time(e), *seq));
+            // collected in place, into the sorted pairs' own buffer
+            let mut events: Vec<T> = out.into_iter().map(|(e, _)| e).collect();
+            events.shrink_to_fit();
+            Ok(events)
         }
         // this order fixes the order the group's cursors are written in
-        let mut meta: Vec<TaskMetaEvent> = drain(svc, group)?;
-        let mut transitions: Vec<TransitionEvent> = drain(svc, group)?;
-        let mut worker_transitions: Vec<WorkerTransitionEvent> = drain(svc, group)?;
-        let mut task_done: Vec<TaskDoneEvent> = drain(svc, group)?;
-        let mut comms: Vec<CommEvent> = drain(svc, group)?;
-        let mut warnings: Vec<WarningEvent> = drain(svc, group)?;
-        let mut logs: Vec<LogEntry> = drain(svc, group)?;
-        let mut online_io: Vec<IoRecord> = drain(svc, group)?;
-        let mut proxies: Vec<ProxyEvent> = drain(svc, group)?;
-        meta.sort_by_key(|e| (e.submitted, e.key));
-        transitions.sort_by_key(|e| e.time);
-        worker_transitions.sort_by_key(|e| (e.time, e.key));
-        task_done.sort_by_key(|e| (e.stop, e.start));
-        comms.sort_by_key(|e| e.start);
-        warnings.sort_by_key(|e| e.time);
-        logs.sort_by_key(|e| e.time);
-        online_io.sort_by_key(|e| (e.start, e.thread));
-        proxies.sort_by_key(|e| (e.time, e.key, e.generation));
+        let meta = drain(svc, group, |e: &TaskMetaEvent| e.submitted)?;
+        let transitions = drain(svc, group, |e: &TransitionEvent| e.time)?;
+        let worker_transitions = drain(svc, group, |e: &WorkerTransitionEvent| e.time)?;
+        let task_done = drain(svc, group, |e: &TaskDoneEvent| e.stop)?;
+        let comms = drain(svc, group, |e: &CommEvent| e.start)?;
+        let warnings = drain(svc, group, |e: &WarningEvent| e.time)?;
+        let logs = drain(svc, group, |e: &LogEntry| e.time)?;
+        let online_io = drain(svc, group, |e: &IoRecord| e.start)?;
+        let proxies = drain(svc, group, |e: &ProxyEvent| e.time)?;
         Ok(Self {
             run,
             workflow,

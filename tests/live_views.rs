@@ -14,6 +14,7 @@ use dtf::chaos::run_schedule;
 use dtf::core::ids::{FileId, GraphId, RunId, TaskKey};
 use dtf::core::time::Dur;
 use dtf::mofka::bedrock::BedrockConfig;
+use dtf::mofka::ProducerConfig;
 use dtf::perfrecup::category::per_category;
 use dtf::perfrecup::live::{
     phase_sample, query_rundata, republish, LiveConfig, LiveViews, RunFinal, ViewQuery,
@@ -82,7 +83,7 @@ fn drain_again(svc: &dtf::mofka::MofkaService, orig: &RunData) -> RunData {
 /// the same service.
 fn check_live_equivalence(data: &RunData, chunks: &[usize], bins: usize) {
     let svc = BedrockConfig::wms_default().bootstrap().expect("service");
-    republish(data, &svc).expect("republish");
+    republish(data, &svc, ProducerConfig::default()).expect("republish");
     let cfg = LiveConfig { group: "live-prop".into(), bins, threads_per_worker: 1 };
     let mut live = LiveViews::attach(&svc, cfg).expect("attach");
     let mut chunk_iter = chunks.iter().cycle();

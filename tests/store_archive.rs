@@ -117,7 +117,8 @@ fn export_fingerprint(data: &RunData, dir: &Path) -> String {
 }
 
 /// Canonical text rendering of everything a reopened service exposes:
-/// topics sorted, partitions in order, one line per stored event.
+/// topics sorted, partitions in order, one line per stored event, with its
+/// id and seq.
 fn stream_text(svc: &MofkaService) -> String {
     let mut out = String::new();
     for name in svc.topic_names() {
@@ -125,8 +126,9 @@ fn stream_text(svc: &MofkaService) -> String {
         for p in 0..topic.num_partitions() {
             for (i, e) in topic.read(p, 0, usize::MAX >> 1).unwrap().iter().enumerate() {
                 out.push_str(&format!(
-                    "{name}/{p}/{i} {} {} {}\n",
+                    "{name}/{p}/{i} {} {} {} {}\n",
                     e.id,
+                    e.seq,
                     e.event.data.len(),
                     e.event.record.to_value()
                 ));
