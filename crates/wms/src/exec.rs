@@ -15,9 +15,11 @@
 //! timeout. A task takes the scheduler lock twice: once to start it and
 //! read its closure and inputs, once to report it finished — or erred: a
 //! closure that panics is caught on its thread, the task and everything
-//! waiting on it err, and the cluster runs on.
+//! waiting on it err, the panic's message goes into the provenance as an
+//! error log line from the worker, and the cluster runs on.
 
 use parking_lot::{Condvar, Mutex};
+use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -205,14 +207,28 @@ fn job(sched: &Scheduler, key: &TaskKey) -> Option<(RealFn, Vec<TaskKey>)> {
     }
 }
 
-/// Run a task's closure on its inputs; `None` when an input is not
-/// resident or the closure panics.
-fn run(shared: &Shared, func: RealFn, deps: &[TaskKey]) -> Option<TaskValue> {
+/// Run a task's closure on its inputs: its value, or why there is none —
+/// an input that is not resident, or the message the closure panicked
+/// with.
+fn run(shared: &Shared, func: RealFn, deps: &[TaskKey]) -> std::result::Result<TaskValue, String> {
     let inputs: Vec<Arc<TaskValue>> = {
         let data = shared.data.lock();
-        deps.iter().map(|d| data.get(d).cloned()).collect::<Option<_>>()?
+        let input = |d: &TaskKey| data.get(d).cloned().ok_or_else(|| format!("input {d} is gone"));
+        deps.iter().map(input).collect::<std::result::Result<_, _>>()?
     };
-    catch_unwind(AssertUnwindSafe(|| func(&inputs))).ok()
+    catch_unwind(AssertUnwindSafe(|| func(&inputs))).map_err(|payload| panic_message(&*payload))
+}
+
+/// The text a panic was raised with: a `&str` or `String` payload's own,
+/// a fixed text for any other payload.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    match payload.downcast_ref::<&str>() {
+        Some(text) => text.to_string(),
+        None => match payload.downcast_ref::<String>() {
+            Some(text) => text.clone(),
+            None => "panicked with a payload that is not text".into(),
+        },
+    }
 }
 
 fn worker_loop(shared: Arc<Shared>, widx: usize, thread_ordinal: u32) {
@@ -244,18 +260,22 @@ fn worker_loop(shared: Arc<Shared>, widx: usize, thread_ordinal: u32) {
         drop(sched);
 
         let start = shared.clock.now();
-        let value = job.and_then(|(func, deps)| run(&shared, func, &deps));
+        let value = match job {
+            Some((func, deps)) => run(&shared, func, &deps),
+            None => Err("the task has no closure to run".into()),
+        };
         let stop = shared.clock.now();
-        let nbytes = value.as_ref().map(|v| v.nbytes);
-        if let Some(value) = value {
+        let outcome = value.map(|value| {
+            let nbytes = value.nbytes;
             shared.data.lock().insert(key, Arc::new(value));
-        }
+            nbytes
+        });
 
         {
             let mut sched = shared.scheduler.lock();
-            match nbytes {
-                Some(nbytes) => sched.task_finished(&key, widx, tid, start, stop, nbytes),
-                None => sched.task_erred(&key, widx, stop),
+            match outcome {
+                Ok(nbytes) => sched.task_finished(&key, widx, tid, start, stop, nbytes),
+                Err(cause) => sched.task_erred(&key, widx, stop, &cause),
             }
             process_fetches(&shared, &mut sched, stop);
         }

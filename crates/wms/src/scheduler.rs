@@ -31,8 +31,8 @@ use std::ops::{Index, IndexMut, Range};
 
 use dtf_core::error::{DtfError, Result};
 use dtf_core::events::{
-    Location, Stimulus, TaskDoneEvent, TaskMetaEvent, TaskState, TransitionEvent, WorkerTaskState,
-    WorkerTransitionEvent,
+    Location, LogEntry, LogLevel, LogSource, Stimulus, TaskDoneEvent, TaskMetaEvent, TaskState,
+    TransitionEvent, WorkerTaskState, WorkerTransitionEvent,
 };
 use dtf_core::fault::HotspotFault;
 use dtf_core::ids::{ClientId, GraphId, KeyMap, TaskKey, ThreadId, WorkerId};
@@ -952,11 +952,13 @@ impl Scheduler {
     }
 
     /// The task raised on the worker at index `widx` instead of finishing
-    /// (the real executor catches the panic). Frees its thread, records
-    /// `processing → erred`, and sends every task still waiting on it —
-    /// transitively — from `waiting` to `erred`, as Dask does: their input
-    /// will never exist. A task not executing there changes nothing.
-    pub fn task_erred(&mut self, key: &TaskKey, widx: usize, now: Time) {
+    /// (the real executor catches the panic), for the reason `cause`.
+    /// Frees its thread, records `processing → erred` and an error log
+    /// line from the worker naming the task and the cause, and sends every
+    /// task still waiting on it — transitively — from `waiting` to
+    /// `erred`, as Dask does: their input will never exist. A task not
+    /// executing there changes nothing.
+    pub fn task_erred(&mut self, key: &TaskKey, widx: usize, now: Time, cause: &str) {
         let Some(slot) = self.slot(key) else { return };
         if !self.stop_executing(slot, widx) {
             return;
@@ -968,6 +970,15 @@ impl Scheduler {
             WorkerTaskState::Executing,
             WorkerTaskState::Error,
             now,
+        );
+        self.plugins.on_record(
+            LogEntry {
+                time: now,
+                level: LogLevel::Error,
+                source: LogSource::Worker(self.workers[widx].id),
+                message: format!("task {key} erred: {cause}"),
+            }
+            .into(),
         );
         self.err_from(slot, Location::Worker(self.workers[widx].id), now);
         self.refill_from_queue(now);
@@ -2331,7 +2342,7 @@ mod tests {
         s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
         assert_eq!(s.try_start(0, Time(0)), Some(a));
         assert_eq!(s.try_start(0, Time(0)), None, "the only thread is busy");
-        s.task_erred(&a, 0, Time(1));
+        s.task_erred(&a, 0, Time(1), "a test failure");
         for k in [a, mid, leaf] {
             assert_eq!(s.task_state(&k), Some(TaskState::Erred), "{k}");
         }
@@ -2354,6 +2365,8 @@ mod tests {
             .iter()
             .any(|w| w.key == a && w.to == WorkerTaskState::Error));
         assert!(events.task_done.iter().all(|d| d.key == other));
+        let lines: Vec<_> = events.logs.iter().map(|l| (l.level, &l.message[..])).collect();
+        assert_eq!(lines, [(LogLevel::Error, &*format!("task {a} erred: a test failure"))]);
 
         let mut b = GraphBuilder::new(GraphId(1));
         let tok = b.new_token();

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dtf::core::error::DtfError;
-use dtf::core::events::TaskState;
+use dtf::core::events::{LogEntry, LogLevel, LogSource, TaskState, WorkerTaskState};
 use dtf::core::ids::{GraphId, TaskKey};
 use dtf::core::provenance::WmsConfig;
 use dtf::wms::exec::LocalCluster;
@@ -292,5 +292,19 @@ fn a_panicking_closure_errs_its_dependents_and_the_cluster_runs_on() {
         assert_eq!(erred, expected.into_iter().collect());
         let done: HashSet<TaskKey> = events.task_done.iter().map(|d| d.key).collect();
         assert_eq!(done, [ok, next].into_iter().collect());
+        // the cause is kept: one error line from the worker the panic was
+        // caught on, naming the task and the panic's message
+        let failed = events
+            .worker_transitions
+            .iter()
+            .find(|w| w.key == boom && w.to == WorkerTaskState::Error)
+            .expect("boom's worker records the error");
+        let line = LogEntry {
+            time: failed.time,
+            level: LogLevel::Error,
+            source: LogSource::Worker(failed.worker),
+            message: format!("task {boom} erred: a task body failed"),
+        };
+        assert_eq!(events.logs, [line]);
     });
 }
