@@ -9,16 +9,33 @@
 
 use serde::Serialize;
 
+use dtf_core::events::CommEvent;
 use dtf_core::stats::percentile;
+use dtf_core::table::{CellSink, Tabular};
 use dtf_wms::RunData;
 
 use crate::frame::DataFrame;
 
 /// The scatter points: columns `nbytes, duration_s, same_node, start_s`.
 pub fn points(data: &RunData) -> DataFrame {
-    let df = DataFrame::from_tabular(&data.comms);
-    df.select(&["nbytes", "duration_s", "same_node", "start_s"])
-        .expect("comm schema has these columns")
+    DataFrame::from_tabular(data.comms.iter().map(Point))
+}
+
+/// A transfer as a scatter point: the cells `CommEvent`'s own row holds
+/// under these names.
+struct Point<'a>(&'a CommEvent);
+
+impl Tabular for Point<'_> {
+    fn schema() -> Vec<&'static str> {
+        vec!["nbytes", "duration_s", "same_node", "start_s"]
+    }
+
+    fn cells(&self, out: &mut impl CellSink) {
+        out.u64(self.0.nbytes);
+        out.secs(self.0.duration().0);
+        out.bool(self.0.same_node());
+        out.secs(self.0.start.0);
+    }
 }
 
 /// Summary of the slow-small-early anomaly.

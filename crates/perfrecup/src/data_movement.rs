@@ -20,6 +20,7 @@ use serde::Serialize;
 
 use dtf_core::events::ProxyAction;
 use dtf_core::ids::TaskKey;
+use dtf_core::table::{CellSink, Tabular};
 use dtf_proxystore::ProxyRef;
 use dtf_wms::RunData;
 
@@ -117,19 +118,21 @@ pub fn rows(data: &RunData) -> Vec<MovementRow> {
 /// The view as a typed frame: columns `nbytes, in_band, out_of_band,
 /// proxied, start_s`.
 pub fn frame(data: &RunData) -> DataFrame {
-    let names = ["nbytes", "in_band", "out_of_band", "proxied", "start_s"];
-    let mut df = DataFrame::new(names.iter().map(|s| s.to_string()).collect());
-    for r in rows(data) {
-        df.push_row(vec![
-            r.nbytes.into(),
-            r.in_band.into(),
-            r.out_of_band.into(),
-            r.proxied.into(),
-            r.start_s.into(),
-        ])
-        .expect("fixed-arity row");
+    DataFrame::from_tabular(rows(data))
+}
+
+impl Tabular for MovementRow {
+    fn schema() -> Vec<&'static str> {
+        vec!["nbytes", "in_band", "out_of_band", "proxied", "start_s"]
     }
-    df
+
+    fn cells(&self, out: &mut impl CellSink) {
+        out.u64(self.nbytes);
+        out.u64(self.in_band);
+        out.u64(self.out_of_band);
+        out.bool(self.proxied);
+        out.f64(self.start_s);
+    }
 }
 
 /// Aggregate the attribution for the whole run.

@@ -9,7 +9,8 @@
 
 use serde::Serialize;
 
-use dtf_core::events::IoOp;
+use dtf_core::events::{IoOp, IoRecord};
+use dtf_core::table::{CellSink, Tabular};
 use dtf_wms::RunData;
 
 use crate::frame::DataFrame;
@@ -35,57 +36,71 @@ impl IoPhase {
 /// The per-thread segment view (the figure's raw marks): columns
 /// `thread, op, start_s, stop_s, size`.
 pub fn segments(data: &RunData) -> DataFrame {
-    let df = DataFrame::from_tabular(data.darshan.all_records());
-    df.select(&["thread", "op", "start_s", "stop_s", "size", "host"])
-        .expect("io schema has these columns")
+    DataFrame::from_tabular(data.darshan.all_records().map(Segment))
+}
+
+/// An I/O record as a segment: the cells `IoRecord`'s own row holds under
+/// these names.
+struct Segment<'a>(&'a IoRecord);
+
+impl Tabular for Segment<'_> {
+    fn schema() -> Vec<&'static str> {
+        vec!["thread", "op", "start_s", "stop_s", "size", "host"]
+    }
+
+    fn cells(&self, out: &mut impl CellSink) {
+        out.u64(self.0.thread.0);
+        out.str(self.0.op.as_str());
+        out.secs(self.0.start.0);
+        out.secs(self.0.stop.0);
+        out.u64(self.0.size);
+        out.display(self.0.host);
+    }
 }
 
 /// Cluster data operations (reads/writes) into phases separated by idle
 /// gaps of at least `gap_s` seconds.
 pub fn detect_phases(data: &RunData, gap_s: f64) -> Vec<IoPhase> {
-    let mut ops: Vec<(f64, f64, IoOp, u64)> = data
+    // (start, stop, is a read, size) of every read and write
+    let mut ops: Vec<(f64, f64, bool, u64)> = data
         .darshan
         .all_records()
-        .filter(|r| matches!(r.op, IoOp::Read | IoOp::Write))
-        .map(|r| (r.start.as_secs_f64(), r.stop.as_secs_f64(), r.op, r.size))
+        .filter_map(|r| {
+            let read = match r.op {
+                IoOp::Read => true,
+                IoOp::Write => false,
+                _ => return None,
+            };
+            Some((r.start.as_secs_f64(), r.stop.as_secs_f64(), read, r.size))
+        })
         .collect();
-    ops.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
+    ops.sort_by(|a, b| a.0.total_cmp(&b.0));
     let mut phases: Vec<IoPhase> = Vec::new();
     let mut current: Option<(IoPhase, f64)> = None; // (phase, last stop)
-    for (start, stop, op, size) in ops {
-        let start_new = match &current {
-            Some((_, last_stop)) => start - *last_stop > gap_s,
-            None => true,
-        };
-        if start_new {
-            if let Some((p, _)) = current.take() {
-                phases.push(p);
-            }
-            current = Some((
-                IoPhase {
+    for (start, stop, read, size) in ops {
+        let (p, last) = match current.take() {
+            Some((p, last_stop)) if start - last_stop <= gap_s => current.insert((p, last_stop)),
+            done => {
+                phases.extend(done.map(|(p, _)| p));
+                let phase = IoPhase {
                     start_s: start,
                     end_s: stop,
                     read_ops: 0,
                     write_ops: 0,
                     read_bytes: 0,
                     write_bytes: 0,
-                },
-                stop,
-            ));
-        }
-        let (p, last) = current.as_mut().expect("current phase exists");
+                };
+                current.insert((phase, stop))
+            }
+        };
         p.end_s = p.end_s.max(stop);
         *last = last.max(stop);
-        match op {
-            IoOp::Read => {
-                p.read_ops += 1;
-                p.read_bytes += size;
-            }
-            IoOp::Write => {
-                p.write_ops += 1;
-                p.write_bytes += size;
-            }
-            _ => unreachable!("filtered to data ops"),
+        if read {
+            p.read_ops += 1;
+            p.read_bytes += size;
+        } else {
+            p.write_ops += 1;
+            p.write_bytes += size;
         }
     }
     if let Some((p, _)) = current {

@@ -36,6 +36,8 @@
 //!   for concurrent readers and a [`live::ViewQuery`] answered identically
 //!   by live state and archives.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 pub mod archive;
 pub mod category;
 pub mod comm_scatter;

@@ -41,7 +41,7 @@
 //! state for an active run and from [`crate::archive::ArchivedRun`] (or
 //! any drained [`RunData`]) for history.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use serde::Serialize;
@@ -149,6 +149,15 @@ struct Published {
     cv: Condvar,
 }
 
+impl Published {
+    /// The publish slot, locked. A slot poisoned by a panicking holder is
+    /// taken as it is: it only ever holds a whole snapshot, replaced in
+    /// one store, so the last one published is still a consistent view.
+    fn slot(&self) -> MutexGuard<'_, Arc<ViewSnapshot>> {
+        self.snap.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// A subscriber handle. Cheap to clone and fully decoupled from ingest:
 /// reading (or blocking on) snapshots never contends with `pump`.
 #[derive(Debug, Clone)]
@@ -159,21 +168,21 @@ pub struct ViewSubscription {
 impl ViewSubscription {
     /// The latest published snapshot.
     pub fn latest(&self) -> Arc<ViewSnapshot> {
-        self.shared.snap.lock().expect("publish slot poisoned").clone()
+        self.shared.slot().clone()
     }
 
     /// Block until a snapshot newer than `seen` is published or `timeout`
     /// elapses; returns the newest snapshot either way.
     pub fn wait_newer(&self, seen: u64, timeout: Duration) -> Arc<ViewSnapshot> {
         let deadline = std::time::Instant::now() + timeout;
-        let mut guard = self.shared.snap.lock().expect("publish slot poisoned");
+        let mut guard = self.shared.slot();
         while guard.version <= seen {
             let now = std::time::Instant::now();
             if now >= deadline {
                 break;
             }
-            let (g, t) =
-                self.shared.cv.wait_timeout(guard, deadline - now).expect("publish slot poisoned");
+            let waited = self.shared.cv.wait_timeout(guard, deadline - now);
+            let (g, t) = waited.unwrap_or_else(PoisonError::into_inner);
             guard = g;
             if t.timed_out() {
                 break;
@@ -362,7 +371,7 @@ impl LiveViews {
             phases: self.state.phases(),
             attribution_rate: self.state.attribution_rate(),
         });
-        let mut slot = self.published.snap.lock().expect("publish slot poisoned");
+        let mut slot = self.published.slot();
         *slot = snap.clone();
         self.published.cv.notify_all();
         snap

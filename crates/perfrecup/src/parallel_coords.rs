@@ -9,10 +9,13 @@
 
 use serde::Serialize;
 
-use dtf_core::table::Value;
+use std::collections::BTreeMap;
+
+use dtf_core::events::TaskDoneEvent;
+use dtf_core::table::{CellSink, Tabular};
 use dtf_wms::RunData;
 
-use crate::frame::{Agg, DataFrame};
+use crate::frame::DataFrame;
 
 /// Dask's recommended maximum chunk/output size: 128 MB.
 pub const RECOMMENDED_NBYTES: u64 = 128 << 20;
@@ -20,23 +23,25 @@ pub const RECOMMENDED_NBYTES: u64 = 128 << 20;
 /// The coordinates table: `elapsed_s, category, thread, output_mb,
 /// duration_s`, one row per completed task.
 pub fn coordinates(data: &RunData) -> DataFrame {
-    let mut df = DataFrame::new(
-        ["elapsed_s", "category", "thread", "output_mb", "duration_s"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-    );
-    for d in &data.task_done {
-        df.push_row(vec![
-            Value::F64(d.stop.as_secs_f64()),
-            Value::Str(d.key.prefix.as_str().to_string()),
-            Value::U64(d.thread.0),
-            Value::F64(d.nbytes as f64 / (1 << 20) as f64),
-            Value::F64(d.duration().as_secs_f64()),
-        ])
-        .expect("schema-conforming row");
+    DataFrame::from_tabular(data.task_done.iter().map(Coordinates))
+}
+
+/// One completed task's coordinates.
+struct Coordinates<'a>(&'a TaskDoneEvent);
+
+impl Tabular for Coordinates<'_> {
+    fn schema() -> Vec<&'static str> {
+        vec!["elapsed_s", "category", "thread", "output_mb", "duration_s"]
     }
-    df
+
+    fn cells(&self, out: &mut impl CellSink) {
+        let d = self.0;
+        out.f64(d.stop.as_secs_f64());
+        out.str(d.key.prefix.as_str());
+        out.u64(d.thread.0);
+        out.f64(d.nbytes as f64 / (1 << 20) as f64);
+        out.f64(d.duration().as_secs_f64());
+    }
 }
 
 /// Category-level reading of the figure.
@@ -53,12 +58,15 @@ pub struct CoordsSummary {
 }
 
 pub fn summary(data: &RunData) -> CoordsSummary {
-    let df = coordinates(data);
-    let longest = df.group_by("category", "duration_s", Agg::Mean).expect("group by category");
+    // each category's durations in task order, categories in name order:
+    // what a group-by mean over `coordinates` reads
+    let mut durations: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
+    for d in &data.task_done {
+        durations.entry(d.key.prefix.as_str()).or_default().push(d.duration().as_secs_f64());
+    }
     let mut best = (String::new(), f64::NEG_INFINITY);
-    let cats = longest.col("category").expect("category col");
-    let means = longest.col_f64("duration_s_mean").expect("mean col");
-    for (c, m) in cats.iter().zip(means) {
+    for (c, ds) in durations {
+        let m = ds.iter().sum::<f64>() / ds.len() as f64;
         if m > best.1 {
             best = (c.to_string(), m);
         }

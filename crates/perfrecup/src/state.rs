@@ -220,8 +220,11 @@ impl CategoryState {
             total += 1;
             let Some(exec) = self.execs.owner(rec.thread, rec.start) else { continue };
             matched += 1;
-            if matches!(rec.op, IoOp::Read | IoOp::Write) {
-                let cat = self.categories.get_mut(&exec.key.prefix).expect("every exec has a cat");
+            if !matches!(rec.op, IoOp::Read | IoOp::Write) {
+                continue;
+            }
+            // every execution's category exists: `task_done` made it
+            if let Some(cat) = self.categories.get_mut(&exec.key.prefix) {
                 cat.io_ops += 1;
                 cat.io_bytes += rec.size;
             }
@@ -247,11 +250,7 @@ impl CategoryState {
             })
             .collect();
         out.sort_by(|a, b| {
-            b.duration
-                .mean
-                .partial_cmp(&a.duration.mean)
-                .expect("finite means")
-                .then_with(|| a.category.cmp(&b.category))
+            b.duration.mean.total_cmp(&a.duration.mean).then_with(|| a.category.cmp(&b.category))
         });
         out
     }

@@ -43,7 +43,7 @@ impl Variability {
 /// responsible for the largest variations".
 pub fn rank_by_cv(metrics: Vec<Variability>) -> Vec<Variability> {
     let mut m = metrics;
-    m.sort_by(|a, b| b.cv.partial_cmp(&a.cv).expect("finite CVs"));
+    m.sort_by(|a, b| b.cv.total_cmp(&a.cv));
     m
 }
 
