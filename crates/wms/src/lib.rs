@@ -22,6 +22,8 @@
 //! transfers, and warnings, and stream them to Mofka ([`plugins::MofkaPlugin`])
 //! without perturbing scheduling decisions.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 pub mod client;
 pub mod exec;
 pub mod graph;

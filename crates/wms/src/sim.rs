@@ -478,7 +478,7 @@ impl SimCluster {
                     {
                         self.push(self.now, Ev::Submit(submitted));
                     }
-                    self.try_start_all();
+                    self.try_start_all()?;
                 }
                 Ev::FetchDone { dep, from, to, nbytes, start } => {
                     if self.dead[to] || self.dead[from] {
@@ -511,7 +511,7 @@ impl SimCluster {
                         self.resolve_proxy(&dep, to);
                     }
                     self.scheduler.fetch_done(&dep, to, self.now);
-                    self.try_start_all();
+                    self.try_start_all()?;
                 }
                 Ev::ProxyResolve { dep, to } => {
                     if self.dead[to] {
@@ -519,7 +519,7 @@ impl SimCluster {
                     }
                     self.resolve_proxy(&dep, to);
                     self.scheduler.fetch_done(&dep, to, self.now);
-                    self.try_start_all();
+                    self.try_start_all()?;
                 }
                 Ev::TaskDone { key, worker, slot, start, nbytes } => {
                     if self.dead[worker] {
@@ -563,12 +563,12 @@ impl SimCluster {
                             }
                         }
                     }
-                    self.try_start_all();
+                    self.try_start_all()?;
                 }
                 Ev::Rebalance => {
                     self.scheduler.rebalance(self.now);
                     self.process_fetches();
-                    self.try_start_all();
+                    self.try_start_all()?;
                     if tasks_outstanding > 0 || submitted < total_graphs {
                         let t = self.now + millis(self.cfg.wms.steal_interval_ms);
                         self.push(t, Ev::Rebalance);
@@ -618,7 +618,7 @@ impl SimCluster {
                             self.process_fetches();
                         }
                     }
-                    self.try_start_all();
+                    self.try_start_all()?;
                     if tasks_outstanding > 0 || submitted < total_graphs {
                         let t = self.now + millis(self.cfg.wms.worker_ttl_ms).scale(0.5);
                         self.push(t, Ev::FaultCheck);
@@ -737,25 +737,31 @@ impl SimCluster {
     /// left with no free thread or nothing ready, and nothing changed for
     /// them — and they are visited in ascending index order, as a scan of
     /// all workers would, so starts (and the RNG draws they make) keep
-    /// their order.
-    fn try_start_all(&mut self) {
+    /// their order. A start on a worker with no free thread slot is an
+    /// error: the scheduler broke its thread limit.
+    fn try_start_all(&mut self) -> Result<()> {
         for widx in 0..self.worker_ids.len() {
             if !self.scheduler.take_startable(widx) || self.dead[widx] {
                 continue;
             }
             while let Some(key) = self.scheduler.try_start(widx, self.now) {
-                let slot = self.slots[widx]
-                    .iter()
-                    .position(|s| s.is_none())
-                    .expect("scheduler respects thread limit");
+                let slot = self.slots[widx].iter().position(|s| s.is_none()).ok_or_else(|| {
+                    DtfError::IllegalState(format!(
+                        "{key} started on worker {widx}, whose threads are all busy"
+                    ))
+                })?;
                 self.slots[widx][slot] = Some(key);
-                self.execute(key, widx, slot);
+                self.execute(key, widx, slot)?;
             }
         }
+        Ok(())
     }
 
-    /// Charge a task's full cost model and schedule its completion.
-    fn execute(&mut self, key: TaskKey, widx: usize, slot: usize) {
+    /// Charge a task's full cost model and schedule its completion. An I/O
+    /// call the cost model refuses is a config error: a workload that
+    /// touches a file its dataset does not hold is a generator bug, not a
+    /// runtime condition.
+    fn execute(&mut self, key: TaskKey, widx: usize, slot: usize) -> Result<()> {
         // the I/O list is borrowed from the scheduler's task table, which
         // the I/O loop below never touches; the stall loop needs the
         // scheduler mutably, so only the scalars are copied out
@@ -791,9 +797,7 @@ impl SimCluster {
             match res {
                 Ok(d) => elapsed += d,
                 Err(e) => {
-                    // surface workload bugs loudly: an I/O error in the cost
-                    // model is a generator bug, not a runtime condition
-                    panic!("simulated I/O failed for {key}: {e}");
+                    return Err(DtfError::Config(format!("simulated I/O failed for {key}: {e}")))
                 }
             }
         }
@@ -841,6 +845,7 @@ impl SimCluster {
         }
 
         self.push(start + elapsed, Ev::TaskDone { key, worker: widx, slot, start, nbytes });
+        Ok(())
     }
 
     /// Finalize Darshan logs and drain Mofka into the run record.
@@ -983,6 +988,16 @@ mod tests {
             let err = SimCluster::new(cfg).err().expect("a zero size is refused");
             assert!(matches!(err, DtfError::Config(_)), "{err}");
         }
+    }
+
+    /// A workload that reads a file its dataset does not hold is refused
+    /// from `run` as a config error, not a panic mid-run.
+    #[test]
+    fn reading_a_file_outside_the_dataset_is_a_config_error() {
+        let workflow = SimWorkflow { dataset: vec![], ..small_workflow(true) };
+        let err = SimCluster::new(SimConfig::default()).unwrap().run(workflow).err();
+        let err = err.expect("the missing file is refused");
+        assert!(matches!(&err, DtfError::Config(m) if m.contains("simulated I/O")), "{err}");
     }
 
     #[test]
