@@ -318,7 +318,8 @@ pub(crate) fn restore(
     }
     for topic in topics.iter_mut() {
         let slots = topic.partitions.iter_mut().flat_map(|p| &p.state.get_mut().slots);
-        *topic.next_seq.get_mut() = slots.map(|s| s.seq + 1).max().unwrap_or(0);
+        // a seq read back is outside input: saturate rather than overflow
+        *topic.next_seq.get_mut() = slots.map(|s| s.seq.saturating_add(1)).max().unwrap_or(0);
     }
     if let Some(log) = log {
         log.writer.lock().declared = ids.len() as u32;
