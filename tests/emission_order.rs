@@ -207,6 +207,6 @@ fn every_topic_of_a_real_executor_run_holds_the_seqs_0_to_n() {
     assert_eq!(total, (0..24).sum::<u64>());
     cluster.wait_all();
     cluster.shutdown();
-    assert!(svc.topic("task-done").unwrap().total_len() == 25);
+    assert_eq!(svc.topic("task-done").unwrap().total_len(), 25);
     assert_seqs_complete(&svc, "real executor");
 }
