@@ -24,10 +24,12 @@
 //!   recovery-smoke  (--seed N: run a persistent seeded campaign with the
 //!                    proxy plane and online Darshan on, verify a
 //!                    fresh-process archive reopen reproduces the export
-//!                    bundle byte-for-byte, print the records each log
-//!                    recovers, then damage store copies under seeded
-//!                    crash faults — torn/zeroed/bit-flipped tails, forged
-//!                    frame lengths — and check the recovery oracle;
+//!                    bundle byte-for-byte, verify the run replayed from
+//!                    its archive alone exports that bundle too, print
+//!                    the records each log recovers, then damage store
+//!                    copies under seeded crash faults — torn/zeroed/
+//!                    bit-flipped tails, forged frame lengths — and check
+//!                    the recovery oracle;
 //!                    exits nonzero — keeping the store dir as an artifact —
 //!                    on any violation)
 //!   all      (every table, figure and ablation, in order)
@@ -187,7 +189,8 @@ fn chaos_replay(seed: u64, index: u64) -> i32 {
 
 /// End-to-end recovery smoke: a persistent seeded campaign, a
 /// fresh-process archive reopen gated byte-for-byte against the live
-/// export bundle, then seeded crash faults on store copies judged by the
+/// export bundle, a replay from the archive alone gated against the
+/// archived bundle, then seeded crash faults on store copies judged by the
 /// recovery oracle. On failure the store directory is left in place so CI
 /// can upload it as an artifact.
 fn recovery_smoke(seed: u64) -> i32 {
@@ -237,6 +240,8 @@ fn recovery_smoke(seed: u64) -> i32 {
 
     // Gate 1: a fresh-process archive reopen must reproduce the live run's
     // export bundle byte for byte.
+    let live_dir = base.join("export-live");
+    let arch_dir = base.join("export-archived");
     match RunData::open_archive(&store) {
         Ok((archived, recovery)) => {
             println!(
@@ -244,8 +249,6 @@ fn recovery_smoke(seed: u64) -> i32 {
                 recovery.restored_events,
                 recovery.yokan.torn || recovery.warabi.torn || recovery.topics.torn
             );
-            let live_dir = base.join("export-live");
-            let arch_dir = base.join("export-archived");
             let exported = export_run(&live, &live_dir)
                 .and_then(|_| export_run(&archived, &arch_dir))
                 .map(|_| diff_export_dirs(&live_dir, &arch_dir));
@@ -271,7 +274,31 @@ fn recovery_smoke(seed: u64) -> i32 {
         }
     }
 
-    // Gate 2: crash faults at random committed offsets, recovery oracle.
+    // Gate 2: the archive is the run's specification: the run replayed
+    // from it alone must export the archived bundle byte for byte.
+    let replay_dir = base.join("export-replayed");
+    let replayed = dtf_workflows::replay(&store)
+        .and_then(|replayed| export_run(&replayed, &replay_dir))
+        .map(|_| diff_export_dirs(&arch_dir, &replay_dir));
+    match replayed {
+        Ok(diffs) if diffs.is_empty() => {
+            println!(
+                "recovery-smoke: the replay from the archive alone exports the archived bundle"
+            );
+        }
+        Ok(diffs) => {
+            for d in &diffs {
+                eprintln!("recovery-smoke: replay diff: {d}");
+            }
+            failures += 1;
+        }
+        Err(e) => {
+            eprintln!("recovery-smoke: replay failed: {e}");
+            failures += 1;
+        }
+    }
+
+    // Gate 3: crash faults at random committed offsets, recovery oracle.
     let original = match MofkaService::reopen(&store) {
         Ok((svc, recovery)) => {
             println!(

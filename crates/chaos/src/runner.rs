@@ -19,7 +19,7 @@ use dtf_core::ids::{FileId, GraphId, RunId};
 use dtf_core::rngx::RunRng;
 use dtf_core::time::Dur;
 use dtf_proxystore::ProxyConfig;
-use dtf_wms::sim::{SimCluster, SimConfig, SimWorkflow, SubmitPolicy};
+use dtf_wms::sim::{SimCluster, SimConfig, SimWorkflow, SubmitPolicy, WORKER_NODES};
 use dtf_wms::{GraphBuilder, IoCall, RunData, SimAction};
 
 use crate::oracle;
@@ -48,8 +48,7 @@ fn sim_config(seed: u64, index: u64, faults: FaultSchedule) -> SimConfig {
 
 /// Workers in a chaos run: the ordinals fault schedules address.
 pub(crate) fn workers() -> u32 {
-    let cfg = sim_config(0, 0, FaultSchedule::default());
-    cfg.worker_nodes * cfg.wms.workers_per_node
+    WORKER_NODES * sim_config(0, 0, FaultSchedule::default()).wms.workers_per_node
 }
 
 /// Derive the fault-schedule seed for schedule `index` of a campaign

@@ -29,7 +29,7 @@
 //!
 //! ```text
 //! varint          := LEB128, 1–10 bytes, always minimal
-//! u64 u32 Time Dur and the id newtypes := varint
+//! u64 u32 usize Time Dur and the id newtypes := varint
 //! f64             := to_bits() as 8 bytes, little-endian
 //! bool            := 0x00 | 0x01
 //! String          := varint(len) utf8-bytes
@@ -258,6 +258,22 @@ impl Wire for u32 {
     #[inline]
     fn get(r: &mut Reader<'_>) -> Result<Self> {
         u32::try_from(r.varint()?).map_err(|_| bad("varint overflows u32"))
+    }
+}
+
+/// A varint like `u64`; a value that does not fit this host's `usize` is
+/// refused, not truncated.
+impl Wire for usize {
+    const MIN_BYTES: usize = 1;
+
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        put_varint(out, *self as u64);
+    }
+
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        usize::try_from(r.varint()?).map_err(|_| bad("varint overflows usize"))
     }
 }
 

@@ -5,10 +5,11 @@
 //! every perturbation the simulator will apply to a run — worker deaths,
 //! fetch-completion delays and duplications, heartbeat suppression windows,
 //! Mofka partition stalls, and forced PFS interference bursts. Because the
-//! schedule is plain data (and serde-serializable, like [`crate::provenance`]
-//! records), a failing schedule can be archived, diffed, and replayed
-//! byte-identically: the simulator draws nothing from ambient randomness
-//! while applying it. Schedules are normally *generated* from a seed (see
+//! schedule is plain data — serde-serializable for `chaos_schedule.json`,
+//! and a declared binfmt layout (`wire_struct!`) that a persisted run's
+//! `run-meta` document carries — a failing schedule can be archived,
+//! diffed, and replayed byte-identically: the simulator draws nothing from
+//! ambient randomness while applying it. Schedules are normally *generated* from a seed (see
 //! `dtf-chaos`), and `seed` records that provenance; hand-written schedules
 //! set it to 0.
 
@@ -16,111 +17,131 @@ use serde::Serialize;
 
 use crate::time::{Dur, Time};
 
-/// Kill worker `ordinal` (index into the run's worker list) at `time`.
-/// The worker stops heartbeating and completing work; the WMS detects the
-/// loss through the heartbeat timeout, exactly as for a real crash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct WorkerDeath {
-    pub worker: u32,
-    pub time: Time,
+crate::wire_struct! {
+    /// Kill worker `ordinal` (index into the run's worker list) at `time`.
+    /// The worker stops heartbeating and completing work; the WMS detects the
+    /// loss through the heartbeat timeout, exactly as for a real crash.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+    pub struct WorkerDeath {
+        pub worker: u32,
+        pub time: Time,
+    }
 }
 
-/// Perturb the `index`-th dependency transfer the engine issues (counted in
-/// issue order from 0). `extra_delay` stretches its completion;
-/// `duplicate` replays the completion event a second time — the scheduler
-/// must treat the replay as a no-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct FetchFault {
-    pub index: u64,
-    pub extra_delay: Dur,
-    pub duplicate: bool,
+crate::wire_struct! {
+    /// Perturb the `index`-th dependency transfer the engine issues (counted in
+    /// issue order from 0). `extra_delay` stretches its completion;
+    /// `duplicate` replays the completion event a second time — the scheduler
+    /// must treat the replay as a no-op.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+    pub struct FetchFault {
+        pub index: u64,
+        pub extra_delay: Dur,
+        pub duplicate: bool,
+    }
 }
 
-/// Suppress every heartbeat worker `ordinal` would deliver in
-/// `[start, stop)`. A window longer than the heartbeat timeout makes the
-/// scheduler evict a perfectly healthy worker — the "stalled event loop"
-/// failure mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct HeartbeatDrop {
-    pub worker: u32,
-    pub start: Time,
-    pub stop: Time,
+crate::wire_struct! {
+    /// Suppress every heartbeat worker `ordinal` would deliver in
+    /// `[start, stop)`. A window longer than the heartbeat timeout makes the
+    /// scheduler evict a perfectly healthy worker — the "stalled event loop"
+    /// failure mode.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+    pub struct HeartbeatDrop {
+        pub worker: u32,
+        pub start: Time,
+        pub stop: Time,
+    }
 }
 
-/// Stall one partition of one Mofka topic in `[start, stop)`: appends are
-/// accepted but stay invisible to consumers until the stall lifts. Delivery
-/// must remain exactly-once and in partition order regardless.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct MofkaStall {
-    pub topic: String,
-    pub partition: u32,
-    pub start: Time,
-    pub stop: Time,
+crate::wire_struct! {
+    /// Stall one partition of one Mofka topic in `[start, stop)`: appends are
+    /// accepted but stay invisible to consumers until the stall lifts. Delivery
+    /// must remain exactly-once and in partition order regardless.
+    #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+    pub struct MofkaStall {
+        pub topic: String,
+        pub partition: u32,
+        pub start: Time,
+        pub stop: Time,
+    }
 }
 
-/// Force a PFS interference burst: every I/O issued in `[start, stop)` is
-/// additionally slowed by `factor` (on top of the stochastic background
-/// load process).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct InterferenceBurst {
-    pub start: Time,
-    pub stop: Time,
-    pub factor: f64,
+crate::wire_struct! {
+    /// Force a PFS interference burst: every I/O issued in `[start, stop)` is
+    /// additionally slowed by `factor` (on top of the stochastic background
+    /// load process).
+    #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+    pub struct InterferenceBurst {
+        pub start: Time,
+        pub stop: Time,
+        pub factor: f64,
+    }
 }
 
-/// Slow every compute worker `ordinal` performs in `[start, stop)` by
-/// `factor` (≥ 1.0) — a straggler. Plain data, not an RNG draw, so a
-/// straggling run replays byte-identically.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct StragglerFault {
-    pub worker: u32,
-    pub factor: f64,
-    pub start: Time,
-    pub stop: Time,
+crate::wire_struct! {
+    /// Slow every compute worker `ordinal` performs in `[start, stop)` by
+    /// `factor` (≥ 1.0) — a straggler. Plain data, not an RNG draw, so a
+    /// straggling run replays byte-identically.
+    #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+    pub struct StragglerFault {
+        pub worker: u32,
+        pub factor: f64,
+        pub start: Time,
+        pub stop: Time,
+    }
 }
 
-/// Bias placement toward worker `ordinal`: its occupancy/transfer score is
-/// multiplied by `weight` (< 1.0 makes it look artificially cheap, so the
-/// scheduler piles work onto it — a hot spot).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct HotspotFault {
-    pub worker: u32,
-    pub weight: f64,
+crate::wire_struct! {
+    /// Bias placement toward worker `ordinal`: its occupancy/transfer score is
+    /// multiplied by `weight` (< 1.0 makes it look artificially cheap, so the
+    /// scheduler piles work onto it — a hot spot).
+    #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+    pub struct HotspotFault {
+        pub worker: u32,
+        pub weight: f64,
+    }
 }
 
-/// Make the payload behind the `index`-th *published* proxy dangle
-/// (counted in publish order from 0): the first resolve finds the payload
-/// missing from the plane and must repair or surface `IllegalState` with
-/// the proxy key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct DanglingProxy {
-    pub index: u64,
+crate::wire_struct! {
+    /// Make the payload behind the `index`-th *published* proxy dangle
+    /// (counted in publish order from 0): the first resolve finds the payload
+    /// missing from the plane and must repair or surface `IllegalState` with
+    /// the proxy key.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+    pub struct DanglingProxy {
+        pub index: u64,
+    }
 }
 
-/// Stretch the `index`-th proxy resolve (counted in resolve order from 0)
-/// by `extra_delay` — a slow resolver. Exactly-once resolution must hold
-/// regardless of how late the materialization lands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct SlowResolve {
-    pub index: u64,
-    pub extra_delay: Dur,
+crate::wire_struct! {
+    /// Stretch the `index`-th proxy resolve (counted in resolve order from 0)
+    /// by `extra_delay` — a slow resolver. Exactly-once resolution must hold
+    /// regardless of how late the materialization lands.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+    pub struct SlowResolve {
+        pub index: u64,
+        pub extra_delay: Dur,
+    }
 }
 
-/// One run's complete fault schedule. The empty (default) schedule is a
-/// no-op: a run with it is bit-identical to a run without one.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
-pub struct FaultSchedule {
-    /// Seed the schedule was generated from (0 for hand-written schedules).
-    pub seed: u64,
-    pub deaths: Vec<WorkerDeath>,
-    pub fetch_faults: Vec<FetchFault>,
-    pub heartbeat_drops: Vec<HeartbeatDrop>,
-    pub mofka_stalls: Vec<MofkaStall>,
-    pub pfs_bursts: Vec<InterferenceBurst>,
-    pub stragglers: Vec<StragglerFault>,
-    pub hotspot: Option<HotspotFault>,
-    pub dangling_proxies: Vec<DanglingProxy>,
-    pub slow_resolves: Vec<SlowResolve>,
+crate::wire_struct! {
+    /// One run's complete fault schedule. The empty (default) schedule is a
+    /// no-op: a run with it is bit-identical to a run without one.
+    #[derive(Debug, Clone, Default, PartialEq, Serialize)]
+    pub struct FaultSchedule {
+        /// Seed the schedule was generated from (0 for hand-written schedules).
+        pub seed: u64,
+        pub deaths: Vec<WorkerDeath>,
+        pub fetch_faults: Vec<FetchFault>,
+        pub heartbeat_drops: Vec<HeartbeatDrop>,
+        pub mofka_stalls: Vec<MofkaStall>,
+        pub pfs_bursts: Vec<InterferenceBurst>,
+        pub stragglers: Vec<StragglerFault>,
+        pub hotspot: Option<HotspotFault>,
+        pub dangling_proxies: Vec<DanglingProxy>,
+        pub slow_resolves: Vec<SlowResolve>,
+    }
 }
 
 impl FaultSchedule {

@@ -21,6 +21,7 @@ pub mod dist;
 pub mod error;
 pub mod events;
 pub mod fault;
+pub mod fnv;
 pub mod ids;
 pub mod provenance;
 pub mod rngx;
@@ -29,5 +30,6 @@ pub mod table;
 pub mod time;
 
 pub use error::{DtfError, Result};
+pub use fnv::{fnv64, fnv64_extend, FNV64_BASIS};
 pub use ids::{ClientId, FileId, GraphId, NodeId, RunId, TaskKey, ThreadId, WorkerId};
 pub use time::{Dur, Time};

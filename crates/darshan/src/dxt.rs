@@ -16,15 +16,18 @@
 use dtf_core::events::IoRecord;
 use dtf_core::ids::ThreadId;
 
-/// DXT configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DxtConfig {
-    /// Maximum records buffered per process; further records are dropped.
-    /// Darshan's default DXT memory of 2 MiB holds on the order of a few
-    /// tens of thousands of trace segments.
-    pub max_records: usize,
-    /// The paper's extension: record pthread ids. Off = vanilla DXT.
-    pub record_thread_ids: bool,
+dtf_core::wire_struct! {
+    /// DXT configuration, archived with the run's simulator config in its
+    /// `run-meta` document.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct DxtConfig {
+        /// Maximum records buffered per process; further records are
+        /// dropped. Darshan's default DXT memory of 2 MiB holds on the
+        /// order of a few tens of thousands of trace segments.
+        pub max_records: usize,
+        /// The paper's extension: record pthread ids. Off = vanilla DXT.
+        pub record_thread_ids: bool,
+    }
 }
 
 impl Default for DxtConfig {

@@ -63,11 +63,7 @@ impl TopicMap {
     }
 
     fn shard(&self, name: &str) -> &TopicMapShard {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for &b in name.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
+        let h = dtf_core::fnv64(name.as_bytes());
         &self.shards[(h as usize) & (TOPIC_MAP_SHARDS - 1)]
     }
 

@@ -191,11 +191,9 @@ fn a_writable_reopen_resumes_the_seqs_above_the_restored_ones() {
 
 /// FNV-1a over every topic-log segment of `store`, in segment order.
 fn topic_log_fnv64(store: &Path) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = dtf_core::FNV64_BASIS;
     for segment in segment_paths(&store.join("topics")).unwrap() {
-        for byte in fs::read(segment).unwrap() {
-            hash = (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        hash = dtf_core::fnv64_extend(hash, &fs::read(segment).unwrap());
     }
     hash
 }

@@ -39,16 +39,20 @@ use dtf_core::events::{ProxyAction, ProxyEvent};
 use dtf_core::ids::{GraphId, TaskKey, WorkerId};
 use dtf_core::table::Spell;
 use dtf_core::time::Time;
+use dtf_core::{fnv64_extend, FNV64_BASIS};
 
-/// Data-plane configuration, embedded in the simulator config.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProxyConfig {
-    /// Master switch. Off (the default) short-circuits every hook.
-    pub enabled: bool,
-    /// Outputs of at least this many bytes are proxied.
-    pub threshold: u64,
-    /// Per-worker resolver-cache byte budget (LRU eviction beyond it).
-    pub resolver_cache_bytes: u64,
+dtf_core::wire_struct! {
+    /// Data-plane configuration, embedded in the simulator config and
+    /// archived with it in a run's `run-meta` document.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ProxyConfig {
+        /// Master switch. Off (the default) short-circuits every hook.
+        pub enabled: bool,
+        /// Outputs of at least this many bytes are proxied.
+        pub threshold: u64,
+        /// Per-worker resolver-cache byte budget (LRU eviction beyond it).
+        pub resolver_cache_bytes: u64,
+    }
 }
 
 impl Default for ProxyConfig {
@@ -101,25 +105,16 @@ pub fn payload_checksum(key: &TaskKey, size: u64) -> u64 {
     /// Folds whatever is written into it into the hash, so the key's text
     /// is never materialized as a `String`.
     struct Fnv(u64);
-    impl Fnv {
-        fn bytes(&mut self, bytes: &[u8]) {
-            for &b in bytes {
-                self.0 ^= b as u64;
-                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-    }
     impl fmt::Write for Fnv {
         fn write_str(&mut self, s: &str) -> fmt::Result {
-            self.bytes(s.as_bytes());
+            self.0 = fnv64_extend(self.0, s.as_bytes());
             Ok(())
         }
     }
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut h = Fnv(FNV64_BASIS);
     // `Fnv::write_str` never fails, so neither does the spelling
     let _ = key.spell(&mut h);
-    h.bytes(&size.to_le_bytes());
-    h.0
+    fnv64_extend(h.0, &size.to_le_bytes())
 }
 
 /// What a [`ProxyPlane::resolve`] call did.

@@ -13,14 +13,16 @@ use dtf_core::error::{DtfError, Result};
 use dtf_core::ids::{FileId, GraphId, KeyMap, TaskKey};
 use dtf_core::time::Dur;
 
-/// One I/O call a simulated task performs, in order, during execution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IoCall {
-    pub file: FileId,
-    /// `true` = write, `false` = read.
-    pub write: bool,
-    pub offset: u64,
-    pub size: u64,
+dtf_core::wire_struct! {
+    /// One I/O call a simulated task performs, in order, during execution.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct IoCall {
+        pub file: FileId,
+        /// `true` = write, `false` = read.
+        pub write: bool,
+        pub offset: u64,
+        pub size: u64,
+    }
 }
 
 impl IoCall {
@@ -33,21 +35,26 @@ impl IoCall {
     }
 }
 
-/// What a simulated task does: its cost model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimAction {
-    /// Base compute time (before node-profile and stochastic factors).
-    pub compute: Dur,
-    /// I/O calls issued sequentially at the start of execution. The first
-    /// call on a file implies an `open`; a final `close` is charged when the
-    /// task's last call on that file completes.
-    pub io: Vec<IoCall>,
-    /// Size of the task's output kept in distributed memory (Dask nbytes).
-    pub output_nbytes: u64,
-    /// Memory-manager pressure of this task: expected event-loop /GC stalls
-    /// per second while it executes (drives the paper's Fig. 7 warnings;
-    /// large unmanaged outputs pressure the worker's event loop).
-    pub stall_rate: f64,
+dtf_core::wire_struct! {
+    /// What a simulated task does: its cost model. Its declared layout is
+    /// what a workflow's fingerprint hashes (`SimWorkflow::code_hash`).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SimAction {
+        /// Base compute time (before node-profile and stochastic factors).
+        pub compute: Dur,
+        /// I/O calls issued sequentially at the start of execution. The
+        /// first call on a file implies an `open`; a final `close` is
+        /// charged when the task's last call on that file completes.
+        pub io: Vec<IoCall>,
+        /// Size of the task's output kept in distributed memory (Dask
+        /// nbytes).
+        pub output_nbytes: u64,
+        /// Memory-manager pressure of this task: expected event-loop /GC
+        /// stalls per second while it executes (drives the paper's Fig. 7
+        /// warnings; large unmanaged outputs pressure the worker's event
+        /// loop).
+        pub stall_rate: f64,
+    }
 }
 
 impl SimAction {

@@ -40,12 +40,17 @@ use dtf_core::events::{
     CommEvent, IoRecord, LogEntry, ProvEvent, ProxyEvent, TaskDoneEvent, TaskMetaEvent,
     TransitionEvent, WarningEvent, WorkerTransitionEvent,
 };
+use dtf_core::fault::FaultSchedule;
 use dtf_core::ids::{RunId, TaskKey};
 use dtf_core::provenance::ProvenanceChart;
 use dtf_core::time::{Dur, Time};
 use dtf_darshan::log::LogSet;
+use dtf_darshan::DxtConfig;
 use dtf_mofka::bedrock::{WmsFamily, WMS_TOPICS};
 use dtf_mofka::{ConsumerConfig, MofkaService, ServiceRecovery};
+use dtf_proxystore::ProxyConfig;
+
+use crate::sim::SimConfig;
 
 /// Yokan key under which a persistent run archives its non-Mofka data.
 pub const ARCHIVE_META_KEY: &str = "run-meta";
@@ -53,13 +58,21 @@ pub const ARCHIVE_META_KEY: &str = "run-meta";
 /// First bytes of an encoded [`ArchiveMeta`]: magic, then the version
 /// (DESIGN.md §13 says what the refused versions held).
 const META_MAGIC: &[u8; 7] = b"DTFMETA";
-const META_VERSION: u8 = 4;
+const META_VERSION: u8 = 5;
+
+/// The consumer group prefix of the drain that ends every simulated run.
+pub(crate) const ANALYSIS_GROUP: &str = "analysis";
 
 /// The non-Mofka half of a run record, persisted at finalize so an
-/// archive reopen can rebuild a full [`RunData`] from disk alone.
+/// archive reopen can rebuild a full [`RunData`] from disk alone, and the
+/// configuration the run ran on, so the archive alone can run it again.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArchiveMeta {
-    pub run: RunId,
+    /// The run's configuration. `persist_dir`, `invariant_checks` and
+    /// `mofka_batch` change no output and are not archived (they decode
+    /// as their defaults); `wms` is archived once, as the chart's
+    /// `wms_config`, and decodes from there.
+    pub config: SimConfig,
     pub workflow: String,
     pub chart: ProvenanceChart,
     pub darshan: LogSet,
@@ -88,26 +101,56 @@ impl ArchiveMeta {
             other => other,
         })
     }
+
+    /// Reopen the archive at `dir` read-only and decode its `run-meta`.
+    pub fn open(dir: &Path) -> dtf_core::Result<Self> {
+        let (svc, _) = MofkaService::reopen(dir)?;
+        Self::of(&svc, dir)
+    }
+
+    /// The `run-meta` document of `svc`, the service reopened from `dir`.
+    fn of(svc: &MofkaService, dir: &Path) -> dtf_core::Result<Self> {
+        let raw = svc.yokan().get(ARCHIVE_META_KEY).ok_or_else(|| {
+            DtfError::NotFound(format!("{ARCHIVE_META_KEY} in archive {}", dir.display()))
+        })?;
+        Self::decode(&raw)
+    }
 }
 
 /// The document's layout:
 ///
 /// ```text
-/// "DTFMETA" version:u8 run workflow chart darshan wall_time start_order steals
+/// "DTFMETA" version:u8
+///   campaign_seed run dxt online_darshan proxy faults
+///   workflow chart darshan wall_time start_order steals
 /// ```
 ///
-/// Every field is its [`Wire`] form: `chart` is the `ProvenanceChart`'s
-/// declared layout, `darshan` the `LogSet`'s, and `start_order` keeps
-/// stored order, so same-instant ties come back as they went in.
+/// Every field is its [`Wire`] form: the first six are the run's
+/// [`SimConfig`], whose `wms` is the chart's `wms_config`; `chart` is the
+/// `ProvenanceChart`'s declared layout, `darshan` the `LogSet`'s, and
+/// `start_order` keeps stored order, so same-instant ties come back as
+/// they went in.
 impl Wire for ArchiveMeta {
-    /// Magic, version and a byte for each field but the chart, whose
-    /// minimum is its own.
-    const MIN_BYTES: usize = META_MAGIC.len() + 1 + 6 + ProvenanceChart::MIN_BYTES;
+    /// Magic, version and a byte for each field but the config's three
+    /// structs and the chart, whose minimums are their own.
+    const MIN_BYTES: usize = META_MAGIC.len()
+        + 1
+        + 8
+        + DxtConfig::MIN_BYTES
+        + ProxyConfig::MIN_BYTES
+        + FaultSchedule::MIN_BYTES
+        + ProvenanceChart::MIN_BYTES;
 
     fn put(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(META_MAGIC);
         out.push(META_VERSION);
-        self.run.put(out);
+        let c = &self.config;
+        c.campaign_seed.put(out);
+        c.run.put(out);
+        c.dxt.put(out);
+        c.online_darshan.put(out);
+        c.proxy.put(out);
+        c.faults.put(out);
         self.workflow.put(out);
         self.chart.put(out);
         self.darshan.put(out);
@@ -131,10 +174,21 @@ impl Wire for ArchiveMeta {
             }
             Err(_) => return Err(DtfError::Serde("truncated".into())),
         }
-        Ok(Self {
+        let config = SimConfig {
+            campaign_seed: Wire::get(r)?,
             run: Wire::get(r)?,
-            workflow: Wire::get(r)?,
-            chart: Wire::get(r)?,
+            dxt: Wire::get(r)?,
+            online_darshan: Wire::get(r)?,
+            proxy: Wire::get(r)?,
+            faults: Wire::get(r)?,
+            ..SimConfig::default()
+        };
+        let workflow = Wire::get(r)?;
+        let chart: ProvenanceChart = Wire::get(r)?;
+        Ok(Self {
+            config: SimConfig { wms: chart.wms_config.clone(), ..config },
+            workflow,
+            chart,
             darshan: Wire::get(r)?,
             wall_time: Wire::get(r)?,
             start_order: Wire::get(r)?,
@@ -173,7 +227,9 @@ pub struct RunData {
 
 impl RunData {
     /// Drain the standard WMS topics of `svc` (consumer group
-    /// `"analysis-<run>"`) into typed event vectors, sorted by time.
+    /// `"analysis-<run>"`) into typed event vectors, sorted by time. A
+    /// simulated run drains through the same path with its whole
+    /// [`ArchiveMeta`]; this form is for services filled by hand.
     #[allow(clippy::too_many_arguments)] // one parameter per fused data source
     pub fn drain_from_mofka(
         svc: &MofkaService,
@@ -185,9 +241,9 @@ impl RunData {
         start_order: Vec<(TaskKey, Time)>,
         steals: u64,
     ) -> dtf_core::Result<Self> {
-        let group = format!("analysis-{run}");
-        let meta = ArchiveMeta { run, workflow, chart, darshan, wall_time, start_order, steals };
-        Self::drain_with_group(svc, &group, meta)
+        let config = SimConfig { run, ..SimConfig::default() };
+        let meta = ArchiveMeta { config, workflow, chart, darshan, wall_time, start_order, steals };
+        Self::drain(svc, ANALYSIS_GROUP, meta)
     }
 
     /// Rebuild a run record from a persisted store directory, read-only.
@@ -197,25 +253,25 @@ impl RunData {
     /// identical. Also returns what recovery found on the way in.
     pub fn open_archive(dir: &Path) -> dtf_core::Result<(Self, ServiceRecovery)> {
         let (svc, recovery) = MofkaService::reopen(dir)?;
-        let raw = svc.yokan().get(ARCHIVE_META_KEY).ok_or_else(|| {
-            DtfError::NotFound(format!("{ARCHIVE_META_KEY} in archive {}", dir.display()))
-        })?;
-        let meta = ArchiveMeta::decode(&raw)?;
-        let group = format!("archive-{}", meta.run);
-        let data = Self::drain_with_group(&svc, &group, meta)?;
+        let meta = ArchiveMeta::of(&svc, dir)?;
+        let data = Self::drain(&svc, "archive", meta)?;
         Ok((data, recovery))
     }
 
     /// The one drain implementation both the in-situ and archive paths
-    /// share — any divergence here would break byte-identical replay.
-    fn drain_with_group(
+    /// share — any divergence here would break byte-identical replay. The
+    /// consumer group is `"<group>-<run>"`.
+    pub(crate) fn drain(
         svc: &MofkaService,
         group: &str,
         archive: ArchiveMeta,
     ) -> dtf_core::Result<Self> {
-        let ArchiveMeta { run, workflow, chart, darshan, wall_time, start_order, steals } = archive;
+        let ArchiveMeta { config, workflow, chart, darshan, wall_time, start_order, steals } =
+            archive;
+        let run = config.run;
+        let group = &format!("{group}-{run}");
         /// Every event of `T`'s topic, sorted on `(time(e), seq)`.
-        fn drain<T: ProvEvent + WmsFamily + Clone>(
+        fn family<T: ProvEvent + WmsFamily + Clone>(
             svc: &MofkaService,
             group: &str,
             time: fn(&T) -> Time,
@@ -245,15 +301,15 @@ impl RunData {
             Ok(events)
         }
         // this order fixes the order the group's cursors are written in
-        let meta = drain(svc, group, |e: &TaskMetaEvent| e.submitted)?;
-        let transitions = drain(svc, group, |e: &TransitionEvent| e.time)?;
-        let worker_transitions = drain(svc, group, |e: &WorkerTransitionEvent| e.time)?;
-        let task_done = drain(svc, group, |e: &TaskDoneEvent| e.stop)?;
-        let comms = drain(svc, group, |e: &CommEvent| e.start)?;
-        let warnings = drain(svc, group, |e: &WarningEvent| e.time)?;
-        let logs = drain(svc, group, |e: &LogEntry| e.time)?;
-        let online_io = drain(svc, group, |e: &IoRecord| e.start)?;
-        let proxies = drain(svc, group, |e: &ProxyEvent| e.time)?;
+        let meta = family(svc, group, |e: &TaskMetaEvent| e.submitted)?;
+        let transitions = family(svc, group, |e: &TransitionEvent| e.time)?;
+        let worker_transitions = family(svc, group, |e: &WorkerTransitionEvent| e.time)?;
+        let task_done = family(svc, group, |e: &TaskDoneEvent| e.stop)?;
+        let comms = family(svc, group, |e: &CommEvent| e.start)?;
+        let warnings = family(svc, group, |e: &WarningEvent| e.time)?;
+        let logs = family(svc, group, |e: &LogEntry| e.time)?;
+        let online_io = family(svc, group, |e: &IoRecord| e.start)?;
+        let proxies = family(svc, group, |e: &ProxyEvent| e.time)?;
         Ok(Self {
             run,
             workflow,

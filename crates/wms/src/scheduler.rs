@@ -1234,6 +1234,7 @@ impl Scheduler {
         }
         let mut lost: Vec<Slot> = closed.into_iter().collect();
         self.sort_by_key(&mut lost);
+        let mut unplaced = Vec::new();
         for &slot in &lost {
             // Memory -> Released -> Waiting, then runnable again
             for to in [TaskState::Released, TaskState::Waiting] {
@@ -1254,9 +1255,24 @@ impl Scheduler {
                 if !drec.state.is_terminal() {
                     drec.unfinished_deps += 1;
                 }
+                if matches!(drec.state, TaskState::Queued | TaskState::NoWorker) {
+                    unplaced.push(d);
+                }
                 at = next;
             }
         }
+        // A dependent that was runnable but not yet placed goes back to
+        // waiting through `released`, as Dask's does: placed now, it would
+        // wait on a transfer no live worker can source, and never run.
+        self.sort_by_key(&mut unplaced);
+        unplaced.dedup();
+        for &d in &unplaced {
+            for to in [TaskState::Released, TaskState::Waiting] {
+                self.emit_transition(d, to, Stimulus::WorkerLost, Location::Scheduler, now);
+            }
+        }
+        self.queued.retain(|Reverse(s)| !unplaced.contains(s));
+        self.no_worker.retain(|s| !unplaced.contains(s));
         // Dispatch only after every lost output has been revoked: a task
         // early in the batch can look ready (its dep still reads `memory`)
         // until a later entry — that dep, whose only replica also died —
@@ -2010,6 +2026,39 @@ mod tests {
         let done = collector.take().task_done;
         let d_runs = done.iter().filter(|t| t.key == d).count();
         assert_eq!(d_runs, 2, "d recomputed after its only replica died");
+    }
+
+    /// A task queued on the scheduler when its input's only replica dies
+    /// goes back to waiting (through `released`, as Dask's does) until the
+    /// recompute brings the input back. Left queued, it is dispatched to
+    /// the first free worker with a transfer no worker can source, and
+    /// the run never ends.
+    #[test]
+    fn a_queued_dependent_of_a_lost_output_waits_for_its_recompute() {
+        let cfg = WmsConfig { queue_factor: 1.0, work_stealing: false, ..Default::default() };
+        let (mut s, collector) = sched(3, 1, cfg);
+        let mut b = GraphBuilder::new(GraphId(0));
+        let tok = b.new_token();
+        let load = b.add_sim("load", tok, 0, vec![], SimAction::compute_only(Dur(1), 1 << 10));
+        for i in 0..6 {
+            b.add_sim("use", tok + 1, i, vec![load], SimAction::compute_only(Dur(1), 10));
+        }
+        s.submit_graph(b.build(&Set::new()).unwrap(), Time::ZERO).unwrap();
+        let w0 = s.tasks[s.slot(&load).unwrap()].assigned.unwrap();
+        assert_eq!(s.try_start(w0, Time(0)), Some(load));
+        s.task_finished(&load, w0, ThreadId(1), Time(0), Time(1), 1 << 10);
+        let events = collector.take();
+        let queued = events.transitions.iter().filter(|t| t.to == TaskState::Queued).count();
+        assert_eq!(queued, 3, "three dependents dispatched, three queued");
+        s.take_fetches();
+        s.worker_died(w0, Time(2));
+        // the engine's periodic pass dispatches from the queue
+        s.rebalance(Time(3));
+        assert_eq!(s.invariant_violations(), Vec::<String>::new());
+        drive(&mut s);
+        assert_eq!(s.unfinished(), 0, "every dependent ran after the recompute");
+        let done = collector.take().task_done;
+        assert_eq!(done.iter().filter(|t| t.key == load).count(), 1, "load ran again");
     }
 
     /// The invariant oracle stays silent across normal operation, fetch

@@ -20,6 +20,7 @@ use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
+use dtf_core::binfmt::Wire;
 use dtf_core::dist::{Exponential, Jitter, LogNormal, Sample};
 use dtf_core::error::{DtfError, Result};
 use dtf_core::events::{
@@ -30,6 +31,7 @@ use dtf_core::ids::{ClientId, FileId, KeySet, RunId, TaskKey, ThreadId, WorkerId
 use dtf_core::provenance::WmsConfig;
 use dtf_core::rngx::RunRng;
 use dtf_core::time::{Dur, Time};
+use dtf_core::{fnv64_extend, FNV64_BASIS};
 use dtf_darshan::log::LogSet;
 use dtf_darshan::{DarshanRuntime, DxtConfig, InstrumentedPfs};
 use dtf_mofka::bedrock::{BedrockConfig, WmsFamily, WMS_TOPICS};
@@ -42,17 +44,19 @@ use dtf_proxystore::{ProxyConfig, ProxyPlane};
 
 use crate::graph::{IoCall, Payload, TaskGraph};
 use crate::plugins::{MofkaPlugin, PluginSet, WmsPlugin};
-use crate::rundata::{ArchiveMeta, RunData, ARCHIVE_META_KEY};
+use crate::rundata::{ArchiveMeta, RunData, ANALYSIS_GROUP, ARCHIVE_META_KEY};
 use crate::scheduler::{nonzero, Fetch, Scheduler};
 
-/// How the client submits its graphs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubmitPolicy {
-    /// Everything up front (ResNet152 — one graph; XGBoost could too).
-    AllAtOnce,
-    /// Next graph only after the previous completed (ImageProcessing's
-    /// step-by-step pipeline; XGBoost's 74 chained graphs).
-    Sequential,
+dtf_core::wire_enum! {
+    /// How the client submits its graphs.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum SubmitPolicy("submit policy") {
+        /// Everything up front (ResNet152 — one graph; XGBoost could too).
+        AllAtOnce = 0,
+        /// Next graph only after the previous completed (ImageProcessing's
+        /// step-by-step pipeline; XGBoost's 74 chained graphs).
+        Sequential = 1,
+    }
 }
 
 /// A workflow handed to the simulator: graphs + dataset + client behaviour.
@@ -74,24 +78,84 @@ pub struct SimWorkflow {
     pub dataset: Vec<(String, u64, u32)>,
 }
 
+impl SimWorkflow {
+    /// The workflow's fingerprint, which a run's provenance chart records
+    /// as `client_code_hash`: FNV-64 over the binfmt encoding of everything
+    /// [`SimCluster::run`] reads of it — each graph's id and tasks (key,
+    /// deps and cost model), the dataset, the submit policy and the
+    /// startup, inter-graph and shutdown durations. Counts precede lists,
+    /// so no two workflows share an encoding. The name is left out: the
+    /// chart holds it beside the hash. Hashed task by task through one
+    /// buffer that never holds more than one task.
+    pub fn code_hash(&self) -> u64 {
+        let mut buf = Vec::new();
+        let mut hash = FNV64_BASIS;
+        let mut flush = |buf: &mut Vec<u8>| {
+            hash = fnv64_extend(hash, buf);
+            buf.clear();
+        };
+        self.graphs.len().put(&mut buf);
+        for graph in &self.graphs {
+            graph.id.put(&mut buf);
+            graph.tasks.len().put(&mut buf);
+            for task in &graph.tasks {
+                task.key.put(&mut buf);
+                task.deps.put(&mut buf);
+                match &task.payload {
+                    Payload::Sim(action) => {
+                        buf.push(0);
+                        action.put(&mut buf);
+                    }
+                    // a closure has no bytes to hash; it never runs here
+                    Payload::Real(_) => buf.push(1),
+                }
+                flush(&mut buf);
+            }
+        }
+        self.dataset.len().put(&mut buf);
+        for (path, size, stripes) in &self.dataset {
+            path.put(&mut buf);
+            size.put(&mut buf);
+            stripes.put(&mut buf);
+            flush(&mut buf);
+        }
+        self.submit.put(&mut buf);
+        self.startup.put(&mut buf);
+        self.inter_graph.put(&mut buf);
+        self.shutdown.put(&mut buf);
+        flush(&mut buf);
+        hash
+    }
+}
+
+/// Worker nodes a simulated run allocates; the scheduler and client live
+/// on one more. Every run uses two.
+pub const WORKER_NODES: u32 = 2;
+
+/// Log-scale sigma of the per-task compute jitter every simulated run
+/// draws (the jitter's tail is cut at 3 sigma).
+pub const COMPUTE_JITTER_SIGMA: f64 = 0.08;
+
 /// Simulator configuration (platform + WMS + instrumentation). The part
 /// the paper collects as provenance (§III-E1) is `wms`: the scheduler,
 /// the heartbeats, the eviction timeout and the stealing period run on
 /// it, and the run's
 /// [`ProvenanceChart`](dtf_core::provenance::ProvenanceChart) records it.
-#[derive(Debug, Clone)]
+///
+/// A persisted run archives the whole configuration in its `run-meta`
+/// document ([`ArchiveMeta`]), so the archive alone says how to run it
+/// again: every field but `persist_dir`, `invariant_checks` and
+/// `mofka_batch`, which change no output, and `wms`, which the chart
+/// already holds.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     pub campaign_seed: u64,
     pub run: RunId,
-    /// Worker nodes requested (scheduler/client live on an extra node).
-    pub worker_nodes: u32,
     pub wms: WmsConfig,
     pub dxt: DxtConfig,
-    /// Background interference on PFS and network (off for ablations).
-    pub interference: bool,
-    /// Log-scale sigma of per-task compute jitter.
-    pub compute_jitter_sigma: f64,
     /// Mofka producer batch size (ablation knob); 0 is a config error.
+    /// It moves when records reach a partition, never which are drained
+    /// or in what order, so no output byte depends on it.
     pub mofka_batch: usize,
     /// Stream every Darshan record into the Mofka `io-records` topic at
     /// record time (the paper's future-work "fully online system"). Online
@@ -121,11 +185,8 @@ impl Default for SimConfig {
         Self {
             campaign_seed: 0,
             run: RunId(0),
-            worker_nodes: 2,
             wms: WmsConfig::default(),
             dxt: DxtConfig::default(),
-            interference: true,
-            compute_jitter_sigma: 0.08,
             mofka_batch: 64,
             online_darshan: false,
             faults: FaultSchedule::default(),
@@ -272,20 +333,16 @@ pub struct SimCluster {
 
 impl SimCluster {
     /// Allocate a cluster and wire all services for one run. A cluster
-    /// with no worker nodes, workers or threads is a config error.
+    /// with no workers or threads is a config error.
     pub fn new(cfg: SimConfig) -> Result<Self> {
-        nonzero("worker_nodes", cfg.worker_nodes)?;
         nonzero("workers_per_node", cfg.wms.workers_per_node)?;
         nonzero("threads_per_worker", cfg.wms.threads_per_worker)?;
         let rr = RunRng::new(cfg.campaign_seed, cfg.run);
         let mut rng_topo = rr.stream("topology");
         let topo = ClusterTopology::polaris_like(&mut rng_topo);
         let mut js = JobScheduler::new();
-        let req = JobRequest {
-            nodes: cfg.worker_nodes + 1,
-            walltime_limit_s: 3600,
-            queue: "prod".into(),
-        };
+        let req =
+            JobRequest { nodes: WORKER_NODES + 1, walltime_limit_s: 3600, queue: "prod".into() };
         let mut rng_alloc = rr.stream("alloc");
         let job = js.allocate(&topo, &req, Time::ZERO, &mut rng_alloc)?;
 
@@ -298,22 +355,15 @@ impl SimCluster {
             }
         }
 
+        // background load from co-running jobs on the PFS and the network
         let interference_seed = rr.stream("interference").gen::<u64>();
-        let mut pfs_load = if cfg.interference {
-            LoadProcess::pfs_default(interference_seed)
-        } else {
-            LoadProcess::none(interference_seed)
-        };
+        let mut pfs_load = LoadProcess::pfs_default(interference_seed);
         if !cfg.faults.pfs_bursts.is_empty() {
             pfs_load = pfs_load.with_forced_bursts(
                 cfg.faults.pfs_bursts.iter().map(|b| (b.start, b.stop, b.factor)).collect(),
             );
         }
-        let net_load = if cfg.interference {
-            LoadProcess::network_default(interference_seed ^ 0x5a5a)
-        } else {
-            LoadProcess::none(interference_seed)
-        };
+        let net_load = LoadProcess::network_default(interference_seed ^ 0x5a5a);
         let pfs = Arc::new(Mutex::new(Pfs::new(PfsConfig::default(), pfs_load)));
         let net = NetworkModel::new(NetworkConfig::default(), net_load);
 
@@ -356,11 +406,6 @@ impl SimCluster {
         let slots =
             worker_ids.iter().map(|_| vec![None; cfg.wms.threads_per_worker as usize]).collect();
         let n_workers = worker_ids.len();
-        let compute_jitter = if cfg.compute_jitter_sigma > 0.0 {
-            Jitter::new(cfg.compute_jitter_sigma, 3.0)
-        } else {
-            Jitter::none()
-        };
         let proxy = ProxyPlane::new(cfg.proxy.clone());
         Ok(Self {
             ssg: SsgGroup::new("dask-workers", millis(cfg.wms.worker_ttl_ms)),
@@ -387,7 +432,7 @@ impl SimCluster {
             dead: vec![false; n_workers],
             opened: Vec::new(),
             last_done: Time::ZERO,
-            compute_jitter,
+            compute_jitter: Jitter::new(COMPUTE_JITTER_SIGMA, 3.0),
             stall_dur: LogNormal::new(-0.2, 0.6), // median ~0.8 s stalls
         })
     }
@@ -410,6 +455,7 @@ impl SimCluster {
 
     /// Execute one complete workflow run.
     pub fn run(mut self, workflow: SimWorkflow) -> Result<RunData> {
+        let code_hash = workflow.code_hash();
         // create the dataset; FileIds are sequential
         {
             let mut pfs = self.io[0].pfs().lock();
@@ -670,7 +716,7 @@ impl SimCluster {
         }
 
         let wall_time = (self.last_done + workflow.shutdown) - Time::ZERO;
-        self.finalize(workflow.name, wall_time)
+        self.finalize(workflow.name, code_hash, wall_time)
     }
 
     /// Graph id of a just-finished task (scheduler holds the mapping).
@@ -849,7 +895,7 @@ impl SimCluster {
     }
 
     /// Finalize Darshan logs and drain Mofka into the run record.
-    fn finalize(mut self, workflow: String, wall_time: Dur) -> Result<RunData> {
+    fn finalize(mut self, workflow: String, code_hash: u64, wall_time: Dur) -> Result<RunData> {
         self.scheduler.plugins_mut().flush();
         for rt in &self.runtimes {
             rt.clear_sink(); // drops (and thereby flushes) online producers
@@ -865,12 +911,12 @@ impl SimCluster {
             self.job.clone(),
             self.cfg.wms.clone(),
             &workflow,
-            self.cfg.campaign_seed,
+            code_hash,
         );
         let start_order = self.scheduler.start_order().to_vec();
         let steals = self.scheduler.steal_count();
         let meta = ArchiveMeta {
-            run: self.cfg.run,
+            config: std::mem::take(&mut self.cfg),
             workflow,
             chart,
             darshan,
@@ -878,23 +924,13 @@ impl SimCluster {
             start_order,
             steals,
         };
-        if self.cfg.persist_dir.is_some() {
+        if meta.config.persist_dir.is_some() {
             // archive the non-Mofka half of the run record, then group-
             // commit everything: past this point the run is recoverable
             self.mofka.yokan().put(ARCHIVE_META_KEY, meta.encode());
             self.mofka.sync()?;
         }
-        let ArchiveMeta { run, workflow, chart, darshan, wall_time, start_order, steals } = meta;
-        RunData::drain_from_mofka(
-            &self.mofka,
-            run,
-            workflow,
-            chart,
-            darshan,
-            wall_time,
-            start_order,
-            steals,
-        )
+        RunData::drain(&self.mofka, ANALYSIS_GROUP, meta)
     }
 }
 
@@ -967,13 +1003,12 @@ mod tests {
     }
 
     /// A zero size is a config error, not a panic in the scheduler, an
-    /// empty run or a silent batch of one: the cluster's worker nodes,
-    /// workers and threads are refused before anything is allocated, and
+    /// empty run or a silent batch of one: the cluster's workers and
+    /// threads are refused before anything is allocated, and
     /// a zero batch by both producers the cluster opens.
     #[test]
     fn zero_sizes_are_config_errors() {
-        let zeroed: [fn(&mut SimConfig); 5] = [
-            |c| c.worker_nodes = 0,
+        let zeroed: [fn(&mut SimConfig); 4] = [
             |c| c.wms.workers_per_node = 0,
             |c| c.wms.threads_per_worker = 0,
             |c| c.mofka_batch = 0,
@@ -988,6 +1023,26 @@ mod tests {
             let err = SimCluster::new(cfg).err().expect("a zero size is refused");
             assert!(matches!(err, DtfError::Config(_)), "{err}");
         }
+    }
+
+    /// The chart's `client_code_hash` fingerprints the submitted workflow:
+    /// one workflow keeps one hash under two campaign seeds, and one
+    /// task's compute time moves it.
+    #[test]
+    fn the_code_hash_fingerprints_the_workflow_not_the_seed() {
+        let hash = |seed: u64, workflow: SimWorkflow| {
+            let cfg = SimConfig { campaign_seed: seed, ..Default::default() };
+            SimCluster::new(cfg).unwrap().run(workflow).unwrap().chart.client_code_hash
+        };
+        let one = hash(7, small_workflow(true));
+        assert_eq!(one, hash(8, small_workflow(true)), "the seed is not the workflow");
+        assert_eq!(one, small_workflow(true).code_hash());
+        let mut slower = small_workflow(true);
+        let Payload::Sim(action) = &mut slower.graphs[0].tasks[9].payload else {
+            panic!("a simulated task")
+        };
+        action.compute += Dur(1);
+        assert_ne!(one, hash(7, slower), "one task's compute time is part of the workflow");
     }
 
     /// A workload that reads a file its dataset does not hold is refused

@@ -12,14 +12,36 @@ use rand::{Rng, SeedableRng};
 
 use dtf_core::binfmt::{self, put_str, put_varint, Wire};
 use dtf_core::events::{IoOp, IoRecord};
+use dtf_core::fault::{
+    DanglingProxy, FaultSchedule, FetchFault, HeartbeatDrop, HotspotFault, InterferenceBurst,
+    MofkaStall, SlowResolve, StragglerFault, WorkerDeath,
+};
 use dtf_core::ids::{FileId, NodeId, RunId, TaskKey, ThreadId, WorkerId};
 use dtf_core::provenance::{HardwareInfo, JobInfo, ProvenanceChart, SystemInfo, WmsConfig};
 use dtf_core::time::{Dur, Time};
 use dtf_darshan::counters::{FileCounters, PosixCounters};
 use dtf_darshan::log::{DarshanLog, LogHeader, LogSet};
+use dtf_darshan::DxtConfig;
+use dtf_proxystore::ProxyConfig;
 use dtf_wms::rundata::ArchiveMeta;
+use dtf_wms::sim::SimConfig;
 
 const NAMES: [&str; 5] = ["load-image", "ResNet152", "étape-π", "画像処理", "xgb🦀"];
+
+/// Any `WmsConfig`: the chart archives it, and the config reads it back.
+fn wms_config(rng: &mut SmallRng) -> WmsConfig {
+    WmsConfig {
+        workers_per_node: rng.gen_range(1..9),
+        threads_per_worker: rng.gen_range(1..65),
+        heartbeat_interval_ms: wide(rng),
+        worker_ttl_ms: wide(rng),
+        work_stealing: rng.gen(),
+        steal_interval_ms: wide(rng),
+        assumed_bandwidth: wide(rng),
+        queue_factor: rng.gen::<f64>() * 4.0,
+        est_task_duration_s: f64::from_bits(rng.gen()),
+    }
+}
 
 fn chart(rng: &mut SmallRng, workflow: &str) -> ProvenanceChart {
     let nodes = rng.gen_range(1..5u32);
@@ -36,7 +58,7 @@ fn chart(rng: &mut SmallRng, workflow: &str) -> ProvenanceChart {
             start_time: Time(rng.gen()),
             walltime_limit_s: rng.gen(),
         },
-        wms_config: WmsConfig::default(),
+        wms_config: wms_config(rng),
         client_code_hash: rng.gen(),
         workflow_name: workflow.into(),
     }
@@ -110,11 +132,76 @@ fn darshan_log(rng: &mut SmallRng, run: RunId) -> DarshanLog {
     }
 }
 
+/// `1..=4` of `make`'s values: every fault family is non-empty.
+fn some<T>(rng: &mut SmallRng, mut make: impl FnMut(&mut SmallRng) -> T) -> Vec<T> {
+    (0..rng.gen_range(1..=4)).map(|_| make(rng)).collect()
+}
+
+/// A schedule with every family non-empty; the hot spot is set or not.
+fn schedule(rng: &mut SmallRng) -> FaultSchedule {
+    let time = |rng: &mut SmallRng| Time(wide(rng));
+    let factor = |rng: &mut SmallRng| f64::from_bits(rng.gen());
+    FaultSchedule {
+        seed: rng.gen(),
+        deaths: some(rng, |r| WorkerDeath { worker: r.gen(), time: time(r) }),
+        fetch_faults: some(rng, |r| FetchFault {
+            index: wide(r),
+            extra_delay: Dur(wide(r)),
+            duplicate: r.gen(),
+        }),
+        heartbeat_drops: some(rng, |r| HeartbeatDrop {
+            worker: r.gen(),
+            start: time(r),
+            stop: time(r),
+        }),
+        mofka_stalls: some(rng, |r| MofkaStall {
+            topic: NAMES[r.gen_range(0..NAMES.len())].into(),
+            partition: r.gen(),
+            start: time(r),
+            stop: time(r),
+        }),
+        pfs_bursts: some(rng, |r| InterferenceBurst {
+            start: time(r),
+            stop: time(r),
+            factor: factor(r),
+        }),
+        stragglers: some(rng, |r| StragglerFault {
+            worker: r.gen(),
+            factor: factor(r),
+            start: time(r),
+            stop: time(r),
+        }),
+        hotspot: rng.gen_bool(0.5).then(|| HotspotFault { worker: rng.gen(), weight: factor(rng) }),
+        dangling_proxies: some(rng, |r| DanglingProxy { index: wide(r) }),
+        slow_resolves: some(rng, |r| SlowResolve { index: wide(r), extra_delay: Dur(wide(r)) }),
+    }
+}
+
+/// Arbitrary archived settings; `wms` is the chart's, as in every run,
+/// and the settings the document does not hold keep their defaults.
+fn config(rng: &mut SmallRng, run: RunId, chart: &ProvenanceChart) -> SimConfig {
+    SimConfig {
+        campaign_seed: rng.gen(),
+        run,
+        wms: chart.wms_config.clone(),
+        dxt: DxtConfig { max_records: wide(rng) as usize, record_thread_ids: rng.gen() },
+        online_darshan: rng.gen(),
+        faults: schedule(rng),
+        proxy: ProxyConfig {
+            enabled: rng.gen(),
+            threshold: wide(rng),
+            resolver_cache_bytes: wide(rng),
+        },
+        ..SimConfig::default()
+    }
+}
+
 fn arbitrary_meta(seed: u64) -> ArchiveMeta {
     let mut rng = SmallRng::seed_from_u64(seed);
     let run = RunId(rng.gen_range(0..1000));
     let workflow = format!("{}-{}", NAMES[rng.gen_range(0..NAMES.len())], rng.gen::<u16>());
     let chart = chart(&mut rng, &workflow);
+    let config = config(&mut rng, run, &chart);
     let logs = (0..rng.gen_range(0..4)).map(|_| darshan_log(&mut rng, run)).collect();
     // a few instants shared by many tasks: same-instant ties, in an order
     // no sort would reproduce
@@ -130,7 +217,7 @@ fn arbitrary_meta(seed: u64) -> ArchiveMeta {
         })
         .collect();
     ArchiveMeta {
-        run,
+        config,
         workflow,
         chart,
         darshan: LogSet::new(logs),
@@ -172,10 +259,11 @@ fn edge_meta() -> ArchiveMeta {
         dxt: vec![],
     };
     let tie = Time(1_000_000_007);
+    let chart = chart(&mut rng, "画像処理-étape");
     ArchiveMeta {
-        run: RunId(2),
+        config: config(&mut rng, RunId(2), &chart),
         workflow: "画像処理-étape".into(),
-        chart: chart(&mut rng, "画像処理-étape"),
+        chart,
         darshan: LogSet::new(vec![empty, truncated]),
         wall_time: Dur(u64::MAX),
         start_order: vec![
@@ -212,6 +300,21 @@ fn the_edges_roundtrip() {
     assert_eq!(no_first_op.first_op, None);
     assert_roundtrips(&meta);
     assert_roundtrips(&ArchiveMeta { darshan: LogSet::default(), ..meta });
+}
+
+/// The producer batch, the store directory and the live invariant checks
+/// change no output, so the document does not hold them: a document
+/// written with them set is the one written with their defaults, and
+/// decodes to those.
+#[test]
+fn settings_that_change_no_output_are_not_archived() {
+    let meta = edge_meta();
+    let mut set = meta.clone();
+    set.config.mofka_batch = 1;
+    set.config.persist_dir = Some("/tmp/store".into());
+    set.config.invariant_checks = true;
+    assert_eq!(set.encode(), meta.encode());
+    assert_eq!(ArchiveMeta::decode(&set.encode()).unwrap(), meta);
 }
 
 /// Decoding hostile bytes either yields a document that re-encodes to
@@ -267,8 +370,14 @@ fn forged_counts_fail_before_allocating() {
     assert!(ArchiveMeta::decode(&forged).is_err());
 
     // the LogSet's log count follows the chart
-    let mut head = b"DTFMETA\x04".to_vec();
-    put_varint(&mut head, meta.run.0 as u64);
+    let mut head = b"DTFMETA\x05".to_vec();
+    let c = &meta.config;
+    put_varint(&mut head, c.campaign_seed);
+    put_varint(&mut head, c.run.0 as u64);
+    c.dxt.put(&mut head);
+    c.online_darshan.put(&mut head);
+    c.proxy.put(&mut head);
+    c.faults.put(&mut head);
     put_str(&mut head, &meta.workflow);
     meta.chart.put(&mut head);
     assert!(bytes.starts_with(&head));
@@ -289,10 +398,10 @@ fn a_json_era_document_is_an_error_naming_the_format() {
     let mut bytes = edge_meta().encode();
     assert!(ArchiveMeta::decode(&bytes[..7]).is_err(), "magic without a version");
     // a version-1 document (the chart as JSON), a version-2 one (the
-    // chart's older WMS layout) and a version-3 one (the chart without
-    // the worker TTL and the stealing period) are refused by their
-    // version byte
-    for old in [1, 2, 3] {
+    // chart's older WMS layout), a version-3 one (the chart without the
+    // worker TTL and the stealing period) and a version-4 one (no run
+    // configuration) are refused by their version byte
+    for old in [1, 2, 3, 4] {
         bytes[7] = old;
         let err = ArchiveMeta::decode(&bytes).unwrap_err().to_string();
         assert!(err.contains(&format!("version {old}")), "{err}");

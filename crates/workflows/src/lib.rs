@@ -13,10 +13,14 @@
 //! Each generator takes the per-run workload RNG stream, so structural
 //! run-to-run variation (e.g. XGBoost's parquet chunking) reproduces the
 //! ranges Table I reports.
+//!
+//! [`replay`] runs a persisted simulated run again from its archive alone.
 
 pub mod campaign;
 pub mod imageproc;
+mod replay;
 pub mod resnet;
 pub mod xgboost;
 
 pub use campaign::{Campaign, CampaignResult, RunSummary, Workload};
+pub use replay::replay;

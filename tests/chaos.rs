@@ -60,16 +60,9 @@ fn fan_workflow(n_prod: u32, n_cons: u32) -> SimWorkflow {
     }
 }
 
-/// Deterministic base config: no jitter, no interference, oracle on.
+/// Base config: the run's seed, oracle on.
 fn base_cfg(seed: u64) -> SimConfig {
-    SimConfig {
-        campaign_seed: seed,
-        run: RunId(0),
-        interference: false,
-        compute_jitter_sigma: 0.0,
-        invariant_checks: true,
-        ..Default::default()
-    }
+    SimConfig { campaign_seed: seed, run: RunId(0), invariant_checks: true, ..Default::default() }
 }
 
 fn run(cfg: SimConfig, wf: SimWorkflow) -> RunData {

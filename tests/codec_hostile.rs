@@ -5,24 +5,30 @@
 //! re-encodes to exactly the bytes it was given — never a panic, and never
 //! an allocation sized by a count the bytes left cannot hold.
 
-use std::collections::BTreeMap;
 use std::fmt::Debug;
 
 use bytes::Bytes;
-use dtf::core::binfmt::{self, put_varint, Wire};
+use dtf::core::binfmt::{self, Wire};
 use dtf::core::events::{
     CommEvent, IoOp, IoRecord, Location, LogEntry, LogLevel, LogSource, ProvRecord, ProxyAction,
     ProxyEvent, Stimulus, TaskDoneEvent, TaskMetaEvent, TaskState, TransitionEvent, WarningEvent,
     WarningKind, WorkerTaskState, WorkerTransitionEvent,
 };
+use dtf::core::fault::{
+    DanglingProxy, FaultSchedule, FetchFault, HeartbeatDrop, HotspotFault, InterferenceBurst,
+    MofkaStall, SlowResolve, StragglerFault, WorkerDeath,
+};
 use dtf::core::ids::{ClientId, FileId, GraphId, NodeId, RunId, TaskKey, ThreadId, WorkerId};
-use dtf::core::provenance::{HardwareInfo, JobInfo, ProvenanceChart, SystemInfo, WmsConfig};
 use dtf::core::time::{Dur, Time};
 use dtf::darshan::counters::{FileCounters, PosixCounters};
 use dtf::darshan::log::{DarshanLog, LogHeader, LogSet};
+use dtf::darshan::DxtConfig;
 use dtf::mofka::TopicConfig;
+use dtf::proxystore::ProxyConfig;
 use dtf::store::KvRecord;
-use dtf::wms::rundata::ArchiveMeta;
+
+mod corpus;
+use corpus::{archive_meta, log_set, records};
 
 /// Whether `bytes` decoded; a value it decodes to must re-encode to it.
 fn decodes<T: Wire + Debug>(bytes: &[u8]) -> bool {
@@ -35,252 +41,19 @@ fn decodes<T: Wire + Debug>(bytes: &[u8]) -> bool {
     }
 }
 
-/// The length of the varint at the start of `bytes`, if one starts there.
-fn varint_len(bytes: &[u8]) -> Option<usize> {
-    bytes.iter().take(10).position(|b| b & 0x80 == 0).map(|last| last + 1)
-}
-
 /// Runs `value`'s encoding through every truncation, overwrite and forged
 /// count; returns how many of the forged counts were refused.
 fn hostile<T: Wire + PartialEq + Debug>(value: &T) -> usize {
     let bytes = binfmt::encode(value);
     assert_eq!(&binfmt::decode::<T>(&bytes).unwrap(), value);
-    for cut in 0..bytes.len() {
-        assert!(!decodes::<T>(&bytes[..cut]), "a {cut}-byte prefix of {value:?} decoded");
+    let mutations = corpus::mutations(&bytes);
+    for cut in &mutations.truncations {
+        assert!(!decodes::<T>(cut), "a {}-byte prefix of {value:?} decoded", cut.len());
     }
-    let mut refused = 0;
-    for (at, &byte) in bytes.iter().enumerate() {
-        for overwrite in [byte ^ 0xff, byte ^ 0x01, 0x00, 0x80] {
-            if overwrite != byte {
-                let mut mutated = bytes.clone();
-                mutated[at] = overwrite;
-                decodes::<T>(&mutated);
-            }
-        }
-        if let Some(len) = varint_len(&bytes[at..]) {
-            let mut forged = bytes[..at].to_vec();
-            put_varint(&mut forged, 1 << 40);
-            forged.extend_from_slice(&bytes[at + len..]);
-            refused += usize::from(!decodes::<T>(&forged));
-        }
+    for overwritten in &mutations.overwrites {
+        decodes::<T>(overwritten);
     }
-    refused
-}
-
-fn worker() -> WorkerId {
-    WorkerId::new(NodeId(300), 7)
-}
-
-/// One record of every family, with both arms of every `Option` and
-/// every `Location` and `LogSource` arm.
-fn records() -> Vec<ProvRecord> {
-    let w = worker();
-    let k = TaskKey::new("load-image", 42, 1000);
-    vec![
-        ProvRecord::TaskMeta(TaskMetaEvent {
-            key: k,
-            graph: GraphId(7),
-            client: ClientId(3),
-            deps: vec![TaskKey::new("a", 0, 1), TaskKey::new("π", u32::MAX, 0)],
-            submitted: Time(1_234_567_890),
-        }),
-        ProvRecord::Transition(TransitionEvent {
-            key: k,
-            graph: GraphId(2),
-            from: TaskState::NoWorker,
-            to: TaskState::Processing,
-            stimulus: Stimulus::Dispatched,
-            location: Location::Worker(w),
-            time: Time(u64::MAX),
-        }),
-        ProvRecord::Transition(TransitionEvent {
-            key: k,
-            graph: GraphId(2),
-            from: TaskState::Waiting,
-            to: TaskState::Queued,
-            stimulus: Stimulus::Queue,
-            location: Location::Scheduler,
-            time: Time(5),
-        }),
-        ProvRecord::WorkerTransition(WorkerTransitionEvent {
-            key: k,
-            graph: GraphId(1),
-            worker: w,
-            from: WorkerTaskState::Ready,
-            to: WorkerTaskState::Executing,
-            time: Time(456),
-        }),
-        ProvRecord::TaskDone(TaskDoneEvent {
-            key: k,
-            graph: GraphId(1),
-            worker: w,
-            thread: ThreadId(0x7f00_0000_1001),
-            start: Time(10),
-            stop: Time(20),
-            nbytes: 1 << 40,
-        }),
-        ProvRecord::Comm(CommEvent {
-            key: k,
-            from: w,
-            to: WorkerId::new(NodeId(0), 0),
-            nbytes: 4096,
-            start: Time(5),
-            stop: Time(6),
-        }),
-        ProvRecord::Warning(WarningEvent {
-            kind: WarningKind::GcPause,
-            worker: None,
-            time: Time(9),
-            duration: Dur(0),
-        }),
-        ProvRecord::Warning(WarningEvent {
-            kind: WarningKind::UnresponsiveEventLoop,
-            worker: Some(w),
-            time: Time(9),
-            duration: Dur(750_000_000),
-        }),
-        ProvRecord::Log(LogEntry {
-            time: Time(77),
-            level: LogLevel::Warning,
-            source: LogSource::Client(ClientId(4)),
-            message: "odd \"quoted\"\npath π".into(),
-        }),
-        ProvRecord::Log(LogEntry {
-            time: Time(78),
-            level: LogLevel::Info,
-            source: LogSource::Scheduler,
-            message: String::new(),
-        }),
-        ProvRecord::Log(LogEntry {
-            time: Time(79),
-            level: LogLevel::Error,
-            source: LogSource::Worker(w),
-            message: "x".into(),
-        }),
-        ProvRecord::Io(IoRecord {
-            host: NodeId(300),
-            worker: w,
-            thread: ThreadId(7),
-            file: FileId(12),
-            op: IoOp::Write,
-            offset: 65_536,
-            size: 4096,
-            start: Time(100),
-            stop: Time(200),
-        }),
-        ProvRecord::Proxy(ProxyEvent {
-            action: ProxyAction::Published,
-            key: k,
-            graph: GraphId(7),
-            size: 1 << 28,
-            owner: w,
-            checksum: u64::MAX,
-            generation: 0,
-            worker: None,
-            time: Time(314),
-        }),
-        ProvRecord::Proxy(ProxyEvent {
-            action: ProxyAction::Resolved,
-            key: k,
-            graph: GraphId(0),
-            size: 0,
-            owner: WorkerId::new(NodeId(0), 0),
-            checksum: 0,
-            generation: 300,
-            worker: Some(w),
-            time: Time(1),
-        }),
-    ]
-}
-
-/// `PosixCounters` keeps its map private; its wire form is that map, the
-/// way to hold an entry `record` never makes (`first_op: None`).
-fn counters_from(files: BTreeMap<FileId, FileCounters>) -> PosixCounters {
-    binfmt::decode(&binfmt::encode(&files)).unwrap()
-}
-
-/// Two logs: one with an untimed counters entry and a dropped trace, one
-/// with two files and two traced operations.
-fn log_set() -> LogSet {
-    let untimed = FileCounters { closes: 2, last_op: Some(Time(300)), ..Default::default() };
-    let first = DarshanLog {
-        header: LogHeader {
-            run: RunId(3),
-            job_id: 1001,
-            worker: worker(),
-            hostname: "nœud-07 ノード".into(),
-            start: Time(100),
-            end: Time(200),
-            dxt_truncated: true,
-            dxt_dropped: 1 << 33,
-        },
-        counters: counters_from(BTreeMap::from([(FileId(u64::MAX), untimed)])),
-        dxt: vec![],
-    };
-    let w = WorkerId::new(NodeId(1), 0);
-    let ops: Vec<IoRecord> = [(7, IoOp::Read, 4096), (1 << 40, IoOp::Write, 1 << 30)]
-        .into_iter()
-        .map(|(file, op, size)| IoRecord {
-            host: NodeId(1),
-            worker: w,
-            thread: ThreadId(42),
-            file: FileId(file),
-            op,
-            offset: 0,
-            size,
-            start: Time(100),
-            stop: Time(200),
-        })
-        .collect();
-    let mut counters = PosixCounters::new();
-    ops.iter().for_each(|op| counters.record(op));
-    let second = DarshanLog {
-        header: LogHeader {
-            run: RunId(3),
-            job_id: 0,
-            worker: w,
-            hostname: "nid0001".into(),
-            start: Time(0),
-            end: Time(1),
-            dxt_truncated: false,
-            dxt_dropped: 0,
-        },
-        counters,
-        dxt: ops,
-    };
-    LogSet::new(vec![first, second])
-}
-
-fn archive_meta() -> ArchiveMeta {
-    ArchiveMeta {
-        run: RunId(2),
-        workflow: "画像処理-étape".into(),
-        chart: ProvenanceChart {
-            hardware: HardwareInfo::polaris_like(1),
-            system: SystemInfo::synthetic(),
-            job: JobInfo {
-                job_id: 9,
-                script: "#!/bin/bash".into(),
-                queue: "debug".into(),
-                nodes_requested: 1,
-                allocated_nodes: vec![NodeId(0)],
-                submit_time: Time(0),
-                start_time: Time(1),
-                walltime_limit_s: 60,
-            },
-            wms_config: WmsConfig::default(),
-            client_code_hash: 17,
-            workflow_name: "画像処理-étape".into(),
-        },
-        darshan: log_set(),
-        wall_time: Dur(u64::MAX),
-        start_order: vec![
-            (TaskKey::new("b", 0, 1), Time(7)),
-            (TaskKey::new("a", 0, 0), Time(7)),
-            (TaskKey::new("π", u32::MAX, u32::MAX), Time(0)),
-        ],
-        steals: 3,
-    }
+    mutations.forged.iter().filter(|forged| !decodes::<T>(forged)).count()
 }
 
 #[test]
@@ -297,6 +70,9 @@ fn a_log_set_survives_hostile_bytes() {
     assert!(hostile(&LogSet::default()) > 0);
 }
 
+/// A `run-meta` document whose configuration holds a fault of every
+/// family: every truncation and overwrite is refused or re-encodes to
+/// itself.
 #[test]
 fn the_run_meta_document_survives_hostile_bytes() {
     assert!(hostile(&archive_meta()) > 0, "no forged count was refused");
@@ -428,6 +204,20 @@ fn each_min_bytes_is_the_length_of_the_smallest_encoding() {
     });
     smallest(TopicConfig { partitions: 0 });
     smallest(0u64);
+    smallest(0usize);
+    // the run configuration's layouts, as `run-meta` archives them
+    smallest(DxtConfig { max_records: 0, record_thread_ids: false });
+    smallest(ProxyConfig { enabled: false, threshold: 0, resolver_cache_bytes: 0 });
+    assert_eq!(smallest(FaultSchedule::default()), 10);
+    smallest(WorkerDeath { worker: 0, time: Time(0) });
+    smallest(FetchFault { index: 0, extra_delay: Dur(0), duplicate: false });
+    smallest(HeartbeatDrop { worker: 0, start: Time(0), stop: Time(0) });
+    smallest(MofkaStall { topic: String::new(), partition: 0, start: Time(0), stop: Time(0) });
+    smallest(InterferenceBurst { start: Time(0), stop: Time(0), factor: 0.0 });
+    smallest(StragglerFault { worker: 0, factor: 0.0, start: Time(0), stop: Time(0) });
+    smallest(HotspotFault { worker: 0, weight: 0.0 });
+    smallest(DanglingProxy { index: 0 });
+    smallest(SlowResolve { index: 0, extra_delay: Dur(0) });
     // an enum's minimum is its tag plus its smallest variant's payload
     assert_eq!(smallest(KvRecord::Delete(String::new())), 2);
     smallest(Location::Scheduler);

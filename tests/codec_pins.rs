@@ -17,15 +17,21 @@ use dtf::core::events::{
     ProxyEvent, Stimulus, TaskDoneEvent, TaskMetaEvent, TaskState, TransitionEvent, WarningEvent,
     WarningKind, WorkerTaskState, WorkerTransitionEvent,
 };
+use dtf::core::fault::{
+    DanglingProxy, FaultSchedule, FetchFault, HeartbeatDrop, HotspotFault, InterferenceBurst,
+    MofkaStall, SlowResolve, StragglerFault, WorkerDeath,
+};
 use dtf::core::ids::{ClientId, FileId, GraphId, NodeId, RunId, TaskKey, ThreadId, WorkerId};
 use dtf::core::provenance::{HardwareInfo, JobInfo, ProvenanceChart, SystemInfo, WmsConfig};
 use dtf::core::time::{Dur, Time};
 use dtf::darshan::counters::{FileCounters, PosixCounters};
 use dtf::darshan::log::{DarshanLog, LogHeader, LogSet};
+use dtf::darshan::DxtConfig;
 use dtf::mofka::TopicConfig;
-use dtf::proxystore::ProxyRef;
+use dtf::proxystore::{ProxyConfig, ProxyRef};
 use dtf::store::KvRecord;
 use dtf::wms::rundata::ArchiveMeta;
+use dtf::wms::sim::SimConfig;
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -557,10 +563,42 @@ fn topic_configs_cursors_and_kv_records_encode_to_their_pinned_bytes() {
     }
 }
 
+/// A configuration whose fault schedule holds one fault of every family.
+fn config() -> SimConfig {
+    let faults = FaultSchedule {
+        seed: 7,
+        deaths: vec![WorkerDeath { worker: 1, time: Time(2) }],
+        fetch_faults: vec![FetchFault { index: 3, extra_delay: Dur(4), duplicate: true }],
+        heartbeat_drops: vec![HeartbeatDrop { worker: 1, start: Time(5), stop: Time(6) }],
+        mofka_stalls: vec![MofkaStall {
+            topic: "t".into(),
+            partition: 2,
+            start: Time(0),
+            stop: Time(9),
+        }],
+        pfs_bursts: vec![InterferenceBurst { start: Time(0), stop: Time(3), factor: 1.5 }],
+        stragglers: vec![StragglerFault { worker: 2, factor: 1.5, start: Time(0), stop: Time(9) }],
+        hotspot: Some(HotspotFault { worker: 1, weight: 1.5 }),
+        dangling_proxies: vec![DanglingProxy { index: 2 }],
+        slow_resolves: vec![SlowResolve { index: 0, extra_delay: Dur(7) }],
+    };
+    SimConfig {
+        campaign_seed: 300,
+        run: RunId(300),
+        wms: chart().wms_config,
+        dxt: DxtConfig { max_records: 4, record_thread_ids: true },
+        mofka_batch: 64,
+        online_darshan: true,
+        faults,
+        proxy: ProxyConfig { enabled: true, threshold: 300, resolver_cache_bytes: 0 },
+        ..SimConfig::default()
+    }
+}
+
 #[test]
 fn the_run_meta_document_and_its_darshan_logs_encode_to_their_pinned_bytes() {
     let meta = ArchiveMeta {
-        run: RunId(300),
+        config: config(),
         workflow: "wf".into(),
         chart: chart(),
         darshan: two_log_set(),
@@ -568,10 +606,27 @@ fn the_run_meta_document_and_its_darshan_logs_encode_to_their_pinned_bytes() {
         start_order: vec![(key(), Time(5)), (TaskKey::new("a", 0, 0), Time(5))],
         steals: 2,
     };
-    let mut segments = vec![
-        ("magic, version", "4454464d45544104".to_string()),
-        ("run, workflow", "ac02027766".to_string()),
-    ];
+    let mut segments: Vec<(&str, String)> = [
+        ("magic, version", "4454464d45544105"),
+        ("campaign seed, run", "ac02ac02"),
+        ("dxt: 4 records, thread ids", "0401"),
+        ("online darshan", "01"),
+        ("proxy: on, 300 B, 0 B", "01ac0200"),
+        ("faults: seed", "07"),
+        ("deaths", "010102"),
+        ("fetch faults", "01030401"),
+        ("heartbeat drops", "01010506"),
+        ("mofka stalls", "010174020009"),
+        ("pfs bursts", "010003000000000000f83f"),
+        ("stragglers", "0102000000000000f83f0009"),
+        ("hotspot", "0101000000000000f83f"),
+        ("dangling proxies", "0102"),
+        ("slow resolves", "010007"),
+        ("workflow", "027766"),
+    ]
+    .iter()
+    .map(|(what, hex)| (*what, hex.to_string()))
+    .collect();
     segments.extend(CHART.iter().map(|(what, hex)| (*what, hex.to_string())));
     segments.extend([
         ("log count", "02".to_string()),

@@ -114,17 +114,9 @@ fn campaign_summaries_are_reproducible() {
 /// characterization data.
 #[test]
 fn virtual_time_export_is_byte_identical_with_concurrent_plane_running() {
+    use dtf::core::fnv64;
     use dtf::mofka::{MofkaService, ProducerConfig, TopicConfig};
     use dtf::perfrecup::export::export_run;
-
-    fn fnv64(bytes: &[u8]) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
-    }
 
     // a service churning on two producer threads for the whole test
     let noisy = MofkaService::new();

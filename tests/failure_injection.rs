@@ -101,58 +101,43 @@ fn worker_death_transitions_carry_worker_lost_stimulus() {
     assert!(lost > 0, "WorkerLost transitions recorded");
 }
 
+/// Every simulated run reads through a PFS under background load
+/// (`LoadProcess::pfs_default`, which `SimCluster::new` always builds), so
+/// the variability signature is checked on the model the runs use, against
+/// the same PFS with no load: seeded 12-run sets per arm, each run seeded
+/// the way the simulator seeds it, and load must raise not just the mean
+/// I/O time but its run-to-run coefficient of variation — the paper's
+/// variability signature — and every run must be deterministic given
+/// (seed, run, arm).
+///
+/// The workload gives the load model something to bite on: 8 MiB reads
+/// are bandwidth-bound (the windowed load factor scales the bandwidth
+/// term, not the fixed latency), and 320 reads two seconds apart stretch
+/// each run across many 5 s load windows so bursts can land.
 #[test]
 fn interference_increases_io_time_variability() {
-    // Seeded 8-run campaigns per arm: interference must raise not just the
-    // mean I/O time but its run-to-run coefficient of variation — the
-    // paper's variability signature — and every run of a pair must be
-    // deterministic given (seed, run, arm).
-    // The workload must give the interference model something to bite on:
-    // 8 MiB reads are bandwidth-bound (the windowed load factor scales the
-    // bandwidth term, not the fixed latency), and 320 two-second tasks
-    // stretch each run across several 5 s interference windows so bursts
-    // can land. Compute jitter is off so the quiet arm isolates the I/O
-    // path's own run-to-run noise.
-    let io_workflow = || {
-        let mut b = GraphBuilder::new(GraphId(0));
-        let tok = b.new_token();
-        for i in 0..320u32 {
-            let action = SimAction {
-                compute: Dur::from_secs_f64(2.0),
-                io: vec![IoCall::read(
-                    dtf::core::ids::FileId(0),
-                    (i as u64 % 16) * (8 << 20),
-                    8 << 20,
-                )],
-                output_nbytes: 1 << 16,
-                stall_rate: 0.0,
-            };
-            b.add_sim("work", tok, i, vec![], action);
-        }
-        SimWorkflow {
-            name: "interference-test".into(),
-            graphs: vec![b.build(&HashSet::new()).unwrap()],
-            submit: SubmitPolicy::AllAtOnce,
-            startup: Dur::from_secs_f64(1.0),
-            inter_graph: Dur::ZERO,
-            shutdown: Dur::ZERO,
-            dataset: vec![("/data".into(), 1 << 30, 4)],
-        }
-    };
-    let io_times = |interference: bool| -> Vec<f64> {
-        (0..12)
-            .map(|run| {
-                let cfg = SimConfig {
-                    campaign_seed: 5,
-                    run: RunId(run),
-                    interference,
-                    compute_jitter_sigma: 0.0,
-                    ..Default::default()
-                };
-                let data = SimCluster::new(cfg).unwrap().run(io_workflow()).unwrap();
-                data.io_time().as_secs_f64()
+    use dtf::core::rngx::RunRng;
+    use dtf::platform::{LoadProcess, Pfs, PfsConfig};
+    use rand::Rng;
+
+    let io_time = |loaded: bool, run: u32| -> f64 {
+        let rr = RunRng::new(5, RunId(run));
+        let seed = rr.stream("interference").gen::<u64>();
+        let load = if loaded { LoadProcess::pfs_default(seed) } else { LoadProcess::none(seed) };
+        let mut pfs = Pfs::new(PfsConfig::default(), load);
+        let file = pfs.create("/data", 1 << 30, 4);
+        let mut rng = rr.stream("io");
+        (0..320u64)
+            .map(|i| {
+                let at = Time::from_secs_f64(1.0 + 2.0 * i as f64);
+                pfs.read(file, (i % 16) * (8 << 20), 8 << 20, at, &mut rng).unwrap().as_secs_f64()
             })
-            .collect()
+            .sum()
+    };
+    let io_times = |loaded: bool| -> Vec<f64> {
+        let times: Vec<f64> = (0..12).map(|run| io_time(loaded, run)).collect();
+        assert_eq!(times[3], io_time(loaded, 3), "a run is a function of (seed, run, arm)");
+        times
     };
     let quiet = dtf::core::stats::Summary::of(&io_times(false));
     let noisy = dtf::core::stats::Summary::of(&io_times(true));
@@ -196,15 +181,16 @@ fn dxt_exhaustion_truncates_but_counters_stay_complete() {
 
 #[test]
 fn death_of_every_worker_but_one_still_completes() {
-    // harsher scenario: on a single-node cluster of 4 workers, kill 3 in
-    // sequence; the last one keeps going
-    let cfg = SimConfig {
-        campaign_seed: 7,
-        run: RunId(0),
-        worker_nodes: 1,
-        faults: deaths(&[(1, 2.0), (2, 5.0), (3, 8.0)]),
-        ..Default::default()
-    };
+    // harsher scenario: of the cluster's 8 workers (2 nodes of 4), kill 7
+    // in sequence; the last one keeps going
+    let kills: Vec<(u32, f64)> = (1..8).map(|w| (w, 1.0 + w as f64)).collect();
+    let cfg =
+        SimConfig { campaign_seed: 7, run: RunId(0), faults: deaths(&kills), ..Default::default() };
     let data = SimCluster::new(cfg).unwrap().run(long_workflow(48, 2.0, false)).unwrap();
     assert_eq!(data.distinct_tasks(), 96);
+    let after_last_kill =
+        |d: &&dtf::core::events::TaskDoneEvent| d.start > Time::from_secs_f64(8.0);
+    let survivors: HashSet<WorkerId> =
+        data.task_done.iter().filter(after_last_kill).map(|d| d.worker).collect();
+    assert_eq!(survivors.len(), 1, "only the one survivor starts work after the last kill");
 }

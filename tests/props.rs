@@ -337,7 +337,6 @@ proptest! {
             run: RunId(0),
             faults,
             invariant_checks: true,
-            compute_jitter_sigma: 0.0,
             ..Default::default()
         };
         // invariant_checks makes the run itself fail on the first live

@@ -15,6 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use proptest::prelude::*;
 
 use dtf::core::events::ProxyAction;
+use dtf::core::fnv64;
 use dtf::core::ids::{GraphId, RunId, TaskKey};
 use dtf::core::time::Dur;
 use dtf::perfrecup::export::export_run;
@@ -69,15 +70,6 @@ fn workflow_of(graph: TaskGraph) -> SimWorkflow {
 
 fn proxy_on() -> ProxyConfig {
     ProxyConfig { enabled: true, threshold: 256 << 10, resolver_cache_bytes: 64 << 20 }
-}
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Export the run and fingerprint the bundle file-by-file — the same

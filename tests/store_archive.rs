@@ -21,25 +21,21 @@
 
 use std::path::{Path, PathBuf};
 
-use dtf::chaos::{copy_store, recovery_oracle, CrashFault, CrashKind, CrashTarget};
-use dtf::core::ids::RunId;
+use std::collections::HashSet;
+
+use dtf::chaos::{
+    copy_store, generate, recovery_oracle, schedule_seed, CrashFault, CrashKind, CrashTarget,
+};
+use dtf::core::fnv64;
+use dtf::core::ids::{GraphId, RunId};
 use dtf::core::rngx::RunRng;
+use dtf::core::time::Dur;
 use dtf::mofka::MofkaService;
 use dtf::perfrecup::archive::ArchivedRun;
 use dtf::perfrecup::export::export_run;
-use dtf::wms::sim::{SimCluster, SimConfig};
-use dtf::wms::RunData;
-use dtf::workflows::Workload;
-
-/// FNV-1a 64-bit (same change-detector as tests/wire_format.rs).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
+use dtf::wms::sim::{SimCluster, SimConfig, SimWorkflow, SubmitPolicy};
+use dtf::wms::{GraphBuilder, RunData, SimAction};
+use dtf::workflows::{replay, Workload};
 
 fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
@@ -77,23 +73,25 @@ fn scratch(label: &str) -> PathBuf {
 /// campaign seed 13, run 0, ImageProcessing, online Darshan — but with
 /// persistence pointed at `store`.
 fn persistent_fixed_seed_run(store: &Path) -> RunData {
-    persistent_run(Workload::ImageProcessing, store, false, true)
+    persistent_run(Workload::ImageProcessing, store, features(13, false, true))
 }
 
-/// Seed 13, run 0 of `workload`, persisted to `store`; `proxy` turns the
-/// out-of-band plane on and `online_darshan` the online Darshan stream
-/// (both on is what the benchmark's `campaign_durable` persists).
-fn persistent_run(workload: Workload, store: &Path, proxy: bool, online_darshan: bool) -> RunData {
-    let mut cfg = SimConfig {
-        campaign_seed: 13,
-        run: RunId(0),
-        online_darshan,
-        persist_dir: Some(store.to_string_lossy().into_owned()),
-        ..Default::default()
-    };
+/// Run 0 of `seed`; `proxy` turns the out-of-band plane on and
+/// `online_darshan` the online Darshan stream (both on is what the
+/// benchmark's `campaign_durable` persists).
+fn features(seed: u64, proxy: bool, online_darshan: bool) -> SimConfig {
+    let mut cfg =
+        SimConfig { campaign_seed: seed, run: RunId(0), online_darshan, ..Default::default() };
     cfg.proxy.enabled = proxy;
+    cfg
+}
+
+/// `workload` on `cfg`, adjusted for the workload and persisted to
+/// `store`.
+fn persistent_run(workload: Workload, store: &Path, cfg: SimConfig) -> RunData {
+    let mut cfg = SimConfig { persist_dir: Some(store.to_string_lossy().into_owned()), ..cfg };
     workload.adjust(&mut cfg);
-    let rr = RunRng::new(13, RunId(0));
+    let rr = RunRng::new(cfg.campaign_seed, cfg.run);
     SimCluster::new(cfg).unwrap().run(workload.generate(&rr)).unwrap()
 }
 
@@ -161,7 +159,7 @@ fn archive_reopen_reconstructs_the_export_byte_identically() {
     let mut proxy_events = 0;
     for workload in Workload::ALL {
         let store = scratch("reopen");
-        let live = persistent_run(workload, &store, true, true);
+        let live = persistent_run(workload, &store, features(13, true, true));
         proxy_events += live.proxies.len();
         let live_print = export_fingerprint(&live, &scratch("reopen-live"));
 
@@ -185,6 +183,99 @@ fn archive_reopen_reconstructs_the_export_byte_identically() {
         std::fs::remove_dir_all(&store).unwrap();
     }
     assert!(proxy_events > 0, "the proxy plane engaged");
+}
+
+/// Gate 4: the archive is the run's specification. Every cell —
+/// workload × {seed 13 run 0, seed 42 run 1} × {no faults, a generated
+/// schedule} × {proxy plane and online Darshan both off, both on}, and
+/// one run with a producer batch of one — is persisted, then re-run
+/// through [`replay`] from its archive alone, and every file of the
+/// replay's export bundle is the archive's, as are its proxy lifecycle
+/// and online I/O records, which the bundle does not hold. A setting the
+/// archive did not hold would replay at its default and move a file or a
+/// record. The batch is such a setting on purpose: its cell replays at
+/// the default 64 to the same bytes, which is why `run-meta` leaves it
+/// out.
+#[test]
+fn every_archived_run_replays_to_its_own_export_bundle() {
+    let mut cells = Vec::new();
+    for workload in Workload::ALL {
+        for (seed, run) in [(13, 0), (42, 1)] {
+            for faulted in [false, true] {
+                for on in [false, true] {
+                    let mut cfg = SimConfig { run: RunId(run), ..features(seed, on, on) };
+                    if faulted {
+                        cfg.faults = generate(schedule_seed(seed, 0));
+                    }
+                    cells.push((workload, cfg));
+                }
+            }
+        }
+    }
+    cells.push((Workload::Xgboost, SimConfig { mofka_batch: 1, ..features(42, true, true) }));
+    for (workload, cfg) in cells {
+        let cell = format!(
+            "{workload:?} seed {} run {} faults {} proxy {} online {} batch {}",
+            cfg.campaign_seed,
+            cfg.run,
+            cfg.faults.len(),
+            cfg.proxy.enabled,
+            cfg.online_darshan,
+            cfg.mofka_batch
+        );
+        let store = scratch("replay");
+        persistent_run(workload, &store, cfg);
+        let archived = ArchivedRun::open(&store).unwrap().data;
+        let replayed = replay(&store).unwrap_or_else(|e| panic!("{cell}: {e}"));
+        // the bundle holds neither stream: compare them as records
+        assert_eq!(replayed.proxies, archived.proxies, "{cell}: other proxy records");
+        assert_eq!(replayed.online_io, archived.online_io, "{cell}: other online I/O records");
+        let archived = export_fingerprint(&archived, &scratch("replay-archived"));
+        let replayed = export_fingerprint(&replayed, &scratch("replay-replayed"));
+        assert_eq!(replayed, archived, "{cell}: the replay exports other bytes");
+        std::fs::remove_dir_all(&store).unwrap();
+    }
+}
+
+/// A hand-built workflow persisted as `name`: eight independent tasks.
+fn persist_hand_built(name: &str, store: &Path) {
+    let mut b = GraphBuilder::new(GraphId(0));
+    let tok = b.new_token();
+    for i in 0..8 {
+        b.add_sim("hand", tok, i, vec![], SimAction::compute_only(Dur::from_secs_f64(0.5), 64));
+    }
+    let workflow = SimWorkflow {
+        name: name.into(),
+        graphs: vec![b.build(&HashSet::new()).unwrap()],
+        submit: SubmitPolicy::AllAtOnce,
+        startup: Dur::from_secs_f64(1.0),
+        inter_graph: Dur::ZERO,
+        shutdown: Dur::ZERO,
+        dataset: vec![],
+    };
+    let cfg = SimConfig {
+        persist_dir: Some(store.to_string_lossy().into_owned()),
+        ..features(13, false, false)
+    };
+    SimCluster::new(cfg).unwrap().run(workflow).unwrap();
+}
+
+/// The replay refuses what it cannot regenerate, by name and before it
+/// simulates: a workflow that is not a paper workload, and a workflow
+/// named after one whose graphs its generator does not build.
+#[test]
+fn replay_refuses_an_unknown_workflow_and_a_drifted_generator() {
+    let store = scratch("replay-unknown");
+    persist_hand_built("hand-built", &store);
+    let err = replay(&store).unwrap_err().to_string();
+    assert!(err.contains("\"hand-built\" is not a paper workload"), "{err}");
+    std::fs::remove_dir_all(&store).unwrap();
+
+    let store = scratch("replay-drifted");
+    persist_hand_built("ImageProcessing", &store);
+    let err = replay(&store).unwrap_err().to_string();
+    assert!(err.contains("generator drifted: ImageProcessing regenerates as"), "{err}");
+    std::fs::remove_dir_all(&store).unwrap();
 }
 
 /// Gate 3: a fixed tail corruption of the topic log recovers exactly
@@ -243,7 +334,7 @@ fn persisted_run_keeps_the_event_stream_out_of_yokan() {
         // the proxy plane and online Darshan both off, then both on
         for on in [false, true] {
             let store = scratch("kv-size");
-            let data = persistent_run(workload, &store, on, on);
+            let data = persistent_run(workload, &store, features(13, on, on));
             assert!(data.transitions.len() > 10_000, "a run big enough to tell a log from a map");
             let (yokan, report) = dtf::mofka::yokan::Yokan::replay(&store.join("yokan")).unwrap();
             assert!(yokan.len() < 200, "{workload:?}/{on}: yokan holds {} keys", yokan.len());

@@ -20,25 +20,11 @@ use dtf::chaos::{generate, run_faults, schedule_seed, transition_log};
 use dtf::core::events::TaskState;
 use dtf::core::ids::RunId;
 use dtf::core::rngx::RunRng;
+use dtf::core::{fnv64, fnv64_extend};
 use dtf::perfrecup::export::export_run;
 use dtf::wms::sim::{SimCluster, SimConfig};
 use dtf::wms::RunData;
 use dtf::workflows::Workload;
-
-/// FNV-1a 64-bit: a stable, dependency-free content fingerprint. This is
-/// a change detector, not a cryptographic commitment.
-fn fnv64(bytes: &[u8]) -> u64 {
-    fnv64_extend(0xcbf29ce484222325, bytes)
-}
-
-/// Continue an FNV-1a 64-bit hash `h` over `bytes`.
-fn fnv64_extend(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
