@@ -134,14 +134,23 @@ fn archived_chaos_schedule_replays_identically() {
 }
 
 /// Chaos campaign 20240806's schedules 0..200, each run once: their
-/// canonical transition logs in index order, and how many worker deaths,
+/// canonical transition logs in index order, the FNV-64 and length of
+/// their start orders in index order, and how many worker deaths,
 /// duplicated fetches and recomputes they hold. Run once per test binary;
-/// both campaign pins read it.
+/// the three campaign pins read it.
 struct Campaign {
     logs: Vec<String>,
+    start_orders: (u64, usize),
     deaths: usize,
     duplicates: usize,
     recomputes: usize,
+}
+
+/// Extend the `(FNV-64, entries)` fingerprint `(h, n)` with a run's start
+/// order, one `key ns` line per entry.
+fn start_order_fold((h, n): (u64, usize), data: &RunData) -> (u64, usize) {
+    let text: String = data.start_order.iter().map(|(k, t)| format!("{k} {}\n", t.0)).collect();
+    (fnv64_extend(h, text.as_bytes()), n + data.start_order.len())
 }
 
 const CAMPAIGN_SEED: u64 = 20240806;
@@ -149,7 +158,13 @@ const CAMPAIGN_SEED: u64 = 20240806;
 fn campaign() -> &'static Campaign {
     static CAMPAIGN: std::sync::OnceLock<Campaign> = std::sync::OnceLock::new();
     CAMPAIGN.get_or_init(|| {
-        let mut c = Campaign { logs: Vec::new(), deaths: 0, duplicates: 0, recomputes: 0 };
+        let mut c = Campaign {
+            logs: Vec::new(),
+            start_orders: (fnv64(&[]), 0),
+            deaths: 0,
+            duplicates: 0,
+            recomputes: 0,
+        };
         for index in 0..200 {
             let seed = schedule_seed(CAMPAIGN_SEED, index);
             let faults = generate(seed);
@@ -162,6 +177,7 @@ fn campaign() -> &'static Campaign {
                 .filter(|t| t.from == TaskState::Memory && t.to == TaskState::Released)
                 .count();
             c.logs.push(transition_log(&data));
+            c.start_orders = start_order_fold(c.start_orders, &data);
         }
         c
     })
@@ -198,4 +214,23 @@ fn chaos_campaign_transition_rows_are_pinned() {
         h = lines.iter().fold(h, |h, line| fnv64_extend(h, line.as_bytes()));
     }
     check_golden("chaos_campaign_rows_fnv64.txt", &format!("{h:016x} {rows}\n"));
+}
+
+/// The order tasks began executing in: the 200 campaign runs above, then
+/// run 0 of each paper workload at campaign seed 42. One `label FNV-64
+/// entries` line each, over `key ns` lines in stored order, so a moved
+/// start, a moved instant or a reordered tie all show.
+#[test]
+fn start_orders_are_pinned() {
+    let (h, n) = campaign().start_orders;
+    let mut pin = format!("chaos-{CAMPAIGN_SEED}-0..200 {h:016x} {n}\n");
+    for workload in Workload::ALL {
+        let mut cfg = SimConfig { campaign_seed: 42, run: RunId(0), ..Default::default() };
+        workload.adjust(&mut cfg);
+        let rr = RunRng::new(42, RunId(0));
+        let data = SimCluster::new(cfg).unwrap().run(workload.generate(&rr)).unwrap();
+        let (h, n) = start_order_fold((fnv64(&[]), 0), &data);
+        pin.push_str(&format!("{}-42-0 {h:016x} {n}\n", workload.name()));
+    }
+    check_golden("start_order_fnv64.txt", &pin);
 }
