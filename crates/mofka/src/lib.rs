@@ -14,8 +14,10 @@
 //!   from offset zero after the run).
 //!
 //! Like Mofka, the service is assembled from reusable micro-services:
-//! [`yokan`] (key/value), [`warabi`] (blob store), [`bedrock`] (deployment
-//! and bootstrapping), and [`ssg`] (group membership and fault detection).
+//! [`yokan`] (key/value), [`warabi`] (blob store) and [`bedrock`]
+//! (deployment and bootstrapping). Mofka's SSG group membership has no
+//! analog: `dtf` runs no Mofka server group, and the simulator detects a
+//! dead Dask worker itself, from its heartbeats.
 //! Event payloads live in a Warabi blob region and topic configs and group
 //! cursors in Yokan, mirroring Mofka's composition; a durable service
 //! persists the partitions themselves as one segmented log ([`topic`]).
@@ -34,7 +36,6 @@ pub mod event;
 pub mod feed;
 pub mod producer;
 pub mod service;
-pub mod ssg;
 pub mod topic;
 pub mod warabi;
 pub mod yokan;

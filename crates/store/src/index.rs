@@ -154,7 +154,7 @@ impl SegmentIndex {
         let idx = Self::decode(&data)?;
         let seg_len = fs::metadata(seg).ok()?.len();
         let expected_entries = (expect_records as usize).div_ceil(idx.stride.max(1) as usize);
-        (idx.seqno == parse_seqno(seg)
+        (Some(idx.seqno) == parse_seqno(seg)
             && idx.first_record == expect_first
             && idx.records == expect_records
             && idx.seg_bytes == seg_len
@@ -228,7 +228,7 @@ impl LogReader {
         for (i, path) in paths.iter().enumerate() {
             let head = read_header(path);
             let ok = head.is_some_and(|(seqno, first)| {
-                seqno == parse_seqno(path)
+                Some(seqno) == parse_seqno(path)
                     && prev.map(|(ps, pf)| seqno == ps + 1 && first >= pf).unwrap_or(first == 0)
             });
             let Some((seqno, first)) = head.filter(|_| ok) else {

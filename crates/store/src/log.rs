@@ -182,17 +182,24 @@ fn header_bytes(seqno: u64, first_record: u64) -> [u8; HEADER_LEN] {
 /// still owns the chain checks (seqno matches the filename and the
 /// previous segment, first_record matches the running count).
 pub(crate) fn header_fields(data: &[u8]) -> Option<(u64, u64)> {
-    if data.len() < HEADER_LEN
-        || &data[..7] != MAGIC_PREFIX
-        || data[7] != FORMAT_BINARY
-        || u32::from_le_bytes(data[24..28].try_into().unwrap()) != crc32(&data[..24])
-    {
+    let (fields, _) = data.split_first_chunk::<24>()?;
+    let crc = le_u32(data, 24)?;
+    let (magic, rest) = fields.split_first_chunk::<7>()?;
+    let (format, rest) = rest.split_first()?;
+    if magic != MAGIC_PREFIX || *format != FORMAT_BINARY || crc != crc32(fields) {
         return None;
     }
-    Some((
-        u64::from_le_bytes(data[8..16].try_into().unwrap()),
-        u64::from_le_bytes(data[16..24].try_into().unwrap()),
-    ))
+    Some((le_u64(rest, 0)?, le_u64(rest, 8)?))
+}
+
+/// The little-endian `u32` at `at` in `data`, when `data` holds one there.
+fn le_u32(data: &[u8], at: usize) -> Option<u32> {
+    data.get(at..)?.first_chunk().map(|b| u32::from_le_bytes(*b))
+}
+
+/// The little-endian `u64` at `at` in `data`, when `data` holds one there.
+fn le_u64(data: &[u8], at: usize) -> Option<u64> {
+    data.get(at..)?.first_chunk().map(|b| u64::from_le_bytes(*b))
 }
 
 /// The payload length of the frame at `off` in `data`, when its length
@@ -203,7 +210,7 @@ pub(crate) fn header_fields(data: &[u8]) -> Option<(u64, u64)> {
 /// and a zeroed frame (length 0, `crc32("") == 0`) would otherwise verify.
 pub(crate) fn frame_len(data: &[u8], off: usize) -> Option<usize> {
     let head = data.get(off..off.checked_add(FRAME_OVERHEAD)?)?;
-    let len = u32::from_le_bytes(head[..4].try_into().expect("a 4-byte slice")) as usize;
+    let len = le_u32(head, 0)? as usize;
     (len != 0 && len <= MAX_RECORD_BYTES && len <= data.len() - off - FRAME_OVERHEAD).then_some(len)
 }
 
@@ -217,8 +224,9 @@ pub(crate) fn frame_len(data: &[u8], off: usize) -> Option<usize> {
 pub(crate) fn scan_frames(data: &[u8], mut f: impl FnMut(usize, usize)) -> usize {
     let mut off = HEADER_LEN;
     while let Some(len) = frame_len(data, off) {
-        let crc = u32::from_le_bytes(data[off + 4..off + 8].try_into().expect("a 4-byte slice"));
-        if crc32(&data[off + FRAME_OVERHEAD..off + FRAME_OVERHEAD + len]) != crc {
+        // `frame_len` checked that the frame's head and payload are there
+        let crc = le_u32(data, off + 4);
+        if crc != Some(crc32(&data[off + FRAME_OVERHEAD..off + FRAME_OVERHEAD + len])) {
             break;
         }
         f(off, len);
@@ -268,13 +276,14 @@ pub fn segment_paths(dir: &Path) -> Result<Vec<PathBuf>> {
     Ok(found.into_iter().map(|(_, p)| p).collect())
 }
 
-pub(crate) fn parse_seqno(path: &Path) -> u64 {
+/// The sequence number a segment file's name spells, `None` when the
+/// name is not a segment's. Every path [`segment_paths`] yields has one.
+pub(crate) fn parse_seqno(path: &Path) -> Option<u64> {
     path.file_name()
         .and_then(|n| n.to_str())
         .and_then(|n| n.strip_prefix("seg-"))
         .and_then(|n| n.strip_suffix(".dtl"))
         .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-        .expect("segment_paths yields well-formed names")
 }
 
 impl SegmentedLog {
@@ -303,21 +312,18 @@ impl SegmentedLog {
         let mut prev_seqno: Option<u64> = None;
 
         for (i, path) in paths.iter().enumerate() {
-            let seqno = parse_seqno(path);
             // One read and one allocation per segment: recovered records
             // are zero-copy slices into this buffer.
             let data = Bytes::from(fs::read(path).map_err(|e| io_err(path, e))?);
-            let header_ok = header_fields(&data)
-                .map(|(s, first)| {
-                    s == seqno
-                        && first == records.len() as u64
-                        && prev_seqno.map(|p| seqno == p + 1).unwrap_or(true)
-                })
-                .unwrap_or(false);
-            if !header_ok {
+            let header = header_fields(&data).filter(|&(seqno, first)| {
+                Some(seqno) == parse_seqno(path)
+                    && first == records.len() as u64
+                    && prev_seqno.map(|p| seqno == p + 1).unwrap_or(true)
+            });
+            let Some((seqno, _)) = header else {
                 drop_from = Some(i);
                 break;
-            }
+            };
             prev_seqno = Some(seqno);
             report.segments += 1;
             seg_first = records.len() as u64;

@@ -38,7 +38,7 @@ use dtf_core::binfmt::{self, Reader, Wire};
 use dtf_core::error::DtfError;
 use dtf_core::events::{
     CommEvent, IoRecord, LogEntry, ProvEvent, ProxyEvent, TaskDoneEvent, TaskMetaEvent,
-    TransitionEvent, WarningEvent, WorkerTransitionEvent,
+    TransitionEvent, WarningEvent, WorkerTaskState, WorkerTransitionEvent,
 };
 use dtf_core::fault::FaultSchedule;
 use dtf_core::ids::{RunId, TaskKey};
@@ -58,7 +58,7 @@ pub const ARCHIVE_META_KEY: &str = "run-meta";
 /// First bytes of an encoded [`ArchiveMeta`]: magic, then the version
 /// (DESIGN.md §13 says what the refused versions held).
 const META_MAGIC: &[u8; 7] = b"DTFMETA";
-const META_VERSION: u8 = 5;
+const META_VERSION: u8 = 6;
 
 /// The consumer group prefix of the drain that ends every simulated run.
 pub(crate) const ANALYSIS_GROUP: &str = "analysis";
@@ -77,7 +77,6 @@ pub struct ArchiveMeta {
     pub chart: ProvenanceChart,
     pub darshan: LogSet,
     pub wall_time: Dur,
-    pub start_order: Vec<(TaskKey, Time)>,
     pub steals: u64,
 }
 
@@ -122,14 +121,14 @@ impl ArchiveMeta {
 /// ```text
 /// "DTFMETA" version:u8
 ///   campaign_seed run dxt online_darshan proxy faults
-///   workflow chart darshan wall_time start_order steals
+///   workflow chart darshan wall_time steals
 /// ```
 ///
 /// Every field is its [`Wire`] form: the first six are the run's
 /// [`SimConfig`], whose `wms` is the chart's `wms_config`; `chart` is the
-/// `ProvenanceChart`'s declared layout, `darshan` the `LogSet`'s, and
-/// `start_order` keeps stored order, so same-instant ties come back as
-/// they went in.
+/// `ProvenanceChart`'s declared layout and `darshan` the `LogSet`'s. The
+/// start order is not archived: the drain derives it from the worker
+/// transitions the topic log holds.
 impl Wire for ArchiveMeta {
     /// Magic, version and a byte for each field but the config's three
     /// structs and the chart, whose minimums are their own.
@@ -155,7 +154,6 @@ impl Wire for ArchiveMeta {
         self.chart.put(out);
         self.darshan.put(out);
         self.wall_time.put(out);
-        self.start_order.put(out);
         self.steals.put(out);
     }
 
@@ -191,7 +189,6 @@ impl Wire for ArchiveMeta {
             chart,
             darshan: Wire::get(r)?,
             wall_time: Wire::get(r)?,
-            start_order: Wire::get(r)?,
             steals: Wire::get(r)?,
         })
     }
@@ -219,10 +216,23 @@ pub struct RunData {
     pub online_io: Vec<IoRecord>,
     /// End-to-end wall time of the workflow (incl. coordination).
     pub wall_time: Dur,
-    /// Order in which tasks began executing.
+    /// Order in which tasks began executing: each `ready → executing`
+    /// worker transition's key and time, in drained order.
     pub start_order: Vec<(TaskKey, Time)>,
     /// Number of work-stealing moves during the run.
     pub steals: u64,
+}
+
+/// The start order a run's drained worker transitions hold: each
+/// transition into `executing` as `(key, time)`, in their order. A task
+/// starts exactly when its worker moves it `ready → executing`, so this is
+/// the order the scheduler started tasks in, ties included.
+pub(crate) fn started(worker_transitions: &[WorkerTransitionEvent]) -> Vec<(TaskKey, Time)> {
+    worker_transitions
+        .iter()
+        .filter(|w| w.to == WorkerTaskState::Executing)
+        .map(|w| (w.key, w.time))
+        .collect()
 }
 
 impl RunData {
@@ -230,6 +240,9 @@ impl RunData {
     /// `"analysis-<run>"`) into typed event vectors, sorted by time. A
     /// simulated run drains through the same path with its whole
     /// [`ArchiveMeta`]; this form is for services filled by hand.
+    ///
+    /// `_start_order` is ignored: the start order is derived from the
+    /// drained worker transitions, as for every drain.
     #[allow(clippy::too_many_arguments)] // one parameter per fused data source
     pub fn drain_from_mofka(
         svc: &MofkaService,
@@ -238,11 +251,11 @@ impl RunData {
         chart: ProvenanceChart,
         darshan: LogSet,
         wall_time: Dur,
-        start_order: Vec<(TaskKey, Time)>,
+        _start_order: Vec<(TaskKey, Time)>,
         steals: u64,
     ) -> dtf_core::Result<Self> {
         let config = SimConfig { run, ..SimConfig::default() };
-        let meta = ArchiveMeta { config, workflow, chart, darshan, wall_time, start_order, steals };
+        let meta = ArchiveMeta { config, workflow, chart, darshan, wall_time, steals };
         Self::drain(svc, ANALYSIS_GROUP, meta)
     }
 
@@ -266,8 +279,7 @@ impl RunData {
         group: &str,
         archive: ArchiveMeta,
     ) -> dtf_core::Result<Self> {
-        let ArchiveMeta { config, workflow, chart, darshan, wall_time, start_order, steals } =
-            archive;
+        let ArchiveMeta { config, workflow, chart, darshan, wall_time, steals } = archive;
         let run = config.run;
         let group = &format!("{group}-{run}");
         /// Every event of `T`'s topic, sorted on `(time(e), seq)`.
@@ -304,6 +316,7 @@ impl RunData {
         let meta = family(svc, group, |e: &TaskMetaEvent| e.submitted)?;
         let transitions = family(svc, group, |e: &TransitionEvent| e.time)?;
         let worker_transitions = family(svc, group, |e: &WorkerTransitionEvent| e.time)?;
+        let start_order = started(&worker_transitions);
         let task_done = family(svc, group, |e: &TaskDoneEvent| e.stop)?;
         let comms = family(svc, group, |e: &CommEvent| e.start)?;
         let warnings = family(svc, group, |e: &WarningEvent| e.time)?;

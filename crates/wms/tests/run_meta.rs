@@ -16,7 +16,7 @@ use dtf_core::fault::{
     DanglingProxy, FaultSchedule, FetchFault, HeartbeatDrop, HotspotFault, InterferenceBurst,
     MofkaStall, SlowResolve, StragglerFault, WorkerDeath,
 };
-use dtf_core::ids::{FileId, NodeId, RunId, TaskKey, ThreadId, WorkerId};
+use dtf_core::ids::{FileId, NodeId, RunId, ThreadId, WorkerId};
 use dtf_core::provenance::{HardwareInfo, JobInfo, ProvenanceChart, SystemInfo, WmsConfig};
 use dtf_core::time::{Dur, Time};
 use dtf_darshan::counters::{FileCounters, PosixCounters};
@@ -203,33 +203,18 @@ fn arbitrary_meta(seed: u64) -> ArchiveMeta {
     let chart = chart(&mut rng, &workflow);
     let config = config(&mut rng, run, &chart);
     let logs = (0..rng.gen_range(0..4)).map(|_| darshan_log(&mut rng, run)).collect();
-    // a few instants shared by many tasks: same-instant ties, in an order
-    // no sort would reproduce
-    let instants: Vec<u64> = (0..rng.gen_range(1..4)).map(|_| wide(&mut rng)).collect();
-    let start_order = (0..rng.gen_range(0..40))
-        .map(|_| {
-            let key = TaskKey::new(
-                NAMES[rng.gen_range(0..NAMES.len())],
-                rng.gen::<u32>() >> rng.gen_range(0..32),
-                rng.gen::<u32>() >> rng.gen_range(0..32),
-            );
-            (key, Time(instants[rng.gen_range(0..instants.len())]))
-        })
-        .collect();
     ArchiveMeta {
         config,
         workflow,
         chart,
         darshan: LogSet::new(logs),
         wall_time: Dur(wide(&mut rng)),
-        start_order,
         steals: wide(&mut rng),
     }
 }
 
 /// One document holding every edge the format has to carry: an empty log,
-/// a truncated trace, a file entry with no timestamps, non-ASCII text, and
-/// ties in the start order.
+/// a truncated trace, a file entry with no timestamps and non-ASCII text.
 fn edge_meta() -> ArchiveMeta {
     let mut rng = SmallRng::seed_from_u64(7);
     let mut truncated = darshan_log(&mut rng, RunId(2));
@@ -258,7 +243,6 @@ fn edge_meta() -> ArchiveMeta {
         counters: PosixCounters::new(),
         dxt: vec![],
     };
-    let tie = Time(1_000_000_007);
     let chart = chart(&mut rng, "画像処理-étape");
     ArchiveMeta {
         config: config(&mut rng, RunId(2), &chart),
@@ -266,12 +250,6 @@ fn edge_meta() -> ArchiveMeta {
         chart,
         darshan: LogSet::new(vec![empty, truncated]),
         wall_time: Dur(u64::MAX),
-        start_order: vec![
-            (TaskKey::new("b", 0, 1), tie),
-            (TaskKey::new("a", 0, 0), tie),
-            (TaskKey::new("π", u32::MAX, u32::MAX), Time(0)),
-            (TaskKey::new("a", 0, 1), tie),
-        ],
         steals: 3,
     }
 }
@@ -340,7 +318,7 @@ fn every_truncation_is_an_error() {
 #[test]
 fn single_byte_overwrites_decode_to_themselves_or_fail() {
     let bytes = edge_meta().encode();
-    // every offset of a few-KB document: header, chart, logs, start order
+    // every offset of a few-KB document: header, config, chart, logs
     assert!(bytes.len() >= 64);
     let mut accepted = 0;
     for at in 0..bytes.len() {
@@ -359,18 +337,10 @@ fn single_byte_overwrites_decode_to_themselves_or_fail() {
 
 #[test]
 fn forged_counts_fail_before_allocating() {
-    let meta = ArchiveMeta { start_order: vec![], steals: 3, ..edge_meta() };
+    let meta = edge_meta();
     let bytes = meta.encode();
-    // `start_order`'s count (0) sits just before `steals` (3, one byte)
-    let steals_at = bytes.len() - 1;
-    assert_eq!(bytes[steals_at - 1..], [0, 3]);
-    let mut forged = bytes[..steals_at - 1].to_vec();
-    put_varint(&mut forged, 1 << 40);
-    forged.extend_from_slice(&bytes[steals_at..]);
-    assert!(ArchiveMeta::decode(&forged).is_err());
-
-    // the LogSet's log count follows the chart
-    let mut head = b"DTFMETA\x05".to_vec();
+    // the workflow name's byte count follows the configuration
+    let mut head = b"DTFMETA\x06".to_vec();
     let c = &meta.config;
     put_varint(&mut head, c.campaign_seed);
     put_varint(&mut head, c.run.0 as u64);
@@ -378,6 +348,14 @@ fn forged_counts_fail_before_allocating() {
     c.online_darshan.put(&mut head);
     c.proxy.put(&mut head);
     c.faults.put(&mut head);
+    let name_at = head.len();
+    assert_eq!(bytes[name_at], meta.workflow.len() as u8);
+    let mut forged = head.clone();
+    put_varint(&mut forged, 1 << 40);
+    forged.extend_from_slice(&bytes[name_at + 1..]);
+    assert!(ArchiveMeta::decode(&forged).is_err());
+
+    // the LogSet's log count follows the chart
     put_str(&mut head, &meta.workflow);
     meta.chart.put(&mut head);
     assert!(bytes.starts_with(&head));
@@ -399,9 +377,10 @@ fn a_json_era_document_is_an_error_naming_the_format() {
     assert!(ArchiveMeta::decode(&bytes[..7]).is_err(), "magic without a version");
     // a version-1 document (the chart as JSON), a version-2 one (the
     // chart's older WMS layout), a version-3 one (the chart without the
-    // worker TTL and the stealing period) and a version-4 one (no run
-    // configuration) are refused by their version byte
-    for old in [1, 2, 3, 4] {
+    // worker TTL and the stealing period), a version-4 one (no run
+    // configuration) and a version-5 one (the start order archived) are
+    // refused by their version byte
+    for old in [1, 2, 3, 4, 5] {
         bytes[7] = old;
         let err = ArchiveMeta::decode(&bytes).unwrap_err().to_string();
         assert!(err.contains(&format!("version {old}")), "{err}");

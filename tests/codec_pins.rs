@@ -603,11 +603,10 @@ fn the_run_meta_document_and_its_darshan_logs_encode_to_their_pinned_bytes() {
         chart: chart(),
         darshan: two_log_set(),
         wall_time: Dur(1_000_000_007),
-        start_order: vec![(key(), Time(5)), (TaskKey::new("a", 0, 0), Time(5))],
         steals: 2,
     };
     let mut segments: Vec<(&str, String)> = [
-        ("magic, version", "4454464d45544105"),
+        ("magic, version", "4454464d45544106"),
         ("campaign seed, run", "ac02ac02"),
         ("dxt: 4 records, thread ids", "0401"),
         ("online darshan", "01"),
@@ -643,7 +642,6 @@ fn the_run_meta_document_and_its_darshan_logs_encode_to_their_pinned_bytes() {
         ),
         ("log 2 dxt: one record", "010101002a070100802064c801".to_string()),
         ("wall time", "8794ebdc03".to_string()),
-        ("start order", "0203696e632ac801050161000005".to_string()),
         ("steals", "02".to_string()),
     ]);
     let bytes = meta.encode();

@@ -302,11 +302,6 @@ pub fn archive_meta() -> ArchiveMeta {
         },
         darshan: log_set(),
         wall_time: Dur(u64::MAX),
-        start_order: vec![
-            (TaskKey::new("b", 0, 1), Time(7)),
-            (TaskKey::new("a", 0, 0), Time(7)),
-            (TaskKey::new("π", u32::MAX, u32::MAX), Time(0)),
-        ],
         steals: 3,
     }
 }

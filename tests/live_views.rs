@@ -71,7 +71,7 @@ fn drain_again(svc: &dtf::mofka::MofkaService, orig: &RunData) -> RunData {
         orig.chart.clone(),
         orig.darshan.clone(),
         orig.wall_time,
-        orig.start_order.clone(),
+        Vec::new(), // ignored: the drain derives the start order
         orig.steals,
     )
     .expect("post-hoc drain")
