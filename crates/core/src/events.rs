@@ -647,6 +647,9 @@ pub trait ProvEvent: Sized {
     /// The event inside a record, by reference: consumers read a record
     /// where it is, because the partition log still shares it.
     fn from_record_ref(rec: &ProvRecord) -> Option<&Self>;
+    /// The event inside a record, by value: a drain that owns the record
+    /// moves the event out of it.
+    fn from_record(rec: ProvRecord) -> Option<Self>;
 }
 
 macro_rules! impl_prov_event {
@@ -656,6 +659,12 @@ macro_rules! impl_prov_event {
                 ProvRecord::$variant(self)
             }
             fn from_record_ref(rec: &ProvRecord) -> Option<&Self> {
+                match rec {
+                    ProvRecord::$variant(e) => Some(e),
+                    _ => None,
+                }
+            }
+            fn from_record(rec: ProvRecord) -> Option<Self> {
                 match rec {
                     ProvRecord::$variant(e) => Some(e),
                     _ => None,

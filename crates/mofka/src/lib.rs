@@ -45,4 +45,4 @@ pub use event::{Event, EventId, StoredEvent};
 pub use feed::GroupFeed;
 pub use producer::{Producer, ProducerConfig};
 pub use service::{MofkaService, ServiceRecovery};
-pub use topic::TopicConfig;
+pub use topic::{PartitionEvents, TopicConfig};

@@ -43,7 +43,7 @@ use dtf_proxystore::{ProxyConfig, ProxyPlane};
 
 use crate::graph::{IoCall, Payload, TaskGraph};
 use crate::plugins::{MofkaPlugin, PluginSet, WmsPlugin};
-use crate::rundata::{ArchiveMeta, RunData, ANALYSIS_GROUP, ARCHIVE_META_KEY};
+use crate::rundata::{ArchiveMeta, RunData, ARCHIVE_META_KEY};
 use crate::scheduler::{nonzero, Fetch, Scheduler};
 
 dtf_core::wire_enum! {
@@ -1004,7 +1004,10 @@ impl SimCluster {
             self.mofka.yokan().put(ARCHIVE_META_KEY, meta.encode());
             self.mofka.sync()?;
         }
-        RunData::drain(&self.mofka, ANALYSIS_GROUP, meta)
+        // the scheduler's plugin holds producers, which would keep the
+        // topics open; the drain takes the service whole
+        drop(self.scheduler);
+        RunData::drain(self.mofka, meta)
     }
 }
 

@@ -15,6 +15,10 @@
 //! Collections nest (a log set's logs hold traces and counter maps), and
 //! each level reserves for the same input bytes again, so `C` is the
 //! widest element's ratio times the deepest nesting.
+//!
+//! Nor does a seq read back from a topic log size anything: an archive
+//! whose one event carries a seq near `u64::MAX` costs its drain what one
+//! with a small seq does.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -23,14 +27,17 @@ use std::mem::size_of;
 
 use bytes::Bytes;
 use dtf::core::binfmt::{self, Wire};
-use dtf::core::events::IoRecord;
+use dtf::core::events::{IoRecord, ProvRecord};
 use dtf::core::fault::{MofkaStall, StragglerFault};
 use dtf::core::ids::{FileId, NodeId, TaskKey};
 use dtf::core::time::Time;
 use dtf::darshan::counters::FileCounters;
 use dtf::darshan::log::DarshanLog;
+use dtf::mofka::bedrock::{BedrockConfig, WMS_TOPICS};
 use dtf::mofka::TopicConfig;
-use dtf::store::KvRecord;
+use dtf::store::{KvRecord, LogConfig, SegmentedLog};
+use dtf::wms::rundata::ARCHIVE_META_KEY;
+use dtf::wms::RunData;
 
 mod corpus;
 
@@ -164,4 +171,56 @@ fn decoding_hostile_bytes_allocates_at_most_c_n_plus_k() {
         observed = observed.max(hostile_inputs_stay_linear(rec, c));
     }
     eprintln!("the most any input of 64 bytes or more allocated: {observed:.1} bytes per byte");
+}
+
+/// An archive of the WMS topics at a fresh path holding the corpus's
+/// `run-meta` and one log line, logged as topic-log slot `seq`.
+fn archive_of_one_line(seq: u64) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("dtf-alloc-seq-{seq}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let svc = BedrockConfig::wms_default().bootstrap_with(Some(&dir)).unwrap();
+    svc.yokan().put(ARCHIVE_META_KEY, corpus::archive_meta().encode());
+    svc.sync().unwrap();
+    drop(svc);
+    let line = corpus::records().into_iter().find(|r| matches!(r, ProvRecord::Log(_))).unwrap();
+    // a slot record: tag, topic id (the topic's row: the order the
+    // deployment creates topics in), partition, offset, seq, no blob
+    let topic = WMS_TOPICS.iter().position(|t| t.name == "logs").unwrap() as u32;
+    let mut slot = vec![1u8];
+    topic.put(&mut slot);
+    0u32.put(&mut slot);
+    0u64.put(&mut slot);
+    seq.put(&mut slot);
+    None::<u64>.put(&mut slot);
+    line.put(&mut slot);
+    let (mut log, _, _) = SegmentedLog::open(&dir.join("topics"), LogConfig::default()).unwrap();
+    log.append(&slot).unwrap();
+    log.sync().unwrap();
+    dir
+}
+
+/// The bytes opening and draining the archive at `dir` allocates on this
+/// thread, checking that it drained the one line.
+fn allocated_by_open_archive(dir: &std::path::Path) -> usize {
+    let before = ALLOCATED.with(Cell::get);
+    let (data, _) = RunData::open_archive(dir).unwrap();
+    let after = ALLOCATED.with(Cell::get);
+    assert_eq!(data.logs.len(), 1, "the archive drains its one line");
+    after - before
+}
+
+#[test]
+fn a_seq_read_from_a_topic_log_sizes_no_allocation_of_the_drain() {
+    let small = archive_of_one_line(1);
+    let huge = archive_of_one_line(u64::MAX - 1);
+    let (small_bytes, huge_bytes) =
+        (allocated_by_open_archive(&small), allocated_by_open_archive(&huge));
+    eprintln!("opening the archive allocated {small_bytes} bytes at seq 1, {huge_bytes} near 2^64");
+    assert!(
+        huge_bytes <= small_bytes + K,
+        "a seq near 2^64 cost the drain {huge_bytes} bytes against {small_bytes}"
+    );
+    for dir in [small, huge] {
+        std::fs::remove_dir_all(dir).unwrap();
+    }
 }

@@ -187,6 +187,54 @@ fn every_topic_of_an_archived_or_stalled_run_holds_the_seqs_0_to_n() {
     assert!(stalled >= 3, "only {stalled} schedules stalled a partition");
 }
 
+/// The drain by move and the borrowed drain give the same run: for each
+/// paper workload at seed 42, with the proxy plane and online Darshan off
+/// and on, the run's own drain (by move, at finalize), the archive's (by
+/// move, `open_archive`) and a borrowed drain of the reopened archive
+/// (`drain_from_mofka`, a copy of the run's service) are equal, and a
+/// second borrowed drain of that service gives it again.
+#[test]
+fn the_drain_by_move_and_the_borrowed_drain_give_the_same_run() {
+    for workload in Workload::ALL {
+        for on in [false, true] {
+            let what = format!("{workload:?}, features {}", if on { "on" } else { "off" });
+            let store = scratch("owned");
+            let mut cfg = SimConfig {
+                campaign_seed: 42,
+                run: RunId(0),
+                online_darshan: on,
+                persist_dir: Some(store.to_string_lossy().into_owned()),
+                ..Default::default()
+            };
+            cfg.proxy.enabled = on;
+            workload.adjust(&mut cfg);
+            let rr = RunRng::new(42, RunId(0));
+            let live = SimCluster::new(cfg).unwrap().run(workload.generate(&rr)).unwrap();
+            let (archived, _) = RunData::open_archive(&store).unwrap();
+            assert!(archived == live, "{what}: the archive's drain is not the run's");
+            let (svc, _) = MofkaService::reopen(&store).unwrap();
+            let borrowed = || {
+                let l = live.clone();
+                RunData::drain_from_mofka(
+                    &svc,
+                    l.run,
+                    l.workflow,
+                    l.chart,
+                    l.darshan,
+                    l.wall_time,
+                    Vec::new(),
+                    l.steals,
+                )
+                .unwrap()
+            };
+            let first = borrowed();
+            assert!(first == live, "{what}: the borrowed drain is not the run's");
+            assert!(borrowed() == first, "{what}: a borrowed drain changed its service");
+            std::fs::remove_dir_all(&store).unwrap();
+        }
+    }
+}
+
 /// An in-memory run on the real executor, its records pushed from the
 /// worker threads through one plugin: every topic holds the seqs `0..n`.
 #[test]
