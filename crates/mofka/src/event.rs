@@ -14,7 +14,10 @@
 //! family: every provenance record is plain data except
 //! `TaskMetaEvent::deps` (a `Vec`) and `LogEntry::message` (a `String`),
 //! so only those two allocate; the other seven families copy ~90 bytes.
-//! Consumers that only look ([`crate::topic::Topic::visit`]) clone nothing.
+//! Consumers that only look ([`crate::topic::Topic::visit`]) clone nothing,
+//! and neither does a reader done with the whole service: it takes the
+//! records by move ([`crate::MofkaService::into_partition_events`]), the
+//! same inline records the partition logs held.
 //!
 //! A stored event also carries its **sequence number**: the topic stamps
 //! one from its own counter when the event is pushed, so within a topic

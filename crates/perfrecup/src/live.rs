@@ -477,8 +477,8 @@ mod tests {
         SimCluster::new(cfg).unwrap().run(wf).unwrap()
     }
 
-    /// Drain `svc` (fresh group) exactly as the post-hoc analysis would,
-    /// reusing the non-Mofka half of `orig`.
+    /// Drain `svc` (borrowed, left as it was) exactly as the post-hoc
+    /// analysis would, reusing the non-Mofka half of `orig`.
     fn drain_again(svc: &MofkaService, orig: &RunData, group_tag: u64) -> RunData {
         RunData::drain_from_mofka(
             svc,
