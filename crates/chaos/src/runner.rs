@@ -35,7 +35,7 @@ const PROXY: ProxyConfig =
 
 /// The simulator configuration of a chaos run: `faults` applied to run
 /// `index` of `seed`, with live invariant checks and the proxy plane on.
-fn sim_config(seed: u64, index: u64, faults: FaultSchedule) -> SimConfig {
+pub fn sim_config(seed: u64, index: u64, faults: FaultSchedule) -> SimConfig {
     SimConfig {
         campaign_seed: seed,
         run: RunId(index as u32),
