@@ -14,11 +14,12 @@ use std::time::Instant;
 use serde::Serialize;
 use serde_json::Value;
 
+use dtf_core::events::ProvRecord;
 use dtf_core::ids::{GraphId, NodeId, RunId, ThreadId, WorkerId};
 use dtf_core::rngx::RunRng;
 use dtf_core::time::{Dur, Time};
 use dtf_wms::graph::{GraphBuilder, SimAction};
-use dtf_wms::plugins::PluginSet;
+use dtf_wms::plugins::WmsPlugin;
 use dtf_wms::scheduler::Scheduler;
 use dtf_wms::sim::{SimConfig, SubmitPolicy};
 use dtf_workflows::Workload;
@@ -314,6 +315,14 @@ fn drain(s: &mut Scheduler, workers: usize, t: &mut u64) {
     }
 }
 
+/// The bare scheduler's sink: it drops every record, so a measurement
+/// holds the scheduler's own work and no instrumentation.
+struct Discard;
+
+impl WmsPlugin for Discard {
+    fn on_record(&mut self, _: ProvRecord) {}
+}
+
 /// Drive a `tasks`-wide graph to completion against the bare scheduler
 /// (no simulator, no plugins) on 32 workers × 4 threads, one wall clock;
 /// then each Table I workload's graphs (see [`workload_bench`]).
@@ -325,7 +334,7 @@ pub fn scheduler_bench(tasks: u32) -> SchedulerBench {
     }
     let graph = b.build(&Default::default()).expect("a dependency-free graph is valid");
     let t0 = Instant::now();
-    let mut s = Scheduler::new(Default::default(), None, PluginSet::new());
+    let mut s = Scheduler::new(Default::default(), None, Box::new(Discard));
     for w in 0..32 {
         s.add_worker(WorkerId::new(NodeId(w / 4), w % 4), 4);
     }
@@ -357,7 +366,7 @@ pub fn workload_bench(workload: Workload) -> WorkloadBench {
     for _ in 0..WORKLOAD_REPEATS {
         let graphs = flow.graphs.clone();
         let t0 = Instant::now();
-        let mut s = Scheduler::new(cfg.wms.clone(), None, PluginSet::new());
+        let mut s = Scheduler::new(cfg.wms.clone(), None, Box::new(Discard));
         for w in 0..8 {
             s.add_worker(WorkerId::new(NodeId(w), 0), 8);
         }

@@ -18,7 +18,7 @@ use crate::time::Time;
 
 crate::wire_struct! {
     /// Hardware-infrastructure layer provenance.
-    #[derive(Debug, Clone, PartialEq, Serialize)]
+    #[derive(Debug, Clone, Default, PartialEq, Serialize)]
     pub struct HardwareInfo {
         pub cpu_model: String,
         pub cores_per_node: u32,
@@ -49,7 +49,7 @@ impl HardwareInfo {
 
 crate::wire_struct! {
     /// System-software / job-configuration layer provenance.
-    #[derive(Debug, Clone, PartialEq, Serialize)]
+    #[derive(Debug, Clone, Default, PartialEq, Serialize)]
     pub struct SystemInfo {
         pub os: String,
         pub kernel: String,
@@ -76,7 +76,7 @@ impl SystemInfo {
 
 crate::wire_struct! {
     /// Job allocation provenance (requested vs allocated resources).
-    #[derive(Debug, Clone, PartialEq, Serialize)]
+    #[derive(Debug, Clone, Default, PartialEq, Serialize)]
     pub struct JobInfo {
         pub job_id: u64,
         pub script: String,

@@ -71,12 +71,11 @@ impl<'c> Delayed<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plugins::PluginSet;
     use dtf_core::provenance::WmsConfig;
 
     fn two_by_two() -> LocalCluster {
         let cfg = WmsConfig { workers_per_node: 2, threads_per_worker: 2, ..Default::default() };
-        LocalCluster::start(cfg, PluginSet::new()).unwrap()
+        LocalCluster::start(cfg).unwrap()
     }
 
     #[test]
@@ -92,7 +91,7 @@ mod tests {
         });
         let v = client.gather(&s).unwrap();
         assert_eq!(*v.downcast_ref::<i64>().unwrap(), 42);
-        cluster.shutdown();
+        assert_eq!(cluster.finish("delayed").unwrap().task_done.len(), 3);
     }
 
     #[test]
@@ -106,7 +105,7 @@ mod tests {
         });
         let v = client.gather(&doubled).unwrap();
         assert_eq!(*v.downcast_ref::<i64>().unwrap(), 10);
-        cluster.shutdown();
+        assert_eq!(cluster.finish("delayed").unwrap().task_graphs(), 2);
     }
 
     #[test]
@@ -114,6 +113,6 @@ mod tests {
         let cluster = two_by_two();
         let mut client = Delayed::new(&cluster);
         client.compute().unwrap();
-        cluster.shutdown();
+        assert!(cluster.finish("delayed").unwrap().meta.is_empty());
     }
 }

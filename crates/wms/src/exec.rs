@@ -9,11 +9,21 @@
 //! between tasks. This is the mode a downstream user adopts to
 //! characterize their own workload.
 //!
+//! A cluster streams its records into an in-memory Mofka service of its
+//! own through one [`MofkaPlugin`], whose producers hand each record to
+//! its partition as it is pushed, so the stream can be tailed while the
+//! run is live ([`LocalCluster::service`]). [`LocalCluster::finish`] ends
+//! the run in the drain every run ends in, and returns its [`RunData`].
+//! A cluster dropped without `finish` stops and joins its threads.
+//!
 //! Every idle thread, and every client call that blocks, sleeps on one
 //! condvar paired with the scheduler mutex, and checks its condition under
 //! that mutex before it waits, so no wake-up is lost and no wait needs a
-//! timeout. A task takes the scheduler lock twice: once to start it and
-//! read its closure and inputs, once to report it finished — or erred: a
+//! timeout. Every time the scheduler is handed is read under that mutex,
+//! so a run's records are stamped in the order they are emitted: a task's
+//! `stop` is read once its thread holds the lock again, not when its
+//! closure returned. A task takes the scheduler lock twice: once to start
+//! it and read its closure and inputs, once to report it finished — or erred: a
 //! closure that panics is caught on its thread, the task and everything
 //! waiting on it err, the panic's message goes into the provenance as an
 //! error log line from the worker, and the cluster runs on.
@@ -22,18 +32,29 @@ use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use dtf_core::binfmt::Wire;
 use dtf_core::error::{DtfError, Result};
 use dtf_core::events::{CommEvent, TaskState};
-use dtf_core::ids::{NodeId, TaskKey, ThreadId, WorkerId};
-use dtf_core::provenance::WmsConfig;
+use dtf_core::ids::{NodeId, RunId, TaskKey, ThreadId, WorkerId};
+use dtf_core::provenance::{HardwareInfo, JobInfo, ProvenanceChart, SystemInfo, WmsConfig};
 use dtf_core::time::{Dur, RealClock, Time};
+use dtf_core::{fnv64_extend, FNV64_BASIS};
+use dtf_darshan::log::LogSet;
+use dtf_mofka::bedrock::BedrockConfig;
+use dtf_mofka::producer::ProducerConfig;
+use dtf_mofka::MofkaService;
 
 use crate::graph::{Payload, RealFn, TaskGraph, TaskValue};
-use crate::plugins::{PluginSet, WmsPlugin};
+use crate::plugins::MofkaPlugin;
+use crate::rundata::{RunData, RunFacts};
 use crate::scheduler::{nonzero, Fetch, Scheduler};
+
+/// The batch size of the executor's producers: a real run is read in
+/// situ, so every record reaches its partition when it is pushed.
+const IN_SITU_BATCH: usize = 1;
 
 struct Shared {
     scheduler: Mutex<Scheduler>,
@@ -45,6 +66,9 @@ struct Shared {
     progress: Condvar,
     /// Set under the scheduler lock.
     stop: AtomicBool,
+    /// [`extend_code_hash`] over every graph submitted so far, in
+    /// submission order. Set under the scheduler lock.
+    code_hash: AtomicU64,
 }
 
 /// All workers share one node in-process; the slot is the worker's index.
@@ -52,27 +76,58 @@ fn worker_id(widx: usize) -> WorkerId {
     WorkerId::new(NodeId(0), widx as u32)
 }
 
-/// A running local cluster.
-pub struct LocalCluster {
+/// The worker threads and the state they share. Dropping this stops and
+/// joins the threads, so no thread outlives its cluster.
+struct Threads {
     shared: Arc<Shared>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
+impl Threads {
+    /// Set `stop`, wake every thread and join them; a second call finds
+    /// none left to join.
+    fn stop(&mut self) {
+        let sched = self.shared.scheduler.lock();
+        self.shared.stop.store(true, Ordering::SeqCst);
+        drop(sched);
+        self.shared.progress.notify_all();
+        for h in self.handles.drain(..) {
+            let _ = h.join();
+        }
+    }
+}
+
+impl Drop for Threads {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+/// A running local cluster.
+pub struct LocalCluster {
+    threads: Threads,
+    service: MofkaService,
+    cfg: WmsConfig,
+}
+
 impl LocalCluster {
-    /// Start the cluster with the given instrumentation plugins: one node
-    /// of `cfg.workers_per_node` workers with `cfg.threads_per_worker`
-    /// threads each; zero of either is a config error. The executor has
-    /// no heartbeats, and an idle thread rebalances before it sleeps
-    /// rather than on a period, so it reads none of
+    /// Start the cluster: one node of `cfg.workers_per_node` workers with
+    /// `cfg.threads_per_worker` threads each, streaming into a fresh
+    /// in-memory Mofka service; zero of either is a config error. The
+    /// executor has no heartbeats, and an idle thread rebalances before it
+    /// sleeps rather than on a period, so it reads none of
     /// `heartbeat_interval_ms`, `worker_ttl_ms` and `steal_interval_ms`.
     /// A worker thread the OS refuses to start is an I/O error, after the
     /// threads already started are stopped.
-    pub fn start(cfg: WmsConfig, plugins: PluginSet) -> Result<Self> {
+    pub fn start(cfg: WmsConfig) -> Result<Self> {
         nonzero("workers_per_node", cfg.workers_per_node)?;
         nonzero("threads_per_worker", cfg.threads_per_worker)?;
         let workers = cfg.workers_per_node as usize;
         let threads = cfg.threads_per_worker;
-        let mut scheduler = Scheduler::new(cfg, None, plugins);
+        let service = BedrockConfig::wms_default().bootstrap()?;
+        let producers = ProducerConfig { batch_size: IN_SITU_BATCH, ..Default::default() };
+        let plugin = MofkaPlugin::new(&service, producers)?;
+        let mut scheduler = Scheduler::new(cfg.clone(), None, Box::new(plugin));
         for w in 0..workers {
             scheduler.add_worker(worker_id(w), threads);
         }
@@ -82,28 +137,28 @@ impl LocalCluster {
             clock: RealClock::new(),
             progress: Condvar::new(),
             stop: AtomicBool::new(false),
+            code_hash: AtomicU64::new(FNV64_BASIS),
         });
-        let mut cluster = Self { shared, handles: Vec::new() };
+        let mut pool = Threads { shared, handles: Vec::new() };
         for widx in 0..workers {
             for t in 0..threads {
-                let shared = cluster.shared.clone();
-                let spawned = std::thread::Builder::new()
+                let shared = pool.shared.clone();
+                let handle = std::thread::Builder::new()
                     .name(format!("dtf-worker-{widx}-{t}"))
-                    .spawn(move || worker_loop(shared, widx, t));
-                match spawned {
-                    Ok(handle) => cluster.handles.push(handle),
-                    Err(e) => {
-                        cluster.shutdown();
-                        return Err(DtfError::Io(e.kind(), format!("spawn worker thread: {e}")));
-                    }
-                }
+                    .spawn(move || worker_loop(shared, widx, t))
+                    // dropping `pool` stops the threads already started
+                    .map_err(|e| DtfError::Io(e.kind(), format!("spawn worker thread: {e}")))?;
+                pool.handles.push(handle);
             }
         }
-        Ok(cluster)
+        Ok(Self { threads: pool, service, cfg })
     }
 
-    fn now(&self) -> Time {
-        self.shared.clock.now()
+    /// The service the run streams into, for a consumer that tails it
+    /// while the run is live. Drop every consumer opened on it before
+    /// [`Self::finish`].
+    pub fn service(&self) -> &MofkaService {
+        &self.service
     }
 
     /// Submit a graph of real tasks.
@@ -116,12 +171,15 @@ impl LocalCluster {
                 )));
             }
         }
-        let now = self.now();
-        let mut sched = self.shared.scheduler.lock();
+        let shared = &self.threads.shared;
+        let mut sched = shared.scheduler.lock();
+        let now = shared.clock.now();
+        let code_hash = extend_code_hash(shared.code_hash.load(Ordering::SeqCst), &graph);
         sched.submit_graph(graph, now)?;
-        process_fetches(&self.shared, &mut sched, now);
+        shared.code_hash.store(code_hash, Ordering::SeqCst);
+        process_fetches(shared, &mut sched, now);
         drop(sched);
-        self.shared.progress.notify_all();
+        shared.progress.notify_all();
         Ok(())
     }
 
@@ -130,7 +188,8 @@ impl LocalCluster {
     /// the progress condvar — woken by workers as tasks finish — rather
     /// than polling the scheduler.
     pub fn gather(&self, key: &TaskKey) -> Result<Arc<TaskValue>> {
-        let mut sched = self.shared.scheduler.lock();
+        let shared = &self.threads.shared;
+        let mut sched = shared.scheduler.lock();
         loop {
             match sched.task_state(key) {
                 None => return Err(DtfError::NotFound(format!("task {key}"))),
@@ -140,39 +199,84 @@ impl LocalCluster {
                 }
                 _ => {}
             }
-            self.shared.progress.wait(&mut sched);
+            shared.progress.wait(&mut sched);
         }
         drop(sched);
-        let data = self.shared.data.lock();
+        let data = shared.data.lock();
         data.get(key).cloned().ok_or_else(|| DtfError::NotFound(format!("value of {key}")))
     }
 
     /// Block until every submitted task reached a terminal state.
     pub fn wait_all(&self) {
-        let mut sched = self.shared.scheduler.lock();
+        let shared = &self.threads.shared;
+        let mut sched = shared.scheduler.lock();
         while sched.unfinished() != 0 {
-            self.shared.progress.wait(&mut sched);
+            shared.progress.wait(&mut sched);
         }
     }
 
-    /// Stop the workers and return the scheduler's plugin set (with all
-    /// collected instrumentation).
-    pub fn shutdown(self) -> PluginSet {
-        {
-            let _sched = self.shared.scheduler.lock();
-            self.shared.stop.store(true, Ordering::SeqCst);
-        }
-        self.shared.progress.notify_all();
-        for h in self.handles {
-            let _ = h.join();
-        }
-        let scheduler = std::mem::replace(
-            &mut *self.shared.scheduler.lock(),
-            Scheduler::new(WmsConfig::default(), None, PluginSet::new()),
-        );
-        let mut plugins = scheduler.into_plugins();
-        plugins.flush();
-        plugins
+    /// End the run as `workflow`: wait for every submitted task, stop and
+    /// join the threads, flush, and drain the service by move into the
+    /// run's record. Its Darshan log set is empty (the executor does no
+    /// instrumented I/O), its wall time is the clock's reading here, and
+    /// its chart holds only what the executor observes (DESIGN.md §7).
+    /// A consumer still open on [`Self::service`] is an
+    /// [`DtfError::IllegalState`]: the drain takes every topic whole, and
+    /// the run's records go with the service.
+    pub fn finish(self, workflow: &str) -> Result<RunData> {
+        self.wait_all();
+        let wall_time = self.threads.shared.clock.now() - Time::ZERO;
+        let Self { mut threads, service, cfg } = self;
+        threads.stop();
+        let (code_hash, steals) = {
+            let mut sched = threads.shared.scheduler.lock();
+            sched.plugin_mut().flush();
+            (threads.shared.code_hash.load(Ordering::SeqCst), sched.steal_count())
+        };
+        // the last handle on the scheduler: its plugin's producers go with
+        // it, so the drain can take every topic whole
+        drop(threads);
+        let facts = RunFacts {
+            run: RunId(0),
+            workflow: workflow.into(),
+            chart: executor_chart(cfg, workflow, code_hash),
+            darshan: LogSet::default(),
+            wall_time,
+            steals,
+        };
+        RunData::drain(service, facts)
+    }
+}
+
+/// `hash` extended by `graph`'s id and each task's key and deps, in
+/// order. A closure has no bytes to hash, so this is the part of the
+/// client code a chart can fingerprint.
+fn extend_code_hash(hash: u64, graph: &TaskGraph) -> u64 {
+    let mut buf = Vec::new();
+    graph.id.put(&mut buf);
+    for task in &graph.tasks {
+        task.key.put(&mut buf);
+        task.deps.put(&mut buf);
+    }
+    fnv64_extend(hash, &buf)
+}
+
+/// The chart of an executor run, holding only what the executor can
+/// observe: one node of `available_parallelism()` cores, the OS family,
+/// the crate versions, the config, the workflow and the client-code hash.
+/// Every other field is empty or zero (DESIGN.md §7).
+fn executor_chart(wms_config: WmsConfig, workflow: &str, client_code_hash: u64) -> ProvenanceChart {
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get() as u32);
+    let version = env!("CARGO_PKG_VERSION");
+    let packages = ["dtf-wms", "dtf-mofka"].map(|p| (p.to_string(), version.to_string()));
+    let os = std::env::consts::OS.to_string();
+    ProvenanceChart {
+        hardware: HardwareInfo { cores_per_node: cores, node_count: 1, ..Default::default() },
+        system: SystemInfo { os, packages: packages.into(), ..Default::default() },
+        job: JobInfo { nodes_requested: 1, allocated_nodes: vec![NodeId(0)], ..Default::default() },
+        wms_config,
+        client_code_hash,
+        workflow_name: workflow.into(),
     }
 }
 
@@ -182,7 +286,7 @@ impl LocalCluster {
 fn process_fetches(shared: &Shared, sched: &mut Scheduler, now: Time) {
     for Fetch { dep, from, to, nbytes } in sched.take_fetches() {
         let stop = shared.clock.now();
-        sched.plugins_mut().on_record(
+        sched.plugin_mut().on_record(
             CommEvent {
                 key: dep,
                 from: worker_id(from),
@@ -264,7 +368,6 @@ fn worker_loop(shared: Arc<Shared>, widx: usize, thread_ordinal: u32) {
             Some((func, deps)) => run(&shared, func, &deps),
             None => Err("the task has no closure to run".into()),
         };
-        let stop = shared.clock.now();
         let outcome = value.map(|value| {
             let nbytes = value.nbytes;
             shared.data.lock().insert(key, Arc::new(value));
@@ -273,6 +376,7 @@ fn worker_loop(shared: Arc<Shared>, widx: usize, thread_ordinal: u32) {
 
         {
             let mut sched = shared.scheduler.lock();
+            let stop = shared.clock.now();
             match outcome {
                 Ok(nbytes) => sched.task_finished(&key, widx, tid, start, stop, nbytes),
                 Err(cause) => sched.task_erred(&key, widx, stop, &cause),
@@ -287,7 +391,6 @@ fn worker_loop(shared: Arc<Shared>, widx: usize, thread_ordinal: u32) {
 mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
-    use crate::plugins::CollectorPlugin;
     use dtf_core::ids::GraphId;
     use std::collections::HashSet;
 
@@ -302,16 +405,9 @@ mod tests {
         WmsConfig { workers_per_node: workers, threads_per_worker: threads, ..Default::default() }
     }
 
-    fn cluster_with_collector(cfg: WmsConfig) -> (LocalCluster, CollectorPlugin) {
-        let collector = CollectorPlugin::new();
-        let mut plugins = PluginSet::new();
-        plugins.register(Box::new(collector.clone()));
-        (LocalCluster::start(cfg, plugins).unwrap(), collector)
-    }
-
     #[test]
     fn executes_a_real_dag_and_gathers_result() {
-        let (cluster, collector) = cluster_with_collector(cfg(2, 2));
+        let cluster = LocalCluster::start(cfg(2, 2)).unwrap();
         let mut b = GraphBuilder::new(GraphId(0));
         let tok = b.new_token();
         let a = b.add(TaskKey::new("two", tok, 0), vec![], real_fn(|_| TaskValue::new(2i64, 8)));
@@ -328,9 +424,7 @@ mod tests {
         cluster.submit(b.build(&HashSet::new()).unwrap()).unwrap();
         let v = cluster.gather(&sum).unwrap();
         assert_eq!(*v.downcast_ref::<i64>().unwrap(), 5);
-        cluster.wait_all();
-        cluster.shutdown();
-        let events = collector.take();
+        let events = cluster.finish("test").unwrap();
         assert_eq!(events.task_done.len(), 3);
         // durations are real (monotone, nonnegative) and workers are recorded
         for d in &events.task_done {
@@ -340,7 +434,7 @@ mod tests {
 
     #[test]
     fn wide_fanout_uses_multiple_threads() {
-        let (cluster, collector) = cluster_with_collector(cfg(2, 2));
+        let cluster = LocalCluster::start(cfg(2, 2)).unwrap();
         let mut b = GraphBuilder::new(GraphId(0));
         let tok = b.new_token();
         for i in 0..32 {
@@ -358,9 +452,7 @@ mod tests {
             );
         }
         cluster.submit(b.build(&HashSet::new()).unwrap()).unwrap();
-        cluster.wait_all();
-        cluster.shutdown();
-        let events = collector.take();
+        let events = cluster.finish("test").unwrap();
         assert_eq!(events.task_done.len(), 32);
         let threads: HashSet<u64> = events.task_done.iter().map(|d| d.thread.0).collect();
         assert!(threads.len() >= 2, "expected parallel execution, got {} threads", threads.len());
@@ -368,25 +460,23 @@ mod tests {
 
     #[test]
     fn sim_payload_rejected() {
-        let (cluster, _c) = cluster_with_collector(cfg(2, 2));
+        let cluster = LocalCluster::start(cfg(2, 2)).unwrap();
         let mut b = GraphBuilder::new(GraphId(0));
         let tok = b.new_token();
         b.add_sim("x", tok, 0, vec![], crate::graph::SimAction::compute_only(Dur(1), 1));
         let err = cluster.submit(b.build(&HashSet::new()).unwrap());
         assert!(err.is_err());
-        cluster.shutdown();
     }
 
     #[test]
     fn gather_unknown_key_errors() {
-        let (cluster, _c) = cluster_with_collector(cfg(2, 2));
+        let cluster = LocalCluster::start(cfg(2, 2)).unwrap();
         assert!(cluster.gather(&TaskKey::new("ghost", 0, 0)).is_err());
-        cluster.shutdown();
     }
 
     #[test]
     fn cross_graph_dependency_executes() {
-        let (cluster, _c) = cluster_with_collector(cfg(2, 2));
+        let cluster = LocalCluster::start(cfg(2, 2)).unwrap();
         let mut b = GraphBuilder::new(GraphId(0));
         let tok = b.new_token();
         let base =
@@ -406,13 +496,11 @@ mod tests {
         cluster.submit(b2.build(&ext).unwrap()).unwrap();
         let v = cluster.gather(&double).unwrap();
         assert_eq!(*v.downcast_ref::<i64>().unwrap(), 42);
-        cluster.shutdown();
     }
 
     #[test]
     fn comm_events_recorded_for_remote_dependencies() {
-        let (cluster, collector) =
-            cluster_with_collector(WmsConfig { work_stealing: false, ..cfg(2, 1) });
+        let cluster = LocalCluster::start(WmsConfig { work_stealing: false, ..cfg(2, 1) }).unwrap();
         let mut b = GraphBuilder::new(GraphId(0));
         let tok = b.new_token();
         // two roots run in parallel on different workers, then a join
@@ -438,8 +526,7 @@ mod tests {
         );
         cluster.submit(b.build(&HashSet::new()).unwrap()).unwrap();
         cluster.gather(&join).unwrap();
-        cluster.shutdown();
-        let events = collector.take();
+        let events = cluster.finish("test").unwrap();
         // if the roots ran on different workers, the join required >= 1 comm
         let workers: HashSet<WorkerId> = events
             .task_done
@@ -450,5 +537,61 @@ mod tests {
         if workers.len() == 2 {
             assert!(!events.comms.is_empty(), "join should have fetched a remote input");
         }
+    }
+
+    /// A completion whose thread waited for the scheduler lock behind a
+    /// submission is stamped after that submission: every time the
+    /// scheduler is handed is read under its lock. Otherwise the
+    /// completion's dependent is dispatched at the completion's earlier
+    /// time, before the instant it was submitted at, and the drained
+    /// chain starts from `waiting`.
+    #[test]
+    fn a_dependent_is_never_dispatched_before_it_was_submitted() {
+        let cluster = LocalCluster::start(cfg(1, 1)).unwrap();
+        let (started, on_start) = std::sync::mpsc::channel();
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let (started, gate) = (Mutex::new(started), Mutex::new(gate));
+        let mut b = GraphBuilder::new(GraphId(0));
+        let tok = b.new_token();
+        let body = real_fn(move |_| {
+            started.lock().send(()).unwrap();
+            gate.lock().recv().unwrap();
+            TaskValue::new(1u8, 1)
+        });
+        let a = b.add(TaskKey::new("a", tok, 0), vec![], body);
+        cluster.submit(b.build(&HashSet::new()).unwrap()).unwrap();
+        on_start.recv().unwrap();
+
+        // hold the lock while `a` returns, then submit its dependent as
+        // `submit` does, the completion still waiting for the lock
+        let mut sched = cluster.threads.shared.scheduler.lock();
+        release.send(()).unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let mut b = GraphBuilder::new(GraphId(1));
+        let tok = b.new_token();
+        let c = b.add(TaskKey::new("c", tok, 0), vec![a], real_fn(|_| TaskValue::new(2u8, 1)));
+        let now = cluster.threads.shared.clock.now();
+        sched.submit_graph(b.build(&HashSet::from([a])).unwrap(), now).unwrap();
+        drop(sched);
+
+        cluster.gather(&c).unwrap();
+        let data = cluster.finish("lock-order").unwrap();
+        let at = |to: TaskState| {
+            data.transitions.iter().find(|t| t.key == c && t.to == to).map(|t| t.time).unwrap()
+        };
+        assert!(at(TaskState::Processing) >= at(TaskState::Waiting), "dispatched before submitted");
+    }
+
+    /// A consumer still open on the service makes `finish` an error: the
+    /// drain takes every topic whole.
+    #[test]
+    fn finish_refuses_a_service_a_consumer_still_holds() {
+        let cluster = LocalCluster::start(cfg(1, 1)).unwrap();
+        let consumer = cluster.service().consumer("task-done", Default::default()).unwrap();
+        match cluster.finish("held") {
+            Err(DtfError::IllegalState(msg)) => assert!(msg.contains("still open"), "{msg}"),
+            other => panic!("expected IllegalState, got {other:?}"),
+        }
+        drop(consumer);
     }
 }

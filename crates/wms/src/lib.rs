@@ -20,7 +20,10 @@
 //! Instrumentation mirrors the paper's architecture: scheduler and worker
 //! *plugins* ([`plugins`]) intercept state transitions, completions,
 //! transfers, and warnings, and stream them to Mofka ([`plugins::MofkaPlugin`])
-//! without perturbing scheduling decisions.
+//! without perturbing scheduling decisions. Both modes end a run the same
+//! way: the Mofka service the run streamed into is drained by move into
+//! one [`RunData`] ([`rundata`]), which the chaos oracles, the export and
+//! every view read, whichever engine ran it.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
@@ -35,6 +38,6 @@ pub mod sim;
 pub use client::Delayed;
 pub use exec::LocalCluster;
 pub use graph::{GraphBuilder, IoCall, Payload, SimAction, TaskGraph, TaskSpec};
-pub use plugins::{CollectorPlugin, MofkaPlugin, WmsPlugin};
+pub use plugins::{MofkaPlugin, WmsPlugin};
 pub use rundata::RunData;
 pub use sim::{SimCluster, SimConfig, SimWorkflow, SubmitPolicy};

@@ -8,14 +8,12 @@
 //! Plugins must not influence scheduling — they take the record and
 //! return nothing.
 //!
-//! * [`CollectorPlugin`] buffers events in memory (useful in tests and for
-//!   direct analysis).
-//! * [`MofkaPlugin`] streams each record into its family's Mofka topic,
-//!   the row [`topic_of`] names in [`WMS_TOPICS`] — the paper's actual
-//!   data path.
-
-use parking_lot::Mutex;
-use std::sync::Arc;
+//! A scheduler holds exactly one plugin. Both engines give it a
+//! [`MofkaPlugin`], which streams each record into its family's Mofka
+//! topic, the row [`topic_of`] names in [`WMS_TOPICS`] — the paper's
+//! actual data path — and both end a run by draining that service into a
+//! [`RunData`](crate::RunData). The trait stays so a test or a bench can
+//! put a sink of its own in the plugin's place.
 
 use dtf_core::events::{
     CommEvent, LogEntry, ProvRecord, ProxyEvent, TaskDoneEvent, TaskMetaEvent, TransitionEvent,
@@ -31,56 +29,6 @@ pub trait WmsPlugin: Send {
     fn on_record(&mut self, record: ProvRecord);
     /// Flush any buffered telemetry (end of run).
     fn flush(&mut self) {}
-}
-
-/// In-memory event collector; shared buffers so the caller can inspect the
-/// stream while the run proceeds.
-#[derive(Debug, Default, Clone)]
-pub struct CollectorPlugin {
-    inner: Arc<Mutex<CollectedEvents>>,
-}
-
-/// Everything a collector plugin gathered.
-#[derive(Debug, Default)]
-pub struct CollectedEvents {
-    pub meta: Vec<TaskMetaEvent>,
-    pub transitions: Vec<TransitionEvent>,
-    pub worker_transitions: Vec<WorkerTransitionEvent>,
-    pub task_done: Vec<TaskDoneEvent>,
-    pub comms: Vec<CommEvent>,
-    pub warnings: Vec<WarningEvent>,
-    pub logs: Vec<LogEntry>,
-    pub proxies: Vec<ProxyEvent>,
-}
-
-impl CollectorPlugin {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Take ownership of everything collected so far.
-    pub fn take(&self) -> CollectedEvents {
-        std::mem::take(&mut self.inner.lock())
-    }
-}
-
-impl WmsPlugin for CollectorPlugin {
-    fn on_record(&mut self, record: ProvRecord) {
-        let mut c = self.inner.lock();
-        match record {
-            ProvRecord::TaskMeta(e) => c.meta.push(e),
-            ProvRecord::Transition(e) => c.transitions.push(e),
-            ProvRecord::WorkerTransition(e) => c.worker_transitions.push(e),
-            ProvRecord::TaskDone(e) => c.task_done.push(e),
-            ProvRecord::Comm(e) => c.comms.push(e),
-            ProvRecord::Warning(e) => c.warnings.push(e),
-            ProvRecord::Log(e) => c.logs.push(e),
-            ProvRecord::Proxy(e) => c.proxies.push(e),
-            // Darshan records reach Mofka through the runtime's own sink,
-            // never through a WMS plugin
-            ProvRecord::Io(_) => {}
-        }
-    }
 }
 
 /// Streams every record into its Mofka topic (created by
@@ -138,44 +86,6 @@ impl WmsPlugin for MofkaPlugin {
     fn flush(&mut self) {
         for producer in &mut self.producers {
             let _ = producer.flush();
-        }
-    }
-}
-
-/// A fan-out plugin set, invoked in registration order.
-#[derive(Default)]
-pub struct PluginSet {
-    plugins: Vec<Box<dyn WmsPlugin>>,
-}
-
-impl PluginSet {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn register(&mut self, plugin: Box<dyn WmsPlugin>) {
-        self.plugins.push(plugin);
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.plugins.is_empty()
-    }
-}
-
-impl WmsPlugin for PluginSet {
-    /// Every plugin but the last gets a clone; the last takes the record.
-    fn on_record(&mut self, record: ProvRecord) {
-        if let Some((last, rest)) = self.plugins.split_last_mut() {
-            for p in rest {
-                p.on_record(record.clone());
-            }
-            last.on_record(record);
-        }
-    }
-
-    fn flush(&mut self) {
-        for p in &mut self.plugins {
-            p.flush();
         }
     }
 }
@@ -283,30 +193,6 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn collector_gathers_all_kinds() {
-        let collector = CollectorPlugin::new();
-        let mut plugin: Box<dyn WmsPlugin> = Box::new(collector.clone());
-        for record in one_of_each() {
-            plugin.on_record(record);
-        }
-        let events = collector.take();
-        let lens = [
-            events.meta.len(),
-            events.transitions.len(),
-            events.worker_transitions.len(),
-            events.task_done.len(),
-            events.comms.len(),
-            events.warnings.len(),
-            events.logs.len(),
-            events.proxies.len(),
-        ];
-        assert_eq!(lens, [1; 8], "every family but Darshan's");
-        assert_eq!(events.transitions[0], transition());
-        // take() drains
-        assert_eq!(collector.take().transitions.len(), 0);
-    }
-
     /// Each family lands on its own table row's topic, as the record that
     /// went in, and on no other topic.
     #[test]
@@ -336,17 +222,5 @@ mod tests {
             serde_json::to_string(&ProvRecord::from(transition())).unwrap(),
             serde_json::to_string(&transition()).unwrap()
         );
-    }
-
-    #[test]
-    fn plugin_set_fans_out() {
-        let a = CollectorPlugin::new();
-        let b = CollectorPlugin::new();
-        let mut set = PluginSet::new();
-        set.register(Box::new(a.clone()));
-        set.register(Box::new(b.clone()));
-        set.on_record(transition().into());
-        assert_eq!(a.take().transitions, [transition()]);
-        assert_eq!(b.take().transitions, [transition()]);
     }
 }

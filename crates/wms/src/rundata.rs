@@ -2,17 +2,22 @@
 //!
 //! The paper's data path is: WMS plugins → Mofka topics (in situ), Darshan →
 //! per-process binary logs (at shutdown), job/system metadata → provenance
-//! chart. [`RunData::drain_from_mofka`] replays the Mofka topics after the
-//! run — the post-processing consumer mode — and fuses them with the
-//! Darshan log set into one record the analysis engine consumes.
+//! chart. The drain replays the Mofka topics after the run — the
+//! post-processing consumer mode — and fuses them with the facts every
+//! run has besides its topics ([`RunFacts`]: run id, workflow, chart,
+//! Darshan log set, wall time, steals) into one record the analysis
+//! engine consumes. The simulator's [`SimConfig`] is not one of those
+//! facts: only a persisted simulated run's `run-meta` ([`ArchiveMeta`])
+//! carries it, beside them.
 //!
 //! The drain takes each topic's partitions whole
 //! ([`dtf_mofka::PartitionEvents`]) from one of two sources. A simulated
-//! run and [`RunData::open_archive`] own their service and are done with
-//! it, so they hand it over by value and the records are *moved* out of
-//! the partition logs ([`MofkaService::into_partition_events`]), each
-//! event unwrapped from its record ([`ProvEvent::from_record`]) into a
-//! vector of exactly the family's length: the run is never held twice.
+//! run, a real executor run ([`crate::LocalCluster::finish`]) and
+//! [`RunData::open_archive`] own their service and are done with it, so
+//! they hand it over by value and the records are *moved* out of the
+//! partition logs ([`MofkaService::into_partition_events`]), each event
+//! unwrapped from its record ([`ProvEvent::from_record`]) into a vector
+//! of exactly the family's length: the run is never held twice.
 //! [`RunData::drain_from_mofka`] borrows its service and drains copies
 //! of the partitions ([`dtf_mofka::topic::Topic::partition_events`]),
 //! leaving the service as it was. Neither claims through a consumer
@@ -70,9 +75,23 @@ pub const ARCHIVE_META_KEY: &str = "run-meta";
 const META_MAGIC: &[u8; 7] = b"DTFMETA";
 const META_VERSION: u8 = 6;
 
-/// The non-Mofka half of a run record, persisted at finalize so an
-/// archive reopen can rebuild a full [`RunData`] from disk alone, and the
-/// configuration the run ran on, so the archive alone can run it again.
+/// The facts every run has besides its Mofka topics, whichever engine
+/// ran it: what the drain fuses with the topics into a [`RunData`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunFacts {
+    pub run: RunId,
+    pub workflow: String,
+    pub chart: ProvenanceChart,
+    pub darshan: LogSet,
+    pub wall_time: Dur,
+    pub steals: u64,
+}
+
+/// The non-Mofka half of a simulated run's record, persisted at finalize
+/// so an archive reopen can rebuild a full [`RunData`] from disk alone:
+/// the run's [`RunFacts`], and the configuration the run ran on, so the
+/// archive alone can run it again. The config's `run` is the facts' run
+/// id.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArchiveMeta {
     /// The run's configuration. `persist_dir`, `invariant_checks` and
@@ -120,6 +139,12 @@ impl ArchiveMeta {
             DtfError::NotFound(format!("{ARCHIVE_META_KEY} in archive {}", dir.display()))
         })?;
         Self::decode(&raw)
+    }
+
+    /// The run's facts, the simulator's config left behind.
+    pub(crate) fn into_facts(self) -> RunFacts {
+        let Self { config, workflow, chart, darshan, wall_time, steals } = self;
+        RunFacts { run: config.run, workflow, chart, darshan, wall_time, steals }
     }
 }
 
@@ -288,9 +313,9 @@ pub(crate) fn started(worker_transitions: &[WorkerTransitionEvent]) -> Vec<(Task
 impl RunData {
     /// Drain the standard WMS topics of `svc` into typed event vectors,
     /// sorted by time, leaving `svc` as it was: the drain copies each
-    /// topic's partitions. A simulated run drains the service it owns,
-    /// by move, with its whole [`ArchiveMeta`]; this form is for services
-    /// filled by hand and still in use.
+    /// topic's partitions. A simulated or executor run drains the service
+    /// it owns, by move; this form is for services filled by hand and
+    /// still in use.
     ///
     /// `_start_order` is ignored: the start order is derived from the
     /// drained worker transitions, as for every drain.
@@ -305,9 +330,8 @@ impl RunData {
         _start_order: Vec<(TaskKey, Time)>,
         steals: u64,
     ) -> dtf_core::Result<Self> {
-        let config = SimConfig { run, ..SimConfig::default() };
-        let meta = ArchiveMeta { config, workflow, chart, darshan, wall_time, steals };
-        Self::fuse(meta, |topic| svc.topic(topic)?.partition_events())
+        let facts = RunFacts { run, workflow, chart, darshan, wall_time, steals };
+        Self::fuse(facts, |topic| svc.topic(topic)?.partition_events())
     }
 
     /// Rebuild a run record from a persisted store directory, read-only:
@@ -316,28 +340,29 @@ impl RunData {
     /// prefix. Also returns what recovery found on the way in.
     pub fn open_archive(dir: &Path) -> dtf_core::Result<(Self, ServiceRecovery)> {
         let (svc, recovery) = MofkaService::reopen(dir)?;
-        let meta = ArchiveMeta::of(&svc, dir)?;
-        Ok((Self::drain(svc, meta)?, recovery))
+        let facts = ArchiveMeta::of(&svc, dir)?.into_facts();
+        Ok((Self::drain(svc, facts)?, recovery))
     }
 
     /// Drain a service its caller is done with: every record is moved out
     /// of the partition logs, and each family's slots are freed as the
-    /// family is drained.
-    pub(crate) fn drain(svc: MofkaService, archive: ArchiveMeta) -> dtf_core::Result<Self> {
+    /// family is drained. A topic a producer or consumer still holds is
+    /// an [`DtfError::IllegalState`].
+    pub(crate) fn drain(svc: MofkaService, facts: RunFacts) -> dtf_core::Result<Self> {
         let mut topics = svc.into_partition_events()?;
-        Self::fuse(archive, |topic| {
+        Self::fuse(facts, |topic| {
             topics.remove(topic).ok_or_else(|| DtfError::NotFound(format!("topic {topic}")))
         })
     }
 
     /// The one drain both sources share — any divergence here would break
     /// byte-identical replay: every family of `partitions`, each topic's
-    /// taken whole, fused with `archive`.
+    /// taken whole, fused with `facts`.
     fn fuse(
-        archive: ArchiveMeta,
+        facts: RunFacts,
         mut partitions: impl FnMut(&str) -> dtf_core::Result<Vec<PartitionEvents>>,
     ) -> dtf_core::Result<Self> {
-        let ArchiveMeta { config, workflow, chart, darshan, wall_time, steals } = archive;
+        let RunFacts { run, workflow, chart, darshan, wall_time, steals } = facts;
         let meta = family(&mut partitions, |e: &TaskMetaEvent| e.submitted)?;
         let transitions = family(&mut partitions, |e: &TransitionEvent| e.time)?;
         let worker_transitions = family(&mut partitions, |e: &WorkerTransitionEvent| e.time)?;
@@ -349,7 +374,7 @@ impl RunData {
         let online_io = family(&mut partitions, |e: &IoRecord| e.start)?;
         let proxies = family(&mut partitions, |e: &ProxyEvent| e.time)?;
         Ok(Self {
-            run: config.run,
+            run,
             workflow,
             chart,
             meta,
@@ -628,18 +653,24 @@ mod tests {
     }
 
     /// The non-Mofka half of a hand-built run.
-    fn hand_built(run: u32) -> ArchiveMeta {
-        let config = SimConfig { run: RunId(run), ..SimConfig::default() };
+    fn hand_built(run: u32) -> RunFacts {
         let (workflow, darshan) = ("hand-built".to_string(), LogSet::default());
-        ArchiveMeta { config, workflow, chart: chart(), darshan, wall_time: Dur::ZERO, steals: 0 }
+        RunFacts {
+            run: RunId(run),
+            workflow,
+            chart: chart(),
+            darshan,
+            wall_time: Dur::ZERO,
+            steals: 0,
+        }
     }
 
     /// What [`RunData::drain_from_mofka`] makes of `svc` with `meta`.
-    fn borrowed_drain(svc: &MofkaService, meta: &ArchiveMeta) -> dtf_core::Result<RunData> {
+    fn borrowed_drain(svc: &MofkaService, meta: &RunFacts) -> dtf_core::Result<RunData> {
         let m = meta.clone();
         RunData::drain_from_mofka(
             svc,
-            m.config.run,
+            m.run,
             m.workflow,
             m.chart,
             m.darshan,

@@ -40,7 +40,7 @@ use dtf_core::provenance::WmsConfig;
 use dtf_core::time::Time;
 
 use crate::graph::{check_acyclic, Payload, TaskGraph};
-use crate::plugins::{PluginSet, WmsPlugin};
+use crate::plugins::WmsPlugin;
 
 /// A worker is a stealing victim if its ready backlog exceeds this many
 /// tasks per thread.
@@ -314,12 +314,13 @@ pub struct Scheduler {
     startable: Vec<bool>,
     /// [`Self::decide_worker`]'s resident dep bytes per worker (reused).
     local_bytes: Vec<u64>,
-    plugins: PluginSet,
+    /// Where every record the scheduler emits goes: the engine's one sink.
+    plugin: Box<dyn WmsPlugin>,
     steals: u64,
 }
 
 impl Scheduler {
-    pub fn new(cfg: WmsConfig, hotspot: Option<HotspotFault>, plugins: PluginSet) -> Self {
+    pub fn new(cfg: WmsConfig, hotspot: Option<HotspotFault>, plugin: Box<dyn WmsPlugin>) -> Self {
         Self {
             cfg,
             hotspot,
@@ -336,7 +337,7 @@ impl Scheduler {
             fetches: Vec::new(),
             startable: Vec::new(),
             local_bytes: Vec::new(),
-            plugins,
+            plugin,
             steals: 0,
         }
     }
@@ -374,8 +375,8 @@ impl Scheduler {
         std::mem::take(&mut self.fetches)
     }
 
-    pub fn plugins_mut(&mut self) -> &mut PluginSet {
-        &mut self.plugins
+    pub fn plugin_mut(&mut self) -> &mut dyn WmsPlugin {
+        &mut *self.plugin
     }
 
     pub fn steal_count(&self) -> u64 {
@@ -448,7 +449,7 @@ impl Scheduler {
             (true, false) => self.live += 1,
             _ => {}
         }
-        self.plugins.on_record(
+        self.plugin.on_record(
             TransitionEvent { key, graph: rec.graph, from, to, stimulus, location, time: now }
                 .into(),
         );
@@ -471,7 +472,7 @@ impl Scheduler {
         );
         let graph = self.tasks[slot].graph;
         let worker = self.workers[widx].id;
-        self.plugins
+        self.plugin
             .on_record(WorkerTransitionEvent { key, graph, worker, from, to, time: now }.into());
     }
 
@@ -541,7 +542,7 @@ impl Scheduler {
         }
         for (slot, deps) in (base..).zip(spec_deps) {
             let (key, graph, client) = (self.keys[slot], graph.id, ClientId(0));
-            self.plugins
+            self.plugin
                 .on_record(TaskMetaEvent { key, graph, client, deps, submitted: now }.into());
             self.emit_transition(
                 slot,
@@ -864,7 +865,7 @@ impl Scheduler {
         );
         // worker-side observation of compute start
         let rec = &self.tasks[slot];
-        self.plugins.on_record(
+        self.plugin.on_record(
             TransitionEvent {
                 key,
                 graph: rec.graph,
@@ -924,7 +925,7 @@ impl Scheduler {
             now,
         );
         let graph = self.tasks[slot].graph;
-        self.plugins.on_record(
+        self.plugin.on_record(
             TaskDoneEvent { key: *key, graph, worker, thread, start, stop: now, nbytes }.into(),
         );
 
@@ -962,7 +963,7 @@ impl Scheduler {
             WorkerTaskState::Error,
             now,
         );
-        self.plugins.on_record(
+        self.plugin.on_record(
             LogEntry {
                 time: now,
                 level: LogLevel::Error,
@@ -1461,22 +1462,55 @@ impl Scheduler {
         }
         v
     }
-
-    /// Consume the scheduler, returning its plugin set (end of run).
-    pub fn into_plugins(self) -> PluginSet {
-        self.plugins
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::{GraphBuilder, SimAction};
-    use crate::plugins::CollectorPlugin;
     use crate::rundata::started;
+    use dtf_core::events::WorkerTransitionEvent;
+    use dtf_core::events::{LogEntry, ProvRecord, TaskDoneEvent, TaskMetaEvent, TransitionEvent};
     use dtf_core::ids::NodeId;
     use dtf_core::time::Dur;
+    use parking_lot::Mutex;
     use std::collections::HashSet as Set;
+    use std::sync::Arc;
+
+    /// The families these tests read, as the scheduler emitted them.
+    #[derive(Default)]
+    struct Emitted {
+        meta: Vec<TaskMetaEvent>,
+        transitions: Vec<TransitionEvent>,
+        worker_transitions: Vec<WorkerTransitionEvent>,
+        task_done: Vec<TaskDoneEvent>,
+        logs: Vec<LogEntry>,
+    }
+
+    /// A sink whose buffer the test keeps a handle on.
+    #[derive(Clone, Default)]
+    struct TestSink(Arc<Mutex<Emitted>>);
+
+    impl TestSink {
+        /// Everything emitted since the last take.
+        fn take(&self) -> Emitted {
+            std::mem::take(&mut self.0.lock())
+        }
+    }
+
+    impl WmsPlugin for TestSink {
+        fn on_record(&mut self, record: ProvRecord) {
+            let mut e = self.0.lock();
+            match record {
+                ProvRecord::TaskMeta(r) => e.meta.push(r),
+                ProvRecord::Transition(r) => e.transitions.push(r),
+                ProvRecord::WorkerTransition(r) => e.worker_transitions.push(r),
+                ProvRecord::TaskDone(r) => e.task_done.push(r),
+                ProvRecord::Log(r) => e.logs.push(r),
+                _ => {}
+            }
+        }
+    }
 
     /// Test-only access to a task's record by key.
     impl Scheduler {
@@ -1498,11 +1532,9 @@ mod tests {
         WorkerId::new(NodeId(i / 4), i % 4)
     }
 
-    fn sched(n_workers: u32, threads: u32, cfg: WmsConfig) -> (Scheduler, CollectorPlugin) {
-        let collector = CollectorPlugin::new();
-        let mut plugins = PluginSet::new();
-        plugins.register(Box::new(collector.clone()));
-        let mut s = Scheduler::new(cfg, None, plugins);
+    fn sched(n_workers: u32, threads: u32, cfg: WmsConfig) -> (Scheduler, TestSink) {
+        let collector = TestSink::default();
+        let mut s = Scheduler::new(cfg, None, Box::new(collector.clone()));
         for i in 0..n_workers {
             s.add_worker(worker(i), threads);
         }
@@ -1820,17 +1852,14 @@ mod tests {
 
     #[test]
     fn submit_requires_workers() {
-        let collector = CollectorPlugin::new();
-        let mut plugins = PluginSet::new();
-        plugins.register(Box::new(collector));
-        let mut s = Scheduler::new(WmsConfig::default(), None, plugins);
+        let mut s = Scheduler::new(WmsConfig::default(), None, Box::new(TestSink::default()));
         assert!(s.submit_graph(chain_graph(1), Time::ZERO).is_err());
     }
 
     /// Producers `d`, `g` (small outputs) land on w0/w1; `e` (huge) on w2.
     /// Consumers pinned to w2 by `e`'s locality then share the small deps.
     /// Returns `(sched, collector, d, g, e)` with all producers finished.
-    fn fetch_rig() -> (Scheduler, CollectorPlugin, TaskKey, TaskKey, TaskKey) {
+    fn fetch_rig() -> (Scheduler, TestSink, TaskKey, TaskKey, TaskKey) {
         let (mut s, collector) = sched(
             3,
             1,

@@ -42,7 +42,7 @@ use dtf_platform::{ClusterTopology, LoadProcess, NetworkConfig, NetworkModel, Pf
 use dtf_proxystore::{ProxyConfig, ProxyPlane};
 
 use crate::graph::{IoCall, Payload, TaskGraph};
-use crate::plugins::{MofkaPlugin, PluginSet, WmsPlugin};
+use crate::plugins::MofkaPlugin;
 use crate::rundata::{ArchiveMeta, RunData, ARCHIVE_META_KEY};
 use crate::scheduler::{nonzero, Fetch, Scheduler};
 
@@ -456,12 +456,11 @@ impl SimCluster {
                 }));
             }
         }
-        let mut plugins = PluginSet::new();
-        plugins.register(Box::new(MofkaPlugin::new(
+        let plugin = MofkaPlugin::new(
             &mofka,
             ProducerConfig { batch_size: cfg.mofka_batch, ..Default::default() },
-        )?));
-        let mut scheduler = Scheduler::new(cfg.wms.clone(), cfg.faults.hotspot, plugins);
+        )?;
+        let mut scheduler = Scheduler::new(cfg.wms.clone(), cfg.faults.hotspot, Box::new(plugin));
         for w in &worker_ids {
             scheduler.add_worker(*w, cfg.wms.threads_per_worker);
         }
@@ -512,7 +511,7 @@ impl SimCluster {
 
     fn log(&mut self, level: LogLevel, source: LogSource, message: String) {
         self.scheduler
-            .plugins_mut()
+            .plugin_mut()
             .on_record(LogEntry { time: self.now, level, source, message }.into());
     }
 
@@ -590,7 +589,7 @@ impl SimCluster {
                         // (the scheduler re-issued it from a live replica)
                         continue;
                     }
-                    self.scheduler.plugins_mut().on_record(
+                    self.scheduler.plugin_mut().on_record(
                         CommEvent {
                             key: dep,
                             from: self.worker_ids[from],
@@ -641,7 +640,7 @@ impl SimCluster {
                             self.scheduler.task_graph(&key).unwrap_or(dtf_core::ids::GraphId(0));
                         let pidx = self.proxy.publish_count();
                         let (_r, ev) = self.proxy.publish(&key, graph, wid, nbytes, self.now);
-                        self.scheduler.plugins_mut().on_record(ev.into());
+                        self.scheduler.plugin_mut().on_record(ev.into());
                         if self.cfg.faults.dangling_proxy(pidx) {
                             self.proxy.damage(&key);
                         }
@@ -714,7 +713,7 @@ impl SimCluster {
                         // re-source or orphan the proxies the dead worker
                         // owned
                         for ev in self.proxy.worker_died(self.worker_ids[widx], self.now) {
-                            self.scheduler.plugins_mut().on_record(ev.into());
+                            self.scheduler.plugin_mut().on_record(ev.into());
                         }
                         self.process_fetches();
                     }
@@ -841,7 +840,7 @@ impl SimCluster {
         match self.proxy.resolve(dep, self.worker_ids[to], self.now) {
             Ok((_outcome, events)) => {
                 for ev in events {
-                    self.scheduler.plugins_mut().on_record(ev.into());
+                    self.scheduler.plugin_mut().on_record(ev.into());
                 }
             }
             Err(e) => {
@@ -954,7 +953,7 @@ impl SimCluster {
                 };
                 let time = start + Dur::from_secs_f64(t);
                 let warn = WarningEvent { kind, worker: Some(wid), time, duration: dur };
-                self.scheduler.plugins_mut().on_record(warn.into());
+                self.scheduler.plugin_mut().on_record(warn.into());
                 self.log(
                     LogLevel::Warning,
                     LogSource::Worker(wid),
@@ -972,7 +971,7 @@ impl SimCluster {
 
     /// Finalize Darshan logs and drain Mofka into the run record.
     fn finalize(mut self, workflow: String, code_hash: u64, wall_time: Dur) -> Result<RunData> {
-        self.scheduler.plugins_mut().flush();
+        self.scheduler.plugin_mut().flush();
         for rt in &self.runtimes {
             rt.clear_sink(); // drops (and thereby flushes) online producers
         }
@@ -1007,7 +1006,7 @@ impl SimCluster {
         // the scheduler's plugin holds producers, which would keep the
         // topics open; the drain takes the service whole
         drop(self.scheduler);
-        RunData::drain(self.mofka, meta)
+        RunData::drain(self.mofka, meta.into_facts())
     }
 }
 

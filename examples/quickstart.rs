@@ -1,5 +1,5 @@
 //! Quickstart: run a real task graph on the local cluster with full
-//! instrumentation, then inspect the collected provenance.
+//! instrumentation, then inspect the run's provenance record.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
@@ -8,27 +8,24 @@
 //! This is the "downstream user" path: your own Rust closures execute on
 //! real worker threads under the same scheduler (placement heuristic,
 //! queuing, work stealing) the paper studies, and every task transition,
-//! completion, and transfer is captured by plugins without touching your
-//! workload code.
+//! completion, and transfer streams into the cluster's own Mofka service
+//! without touching your workload code. `finish` drains it into the same
+//! `RunData` a simulated run yields, so the chaos oracles, the export and
+//! every view read it too.
 
-use std::sync::Arc;
-
+use dtf::chaos::check_run;
 use dtf::core::provenance::WmsConfig;
 use dtf::wms::exec::LocalCluster;
 use dtf::wms::graph::TaskValue;
-use dtf::wms::plugins::PluginSet;
-use dtf::wms::{CollectorPlugin, Delayed};
+use dtf::wms::Delayed;
 
 fn main() {
-    // 1. start a local "cluster": 2 emulated workers x 2 threads,
-    //    instrumented with an in-memory collector plugin
-    let collector = CollectorPlugin::new();
-    let mut plugins = PluginSet::new();
-    plugins.register(Box::new(collector.clone()));
-    let cluster = LocalCluster::start(
-        WmsConfig { workers_per_node: 2, threads_per_worker: 2, ..Default::default() },
-        plugins,
-    )
+    // 1. start a local "cluster": 2 emulated workers x 2 threads
+    let cluster = LocalCluster::start(WmsConfig {
+        workers_per_node: 2,
+        threads_per_worker: 2,
+        ..Default::default()
+    })
     .expect("a 2x2 cluster starts");
 
     // 2. build a little map-reduce with the dask.delayed-style client
@@ -51,17 +48,17 @@ fn main() {
     println!("sum of squares 0..8 = {}", result.downcast_ref::<u64>().unwrap());
     assert_eq!(*result.downcast_ref::<u64>().unwrap(), 140);
 
-    cluster.wait_all();
-    cluster.shutdown();
-
-    // 4. inspect what the instrumentation saw
-    let events = collector.take();
-    println!("\ncollected provenance:");
-    println!("  task metadata records : {}", events.meta.len());
-    println!("  state transitions     : {}", events.transitions.len());
-    println!("  task completions      : {}", events.task_done.len());
-    println!("  inter-worker transfers: {}", events.comms.len());
-    for done in events.task_done.iter().take(4) {
+    // 4. end the run and inspect what the instrumentation saw
+    let data = cluster.finish("quickstart").expect("the run drains");
+    let violations = check_run(&data);
+    assert!(violations.is_empty(), "oracle violations: {violations:?}");
+    println!("\nprovenance record (every chaos oracle clean):");
+    println!("  task metadata records : {}", data.meta.len());
+    println!("  state transitions     : {}", data.transitions.len());
+    println!("  task completions      : {}", data.task_done.len());
+    println!("  inter-worker transfers: {}", data.comms.len());
+    println!("  wall time             : {:.3} ms", data.wall_time.as_millis_f64());
+    for done in data.task_done.iter().take(4) {
         println!(
             "  {} ran on {} thread {:#x} in {:.3} ms",
             done.key,
@@ -70,7 +67,6 @@ fn main() {
             done.duration().as_millis_f64()
         );
     }
-    let workers: std::collections::HashSet<_> = events.task_done.iter().map(|d| d.worker).collect();
+    let workers: std::collections::HashSet<_> = data.task_done.iter().map(|d| d.worker).collect();
     println!("  distinct workers used : {}", workers.len());
-    let _ = Arc::strong_count(&result);
 }

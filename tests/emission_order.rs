@@ -24,9 +24,8 @@ use dtf::perfrecup::export::export_run;
 use dtf::perfrecup::live::republish;
 use dtf::wms::exec::LocalCluster;
 use dtf::wms::graph::TaskValue;
-use dtf::wms::plugins::PluginSet;
 use dtf::wms::sim::{SimCluster, SimConfig};
-use dtf::wms::{Delayed, MofkaPlugin, RunData};
+use dtf::wms::{Delayed, RunData};
 use dtf::workflows::Workload;
 
 fn scratch(label: &str) -> PathBuf {
@@ -236,15 +235,12 @@ fn the_drain_by_move_and_the_borrowed_drain_give_the_same_run() {
 }
 
 /// An in-memory run on the real executor, its records pushed from the
-/// worker threads through one plugin: every topic holds the seqs `0..n`.
+/// worker threads through the cluster's one plugin: every topic holds the
+/// seqs `0..n`.
 #[test]
 fn every_topic_of_a_real_executor_run_holds_the_seqs_0_to_n() {
-    let svc = BedrockConfig::wms_default().bootstrap().unwrap();
-    let mut plugins = PluginSet::new();
-    let cfg = ProducerConfig { batch_size: 3, ..Default::default() };
-    plugins.register(Box::new(MofkaPlugin::new(&svc, cfg).unwrap()));
     let wms = WmsConfig { workers_per_node: 2, threads_per_worker: 2, ..Default::default() };
-    let cluster = LocalCluster::start(wms, plugins).unwrap();
+    let cluster = LocalCluster::start(wms).unwrap();
     let mut client = Delayed::new(&cluster);
     let leaves: Vec<_> =
         (0..24u64).map(|i| client.delayed("leaf", vec![], move |_| TaskValue::new(i, 8))).collect();
@@ -254,7 +250,7 @@ fn every_topic_of_a_real_executor_run_holds_the_seqs_0_to_n() {
     let total = *client.gather(&sum).unwrap().downcast_ref::<u64>().unwrap();
     assert_eq!(total, (0..24).sum::<u64>());
     cluster.wait_all();
-    cluster.shutdown();
+    let svc = cluster.service();
     assert_eq!(svc.topic("task-done").unwrap().total_len(), 25);
-    assert_seqs_complete(&svc, "real executor");
+    assert_seqs_complete(svc, "real executor");
 }

@@ -1,41 +1,31 @@
 //! In-situ analysis (paper §III-B): the event-streaming model lets a
 //! consumer process telemetry *while the workflow runs*, with the same
 //! API later used for post-hoc replay. This test runs real tasks on the
-//! local cluster with the Mofka plugin attached and tails the stream from
-//! a concurrent analysis thread.
+//! local cluster, which streams into its own Mofka service, and tails
+//! that service from a concurrent analysis thread.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 use dtf::core::provenance::WmsConfig;
-use dtf::mofka::bedrock::BedrockConfig;
-use dtf::mofka::producer::ProducerConfig;
 use dtf::mofka::ConsumerConfig;
 use dtf::wms::exec::LocalCluster;
 use dtf::wms::graph::TaskValue;
-use dtf::wms::plugins::PluginSet;
-use dtf::wms::{Delayed, MofkaPlugin};
+use dtf::wms::Delayed;
 
 #[test]
 fn live_consumer_sees_events_during_the_run() {
-    let svc = Arc::new(BedrockConfig::wms_default().bootstrap().unwrap());
-    let mut plugins = PluginSet::new();
-    plugins.register(Box::new(
-        // small batches so events become visible promptly (in-situ mode)
-        MofkaPlugin::new(&svc, ProducerConfig { batch_size: 1, ..Default::default() }).unwrap(),
-    ));
-    let cluster = LocalCluster::start(
-        WmsConfig { workers_per_node: 2, threads_per_worker: 2, ..Default::default() },
-        plugins,
-    )
+    let cluster = LocalCluster::start(WmsConfig {
+        workers_per_node: 2,
+        threads_per_worker: 2,
+        ..Default::default()
+    })
     .unwrap();
+    let svc = cluster.service();
 
-    // concurrent in-situ analyst: tails task-done while the workflow runs
-    let stop = Arc::new(AtomicBool::new(false));
-    let analyst = {
-        let svc = svc.clone();
-        let stop = stop.clone();
-        std::thread::spawn(move || {
+    let stop = AtomicBool::new(false);
+    let (live_seen, total_seen) = std::thread::scope(|scope| {
+        // concurrent in-situ analyst: tails task-done while the workflow runs
+        let analyst = scope.spawn(|| {
             let mut consumer = svc
                 .consumer("task-done", ConsumerConfig { group: "live".into(), prefetch: 16 })
                 .unwrap();
@@ -51,28 +41,26 @@ fn live_consumer_sees_events_during_the_run() {
             // same API)
             seen += consumer.drain_all().unwrap().len();
             (seen_before_stop, seen)
-        })
-    };
+        });
 
-    // the workflow: 40 tasks with real work
-    let mut client = Delayed::new(&cluster);
-    let mut keys = Vec::new();
-    for _ in 0..40 {
-        keys.push(client.delayed("work", vec![], |_| {
-            let mut acc = 1u64;
-            for i in 1..150_000u64 {
-                acc = acc.wrapping_mul(i | 1);
-            }
-            TaskValue::new(acc, 8)
-        }));
-    }
-    client.compute().unwrap();
-    cluster.wait_all();
-    // give the analyst a moment to observe completions while still "live"
-    std::thread::sleep(std::time::Duration::from_millis(50));
-    stop.store(true, Ordering::SeqCst);
-    let (live_seen, total_seen) = analyst.join().unwrap();
-    cluster.shutdown();
+        // the workflow: 40 tasks with real work
+        let mut client = Delayed::new(&cluster);
+        for _ in 0..40 {
+            client.delayed("work", vec![], |_| {
+                let mut acc = 1u64;
+                for i in 1..150_000u64 {
+                    acc = acc.wrapping_mul(i | 1);
+                }
+                TaskValue::new(acc, 8)
+            });
+        }
+        client.compute().unwrap();
+        cluster.wait_all();
+        // give the analyst a moment to observe completions while still "live"
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        stop.store(true, Ordering::SeqCst);
+        analyst.join().unwrap()
+    });
 
     assert_eq!(total_seen, 40, "in-situ + post-hoc consumption covers every event");
     assert!(live_seen > 0, "the analyst observed completions while the workflow was still live");
@@ -82,4 +70,9 @@ fn live_consumer_sees_events_during_the_run() {
         .consumer("task-done", ConsumerConfig { group: "posthoc".into(), prefetch: 64 })
         .unwrap();
     assert_eq!(replay.drain_all().unwrap().len(), 40, "persistent stream replays from zero");
+    drop(replay);
+
+    // the consumers are gone, so the run drains into its record
+    let data = cluster.finish("in-situ").unwrap();
+    assert_eq!(data.task_done.len(), 40);
 }

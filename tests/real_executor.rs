@@ -1,5 +1,7 @@
 //! Integration tests of the real multi-threaded executor: genuine
 //! closures, real data flow, instrumentation identical to the simulator's.
+//! Every run ends in `finish`, the drain every run ends in, and its
+//! `RunData` passes every chaos oracle (`check_run`).
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -7,25 +9,31 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
+use dtf::chaos::check_run;
 use dtf::core::error::DtfError;
 use dtf::core::events::{LogEntry, LogLevel, LogSource, TaskState, WorkerTaskState};
 use dtf::core::ids::{GraphId, TaskKey};
 use dtf::core::provenance::WmsConfig;
+use dtf::perfrecup::export::{export_run, CSV_VIEWS};
 use dtf::wms::exec::LocalCluster;
 use dtf::wms::graph::{GraphBuilder, Payload, TaskValue};
-use dtf::wms::plugins::PluginSet;
-use dtf::wms::{CollectorPlugin, Delayed};
+use dtf::wms::{Delayed, RunData};
 
-fn collector_cluster(workers: u32, threads: u32) -> (LocalCluster, CollectorPlugin) {
-    let collector = CollectorPlugin::new();
-    let mut plugins = PluginSet::new();
-    plugins.register(Box::new(collector.clone()));
-    let cluster = LocalCluster::start(
-        WmsConfig { workers_per_node: workers, threads_per_worker: threads, ..Default::default() },
-        plugins,
-    )
-    .unwrap();
-    (cluster, collector)
+fn cluster(workers: u32, threads: u32) -> LocalCluster {
+    LocalCluster::start(WmsConfig {
+        workers_per_node: workers,
+        threads_per_worker: threads,
+        ..Default::default()
+    })
+    .unwrap()
+}
+
+/// End the run and judge its record with every chaos oracle.
+fn finish_clean(cluster: LocalCluster, workflow: &str) -> RunData {
+    let data = cluster.finish(workflow).unwrap();
+    let violations = check_run(&data);
+    assert!(violations.is_empty(), "{workflow}: {violations:?}");
+    data
 }
 
 /// A cluster of no workers, or of workers with no threads, is a config
@@ -38,14 +46,14 @@ fn zero_workers_or_threads_is_a_config_error() {
             threads_per_worker: threads,
             ..Default::default()
         };
-        let err = LocalCluster::start(cfg, PluginSet::new()).err().expect("a zero size is refused");
+        let err = LocalCluster::start(cfg).err().expect("a zero size is refused");
         assert!(matches!(err, DtfError::Config(_)), "{workers}x{threads}: {err}");
     }
 }
 
 #[test]
 fn two_level_reduction_computes_correctly() {
-    let (cluster, collector) = collector_cluster(3, 2);
+    let cluster = cluster(3, 2);
     let mut client = Delayed::new(&cluster);
     // 60 leaves -> 6 partial sums -> 1 total
     let leaves: Vec<TaskKey> =
@@ -65,10 +73,7 @@ fn two_level_reduction_computes_correctly() {
     });
     let v = client.gather(&total).unwrap();
     assert_eq!(*v.downcast_ref::<i64>().unwrap(), (0..60).sum::<i64>());
-    cluster.wait_all();
-    cluster.shutdown();
-
-    let events = collector.take();
+    let events = finish_clean(cluster, "reduction");
     assert_eq!(events.task_done.len(), 67);
     assert_eq!(events.meta.len(), 67);
     // dependencies recorded in metadata
@@ -82,7 +87,7 @@ fn two_level_reduction_computes_correctly() {
 
 #[test]
 fn dependencies_execute_before_dependents() {
-    let (cluster, collector) = collector_cluster(2, 2);
+    let cluster = cluster(2, 2);
     let mut client = Delayed::new(&cluster);
     let order = Arc::new(AtomicUsize::new(0));
     let o1 = order.clone();
@@ -98,9 +103,7 @@ fn dependencies_execute_before_dependents() {
         TaskValue::new(seq, 8)
     });
     client.gather(&b).unwrap();
-    cluster.wait_all();
-    cluster.shutdown();
-    let events = collector.take();
+    let events = finish_clean(cluster, "ordered");
     let first = events.task_done.iter().find(|d| d.key.prefix == "first").unwrap();
     let second = events.task_done.iter().find(|d| d.key.prefix == "second").unwrap();
     assert!(second.start >= first.stop);
@@ -108,18 +111,12 @@ fn dependencies_execute_before_dependents() {
 
 #[test]
 fn stealing_disabled_cluster_still_completes() {
-    let collector = CollectorPlugin::new();
-    let mut plugins = PluginSet::new();
-    plugins.register(Box::new(collector.clone()));
-    let cluster = LocalCluster::start(
-        WmsConfig {
-            workers_per_node: 2,
-            threads_per_worker: 1,
-            work_stealing: false,
-            ..Default::default()
-        },
-        plugins,
-    )
+    let cluster = LocalCluster::start(WmsConfig {
+        workers_per_node: 2,
+        threads_per_worker: 1,
+        work_stealing: false,
+        ..Default::default()
+    })
     .unwrap();
     let mut b = GraphBuilder::new(GraphId(0));
     let tok = b.new_token();
@@ -131,14 +128,12 @@ fn stealing_disabled_cluster_still_completes() {
         );
     }
     cluster.submit(b.build(&Default::default()).unwrap()).unwrap();
-    cluster.wait_all();
-    cluster.shutdown();
-    assert_eq!(collector.take().task_done.len(), 30);
+    assert_eq!(finish_clean(cluster, "no-stealing").task_done.len(), 30);
 }
 
 #[test]
 fn many_small_graphs_chain_like_xgboost() {
-    let (cluster, collector) = collector_cluster(2, 2);
+    let cluster = cluster(2, 2);
     let mut client = Delayed::new(&cluster);
     let mut prev: Option<TaskKey> = None;
     for step in 0..20u64 {
@@ -152,9 +147,7 @@ fn many_small_graphs_chain_like_xgboost() {
     }
     let v = cluster.gather(prev.as_ref().unwrap()).unwrap();
     assert_eq!(*v.downcast_ref::<u64>().unwrap(), (0..20).sum::<u64>());
-    cluster.wait_all();
-    cluster.shutdown();
-    let events = collector.take();
+    let events = finish_clean(cluster, "chain");
     let graphs: std::collections::HashSet<u32> =
         events.task_done.iter().map(|d| d.graph.0).collect();
     assert_eq!(graphs.len(), 20, "each compute() submitted its own graph");
@@ -162,7 +155,7 @@ fn many_small_graphs_chain_like_xgboost() {
 
 #[test]
 fn values_larger_than_threshold_still_pass_between_workers() {
-    let (cluster, _collector) = collector_cluster(2, 1);
+    let cluster = cluster(2, 1);
     let mut client = Delayed::new(&cluster);
     let big = client.delayed("big", vec![], |_| TaskValue::new(vec![7u8; 1 << 20], 1 << 20));
     let len = client.delayed("len", vec![big], |deps| {
@@ -171,7 +164,7 @@ fn values_larger_than_threshold_still_pass_between_workers() {
     });
     let v = client.gather(&len).unwrap();
     assert_eq!(*v.downcast_ref::<u64>().unwrap(), 1 << 20);
-    cluster.shutdown();
+    finish_clean(cluster, "large-values");
 }
 
 /// Run `body` on its own thread and fail, rather than hang, if it has not
@@ -194,7 +187,7 @@ fn within_a_minute(body: impl FnOnce() + Send + 'static) {
 #[test]
 fn submit_wakes_a_cluster_whose_threads_all_sleep() {
     within_a_minute(|| {
-        let (cluster, collector) = collector_cluster(2, 2);
+        let cluster = cluster(2, 2);
         for round in 0..200u32 {
             let mut b = GraphBuilder::new(GraphId(round));
             let tok = b.new_token();
@@ -211,16 +204,14 @@ fn submit_wakes_a_cluster_whose_threads_all_sleep() {
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
-        cluster.wait_all();
-        cluster.shutdown();
-        assert_eq!(collector.take().task_done.len(), 200);
+        assert_eq!(finish_clean(cluster, "rounds").task_done.len(), 200);
     });
 }
 
 #[test]
 fn a_steal_wakes_the_sleeping_thief() {
     within_a_minute(|| {
-        let (cluster, collector) = collector_cluster(2, 1);
+        let cluster = cluster(2, 1);
         let mut client = Delayed::new(&cluster);
         // a 32 GB declared output pins every child to the root's worker by
         // locality; only a steal moves one to the other, sleeping worker
@@ -237,14 +228,9 @@ fn a_steal_wakes_the_sleeping_thief() {
         for c in &children {
             cluster.gather(c).unwrap();
         }
-        cluster.shutdown();
-        let workers: HashSet<_> = collector
-            .take()
-            .task_done
-            .iter()
-            .filter(|d| d.key.prefix == "child")
-            .map(|d| d.worker)
-            .collect();
+        let data = finish_clean(cluster, "steal");
+        let workers: HashSet<_> =
+            data.task_done.iter().filter(|d| d.key.prefix == "child").map(|d| d.worker).collect();
         assert_eq!(workers.len(), 2, "children ran on both workers");
     });
 }
@@ -256,7 +242,7 @@ fn a_steal_wakes_the_sleeping_thief() {
 #[test]
 fn a_panicking_closure_errs_its_dependents_and_the_cluster_runs_on() {
     within_a_minute(|| {
-        let (cluster, collector) = collector_cluster(2, 2);
+        let cluster = cluster(2, 2);
         let mut client = Delayed::new(&cluster);
         let ok = client.delayed("ok", vec![], |_| TaskValue::new(1u8, 1));
         let boom = client.delayed("boom", vec![], |_| panic!("a task body failed"));
@@ -273,10 +259,7 @@ fn a_panicking_closure_errs_its_dependents_and_the_cluster_runs_on() {
             TaskValue::new(d[0].downcast_ref::<u8>().unwrap() + 3, 1)
         });
         assert_eq!(*client.gather(&next).unwrap().downcast_ref::<u8>().unwrap(), 4);
-        cluster.wait_all();
-        cluster.shutdown();
-
-        let events = collector.take();
+        let events = finish_clean(cluster, "panic");
         assert_eq!(events.meta.len(), 5, "every task keeps its metadata");
         let erred: HashSet<(TaskKey, TaskState)> = events
             .transitions
@@ -307,4 +290,63 @@ fn a_panicking_closure_errs_its_dependents_and_the_cluster_runs_on() {
         };
         assert_eq!(events.logs, [line]);
     });
+}
+
+/// A cluster dropped without `finish` stops and joins its threads. They
+/// hold the scheduler, and through it every submitted closure, so a
+/// thread left asleep would keep what the closures captured for ever.
+#[test]
+fn a_dropped_cluster_stops_its_threads() {
+    let token = Arc::new(());
+    let cluster = cluster(2, 2);
+    let mut client = Delayed::new(&cluster);
+    let held = token.clone();
+    client.delayed("hold", vec![], move |_| TaskValue::new(Arc::strong_count(&held), 8));
+    client.compute().unwrap();
+    cluster.wait_all();
+    drop(client);
+    drop(cluster);
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(Arc::strong_count(&token), 1, "a worker thread still holds the closure");
+}
+
+/// An executor run exports like a simulated one: `tasks.csv` has one row
+/// per completion, and the bundle is every file `export_run` writes.
+#[test]
+fn an_executor_run_writes_an_export_bundle() {
+    let cluster = cluster(2, 2);
+    let mut client = Delayed::new(&cluster);
+    let leaves: Vec<TaskKey> =
+        (0..12u64).map(|i| client.delayed("leaf", vec![], move |_| TaskValue::new(i, 8))).collect();
+    let sum = client.delayed("sum", leaves, |deps| {
+        TaskValue::new(deps.iter().map(|d| *d.downcast_ref::<u64>().unwrap()).sum::<u64>(), 8)
+    });
+    assert_eq!(*client.gather(&sum).unwrap().downcast_ref::<u64>().unwrap(), 66);
+    let data = finish_clean(cluster, "export");
+    assert_eq!(data.task_done.len(), 13);
+
+    let dir = std::env::temp_dir().join(format!("dtf-executor-export-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let written = export_run(&data, &dir).unwrap();
+    let tasks = std::fs::read_to_string(dir.join("tasks.csv")).unwrap();
+    assert_eq!(tasks.lines().count(), 1 + data.task_done.len(), "a header and a row per task");
+    let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
+    let manifest: serde_json::Value = serde_json::from_str(&manifest).unwrap();
+    assert_eq!(manifest["workflow"].as_str(), Some("export"));
+    assert_eq!(manifest["distinct_tasks"].as_u64(), Some(13));
+    assert_eq!(manifest["steals"].as_u64(), Some(data.steals));
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    let mut expected: Vec<String> = CSV_VIEWS
+        .iter()
+        .chain(&["task_io.csv", "provenance_chart.json", "manifest.json"])
+        .map(|f| f.to_string())
+        .collect();
+    expected.sort();
+    assert_eq!(files, expected, "no Darshan log: the executor does no instrumented I/O");
+    assert_eq!(written, expected.len());
+    std::fs::remove_dir_all(&dir).unwrap();
 }
