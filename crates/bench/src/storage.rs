@@ -103,7 +103,8 @@ pub struct IndexedBench {
     /// Wall of a full `SegmentedLog::open` body scan — what answering any
     /// point query costs without an index.
     pub full_scan_ms: f64,
-    /// `LogReader::open` wall (header walk + tail scan; no cold bodies).
+    /// `LogReader::open` wall: the recovery scan, every body read and
+    /// checksummed (recorded, not gated).
     pub reader_open_ms: f64,
     pub point_lookups: u64,
     /// Mean wall of one indexed point read (cold cache at first touch).

@@ -46,7 +46,7 @@ pub mod schedule;
 pub use crash::{copy_store, recovery_oracle, CrashFault, CrashKind, CrashTarget};
 pub use oracle::{check_proxy_plane, check_run};
 pub use runner::{
-    run_campaign, run_faults, run_schedule, schedule_seed, transition_log, CampaignReport,
+    run_campaign, run_faults, run_schedule, schedule_seed, transition_log, workers, CampaignReport,
     ScheduleOutcome,
 };
 pub use schedule::{generate, STALLABLE_TOPICS};

@@ -46,8 +46,8 @@ pub fn sim_config(seed: u64, index: u64, faults: FaultSchedule) -> SimConfig {
     }
 }
 
-/// Workers in a chaos run: the ordinals fault schedules address.
-pub(crate) fn workers() -> u32 {
+/// Workers in a chaos run: the ordinals its fault schedules address.
+pub fn workers() -> u32 {
     WORKER_NODES * sim_config(0, 0, FaultSchedule::default()).wms.workers_per_node
 }
 
@@ -232,7 +232,7 @@ pub fn run_faults(seed: u64, index: u64, faults: &FaultSchedule) -> Result<RunDa
 /// analysis (e.g. the live-view equivalence oracle).
 pub fn run_schedule(campaign_seed: u64, index: u64) -> (ScheduleOutcome, Option<RunData>) {
     let seed = schedule_seed(campaign_seed, index);
-    let schedule = generate(seed);
+    let schedule = generate(seed, workers());
     let runs = (run_faults(seed, index, &schedule), run_faults(seed, index, &schedule));
     let mut outcome = ScheduleOutcome {
         index,

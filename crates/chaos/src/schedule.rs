@@ -3,10 +3,12 @@
 //! A schedule is a pure function of its seed: [`generate`] draws all nine
 //! fault families from one labelled [`RunRng`] stream in a fixed order, so
 //! the same seed always yields the same [`FaultSchedule`] — the property
-//! the replay workflow rests on. Worker ordinal 0 is never killed and
+//! the replay workflow rests on. Every fault addresses a worker ordinal
+//! below the cluster's worker count. Worker ordinal 0 is never killed and
 //! never has heartbeats suppressed: at least one worker must survive or a
-//! perturbed run could deadlock by construction rather than by bug. A
-//! family is switched off by clearing its field of the generated schedule.
+//! perturbed run could deadlock by construction rather than by bug, so a
+//! one-worker cluster draws neither. A family is switched off by clearing
+//! its field of the generated schedule.
 
 use std::collections::BTreeSet;
 
@@ -53,11 +55,11 @@ const MAX_DROP_WINDOW_S: f64 = 6.0;
 const MAX_MOFKA_STALLS: u32 = 2;
 const MAX_PFS_BURSTS: u32 = 2;
 
-/// Generate the schedule for `seed`, addressing the workers of a chaos
-/// run (the runner's simulator configuration sets how many). Deterministic:
-/// the same seed always produces the same schedule.
-pub fn generate(seed: u64) -> FaultSchedule {
-    let workers = crate::runner::workers();
+/// Generate the schedule for `seed`, addressing the ordinals of a
+/// cluster of `workers` workers ([`crate::workers`] for a chaos run).
+/// Deterministic: the same seed and count always produce the same
+/// schedule.
+pub fn generate(seed: u64, workers: u32) -> FaultSchedule {
     let rr = RunRng::new(seed, RunId(0));
     let mut rng = rr.stream("fault-schedule");
     let mut s = FaultSchedule { seed, ..Default::default() };
@@ -65,7 +67,7 @@ pub fn generate(seed: u64) -> FaultSchedule {
     // worker deaths (never ordinal 0)
     let mut killed = BTreeSet::new();
     for _ in 0..MAX_DEATHS {
-        if rng.gen::<f64>() >= DEATH_PROB {
+        if workers < 2 || rng.gen::<f64>() >= DEATH_PROB {
             break;
         }
         let worker = 1 + rng.gen_range(0..workers - 1);
@@ -91,7 +93,7 @@ pub fn generate(seed: u64) -> FaultSchedule {
     s.fetch_faults.sort_by_key(|f| f.index);
 
     // heartbeat-suppression windows (never ordinal 0)
-    let n_drops = rng.gen_range(0..=MAX_HEARTBEAT_DROPS);
+    let n_drops = if workers < 2 { 0 } else { rng.gen_range(0..=MAX_HEARTBEAT_DROPS) };
     for _ in 0..n_drops {
         let worker = 1 + rng.gen_range(0..workers - 1);
         let start = Time::from_secs_f64(HORIZON_S * 0.8 * rng.gen::<f64>());
@@ -123,7 +125,7 @@ pub fn generate(seed: u64) -> FaultSchedule {
     s.pfs_bursts.sort_by_key(|a| (a.start, a.stop));
 
     // straggler windows: seeded per-worker compute slowdown
-    let n = rng.gen_range(0..=2u32);
+    let n = if workers == 0 { 0 } else { rng.gen_range(0..=2u32) };
     for _ in 0..n {
         let worker = rng.gen_range(0..workers);
         let factor = 2.0 + 8.0 * rng.gen::<f64>();
@@ -134,7 +136,7 @@ pub fn generate(seed: u64) -> FaultSchedule {
     s.stragglers.sort_by_key(|f| (f.start, f.worker));
 
     // skewed placement: one hot spot at most
-    if rng.gen::<f64>() < 0.5 {
+    if workers > 0 && rng.gen::<f64>() < 0.5 {
         let worker = rng.gen_range(0..workers);
         let weight = 0.05 + 0.4 * rng.gen::<f64>();
         s.hotspot = Some(HotspotFault { worker, weight });
@@ -173,14 +175,14 @@ mod tests {
     #[test]
     fn same_seed_same_schedule() {
         for seed in 0..64 {
-            assert_eq!(generate(seed), generate(seed));
+            assert_eq!(generate(seed, crate::workers()), generate(seed, crate::workers()));
         }
     }
 
     #[test]
     fn different_seeds_differ() {
         let distinct: std::collections::HashSet<String> =
-            (0..32).map(|s| generate(s).to_json().unwrap()).collect();
+            (0..32).map(|s| generate(s, crate::workers()).to_json().unwrap()).collect();
         assert!(distinct.len() > 16, "only {} distinct schedules in 32 seeds", distinct.len());
     }
 
@@ -189,7 +191,7 @@ mod tests {
         let workers = crate::runner::workers();
         let mut deaths = 0;
         for seed in 0..1024 {
-            let s = generate(seed);
+            let s = generate(seed, workers);
             deaths += s.deaths.len();
             assert!(s.deaths.iter().all(|d| d.worker != 0), "seed {seed} kills worker 0");
             assert!(
@@ -206,7 +208,7 @@ mod tests {
     fn schedules_are_well_formed() {
         let workers = crate::runner::workers();
         for seed in 0..256 {
-            let s = generate(seed);
+            let s = generate(seed, workers);
             // one death per worker at most
             let killed: Vec<u32> = s.deaths.iter().map(|d| d.worker).collect();
             let mut dedup = killed.clone();
@@ -232,10 +234,22 @@ mod tests {
     }
 
     #[test]
+    fn a_small_cluster_draws_faults_only_for_its_workers() {
+        for seed in 0..256 {
+            let lone = generate(seed, 1);
+            assert!(lone.deaths.is_empty() && lone.heartbeat_drops.is_empty(), "seed {seed}");
+            assert!(lone.stragglers.iter().all(|f| f.worker == 0));
+            assert!(lone.hotspot.iter().all(|h| h.worker == 0));
+            let none = generate(seed, 0);
+            assert!(none.stragglers.is_empty() && none.hotspot.is_none(), "seed {seed}");
+        }
+    }
+
+    #[test]
     fn generator_actually_produces_each_fault_kind() {
         let mut counts = [0usize; 9];
         for seed in 0..128 {
-            let s = generate(seed);
+            let s = generate(seed, crate::workers());
             let n = [
                 s.deaths.len(),
                 s.fetch_faults.len(),

@@ -238,8 +238,8 @@ mod tests {
     }
 
     /// One recovery rule: a flipped byte in the body of a sealed segment
-    /// whose sidecar still validates is a tear for the archive reopen
-    /// exactly as for the writable one — the same blobs, byte for byte.
+    /// is a tear for the archive reopen exactly as for the writable one —
+    /// the same blobs, byte for byte.
     #[test]
     fn replay_and_durable_recover_alike_past_a_damaged_sealed_segment() {
         use dtf_store::log::{segment_paths, FRAME_OVERHEAD, HEADER_LEN};
@@ -248,7 +248,6 @@ mod tests {
         let segs = segment_paths(&dir).unwrap();
         assert!(segs.len() > 2);
         let sealed = &segs[1];
-        assert!(dtf_store::SegmentIndex::sidecar_path(sealed).exists(), "sealed with a sidecar");
         let mut data = std::fs::read(sealed).unwrap();
         let kept = u64::from_le_bytes(data[16..24].try_into().unwrap()); // its first record
         data[HEADER_LEN + FRAME_OVERHEAD + 3] ^= 0x01; // inside that record's payload

@@ -1,8 +1,8 @@
 //! A small block/readahead cache for archive reads.
 //!
 //! Indexed readers ([`crate::index::LogReader`]) fetch segment data in
-//! *blocks* — the byte span between two consecutive sparse-index entries,
-//! i.e. one stride's worth of records. Reading a whole block on a point
+//! *blocks* — the byte span between two consecutive entries of the
+//! reader's in-memory sparse index, i.e. one stride's worth of records. Reading a whole block on a point
 //! lookup is the readahead: a later read of a neighbouring record in the
 //! same block is served from memory, and a range scan hops block to block
 //! touching each one once. Blocks are refcounted [`Bytes`], so returning

@@ -24,21 +24,22 @@
 //!   maps this backs hold what is key-value (topic configs, group
 //!   cursors, run metadata), never the event stream — under a hundred
 //!   records a run, microseconds to replay.
-//! * [`index`] — sparse per-segment index sidecars (`seg-*.dti`) and the
-//!   [`index::LogReader`] archive view: point/range reads seek to an
-//!   indexed block instead of scanning the log, served through the
-//!   [`cache`] block/readahead LRU. The Mofka analog's three stores do
-//!   not read through it: each recovers by the log's own scan.
+//! * [`index`] — the [`index::LogReader`] archive view: it opens a log
+//!   by the same recovery scan, keeps a sparse in-memory index of every
+//!   segment, and serves point/range reads by seeking to an indexed block
+//!   through the [`cache`] block/readahead LRU. The Mofka analog's three
+//!   stores do not read through it: each recovers by the log's own scan.
 //!
 //! The recovery invariant every layer maintains: **no committed record is
 //! ever lost, and no uncommitted record ever surfaces**. "Committed"
 //! means flushed by policy or an explicit [`log::SegmentedLog::sync`];
 //! a torn or bit-flipped tail truncates the stream at the first damaged
-//! byte and never resurrects anything behind it. One bounds-checked CRC
-//! frame scan finds that byte for every reader. Index sidecars are
-//! **caches, never truth**: each is validated on load, rebuilt on any
-//! mismatch, and deleting all of them reproduces the identical state from
-//! the log alone.
+//! byte and never resurrects anything behind it. One recovery scan, with
+//! one bounds-checked CRC frame walk, finds that byte for every reader,
+//! so a writer and an archive reader opening the same directory recover
+//! the same prefix. On disk a log is its segment files and nothing else.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub mod cache;
 pub mod crc32;
@@ -47,6 +48,6 @@ pub mod kv;
 pub mod log;
 
 pub use cache::{BlockCache, CacheStats};
-pub use index::{LogReader, ReaderOptions, SegmentIndex};
+pub use index::{LogReader, ReaderOptions};
 pub use kv::{KvRecord, KvWal};
 pub use log::{FlushPolicy, LogConfig, RecoveryReport, SegmentedLog, FORMAT_BINARY};

@@ -42,8 +42,9 @@
 //! along with everything after it; inside a segment, the first frame with
 //! a bad length, a short read, or a CRC mismatch truncates the file at
 //! that byte and drops all later segments. What survives is exactly the
-//! committed prefix. The frame walk is `scan_frames`, the one scan every
-//! reader of a segment runs.
+//! committed prefix. The scan is `recover`, and it is the only one: the
+//! writer and the archive reader ([`crate::index::LogReader`]) both open
+//! a directory through it, so they recover the same prefix.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{ErrorKind, Write};
@@ -53,7 +54,6 @@ use bytes::Bytes;
 use dtf_core::error::{DtfError, Result};
 
 use crate::crc32::crc32;
-use crate::index::{remove_sidecar, SegmentIndex, DEFAULT_STRIDE};
 
 const MAGIC_PREFIX: &[u8; 7] = b"DTFSEG1";
 /// Header byte 7: record payloads are binary-encoded (`dtf_core::binfmt`
@@ -148,12 +148,6 @@ pub struct SegmentedLog {
     committed: u64,
     pending: Vec<u8>,
     pending_records: u64,
-    /// First record index of the current segment.
-    seg_first: u64,
-    /// Byte offsets of every [`DEFAULT_STRIDE`]-th record in the current
-    /// segment, tracked while appending so sealing the segment writes its
-    /// index sidecar without a rescan.
-    seg_offsets: Vec<u32>,
     /// The first failed append, roll or sync (see the module docs).
     poison: Option<DtfError>,
 }
@@ -162,7 +156,7 @@ pub(crate) fn io_err(path: &Path, e: std::io::Error) -> DtfError {
     DtfError::Io(e.kind(), format!("{}: {e}", path.display()))
 }
 
-pub(crate) fn segment_name(seqno: u64) -> String {
+fn segment_name(seqno: u64) -> String {
     format!("seg-{seqno:016x}.dtl")
 }
 
@@ -181,7 +175,7 @@ fn header_bytes(seqno: u64, first_record: u64) -> [u8; HEADER_LEN] {
 /// and return `(seqno, first_record)`. `None` when damaged. The caller
 /// still owns the chain checks (seqno matches the filename and the
 /// previous segment, first_record matches the running count).
-pub(crate) fn header_fields(data: &[u8]) -> Option<(u64, u64)> {
+fn header_fields(data: &[u8]) -> Option<(u64, u64)> {
     let (fields, _) = data.split_first_chunk::<24>()?;
     let crc = le_u32(data, 24)?;
     let (magic, rest) = fields.split_first_chunk::<7>()?;
@@ -193,7 +187,7 @@ pub(crate) fn header_fields(data: &[u8]) -> Option<(u64, u64)> {
 }
 
 /// The little-endian `u32` at `at` in `data`, when `data` holds one there.
-fn le_u32(data: &[u8], at: usize) -> Option<u32> {
+pub(crate) fn le_u32(data: &[u8], at: usize) -> Option<u32> {
     data.get(at..)?.first_chunk().map(|b| u32::from_le_bytes(*b))
 }
 
@@ -214,14 +208,12 @@ pub(crate) fn frame_len(data: &[u8], off: usize) -> Option<usize> {
     (len != 0 && len <= MAX_RECORD_BYTES && len <= data.len() - off - FRAME_OVERHEAD).then_some(len)
 }
 
-/// The one frame scan behind every reader of a segment: the recovery
-/// scan, [`SegmentIndex::build`] and the archive reader. Walks the frames
-/// of `data` — a whole segment file whose header the caller validated —
-/// handing each verified frame's byte offset and payload length to `f`,
-/// and returns where it stopped: `data.len()` for an intact segment, else
-/// the first frame with a bad length, a short read or a CRC mismatch (the
-/// tear).
-pub(crate) fn scan_frames(data: &[u8], mut f: impl FnMut(usize, usize)) -> usize {
+/// The frame walk of [`recover`]. Walks the frames of `data` — a whole
+/// segment file whose header the caller validated — handing each verified
+/// frame's byte offset and payload length to `f`, and returns where it
+/// stopped: `data.len()` for an intact segment, else the first frame with
+/// a bad length, a short read or a CRC mismatch (the tear).
+fn scan_frames(data: &[u8], mut f: impl FnMut(usize, usize)) -> usize {
     let mut off = HEADER_LEN;
     while let Some(len) = frame_len(data, off) {
         // `frame_len` checked that the frame's head and payload are there
@@ -235,16 +227,81 @@ pub(crate) fn scan_frames(data: &[u8], mut f: impl FnMut(usize, usize)) -> usize
     off
 }
 
-/// Recovery's repair of a tear: cut the segment back to `len` bytes and
-/// drop its index sidecar, stale against the new length.
-pub(crate) fn truncate_segment(path: &Path, len: u64) -> Result<()> {
-    OpenOptions::new()
-        .write(true)
-        .open(path)
-        .and_then(|f| f.set_len(len))
-        .map_err(|e| io_err(path, e))?;
-    remove_sidecar(path);
-    Ok(())
+/// A segment [`recover`] kept, as it stands after the repairs.
+#[derive(Debug)]
+pub(crate) struct KeptSegment {
+    pub path: PathBuf,
+    pub seqno: u64,
+    /// Index of its first record over the log's life.
+    pub first_record: u64,
+    /// Records it holds.
+    pub records: u64,
+    /// Its byte length: past its last record, header included.
+    pub len: u64,
+}
+
+/// The recovery scan of the module docs, by which both the writer
+/// ([`SegmentedLog::open`]) and the archive reader
+/// ([`crate::index::LogReader::open`]) open `dir`. Each verified frame
+/// goes to `visit` as its index within its segment, its byte offset in
+/// the segment file, and its payload. Returns the segments kept, as they
+/// stand after the repairs, and the report. Creates nothing: a missing
+/// directory is an empty log.
+pub(crate) fn recover(
+    dir: &Path,
+    mut visit: impl FnMut(u64, usize, Bytes),
+) -> Result<(Vec<KeptSegment>, RecoveryReport)> {
+    let paths = segment_paths(dir)?;
+    let mut report = RecoveryReport::default();
+    let mut kept: Vec<KeptSegment> = Vec::new();
+    let mut drop_from = None;
+    for (i, path) in paths.iter().enumerate() {
+        // One read and one allocation per segment: payloads are zero-copy
+        // slices into this buffer.
+        let data = Bytes::from(fs::read(path).map_err(|e| io_err(path, e))?);
+        let header = header_fields(&data).filter(|&(seqno, first)| {
+            Some(seqno) == parse_seqno(path)
+                && first == report.records
+                && kept.last().is_none_or(|prev| seqno == prev.seqno + 1)
+        });
+        let Some((seqno, first_record)) = header else {
+            drop_from = Some(i);
+            break;
+        };
+        let mut records = 0;
+        let end = scan_frames(&data, |off, len| {
+            visit(records, off, data.slice(off + FRAME_OVERHEAD..off + FRAME_OVERHEAD + len));
+            records += 1;
+        });
+        report.segments += 1;
+        report.records += records;
+        kept.push(KeptSegment {
+            path: path.clone(),
+            seqno,
+            first_record,
+            records,
+            len: end as u64,
+        });
+        if end < data.len() {
+            // torn tail: truncate here (idempotent), drop everything after
+            OpenOptions::new()
+                .write(true)
+                .open(path)
+                .and_then(|f| f.set_len(end as u64))
+                .map_err(|e| io_err(path, e))?;
+            report.truncated_bytes = (data.len() - end) as u64;
+            report.torn = true;
+            drop_from = Some(i + 1);
+            break;
+        }
+    }
+    if let Some(i) = drop_from {
+        report.dropped_segments = paths.len() - i;
+        for path in &paths[i..] {
+            fs::remove_file(path).map_err(|e| io_err(path, e))?;
+        }
+    }
+    Ok((kept, report))
 }
 
 /// Fsync a directory, making file creations inside it power-loss
@@ -278,7 +335,7 @@ pub fn segment_paths(dir: &Path) -> Result<Vec<PathBuf>> {
 
 /// The sequence number a segment file's name spells, `None` when the
 /// name is not a segment's. Every path [`segment_paths`] yields has one.
-pub(crate) fn parse_seqno(path: &Path) -> Option<u64> {
+fn parse_seqno(path: &Path) -> Option<u64> {
     path.file_name()
         .and_then(|n| n.to_str())
         .and_then(|n| n.strip_prefix("seg-"))
@@ -288,11 +345,8 @@ pub(crate) fn parse_seqno(path: &Path) -> Option<u64> {
 
 impl SegmentedLog {
     /// Open (creating if absent) the log at `dir`, running the recovery
-    /// scan. Returns the log positioned for appending, the recovered
-    /// records in order, and the scan report. A bad frame truncates its
-    /// file there, a bad header (or anything after a tear) drops the file
-    /// — dropped and truncated segments also lose their index sidecars,
-    /// which would otherwise go stale.
+    /// scan (`recover`). Returns the log positioned for appending, the
+    /// recovered records in order, and the scan report.
     pub fn open(dir: &Path, cfg: LogConfig) -> Result<(Self, Vec<Bytes>, RecoveryReport)> {
         // floor the segment size so a header plus one tiny frame always fits
         let cfg = LogConfig {
@@ -300,65 +354,16 @@ impl SegmentedLog {
             ..cfg
         };
         fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-        let paths = segment_paths(dir)?;
-        let mut report = RecoveryReport::default();
         let mut records: Vec<Bytes> = Vec::new();
-        // (seqno, path, byte length) of the segment appends continue into
-        let mut active: Option<(u64, PathBuf, u64)> = None;
-        // first record index and sparse offsets of that segment
-        let mut seg_first = 0u64;
-        let mut seg_offsets: Vec<u32> = Vec::new();
-        let mut drop_from: Option<usize> = None;
-        let mut prev_seqno: Option<u64> = None;
-
-        for (i, path) in paths.iter().enumerate() {
-            // One read and one allocation per segment: recovered records
-            // are zero-copy slices into this buffer.
-            let data = Bytes::from(fs::read(path).map_err(|e| io_err(path, e))?);
-            let header = header_fields(&data).filter(|&(seqno, first)| {
-                Some(seqno) == parse_seqno(path)
-                    && first == records.len() as u64
-                    && prev_seqno.map(|p| seqno == p + 1).unwrap_or(true)
-            });
-            let Some((seqno, _)) = header else {
-                drop_from = Some(i);
-                break;
-            };
-            prev_seqno = Some(seqno);
-            report.segments += 1;
-            seg_first = records.len() as u64;
-            seg_offsets.clear();
-            let end = scan_frames(&data, |off, len| {
-                if (records.len() as u64 - seg_first).is_multiple_of(DEFAULT_STRIDE as u64) {
-                    seg_offsets.push(off as u32);
-                }
-                records.push(data.slice(off + FRAME_OVERHEAD..off + FRAME_OVERHEAD + len));
-            });
-            active = Some((seqno, path.clone(), end as u64));
-            if end < data.len() {
-                // torn tail: truncate here, drop everything after
-                truncate_segment(path, end as u64)?;
-                report.truncated_bytes += (data.len() - end) as u64;
-                report.torn = true;
-                drop_from = Some(i + 1);
-                break;
-            }
-        }
-
-        if let Some(i) = drop_from {
-            report.dropped_segments = paths.len() - i;
-            for path in &paths[i..] {
-                remove_sidecar(path);
-                fs::remove_file(path).map_err(|e| io_err(path, e))?;
-            }
-        }
-        report.records = records.len() as u64;
-
-        let (file, seg_seqno, seg_len) = match active {
-            Some((seqno, path, len)) => {
-                let file =
-                    OpenOptions::new().append(true).open(&path).map_err(|e| io_err(&path, e))?;
-                (file, seqno, len)
+        let (kept, report) = recover(dir, |_, _, payload| records.push(payload))?;
+        // appends continue into the last segment kept
+        let (file, seg_seqno, seg_len) = match kept.last() {
+            Some(seg) => {
+                let file = OpenOptions::new()
+                    .append(true)
+                    .open(&seg.path)
+                    .map_err(|e| io_err(&seg.path, e))?;
+                (file, seg.seqno, seg.len)
             }
             None => (Self::create_segment(dir, 0, 0)?, 0, HEADER_LEN as u64),
         };
@@ -372,8 +377,6 @@ impl SegmentedLog {
             committed: report.records,
             pending: Vec::new(),
             pending_records: 0,
-            seg_first,
-            seg_offsets,
             poison: None,
         };
         Ok((log, records, report))
@@ -415,9 +418,6 @@ impl SegmentedLog {
             }
         }
         let index = self.records;
-        if (self.records - self.seg_first).is_multiple_of(DEFAULT_STRIDE as u64) {
-            self.seg_offsets.push(self.seg_len as u32);
-        }
         self.pending.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         self.pending.extend_from_slice(&crc32(payload).to_le_bytes());
         self.pending.extend_from_slice(payload);
@@ -472,11 +472,8 @@ impl SegmentedLog {
     /// Flush the current segment and start the next one. The directory is
     /// fsynced after the new segment is created — without it, power loss
     /// can forget the file itself even though its writes were synced.
-    /// Sealing a segment also writes its index sidecar from the offsets
-    /// tracked during appends.
     fn roll(&mut self) -> Result<()> {
         self.sync()?;
-        self.write_sidecar();
         let file = Self::create_segment(&self.dir, self.seg_seqno + 1, self.records)?;
         if self.cfg.sync_data {
             fsync_dir(&self.dir)?;
@@ -484,23 +481,7 @@ impl SegmentedLog {
         self.file = Box::new(file);
         self.seg_seqno += 1;
         self.seg_len = HEADER_LEN as u64;
-        self.seg_first = self.records;
         Ok(())
-    }
-
-    /// Best-effort index sidecar for the segment being sealed, from the
-    /// offsets tracked while appending — no rescan. Sidecars are a pure
-    /// cache — a failed write only costs a later rebuild.
-    fn write_sidecar(&mut self) {
-        let idx = SegmentIndex {
-            seqno: self.seg_seqno,
-            first_record: self.seg_first,
-            records: (self.records - self.seg_first) as u32,
-            seg_bytes: self.seg_len,
-            stride: DEFAULT_STRIDE,
-            offsets: std::mem::take(&mut self.seg_offsets),
-        };
-        let _ = idx.write(&self.dir.join(segment_name(self.seg_seqno)));
     }
 
     /// Records appended (committed or still buffered).
@@ -943,31 +924,6 @@ mod tests {
             assert_eq!(report.dropped_segments, paths.len() - 1);
             fs::remove_dir_all(&dir).unwrap();
         }
-    }
-
-    #[test]
-    fn rolling_seals_segments_with_index_sidecars() {
-        let dir = tmpdir("roll-sidecar");
-        {
-            let (mut log, _, _) = SegmentedLog::open(&dir, cfg(128, FlushPolicy::Manual)).unwrap();
-            for i in 0..50u8 {
-                log.append(&[i; 40]).unwrap();
-            }
-            log.sync().unwrap();
-        }
-        let paths = segment_paths(&dir).unwrap();
-        let mut firsts: Vec<u64> = paths
-            .iter()
-            .map(|p| u64::from_le_bytes(fs::read(p).unwrap()[16..24].try_into().unwrap()))
-            .collect();
-        firsts.push(50);
-        for (i, seg) in paths[..paths.len() - 1].iter().enumerate() {
-            let expect = (firsts[i + 1] - firsts[i]) as u32;
-            let idx = SegmentIndex::load_validated(seg, firsts[i], expect)
-                .expect("sealed segment carries a valid sidecar");
-            assert_eq!(idx.records, expect);
-        }
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

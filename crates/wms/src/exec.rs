@@ -35,13 +35,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dtf_core::binfmt::Wire;
 use dtf_core::error::{DtfError, Result};
 use dtf_core::events::{CommEvent, TaskState};
 use dtf_core::ids::{NodeId, RunId, TaskKey, ThreadId, WorkerId};
 use dtf_core::provenance::{HardwareInfo, JobInfo, ProvenanceChart, SystemInfo, WmsConfig};
 use dtf_core::time::{Dur, RealClock, Time};
-use dtf_core::{fnv64_extend, FNV64_BASIS};
+use dtf_core::FNV64_BASIS;
 use dtf_darshan::log::LogSet;
 use dtf_mofka::bedrock::BedrockConfig;
 use dtf_mofka::producer::ProducerConfig;
@@ -66,7 +65,7 @@ struct Shared {
     progress: Condvar,
     /// Set under the scheduler lock.
     stop: AtomicBool,
-    /// [`extend_code_hash`] over every graph submitted so far, in
+    /// [`TaskGraph::extend_hash`] over every graph submitted so far, in
     /// submission order. Set under the scheduler lock.
     code_hash: AtomicU64,
 }
@@ -174,7 +173,7 @@ impl LocalCluster {
         let shared = &self.threads.shared;
         let mut sched = shared.scheduler.lock();
         let now = shared.clock.now();
-        let code_hash = extend_code_hash(shared.code_hash.load(Ordering::SeqCst), &graph);
+        let code_hash = graph.extend_hash(shared.code_hash.load(Ordering::SeqCst));
         sched.submit_graph(graph, now)?;
         shared.code_hash.store(code_hash, Ordering::SeqCst);
         process_fetches(shared, &mut sched, now);
@@ -246,19 +245,6 @@ impl LocalCluster {
         };
         RunData::drain(service, facts)
     }
-}
-
-/// `hash` extended by `graph`'s id and each task's key and deps, in
-/// order. A closure has no bytes to hash, so this is the part of the
-/// client code a chart can fingerprint.
-fn extend_code_hash(hash: u64, graph: &TaskGraph) -> u64 {
-    let mut buf = Vec::new();
-    graph.id.put(&mut buf);
-    for task in &graph.tasks {
-        task.key.put(&mut buf);
-        task.deps.put(&mut buf);
-    }
-    fnv64_extend(hash, &buf)
 }
 
 /// The chart of an executor run, holding only what the executor can

@@ -9,7 +9,9 @@ use std::collections::HashSet;
 use std::hash::BuildHasher;
 use std::sync::Arc;
 
+use dtf_core::binfmt::Wire;
 use dtf_core::error::{DtfError, Result};
+use dtf_core::fnv64_extend;
 use dtf_core::ids::{FileId, GraphId, KeyMap, TaskKey};
 use dtf_core::time::Dur;
 
@@ -129,6 +131,32 @@ impl TaskGraph {
 
     pub fn is_empty(&self) -> bool {
         self.tasks.is_empty()
+    }
+
+    /// `hash`, an FNV-64 state, extended by this graph's part of a
+    /// workflow's fingerprint (a chart's `client_code_hash`): the binfmt
+    /// encoding of its id, its task count, then each task's key, deps and
+    /// payload — tag 0 and the cost model for a simulated task, tag 1
+    /// alone for a closure, which has no bytes to hash. Hashed task by
+    /// task through one buffer that never holds more than one task.
+    pub fn extend_hash(&self, mut hash: u64) -> u64 {
+        let mut buf = Vec::new();
+        self.id.put(&mut buf);
+        self.tasks.len().put(&mut buf);
+        for task in &self.tasks {
+            task.key.put(&mut buf);
+            task.deps.put(&mut buf);
+            match &task.payload {
+                Payload::Sim(action) => {
+                    buf.push(0);
+                    action.put(&mut buf);
+                }
+                Payload::Real(_) => buf.push(1),
+            }
+            hash = fnv64_extend(hash, &buf);
+            buf.clear();
+        }
+        fnv64_extend(hash, &buf)
     }
 
     /// Validate: unique keys, no dependency cycles, and every dependency

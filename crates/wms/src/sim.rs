@@ -80,50 +80,34 @@ pub struct SimWorkflow {
 impl SimWorkflow {
     /// The workflow's fingerprint, which a run's provenance chart records
     /// as `client_code_hash`: FNV-64 over the binfmt encoding of everything
-    /// [`SimCluster::run`] reads of it — each graph's id and tasks (key,
-    /// deps and cost model), the dataset, the submit policy and the
-    /// startup, inter-graph and shutdown durations. Counts precede lists,
-    /// so no two workflows share an encoding. The name is left out: the
-    /// chart holds it beside the hash. Hashed task by task through one
-    /// buffer that never holds more than one task.
+    /// [`SimCluster::run`] reads of it — the graph count, each graph as
+    /// [`TaskGraph::extend_hash`] encodes it (id and tasks: key, deps and
+    /// cost model), the dataset, the submit policy and the startup,
+    /// inter-graph and shutdown durations. Counts precede lists, so no two
+    /// workflows share an encoding. The name is left out: the chart holds
+    /// it beside the hash. Hashed item by item through one buffer that
+    /// never holds more than one task or file.
     pub fn code_hash(&self) -> u64 {
         let mut buf = Vec::new();
-        let mut hash = FNV64_BASIS;
-        let mut flush = |buf: &mut Vec<u8>| {
-            hash = fnv64_extend(hash, buf);
-            buf.clear();
-        };
         self.graphs.len().put(&mut buf);
+        let mut hash = fnv64_extend(FNV64_BASIS, &buf);
+        buf.clear();
         for graph in &self.graphs {
-            graph.id.put(&mut buf);
-            graph.tasks.len().put(&mut buf);
-            for task in &graph.tasks {
-                task.key.put(&mut buf);
-                task.deps.put(&mut buf);
-                match &task.payload {
-                    Payload::Sim(action) => {
-                        buf.push(0);
-                        action.put(&mut buf);
-                    }
-                    // a closure has no bytes to hash; it never runs here
-                    Payload::Real(_) => buf.push(1),
-                }
-                flush(&mut buf);
-            }
+            hash = graph.extend_hash(hash);
         }
         self.dataset.len().put(&mut buf);
         for (path, size, stripes) in &self.dataset {
             path.put(&mut buf);
             size.put(&mut buf);
             stripes.put(&mut buf);
-            flush(&mut buf);
+            hash = fnv64_extend(hash, &buf);
+            buf.clear();
         }
         self.submit.put(&mut buf);
         self.startup.put(&mut buf);
         self.inter_graph.put(&mut buf);
         self.shutdown.put(&mut buf);
-        flush(&mut buf);
-        hash
+        fnv64_extend(hash, &buf)
     }
 }
 
@@ -286,12 +270,24 @@ fn check_periods(wms: &WmsConfig) -> Result<()> {
 /// scaled duration far inside the range of [`Time`].
 const MAX_FAULT_SLOWDOWN: f64 = 1000.0;
 
-/// Refuse a fault the cost models cannot apply: a PFS burst whose window
-/// is empty, a burst or straggler factor below 1 or NaN (a fault slows
-/// things down), and factors that multiply past [`MAX_FAULT_SLOWDOWN`].
-/// Windows may overlap, so the bound is on the product of every burst's
-/// factor and of every straggler factor of one worker.
-fn check_faults(faults: &FaultSchedule) -> Result<()> {
+/// Refuse a fault the run cannot apply: a death, heartbeat drop,
+/// straggler or hotspot aimed at a worker ordinal the cluster of
+/// `workers` does not have, a PFS burst whose window is empty, a burst or
+/// straggler factor below 1 or NaN (a fault slows things down), and
+/// factors that multiply past [`MAX_FAULT_SLOWDOWN`]. Windows may
+/// overlap, so the bound is on the product of every burst's factor and of
+/// every straggler factor of one worker.
+fn check_faults(faults: &FaultSchedule, workers: u32) -> Result<()> {
+    let mut aimed = (faults.deaths.iter().map(|d| ("deaths", d.worker)).enumerate())
+        .chain(faults.heartbeat_drops.iter().map(|d| ("heartbeat_drops", d.worker)).enumerate())
+        .chain(faults.stragglers.iter().map(|f| ("stragglers", f.worker)).enumerate());
+    let beyond = |worker| format!("worker {worker}, but the cluster has {workers} workers");
+    if let Some((i, (field, worker))) = aimed.find(|(_, (_, w))| *w >= workers) {
+        return Err(DtfError::Config(format!("faults.{field}[{i}]: {}", beyond(worker))));
+    }
+    if let Some(h) = faults.hotspot.as_ref().filter(|h| h.worker >= workers) {
+        return Err(DtfError::Config(format!("faults.hotspot: {}", beyond(h.worker))));
+    }
     let slows = |f: f64, product: &mut f64| {
         *product *= f;
         f >= 1.0 && *product <= MAX_FAULT_SLOWDOWN
@@ -394,12 +390,13 @@ impl SimCluster {
     /// Allocate a cluster and wire all services for one run. A setting
     /// the run could not go through is a config error naming its field: a
     /// cluster with no workers or threads, a zero period, and a fault the
-    /// cost models cannot apply.
+    /// run cannot apply (one aimed at a worker the cluster lacks, or one
+    /// the cost models cannot scale by).
     pub fn new(cfg: SimConfig) -> Result<Self> {
         nonzero("workers_per_node", cfg.wms.workers_per_node)?;
         nonzero("threads_per_worker", cfg.wms.threads_per_worker)?;
         check_periods(&cfg.wms)?;
-        check_faults(&cfg.faults)?;
+        check_faults(&cfg.faults, WORKER_NODES * cfg.wms.workers_per_node)?;
         let rr = RunRng::new(cfg.campaign_seed, cfg.run);
         let mut rng_topo = rr.stream("topology");
         let topo = ClusterTopology::polaris_like(&mut rng_topo);
@@ -724,16 +721,14 @@ impl SimCluster {
                     }
                 }
                 Ev::Kill { worker } => {
-                    if worker < self.dead.len() {
-                        self.dead[worker] = true;
-                        let addr = self.worker_ids[worker].address();
-                        self.log(
-                            LogLevel::Error,
-                            LogSource::Worker(self.worker_ids[worker]),
-                            format!("worker {addr} terminated"),
-                        );
-                        // it stops heartbeating; FaultCheck will evict it
-                    }
+                    self.dead[worker] = true;
+                    let addr = self.worker_ids[worker].address();
+                    self.log(
+                        LogLevel::Error,
+                        LogSource::Worker(self.worker_ids[worker]),
+                        format!("worker {addr} terminated"),
+                    );
+                    // it stops heartbeating; FaultCheck will evict it
                 }
                 Ev::MofkaStall { topic, partition } => {
                     // stall injection: appends to the partition stage
@@ -1100,6 +1095,22 @@ mod tests {
             let err = SimCluster::new(cfg).err().expect("a zero size is refused");
             assert!(matches!(err, DtfError::Config(_)), "{err}");
         }
+    }
+
+    /// A fault aimed at a worker the cluster does not have is a config
+    /// error naming its field, not a fault the run silently drops.
+    #[test]
+    fn a_death_of_a_worker_the_cluster_lacks_is_a_config_error() {
+        let wms = WmsConfig { workers_per_node: 1, ..Default::default() };
+        let faults = FaultSchedule {
+            deaths: vec![WorkerDeath { worker: 5, time: Time::from_secs_f64(1.0) }],
+            ..Default::default()
+        };
+        let err = SimCluster::new(SimConfig { wms, faults, ..Default::default() })
+            .err()
+            .expect("a death of worker 5 on a 2-worker cluster is refused");
+        let DtfError::Config(m) = &err else { panic!("{err}") };
+        assert!(m.starts_with("faults.deaths[0]: worker 5"), "{m}");
     }
 
     /// A run that can no longer make progress fails at its next fault check

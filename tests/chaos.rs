@@ -452,11 +452,11 @@ fn mofka_stall_preserves_exactly_once_in_order() {
 /// most 5 wide) never saturates, so none of its runs queues a task and
 /// its worker deaths never meet the scheduler's queue. Two one-thread
 /// workers at a queue factor of 1 do: the first 200 schedules of the
-/// campaign, each on its own seed-derived workflow, must all complete
-/// with every oracle clean (a fault aimed at a worker ordinal past 1
-/// finds no worker and changes nothing) — the live one included, which holds that a
-/// task waits in `queued` only while every live worker is saturated —
-/// and some of them must both queue a task and lose a worker's work.
+/// campaign, each drawn for two workers and run on its own seed-derived
+/// workflow, must all complete with every oracle clean — the live one
+/// included, which holds that a task waits in `queued` only while every
+/// live worker is saturated — and some of them must both queue a task and
+/// lose a worker's work.
 #[test]
 fn queued_tasks_survive_worker_loss_on_a_saturated_cluster() {
     const CAMPAIGN: u64 = 20_240_806;
@@ -469,7 +469,7 @@ fn queued_tasks_survive_worker_loss_on_a_saturated_cluster() {
     let mut reached = 0;
     for index in 0..200 {
         let seed = schedule_seed(CAMPAIGN, index);
-        let cfg = SimConfig { wms: wms.clone(), ..sim_config(seed, index, generate(seed)) };
+        let cfg = SimConfig { wms: wms.clone(), ..sim_config(seed, index, generate(seed, 2)) };
         let data = SimCluster::new(cfg)
             .and_then(|sim| sim.run(chaos_workflow(seed)?))
             .unwrap_or_else(|e| panic!("schedule {index}: {e}"));

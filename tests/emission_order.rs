@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use dtf::chaos::runner::chaos_workflow;
-use dtf::chaos::{generate, schedule_seed};
+use dtf::chaos::{generate, schedule_seed, workers};
 use dtf::core::ids::RunId;
 use dtf::core::provenance::WmsConfig;
 use dtf::core::rngx::RunRng;
@@ -162,7 +162,7 @@ fn every_topic_of_an_archived_or_stalled_run_holds_the_seqs_0_to_n() {
     let mut stalled = 0;
     for index in 0..40 {
         let seed = schedule_seed(20240806, index);
-        let faults = generate(seed);
+        let faults = generate(seed, workers());
         if faults.mofka_stalls.is_empty() {
             continue;
         }

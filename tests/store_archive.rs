@@ -24,7 +24,8 @@ use std::path::{Path, PathBuf};
 use std::collections::HashSet;
 
 use dtf::chaos::{
-    copy_store, generate, recovery_oracle, schedule_seed, CrashFault, CrashKind, CrashTarget,
+    copy_store, generate, recovery_oracle, schedule_seed, workers, CrashFault, CrashKind,
+    CrashTarget,
 };
 use dtf::core::fault::InterferenceBurst;
 use dtf::core::fnv64;
@@ -207,7 +208,7 @@ fn every_archived_run_replays_to_its_own_export_bundle() {
                 for on in [false, true] {
                     let mut cfg = SimConfig { run: RunId(run), ..features(seed, on, on) };
                     if faulted {
-                        cfg.faults = generate(schedule_seed(seed, 0));
+                        cfg.faults = generate(schedule_seed(seed, 0), workers());
                     }
                     cells.push((workload, cfg));
                 }
@@ -343,6 +344,20 @@ fn corrupted_tail_recovers_committed_prefix_to_golden() {
     check_golden("store_recovery_fnv64.txt", &fingerprint);
 }
 
+/// Every file under `dir`, however deep.
+fn files_under(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            files.extend(files_under(&path));
+        } else {
+            files.push(path);
+        }
+    }
+    files
+}
+
 /// The traffic of a persisted run. Yokan holds what is key-value — topic
 /// configs, group cursors, run metadata — and stays small however long
 /// the run; Warabi holds nothing, since events carry no payload and the
@@ -350,7 +365,8 @@ fn corrupted_tail_recovers_committed_prefix_to_golden() {
 /// in the topic log, never under per-slot keys or blobs. That traffic is
 /// what lets the KV replay its whole log on every open, and the blob
 /// store reopen by the same full scan; route a stream through either and
-/// this fails before a profile has to find it.
+/// this fails before a profile has to find it. On disk, each of the
+/// three stores is segment files and nothing else.
 #[test]
 fn persisted_run_keeps_the_event_stream_out_of_yokan() {
     for workload in Workload::ALL {
@@ -367,12 +383,15 @@ fn persisted_run_keeps_the_event_stream_out_of_yokan() {
                 "{workload:?}/{on}: yokan's log holds {}",
                 report.records
             );
-            for entry in std::fs::read_dir(store.join("yokan")).unwrap() {
-                let name = entry.unwrap().file_name().to_string_lossy().into_owned();
-                assert!(
-                    name.starts_with("seg-") && (name.ends_with(".dtl") || name.ends_with(".dti")),
-                    "{workload:?}/{on}: yokan/ holds {name}"
-                );
+            for service in ["yokan", "warabi", "topics"] {
+                for file in files_under(&store.join(service)) {
+                    let name = file.file_name().unwrap().to_string_lossy();
+                    assert!(
+                        name.starts_with("seg-") && name.ends_with(".dtl"),
+                        "{workload:?}/{on}: {} holds a file that is not a segment",
+                        file.display()
+                    );
+                }
             }
             let (_, blobs) = dtf::mofka::warabi::Warabi::replay(&store.join("warabi")).unwrap();
             assert_eq!(blobs.records, 0, "{workload:?}/{on}: warabi/ holds blobs");

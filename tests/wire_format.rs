@@ -16,7 +16,7 @@
 
 use std::path::{Path, PathBuf};
 
-use dtf::chaos::{generate, run_faults, schedule_seed, transition_log};
+use dtf::chaos::{generate, run_faults, schedule_seed, transition_log, workers};
 use dtf::core::events::TaskState;
 use dtf::core::ids::RunId;
 use dtf::core::rngx::RunRng;
@@ -115,13 +115,13 @@ fn archived_chaos_schedule_replays_identically() {
     let seed = schedule_seed(42, 7);
     if update_golden() {
         std::fs::create_dir_all(golden_dir()).unwrap();
-        std::fs::write(&schedule_path, generate(seed).to_json().unwrap()).unwrap();
+        std::fs::write(&schedule_path, generate(seed, workers()).to_json().unwrap()).unwrap();
         eprintln!("updated golden {}", schedule_path.display());
     }
     let archived = std::fs::read_to_string(&schedule_path)
         .unwrap_or_else(|e| panic!("golden {} missing ({e})", schedule_path.display()));
     let archived = serde_json::from_str(&archived).expect("archived schedule parses");
-    let faults = generate(seed);
+    let faults = generate(seed, workers());
     assert_eq!(serde_json::to_value(&faults).unwrap(), archived, "the archive is the seed's");
     assert_eq!(archived["seed"], seed, "archive carries its generating seed");
 
@@ -167,7 +167,7 @@ fn campaign() -> &'static Campaign {
         };
         for index in 0..200 {
             let seed = schedule_seed(CAMPAIGN_SEED, index);
-            let faults = generate(seed);
+            let faults = generate(seed, workers());
             c.deaths += faults.deaths.len();
             c.duplicates += faults.fetch_faults.iter().filter(|f| f.duplicate).count();
             let data = run_faults(seed, index, &faults).unwrap();
@@ -195,7 +195,10 @@ fn chaos_campaign_transitions_are_pinned() {
     let c = campaign();
     let h = c.logs.iter().fold(fnv64(&[]), |h, log| fnv64_extend(h, log.as_bytes()));
     let log_bytes: usize = c.logs.iter().map(String::len).sum();
-    assert!(!generate(schedule_seed(CAMPAIGN_SEED, 54)).deaths.is_empty(), "index 54 kills");
+    assert!(
+        !generate(schedule_seed(CAMPAIGN_SEED, 54), workers()).deaths.is_empty(),
+        "index 54 kills"
+    );
     assert!(c.deaths > 0 && c.duplicates > 0 && c.recomputes > 0, "the set holds every fault");
     check_golden("chaos_campaign_fnv64.txt", &format!("{h:016x} {log_bytes}\n"));
 }
